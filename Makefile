@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-sparse perf-smoke chaos-smoke experiments experiments-md fuzz examples vet lint clean
+.PHONY: all build test test-short race cover bench bench-e2e bench-json bench-sparse perf-smoke chaos-smoke experiments experiments-md fuzz examples vet lint clean
 
 all: vet lint test
 
@@ -47,6 +47,12 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository benchmark (BENCHMARK.json): five end-to-end workloads
+# through the public uba.* entry points, full JSON report on stdout.
+# Workloads, metrics and `-compare` are documented in bench/README.md.
+bench-e2e:
+	$(GO) run ./bench
 
 # Round-engine micro-benchmarks (BenchmarkRoundEngine* workload) as JSON.
 # BENCH_simnet.json is committed so the engine's perf trajectory is

@@ -216,19 +216,14 @@ func BenchmarkIDSetInsert(b *testing.B) {
 
 // --- ablation benches: design choices called out in DESIGN.md.
 
-// Sequential vs pooled concurrent runner on identical workloads: the
-// engines are observably equivalent (asserted by tests); this measures
-// what the concurrency costs or buys at different scales.
+// Worker-cap ablation on identical workloads: every cap is observably
+// the same execution (asserted by tests); this measures what the
+// dispatch costs or buys at different scales. The counts are explicit
+// so a one-core host still pays for real dispatch at cap > 1.
 func BenchmarkRunnerAblation(b *testing.B) {
 	for _, n := range []int{8, 32, 96} {
-		n := n
-		for _, concurrent := range []bool{false, true} {
-			concurrent := concurrent
-			name := fmt.Sprintf("n=%d/sequential", n)
-			if concurrent {
-				name = fmt.Sprintf("n=%d/concurrent", n)
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, workers := range []int{1, 2, 3, 5} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
 				f := (n - 1) / 3
 				g := n - f
 				inputs := make([]float64, g)
@@ -239,9 +234,9 @@ func BenchmarkRunnerAblation(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := uba.Consensus(uba.Config{
 						Correct: g, Byzantine: f,
-						Adversary:  uba.AdversarySplit,
-						Seed:       7,
-						Concurrent: concurrent,
+						Adversary: uba.AdversarySplit,
+						Seed:      7,
+						Workers:   workers,
 					}, inputs); err != nil {
 						b.Fatal(err)
 					}

@@ -21,7 +21,7 @@ var benchSizes = []int{32, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 
 // phaseSizes are the sizes the phase-split (step-only / route-only)
 // benchmarks sweep. The split attributes round time to the half that
-// spends it: step is the worker-pool dispatch + Step calls, route is
+// spends it: step is the phase dispatch + Step calls, route is
 // block-sort + dedup + arena sizing + sharded delivery. n=4096 extends
 // the split into the territory where the sparse delivery path carries
 // the round, and is the larger of the two sizes the zero-alloc gate
@@ -33,7 +33,8 @@ type engineBenchResult struct {
 	// Name mirrors the `go test -bench` benchmark name.
 	Name string `json:"name"`
 	// Runner is "sequential" or "concurrent" for single-simulation rows
-	// and "campaign" for multi-simulation rows.
+	// (a worker cap of 1 or GOMAXPROCS on the one round engine; see
+	// runnerWorkers) and "campaign" for multi-simulation rows.
 	Runner string `json:"runner"`
 	// Phase is "step" or "route" for the phase-split benchmarks and
 	// empty for full-round rows (whose names stay stable across
@@ -80,15 +81,26 @@ type benchSpec struct {
 	bench  func(b *testing.B)
 }
 
+// runnerWorkers maps a row's runner label to the simnet.Config.Workers
+// it measures. The labels predate the single step path and are kept so
+// rows stay comparable with the committed baseline: "sequential" is a
+// worker cap of 1 (inline dispatch), "concurrent" a cap of GOMAXPROCS —
+// read when the fixture is built, i.e. under a procsSpec pin.
+func runnerWorkers(runner string) int {
+	if runner == "concurrent" {
+		return runtime.GOMAXPROCS(0)
+	}
+	return 1
+}
+
 // roundSpec measures full rounds (step + route) via RunRound.
 func roundSpec(runner string, n int) benchSpec {
-	concurrent := runner == "concurrent"
 	return benchSpec{
 		name:   fmt.Sprintf("RoundEngine/%s/n=%d", runner, n),
 		runner: runner,
 		n:      n,
 		bench: func(b *testing.B) {
-			net, _, err := simnet.NewBroadcastBench(n, b.N+2, concurrent)
+			net, _, err := simnet.NewBroadcastBench(n, b.N+2, runnerWorkers(runner))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -123,7 +135,6 @@ func phaseSpec(phase, runner string, n int) benchSpec {
 // same shape, the delta is the whole price of Config.FaultPlan on a
 // healthy network (the zero-alloc gate pins its allocation half to 0).
 func planPhaseSpec(phase, runner string, n int, idlePlan bool) benchSpec {
-	concurrent := runner == "concurrent"
 	name := fmt.Sprintf("RoundEngine/%s/%s/n=%d", phase, runner, n)
 	var plan *simnet.FaultPlan
 	planLabel := ""
@@ -139,7 +150,7 @@ func planPhaseSpec(phase, runner string, n int, idlePlan bool) benchSpec {
 		n:      n,
 		plan:   planLabel,
 		bench: func(b *testing.B) {
-			rp, err := simnet.NewRoundPhasesPlan(n, concurrent, plan)
+			rp, err := simnet.NewRoundPhasesPlan(n, runnerWorkers(runner), plan)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -178,7 +189,7 @@ func planPhaseSpec(phase, runner string, n int, idlePlan bool) benchSpec {
 const campaignChunk = 4
 
 // campaignSpec measures aggregate campaign throughput: jobs independent
-// sequential simulations of size n multiplexed over one bounded
+// one-worker simulations of size n multiplexed over one bounded
 // scheduler (simnet.CampaignBench). One op advances every simulation by
 // campaignChunk rounds, so with a fixed n the jobs ladder shows how
 // much concurrency the worker budget converts into throughput — and on
@@ -228,14 +239,14 @@ func procsSpec(spec benchSpec, procs int) benchSpec {
 }
 
 // allSpecs is the full `make bench-json` sweep: round benchmarks over
-// benchSizes, then the phase split over phaseSizes, for both runners
-// (with plan=idle route rows re-measuring the zero-alloc-gate sizes
-// under an attached-but-idle fault plan),
+// benchSizes, then the phase split over phaseSizes, for both runner
+// labels (with plan=idle route rows re-measuring the zero-alloc-gate
+// sizes under an attached-but-idle fault plan),
 // plus GOMAXPROCS-pinned concurrent rows so scaling under fixed
 // parallelism is tracked in-repo: a {1,4,8}-proc ladder at the two
-// sizes the zero-alloc gate certifies (the procs=1 rung doubles as the
-// pool-overhead row — the pooled runner on one core against the
-// sequential row of the same size), and the legacy top-size row.
+// sizes the zero-alloc gate certifies (at procs=1 the cap is 1, so that
+// rung re-measures the sequential row of the same size), and the
+// legacy top-size row.
 // The campaign matrix — jobs {1,2,4,8} × procs {1,4,8} at the
 // perf-gate size — tracks how the shared scheduler converts worker
 // budget into aggregate multi-simulation throughput.

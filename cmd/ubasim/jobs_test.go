@@ -10,18 +10,20 @@ import (
 )
 
 // TestRunJobsOutputIdentical pins the -jobs determinism contract: the
-// flag only rebudgets the shared simulation scheduler, so a protocol
-// run — sequential or concurrent — prints the identical report for
-// every budget.
+// flag only sets the run's worker cap and the shared scheduler's
+// budget, so a protocol run prints the identical report and transcript
+// for every value. The two baselines are the default inline dispatch
+// ("sequential") and a three-worker dispatch ("concurrent").
 func TestRunJobsOutputIdentical(t *testing.T) {
 	for _, mode := range []string{"sequential", "concurrent"} {
 		t.Run(mode, func(t *testing.T) {
-			base := []string{"-protocol", "consensus", "-g", "7", "-f", "2", "-adversary", "split", "-seed", "3"}
+			base := []string{"-protocol", "consensus", "-g", "7", "-f", "2", "-adversary", "split", "-seed", "3", "-trace", "99"}
+			baseArgs := base
 			if mode == "concurrent" {
-				base = append(base, "-concurrent")
+				baseArgs = append(append([]string{}, base...), "-jobs", "3")
 			}
 			var baseline bytes.Buffer
-			if err := run(base, &baseline); err != nil {
+			if err := run(baseArgs, &baseline); err != nil {
 				t.Fatal(err)
 			}
 			for _, jobs := range []string{"1", "2", "4"} {

@@ -46,10 +46,9 @@ func run(args []string, out io.Writer) error {
 	advName := fs.String("adversary", "silent", "none|silent|crash|split|ghost|noise")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	timing := fs.String("timing", "async", "impossibility timing: sync|semisync|async")
-	concurrent := fs.Bool("concurrent", false, "pooled concurrent runner")
 	traceRounds := fs.Int("trace", 0, "print a message transcript of the first N rounds")
 	reproPath := fs.String("repro", "", "replay a chaos repro JSON file and exit")
-	jobs := fs.Int("jobs", 0, "worker budget of the shared simulation scheduler (0 = GOMAXPROCS); output is identical for every value")
+	jobs := fs.Int("jobs", 0, "worker cap of the run and budget of the shared simulation scheduler (0 = step inline; a -repro replay keeps the GOMAXPROCS budget); output is identical for every value")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -58,9 +57,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *jobs > 0 {
 		// Bound the process-wide scheduler: every simulation in this
-		// process — the -concurrent runner's phases, a -repro replay —
-		// draws from this one budget, so jobs×workers cannot
-		// oversubscribe the machine.
+		// process — the run's own round phases (capped at the same
+		// count below), a -repro replay — draws from this one budget,
+		// so jobs×workers cannot oversubscribe the machine.
 		sched.SetDefaultBudget(*jobs)
 	}
 	if *reproPath != "" {
@@ -73,7 +72,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg := uba.Config{
 		Correct: *g, Byzantine: *f, Adversary: adv,
-		Seed: *seed, Concurrent: *concurrent,
+		Seed: *seed, Workers: *jobs,
 	}
 	var transcript *trace.EventLog
 	if *traceRounds > 0 {

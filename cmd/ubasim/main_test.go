@@ -62,7 +62,7 @@ func TestRunEachProtocol(t *testing.T) {
 		},
 		{
 			"concurrent runner",
-			[]string{"-protocol", "consensus", "-g", "5", "-f", "1", "-concurrent"},
+			[]string{"-protocol", "consensus", "-g", "5", "-f", "1", "-jobs", "3"},
 			[]string{"decision="},
 		},
 	}

@@ -62,22 +62,25 @@ func TestInteractiveConsistencyInputMismatch(t *testing.T) {
 	}
 }
 
-// The vector is identical regardless of which node reports it — probed by
-// re-running with the concurrent runner and comparing.
+// The vector is identical regardless of which worker steps which node —
+// probed by re-running at several worker caps and comparing.
 func TestInteractiveConsistencyDeterminism(t *testing.T) {
 	t.Parallel()
 	inputs := []float64{5, 6, 7, 8, 9, 10, 11}
-	run := func(concurrent bool) string {
+	run := func(workers int) string {
 		res, err := InteractiveConsistency(Config{
 			Correct: 7, Byzantine: 2, Adversary: AdversarySplit,
-			Seed: 9, Concurrent: concurrent,
+			Seed: 9, Workers: workers,
 		}, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprintf("%v/%d", res.Vector, res.Rounds)
 	}
-	if a, b := run(false), run(true); a != b {
-		t.Fatalf("runners disagree:\n%s\n%s", a, b)
+	base := run(1)
+	for _, workers := range []int{2, 3, 5} {
+		if got := run(workers); got != base {
+			t.Fatalf("workers=%d disagrees with workers=1:\n%s\n%s", workers, got, base)
+		}
 	}
 }

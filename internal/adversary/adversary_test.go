@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"testing"
 
 	"uba/internal/ids"
@@ -17,7 +18,7 @@ type sink struct {
 func (s *sink) ID() ids.ID { return s.id }
 func (s *sink) Done() bool { return false }
 func (s *sink) Step(env *simnet.RoundEnv) {
-	s.received = append(s.received, env.Inbox.Slice()...)
+	s.received = append(s.received, slices.Collect(env.Inbox.All())...)
 }
 
 // harness wires one adversary against a set of sinks.

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"testing"
 
 	"uba/internal/ids"
@@ -136,7 +137,7 @@ func (p *presentOnce) Step(env *simnet.RoundEnv) {
 	if env.Round == 1 {
 		env.Broadcast(wire.Present{})
 	}
-	p.received = append(p.received, env.Inbox.Slice()...)
+	p.received = append(p.received, slices.Collect(env.Inbox.All())...)
 }
 
 func TestGhostCandidateRepeat(t *testing.T) {

@@ -29,7 +29,7 @@ func TestAgreementUnderImpersonator(t *testing.T) {
 				return out
 			}
 			inputs := []float64{0, 1, 0, 1, 0, 1, 0}
-			res := runConsensus(t, seed, inputs, 2, mkByz, false)
+			res := runConsensus(t, seed, inputs, 2, mkByz, 1)
 			out := checkAgreement(t, res)
 			// 666 can only be decided if the impersonator was the
 			// *selected* coordinator of some phase, and even then a

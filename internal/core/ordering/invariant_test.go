@@ -2,6 +2,7 @@ package ordering
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uba/internal/ids"
@@ -110,15 +111,15 @@ func TestCascadingLeaves(t *testing.T) {
 	}
 }
 
-// The sequential and concurrent runners produce identical chains for the
-// dynamic ordering protocol too.
+// Every worker cap produces identical chains for the dynamic ordering
+// protocol too.
 func TestOrderingRunnersAgree(t *testing.T) {
 	t.Parallel()
-	run := func(concurrent bool) []ChainEntry {
+	run := func(workers int) []ChainEntry {
 		rng := rand.New(rand.NewSource(61))
 		all := ids.Sparse(rng, 6)
 		members := ids.NewSet(all...)
-		net := simnet.New(simnet.Config{MaxRounds: 5000, Concurrent: concurrent})
+		net := simnet.New(simnet.Config{MaxRounds: 5000, Workers: workers})
 		nodes := make([]*Node, 0, 5)
 		for _, id := range all[:5] {
 			node, err := NewFounder(id, members)
@@ -143,16 +144,13 @@ func TestOrderingRunnersAgree(t *testing.T) {
 		}
 		return nodes[0].Chain()
 	}
-	seq, con := run(false), run(true)
-	if len(seq) != len(con) {
-		t.Fatalf("chain lengths differ: %d vs %d", len(seq), len(con))
-	}
-	for i := range seq {
-		if seq[i] != con[i] {
-			t.Fatalf("chains diverge at %d: %v vs %v", i, seq[i], con[i])
-		}
-	}
-	if len(seq) == 0 {
+	base := run(1)
+	if len(base) == 0 {
 		t.Fatal("empty chains")
+	}
+	for _, workers := range []int{2, 3, 5} {
+		if got := run(workers); !slices.Equal(got, base) {
+			t.Fatalf("workers=%d: chain differs from workers=1:\n  got:  %v\n  want: %v", workers, got, base)
+		}
 	}
 }

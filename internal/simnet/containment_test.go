@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,52 +216,119 @@ func TestByteQuotaPrefixPolicy(t *testing.T) {
 	}
 }
 
-func TestObserverFeedMatchesEventLog(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(17))
-	nodeIDs := ids.Sparse(rng, 5)
+// observedRun is what one run exposes through its two event feeds.
+type observedRun struct {
+	feed [][]trace.Event // per-round Observer slices, copied
+	log  []trace.Event   // the EventLog transcript
+}
+
+// runObserved drives the named scenario with both feeds attached:
+// "panic" is chatter with one contained Step panic; "faults" puts a
+// partition, a rate-1 link drop, a quota drop and a contained panic
+// into the same round (3), so every producer of the round record
+// contributes to one record.
+func runObserved(t *testing.T, scenario string, workers int) observedRun {
+	t.Helper()
+	nodeIDs := ids.Sparse(rand.New(rand.NewSource(17)), 6)
 	log := trace.NewEventLog(0)
 	rec := &roundRecorder{}
-	net := New(Config{MaxRounds: 20, EventLog: log, Observer: rec})
-	victim := nodeIDs[1]
-	for _, id := range nodeIDs {
-		var p Process
-		if id == victim {
-			p = &panicAt{ChatterProcess: ChatterProcess{Ident: id}, Round: 2}
-		} else {
-			p = &ChatterProcess{Ident: id}
-		}
+	cfg := Config{MaxRounds: 20, EventLog: log, Observer: rec}
+	procs := make([]Process, len(nodeIDs))
+	for i, id := range nodeIDs {
+		procs[i] = &ChatterProcess{Ident: id}
+	}
+	switch scenario {
+	case "panic":
+		procs[1] = &panicAt{ChatterProcess: ChatterProcess{Ident: nodeIDs[1]}, Round: 2}
+	case "faults":
+		cfg.SendQuota = 4
+		cfg.FaultPlan = &FaultPlan{Seed: 5, Events: []FaultEvent{
+			{Round: 3, Kind: FaultPartition, Groups: [][]uint64{
+				{uint64(nodeIDs[0]), uint64(nodeIDs[1]), uint64(nodeIDs[2]), uint64(nodeIDs[3]), uint64(nodeIDs[4])},
+				{uint64(nodeIDs[5])},
+			}},
+			{Round: 3, Kind: FaultDrop, From: uint64(nodeIDs[2]), To: uint64(nodeIDs[3]), Rate: 1},
+		}}
+		procs[0] = &flood{Ident: nodeIDs[0], Peers: nodeIDs, Count: 1} // 6 unicasts > quota 4
+		procs[1] = &panicAt{ChatterProcess: ChatterProcess{Ident: nodeIDs[1]}, Round: 3}
+	default:
+		t.Fatalf("unknown scenario %q", scenario)
+	}
+	net := New(cfg)
+	net.forceWorkers(workers)
+	defer net.Close()
+	for _, p := range procs {
 		if err := net.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		if err := net.RunRound(); err != nil {
-			t.Fatal(err)
-		}
+	mustRounds(t, net, 5)
+	if len(rec.rounds) != 5 {
+		t.Fatalf("observer saw %d rounds, want 5", len(rec.rounds))
 	}
-	if len(rec.rounds) != 4 {
-		t.Fatalf("observer saw %d rounds, want 4", rec.rounds)
+	return observedRun{feed: rec.events, log: log.Events()}
+}
+
+// recordStage classifies one event of round's record by its producer,
+// in the canonical order: 0 fault-plan events, 1 containment events
+// (step merge), 2 link-fault events (serial route filter), 3 deliveries
+// (which land in round+1).
+func recordStage(round int, e trace.Event) int {
+	switch {
+	case e.Round == round+1:
+		return 3
+	case e.Kind == trace.KindQuotaDrop || e.Kind == trace.KindNodeCrashed:
+		return 1
+	case e.Kind == trace.KindLinkDrop && e.Enc == "":
+		return 2
+	default:
+		return 0 // partition groups, rule activations ("rate=…")
 	}
-	// Concatenating the per-round observer feeds reproduces the full
-	// event log: same events, same order.
-	var all []trace.Event
-	for _, ev := range rec.events {
-		all = append(all, ev...)
-	}
-	want := log.Events()
-	if len(all) != len(want) {
-		t.Fatalf("observer fed %d events, log has %d", len(all), len(want))
-	}
-	for i := range all {
-		if all[i] != want[i] {
-			t.Fatalf("event %d differs:\n  observer: %+v\n  log:      %+v", i, all[i], want[i])
-		}
-	}
-	// Delivered events expose the canonical encoding for monitors.
-	for _, e := range all {
-		if e.Kind != trace.KindNodeCrashed && e.Kind != trace.KindQuotaDrop && e.Enc == "" {
-			t.Fatalf("delivery event missing Enc: %+v", e)
+}
+
+// TestObserverFeedMatchesEventLog pins the single round record: the
+// Observer is handed exactly what the EventLog copies — concatenating
+// the per-round feeds reproduces the transcript — for inline and real
+// multi-worker dispatch, and within a round the record is laid out
+// plan → containment → link → delivery.
+func TestObserverFeedMatchesEventLog(t *testing.T) {
+	t.Parallel()
+	for _, scenario := range []string{"panic", "faults"} {
+		var base observedRun
+		for _, workers := range []int{1, 3, 5} {
+			label := fmt.Sprintf("%s/workers=%d", scenario, workers)
+			run := runObserved(t, scenario, workers)
+			var all []trace.Event
+			for _, ev := range run.feed {
+				all = append(all, ev...)
+			}
+			if !slices.Equal(all, run.log) {
+				t.Fatalf("%s: observer feed (%d events) differs from the event log (%d events)",
+					label, len(all), len(run.log))
+			}
+			if workers == 1 {
+				base = run
+			} else if !slices.Equal(run.log, base.log) {
+				t.Fatalf("%s: transcript differs from workers=1", label)
+			}
+			for i, ev := range run.feed {
+				round, stage := i+1, 0
+				var seen [4]bool
+				for _, e := range ev {
+					st := recordStage(round, e)
+					if st < stage {
+						t.Fatalf("%s round %d: stage-%d event after stage %d: %+v", label, round, st, stage, e)
+					}
+					stage, seen[st] = st, true
+					// Delivered events expose the canonical encoding for monitors.
+					if st == 3 && e.Enc == "" {
+						t.Fatalf("%s: delivery event missing Enc: %+v", label, e)
+					}
+				}
+				if scenario == "faults" && round == 3 && seen != [4]bool{true, true, true, true} {
+					t.Fatalf("%s: round 3 record is missing a producer (plan, containment, link, delivery = %v)", label, seen)
+				}
+			}
 		}
 	}
 }

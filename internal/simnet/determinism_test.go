@@ -15,9 +15,9 @@ import (
 // This file asserts the engine-level determinism contract the sharded
 // route pipeline must preserve: the EventLog transcript, the Collector
 // report (totals and per-round breakdown), and every process's
-// observed deliveries are identical between the sequential runner and
-// the pooled concurrent runner — for any worker count, and across
-// repeated runs of the same worker count (i.e. independent of worker
+// observed deliveries are identical for any worker count — inline
+// dispatch (1) and real multi-worker dispatch — and across repeated
+// runs of the same worker count (i.e. independent of worker
 // scheduling). The facade-level matrix across adversaries and
 // protocols lives in runner_equivalence_test.go; this one forces
 // multi-worker pools so sharded delivery is exercised even on a
@@ -31,8 +31,9 @@ type determinismOutcome struct {
 }
 
 // runDeterminismWorkload executes the named workload with the given
-// worker count (0 = sequential) and captures the full observable state.
-func runDeterminismWorkload(t *testing.T, workload string, seed int64, workers int) determinismOutcome {
+// worker count, on a private scheduler of the given budget, and
+// captures the full observable state.
+func runDeterminismWorkload(t *testing.T, workload string, seed int64, workers, budget int) determinismOutcome {
 	t.Helper()
 	log := trace.NewEventLog(500_000)
 	col := &trace.Collector{}
@@ -43,10 +44,8 @@ func runDeterminismWorkload(t *testing.T, workload string, seed int64, workers i
 		cfg.SendQuota = 4
 	}
 	net := New(cfg)
-	if workers > 0 {
-		net.forceWorkers(workers)
-		defer net.Close()
-	}
+	net.forceSched(workers, budget)
+	defer net.Close()
 	rng := rand.New(rand.NewSource(seed))
 	nodeIDs := ids.Sparse(rng, 14)
 	out := determinismOutcome{logs: make(map[ids.ID][]string)}
@@ -171,9 +170,9 @@ func (s *sparseMix) Step(env *RoundEnv) {
 	}
 }
 
-// TestEngineDeterminismAcrossWorkerCounts runs each workload
-// sequentially and on 1-, 2-, 3- and 5-worker pools and asserts the
-// complete observable state is identical, then repeats one pooled
+// TestEngineDeterminismAcrossWorkerCounts runs each workload with 1
+// (inline), 2, 3 and 5 workers on scheduler budgets 1 and 4 and asserts
+// the complete observable state is identical, then repeats one pooled
 // configuration to assert schedule-independence within a fixed worker
 // count.
 func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
@@ -183,15 +182,17 @@ func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
 			workload, seed := workload, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", workload, seed), func(t *testing.T) {
 				t.Parallel()
-				base := runDeterminismWorkload(t, workload, seed, 0)
+				base := runDeterminismWorkload(t, workload, seed, 1, 1)
 				if len(base.events) == 0 {
-					t.Fatal("sequential run recorded no deliveries; comparison is vacuous")
+					t.Fatal("one-worker run recorded no deliveries; comparison is vacuous")
 				}
-				for _, workers := range []int{1, 2, 3, 5} {
-					got := runDeterminismWorkload(t, workload, seed, workers)
-					diffOutcomes(t, fmt.Sprintf("workers=%d", workers), base, got)
+				for _, budget := range []int{1, 4} {
+					for _, workers := range []int{1, 2, 3, 5} {
+						got := runDeterminismWorkload(t, workload, seed, workers, budget)
+						diffOutcomes(t, fmt.Sprintf("workers=%d/budget=%d", workers, budget), base, got)
+					}
 				}
-				again := runDeterminismWorkload(t, workload, seed, 3)
+				again := runDeterminismWorkload(t, workload, seed, 3, 4)
 				diffOutcomes(t, "workers=3 repeat", base, again)
 			})
 		}

@@ -123,11 +123,11 @@ func TestIdenticalUnicastsToDistinctReceiversBothDeliver(t *testing.T) {
 }
 
 // Close detaches the scheduler binding, parks the round scratch in the
-// recycling pool, and is safe to call twice; a sequential network's
-// Close recycles scratch too (that is the campaign-cell fast path).
+// recycling pool, and is safe to call twice — also on a network that
+// never ran a round.
 func TestCloseReleasesSchedulerAndScratch(t *testing.T) {
 	t.Parallel()
-	net := New(Config{Concurrent: true})
+	net := New(Config{Workers: 2})
 	for i := ids.ID(1); i <= 4; i++ {
 		if err := net.Add(newRecorder(i, func(env *RoundEnv) { env.Broadcast(body("x")) })); err != nil {
 			t.Fatal(err)
@@ -135,13 +135,13 @@ func TestCloseReleasesSchedulerAndScratch(t *testing.T) {
 	}
 	mustRounds(t, net, 3)
 	if net.sched == nil {
-		t.Fatal("concurrent round did not bind the network to a scheduler")
+		t.Fatal("running rounds did not bind the network to a scheduler")
 	}
 	net.Close()
 	if net.sched != nil {
 		t.Fatal("Close left the scheduler binding attached")
 	}
-	if net.outs != nil || net.bcastBlock != nil || net.shards != nil {
+	if net.outs != nil || net.bcastBlock != nil || net.shards != nil || net.roundEvents != nil {
 		t.Fatal("Close did not park the round scratch in the recycling pool")
 	}
 	net.Close() // idempotent
@@ -150,12 +150,12 @@ func TestCloseReleasesSchedulerAndScratch(t *testing.T) {
 	seq.Close() // never ran a round: still safe
 }
 
-// On a worker error the concurrent merge must clear every result slot:
+// On a step error the node-order merge must clear every result slot:
 // a stale slot would keep its sends slice — and the payloads it
 // references — alive across rounds after the network latched the error.
 func TestStepConcurrentErrorClearsResultSlices(t *testing.T) {
 	t.Parallel()
-	net := New(Config{Concurrent: true, EnforceContactRule: true})
+	net := New(Config{Workers: 3, EnforceContactRule: true})
 	// Three well-behaved broadcasters around one violator, so slots on
 	// both sides of the erroring node hold sends when the round aborts.
 	for i := ids.ID(1); i <= 4; i++ {

@@ -16,8 +16,8 @@ import (
 // Config schedules partitions, per-link loss/duplication/corruption,
 // within-round reordering, crash/recover churn, late joins, and quota
 // changes — all deterministic functions of (plan, round, send index,
-// receiver), so a faulty execution replays bit-exactly for both runners
-// and every worker count.
+// receiver), so a faulty execution replays bit-exactly for every worker
+// count.
 //
 // Determinism argument. Plan events apply at the start of RunRound, on
 // the driving goroutine, in (round, plan order) — before any worker
@@ -27,9 +27,10 @@ import (
 // random decision is a stateless hash of (plan seed, fault kind, round,
 // send index, receiver) — no shared PRNG stream, so dropping one fault
 // event from a plan cannot shift the rolls of the remaining ones (what
-// makes shrinking sound). Fault trace events are emitted during these
-// serial passes and flushed in a fixed position of the round's record
-// order: plan events, containment events, link events, deliveries.
+// makes shrinking sound). Fault trace events are appended to the round
+// record (n.roundEvents) during these serial passes, which fixes their
+// position in it: plan events, containment events, link events,
+// deliveries.
 //
 // Zero cost when nil. Every hook is behind one `n.faults != nil` check;
 // with a nil plan the round executes the exact certified hot path
@@ -111,8 +112,7 @@ type FaultEvent struct {
 // FaultPlan is a deterministic, round-scheduled fault schedule for one
 // run. It is serializable (chaos repro files embed it) and immutable
 // once handed to New: the same plan against the same processes yields
-// byte-identical transcripts for both runners, every worker count, and
-// every job count.
+// byte-identical transcripts for every worker count and every job count.
 type FaultPlan struct {
 	// Seed drives every probabilistic fault decision through a
 	// stateless hash — there is no PRNG stream to perturb, so plans
@@ -199,11 +199,9 @@ type faultState struct {
 	linkLive bool
 
 	// Round-scoped scratch.
-	planEvents []trace.Event // round-start events (partition, crash, …)
-	linkEvents []trace.Event // per-link fault events from the filter
-	fRecv      []int32       // filtered unicast receiver indices
-	fSend      []int32       // filtered unicast send keys
-	corrupted  []send        // corrupted copies; keys >= len(outs) index here
+	fRecv     []int32 // filtered unicast receiver indices
+	fSend     []int32 // filtered unicast send keys
+	corrupted []send  // corrupted copies; keys >= len(outs) index here
 }
 
 // newFaultState compiles a validated plan.
@@ -312,11 +310,10 @@ func (fs *faultState) rateFor(kind string, from, to ids.ID) float64 {
 // applyFaultEvents applies every plan event scheduled for the current
 // round (called at the start of RunRound, before stepping, on the
 // driving goroutine) and refreshes the filter-live flag. Trace events
-// land in planEvents in plan order — the head of the round's canonical
-// event order.
+// are appended to the freshly reset round record in plan order — the
+// head of the round's canonical event order.
 func (n *Network) applyFaultEvents() {
 	fs := n.faults
-	fs.planEvents = fs.planEvents[:0]
 	for fs.next < len(fs.events) && fs.events[fs.next].Round <= n.round {
 		e := &fs.events[fs.next]
 		fs.next++
@@ -344,14 +341,14 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 				}
 				b.WriteString(strconv.FormatUint(raw, 10))
 			}
-			fs.planEvents = append(fs.planEvents, trace.Event{
+			n.roundEvents = append(n.roundEvents, trace.Event{
 				Round: n.round, From: uint64(gi), Kind: trace.KindPartition,
 				Size: len(group), Enc: b.String(),
 			})
 		}
 	case FaultHeal:
 		fs.groupOf = nil
-		fs.planEvents = append(fs.planEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, Kind: trace.KindHeal,
 		})
 	case FaultDrop, FaultDuplicate, FaultReorder, FaultCorrupt:
@@ -360,7 +357,7 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 		if from == 0 {
 			from = e.Node
 		}
-		fs.planEvents = append(fs.planEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: from, To: e.To, Kind: linkKindFor(e.Kind),
 			Enc: "rate=" + strconv.FormatFloat(e.Rate, 'g', -1, 64),
 		})
@@ -373,7 +370,7 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 		n.crashes = append(n.crashes, CrashRecord{
 			Node: st.id, Round: n.round, Reason: "fault plan crash",
 		})
-		fs.planEvents = append(fs.planEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: e.Node, Kind: trace.KindNodeCrashed,
 		})
 	case FaultRecover:
@@ -382,20 +379,20 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 			return
 		}
 		st.crashed = false
-		fs.planEvents = append(fs.planEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: e.Node, Kind: trace.KindNodeRecovered,
 		})
 	case FaultJoin:
 		if _, ok := n.procs[ids.ID(e.Node)]; !ok {
 			return
 		}
-		fs.planEvents = append(fs.planEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: e.Node, Kind: trace.KindNodeJoined,
 		})
 	case FaultQuota:
 		n.cfg.SendQuota = e.SendQuota
 		n.cfg.ByteQuota = e.ByteQuota
-		fs.planEvents = append(fs.planEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, Kind: trace.KindQuotaChange, Size: e.SendQuota,
 			Enc: "send=" + strconv.Itoa(e.SendQuota) +
 				" byte=" + strconv.FormatInt(e.ByteQuota, 10),
@@ -469,7 +466,7 @@ func (n *Network) filterLink(outs []send, k, r int32) {
 	}
 	if rate := fs.rateFor(FaultDrop, s.from, to); rate > 0 &&
 		fs.hit(saltDrop, uint64(n.round), uint64(k), uint64(to), rate) {
-		fs.linkEvents = append(fs.linkEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: uint64(s.from), To: uint64(to),
 			Kind: trace.KindLinkDrop, Size: len(s.encoded),
 		})
@@ -479,7 +476,7 @@ func (n *Network) filterLink(outs []send, k, r int32) {
 	if rate := fs.rateFor(FaultCorrupt, s.from, to); rate > 0 &&
 		fs.hit(saltCorrupt, uint64(n.round), uint64(k), uint64(to), rate) {
 		ck, ok := n.corruptSend(outs, k, to)
-		fs.linkEvents = append(fs.linkEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: uint64(s.from), To: uint64(to),
 			Kind: trace.KindLinkCorrupt, Size: len(s.encoded),
 		})
@@ -494,7 +491,7 @@ func (n *Network) filterLink(outs []send, k, r int32) {
 		fs.hit(saltDup, uint64(n.round), uint64(k), uint64(to), rate) {
 		fs.fRecv = append(fs.fRecv, r)
 		fs.fSend = append(fs.fSend, key)
-		fs.linkEvents = append(fs.linkEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: uint64(s.from), To: uint64(to),
 			Kind: trace.KindLinkDup, Size: len(s.encoded),
 		})
@@ -549,7 +546,7 @@ func (n *Network) faultReorder() {
 			m := int(h % uint64(j+1))
 			n.uniIdx[lo+j], n.uniIdx[lo+m] = n.uniIdx[lo+m], n.uniIdx[lo+j]
 		}
-		fs.linkEvents = append(fs.linkEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, To: uint64(to), Kind: trace.KindLinkReorder, Size: cnt,
 		})
 	}

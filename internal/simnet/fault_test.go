@@ -18,8 +18,9 @@ import (
 // worker counts and concurrent jobs), and the quota × crash interplay.
 
 // runFaultWorkload runs the sparsemix workload under the given plan and
-// captures the observable state. workers == 0 selects the sequential
-// runner.
+// captures the observable state. workers == 0 is the default Config
+// (inline dispatch on the shared scheduler); positive counts force a
+// private scheduler of that size.
 func runFaultWorkload(t *testing.T, plan *FaultPlan, seed int64, workers, rounds int) determinismOutcome {
 	t.Helper()
 	log := trace.NewEventLog(500_000)
@@ -623,7 +624,7 @@ func TestQuotaCrashSameRoundOrdering(t *testing.T) {
 	for _, workers := range []int{1, 3, 5} {
 		got := run(workers)
 		if fmt.Sprint(got) != fmt.Sprint(base) {
-			t.Fatalf("workers=%d: transcript differs from sequential", workers)
+			t.Fatalf("workers=%d: transcript differs from workers=0", workers)
 		}
 	}
 	for _, budget := range []int{1, 4} {

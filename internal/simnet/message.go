@@ -41,23 +41,36 @@
 //     boundary, the feed for the online safety oracles in
 //     internal/oracle.
 //
-// Two runners execute the same process state machines: a deterministic
-// sequential runner and a persistent worker-pool runner that shards
-// both halves of a round — the step phase over nodes and the
-// route/delivery phase over receivers — with a barrier between them.
-// Both produce byte-identical executions, which the test suite asserts.
-// The determinism argument: (1) pooled workers write each node's sends
-// into a per-node slot and the merge reads slots in node order, so the
-// routed send stream is independent of worker scheduling; (2) routing
-// decisions (sort, dedup, arena sizing) all happen in a single
-// deterministic prepare pass before any worker runs; (3) each delivery
-// worker owns a contiguous, disjoint range of receivers — inbox
-// segments, contact sets, event buffers, and traffic tallies are all
-// per-shard — and shard boundaries depend only on the worker count and
-// receiver count, never on timing; (4) per-shard results are reduced in
-// shard order, which is receiver order, so transcripts and reports are
-// identical for every worker count (including the sequential runner,
-// which is the one-shard instance of the same pipeline).
+// # One round loop, one round record
+//
+// There is one way to run a round. Both halves — the step phase over
+// nodes and the route/delivery phase over receiver shards — are indexed
+// batches dispatched on the shared bounded scheduler
+// (internal/simnet/sched) with a barrier between them, parameterized by
+// a single knob: Config.Workers, the cap on how many goroutines may
+// drain one of the network's phases. At the default cap (below 2) a
+// dispatch is an inline loop on the driving goroutine with no
+// coordination at all; at cap k up to k shared workers step the nodes
+// and delivery is split into k shards. Every cap produces a
+// byte-identical execution, which the test suite asserts. The
+// determinism argument: (1) each node's sends land in a per-node slot
+// and the merge reads slots in node order, so the routed send stream is
+// independent of worker scheduling; (2) routing decisions (sort, dedup,
+// arena sizing) all happen in a single deterministic prepare pass
+// before any worker runs; (3) each delivery shard owns a contiguous,
+// disjoint range of receivers — inbox segments, contact sets, traffic
+// tallies and its window of the round record are all per-shard — and
+// shard boundaries depend only on the worker cap and receiver count,
+// never on timing; (4) per-shard tallies are reduced in shard order,
+// which is receiver order.
+//
+// There is likewise one record of a round: a single event buffer whose
+// producers run in the canonical order — fault-plan events, containment
+// events (at the step merge), link-fault events (in the serial route
+// filter), then deliveries, which the shards write into disjoint
+// pre-sized windows laid out in receiver order. The finished record is
+// handed once to Config.EventLog and once to Config.Observer; no
+// per-shard buffers, no merge copy.
 //
 // # Sparse delivery and the buffer-recycling contract
 //
@@ -77,8 +90,8 @@
 // arena its Inbox view reads through, and the internal send buffers
 // are all rewritten on the next round. Process.Step therefore MUST NOT
 // retain env, env.Inbox, or an iterator obtained from env.Inbox.All()
-// past the call. Copy individual Received values out (env.Inbox.At, a
-// range over env.Inbox.All(), or env.Inbox.Slice) if state must
+// past the call. Copy individual Received values out (env.Inbox.At, or
+// a range over env.Inbox.All()) if state must
 // survive the round; the values themselves (sender id, payload,
 // encoding) are safe to keep. The contract is machine-checked by the
 // ubalint retainenv pass.
@@ -146,15 +159,15 @@ func digest64(b []byte) uint64 {
 // at the start of a round: a lazy merge of the round's shared broadcast
 // block with the receiver's private unicast segment. The merged order
 // is by sender id and then by canonical encoding (deterministic for
-// both runners), and duplicates from the same sender have already been
+// every worker count), and duplicates from the same sender have already been
 // discarded — identical to the fully materialized inboxes it replaced,
 // without the O(n·B) copies.
 //
 // An Inbox (and any iterator from All) is valid only until the Step
 // call it was delivered to returns: the engine rewrites the backing
 // block and arena when routing the next round (see the package docs).
-// Individual Received values read through At, All, or Slice are plain
-// copies and safe to keep.
+// Individual Received values read through At or All are plain copies
+// and safe to keep.
 type Inbox struct {
 	// bcast is the round's shared broadcast block (every surviving
 	// broadcast, in ascending send order), shared by all receivers;
@@ -251,21 +264,6 @@ func (in Inbox) All() iter.Seq[Received] {
 	}
 }
 
-// Slice returns the delivered messages as a freshly allocated slice in
-// inbox order. It materializes a copy — the convenience for tests and
-// for the rare consumer that genuinely needs random access to an
-// owned snapshot; hot paths should iterate with All instead. The
-// returned slice is the caller's and safe to retain. (No //lint:valuecopy
-// here: with All's yield values already fact-free, the analysis derives
-// no flow on its own — the directive would be unused.)
-func (in Inbox) Slice() []Received {
-	out := make([]Received, 0, in.Len())
-	for m := range in.All() {
-		out = append(out, m)
-	}
-	return out
-}
-
 // RoundEnv is the view a process gets of one round: the messages delivered
 // at the start of the round, and the ability to queue messages for
 // delivery in the next round. A RoundEnv is valid only for the duration of
@@ -276,8 +274,8 @@ type RoundEnv struct {
 	// Round is the 1-based global round number.
 	Round int
 	// Inbox is the view of the messages delivered this round, sorted by
-	// sender id and then by canonical encoding (deterministic for both
-	// runners). Duplicates from the same sender have been discarded.
+	// sender id and then by canonical encoding (deterministic for every
+	// worker count). Duplicates from the same sender have been discarded.
 	Inbox Inbox
 
 	self  ids.ID
@@ -315,7 +313,7 @@ func (env *RoundEnv) Send(to ids.ID, p wire.Payload) {
 
 // Process is a node state machine driven by the network: one Step call per
 // round. Implementations must be self-contained (no shared mutable state
-// with other processes) so that the pooled concurrent runner can step them
+// with other processes) so that a worker cap above 1 can step them
 // in parallel, and must not retain env or env.Inbox past the Step call
 // (the engine recycles both; see the package docs). Both contracts are
 // machine-checked by the ubalint passes sharedstate and retainenv

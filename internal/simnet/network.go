@@ -29,13 +29,12 @@ type Config struct {
 	// repository terminate in O(n) rounds, so the bound exists only to
 	// turn a protocol bug into a test failure instead of a hang.
 	MaxRounds int
-	// Concurrent selects the pooled worker runner instead of the
-	// sequential one. Both produce identical executions.
-	Concurrent bool
-	// Workers, when positive, fixes the concurrent runner's pool size;
-	// zero means GOMAXPROCS capped at the number of live processes. The
-	// execution is identical for every worker count — the knob exists
-	// for capacity tuning and for equivalence tests that sweep it.
+	// Workers caps how many goroutines may run one of this network's
+	// round phases at once: up to Workers shared scheduler workers step
+	// the nodes, and delivery is split into Workers receiver shards.
+	// Values below 2 (the default) run every phase inline on the driving
+	// goroutine. The execution is identical for every value — the knob
+	// exists for capacity tuning and for the tests that sweep it.
 	Workers int
 	// EnforceContactRule makes the engine verify that correct processes
 	// unicast only to nodes that previously messaged them. Violations
@@ -50,19 +49,20 @@ type Config struct {
 	// every delivery (for debugging and the ubasim -trace flag). The
 	// canonical transcript order is receiver-major: per round,
 	// deliveries are grouped by receiver in ascending node order, each
-	// receiver's messages in its inbox order. Both runners produce the
-	// same transcript for any worker count (per-shard event buffers are
-	// merged in receiver order; see route.go). Fault-containment events
-	// (trace.KindNodeCrashed, trace.KindQuotaDrop) are recorded in node
-	// order at the start of the round they occurred in, before that
-	// round's deliveries.
+	// receiver's messages in its inbox order. The transcript is the same
+	// for any worker count (delivery shards fill disjoint, receiver-
+	// ordered windows of the one round record; see route.go).
+	// Fault-containment events (trace.KindNodeCrashed,
+	// trace.KindQuotaDrop) are recorded in node order at the start of
+	// the round they occurred in, before that round's deliveries.
 	EventLog *trace.EventLog
 	// Observer, when non-nil, receives each completed round's trace
 	// events at the round boundary — the feed for online safety oracles
-	// (internal/oracle). It sees exactly what the EventLog would record
-	// for the round: containment events first (node order), then the
-	// deliveries routed for the next round (receiver order). The slice
-	// is reused across rounds; observers must not retain it.
+	// (internal/oracle). It is handed the same round record the EventLog
+	// copies: fault-plan events (plan order), containment events (node
+	// order), link-fault events (send order), then the deliveries routed
+	// for the next round (receiver order). The slice is reused across
+	// rounds; observers must not retain it.
 	Observer RoundObserver
 	// SendQuota, when positive, bounds the send operations one node may
 	// queue in one round. Excess sends are dropped deterministically
@@ -88,8 +88,8 @@ type Config struct {
 // RoundObserver receives each completed round's trace events — the
 // attachment point for online safety monitors. ObserveRound is called
 // once per successful round, from the goroutine driving the network,
-// for both the sequential and the concurrent runner. The events slice
-// is valid only for the duration of the call.
+// whatever the worker cap. The events slice is valid only for the
+// duration of the call.
 type RoundObserver interface {
 	ObserveRound(round int, events []trace.Event)
 }
@@ -160,8 +160,8 @@ type procState struct {
 	sendBuf []send
 }
 
-// stepResult is one process's contribution to a round, produced by either
-// runner and merged in node order. Containment outcomes (a contained
+// stepResult is one process's contribution to a round, written to the
+// node's result slot and merged in node order. Containment outcomes (a contained
 // panic, a quota drop) travel through it so the merge can emit their
 // trace events in node order regardless of worker scheduling.
 type stepResult struct {
@@ -191,7 +191,7 @@ type CrashRecord struct {
 
 // Network owns a set of processes and runs them in lock-step rounds.
 // Methods are not safe for concurrent use; drive a Network from one
-// goroutine (the concurrent runner parallelizes internally).
+// goroutine (a worker cap above 1 parallelizes internally).
 type Network struct {
 	cfg   Config
 	procs map[ids.ID]*procState
@@ -200,48 +200,29 @@ type Network struct {
 	round int
 	err   error
 
-	// Round-scoped scratch reused across rounds to keep the hot path
-	// allocation-free in steady state.
-	outs         []send
-	results      []stepResult
-	bcastDigests []uint64
-	bcastEncs    []string
+	// Round-scoped buffers reused across rounds — and, through Close,
+	// across networks — to keep the hot path allocation-free in steady
+	// state (see scratch.go).
+	netScratch
 
-	// Containment state: contained panics in occurrence order, plus
-	// round-scoped event scratch (containment events of the current
-	// round, and the combined event slice handed to cfg.Observer).
-	crashes     []CrashRecord
-	stepEvents  []trace.Event
-	roundEvents []trace.Event
+	// crashes are the contained panics in occurrence order.
+	crashes []CrashRecord
 
 	// faults is the compiled Config.FaultPlan, nil for fault-free runs
 	// (the certified hot path checks this one pointer and nothing else).
 	faults *faultState
 
-	// Routing scratch (see route.go): the done snapshot, the surviving
-	// broadcast indices, the per-receiver unicast buckets, the shared
-	// broadcast block and unicast arena the inbox views read through,
-	// and the per-shard delivery state. bcastLive/uniLive track how
-	// much of the recycled block/arena held references last round, so
-	// shrinking rounds clear the dead tail.
-	doneMask   []bool
-	bcastIdx   []int32
-	uniRecv    []int32
-	uniSend    []int32
-	uniIdx     []int32
-	uniStart   []int32
-	uniCursor  []int32
-	bcastBlock []Received
+	// bcastBytes is the byte total of the round's broadcast block;
+	// bcastLive/uniLive track how much of the recycled block/arena held
+	// references last round, so shrinking rounds clear the dead tail.
 	bcastBytes int64
 	bcastLive  int
-	uniArena   []Received
 	uniLive    int
-	shards     []routeShard
 
-	// Concurrent-runner dispatch state (see runner.go): the scheduler
-	// this network submits phases to (bound lazily to sched.Default
-	// unless a test injects a private one), the reusable Phase record
-	// and phase-tagged task, and the lifecycle flags Close manages.
+	// Phase dispatch state (see runner.go): the scheduler this network
+	// submits phases to (bound lazily to sched.Default unless a test
+	// injects a private one), the reusable Phase record and phase-tagged
+	// task, and the lifecycle flags Close manages.
 	sched      *sched.Scheduler
 	ownsSched  bool
 	closed     bool
@@ -350,8 +331,13 @@ func (n *Network) Process(id ids.ID) Process {
 
 // RunRound executes exactly one round: step every live, non-done process
 // with its inbox, then route the produced messages for delivery at the
-// start of the next round. Traffic accounting is batched: one Collector
-// flush per successful round, nothing for an aborted one.
+// start of the next round. The round's trace events accumulate in one
+// record, n.roundEvents, whose producers run in the canonical order —
+// fault-plan events, containment events (step merge), link-fault events
+// (serial route filter), deliveries — and which is handed once to the
+// EventLog and once to the Observer. Traffic accounting is batched the
+// same way: one Collector flush per successful round, nothing for an
+// aborted one.
 //
 // A Step panic does not abort the round: it is recovered inside the
 // per-node step task and the node becomes a crash fault — silent and
@@ -364,29 +350,18 @@ func (n *Network) RunRound() error {
 		return n.err
 	}
 	n.round++
+	n.roundEvents = n.roundEvents[:0]
 	if n.faults != nil {
 		// Plan events apply before stepping, on this goroutine, so
-		// crash/recover/join/quota effects are visible to every runner
-		// identically and their trace events head the round's record.
+		// crash/recover/join/quota effects are identical for every
+		// worker count and their trace events head the round's record.
 		n.applyFaultEvents()
 	}
 
-	var outs []send
-	var err error
-	if n.cfg.Concurrent {
-		outs, _, err = n.stepConcurrent()
-	} else {
-		outs, _, err = n.stepSequential()
-	}
+	outs, err := n.step()
 	if err != nil {
 		n.err = err
 		return err
-	}
-	if n.cfg.EventLog != nil {
-		if n.faults != nil {
-			n.cfg.EventLog.RecordBatch(n.faults.planEvents)
-		}
-		n.cfg.EventLog.RecordBatch(n.stepEvents)
 	}
 	var statsObs RoundStatsObserver
 	if n.cfg.Observer != nil {
@@ -399,10 +374,12 @@ func (n *Network) RunRound() error {
 		// tally pass wants the raw stream.
 		acct = n.accountRound(outs)
 	}
-	deliveries, bytes := n.route(outs)
-	acct.Deliveries, acct.Bytes = deliveries, bytes
+	acct.Deliveries, acct.Bytes = n.route(outs)
+	if n.cfg.EventLog != nil {
+		n.cfg.EventLog.RecordBatch(n.roundEvents)
+	}
 	if n.cfg.Collector != nil {
-		n.cfg.Collector.AddRound(n.round, acct.Broadcasts, acct.Unicasts, deliveries, bytes)
+		n.cfg.Collector.AddRound(n.round, acct.Broadcasts, acct.Unicasts, acct.Deliveries, acct.Bytes)
 	}
 	if n.cfg.Observer != nil {
 		n.cfg.Observer.ObserveRound(n.round, n.roundEvents)
@@ -468,8 +445,8 @@ func (n *Network) foldCorrectMax(acct *RoundAccounting, from ids.ID, b, u int) {
 }
 
 // noteResult folds one node's step outcome into the round: containment
-// events are appended in call — i.e. node — order, and contained
-// panics are recorded. Shared by both runners' node-order merges.
+// events are appended to the round record in call — i.e. node — order,
+// and contained panics are recorded.
 //
 //lint:noalloc appends land in recycled round scratch; in a fault-free steady state both branches are untaken
 func (n *Network) noteResult(st *procState, res *stepResult) {
@@ -477,7 +454,7 @@ func (n *Network) noteResult(st *procState, res *stepResult) {
 	// quota and panicked in the same round violated the quota first
 	// (while still running), then died.
 	if res.dropped > 0 {
-		n.stepEvents = append(n.stepEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: uint64(st.id), Kind: trace.KindQuotaDrop,
 			Size: res.dropped,
 		})
@@ -486,57 +463,33 @@ func (n *Network) noteResult(st *procState, res *stepResult) {
 		n.crashes = append(n.crashes, CrashRecord{
 			Node: st.id, Round: n.round, Reason: res.crashReason,
 		})
-		n.stepEvents = append(n.stepEvents, trace.Event{
+		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: uint64(st.id), Kind: trace.KindNodeCrashed,
 		})
 	}
 }
 
-// stepSequential steps every live process in node order and merges the
-// send buffers into the recycled outs scratch.
+// step runs the step phase: every live process is stepped into its
+// node's result slot through one scheduler dispatch (inline on this
+// goroutine at a worker cap below 2), then the slots are merged in node
+// order into the recycled outs buffer — so the send stream, the
+// containment events and the first reported error are independent of
+// which worker ran which node.
 //
-//lint:noalloc the sequential step merge appends into the network's recycled outs buffer
-func (n *Network) stepSequential() ([]send, int64, error) {
-	outs := n.outs[:0]
-	n.stepEvents = n.stepEvents[:0]
-	var sends int64
-	for _, st := range n.live {
-		res := n.stepOne(st)
-		if res.err != nil {
-			return nil, 0, res.err
-		}
-		n.noteResult(st, &res)
-		sends += int64(len(res.sends))
-		outs = append(outs, res.sends...)
-	}
-	n.outs = outs
-	return outs, sends, nil
-}
-
-// stepConcurrent fans the live processes out over the shared scheduler
-// and merges the per-process send buffers in node order, so the
-// resulting outs slice is byte-identical to the sequential runner's.
-//
-//lint:noalloc the pooled step merge reuses the results table (capacity-guarded) and the recycled outs buffer
-func (n *Network) stepConcurrent() ([]send, int64, error) {
-	if cap(n.results) < len(n.live) {
-		n.results = make([]stepResult, len(n.live))
-	}
-	results := n.results[:len(n.live)]
-	n.runStep(n.live, results)
+//lint:noalloc the step merge reuses the results table (capacity-guarded) and the recycled outs buffer
+func (n *Network) step() ([]send, error) {
+	n.results = grown(n.results, len(n.live))
+	n.dispatch(phaseStep, len(n.live))
 
 	outs := n.outs[:0]
-	n.stepEvents = n.stepEvents[:0]
-	var sends int64
 	var firstErr error
-	for i := range results {
-		res := &results[i]
+	for i := range n.results {
+		res := &n.results[i]
 		if res.err != nil && firstErr == nil {
-			firstErr = res.err // first error in node order, like the sequential runner
+			firstErr = res.err // first error in node order
 		}
 		if firstErr == nil {
 			n.noteResult(n.live[i], res)
-			sends += int64(len(res.sends))
 			outs = append(outs, res.sends...)
 		}
 		// Clear every slot even on the error path: a stale slot would
@@ -545,10 +498,7 @@ func (n *Network) stepConcurrent() ([]send, int64, error) {
 		res.sends = nil
 	}
 	n.outs = outs
-	if firstErr != nil {
-		return nil, 0, firstErr
-	}
-	return outs, sends, nil
+	return outs, firstErr
 }
 
 // stepOne steps a single process with its pending inbox. It is safe to
@@ -636,7 +586,7 @@ func safeStep(p Process, env *RoundEnv) (reason string, panicked bool) {
 // applyQuota truncates a node's send queue to the configured per-round
 // send and byte quotas: the longest prefix within both budgets survives,
 // in queue order, so the drop decision is a pure function of the queue —
-// identical for both runners and every worker count. It returns the
+// identical for every worker count. It returns the
 // surviving prefix and the number of dropped sends.
 //
 //lint:noalloc quota truncation slices and clears the caller's buffer in place

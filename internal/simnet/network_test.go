@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +26,7 @@ func (p *recorder) ID() ids.ID { return p.id }
 func (p *recorder) Done() bool { return p.done }
 
 func (p *recorder) Step(env *RoundEnv) {
-	p.received = append(p.received, env.Inbox.Slice())
+	p.received = append(p.received, slices.Collect(env.Inbox.All()))
 	if len(p.script) > 0 {
 		action := p.script[0]
 		p.script = p.script[1:]
@@ -391,8 +392,8 @@ func TestInboxIsSortedBySenderThenEncoding(t *testing.T) {
 	}
 }
 
-// gossip is a deterministic pseudo-random protocol used to compare the
-// sequential and concurrent runners on a non-trivial execution.
+// gossip is a deterministic pseudo-random protocol used to compare
+// worker counts on a non-trivial execution.
 type gossip struct {
 	id    ids.ID
 	rng   *rand.Rand
@@ -422,11 +423,12 @@ func (g *gossip) Step(env *RoundEnv) {
 	}
 }
 
-func runGossip(t *testing.T, concurrent bool, seed int64) map[ids.ID][]string {
+func runGossip(t *testing.T, workers int, seed int64) map[ids.ID][]string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nodeIDs := ids.Sparse(rng, 12)
-	net := New(Config{Concurrent: concurrent, MaxRounds: 20})
+	net := New(Config{Workers: workers, MaxRounds: 20})
+	defer net.Close()
 	procs := make([]*gossip, 0, len(nodeIDs))
 	for i, id := range nodeIDs {
 		g := &gossip{
@@ -450,25 +452,21 @@ func runGossip(t *testing.T, concurrent bool, seed int64) map[ids.ID][]string {
 }
 
 // The observable execution (every delivery at every node, in order) must
-// be identical under the sequential and the pooled concurrent runner.
+// be identical for every Config.Workers value: inline dispatch (1) and
+// real dispatch on the shared scheduler (2, 3, 5).
 func TestSequentialAndConcurrentRunnersAgree(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 5; seed++ {
-		seq := runGossip(t, false, seed)
-		con := runGossip(t, true, seed)
-		if len(seq) != len(con) {
-			t.Fatalf("seed %d: node count mismatch", seed)
-		}
-		for id, logSeq := range seq {
-			logCon := con[id]
-			if len(logSeq) != len(logCon) {
-				t.Fatalf("seed %d node %v: %d vs %d deliveries",
-					seed, id, len(logSeq), len(logCon))
+		base := runGossip(t, 1, seed)
+		for _, workers := range []int{2, 3, 5} {
+			got := runGossip(t, workers, seed)
+			if len(got) != len(base) {
+				t.Fatalf("seed %d workers=%d: node count mismatch", seed, workers)
 			}
-			for i := range logSeq {
-				if logSeq[i] != logCon[i] {
-					t.Fatalf("seed %d node %v delivery %d: %q vs %q",
-						seed, id, i, logSeq[i], logCon[i])
+			for id, want := range base {
+				if !slices.Equal(got[id], want) {
+					t.Fatalf("seed %d workers=%d node %v: delivery logs differ:\n  workers=1: %q\n  got:       %q",
+						seed, workers, id, want, got[id])
 				}
 			}
 		}

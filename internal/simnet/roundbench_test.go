@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -23,17 +24,17 @@ var phaseNs = []int{256, 512, 1024}
 func BenchmarkRoundEngine(b *testing.B) {
 	for _, n := range benchNs {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchRounds(b, n, false)
+			benchRounds(b, n, 1)
 		})
 	}
 }
 
-// BenchmarkRoundEngineConcurrent is the same workload on the pooled
-// concurrent runner.
+// BenchmarkRoundEngineConcurrent is the same workload with a worker cap
+// of GOMAXPROCS.
 func BenchmarkRoundEngineConcurrent(b *testing.B) {
 	for _, n := range benchNs {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchRounds(b, n, true)
+			benchRounds(b, n, runtime.GOMAXPROCS(0))
 		})
 	}
 }
@@ -47,19 +48,19 @@ func BenchmarkRoundEngineConcurrent(b *testing.B) {
 // wall-clock budget and CI uploads the output as an artifact.
 func BenchmarkRoundEngineSparse(b *testing.B) {
 	for _, runner := range []struct {
-		name       string
-		concurrent bool
-	}{{"sequential", false}, {"concurrent", true}} {
+		name    string
+		workers int
+	}{{"sequential", 1}, {"concurrent", runtime.GOMAXPROCS(0)}} {
 		for _, n := range []int{4096, 8192} {
 			b.Run(fmt.Sprintf("%s/n=%d", runner.name, n), func(b *testing.B) {
-				benchRounds(b, n, runner.concurrent)
+				benchRounds(b, n, runner.workers)
 			})
 		}
 	}
 }
 
-func benchRounds(b *testing.B, n int, concurrent bool) {
-	net, _, err := NewBroadcastBench(n, b.N+2, concurrent)
+func benchRounds(b *testing.B, n, workers int) {
+	net, _, err := NewBroadcastBench(n, b.N+2, workers)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,24 +84,24 @@ func benchRounds(b *testing.B, n int, concurrent bool) {
 // BenchmarkStepPhase measures only the step half of a round (process
 // state machines plus the node-order merge), isolating it from routing.
 func BenchmarkStepPhase(b *testing.B) {
-	benchPhase(b, false, (*RoundPhases).StepOnly)
+	benchPhase(b, 1, (*RoundPhases).StepOnly)
 }
 
-// BenchmarkStepPhaseConcurrent is the step half on the worker pool.
+// BenchmarkStepPhaseConcurrent is the step half at a GOMAXPROCS worker cap.
 func BenchmarkStepPhaseConcurrent(b *testing.B) {
-	benchPhase(b, true, (*RoundPhases).StepOnly)
+	benchPhase(b, runtime.GOMAXPROCS(0), (*RoundPhases).StepOnly)
 }
 
 // BenchmarkRoutePhase measures only the routing/delivery half: block
 // sort, dedup, arena sizing, fan-out, accounting.
 func BenchmarkRoutePhase(b *testing.B) {
-	benchPhase(b, false, func(rp *RoundPhases) error { rp.RouteOnly(); return nil })
+	benchPhase(b, 1, func(rp *RoundPhases) error { rp.RouteOnly(); return nil })
 }
 
 // BenchmarkRoutePhaseConcurrent is the routing half with sharded
-// delivery on the worker pool (inline when the pool has one worker).
+// delivery at a GOMAXPROCS worker cap (inline on a one-core host).
 func BenchmarkRoutePhaseConcurrent(b *testing.B) {
-	benchPhase(b, true, func(rp *RoundPhases) error { rp.RouteOnly(); return nil })
+	benchPhase(b, runtime.GOMAXPROCS(0), func(rp *RoundPhases) error { rp.RouteOnly(); return nil })
 }
 
 // campaignChunk is how many rounds each simulation advances per
@@ -109,7 +110,7 @@ func BenchmarkRoutePhaseConcurrent(b *testing.B) {
 const campaignChunk = 4
 
 // BenchmarkCampaign measures aggregate campaign throughput: jobs
-// independent sequential simulations multiplexed over one bounded
+// independent one-worker simulations multiplexed over one bounded
 // scheduler. One op advances every simulation by campaignChunk rounds,
 // so rows with the same n are directly comparable — jobs× the rounds
 // for (ideally) the same wall time, up to the worker budget. `make
@@ -138,10 +139,10 @@ func BenchmarkCampaign(b *testing.B) {
 	}
 }
 
-func benchPhase(b *testing.B, concurrent bool, op func(*RoundPhases) error) {
+func benchPhase(b *testing.B, workers int, op func(*RoundPhases) error) {
 	for _, n := range phaseNs {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rp, err := NewRoundPhases(n, concurrent)
+			rp, err := NewRoundPhases(n, workers)
 			if err != nil {
 				b.Fatal(err)
 			}

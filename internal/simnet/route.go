@@ -16,15 +16,15 @@ import (
 // O(S + B + U) (sends, surviving broadcasts, unicast deliveries) plus
 // the per-receiver constant of handing out views. It is split into a
 // cheap serial prepare pass and a delivery pass that is embarrassingly
-// parallel over receivers, so the concurrent runner can shard it across
-// the same worker pool that runs the step phase.
+// parallel over receivers, so a worker cap above 1 shards it across the
+// same scheduler that runs the step phase.
 //
 // The pipeline, per round:
 //
 //  1. Block-local sort (routePrepare). outs arrives grouped by sender in
-//     ascending node order — both runners merge the per-process send
-//     buffers in node order and the engine stamps from = the registered
-//     id — so the global sort by (from, encoding, to) of the old engine
+//     ascending node order — the step merge appends the per-process
+//     send buffers in node order and the engine stamps from = the
+//     registered id — so the global sort by (from, encoding, to) of the old engine
 //     is equivalent to sorting each sender's block by (encoding, to).
 //     Typical blocks are tiny (a broadcast-heavy round has one send per
 //     sender), turning O(S log S) into Σ O(k log k) ≈ O(S).
@@ -45,13 +45,14 @@ import (
 //     unicasts once into the unicast arena, each aligned with its send
 //     index list — O(B + U) Received values total, regardless of the
 //     receiver count. The copies are what let a receiver's view outlive
-//     the outs buffer (both runners rewrite outs while inboxes are
+//     the outs buffer (the step merge rewrites outs while inboxes are
 //     still being read next round). Block and arena are recycled across
 //     rounds — which is why Process.Step must not retain env.Inbox
 //     (see the package docs).
 //
 //  4. Delivery (routeShardDeliver). Receivers are partitioned into
-//     contiguous shards. Each shard walks its receivers in node order
+//     Config.Workers contiguous shards (one, by default). Each shard
+//     walks its receivers in node order
 //     and, per receiver, assembles an Inbox view over the shared block
 //     and the receiver's arena segment; the view's merge by send index
 //     reproduces exactly the (sender, encoding)-sorted inbox the
@@ -59,96 +60,84 @@ import (
 //     computed arithmetically (per-receiver: B broadcasts plus its
 //     bucket; bytes: the block's byte total plus the bucket's) without
 //     touching message data; only contact-set maintenance and
-//     transcript logging walk the merge, and only when enabled. Every
-//     inbox, contact set, per-shard tally and per-shard event buffer is
-//     written by exactly one worker, so the pass needs no locks and its
-//     output is independent of worker scheduling.
+//     transcript logging walk the merge, and only when enabled. The
+//     delivery events go straight into the round record
+//     (n.roundEvents): because the per-receiver counts are known
+//     arithmetically, route hands every shard a pre-sized, disjoint
+//     window of it, laid out in receiver order. Every inbox, contact
+//     set, per-shard tally and record window is written by exactly one
+//     worker, so the pass needs no locks, no merge copy, and its output
+//     is independent of worker scheduling.
 //
-//  5. Merge (route). Per-shard delivery/byte tallies are reduced and
-//     per-shard event buffers appended to the EventLog in shard — i.e.
-//     receiver — order, so the transcript and the Collector flush are
-//     identical for the sequential runner, for any worker count, and
+//  5. Reduce (route). Per-shard delivery/byte tallies are summed in
+//     shard order; the record needs no merge. The transcript and the
+//     Collector flush are therefore identical for any worker count and
 //     across runs. The canonical transcript order is receiver-major:
 //     deliveries grouped by receiver in ascending node order, each
 //     receiver's messages in inbox order.
 
 // routeShard is one worker's slice of the delivery pass: the receiver
-// range [lo, hi) plus the tallies and the event buffer that worker owns.
-// The slices are scratch, recycled across rounds.
+// range [lo, hi), the tallies that worker owns, and — when the round is
+// being logged — its window of the round record. The window is a view
+// into n.roundEvents sized exactly for the shard's deliveries; a shard
+// owns no event storage of its own.
 type routeShard struct {
 	lo, hi     int
 	deliveries int64
 	bytes      int64
-	events     []trace.Event
+	window     []trace.Event
 }
 
-// route fans out and filters the round's sends into next-round inboxes
-// and returns the delivery/byte totals for the batched Collector flush.
-// See the pipeline comment at the top of this file; the duplicate
-// semantics are unchanged from the send-major loop it replaces (the
-// dedup key is (sender, encoding) per receiver; digests short-circuit
-// the string compares and equal digests fall back to comparing full
-// encodings, so a 64-bit collision can never drop a distinct message).
+// logging reports whether per-delivery trace events are materialized.
+func (n *Network) logging() bool { return n.cfg.EventLog != nil || n.cfg.Observer != nil }
+
+// route fans out and filters the round's sends into next-round inboxes,
+// appends the round's delivery events to the round record, and returns
+// the delivery/byte totals for the batched Collector flush. See the
+// pipeline comment at the top of this file; the duplicate semantics are
+// unchanged from the send-major loop it replaces (the dedup key is
+// (sender, encoding) per receiver; digests short-circuit the string
+// compares and equal digests fall back to comparing full encodings, so
+// a 64-bit collision can never drop a distinct message).
 //
-//lint:noalloc the fan-out runs every round; shard table and event buffers are recycled, growth is capacity-guarded
+//lint:noalloc the fan-out runs every round; the shard table and the round record are recycled, growth is capacity-guarded or amortized
 func (n *Network) route(outs []send) (deliveries, bytes int64) {
 	n.routePrepare(outs)
 
-	nshards := 1
-	if n.cfg.Concurrent {
-		if w := n.workersCap(); w > 1 {
-			nshards = w
+	nshards := n.workersCap()
+	n.shards = grown(n.shards, nshards)
+	nl, nb := len(n.live), len(n.bcastBlock)
+	logging := n.logging()
+	if logging {
+		// A live receiver is delivered every surviving broadcast plus
+		// its unicast bucket, so the record's delivery tail is sized
+		// arithmetically, before any shard runs. Reserve the upper bound
+		// (as if no receiver were done); the windows below are exact.
+		n.roundEvents = slices.Grow(n.roundEvents, nl*nb+len(n.uniIdx))
+	}
+	end := len(n.roundEvents)
+	for s := range n.shards {
+		sh := &n.shards[s]
+		*sh = routeShard{lo: s * nl / nshards, hi: (s + 1) * nl / nshards}
+		if logging {
+			size := int(n.uniStart[sh.hi] - n.uniStart[sh.lo])
+			for _, done := range n.doneMask[sh.lo:sh.hi] {
+				if !done {
+					size += nb
+				}
+			}
+			// Windows are consecutive in shard — i.e. receiver — order:
+			// the canonical receiver-major transcript, by construction.
+			sh.window = n.roundEvents[end : end+size : end+size]
+			end += size
 		}
 	}
-	if cap(n.shards) < nshards {
-		n.shards = make([]routeShard, nshards)
-	}
-	shards := n.shards[:nshards]
-	n.shards = shards
-	nl := len(n.live)
-	for s := range shards {
-		shards[s].lo = s * nl / nshards
-		shards[s].hi = (s + 1) * nl / nshards
-		shards[s].deliveries = 0
-		shards[s].bytes = 0
-		shards[s].events = shards[s].events[:0]
-	}
-	if nshards == 1 {
-		n.routeShardDeliver(&shards[0])
-	} else {
-		n.runRouteShards(nshards)
-	}
+	n.roundEvents = n.roundEvents[:end]
+	n.dispatch(phaseRoute, nshards)
 
-	for s := range shards {
-		deliveries += shards[s].deliveries
-		bytes += shards[s].bytes
-	}
-	if n.cfg.EventLog != nil {
-		if n.faults != nil {
-			n.cfg.EventLog.RecordBatch(n.faults.linkEvents)
-		}
-		for s := range shards {
-			n.cfg.EventLog.RecordBatch(shards[s].events)
-		}
-	}
-	if n.cfg.Observer != nil {
-		// Assemble the round's observer view in the canonical record
-		// order: fault-plan events (plan order), containment events
-		// (node order, from the step merge), link-fault events (send
-		// order, from the serial filter), then deliveries in shard —
-		// i.e. receiver — order: the same order the EventLog records.
-		ev := n.roundEvents[:0]
-		if n.faults != nil {
-			ev = append(ev, n.faults.planEvents...)
-		}
-		ev = append(ev, n.stepEvents...)
-		if n.faults != nil {
-			ev = append(ev, n.faults.linkEvents...)
-		}
-		for s := range shards {
-			ev = append(ev, shards[s].events...)
-		}
-		n.roundEvents = ev
+	for s := range n.shards {
+		deliveries += n.shards[s].deliveries
+		bytes += n.shards[s].bytes
 	}
 	return deliveries, bytes
 }
@@ -189,12 +178,11 @@ func (n *Network) routePrepare(outs []send) {
 		n.doneMask[i] = st.crashed || st.joinRound > n.round || st.proc.Done()
 	}
 	if n.faults != nil {
-		// Round-scoped fault scratch: stale link events or corrupted
-		// copies from the previous fault round must not leak into this
-		// one (clear drops the payload references they pin).
+		// Round-scoped fault scratch: corrupted copies from the previous
+		// fault round must not leak into this one (clear drops the
+		// payload references they pin).
 		clear(n.faults.corrupted)
 		n.faults.corrupted = n.faults.corrupted[:0]
-		n.faults.linkEvents = n.faults.linkEvents[:0]
 	}
 
 	// (3) Dedup + classify. Same duplicate rules as the old send-major
@@ -282,8 +270,8 @@ func (n *Network) routePrepare(outs []send) {
 	// (5) Sparse materialization: copy the surviving broadcasts once
 	// into the shared block and the surviving unicasts once into the
 	// arena, aligned with bcastIdx and uniIdx respectively. Receivers
-	// get views over these copies, never over outs — both runners
-	// rewrite outs while next round's inboxes are still being read.
+	// get views over these copies, never over outs — the step merge
+	// rewrites outs while next round's inboxes are still being read.
 	// Shrink-clearing the recycled tails drops the references held by
 	// last round's larger block/arena so dead payloads are not pinned.
 	nb := len(n.bcastIdx)
@@ -316,18 +304,19 @@ func (n *Network) routePrepare(outs []send) {
 // routeShardDeliver hands out the inbox views of the receivers in sh's
 // range. It is safe to run concurrently for disjoint shards: it writes
 // only the shard's receivers' inboxes/contact sets and the shard's own
-// tallies and event buffer; the broadcast block, the unicast arena and
+// tallies and record window; the broadcast block, the unicast arena and
 // the index lists the views read through are written only by the serial
 // prepare pass and are read-only here.
 //
 //lint:shardsafe owns=sh the shard ranges partition the receivers; inboxes in [sh.lo, sh.hi) are shard-owned
-//lint:noalloc the delivery walk runs per receiver per round; inboxes are views and event buffers are shard-owned recycled scratch
+//lint:noalloc the delivery walk runs per receiver per round; inboxes are views and events land in the shard's pre-sized record window
 //lint:nonblock route tasks run to the pool's phase barrier; a blocking shard would deadlock the round against it
 func (n *Network) routeShardDeliver(sh *routeShard) {
-	logging := n.cfg.EventLog != nil || n.cfg.Observer != nil
+	logging := n.logging()
 	round := n.round + 1 // deliveries land at the start of the next round
 	nb := len(n.bcastBlock)
 	var deliveries, bytes int64
+	next := 0 // fill position in sh.window
 	for i := sh.lo; i < sh.hi; i++ {
 		st := n.live[i]
 		if n.doneMask[i] {
@@ -379,7 +368,7 @@ func (n *Network) routeShardDeliver(sh *routeShard) {
 				st.contacts[m.From] = struct{}{}
 			}
 			if logging {
-				sh.events = append(sh.events, trace.Event{
+				sh.window[next] = trace.Event{
 					Round:     round,
 					From:      uint64(m.From),
 					To:        uint64(st.id),
@@ -387,7 +376,8 @@ func (n *Network) routeShardDeliver(sh *routeShard) {
 					Size:      len(m.encoded),
 					Broadcast: m.bcast,
 					Enc:       m.encoded,
-				})
+				}
+				next++
 			}
 		}
 	}

@@ -1,29 +1,26 @@
 package simnet
 
-import (
-	"runtime"
+import "uba/internal/simnet/sched"
 
-	"uba/internal/simnet/sched"
-)
-
-// This file is the concurrent runner's dispatch layer: how a Network's
-// two round phases — step-by-node and route-by-shard — become indexed
+// This file is the round engine's dispatch layer: how a Network's two
+// round phases — step-by-node and route-by-shard — become indexed
 // batches on the process-wide bounded scheduler (internal/simnet/sched).
 //
-// A Network no longer owns worker goroutines. It binds to a scheduler
-// on its first concurrent dispatch (the shared sched.Default unless a
-// test injected a private one) and submits each phase as one barriered
-// dispatch, reusing a single Phase record and a single phase-tagged
-// poolTask so the steady-state round performs no allocation. The
-// Config.Workers knob is a cap on how many shared workers may drain
-// this network's phase at once, not a reservation: a campaign running
-// many simulations keeps total parallelism at the scheduler's budget
-// no matter how many networks are in flight.
+// A Network owns no worker goroutines. It binds to a scheduler on its
+// first dispatch (the shared sched.Default unless a test injected a
+// private one) and submits each phase as one barriered dispatch,
+// reusing a single Phase record and a single phase-tagged poolTask so
+// the steady-state round performs no allocation. Config.Workers is a
+// cap on how many shared workers may drain this network's phase at
+// once, not a reservation: below 2 the dispatch is sched.Run's inline
+// loop on the driving goroutine with no coordination at all, and a
+// campaign running many simulations keeps total parallelism at the
+// scheduler's budget no matter how many networks are in flight.
 //
-// Determinism is unchanged from the private-pool runner: which worker
-// runs which index varies run to run, but the step merge reads result
-// slots in node order and the route merge reads shards in receiver
-// order, so transcripts and accounting are independent of scheduling.
+// Determinism: which worker runs which index varies run to run, but the
+// step merge reads result slots in node order and delivery shards fill
+// disjoint receiver-ordered windows, so transcripts and accounting are
+// independent of scheduling.
 
 // poolPhase selects which half of a round a dispatched task runs.
 type poolPhase uint8
@@ -39,8 +36,6 @@ const (
 type poolTask struct {
 	net   *Network
 	phase poolPhase
-	live  []*procState // step phase
-	res   []stepResult // step phase
 }
 
 // Run executes one index of the dispatched phase: a node step into its
@@ -51,11 +46,12 @@ type poolTask struct {
 //lint:noalloc both phase bodies run over recycled per-node and per-shard state
 //lint:nonblock phase bodies run to the scheduler's dispatch barrier; a blocking index would stall every job sharing the budget
 func (t *poolTask) Run(i int) {
+	n := t.net
 	switch t.phase {
 	case phaseStep:
-		t.res[i] = t.net.stepOne(t.live[i])
+		n.results[i] = n.stepOne(n.live[i])
 	case phaseRoute:
-		t.net.routeShardDeliver(&t.net.shards[i])
+		n.routeShardDeliver(&n.shards[i])
 	}
 }
 
@@ -65,50 +61,27 @@ func (t *poolTask) Run(i int) {
 // host; everything else shares one budget.
 func (n *Network) scheduler() *sched.Scheduler {
 	if n.sched == nil {
-		//lint:coldpath binding to the shared scheduler runs once per Network, on its first concurrent dispatch
+		//lint:coldpath binding to the shared scheduler runs once per Network, on its first dispatch
 		n.sched = sched.Default()
 	}
 	return n.sched
 }
 
 // workersCap is the network's concurrency cap: how many goroutines may
-// drain one of its phase dispatches at once. Config.Workers when
-// positive; otherwise GOMAXPROCS capped at the live process count.
+// drain one of its phase dispatches at once, and how many shards
+// delivery is split into.
 //
 //lint:noalloc pure arithmetic over the config, computed per dispatch
-func (n *Network) workersCap() int {
-	w := n.cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if len(n.live) < w {
-			w = len(n.live)
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+func (n *Network) workersCap() int { return max(n.cfg.Workers, 1) }
 
-// runStep dispatches the step phase: every process in live is stepped,
-// its result written to the node's slot of res, and runStep returns at
-// the phase barrier, after which the caller merges the slots in node
-// order.
+// dispatch runs count indices of the given phase — node steps into
+// n.results, or deliveries of n.shards — and returns at the phase
+// barrier, after which the caller merges in index order.
 //
-//lint:noalloc the step dispatch re-tags the embedded task and reuses the network's Phase record
-func (n *Network) runStep(live []*procState, res []stepResult) {
-	n.task = poolTask{net: n, phase: phaseStep, live: live, res: res}
-	n.scheduler().Run(&n.phase, &n.task, len(live), n.workersCap())
-}
-
-// runRouteShards dispatches the delivery phase over n.shards[:nshards]
-// and returns at the phase barrier, after which the caller merges the
-// shards in receiver order.
-//
-//lint:noalloc the route dispatch re-tags the embedded task and reuses the network's Phase record
-func (n *Network) runRouteShards(nshards int) {
-	n.task = poolTask{net: n, phase: phaseRoute}
-	n.scheduler().Run(&n.phase, &n.task, nshards, n.workersCap())
+//lint:noalloc the dispatch re-tags the embedded task and reuses the network's Phase record
+func (n *Network) dispatch(phase poolPhase, count int) {
+	n.task = poolTask{net: n, phase: phase}
+	n.scheduler().Run(&n.phase, &n.task, count, n.workersCap())
 }
 
 // Close retires the network: a privately owned scheduler (test hook) is

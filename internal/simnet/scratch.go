@@ -7,7 +7,7 @@ import (
 )
 
 // Scratch recycling across networks. Within one Network the round
-// buffers (outs, results, arenas, shard table, event scratch) are
+// buffers (outs, results, arenas, shard table, round record) are
 // already reused round over round; this file extends the reuse across
 // Network lifetimes, which is what campaign workloads need: a chaos
 // campaign builds a fresh Network per (arena, seed) cell, and without
@@ -25,15 +25,25 @@ import (
 
 // netScratch is the recyclable allocation footprint of one Network:
 // every round-scoped buffer that grows to a workload-dependent
-// high-water mark. Payload-carrying slots are cleared before the set
-// enters the pool, so parked scratch never pins message payloads.
+// high-water mark. It is embedded in Network by value, so adoption and
+// release are one struct assignment each — a buffer added here is
+// recycled with no further bookkeeping. Payload-carrying slots are
+// cleared before the set enters the pool, so parked scratch never pins
+// message payloads.
 type netScratch struct {
-	outs         []send
-	results      []stepResult
+	// Step merge (network.go): the node-ordered send stream and the
+	// per-node result slots it is merged from.
+	outs    []send
+	results []stepResult
+	// roundEvents is the round record: every trace event of the current
+	// round in canonical order, handed to the EventLog and the Observer.
+	roundEvents []trace.Event
+	// Routing (route.go): per-sender broadcast dedup keys, the done
+	// snapshot, the surviving broadcast indices, the per-receiver
+	// unicast buckets, the shared broadcast block and unicast arena the
+	// inbox views read through, and the delivery shard table.
 	bcastDigests []uint64
 	bcastEncs    []string
-	stepEvents   []trace.Event
-	roundEvents  []trace.Event
 	doneMask     []bool
 	bcastIdx     []int32
 	uniRecv      []int32
@@ -56,32 +66,17 @@ func (n *Network) adoptScratch() {
 	if s == nil {
 		return
 	}
-	n.outs = s.outs
-	n.results = s.results
-	n.bcastDigests = s.bcastDigests
-	n.bcastEncs = s.bcastEncs
-	n.stepEvents = s.stepEvents
-	n.roundEvents = s.roundEvents
-	n.doneMask = s.doneMask
-	n.bcastIdx = s.bcastIdx
-	n.uniRecv = s.uniRecv
-	n.uniSend = s.uniSend
-	n.uniIdx = s.uniIdx
-	n.uniStart = s.uniStart
-	n.uniCursor = s.uniCursor
-	n.bcastBlock = s.bcastBlock
-	n.uniArena = s.uniArena
-	n.shards = s.shards
 	// Keep the emptied box for releaseScratch, so a Network's whole
 	// recycle cycle allocates nothing after the first generation.
-	*s = netScratch{}
+	n.netScratch, *s = *s, netScratch{}
 	n.scratchBox = s
 }
 
-// releaseScratch clears the network's round buffers to their full
-// capacity — dropping every payload, event and result reference they
-// pinned — and parks them in the pool for the next Network. Called
-// from Close.
+// releaseScratch clears the network's payload-carrying round buffers to
+// their full capacity — dropping every payload, event and result
+// reference they pinned — and parks the set in the pool for the next
+// Network. Lengths are left as they are: every buffer is re-sized
+// before each use. Called from Close.
 //
 //lint:coldpath scratch release runs once per Network, in Close
 func (n *Network) releaseScratch() {
@@ -92,43 +87,12 @@ func (n *Network) releaseScratch() {
 	n.scratchBox = nil
 	clear(n.outs[:cap(n.outs)])
 	clear(n.results[:cap(n.results)])
-	clear(n.bcastEncs[:cap(n.bcastEncs)])
-	clear(n.stepEvents[:cap(n.stepEvents)])
 	clear(n.roundEvents[:cap(n.roundEvents)])
+	clear(n.bcastEncs[:cap(n.bcastEncs)])
 	clear(n.bcastBlock[:cap(n.bcastBlock)])
 	clear(n.uniArena[:cap(n.uniArena)])
+	clear(n.shards[:cap(n.shards)])
 	n.bcastLive, n.uniLive = 0, 0
-	shards := n.shards[:cap(n.shards)]
-	for i := range shards {
-		ev := shards[i].events
-		clear(ev[:cap(ev)])
-		shards[i] = routeShard{events: ev[:0]}
-	}
-	*s = netScratch{
-		outs:         n.outs[:0],
-		results:      n.results[:0],
-		bcastDigests: n.bcastDigests[:0],
-		bcastEncs:    n.bcastEncs[:0],
-		stepEvents:   n.stepEvents[:0],
-		roundEvents:  n.roundEvents[:0],
-		doneMask:     n.doneMask[:0],
-		bcastIdx:     n.bcastIdx[:0],
-		uniRecv:      n.uniRecv[:0],
-		uniSend:      n.uniSend[:0],
-		uniIdx:       n.uniIdx[:0],
-		uniStart:     n.uniStart[:0],
-		uniCursor:    n.uniCursor[:0],
-		bcastBlock:   n.bcastBlock[:0],
-		uniArena:     n.uniArena[:0],
-		shards:       shards[:0],
-	}
-	n.outs, n.results = nil, nil
-	n.bcastDigests, n.bcastEncs = nil, nil
-	n.stepEvents, n.roundEvents = nil, nil
-	n.doneMask = nil
-	n.bcastIdx, n.uniRecv, n.uniSend = nil, nil, nil
-	n.uniIdx, n.uniStart, n.uniCursor = nil, nil, nil
-	n.bcastBlock, n.uniArena = nil, nil
-	n.shards = nil
+	*s, n.netScratch = n.netScratch, netScratch{}
 	scratchPool.Put(s)
 }

@@ -83,11 +83,13 @@ const (
 )
 
 // EventLog records a message-level transcript of a run — the debugging
-// view of an execution: who delivered what to whom, round by round. It
-// is safe for concurrent use (the concurrent runner records from many
-// goroutines). A capacity bound keeps adversarial message floods from
-// exhausting memory; when it is hit, further events are counted but not
-// stored.
+// view of an execution: who delivered what to whom, round by round. The
+// round engine appends each finished round's record in one RecordBatch
+// call from the goroutine driving the network — workers never record;
+// the lock only makes the readers safe to call from another goroutine
+// while a run is in flight. A capacity bound keeps adversarial message
+// floods from exhausting memory; when it is hit, further events are
+// counted but not stored.
 type EventLog struct {
 	mu      sync.Mutex
 	events  []Event
@@ -119,13 +121,12 @@ func (l *EventLog) Record(e Event) {
 }
 
 // RecordBatch appends a batch of events under one lock acquisition —
-// the flush path for the round engine's per-shard event buffers (one
-// call per shard per round instead of one lock per delivery). The
-// capacity bound is applied exactly as for Record: events beyond the
-// capacity are counted as dropped, not stored. The batch is copied;
-// the caller may reuse its slice.
+// the flush path for the round engine's round record (one call per
+// round). The capacity bound is applied exactly as for Record: events
+// beyond the capacity are counted as dropped, not stored. The batch is
+// copied; the caller may reuse its slice.
 //
-//lint:noalloc the per-shard flush appends into the log's own backing array under one lock acquisition
+//lint:noalloc the per-round flush appends into the log's own backing array under one lock acquisition
 func (l *EventLog) RecordBatch(events []Event) {
 	if len(events) == 0 {
 		return

@@ -8,20 +8,14 @@ import (
 func TestCollectorAccumulates(t *testing.T) {
 	t.Parallel()
 	var c Collector
-	c.BeginRound(1)
-	c.RecordSend()
-	c.RecordDelivery(10)
-	c.RecordDelivery(5)
-	c.BeginRound(2)
-	c.RecordSend()
-	c.RecordSend()
-	c.RecordDelivery(7)
+	c.AddRound(1, 1, 0, 2, 15)
+	c.AddRound(2, 1, 1, 1, 7)
 
 	r := c.Report()
 	if r.Rounds != 2 {
 		t.Fatalf("Rounds = %d, want 2", r.Rounds)
 	}
-	if r.Sends != 3 || r.Deliveries != 3 || r.Bytes != 22 {
+	if r.Sends != 3 || r.Broadcasts != 2 || r.Unicasts != 1 || r.Deliveries != 3 || r.Bytes != 22 {
 		t.Fatalf("totals = %+v", r)
 	}
 	if len(r.PerRound) != 2 {
@@ -38,8 +32,12 @@ func TestCollectorAccumulates(t *testing.T) {
 func TestCollectorZeroValueAndImplicitRound(t *testing.T) {
 	t.Parallel()
 	var c Collector
-	// Recording without BeginRound opens an implicit round 1.
-	c.RecordDelivery(3)
+	if r := c.Report(); r.Rounds != 0 || len(r.PerRound) != 0 {
+		t.Fatalf("zero-value report = %+v", r)
+	}
+	// The zero value is ready: the first AddRound opens its round with
+	// no set-up call.
+	c.AddRound(1, 0, 0, 1, 3)
 	r := c.Report()
 	if r.Rounds != 1 || r.Deliveries != 1 || r.Bytes != 3 {
 		t.Fatalf("report = %+v", r)
@@ -49,8 +47,7 @@ func TestCollectorZeroValueAndImplicitRound(t *testing.T) {
 func TestReportIsACopy(t *testing.T) {
 	t.Parallel()
 	var c Collector
-	c.BeginRound(1)
-	c.RecordDelivery(1)
+	c.AddRound(1, 0, 0, 1, 1)
 	r := c.Report()
 	r.PerRound[0].Bytes = 999
 	if c.Report().PerRound[0].Bytes == 999 {
@@ -83,8 +80,9 @@ func TestReportString(t *testing.T) {
 
 func TestCollectorConcurrentRecording(t *testing.T) {
 	t.Parallel()
+	// The engine records from one goroutine; the lock keeps even
+	// deliberately racing writers safe (run under -race).
 	var c Collector
-	c.BeginRound(1)
 	const workers, each = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -92,15 +90,14 @@ func TestCollectorConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				c.RecordSend()
-				c.RecordDelivery(2)
+				c.AddRound(1, 1, 0, 1, 2)
 			}
 		}()
 	}
 	wg.Wait()
 	r := c.Report()
-	if r.Sends != workers*each {
-		t.Fatalf("Sends = %d, want %d", r.Sends, workers*each)
+	if r.Sends != workers*each || len(r.PerRound) != workers*each {
+		t.Fatalf("Sends = %d, PerRound = %d, want %d", r.Sends, len(r.PerRound), workers*each)
 	}
 	if r.Deliveries != workers*each || r.Bytes != 2*workers*each {
 		t.Fatalf("Deliveries = %d Bytes = %d", r.Deliveries, r.Bytes)

@@ -161,8 +161,8 @@ func (c *OrderingCluster) Round(member uint64) (uint64, error) {
 // Report returns the cluster's traffic accounting so far.
 func (c *OrderingCluster) Report() trace.Report { return c.collector.Report() }
 
-// Close releases the cluster's simulator resources (the concurrent
-// runner's worker pool, when Config.Concurrent was set). The cluster
-// must not be used after Close. Calling it on a sequential cluster is a
-// harmless no-op, and an unclosed cluster is cleaned up by a finalizer.
+// Close retires the cluster's network, returning its round scratch to
+// the recycling pool for the next run. The cluster must not be used
+// after Close. It is optional: an unclosed cluster holds no goroutines
+// and is ordinary garbage.
 func (c *OrderingCluster) Close() { c.net.Close() }

@@ -16,25 +16,25 @@ import (
 
 // runnerOutcome captures everything observable about one protocol run:
 // the message-level transcript, the traffic report, and the protocol's
-// own result. The pooled concurrent runner must reproduce all three
-// byte-for-byte from the sequential runner — this is the guard on the
-// worker-pool and digest-dedup rewrite of the round engine.
+// own result. Every worker cap must reproduce all three byte-for-byte
+// — this is the guard on the round engine's one step path: inline
+// dispatch and real multi-worker dispatch are the same execution.
 type runnerOutcome struct {
 	events []trace.Event
 	report trace.Report
 	result any
 }
 
-func runOnce(t *testing.T, protocol string, adv uba.Adversary, concurrent bool) runnerOutcome {
+func runOnce(t *testing.T, protocol string, adv uba.Adversary, workers int) runnerOutcome {
 	t.Helper()
 	log := trace.NewEventLog(500_000)
 	cfg := uba.Config{
-		Correct:    7,
-		Byzantine:  2,
-		Adversary:  adv,
-		Seed:       42,
-		Concurrent: concurrent,
-		EventLog:   log,
+		Correct:   7,
+		Byzantine: 2,
+		Adversary: adv,
+		Seed:      42,
+		Workers:   workers,
+		EventLog:  log,
 	}
 	var result any
 	var report trace.Report
@@ -43,7 +43,7 @@ func runOnce(t *testing.T, protocol string, adv uba.Adversary, concurrent bool) 
 		inputs := []float64{0, 1, 0, 1, 0, 1, 0}
 		res, err := uba.Consensus(cfg, inputs)
 		if err != nil {
-			t.Fatalf("%s/%s concurrent=%v: %v", protocol, adv, concurrent, err)
+			t.Fatalf("%s/%s workers=%d: %v", protocol, adv, workers, err)
 		}
 		report = res.Report
 		res.Report = trace.Report{}
@@ -51,7 +51,7 @@ func runOnce(t *testing.T, protocol string, adv uba.Adversary, concurrent bool) 
 	case "broadcast":
 		res, err := uba.ReliableBroadcast(cfg, []byte("equivalence-body"), 10)
 		if err != nil {
-			t.Fatalf("%s/%s concurrent=%v: %v", protocol, adv, concurrent, err)
+			t.Fatalf("%s/%s workers=%d: %v", protocol, adv, workers, err)
 		}
 		report = res.Report
 		res.Report = trace.Report{}
@@ -59,7 +59,7 @@ func runOnce(t *testing.T, protocol string, adv uba.Adversary, concurrent bool) 
 	case "rotor":
 		res, err := uba.Rotor(cfg)
 		if err != nil {
-			t.Fatalf("%s/%s concurrent=%v: %v", protocol, adv, concurrent, err)
+			t.Fatalf("%s/%s workers=%d: %v", protocol, adv, workers, err)
 		}
 		report = res.Report
 		res.Report = trace.Report{}
@@ -68,22 +68,23 @@ func runOnce(t *testing.T, protocol string, adv uba.Adversary, concurrent bool) 
 		t.Fatalf("unknown protocol %q", protocol)
 	}
 	if log.Dropped() > 0 {
-		t.Fatalf("%s/%s concurrent=%v: transcript truncated (%d dropped)",
-			protocol, adv, concurrent, log.Dropped())
+		t.Fatalf("%s/%s workers=%d: transcript truncated (%d dropped)",
+			protocol, adv, workers, log.Dropped())
 	}
 	return runnerOutcome{events: log.Events(), report: report, result: result}
 }
 
 // TestRunnerEquivalenceAcrossAdversaries runs every adversary strategy
-// against consensus, reliable broadcast, and the rotor-coordinator under
-// both runners with a shared seed and asserts byte-identical transcripts
-// (every delivery: round, from, to, kind, size, broadcast flag, in
-// order), identical Report totals and per-round breakdowns, and
-// identical protocol results. The concurrent runner is run twice so a
-// worker-scheduling dependence — which could agree with the sequential
-// runner on one lucky schedule — fails the matrix directly. The
-// engine-level matrix with forced multi-worker shard counts lives in
-// internal/simnet/determinism_test.go.
+// against consensus, reliable broadcast, and the rotor-coordinator with
+// worker caps 1 (inline dispatch), 2, 3 and 5 on a shared seed and
+// asserts byte-identical transcripts (every delivery: round, from, to,
+// kind, size, broadcast flag, in order), identical Report totals and
+// per-round breakdowns, and identical protocol results. The counts are
+// explicit so real dispatch happens on a one-core host too, and one
+// multi-worker cap is run twice so a worker-scheduling dependence —
+// which could agree with the inline run on one lucky schedule — fails
+// the matrix directly. The engine-level matrix with private schedulers
+// of several budgets lives in internal/simnet/determinism_test.go.
 func TestRunnerEquivalenceAcrossAdversaries(t *testing.T) {
 	t.Parallel()
 	adversaries := []uba.Adversary{
@@ -95,26 +96,26 @@ func TestRunnerEquivalenceAcrossAdversaries(t *testing.T) {
 			protocol, adv := protocol, adv
 			t.Run(fmt.Sprintf("%s/%s", protocol, adv), func(t *testing.T) {
 				t.Parallel()
-				seq := runOnce(t, protocol, adv, false)
-				if len(seq.events) == 0 {
-					t.Fatal("sequential run recorded no deliveries; transcript comparison is vacuous")
+				base := runOnce(t, protocol, adv, 1)
+				if len(base.events) == 0 {
+					t.Fatal("one-worker run recorded no deliveries; transcript comparison is vacuous")
 				}
-				for _, label := range []string{"concurrent", "concurrent-repeat"} {
-					con := runOnce(t, protocol, adv, true)
-					if !slices.Equal(seq.events, con.events) {
+				for _, workers := range []int{2, 3, 5, 3} {
+					got := runOnce(t, protocol, adv, workers)
+					if !slices.Equal(base.events, got.events) {
 						i := 0
-						for i < len(seq.events) && i < len(con.events) && seq.events[i] == con.events[i] {
+						for i < len(base.events) && i < len(got.events) && base.events[i] == got.events[i] {
 							i++
 						}
-						t.Fatalf("%s: transcripts diverge at event %d of %d/%d:\n  sequential: %+v\n  concurrent: %+v",
-							label, i, len(seq.events), len(con.events), at(seq.events, i), at(con.events, i))
+						t.Fatalf("workers=%d: transcripts diverge at event %d of %d/%d:\n  workers=1: %+v\n  got:       %+v",
+							workers, i, len(base.events), len(got.events), at(base.events, i), at(got.events, i))
 					}
-					if !reflect.DeepEqual(seq.report, con.report) {
-						t.Fatalf("%s: reports differ:\n  sequential: %v\n  concurrent: %v", label, seq.report, con.report)
+					if !reflect.DeepEqual(base.report, got.report) {
+						t.Fatalf("workers=%d: reports differ:\n  workers=1: %v\n  got:       %v", workers, base.report, got.report)
 					}
-					if !reflect.DeepEqual(seq.result, con.result) {
-						t.Fatalf("%s: protocol results differ:\n  sequential: %+v\n  concurrent: %+v",
-							label, seq.result, con.result)
+					if !reflect.DeepEqual(base.result, got.result) {
+						t.Fatalf("workers=%d: protocol results differ:\n  workers=1: %+v\n  got:       %+v",
+							workers, base.result, got.result)
 					}
 				}
 			})
@@ -145,20 +146,13 @@ func (c *crashingChatter) Step(env *simnet.RoundEnv) {
 }
 
 // runCrashWorkload runs twelve chatter processes, four of which panic in
-// staggered rounds, on a pool of the given size (0 = sequential runner),
-// and returns the transcript and crash records.
+// staggered rounds, at the given worker cap, and returns the transcript
+// and crash records.
 func runCrashWorkload(t *testing.T, workers int) ([]trace.Event, []simnet.CrashRecord) {
 	t.Helper()
 	log := trace.NewEventLog(500_000)
-	net := simnet.New(simnet.Config{
-		MaxRounds:  20,
-		EventLog:   log,
-		Concurrent: workers > 0,
-		Workers:    workers,
-	})
-	if workers > 0 {
-		defer net.Close()
-	}
+	net := simnet.New(simnet.Config{MaxRounds: 20, EventLog: log, Workers: workers})
+	defer net.Close()
 	rng := rand.New(rand.NewSource(7))
 	nodeIDs := ids.Sparse(rng, 12)
 	for i, id := range nodeIDs {
@@ -181,11 +175,11 @@ func runCrashWorkload(t *testing.T, workers int) ([]trace.Event, []simnet.CrashR
 
 // TestCrashEquivalenceAcrossWorkerCounts asserts that contained Step
 // panics are deterministic: the full transcript — including every
-// NodeCrashed event — and the crash records are identical between the
-// sequential runner and pools of 1, 3 and 5 workers.
+// NodeCrashed event — and the crash records are identical for worker
+// caps 1 (inline), 2, 3 and 5.
 func TestCrashEquivalenceAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
-	baseEvents, baseCrashes := runCrashWorkload(t, 0)
+	baseEvents, baseCrashes := runCrashWorkload(t, 1)
 	crashed := 0
 	for _, e := range baseEvents {
 		if e.Kind == trace.KindNodeCrashed {
@@ -198,18 +192,18 @@ func TestCrashEquivalenceAcrossWorkerCounts(t *testing.T) {
 	if len(baseCrashes) != 4 {
 		t.Fatalf("%d crash records, want 4: %+v", len(baseCrashes), baseCrashes)
 	}
-	for _, workers := range []int{1, 3, 5} {
+	for _, workers := range []int{2, 3, 5} {
 		events, crashes := runCrashWorkload(t, workers)
 		if !slices.Equal(baseEvents, events) {
 			i := 0
 			for i < len(baseEvents) && i < len(events) && baseEvents[i] == events[i] {
 				i++
 			}
-			t.Fatalf("workers=%d: transcripts diverge at event %d of %d/%d:\n  sequential: %+v\n  pooled:     %+v",
+			t.Fatalf("workers=%d: transcripts diverge at event %d of %d/%d:\n  workers=1: %+v\n  got:       %+v",
 				workers, i, len(baseEvents), len(events), at(baseEvents, i), at(events, i))
 		}
 		if !reflect.DeepEqual(baseCrashes, crashes) {
-			t.Fatalf("workers=%d: crash records differ:\n  sequential: %+v\n  pooled:     %+v",
+			t.Fatalf("workers=%d: crash records differ:\n  workers=1: %+v\n  got:       %+v",
 				workers, baseCrashes, crashes)
 		}
 	}

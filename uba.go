@@ -115,8 +115,11 @@ type Config struct {
 	// Seed makes the run reproducible (identifier layout and any
 	// adversary randomness derive from it).
 	Seed int64
-	// Concurrent selects the pooled-worker concurrent runner.
-	Concurrent bool
+	// Workers caps how many goroutines may run one round phase of the
+	// simulation at once (see simnet.Config.Workers); below 2 — the
+	// default — every round runs inline on the calling goroutine.
+	// Results are identical for every value.
+	Workers int
 	// MaxRounds bounds the run (0 = simulator default).
 	MaxRounds int
 	// EventLog, when non-nil, records a message-level transcript of the
@@ -198,13 +201,13 @@ func newCluster(cfg Config, family string) (*cluster, error) {
 		obs = obsMux{user: cfg.Observer, suite: suite}
 	}
 	net := simnet.New(simnet.Config{
-		MaxRounds:  cfg.MaxRounds,
-		Concurrent: cfg.Concurrent,
-		Collector:  collector,
-		EventLog:   cfg.EventLog,
-		Observer:   obs,
-		SendQuota:  cfg.SendQuota,
-		ByteQuota:  cfg.ByteQuota,
+		MaxRounds: cfg.MaxRounds,
+		Workers:   cfg.Workers,
+		Collector: collector,
+		EventLog:  cfg.EventLog,
+		Observer:  obs,
+		SendQuota: cfg.SendQuota,
+		ByteQuota: cfg.ByteQuota,
 	})
 	return &cluster{
 		cfg:        cfg,
@@ -277,9 +280,10 @@ func (c *cluster) complexityErr() error {
 	return fmt.Errorf("uba: %s oracle fired in round %d: %s", v.Oracle, v.Round, v.Detail)
 }
 
-// close releases the network's worker pool (a no-op for sequential
-// runs). Every one-shot run function defers it; long-lived handles
-// (OrderingCluster) expose it to their callers instead.
+// close retires the network, returning its round scratch to the
+// recycling pool for the next run. Every one-shot run function defers
+// it; long-lived handles (OrderingCluster) expose it to their callers
+// instead.
 func (c *cluster) close() { c.net.Close() }
 
 func (c *cluster) report() trace.Report { return c.collector.Report() }

@@ -360,20 +360,25 @@ func TestFacadeDeterminism(t *testing.T) {
 	}
 }
 
-// The sequential and concurrent runners agree through the facade too.
+// Every worker cap agrees through the facade too; the zero Config
+// value is the inline default.
 func TestFacadeRunnerEquivalence(t *testing.T) {
 	t.Parallel()
 	inputs := []float64{3, 4, 3, 4, 3, 4, 4}
-	seq, err := Consensus(Config{Correct: 7, Byzantine: 2, Adversary: AdversarySplit, Seed: 40}, inputs)
+	cfg := Config{Correct: 7, Byzantine: 2, Adversary: AdversarySplit, Seed: 40}
+	base, err := Consensus(cfg, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	con, err := Consensus(Config{Correct: 7, Byzantine: 2, Adversary: AdversarySplit, Seed: 40, Concurrent: true}, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Decision != con.Decision || seq.Rounds != con.Rounds {
-		t.Fatalf("runners differ: %+v vs %+v", seq, con)
+	for _, workers := range []int{1, 2, 3, 5} {
+		cfg.Workers = workers
+		got, err := Consensus(cfg, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Decision != base.Decision || got.Rounds != base.Rounds {
+			t.Fatalf("workers=%d differs from the default: %+v vs %+v", workers, got, base)
+		}
 	}
 }
 
