@@ -125,23 +125,33 @@ func roundSpec(runner string, n int) benchSpec {
 
 // phaseSpec measures one half of a round in isolation via RoundPhases.
 func phaseSpec(phase, runner string, n int) benchSpec {
-	return planPhaseSpec(phase, runner, n, false)
+	return variantPhaseSpec(phase, runner, n, "")
 }
 
-// planPhaseSpec is phaseSpec with an optional idle fault plan attached:
-// the plan schedules no events, so the row measures what plan
-// *presence* costs the phase — the route path's fault-aware branches
-// against the identical workload. Paired with the plan-free row of the
-// same shape, the delta is the whole price of Config.FaultPlan on a
-// healthy network (the zero-alloc gate pins its allocation half to 0).
-func planPhaseSpec(phase, runner string, n int, idlePlan bool) benchSpec {
+// variantPhaseSpec is phaseSpec on a variant of the fixture, named by
+// the row suffix. "plan=idle" attaches a fault plan that schedules no
+// events, so the row measures what plan *presence* costs the phase —
+// the route path's fault-aware branches against the identical workload.
+// "observer=on" attaches an observer that discards its feed, so the
+// route row additionally builds the round record and hands it over —
+// what observation costs the engine. Paired with the plain row of the
+// same shape, the delta is the whole price of Config.FaultPlan or
+// Config.Observer on a healthy network (the zero-alloc gate pins its
+// allocation half to 0).
+func variantPhaseSpec(phase, runner string, n int, variant string) benchSpec {
 	name := fmt.Sprintf("RoundEngine/%s/%s/n=%d", phase, runner, n)
-	var plan *simnet.FaultPlan
-	planLabel := ""
-	if idlePlan {
-		name += "/plan=idle"
-		plan = &simnet.FaultPlan{Seed: 1}
+	build, planLabel := simnet.NewRoundPhases, ""
+	switch variant {
+	case "plan=idle":
+		build = func(n, workers int) (*simnet.RoundPhases, error) {
+			return simnet.NewRoundPhasesPlan(n, workers, &simnet.FaultPlan{Seed: 1})
+		}
 		planLabel = "idle"
+	case "observer=on":
+		build = simnet.NewRoundPhasesObserved
+	}
+	if variant != "" {
+		name += "/" + variant
 	}
 	return benchSpec{
 		name:   name,
@@ -150,7 +160,7 @@ func planPhaseSpec(phase, runner string, n int, idlePlan bool) benchSpec {
 		n:      n,
 		plan:   planLabel,
 		bench: func(b *testing.B) {
-			rp, err := simnet.NewRoundPhasesPlan(n, runnerWorkers(runner), plan)
+			rp, err := build(n, runnerWorkers(runner))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -241,7 +251,8 @@ func procsSpec(spec benchSpec, procs int) benchSpec {
 // allSpecs is the full `make bench-json` sweep: round benchmarks over
 // benchSizes, then the phase split over phaseSizes, for both runner
 // labels (with plan=idle route rows re-measuring the zero-alloc-gate
-// sizes under an attached-but-idle fault plan),
+// sizes under an attached-but-idle fault plan, and observer=on route
+// rows pricing the round record at n=1024),
 // plus GOMAXPROCS-pinned concurrent rows so scaling under fixed
 // parallelism is tracked in-repo: a {1,4,8}-proc ladder at the two
 // sizes the zero-alloc gate certifies (at procs=1 the cap is 1, so that
@@ -265,11 +276,17 @@ func allSpecs() []benchSpec {
 		}
 	}
 	// Plan-presence rows: the route phase with an idle fault plan
-	// attached, paired with the plan-free rows above (see planPhaseSpec).
+	// attached, paired with the plan-free rows above (see
+	// variantPhaseSpec).
 	for _, runner := range []string{"sequential", "concurrent"} {
 		for _, n := range []int{1024, 4096} {
-			specs = append(specs, planPhaseSpec("route", runner, n, true))
+			specs = append(specs, variantPhaseSpec("route", runner, n, "plan=idle"))
 		}
+	}
+	// Observation rows: the route phase building and handing over the
+	// round record, paired with the unobserved rows the same way.
+	for _, runner := range []string{"sequential", "concurrent"} {
+		specs = append(specs, variantPhaseSpec("route", runner, 1024, "observer=on"))
 	}
 	for _, n := range []int{1024, 4096} {
 		for _, procs := range []int{1, 4, 8} {

@@ -17,11 +17,14 @@ import (
 // gate is not running. The plan=idle route rows re-pin the same band
 // with a fault plan attached but never live, so plan presence staying
 // free on a healthy round (0 allocs/op, flat ns/op) is part of the
-// smoke contract. The campaign row (4 concurrent simulations at
-// the perf-gate size, 4 pinned procs) covers the shared scheduler's
-// admission path the same way: its allocs/op band certifies that
-// multiplexing simulations adds no per-op allocations, and its ns/op
-// band catches a regression in the dispatch or fairness machinery.
+// smoke contract; the observer=on route rows do the same for an
+// attached observer, so the price of the round record — O(B+U) events
+// in recycled scratch, 0 allocs/op — is a gated row. The campaign row
+// (4 concurrent simulations at the perf-gate size, 4 pinned procs)
+// covers the shared scheduler's admission path the same way: its
+// allocs/op band certifies that multiplexing simulations adds no per-op
+// allocations, and its ns/op band catches a regression in the dispatch
+// or fairness machinery.
 // Small enough to finish in seconds on a CI runner, broad enough that
 // a regression in either phase, either worker cap, or the campaign layer
 // moves at least one row.
@@ -35,7 +38,8 @@ func smokeSpecs() []benchSpec {
 		for _, n := range []int{1024, 4096} {
 			specs = append(specs, phaseSpec("route", runner, n))
 		}
-		specs = append(specs, planPhaseSpec("route", runner, 1024, true))
+		specs = append(specs, variantPhaseSpec("route", runner, 1024, "plan=idle"))
+		specs = append(specs, variantPhaseSpec("route", runner, 1024, "observer=on"))
 	}
 	specs = append(specs, procsSpec(campaignSpec(4, 256), 4))
 	return specs

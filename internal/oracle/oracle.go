@@ -2,10 +2,19 @@
 // observers that watch a run round by round and report the first round in
 // which a protocol-level safety or liveness property is violated.
 //
-// An Oracle is fed each round's trace events (via a Suite attached as the
+// An Oracle is fed each round's record (via a Suite attached as the
 // network's simnet.RoundObserver) and may additionally probe protocol node
 // state through Prober callbacks supplied by the per-family constructors
-// (ForConsensus, ForBroadcast, ...). Catching a violation *online*, in the
+// (ForConsensus, ForBroadcast, ...). The record is the round's engine
+// events (fault plan, containment, link faults) followed by one message
+// event per message the round stored — not per delivery: a broadcast
+// appears once with To == 0, standing for every receiver live that
+// round, and a unicast (or, on a link-fault round, one link's copy of a
+// broadcast, with the encoding that link delivered) once with its
+// receiver. So the record answers "who sent what"; anything per-receiver
+// — who accepted, decided, holds which chain — comes from Probers, as in
+// every stock oracle; the per-delivery transcript is the EventLog's.
+// Catching a violation *online*, in the
 // round it first becomes observable, is what makes the chaos campaign's
 // failure shrinking (internal/chaos) possible: the shrinker re-runs a
 // candidate configuration and asks only "does the same oracle still fire?".
@@ -39,9 +48,9 @@ type Violation struct {
 }
 
 // Oracle is one online safety monitor. Observe is called once per
-// completed round with the round's trace events (delivery events carry
-// the canonical wire encoding in Enc; containment events precede them).
-// The events slice is reused by the engine and must not be retained.
+// completed round with the round's record (message events carry the
+// canonical wire encoding in Enc; engine events precede them). The
+// events slice is reused by the engine and must not be retained.
 // A non-nil return stops further Observe calls to this oracle.
 type Oracle interface {
 	// Name identifies the monitor in violations and repro files.
@@ -218,17 +227,17 @@ type noForgedSender struct {
 	correct  *ids.Set
 	accepted func() []RBAcceptance
 	// genuine holds (source, body) pairs actually broadcast by their
-	// claimed source (delivery events where the engine-stamped sender
+	// claimed source (message events where the engine-stamped sender
 	// equals the payload's Source field).
 	genuine map[string]struct{}
 }
 
 // NewNoForgedSender returns the unforgeability monitor for reliable
 // broadcast: no node may accept (m, s) for a *correct* source s unless s
-// really broadcast m. Genuine broadcasts are learned from the delivery
+// really broadcast m. Genuine broadcasts are learned from the message
 // events (the engine stamps true senders, so an rbmessage whose stamped
-// sender equals its claimed source is genuine); acceptances are probed
-// from node state. It also flags a correct node transmitting an rbmessage
+// sender equals its claimed source is genuine; From, Kind and Enc are
+// all it reads, never To); acceptances are probed from node state. It also flags a correct node transmitting an rbmessage
 // with a foreign source — something no correct implementation does.
 func NewNoForgedSender(name string, correct *ids.Set, accepted func() []RBAcceptance) Oracle {
 	return &noForgedSender{

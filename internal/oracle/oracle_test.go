@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,48 +68,125 @@ func TestTerminationBoundOracle(t *testing.T) {
 	}
 }
 
-// rbEvent fabricates a delivery event for an RBMessage.
-func rbEvent(round int, from ids.ID, p wire.RBMessage) trace.Event {
+// rbEvent fabricates the message event of an RBMessage delivered to
+// `to` (0: a stored-once broadcast, delivered to the whole live roster).
+func rbEvent(from, to ids.ID, p wire.RBMessage) trace.Event {
 	return trace.Event{
-		Round: round,
-		From:  uint64(from),
-		To:    1,
-		Kind:  p.Kind().String(),
-		Enc:   string(wire.Encode(p)),
+		Round:     1,
+		From:      uint64(from),
+		To:        uint64(to),
+		Kind:      p.Kind().String(),
+		Broadcast: to == 0,
+		Enc:       string(wire.Encode(p)),
 	}
+}
+
+// recordKeeper is a Suite that also keeps each round's record.
+type recordKeeper struct {
+	*Suite
+	records [][]trace.Event
+}
+
+func (r *recordKeeper) ObserveRound(round int, events []trace.Event) {
+	r.records = append(r.records, slices.Clone(events))
+	r.Suite.ObserveRound(round, events)
 }
 
 func TestNoForgedSenderOracle(t *testing.T) {
 	t.Parallel()
 	correct := ids.NewSet(10, 20, 30)
-	var accepted []RBAcceptance
-	o := NewNoForgedSender("forge", correct, func() []RBAcceptance { return accepted })
-
-	// Round 1: node 10 genuinely broadcasts (m, 10); node 20 accepts it.
-	events := []trace.Event{rbEvent(1, 10, wire.RBMessage{Source: 10, Body: []byte("m")})}
-	accepted = []RBAcceptance{{Node: 20, Source: 10, Body: []byte("m")}}
-	if v := o.Observe(1, events); v != nil {
-		t.Fatalf("genuine acceptance fired: %+v", v)
+	genuine := wire.RBMessage{Source: 10, Body: []byte("m")}
+	for _, tc := range []struct {
+		name     string
+		events   []trace.Event
+		accepted []RBAcceptance
+		want     string // substring of the violation detail, "" for silence
+	}{
+		{"genuine broadcast stored once", []trace.Event{rbEvent(10, 0, genuine)},
+			[]RBAcceptance{{Node: 20, Source: 10, Body: []byte("m")}}, ""},
+		{"genuine arena copy", []trace.Event{rbEvent(10, 20, genuine)},
+			[]RBAcceptance{{Node: 20, Source: 10, Body: []byte("m")}}, ""},
+		{"byzantine-source acceptance", nil,
+			[]RBAcceptance{{Node: 20, Source: 99, Body: []byte("x")}}, ""},
+		{"forged acceptance", []trace.Event{rbEvent(10, 0, genuine)},
+			[]RBAcceptance{{Node: 30, Source: 10, Body: []byte("forged")}}, "forged"},
+		{"correct node relays a foreign source", []trace.Event{rbEvent(20, 0, genuine)},
+			nil, "claiming source 10"},
+	} {
+		o := NewNoForgedSender("forge", correct, func() []RBAcceptance { return tc.accepted })
+		v := o.Observe(1, tc.events)
+		if (v == nil) != (tc.want == "") || (v != nil && !strings.Contains(v.Detail, tc.want)) {
+			t.Errorf("%s: violation %+v, want detail %q", tc.name, v, tc.want)
+		}
 	}
 
-	// Byzantine-source acceptances are never violations.
-	accepted = append(accepted, RBAcceptance{Node: 20, Source: 99, Body: []byte("x")})
-	if v := o.Observe(2, nil); v != nil {
-		t.Fatalf("byzantine-source acceptance fired: %+v", v)
-	}
+	// The record is what was delivered, not what was sent: a correct
+	// relbcast source behind a rate-1 corrupt rule on its link to one
+	// relay. The record's arena event for that link carries the flipped
+	// encoding its link-corrupt event announced, and the oracle judges
+	// that — a flipped source bit reads as the source relaying a foreign
+	// pair, a flipped body bit as one more genuine pair.
+	for _, tc := range []struct {
+		name string
+		seed int64
+		want string
+	}{
+		{"corrupted source bit", 1, "transmitted rbmessage claiming source 91411164156420"},
+		{"corrupted body bit", 5, ""},
+	} {
+		nodeIDs := ids.Sparse(rand.New(rand.NewSource(5)), 5)
+		source, victim := nodeIDs[0], nodeIDs[1]
+		nodes := []*relbcast.Node{relbcast.NewSource(source, []byte("hello"))}
+		for _, id := range nodeIDs[1:] {
+			nodes = append(nodes, relbcast.NewRelay(id))
+		}
+		keeper := &recordKeeper{Suite: NewSuite(ForBroadcast(nodes, ids.NewSet(nodeIDs...))...)}
+		net := simnet.New(simnet.Config{MaxRounds: 50, Observer: keeper, FaultPlan: &simnet.FaultPlan{
+			Seed: tc.seed,
+			Events: []simnet.FaultEvent{
+				{Round: 1, Kind: simnet.FaultCorrupt, From: uint64(source), To: uint64(victim), Rate: 1},
+			},
+		}})
+		for _, n := range nodes {
+			if err := net.Add(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			if err := net.RunRound(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Close()
 
-	// Accepting a pair the correct source never sent is a violation.
-	accepted = append(accepted, RBAcceptance{Node: 30, Source: 10, Body: []byte("forged")})
-	v := o.Observe(3, nil)
-	if v == nil || !strings.Contains(v.Detail, "forged") {
-		t.Fatalf("forged acceptance not detected: %+v", v)
-	}
-
-	// A correct node transmitting a foreign-source rbmessage is flagged.
-	o2 := NewNoForgedSender("forge", correct, func() []RBAcceptance { return nil })
-	bad := []trace.Event{rbEvent(1, 20, wire.RBMessage{Source: 10, Body: []byte("m")})}
-	if v := o2.Observe(1, bad); v == nil {
-		t.Fatal("correct node relaying a foreign source not detected")
+		sent := string(wire.Encode(wire.RBMessage{Source: source, Body: []byte("hello")}))
+		faulted, delivered := false, 0
+		for _, e := range keeper.records[0] {
+			switch {
+			case e.Kind == trace.KindLinkCorrupt && e.Enc == "":
+				faulted = e.From == uint64(source) && e.To == uint64(victim)
+			case e.Kind != wire.KindRBMessage.String() || e.From != uint64(source):
+			case e.To == 0 || !e.Broadcast:
+				t.Errorf("%s: fault-round copy of the broadcast is not a flagged arena event: %+v", tc.name, e)
+			case e.To == uint64(victim):
+				delivered++
+				if !faulted || e.Enc == sent || len(e.Enc) != len(sent) {
+					t.Errorf("%s: victim's event does not carry a flipped encoding after its link-corrupt event: %+v", tc.name, e)
+				}
+			case e.Enc != sent:
+				t.Errorf("%s: clean link delivered a changed encoding: %+v", tc.name, e)
+			}
+		}
+		if delivered != 1 {
+			t.Errorf("%s: record holds %d events for the corrupted link, want 1", tc.name, delivered)
+		}
+		v := keeper.First()
+		switch {
+		case tc.want == "" && v != nil:
+			t.Errorf("%s: oracle fired: %+v", tc.name, v)
+		case tc.want != "" && (v == nil || v.Oracle != "broadcast-unforgeability" || v.Round != 1 || !strings.Contains(v.Detail, tc.want)):
+			t.Errorf("%s: violation %+v, want broadcast-unforgeability in round 1 with %q", tc.name, v, tc.want)
+		}
 	}
 }
 

@@ -39,19 +39,16 @@ func (c *ChatterProcess) Step(env *RoundEnv) {
 // Errors are returned, not panicked, so a campaign driver embedding the
 // fixture can fail one cell without killing the process.
 func NewBroadcastBench(n, maxRounds, workers int) (*Network, *trace.Collector, error) {
-	return newBroadcastBench(n, maxRounds, workers, nil)
+	return newBroadcastBench(n, Config{MaxRounds: maxRounds, Workers: workers})
 }
 
-func newBroadcastBench(n, maxRounds, workers int, plan *FaultPlan) (*Network, *trace.Collector, error) {
+// newBroadcastBench is the fixture under cfg, with its own Collector.
+func newBroadcastBench(n int, cfg Config) (*Network, *trace.Collector, error) {
 	rng := rand.New(rand.NewSource(1))
 	nodeIDs := ids.Sparse(rng, n)
 	col := &trace.Collector{}
-	net := New(Config{
-		MaxRounds: maxRounds,
-		Workers:   workers,
-		Collector: col,
-		FaultPlan: plan,
-	})
+	cfg.Collector = col
+	net := New(cfg)
 	for _, id := range nodeIDs {
 		if err := net.Add(&ChatterProcess{Ident: id}); err != nil {
 			// Unreachable with ids.Sparse (no duplicates), but a
@@ -79,7 +76,7 @@ type RoundPhases struct {
 // plus a frozen template of one round's sends for RouteOnly. Like
 // NewBroadcastBench, failures are returned rather than panicked.
 func NewRoundPhases(n, workers int) (*RoundPhases, error) {
-	return NewRoundPhasesPlan(n, workers, nil)
+	return newRoundPhases(n, Config{Workers: workers})
 }
 
 // NewRoundPhasesPlan is NewRoundPhases with a fault plan attached to
@@ -92,7 +89,24 @@ func NewRoundPhases(n, workers int) (*RoundPhases, error) {
 // stays allocation-free; a nil plan compiles the plan machinery away
 // entirely (see Config.FaultPlan).
 func NewRoundPhasesPlan(n, workers int, plan *FaultPlan) (*RoundPhases, error) {
-	net, col, err := newBroadcastBench(n, DefaultMaxRounds, workers, plan)
+	return newRoundPhases(n, Config{Workers: workers, FaultPlan: plan})
+}
+
+// NewRoundPhasesObserved is NewRoundPhases with an observer attached
+// that discards its feed, so RouteOnly additionally builds the round
+// record and hands it over: the row prices observation itself — n
+// message events for n² deliveries, in recycled scratch — against the
+// unobserved row of the same shape.
+func NewRoundPhasesObserved(n, workers int) (*RoundPhases, error) {
+	return newRoundPhases(n, Config{Workers: workers, Observer: discardObserver{}})
+}
+
+type discardObserver struct{}
+
+func (discardObserver) ObserveRound(int, []trace.Event) {}
+
+func newRoundPhases(n int, cfg Config) (*RoundPhases, error) {
+	net, col, err := newBroadcastBench(n, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -126,15 +140,27 @@ func (rp *RoundPhases) StepOnly() error {
 // stepping any process. The template is copied first, so the in-place
 // sort cannot make later iterations cheaper.
 func (rp *RoundPhases) RouteOnly() {
-	rp.net.round++
+	acct := rp.routeRound()
+	rp.col.AddRound(rp.net.round, acct.Broadcasts, acct.Unicasts, acct.Deliveries, acct.Bytes)
+}
+
+// routeRound is RunRound from the step merge on, minus the Collector
+// flush: account, route, and hand the round record to the observer.
+func (rp *RoundPhases) routeRound() RoundAccounting {
+	n := rp.net
+	n.round++
+	n.roundEvents = n.roundEvents[:0]
 	if cap(rp.scratch) < len(rp.template) {
 		rp.scratch = make([]send, len(rp.template))
 	}
 	outs := rp.scratch[:len(rp.template)]
 	copy(outs, rp.template)
-	acct := rp.net.accountRound(outs)
-	deliveries, bytes := rp.net.route(outs)
-	rp.col.AddRound(rp.net.round, acct.Broadcasts, acct.Unicasts, deliveries, bytes)
+	acct := n.accountRound(outs)
+	acct.Deliveries, acct.Bytes = n.route(outs)
+	if n.cfg.Observer != nil {
+		n.cfg.Observer.ObserveRound(n.round, n.roundEvents)
+	}
+	return acct
 }
 
 // Close retires the underlying network, recycling its round scratch.

@@ -218,7 +218,7 @@ func TestByteQuotaPrefixPolicy(t *testing.T) {
 
 // observedRun is what one run exposes through its two event feeds.
 type observedRun struct {
-	feed [][]trace.Event // per-round Observer slices, copied
+	feed [][]trace.Event // per-round records as the Observer saw them, copied
 	log  []trace.Event   // the EventLog transcript
 }
 
@@ -269,13 +269,13 @@ func runObserved(t *testing.T, scenario string, workers int) observedRun {
 	return observedRun{feed: rec.events, log: log.Events()}
 }
 
-// recordStage classifies one event of round's record by its producer,
+// recordStage classifies one event of a round's record by its producer,
 // in the canonical order: 0 fault-plan events, 1 containment events
-// (step merge), 2 link-fault events (serial route filter), 3 deliveries
-// (which land in round+1).
-func recordStage(round int, e trace.Event) int {
+// (step merge), 2 link-fault events (serial route filter), 3 message
+// events (the scenarios send only input and event payloads).
+func recordStage(e trace.Event) int {
 	switch {
-	case e.Round == round+1:
+	case e.Kind == wire.KindInput.String() || e.Kind == wire.KindEvent.String():
 		return 3
 	case e.Kind == trace.KindQuotaDrop || e.Kind == trace.KindNodeCrashed:
 		return 1
@@ -286,48 +286,90 @@ func recordStage(round int, e trace.Event) int {
 	}
 }
 
-// TestObserverFeedMatchesEventLog pins the single round record: the
-// Observer is handed exactly what the EventLog copies — concatenating
-// the per-round feeds reproduces the transcript — for inline and real
-// multi-worker dispatch, and within a round the record is laid out
-// plan → containment → link → delivery.
-func TestObserverFeedMatchesEventLog(t *testing.T) {
+// TestRoundRecordMirrorsStorage pins what the round record is against
+// the transcript, for inline and real multi-worker dispatch: (a) the
+// record's engine events are the transcript's engine events, in order,
+// and lead the record plan → containment → link → message; (b) a
+// round's message events — one per stored message — expand to exactly
+// the transcript's deliveries of that round once every To == 0
+// broadcast is fanned over the receivers live that round; (c) so a
+// chatter round holds B + U message events, not n·B.
+func TestRoundRecordMirrorsStorage(t *testing.T) {
 	t.Parallel()
 	for _, scenario := range []string{"panic", "faults"} {
 		var base observedRun
 		for _, workers := range []int{1, 3, 5} {
 			label := fmt.Sprintf("%s/workers=%d", scenario, workers)
 			run := runObserved(t, scenario, workers)
-			var all []trace.Event
-			for _, ev := range run.feed {
-				all = append(all, ev...)
-			}
-			if !slices.Equal(all, run.log) {
-				t.Fatalf("%s: observer feed (%d events) differs from the event log (%d events)",
-					label, len(all), len(run.log))
-			}
 			if workers == 1 {
 				base = run
 			} else if !slices.Equal(run.log, base.log) {
 				t.Fatalf("%s: transcript differs from workers=1", label)
 			}
-			for i, ev := range run.feed {
-				round, stage := i+1, 0
+			live := make(map[uint64]bool) // every node, until its crash event
+			for _, e := range run.log {
+				if e.To != 0 {
+					live[e.To] = true
+				}
+			}
+			rest := run.log // the transcript not yet matched to a record
+			for i, record := range run.feed {
+				round, stage, messages := i+1, 0, 0
 				var seen [4]bool
-				for _, e := range ev {
-					st := recordStage(round, e)
+				want := make(map[trace.Event]int) // the record, expanded per receiver
+				for _, e := range record {
+					st := recordStage(e)
 					if st < stage {
 						t.Fatalf("%s round %d: stage-%d event after stage %d: %+v", label, round, st, stage, e)
 					}
+					if at := round + st/3; e.Round != at { // messages land next round
+						t.Fatalf("%s round %d: stage-%d event stamped round %d, want %d", label, round, st, e.Round, at)
+					}
 					stage, seen[st] = st, true
-					// Delivered events expose the canonical encoding for monitors.
-					if st == 3 && e.Enc == "" {
-						t.Fatalf("%s: delivery event missing Enc: %+v", label, e)
+					if st < 3 {
+						if len(rest) == 0 || rest[0] != e {
+							t.Fatalf("%s round %d: engine event %+v is not the transcript's next event", label, round, e)
+						}
+						rest = rest[1:]
+						if e.Kind == trace.KindNodeCrashed {
+							delete(live, e.From)
+						}
+						continue
+					}
+					messages++
+					// Message events expose the canonical encoding for monitors.
+					if e.Enc == "" {
+						t.Fatalf("%s: message event missing Enc: %+v", label, e)
+					}
+					if e.To != 0 {
+						want[e]++
+						continue
+					}
+					for to := range live {
+						e.To = to
+						want[e]++
 					}
 				}
-				if scenario == "faults" && round == 3 && seen != [4]bool{true, true, true, true} {
-					t.Fatalf("%s: round 3 record is missing a producer (plan, containment, link, delivery = %v)", label, seen)
+				deliveries := 0
+				for len(rest) > 0 && recordStage(rest[0]) == 3 && rest[0].Round == round+1 {
+					want[rest[0]]--
+					rest = rest[1:]
+					deliveries++
 				}
+				for e, d := range want {
+					if d != 0 {
+						t.Fatalf("%s round %d: record and transcript differ by %d on delivery %+v", label, round, d, e)
+					}
+				}
+				if scenario == "panic" && round == 1 && (messages != 6 || deliveries != 36) {
+					t.Fatalf("%s: chatter round holds %d message events for %d deliveries, want B = 6 for n·B = 36", label, messages, deliveries)
+				}
+				if scenario == "faults" && round == 3 && seen != [4]bool{true, true, true, true} {
+					t.Fatalf("%s: round 3 record is missing a producer (plan, containment, link, message = %v)", label, seen)
+				}
+			}
+			if len(rest) != 0 {
+				t.Fatalf("%s: %d transcript events match no record", label, len(rest))
 			}
 		}
 	}

@@ -37,7 +37,7 @@
 //     queue prefix within budget survives) and recorded as a
 //     trace.KindQuotaDrop event — the valve that contains Byzantine
 //     amplification floods.
-//   - Config.Observer receives each round's trace events at the round
+//   - Config.Observer receives each round's record at the round
 //     boundary, the feed for the online safety oracles in
 //     internal/oracle.
 //
@@ -58,19 +58,24 @@
 // independent of worker scheduling; (2) routing decisions (sort, dedup,
 // arena sizing) all happen in a single deterministic prepare pass
 // before any worker runs; (3) each delivery shard owns a contiguous,
-// disjoint range of receivers — inbox segments, contact sets, traffic
-// tallies and its window of the round record are all per-shard — and
-// shard boundaries depend only on the worker cap and receiver count,
-// never on timing; (4) per-shard tallies are reduced in shard order,
-// which is receiver order.
+// disjoint range of receivers — inbox segments, contact sets and
+// traffic tallies are all per-shard — and shard boundaries depend only
+// on the worker cap and receiver count, never on timing; (4) per-shard
+// tallies are reduced in shard order, which is receiver order.
 //
-// There is likewise one record of a round: a single event buffer whose
-// producers run in the canonical order — fault-plan events, containment
-// events (at the step merge), link-fault events (in the serial route
-// filter), then deliveries, which the shards write into disjoint
-// pre-sized windows laid out in receiver order. The finished record is
-// handed once to Config.EventLog and once to Config.Observer; no
-// per-shard buffers, no merge copy.
+// There is likewise one record of a round, and it mirrors what the
+// round stores: one event buffer whose producers all run serially, in
+// the canonical order — fault-plan events, containment events (step
+// merge), link-fault events (serial route filter), then one message
+// event per stored message: each broadcast of the shared block once,
+// To == 0 meaning "delivered to every receiver live this round", then
+// each unicast-arena entry once, in receiver order (on link-fault rounds
+// the surviving broadcast copies are arena entries, carrying the
+// encoding actually delivered). That is O(B + U) events, built only for
+// Config.Observer; the delivery pass is the same observed or not. Who
+// received what is not in the record: Config.EventLog, the one
+// per-delivery consumer, gets the engine events followed by every
+// receiver's next-round inbox read back through Inbox.All.
 //
 // # Sparse delivery and the buffer-recycling contract
 //

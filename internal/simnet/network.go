@@ -50,19 +50,20 @@ type Config struct {
 	// canonical transcript order is receiver-major: per round,
 	// deliveries are grouped by receiver in ascending node order, each
 	// receiver's messages in its inbox order. The transcript is the same
-	// for any worker count (delivery shards fill disjoint, receiver-
-	// ordered windows of the one round record; see route.go).
+	// for any worker count: it is read back serially from the routed
+	// inboxes (see transcribe), and only when this field is set.
 	// Fault-containment events (trace.KindNodeCrashed,
 	// trace.KindQuotaDrop) are recorded in node order at the start of
 	// the round they occurred in, before that round's deliveries.
 	EventLog *trace.EventLog
-	// Observer, when non-nil, receives each completed round's trace
-	// events at the round boundary — the feed for online safety oracles
-	// (internal/oracle). It is handed the same round record the EventLog
-	// copies: fault-plan events (plan order), containment events (node
-	// order), link-fault events (send order), then the deliveries routed
-	// for the next round (receiver order). The slice is reused across
-	// rounds; observers must not retain it.
+	// Observer, when non-nil, receives each completed round's record at
+	// the round boundary — the feed for online safety oracles
+	// (internal/oracle): fault-plan events (plan order), containment
+	// events (node order), link-fault events (send order), then one
+	// message event per message stored for delivery next round — a
+	// broadcast once with To == 0, an arena entry once with its receiver
+	// (see the package docs); O(B + U) events, not n·B. The slice is
+	// reused across rounds; observers must not retain it.
 	Observer RoundObserver
 	// SendQuota, when positive, bounds the send operations one node may
 	// queue in one round. Excess sends are dropped deterministically
@@ -212,6 +213,10 @@ type Network struct {
 	// (the certified hot path checks this one pointer and nothing else).
 	faults *faultState
 
+	// engineEvents is where the round record's message events start:
+	// roundEvents[:engineEvents] are the plan, containment and link events.
+	engineEvents int
+
 	// bcastBytes is the byte total of the round's broadcast block;
 	// bcastLive/uniLive track how much of the recycled block/arena held
 	// references last round, so shrinking rounds clear the dead tail.
@@ -334,8 +339,9 @@ func (n *Network) Process(id ids.ID) Process {
 // start of the next round. The round's trace events accumulate in one
 // record, n.roundEvents, whose producers run in the canonical order —
 // fault-plan events, containment events (step merge), link-fault events
-// (serial route filter), deliveries — and which is handed once to the
-// EventLog and once to the Observer. Traffic accounting is batched the
+// (serial route filter), one message event per stored message (serial
+// route prepare) — and which is handed once to the Observer; the
+// EventLog is flushed by transcribe. Traffic accounting is batched the
 // same way: one Collector flush per successful round, nothing for an
 // aborted one.
 //
@@ -376,7 +382,7 @@ func (n *Network) RunRound() error {
 	}
 	acct.Deliveries, acct.Bytes = n.route(outs)
 	if n.cfg.EventLog != nil {
-		n.cfg.EventLog.RecordBatch(n.roundEvents)
+		n.transcribe()
 	}
 	if n.cfg.Collector != nil {
 		n.cfg.Collector.AddRound(n.round, acct.Broadcasts, acct.Unicasts, acct.Deliveries, acct.Bytes)
@@ -388,6 +394,23 @@ func (n *Network) RunRound() error {
 		statsObs.ObserveRoundStats(n.round, acct)
 	}
 	return nil
+}
+
+// transcribe flushes the round to Config.EventLog: the record's engine
+// events, then one event per delivery, read back from every receiver's
+// next-round inbox through the iterator the protocols themselves read —
+// receiver-major by construction. The deliveries are staged in the
+// record's spare capacity, past what the observer is handed.
+func (n *Network) transcribe() {
+	n.cfg.EventLog.RecordBatch(n.roundEvents[:n.engineEvents])
+	staged, end := n.roundEvents, len(n.roundEvents)
+	for _, st := range n.live {
+		for m := range st.inbox.All() {
+			staged = append(staged, messageEvent(n.round+1, &m, st.id))
+		}
+	}
+	n.cfg.EventLog.RecordBatch(staged[end:])
+	n.roundEvents = staged[:end]
 }
 
 // accountRound tallies the round's merged send stream: total

@@ -59,40 +59,28 @@ import (
 //     materialized engine produced. Delivery and byte tallies are
 //     computed arithmetically (per-receiver: B broadcasts plus its
 //     bucket; bytes: the block's byte total plus the bucket's) without
-//     touching message data; only contact-set maintenance and
-//     transcript logging walk the merge, and only when enabled. The
-//     delivery events go straight into the round record
-//     (n.roundEvents): because the per-receiver counts are known
-//     arithmetically, route hands every shard a pre-sized, disjoint
-//     window of it, laid out in receiver order. Every inbox, contact
-//     set, per-shard tally and record window is written by exactly one
-//     worker, so the pass needs no locks, no merge copy, and its output
-//     is independent of worker scheduling.
+//     touching message data. The pass has one behaviour whether or not
+//     the round is observed: it writes no trace event (the round record
+//     is finished by the prepare pass, the transcript is read back from
+//     the inboxes afterwards; see RunRound). Every inbox, contact set
+//     and per-shard tally is written by exactly one worker, so the pass
+//     needs no locks and its output is independent of worker
+//     scheduling.
 //
 //  5. Reduce (route). Per-shard delivery/byte tallies are summed in
-//     shard order; the record needs no merge. The transcript and the
-//     Collector flush are therefore identical for any worker count and
-//     across runs. The canonical transcript order is receiver-major:
-//     deliveries grouped by receiver in ascending node order, each
-//     receiver's messages in inbox order.
+//     shard order, so the Collector flush is identical for any worker
+//     count and across runs.
 
 // routeShard is one worker's slice of the delivery pass: the receiver
-// range [lo, hi), the tallies that worker owns, and — when the round is
-// being logged — its window of the round record. The window is a view
-// into n.roundEvents sized exactly for the shard's deliveries; a shard
-// owns no event storage of its own.
+// range [lo, hi) and the tallies that worker owns.
 type routeShard struct {
 	lo, hi     int
 	deliveries int64
 	bytes      int64
-	window     []trace.Event
 }
 
-// logging reports whether per-delivery trace events are materialized.
-func (n *Network) logging() bool { return n.cfg.EventLog != nil || n.cfg.Observer != nil }
-
 // route fans out and filters the round's sends into next-round inboxes,
-// appends the round's delivery events to the round record, and returns
+// finishes the round record with the round's message events, and returns
 // the delivery/byte totals for the batched Collector flush. See the
 // pipeline comment at the top of this file; the duplicate semantics are
 // unchanged from the send-major loop it replaces (the dedup key is
@@ -100,39 +88,16 @@ func (n *Network) logging() bool { return n.cfg.EventLog != nil || n.cfg.Observe
 // compares and equal digests fall back to comparing full encodings, so
 // a 64-bit collision can never drop a distinct message).
 //
-//lint:noalloc the fan-out runs every round; the shard table and the round record are recycled, growth is capacity-guarded or amortized
+//lint:noalloc the fan-out runs every round; the shard table is recycled and capacity-guarded
 func (n *Network) route(outs []send) (deliveries, bytes int64) {
 	n.routePrepare(outs)
 
 	nshards := n.workersCap()
 	n.shards = grown(n.shards, nshards)
-	nl, nb := len(n.live), len(n.bcastBlock)
-	logging := n.logging()
-	if logging {
-		// A live receiver is delivered every surviving broadcast plus
-		// its unicast bucket, so the record's delivery tail is sized
-		// arithmetically, before any shard runs. Reserve the upper bound
-		// (as if no receiver were done); the windows below are exact.
-		n.roundEvents = slices.Grow(n.roundEvents, nl*nb+len(n.uniIdx))
-	}
-	end := len(n.roundEvents)
+	nl := len(n.live)
 	for s := range n.shards {
-		sh := &n.shards[s]
-		*sh = routeShard{lo: s * nl / nshards, hi: (s + 1) * nl / nshards}
-		if logging {
-			size := int(n.uniStart[sh.hi] - n.uniStart[sh.lo])
-			for _, done := range n.doneMask[sh.lo:sh.hi] {
-				if !done {
-					size += nb
-				}
-			}
-			// Windows are consecutive in shard — i.e. receiver — order:
-			// the canonical receiver-major transcript, by construction.
-			sh.window = n.roundEvents[end : end+size : end+size]
-			end += size
-		}
+		n.shards[s] = routeShard{lo: s * nl / nshards, hi: (s + 1) * nl / nshards}
 	}
-	n.roundEvents = n.roundEvents[:end]
 	n.dispatch(phaseRoute, nshards)
 
 	for s := range n.shards {
@@ -299,24 +264,55 @@ func (n *Network) routePrepare(outs []send) {
 			n.uniArena[j] = Received{From: s.from, Payload: s.payload, encoded: s.encoded, bcast: s.to == ids.None}
 		}
 	}
+
+	// (6) The round record mirrors this storage: after the engine events
+	// already in it, one message event per stored message — each
+	// shared-block broadcast once (To 0: delivered to every receiver
+	// live this round), then each arena entry once, in receiver order,
+	// carrying the encoding actually delivered. O(B + U), like the
+	// storage; only an observer reads it.
+	n.engineEvents = len(n.roundEvents)
+	if n.cfg.Observer == nil {
+		return
+	}
+	round := n.round + 1 // deliveries land at the start of the next round
+	for j := range n.bcastBlock {
+		n.roundEvents = append(n.roundEvents, messageEvent(round, &n.bcastBlock[j], ids.None))
+	}
+	for r, st := range n.live {
+		for j := n.uniStart[r]; j < n.uniStart[r+1]; j++ {
+			n.roundEvents = append(n.roundEvents, messageEvent(round, &n.uniArena[j], st.id))
+		}
+	}
+}
+
+// messageEvent is the trace event of m delivered to `to` at the start of
+// round; to == ids.None stands for every receiver live that round.
+func messageEvent(round int, m *Received, to ids.ID) trace.Event {
+	return trace.Event{
+		Round:     round,
+		From:      uint64(m.From),
+		To:        uint64(to),
+		Kind:      m.Payload.Kind().String(),
+		Size:      len(m.encoded),
+		Broadcast: m.bcast,
+		Enc:       m.encoded,
+	}
 }
 
 // routeShardDeliver hands out the inbox views of the receivers in sh's
 // range. It is safe to run concurrently for disjoint shards: it writes
 // only the shard's receivers' inboxes/contact sets and the shard's own
-// tallies and record window; the broadcast block, the unicast arena and
-// the index lists the views read through are written only by the serial
-// prepare pass and are read-only here.
+// tallies; the broadcast block, the unicast arena and the index lists
+// the views read through are written only by the serial prepare pass and
+// are read-only here.
 //
 //lint:shardsafe owns=sh the shard ranges partition the receivers; inboxes in [sh.lo, sh.hi) are shard-owned
-//lint:noalloc the delivery walk runs per receiver per round; inboxes are views and events land in the shard's pre-sized record window
+//lint:noalloc the delivery walk runs per receiver per round; inboxes are views over the shared block and arena
 //lint:nonblock route tasks run to the pool's phase barrier; a blocking shard would deadlock the round against it
 func (n *Network) routeShardDeliver(sh *routeShard) {
-	logging := n.logging()
-	round := n.round + 1 // deliveries land at the start of the next round
 	nb := len(n.bcastBlock)
 	var deliveries, bytes int64
-	next := 0 // fill position in sh.window
 	for i := sh.lo; i < sh.hi; i++ {
 		st := n.live[i]
 		if n.doneMask[i] {
@@ -348,40 +344,25 @@ func (n *Network) routeShardDeliver(sh *routeShard) {
 		for j := ulo; j < uhi; j++ {
 			bytes += int64(len(n.uniArena[j].encoded))
 		}
-		if st.contacts == nil && !logging {
-			continue
-		}
-		// Contact-set maintenance and transcript logging are the only
-		// consumers that need the merged order; walk it just for them.
-		bi, ui := 0, ulo
-		for bi < nb || ui < uhi {
-			var m Received
-			if ui >= uhi || (bi < nb && n.bcastIdx[bi] < n.uniIdx[ui]) {
-				m = n.bcastBlock[bi]
-				bi++
-			} else {
-				m = n.uniArena[ui]
-				ui++
-			}
-			if st.contacts != nil {
-				//lint:coldpath contact-set maintenance runs only under EnforceContactRule, which the measured hot path disables
-				st.contacts[m.From] = struct{}{}
-			}
-			if logging {
-				sh.window[next] = trace.Event{
-					Round:     round,
-					From:      uint64(m.From),
-					To:        uint64(st.id),
-					Kind:      m.Payload.Kind().String(),
-					Size:      len(m.encoded),
-					Broadcast: m.bcast,
-					Enc:       m.encoded,
-				}
-				next++
-			}
+		if st.contacts != nil {
+			n.noteContacts(st, ulo, uhi)
 		}
 	}
 	sh.deliveries, sh.bytes = deliveries, bytes
+}
+
+// noteContacts adds the senders of st's round — the broadcast block
+// plus its arena segment [ulo, uhi) — to its contact set. A contact set
+// needs the senders, not their merged order.
+//
+//lint:coldpath contact-set maintenance runs only under EnforceContactRule, which the measured hot path disables
+func (n *Network) noteContacts(st *procState, ulo, uhi int) {
+	for j := range n.bcastBlock {
+		st.contacts[n.bcastBlock[j].From] = struct{}{}
+	}
+	for j := ulo; j < uhi; j++ {
+		st.contacts[n.uniArena[j].From] = struct{}{}
+	}
 }
 
 // recycled returns s resized to n elements, reusing its backing array

@@ -35,8 +35,8 @@ type netScratch struct {
 	// per-node result slots it is merged from.
 	outs    []send
 	results []stepResult
-	// roundEvents is the round record: every trace event of the current
-	// round in canonical order, handed to the EventLog and the Observer.
+	// roundEvents is the round record: the current round's engine events
+	// and, for an Observer, one event per stored message (see RunRound).
 	roundEvents []trace.Event
 	// Routing (route.go): per-sender broadcast dedup keys, the done
 	// snapshot, the surviving broadcast indices, the per-receiver

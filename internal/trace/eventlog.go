@@ -15,7 +15,10 @@ type Event struct {
 	// sent in Round-1). For containment events it is the round the
 	// fault was contained in.
 	Round int
-	// From and To are the sender and receiver ids.
+	// From and To are the sender and receiver ids. A transcript names
+	// the receiver of every delivery; in the round record handed to a
+	// simnet.RoundObserver a message event with To == 0 is a broadcast
+	// stored once and delivered to every receiver live that round.
 	From, To uint64
 	// Kind is the payload kind name, or one of the engine event kinds
 	// (KindNodeCrashed, KindQuotaDrop).
@@ -84,8 +87,8 @@ const (
 
 // EventLog records a message-level transcript of a run — the debugging
 // view of an execution: who delivered what to whom, round by round. The
-// round engine appends each finished round's record in one RecordBatch
-// call from the goroutine driving the network — workers never record;
+// round engine appends each finished round through RecordBatch, from
+// the goroutine driving the network — workers never record;
 // the lock only makes the readers safe to call from another goroutine
 // while a run is in flight. A capacity bound keeps adversarial message
 // floods from exhausting memory; when it is hit, further events are
@@ -109,22 +112,11 @@ func NewEventLog(capacity int) *EventLog {
 // DefaultEventCapacity bounds a transcript when no capacity is given.
 const DefaultEventCapacity = 100_000
 
-// Record appends one event.
-func (l *EventLog) Record(e Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.events) >= l.cap {
-		l.dropped++
-		return
-	}
-	l.events = append(l.events, e)
-}
-
 // RecordBatch appends a batch of events under one lock acquisition —
-// the flush path for the round engine's round record (one call per
-// round). The capacity bound is applied exactly as for Record: events
-// beyond the capacity are counted as dropped, not stored. The batch is
-// copied; the caller may reuse its slice.
+// the flush path for the round engine's transcript (the round's engine
+// events, then its deliveries). Events beyond the capacity are counted
+// as dropped, not stored. The batch is copied; the caller may reuse its
+// slice.
 //
 //lint:noalloc the per-round flush appends into the log's own backing array under one lock acquisition
 func (l *EventLog) RecordBatch(events []Event) {

@@ -10,9 +10,9 @@ import (
 func TestEventLogRecordsInOrder(t *testing.T) {
 	t.Parallel()
 	l := NewEventLog(10)
-	l.Record(Event{Round: 2, From: 1, To: 2, Kind: "input", Size: 9})
-	l.Record(Event{Round: 2, From: 1, To: 3, Kind: "input", Size: 9, Broadcast: true})
-	l.Record(Event{Round: 3, From: 2, To: 1, Kind: "prefer", Size: 9})
+	l.RecordBatch([]Event{{Round: 2, From: 1, To: 2, Kind: "input", Size: 9}})
+	l.RecordBatch([]Event{{Round: 2, From: 1, To: 3, Kind: "input", Size: 9, Broadcast: true}})
+	l.RecordBatch([]Event{{Round: 3, From: 2, To: 1, Kind: "prefer", Size: 9}})
 	events := l.Events()
 	if len(events) != 3 {
 		t.Fatalf("%d events", len(events))
@@ -31,7 +31,7 @@ func TestEventLogCapacity(t *testing.T) {
 	t.Parallel()
 	l := NewEventLog(2)
 	for i := 0; i < 5; i++ {
-		l.Record(Event{Round: 1, From: 1, To: 2, Kind: "x"})
+		l.RecordBatch([]Event{{Round: 1, From: 1, To: 2, Kind: "x"}})
 	}
 	if len(l.Events()) != 2 {
 		t.Fatalf("stored %d events, want 2", len(l.Events()))
@@ -44,7 +44,7 @@ func TestEventLogCapacity(t *testing.T) {
 func TestEventLogDefaultCapacity(t *testing.T) {
 	t.Parallel()
 	l := NewEventLog(0)
-	l.Record(Event{Round: 1})
+	l.RecordBatch([]Event{{Round: 1}})
 	if len(l.Events()) != 1 || l.Dropped() != 0 {
 		t.Fatal("default-capacity log rejected an event")
 	}
@@ -74,7 +74,7 @@ func TestEventLogRecordBatch(t *testing.T) {
 func TestEventLogRecordBatchCapacity(t *testing.T) {
 	t.Parallel()
 	l := NewEventLog(3)
-	l.Record(Event{Round: 1, Kind: "pre"})
+	l.RecordBatch([]Event{{Round: 1, Kind: "pre"}})
 	l.RecordBatch([]Event{{Kind: "a"}, {Kind: "b"}, {Kind: "c"}, {Kind: "d"}})
 	if got := len(l.Events()); got != 3 {
 		t.Fatalf("stored %d events, want 3 (capacity)", got)
@@ -96,9 +96,9 @@ func TestEventLogRenderGroupsBroadcasts(t *testing.T) {
 	t.Parallel()
 	l := NewEventLog(100)
 	for to := uint64(1); to <= 4; to++ {
-		l.Record(Event{Round: 2, From: 9, To: to, Kind: "input", Size: 10, Broadcast: true})
+		l.RecordBatch([]Event{{Round: 2, From: 9, To: to, Kind: "input", Size: 10, Broadcast: true}})
 	}
-	l.Record(Event{Round: 3, From: 1, To: 9, Kind: "ack", Size: 5})
+	l.RecordBatch([]Event{{Round: 3, From: 1, To: 9, Kind: "ack", Size: 5}})
 	var buf bytes.Buffer
 	if err := l.Render(&buf, 0); err != nil {
 		t.Fatal(err)
@@ -114,8 +114,8 @@ func TestEventLogRenderGroupsBroadcasts(t *testing.T) {
 func TestEventLogRenderMaxRounds(t *testing.T) {
 	t.Parallel()
 	l := NewEventLog(100)
-	l.Record(Event{Round: 1, From: 1, To: 2, Kind: "a"})
-	l.Record(Event{Round: 5, From: 1, To: 2, Kind: "b"})
+	l.RecordBatch([]Event{{Round: 1, From: 1, To: 2, Kind: "a"}})
+	l.RecordBatch([]Event{{Round: 5, From: 1, To: 2, Kind: "b"}})
 	var buf bytes.Buffer
 	if err := l.Render(&buf, 2); err != nil {
 		t.Fatal(err)
@@ -128,8 +128,8 @@ func TestEventLogRenderMaxRounds(t *testing.T) {
 func TestEventLogRenderReportsDrops(t *testing.T) {
 	t.Parallel()
 	l := NewEventLog(1)
-	l.Record(Event{Round: 1, From: 1, To: 2, Kind: "a"})
-	l.Record(Event{Round: 1, From: 1, To: 3, Kind: "a"})
+	l.RecordBatch([]Event{{Round: 1, From: 1, To: 2, Kind: "a"}})
+	l.RecordBatch([]Event{{Round: 1, From: 1, To: 3, Kind: "a"}})
 	var buf bytes.Buffer
 	if err := l.Render(&buf, 0); err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestEventLogConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				l.Record(Event{Round: 1, From: 1, To: 2, Kind: "x"})
+				l.RecordBatch([]Event{{Round: 1, From: 1, To: 2, Kind: "x"}})
 			}
 		}()
 	}

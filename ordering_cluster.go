@@ -25,12 +25,10 @@ type Event struct {
 // members, advance rounds, read chains. It is not safe for concurrent
 // use.
 type OrderingCluster struct {
-	cl        *cluster
-	net       *simnet.Network
-	collector *trace.Collector
-	rng       *rand.Rand
-	nodes     map[uint64]*ordering.Node
-	founders  []uint64
+	cl       *cluster
+	rng      *rand.Rand
+	nodes    map[uint64]*ordering.Node
+	founders []uint64
 }
 
 // NewOrderingCluster boots a dynamic total-ordering system with
@@ -43,11 +41,9 @@ func NewOrderingCluster(cfg Config) (*OrderingCluster, error) {
 	}
 	members := ids.NewSet(cl.all...)
 	oc := &OrderingCluster{
-		cl:        cl,
-		net:       cl.net,
-		collector: cl.collector,
-		rng:       rand.New(rand.NewSource(cfg.Seed + 7919)),
-		nodes:     make(map[uint64]*ordering.Node, cfg.Correct),
+		cl:    cl,
+		rng:   rand.New(rand.NewSource(cfg.Seed + 7919)),
+		nodes: make(map[uint64]*ordering.Node, cfg.Correct),
 	}
 	for _, id := range cl.correctIDs {
 		node, err := ordering.NewFounder(id, members)
@@ -77,7 +73,7 @@ func (c *OrderingCluster) Members() []uint64 {
 // RunRounds advances the whole system the given number of rounds.
 func (c *OrderingCluster) RunRounds(rounds int) error {
 	for i := 0; i < rounds; i++ {
-		if err := c.net.RunRound(); err != nil {
+		if err := c.cl.net.RunRound(); err != nil {
 			return fmt.Errorf("ordering round: %w", err)
 		}
 	}
@@ -102,7 +98,7 @@ func (c *OrderingCluster) Join() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := c.net.Add(node); err != nil {
+	if err := c.cl.net.Add(node); err != nil {
 		return 0, err
 	}
 	c.nodes[uint64(id)] = node
@@ -159,10 +155,10 @@ func (c *OrderingCluster) Round(member uint64) (uint64, error) {
 }
 
 // Report returns the cluster's traffic accounting so far.
-func (c *OrderingCluster) Report() trace.Report { return c.collector.Report() }
+func (c *OrderingCluster) Report() trace.Report { return c.cl.report() }
 
 // Close retires the cluster's network, returning its round scratch to
 // the recycling pool for the next run. The cluster must not be used
 // after Close. It is optional: an unclosed cluster holds no goroutines
 // and is ordinary garbage.
-func (c *OrderingCluster) Close() { c.net.Close() }
+func (c *OrderingCluster) Close() { c.cl.close() }

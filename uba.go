@@ -127,10 +127,6 @@ type Config struct {
 	EventLog *trace.EventLog
 	// CrashAfterRound is used by AdversaryCrash (default 5).
 	CrashAfterRound int
-	// Observer, when non-nil, receives each round's trace events at the
-	// round boundary — the attachment point for online safety oracles
-	// (internal/oracle.Suite implements it).
-	Observer simnet.RoundObserver
 	// SendQuota bounds the messages any one node may queue per round
 	// (0 = unlimited); see simnet.Config.SendQuota.
 	SendQuota int
@@ -179,10 +175,10 @@ type cluster struct {
 
 // newCluster builds the scaffolding for one run of the named protocol
 // family. Families with a certified complexity contract (all nine)
-// get the runtime complexity oracle attached alongside any caller
-// observer, so every campaign — sweep cells, soak runs, examples —
-// cross-checks the statically certified per-round send classes against
-// observed traffic.
+// get the runtime complexity oracle attached as the network's observer,
+// so every campaign — sweep cells, soak runs, examples — cross-checks
+// the statically certified per-round send classes against observed
+// traffic.
 func newCluster(cfg Config, family string) (*cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -194,24 +190,22 @@ func newCluster(cfg Config, family string) (*cluster, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	all := ids.Sparse(rng, cfg.Correct+nByz)
 	collector := &trace.Collector{}
-	var suite *oracle.Suite
-	obs := cfg.Observer
-	if co := oracle.NewComplexityFor(family, 0); co != nil {
-		suite = oracle.NewSuite(co)
-		obs = obsMux{user: cfg.Observer, suite: suite}
-	}
-	net := simnet.New(simnet.Config{
+	netCfg := simnet.Config{
 		MaxRounds: cfg.MaxRounds,
 		Workers:   cfg.Workers,
 		Collector: collector,
 		EventLog:  cfg.EventLog,
-		Observer:  obs,
 		SendQuota: cfg.SendQuota,
 		ByteQuota: cfg.ByteQuota,
-	})
+	}
+	var suite *oracle.Suite
+	if co := oracle.NewComplexityFor(family, 0); co != nil {
+		suite = oracle.NewSuite(co)
+		netCfg.Observer = suite
+	}
 	return &cluster{
 		cfg:        cfg,
-		net:        net,
+		net:        simnet.New(netCfg),
 		collector:  collector,
 		suite:      suite,
 		all:        all,
@@ -219,28 +213,6 @@ func newCluster(cfg Config, family string) (*cluster, error) {
 		byzIDs:     all[cfg.Correct:],
 		dir:        adversary.NewDirectory(all, all[cfg.Correct:]),
 	}, nil
-}
-
-// obsMux fans the engine's observer callbacks out to the caller's
-// observer and the harness's own oracle suite, including the
-// round-accounting extension when either side implements it.
-type obsMux struct {
-	user  simnet.RoundObserver
-	suite *oracle.Suite
-}
-
-func (m obsMux) ObserveRound(round int, events []trace.Event) {
-	if m.user != nil {
-		m.user.ObserveRound(round, events)
-	}
-	m.suite.ObserveRound(round, events)
-}
-
-func (m obsMux) ObserveRoundStats(round int, acct simnet.RoundAccounting) {
-	if so, ok := m.user.(simnet.RoundStatsObserver); ok {
-		so.ObserveRoundStats(round, acct)
-	}
-	m.suite.ObserveRoundStats(round, acct)
 }
 
 // byzFactory builds one Byzantine process for a coalition slot; correctByz
