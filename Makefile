@@ -54,14 +54,16 @@ bench:
 bench-e2e:
 	$(GO) run ./bench
 
-# Round-engine micro-benchmarks (BenchmarkRoundEngine* workload) as JSON.
-# BENCH_simnet.json is committed so the engine's perf trajectory is
-# tracked in-repo; regenerate after touching internal/simnet.
+# Round-engine micro-benchmarks (BenchmarkRoundEngine* workload) plus
+# end-to-end uba.Consensus runs (e2e/* rows, n=128 and n=256) as JSON.
+# BENCH_simnet.json is committed so the perf trajectory is tracked
+# in-repo; regenerate after touching internal/simnet or a protocol Step.
 bench-json:
 	$(GO) run ./cmd/ubabench -benchjson -benchout BENCH_simnet.json
 
 # Perf regression gate: re-measures the n=256 round/step/route
-# benchmarks and enforces per-row ns/op and allocs/op bands against the
+# benchmarks and the n=128/256 end-to-end uba.Consensus rows, and
+# enforces per-row ns/op and allocs/op bands against the
 # committed BENCH_simnet.json. A row outside its band fails the target;
 # escape hatch for an understood, not-yet-rebaselined change:
 #   make perf-smoke PERFSMOKE_FLAGS=-warn-only

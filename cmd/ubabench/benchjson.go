@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"uba"
 	"uba/internal/simnet"
 )
 
@@ -28,6 +29,11 @@ var benchSizes = []int{32, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 // (internal/simnet alloc_gate_test.go) certifies at runtime.
 var phaseSizes = []int{256, 512, 1024, 4096}
 
+// e2eSizes are the system sizes of the end-to-end rows: whole
+// uba.Consensus runs through the public entry point, the thing a user
+// waits for. perf-smoke gates both.
+var e2eSizes = []int{128, 256}
+
 // engineBenchResult is one benchmark measurement in BENCH_simnet.json.
 type engineBenchResult struct {
 	// Name mirrors the `go test -bench` benchmark name.
@@ -41,8 +47,9 @@ type engineBenchResult struct {
 	// baseline generations).
 	Phase string `json:"phase,omitempty"`
 	// N is the system size; one op is one full round (n broadcasts,
-	// n² deliveries), one phase of it, or — for campaign rows — a
-	// campaignChunk-round advance of every concurrent simulation.
+	// n² deliveries), one phase of it, for campaign rows a
+	// campaignChunk-round advance of every concurrent simulation, or —
+	// for e2e rows — one whole protocol run.
 	N int `json:"n"`
 	// Jobs is the number of concurrent simulations for campaign rows and
 	// 0 for single-simulation rows.
@@ -233,6 +240,34 @@ func campaignSpec(jobs, n int) benchSpec {
 	}
 }
 
+// e2eSpec measures what users run rather than a synthetic round: one op
+// is one uba.Consensus call at size n — f = ⌊(n−1)/3⌋ silent Byzantine
+// nodes, inputs i%2, default Config (inline stepping, the facade's
+// oracles attached) — from cluster set-up to the checked result. Every
+// layer is in the row: protocol Step, routing, the round record and the
+// oracles. The seed is fixed, so allocs/op repeats like the engine rows'.
+func e2eSpec(n int) benchSpec {
+	f := (n - 1) / 3
+	inputs := make([]float64, n-f)
+	for i := range inputs {
+		inputs[i] = float64(i % 2)
+	}
+	cfg := uba.Config{Correct: n - f, Byzantine: f, Adversary: uba.AdversarySilent, Seed: 1}
+	return benchSpec{
+		name:   fmt.Sprintf("e2e/uba.Consensus/n=%d", n),
+		runner: "sequential",
+		n:      n,
+		bench: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := uba.Consensus(cfg, inputs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	}
+}
+
 // procsSpec pins GOMAXPROCS for the duration of one spec, so the
 // committed baseline carries a fixed-parallelism row that does not
 // depend on the core count of whichever machine regenerated it.
@@ -260,7 +295,8 @@ func procsSpec(spec benchSpec, procs int) benchSpec {
 // legacy top-size row.
 // The campaign matrix — jobs {1,2,4,8} × procs {1,4,8} at the
 // perf-gate size — tracks how the shared scheduler converts worker
-// budget into aggregate multi-simulation throughput.
+// budget into aggregate multi-simulation throughput. The e2e rows
+// close the sweep with whole uba.Consensus runs over e2eSizes.
 func allSpecs() []benchSpec {
 	var specs []benchSpec
 	for _, runner := range []string{"sequential", "concurrent"} {
@@ -299,6 +335,9 @@ func allSpecs() []benchSpec {
 			specs = append(specs, procsSpec(campaignSpec(jobs, 256), procs))
 		}
 	}
+	for _, n := range e2eSizes {
+		specs = append(specs, e2eSpec(n))
+	}
 	return specs
 }
 
@@ -329,7 +368,7 @@ func measure(spec benchSpec) (engineBenchResult, error) {
 // `make bench-json` entry point.
 func runBenchJSON(outPath string, progress io.Writer) error {
 	file := engineBenchFile{
-		Description: "simnet round-engine micro-benchmarks (broadcast-heavy: one op = one round, n sends, n^2 deliveries; step/route rows isolate one phase; campaign rows advance `jobs` concurrent simulations by 4 rounds per op through the shared scheduler); regenerate with `make bench-json`",
+		Description: "simnet round-engine micro-benchmarks (broadcast-heavy: one op = one round, n sends, n^2 deliveries; step/route rows isolate one phase; campaign rows advance `jobs` concurrent simulations by 4 rounds per op through the shared scheduler) plus end-to-end rows (e2e/uba.Consensus: one op = one whole run through the public entry point, f=(n-1)/3 silent, oracles attached); regenerate with `make bench-json`",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}

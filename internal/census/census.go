@@ -11,82 +11,104 @@
 //
 // Census is that bookkeeping: a monotone set of observed sender ids, plus
 // the exact threshold comparisons ("at least n_v/3", "at least 2n_v/3",
-// "less than n_v/3") in overflow-safe integer arithmetic.
+// "less than n_v/3") in overflow-safe integer arithmetic. The count of
+// distinct senders that goes into those comparisons is kept here too:
+// Marks, bits over the census's dense ranks.
 package census
 
 import "uba/internal/ids"
 
 // Census records the distinct nodes a given node has received at least
-// one message from. The zero value is an empty census ready to use.
+// one message from, and numbers them densely: the k-th distinct sender
+// observed has rank k-1. Ranks let the protocols count distinct senders
+// as marks in a bitset (Marks) instead of hashing every delivery. The
+// zero value is an empty census ready to use.
 type Census struct {
-	seen map[ids.ID]struct{}
+	rank map[ids.ID]int
 }
 
 // New returns an empty census.
 func New() *Census {
-	return &Census{seen: make(map[ids.ID]struct{})}
+	return &Census{rank: make(map[ids.ID]int)}
 }
 
 // Observe records that a message from sender has been received. It
 // reports whether the sender was new to the census.
 func (c *Census) Observe(sender ids.ID) bool {
-	if c.seen == nil {
-		c.seen = make(map[ids.ID]struct{})
+	if c.rank == nil {
+		c.rank = make(map[ids.ID]int)
 	}
-	if _, ok := c.seen[sender]; ok {
+	if _, ok := c.rank[sender]; ok {
 		return false
 	}
-	c.seen[sender] = struct{}{}
+	c.rank[sender] = len(c.rank)
 	return true
 }
 
 // N returns n_v, the number of distinct observed senders.
-func (c *Census) N() int { return len(c.seen) }
+func (c *Census) N() int { return len(c.rank) }
+
+// Rank returns sender's dense index in [0, N) — its position in
+// first-observed order, which never changes once assigned — and whether
+// sender has been observed at all.
+func (c *Census) Rank(sender ids.ID) (int, bool) {
+	r, ok := c.rank[sender]
+	return r, ok
+}
 
 // Contains reports whether sender has been observed.
 func (c *Census) Contains(sender ids.ID) bool {
-	_, ok := c.seen[sender]
+	_, ok := c.rank[sender]
 	return ok
 }
 
 // Members returns the observed sender ids as an ordered set.
 func (c *Census) Members() *ids.Set {
 	s := ids.NewSet()
-	for id := range c.seen {
+	for id := range c.rank {
 		s.Add(id)
 	}
 	return s
 }
 
-// Freeze returns an immutable snapshot of the census. The consensus
-// algorithm (Alg 3) freezes n_v after initialization and thereafter only
-// accepts messages from ids counted during initialization.
+// Freeze returns an immutable snapshot of the census; every member keeps
+// its rank. The consensus algorithm (Alg 3) freezes n_v after
+// initialization and thereafter only accepts messages from ids counted
+// during initialization.
 func (c *Census) Freeze() Frozen {
-	members := make(map[ids.ID]struct{}, len(c.seen))
-	for id := range c.seen {
-		members[id] = struct{}{}
+	rank := make(map[ids.ID]int, len(c.rank))
+	for id, r := range c.rank {
+		rank[id] = r
 	}
-	return Frozen{members: members}
+	return Frozen{rank: rank}
 }
 
-// Frozen is an immutable census snapshot.
+// Frozen is an immutable census snapshot. The zero value is the empty
+// snapshot: it contains no one.
 type Frozen struct {
-	members map[ids.ID]struct{}
+	rank map[ids.ID]int
 }
 
 // N returns the frozen n_v.
-func (f Frozen) N() int { return len(f.members) }
+func (f Frozen) N() int { return len(f.rank) }
+
+// Rank returns sender's dense index in [0, N) and whether sender was
+// part of the snapshot.
+func (f Frozen) Rank(sender ids.ID) (int, bool) {
+	r, ok := f.rank[sender]
+	return r, ok
+}
 
 // Contains reports whether sender was part of the snapshot.
 func (f Frozen) Contains(sender ids.ID) bool {
-	_, ok := f.members[sender]
+	_, ok := f.rank[sender]
 	return ok
 }
 
 // Members returns the snapshot membership as an ordered set.
 func (f Frozen) Members() *ids.Set {
 	s := ids.NewSet()
-	for id := range f.members {
+	for id := range f.rank {
 		s.Add(id)
 	}
 	return s

@@ -1,6 +1,7 @@
 package census
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -173,5 +174,135 @@ func TestQuorumArithmeticBackbone(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Ranks are dense (exactly 0..N-1, in first-observed order), never change
+// once assigned, survive Freeze, and exist exactly for the members.
+func TestRankDenseStableAndConsistentWithContains(t *testing.T) {
+	t.Parallel()
+	var c Census // zero value
+	if _, ok := c.Rank(7); ok {
+		t.Fatal("empty census ranked an id")
+	}
+	order := []ids.ID{900, 3, 41, 3, 7, 900, 12}
+	want := map[ids.ID]int{900: 0, 3: 1, 41: 2, 7: 3, 12: 4}
+	for _, id := range order {
+		c.Observe(id)
+		if r, ok := c.Rank(id); !ok || r != want[id] {
+			t.Fatalf("after Observe(%v): Rank = (%d, %v), want %d", id, r, ok, want[id])
+		}
+	}
+	frozen := c.Freeze()
+	c.Observe(55) // later growth must not disturb the snapshot or old ranks
+	seen := make([]bool, frozen.N())
+	for _, id := range []ids.ID{900, 3, 41, 7, 12, 55, 8} {
+		r, ok := c.Rank(id)
+		if ok != c.Contains(id) {
+			t.Fatalf("Census: Rank ok = %v but Contains = %v for %v", ok, c.Contains(id), id)
+		}
+		fr, fok := frozen.Rank(id)
+		if fok != frozen.Contains(id) {
+			t.Fatalf("Frozen: Rank ok = %v but Contains = %v for %v", fok, frozen.Contains(id), id)
+		}
+		if !fok {
+			continue
+		}
+		if !ok || fr != r || r != want[id] {
+			t.Fatalf("rank of %v: live (%d, %v), frozen %d, want %d", id, r, ok, fr, want[id])
+		}
+		if seen[fr] {
+			t.Fatalf("rank %d assigned twice", fr)
+		}
+		seen[fr] = true
+	}
+	if r, ok := c.Rank(55); !ok || r != 5 {
+		t.Fatalf("Rank(55) = (%d, %v), want 5", r, ok)
+	}
+	var zero Frozen
+	if _, ok := zero.Rank(3); ok || zero.Contains(3) || zero.N() != 0 {
+		t.Fatal("zero Frozen is not empty")
+	}
+}
+
+func TestMarksCountDistinctRanks(t *testing.T) {
+	t.Parallel()
+	var m Marks
+	if m.Count() != 0 {
+		t.Fatal("zero Marks not empty")
+	}
+	for _, r := range []int{0, 63, 64, 0, 200, 63, 129} {
+		m.Mark(r)
+	}
+	if got := m.Count(); got != 5 {
+		t.Fatalf("Count = %d, want 5 distinct ranks", got)
+	}
+	m.Reset()
+	if m.Count() != 0 {
+		t.Fatal("Reset left marks behind")
+	}
+	m.Mark(1)
+	if m.Count() != 1 {
+		t.Fatal("Marks unusable after Reset")
+	}
+}
+
+// A slab row sized by MarkWords and filled with Set is the set Mark
+// would have grown: one layout, whoever owns the storage.
+func TestMarksSetOnPresizedRowMatchesMark(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{1, 63, 64, 65, 128, 129} {
+		row := make(Marks, MarkWords(n))
+		var grown Marks
+		for r := 0; r < n; r += 3 {
+			row.Set(r)
+			grown.Mark(r)
+		}
+		row.Set(n - 1) // the last rank fits
+		grown.Mark(n - 1)
+		if len(grown) != len(row) || !slices.Equal(row, grown) {
+			t.Fatalf("n=%d: Set row %x, Mark set %x", n, row, grown)
+		}
+	}
+	if MarkWords(0) != 0 {
+		t.Fatalf("MarkWords(0) = %d", MarkWords(0))
+	}
+}
+
+// BySenderRun answers exactly like the function it wraps for any sender
+// order, and looks a sorted stream up once per distinct sender.
+func TestRankBySenderRunMatchesRankForAnyOrder(t *testing.T) {
+	t.Parallel()
+	c := New()
+	for _, id := range []ids.ID{5, 0, 9, 2} { // ids.None observed on purpose
+		c.Observe(id)
+	}
+	lookups := 0
+	counting := func(id ids.ID) (int, bool) {
+		lookups++
+		return c.Rank(id)
+	}
+	for _, stream := range [][]ids.ID{
+		{0, 0, 2, 2, 2, 5, 7, 7, 9},       // sorted: one lookup per run
+		{9, 2, 9, 7, 0, 5, 5, 7, 2, 0, 0}, // unsorted
+		{},
+	} {
+		lookups = 0
+		runs := 1 // the resolver primes itself with one lookup
+		senders := RankBySenderRun(counting)
+		prev := ids.None
+		for _, id := range stream {
+			if id != prev {
+				runs++
+				prev = id
+			}
+			r, ok := senders.Rank(id)
+			if wr, wok := c.Rank(id); r != wr || ok != wok {
+				t.Fatalf("stream %v: Rank(%v) = (%d, %v), want (%d, %v)", stream, id, r, ok, wr, wok)
+			}
+		}
+		if lookups != runs {
+			t.Fatalf("stream %v: %d lookups for %d runs", stream, lookups, runs)
+		}
 	}
 }

@@ -75,3 +75,94 @@ func TestCoordinatorOpinionFilteredBySelection(t *testing.T) {
 		t.Fatal("opinion accepted from a non-selected node")
 	}
 }
+
+// ghostEchoer is a Byzantine node for the embedded rotor: it joins the
+// census in the init round and then echoes one non-existent candidate in
+// every round, so each echo window of the correct nodes — the four
+// inboxes before the first rotor round, five from then on — sees the same
+// (sender, ghost) echo once per inbox. It also watches its inbox —
+// broadcasts reach everyone — for any correct node relaying the ghost.
+type ghostEchoer struct {
+	id      ids.ID
+	ghost   ids.ID
+	dir     *adversary.Directory
+	relayed []ids.ID // correct senders seen echoing the ghost
+}
+
+func (g *ghostEchoer) ID() ids.ID { return g.id }
+func (g *ghostEchoer) Done() bool { return false }
+
+func (g *ghostEchoer) Step(env *simnet.RoundEnv) {
+	for m := range env.Inbox.All() {
+		if echo, ok := m.Payload.(wire.IDEcho); ok && echo.Candidate == g.ghost && !g.dir.IsByzantine(m.From) {
+			g.relayed = append(g.relayed, m.From)
+		}
+	}
+	if env.Round == 1 {
+		env.Broadcast(wire.Init{})
+		return
+	}
+	env.Broadcast(wire.IDEcho{Candidate: g.ghost})
+}
+
+// The n_v/3 echo threshold counts distinct senders over the whole window
+// between two rotor rounds, not echoes: at n = 3f+1 the f Byzantine nodes
+// are one short of n_v/3 however often they repeat themselves. Counting
+// per inbox instead (4f ≥ 2n_v/3) would make every correct node relay the
+// ghost and admit it to C_v — the standalone rotor test cannot see that,
+// because its windows are a single inbox.
+func TestGhostEchoedEveryRoundOfTheWindowStaysBelowThreshold(t *testing.T) {
+	t.Parallel()
+	for _, f := range []int{1, 2, 4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, unanimous := range []bool{false, true} {
+				f, seed, unanimous := f, seed, unanimous
+				t.Run(fmt.Sprintf("f=%d/seed=%d/unanimous=%v", f, seed, unanimous), func(t *testing.T) {
+					t.Parallel()
+					const ghost = ids.ID(1<<50 + 17) // outside ids.Sparse's range: no such node
+					inputs := make([]float64, 2*f+1)
+					for i := range inputs {
+						if unanimous {
+							inputs[i] = 3
+						} else {
+							inputs[i] = float64(i % 2)
+						}
+					}
+					var byz []*ghostEchoer
+					mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
+						out := make([]simnet.Process, len(byzIDs))
+						for i, id := range byzIDs {
+							g := &ghostEchoer{id: id, ghost: ghost, dir: dir}
+							byz = append(byz, g)
+							out[i] = g
+						}
+						return out
+					}
+					res := runConsensus(t, seed, inputs, f, mkByz, 1)
+
+					out := checkAgreement(t, res)
+					if unanimous && !out.Equal(wire.V(3)) {
+						t.Fatalf("validity: decided %v on unanimous input 3", out)
+					}
+					if !out.Equal(wire.V(0)) && !out.Equal(wire.V(1)) && !out.Equal(wire.V(3)) {
+						t.Fatalf("decided %v, no correct node's input", out)
+					}
+					for _, node := range res.nodes {
+						if node.NV() != 3*f+1 {
+							t.Fatalf("node %v froze n_v = %d, want %d (the coalition must be censused)",
+								node.ID(), node.NV(), 3*f+1)
+						}
+						if node.core.Candidates().Contains(ghost) {
+							t.Fatalf("node %v admitted the ghost to C_v", node.ID())
+						}
+					}
+					for _, g := range byz {
+						if len(g.relayed) > 0 {
+							t.Fatalf("correct nodes %v relayed the ghost echo", g.relayed)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -72,12 +72,16 @@ type Node struct {
 	frozen census.Frozen
 
 	// lastSent remembers the node's own most recent message of each
-	// tallied kind, for the substitution rule.
-	lastSent map[wire.Kind]wire.Value
-	hasSent  map[wire.Kind]bool
+	// tallied kind (indexed by sentSlot), for the substitution rule.
+	lastSent [3]wire.Value
+	hasSent  [3]bool
+
+	// present marks the census ranks heard from in the tally under way;
+	// reused from one tally to the next.
+	present census.Marks
 
 	// storedSP is the strongprefer tally taken at PR4, resolved at PR5.
-	storedSP tallies
+	storedSP wire.Tally
 
 	coordinator ids.ID // selected at PR4 of the current phase
 
@@ -101,13 +105,7 @@ var _ simnet.Process = (*Node)(nil)
 func New(id ids.ID, input wire.Value) *Node {
 	core := rotor.NewCore(id, 0)
 	core.SetCycling(true)
-	return &Node{
-		id:       id,
-		x:        input,
-		core:     core,
-		lastSent: make(map[wire.Kind]wire.Value),
-		hasSent:  make(map[wire.Kind]bool),
-	}
+	return &Node{id: id, x: input, core: core}
 }
 
 // NewWithoutMarkers returns a deliberately weakened participant that
@@ -154,46 +152,9 @@ func (n *Node) History() []PhaseRecord {
 // NV returns the frozen n_v (0 before initialization completes).
 func (n *Node) NV() int { return n.frozen.N() }
 
-// tallies is a per-round message count by opinion value.
-type tallies struct {
-	counts map[wire.ValueKey]int
-	values map[wire.ValueKey]wire.Value
-	total  int
-}
-
-func newTallies() tallies {
-	return tallies{counts: make(map[wire.ValueKey]int), values: make(map[wire.ValueKey]wire.Value)}
-}
-
-func (t *tallies) add(v wire.Value, k int) {
-	if k <= 0 {
-		return
-	}
-	key := v.Key()
-	t.counts[key] += k
-	t.values[key] = v
-	t.total += k
-}
-
-// best returns the value with the highest count, breaking ties toward the
-// smaller value so every node resolves identically.
-func (t *tallies) best() (wire.Value, int) {
-	var bestVal wire.Value
-	bestCount := -1
-	for key, count := range t.counts {
-		v := t.values[key]
-		switch {
-		case count > bestCount:
-			bestVal, bestCount = v, count
-		case count == bestCount && v.Less(bestVal):
-			bestVal = v
-		}
-	}
-	if bestCount < 0 {
-		return wire.Value{}, 0
-	}
-	return bestVal, bestCount
-}
+// sentSlot indexes lastSent/hasSent by tallied kind; the three kinds are
+// consecutive on the wire.
+func sentSlot(kind wire.Kind) int { return int(kind - wire.KindInput) }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
@@ -213,14 +174,14 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 
 	// Loop rounds. Feed the rotor core every inbox (its candidate
 	// echoes arrive one round after each rotor round executes).
-	n.core.NoteInbox(env.Inbox, n.frozen.Contains)
+	n.core.NoteInbox(env.Inbox, n.frozen.Rank)
 
 	switch (env.Round - 3) % 5 {
 	case 0: // PR1: broadcast input
 		n.send(env, wire.Input{X: n.x})
 	case 1: // PR2: tally inputs, maybe prefer
 		t := n.tally(env.Inbox, wire.KindInput)
-		v, count := t.best()
+		v, count := t.Best()
 		if census.AtLeastTwoThirds(count, n.frozen.N()) {
 			n.send(env, wire.Prefer{X: v})
 		} else {
@@ -234,11 +195,11 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			if !n.noMarkers {
 				env.Broadcast(wire.NoPreference{})
 			}
-			delete(n.hasSent, wire.KindPrefer)
+			n.hasSent[sentSlot(wire.KindPrefer)] = false
 		}
 	case 2: // PR3: tally prefers, maybe adopt and strongprefer
 		t := n.tally(env.Inbox, wire.KindPrefer)
-		v, count := t.best()
+		v, count := t.Best()
 		if census.AtLeastThird(count, n.frozen.N()) {
 			n.x = v
 		}
@@ -248,7 +209,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			if !n.noMarkers {
 				env.Broadcast(wire.NoStrongPreference{})
 			}
-			delete(n.hasSent, wire.KindStrongPrefer)
+			n.hasSent[sentSlot(wire.KindStrongPrefer)] = false
 		}
 	case 3: // PR4: store strongprefer tally, run a rotor round
 		n.storedSP = n.tally(env.Inbox, wire.KindStrongPrefer)
@@ -264,7 +225,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 func (n *Node) resolve(env *simnet.RoundEnv) {
 	coordOpinion, coordOK := n.coordinatorOpinion(env.Inbox)
 
-	v, count := n.storedSP.best()
+	v, count := n.storedSP.Best()
 	adopted := false
 	if census.LessThanThird(count, n.frozen.N()) {
 		if coordOK {
@@ -284,7 +245,7 @@ func (n *Node) resolve(env *simnet.RoundEnv) {
 		X:                  n.x,
 	})
 	n.phase++
-	n.storedSP = tallies{}
+	n.storedSP = wire.Tally{}
 }
 
 // coordinatorOpinion extracts the opinion(x) sent by this phase's
@@ -309,25 +270,29 @@ func (n *Node) send(env *simnet.RoundEnv, p wire.Payload) {
 	env.Broadcast(p)
 	switch m := p.(type) {
 	case wire.Input:
-		n.lastSent[wire.KindInput] = m.X
-		n.hasSent[wire.KindInput] = true
+		n.sent(wire.KindInput, m.X)
 	case wire.Prefer:
-		n.lastSent[wire.KindPrefer] = m.X
-		n.hasSent[wire.KindPrefer] = true
+		n.sent(wire.KindPrefer, m.X)
 	case wire.StrongPrefer:
-		n.lastSent[wire.KindStrongPrefer] = m.X
-		n.hasSent[wire.KindStrongPrefer] = true
+		n.sent(wire.KindStrongPrefer, m.X)
 	}
+}
+
+func (n *Node) sent(kind wire.Kind, x wire.Value) {
+	n.lastSent[sentSlot(kind)] = x
+	n.hasSent[sentSlot(kind)] = true
 }
 
 // tally counts the round's messages of the given kind from censused
 // senders and applies the substitution rule for censused ids that sent
 // nothing of that kind.
-func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) tallies {
-	t := newTallies()
-	senders := make(map[ids.ID]struct{})
+func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) wire.Tally {
+	var t wire.Tally
+	n.present.Reset()
+	senders := census.RankBySenderRun(n.frozen.Rank)
 	for m := range inbox.All() {
-		if !n.frozen.Contains(m.From) {
+		r, ok := senders.Rank(m.From)
+		if !ok {
 			continue
 		}
 		switch p := m.Payload.(type) {
@@ -335,39 +300,37 @@ func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) tallies {
 			if kind != wire.KindInput || p.Instance != 0 {
 				continue
 			}
-			t.add(p.X, 1)
-			senders[m.From] = struct{}{}
+			t.Add(p.X, 1)
 		case wire.Prefer:
 			if kind != wire.KindPrefer || p.Instance != 0 {
 				continue
 			}
-			t.add(p.X, 1)
-			senders[m.From] = struct{}{}
+			t.Add(p.X, 1)
 		case wire.NoPreference:
 			// A no-quorum marker: the sender is present (so no
 			// substitution for it) but contributes no opinion.
 			if kind != wire.KindPrefer || p.Instance != 0 {
 				continue
 			}
-			senders[m.From] = struct{}{}
 		case wire.StrongPrefer:
 			if kind != wire.KindStrongPrefer || p.Instance != 0 {
 				continue
 			}
-			t.add(p.X, 1)
-			senders[m.From] = struct{}{}
+			t.Add(p.X, 1)
 		case wire.NoStrongPreference:
 			if kind != wire.KindStrongPrefer || p.Instance != 0 {
 				continue
 			}
-			senders[m.From] = struct{}{}
+		default:
+			continue
 		}
+		n.present.Mark(r)
 	}
 	// Substitution: every censused id with no message of this kind this
 	// round is assumed to have sent what this node sent last round.
-	if n.hasSent[kind] {
-		if missing := n.frozen.N() - len(senders); missing > 0 {
-			t.add(n.lastSent[kind], missing)
+	if n.hasSent[sentSlot(kind)] {
+		if missing := n.frozen.N() - n.present.Count(); missing > 0 {
+			t.Add(n.lastSent[sentSlot(kind)], missing)
 		}
 	}
 	return t

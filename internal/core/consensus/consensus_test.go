@@ -328,15 +328,15 @@ func TestAgreementNearMaximumFaultLoad(t *testing.T) {
 
 func TestTallyBestTieBreaksDeterministically(t *testing.T) {
 	t.Parallel()
-	tl := newTallies()
-	tl.add(wire.V(5), 3)
-	tl.add(wire.V(2), 3)
-	v, count := tl.best()
+	var tl wire.Tally
+	tl.Add(wire.V(5), 3)
+	tl.Add(wire.V(2), 3)
+	v, count := tl.Best()
 	if count != 3 || !v.Equal(wire.V(2)) {
 		t.Fatalf("best = (%v, %d), want (2, 3)", v, count)
 	}
-	empty := newTallies()
-	if _, count := empty.best(); count != 0 {
+	var empty wire.Tally
+	if _, count := empty.Best(); count != 0 {
 		t.Fatalf("empty tally best count = %d", count)
 	}
 }

@@ -67,9 +67,10 @@ type OutputPair struct {
 type family int
 
 const (
-	famInput family = iota + 1
+	famInput family = iota
 	famPrefer
 	famStrongPrefer
+	numFamilies
 )
 
 // Options configures a parallel-consensus run.
@@ -96,11 +97,11 @@ type instance struct {
 	id uint64
 	x  wire.Value
 
-	seenFamily map[family]bool
-	lastSent   map[family]wire.Value
-	hasSent    map[family]bool
+	seenFamily [numFamilies]bool
+	lastSent   [numFamilies]wire.Value
+	hasSent    [numFamilies]bool
 
-	storedSP tallies
+	storedSP wire.Tally
 
 	decided  bool
 	output   wire.Value
@@ -109,13 +110,7 @@ type instance struct {
 }
 
 func newInstance(id uint64, x wire.Value) *instance {
-	return &instance{
-		id:         id,
-		x:          x,
-		seenFamily: make(map[family]bool),
-		lastSent:   make(map[family]wire.Value),
-		hasSent:    make(map[family]bool),
-	}
+	return &instance{id: id, x: x}
 }
 
 // Node is one correct parallel-consensus participant.
@@ -126,8 +121,11 @@ type Node struct {
 	opts Options
 
 	cen    census.Census
-	frozen census.Frozen
-	ready  bool // frozen census available
+	frozen census.Frozen // empty until the census is fixed
+
+	// present marks the census ranks heard from in the tally under way;
+	// reused from one tally to the next.
+	present census.Marks
 
 	core        *rotor.Core
 	coordinator ids.ID
@@ -164,7 +162,6 @@ func New(id ids.ID, inputs []InputPair, opts Options) *Node {
 			c.Observe(m)
 		}
 		n.frozen = c.Freeze()
-		n.ready = true
 		core.SeedCandidates(opts.Members)
 	}
 	return n
@@ -248,7 +245,6 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 			n.observe(inbox)
 			n.core.EchoInits(inbox, send)
 			n.frozen = n.cen.Freeze()
-			n.ready = true
 			return
 		}
 		loopLocal = local - 3
@@ -256,7 +252,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 		loopLocal = local - 1
 	}
 
-	n.core.NoteInbox(inbox, n.acceptSender)
+	n.core.NoteInbox(inbox, n.frozen.Rank)
 	pr := loopLocal % 5
 	phase := loopLocal / 5
 
@@ -271,7 +267,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 			if ins.x.IsBot {
 				// No opinion to vouch for: stay silent this round
 				// and fill missing senders with ⊥ next round.
-				delete(ins.hasSent, famInput)
+				ins.hasSent[famInput] = false
 				continue
 			}
 			send(wire.Input{Instance: ins.id, X: ins.x})
@@ -284,14 +280,14 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 				continue
 			}
 			t := n.tally(ins, inbox, famInput)
-			v, count := t.best()
+			v, count := t.Best()
 			if census.AtLeastTwoThirds(count, n.frozen.N()) {
 				send(wire.Prefer{Instance: ins.id, X: v})
 				ins.lastSent[famPrefer] = v
 				ins.hasSent[famPrefer] = true
 			} else {
 				send(wire.NoPreference{Instance: ins.id})
-				delete(ins.hasSent, famPrefer)
+				ins.hasSent[famPrefer] = false
 			}
 		}
 	case 2: // PR3: tally prefers; adopt at n_v/3; strongprefer at 2n_v/3
@@ -300,7 +296,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 				continue
 			}
 			t := n.tally(ins, inbox, famPrefer)
-			v, count := t.best()
+			v, count := t.Best()
 			if census.AtLeastThird(count, n.frozen.N()) {
 				ins.x = v
 			}
@@ -310,7 +306,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 				ins.hasSent[famStrongPrefer] = true
 			} else {
 				send(wire.NoStrongPreference{Instance: ins.id})
-				delete(ins.hasSent, famStrongPrefer)
+				ins.hasSent[famStrongPrefer] = false
 			}
 		}
 	case 3: // PR4: store strongprefer tallies; run the shared rotor round
@@ -344,7 +340,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 			if ins.decided {
 				continue
 			}
-			v, count := ins.storedSP.best()
+			v, count := ins.storedSP.Best()
 			if census.LessThanThird(count, n.frozen.N()) {
 				if c, ok := opinions[ins.id]; ok {
 					ins.x = c
@@ -358,7 +354,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 					ins.hasOut = true
 				}
 			}
-			ins.storedSP = tallies{}
+			ins.storedSP = wire.Tally{}
 		}
 		n.phasesRun = phase + 1
 		if n.allDecided() {
@@ -385,10 +381,6 @@ func (n *Node) instancesInOrder() []*instance {
 	return out
 }
 
-func (n *Node) acceptSender(id ids.ID) bool {
-	return n.ready && n.frozen.Contains(id)
-}
-
 func (n *Node) accepts(instanceID uint64) bool {
 	return n.opts.InstanceFilter == nil || n.opts.InstanceFilter(instanceID)
 }
@@ -396,8 +388,9 @@ func (n *Node) accepts(instanceID uint64) bool {
 // scanAwareness joins instances first heard during the joinable windows of
 // the first phase and permanently ignores everything else.
 func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
+	senders := census.RankBySenderRun(n.frozen.Rank)
 	for m := range inbox.All() {
-		if !n.acceptSender(m.From) {
+		if _, ok := senders.Rank(m.From); !ok {
 			continue
 		}
 		tagged, ok := m.Payload.(wire.Instanced)
@@ -441,7 +434,7 @@ func (n *Node) coordinatorOpinions(inbox simnet.Inbox) map[uint64]wire.Value {
 		return out
 	}
 	for m := range inbox.All() {
-		if m.From != n.coordinator || !n.acceptSender(m.From) {
+		if m.From != n.coordinator || !n.frozen.Contains(m.From) {
 			continue
 		}
 		if op, ok := m.Payload.(wire.Opinion); ok && n.accepts(op.Instance) {
@@ -454,44 +447,43 @@ func (n *Node) coordinatorOpinions(inbox simnet.Inbox) map[uint64]wire.Value {
 // tally counts one message family for one instance, applying the paper's
 // substitution rules. Marker messages (nopreference/nostrongpreference)
 // count their sender as present without contributing an opinion.
-func (n *Node) tally(ins *instance, inbox simnet.Inbox, fam family) tallies {
-	t := newTallies()
-	senders := make(map[ids.ID]struct{})
-	sawReal := false
+func (n *Node) tally(ins *instance, inbox simnet.Inbox, fam family) wire.Tally {
+	var t wire.Tally
+	n.present.Reset()
+	senders := census.RankBySenderRun(n.frozen.Rank)
 	for m := range inbox.All() {
-		if !n.acceptSender(m.From) {
+		r, ok := senders.Rank(m.From)
+		if !ok {
 			continue
 		}
 		switch p := m.Payload.(type) {
 		case wire.Input:
-			if fam == famInput && p.Instance == ins.id {
-				t.add(p.X, 1)
-				senders[m.From] = struct{}{}
-				sawReal = true
+			if fam != famInput || p.Instance != ins.id {
+				continue
 			}
+			t.Add(p.X, 1)
 		case wire.Prefer:
-			if fam == famPrefer && p.Instance == ins.id {
-				t.add(p.X, 1)
-				senders[m.From] = struct{}{}
-				sawReal = true
+			if fam != famPrefer || p.Instance != ins.id {
+				continue
 			}
+			t.Add(p.X, 1)
 		case wire.NoPreference:
-			if fam == famPrefer && p.Instance == ins.id {
-				senders[m.From] = struct{}{}
-				sawReal = true
+			if fam != famPrefer || p.Instance != ins.id {
+				continue
 			}
 		case wire.StrongPrefer:
-			if fam == famStrongPrefer && p.Instance == ins.id {
-				t.add(p.X, 1)
-				senders[m.From] = struct{}{}
-				sawReal = true
+			if fam != famStrongPrefer || p.Instance != ins.id {
+				continue
 			}
+			t.Add(p.X, 1)
 		case wire.NoStrongPreference:
-			if fam == famStrongPrefer && p.Instance == ins.id {
-				senders[m.From] = struct{}{}
-				sawReal = true
+			if fam != famStrongPrefer || p.Instance != ins.id {
+				continue
 			}
+		default:
+			continue
 		}
+		n.present.Mark(r)
 	}
 
 	// Substitution for censused nodes that sent nothing of this family:
@@ -501,10 +493,11 @@ func (n *Node) tally(ins *instance, inbox simnet.Inbox, fam family) tallies {
 	if ins.seenFamily[fam] && ins.hasSent[fam] {
 		fill = ins.lastSent[fam]
 	}
-	if missing := n.frozen.N() - len(senders); missing > 0 {
-		t.add(fill, missing)
+	heard := n.present.Count()
+	if missing := n.frozen.N() - heard; missing > 0 {
+		t.Add(fill, missing)
 	}
-	if sawReal {
+	if heard > 0 {
 		ins.seenFamily[fam] = true
 	}
 	return t
@@ -514,41 +507,4 @@ func (n *Node) observe(inbox simnet.Inbox) {
 	for m := range inbox.All() {
 		n.cen.Observe(m.From)
 	}
-}
-
-// tallies mirrors the consensus package's per-round counting.
-type tallies struct {
-	counts map[wire.ValueKey]int
-	values map[wire.ValueKey]wire.Value
-}
-
-func newTallies() tallies {
-	return tallies{counts: make(map[wire.ValueKey]int), values: make(map[wire.ValueKey]wire.Value)}
-}
-
-func (t *tallies) add(v wire.Value, k int) {
-	if k <= 0 {
-		return
-	}
-	key := v.Key()
-	t.counts[key] += k
-	t.values[key] = v
-}
-
-func (t *tallies) best() (wire.Value, int) {
-	var bestVal wire.Value
-	bestCount := -1
-	for key, count := range t.counts {
-		v := t.values[key]
-		switch {
-		case count > bestCount:
-			bestVal, bestCount = v, count
-		case count == bestCount && v.Less(bestVal):
-			bestVal = v
-		}
-	}
-	if bestCount < 0 {
-		return wire.Value{}, 0
-	}
-	return bestVal, bestCount
 }

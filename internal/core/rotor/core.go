@@ -22,8 +22,6 @@
 package rotor
 
 import (
-	"sort"
-
 	"uba/internal/census"
 	"uba/internal/ids"
 	"uba/internal/simnet"
@@ -47,7 +45,9 @@ type AcceptedOpinion struct {
 // calls, which reduces to the paper's per-round counts when rotor rounds
 // are executed back-to-back, and generalizes them to the embedded setting
 // where the echoes of one rotor round land several real rounds before the
-// next rotor round executes.
+// next rotor round executes. Distinct means distinct census rank: each
+// echo sets one bit of the window (see echoWindow), so a sender repeating
+// an echo in every round of a window still counts once.
 type Core struct {
 	self     ids.ID
 	instance uint64
@@ -55,8 +55,8 @@ type Core struct {
 	candidates ids.Set // C_v, ordered by id
 	selected   ids.Set // S_v
 
-	echoSenders  map[ids.ID]map[ids.ID]struct{} // candidate -> senders this window
-	opinions     map[ids.ID]wire.Value          // sender -> opinion this window
+	echoes       echoWindow            // candidate -> distinct senders this window
+	opinions     map[ids.ID]wire.Value // sender -> opinion this window
 	lastSelected ids.ID
 
 	loopRound  int
@@ -69,10 +69,9 @@ type Core struct {
 // instances pass their id).
 func NewCore(self ids.ID, instance uint64) *Core {
 	return &Core{
-		self:        self,
-		instance:    instance,
-		echoSenders: make(map[ids.ID]map[ids.ID]struct{}),
-		opinions:    make(map[ids.ID]wire.Value),
+		self:     self,
+		instance: instance,
+		opinions: make(map[ids.ID]wire.Value),
 	}
 }
 
@@ -109,11 +108,15 @@ func (c *Core) EchoInits(inbox simnet.Inbox, emit func(wire.Payload)) {
 
 // NoteInbox records the rotor-relevant messages of one delivered inbox:
 // candidate echoes (tallied by distinct sender until the next LoopRound)
-// and coordinator opinions. accept filters senders (nil accepts all);
-// consensus passes its frozen census.
-func (c *Core) NoteInbox(inbox simnet.Inbox, accept func(ids.ID) bool) {
+// and coordinator opinions. rank is the owner's census (Census.Rank or
+// Frozen.Rank): messages from senders it does not know are discarded, and
+// the others are counted under their rank.
+func (c *Core) NoteInbox(inbox simnet.Inbox, rank func(ids.ID) (int, bool)) {
+	senders := census.RankBySenderRun(rank)
+	next := 0
 	for m := range inbox.All() {
-		if accept != nil && !accept(m.From) {
+		r, ok := senders.Rank(m.From)
+		if !ok {
 			continue
 		}
 		switch p := m.Payload.(type) {
@@ -121,12 +124,7 @@ func (c *Core) NoteInbox(inbox simnet.Inbox, accept func(ids.ID) bool) {
 			if p.Instance != c.instance {
 				continue
 			}
-			senders := c.echoSenders[p.Candidate]
-			if senders == nil {
-				senders = make(map[ids.ID]struct{})
-				c.echoSenders[p.Candidate] = senders
-			}
-			senders[m.From] = struct{}{}
+			next = c.echoes.mark(p.Candidate, r, next)
 		case wire.Opinion:
 			if p.Instance != c.instance {
 				continue
@@ -165,31 +163,26 @@ func (c *Core) LoopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Se
 		return Selection{Terminated: true}
 	}
 	if emit == nil {
-		emit = func(wire.Payload) {}
+		emit = discard
 	}
 	r := c.loopRound
 	c.loopRound++
 
 	// Reliable-broadcast style candidate maintenance (Lines 7-10).
-	order := make([]ids.ID, 0, len(c.echoSenders))
-	for p := range c.echoSenders {
-		order = append(order, p)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, p := range order {
-		if c.candidates.Contains(p) {
+	for _, row := range c.echoes.sorted() {
+		if c.candidates.Contains(row.cand) {
 			continue
 		}
-		count := len(c.echoSenders[p])
+		count := c.echoes.senders(row.at).Count()
 		if census.AtLeastThird(count, nv) {
-			emit(wire.IDEcho{Instance: c.instance, Candidate: p})
+			emit(wire.IDEcho{Instance: c.instance, Candidate: row.cand})
 		}
 		if census.AtLeastTwoThirds(count, nv) {
-			c.candidates.Add(p)
+			c.candidates.Add(row.cand)
 		}
 	}
 	// Tallies are per-rotor-round: reset the window.
-	c.echoSenders = make(map[ids.ID]map[ids.ID]struct{})
+	c.echoes.reset()
 
 	sel := Selection{PrevCoordinator: c.lastSelected}
 	// Accept the opinion of the coordinator selected in the previous
@@ -200,7 +193,7 @@ func (c *Core) LoopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Se
 			sel.OpinionOK = true
 		}
 	}
-	c.opinions = make(map[ids.ID]wire.Value)
+	clear(c.opinions)
 
 	if c.candidates.Len() == 0 {
 		return sel
@@ -225,6 +218,9 @@ func (c *Core) LoopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Se
 	c.lastSelected = p
 	return sel
 }
+
+// discard is LoopRound's emit when the caller passes none.
+func discard(wire.Payload) {}
 
 // Terminated reports whether the core has reselected a coordinator.
 func (c *Core) Terminated() bool { return c.terminated }

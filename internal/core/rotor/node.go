@@ -46,7 +46,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	case 2:
 		n.core.EchoInits(env.Inbox, env.Broadcast)
 	default:
-		n.core.NoteInbox(env.Inbox, nil)
+		n.core.NoteInbox(env.Inbox, n.cen.Rank)
 		sel := n.core.LoopRound(n.cen.N(), n.opinion, env.Broadcast)
 		n.selections = append(n.selections, sel)
 		if sel.OpinionOK {

@@ -6,10 +6,20 @@ import (
 	"testing"
 
 	"uba/internal/adversary"
+	"uba/internal/census"
 	"uba/internal/ids"
 	"uba/internal/simnet"
 	"uba/internal/wire"
 )
+
+// rankOf returns the rank function of a census of exactly the given ids.
+func rankOf(members ...ids.ID) func(ids.ID) (int, bool) {
+	c := census.New()
+	for _, id := range members {
+		c.Observe(id)
+	}
+	return c.Rank
+}
 
 // opinionOf fixes each node's opinion to a function of its id so tests can
 // verify whose opinion was accepted.
@@ -367,7 +377,7 @@ func TestCoreOpinionAcceptance(t *testing.T) {
 	core.NoteInbox(simnet.InboxOf(
 		simnet.Received{From: 10, Payload: wire.Opinion{X: wire.V(3.5)}},
 		simnet.Received{From: 20, Payload: wire.Opinion{X: wire.V(9)}},
-	), nil)
+	), rankOf(10, 20))
 	sel = core.LoopRound(2, wire.V(0), nil)
 	if !sel.OpinionOK || !sel.Opinion.Equal(wire.V(3.5)) || sel.PrevCoordinator != 10 {
 		t.Fatalf("opinion acceptance: %+v", sel)
@@ -377,14 +387,13 @@ func TestCoreOpinionAcceptance(t *testing.T) {
 func TestCoreFiltersByInstanceAndSender(t *testing.T) {
 	t.Parallel()
 	core := NewCore(1, 7)
-	// Echo with wrong instance must be ignored; echo from filtered
-	// sender must be ignored.
-	accept := func(id ids.ID) bool { return id != 66 }
+	// Echo with wrong instance must be ignored; echo from a sender
+	// outside the census must be ignored.
 	core.NoteInbox(simnet.InboxOf(
 		simnet.Received{From: 2, Payload: wire.IDEcho{Instance: 7, Candidate: 100}},
 		simnet.Received{From: 3, Payload: wire.IDEcho{Instance: 8, Candidate: 100}},
 		simnet.Received{From: 66, Payload: wire.IDEcho{Instance: 7, Candidate: 100}},
-	), accept)
+	), rankOf(2, 3))
 	// nv = 3: one valid echo passes n_v/3 (1 ≥ 1) but not 2n_v/3.
 	var emitted []wire.Payload
 	core.LoopRound(3, wire.V(0), func(p wire.Payload) { emitted = append(emitted, p) })

@@ -1,0 +1,253 @@
+package rotor
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"uba/internal/census"
+	"uba/internal/ids"
+	"uba/internal/simnet"
+	"uba/internal/wire"
+)
+
+// refCore is the reference the dense echo window is tested against: the
+// same Algorithm 2 round, counting distinct senders the obvious way — a
+// set of sender ids per candidate, rebuilt every window, every message
+// checked against the accept predicate.
+type refCore struct {
+	self     ids.ID
+	instance uint64
+
+	candidates, selected ids.Set
+	echoSenders          map[ids.ID]map[ids.ID]struct{}
+	opinions             map[ids.ID]wire.Value
+	lastSelected         ids.ID
+	rounds               int
+}
+
+func newRefCore(self ids.ID, instance uint64) *refCore {
+	return &refCore{
+		self: self, instance: instance,
+		echoSenders: make(map[ids.ID]map[ids.ID]struct{}),
+		opinions:    make(map[ids.ID]wire.Value),
+	}
+}
+
+func (c *refCore) noteInbox(inbox simnet.Inbox, accept func(ids.ID) bool) {
+	for m := range inbox.All() {
+		if !accept(m.From) {
+			continue
+		}
+		switch p := m.Payload.(type) {
+		case wire.IDEcho:
+			if p.Instance != c.instance {
+				continue
+			}
+			if c.echoSenders[p.Candidate] == nil {
+				c.echoSenders[p.Candidate] = make(map[ids.ID]struct{})
+			}
+			c.echoSenders[p.Candidate][m.From] = struct{}{}
+		case wire.Opinion:
+			if p.Instance == c.instance {
+				c.opinions[m.From] = p.X
+			}
+		}
+	}
+}
+
+func (c *refCore) loopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Selection {
+	r := c.rounds
+	c.rounds++
+	order := make([]ids.ID, 0, len(c.echoSenders))
+	for p := range c.echoSenders {
+		order = append(order, p)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	for _, p := range order {
+		if c.candidates.Contains(p) {
+			continue
+		}
+		count := len(c.echoSenders[p])
+		if census.AtLeastThird(count, nv) {
+			emit(wire.IDEcho{Instance: c.instance, Candidate: p})
+		}
+		if census.AtLeastTwoThirds(count, nv) {
+			c.candidates.Add(p)
+		}
+	}
+	c.echoSenders = make(map[ids.ID]map[ids.ID]struct{})
+
+	sel := Selection{PrevCoordinator: c.lastSelected}
+	if x, ok := c.opinions[c.lastSelected]; ok && c.lastSelected != ids.None {
+		sel.Opinion, sel.OpinionOK = x, true
+	}
+	c.opinions = make(map[ids.ID]wire.Value)
+	if c.candidates.Len() == 0 {
+		return sel
+	}
+	p := c.candidates.At(r % c.candidates.Len())
+	sel.Coordinator = p
+	sel.Terminated = c.selected.Contains(p)
+	c.selected.Add(p)
+	if p == c.self {
+		emit(wire.Opinion{Instance: c.instance, X: opinion})
+	}
+	c.lastSelected = p
+	return sel
+}
+
+// Differential property test: over seeded random windows the dense echo
+// window and the map-of-maps reference emit the same echoes, build the
+// same C_v and make the same selections. The inboxes are hostile to every
+// shortcut the dense window takes: more than 64 senders (multi-word
+// rows), census ranks unrelated to id order, senders outside the census,
+// echoes tagged for a foreign instance, arbitrary (unsorted) inbox order
+// with each sender's messages scattered rather than in one run, the same
+// (sender, candidate) echo repeated within an inbox and across the
+// several inboxes of one window, and windows back to back so a reset that
+// leaked a mark, a row or a stale position would change the next fold.
+// In the growing variant the census additionally gains members between
+// inboxes, as the standalone node's does, so rows widen mid-window.
+func TestEchoWindowMatchesMapReference(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 40; seed++ {
+		seed := seed
+		for _, growing := range []bool{false, true} {
+			growing := growing
+			t.Run(fmt.Sprintf("seed=%d/growing=%v", seed, growing), func(t *testing.T) {
+				t.Parallel()
+				rng := rand.New(rand.NewSource(seed))
+				const instance = 7
+				universe := ids.Sparse(rng, 150+rng.Intn(100))
+				pool := ids.Sparse(rng, 12+rng.Intn(30)) // candidate ids, mostly ghosts
+				pool = append(pool, universe[:5]...)
+				self := universe[0]
+
+				// Census: a random ~80% of the universe, observed in
+				// random order so rank order is not id order.
+				cen := census.New()
+				perm := rng.Perm(len(universe))
+				members := perm[:len(perm)*4/5]
+				if growing {
+					members = members[:10]
+				}
+				for _, i := range members {
+					cen.Observe(universe[i])
+				}
+
+				core, ref := NewCore(self, instance), newRefCore(self, instance)
+				core.SetCycling(true)
+				// Per-candidate echo probability, so counts land on both
+				// sides of n_v/3 and 2n_v/3.
+				weight := make(map[ids.ID]float64, len(pool))
+				for _, p := range pool {
+					weight[p] = rng.Float64()
+				}
+
+				for window := 0; window < 4; window++ {
+					for inboxes := 1 + rng.Intn(5); inboxes > 0; inboxes-- {
+						var msgs []simnet.Received
+						for _, from := range universe {
+							if rng.Intn(8) == 0 {
+								continue // silent this round
+							}
+							for _, p := range pool {
+								if rng.Float64() > weight[p] {
+									continue
+								}
+								inst := uint64(instance)
+								if rng.Intn(10) == 0 {
+									inst = 8
+								}
+								echo := simnet.Received{From: from, Payload: wire.IDEcho{Instance: inst, Candidate: p}}
+								msgs = append(msgs, echo)
+								if rng.Intn(6) == 0 {
+									msgs = append(msgs, echo)
+								}
+							}
+							if rng.Intn(4) == 0 {
+								msgs = append(msgs, simnet.Received{From: from,
+									Payload: wire.Opinion{Instance: instance, X: wire.V(float64(rng.Intn(3)))}})
+							}
+						}
+						rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
+						if growing {
+							// A few more senders join the census, the way
+							// the standalone node observes its inbox
+							// before noting it.
+							for k := 0; k < 20; k++ {
+								cen.Observe(universe[rng.Intn(len(universe))])
+							}
+						}
+						inbox := simnet.InboxOf(msgs...)
+						core.NoteInbox(inbox, cen.Rank)
+						ref.noteInbox(inbox, cen.Contains)
+					}
+					nv := cen.N()
+					opinion := wire.V(float64(window))
+					var got, want []wire.Payload
+					gotSel := core.LoopRound(nv, opinion, func(p wire.Payload) { got = append(got, p) })
+					wantSel := ref.loopRound(nv, opinion, func(p wire.Payload) { want = append(want, p) })
+					if gotSel != wantSel {
+						t.Fatalf("window %d: selection %+v, reference %+v", window, gotSel, wantSel)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("window %d: emitted %d payloads, reference %d", window, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("window %d: emitted[%d] = %+v, reference %+v", window, i, got[i], want[i])
+						}
+					}
+					if !core.Candidates().Equal(&ref.candidates) {
+						t.Fatalf("window %d: C_v = %v, reference %v",
+							window, core.Candidates().Members(), ref.candidates.Members())
+					}
+				}
+				if ref.candidates.Len() == 0 || ref.candidates.Len() == len(pool) {
+					t.Fatalf("degenerate trial: %d of %d candidates admitted", ref.candidates.Len(), len(pool))
+				}
+			})
+		}
+	}
+}
+
+// Runtime allocation gate: once a core has seen one window of a given
+// shape, noting an all-echo inbox (every censused sender echoes every
+// candidate: n² echoes) and folding it allocates nothing — the window is
+// a reused slab, not a structure rebuilt per rotor round.
+func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
+	const n = 128
+	members := ids.Sparse(rand.New(rand.NewSource(1)), n)
+	cen := census.New()
+	msgs := make([]simnet.Received, 0, n*n)
+	for _, from := range members {
+		cen.Observe(from)
+		for _, p := range members {
+			msgs = append(msgs, simnet.Received{From: from, Payload: wire.IDEcho{Candidate: p}})
+		}
+	}
+	inbox := simnet.InboxOf(msgs...)
+	frozen := cen.Freeze()
+
+	// n_v is held above 3n so that every row is sorted and counted but
+	// no count reaches n_v/3: an emitted payload is boxed into an
+	// interface, which is the caller's send and not the window's cost.
+	const nv = 4 * n
+	core := NewCore(members[1], 0)
+	core.SetCycling(true)
+	core.SeedCandidates(ids.NewSet(members[0])) // someone else to select
+	round := func() {
+		core.NoteInbox(inbox, frozen.Rank)
+		core.LoopRound(nv, wire.V(0), nil)
+	}
+	round() // warm-up: sizes the slab
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("warm NoteInbox+LoopRound allocated %.0f times per window, want 0", allocs)
+	}
+	if got := core.Candidates().Len(); got != 1 {
+		t.Fatalf("C_v grew to %d: the gate is meant to count rows, not admit them", got)
+	}
+}

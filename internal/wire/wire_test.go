@@ -231,3 +231,41 @@ func TestInstancedPayloadsReportInstance(t *testing.T) {
 		}
 	}
 }
+
+func TestTallyCountsByValueAndPicksBest(t *testing.T) {
+	t.Parallel()
+	var tl Tally
+	if v, n := tl.Best(); n != 0 || !v.Equal(Value{}) {
+		t.Fatalf("empty Best = (%v, %d)", v, n)
+	}
+	tl.Add(V(4), 1)
+	tl.Add(Bot(), 2)
+	tl.Add(V(4), 1)
+	tl.Add(V(1), 0)  // k ≤ 0 counts nothing
+	tl.Add(V(9), -3) //
+	tl.Add(V(-2), 1)
+	got := make(map[ValueKey]int)
+	for v, n := range tl.All() {
+		if _, dup := got[v.Key()]; dup {
+			t.Fatalf("All yielded %v twice", v)
+		}
+		got[v.Key()] = n
+	}
+	want := map[ValueKey]int{V(4).Key(): 2, Bot().Key(): 2, V(-2).Key(): 1}
+	if len(got) != len(want) {
+		t.Fatalf("All = %v, want %v", got, want)
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Fatalf("All = %v, want %v", got, want)
+		}
+	}
+	// 4 and ⊥ tie at 2; ⊥ sorts before every real value.
+	if v, n := tl.Best(); n != 2 || !v.IsBot {
+		t.Fatalf("Best = (%v, %d), want (⊥, 2)", v, n)
+	}
+	tl.Add(V(-2), 2)
+	if v, n := tl.Best(); n != 3 || !v.Equal(V(-2)) {
+		t.Fatalf("Best = (%v, %d), want (-2, 3)", v, n)
+	}
+}
