@@ -29,6 +29,10 @@ var benchSizes = []int{32, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 // (internal/simnet alloc_gate_test.go) certifies at runtime.
 var phaseSizes = []int{256, 512, 1024, 4096}
 
+// readerSizes are the sizes of the reader=said route rows: a round whose
+// block is read payload-major, which perf-smoke gates at 0 allocs/op.
+var readerSizes = []int{256, 1024}
+
 // e2eSizes are the system sizes of the end-to-end rows: whole
 // uba.Consensus runs through the public entry point, the thing a user
 // waits for. perf-smoke gates both.
@@ -141,10 +145,13 @@ func phaseSpec(phase, runner string, n int) benchSpec {
 // the route path's fault-aware branches against the identical workload.
 // "observer=on" attaches an observer that discards its feed, so the
 // route row additionally builds the round record and hands it over —
-// what observation costs the engine. Paired with the plain row of the
-// same shape, the delta is the whole price of Config.FaultPlan or
-// Config.Observer on a healthy network (the zero-alloc gate pins its
-// allocation half to 0).
+// what observation costs the engine. "reader=said" has one receiver
+// ask for the routed block's payload-major index (Inbox.Said) after
+// every round, so the route row additionally pays the lazy index build
+// the first reader of a round pays. Paired with the plain row of the
+// same shape, the delta is the whole price of Config.FaultPlan,
+// Config.Observer or a payload-major reader on a healthy network (the
+// zero-alloc gate pins its allocation half to 0).
 func variantPhaseSpec(phase, runner string, n int, variant string) benchSpec {
 	name := fmt.Sprintf("RoundEngine/%s/%s/n=%d", phase, runner, n)
 	build, planLabel := simnet.NewRoundPhases, ""
@@ -156,6 +163,8 @@ func variantPhaseSpec(phase, runner string, n int, variant string) benchSpec {
 		planLabel = "idle"
 	case "observer=on":
 		build = simnet.NewRoundPhasesObserved
+	case "reader=said":
+		build = simnet.NewRoundPhasesRead
 	}
 	if variant != "" {
 		name += "/" + variant
@@ -286,8 +295,9 @@ func procsSpec(spec benchSpec, procs int) benchSpec {
 // allSpecs is the full `make bench-json` sweep: round benchmarks over
 // benchSizes, then the phase split over phaseSizes, for both runner
 // labels (with plan=idle route rows re-measuring the zero-alloc-gate
-// sizes under an attached-but-idle fault plan, and observer=on route
-// rows pricing the round record at n=1024),
+// sizes under an attached-but-idle fault plan, observer=on route
+// rows pricing the round record at n=1024, and reader=said route rows
+// pricing the payload-major index build over readerSizes),
 // plus GOMAXPROCS-pinned concurrent rows so scaling under fixed
 // parallelism is tracked in-repo: a {1,4,8}-proc ladder at the two
 // sizes the zero-alloc gate certifies (at procs=1 the cap is 1, so that
@@ -323,6 +333,13 @@ func allSpecs() []benchSpec {
 	// round record, paired with the unobserved rows the same way.
 	for _, runner := range []string{"sequential", "concurrent"} {
 		specs = append(specs, variantPhaseSpec("route", runner, 1024, "observer=on"))
+	}
+	// Reader rows: the route phase plus the payload-major index build one
+	// reader triggers, paired with the unread rows the same way.
+	for _, runner := range []string{"sequential", "concurrent"} {
+		for _, n := range readerSizes {
+			specs = append(specs, variantPhaseSpec("route", runner, n, "reader=said"))
+		}
 	}
 	for _, n := range []int{1024, 4096} {
 		for _, procs := range []int{1, 4, 8} {

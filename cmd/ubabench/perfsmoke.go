@@ -19,7 +19,10 @@ import (
 // free on a healthy round (0 allocs/op, flat ns/op) is part of the
 // smoke contract; the observer=on route rows do the same for an
 // attached observer, so the price of the round record — O(B+U) events
-// in recycled scratch, 0 allocs/op — is a gated row. The campaign row
+// in recycled scratch, 0 allocs/op — is a gated row; the reader=said
+// route rows (n=256 and n=1024) gate a round that is read payload-major
+// the same way: the lazy index build of Inbox.Said, 0 allocs/op. The
+// campaign row
 // (4 concurrent simulations at the perf-gate size, 4 pinned procs)
 // covers the shared scheduler's admission path the same way: its
 // allocs/op band certifies that multiplexing simulations adds no per-op
@@ -43,6 +46,9 @@ func smokeSpecs() []benchSpec {
 		}
 		specs = append(specs, variantPhaseSpec("route", runner, 1024, "plan=idle"))
 		specs = append(specs, variantPhaseSpec("route", runner, 1024, "observer=on"))
+		for _, n := range readerSizes {
+			specs = append(specs, variantPhaseSpec("route", runner, n, "reader=said"))
+		}
 	}
 	specs = append(specs, procsSpec(campaignSpec(4, 256), 4))
 	for _, n := range e2eSizes {

@@ -268,41 +268,3 @@ func TestMarksSetOnPresizedRowMatchesMark(t *testing.T) {
 		t.Fatalf("MarkWords(0) = %d", MarkWords(0))
 	}
 }
-
-// BySenderRun answers exactly like the function it wraps for any sender
-// order, and looks a sorted stream up once per distinct sender.
-func TestRankBySenderRunMatchesRankForAnyOrder(t *testing.T) {
-	t.Parallel()
-	c := New()
-	for _, id := range []ids.ID{5, 0, 9, 2} { // ids.None observed on purpose
-		c.Observe(id)
-	}
-	lookups := 0
-	counting := func(id ids.ID) (int, bool) {
-		lookups++
-		return c.Rank(id)
-	}
-	for _, stream := range [][]ids.ID{
-		{0, 0, 2, 2, 2, 5, 7, 7, 9},       // sorted: one lookup per run
-		{9, 2, 9, 7, 0, 5, 5, 7, 2, 0, 0}, // unsorted
-		{},
-	} {
-		lookups = 0
-		runs := 1 // the resolver primes itself with one lookup
-		senders := RankBySenderRun(counting)
-		prev := ids.None
-		for _, id := range stream {
-			if id != prev {
-				runs++
-				prev = id
-			}
-			r, ok := senders.Rank(id)
-			if wr, wok := c.Rank(id); r != wr || ok != wok {
-				t.Fatalf("stream %v: Rank(%v) = (%d, %v), want (%d, %v)", stream, id, r, ok, wr, wok)
-			}
-		}
-		if lookups != runs {
-			t.Fatalf("stream %v: %d lookups for %d runs", stream, lookups, runs)
-		}
-	}
-}

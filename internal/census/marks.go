@@ -1,10 +1,6 @@
 package census
 
-import (
-	"math/bits"
-
-	"uba/internal/ids"
-)
+import "math/bits"
 
 // Marks is a set of census ranks, one bit per rank: the "which distinct
 // senders said this" behind every n_v/3 and 2n_v/3 comparison. Marking a
@@ -29,6 +25,18 @@ func (m *Marks) Mark(rank int) {
 // rotor's echo window.
 func (m Marks) Set(rank int) { m[rank>>6] |= 1 << (rank & 63) }
 
+// Has reports whether rank is in the set.
+func (m Marks) Has(rank int) bool {
+	return rank>>6 < len(m) && m[rank>>6]&(1<<(rank&63)) != 0
+}
+
+// Or adds every rank of o to a set at least as long as o.
+func (m Marks) Or(o Marks) {
+	for i, w := range o {
+		m[i] |= w
+	}
+}
+
 // Count returns the number of marked ranks.
 func (m Marks) Count() int {
 	n := 0
@@ -41,34 +49,15 @@ func (m Marks) Count() int {
 // Reset empties the set, keeping its storage for the next count.
 func (m Marks) Reset() { clear(m) }
 
-// BySenderRun wraps a census rank function for one pass over an inbox,
-// resolving each run of consecutive messages from one sender with a
-// single lookup instead of one per message. An engine inbox is sorted by
-// sender, so that is one lookup per distinct sender; the result is the
-// same for any order, because a run boundary is detected by comparing
-// sender ids and a sender's rank cannot change during the pass — an
-// unsorted inbox merely has more, shorter runs.
-type BySenderRun struct {
-	rank func(ids.ID) (int, bool)
-	from ids.ID
-	r    int
-	ok   bool
-}
-
-// RankBySenderRun returns a resolver over rank (Census.Rank or
-// Frozen.Rank).
-func RankBySenderRun(rank func(ids.ID) (int, bool)) BySenderRun {
-	s := BySenderRun{rank: rank, from: ids.None}
-	s.r, s.ok = rank(ids.None)
-	return s
-}
-
-// Rank returns rank(from), looked up only when from differs from the
-// previous call's sender.
-func (s *BySenderRun) Rank(from ids.ID) (int, bool) {
-	if from != s.from {
-		s.from = from
-		s.r, s.ok = s.rank(from)
+// Cleared returns the empty set over ranks 0..n-1, in m's storage when
+// it is large enough: the start of a count whose marks arrive as whole
+// sets (Or) rather than one rank at a time (Mark).
+func (m Marks) Cleared(n int) Marks {
+	need := MarkWords(n)
+	if cap(m) < need {
+		return make(Marks, need)
 	}
-	return s.r, s.ok
+	m = m[:need]
+	clear(m)
+	return m
 }

@@ -1,0 +1,117 @@
+package census
+
+import "uba/internal/ids"
+
+// Ranker is a census in either state, *Census or Frozen: what a reader
+// counts its senders against.
+type Ranker interface {
+	N() int
+	Rank(sender ids.ID) (int, bool)
+}
+
+// Ranks is one reader's census laid over one round's broadcasters: the
+// table that turns "which broadcasters said it" — a set of positions in
+// the engine's ascending broadcaster list, the same for every receiver —
+// into "which of my census members said it", a set of this reader's own
+// ranks. It is rebuilt per Step (Reset) with one census lookup per
+// broadcaster, where a pass over the messages themselves would need one
+// per message.
+//
+// Positions whose ranks are consecutive collapse into a run, and a set
+// is translated run by run with shifted word ORs. A census numbers its
+// members in first-observed order and the first inbox arrives in id
+// order, so when the round's broadcasters are the census the whole table
+// is one run and a translation is a handful of word ORs; broadcasters
+// the census does not know, and members that stayed silent, split runs;
+// an arbitrary observation order degenerates to one run per position,
+// which is the per-bit loop — the same code, and the same result, since
+// a run is only ever a shorthand for its positions.
+//
+// The zero value is ready for Reset. The storage is the table's own and
+// is reused from Step to Step; an embedding protocol that steps many
+// short-lived readers lends them one table (see parallelcon.StepLocal).
+type Ranks struct {
+	of   Ranker
+	runs []rankRun
+	who  Marks // the set Of and One return, MarkWords(of.N()) words
+}
+
+// rankRun says positions pos..pos+n-1 hold ranks rank..rank+n-1.
+type rankRun struct{ pos, rank, n int }
+
+// Reset rebuilds the table for the round whose distinct broadcasters, in
+// the engine's order, are broadcasters, as seen by the census of.
+func (t *Ranks) Reset(broadcasters []ids.ID, of Ranker) {
+	t.of = of
+	t.runs = t.runs[:0]
+	for pos, id := range broadcasters {
+		r, ok := of.Rank(id)
+		if !ok {
+			continue
+		}
+		if k := len(t.runs) - 1; k >= 0 {
+			if last := &t.runs[k]; last.pos+last.n == pos && last.rank+last.n == r {
+				last.n++
+				continue
+			}
+		}
+		t.runs = append(t.runs, rankRun{pos: pos, rank: r, n: 1})
+	}
+	t.who = t.who.Cleared(of.N())
+}
+
+// Rank is the census's own answer for one sender.
+func (t *Ranks) Rank(sender ids.ID) (int, bool) { return t.of.Rank(sender) }
+
+// Of translates by, a set of broadcaster positions, into the census
+// ranks of those broadcasters, and reports whether any of them is in the
+// census at all. The returned set is the table's and is overwritten by
+// the next Of or One.
+func (t *Ranks) Of(by Marks) (Marks, bool) {
+	t.who.Reset()
+	var moved uint64
+	for _, run := range t.runs {
+		moved |= orBits(t.who, by, run.rank, run.pos, run.n)
+	}
+	return t.who, moved != 0
+}
+
+// One is Of for a message that did not come through the broadcast
+// block: the one-member set of its sender's rank.
+func (t *Ranks) One(sender ids.ID) (Marks, bool) {
+	r, ok := t.of.Rank(sender)
+	if !ok {
+		return nil, false
+	}
+	t.who.Reset()
+	t.who.Set(r)
+	return t.who, true
+}
+
+// orBits ORs bits src[spos, spos+n) into dst[dpos, dpos+n), up to a word
+// at a time, and returns the OR of the bits it moved. A run may start
+// and end anywhere in a word on either side.
+func orBits(dst, src Marks, dpos, spos, n int) uint64 {
+	var moved uint64
+	for n > 0 {
+		k := min(n, 64)
+		so := spos & 63
+		w := src[spos>>6] >> so
+		if so+k > 64 {
+			w |= src[spos>>6+1] << (64 - so)
+		}
+		if k < 64 {
+			w &= 1<<k - 1
+		}
+		if w != 0 {
+			do := dpos & 63
+			dst[dpos>>6] |= w << do
+			if do+k > 64 {
+				dst[dpos>>6+1] |= w >> (64 - do)
+			}
+			moved |= w
+		}
+		spos, dpos, n = spos+k, dpos+k, n-k
+	}
+	return moved
+}

@@ -40,6 +40,8 @@
 package consensus
 
 import (
+	"slices"
+
 	"uba/internal/census"
 	"uba/internal/core/rotor"
 	"uba/internal/ids"
@@ -76,8 +78,11 @@ type Node struct {
 	lastSent [3]wire.Value
 	hasSent  [3]bool
 
-	// present marks the census ranks heard from in the tally under way;
-	// reused from one tally to the next.
+	// ranks is the frozen census laid over the current round's
+	// broadcasters, rebuilt once per loop round for every reader of the
+	// inbox; present marks the census ranks heard from in the tally
+	// under way. Both are reused from round to round.
+	ranks   census.Ranks
 	present census.Marks
 
 	// storedSP is the strongprefer tally taken at PR4, resolved at PR5.
@@ -174,7 +179,8 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 
 	// Loop rounds. Feed the rotor core every inbox (its candidate
 	// echoes arrive one round after each rotor round executes).
-	n.core.NoteInbox(env.Inbox, n.frozen.Rank)
+	n.ranks.Reset(env.Inbox.Broadcasters(), n.frozen)
+	n.core.NoteInbox(env.Inbox, &n.ranks)
 
 	switch (env.Round - 3) % 5 {
 	case 0: // PR1: broadcast input
@@ -249,20 +255,33 @@ func (n *Node) resolve(env *simnet.RoundEnv) {
 }
 
 // coordinatorOpinion extracts the opinion(x) sent by this phase's
-// coordinator, if it arrived.
+// coordinator, if it arrived. A coordinator that sent several (only a
+// Byzantine one does) is taken at the one with the smallest encoding,
+// whether it was broadcast or unicast — the first in the engine's
+// (sender, encoding) inbox order.
 func (n *Node) coordinatorOpinion(inbox simnet.Inbox) (wire.Value, bool) {
-	if n.coordinator == ids.None {
+	if n.coordinator == ids.None || !n.frozen.Contains(n.coordinator) {
 		return wire.Value{}, false
 	}
-	for m := range inbox.All() {
-		if m.From != n.coordinator || !n.frozen.Contains(m.From) {
-			continue
-		}
-		if op, ok := m.Payload.(wire.Opinion); ok && op.Instance == 0 {
-			return op.X, true
+	var first wire.Opinion
+	found := false
+	if p, ok := slices.BinarySearch(inbox.Broadcasters(), n.coordinator); ok {
+		for _, g := range inbox.Said() { // ascending by encoding
+			if op, isOp := g.Payload.(wire.Opinion); isOp && op.Instance == 0 && g.By.Has(p) {
+				first, found = op, true
+				break
+			}
 		}
 	}
-	return wire.Value{}, false
+	for _, m := range inbox.Direct() {
+		if m.From != n.coordinator {
+			continue
+		}
+		if op, isOp := m.Payload.(wire.Opinion); isOp && op.Instance == 0 && (!found || wire.EncodesAfter(first, op)) {
+			first, found = op, true
+		}
+	}
+	return first.X, found
 }
 
 // send broadcasts p and records it for the substitution rule.
@@ -285,46 +304,26 @@ func (n *Node) sent(kind wire.Kind, x wire.Value) {
 
 // tally counts the round's messages of the given kind from censused
 // senders and applies the substitution rule for censused ids that sent
-// nothing of that kind.
+// nothing of that kind. The shared block is read payload-major — each
+// distinct payload with the set of its broadcasters, translated into
+// census ranks — and the private segment one message at a time; a
+// message counts once per (sender, payload) either way.
 func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) wire.Tally {
 	var t wire.Tally
-	n.present.Reset()
-	senders := census.RankBySenderRun(n.frozen.Rank)
-	for m := range inbox.All() {
-		r, ok := senders.Rank(m.From)
-		if !ok {
-			continue
+	n.present = n.present.Cleared(n.frozen.N())
+	for _, g := range inbox.Said() {
+		if x, opinion, ok := vote(kind, g.Payload); ok {
+			if who, any := n.ranks.Of(g.By); any {
+				n.count(&t, x, opinion, who)
+			}
 		}
-		switch p := m.Payload.(type) {
-		case wire.Input:
-			if kind != wire.KindInput || p.Instance != 0 {
-				continue
+	}
+	for _, m := range inbox.Direct() {
+		if x, opinion, ok := vote(kind, m.Payload); ok {
+			if who, any := n.ranks.One(m.From); any {
+				n.count(&t, x, opinion, who)
 			}
-			t.Add(p.X, 1)
-		case wire.Prefer:
-			if kind != wire.KindPrefer || p.Instance != 0 {
-				continue
-			}
-			t.Add(p.X, 1)
-		case wire.NoPreference:
-			// A no-quorum marker: the sender is present (so no
-			// substitution for it) but contributes no opinion.
-			if kind != wire.KindPrefer || p.Instance != 0 {
-				continue
-			}
-		case wire.StrongPrefer:
-			if kind != wire.KindStrongPrefer || p.Instance != 0 {
-				continue
-			}
-			t.Add(p.X, 1)
-		case wire.NoStrongPreference:
-			if kind != wire.KindStrongPrefer || p.Instance != 0 {
-				continue
-			}
-		default:
-			continue
 		}
-		n.present.Mark(r)
 	}
 	// Substitution: every censused id with no message of this kind this
 	// round is assumed to have sent what this node sent last round.
@@ -336,9 +335,36 @@ func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) wire.Tally {
 	return t
 }
 
+// vote classifies p for a tally of the given kind: ok when p belongs to
+// the tallied family, opinion when it also carries a value. A no-quorum
+// marker belongs without an opinion: its sender is present (so no
+// substitution for it) but contributes nothing.
+func vote(kind wire.Kind, p wire.Payload) (x wire.Value, opinion, ok bool) {
+	switch p := p.(type) {
+	case wire.Input:
+		return p.X, true, kind == wire.KindInput && p.Instance == 0
+	case wire.Prefer:
+		return p.X, true, kind == wire.KindPrefer && p.Instance == 0
+	case wire.NoPreference:
+		return wire.Value{}, false, kind == wire.KindPrefer && p.Instance == 0
+	case wire.StrongPrefer:
+		return p.X, true, kind == wire.KindStrongPrefer && p.Instance == 0
+	case wire.NoStrongPreference:
+		return wire.Value{}, false, kind == wire.KindStrongPrefer && p.Instance == 0
+	}
+	return wire.Value{}, false, false
+}
+
+// count adds one message of the tallied family sent by the census ranks
+// in who.
+func (n *Node) count(t *wire.Tally, x wire.Value, opinion bool, who census.Marks) {
+	if opinion {
+		t.Add(x, who.Count())
+	}
+	n.present.Or(who)
+}
+
 // observeAll tracks senders during initialization.
 func (n *Node) observeAll(env *simnet.RoundEnv) {
-	for m := range env.Inbox.All() {
-		n.cen.Observe(m.From)
-	}
+	rotor.ObserveSenders(&n.cen, env.Inbox)
 }

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"maps"
 	"testing"
 
 	"uba/internal/ids"
@@ -29,6 +30,59 @@ func rcv(from ids.ID, p wire.Payload) simnet.Received {
 	return simnet.Received{From: from, Payload: p}
 }
 
+// deliveries returns msgs as the three inboxes the engine can hand a
+// reader: everything in the private segment (a link-fault round),
+// everything in the shared block (a healthy all-broadcast round, read
+// payload-major), and every other message in each.
+func deliveries(msgs []simnet.Received) []simnet.Inbox {
+	var block, private []simnet.Received
+	for i, m := range msgs {
+		if i%2 == 0 {
+			block = append(block, m)
+		} else {
+			private = append(private, m)
+		}
+	}
+	return []simnet.Inbox{
+		simnet.InboxOf(msgs...),
+		simnet.InboxOfRound(msgs, nil),
+		simnet.InboxOfRound(block, private),
+	}
+}
+
+// tallyOf takes node's tally of kind over msgs through every delivery
+// shape and fails unless they agree.
+func tallyOf(t *testing.T, node *Node, kind wire.Kind, msgs ...simnet.Received) map[wire.ValueKey]int {
+	t.Helper()
+	var first map[wire.ValueKey]int
+	for i, inbox := range deliveries(msgs) {
+		node.ranks.Reset(inbox.Broadcasters(), node.frozen)
+		counts := countsOf(node.tally(inbox, kind))
+		if i == 0 {
+			first = counts
+		} else if !maps.Equal(counts, first) {
+			t.Fatalf("delivery shape %d tallies %v, all-private %v", i, counts, first)
+		}
+	}
+	return first
+}
+
+// coordinatorOpinionOf is tallyOf for coordinatorOpinion.
+func coordinatorOpinionOf(t *testing.T, node *Node, msgs ...simnet.Received) (wire.Value, bool) {
+	t.Helper()
+	var first wire.Value
+	var firstOK bool
+	for i, inbox := range deliveries(msgs) {
+		x, ok := node.coordinatorOpinion(inbox)
+		if i == 0 {
+			first, firstOK = x, ok
+		} else if ok != firstOK || !x.Equal(first) {
+			t.Fatalf("delivery shape %d gives (%v, %v), all-private (%v, %v)", i, x, ok, first, firstOK)
+		}
+	}
+	return first, firstOK
+}
+
 // countsOf spreads a tally into a map, so a test can ask for any one
 // value's count and for the total.
 func countsOf(t wire.Tally) map[wire.ValueKey]int {
@@ -52,10 +106,10 @@ func TestTallySubstitutionSemantics(t *testing.T) {
 
 	// Tally of an inbox where only 1 (self) and 2 sent inputs: ids 3,
 	// 4, 5 are missing and substitute the node's own 7.
-	counts := countsOf(node.tally(simnet.InboxOf(
+	counts := tallyOf(t, node, wire.KindInput,
 		rcv(1, wire.Input{X: wire.V(7)}),
 		rcv(2, wire.Input{X: wire.V(9)}),
-	), wire.KindInput))
+	)
 	if got := counts[wire.V(7).Key()]; got != 1+3 {
 		t.Fatalf("count(7) = %d, want 4 (self + 3 substituted)", got)
 	}
@@ -72,10 +126,10 @@ func TestTallyMarkersPreventSubstitution(t *testing.T) {
 	node.send(&simnet.RoundEnv{Round: 4}, wire.Prefer{X: wire.V(5)})
 
 	// Node 2 sends a marker, node 3 is silent: only node 3 substitutes.
-	counts := countsOf(node.tally(simnet.InboxOf(
+	counts := tallyOf(t, node, wire.KindPrefer,
 		rcv(1, wire.Prefer{X: wire.V(5)}),
 		rcv(2, wire.NoPreference{}),
-	), wire.KindPrefer))
+	)
 	if got := counts[wire.V(5).Key()]; got != 1+1 {
 		t.Fatalf("count(5) = %d, want 2 (self + substituted node 3)", got)
 	}
@@ -86,9 +140,9 @@ func TestTallyNoSubstitutionWithoutOwnSend(t *testing.T) {
 	censusIDs := []ids.ID{1, 2, 3}
 	node := initNode(t, 1, censusIDs, wire.V(5))
 	// The node never sent a strongprefer: no fills for missing senders.
-	counts := countsOf(node.tally(simnet.InboxOf(
+	counts := tallyOf(t, node, wire.KindStrongPrefer,
 		rcv(2, wire.StrongPrefer{X: wire.V(1)}),
-	), wire.KindStrongPrefer))
+	)
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -102,10 +156,10 @@ func TestTallyIgnoresStrangersAndForeignInstances(t *testing.T) {
 	t.Parallel()
 	censusIDs := []ids.ID{1, 2, 3}
 	node := initNode(t, 1, censusIDs, wire.V(5))
-	counts := countsOf(node.tally(simnet.InboxOf(
+	counts := tallyOf(t, node, wire.KindInput,
 		rcv(99, wire.Input{X: wire.V(1)}),             // stranger
 		rcv(2, wire.Input{Instance: 7, X: wire.V(1)}), // tagged for another protocol
-	), wire.KindInput))
+	)
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -123,11 +177,11 @@ func TestTallyDoubleVoteCountsBothValues(t *testing.T) {
 	censusIDs := []ids.ID{1, 2}
 	node := initNode(t, 1, censusIDs, wire.V(0))
 	node.Step(&simnet.RoundEnv{Round: 3}) // sends input(0)
-	counts := countsOf(node.tally(simnet.InboxOf(
+	counts := tallyOf(t, node, wire.KindInput,
 		rcv(1, wire.Input{X: wire.V(0)}),
 		rcv(2, wire.Input{X: wire.V(3)}),
 		rcv(2, wire.Input{X: wire.V(4)}),
-	), wire.KindInput))
+	)
 	if counts[wire.V(3).Key()] != 1 || counts[wire.V(4).Key()] != 1 {
 		t.Fatalf("double vote miscounted: %+v", counts)
 	}
@@ -142,18 +196,40 @@ func TestCoordinatorOpinionRequiresCensusMember(t *testing.T) {
 	censusIDs := []ids.ID{1, 2, 3}
 	node := initNode(t, 1, censusIDs, wire.V(0))
 	node.coordinator = 99 // a coordinator id outside the census
-	if _, ok := node.coordinatorOpinion(simnet.InboxOf(
+	if _, ok := coordinatorOpinionOf(t, node,
 		rcv(99, wire.Opinion{X: wire.V(5)}),
-	)); ok {
+	); ok {
 		t.Fatal("opinion accepted from non-censused coordinator")
 	}
 	node.coordinator = 2
-	x, ok := node.coordinatorOpinion(simnet.InboxOf(
+	x, ok := coordinatorOpinionOf(t, node,
 		rcv(2, wire.Opinion{X: wire.V(5)}),
 		rcv(3, wire.Opinion{X: wire.V(6)}), // not the coordinator
-	))
+	)
 	if !ok || !x.Equal(wire.V(5)) {
 		t.Fatalf("coordinator opinion = (%v, %v)", x, ok)
+	}
+}
+
+// A coordinator that sends several opinions is taken at the one with the
+// smallest encoding — the first in the engine's inbox order — however
+// the opinions are split between the shared block and the private
+// segment. Encoding order is not numeric order: opinion(2) encodes
+// before opinion(1).
+func TestCoordinatorOpinionTakesSmallestEncoding(t *testing.T) {
+	t.Parallel()
+	node := initNode(t, 1, []ids.ID{1, 2, 3}, wire.V(0))
+	node.coordinator = 2
+	if !wire.EncodesAfter(wire.Opinion{X: wire.V(1)}, wire.Opinion{X: wire.V(2)}) {
+		t.Fatal("premise: opinion(1) must encode after opinion(2)")
+	}
+	for _, msgs := range [][]simnet.Received{
+		{rcv(2, wire.Opinion{X: wire.V(1)}), rcv(2, wire.Opinion{X: wire.V(2)}), rcv(2, wire.Opinion{Instance: 4, X: wire.Bot()})},
+		{rcv(2, wire.Opinion{X: wire.V(2)}), rcv(3, wire.Opinion{X: wire.Bot()}), rcv(2, wire.Opinion{X: wire.V(1)})},
+	} {
+		if x, ok := coordinatorOpinionOf(t, node, msgs...); !ok || !x.Equal(wire.V(2)) {
+			t.Fatalf("coordinator opinion = (%v, %v), want 2", x, ok)
+		}
 	}
 }
 

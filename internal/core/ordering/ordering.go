@@ -37,6 +37,7 @@ import (
 	"math"
 	"sort"
 
+	"uba/internal/census"
 	"uba/internal/core/parallelcon"
 	"uba/internal/ids"
 	"uba/internal/simnet"
@@ -91,6 +92,9 @@ type Node struct {
 
 	pendingEvents []float64
 	runs          map[uint64]*run
+	// ranks is the rank-table scratch lent to every execution's StepLocal:
+	// one per node, not one per short-lived parallelcon.Node.
+	ranks census.Ranks
 }
 
 var _ simnet.Process = (*Node)(nil)
@@ -249,7 +253,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	for _, round := range order {
 		rn := n.runs[round]
 		if !rn.node.Done() {
-			rn.node.StepLocal(env.Round, env.Inbox, env.Broadcast)
+			rn.node.StepLocal(env.Round, env.Inbox, &n.ranks, env.Broadcast)
 		}
 		if !rn.node.Done() {
 			allDone = false

@@ -42,6 +42,7 @@
 package parallelcon
 
 import (
+	"slices"
 	"sort"
 
 	"uba/internal/census"
@@ -124,8 +125,10 @@ type Node struct {
 	frozen census.Frozen // empty until the census is fixed
 
 	// present marks the census ranks heard from in the tally under way;
-	// reused from one tally to the next.
+	// reused from one tally to the next. ranks is the rank table Step
+	// hands to StepLocal; an embedding protocol lends its own instead.
 	present census.Marks
+	ranks   census.Ranks
 
 	core        *rotor.Core
 	coordinator ids.ID
@@ -219,13 +222,16 @@ func (n *Node) Phases() int { return n.phasesRun }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	n.StepLocal(env.Round, env.Inbox, env.Broadcast)
+	n.StepLocal(env.Round, env.Inbox, &n.ranks, env.Broadcast)
 }
 
 // StepLocal runs one round of the protocol. Embedding protocols
-// (total ordering) call it directly with their own send function and a
-// pre-filtered inbox.
-func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload)) {
+// (total ordering) call it directly with the inbox of their own Step and
+// their own send function. ranks is scratch the caller lends for the
+// call: the run lays its census over the inbox's broadcasters in it. A
+// protocol that starts a run every round and steps dozens at once lends
+// them all the same table, so the runs' churn allocates none.
+func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, send func(wire.Payload)) {
 	if n.done {
 		return
 	}
@@ -252,7 +258,8 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 		loopLocal = local - 1
 	}
 
-	n.core.NoteInbox(inbox, n.frozen.Rank)
+	ranks.Reset(inbox.Broadcasters(), n.frozen)
+	n.core.NoteInbox(inbox, ranks)
 	pr := loopLocal % 5
 	phase := loopLocal / 5
 
@@ -279,7 +286,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 			if ins.decided {
 				continue
 			}
-			t := n.tally(ins, inbox, famInput)
+			t := n.tally(ins, inbox, ranks, famInput)
 			v, count := t.Best()
 			if census.AtLeastTwoThirds(count, n.frozen.N()) {
 				send(wire.Prefer{Instance: ins.id, X: v})
@@ -295,7 +302,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 			if ins.decided {
 				continue
 			}
-			t := n.tally(ins, inbox, famPrefer)
+			t := n.tally(ins, inbox, ranks, famPrefer)
 			v, count := t.Best()
 			if census.AtLeastThird(count, n.frozen.N()) {
 				ins.x = v
@@ -314,7 +321,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, send func(wire.Payload))
 			if ins.decided {
 				continue
 			}
-			ins.storedSP = n.tally(ins, inbox, famStrongPrefer)
+			ins.storedSP = n.tally(ins, inbox, ranks, famStrongPrefer)
 		}
 		sel := n.core.LoopRound(n.frozen.N(), wire.Value{}, func(p wire.Payload) {
 			// The core's own opinion message carries the rotor tag,
@@ -386,13 +393,13 @@ func (n *Node) accepts(instanceID uint64) bool {
 }
 
 // scanAwareness joins instances first heard during the joinable windows of
-// the first phase and permanently ignores everything else.
+// the first phase and permanently ignores everything else. First contact
+// is an ordered question — the first message in inbox order that names an
+// instance decides — so this reader walks the merged inbox; the census is
+// consulted only for the rare message that names an instance for the
+// first time.
 func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
-	senders := census.RankBySenderRun(n.frozen.Rank)
 	for m := range inbox.All() {
-		if _, ok := senders.Rank(m.From); !ok {
-			continue
-		}
 		tagged, ok := m.Payload.(wire.Instanced)
 		if !ok {
 			continue
@@ -405,6 +412,9 @@ func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
 			continue
 		}
 		if _, ign := n.ignored[iid]; ign {
+			continue
+		}
+		if !n.frozen.Contains(m.From) {
 			continue
 		}
 		joinable := false
@@ -427,17 +437,31 @@ func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
 }
 
 // coordinatorOpinions extracts per-instance opinions sent by this phase's
-// coordinator.
+// coordinator. A coordinator that sent several for one instance (only a
+// Byzantine one does) is taken at the one with the greatest encoding,
+// whether it was broadcast or unicast — the last in the engine's
+// (sender, encoding) inbox order.
 func (n *Node) coordinatorOpinions(inbox simnet.Inbox) map[uint64]wire.Value {
 	out := make(map[uint64]wire.Value)
-	if n.coordinator == ids.None {
+	if n.coordinator == ids.None || !n.frozen.Contains(n.coordinator) {
 		return out
 	}
-	for m := range inbox.All() {
-		if m.From != n.coordinator || !n.frozen.Contains(m.From) {
+	if p, ok := slices.BinarySearch(inbox.Broadcasters(), n.coordinator); ok {
+		for _, g := range inbox.Said() { // ascending by encoding: the last one stays
+			if op, isOp := g.Payload.(wire.Opinion); isOp && n.accepts(op.Instance) && g.By.Has(p) {
+				out[op.Instance] = op.X
+			}
+		}
+	}
+	for _, m := range inbox.Direct() {
+		if m.From != n.coordinator {
 			continue
 		}
-		if op, ok := m.Payload.(wire.Opinion); ok && n.accepts(op.Instance) {
+		op, isOp := m.Payload.(wire.Opinion)
+		if !isOp || !n.accepts(op.Instance) {
+			continue
+		}
+		if x, have := out[op.Instance]; !have || wire.EncodesAfter(op, wire.Opinion{Instance: op.Instance, X: x}) {
 			out[op.Instance] = op.X
 		}
 	}
@@ -446,44 +470,27 @@ func (n *Node) coordinatorOpinions(inbox simnet.Inbox) map[uint64]wire.Value {
 
 // tally counts one message family for one instance, applying the paper's
 // substitution rules. Marker messages (nopreference/nostrongpreference)
-// count their sender as present without contributing an opinion.
-func (n *Node) tally(ins *instance, inbox simnet.Inbox, fam family) wire.Tally {
+// count their sender as present without contributing an opinion. The
+// shared block is read payload-major — each distinct payload with the
+// set of its broadcasters, translated into census ranks — and the
+// private segment one message at a time; a message counts once per
+// (sender, payload) either way.
+func (n *Node) tally(ins *instance, inbox simnet.Inbox, ranks *census.Ranks, fam family) wire.Tally {
 	var t wire.Tally
-	n.present.Reset()
-	senders := census.RankBySenderRun(n.frozen.Rank)
-	for m := range inbox.All() {
-		r, ok := senders.Rank(m.From)
-		if !ok {
-			continue
+	n.present = n.present.Cleared(n.frozen.N())
+	for _, g := range inbox.Said() {
+		if x, opinion, ok := vote(fam, ins.id, g.Payload); ok {
+			if who, any := ranks.Of(g.By); any {
+				n.count(&t, x, opinion, who)
+			}
 		}
-		switch p := m.Payload.(type) {
-		case wire.Input:
-			if fam != famInput || p.Instance != ins.id {
-				continue
+	}
+	for _, m := range inbox.Direct() {
+		if x, opinion, ok := vote(fam, ins.id, m.Payload); ok {
+			if who, any := ranks.One(m.From); any {
+				n.count(&t, x, opinion, who)
 			}
-			t.Add(p.X, 1)
-		case wire.Prefer:
-			if fam != famPrefer || p.Instance != ins.id {
-				continue
-			}
-			t.Add(p.X, 1)
-		case wire.NoPreference:
-			if fam != famPrefer || p.Instance != ins.id {
-				continue
-			}
-		case wire.StrongPrefer:
-			if fam != famStrongPrefer || p.Instance != ins.id {
-				continue
-			}
-			t.Add(p.X, 1)
-		case wire.NoStrongPreference:
-			if fam != famStrongPrefer || p.Instance != ins.id {
-				continue
-			}
-		default:
-			continue
 		}
-		n.present.Mark(r)
 	}
 
 	// Substitution for censused nodes that sent nothing of this family:
@@ -503,8 +510,34 @@ func (n *Node) tally(ins *instance, inbox simnet.Inbox, fam family) wire.Tally {
 	return t
 }
 
-func (n *Node) observe(inbox simnet.Inbox) {
-	for m := range inbox.All() {
-		n.cen.Observe(m.From)
+// vote classifies p for a tally of family fam in instance iid: ok when p
+// belongs to it, opinion when it also carries a value (the markers
+// belong without one).
+func vote(fam family, iid uint64, p wire.Payload) (x wire.Value, opinion, ok bool) {
+	switch p := p.(type) {
+	case wire.Input:
+		return p.X, true, fam == famInput && p.Instance == iid
+	case wire.Prefer:
+		return p.X, true, fam == famPrefer && p.Instance == iid
+	case wire.NoPreference:
+		return wire.Value{}, false, fam == famPrefer && p.Instance == iid
+	case wire.StrongPrefer:
+		return p.X, true, fam == famStrongPrefer && p.Instance == iid
+	case wire.NoStrongPreference:
+		return wire.Value{}, false, fam == famStrongPrefer && p.Instance == iid
 	}
+	return wire.Value{}, false, false
+}
+
+// count adds one message of the tallied family sent by the census ranks
+// in who.
+func (n *Node) count(t *wire.Tally, x wire.Value, opinion bool, who census.Marks) {
+	if opinion {
+		t.Add(x, who.Count())
+	}
+	n.present.Or(who)
+}
+
+func (n *Node) observe(inbox simnet.Inbox) {
+	rotor.ObserveSenders(&n.cen, inbox)
 }

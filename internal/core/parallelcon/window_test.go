@@ -1,6 +1,7 @@
 package parallelcon
 
 import (
+	"maps"
 	"testing"
 
 	"uba/internal/ids"
@@ -14,6 +15,12 @@ func memberNode(self ids.ID, members []ids.ID, inputs []InputPair) *Node {
 	return New(self, inputs, Options{Members: ids.NewSet(members...)})
 }
 
+// stepLocal drives one round the way Step does, lending the node's own
+// rank table.
+func stepLocal(n *Node, round int, inbox simnet.Inbox, send func(wire.Payload)) {
+	n.StepLocal(round, inbox, &n.ranks, send)
+}
+
 func rcvP(from ids.ID, p wire.Payload) simnet.Received {
 	return simnet.Received{From: from, Payload: p}
 }
@@ -23,8 +30,8 @@ func TestJoinViaInputWindow(t *testing.T) {
 	t.Parallel()
 	members := []ids.ID{1, 2, 3, 4}
 	n := memberNode(1, members, nil)
-	n.StepLocal(1, simnet.Inbox{}, func(wire.Payload) {}) // PR1: nothing (no inputs)
-	n.StepLocal(2, simnet.InboxOf(
+	stepLocal(n, 1, simnet.Inbox{}, func(wire.Payload) {}) // PR1: nothing (no inputs)
+	stepLocal(n, 2, simnet.InboxOf(
 		rcvP(2, wire.Input{Instance: 9, X: wire.V(5)}),
 	), func(wire.Payload) {})
 	if !n.Aware(9) {
@@ -41,9 +48,9 @@ func TestJoinViaPreferWindow(t *testing.T) {
 		"nopreference": wire.NoPreference{Instance: 9},
 	} {
 		n := memberNode(1, members, nil)
-		n.StepLocal(1, simnet.Inbox{}, func(wire.Payload) {})
-		n.StepLocal(2, simnet.Inbox{}, func(wire.Payload) {})
-		n.StepLocal(3, simnet.InboxOf(rcvP(2, payload)), func(wire.Payload) {})
+		stepLocal(n, 1, simnet.Inbox{}, func(wire.Payload) {})
+		stepLocal(n, 2, simnet.Inbox{}, func(wire.Payload) {})
+		stepLocal(n, 3, simnet.InboxOf(rcvP(2, payload)), func(wire.Payload) {})
 		if !n.Aware(9) {
 			t.Fatalf("%s at PR3 did not create awareness", name)
 		}
@@ -57,16 +64,16 @@ func TestJoinViaStrongPreferWindowTerminatesBot(t *testing.T) {
 	members := []ids.ID{1, 2, 3, 4}
 	n := memberNode(1, members, nil)
 	silent := func(wire.Payload) {}
-	n.StepLocal(1, simnet.Inbox{}, silent)
-	n.StepLocal(2, simnet.Inbox{}, silent)
-	n.StepLocal(3, simnet.Inbox{}, silent)
-	n.StepLocal(4, simnet.InboxOf(
+	stepLocal(n, 1, simnet.Inbox{}, silent)
+	stepLocal(n, 2, simnet.Inbox{}, silent)
+	stepLocal(n, 3, simnet.Inbox{}, silent)
+	stepLocal(n, 4, simnet.InboxOf(
 		rcvP(2, wire.StrongPrefer{Instance: 9, X: wire.V(5)}),
 	), silent)
 	if !n.Aware(9) {
 		t.Fatal("strongprefer at PR4 did not create awareness")
 	}
-	n.StepLocal(5, simnet.Inbox{}, silent) // PR5: resolve
+	stepLocal(n, 5, simnet.Inbox{}, silent) // PR5: resolve
 	if r := n.DecisionRound(9); r != 5 {
 		t.Fatalf("instance decided in round %d, want 5", r)
 	}
@@ -81,11 +88,11 @@ func TestFirstContactViaOpinionIsIgnored(t *testing.T) {
 	members := []ids.ID{1, 2, 3, 4}
 	n := memberNode(1, members, nil)
 	silent := func(wire.Payload) {}
-	n.StepLocal(1, simnet.Inbox{}, silent)
-	n.StepLocal(2, simnet.Inbox{}, silent)
-	n.StepLocal(3, simnet.Inbox{}, silent)
-	n.StepLocal(4, simnet.Inbox{}, silent)
-	n.StepLocal(5, simnet.InboxOf(
+	stepLocal(n, 1, simnet.Inbox{}, silent)
+	stepLocal(n, 2, simnet.Inbox{}, silent)
+	stepLocal(n, 3, simnet.Inbox{}, silent)
+	stepLocal(n, 4, simnet.Inbox{}, silent)
+	stepLocal(n, 5, simnet.InboxOf(
 		rcvP(2, wire.Opinion{Instance: 9, X: wire.V(5)}),
 	), silent)
 	if n.Aware(9) {
@@ -93,8 +100,8 @@ func TestFirstContactViaOpinionIsIgnored(t *testing.T) {
 	}
 	// The instance is permanently ignored, even if joinable-window
 	// messages arrive in a later phase.
-	n.StepLocal(6, simnet.Inbox{}, silent) // phase 1 PR1
-	n.StepLocal(7, simnet.InboxOf(
+	stepLocal(n, 6, simnet.Inbox{}, silent) // phase 1 PR1
+	stepLocal(n, 7, simnet.InboxOf(
 		rcvP(2, wire.Input{Instance: 9, X: wire.V(5)}),
 	), silent)
 	if n.Aware(9) {
@@ -109,10 +116,10 @@ func TestSecondPhaseContactIgnored(t *testing.T) {
 	n := memberNode(1, members, nil)
 	silent := func(wire.Payload) {}
 	for round := 1; round <= 6; round++ {
-		n.StepLocal(round, simnet.Inbox{}, silent)
+		stepLocal(n, round, simnet.Inbox{}, silent)
 	}
 	// Round 7 = phase 1, PR2: the input window of the wrong phase.
-	n.StepLocal(7, simnet.InboxOf(
+	stepLocal(n, 7, simnet.InboxOf(
 		rcvP(2, wire.Input{Instance: 11, X: wire.V(3)}),
 	), silent)
 	if n.Aware(11) {
@@ -126,8 +133,8 @@ func TestStrangerCannotSeedInstance(t *testing.T) {
 	members := []ids.ID{1, 2, 3, 4}
 	n := memberNode(1, members, nil)
 	silent := func(wire.Payload) {}
-	n.StepLocal(1, simnet.Inbox{}, silent)
-	n.StepLocal(2, simnet.InboxOf(
+	stepLocal(n, 1, simnet.Inbox{}, silent)
+	stepLocal(n, 2, simnet.InboxOf(
 		rcvP(77, wire.Input{Instance: 9, X: wire.V(5)}),
 	), silent)
 	if n.Aware(9) {
@@ -156,13 +163,69 @@ func TestEmptyRunFinishesAfterFirstPhase(t *testing.T) {
 	n := memberNode(1, members, nil)
 	silent := func(wire.Payload) {}
 	for round := 1; round <= 4; round++ {
-		n.StepLocal(round, simnet.Inbox{}, silent)
+		stepLocal(n, round, simnet.Inbox{}, silent)
 		if n.Done() {
 			t.Fatalf("done before the phase completed (round %d)", round)
 		}
 	}
-	n.StepLocal(5, simnet.Inbox{}, silent)
+	stepLocal(n, 5, simnet.Inbox{}, silent)
 	if !n.Done() {
 		t.Fatal("empty run not done after first phase")
+	}
+}
+
+// However a round's messages are split between the shared block (read
+// payload-major) and the private segment (read one at a time) — all
+// private as on a link-fault round, all broadcast, or alternating — one
+// instance's tally and the coordinator's per-instance opinions come out
+// the same: strangers and foreign instances ignored, a double vote
+// counted under both values with its sender present once, and a
+// coordinator that equivocates taken at its greatest encoding.
+func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
+	t.Parallel()
+	msgs := []simnet.Received{
+		rcvP(2, wire.Input{Instance: 9, X: wire.V(1)}),
+		rcvP(3, wire.Input{Instance: 9, X: wire.V(1)}),
+		rcvP(4, wire.Input{Instance: 9, X: wire.V(2)}),
+		rcvP(5, wire.Input{Instance: 9, X: wire.V(1)}), // double vote
+		rcvP(5, wire.Input{Instance: 9, X: wire.V(3)}),
+		rcvP(99, wire.Input{Instance: 9, X: wire.V(1)}), // stranger
+		rcvP(3, wire.Input{Instance: 8, X: wire.V(1)}),  // another instance
+		rcvP(4, wire.Prefer{Instance: 9, X: wire.V(1)}), // another family
+		rcvP(2, wire.Opinion{Instance: 9, X: wire.V(2)}),
+		rcvP(2, wire.Opinion{Instance: 9, X: wire.V(1)}), // encodes after opinion(2)
+		rcvP(2, wire.Opinion{Instance: 7, X: wire.V(5)}),
+		rcvP(3, wire.Opinion{Instance: 9, X: wire.V(6)}), // not the coordinator
+	}
+	var block, private []simnet.Received
+	for i, m := range msgs {
+		if i%2 == 0 {
+			block = append(block, m)
+		} else {
+			private = append(private, m)
+		}
+	}
+	for name, inbox := range map[string]simnet.Inbox{
+		"all private":   simnet.InboxOf(msgs...),
+		"all broadcast": simnet.InboxOfRound(msgs, nil),
+		"alternating":   simnet.InboxOfRound(block, private),
+	} {
+		n := memberNode(1, []ids.ID{1, 2, 3, 4, 5, 6}, []InputPair{{Instance: 9, X: wire.V(1)}})
+		n.ranks.Reset(inbox.Broadcasters(), n.frozen)
+		tally := n.tally(n.inst[9], inbox, &n.ranks, famInput)
+		got := make(map[wire.ValueKey]int)
+		for v, c := range tally.All() {
+			got[v.Key()] += c
+		}
+		// 1 and 6 sent nothing: first receipt of the family fills ⊥.
+		want := map[wire.ValueKey]int{wire.V(1).Key(): 3, wire.V(2).Key(): 1, wire.V(3).Key(): 1, wire.Bot().Key(): 2}
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s: tally %v, want %v", name, got, want)
+		}
+		n.coordinator = 2
+		opinions := n.coordinatorOpinions(inbox)
+		if len(opinions) != 2 || !opinions[9].Equal(wire.V(1)) || !opinions[7].Equal(wire.V(5)) {
+			t.Fatalf("%s: coordinator opinions %v, want 9:1 7:5", name, opinions)
+		}
 	}
 }

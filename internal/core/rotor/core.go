@@ -45,9 +45,10 @@ type AcceptedOpinion struct {
 // calls, which reduces to the paper's per-round counts when rotor rounds
 // are executed back-to-back, and generalizes them to the embedded setting
 // where the echoes of one rotor round land several real rounds before the
-// next rotor round executes. Distinct means distinct census rank: each
-// echo sets one bit of the window (see echoWindow), so a sender repeating
-// an echo in every round of a window still counts once.
+// next rotor round executes. Distinct means distinct census rank: the
+// senders of an echo are ORed into the candidate's row of the window (see
+// echoWindow), so a sender repeating an echo in every round of a window
+// still counts once.
 type Core struct {
 	self     ids.ID
 	instance uint64
@@ -55,9 +56,12 @@ type Core struct {
 	candidates ids.Set // C_v, ordered by id
 	selected   ids.Set // S_v
 
-	echoes       echoWindow            // candidate -> distinct senders this window
-	opinions     map[ids.ID]wire.Value // sender -> opinion this window
+	echoes       echoWindow // candidate -> distinct senders this window
 	lastSelected ids.ID
+
+	// The opinion of lastSelected heard this window, if any (see note).
+	opinion   wire.Opinion
+	opinionOK bool
 
 	loopRound  int
 	terminated bool
@@ -68,11 +72,7 @@ type Core struct {
 // opinion messages (0 for the standalone protocol; parallel-consensus
 // instances pass their id).
 func NewCore(self ids.ID, instance uint64) *Core {
-	return &Core{
-		self:     self,
-		instance: instance,
-		opinions: make(map[ids.ID]wire.Value),
-	}
+	return &Core{self: self, instance: instance}
 }
 
 // SetCycling makes the core keep rotating coordinators after a
@@ -106,30 +106,72 @@ func (c *Core) EchoInits(inbox simnet.Inbox, emit func(wire.Payload)) {
 	}
 }
 
+// ObserveSenders adds every sender of inbox to cen: the n_v bookkeeping
+// of a node still meeting its world. The block's broadcasters come first,
+// in id order, so when everyone broadcasts ranks ascend with ids and a
+// later census.Ranks over the same broadcasters is a single run.
+func ObserveSenders(cen *census.Census, inbox simnet.Inbox) {
+	for _, id := range inbox.Broadcasters() {
+		cen.Observe(id)
+	}
+	for _, m := range inbox.Direct() {
+		cen.Observe(m.From)
+	}
+}
+
 // NoteInbox records the rotor-relevant messages of one delivered inbox:
 // candidate echoes (tallied by distinct sender until the next LoopRound)
-// and coordinator opinions. rank is the owner's census (Census.Rank or
-// Frozen.Rank): messages from senders it does not know are discarded, and
-// the others are counted under their rank.
-func (c *Core) NoteInbox(inbox simnet.Inbox, rank func(ids.ID) (int, bool)) {
-	senders := census.RankBySenderRun(rank)
-	next := 0
-	for m := range inbox.All() {
-		r, ok := senders.Rank(m.From)
-		if !ok {
-			continue
+// and the coordinator's opinion. ranks is the owner's census laid over
+// this inbox's broadcasters (census.Ranks.Reset): messages from senders
+// the census does not know are discarded, and the others are counted
+// under their rank. The shared block is read payload-major — each
+// distinct payload once, with everyone who broadcast it — and the
+// receiver's private segment one message at a time; both feed note.
+func (c *Core) NoteInbox(inbox simnet.Inbox, ranks *census.Ranks) {
+	st := inboxNote{coord: -1}
+	if c.lastSelected != ids.None {
+		if r, ok := ranks.Rank(c.lastSelected); ok {
+			st.coord = r
 		}
-		switch p := m.Payload.(type) {
-		case wire.IDEcho:
-			if p.Instance != c.instance {
-				continue
-			}
-			next = c.echoes.mark(p.Candidate, r, next)
-		case wire.Opinion:
-			if p.Instance != c.instance {
-				continue
-			}
-			c.opinions[m.From] = p.X
+	}
+	for _, g := range inbox.Said() {
+		if who, ok := ranks.Of(g.By); ok {
+			c.note(g.Payload, who, &st)
+		}
+	}
+	for _, m := range inbox.Direct() {
+		if who, ok := ranks.One(m.From); ok {
+			c.note(m.Payload, who, &st)
+		}
+	}
+	if st.heard {
+		c.opinion, c.opinionOK = st.opinion, true
+	}
+}
+
+// inboxNote is the state of one NoteInbox call, threaded through note.
+type inboxNote struct {
+	coord   int          // lastSelected's census rank, -1 if it has none
+	row     int          // the echo window's row guess for the next echo
+	opinion wire.Opinion // the coordinator's opinion in this inbox, if heard
+	heard   bool
+}
+
+// note records one payload sent by the census ranks in who. A coordinator
+// that sends more than one opinion in a window (only a Byzantine one
+// does) is taken at the last in the engine's (sender, encoding) inbox
+// order: the latest inbox that carried any wins, and within an inbox the
+// opinion with the greatest encoding, whether it was broadcast or unicast.
+func (c *Core) note(p wire.Payload, who census.Marks, st *inboxNote) {
+	switch p := p.(type) {
+	case wire.IDEcho:
+		if p.Instance == c.instance {
+			st.row = c.echoes.add(p.Candidate, who, st.row)
+		}
+	case wire.Opinion:
+		if p.Instance == c.instance && st.coord >= 0 && who.Has(st.coord) &&
+			(!st.heard || wire.EncodesAfter(p, st.opinion)) {
+			st.opinion, st.heard = p, true
 		}
 	}
 }
@@ -187,13 +229,10 @@ func (c *Core) LoopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Se
 	sel := Selection{PrevCoordinator: c.lastSelected}
 	// Accept the opinion of the coordinator selected in the previous
 	// rotor round (Line 14-15), if one arrived in this window.
-	if c.lastSelected != ids.None {
-		if x, ok := c.opinions[c.lastSelected]; ok {
-			sel.Opinion = x
-			sel.OpinionOK = true
-		}
+	if c.opinionOK {
+		sel.Opinion, sel.OpinionOK = c.opinion.X, true
 	}
-	clear(c.opinions)
+	c.opinionOK = false
 
 	if c.candidates.Len() == 0 {
 		return sel

@@ -16,6 +16,7 @@ type Node struct {
 	opinion wire.Value
 	core    *Core
 	cen     census.Census
+	ranks   census.Ranks
 
 	selections []Selection
 	accepted   []AcceptedOpinion
@@ -37,16 +38,15 @@ func (n *Node) Done() bool { return n.core.Terminated() }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	for m := range env.Inbox.All() {
-		n.cen.Observe(m.From)
-	}
+	ObserveSenders(&n.cen, env.Inbox)
 	switch env.Round {
 	case 1:
 		n.core.BroadcastInit(env.Broadcast)
 	case 2:
 		n.core.EchoInits(env.Inbox, env.Broadcast)
 	default:
-		n.core.NoteInbox(env.Inbox, n.cen.Rank)
+		n.ranks.Reset(env.Inbox.Broadcasters(), &n.cen)
+		n.core.NoteInbox(env.Inbox, &n.ranks)
 		sel := n.core.LoopRound(n.cen.N(), n.opinion, env.Broadcast)
 		n.selections = append(n.selections, sel)
 		if sel.OpinionOK {

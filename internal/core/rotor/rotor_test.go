@@ -12,13 +12,22 @@ import (
 	"uba/internal/wire"
 )
 
-// rankOf returns the rank function of a census of exactly the given ids.
-func rankOf(members ...ids.ID) func(ids.ID) (int, bool) {
+// censusOf returns a census of exactly the given ids.
+func censusOf(members ...ids.ID) *census.Census {
 	c := census.New()
 	for _, id := range members {
 		c.Observe(id)
 	}
-	return c.Rank
+	return c
+}
+
+// noteInbox feeds core one inbox as seen by the census of, the way an
+// owning Step does: lay the census over the inbox's broadcasters, then
+// note.
+func noteInbox(core *Core, inbox simnet.Inbox, of census.Ranker) {
+	var ranks census.Ranks
+	ranks.Reset(inbox.Broadcasters(), of)
+	core.NoteInbox(inbox, &ranks)
 }
 
 // opinionOf fixes each node's opinion to a function of its id so tests can
@@ -35,13 +44,20 @@ type runResult struct {
 func runRotor(t *testing.T, seed int64, nCorrect, nByz int,
 	mkByz func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process) runResult {
 	t.Helper()
+	return runRotorUnder(t, nil, seed, nCorrect, nByz, mkByz)
+}
+
+// runRotorUnder is runRotor on a network with the given fault plan.
+func runRotorUnder(t *testing.T, plan *simnet.FaultPlan, seed int64, nCorrect, nByz int,
+	mkByz func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process) runResult {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	all := ids.Sparse(rng, nCorrect+nByz)
 	correctIDs := all[:nCorrect]
 	byzIDs := all[nCorrect:]
 	dir := adversary.NewDirectory(all, byzIDs)
 
-	net := simnet.New(simnet.Config{MaxRounds: 30*(nCorrect+nByz) + 100})
+	net := simnet.New(simnet.Config{MaxRounds: 30*(nCorrect+nByz) + 100, FaultPlan: plan})
 	nodes := make([]*Node, 0, nCorrect)
 	for _, id := range correctIDs {
 		node := New(id, opinionOf(id))
@@ -374,10 +390,10 @@ func TestCoreOpinionAcceptance(t *testing.T) {
 	}
 	// Opinion arrives from 10 (and a fake one from 20, which was not
 	// the previous coordinator and must be ignored).
-	core.NoteInbox(simnet.InboxOf(
+	noteInbox(core, simnet.InboxOf(
 		simnet.Received{From: 10, Payload: wire.Opinion{X: wire.V(3.5)}},
 		simnet.Received{From: 20, Payload: wire.Opinion{X: wire.V(9)}},
-	), rankOf(10, 20))
+	), censusOf(10, 20))
 	sel = core.LoopRound(2, wire.V(0), nil)
 	if !sel.OpinionOK || !sel.Opinion.Equal(wire.V(3.5)) || sel.PrevCoordinator != 10 {
 		t.Fatalf("opinion acceptance: %+v", sel)
@@ -389,11 +405,11 @@ func TestCoreFiltersByInstanceAndSender(t *testing.T) {
 	core := NewCore(1, 7)
 	// Echo with wrong instance must be ignored; echo from a sender
 	// outside the census must be ignored.
-	core.NoteInbox(simnet.InboxOf(
+	noteInbox(core, simnet.InboxOf(
 		simnet.Received{From: 2, Payload: wire.IDEcho{Instance: 7, Candidate: 100}},
 		simnet.Received{From: 3, Payload: wire.IDEcho{Instance: 8, Candidate: 100}},
 		simnet.Received{From: 66, Payload: wire.IDEcho{Instance: 7, Candidate: 100}},
-	), rankOf(2, 3))
+	), censusOf(2, 3))
 	// nv = 3: one valid echo passes n_v/3 (1 ≥ 1) but not 2n_v/3.
 	var emitted []wire.Payload
 	core.LoopRound(3, wire.V(0), func(p wire.Payload) { emitted = append(emitted, p) })

@@ -11,9 +11,11 @@ import (
 // echoWindow tallies the candidate echoes of one rotor window: for each
 // candidate, which distinct censused senders echoed it since the last
 // LoopRound. Every node echoes every candidate, so a window reads n²
-// echoes; they land as bits in one slab — a row of stride words per
-// candidate, each a census.Marks over the senders' ranks — that is
-// truncated and reused at the next window instead of rebuilt.
+// echoes; they arrive as n sets of senders (one per distinct echo of the
+// round's broadcast block, already in census ranks) and are ORed into one
+// slab — a row of stride words per candidate, each a census.Marks over
+// the senders' ranks — that is truncated and reused at the next window
+// instead of rebuilt.
 type echoWindow struct {
 	rows   []echoRow      // one per candidate echoed this window
 	index  map[ids.ID]int // candidate -> position in rows
@@ -28,13 +30,13 @@ type echoRow struct {
 	at   int
 }
 
-// mark records that the sender of census rank echoed cand, and returns
-// the position after cand's row. The caller passes that back as guess
-// for the next echo: every sender echoes the same candidates in the same
-// (encoding) order, so the row after the last one — wrapping to the
-// first at a sender boundary — is nearly always the right one and the
-// index lookup is skipped.
-func (w *echoWindow) mark(cand ids.ID, rank, guess int) int {
+// add records that the senders of census ranks who echoed cand, and
+// returns the position after cand's row. The caller passes that back as
+// guess for the next echo: every inbox of a window, and every sender of
+// a private segment, brings the same candidates in the same (encoding)
+// order, so the row after the last one — wrapping to the first — is
+// nearly always the right one and the index lookup is skipped.
+func (w *echoWindow) add(cand ids.ID, who census.Marks, guess int) int {
 	at := guess
 	if at >= len(w.rows) {
 		at = 0
@@ -42,10 +44,10 @@ func (w *echoWindow) mark(cand ids.ID, rank, guess int) int {
 	if at >= len(w.rows) || w.rows[at].cand != cand {
 		at = w.row(cand)
 	}
-	if need := census.MarkWords(rank + 1); need > w.stride {
-		w.widen(need)
+	if len(who) > w.stride {
+		w.widen(len(who))
 	}
-	w.senders(at).Set(rank)
+	w.senders(at).Or(who)
 	return at + 1
 }
 

@@ -102,14 +102,19 @@ func (c *refCore) loopRound(nv int, opinion wire.Value, emit func(wire.Payload))
 // window and the map-of-maps reference emit the same echoes, build the
 // same C_v and make the same selections. The inboxes are hostile to every
 // shortcut the dense window takes: more than 64 senders (multi-word
-// rows), census ranks unrelated to id order, senders outside the census,
-// echoes tagged for a foreign instance, arbitrary (unsorted) inbox order
-// with each sender's messages scattered rather than in one run, the same
-// (sender, candidate) echo repeated within an inbox and across the
-// several inboxes of one window, and windows back to back so a reset that
-// leaked a mark, a row or a stale position would change the next fold.
-// In the growing variant the census additionally gains members between
-// inboxes, as the standalone node's does, so rows widen mid-window.
+// rows), census ranks unrelated to id order (so the rank table is all
+// short runs), senders outside the census, echoes tagged for a foreign
+// instance, the same (sender, candidate) echo repeated within an inbox
+// and across the several inboxes of one window, and windows back to back
+// so a reset that leaked a mark, a row or a stale position would change
+// the next fold. Inboxes alternate between the two shapes the engine
+// delivers: a healthy round (InboxOfRound — a random part of the senders
+// broadcast into the shared block and are read payload-major, the rest
+// arrive in the private segment) and a link-fault round (InboxOf —
+// everything private, in arbitrary order with each sender's messages
+// scattered rather than in one run). In the growing variant the census
+// additionally gains members between inboxes, as the standalone node's
+// does, so rows widen mid-window.
 func TestEchoWindowMatchesMapReference(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 40; seed++ {
@@ -182,7 +187,25 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 							}
 						}
 						inbox := simnet.InboxOf(msgs...)
-						core.NoteInbox(inbox, cen.Rank)
+						if rng.Intn(3) != 0 {
+							// Healthy round: whole senders broadcast.
+							direct := ids.NewSet()
+							for _, from := range universe {
+								if rng.Intn(5) == 0 {
+									direct.Add(from)
+								}
+							}
+							var block, private []simnet.Received
+							for _, m := range msgs {
+								if direct.Contains(m.From) {
+									private = append(private, m)
+								} else {
+									block = append(block, m)
+								}
+							}
+							inbox = simnet.InboxOfRound(block, private)
+						}
+						noteInbox(core, inbox, cen)
 						ref.noteInbox(inbox, cen.Contains)
 					}
 					nv := cen.N()
@@ -216,8 +239,9 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 
 // Runtime allocation gate: once a core has seen one window of a given
 // shape, noting an all-echo inbox (every censused sender echoes every
-// candidate: n² echoes) and folding it allocates nothing — the window is
-// a reused slab, not a structure rebuilt per rotor round.
+// candidate: n² echoes in the shared block, read as n groups) and folding
+// it allocates nothing — the rank table and the window are reused
+// storage, not structures rebuilt per rotor round.
 func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 	const n = 128
 	members := ids.Sparse(rand.New(rand.NewSource(1)), n)
@@ -229,8 +253,9 @@ func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 			msgs = append(msgs, simnet.Received{From: from, Payload: wire.IDEcho{Candidate: p}})
 		}
 	}
-	inbox := simnet.InboxOf(msgs...)
+	inbox := simnet.InboxOfRound(msgs, nil)
 	frozen := cen.Freeze()
+	var ranks census.Ranks
 
 	// n_v is held above 3n so that every row is sorted and counted but
 	// no count reaches n_v/3: an emitted payload is boxed into an
@@ -240,7 +265,8 @@ func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 	core.SetCycling(true)
 	core.SeedCandidates(ids.NewSet(members[0])) // someone else to select
 	round := func() {
-		core.NoteInbox(inbox, frozen.Rank)
+		ranks.Reset(inbox.Broadcasters(), frozen)
+		core.NoteInbox(inbox, &ranks)
 		core.LoopRound(nv, wire.V(0), nil)
 	}
 	round() // warm-up: sizes the slab

@@ -31,6 +31,14 @@
 // directives clearing their Flows facts, which is what keeps those
 // copy-outs untracked while a retained All() iterator is still caught.
 //
+// The payload-major accessors — env.Inbox.Said(), Broadcasters() and
+// Direct() — carry no such directive: each returns a slice of recycled
+// engine scratch, tracked through its Flows fact like any laundered
+// view. An element copied out of a tracked slice, by index or by range,
+// is a value unless its type itself holds a slice: a Received or a
+// sender id may be kept, a simnet.Said may not (its By is a row of the
+// recycled slab), and neither may g.By on its own; g.Payload may.
+//
 // The pass consumes uba/internal/lint/summary facts at call sites, so
 // the interprocedural edges the intraprocedural walk used to miss are
 // caught: passing a tracked value to a function (in this package or an
@@ -140,6 +148,16 @@ func (c *checker) propagate(body *ast.BlockStmt) {
 							c.tracked[obj] = true
 							changed = true
 						}
+					}
+				}
+			case *ast.RangeStmt:
+				// for _, g := range env.Inbox.Said(): g is a copy of an
+				// element, round-scoped when the element still points into
+				// the recycled arrays (see holdsSlice).
+				if id, ok := n.Value.(*ast.Ident); ok && c.trackedExpr(n.X) {
+					if obj := c.objOf(id); obj != nil && !c.tracked[obj] && holdsSlice(obj.Type()) {
+						c.tracked[obj] = true
+						changed = true
 					}
 				}
 			case *ast.ValueSpec:
@@ -318,16 +336,13 @@ func (c *checker) trackedExpr(e ast.Expr) bool {
 			return false
 		}
 		// env.Inbox is a view whose internal slices alias the recycled
-		// backing arrays; a method value like env.Broadcast retains env
-		// itself. Other selections on a dereferenced copy (x := *env;
-		// x.Round) are plain values.
-		if e.Sel.Name == "Inbox" {
-			return true
-		}
+		// backing arrays, and so is g.By of an element g of Inbox.Said;
+		// a method value like env.Broadcast retains env itself. Other
+		// selections (x := *env; x.Round, g.Payload) are plain values.
 		if sel, ok := c.pass.TypesInfo.Selections[e]; ok && sel.Kind() == types.MethodVal {
 			return true
 		}
-		return false
+		return holdsSlice(c.pass.TypesInfo.TypeOf(e))
 	case *ast.SliceExpr:
 		return c.trackedExpr(e.X) // subslice shares the backing array
 	case *ast.StarExpr:
@@ -344,8 +359,9 @@ func (c *checker) trackedExpr(e ast.Expr) bool {
 		}
 	case *ast.IndexExpr:
 		// Indexing a tracked container copies the element out by value:
-		// safe for value-type elements like Received.
-		return false
+		// safe for value-type elements like Received, not for one that
+		// holds a slice of the same recycled storage, like Said.
+		return c.trackedExpr(e.X) && holdsSlice(c.pass.TypesInfo.TypeOf(e))
 	case *ast.CallExpr:
 		// append(dst, env) (or any tracked argument) yields a slice
 		// retaining the tracked value.
@@ -384,6 +400,32 @@ func (c *checker) trackedExpr(e ast.Expr) bool {
 		return false
 	case *ast.FuncLit:
 		return c.capturedObj(e) != nil
+	}
+	return false
+}
+
+// holdsSlice reports whether a value of type t holds a slice, directly
+// or in a nested struct or array. A copy of such a value taken out of a
+// round-scoped container is still round-scoped: its slice points into
+// the same recycled arrays (Inbox's segments, the By row of a Said). A
+// Received holds none — its payload is an immutable value behind an
+// interface and its encoding a string — which is what makes copying
+// messages out of an inbox safe.
+func holdsSlice(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		return true
+	case *types.Array:
+		return holdsSlice(u.Elem())
+	case *types.Struct:
+		for i := range u.NumFields() {
+			if holdsSlice(u.Field(i).Type()) {
+				return true
+			}
+		}
 	}
 	return false
 }

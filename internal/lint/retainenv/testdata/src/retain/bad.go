@@ -66,3 +66,30 @@ func (k *closureKeeper) Step(env *simnet.RoundEnv) {
 	alias := env
 	k.m[env.Round] = alias // want `round-scoped alias stored in a map or slice element`
 }
+
+// viewKeeper retains the payload-major views of the broadcast block —
+// Said, Broadcasters, Direct — and parts of them: all are slices of the
+// engine's recycled scratch, and a Said element copied out by value
+// still carries one (By, a row of the slab).
+type viewKeeper struct {
+	said   []simnet.Said
+	who    []int
+	direct []simnet.Received
+	one    simnet.Said
+	by     []uint64
+	rows   [][]uint64
+}
+
+func (k *viewKeeper) Step(env *simnet.RoundEnv) {
+	k.said = env.Inbox.Said()        // want `round-scoped value stored in field said`
+	k.who = env.Inbox.Broadcasters() // want `round-scoped value stored in field who`
+	k.direct = env.Inbox.Direct()    // want `round-scoped value stored in field direct`
+	for _, g := range env.Inbox.Said() {
+		k.one = g                     // want `round-scoped g stored in field one`
+		k.by = g.By                   // want `round-scoped g\.By stored in field by`
+		k.rows = append(k.rows, g.By) // want `round-scoped value stored in field rows`
+	}
+	said := env.Inbox.Said()
+	k.one = said[0]   // want `round-scoped said stored in field one`
+	k.by = said[0].By // want `round-scoped said stored in field by`
+}

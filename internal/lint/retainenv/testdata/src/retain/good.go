@@ -8,6 +8,9 @@ type conforming struct {
 	lastRound int
 	copied    []simnet.Received
 	bytes     int
+	bodies    []any
+	senders   []int
+	heard     int
 }
 
 func (g *conforming) Step(env *simnet.RoundEnv) {
@@ -21,7 +24,20 @@ func (g *conforming) Step(env *simnet.RoundEnv) {
 		g.copied = append(g.copied, msg)
 	}
 	g.copied = append(g.copied, env.Inbox.Slice()...) // Slice allocates fresh copies
-	env.Broadcast("state")                            // self-append inside Broadcast: the self-store exemption
+	// The payload-major views may be read freely, and what is copied out
+	// of them by value — a payload, a sender id, a Received — may be kept.
+	for _, s := range env.Inbox.Said() {
+		g.bodies = append(g.bodies, s.Body)
+		g.heard += len(s.By)
+	}
+	g.senders = append(g.senders, env.Inbox.Broadcasters()...)
+	for _, m := range env.Inbox.Direct() {
+		g.copied = append(g.copied, m)
+	}
+	if d := env.Inbox.Direct(); len(d) > 0 {
+		g.copied = append(g.copied, d[0])
+	}
+	env.Broadcast("state") // self-append inside Broadcast: the self-store exemption
 	env.Send(1, "hi")
 	inspect(env) // non-retaining helper: its summary fact proves env does not escape
 }

@@ -5,27 +5,41 @@
 package simnet
 
 // Received mirrors the value-type delivered message. Body makes it
-// reference-carrying like the real type (whose Payload is an
-// interface), so the summary pass structurally sees element copies as
+// reference-carrying like the real type (an interface, as the real
+// Payload is), so the summary pass structurally sees element copies as
 // aliasing — exactly the shape the //lint:valuecopy directive on At
-// exists to override.
+// exists to override. Like the real type it holds no slice: nothing in
+// it points into the recycled arrays, so a copied-out element is a
+// value.
 type Received struct {
 	From int
-	Body []byte
+	Body any
+	size int
 }
 
 // Size mirrors the real accessor.
-func (m Received) Size() int { return len(m.Payload()) }
+func (m Received) Size() int { return m.size }
 
 // Payload mirrors reading the decoded body.
-func (m Received) Payload() []byte { return m.Body }
+func (m Received) Payload() any { return m.Body }
+
+// Said mirrors one entry of the payload-major reading of the broadcast
+// block. Unlike Received it is not a value: By is a row of the engine's
+// recycled slab, so an element copied out of Inbox.Said still aliases
+// round-scoped memory (Body alone is safe to keep).
+type Said struct {
+	Body any
+	By   []uint64
+}
 
 // Inbox mirrors the real lazy merged view: a value type over recycled
 // backing storage. Retaining an Inbox (or an iterator from All) past
 // Step retains the recycled arrays, so the retainenv pass tracks
 // env.Inbox exactly as it tracked the former slice.
 type Inbox struct {
-	msgs []Received
+	msgs    []Received
+	senders []int
+	said    []Said
 }
 
 // InboxOf mirrors the test constructor.
@@ -51,6 +65,17 @@ func (in Inbox) All() func(yield func(Received) bool) {
 		}
 	}
 }
+
+// Said, Broadcasters and Direct mirror the payload-major accessors:
+// each returns a view of recycled engine scratch, so none carries a
+// valuecopy directive and a Step that keeps one is a violation.
+func (in Inbox) Said() []Said { return in.said }
+
+// Broadcasters mirrors the block's distinct sender list.
+func (in Inbox) Broadcasters() []int { return in.senders }
+
+// Direct mirrors the receiver's private segment.
+func (in Inbox) Direct() []Received { return in.msgs }
 
 // Slice returns the messages in a freshly allocated slice.
 //

@@ -24,6 +24,12 @@ import (
 // observer, so observation costs a steady-state round no allocation
 // either.
 //
+// The reader=said variants certify a round that is read payload-major:
+// after the route one receiver asks for Inbox.Said, so the measured body
+// also builds the block's index — sender list, group headers, slab —
+// and that build, too, runs in recycled scratch. The other variants
+// never ask, and their rounds never build it.
+//
 // The measured body is RouteOnly minus the Collector flush: AddRound
 // appends one RoundStats to the report's per-round ledger every round,
 // which is genuinely amortized O(1) allocation — the ledger is a
@@ -39,6 +45,7 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 			return NewRoundPhasesPlan(n, workers, &FaultPlan{Seed: 1})
 		}},
 		{"observer=on", NewRoundPhasesObserved},
+		{"reader=said", NewRoundPhasesRead},
 	} {
 		label := variant.label
 		// The subtest labels predate the single step path and are kept
@@ -53,6 +60,7 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 					}
 					defer rp.Close()
 					rp.net.forceWorkers(workers)
+					built := rp.net.index.builds // a recycled index has a past
 					// Warm-up: grow the broadcast block, unicast arena, shard
 					// table, done mask and round record to their steady-state
 					// sizes, and let the runtime's channel/park caches
@@ -72,6 +80,16 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 					}
 					if len(rp.net.roundEvents) != record {
 						t.Fatalf("round record holds %d events, want %d", len(rp.net.roundEvents), record)
+					}
+					builds := 0 // 3 warm-up rounds, one for AllocsPerRun's own, 100 measured
+					if label == "reader=said" {
+						builds = 3 + 1 + 100
+						if rp.said != 1 {
+							t.Fatalf("reader saw %d distinct payloads in a round of one", rp.said)
+						}
+					}
+					if got := rp.net.index.builds - built; got != builds {
+						t.Fatalf("index built %d times, want %d", got, builds)
 					}
 					if avg != 0 {
 						t.Errorf("steady-state route at n=%d (workers=%d, %s) allocates %.2f times per round, want 0 — the //lint:noalloc contract is broken at runtime", n, workers, label, avg)

@@ -70,6 +70,11 @@ type RoundPhases struct {
 	col      *trace.Collector
 	template []send // one round's unsorted, undeduped send stream
 	scratch  []send
+	// reads makes one receiver ask for the routed block's payload-major
+	// index after every RouteOnly (NewRoundPhasesRead); said is what it
+	// got, kept so the read cannot be optimized away.
+	reads bool
+	said  int
 }
 
 // NewRoundPhases builds the phase-split fixture: n chatter processes
@@ -99,6 +104,21 @@ func NewRoundPhasesPlan(n, workers int, plan *FaultPlan) (*RoundPhases, error) {
 // unobserved row of the same shape.
 func NewRoundPhasesObserved(n, workers int) (*RoundPhases, error) {
 	return newRoundPhases(n, Config{Workers: workers, Observer: discardObserver{}})
+}
+
+// NewRoundPhasesRead is NewRoundPhases with a reader: after every routed
+// round one receiver asks for the new block's payload-major index
+// (Inbox.Said), as a protocol's Step would at the start of the next
+// round, so RouteOnly additionally pays the lazy build — O(n) for this
+// fixture's n same-payload broadcasts, in recycled scratch. Paired with
+// the plain row of the same shape, the delta is what the first reader of
+// a round pays; the plain row is what a round nobody reads pays: nothing.
+func NewRoundPhasesRead(n, workers int) (*RoundPhases, error) {
+	rp, err := newRoundPhases(n, Config{Workers: workers})
+	if err == nil {
+		rp.reads = true
+	}
+	return rp, err
 }
 
 type discardObserver struct{}
@@ -159,6 +179,9 @@ func (rp *RoundPhases) routeRound() RoundAccounting {
 	acct.Deliveries, acct.Bytes = n.route(outs)
 	if n.cfg.Observer != nil {
 		n.cfg.Observer.ObserveRound(n.round, n.roundEvents)
+	}
+	if rp.reads {
+		rp.said = len(n.live[0].inbox.Said())
 	}
 	return acct
 }

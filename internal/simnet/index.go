@@ -1,0 +1,221 @@
+package simnet
+
+import (
+	"runtime"
+	"slices"
+	"sync/atomic"
+
+	"uba/internal/census"
+	"uba/internal/ids"
+	"uba/internal/wire"
+)
+
+// This file is the payload-major reading of the round's shared
+// broadcast block. The block is stored sender-major — ascending
+// (sender, encoding), the order Inbox.All merges — but every threshold
+// of the paper asks the transposed question, "which distinct nodes sent
+// me m", and a rotor echo round asks it for n candidates at once: n²
+// echoes in the block, which each of the n receivers would otherwise
+// walk message by message to rebuild the same payload → senders
+// relation. The index answers it once per round for all of them:
+//
+//   - Broadcasters: the block's distinct senders, ascending. Position p
+//     names Broadcasters()[p].
+//   - Said: one entry per distinct payload in the block, ascending by
+//     encoding, each with the set of broadcaster positions that sent it
+//     — a bitset in the census.Marks layout, so a reader turns it into
+//     "which of my census members" with a few word ORs (census.Ranks).
+//
+// It is built at most once per round, by whichever Step asks first, in
+// O(B) over the block plus a sort of the G distinct payloads, in
+// scratch that is recycled round over round and, with the rest of the
+// network's scratch, across networks. A round in which nobody asks
+// never builds it: the slab is G×⌈S/64⌉ words (S distinct senders), and
+// a round of all-distinct payloads must not pay S²/64 words for an
+// index nobody reads. The index is a pure function of the block, which
+// the serial prepare pass finished before any Step runs, so which task
+// triggers the build — the one scheduling-dependent fact here — cannot
+// show in anything a process reads.
+
+// Said is one distinct payload of a round's broadcast block, with who
+// broadcast it. It is a view of recycled engine scratch, valid like the
+// Inbox it came from only until the Step call returns; the Payload
+// value itself is safe to keep.
+type Said struct {
+	// Payload is the decoded message body.
+	Payload wire.Payload
+	// By holds the positions, in Inbox.Broadcasters, of the nodes that
+	// broadcast Payload this round: bit p set means Broadcasters()[p]
+	// did. It is exactly census.MarkWords(len(Broadcasters())) words.
+	By census.Marks
+
+	encoded string
+}
+
+// Index build states: the once-guard of blockIndex.ensure.
+const (
+	indexStale uint32 = iota
+	indexBuilding
+	indexBuilt
+)
+
+// blockIndex is the payload-major index of one round's broadcast block.
+// The serial prepare pass points it at the new block (reset); step
+// tasks build it on demand (ensure). Every inbox of the round shares
+// the one index, as it shares the block.
+type blockIndex struct {
+	block []Received
+	state atomic.Uint32
+	// builds counts completed builds over the index's lifetime (test
+	// instrumentation: at most one per round, none when nobody asks).
+	builds int
+
+	senders []ids.ID
+	said    []Said   // the finished index: ascending by encoding
+	groups  []Said   // build scratch: the same entries in first-met order
+	order   []int32  // build scratch: positions in groups, ascending by encoding
+	slab    []uint64 // len(groups) rows of MarkWords(len(senders)) words
+}
+
+// reset points the index at the round's freshly materialized block and
+// marks it stale. It runs in the serial prepare pass, when no step task
+// is running.
+//
+//lint:noalloc two stores per round; the index itself is built only on demand
+func (ix *blockIndex) reset(block []Received) {
+	ix.block = block
+	ix.state.Store(indexStale)
+}
+
+// ensure builds the index if this round has not built it yet. It is the
+// only synchronisation a step task can reach: with a worker cap above 1
+// several Steps may ask at once, so the first claims the build with a
+// compare-and-swap and publishes it with a store; a task that arrives
+// while the claimant is still building yields until the store. That wait
+// is on a peer that is running — it claimed from inside its own task
+// and the build calls nothing that can block — so it is bounded by one
+// O(B) build and cannot deadlock the phase barrier. The writes land in
+// the index alone.
+//
+//lint:nonblock step tasks run to the pool's phase barrier; the guard is a claim plus a bounded yield on a running builder, never a lock
+//lint:shardsafe owns=ix the build writes only the index; the claim makes one task its sole writer for the round
+func (ix *blockIndex) ensure() {
+	if ix.state.Load() == indexBuilt {
+		return
+	}
+	if ix.state.CompareAndSwap(indexStale, indexBuilding) {
+		ix.build()
+		ix.state.Store(indexBuilt)
+		return
+	}
+	for ix.state.Load() != indexBuilt {
+		runtime.Gosched()
+	}
+}
+
+// build reads the block once for its distinct senders and once to group
+// it by payload. The block ascends by (sender, encoding), so a sender's
+// messages ascend by encoding, and in the rounds that matter every
+// sender says the same things: the group after the previous message's —
+// the first group again at a sender boundary — is nearly always the
+// right one. Only when that guess misses is the group searched for, by
+// bisection over the groups kept in encoding order, which is also the
+// order Said hands them out in: no hashing, no final sort, and the rows
+// of the slab never move.
+//
+//lint:noalloc steady-state builds reuse the sender list, the group headers, the order and the slab; all growth is appends into the index's own recycled slices
+func (ix *blockIndex) build() {
+	block := ix.block
+	senders := ix.senders[:0]
+	for i := range block {
+		if i == 0 || block[i].From != block[i-1].From {
+			senders = append(senders, block[i].From)
+		}
+	}
+	ix.senders = senders
+	words := census.MarkWords(len(senders))
+
+	groups, order, slab := ix.groups[:0], ix.order[:0], ix.slab[:0]
+	pos, guess := -1, 0
+	for i := range block {
+		m := &block[i]
+		if i == 0 || m.From != block[i-1].From {
+			pos++
+			guess = 0
+		}
+		g := guess
+		if g >= len(groups) || groups[g].encoded != m.encoded {
+			// Bisect order for the first group not below m's encoding.
+			lo, hi := 0, len(order)
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if groups[order[mid]].encoded < m.encoded {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if lo < len(order) && groups[order[lo]].encoded == m.encoded {
+				g = int(order[lo])
+			} else {
+				g = len(groups)
+				groups = append(groups, Said{Payload: m.Payload, encoded: m.encoded})
+				order = append(order, 0)
+				copy(order[lo+1:], order[lo:])
+				order[lo] = int32(g)
+				slab = slices.Grow(slab, words)[:len(slab)+words]
+				clear(slab[len(slab)-words:])
+			}
+		}
+		census.Marks(slab[g*words : (g+1)*words]).Set(pos)
+		guess = g + 1
+	}
+	// The slab may have moved while it grew: hand out the rows last.
+	said := ix.said[:0]
+	for _, g := range order {
+		e := groups[g]
+		e.By = slab[int(g)*words : (int(g)+1)*words : (int(g)+1)*words]
+		said = append(said, e)
+	}
+	ix.said, ix.groups, ix.order, ix.slab = said, groups, order, slab
+	ix.builds++
+}
+
+// release drops every payload and encoding the index pins, keeping its
+// capacity for the next network. Called with the rest of the scratch.
+func (ix *blockIndex) release() {
+	ix.reset(nil)
+	clear(ix.said[:cap(ix.said)])
+	clear(ix.groups[:cap(ix.groups)])
+}
+
+// Broadcasters returns the distinct senders of the round's broadcast
+// block in ascending order: the nodes the positions of Said.By name.
+// Like Said, it is a view of recycled engine scratch.
+func (in Inbox) Broadcasters() []ids.ID {
+	if in.idx == nil {
+		return nil
+	}
+	in.idx.ensure()
+	return in.idx.senders[:len(in.idx.senders):len(in.idx.senders)]
+}
+
+// Said returns the round's broadcast block read payload-major: one
+// entry per distinct payload, in ascending encoding order, each with
+// the set of broadcasters that sent it. Together with Direct it covers
+// exactly the messages All yields — a (sender, payload) pair appears
+// once in the block however the question is asked — for readers that
+// count distinct senders per payload and do not need the merged order.
+func (in Inbox) Said() []Said {
+	if in.idx == nil {
+		return nil
+	}
+	in.idx.ensure()
+	return in.idx.said[:len(in.idx.said):len(in.idx.said)]
+}
+
+// Direct returns the receiver's private segment in inbox order: the
+// unicasts addressed to it and, on a link-fault round, the broadcast
+// copies its links delivered (the shared block is empty then). These
+// are per-receiver by nature and are read one message at a time.
+func (in Inbox) Direct() []Received { return in.uni }

@@ -61,7 +61,13 @@
 // disjoint range of receivers — inbox segments, contact sets and
 // traffic tallies are all per-shard — and shard boundaries depend only
 // on the worker cap and receiver count, never on timing; (4) per-shard
-// tallies are reduced in shard order, which is receiver order.
+// tallies are reduced in shard order, which is receiver order; (5) the
+// one thing step tasks share beyond read-only storage, the payload-major
+// index of the broadcast block (Inbox.Said, Inbox.Broadcasters), is
+// built on demand by whichever task asks first, but it is a pure
+// function of the block the prepare pass finished before any Step ran,
+// so which task builds it — or whether any does — shows in nothing a
+// process reads.
 //
 // There is likewise one record of a round, and it mirrors what the
 // round stores: one event buffer whose producers all run serially, in
@@ -90,20 +96,36 @@
 // exactly, so transcripts and dedup semantics are independent of the
 // storage strategy.
 //
+// The shared block has a second, payload-major reading for the question
+// every threshold of the paper asks — which distinct nodes sent me m:
+// Inbox.Broadcasters (the block's distinct senders, ascending) and
+// Inbox.Said (one entry per distinct payload, ascending by encoding,
+// with the set of broadcaster positions that sent it), beside
+// Inbox.Direct, the receiver's private segment. Said × Broadcasters plus
+// Direct cover exactly the messages All yields. The index behind the
+// first two is built at most once per round, on first request, in
+// recycled scratch (index.go); a round nobody asks never builds it.
+//
 // The engine recycles those round-scoped buffers aggressively: the
 // RoundEnv passed to Process.Step, the broadcast block and unicast
-// arena its Inbox view reads through, and the internal send buffers
-// are all rewritten on the next round. Process.Step therefore MUST NOT
-// retain env, env.Inbox, or an iterator obtained from env.Inbox.All()
-// past the call. Copy individual Received values out (env.Inbox.At, or
-// a range over env.Inbox.All()) if state must
-// survive the round; the values themselves (sender id, payload,
-// encoding) are safe to keep. The contract is machine-checked by the
-// ubalint retainenv pass.
+// arena its Inbox view reads through, the block's index, and the
+// internal send buffers are all rewritten on the next round.
+// Process.Step therefore MUST NOT retain env, env.Inbox, an iterator
+// obtained from env.Inbox.All(), or the slices env.Inbox.Said(),
+// Broadcasters() and Direct() return — nor a Said element or its By
+// set, a row of the index's recycled slab — past the call. Copy
+// individual Received values out (env.Inbox.At, or a range over
+// env.Inbox.All() or Direct()) if state must survive the round; the
+// values themselves (sender id, payload, encoding) are safe to keep, as
+// is a Said's Payload. The contract is machine-checked by the ubalint
+// retainenv pass.
 package simnet
 
 import (
+	"cmp"
 	"iter"
+	"slices"
+	"strings"
 
 	"uba/internal/ids"
 	"uba/internal/wire"
@@ -184,12 +206,61 @@ type Inbox struct {
 	// may be empty, in which case its keys may be nil.
 	uni   []Received
 	ukeys []int32
+	// idx is the payload-major index of bcast, shared like the block
+	// and built on first request (see index.go). Nil when bcast is
+	// empty by construction (InboxOf, the zero Inbox).
+	idx *blockIndex
 }
 
 // InboxOf returns an Inbox delivering exactly msgs in the given order —
 // the constructor for tests and harnesses that drive a Process manually.
+// Everything is in the private segment (Direct), as on a link-fault
+// round; InboxOfRound builds an inbox with a shared block.
 func InboxOf(msgs ...Received) Inbox {
 	return Inbox{uni: msgs}
+}
+
+// InboxOfRound returns the Inbox a receiver gets from a healthy round in
+// which broadcasts were broadcast and direct were unicast to it: the
+// broadcasts in a shared block with its own payload-major index, the
+// whole in engine order — by sender, then by canonical encoding, a
+// (sender, encoding) pair delivered once. It is InboxOf's sibling for
+// tests that drive the Said/Broadcasters path without a Network.
+func InboxOfRound(broadcasts, direct []Received) Inbox {
+	all := make([]Received, 0, len(broadcasts)+len(direct))
+	for _, m := range broadcasts {
+		m.bcast = true
+		all = append(all, m)
+	}
+	for _, m := range direct {
+		m.bcast = false
+		all = append(all, m)
+	}
+	for i := range all {
+		all[i].encoded = string(wire.Encode(all[i].Payload))
+	}
+	// Stable, with the broadcasts first: on a tie the unicast is the
+	// dropped duplicate — the engine's rule.
+	slices.SortStableFunc(all, func(a, b Received) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		return strings.Compare(a.encoded, b.encoded)
+	})
+	var in Inbox
+	for i, m := range all {
+		if i > 0 && all[i-1].From == m.From && all[i-1].encoded == m.encoded {
+			continue
+		}
+		if m.bcast {
+			in.bcast, in.bkeys = append(in.bcast, m), append(in.bkeys, int32(i))
+		} else {
+			in.uni, in.ukeys = append(in.uni, m), append(in.ukeys, int32(i))
+		}
+	}
+	in.idx = new(blockIndex)
+	in.idx.reset(in.bcast)
+	return in
 }
 
 // Len returns the number of delivered messages.
@@ -285,20 +356,14 @@ type RoundEnv struct {
 
 	self  ids.ID
 	sends []send
+	// enc is the node's encoding scratch: each send is encoded into it
+	// and leaves as the one string copy the send keeps.
+	enc []byte
 }
 
 // Broadcast queues a message to every node in the system (including the
 // sender itself), matching the paper's broadcast primitive.
-func (env *RoundEnv) Broadcast(p wire.Payload) {
-	enc := wire.Encode(p)
-	env.sends = append(env.sends, send{
-		from:    env.self,
-		to:      ids.None,
-		payload: p,
-		encoded: string(enc),
-		digest:  digest64(enc),
-	})
-}
+func (env *RoundEnv) Broadcast(p wire.Payload) { env.Send(ids.None, p) }
 
 // SendCount returns how many messages have been queued on this env so
 // far (test instrumentation for driving a Process manually).
@@ -306,13 +371,13 @@ func (env *RoundEnv) SendCount() int { return len(env.sends) }
 
 // Send queues a point-to-point message to a specific node.
 func (env *RoundEnv) Send(to ids.ID, p wire.Payload) {
-	enc := wire.Encode(p)
+	env.enc = wire.AppendEncode(env.enc[:0], p)
 	env.sends = append(env.sends, send{
 		from:    env.self,
 		to:      to,
 		payload: p,
-		encoded: string(enc),
-		digest:  digest64(enc),
+		encoded: string(env.enc),
+		digest:  digest64(env.enc),
 	})
 }
 

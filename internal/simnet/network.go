@@ -159,6 +159,7 @@ type procState struct {
 	// docs for the retention contract this imposes on Process.Step).
 	env     RoundEnv
 	sendBuf []send
+	encBuf  []byte
 }
 
 // stepResult is one process's contribution to a round, written to the
@@ -255,6 +256,9 @@ func New(cfg Config) *Network {
 		}
 	}
 	n.adoptScratch()
+	if n.index == nil {
+		n.index = new(blockIndex)
+	}
 	return n
 }
 
@@ -547,10 +551,11 @@ func (n *Network) stepOne(st *procState) stepResult {
 		Inbox: inbox,
 		self:  st.id,
 		sends: st.sendBuf[:0],
+		enc:   st.encBuf,
 	}
 	reason, panicked := safeStep(st.proc, &st.env)
 	sends := st.env.sends
-	st.sendBuf = sends
+	st.sendBuf, st.encBuf = sends, st.env.enc
 	st.env.Inbox = Inbox{}
 	if panicked {
 		// Deterministic crash conversion: the crashing round produces

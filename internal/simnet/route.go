@@ -248,6 +248,7 @@ func (n *Network) routePrepare(outs []send) {
 		bbytes += int64(len(s.encoded))
 	}
 	n.bcastBytes = bbytes
+	n.index.reset(n.bcastBlock)
 	nu := len(n.uniIdx)
 	n.uniArena = recycled(n.uniArena, nu, &n.uniLive)
 	if n.faults == nil {
@@ -336,6 +337,7 @@ func (n *Network) routeShardDeliver(sh *routeShard) {
 			bkeys: n.bcastIdx[:nb:nb],
 			uni:   n.uniArena[ulo:uhi:uhi],
 			ukeys: n.uniIdx[ulo:uhi:uhi],
+			idx:   n.index,
 		}
 		// Tallies are arithmetic — no per-receiver message walk: the
 		// block's sizes are shared by every live receiver.

@@ -54,6 +54,11 @@ type netScratch struct {
 	bcastBlock   []Received
 	uniArena     []Received
 	shards       []routeShard
+	// index is the payload-major reading of bcastBlock (index.go). It
+	// is held by pointer — every inbox of a round shares it, and its
+	// once-guard must not be copied — and made by New when the pool had
+	// none to hand over.
+	index *blockIndex
 }
 
 var scratchPool sync.Pool
@@ -92,6 +97,7 @@ func (n *Network) releaseScratch() {
 	clear(n.bcastBlock[:cap(n.bcastBlock)])
 	clear(n.uniArena[:cap(n.uniArena)])
 	clear(n.shards[:cap(n.shards)])
+	n.index.release()
 	n.bcastLive, n.uniLive = 0, 0
 	*s, n.netScratch = n.netScratch, netScratch{}
 	scratchPool.Put(s)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -361,9 +362,21 @@ func (p Terminate) appendTo(buf []byte) []byte { return appendUint64(buf, p.Roun
 // Encode serializes a payload, kind byte first. The result is the
 // canonical form used for duplicate detection and byte accounting.
 func Encode(p Payload) []byte {
-	buf := make([]byte, 1, 1+16)
-	buf[0] = byte(p.Kind())
-	return p.appendTo(buf)
+	return AppendEncode(make([]byte, 0, 1+16), p)
+}
+
+// AppendEncode appends the canonical encoding of p to dst: Encode for a
+// caller that owns a buffer, like the engine's per-node send scratch.
+func AppendEncode(dst []byte, p Payload) []byte {
+	return p.appendTo(append(dst, byte(p.Kind())))
+}
+
+// EncodesAfter reports whether a's canonical encoding sorts after b's —
+// the order the engine delivers one sender's messages in, and so the
+// tie-break of every "which of a sender's conflicting messages counts"
+// rule in the protocols.
+func EncodesAfter(a, b Payload) bool {
+	return bytes.Compare(Encode(a), Encode(b)) > 0
 }
 
 // Decoding errors.
