@@ -55,14 +55,15 @@ bench-e2e:
 	$(GO) run ./bench
 
 # Round-engine micro-benchmarks (BenchmarkRoundEngine* workload) plus
-# end-to-end uba.Consensus runs (e2e/* rows, n=128 and n=256) as JSON.
+# end-to-end runs through the public entry points (e2e/* rows: uba.Consensus
+# at n=128 and n=256; renaming, trb and rb at n=256) as JSON.
 # BENCH_simnet.json is committed so the perf trajectory is tracked
 # in-repo; regenerate after touching internal/simnet or a protocol Step.
 bench-json:
 	$(GO) run ./cmd/ubabench -benchjson -benchout BENCH_simnet.json
 
 # Perf regression gate: re-measures the n=256 round/step/route
-# benchmarks and the n=128/256 end-to-end uba.Consensus rows, and
+# benchmarks and the end-to-end e2e/* rows, and
 # enforces per-row ns/op and allocs/op bands against the
 # committed BENCH_simnet.json. A row outside its band fails the target;
 # escape hatch for an understood, not-yet-rebaselined change:

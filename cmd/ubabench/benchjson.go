@@ -33,10 +33,13 @@ var phaseSizes = []int{256, 512, 1024, 4096}
 // block is read payload-major, which perf-smoke gates at 0 allocs/op.
 var readerSizes = []int{256, 1024}
 
-// e2eSizes are the system sizes of the end-to-end rows: whole
-// uba.Consensus runs through the public entry point, the thing a user
-// waits for. perf-smoke gates both.
+// e2eSizes are the system sizes of the uba.Consensus end-to-end rows:
+// whole runs through the public entry point, the thing a user waits for.
+// The other families on the ladder have a row at e2eFamilySize.
+// perf-smoke gates them all.
 var e2eSizes = []int{128, 256}
+
+const e2eFamilySize = 256
 
 // engineBenchResult is one benchmark measurement in BENCH_simnet.json.
 type engineBenchResult struct {
@@ -250,31 +253,59 @@ func campaignSpec(jobs, n int) benchSpec {
 }
 
 // e2eSpec measures what users run rather than a synthetic round: one op
-// is one uba.Consensus call at size n — f = ⌊(n−1)/3⌋ silent Byzantine
-// nodes, inputs i%2, default Config (inline stepping, the facade's
-// oracles attached) — from cluster set-up to the checked result. Every
-// layer is in the row: protocol Step, routing, the round record and the
-// oracles. The seed is fixed, so allocs/op repeats like the engine rows'.
-func e2eSpec(n int) benchSpec {
+// is one call of a public entry point at size n — f = ⌊(n−1)/3⌋ silent
+// Byzantine nodes, default Config (inline stepping, the facade's oracles
+// attached) — from cluster set-up to the checked result. Every layer is
+// in the row: protocol Step, routing, the round record and the oracles.
+// The seed is fixed, so allocs/op repeats like the engine rows'.
+func e2eSpec(entry string, n int, run func(cfg uba.Config) error) benchSpec {
 	f := (n - 1) / 3
-	inputs := make([]float64, n-f)
-	for i := range inputs {
-		inputs[i] = float64(i % 2)
-	}
 	cfg := uba.Config{Correct: n - f, Byzantine: f, Adversary: uba.AdversarySilent, Seed: 1}
 	return benchSpec{
-		name:   fmt.Sprintf("e2e/uba.Consensus/n=%d", n),
+		name:   fmt.Sprintf("e2e/uba.%s/n=%d", entry, n),
 		runner: "sequential",
 		n:      n,
 		bench: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := uba.Consensus(cfg, inputs); err != nil {
+				if err := run(cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
 		},
 	}
+}
+
+// e2eSpecs are the end-to-end rows: uba.Consensus (inputs i%2) over
+// e2eSizes, and at e2eFamilySize the families whose Step counts echoes in
+// reliable-broadcast fashion — renaming, terminating broadcast (correct
+// source) and reliable broadcast (correct source, 8 rounds).
+func e2eSpecs() []benchSpec {
+	var specs []benchSpec
+	for _, n := range e2eSizes {
+		inputs := make([]float64, n)
+		for i := range inputs {
+			inputs[i] = float64(i % 2)
+		}
+		specs = append(specs, e2eSpec("Consensus", n, func(cfg uba.Config) error {
+			_, err := uba.Consensus(cfg, inputs[:cfg.Correct])
+			return err
+		}))
+	}
+	return append(specs,
+		e2eSpec("Renaming", e2eFamilySize, func(cfg uba.Config) error {
+			_, err := uba.Renaming(cfg)
+			return err
+		}),
+		e2eSpec("TerminatingBroadcast", e2eFamilySize, func(cfg uba.Config) error {
+			_, err := uba.TerminatingBroadcast(cfg, []byte("payload"), true)
+			return err
+		}),
+		e2eSpec("ReliableBroadcast", e2eFamilySize, func(cfg uba.Config) error {
+			_, err := uba.ReliableBroadcast(cfg, []byte("payload"), 8)
+			return err
+		}),
+	)
 }
 
 // procsSpec pins GOMAXPROCS for the duration of one spec, so the
@@ -306,7 +337,7 @@ func procsSpec(spec benchSpec, procs int) benchSpec {
 // The campaign matrix — jobs {1,2,4,8} × procs {1,4,8} at the
 // perf-gate size — tracks how the shared scheduler converts worker
 // budget into aggregate multi-simulation throughput. The e2e rows
-// close the sweep with whole uba.Consensus runs over e2eSizes.
+// close the sweep with whole runs through the public entry points.
 func allSpecs() []benchSpec {
 	var specs []benchSpec
 	for _, runner := range []string{"sequential", "concurrent"} {
@@ -352,10 +383,7 @@ func allSpecs() []benchSpec {
 			specs = append(specs, procsSpec(campaignSpec(jobs, 256), procs))
 		}
 	}
-	for _, n := range e2eSizes {
-		specs = append(specs, e2eSpec(n))
-	}
-	return specs
+	return append(specs, e2eSpecs()...)
 }
 
 // measure runs one spec under testing.Benchmark and packages the result.
@@ -385,7 +413,7 @@ func measure(spec benchSpec) (engineBenchResult, error) {
 // `make bench-json` entry point.
 func runBenchJSON(outPath string, progress io.Writer) error {
 	file := engineBenchFile{
-		Description: "simnet round-engine micro-benchmarks (broadcast-heavy: one op = one round, n sends, n^2 deliveries; step/route rows isolate one phase; campaign rows advance `jobs` concurrent simulations by 4 rounds per op through the shared scheduler) plus end-to-end rows (e2e/uba.Consensus: one op = one whole run through the public entry point, f=(n-1)/3 silent, oracles attached); regenerate with `make bench-json`",
+		Description: "simnet round-engine micro-benchmarks (broadcast-heavy: one op = one round, n sends, n^2 deliveries; step/route rows isolate one phase; campaign rows advance `jobs` concurrent simulations by 4 rounds per op through the shared scheduler) plus end-to-end rows (e2e/uba.<EntryPoint>: one op = one whole run through the public entry point, f=(n-1)/3 silent, oracles attached); regenerate with `make bench-json`",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}

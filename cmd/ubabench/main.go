@@ -8,8 +8,8 @@
 //	ubabench -quick     # reduced sweeps (seconds, used in CI)
 //	ubabench -only E4   # a single experiment
 //	ubabench -markdown  # Markdown tables (EXPERIMENTS.md format)
-//	ubabench -benchjson # round-engine micro-benchmarks + e2e uba.Consensus rows -> BENCH_simnet.json
-//	ubabench -perfsmoke # n=256 engine rows + n=128/256 e2e rows: ns/op + allocs/op gate against the committed baseline
+//	ubabench -benchjson # round-engine micro-benchmarks + e2e uba.* rows -> BENCH_simnet.json
+//	ubabench -perfsmoke # n=256 engine rows + the e2e rows: ns/op + allocs/op gate against the committed baseline
 //	                    # (add -warn-only to report without failing)
 package main
 
@@ -35,9 +35,9 @@ func run(args []string, out io.Writer) error {
 	quick := fs.Bool("quick", false, "reduced sweep sizes")
 	only := fs.String("only", "", "run a single experiment (e.g. E4)")
 	markdown := fs.Bool("markdown", false, "emit Markdown tables")
-	benchjson := fs.Bool("benchjson", false, "run the round-engine micro-benchmarks and the end-to-end uba.Consensus rows and write them as JSON (see -benchout)")
+	benchjson := fs.Bool("benchjson", false, "run the round-engine micro-benchmarks and the end-to-end uba.* rows and write them as JSON (see -benchout)")
 	benchout := fs.String("benchout", "BENCH_simnet.json", "output path for -benchjson")
-	perfsmoke := fs.Bool("perfsmoke", false, "run the n=256 round/step/route benchmarks and the n=128/256 end-to-end rows and gate ns/op and allocs/op against the committed baseline")
+	perfsmoke := fs.Bool("perfsmoke", false, "run the n=256 round/step/route benchmarks and the end-to-end rows and gate ns/op and allocs/op against the committed baseline")
 	baseline := fs.String("baseline", "BENCH_simnet.json", "baseline path for -perfsmoke")
 	tolerance := fs.Float64("tolerance", 0.5, "perf-smoke failure band as a fraction of baseline ns/op")
 	allocTolerance := fs.Float64("alloc-tolerance", 0.1, "perf-smoke failure band as a fraction of baseline allocs/op")

@@ -27,8 +27,9 @@ import (
 // covers the shared scheduler's admission path the same way: its
 // allocs/op band certifies that multiplexing simulations adds no per-op
 // allocations, and its ns/op band catches a regression in the dispatch
-// or fairness machinery. The two e2e rows (uba.Consensus at n=128 and
-// n=256 through the public entry point, oracles attached) gate what
+// or fairness machinery. The e2e rows (uba.Consensus at n=128 and n=256,
+// uba.Renaming, uba.TerminatingBroadcast and uba.ReliableBroadcast at
+// n=256, through the public entry points, oracles attached) gate what
 // users actually run: a regression in a protocol's Step, which no
 // chatter round exercises, moves them and nothing else.
 // Small enough to finish in seconds on a CI runner, broad enough that
@@ -51,10 +52,7 @@ func smokeSpecs() []benchSpec {
 		}
 	}
 	specs = append(specs, procsSpec(campaignSpec(4, 256), 4))
-	for _, n := range e2eSizes {
-		specs = append(specs, e2eSpec(n))
-	}
-	return specs
+	return append(specs, e2eSpecs()...)
 }
 
 // allocSlack is the absolute allocs/op headroom added on top of the

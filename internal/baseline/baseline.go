@@ -310,9 +310,6 @@ func (r *Rotor) ID() ids.ID { return r.id }
 // Done implements simnet.Process.
 func (r *Rotor) Done() bool { return r.done }
 
-// AcceptedCount returns how many coordinator opinions were accepted.
-func (r *Rotor) AcceptedCount() int { return len(r.accepted) }
-
 // AcceptedFrom reports whether an opinion from the given coordinator was
 // accepted and with which value.
 func (r *Rotor) AcceptedFrom(id ids.ID) (wire.Value, bool) {

@@ -12,17 +12,7 @@ type Marks []uint64
 // MarkWords returns the length of a set that holds ranks 0..n-1.
 func MarkWords(n int) int { return (n + 63) >> 6 }
 
-// Mark adds rank to the set, growing it as needed.
-func (m *Marks) Mark(rank int) {
-	if need := MarkWords(rank + 1); need > len(*m) {
-		*m = append(*m, make([]uint64, need-len(*m))...)
-	}
-	m.Set(rank)
-}
-
-// Set adds rank to a set already long enough to hold it (MarkWords):
-// the form for a caller that lays many sets out in one slab, like the
-// rotor's echo window.
+// Set adds rank to a set long enough to hold it (MarkWords, Cleared).
 func (m Marks) Set(rank int) { m[rank>>6] |= 1 << (rank & 63) }
 
 // Has reports whether rank is in the set.
@@ -50,8 +40,7 @@ func (m Marks) Count() int {
 func (m Marks) Reset() { clear(m) }
 
 // Cleared returns the empty set over ranks 0..n-1, in m's storage when
-// it is large enough: the start of a count whose marks arrive as whole
-// sets (Or) rather than one rank at a time (Mark).
+// it is large enough: the start of a count.
 func (m Marks) Cleared(n int) Marks {
 	need := MarkWords(n)
 	if cap(m) < need {

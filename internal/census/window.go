@@ -1,0 +1,120 @@
+package census
+
+import "slices"
+
+// Window is the counting step the paper writes once and reuses "in
+// reliable-broadcast fashion": for each key — an (m, s) pair in Algorithm
+// 1, a candidate in the rotor-coordinator, an identifier or a
+// terminate(k) in renaming — which distinct censused senders named it
+// since the last Fold, and then the rule itself: echo at n_v/3, accept at
+// 2n_v/3.
+//
+// Senders arrive as whole sets of census ranks (one per distinct payload
+// of the round's broadcast block, translated by Ranks) and are ORed into
+// one slab — a row of stride words per key, each a Marks over the
+// senders' ranks — so a sender that repeats itself, within an inbox or
+// across the inboxes of one window, still counts once. The slab is
+// truncated and reused at the next window instead of rebuilt. The zero
+// value is an empty window.
+type Window[K comparable] struct {
+	rows   []windowRow[K] // one per key named this window
+	index  map[K]int      // key -> position in rows
+	next   int            // the row after the last one added to
+	stride int            // words per row
+	marks  []uint64       // len(rows)*stride words
+}
+
+// windowRow names the key of marks[at*stride : (at+1)*stride]. Until
+// Fold sorts the rows into key order, at is the row's own position.
+type windowRow[K comparable] struct {
+	key K
+	at  int
+}
+
+// Add records that the senders of census ranks who named key. Every
+// inbox of a window, and every sender of a private segment, brings the
+// same keys in the same (encoding) order, so the row after the last one
+// added to — wrapping to the first — is nearly always the right one and
+// the index lookup is skipped.
+func (w *Window[K]) Add(key K, who Marks) {
+	at := w.next
+	if at >= len(w.rows) {
+		at = 0
+	}
+	if at >= len(w.rows) || w.rows[at].key != key {
+		at = w.row(key)
+	}
+	if len(who) > w.stride {
+		w.widen(len(who))
+	}
+	w.senders(at).Or(who)
+	w.next = at + 1
+}
+
+// senders returns the marks of row at: the census ranks that named it.
+func (w *Window[K]) senders(at int) Marks {
+	return Marks(w.marks[at*w.stride : (at+1)*w.stride])
+}
+
+// row returns the position of key's row, appending an empty one the
+// first time key is named in the window.
+func (w *Window[K]) row(key K) int {
+	if i, ok := w.index[key]; ok {
+		return i
+	}
+	i := len(w.rows)
+	if w.index == nil {
+		w.index = make(map[K]int)
+	}
+	w.index[key] = i
+	w.rows = append(w.rows, windowRow[K]{key: key, at: i})
+	w.extend(w.stride)
+	return i
+}
+
+// extend appends n zero words to the slab, within its capacity when the
+// slab has held a window this large before.
+func (w *Window[K]) extend(n int) {
+	at := len(w.marks)
+	w.marks = slices.Grow(w.marks, n)[:at+n]
+	clear(w.marks[at:])
+}
+
+// widen re-lays the slab with a larger stride. It runs when a rank
+// beyond the current row width first shows up: a few times while the
+// first window meets the census, then never again for a frozen census.
+func (w *Window[K]) widen(stride int) {
+	old := w.stride
+	w.stride = stride
+	w.extend(len(w.rows) * (stride - old))
+	// Back to front, so a row's new home never covers a row not yet moved.
+	for i := len(w.rows) - 1; i >= 0; i-- {
+		row := w.marks[i*stride : (i+1)*stride]
+		copy(row, w.marks[i*old:(i+1)*old])
+		clear(row[old:])
+	}
+}
+
+// Fold applies the echo rule to the window and empties it, keeping its
+// storage and stride. Keys are visited in ascending order (by order), so
+// what the caller sends does not depend on arrival order; a key that
+// accepted already holds is skipped, and of the rest echo is called for
+// each one named by at least nv/3 distinct senders — quorum reporting
+// whether they were at least 2nv/3, the point at which the caller
+// accepts it. accepted is consulted just before each key's turn, after
+// the echo calls of the smaller keys.
+func (w *Window[K]) Fold(nv int, order func(a, b K) int, accepted func(K) bool, echo func(key K, quorum bool)) {
+	slices.SortFunc(w.rows, func(a, b windowRow[K]) int { return order(a.key, b.key) })
+	for _, row := range w.rows {
+		if accepted != nil && accepted(row.key) {
+			continue
+		}
+		if count := w.senders(row.at).Count(); AtLeastThird(count, nv) {
+			echo(row.key, AtLeastTwoThirds(count, nv))
+		}
+	}
+	w.rows = w.rows[:0]
+	w.marks = w.marks[:0]
+	w.next = 0
+	clear(w.index)
+}

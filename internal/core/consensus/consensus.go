@@ -74,9 +74,10 @@ type Node struct {
 	frozen census.Frozen
 
 	// lastSent remembers the node's own most recent message of each
-	// tallied kind (indexed by sentSlot), for the substitution rule.
-	lastSent [3]wire.Value
-	hasSent  [3]bool
+	// tallied kind (indexed by wire.BallotSlot), for the substitution
+	// rule.
+	lastSent [wire.BallotKinds]wire.Value
+	hasSent  [wire.BallotKinds]bool
 
 	// ranks is the frozen census laid over the current round's
 	// broadcasters, rebuilt once per loop round for every reader of the
@@ -157,10 +158,6 @@ func (n *Node) History() []PhaseRecord {
 // NV returns the frozen n_v (0 before initialization completes).
 func (n *Node) NV() int { return n.frozen.N() }
 
-// sentSlot indexes lastSent/hasSent by tallied kind; the three kinds are
-// consecutive on the wire.
-func sentSlot(kind wire.Kind) int { return int(kind - wire.KindInput) }
-
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
 	switch env.Round {
@@ -201,7 +198,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			if !n.noMarkers {
 				env.Broadcast(wire.NoPreference{})
 			}
-			n.hasSent[sentSlot(wire.KindPrefer)] = false
+			n.hasSent[wire.BallotSlot(wire.KindPrefer)] = false
 		}
 	case 2: // PR3: tally prefers, maybe adopt and strongprefer
 		t := n.tally(env.Inbox, wire.KindPrefer)
@@ -215,7 +212,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			if !n.noMarkers {
 				env.Broadcast(wire.NoStrongPreference{})
 			}
-			n.hasSent[sentSlot(wire.KindStrongPrefer)] = false
+			n.hasSent[wire.BallotSlot(wire.KindStrongPrefer)] = false
 		}
 	case 3: // PR4: store strongprefer tally, run a rotor round
 		n.storedSP = n.tally(env.Inbox, wire.KindStrongPrefer)
@@ -298,70 +295,46 @@ func (n *Node) send(env *simnet.RoundEnv, p wire.Payload) {
 }
 
 func (n *Node) sent(kind wire.Kind, x wire.Value) {
-	n.lastSent[sentSlot(kind)] = x
-	n.hasSent[sentSlot(kind)] = true
+	n.lastSent[wire.BallotSlot(kind)] = x
+	n.hasSent[wire.BallotSlot(kind)] = true
 }
 
 // tally counts the round's messages of the given kind from censused
 // senders and applies the substitution rule for censused ids that sent
-// nothing of that kind. The shared block is read payload-major — each
-// distinct payload with the set of its broadcasters, translated into
-// census ranks — and the private segment one message at a time; a
-// message counts once per (sender, payload) either way.
+// nothing of that kind.
 func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) wire.Tally {
-	var t wire.Tally
 	n.present = n.present.Cleared(n.frozen.N())
-	for _, g := range inbox.Said() {
-		if x, opinion, ok := vote(kind, g.Payload); ok {
-			if who, any := n.ranks.Of(g.By); any {
-				n.count(&t, x, opinion, who)
-			}
-		}
-	}
-	for _, m := range inbox.Direct() {
-		if x, opinion, ok := vote(kind, m.Payload); ok {
-			if who, any := n.ranks.One(m.From); any {
-				n.count(&t, x, opinion, who)
-			}
-		}
-	}
+	t := Ballots(inbox, &n.ranks, kind, 0, n.present)
 	// Substitution: every censused id with no message of this kind this
 	// round is assumed to have sent what this node sent last round.
-	if n.hasSent[sentSlot(kind)] {
+	if n.hasSent[wire.BallotSlot(kind)] {
 		if missing := n.frozen.N() - n.present.Count(); missing > 0 {
-			t.Add(n.lastSent[sentSlot(kind)], missing)
+			t.Add(n.lastSent[wire.BallotSlot(kind)], missing)
 		}
 	}
 	return t
 }
 
-// vote classifies p for a tally of the given kind: ok when p belongs to
-// the tallied family, opinion when it also carries a value. A no-quorum
-// marker belongs without an opinion: its sender is present (so no
-// substitution for it) but contributes nothing.
-func vote(kind wire.Kind, p wire.Payload) (x wire.Value, opinion, ok bool) {
-	switch p := p.(type) {
-	case wire.Input:
-		return p.X, true, kind == wire.KindInput && p.Instance == 0
-	case wire.Prefer:
-		return p.X, true, kind == wire.KindPrefer && p.Instance == 0
-	case wire.NoPreference:
-		return wire.Value{}, false, kind == wire.KindPrefer && p.Instance == 0
-	case wire.StrongPrefer:
-		return p.X, true, kind == wire.KindStrongPrefer && p.Instance == 0
-	case wire.NoStrongPreference:
-		return wire.Value{}, false, kind == wire.KindStrongPrefer && p.Instance == 0
-	}
-	return wire.Value{}, false, false
-}
-
-// count adds one message of the tallied family sent by the census ranks
-// in who.
-func (n *Node) count(t *wire.Tally, x wire.Value, opinion bool, who census.Marks) {
-	if opinion {
-		t.Add(x, who.Count())
-	}
-	n.present.Or(who)
+// Ballots counts, by value, the ballots of one kind and instance in
+// inbox, and adds to present the census rank of everyone who sent one —
+// a no-quorum marker included, which is present without a value. The
+// shared block is read payload-major and the private segment one message
+// at a time (rotor.Heard); a ballot counts once per (sender, payload)
+// either way. Algorithm 5 counts with it too: what differs between the
+// two algorithms is what they substitute for the ranks left absent.
+func Ballots(inbox simnet.Inbox, ranks *census.Ranks, kind wire.Kind, instance uint64, present census.Marks) wire.Tally {
+	var t wire.Tally
+	rotor.Heard(inbox, ranks, func(p wire.Payload, from rotor.Senders) {
+		if k, inst, x, opinion := wire.Ballot(p); k == kind && inst == instance {
+			if who, ok := from.Ranks(); ok {
+				if opinion {
+					t.Add(x, who.Count())
+				}
+				present.Or(who)
+			}
+		}
+	})
+	return t
 }
 
 // observeAll tracks senders during initialization.

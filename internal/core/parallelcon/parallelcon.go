@@ -46,6 +46,7 @@ import (
 	"sort"
 
 	"uba/internal/census"
+	"uba/internal/core/consensus"
 	"uba/internal/core/rotor"
 	"uba/internal/ids"
 	"uba/internal/simnet"
@@ -63,16 +64,6 @@ type OutputPair struct {
 	Instance uint64
 	X        wire.Value
 }
-
-// family distinguishes the three tallied message families.
-type family int
-
-const (
-	famInput family = iota
-	famPrefer
-	famStrongPrefer
-	numFamilies
-)
 
 // Options configures a parallel-consensus run.
 type Options struct {
@@ -98,9 +89,10 @@ type instance struct {
 	id uint64
 	x  wire.Value
 
-	seenFamily [numFamilies]bool
-	lastSent   [numFamilies]wire.Value
-	hasSent    [numFamilies]bool
+	// Per tallied kind, indexed by wire.BallotSlot.
+	seenFamily [wire.BallotKinds]bool
+	lastSent   [wire.BallotKinds]wire.Value
+	hasSent    [wire.BallotKinds]bool
 
 	storedSP wire.Tally
 
@@ -113,6 +105,15 @@ type instance struct {
 func newInstance(id uint64, x wire.Value) *instance {
 	return &instance{id: id, x: x}
 }
+
+// sent records the node's own ballot of the given kind, for the
+// substitution rule; silent records that it sent none this phase.
+func (ins *instance) sent(kind wire.Kind, x wire.Value) {
+	ins.lastSent[wire.BallotSlot(kind)] = x
+	ins.hasSent[wire.BallotSlot(kind)] = true
+}
+
+func (ins *instance) silent(kind wire.Kind) { ins.hasSent[wire.BallotSlot(kind)] = false }
 
 // Node is one correct parallel-consensus participant.
 //
@@ -274,27 +275,25 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 			if ins.x.IsBot {
 				// No opinion to vouch for: stay silent this round
 				// and fill missing senders with ⊥ next round.
-				ins.hasSent[famInput] = false
+				ins.silent(wire.KindInput)
 				continue
 			}
 			send(wire.Input{Instance: ins.id, X: ins.x})
-			ins.lastSent[famInput] = ins.x
-			ins.hasSent[famInput] = true
+			ins.sent(wire.KindInput, ins.x)
 		}
 	case 1: // PR2: tally inputs; prefer or nopreference
 		for _, ins := range n.instancesInOrder() {
 			if ins.decided {
 				continue
 			}
-			t := n.tally(ins, inbox, ranks, famInput)
+			t := n.tally(ins, inbox, ranks, wire.KindInput)
 			v, count := t.Best()
 			if census.AtLeastTwoThirds(count, n.frozen.N()) {
 				send(wire.Prefer{Instance: ins.id, X: v})
-				ins.lastSent[famPrefer] = v
-				ins.hasSent[famPrefer] = true
+				ins.sent(wire.KindPrefer, v)
 			} else {
 				send(wire.NoPreference{Instance: ins.id})
-				ins.hasSent[famPrefer] = false
+				ins.silent(wire.KindPrefer)
 			}
 		}
 	case 2: // PR3: tally prefers; adopt at n_v/3; strongprefer at 2n_v/3
@@ -302,18 +301,17 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 			if ins.decided {
 				continue
 			}
-			t := n.tally(ins, inbox, ranks, famPrefer)
+			t := n.tally(ins, inbox, ranks, wire.KindPrefer)
 			v, count := t.Best()
 			if census.AtLeastThird(count, n.frozen.N()) {
 				ins.x = v
 			}
 			if census.AtLeastTwoThirds(count, n.frozen.N()) {
 				send(wire.StrongPrefer{Instance: ins.id, X: v})
-				ins.lastSent[famStrongPrefer] = v
-				ins.hasSent[famStrongPrefer] = true
+				ins.sent(wire.KindStrongPrefer, v)
 			} else {
 				send(wire.NoStrongPreference{Instance: ins.id})
-				ins.hasSent[famStrongPrefer] = false
+				ins.silent(wire.KindStrongPrefer)
 			}
 		}
 	case 3: // PR4: store strongprefer tallies; run the shared rotor round
@@ -321,7 +319,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 			if ins.decided {
 				continue
 			}
-			ins.storedSP = n.tally(ins, inbox, ranks, famStrongPrefer)
+			ins.storedSP = n.tally(ins, inbox, ranks, wire.KindStrongPrefer)
 		}
 		sel := n.core.LoopRound(n.frozen.N(), wire.Value{}, func(p wire.Payload) {
 			// The core's own opinion message carries the rotor tag,
@@ -470,32 +468,15 @@ func (n *Node) coordinatorOpinions(inbox simnet.Inbox) map[uint64]wire.Value {
 
 // tally counts one message family for one instance, applying the paper's
 // substitution rules. Marker messages (nopreference/nostrongpreference)
-// count their sender as present without contributing an opinion. The
-// shared block is read payload-major — each distinct payload with the
-// set of its broadcasters, translated into census ranks — and the
-// private segment one message at a time; a message counts once per
-// (sender, payload) either way.
-func (n *Node) tally(ins *instance, inbox simnet.Inbox, ranks *census.Ranks, fam family) wire.Tally {
-	var t wire.Tally
+// count their sender as present without contributing an opinion.
+func (n *Node) tally(ins *instance, inbox simnet.Inbox, ranks *census.Ranks, kind wire.Kind) wire.Tally {
 	n.present = n.present.Cleared(n.frozen.N())
-	for _, g := range inbox.Said() {
-		if x, opinion, ok := vote(fam, ins.id, g.Payload); ok {
-			if who, any := ranks.Of(g.By); any {
-				n.count(&t, x, opinion, who)
-			}
-		}
-	}
-	for _, m := range inbox.Direct() {
-		if x, opinion, ok := vote(fam, ins.id, m.Payload); ok {
-			if who, any := ranks.One(m.From); any {
-				n.count(&t, x, opinion, who)
-			}
-		}
-	}
+	t := consensus.Ballots(inbox, ranks, kind, ins.id, n.present)
 
 	// Substitution for censused nodes that sent nothing of this family:
 	// ⊥ on first receipt of the family, own most recent message of the
 	// family afterwards (⊥ if never sent).
+	fam := wire.BallotSlot(kind)
 	fill := wire.Bot()
 	if ins.seenFamily[fam] && ins.hasSent[fam] {
 		fill = ins.lastSent[fam]
@@ -508,34 +489,6 @@ func (n *Node) tally(ins *instance, inbox simnet.Inbox, ranks *census.Ranks, fam
 		ins.seenFamily[fam] = true
 	}
 	return t
-}
-
-// vote classifies p for a tally of family fam in instance iid: ok when p
-// belongs to it, opinion when it also carries a value (the markers
-// belong without one).
-func vote(fam family, iid uint64, p wire.Payload) (x wire.Value, opinion, ok bool) {
-	switch p := p.(type) {
-	case wire.Input:
-		return p.X, true, fam == famInput && p.Instance == iid
-	case wire.Prefer:
-		return p.X, true, fam == famPrefer && p.Instance == iid
-	case wire.NoPreference:
-		return wire.Value{}, false, fam == famPrefer && p.Instance == iid
-	case wire.StrongPrefer:
-		return p.X, true, fam == famStrongPrefer && p.Instance == iid
-	case wire.NoStrongPreference:
-		return wire.Value{}, false, fam == famStrongPrefer && p.Instance == iid
-	}
-	return wire.Value{}, false, false
-}
-
-// count adds one message of the tallied family sent by the census ranks
-// in who.
-func (n *Node) count(t *wire.Tally, x wire.Value, opinion bool, who census.Marks) {
-	if opinion {
-		t.Add(x, who.Count())
-	}
-	n.present.Or(who)
 }
 
 func (n *Node) observe(inbox simnet.Inbox) {

@@ -212,7 +212,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 	} {
 		n := memberNode(1, []ids.ID{1, 2, 3, 4, 5, 6}, []InputPair{{Instance: 9, X: wire.V(1)}})
 		n.ranks.Reset(inbox.Broadcasters(), n.frozen)
-		tally := n.tally(n.inst[9], inbox, &n.ranks, famInput)
+		tally := n.tally(n.inst[9], inbox, &n.ranks, wire.KindInput)
 		got := make(map[wire.ValueKey]int)
 		for v, c := range tally.All() {
 			got[v.Key()] += c

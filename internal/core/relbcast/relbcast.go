@@ -30,9 +30,12 @@
 package relbcast
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
 
 	"uba/internal/census"
+	"uba/internal/core/rotor"
 	"uba/internal/ids"
 	"uba/internal/simnet"
 	"uba/internal/wire"
@@ -42,6 +45,15 @@ import (
 type key struct {
 	source ids.ID
 	body   string
+}
+
+// byKey orders pairs by source id, then body: the order a node's echoes
+// of one round are sent in.
+func byKey(a, b key) int {
+	if c := cmp.Compare(a.source, b.source); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.body, b.body)
 }
 
 // Acceptance records when a node accepted a broadcast.
@@ -65,7 +77,9 @@ type Node struct {
 	isSource bool
 
 	cen      census.Census
-	accepted map[key]int // pair -> acceptance round
+	ranks    census.Ranks
+	echoes   census.Window[key] // pair -> distinct echoers this round
+	accepted map[key]int        // pair -> acceptance round
 }
 
 var _ simnet.Process = (*Node)(nil)
@@ -94,9 +108,7 @@ func (n *Node) Done() bool { return false }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	for m := range env.Inbox.All() {
-		n.cen.Observe(m.From)
-	}
+	rotor.ObserveSenders(&n.cen, env.Inbox)
 
 	switch env.Round {
 	case 1:
@@ -122,67 +134,38 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	}
 }
 
+// loopRound is one round of Algorithm 1's loop: with n_v updated, re-echo
+// every pair not yet accepted that at least n_v/3 distinct nodes echoed
+// this round, and accept it at 2n_v/3.
 func (n *Node) loopRound(env *simnet.RoundEnv) {
-	nv := n.cen.N()
-
-	// Per-round echo tally: the engine has already discarded duplicate
-	// (sender, payload) pairs within the round, so counting occurrences
-	// counts distinct senders.
-	counts := make(map[key]int)
-	bodies := make(map[key][]byte)
-	for m := range env.Inbox.All() {
-		echo, ok := m.Payload.(wire.RBEcho)
-		if !ok {
-			continue
+	n.ranks.Reset(env.Inbox.Broadcasters(), &n.cen)
+	rotor.Heard(env.Inbox, &n.ranks, func(p wire.Payload, from rotor.Senders) {
+		if echo, ok := p.(wire.RBEcho); ok {
+			if who, ok := from.Ranks(); ok {
+				n.echoes.Add(key{source: echo.Source, body: string(echo.Body)}, who)
+			}
 		}
-		k := key{source: echo.Source, body: string(echo.Body)}
-		counts[k]++
-		bodies[k] = echo.Body
-	}
-
-	// Deterministic processing order (map iteration order is random).
-	order := make([]key, 0, len(counts))
-	for k := range counts {
-		order = append(order, k)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].source != order[j].source {
-			return order[i].source < order[j].source
-		}
-		return order[i].body < order[j].body
 	})
-
-	for _, k := range order {
-		if _, done := n.accepted[k]; done {
-			continue
-		}
-		count := counts[k]
-		if census.AtLeastThird(count, nv) {
-			env.Broadcast(wire.RBEcho{Source: k.source, Body: bodies[k]})
-		}
-		if census.AtLeastTwoThirds(count, nv) {
+	n.echoes.Fold(n.cen.N(), byKey, n.hasAccepted, func(k key, quorum bool) {
+		env.Broadcast(wire.RBEcho{Source: k.source, Body: []byte(k.body)})
+		if quorum {
 			n.accepted[k] = env.Round
 		}
-	}
+	})
+}
+
+func (n *Node) hasAccepted(k key) bool {
+	_, done := n.accepted[k]
+	return done
 }
 
 // Accepted returns every (m, s) pair this node has accepted, ordered by
 // source id then body.
 func (n *Node) Accepted() []Acceptance {
 	out := make([]Acceptance, 0, len(n.accepted))
-	for k, round := range n.accepted {
-		out = append(out, Acceptance{
-			Source: k.source,
-			Body:   []byte(k.body),
-			Round:  round,
-		})
+	for _, k := range slices.SortedFunc(maps.Keys(n.accepted), byKey) {
+		out = append(out, Acceptance{Source: k.source, Body: []byte(k.body), Round: n.accepted[k]})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
-		}
-		return string(out[i].Body) < string(out[j].Body)
-	})
 	return out
 }
 

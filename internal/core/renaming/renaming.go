@@ -17,9 +17,10 @@
 package renaming
 
 import (
-	"sort"
+	"cmp"
 
 	"uba/internal/census"
+	"uba/internal/core/rotor"
 	"uba/internal/ids"
 	"uba/internal/simnet"
 	"uba/internal/wire"
@@ -29,9 +30,15 @@ import (
 //
 //lint:complexity broadcasts=O(n) unicasts=0
 type Node struct {
-	id  ids.ID
-	cen census.Census
-	set ids.Set // S
+	id    ids.ID
+	cen   census.Census
+	ranks census.Ranks
+	set   ids.Set // S
+
+	// Distinct senders this round of echo(p) per identifier p, and of
+	// terminate(k) per round k.
+	echoes census.Window[ids.ID]
+	terms  census.Window[uint64]
 
 	changedThisRound bool
 	changedLastRound bool
@@ -85,9 +92,7 @@ func (n *Node) TerminationRound() int { return n.termRound }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	for m := range env.Inbox.All() {
-		n.cen.Observe(m.From)
-	}
+	rotor.ObserveSenders(&n.cen, env.Inbox)
 	switch env.Round {
 	case 1:
 		env.Broadcast(wire.Init{})
@@ -104,71 +109,44 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 
 func (n *Node) loopRound(env *simnet.RoundEnv) {
 	nv := n.cen.N()
-
-	echoCounts := make(map[ids.ID]int)
-	termCounts := make(map[uint64]int)
-	for m := range env.Inbox.All() {
-		switch p := m.Payload.(type) {
+	n.ranks.Reset(env.Inbox.Broadcasters(), &n.cen)
+	rotor.Heard(env.Inbox, &n.ranks, func(p wire.Payload, from rotor.Senders) {
+		switch p := p.(type) {
 		case wire.IDEcho:
 			if p.Instance == 0 {
-				echoCounts[p.Candidate]++
+				if who, ok := from.Ranks(); ok {
+					n.echoes.Add(p.Candidate, who)
+				}
 			}
 		case wire.Terminate:
-			termCounts[p.Round]++
+			if who, ok := from.Ranks(); ok {
+				n.terms.Add(p.Round, who)
+			}
 		}
-	}
-
-	var outbox []wire.Payload
+	})
 
 	// Identifier agreement, reliable-broadcast style.
-	candOrder := make([]ids.ID, 0, len(echoCounts))
-	for p := range echoCounts {
-		candOrder = append(candOrder, p)
-	}
-	sort.Slice(candOrder, func(i, j int) bool { return candOrder[i] < candOrder[j] })
 	n.changedLastRound = n.changedThisRound
 	n.changedThisRound = false
-	for _, p := range candOrder {
-		if n.set.Contains(p) {
-			continue
-		}
-		count := echoCounts[p]
-		if census.AtLeastThird(count, nv) {
-			outbox = append(outbox, wire.IDEcho{Candidate: p})
-		}
-		if census.AtLeastTwoThirds(count, nv) {
+	n.echoes.Fold(nv, cmp.Compare[ids.ID], n.set.Contains, func(p ids.ID, quorum bool) {
+		env.Broadcast(wire.IDEcho{Candidate: p})
+		if quorum {
 			n.set.Add(p)
 			n.changedThisRound = true
 		}
-	}
+	})
 
 	// Termination initiation: two consecutive silent rounds ending now.
 	if env.Round >= 4 && !n.changedThisRound && !n.changedLastRound {
-		outbox = append(outbox, wire.Terminate{Round: uint64(env.Round - 1)})
+		env.Broadcast(wire.Terminate{Round: uint64(env.Round - 1)})
 	}
 
 	// Termination relay and quorum.
-	termOrder := make([]uint64, 0, len(termCounts))
-	for k := range termCounts {
-		termOrder = append(termOrder, k)
-	}
-	sort.Slice(termOrder, func(i, j int) bool { return termOrder[i] < termOrder[j] })
-	decide := false
-	for _, k := range termOrder {
-		count := termCounts[k]
-		if census.AtLeastThird(count, nv) {
-			outbox = append(outbox, wire.Terminate{Round: k})
+	n.terms.Fold(nv, cmp.Compare[uint64], nil, func(k uint64, quorum bool) {
+		env.Broadcast(wire.Terminate{Round: k})
+		if quorum {
+			n.terminated = true
+			n.termRound = env.Round
 		}
-		if census.AtLeastTwoThirds(count, nv) {
-			decide = true
-		}
-	}
-
-	for _, p := range outbox {
-		env.Broadcast(p)
-	}
-	if decide {
-		n.terminated = true
-		n.termRound = env.Round
-	}
+	})
 }

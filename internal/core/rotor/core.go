@@ -22,6 +22,8 @@
 package rotor
 
 import (
+	"cmp"
+
 	"uba/internal/census"
 	"uba/internal/ids"
 	"uba/internal/simnet"
@@ -46,9 +48,9 @@ type AcceptedOpinion struct {
 // are executed back-to-back, and generalizes them to the embedded setting
 // where the echoes of one rotor round land several real rounds before the
 // next rotor round executes. Distinct means distinct census rank: the
-// senders of an echo are ORed into the candidate's row of the window (see
-// echoWindow), so a sender repeating an echo in every round of a window
-// still counts once.
+// senders of an echo are ORed into the candidate's row of the window
+// (census.Window), so a sender repeating an echo in every round of a
+// window still counts once.
 type Core struct {
 	self     ids.ID
 	instance uint64
@@ -56,10 +58,10 @@ type Core struct {
 	candidates ids.Set // C_v, ordered by id
 	selected   ids.Set // S_v
 
-	echoes       echoWindow // candidate -> distinct senders this window
+	echoes       census.Window[ids.ID] // candidate -> distinct senders this window
 	lastSelected ids.ID
 
-	// The opinion of lastSelected heard this window, if any (see note).
+	// The opinion of lastSelected heard this window, if any (see NoteInbox).
 	opinion   wire.Opinion
 	opinionOK bool
 
@@ -106,73 +108,45 @@ func (c *Core) EchoInits(inbox simnet.Inbox, emit func(wire.Payload)) {
 	}
 }
 
-// ObserveSenders adds every sender of inbox to cen: the n_v bookkeeping
-// of a node still meeting its world. The block's broadcasters come first,
-// in id order, so when everyone broadcasts ranks ascend with ids and a
-// later census.Ranks over the same broadcasters is a single run.
-func ObserveSenders(cen *census.Census, inbox simnet.Inbox) {
-	for _, id := range inbox.Broadcasters() {
-		cen.Observe(id)
-	}
-	for _, m := range inbox.Direct() {
-		cen.Observe(m.From)
-	}
-}
-
 // NoteInbox records the rotor-relevant messages of one delivered inbox:
 // candidate echoes (tallied by distinct sender until the next LoopRound)
 // and the coordinator's opinion. ranks is the owner's census laid over
 // this inbox's broadcasters (census.Ranks.Reset): messages from senders
 // the census does not know are discarded, and the others are counted
-// under their rank. The shared block is read payload-major — each
-// distinct payload once, with everyone who broadcast it — and the
-// receiver's private segment one message at a time; both feed note.
+// under their rank.
+//
+// A coordinator that sends more than one opinion in a window (only a
+// Byzantine one does) is taken at the last in the engine's (sender,
+// encoding) inbox order: the latest inbox that carried any wins, and
+// within an inbox the opinion with the greatest encoding, whether it was
+// broadcast or unicast.
 func (c *Core) NoteInbox(inbox simnet.Inbox, ranks *census.Ranks) {
-	st := inboxNote{coord: -1}
+	coord := -1 // lastSelected's census rank, if it has one
 	if c.lastSelected != ids.None {
 		if r, ok := ranks.Rank(c.lastSelected); ok {
-			st.coord = r
+			coord = r
 		}
 	}
-	for _, g := range inbox.Said() {
-		if who, ok := ranks.Of(g.By); ok {
-			c.note(g.Payload, who, &st)
+	var opinion wire.Opinion // the coordinator's opinion in this inbox, if heard
+	heard := false
+	Heard(inbox, ranks, func(p wire.Payload, from Senders) {
+		switch p := p.(type) {
+		case wire.IDEcho:
+			if p.Instance == c.instance {
+				if who, ok := from.Ranks(); ok {
+					c.echoes.Add(p.Candidate, who)
+				}
+			}
+		case wire.Opinion:
+			if p.Instance == c.instance && coord >= 0 && (!heard || wire.EncodesAfter(p, opinion)) {
+				if who, ok := from.Ranks(); ok && who.Has(coord) {
+					opinion, heard = p, true
+				}
+			}
 		}
-	}
-	for _, m := range inbox.Direct() {
-		if who, ok := ranks.One(m.From); ok {
-			c.note(m.Payload, who, &st)
-		}
-	}
-	if st.heard {
-		c.opinion, c.opinionOK = st.opinion, true
-	}
-}
-
-// inboxNote is the state of one NoteInbox call, threaded through note.
-type inboxNote struct {
-	coord   int          // lastSelected's census rank, -1 if it has none
-	row     int          // the echo window's row guess for the next echo
-	opinion wire.Opinion // the coordinator's opinion in this inbox, if heard
-	heard   bool
-}
-
-// note records one payload sent by the census ranks in who. A coordinator
-// that sends more than one opinion in a window (only a Byzantine one
-// does) is taken at the last in the engine's (sender, encoding) inbox
-// order: the latest inbox that carried any wins, and within an inbox the
-// opinion with the greatest encoding, whether it was broadcast or unicast.
-func (c *Core) note(p wire.Payload, who census.Marks, st *inboxNote) {
-	switch p := p.(type) {
-	case wire.IDEcho:
-		if p.Instance == c.instance {
-			st.row = c.echoes.add(p.Candidate, who, st.row)
-		}
-	case wire.Opinion:
-		if p.Instance == c.instance && st.coord >= 0 && who.Has(st.coord) &&
-			(!st.heard || wire.EncodesAfter(p, st.opinion)) {
-			st.opinion, st.heard = p, true
-		}
+	})
+	if heard {
+		c.opinion, c.opinionOK = opinion, true
 	}
 }
 
@@ -211,20 +185,13 @@ func (c *Core) LoopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Se
 	c.loopRound++
 
 	// Reliable-broadcast style candidate maintenance (Lines 7-10).
-	for _, row := range c.echoes.sorted() {
-		if c.candidates.Contains(row.cand) {
-			continue
+	// Tallies are per-rotor-round: the fold empties the window.
+	c.echoes.Fold(nv, cmp.Compare[ids.ID], c.candidates.Contains, func(cand ids.ID, quorum bool) {
+		emit(wire.IDEcho{Instance: c.instance, Candidate: cand})
+		if quorum {
+			c.candidates.Add(cand)
 		}
-		count := c.echoes.senders(row.at).Count()
-		if census.AtLeastThird(count, nv) {
-			emit(wire.IDEcho{Instance: c.instance, Candidate: row.cand})
-		}
-		if census.AtLeastTwoThirds(count, nv) {
-			c.candidates.Add(row.cand)
-		}
-	}
-	// Tallies are per-rotor-round: reset the window.
-	c.echoes.reset()
+	})
 
 	sel := Selection{PrevCoordinator: c.lastSelected}
 	// Accept the opinion of the coordinator selected in the previous
@@ -266,6 +233,3 @@ func (c *Core) Terminated() bool { return c.terminated }
 
 // Candidates returns a copy of C_v.
 func (c *Core) Candidates() *ids.Set { return c.candidates.Clone() }
-
-// SelectedCount returns |S_v|.
-func (c *Core) SelectedCount() int { return c.selected.Len() }

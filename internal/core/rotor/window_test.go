@@ -3,6 +3,7 @@ package rotor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -112,7 +113,8 @@ func (c *refCore) loopRound(nv int, opinion wire.Value, emit func(wire.Payload))
 // broadcast into the shared block and are read payload-major, the rest
 // arrive in the private segment) and a link-fault round (InboxOf —
 // everything private, in arbitrary order with each sender's messages
-// scattered rather than in one run). In the growing variant the census
+// scattered rather than in one run); a healthy round in which nobody
+// unicasts is all block. In the growing variant the census
 // additionally gains members between inboxes, as the standalone node's
 // does, so rows widen mid-window.
 func TestEchoWindowMatchesMapReference(t *testing.T) {
@@ -187,11 +189,12 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 							}
 						}
 						inbox := simnet.InboxOf(msgs...)
-						if rng.Intn(3) != 0 {
-							// Healthy round: whole senders broadcast.
+						if shape := rng.Intn(4); shape != 0 {
+							// Healthy round: whole senders broadcast —
+							// all of them when shape is 1.
 							direct := ids.NewSet()
 							for _, from := range universe {
-								if rng.Intn(5) == 0 {
+								if shape != 1 && rng.Intn(5) == 0 {
 									direct.Add(from)
 								}
 							}
@@ -275,5 +278,64 @@ func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 	}
 	if got := core.Candidates().Len(); got != 1 {
 		t.Fatalf("C_v grew to %d: the gate is meant to count rows, not admit them", got)
+	}
+}
+
+// Emission order under a quota: in the first loop round every node owes
+// one echo per candidate (all n reach 2n_v/3 at once), and under a
+// SendQuota of 4 from that round on the four that survive are the echoes
+// of the four smallest candidate ids — the fold sends in ascending
+// candidate order, and the coordinator's opinion comes after the echoes.
+func TestQuotaKeepsTheSmallestCandidates(t *testing.T) {
+	t.Parallel()
+	all := ids.Sparse(rand.New(rand.NewSource(4)), 10)
+	nodes, tapID := all[:9], all[9]
+	net := simnet.New(simnet.Config{MaxRounds: 10, FaultPlan: &simnet.FaultPlan{Events: []simnet.FaultEvent{
+		{Round: 3, Kind: simnet.FaultQuota, SendQuota: 4},
+	}}})
+	defer net.Close()
+	for _, id := range nodes {
+		if err := net.Add(New(id, opinionOf(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tap := &roundTap{id: tapID, round: 4}
+	if err := net.AddByzantine(tap); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 4; round++ {
+		if err := net.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	smallest := slices.Sorted(slices.Values(nodes))[:4]
+	var want []string
+	for _, from := range nodes {
+		for _, cand := range smallest {
+			want = append(want, fmt.Sprintf("%v %x", from, wire.Encode(wire.IDEcho{Candidate: cand})))
+		}
+	}
+	got := tap.heard
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("round-3 sends that survived the quota:\n%v\nwant\n%v", got, want)
+	}
+}
+
+// roundTap records what is delivered to it in one round.
+type roundTap struct {
+	id    ids.ID
+	round int
+	heard []string
+}
+
+func (r *roundTap) ID() ids.ID { return r.id }
+func (r *roundTap) Done() bool { return false }
+func (r *roundTap) Step(env *simnet.RoundEnv) {
+	if env.Round == r.round {
+		for m := range env.Inbox.All() {
+			r.heard = append(r.heard, fmt.Sprintf("%v %x", m.From, wire.Encode(m.Payload)))
+		}
 	}
 }

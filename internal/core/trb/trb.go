@@ -132,13 +132,21 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 		}
 		n.con.Step(env)
 	default:
-		// Remember any body whose fingerprint we may later decide.
-		for m := range env.Inbox.All() {
-			if rb, ok := m.Payload.(wire.RBMessage); ok {
-				n.noteBody(rb.Body)
-			}
+		// Remember any body whose fingerprint we may later decide: each
+		// distinct relay of the block once, whoever sent it.
+		for _, g := range env.Inbox.Said() {
+			n.notePayload(g.Payload)
+		}
+		for _, m := range env.Inbox.Direct() {
+			n.notePayload(m.Payload)
 		}
 		n.con.Step(env)
+	}
+}
+
+func (n *Node) notePayload(p wire.Payload) {
+	if rb, ok := p.(wire.RBMessage); ok {
+		n.noteBody(rb.Body)
 	}
 }
 

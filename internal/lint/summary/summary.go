@@ -95,15 +95,6 @@ const (
 	SendQuad               // O(n²) or worse
 )
 
-// ClassJoin is the lattice join (max): the class of two alternative
-// paths through a function.
-func ClassJoin(a, b uint8) uint8 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ClassMul composes classes multiplicatively: a send of class b
 // executed from a context of class a (a loop body, an amplified
 // callee) lands at a+b-1 capped at SendQuad; anything times SendNone

@@ -322,13 +322,6 @@ func (n *Network) Round() int { return n.round }
 // Size returns the number of registered (not yet removed) processes.
 func (n *Network) Size() int { return len(n.order) }
 
-// IDs returns the live process ids in ascending order.
-func (n *Network) IDs() []ids.ID {
-	out := make([]ids.ID, len(n.order))
-	copy(out, n.order)
-	return out
-}
-
 // Process returns the registered process with the given id, or nil.
 func (n *Network) Process(id ids.ID) Process {
 	st, ok := n.procs[id]

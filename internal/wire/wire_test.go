@@ -269,3 +269,41 @@ func TestTallyCountsByValueAndPicksBest(t *testing.T) {
 		t.Fatalf("Best = (%v, %d), want (-2, 3)", v, n)
 	}
 }
+
+// Ballot sorts the five tallied payloads into the three tallied kinds —
+// a marker under the kind it stands in for, without an opinion — keeps
+// their instance tags, and rejects everything else; the three kinds fill
+// the slots 0..BallotKinds-1.
+func TestBallotClassifiesTheTalliedPayloads(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		p        Payload
+		kind     Kind
+		instance uint64
+		x        Value
+		opinion  bool
+	}{
+		{Input{Instance: 3, X: V(1)}, KindInput, 3, V(1), true},
+		{Prefer{X: Bot()}, KindPrefer, 0, Bot(), true},
+		{NoPreference{Instance: 9}, KindPrefer, 9, Value{}, false},
+		{StrongPrefer{Instance: 2, X: V(-4)}, KindStrongPrefer, 2, V(-4), true},
+		{NoStrongPreference{Instance: 2}, KindStrongPrefer, 2, Value{}, false},
+		{Opinion{Instance: 3, X: V(1)}, 0, 0, Value{}, false},
+		{IDEcho{Instance: 3, Candidate: 5}, 0, 0, Value{}, false},
+		{Init{}, 0, 0, Value{}, false},
+	} {
+		kind, instance, x, opinion := Ballot(tc.p)
+		if kind != tc.kind || instance != tc.instance || !x.Equal(tc.x) || opinion != tc.opinion {
+			t.Errorf("Ballot(%#v) = (%v, %d, %v, %v), want (%v, %d, %v, %v)",
+				tc.p, kind, instance, x, opinion, tc.kind, tc.instance, tc.x, tc.opinion)
+		}
+	}
+	for slot, kind := range []Kind{KindInput, KindPrefer, KindStrongPrefer} {
+		if BallotSlot(kind) != slot {
+			t.Errorf("BallotSlot(%v) = %d, want %d", kind, BallotSlot(kind), slot)
+		}
+	}
+	if BallotKinds != 3 {
+		t.Errorf("BallotKinds = %d", BallotKinds)
+	}
+}
