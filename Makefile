@@ -56,7 +56,8 @@ bench-e2e:
 
 # Round-engine micro-benchmarks (BenchmarkRoundEngine* workload) plus
 # end-to-end runs through the public entry points (e2e/* rows: uba.Consensus
-# at n=128 and n=256; renaming, trb and rb at n=256) as JSON.
+# at n=128 and n=256; renaming, trb and rb at n=256; a 200-round
+# OrderingCluster session at n=32) as JSON.
 # BENCH_simnet.json is committed so the perf trajectory is tracked
 # in-repo; regenerate after touching internal/simnet or a protocol Step.
 bench-json:

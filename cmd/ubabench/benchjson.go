@@ -276,10 +276,63 @@ func e2eSpec(entry string, n int, run func(cfg uba.Config) error) benchSpec {
 	}
 }
 
+// orderingSession is one op of the OrderingCluster row: a 200-round
+// session driven round by round through the public handle — a submit a
+// round for the first 100, joins at rounds 20 and 50, the first joiner
+// leaving at 120, FinalizedThrough read every round and every chain every
+// tenth — which must order all 100 events.
+func orderingSession(cfg uba.Config) error {
+	oc, err := uba.NewOrderingCluster(cfg)
+	if err != nil {
+		return err
+	}
+	defer oc.Close()
+	founders := oc.Members()
+	var joiners []uint64
+	for r := 1; r <= 200; r++ {
+		if r <= 100 {
+			if err := oc.SubmitEvent(founders[r%len(founders)], float64(r)); err != nil {
+				return err
+			}
+		}
+		switch r {
+		case 20, 50:
+			id, err := oc.Join()
+			if err != nil {
+				return err
+			}
+			joiners = append(joiners, id)
+		case 120:
+			if err := oc.Leave(joiners[0]); err != nil {
+				return err
+			}
+		}
+		if err := oc.RunRounds(1); err != nil {
+			return err
+		}
+		if _, err := oc.FinalizedThrough(founders[r%len(founders)]); err != nil {
+			return err
+		}
+		if r%10 == 0 {
+			for _, m := range oc.Members() {
+				if _, err := oc.Chain(m); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	chain, err := oc.Chain(founders[0])
+	if err == nil && len(chain) != 100 {
+		err = fmt.Errorf("ordering session ordered %d of 100 events", len(chain))
+	}
+	return err
+}
+
 // e2eSpecs are the end-to-end rows: uba.Consensus (inputs i%2) over
-// e2eSizes, and at e2eFamilySize the families whose Step counts echoes in
+// e2eSizes; at e2eFamilySize the families whose Step counts echoes in
 // reliable-broadcast fashion — renaming, terminating broadcast (correct
-// source) and reliable broadcast (correct source, 8 rounds).
+// source) and reliable broadcast (correct source, 8 rounds); and one
+// OrderingCluster session at the size bench/ drives.
 func e2eSpecs() []benchSpec {
 	var specs []benchSpec
 	for _, n := range e2eSizes {
@@ -305,6 +358,7 @@ func e2eSpecs() []benchSpec {
 			_, err := uba.ReliableBroadcast(cfg, []byte("payload"), 8)
 			return err
 		}),
+		e2eSpec("OrderingCluster", 32, orderingSession),
 	)
 }
 

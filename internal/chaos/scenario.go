@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"uba/internal/adversary"
 	"uba/internal/core/approx"
@@ -138,6 +139,13 @@ func Run(s Scenario) (*Outcome, error) {
 			return nil, err
 		}
 		rounds++
+		// A campaign runs one cell per P and a cell never blocks, so
+		// without this the collector's part-time mark workers — all it
+		// has below four Ps — wait for the 10 ms forced preemption
+		// while the cells allocate on: a cycle that needs 0.3 ms of
+		// marking then overshoots its goal by several MB, or not,
+		// depending on when it began. A round is the natural yield.
+		runtime.Gosched()
 	}
 	return &Outcome{Rounds: rounds, Violations: fix.suite.Violations()}, nil
 }

@@ -9,8 +9,9 @@ import (
 	"uba/internal/simnet"
 )
 
-// Chains are append-only: the chain observed at any round is a prefix of
-// the chain observed at every later round (finality is irrevocable).
+// Chains are append-only: the chain read after any round extends the chain
+// read after the round before (finality is irrevocable), and each read is
+// the caller's own copy.
 func TestChainIsAppendOnly(t *testing.T) {
 	t.Parallel()
 	c, founders, _ := newCluster(t, 51, 5, 0)
@@ -22,19 +23,56 @@ func TestChainIsAppendOnly(t *testing.T) {
 		}
 		c.run(1)
 		cur := node.Chain()
-		if len(cur) < len(prev) {
-			t.Fatalf("round %d: chain shrank from %d to %d", r, len(prev), len(cur))
+		if len(cur) < len(prev) || !slices.Equal(cur[:len(prev)], prev) {
+			t.Fatalf("round %d: chain %v does not extend %v", r, cur, prev)
 		}
-		for i := range prev {
-			if cur[i] != prev[i] {
-				t.Fatalf("round %d: finalized entry %d changed from %v to %v",
-					r, i, prev[i], cur[i])
-			}
+		// Scribbling over this read must not show in the next one.
+		prev = slices.Clone(cur)
+		for i := range cur {
+			cur[i] = ChainEntry{}
 		}
-		prev = cur
 	}
 	if len(prev) == 0 {
 		t.Fatal("nothing ever finalized")
+	}
+}
+
+// A round costs the same however long the session has run: every node
+// holds at most the executions inside the finality lag, ⌊5|S|/2⌋ + 3 of
+// them, and a round late in a 2000-round session allocates what an early
+// one did. Not parallel: it counts the process's allocations.
+func TestSessionCostIsFlatInItsAge(t *testing.T) {
+	c, founders, _ := newCluster(t, 67, 7, 2)
+	nodes := c.correctNodes()
+	const maxWindow = 5*9/2 + 3
+	round := 0
+	step := func() {
+		round++
+		c.nodes[founders[round%len(founders)]].SubmitEvent(float64(round))
+		c.run(1)
+		for _, node := range nodes {
+			if got := len(node.window); got > maxWindow {
+				t.Fatalf("round %d: node %v holds %d executions, want at most %d", round, node.ID(), got, maxWindow)
+			}
+			if chain := node.Chain(); len(chain) > 0 && chain[len(chain)-1].Round != node.FinalizedThrough() {
+				t.Fatalf("round %d: node %v chain ends at %v, finalized through %d",
+					round, node.ID(), chain[len(chain)-1], node.FinalizedThrough())
+			}
+		}
+	}
+	for round < 199 {
+		step()
+	}
+	early := testing.AllocsPerRun(100, step) // rounds 200–300
+	for round < 1899 {
+		step()
+	}
+	late := testing.AllocsPerRun(100, step) // rounds 1900–2000
+	if late > 1.25*early {
+		t.Fatalf("a round allocates %.0f objects at age 1900, %.0f at age 200", late, early)
+	}
+	if got := nodes[0].FinalizedThrough(); got < uint64(round)-maxWindow {
+		t.Fatalf("finalized through %d after %d rounds", got, round)
 	}
 }
 
@@ -152,5 +190,37 @@ func TestOrderingRunnersAgree(t *testing.T) {
 		if got := run(workers); !slices.Equal(got, base) {
 			t.Fatalf("workers=%d: chain differs from workers=1:\n  got:  %v\n  want: %v", workers, got, base)
 		}
+	}
+}
+
+// Round MaxRound+1 would pack onto round 0's instance tags, so no
+// execution is started past MaxRound: founders placed a few rounds short
+// of it order what was submitted up to the bound and nothing after.
+func TestNoExecutionPastMaxRound(t *testing.T) {
+	t.Parallel()
+	c, founders, _ := newCluster(t, 71, 5, 0)
+	nodes := c.correctNodes()
+	for _, node := range nodes {
+		node.r = MaxRound - 4
+		node.firstRun = node.r + 1
+	}
+	for i := 0; i < 12; i++ {
+		c.nodes[founders[0]].SubmitEvent(float64(i))
+	}
+	c.run(60)
+	for _, node := range nodes {
+		if node.Round() <= MaxRound {
+			t.Fatalf("node %v only reached round %d", node.ID(), node.Round())
+		}
+		if len(node.window) != 0 || node.FinalizedThrough() != MaxRound {
+			t.Fatalf("node %v: %d executions in flight, finalized through %d, want 0 and %d",
+				node.ID(), len(node.window), node.FinalizedThrough(), uint64(MaxRound))
+		}
+	}
+	// Execution r orders the event broadcast in round r−1, so the events
+	// of rounds MaxRound−3 … MaxRound−1 are in and the rest are not.
+	chain := checkChainPrefix(t, nodes)
+	if len(chain) != 3 || chain[0].Round != MaxRound-2 || chain[2].Round != MaxRound {
+		t.Fatalf("chain %v, want one event in each of the last three executions", chain)
 	}
 }

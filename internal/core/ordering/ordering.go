@@ -28,13 +28,22 @@
 // events; applications hash richer payloads to values). Executions are
 // kept apart on the wire by packing (round, submitter) into the 64-bit
 // instance tag — rounds in the high 16 bits, the 48-bit node id below —
-// which bounds a single system run to 2^16 rounds, ample for simulation.
+// which bounds a single system run to MaxRound rounds, ample for
+// simulation; no execution is started past it. A node holds only the
+// executions that are not yet final, in a round-ordered window: it starts
+// one per round from FirstRound until it leaves, so append order is round
+// order and there are no gaps. At the end of every Step the executions at
+// the head of the window that have become final are folded into the
+// append-only chain and dropped, so a round costs the same however long
+// the session has run, and Chain and FinalizedThrough read what was
+// folded without touching an execution.
 package ordering
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"uba/internal/census"
@@ -44,8 +53,12 @@ import (
 	"uba/internal/wire"
 )
 
-// maxID is the largest node id the instance-tag packing supports.
-const maxID = ids.ID(1)<<48 - 1
+// The instance-tag packing supports node ids up to maxID and protocol
+// rounds up to MaxRound; round MaxRound+1 would wrap onto round 0's tags.
+const (
+	maxID    = ids.ID(1)<<48 - 1
+	MaxRound = 1<<16 - 1
+)
 
 // ChainEntry is one totally-ordered event.
 type ChainEntry struct {
@@ -67,7 +80,7 @@ func instanceTag(round uint64, submitter ids.ID) uint64 {
 	return round<<48 | uint64(submitter)
 }
 
-// run is one in-flight parallel-consensus execution.
+// run is one parallel-consensus execution that is not yet final.
 type run struct {
 	round   uint64
 	node    *parallelcon.Node
@@ -91,7 +104,11 @@ type Node struct {
 	firstRun   uint64            // first execution this node participates in
 
 	pendingEvents []float64
-	runs          map[uint64]*run
+	// window holds the executions that are not yet final, oldest first;
+	// chain holds the outputs of the ones that are, through round final.
+	window []run
+	chain  []ChainEntry
+	final  uint64
 	// ranks is the rank-table scratch lent to every execution's StepLocal:
 	// one per node, not one per short-lived parallelcon.Node.
 	ranks census.Ranks
@@ -116,7 +133,6 @@ func NewFounder(id ids.ID, initialMembers *ids.Set) (*Node, error) {
 		joined:     true,
 		activeFrom: active,
 		firstRun:   1,
-		runs:       make(map[uint64]*run),
 	}, nil
 }
 
@@ -127,11 +143,7 @@ func NewJoiner(id ids.ID) (*Node, error) {
 	if id > maxID {
 		return nil, fmt.Errorf("ordering: id %v exceeds 48-bit instance packing", id)
 	}
-	return &Node{
-		id:         id,
-		activeFrom: make(map[ids.ID]uint64),
-		runs:       make(map[uint64]*run),
-	}, nil
+	return &Node{id: id, activeFrom: make(map[ids.ID]uint64)}, nil
 }
 
 // ID implements simnet.Process.
@@ -220,8 +232,8 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	}
 
 	// Start execution r with the intake pairs, scoped to the snapshot,
-	// unless the node is winding down.
-	if !n.leaving {
+	// unless the node is winding down or the tag space is used up.
+	if !n.leaving && n.r <= MaxRound {
 		inputs := make([]parallelcon.InputPair, 0, len(intake))
 		sort.Slice(intake, func(i, j int) bool { return intake[i].submitter < intake[j].submitter })
 		for _, e := range intake {
@@ -231,7 +243,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			})
 		}
 		round := n.r
-		n.runs[round] = &run{
+		n.window = append(n.window, run{
 			round:   round,
 			members: members.Len(),
 			node: parallelcon.New(n.id, inputs, parallelcon.Options{
@@ -240,29 +252,45 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 				RotorInstance:  instanceTag(round, 0),
 				InstanceFilter: func(iid uint64) bool { return iid>>48 == round },
 			}),
-		}
+		})
 	}
 
-	// Drive every in-flight execution with this round's inbox.
-	order := make([]uint64, 0, len(n.runs))
-	for round := range n.runs {
-		order = append(order, round)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	// Drive every in-flight execution with this round's inbox (a
+	// terminated one waiting out its finality lag ignores the call).
 	allDone := true
-	for _, round := range order {
-		rn := n.runs[round]
-		if !rn.node.Done() {
-			rn.node.StepLocal(env.Round, env.Inbox, &n.ranks, env.Broadcast)
-		}
-		if !rn.node.Done() {
-			allDone = false
-		}
+	for _, rn := range n.window {
+		rn.node.StepLocal(env.Round, env.Inbox, &n.ranks, env.Broadcast)
+		allDone = allDone && rn.node.Done()
 	}
-
 	if n.leaving && allDone {
 		n.left = true
 	}
+	n.foldFinal()
+}
+
+// foldFinal moves the executions that became final this round from the
+// head of the window into the chain. Execution r' is final at round r once
+// it has locally terminated and r − r' > 5|S^{r'}|/2 + 2, the paper's
+// worst-case termination bound for it; finality is claimed in round order,
+// so an execution behind a non-final one waits. Both conditions change
+// only inside Step, which is why folding here is all the readers need.
+func (n *Node) foldFinal() {
+	k := 0
+	for ; k < len(n.window); k++ {
+		rn := n.window[k]
+		if !rn.node.Done() || 2*(n.r-rn.round) <= uint64(5*rn.members+4) {
+			break
+		}
+		for _, pair := range rn.node.Outputs() {
+			n.chain = append(n.chain, ChainEntry{
+				Round:     rn.round,
+				Submitter: ids.ID(pair.Instance & uint64(maxID)),
+				Value:     pair.X.X,
+			})
+		}
+		n.final = rn.round
+	}
+	n.window = slices.Delete(n.window, 0, k)
 }
 
 // stepJoin drives the present/ack handshake.
@@ -307,56 +335,12 @@ func (n *Node) stepJoin(env *simnet.RoundEnv) {
 // FirstRound returns the first execution round this node participates in.
 func (n *Node) FirstRound() uint64 { return n.firstRun }
 
-// finalityHorizon reports whether execution r' is final at current round
-// r: locally terminated and past the paper's bound r − r' > 5|S|/2 + 2.
-func (n *Node) finalityHorizon(rn *run) bool {
-	if !rn.node.Done() {
-		return false
-	}
-	return 2*(n.r-rn.round) > uint64(5*rn.members+4)
-}
-
-// Chain returns the node's current totally-ordered event chain: the
-// outputs of all executions up to the largest R such that every execution
-// in [FirstRound, R] is final, ordered by round and then submitter id.
-func (n *Node) Chain() []ChainEntry {
-	var lastFinal uint64
-	haveFinal := false
-	for round := n.firstRun; ; round++ {
-		rn, ok := n.runs[round]
-		if !ok || !n.finalityHorizon(rn) {
-			break
-		}
-		lastFinal = round
-		haveFinal = true
-	}
-	if !haveFinal {
-		return nil
-	}
-	var chain []ChainEntry
-	for round := n.firstRun; round <= lastFinal; round++ {
-		rn := n.runs[round]
-		for _, pair := range rn.node.Outputs() {
-			chain = append(chain, ChainEntry{
-				Round:     round,
-				Submitter: ids.ID(pair.Instance & uint64(maxID)),
-				Value:     pair.X.X,
-			})
-		}
-	}
-	return chain
-}
+// Chain returns a copy of the node's current totally-ordered event chain:
+// the outputs of all executions up to the largest R such that every
+// execution in [FirstRound, R] is final, ordered by round and then
+// submitter id.
+func (n *Node) Chain() []ChainEntry { return slices.Clone(n.chain) }
 
 // FinalizedThrough returns the largest round R such that all executions in
 // [FirstRound, R] are final (0 if none).
-func (n *Node) FinalizedThrough() uint64 {
-	var lastFinal uint64
-	for round := n.firstRun; ; round++ {
-		rn, ok := n.runs[round]
-		if !ok || !n.finalityHorizon(rn) {
-			break
-		}
-		lastFinal = round
-	}
-	return lastFinal
-}
+func (n *Node) FinalizedThrough() uint64 { return n.final }

@@ -173,15 +173,20 @@ func TestChainsIdenticalAfterQuiescence(t *testing.T) {
 }
 
 // equivocatingSubmitter is a Byzantine founder that sends different event
-// values to different halves of the correct nodes every round.
+// values to different halves of the correct nodes — every round, or in
+// round only alone when that is set.
 type equivocatingSubmitter struct {
 	id      ids.ID
 	targets []ids.ID
+	only    int
 }
 
 func (s *equivocatingSubmitter) ID() ids.ID { return s.id }
 func (s *equivocatingSubmitter) Done() bool { return false }
 func (s *equivocatingSubmitter) Step(env *simnet.RoundEnv) {
+	if s.only != 0 && env.Round != s.only {
+		return
+	}
 	mk := func(v float64, round uint64) wire.Payload {
 		return wire.Event{
 			Round: round,

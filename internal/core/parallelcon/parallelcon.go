@@ -42,8 +42,8 @@
 package parallelcon
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"uba/internal/census"
 	"uba/internal/core/consensus"
@@ -102,10 +102,6 @@ type instance struct {
 	decRound int
 }
 
-func newInstance(id uint64, x wire.Value) *instance {
-	return &instance{id: id, x: x}
-}
-
 // sent records the node's own ballot of the given kind, for the
 // substitution rule; silent records that it sent none this phase.
 func (ins *instance) sent(kind wire.Kind, x wire.Value) {
@@ -134,7 +130,12 @@ type Node struct {
 	core        *rotor.Core
 	coordinator ids.ID
 
+	// inst looks an instance up by id; order holds the same instances
+	// ascending by id, the order every phase round sends, tallies and
+	// outputs in. Both grow only through join. ignored holds the ids first
+	// heard outside a joinable window, which are never joined.
 	inst    map[uint64]*instance
+	order   []*instance
 	ignored map[uint64]struct{}
 
 	phasesRun int
@@ -158,7 +159,7 @@ func New(id ids.ID, inputs []InputPair, opts Options) *Node {
 		ignored: make(map[uint64]struct{}),
 	}
 	for _, in := range inputs {
-		n.inst[in.Instance] = newInstance(in.Instance, in.X)
+		n.AddInput(in)
 	}
 	if opts.Members != nil {
 		c := census.New()
@@ -182,7 +183,18 @@ func (n *Node) AddInput(pair InputPair) {
 		ins.x = pair.X
 		return
 	}
-	n.inst[pair.Instance] = newInstance(pair.Instance, pair.X)
+	n.join(pair.Instance, pair.X)
+}
+
+// join makes the node aware of an instance it does not know yet, at its
+// place in id order.
+func (n *Node) join(id uint64, x wire.Value) {
+	ins := &instance{id: id, x: x}
+	n.inst[id] = ins
+	at, _ := slices.BinarySearchFunc(n.order, id, func(ins *instance, id uint64) int {
+		return cmp.Compare(ins.id, id)
+	})
+	n.order = slices.Insert(n.order, at, ins)
 }
 
 // ID implements simnet.Process.
@@ -191,15 +203,14 @@ func (n *Node) ID() ids.ID { return n.id }
 // Done implements simnet.Process.
 func (n *Node) Done() bool { return n.done }
 
-// Outputs returns the decided non-⊥ pairs, sorted by instance id.
+// Outputs returns the decided non-⊥ pairs, ascending by instance id.
 func (n *Node) Outputs() []OutputPair {
-	out := make([]OutputPair, 0, len(n.inst))
-	for _, ins := range n.inst {
+	out := make([]OutputPair, 0, len(n.order))
+	for _, ins := range n.order {
 		if ins.decided && ins.hasOut {
 			out = append(out, OutputPair{Instance: ins.id, X: ins.output})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Instance < out[j].Instance })
 	return out
 }
 
@@ -268,7 +279,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 
 	switch pr {
 	case 0: // PR1: broadcast id:input(x) for every live instance with x ≠ ⊥
-		for _, ins := range n.instancesInOrder() {
+		for _, ins := range n.order {
 			if ins.decided {
 				continue
 			}
@@ -282,7 +293,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 			ins.sent(wire.KindInput, ins.x)
 		}
 	case 1: // PR2: tally inputs; prefer or nopreference
-		for _, ins := range n.instancesInOrder() {
+		for _, ins := range n.order {
 			if ins.decided {
 				continue
 			}
@@ -297,7 +308,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 			}
 		}
 	case 2: // PR3: tally prefers; adopt at n_v/3; strongprefer at 2n_v/3
-		for _, ins := range n.instancesInOrder() {
+		for _, ins := range n.order {
 			if ins.decided {
 				continue
 			}
@@ -315,7 +326,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 			}
 		}
 	case 3: // PR4: store strongprefer tallies; run the shared rotor round
-		for _, ins := range n.instancesInOrder() {
+		for _, ins := range n.order {
 			if ins.decided {
 				continue
 			}
@@ -332,7 +343,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 		})
 		n.coordinator = sel.Coordinator
 		if sel.Coordinator == n.id {
-			for _, ins := range n.instancesInOrder() {
+			for _, ins := range n.order {
 				if ins.decided {
 					continue
 				}
@@ -341,7 +352,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 		}
 	case 4: // PR5: resolve per instance against the coordinator's opinion
 		opinions := n.coordinatorOpinions(inbox)
-		for _, ins := range n.instancesInOrder() {
+		for _, ins := range n.order {
 			if ins.decided {
 				continue
 			}
@@ -369,21 +380,12 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 }
 
 func (n *Node) allDecided() bool {
-	for _, ins := range n.inst {
+	for _, ins := range n.order {
 		if !ins.decided {
 			return false
 		}
 	}
 	return true
-}
-
-func (n *Node) instancesInOrder() []*instance {
-	out := make([]*instance, 0, len(n.inst))
-	for _, ins := range n.inst {
-		out = append(out, ins)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
 }
 
 func (n *Node) accepts(instanceID uint64) bool {
@@ -427,7 +429,7 @@ func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
 			}
 		}
 		if joinable {
-			n.inst[iid] = newInstance(iid, wire.Bot())
+			n.join(iid, wire.Bot())
 		} else {
 			n.ignored[iid] = struct{}{}
 		}

@@ -108,3 +108,64 @@ func TestParallelAgreementUnderSplitProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The instance table stays ordered however instances arrive: after random
+// New inputs (duplicates included — the last one wins), AddInput calls and
+// first-contact joins through the input window, order is strictly
+// ascending by id and holds exactly the map's instances with the expected
+// opinions, and Outputs comes out ascending from it.
+func TestInstanceTableStaysOrderedProperty(t *testing.T) {
+	t.Parallel()
+	discard := func(wire.Payload) {}
+	prop := func(given, added, heard []uint8) bool {
+		want := make(map[uint64]wire.Value)
+		inputs := make([]InputPair, 0, len(given))
+		for i, raw := range given {
+			pair := InputPair{Instance: uint64(raw % 16), X: wire.V(float64(i))}
+			inputs = append(inputs, pair)
+			want[pair.Instance] = pair.X
+		}
+		n := memberNode(1, []ids.ID{1, 2, 3, 4}, inputs)
+		for i, raw := range added {
+			pair := InputPair{Instance: uint64(raw % 24), X: wire.V(float64(100 + i))}
+			n.AddInput(pair)
+			want[pair.Instance] = pair.X
+		}
+		msgs := make([]simnet.Received, 0, len(heard))
+		for _, raw := range heard {
+			iid := uint64(raw % 32)
+			msgs = append(msgs, rcvP(2, wire.Input{Instance: iid, X: wire.V(7)}))
+			if _, known := want[iid]; !known {
+				want[iid] = wire.Bot()
+			}
+		}
+		stepLocal(n, 1, simnet.Inbox{}, discard)
+		stepLocal(n, 2, simnet.InboxOf(msgs...), discard)
+
+		if len(n.order) != len(want) || len(n.inst) != len(want) {
+			return false
+		}
+		for i, ins := range n.order {
+			if i > 0 && n.order[i-1].id >= ins.id {
+				return false
+			}
+			if x, ok := want[ins.id]; !ok || !ins.x.Equal(x) || n.inst[ins.id] != ins {
+				return false
+			}
+			ins.decided, ins.hasOut, ins.output = true, true, wire.V(float64(ins.id))
+		}
+		out := n.Outputs()
+		if len(out) != len(n.order) {
+			return false
+		}
+		for i, pair := range out {
+			if pair.Instance != n.order[i].id || !pair.X.Equal(wire.V(float64(pair.Instance))) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -174,11 +174,11 @@ func E8ConsensusVsKing(quick bool) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		kingU, err := runKingBaseline(n, f, unanimousInputs(g, 1))
+		_, kingU, err := runKingBaseline(n, f, unanimousInputs(g, 1))
 		if err != nil {
 			return nil, err
 		}
-		kingS, err := runKingBaseline(n, f, splitInputs(g))
+		_, kingS, err := runKingBaseline(n, f, splitInputs(g))
 		if err != nil {
 			return nil, err
 		}
@@ -203,8 +203,9 @@ func E8ConsensusVsKing(quick bool) (*Outcome, error) {
 }
 
 // runKingBaseline runs the phase-king baseline with silent Byzantine
-// slots at the top ids (so every king is correct) and returns the rounds.
-func runKingBaseline(n, f int, inputs []float64) (int, error) {
+// slots at the top ids (so every king is correct), checks the kings agree,
+// and returns the run's traffic accounting and its rounds.
+func runKingBaseline(n, f int, inputs []float64) (trace.Report, int, error) {
 	collector := &trace.Collector{}
 	net := simnet.New(simnet.Config{MaxRounds: 8 * (f + 2), Collector: collector})
 	correctIDs := make([]ids.ID, 0, len(inputs))
@@ -214,31 +215,31 @@ func runKingBaseline(n, f int, inputs []float64) (int, error) {
 		nodes = append(nodes, node)
 		correctIDs = append(correctIDs, ids.ID(i))
 		if err := net.Add(node); err != nil {
-			return 0, err
+			return trace.Report{}, 0, err
 		}
 	}
 	for i := len(inputs) + 1; i <= n; i++ {
 		if err := net.AddByzantine(adversary.NewSilent(ids.ID(i))); err != nil {
-			return 0, err
+			return trace.Report{}, 0, err
 		}
 	}
 	rounds, err := net.Run(simnet.AllDone(correctIDs))
 	if err != nil {
-		return 0, err
+		return trace.Report{}, 0, err
 	}
 	var first wire.Value
 	for i, node := range nodes {
 		out, ok := node.Output()
 		if !ok {
-			return 0, fmt.Errorf("king node %v undecided", node.ID())
+			return trace.Report{}, 0, fmt.Errorf("king node %v undecided", node.ID())
 		}
 		if i == 0 {
 			first = out
 		} else if !out.Equal(first) {
-			return 0, fmt.Errorf("king baseline disagreed")
+			return trace.Report{}, 0, fmt.Errorf("king baseline disagreed")
 		}
 	}
-	return rounds, nil
+	return collector.Report(), rounds, nil
 }
 
 // E17ThresholdAblation examines the paper's closing observation that
@@ -261,7 +262,7 @@ func E17ThresholdAblation(quick bool) (*Outcome, error) {
 	pass := true
 	for _, r := range rows {
 		g := r.n - r.fActual
-		kingRounds, err := runKingBaseline(r.n, r.fProvisioned, unanimousInputs(r.n-r.fProvisioned, 2))
+		_, kingRounds, err := runKingBaseline(r.n, r.fProvisioned, unanimousInputs(r.n-r.fProvisioned, 2))
 		if err != nil {
 			return nil, err
 		}

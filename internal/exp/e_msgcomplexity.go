@@ -1,16 +1,6 @@
 package exp
 
-import (
-	"fmt"
-
-	"uba"
-	"uba/internal/adversary"
-	"uba/internal/baseline"
-	"uba/internal/ids"
-	"uba/internal/simnet"
-	"uba/internal/trace"
-	"uba/internal/wire"
-)
+import "uba"
 
 // E20MessageComplexity quantifies the Discussion-section claim that
 // "other metrics such as message complexity ... do not change much
@@ -47,7 +37,7 @@ func E20MessageComplexity(quick bool) (*Outcome, error) {
 		idTotal := float64(idRes.Report.Deliveries)
 		idWork := idTotal / n2
 
-		kingReport, _, err := runKingWithReport(n, f, splitInputs(g))
+		kingReport, _, err := runKingBaseline(n, f, splitInputs(g))
 		if err != nil {
 			return nil, err
 		}
@@ -73,28 +63,4 @@ func E20MessageComplexity(quick bool) (*Outcome, error) {
 		Pass:     pass,
 		Tables:   []Table{table},
 	}, nil
-}
-
-// runKingWithReport runs the king baseline with traffic accounting.
-func runKingWithReport(n, f int, inputs []float64) (trace.Report, int, error) {
-	collector := &trace.Collector{}
-	net := simnet.New(simnet.Config{MaxRounds: 8 * (f + 2), Collector: collector})
-	correctIDs := make([]ids.ID, 0, len(inputs))
-	for i := 1; i <= len(inputs); i++ {
-		node := baseline.NewKing(ids.ID(i), n, f, wire.V(inputs[i-1]))
-		correctIDs = append(correctIDs, ids.ID(i))
-		if err := net.Add(node); err != nil {
-			return trace.Report{}, 0, err
-		}
-	}
-	for i := len(inputs) + 1; i <= n; i++ {
-		if err := net.AddByzantine(adversary.NewSilent(ids.ID(i))); err != nil {
-			return trace.Report{}, 0, err
-		}
-	}
-	rounds, err := net.Run(simnet.AllDone(correctIDs))
-	if err != nil {
-		return trace.Report{}, 0, fmt.Errorf("king run: %w", err)
-	}
-	return collector.Report(), rounds, nil
 }

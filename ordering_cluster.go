@@ -3,6 +3,7 @@ package uba
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"uba/internal/core/ordering"
 	"uba/internal/ids"
@@ -25,10 +26,10 @@ type Event struct {
 // members, advance rounds, read chains. It is not safe for concurrent
 // use.
 type OrderingCluster struct {
-	cl       *cluster
-	rng      *rand.Rand
-	nodes    map[uint64]*ordering.Node
-	founders []uint64
+	cl      *cluster
+	rng     *rand.Rand
+	nodes   map[uint64]*ordering.Node
+	members []uint64 // founder-then-join order
 }
 
 // NewOrderingCluster boots a dynamic total-ordering system with
@@ -51,7 +52,7 @@ func NewOrderingCluster(cfg Config) (*OrderingCluster, error) {
 			return nil, err
 		}
 		oc.nodes[uint64(id)] = node
-		oc.founders = append(oc.founders, uint64(id))
+		oc.members = append(oc.members, uint64(id))
 		if err := cl.net.Add(node); err != nil {
 			return nil, err
 		}
@@ -65,14 +66,19 @@ func NewOrderingCluster(cfg Config) (*OrderingCluster, error) {
 // Members returns the ids of the correct members currently driven by this
 // handle, in founder-then-join order.
 func (c *OrderingCluster) Members() []uint64 {
-	out := make([]uint64, len(c.founders))
-	copy(out, c.founders)
-	return out
+	return slices.Clone(c.members)
 }
 
-// RunRounds advances the whole system the given number of rounds.
+// RunRounds advances the whole system the given number of rounds. A
+// session is bounded by the protocol's instance tags: it is an error to
+// step a member past protocol round ordering.MaxRound.
 func (c *OrderingCluster) RunRounds(rounds int) error {
 	for i := 0; i < rounds; i++ {
+		for _, m := range c.members {
+			if c.nodes[m].Round() >= ordering.MaxRound {
+				return fmt.Errorf("uba: ordering session is at its last round (%d); start a new cluster", ordering.MaxRound)
+			}
+		}
 		if err := c.cl.net.RunRound(); err != nil {
 			return fmt.Errorf("ordering round: %w", err)
 		}
@@ -102,7 +108,7 @@ func (c *OrderingCluster) Join() (uint64, error) {
 		return 0, err
 	}
 	c.nodes[uint64(id)] = node
-	c.founders = append(c.founders, uint64(id))
+	c.members = append(c.members, uint64(id))
 	return uint64(id), nil
 }
 

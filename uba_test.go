@@ -2,6 +2,8 @@ package uba
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"uba/internal/trace"
@@ -256,6 +258,62 @@ func TestOrderingClusterFacade(t *testing.T) {
 	}
 	if err := oc.SubmitEvent(12345, 1); err == nil {
 		t.Fatal("unknown member accepted")
+	}
+}
+
+// A session ends at the last round the instance tags can name: RunRounds
+// refuses to go past it, and what was final by then stays readable.
+func TestOrderingClusterStopsAtTheRoundBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a session to protocol round 65535")
+	}
+	t.Parallel()
+	oc, err := NewOrderingCluster(Config{Correct: 4, Byzantine: 1, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oc.Close()
+	member := oc.Members()[0]
+	const last = 1<<16 - 1
+	var early []Event
+	for done := 0; done < last; done += 257 {
+		if err := oc.SubmitEvent(member, float64(done)); err != nil {
+			t.Fatal(err)
+		}
+		if err := oc.RunRounds(min(257, last-done)); err != nil {
+			t.Fatalf("after %d rounds: %v", done, err)
+		}
+		if done == 250*257 {
+			early, _ = oc.Chain(member)
+			// Submissions from here on land in the session's last rounds.
+			for i := 0; i < 2000; i++ {
+				if err := oc.SubmitEvent(member, float64(-i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if r, _ := oc.Round(member); r != last {
+		t.Fatalf("member at round %d, want %d", r, last)
+	}
+	before, _ := oc.Chain(member)
+	if len(before) < 255+1000 || before[len(before)-1].Round < last-20 {
+		t.Fatalf("chain of %d events ends at %v", len(before), before[len(before)-1])
+	}
+	if len(early) < 200 || !slices.Equal(before[:len(early)], early) {
+		t.Fatalf("the chain at the bound does not extend the %d events read earlier", len(early))
+	}
+	for _, rounds := range []int{1, 40} {
+		err := oc.RunRounds(rounds)
+		if err == nil || !strings.Contains(err.Error(), "65535") || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("RunRounds(%d) at the bound: %v", rounds, err)
+		}
+	}
+	if r, _ := oc.Round(member); r != last {
+		t.Fatalf("member stepped to round %d", r)
+	}
+	if after, _ := oc.Chain(member); !slices.Equal(after, before) {
+		t.Fatalf("chain changed at the bound: %d events, then %d", len(before), len(after))
 	}
 }
 
