@@ -57,7 +57,8 @@ bench-e2e:
 # Round-engine micro-benchmarks (BenchmarkRoundEngine* workload) plus
 # end-to-end runs through the public entry points (e2e/* rows: uba.Consensus
 # at n=128 and n=256; renaming, trb and rb at n=256; a 200-round
-# OrderingCluster session at n=32) as JSON.
+# OrderingCluster session at n=32; uba.Consensus at n=1024 with one and
+# with two step workers, the pair that prices Config.Workers) as JSON.
 # BENCH_simnet.json is committed so the perf trajectory is tracked
 # in-repo; regenerate after touching internal/simnet or a protocol Step.
 bench-json:
@@ -74,8 +75,9 @@ perf-smoke:
 	$(GO) run ./cmd/ubabench -perfsmoke $(PERFSMOKE_FLAGS)
 
 # Sparse-delivery scaling check: the large-n broadcast-heavy rounds that
-# the shared-broadcast-block delivery exists for. One sequential and one
-# concurrent round benchmark at n=8192 under a wall-clock budget
+# the shared-broadcast-block delivery exists for. Round benchmarks at
+# n=4096 and n=8192, nodes stepped inline (workers=1) and by GOMAXPROCS
+# goroutines (workers=max), under a wall-clock budget
 # (-benchtime is per-benchmark; timeout is the hard stop), emitted as
 # plain `go test -bench` output for the CI artifact.
 bench-sparse:

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"uba"
@@ -22,8 +23,8 @@ var benchSizes = []int{32, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 
 // phaseSizes are the sizes the phase-split (step-only / route-only)
 // benchmarks sweep. The split attributes round time to the half that
-// spends it: step is the phase dispatch + Step calls, route is
-// block-sort + dedup + arena sizing + sharded delivery. n=4096 extends
+// spends it: step is the step dispatch + Step calls + merge, route is
+// block-sort + dedup + arena sizing + delivery. n=4096 extends
 // the split into the territory where the sparse delivery path carries
 // the round, and is the larger of the two sizes the zero-alloc gate
 // (internal/simnet alloc_gate_test.go) certifies at runtime.
@@ -41,14 +42,20 @@ var e2eSizes = []int{128, 256}
 
 const e2eFamilySize = 256
 
+// e2eWorkersSize is the size of the uba.Consensus row pair that prices
+// Config.Workers end to end: the same run stepped inline and by two
+// goroutines. The pair is the knob's justification (ROADMAP item 6); at
+// about a second per op it is in the full sweep only, not in perf-smoke.
+const e2eWorkersSize = 1024
+
 // engineBenchResult is one benchmark measurement in BENCH_simnet.json.
 type engineBenchResult struct {
 	// Name mirrors the `go test -bench` benchmark name.
 	Name string `json:"name"`
-	// Runner is "sequential" or "concurrent" for single-simulation rows
-	// (a worker cap of 1 or GOMAXPROCS on the one round engine; see
-	// runnerWorkers) and "campaign" for multi-simulation rows.
-	Runner string `json:"runner"`
+	// Workers is how many goroutines step one simulation's nodes
+	// (Config.Workers): a count, or "max" for GOMAXPROCS — the row's
+	// procs pin if it has one, else the file's gomaxprocs.
+	Workers string `json:"workers"`
 	// Phase is "step" or "route" for the phase-split benchmarks and
 	// empty for full-round rows (whose names stay stable across
 	// baseline generations).
@@ -85,36 +92,47 @@ type engineBenchFile struct {
 
 // benchSpec names one benchmark and knows how to run its loop body.
 type benchSpec struct {
-	name   string
-	runner string
-	phase  string // "" for full-round specs
-	n      int
-	jobs   int    // concurrent simulations, 0 = single-simulation spec
-	procs  int    // fixed GOMAXPROCS, 0 = host setting
-	plan   string // "idle" for plan-presence rows, "" for plan-free rows
-	bench  func(b *testing.B)
+	name    string
+	workers int    // Config.Workers of the fixture, or maxWorkers
+	phase   string // "" for full-round specs
+	n       int
+	jobs    int    // concurrent simulations, 0 = single-simulation spec
+	procs   int    // fixed GOMAXPROCS, 0 = host setting
+	plan    string // "idle" for plan-presence rows, "" for plan-free rows
+	bench   func(b *testing.B)
 }
 
-// runnerWorkers maps a row's runner label to the simnet.Config.Workers
-// it measures. The labels predate the single step path and are kept so
-// rows stay comparable with the committed baseline: "sequential" is a
-// worker cap of 1 (inline dispatch), "concurrent" a cap of GOMAXPROCS —
-// read when the fixture is built, i.e. under a procsSpec pin.
-func runnerWorkers(runner string) int {
-	if runner == "concurrent" {
+// maxWorkers stands for a worker count of GOMAXPROCS — read when the
+// fixture is built, i.e. under a procsSpec pin — on the "workers=max"
+// rows, whose names must not depend on the host that measured them.
+const maxWorkers = 0
+
+// workerCounts are the two counts the chatter rows compare: inline
+// stepping and a step phase spread over every processor.
+var workerCounts = []int{1, maxWorkers}
+
+func workerCount(workers int) int {
+	if workers == maxWorkers {
 		return runtime.GOMAXPROCS(0)
 	}
-	return 1
+	return workers
+}
+
+func workersLabel(workers int) string {
+	if workers == maxWorkers {
+		return "max"
+	}
+	return strconv.Itoa(workers)
 }
 
 // roundSpec measures full rounds (step + route) via RunRound.
-func roundSpec(runner string, n int) benchSpec {
+func roundSpec(workers, n int) benchSpec {
 	return benchSpec{
-		name:   fmt.Sprintf("RoundEngine/%s/n=%d", runner, n),
-		runner: runner,
-		n:      n,
+		name:    fmt.Sprintf("RoundEngine/workers=%s/n=%d", workersLabel(workers), n),
+		workers: workers,
+		n:       n,
 		bench: func(b *testing.B) {
-			net, _, err := simnet.NewBroadcastBench(n, b.N+2, runnerWorkers(runner))
+			net, _, err := simnet.NewBroadcastBench(n, b.N+2, workerCount(workers))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -137,14 +155,25 @@ func roundSpec(runner string, n int) benchSpec {
 	}
 }
 
-// phaseSpec measures one half of a round in isolation via RoundPhases.
-func phaseSpec(phase, runner string, n int) benchSpec {
-	return variantPhaseSpec(phase, runner, n, "")
+// stepSpec measures the step half of a round in isolation — the
+// dispatch, the Step calls and the node-order merge — via RoundPhases.
+func stepSpec(workers, n int) benchSpec {
+	return benchSpec{
+		name:    fmt.Sprintf("RoundEngine/step/workers=%s/n=%d", workersLabel(workers), n),
+		workers: workers,
+		phase:   "step",
+		n:       n,
+		bench: phaseBench(func() (*simnet.RoundPhases, error) {
+			return simnet.NewRoundPhases(n, workerCount(workers))
+		}, (*simnet.RoundPhases).StepOnly),
+	}
 }
 
-// variantPhaseSpec is phaseSpec on a variant of the fixture, named by
-// the row suffix. "plan=idle" attaches a fault plan that schedules no
-// events, so the row measures what plan *presence* costs the phase —
+// routeSpec measures the route half in isolation. The pass is serial
+// whatever Config.Workers says, so its rows carry no worker label. A
+// variant names a variation of the fixture and becomes the row suffix.
+// "plan=idle" attaches a fault plan that schedules no events, so the
+// row measures what plan *presence* costs the phase —
 // the route path's fault-aware branches against the identical workload.
 // "observer=on" attaches an observer that discards its feed, so the
 // route row additionally builds the round record and hands it over —
@@ -155,8 +184,8 @@ func phaseSpec(phase, runner string, n int) benchSpec {
 // same shape, the delta is the whole price of Config.FaultPlan,
 // Config.Observer or a payload-major reader on a healthy network (the
 // zero-alloc gate pins its allocation half to 0).
-func variantPhaseSpec(phase, runner string, n int, variant string) benchSpec {
-	name := fmt.Sprintf("RoundEngine/%s/%s/n=%d", phase, runner, n)
+func routeSpec(n int, variant string) benchSpec {
+	name := fmt.Sprintf("RoundEngine/route/n=%d", n)
 	build, planLabel := simnet.NewRoundPhases, ""
 	switch variant {
 	case "plan=idle":
@@ -173,42 +202,40 @@ func variantPhaseSpec(phase, runner string, n int, variant string) benchSpec {
 		name += "/" + variant
 	}
 	return benchSpec{
-		name:   name,
-		runner: runner,
-		phase:  phase,
-		n:      n,
-		plan:   planLabel,
-		bench: func(b *testing.B) {
-			rp, err := build(n, runnerWorkers(runner))
-			if err != nil {
+		name:    name,
+		workers: 1,
+		phase:   "route",
+		n:       n,
+		plan:    planLabel,
+		bench: phaseBench(func() (*simnet.RoundPhases, error) { return build(n, 1) },
+			func(rp *simnet.RoundPhases) error {
+				rp.RouteOnly()
+				return nil
+			}),
+	}
+}
+
+// phaseBench is the loop the phase-split specs share: op on a freshly
+// built fixture, once to warm up and then timed.
+func phaseBench(build func() (*simnet.RoundPhases, error), op func(*simnet.RoundPhases) error) func(*testing.B) {
+	return func(b *testing.B) {
+		rp, err := build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer rp.Close()
+		// Warm-up: the first route pass sizes the delivery buffers;
+		// keep that outside the timed region (see roundSpec).
+		if err := op(rp); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := op(rp); err != nil {
 				b.Fatal(err)
 			}
-			defer rp.Close()
-			op := func() error {
-				switch phase {
-				case "step":
-					return rp.StepOnly()
-				case "route":
-					rp.RouteOnly()
-					return nil
-				default:
-					return fmt.Errorf("unknown phase %q", phase)
-				}
-			}
-			// Warm-up: the first route pass sizes the delivery
-			// buffers; keep that outside the timed region (see
-			// roundSpec).
-			if err := op(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := op(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		},
+		}
 	}
 }
 
@@ -226,10 +253,10 @@ const campaignChunk = 4
 // since ns/op should then scale with jobs and nothing more.
 func campaignSpec(jobs, n int) benchSpec {
 	return benchSpec{
-		name:   fmt.Sprintf("Campaign/jobs=%d/n=%d", jobs, n),
-		runner: "campaign",
-		n:      n,
-		jobs:   jobs,
+		name:    fmt.Sprintf("Campaign/jobs=%d/n=%d", jobs, n),
+		workers: 1,
+		n:       n,
+		jobs:    jobs,
 		bench: func(b *testing.B) {
 			cb, err := simnet.NewCampaignBench(jobs, n)
 			if err != nil {
@@ -257,14 +284,19 @@ func campaignSpec(jobs, n int) benchSpec {
 // Byzantine nodes, default Config (inline stepping, the facade's oracles
 // attached) — from cluster set-up to the checked result. Every layer is
 // in the row: protocol Step, routing, the round record and the oracles.
-// The seed is fixed, so allocs/op repeats like the engine rows'.
-func e2eSpec(entry string, n int, run func(cfg uba.Config) error) benchSpec {
+// The seed is fixed, so allocs/op repeats like the engine rows'. A
+// positive workers sets Config.Workers and is named in the row.
+func e2eSpec(entry string, n, workers int, run func(cfg uba.Config) error) benchSpec {
 	f := (n - 1) / 3
-	cfg := uba.Config{Correct: n - f, Byzantine: f, Adversary: uba.AdversarySilent, Seed: 1}
+	cfg := uba.Config{Correct: n - f, Byzantine: f, Adversary: uba.AdversarySilent, Seed: 1, Workers: workers}
+	name := fmt.Sprintf("e2e/uba.%s/n=%d", entry, n)
+	if workers > 0 {
+		name += fmt.Sprintf("/workers=%d", workers)
+	}
 	return benchSpec{
-		name:   fmt.Sprintf("e2e/uba.%s/n=%d", entry, n),
-		runner: "sequential",
-		n:      n,
+		name:    name,
+		workers: max(workers, 1),
+		n:       n,
 		bench: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -336,30 +368,35 @@ func orderingSession(cfg uba.Config) error {
 func e2eSpecs() []benchSpec {
 	var specs []benchSpec
 	for _, n := range e2eSizes {
-		inputs := make([]float64, n)
-		for i := range inputs {
-			inputs[i] = float64(i % 2)
-		}
-		specs = append(specs, e2eSpec("Consensus", n, func(cfg uba.Config) error {
-			_, err := uba.Consensus(cfg, inputs[:cfg.Correct])
-			return err
-		}))
+		specs = append(specs, consensusSpec(n, 0))
 	}
 	return append(specs,
-		e2eSpec("Renaming", e2eFamilySize, func(cfg uba.Config) error {
+		e2eSpec("Renaming", e2eFamilySize, 0, func(cfg uba.Config) error {
 			_, err := uba.Renaming(cfg)
 			return err
 		}),
-		e2eSpec("TerminatingBroadcast", e2eFamilySize, func(cfg uba.Config) error {
+		e2eSpec("TerminatingBroadcast", e2eFamilySize, 0, func(cfg uba.Config) error {
 			_, err := uba.TerminatingBroadcast(cfg, []byte("payload"), true)
 			return err
 		}),
-		e2eSpec("ReliableBroadcast", e2eFamilySize, func(cfg uba.Config) error {
+		e2eSpec("ReliableBroadcast", e2eFamilySize, 0, func(cfg uba.Config) error {
 			_, err := uba.ReliableBroadcast(cfg, []byte("payload"), 8)
 			return err
 		}),
-		e2eSpec("OrderingCluster", 32, orderingSession),
+		e2eSpec("OrderingCluster", 32, 0, orderingSession),
 	)
+}
+
+// consensusSpec is the uba.Consensus row at size n, inputs i%2.
+func consensusSpec(n, workers int) benchSpec {
+	inputs := make([]float64, n)
+	for i := range inputs {
+		inputs[i] = float64(i % 2)
+	}
+	return e2eSpec("Consensus", n, workers, func(cfg uba.Config) error {
+		_, err := uba.Consensus(cfg, inputs[:cfg.Correct])
+		return err
+	})
 }
 
 // procsSpec pins GOMAXPROCS for the duration of one spec, so the
@@ -378,66 +415,62 @@ func procsSpec(spec benchSpec, procs int) benchSpec {
 }
 
 // allSpecs is the full `make bench-json` sweep: round benchmarks over
-// benchSizes, then the phase split over phaseSizes, for both runner
-// labels (with plan=idle route rows re-measuring the zero-alloc-gate
-// sizes under an attached-but-idle fault plan, observer=on route
-// rows pricing the round record at n=1024, and reader=said route rows
-// pricing the payload-major index build over readerSizes),
-// plus GOMAXPROCS-pinned concurrent rows so scaling under fixed
-// parallelism is tracked in-repo: a {1,4,8}-proc ladder at the two
-// sizes the zero-alloc gate certifies (at procs=1 the cap is 1, so that
-// rung re-measures the sequential row of the same size), and the
-// legacy top-size row.
+// benchSizes and the step half over phaseSizes, for both worker counts;
+// the route half over phaseSizes (with plan=idle route rows
+// re-measuring the zero-alloc-gate sizes under an attached-but-idle
+// fault plan, observer=on route rows pricing the round record at
+// n=1024, and reader=said route rows pricing the payload-major index
+// build over readerSizes); plus GOMAXPROCS-pinned workers=max rows so
+// scaling under fixed parallelism is tracked in-repo: a {1,4,8}-proc
+// ladder at the two sizes the zero-alloc gate certifies (at procs=1 the
+// count is 1, so that rung re-measures the workers=1 row of the same
+// size), and the legacy top-size row.
 // The campaign matrix — jobs {1,2,4,8} × procs {1,4,8} at the
 // perf-gate size — tracks how the shared scheduler converts worker
 // budget into aggregate multi-simulation throughput. The e2e rows
-// close the sweep with whole runs through the public entry points.
+// close the sweep with whole runs through the public entry points, the
+// last two being the Config.Workers pair at e2eWorkersSize.
 func allSpecs() []benchSpec {
 	var specs []benchSpec
-	for _, runner := range []string{"sequential", "concurrent"} {
+	for _, workers := range workerCounts {
 		for _, n := range benchSizes {
-			specs = append(specs, roundSpec(runner, n))
+			specs = append(specs, roundSpec(workers, n))
 		}
 	}
-	for _, phase := range []string{"step", "route"} {
-		for _, runner := range []string{"sequential", "concurrent"} {
-			for _, n := range phaseSizes {
-				specs = append(specs, phaseSpec(phase, runner, n))
-			}
+	for _, workers := range workerCounts {
+		for _, n := range phaseSizes {
+			specs = append(specs, stepSpec(workers, n))
 		}
+	}
+	for _, n := range phaseSizes {
+		specs = append(specs, routeSpec(n, ""))
 	}
 	// Plan-presence rows: the route phase with an idle fault plan
-	// attached, paired with the plan-free rows above (see
-	// variantPhaseSpec).
-	for _, runner := range []string{"sequential", "concurrent"} {
-		for _, n := range []int{1024, 4096} {
-			specs = append(specs, variantPhaseSpec("route", runner, n, "plan=idle"))
-		}
+	// attached, paired with the plan-free rows above (see routeSpec).
+	for _, n := range []int{1024, 4096} {
+		specs = append(specs, routeSpec(n, "plan=idle"))
 	}
-	// Observation rows: the route phase building and handing over the
-	// round record, paired with the unobserved rows the same way.
-	for _, runner := range []string{"sequential", "concurrent"} {
-		specs = append(specs, variantPhaseSpec("route", runner, 1024, "observer=on"))
-	}
+	// Observation row: the route phase building and handing over the
+	// round record, paired with the unobserved row the same way.
+	specs = append(specs, routeSpec(1024, "observer=on"))
 	// Reader rows: the route phase plus the payload-major index build one
 	// reader triggers, paired with the unread rows the same way.
-	for _, runner := range []string{"sequential", "concurrent"} {
-		for _, n := range readerSizes {
-			specs = append(specs, variantPhaseSpec("route", runner, n, "reader=said"))
-		}
+	for _, n := range readerSizes {
+		specs = append(specs, routeSpec(n, "reader=said"))
 	}
 	for _, n := range []int{1024, 4096} {
 		for _, procs := range []int{1, 4, 8} {
-			specs = append(specs, procsSpec(roundSpec("concurrent", n), procs))
+			specs = append(specs, procsSpec(roundSpec(maxWorkers, n), procs))
 		}
 	}
-	specs = append(specs, procsSpec(roundSpec("concurrent", 8192), 4))
+	specs = append(specs, procsSpec(roundSpec(maxWorkers, 8192), 4))
 	for _, jobs := range []int{1, 2, 4, 8} {
 		for _, procs := range []int{1, 4, 8} {
 			specs = append(specs, procsSpec(campaignSpec(jobs, 256), procs))
 		}
 	}
-	return append(specs, e2eSpecs()...)
+	specs = append(specs, e2eSpecs()...)
+	return append(specs, consensusSpec(e2eWorkersSize, 1), consensusSpec(e2eWorkersSize, 2))
 }
 
 // measure runs one spec under testing.Benchmark and packages the result.
@@ -448,7 +481,7 @@ func measure(spec benchSpec) (engineBenchResult, error) {
 	}
 	return engineBenchResult{
 		Name:        spec.name,
-		Runner:      spec.runner,
+		Workers:     workersLabel(spec.workers),
 		Phase:       spec.phase,
 		N:           spec.n,
 		Jobs:        spec.jobs,

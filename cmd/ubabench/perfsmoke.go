@@ -9,15 +9,16 @@ import (
 )
 
 // smokeSpecs is the perf-smoke subset: the n=256 full-round and
-// phase-split benchmarks for both worker caps (1 and GOMAXPROCS), plus the route-only rows at
-// the two sizes the zero-alloc gate certifies (n=1024, n=4096) — the
+// step-only benchmarks for both worker counts (1 and GOMAXPROCS), the
+// n=256 route-only row, plus the route-only rows at the two sizes the
+// zero-alloc gate certifies (n=1024, n=4096) — the
 // allocs/op band on those rows is the perf-trajectory counterpart of
 // the //lint:noalloc contract, so an allocation creeping back into the
 // certified route path fails the smoke even where the AllocsPerRun
 // gate is not running. The plan=idle route rows re-pin the same band
 // with a fault plan attached but never live, so plan presence staying
 // free on a healthy round (0 allocs/op, flat ns/op) is part of the
-// smoke contract; the observer=on route rows do the same for an
+// smoke contract; the observer=on route row does the same for an
 // attached observer, so the price of the round record — O(B+U) events
 // in recycled scratch, 0 allocs/op — is a gated row; the reader=said
 // route rows (n=256 and n=1024) gate a round that is read payload-major
@@ -33,23 +34,19 @@ import (
 // users actually run: a regression in a protocol's Step, which no
 // chatter round exercises, moves them and nothing else.
 // Small enough to finish in seconds on a CI runner, broad enough that
-// a regression in either phase, either worker cap, or the campaign layer
-// moves at least one row.
+// a regression in either phase, either worker count, or the campaign
+// layer moves at least one row.
 func smokeSpecs() []benchSpec {
 	var specs []benchSpec
-	for _, runner := range []string{"sequential", "concurrent"} {
-		specs = append(specs, roundSpec(runner, 256))
-		for _, phase := range []string{"step", "route"} {
-			specs = append(specs, phaseSpec(phase, runner, 256))
-		}
-		for _, n := range []int{1024, 4096} {
-			specs = append(specs, phaseSpec("route", runner, n))
-		}
-		specs = append(specs, variantPhaseSpec("route", runner, 1024, "plan=idle"))
-		specs = append(specs, variantPhaseSpec("route", runner, 1024, "observer=on"))
-		for _, n := range readerSizes {
-			specs = append(specs, variantPhaseSpec("route", runner, n, "reader=said"))
-		}
+	for _, workers := range workerCounts {
+		specs = append(specs, roundSpec(workers, 256), stepSpec(workers, 256))
+	}
+	for _, n := range []int{256, 1024, 4096} {
+		specs = append(specs, routeSpec(n, ""))
+	}
+	specs = append(specs, routeSpec(1024, "plan=idle"), routeSpec(1024, "observer=on"))
+	for _, n := range readerSizes {
+		specs = append(specs, routeSpec(n, "reader=said"))
 	}
 	specs = append(specs, procsSpec(campaignSpec(4, 256), 4))
 	return append(specs, e2eSpecs()...)

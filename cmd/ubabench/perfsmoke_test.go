@@ -13,9 +13,9 @@ import (
 // logic can be tested without paying for a real engine benchmark.
 func fastSpec(name string) benchSpec {
 	return benchSpec{
-		name:   name,
-		runner: "sequential",
-		n:      1,
+		name:    name,
+		workers: 1,
+		n:       1,
 		bench: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = i
@@ -31,9 +31,9 @@ var allocSink []byte
 // of heap allocations, for exercising the allocs/op band.
 func allocSpec(name string) benchSpec {
 	return benchSpec{
-		name:   name,
-		runner: "sequential",
-		n:      1,
+		name:    name,
+		workers: 1,
+		n:       1,
 		bench: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

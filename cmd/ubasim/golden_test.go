@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,16 +20,17 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/transcripts.gold
 const goldenPath = "testdata/transcripts.golden"
 
 // goldenCase is one run whose whole output — result lines and the
-// per-delivery transcript — is pinned by hash.
+// per-delivery transcript — is pinned by hash. workers is how many
+// goroutines step the run's nodes (0 = the default, inline).
 type goldenCase struct {
 	name string
-	run  func() ([]byte, error)
+	run  func(workers int) ([]byte, error)
 }
 
 func cliCase(name string, args ...string) goldenCase {
-	return goldenCase{name, func() ([]byte, error) {
+	return goldenCase{name, func(workers int) ([]byte, error) {
 		var buf bytes.Buffer
-		err := run(append(args, "-seed", "7", "-trace", "999"), &buf)
+		err := run(append(args, "-seed", "7", "-trace", "999", "-jobs", strconv.Itoa(workers)), &buf)
 		return buf.Bytes(), err
 	}}
 }
@@ -38,10 +40,10 @@ func cliCase(name string, args ...string) goldenCase {
 // so the transcript pins each node's emission order within a Step. A
 // starved run may end in an error; the error text is part of the output.
 func quotaCase(name string, quota int, adv uba.Adversary, call func(uba.Config) error) goldenCase {
-	return goldenCase{name, func() ([]byte, error) {
+	return goldenCase{name, func(workers int) ([]byte, error) {
 		log := trace.NewEventLog(0)
 		err := call(uba.Config{
-			Correct: 9, Byzantine: 3, Adversary: adv, Seed: 7,
+			Correct: 9, Byzantine: 3, Adversary: adv, Seed: 7, Workers: workers,
 			MaxRounds: 40, SendQuota: quota, EventLog: log,
 		})
 		var buf bytes.Buffer
@@ -99,18 +101,22 @@ func goldenCases() []goldenCase {
 // TestTranscriptGolden holds every protocol's transcript to the hashes
 // committed in testdata: byte-identity against the commit that generated
 // them, for 7 protocols × 5 adversaries, a two-word-census size, and one
-// quota-starved run per family. A change that is meant to alter what
-// nodes send regenerates the file with `go test ./cmd/ubasim -run
-// TestTranscriptGolden -update` and says so.
+// quota-starved run per family — each with the nodes stepped inline and
+// by three goroutines, which the one file holds both to. A change that is
+// meant to alter what nodes send regenerates the file with `go test
+// ./cmd/ubasim -run TestTranscriptGolden -update` and says so.
 func TestTranscriptGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, c := range goldenCases() {
-		out, err := c.run()
+		out, err := c.run(0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if !bytes.Contains(out, []byte("--- round 2 ---")) {
 			t.Fatalf("%s: output holds no transcript:\n%.400s", c.name, out)
+		}
+		if stepped, err := c.run(3); err != nil || !bytes.Equal(stepped, out) {
+			t.Errorf("%s: three step workers changed the output (err=%v)", c.name, err)
 		}
 		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(out), c.name)
 	}

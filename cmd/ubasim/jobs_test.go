@@ -4,31 +4,36 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
 	"testing"
+	"time"
 
 	"uba/internal/chaos"
+	"uba/internal/simnet/sched"
 )
 
+func withJobs(args []string, jobs string) []string {
+	return append(slices.Clone(args), "-jobs", jobs)
+}
+
 // TestRunJobsOutputIdentical pins the -jobs determinism contract: the
-// flag only sets the run's worker cap and the shared scheduler's
-// budget, so a protocol run prints the identical report and transcript
-// for every value. The two baselines are the default inline dispatch
-// ("sequential") and a three-worker dispatch ("concurrent").
+// flag only sets how many goroutines step the run's nodes (and bounds the
+// shared scheduler's budget), so a protocol run prints the identical
+// report and transcript for every value. The two baselines are the
+// default inline stepping and a three-worker step phase.
 func TestRunJobsOutputIdentical(t *testing.T) {
-	for _, mode := range []string{"sequential", "concurrent"} {
-		t.Run(mode, func(t *testing.T) {
-			base := []string{"-protocol", "consensus", "-g", "7", "-f", "2", "-adversary", "split", "-seed", "3", "-trace", "99"}
-			baseArgs := base
-			if mode == "concurrent" {
-				baseArgs = append(append([]string{}, base...), "-jobs", "3")
-			}
+	base := []string{"-protocol", "consensus", "-g", "7", "-f", "2", "-adversary", "split", "-seed", "3", "-trace", "99"}
+	for _, baseJobs := range []string{"0", "3"} {
+		t.Run("jobs="+baseJobs, func(t *testing.T) {
 			var baseline bytes.Buffer
-			if err := run(baseArgs, &baseline); err != nil {
+			if err := run(withJobs(base, baseJobs), &baseline); err != nil {
 				t.Fatal(err)
 			}
 			for _, jobs := range []string{"1", "2", "4"} {
 				var buf bytes.Buffer
-				if err := run(append(append([]string{}, base...), "-jobs", jobs), &buf); err != nil {
+				if err := run(withJobs(base, jobs), &buf); err != nil {
 					t.Fatal(err)
 				}
 				if buf.String() != baseline.String() {
@@ -36,6 +41,33 @@ func TestRunJobsOutputIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunHugeJobsIsBounded: -jobs is an operator-supplied number, and the
+// scheduler parks one goroutine per budget unit, so the budget must stop
+// at GOMAXPROCS however large the flag (unbounded, -jobs 2000000 took a
+// nine-node run to 5 GB and a minute). The worker cap itself stays
+// -jobs; a step phase never attaches more workers than it has nodes.
+func TestRunHugeJobsIsBounded(t *testing.T) {
+	t.Cleanup(func() { sched.SetDefaultBudget(runtime.GOMAXPROCS(0)) })
+	args := []string{"-g", "4", "-f", "1", "-trace", "99"}
+	var want, got bytes.Buffer
+	if err := run(withJobs(args, "0"), &want); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := run(withJobs(args, strconv.Itoa(1<<30)), &got); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("-jobs 1<<30 took %v", d)
+	}
+	if b := sched.Default().Budget(); b > runtime.GOMAXPROCS(0) {
+		t.Errorf("scheduler budget %d after -jobs 1<<30, want at most GOMAXPROCS = %d", b, runtime.GOMAXPROCS(0))
+	}
+	if got.String() != want.String() {
+		t.Errorf("-jobs 1<<30 output diverged:\n got: %q\nwant: %q", got.String(), want.String())
 	}
 }
 

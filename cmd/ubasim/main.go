@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 
 	"uba"
@@ -48,7 +49,7 @@ func run(args []string, out io.Writer) error {
 	timing := fs.String("timing", "async", "impossibility timing: sync|semisync|async")
 	traceRounds := fs.Int("trace", 0, "print a message transcript of the first N rounds")
 	reproPath := fs.String("repro", "", "replay a chaos repro JSON file and exit")
-	jobs := fs.Int("jobs", 0, "worker cap of the run and budget of the shared simulation scheduler (0 = step inline; a -repro replay keeps the GOMAXPROCS budget); output is identical for every value")
+	jobs := fs.Int("jobs", 0, "how many goroutines step the run's nodes (0 = inline); the shared simulation scheduler's budget becomes min(jobs, GOMAXPROCS), also for a -repro replay; output is identical for every value")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -57,10 +58,12 @@ func run(args []string, out io.Writer) error {
 	}
 	if *jobs > 0 {
 		// Bound the process-wide scheduler: every simulation in this
-		// process — the run's own round phases (capped at the same
-		// count below), a -repro replay — draws from this one budget,
-		// so jobs×workers cannot oversubscribe the machine.
-		sched.SetDefaultBudget(*jobs)
+		// process — the run's own step phase (capped at -jobs below), a
+		// -repro replay — draws from this one budget. Step tasks never
+		// block, so workers beyond GOMAXPROCS could not run; the scheduler
+		// parks one goroutine per budget unit, so an unbounded -jobs
+		// would only buy memory.
+		sched.SetDefaultBudget(min(*jobs, runtime.GOMAXPROCS(0)))
 	}
 	if *reproPath != "" {
 		return replayRepro(*reproPath, out)

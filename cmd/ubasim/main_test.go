@@ -61,7 +61,7 @@ func TestRunEachProtocol(t *testing.T) {
 			[]string{"agreement=true"},
 		},
 		{
-			"concurrent runner",
+			"jobs=3",
 			[]string{"-protocol", "consensus", "-g", "5", "-f", "1", "-jobs", "3"},
 			[]string{"decision="},
 		},
@@ -219,7 +219,7 @@ func TestRunReproDiagnosesInvalidFiles(t *testing.T) {
 		"malformed json": "{broken",
 		"not json":       "never gonna replay",
 		"zero value":     "{}",
-		"truncated": `{"scenario":{"arena":3,"correct":6,"seed":42,"max_rou`,
+		"truncated":      `{"scenario":{"arena":3,"correct":6,"seed":42,"max_rou`,
 		"bad fault plan": `{"scenario":{"arena":3,"correct":2,"max_rounds":5,` +
 			`"faults":{"events":[{"round":0,"kind":"heal"}]}},"violation":{"oracle":"x"}}`,
 	}

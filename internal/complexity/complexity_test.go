@@ -53,13 +53,13 @@ func TestScanFuncDirectives(t *testing.T) {
 		}
 		found[d.Directive+" "+d.Func] = true
 	}
-	// The round hot path's anchors: the delivery walk is certified both
-	// allocation-free and non-blocking, and the pool construction is
-	// declared cold. These names changing is a real contract change.
+	// The round hot path's anchors: the route pass is certified
+	// allocation-free, the step task both that and non-blocking, and the
+	// scratch release is declared cold. These names changing is a real
+	// contract change.
 	for _, want := range []string{
 		"noalloc (*Network).route",
-		"noalloc (*Network).routeShardDeliver",
-		"nonblock (*Network).routeShardDeliver",
+		"noalloc (*Network).stepOne",
 		"nonblock (*Network).stepOne",
 		"coldpath (*Network).releaseScratch",
 	} {

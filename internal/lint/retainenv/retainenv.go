@@ -26,10 +26,10 @@
 //
 // Copying individual Inbox elements out BY VALUE is explicitly safe
 // (simnet.Received is a value type whose referents are not recycled)
-// and is not flagged: msg := env.Inbox.At(i) and for m := range
-// env.Inbox.All() both copy. At and Slice carry //lint:valuecopy
-// directives clearing their Flows facts, which is what keeps those
-// copy-outs untracked while a retained All() iterator is still caught.
+// and is not flagged: for m := range env.Inbox.All() copies each m. An
+// accessor that hands out such copies carries a //lint:valuecopy
+// directive clearing its Flows fact, which is what keeps the copy-outs
+// untracked while a retained view is still caught.
 //
 // The payload-major accessors — env.Inbox.Said(), Broadcasters() and
 // Direct() — carry no such directive: each returns a slice of recycled

@@ -52,7 +52,7 @@
 // final state the author asserts is independent of call order —
 // //lint:valuecopy <reason> clears Flows, asserting that the returned
 // value is a plain copy sharing no memory with the receiver or
-// arguments (the simnet.Inbox.At shape: structurally the result reads
+// arguments (the element-accessor shape: structurally the result reads
 // through the receiver's backing arrays, but what comes back is a
 // by-value Received the caller may keep), and //lint:coldpath <reason>
 // clears Allocates, asserting that every allocation in the function
@@ -481,7 +481,7 @@ func inGOROOT(pass *analysis.Pass) bool {
 //	//lint:valuecopy <reason> — the function's return value is a plain
 //	by-value copy sharing no memory with the receiver or arguments,
 //	even though the body structurally reads through them (the
-//	simnet.Inbox.At shape: indexing a recycled backing array but
+//	element-accessor shape: indexing a recycled backing array but
 //	returning a value-type element). Clears only Flows.
 //
 //	//lint:coldpath <reason> — every allocation in the function sits on

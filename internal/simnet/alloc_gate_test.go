@@ -9,8 +9,10 @@ import (
 // contract on the round hot path: after the warm-up rounds that grow
 // the recycled arenas to their high-water mark, a steady-state
 // account + route pass must perform zero heap allocations per round,
-// for inline dispatch (workers=1) and real three-worker dispatch,
-// across three network sizes.
+// at a worker cap of 1 and of 3 (the pass is serial under both: a cap
+// must not bring the scheduler, or an allocation, into it), across
+// three network sizes. The step dispatch has its own gate,
+// TestSteadyStateDispatchDoesNotAllocate (internal/simnet/sched).
 //
 // The plan=idle variants re-certify the same bound with a fault plan
 // attached but never live: plan presence routes through the
@@ -48,9 +50,9 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 		{"reader=said", NewRoundPhasesRead},
 	} {
 		label := variant.label
-		// The subtest labels predate the single step path and are kept
-		// stable for CI history: concurrent=false is workers=1 (inline
-		// dispatch), concurrent=true is a forced three-worker dispatch.
+		// The subtest labels are kept stable for CI history:
+		// concurrent=false is a worker cap of 1, concurrent=true a cap of
+		// 3 on a private three-worker scheduler.
 		for _, workers := range []int{1, 3} {
 			for _, n := range []int{256, 1024, 4096} {
 				t.Run(fmt.Sprintf("%s/concurrent=%v/n=%d", label, workers > 1, n), func(t *testing.T) {
@@ -61,10 +63,8 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 					defer rp.Close()
 					rp.net.forceWorkers(workers)
 					built := rp.net.index.builds // a recycled index has a past
-					// Warm-up: grow the broadcast block, unicast arena, shard
-					// table, done mask and round record to their steady-state
-					// sizes, and let the runtime's channel/park caches
-					// populate for the multi-worker dispatch.
+					// Warm-up: grow the broadcast block, unicast arena, done
+					// mask and round record to their steady-state sizes.
 					for i := 0; i < 3; i++ {
 						rp.RouteOnly()
 					}

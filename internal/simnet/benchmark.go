@@ -34,8 +34,8 @@ func (c *ChatterProcess) Step(env *RoundEnv) {
 // NewBroadcastBench builds a network of n chatter processes with traffic
 // accounting attached — the standard fixture for BenchmarkRoundEngine*
 // and the `ubabench -benchjson` harness. maxRounds bounds RunRound calls;
-// workers is Config.Workers (the "sequential" benchmark rows pass 1, the
-// "concurrent" rows GOMAXPROCS).
+// workers is Config.Workers (the workers=1 benchmark rows pass 1, the
+// workers=max rows GOMAXPROCS).
 // Errors are returned, not panicked, so a campaign driver embedding the
 // fixture can fail one cell without killing the process.
 func NewBroadcastBench(n, maxRounds, workers int) (*Network, *trace.Collector, error) {
@@ -61,7 +61,7 @@ func newBroadcastBench(n int, cfg Config) (*Network, *trace.Collector, error) {
 
 // RoundPhases drives the two halves of a round — step and
 // routing/delivery — in isolation on the broadcast-heavy fixture, so
-// the phase-split benchmarks (BenchmarkStepPhase*/BenchmarkRoutePhase*
+// the phase-split benchmarks (BenchmarkStepPhase/BenchmarkRoutePhase
 // and the `ubabench -benchjson`/`-perfsmoke` harness) can attribute
 // time to the half that spends it. It lives in the library (not a
 // _test.go file) so cmd/ubabench can run the identical workload.
@@ -156,7 +156,7 @@ func (rp *RoundPhases) StepOnly() error {
 }
 
 // RouteOnly routes one frozen round's send stream — block-local sort,
-// dedup, arena sizing, sharded delivery, Collector flush — without
+// dedup, arena sizing, delivery, Collector flush — without
 // stepping any process. The template is copied first, so the in-place
 // sort cannot make later iterations cheaper.
 func (rp *RoundPhases) RouteOnly() {

@@ -23,7 +23,7 @@ func encodedPayload(i int) []byte { return wire.Encode(wirePayload(i)) }
 // conversion, per-node per-round send/byte quotas, and the round
 // observer feed. The cross-worker-count determinism of containment is
 // asserted by the "panicky" workload in determinism_test.go and by the
-// facade-level matrix in runner_equivalence_test.go.
+// facade-level matrix in worker_equivalence_test.go.
 
 // panicAt is a chatter-like process whose Step panics in a chosen round.
 type panicAt struct {

@@ -12,16 +12,15 @@ import (
 	"uba/internal/wire"
 )
 
-// This file asserts the engine-level determinism contract the sharded
-// route pipeline must preserve: the EventLog transcript, the Collector
-// report (totals and per-round breakdown), and every process's
-// observed deliveries are identical for any worker count — inline
-// dispatch (1) and real multi-worker dispatch — and across repeated
-// runs of the same worker count (i.e. independent of worker
-// scheduling). The facade-level matrix across adversaries and
-// protocols lives in runner_equivalence_test.go; this one forces
-// multi-worker pools so sharded delivery is exercised even on a
-// single-core host.
+// This file asserts the engine-level determinism contract: the EventLog
+// transcript, the Collector report (totals and per-round breakdown), and
+// every process's observed deliveries are identical for any worker
+// count — inline stepping (1) and real multi-worker stepping — and
+// across repeated runs of the same worker count (i.e. independent of
+// worker scheduling). The facade-level matrix across adversaries and
+// protocols lives in worker_equivalence_test.go; this one forces
+// private multi-worker schedulers so parallel Steps are exercised even
+// on a single-core host.
 
 // determinismOutcome is everything observable about one engine run.
 type determinismOutcome struct {
@@ -145,9 +144,9 @@ func at(events []trace.Event, i int) any {
 // sparseMix is the workload shape the sparse delivery refactor exists
 // for: every node broadcasts every round (a dense shared broadcast
 // block), while a small round-varying subset adds unicasts (a sparse
-// per-receiver arena). Deliveries are logged through the indexed inbox
-// accessors, so the lazy view's merge order — not just the iterator's —
-// is part of the state compared across worker counts.
+// per-receiver arena). Deliveries are logged in inbox order, so the lazy
+// view's merge of block and arena is part of the state compared across
+// worker counts.
 type sparseMix struct {
 	id    ids.ID
 	idx   int
@@ -159,8 +158,7 @@ func (s *sparseMix) ID() ids.ID { return s.id }
 func (s *sparseMix) Done() bool { return false }
 
 func (s *sparseMix) Step(env *RoundEnv) {
-	for i := 0; i < env.Inbox.Len(); i++ {
-		m := env.Inbox.At(i)
+	for m := range env.Inbox.All() {
 		s.log = append(s.log, fmt.Sprintf("%d<-%d:%x", env.Round, m.From, m.encoded))
 	}
 	env.Broadcast(wire.Event{Round: uint64(env.Round), Body: []byte{byte(s.idx)}})

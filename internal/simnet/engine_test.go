@@ -141,7 +141,7 @@ func TestCloseReleasesSchedulerAndScratch(t *testing.T) {
 	if net.sched != nil {
 		t.Fatal("Close left the scheduler binding attached")
 	}
-	if net.outs != nil || net.bcastBlock != nil || net.shards != nil || net.roundEvents != nil {
+	if net.outs != nil || net.bcastBlock != nil || net.results != nil || net.roundEvents != nil {
 		t.Fatal("Close did not park the round scratch in the recycling pool")
 	}
 	net.Close() // idempotent

@@ -21,7 +21,7 @@ import (
 //
 // Determinism argument. Plan events apply at the start of RunRound, on
 // the driving goroutine, in (round, plan order) — before any worker
-// runs. Link-level faults apply inside the serial routePrepare pass as a
+// runs. Link-level faults apply inside the serial route pass as a
 // filter over the classified send stream, walked in global send-index
 // order (broadcasts fanned per live receiver in node order), and every
 // random decision is a stateless hash of (plan seed, fault kind, round,
@@ -415,7 +415,7 @@ func linkKindFor(kind string) string {
 }
 
 // faultFilter rewrites the classified send stream under the live
-// partition and rate rules. It runs inside the serial routePrepare pass
+// partition and rate rules. It runs inside the serial route pass
 // — after dedup/classify, before bucketing — and only on rounds with a
 // live link fault. The filtered stream is expressed entirely as unicast
 // entries (broadcasts are demoted, fanned per live receiver in node

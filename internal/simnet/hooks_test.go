@@ -4,8 +4,8 @@ import "uba/internal/simnet/sched"
 
 // forceWorkers equips n with a private w-worker scheduler and a
 // matching worker cap regardless of GOMAXPROCS, so tests exercise real
-// sharded routing and pooled stepping on any host (CI race machines
-// included); w = 1 is the inline dispatch every default Config runs.
+// parallel stepping on any host (CI race machines included); w = 1 is
+// the inline stepping every default Config runs.
 // Callers must Close the network, which also closes the private
 // scheduler.
 func (n *Network) forceWorkers(w int) { n.forceSched(w, w) }

@@ -33,7 +33,7 @@ import (
 // never builds it: the slab is G×⌈S/64⌉ words (S distinct senders), and
 // a round of all-distinct payloads must not pay S²/64 words for an
 // index nobody reads. The index is a pure function of the block, which
-// the serial prepare pass finished before any Step runs, so which task
+// the route pass finished before any Step runs, so which task
 // triggers the build — the one scheduling-dependent fact here — cannot
 // show in anything a process reads.
 
@@ -60,8 +60,8 @@ const (
 )
 
 // blockIndex is the payload-major index of one round's broadcast block.
-// The serial prepare pass points it at the new block (reset); step
-// tasks build it on demand (ensure). Every inbox of the round shares
+// The route pass points it at the new block (reset); step tasks build
+// it on demand (ensure). Every inbox of the round shares
 // the one index, as it shares the block.
 type blockIndex struct {
 	block []Received
@@ -78,8 +78,8 @@ type blockIndex struct {
 }
 
 // reset points the index at the round's freshly materialized block and
-// marks it stale. It runs in the serial prepare pass, when no step task
-// is running.
+// marks it stale. It runs in the route pass, when no step task is
+// running.
 //
 //lint:noalloc two stores per round; the index itself is built only on demand
 func (ix *blockIndex) reset(block []Received) {
@@ -94,10 +94,10 @@ func (ix *blockIndex) reset(block []Received) {
 // while the claimant is still building yields until the store. That wait
 // is on a peer that is running — it claimed from inside its own task
 // and the build calls nothing that can block — so it is bounded by one
-// O(B) build and cannot deadlock the phase barrier. The writes land in
+// O(B) build and cannot deadlock the step barrier. The writes land in
 // the index alone.
 //
-//lint:nonblock step tasks run to the pool's phase barrier; the guard is a claim plus a bounded yield on a running builder, never a lock
+//lint:nonblock step tasks run to the scheduler's dispatch barrier; the guard is a claim plus a bounded yield on a running builder, never a lock
 //lint:shardsafe owns=ix the build writes only the index; the claim makes one task its sole writer for the round
 func (ix *blockIndex) ensure() {
 	if ix.state.Load() == indexBuilt {

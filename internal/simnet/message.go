@@ -43,36 +43,31 @@
 //
 // # One round loop, one round record
 //
-// There is one way to run a round. Both halves — the step phase over
-// nodes and the route/delivery phase over receiver shards — are indexed
-// batches dispatched on the shared bounded scheduler
-// (internal/simnet/sched) with a barrier between them, parameterized by
-// a single knob: Config.Workers, the cap on how many goroutines may
-// drain one of the network's phases. At the default cap (below 2) a
-// dispatch is an inline loop on the driving goroutine with no
-// coordination at all; at cap k up to k shared workers step the nodes
-// and delivery is split into k shards. Every cap produces a
-// byte-identical execution, which the test suite asserts. The
-// determinism argument: (1) each node's sends land in a per-node slot
-// and the merge reads slots in node order, so the routed send stream is
-// independent of worker scheduling; (2) routing decisions (sort, dedup,
-// arena sizing) all happen in a single deterministic prepare pass
-// before any worker runs; (3) each delivery shard owns a contiguous,
-// disjoint range of receivers — inbox segments, contact sets and
-// traffic tallies are all per-shard — and shard boundaries depend only
-// on the worker cap and receiver count, never on timing; (4) per-shard
-// tallies are reduced in shard order, which is receiver order; (5) the
-// one thing step tasks share beyond read-only storage, the payload-major
-// index of the broadcast block (Inbox.Said, Inbox.Broadcasters), is
-// built on demand by whichever task asks first, but it is a pure
-// function of the block the prepare pass finished before any Step ran,
-// so which task builds it — or whether any does — shows in nothing a
-// process reads.
+// There is one way to run a round: step every node, then merge, route,
+// deliver and observe on the goroutine driving the network. The step
+// phase is the round's one parallel region — an indexed batch, step
+// node i, dispatched on the shared bounded scheduler
+// (internal/simnet/sched) — parameterized by a single knob:
+// Config.Workers, how many goroutines step nodes. At the default (below
+// 2) the dispatch is an inline loop on the driving goroutine with no
+// coordination at all; at k, up to k shared workers step the nodes.
+// Every value produces a byte-identical execution, which the test suite
+// asserts. The determinism argument: (1) a step task writes only its
+// own node's state and result slot, and the merge reads the slots in
+// node order, so the routed send stream is independent of worker
+// scheduling; (2) everything after the merge — sort, dedup, arena
+// sizing, the round record, handing out inbox views, the tallies — is
+// one serial pass that no worker takes part in; (3) the one thing step
+// tasks share beyond read-only storage, the payload-major index of the
+// broadcast block (Inbox.Said, Inbox.Broadcasters), is built on demand
+// by whichever task asks first, but it is a pure function of the block
+// the route pass finished before any Step ran, so which task builds it
+// — or whether any does — shows in nothing a process reads.
 //
 // There is likewise one record of a round, and it mirrors what the
 // round stores: one event buffer whose producers all run serially, in
 // the canonical order — fault-plan events, containment events (step
-// merge), link-fault events (serial route filter), then one message
+// merge), link-fault events (route filter), then one message
 // event per stored message: each broadcast of the shared block once,
 // To == 0 meaning "delivered to every receiver live this round", then
 // each unicast-arena entry once, in receiver order (on link-fault rounds
@@ -114,11 +109,11 @@
 // obtained from env.Inbox.All(), or the slices env.Inbox.Said(),
 // Broadcasters() and Direct() return — nor a Said element or its By
 // set, a row of the index's recycled slab — past the call. Copy
-// individual Received values out (env.Inbox.At, or a range over
-// env.Inbox.All() or Direct()) if state must survive the round; the
-// values themselves (sender id, payload, encoding) are safe to keep, as
-// is a Said's Payload. The contract is machine-checked by the ubalint
-// retainenv pass.
+// individual Received values out (a range over env.Inbox.All() or
+// Direct()) if state must survive the round; the values themselves
+// (sender id, payload, encoding) are safe to keep, as is a Said's
+// Payload. The contract is machine-checked by the ubalint retainenv
+// pass.
 package simnet
 
 import (
@@ -193,8 +188,8 @@ func digest64(b []byte) uint64 {
 // An Inbox (and any iterator from All) is valid only until the Step
 // call it was delivered to returns: the engine rewrites the backing
 // block and arena when routing the next round (see the package docs).
-// Individual Received values read through At or All are plain copies
-// and safe to keep.
+// Individual Received values read through All are plain copies and
+// safe to keep.
 type Inbox struct {
 	// bcast is the round's shared broadcast block (every surviving
 	// broadcast, in ascending send order), shared by all receivers;
@@ -267,48 +262,6 @@ func InboxOfRound(broadcasts, direct []Received) Inbox {
 //
 //lint:noalloc a pair of len reads on the view's segments
 func (in Inbox) Len() int { return len(in.bcast) + len(in.uni) }
-
-// At returns the i-th delivered message in inbox order. It runs in
-// O(log min(B, U)) — a binary search for the merge split — with O(1)
-// fast paths when the inbox is all-broadcast or all-unicast.
-//
-//lint:valuecopy At returns a by-value Received copy that shares no round-scoped backing memory
-//lint:noalloc the merge-split binary search indexes the view's existing segments
-func (in Inbox) At(i int) Received {
-	nb, nu := len(in.bcast), len(in.uni)
-	if nu == 0 {
-		return in.bcast[i]
-	}
-	if nb == 0 {
-		return in.uni[i]
-	}
-	// Find b, the number of broadcast messages among the first i+1
-	// merged elements: the smallest b with bkeys[b] > ukeys[k-b-1]
-	// (keys are distinct global send indices, so the merge is strict).
-	k := i + 1
-	lo, hi := max(0, k-nu), min(k, nb)
-	for lo < hi {
-		b := (lo + hi) / 2
-		if in.bkeys[b] < in.ukeys[k-b-1] {
-			lo = b + 1
-		} else {
-			hi = b
-		}
-	}
-	b := lo
-	u := k - b
-	// The i-th element is whichever side contributed the larger key.
-	switch {
-	case u == 0:
-		return in.bcast[b-1]
-	case b == 0:
-		return in.uni[u-1]
-	case in.bkeys[b-1] > in.ukeys[u-1]:
-		return in.bcast[b-1]
-	default:
-		return in.uni[u-1]
-	}
-}
 
 // All returns an iterator over the delivered messages in inbox order —
 // the replacement for ranging over the old materialized slice:

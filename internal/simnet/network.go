@@ -29,12 +29,12 @@ type Config struct {
 	// repository terminate in O(n) rounds, so the bound exists only to
 	// turn a protocol bug into a test failure instead of a hang.
 	MaxRounds int
-	// Workers caps how many goroutines may run one of this network's
-	// round phases at once: up to Workers shared scheduler workers step
-	// the nodes, and delivery is split into Workers receiver shards.
-	// Values below 2 (the default) run every phase inline on the driving
-	// goroutine. The execution is identical for every value — the knob
-	// exists for capacity tuning and for the tests that sweep it.
+	// Workers is how many goroutines step this network's nodes: up to
+	// Workers shared scheduler workers run the Step calls of a round.
+	// Nothing else is parallel — merge, routing, delivery and observation
+	// run on the driving goroutine — and values below 2 (the default)
+	// step inline there too. The execution is identical for every value;
+	// the knob pays on large single runs with Step-heavy protocols.
 	Workers int
 	// EnforceContactRule makes the engine verify that correct processes
 	// unicast only to nodes that previously messaged them. Violations
@@ -218,22 +218,20 @@ type Network struct {
 	// roundEvents[:engineEvents] are the plan, containment and link events.
 	engineEvents int
 
-	// bcastBytes is the byte total of the round's broadcast block;
 	// bcastLive/uniLive track how much of the recycled block/arena held
 	// references last round, so shrinking rounds clear the dead tail.
-	bcastBytes int64
-	bcastLive  int
-	uniLive    int
+	bcastLive int
+	uniLive   int
 
-	// Phase dispatch state (see runner.go): the scheduler this network
-	// submits phases to (bound lazily to sched.Default unless a test
-	// injects a private one), the reusable Phase record and phase-tagged
-	// task, and the lifecycle flags Close manages.
+	// Step dispatch state (see runner.go): the scheduler this network
+	// submits its step phase to (bound lazily to sched.Default unless a
+	// test injects a private one), the reusable Phase record and task,
+	// and the lifecycle flags Close manages.
 	sched      *sched.Scheduler
 	ownsSched  bool
 	closed     bool
 	phase      sched.Phase
-	task       poolTask
+	task       stepTask
 	scratchBox *netScratch // emptied box kept for releaseScratch (see scratch.go)
 }
 
@@ -248,6 +246,7 @@ func New(cfg Config) *Network {
 		cfg:   cfg,
 		procs: make(map[ids.ID]*procState),
 	}
+	n.task.net = n
 	if cfg.FaultPlan != nil {
 		if err := cfg.FaultPlan.Validate(); err != nil {
 			n.err = fmt.Errorf("simnet: invalid fault plan: %w", err)
@@ -336,8 +335,8 @@ func (n *Network) Process(id ids.ID) Process {
 // start of the next round. The round's trace events accumulate in one
 // record, n.roundEvents, whose producers run in the canonical order —
 // fault-plan events, containment events (step merge), link-fault events
-// (serial route filter), one message event per stored message (serial
-// route prepare) — and which is handed once to the Observer; the
+// (route filter), one message event per stored message (route) — all on
+// this goroutine — and which is handed once to the Observer; the
 // EventLog is flushed by transcribe. Traffic accounting is batched the
 // same way: one Collector flush per successful round, nothing for an
 // aborted one.
@@ -499,7 +498,13 @@ func (n *Network) noteResult(st *procState, res *stepResult) {
 //lint:noalloc the step merge reuses the results table (capacity-guarded) and the recycled outs buffer
 func (n *Network) step() ([]send, error) {
 	n.results = grown(n.results, len(n.live))
-	n.dispatch(phaseStep, len(n.live))
+	if n.sched == nil {
+		// Tests inject a private scheduler (with ownsSched set) to force
+		// real parallelism on any host; everything else shares one budget.
+		//lint:coldpath binding to the shared scheduler runs once per Network, on its first step
+		n.sched = sched.Default()
+	}
+	n.sched.Run(&n.phase, &n.task, len(n.live), n.cfg.Workers)
 
 	outs := n.outs[:0]
 	var firstErr error
@@ -529,7 +534,7 @@ func (n *Network) step() ([]send, error) {
 //
 //lint:shardsafe owns=st the step task writes only its node's state; n is read-only here
 //lint:noalloc the per-node step task runs n times per round over recycled env/send scratch; only the error return formats
-//lint:nonblock step tasks run to the pool's phase barrier; a blocking task would deadlock the round against it
+//lint:nonblock step tasks run to the scheduler's dispatch barrier; a blocking task would deadlock the round against it
 func (n *Network) stepOne(st *procState) stepResult {
 	inbox := st.inbox
 	// The inbox view reads through the shared broadcast block and the

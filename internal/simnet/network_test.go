@@ -452,9 +452,9 @@ func runGossip(t *testing.T, workers int, seed int64) map[ids.ID][]string {
 }
 
 // The observable execution (every delivery at every node, in order) must
-// be identical for every Config.Workers value: inline dispatch (1) and
-// real dispatch on the shared scheduler (2, 3, 5).
-func TestSequentialAndConcurrentRunnersAgree(t *testing.T) {
+// be identical for every Config.Workers value: inline stepping (1) and
+// stepping on the shared scheduler (2, 3, 5).
+func TestWorkerCountsAgree(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 5; seed++ {
 		base := runGossip(t, 1, seed)

@@ -8,8 +8,7 @@ import (
 
 // benchNs are the system sizes the full-round benchmarks sweep. The
 // paper's protocols are Ω(n²)-message by design, so the top sizes are
-// where the route/delivery half dominates and the sharded engine earns
-// its keep.
+// where the shared broadcast block earns its keep.
 var benchNs = []int{32, 128, 256, 512, 1024, 2048}
 
 // phaseNs are the sizes the step-vs-route phase-split benchmarks sweep
@@ -22,21 +21,25 @@ var phaseNs = []int{256, 512, 1024}
 // `make bench-json` runs the same workload via cmd/ubabench and records
 // the trajectory in BENCH_simnet.json.
 func BenchmarkRoundEngine(b *testing.B) {
-	for _, n := range benchNs {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchRounds(b, n, 1)
-		})
+	for _, wc := range workerCaps() {
+		for _, n := range benchNs {
+			b.Run(fmt.Sprintf("workers=%s/n=%d", wc.label, n), func(b *testing.B) {
+				benchRounds(b, n, wc.workers)
+			})
+		}
 	}
 }
 
-// BenchmarkRoundEngineConcurrent is the same workload with a worker cap
-// of GOMAXPROCS.
-func BenchmarkRoundEngineConcurrent(b *testing.B) {
-	for _, n := range benchNs {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchRounds(b, n, runtime.GOMAXPROCS(0))
-		})
-	}
+// workerCaps are the two Config.Workers values the benchmarks compare,
+// keyed by row label: inline stepping, and a step phase spread over
+// GOMAXPROCS workers ("max", so a row keeps its name across hosts).
+func workerCaps() []workerCap {
+	return []workerCap{{"1", 1}, {"max", runtime.GOMAXPROCS(0)}}
+}
+
+type workerCap struct {
+	label   string
+	workers int
 }
 
 // BenchmarkRoundEngineSparse is the scaling showcase for the shared
@@ -47,13 +50,10 @@ func BenchmarkRoundEngineConcurrent(b *testing.B) {
 // in near-linear time. `make bench-sparse` runs this subset under a
 // wall-clock budget and CI uploads the output as an artifact.
 func BenchmarkRoundEngineSparse(b *testing.B) {
-	for _, runner := range []struct {
-		name    string
-		workers int
-	}{{"sequential", 1}, {"concurrent", runtime.GOMAXPROCS(0)}} {
+	for _, wc := range workerCaps() {
 		for _, n := range []int{4096, 8192} {
-			b.Run(fmt.Sprintf("%s/n=%d", runner.name, n), func(b *testing.B) {
-				benchRounds(b, n, runner.workers)
+			b.Run(fmt.Sprintf("workers=%s/n=%d", wc.label, n), func(b *testing.B) {
+				benchRounds(b, n, wc.workers)
 			})
 		}
 	}
@@ -82,26 +82,21 @@ func benchRounds(b *testing.B, n, workers int) {
 }
 
 // BenchmarkStepPhase measures only the step half of a round (process
-// state machines plus the node-order merge), isolating it from routing.
+// state machines plus the node-order merge), isolating it from routing,
+// at both worker caps.
 func BenchmarkStepPhase(b *testing.B) {
-	benchPhase(b, 1, (*RoundPhases).StepOnly)
-}
-
-// BenchmarkStepPhaseConcurrent is the step half at a GOMAXPROCS worker cap.
-func BenchmarkStepPhaseConcurrent(b *testing.B) {
-	benchPhase(b, runtime.GOMAXPROCS(0), (*RoundPhases).StepOnly)
+	for _, wc := range workerCaps() {
+		b.Run("workers="+wc.label, func(b *testing.B) {
+			benchPhase(b, wc.workers, (*RoundPhases).StepOnly)
+		})
+	}
 }
 
 // BenchmarkRoutePhase measures only the routing/delivery half: block
-// sort, dedup, arena sizing, fan-out, accounting.
+// sort, dedup, arena sizing, fan-out, accounting. It is serial whatever
+// the worker cap, so there is one row per size.
 func BenchmarkRoutePhase(b *testing.B) {
 	benchPhase(b, 1, func(rp *RoundPhases) error { rp.RouteOnly(); return nil })
-}
-
-// BenchmarkRoutePhaseConcurrent is the routing half with sharded
-// delivery at a GOMAXPROCS worker cap (inline on a one-core host).
-func BenchmarkRoutePhaseConcurrent(b *testing.B) {
-	benchPhase(b, runtime.GOMAXPROCS(0), func(rp *RoundPhases) error { rp.RouteOnly(); return nil })
 }
 
 // campaignChunk is how many rounds each simulation advances per

@@ -14,70 +14,51 @@ import (
 // materialized broadcast copies; now a broadcast is stored once in a
 // shared block and every inbox is a lazy view, so the whole pass is
 // O(S + B + U) (sends, surviving broadcasts, unicast deliveries) plus
-// the per-receiver constant of handing out views. It is split into a
-// cheap serial prepare pass and a delivery pass that is embarrassingly
-// parallel over receivers, so a worker cap above 1 shards it across the
-// same scheduler that runs the step phase.
+// the per-receiver constant of handing out views. It is one serial pass
+// on the goroutine driving the network: no part of it is dispatched to
+// the scheduler, whatever Config.Workers says.
 //
 // The pipeline, per round:
 //
-//  1. Block-local sort (routePrepare). outs arrives grouped by sender in
-//     ascending node order — the step merge appends the per-process
-//     send buffers in node order and the engine stamps from = the
-//     registered id — so the global sort by (from, encoding, to) of the old engine
-//     is equivalent to sorting each sender's block by (encoding, to).
+//  1. Block-local sort. outs arrives grouped by sender in ascending node
+//     order — the step merge appends the per-process send buffers in
+//     node order and the engine stamps from = the registered id — so the
+//     global sort by (from, encoding, to) of the old engine is
+//     equivalent to sorting each sender's block by (encoding, to).
 //     Typical blocks are tiny (a broadcast-heavy round has one send per
 //     sender), turning O(S log S) into Σ O(k log k) ≈ O(S).
 //
-//  2. Dedup + classify (routePrepare). One serial scan applies exactly
-//     the duplicate rules documented on the old route loop — adjacent
-//     exact duplicates, and unicasts duplicating a same-sender broadcast
-//     via the per-sender broadcast-digest set — and classifies each
-//     surviving send as a broadcast (index into outs) or a unicast
-//     resolved to its receiver's live index (dropped here if the target
-//     is unknown or done, matching the old delivery-time check; Done is
-//     snapshotted once per round — no process steps during routing, so
-//     the snapshot is exact). Unicasts are then bucketed per receiver
-//     with a stable counting sort, preserving send order.
+//  2. Dedup + classify. One scan applies exactly the duplicate rules
+//     documented on the old route loop — adjacent exact duplicates, and
+//     unicasts duplicating a same-sender broadcast via the per-sender
+//     broadcast-digest set — and classifies each surviving send as a
+//     broadcast (index into outs) or a unicast resolved to its
+//     receiver's live index (dropped here if the target is unknown or
+//     done, matching the old delivery-time check; Done is snapshotted
+//     once per round — no process steps during routing, so the snapshot
+//     is exact). Unicasts are then bucketed per receiver with a stable
+//     counting sort, preserving send order.
 //
-//  3. Sparse materialization (routePrepare). The surviving broadcasts
-//     are copied once into the shared broadcast block and the surviving
-//     unicasts once into the unicast arena, each aligned with its send
-//     index list — O(B + U) Received values total, regardless of the
-//     receiver count. The copies are what let a receiver's view outlive
-//     the outs buffer (the step merge rewrites outs while inboxes are
-//     still being read next round). Block and arena are recycled across
-//     rounds — which is why Process.Step must not retain env.Inbox
-//     (see the package docs).
+//  3. Sparse materialization. The surviving broadcasts are copied once
+//     into the shared broadcast block and the surviving unicasts once
+//     into the unicast arena, each aligned with its send index list —
+//     O(B + U) Received values total, regardless of the receiver count.
+//     The copies are what let a receiver's view outlive the outs buffer
+//     (the step merge rewrites outs while inboxes are still being read
+//     next round). Block and arena are recycled across rounds — which is
+//     why Process.Step must not retain env.Inbox (see the package docs).
+//     The round record, which mirrors this storage, is finished here.
 //
-//  4. Delivery (routeShardDeliver). Receivers are partitioned into
-//     Config.Workers contiguous shards (one, by default). Each shard
-//     walks its receivers in node order
-//     and, per receiver, assembles an Inbox view over the shared block
-//     and the receiver's arena segment; the view's merge by send index
+//  4. Delivery. One walk over the receivers in node order assembles,
+//     per receiver, an Inbox view over the shared block and the
+//     receiver's arena segment; the view's merge by send index
 //     reproduces exactly the (sender, encoding)-sorted inbox the
 //     materialized engine produced. Delivery and byte tallies are
 //     computed arithmetically (per-receiver: B broadcasts plus its
 //     bucket; bytes: the block's byte total plus the bucket's) without
-//     touching message data. The pass has one behaviour whether or not
-//     the round is observed: it writes no trace event (the round record
-//     is finished by the prepare pass, the transcript is read back from
-//     the inboxes afterwards; see RunRound). Every inbox, contact set
-//     and per-shard tally is written by exactly one worker, so the pass
-//     needs no locks and its output is independent of worker
-//     scheduling.
-//
-//  5. Reduce (route). Per-shard delivery/byte tallies are summed in
-//     shard order, so the Collector flush is identical for any worker
-//     count and across runs.
-
-// routeShard is one worker's slice of the delivery pass: the receiver
-// range [lo, hi) and the tallies that worker owns.
-type routeShard struct {
-	lo, hi     int
-	deliveries int64
-	bytes      int64
-}
+//     touching message data. The walk has one behaviour whether or not
+//     the round is observed: it writes no trace event (the transcript is
+//     read back from the inboxes afterwards; see RunRound).
 
 // route fans out and filters the round's sends into next-round inboxes,
 // finishes the round record with the round's message events, and returns
@@ -88,32 +69,8 @@ type routeShard struct {
 // compares and equal digests fall back to comparing full encodings, so
 // a 64-bit collision can never drop a distinct message).
 //
-//lint:noalloc the fan-out runs every round; the shard table is recycled and capacity-guarded
+//lint:noalloc the fan-out runs every round over the network's recycled index and arena scratch; all growth is capacity-guarded or appends into recycled buffers
 func (n *Network) route(outs []send) (deliveries, bytes int64) {
-	n.routePrepare(outs)
-
-	nshards := n.workersCap()
-	n.shards = grown(n.shards, nshards)
-	nl := len(n.live)
-	for s := range n.shards {
-		n.shards[s] = routeShard{lo: s * nl / nshards, hi: (s + 1) * nl / nshards}
-	}
-	n.dispatch(phaseRoute, nshards)
-
-	for s := range n.shards {
-		deliveries += n.shards[s].deliveries
-		bytes += n.shards[s].bytes
-	}
-	return deliveries, bytes
-}
-
-// routePrepare runs the serial half of routing: block-local sort, dedup
-// and classification, unicast bucketing, and exact arena sizing. After
-// it returns, routeShardDeliver can run for disjoint receiver ranges in
-// parallel with no further coordination.
-//
-//lint:noalloc the serial prepare pass reuses the network's index and arena scratch; all growth is capacity-guarded or appends into recycled buffers
-func (n *Network) routePrepare(outs []send) {
 	// (1) Block-local sort: each sender's block by (encoding, to).
 	for lo := 0; lo < len(outs); {
 		hi := lo + 1
@@ -247,7 +204,6 @@ func (n *Network) routePrepare(outs []send) {
 		n.bcastBlock[j] = Received{From: s.from, Payload: s.payload, encoded: s.encoded, bcast: true}
 		bbytes += int64(len(s.encoded))
 	}
-	n.bcastBytes = bbytes
 	n.index.reset(n.bcastBlock)
 	nu := len(n.uniIdx)
 	n.uniArena = recycled(n.uniArena, nu, &n.uniLive)
@@ -273,56 +229,25 @@ func (n *Network) routePrepare(outs []send) {
 	// carrying the encoding actually delivered. O(B + U), like the
 	// storage; only an observer reads it.
 	n.engineEvents = len(n.roundEvents)
-	if n.cfg.Observer == nil {
-		return
-	}
-	round := n.round + 1 // deliveries land at the start of the next round
-	for j := range n.bcastBlock {
-		n.roundEvents = append(n.roundEvents, messageEvent(round, &n.bcastBlock[j], ids.None))
-	}
-	for r, st := range n.live {
-		for j := n.uniStart[r]; j < n.uniStart[r+1]; j++ {
-			n.roundEvents = append(n.roundEvents, messageEvent(round, &n.uniArena[j], st.id))
+	if n.cfg.Observer != nil {
+		round := n.round + 1 // deliveries land at the start of the next round
+		for j := range n.bcastBlock {
+			n.roundEvents = append(n.roundEvents, messageEvent(round, &n.bcastBlock[j], ids.None))
+		}
+		for r, st := range n.live {
+			for j := n.uniStart[r]; j < n.uniStart[r+1]; j++ {
+				n.roundEvents = append(n.roundEvents, messageEvent(round, &n.uniArena[j], st.id))
+			}
 		}
 	}
-}
 
-// messageEvent is the trace event of m delivered to `to` at the start of
-// round; to == ids.None stands for every receiver live that round.
-func messageEvent(round int, m *Received, to ids.ID) trace.Event {
-	return trace.Event{
-		Round:     round,
-		From:      uint64(m.From),
-		To:        uint64(to),
-		Kind:      m.Payload.Kind().String(),
-		Size:      len(m.encoded),
-		Broadcast: m.bcast,
-		Enc:       m.encoded,
-	}
-}
-
-// routeShardDeliver hands out the inbox views of the receivers in sh's
-// range. It is safe to run concurrently for disjoint shards: it writes
-// only the shard's receivers' inboxes/contact sets and the shard's own
-// tallies; the broadcast block, the unicast arena and the index lists
-// the views read through are written only by the serial prepare pass and
-// are read-only here.
-//
-//lint:shardsafe owns=sh the shard ranges partition the receivers; inboxes in [sh.lo, sh.hi) are shard-owned
-//lint:noalloc the delivery walk runs per receiver per round; inboxes are views over the shared block and arena
-//lint:nonblock route tasks run to the pool's phase barrier; a blocking shard would deadlock the round against it
-func (n *Network) routeShardDeliver(sh *routeShard) {
-	nb := len(n.bcastBlock)
-	var deliveries, bytes int64
-	for i := sh.lo; i < sh.hi; i++ {
-		st := n.live[i]
-		if n.doneMask[i] {
-			st.inbox = Inbox{}
-			continue
-		}
+	// (7) Delivery: hand every receiver its next-round inbox view, in
+	// node order. Block, arena and index lists are finished; the walk
+	// only reads them.
+	for i, st := range n.live {
 		ulo, uhi := int(n.uniStart[i]), int(n.uniStart[i+1])
 		nm := nb + (uhi - ulo)
-		if nm == 0 {
+		if n.doneMask[i] || nm == 0 {
 			st.inbox = Inbox{}
 			continue
 		}
@@ -342,7 +267,7 @@ func (n *Network) routeShardDeliver(sh *routeShard) {
 		// Tallies are arithmetic — no per-receiver message walk: the
 		// block's sizes are shared by every live receiver.
 		deliveries += int64(nm)
-		bytes += n.bcastBytes
+		bytes += bbytes
 		for j := ulo; j < uhi; j++ {
 			bytes += int64(len(n.uniArena[j].encoded))
 		}
@@ -350,7 +275,21 @@ func (n *Network) routeShardDeliver(sh *routeShard) {
 			n.noteContacts(st, ulo, uhi)
 		}
 	}
-	sh.deliveries, sh.bytes = deliveries, bytes
+	return deliveries, bytes
+}
+
+// messageEvent is the trace event of m delivered to `to` at the start of
+// round; to == ids.None stands for every receiver live that round.
+func messageEvent(round int, m *Received, to ids.ID) trace.Event {
+	return trace.Event{
+		Round:     round,
+		From:      uint64(m.From),
+		To:        uint64(to),
+		Kind:      m.Payload.Kind().String(),
+		Size:      len(m.encoded),
+		Broadcast: m.bcast,
+		Enc:       m.encoded,
+	}
 }
 
 // noteContacts adds the senders of st's round — the broadcast block

@@ -1,87 +1,41 @@
 package simnet
 
-import "uba/internal/simnet/sched"
-
-// This file is the round engine's dispatch layer: how a Network's two
-// round phases — step-by-node and route-by-shard — become indexed
-// batches on the process-wide bounded scheduler (internal/simnet/sched).
+// This file is the round engine's dispatch layer: how a round's one
+// parallel region — step node i — becomes an indexed batch on the
+// process-wide bounded scheduler (internal/simnet/sched). Everything
+// else in a round, from the step merge to the observer hand-off, runs
+// on the goroutine driving the network.
 //
 // A Network owns no worker goroutines. It binds to a scheduler on its
 // first dispatch (the shared sched.Default unless a test injected a
-// private one) and submits each phase as one barriered dispatch,
-// reusing a single Phase record and a single phase-tagged poolTask so
-// the steady-state round performs no allocation. Config.Workers is a
-// cap on how many shared workers may drain this network's phase at
-// once, not a reservation: below 2 the dispatch is sched.Run's inline
-// loop on the driving goroutine with no coordination at all, and a
-// campaign running many simulations keeps total parallelism at the
-// scheduler's budget no matter how many networks are in flight.
+// private one) and submits the step phase as one barriered dispatch,
+// reusing a single Phase record and a single stepTask so the
+// steady-state round performs no allocation. Config.Workers is a cap on
+// how many shared workers may step this network's nodes at once, not a
+// reservation: below 2 the dispatch is sched.Run's inline loop on the
+// driving goroutine with no coordination at all, and a campaign running
+// many simulations keeps total parallelism at the scheduler's budget no
+// matter how many networks are in flight.
 //
-// Determinism: which worker runs which index varies run to run, but the
-// step merge reads result slots in node order and delivery shards fill
-// disjoint receiver-ordered windows, so transcripts and accounting are
-// independent of scheduling.
+// Determinism: which worker steps which node varies run to run, but
+// each task writes only its node's state and result slot (stepOne's
+// ownership rule) and the step merge reads the slots in node order, so
+// transcripts and accounting are independent of scheduling.
 
-// poolPhase selects which half of a round a dispatched task runs.
-type poolPhase uint8
+// stepTask is the Network's sched.Task: index i steps node i. It is
+// embedded in the Network, so handing it to the scheduler never
+// allocates.
+type stepTask struct{ net *Network }
 
-const (
-	phaseStep poolPhase = iota
-	phaseRoute
-)
-
-// poolTask is one phase's work order: the Network's sched.Task. It is
-// embedded in the Network and re-tagged per dispatch, so handing it to
-// the scheduler costs a field rewrite, never an allocation.
-type poolTask struct {
-	net   *Network
-	phase poolPhase
-}
-
-// Run executes one index of the dispatched phase: a node step into its
-// result slot, or a shard delivery. Indices are disjoint per call, and
-// both bodies write only index-owned state, so concurrent Run calls
+// Run steps node i into its result slot. Indices are disjoint per call
+// and stepOne writes only node-owned state, so concurrent Run calls
 // never conflict.
 //
-//lint:noalloc both phase bodies run over recycled per-node and per-shard state
-//lint:nonblock phase bodies run to the scheduler's dispatch barrier; a blocking index would stall every job sharing the budget
-func (t *poolTask) Run(i int) {
+//lint:noalloc the step body runs over recycled per-node state
+//lint:nonblock step tasks run to the scheduler's dispatch barrier; a blocking index would stall every job sharing the budget
+func (t *stepTask) Run(i int) {
 	n := t.net
-	switch t.phase {
-	case phaseStep:
-		n.results[i] = n.stepOne(n.live[i])
-	case phaseRoute:
-		n.routeShardDeliver(&n.shards[i])
-	}
-}
-
-// scheduler returns the scheduler this network dispatches on, binding
-// to the process-wide default on first use. Tests inject a private
-// scheduler (with ownsSched set) to force real parallelism on any
-// host; everything else shares one budget.
-func (n *Network) scheduler() *sched.Scheduler {
-	if n.sched == nil {
-		//lint:coldpath binding to the shared scheduler runs once per Network, on its first dispatch
-		n.sched = sched.Default()
-	}
-	return n.sched
-}
-
-// workersCap is the network's concurrency cap: how many goroutines may
-// drain one of its phase dispatches at once, and how many shards
-// delivery is split into.
-//
-//lint:noalloc pure arithmetic over the config, computed per dispatch
-func (n *Network) workersCap() int { return max(n.cfg.Workers, 1) }
-
-// dispatch runs count indices of the given phase — node steps into
-// n.results, or deliveries of n.shards — and returns at the phase
-// barrier, after which the caller merges in index order.
-//
-//lint:noalloc the dispatch re-tags the embedded task and reuses the network's Phase record
-func (n *Network) dispatch(phase poolPhase, count int) {
-	n.task = poolTask{net: n, phase: phase}
-	n.scheduler().Run(&n.phase, &n.task, count, n.workersCap())
+	n.results[i] = n.stepOne(n.live[i])
 }
 
 // Close retires the network: a privately owned scheduler (test hook) is

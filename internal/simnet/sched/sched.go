@@ -8,12 +8,11 @@
 // that. A Scheduler owns a fixed budget of worker goroutines (normally
 // one per GOMAXPROCS, spawned once for the whole process) and every
 // concurrent simulation submits its barriered phases — step-by-node,
-// route-by-shard, campaign-cell-by-index — to the same pool. The
-// per-job worker count is now a *cap* on how many of the shared
-// workers may drain that job's phase at once, so J jobs × W workers
-// never oversubscribes: the running worker count is bounded by the
-// budget plus the submitting goroutines (which always help drain their
-// own phase).
+// campaign-cell-by-index — to the same pool. The per-job worker count
+// is now a *cap* on how many of the shared workers may drain that job's
+// phase at once, so J jobs × W workers never oversubscribes: the
+// running worker count is bounded by the budget plus the submitting
+// goroutines (which always help drain their own phase).
 //
 // # Dispatch model
 //
@@ -28,10 +27,10 @@
 //
 // Fairness is round-robin at phase granularity: a free worker picks
 // its next phase starting from a rotating cursor and then drains it to
-// exhaustion. Phases are round-sized (one step or route barrier), so a
-// job can monopolize an attached worker for at most one round of work
-// before the cursor hands it to the next job. A phase's cap bounds how
-// many workers attach to it, leaving headroom for later arrivals.
+// exhaustion. Phases are round-sized (one step barrier), so a job can
+// monopolize an attached worker for at most one round of work before
+// the cursor hands it to the next job. A phase's cap bounds how many
+// workers attach to it, leaving headroom for later arrivals.
 //
 // # Blocking and reentrancy
 //
@@ -63,8 +62,8 @@ type Task interface {
 // calls: it holds the barrier state for one in-flight dispatch and is
 // recycled across dispatches so the steady-state hot path performs no
 // allocation. The zero value is ready. A Phase must not be shared by
-// two concurrent dispatches (a Network reuses one Phase for its step
-// and route halves, which never overlap).
+// two concurrent dispatches (a Network reuses one Phase for the step
+// phase of every round; rounds never overlap).
 type Phase struct {
 	task Task
 	n    int32
@@ -149,8 +148,10 @@ func Default() *Scheduler {
 }
 
 // SetDefaultBudget replaces the process-wide scheduler with one of the
-// given budget — the CLI hook behind the -jobs flags, so an operator
-// can bound total simulation parallelism below (or above) GOMAXPROCS.
+// given budget — the CLI hook behind `ubasim -jobs`, so an operator can
+// bound total simulation parallelism below GOMAXPROCS. The budget is
+// taken as given (New spawns one goroutine per unit): a caller passing
+// on operator input clamps it first.
 // Jobs that already captured the previous default keep using it; its
 // workers are released once their phases drain. Returns the new
 // default.

@@ -7,8 +7,8 @@ import (
 )
 
 // Scratch recycling across networks. Within one Network the round
-// buffers (outs, results, arenas, shard table, round record) are
-// already reused round over round; this file extends the reuse across
+// buffers (outs, results, arenas, round record) are already reused
+// round over round; this file extends the reuse across
 // Network lifetimes, which is what campaign workloads need: a chaos
 // campaign builds a fresh Network per (arena, seed) cell, and without
 // recycling every cell re-grows every buffer from nil — piling
@@ -40,8 +40,8 @@ type netScratch struct {
 	roundEvents []trace.Event
 	// Routing (route.go): per-sender broadcast dedup keys, the done
 	// snapshot, the surviving broadcast indices, the per-receiver
-	// unicast buckets, the shared broadcast block and unicast arena the
-	// inbox views read through, and the delivery shard table.
+	// unicast buckets, and the shared broadcast block and unicast arena
+	// the inbox views read through.
 	bcastDigests []uint64
 	bcastEncs    []string
 	doneMask     []bool
@@ -53,7 +53,6 @@ type netScratch struct {
 	uniCursor    []int32
 	bcastBlock   []Received
 	uniArena     []Received
-	shards       []routeShard
 	// index is the payload-major reading of bcastBlock (index.go). It
 	// is held by pointer — every inbox of a round shares it, and its
 	// once-guard must not be copied — and made by New when the pool had
@@ -96,7 +95,6 @@ func (n *Network) releaseScratch() {
 	clear(n.bcastEncs[:cap(n.bcastEncs)])
 	clear(n.bcastBlock[:cap(n.bcastBlock)])
 	clear(n.uniArena[:cap(n.uniArena)])
-	clear(n.shards[:cap(n.shards)])
 	n.index.release()
 	n.bcastLive, n.uniLive = 0, 0
 	*s, n.netScratch = n.netScratch, netScratch{}

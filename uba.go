@@ -115,10 +115,10 @@ type Config struct {
 	// Seed makes the run reproducible (identifier layout and any
 	// adversary randomness derive from it).
 	Seed int64
-	// Workers caps how many goroutines may run one round phase of the
-	// simulation at once (see simnet.Config.Workers); below 2 — the
-	// default — every round runs inline on the calling goroutine.
-	// Results are identical for every value.
+	// Workers is how many goroutines step the simulation's nodes (see
+	// simnet.Config.Workers); below 2 — the default — they are stepped
+	// inline on the calling goroutine, where the rest of every round
+	// runs in any case. Results are identical for every value.
 	Workers int
 	// MaxRounds bounds the run (0 = simulator default).
 	MaxRounds int

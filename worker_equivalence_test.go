@@ -16,56 +16,71 @@ import (
 
 // runnerOutcome captures everything observable about one protocol run:
 // the message-level transcript, the traffic report, and the protocol's
-// own result. Every worker cap must reproduce all three byte-for-byte
-// — this is the guard on the round engine's one step path: inline
-// dispatch and real multi-worker dispatch are the same execution.
+// own result. Every worker count must reproduce all three byte-for-byte
+// — this is the guard on the round engine's one parallel region: nodes
+// stepped inline and nodes stepped by several goroutines are the same
+// execution.
 type runnerOutcome struct {
 	events []trace.Event
 	report trace.Report
 	result any
 }
 
-func runOnce(t *testing.T, protocol string, adv uba.Adversary, workers int) runnerOutcome {
+// outcome separates a facade result (a pointer to any of the uba result
+// structs) into its traffic Report and the rest, so the matrix compares
+// and reports the two apart.
+func outcome(res any, err error) (any, trace.Report, error) {
+	if err != nil {
+		return nil, trace.Report{}, err
+	}
+	v := reflect.ValueOf(res).Elem()
+	f := v.FieldByName("Report")
+	report := f.Interface().(trace.Report)
+	f.SetZero()
+	return v.Interface(), report, nil
+}
+
+// equivalenceRuns are the matrix's protocol inputs: one facade call per
+// family at the 7+2 configuration.
+var equivalenceRuns = []struct {
+	protocol string
+	run      func(cfg uba.Config) (any, trace.Report, error)
+}{
+	{"consensus", func(cfg uba.Config) (any, trace.Report, error) {
+		return outcome(uba.Consensus(cfg, []float64{0, 1, 0, 1, 0, 1, 0}))
+	}},
+	{"broadcast", func(cfg uba.Config) (any, trace.Report, error) {
+		return outcome(uba.ReliableBroadcast(cfg, []byte("equivalence-body"), 10))
+	}},
+	{"rotor", func(cfg uba.Config) (any, trace.Report, error) {
+		return outcome(uba.Rotor(cfg))
+	}},
+	// vector is the family whose Steps contend hardest for the round's
+	// once-built block index; trb and renaming count echoes through it.
+	{"vector", func(cfg uba.Config) (any, trace.Report, error) {
+		return outcome(uba.InteractiveConsistency(cfg, []float64{0, 10, 20, 30, 40, 50, 60}))
+	}},
+	{"trb", func(cfg uba.Config) (any, trace.Report, error) {
+		return outcome(uba.TerminatingBroadcast(cfg, []byte("equivalence-body"), true))
+	}},
+	{"renaming", func(cfg uba.Config) (any, trace.Report, error) {
+		return outcome(uba.Renaming(cfg))
+	}},
+}
+
+func runOnce(t *testing.T, protocol string, run func(uba.Config) (any, trace.Report, error), adv uba.Adversary, workers int) runnerOutcome {
 	t.Helper()
 	log := trace.NewEventLog(500_000)
-	cfg := uba.Config{
+	result, report, err := run(uba.Config{
 		Correct:   7,
 		Byzantine: 2,
 		Adversary: adv,
 		Seed:      42,
 		Workers:   workers,
 		EventLog:  log,
-	}
-	var result any
-	var report trace.Report
-	switch protocol {
-	case "consensus":
-		inputs := []float64{0, 1, 0, 1, 0, 1, 0}
-		res, err := uba.Consensus(cfg, inputs)
-		if err != nil {
-			t.Fatalf("%s/%s workers=%d: %v", protocol, adv, workers, err)
-		}
-		report = res.Report
-		res.Report = trace.Report{}
-		result = *res
-	case "broadcast":
-		res, err := uba.ReliableBroadcast(cfg, []byte("equivalence-body"), 10)
-		if err != nil {
-			t.Fatalf("%s/%s workers=%d: %v", protocol, adv, workers, err)
-		}
-		report = res.Report
-		res.Report = trace.Report{}
-		result = *res
-	case "rotor":
-		res, err := uba.Rotor(cfg)
-		if err != nil {
-			t.Fatalf("%s/%s workers=%d: %v", protocol, adv, workers, err)
-		}
-		report = res.Report
-		res.Report = trace.Report{}
-		result = *res
-	default:
-		t.Fatalf("unknown protocol %q", protocol)
+	})
+	if err != nil {
+		t.Fatalf("%s/%s workers=%d: %v", protocol, adv, workers, err)
 	}
 	if log.Dropped() > 0 {
 		t.Fatalf("%s/%s workers=%d: transcript truncated (%d dropped)",
@@ -75,13 +90,13 @@ func runOnce(t *testing.T, protocol string, adv uba.Adversary, workers int) runn
 }
 
 // TestRunnerEquivalenceAcrossAdversaries runs every adversary strategy
-// against consensus, reliable broadcast, and the rotor-coordinator with
-// worker caps 1 (inline dispatch), 2, 3 and 5 on a shared seed and
+// against every family of equivalenceRuns with worker counts 1 (inline
+// stepping), 2, 3 and 5 on a shared seed and
 // asserts byte-identical transcripts (every delivery: round, from, to,
 // kind, size, broadcast flag, in order), identical Report totals and
 // per-round breakdowns, and identical protocol results. The counts are
 // explicit so real dispatch happens on a one-core host too, and one
-// multi-worker cap is run twice so a worker-scheduling dependence —
+// multi-worker count is run twice so a worker-scheduling dependence —
 // which could agree with the inline run on one lucky schedule — fails
 // the matrix directly. The engine-level matrix with private schedulers
 // of several budgets lives in internal/simnet/determinism_test.go.
@@ -91,17 +106,17 @@ func TestRunnerEquivalenceAcrossAdversaries(t *testing.T) {
 		uba.AdversaryNone, uba.AdversarySilent, uba.AdversaryCrash,
 		uba.AdversarySplit, uba.AdversaryGhost, uba.AdversaryNoise,
 	}
-	for _, protocol := range []string{"consensus", "broadcast", "rotor"} {
+	for _, er := range equivalenceRuns {
 		for _, adv := range adversaries {
-			protocol, adv := protocol, adv
+			protocol, run, adv := er.protocol, er.run, adv
 			t.Run(fmt.Sprintf("%s/%s", protocol, adv), func(t *testing.T) {
 				t.Parallel()
-				base := runOnce(t, protocol, adv, 1)
+				base := runOnce(t, protocol, run, adv, 1)
 				if len(base.events) == 0 {
 					t.Fatal("one-worker run recorded no deliveries; transcript comparison is vacuous")
 				}
 				for _, workers := range []int{2, 3, 5, 3} {
-					got := runOnce(t, protocol, adv, workers)
+					got := runOnce(t, protocol, run, adv, workers)
 					if !slices.Equal(base.events, got.events) {
 						i := 0
 						for i < len(base.events) && i < len(got.events) && base.events[i] == got.events[i] {
@@ -146,7 +161,7 @@ func (c *crashingChatter) Step(env *simnet.RoundEnv) {
 }
 
 // runCrashWorkload runs twelve chatter processes, four of which panic in
-// staggered rounds, at the given worker cap, and returns the transcript
+// staggered rounds, at the given worker count, and returns the transcript
 // and crash records.
 func runCrashWorkload(t *testing.T, workers int) ([]trace.Event, []simnet.CrashRecord) {
 	t.Helper()
@@ -176,7 +191,7 @@ func runCrashWorkload(t *testing.T, workers int) ([]trace.Event, []simnet.CrashR
 // TestCrashEquivalenceAcrossWorkerCounts asserts that contained Step
 // panics are deterministic: the full transcript — including every
 // NodeCrashed event — and the crash records are identical for worker
-// caps 1 (inline), 2, 3 and 5.
+// counts 1 (inline), 2, 3 and 5.
 func TestCrashEquivalenceAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
 	baseEvents, baseCrashes := runCrashWorkload(t, 1)
