@@ -42,6 +42,11 @@ var e2eSizes = []int{128, 256}
 
 const e2eFamilySize = 256
 
+// e2eParallelSize is the size of the Algorithm 5 rows — uba.
+// ParallelConsensus and uba.InteractiveConsistency, which runs one
+// instance per node and is the one entry point that is cubic in n.
+const e2eParallelSize = 128
+
 // e2eWorkersSize is the size of the uba.Consensus row pair that prices
 // Config.Workers end to end: the same run stepped inline and by two
 // goroutines. The pair is the knob's justification (ROADMAP item 6); at
@@ -363,8 +368,11 @@ func orderingSession(cfg uba.Config) error {
 // e2eSpecs are the end-to-end rows: uba.Consensus (inputs i%2) over
 // e2eSizes; at e2eFamilySize the families whose Step counts echoes in
 // reliable-broadcast fashion — renaming, terminating broadcast (correct
-// source) and reliable broadcast (correct source, 8 rounds); and one
-// OrderingCluster session at the size bench/ drives.
+// source) and reliable broadcast (correct source, 8 rounds); at
+// e2eParallelSize the two entry points of Algorithm 5 — parallel consensus
+// over eight instances of which every node lacks one, and interactive
+// consistency (inputs 100·i); and one OrderingCluster session at the size
+// bench/ drives.
 func e2eSpecs() []benchSpec {
 	var specs []benchSpec
 	for _, n := range e2eSizes {
@@ -381,6 +389,26 @@ func e2eSpecs() []benchSpec {
 		}),
 		e2eSpec("ReliableBroadcast", e2eFamilySize, 0, func(cfg uba.Config) error {
 			_, err := uba.ReliableBroadcast(cfg, []byte("payload"), 8)
+			return err
+		}),
+		e2eSpec("ParallelConsensus", e2eParallelSize, 0, func(cfg uba.Config) error {
+			inputs := make([][]uba.Pair, cfg.Correct)
+			for i := range inputs {
+				for k := 0; k < 8; k++ {
+					if k != i%8 {
+						inputs[i] = append(inputs[i], uba.Pair{Instance: uint64(k + 1), Value: float64(k % 2)})
+					}
+				}
+			}
+			_, err := uba.ParallelConsensus(cfg, inputs)
+			return err
+		}),
+		e2eSpec("InteractiveConsistency", e2eParallelSize, 0, func(cfg uba.Config) error {
+			inputs := make([]float64, cfg.Correct)
+			for i := range inputs {
+				inputs[i] = float64(100 * i)
+			}
+			_, err := uba.InteractiveConsistency(cfg, inputs)
 			return err
 		}),
 		e2eSpec("OrderingCluster", 32, 0, orderingSession),

@@ -30,9 +30,11 @@ import (
 // allocations, and its ns/op band catches a regression in the dispatch
 // or fairness machinery. The e2e rows (uba.Consensus at n=128 and n=256,
 // uba.Renaming, uba.TerminatingBroadcast and uba.ReliableBroadcast at
-// n=256, through the public entry points, oracles attached) gate what
-// users actually run: a regression in a protocol's Step, which no
-// chatter round exercises, moves them and nothing else.
+// n=256, uba.ParallelConsensus and uba.InteractiveConsistency at n=128,
+// one uba.OrderingCluster session at n=32, through the public entry
+// points, oracles attached) gate what users actually run: a regression in
+// a protocol's Step, which no chatter round exercises, moves them and
+// nothing else.
 // Small enough to finish in seconds on a CI runner, broad enough that
 // a regression in either phase, either worker count, or the campaign
 // layer moves at least one row.

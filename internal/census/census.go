@@ -89,6 +89,16 @@ type Frozen struct {
 	rank map[ids.ID]int
 }
 
+// FrozenOf returns the census of a membership known in advance: members,
+// ranked in id order.
+func FrozenOf(members *ids.Set) Frozen {
+	rank := make(map[ids.ID]int, members.Len())
+	for r := 0; r < members.Len(); r++ {
+		rank[members.At(r)] = r
+	}
+	return Frozen{rank: rank}
+}
+
 // N returns the frozen n_v.
 func (f Frozen) N() int { return len(f.rank) }
 

@@ -14,8 +14,8 @@ type Ranker interface {
 // the engine's ascending broadcaster list, the same for every receiver —
 // into "which of my census members said it", a set of this reader's own
 // ranks. It is rebuilt per Step (Reset) with one census lookup per
-// broadcaster, where a pass over the messages themselves would need one
-// per message.
+// broadcaster (ResetAscending: none, for a census ranked in id order),
+// where a pass over the messages themselves would need one per message.
 //
 // Positions whose ranks are consecutive collapse into a run, and a set
 // is translated run by run with shifted word ORs. A census numbers its
@@ -29,7 +29,8 @@ type Ranker interface {
 //
 // The zero value is ready for Reset. The storage is the table's own and
 // is reused from Step to Step; an embedding protocol that steps many
-// short-lived readers lends them one table (see parallelcon.StepLocal).
+// short-lived readers of one census rebuilds one table once and lends it
+// to them all (see parallelcon.StepLocal).
 type Ranks struct {
 	of   Ranker
 	runs []rankRun
@@ -45,19 +46,42 @@ func (t *Ranks) Reset(broadcasters []ids.ID, of Ranker) {
 	t.of = of
 	t.runs = t.runs[:0]
 	for pos, id := range broadcasters {
-		r, ok := of.Rank(id)
-		if !ok {
-			continue
+		if r, ok := of.Rank(id); ok {
+			t.place(pos, r)
 		}
-		if k := len(t.runs) - 1; k >= 0 {
-			if last := &t.runs[k]; last.pos+last.n == pos && last.rank+last.n == r {
-				last.n++
-				continue
-			}
-		}
-		t.runs = append(t.runs, rankRun{pos: pos, rank: r, n: 1})
 	}
 	t.who = t.who.Cleared(of.N())
+}
+
+// ResetAscending is Reset for a census ranked in id order (FrozenOf):
+// members is of's membership, which ascends as broadcasters does, so the
+// two are matched by one merge instead of one census lookup per
+// broadcaster.
+func (t *Ranks) ResetAscending(broadcasters []ids.ID, of Ranker, members *ids.Set) {
+	t.of = of
+	t.runs = t.runs[:0]
+	r, n := 0, members.Len()
+	for pos, id := range broadcasters {
+		for r < n && members.At(r) < id {
+			r++
+		}
+		if r < n && members.At(r) == id {
+			t.place(pos, r)
+		}
+	}
+	t.who = t.who.Cleared(n)
+}
+
+// place records that position pos holds rank r, extending the last run
+// when both continue it.
+func (t *Ranks) place(pos, r int) {
+	if k := len(t.runs) - 1; k >= 0 {
+		if last := &t.runs[k]; last.pos+last.n == pos && last.rank+last.n == r {
+			last.n++
+			return
+		}
+	}
+	t.runs = append(t.runs, rankRun{pos: pos, rank: r, n: 1})
 }
 
 // Rank is the census's own answer for one sender.

@@ -46,7 +46,9 @@ func perBit(broadcasters []ids.ID, of Ranker, by Marks) (Marks, bool) {
 // straddling offset), in blocks, and in arbitrary first-observed order
 // (every position its own run); broadcasters the census does not know
 // (holes in position space); members that did not broadcast (holes in
-// rank space); and sets from empty through sparse to full.
+// rank space); and sets from empty through sparse to full. For the
+// id-order censuses the merge-built table (ResetAscending over FrozenOf)
+// must be the lookup-built one.
 func TestRanksTranslateMatchesPerBitReference(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 60; seed++ {
@@ -111,6 +113,23 @@ func TestRanksTranslateMatchesPerBitReference(t *testing.T) {
 				}
 				if len(table.runs) > breaks {
 					t.Fatalf("%d runs for %d breaks in an id-order census", len(table.runs), breaks)
+				}
+
+				// The same census built from the known membership ranks
+				// everyone the same, and the merge of the two ascending
+				// lists builds the table the lookups built.
+				set := ids.NewSet(members...)
+				known := FrozenOf(set)
+				for _, id := range universe {
+					r0, ok0 := cen.Rank(id)
+					if r1, ok1 := known.Rank(id); ok0 != ok1 || r0 != r1 {
+						t.Fatalf("FrozenOf ranks %v at %d (%v), observing in id order at %d (%v)", id, r1, ok1, r0, ok0)
+					}
+				}
+				var merged Ranks
+				merged.ResetAscending(broadcasters, known, set)
+				if !slices.Equal(merged.runs, table.runs) || len(merged.who) != len(table.who) {
+					t.Fatalf("ResetAscending built runs %v, Reset %v", merged.runs, table.runs)
 				}
 			}
 

@@ -37,14 +37,23 @@
 // append-only chain and dropped, so a round costs the same however long
 // the session has run, and Chain and FinalizedThrough read what was
 // folded without touching an execution.
+//
+// The snapshot S changes only when a present or an absent arrives, so what
+// depends on S alone — the member set, the census frozen over it, |S| —
+// is one immutable parallelcon.Scope per membership epoch: rebuilt from
+// activeFrom when that map changed or a recorded activation round is
+// reached, and otherwise read as is by every round's intake and shared by
+// every execution started under it. Per execution a node pays for the
+// execution's own instances; per Step it lays its rank table over the
+// inbox once per epoch that still has an execution in flight.
 package ordering
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"uba/internal/census"
 	"uba/internal/core/parallelcon"
@@ -80,11 +89,12 @@ func instanceTag(round uint64, submitter ids.ID) uint64 {
 	return round<<48 | uint64(submitter)
 }
 
-// run is one parallel-consensus execution that is not yet final.
+// run is one parallel-consensus execution that is not yet final, with the
+// membership epoch it was started under.
 type run struct {
-	round   uint64
-	node    *parallelcon.Node
-	members int
+	round uint64
+	node  *parallelcon.Node
+	scope *parallelcon.Scope
 }
 
 // Node is one participant in the dynamic total-ordering protocol.
@@ -102,6 +112,13 @@ type Node struct {
 	r          uint64            // protocol round
 	activeFrom map[ids.ID]uint64 // membership with activation round
 	firstRun   uint64            // first execution this node participates in
+	// scope is the current membership epoch: the snapshot of the round it
+	// was built in, and of every round since while it is not stale — that
+	// is, until activeFrom changes (dirty) or a member recorded in it
+	// becomes active (round activation; 0 = none pending).
+	scope      *parallelcon.Scope
+	dirty      bool
+	activation uint64
 
 	pendingEvents []float64
 	// window holds the executions that are not yet final, oldest first;
@@ -109,8 +126,8 @@ type Node struct {
 	window []run
 	chain  []ChainEntry
 	final  uint64
-	// ranks is the rank-table scratch lent to every execution's StepLocal:
-	// one per node, not one per short-lived parallelcon.Node.
+	// ranks is the rank table lent to every execution's StepLocal, laid
+	// over the Step's inbox once per epoch in the window.
 	ranks census.Ranks
 }
 
@@ -167,17 +184,50 @@ func (n *Node) Leave() { n.leaveRq = true }
 func (n *Node) Round() uint64 { return n.r }
 
 // Members returns the node's current membership snapshot (nodes active at
-// the current round).
-func (n *Node) Members() *ids.Set { return n.snapshot(n.r) }
+// the current round), as the caller's own copy.
+func (n *Node) Members() *ids.Set {
+	if n.stale() {
+		s, _ := n.snapshot()
+		return s
+	}
+	return n.scope.Members()
+}
 
-func (n *Node) snapshot(round uint64) *ids.Set {
-	s := ids.NewSet()
+// snapshot builds S for the current round from activeFrom, and returns
+// with it the earliest round at which a recorded member that is not yet
+// active becomes so (0 if there is none).
+func (n *Node) snapshot() (s *ids.Set, activation uint64) {
+	s = ids.NewSet()
 	for id, from := range n.activeFrom {
-		if from <= round {
+		if from <= n.r {
 			s.Add(id)
+		} else if activation == 0 || from < activation {
+			activation = from
 		}
 	}
-	return s
+	return s, activation
+}
+
+// stale reports whether the cached epoch is no longer the snapshot of the
+// current round.
+func (n *Node) stale() bool {
+	return n.scope == nil || n.dirty || (n.activation != 0 && n.activation <= n.r)
+}
+
+// epoch returns the membership epoch of the current round, rebuilding the
+// cached one if it is stale. A rebuild that finds the members unchanged (a
+// present recorded but not yet active) keeps the epoch, so executions
+// share a scope exactly while S does not change.
+func (n *Node) epoch() *parallelcon.Scope {
+	if n.stale() {
+		var s *ids.Set
+		s, n.activation = n.snapshot()
+		if n.scope == nil || !n.scope.Equal(s) {
+			n.scope = parallelcon.NewScope(s)
+		}
+		n.dirty = false
+	}
+	return n.scope
 }
 
 // Step implements simnet.Process.
@@ -197,17 +247,22 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 		value     float64
 	}
 	var intake []eventIn
-	members := n.snapshot(n.r)
+	scope := n.epoch()
+	members := scope.Census()
 	for m := range env.Inbox.All() {
 		switch p := m.Payload.(type) {
 		case wire.Present:
 			// Joiner announced in round r participates from r+2.
 			if _, known := n.activeFrom[m.From]; !known {
 				n.activeFrom[m.From] = n.r + 2
+				n.dirty = true
 				env.Send(m.From, wire.Ack{Round: n.r})
 			}
 		case wire.Absent:
-			delete(n.activeFrom, m.From)
+			if _, known := n.activeFrom[m.From]; known {
+				delete(n.activeFrom, m.From)
+				n.dirty = true
+			}
 		case wire.Event:
 			if p.Round == n.r-1 && members.Contains(m.From) && len(p.Body) == 8 {
 				value := math.Float64frombits(binary.LittleEndian.Uint64(p.Body))
@@ -234,8 +289,15 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	// Start execution r with the intake pairs, scoped to the snapshot,
 	// unless the node is winding down or the tag space is used up.
 	if !n.leaving && n.r <= MaxRound {
+		// Inputs go in by submitter, and of a submitter that sent several
+		// events for one round (only a Byzantine one does) the last in
+		// inbox order is the input: the inbox is sorted by sender, then
+		// encoding, so that is the event with the greatest encoding — the
+		// tie-break an equivocating coordinator gets. The sort is stable
+		// and, short of a reorder fault shuffling the inbox, finds the
+		// intake already in order.
+		slices.SortStableFunc(intake, func(a, b eventIn) int { return cmp.Compare(a.submitter, b.submitter) })
 		inputs := make([]parallelcon.InputPair, 0, len(intake))
-		sort.Slice(intake, func(i, j int) bool { return intake[i].submitter < intake[j].submitter })
 		for _, e := range intake {
 			inputs = append(inputs, parallelcon.InputPair{
 				Instance: instanceTag(n.r, e.submitter),
@@ -244,10 +306,10 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 		}
 		round := n.r
 		n.window = append(n.window, run{
-			round:   round,
-			members: members.Len(),
+			round: round,
+			scope: scope,
 			node: parallelcon.New(n.id, inputs, parallelcon.Options{
-				Members:        members,
+				Scope:          scope,
 				StartRound:     env.Round,
 				RotorInstance:  instanceTag(round, 0),
 				InstanceFilter: func(iid uint64) bool { return iid>>48 == round },
@@ -255,10 +317,20 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 		})
 	}
 
-	// Drive every in-flight execution with this round's inbox (a
-	// terminated one waiting out its finality lag ignores the call).
+	// Drive every in-flight execution with this round's inbox (one that
+	// terminated is waiting out its finality lag). The window is in round
+	// order and so in epoch order: the rank table is laid over the inbox
+	// once per epoch and serves the executions of that epoch in a row.
 	allDone := true
+	var laid *parallelcon.Scope
 	for _, rn := range n.window {
+		if rn.node.Done() {
+			continue
+		}
+		if rn.scope != laid {
+			rn.scope.Lay(&n.ranks, env.Inbox.Broadcasters())
+			laid = rn.scope
+		}
 		rn.node.StepLocal(env.Round, env.Inbox, &n.ranks, env.Broadcast)
 		allDone = allDone && rn.node.Done()
 	}
@@ -278,7 +350,7 @@ func (n *Node) foldFinal() {
 	k := 0
 	for ; k < len(n.window); k++ {
 		rn := n.window[k]
-		if !rn.node.Done() || 2*(n.r-rn.round) <= uint64(5*rn.members+4) {
+		if !rn.node.Done() || 2*(n.r-rn.round) <= uint64(5*rn.scope.Census().N()+4) {
 			break
 		}
 		for _, pair := range rn.node.Outputs() {

@@ -34,11 +34,14 @@
 //
 // The package is reused by the dynamic total-ordering protocol
 // (Algorithm 6), which runs many parallel-consensus executions
-// concurrently: Options.Members scopes a run to a membership snapshot
+// concurrently: Options.Scope scopes a run to a membership snapshot
 // (skipping the two initialization rounds), Options.StartRound offsets the
 // phase grid, Options.InstanceFilter separates the executions' message
 // namespaces, and StepLocal lets an embedding protocol drive the run
-// inside its own Step.
+// inside its own Step. What depends only on the snapshot — its census and
+// the rotor's initial candidates — is built once per snapshot (NewScope)
+// and shared by every run started under it; a run pays for its own
+// instances and nothing per member.
 package parallelcon
 
 import (
@@ -65,14 +68,45 @@ type OutputPair struct {
 	X        wire.Value
 }
 
+// Scope is a membership snapshot S prepared for any number of runs: the
+// members in id order and the census frozen over them, a member's rank
+// being its position in that order. It is immutable once built, which is
+// what lets the runs of one node share it; a node builds its own, so it
+// never crosses nodes.
+type Scope struct {
+	members *ids.Set
+	census  census.Frozen
+}
+
+// NewScope prepares the snapshot members, which it copies.
+func NewScope(members *ids.Set) *Scope {
+	return &Scope{members: members.Clone(), census: census.FrozenOf(members)}
+}
+
+// Census returns the census frozen over S; its N is |S|.
+func (s *Scope) Census() census.Frozen { return s.census }
+
+// Equal reports whether S is exactly members.
+func (s *Scope) Equal(members *ids.Set) bool { return s.members.Equal(members) }
+
+// Members returns a copy of S.
+func (s *Scope) Members() *ids.Set { return s.members.Clone() }
+
+// Lay lays the scope's census over the broadcasters of one inbox in ranks:
+// what a caller of StepLocal does, once for all the runs of this scope it
+// steps with that inbox.
+func (s *Scope) Lay(ranks *census.Ranks, broadcasters []ids.ID) {
+	ranks.ResetAscending(broadcasters, s.census, s.members)
+}
+
 // Options configures a parallel-consensus run.
 type Options struct {
-	// Members, when non-nil, scopes the run to a known membership
-	// snapshot: the census is frozen to it and the rotor candidate set
-	// seeded with it, skipping the two initialization rounds (used by
-	// the dynamic-network protocols, which know S when they start a
-	// run). When nil, the run performs the standard init rounds.
-	Members *ids.Set
+	// Scope, when non-nil, scopes the run to a known membership
+	// snapshot: the census is the scope's and the rotor candidate set
+	// starts as a copy of it, skipping the two initialization rounds
+	// (used by the dynamic-network protocols, which know S when they
+	// start a run). When nil, the run performs the standard init rounds.
+	Scope *Scope
 	// StartRound is the network round at which this run begins
 	// (default 1). The phase grid is laid out relative to it.
 	StartRound int
@@ -123,7 +157,8 @@ type Node struct {
 
 	// present marks the census ranks heard from in the tally under way;
 	// reused from one tally to the next. ranks is the rank table Step
-	// hands to StepLocal; an embedding protocol lends its own instead.
+	// lays over its inbox and hands to StepLocal; an embedding protocol
+	// lends its own instead.
 	present census.Marks
 	ranks   census.Ranks
 
@@ -133,7 +168,8 @@ type Node struct {
 	// inst looks an instance up by id; order holds the same instances
 	// ascending by id, the order every phase round sends, tallies and
 	// outputs in. Both grow only through join. ignored holds the ids first
-	// heard outside a joinable window, which are never joined.
+	// heard outside a joinable window, which are never joined; it is
+	// allocated by the first of them.
 	inst    map[uint64]*instance
 	order   []*instance
 	ignored map[uint64]struct{}
@@ -152,22 +188,17 @@ func New(id ids.ID, inputs []InputPair, opts Options) *Node {
 	core := rotor.NewCore(id, opts.RotorInstance)
 	core.SetCycling(true)
 	n := &Node{
-		id:      id,
-		opts:    opts,
-		core:    core,
-		inst:    make(map[uint64]*instance),
-		ignored: make(map[uint64]struct{}),
+		id:   id,
+		opts: opts,
+		core: core,
+		inst: make(map[uint64]*instance),
 	}
 	for _, in := range inputs {
 		n.AddInput(in)
 	}
-	if opts.Members != nil {
-		c := census.New()
-		for _, m := range opts.Members.Members() {
-			c.Observe(m)
-		}
-		n.frozen = c.Freeze()
-		core.SeedCandidates(opts.Members)
+	if opts.Scope != nil {
+		n.frozen = opts.Scope.census
+		core.SeedCandidates(opts.Scope.members)
 	}
 	return n
 }
@@ -234,15 +265,17 @@ func (n *Node) Phases() int { return n.phasesRun }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
+	n.ranks.Reset(env.Inbox.Broadcasters(), n.frozen)
 	n.StepLocal(env.Round, env.Inbox, &n.ranks, env.Broadcast)
 }
 
 // StepLocal runs one round of the protocol. Embedding protocols
 // (total ordering) call it directly with the inbox of their own Step and
-// their own send function. ranks is scratch the caller lends for the
-// call: the run lays its census over the inbox's broadcasters in it. A
-// protocol that starts a run every round and steps dozens at once lends
-// them all the same table, so the runs' churn allocates none.
+// their own send function. ranks is the run's census laid over the
+// inbox's broadcasters, which the caller does before the call
+// (census.Ranks.Reset, or Scope.Lay): the table depends on the census and
+// the inbox only, so a protocol that steps dozens of runs of one Scope at
+// once lays it once and lends it to them all.
 func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, send func(wire.Payload)) {
 	if n.done {
 		return
@@ -253,7 +286,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 	}
 
 	var loopLocal int
-	if n.opts.Members == nil {
+	if n.opts.Scope == nil {
 		switch local {
 		case 1:
 			n.observe(inbox)
@@ -270,7 +303,6 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 		loopLocal = local - 1
 	}
 
-	ranks.Reset(inbox.Broadcasters(), n.frozen)
 	n.core.NoteInbox(inbox, ranks)
 	pr := loopLocal % 5
 	phase := loopLocal / 5
@@ -393,28 +425,19 @@ func (n *Node) accepts(instanceID uint64) bool {
 }
 
 // scanAwareness joins instances first heard during the joinable windows of
-// the first phase and permanently ignores everything else. First contact
-// is an ordered question — the first message in inbox order that names an
-// instance decides — so this reader walks the merged inbox; the census is
-// consulted only for the rare message that names an instance for the
-// first time.
+// the first phase and permanently ignores everything else. Whether an
+// inbox names any instance this node has not met is a question about
+// payloads, asked once per distinct broadcast payload and per private
+// message; only then is first contact the ordered question it is — the
+// first message in inbox order that names the instance decides — and the
+// merged inbox walked.
 func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
+	if !n.namesNewInstance(inbox) {
+		return
+	}
 	for m := range inbox.All() {
-		tagged, ok := m.Payload.(wire.Instanced)
-		if !ok {
-			continue
-		}
-		iid := tagged.InstanceID()
-		if !n.accepts(iid) {
-			continue
-		}
-		if _, known := n.inst[iid]; known {
-			continue
-		}
-		if _, ign := n.ignored[iid]; ign {
-			continue
-		}
-		if !n.frozen.Contains(m.From) {
+		iid, ok := n.newInstance(m.Payload)
+		if !ok || !n.frozen.Contains(m.From) {
 			continue
 		}
 		joinable := false
@@ -431,25 +454,71 @@ func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
 		if joinable {
 			n.join(iid, wire.Bot())
 		} else {
+			if n.ignored == nil {
+				n.ignored = make(map[uint64]struct{})
+			}
 			n.ignored[iid] = struct{}{}
 		}
 	}
 }
 
+// newInstance reports whether p names an instance of this run that the
+// node has neither joined nor ignored, and which.
+func (n *Node) newInstance(p wire.Payload) (uint64, bool) {
+	tagged, ok := p.(wire.Instanced)
+	if !ok {
+		return 0, false
+	}
+	iid := tagged.InstanceID()
+	if !n.accepts(iid) {
+		return 0, false
+	}
+	if _, known := n.inst[iid]; known {
+		return 0, false
+	}
+	if _, ign := n.ignored[iid]; ign {
+		return 0, false
+	}
+	return iid, true
+}
+
+// namesNewInstance reports whether any payload of inbox, from anyone,
+// names an instance newInstance would report.
+func (n *Node) namesNewInstance(inbox simnet.Inbox) bool {
+	said, direct := inbox.Said(), inbox.Direct()
+	for i := range said {
+		if _, ok := n.newInstance(said[i].Payload); ok {
+			return true
+		}
+	}
+	for i := range direct {
+		if _, ok := n.newInstance(direct[i].Payload); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // coordinatorOpinions extracts per-instance opinions sent by this phase's
-// coordinator. A coordinator that sent several for one instance (only a
-// Byzantine one does) is taken at the one with the greatest encoding,
-// whether it was broadcast or unicast — the last in the engine's
-// (sender, encoding) inbox order.
+// coordinator; the map is nil when there is none. A coordinator that sent
+// several for one instance (only a Byzantine one does) is taken at the one
+// with the greatest encoding, whether it was broadcast or unicast — the
+// last in the engine's (sender, encoding) inbox order.
 func (n *Node) coordinatorOpinions(inbox simnet.Inbox) map[uint64]wire.Value {
-	out := make(map[uint64]wire.Value)
 	if n.coordinator == ids.None || !n.frozen.Contains(n.coordinator) {
-		return out
+		return nil
+	}
+	var out map[uint64]wire.Value // allocated by the first opinion
+	keep := func(op wire.Opinion) {
+		if out == nil {
+			out = make(map[uint64]wire.Value)
+		}
+		out[op.Instance] = op.X
 	}
 	if p, ok := slices.BinarySearch(inbox.Broadcasters(), n.coordinator); ok {
 		for _, g := range inbox.Said() { // ascending by encoding: the last one stays
 			if op, isOp := g.Payload.(wire.Opinion); isOp && n.accepts(op.Instance) && g.By.Has(p) {
-				out[op.Instance] = op.X
+				keep(op)
 			}
 		}
 	}
@@ -462,7 +531,7 @@ func (n *Node) coordinatorOpinions(inbox simnet.Inbox) map[uint64]wire.Value {
 			continue
 		}
 		if x, have := out[op.Instance]; !have || wire.EncodesAfter(op, wire.Opinion{Instance: op.Instance, X: x}) {
-			out[op.Instance] = op.X
+			keep(op)
 		}
 	}
 	return out

@@ -286,7 +286,7 @@ func TestMembershipModeSkipsInit(t *testing.T) {
 	nodes := make([]*Node, 0, 6)
 	for _, id := range all {
 		node := New(id, []InputPair{{Instance: 3, X: wire.V(4)}}, Options{
-			Members:       members,
+			Scope:         NewScope(members),
 			RotorInstance: 99,
 		})
 		nodes = append(nodes, node)
@@ -321,7 +321,7 @@ func TestInstanceFilterSeparatesRuns(t *testing.T) {
 	nodes := make([]*Node, 0, 5)
 	for _, id := range all {
 		node := New(id, []InputPair{{Instance: 1<<32 | 5, X: wire.V(1)}}, Options{
-			Members:        members,
+			Scope:          NewScope(members),
 			RotorInstance:  1 << 32,
 			InstanceFilter: filter,
 		})
@@ -358,7 +358,7 @@ func TestStartRoundOffset(t *testing.T) {
 	nodes := make([]*Node, 0, 5)
 	for _, id := range all {
 		node := New(id, []InputPair{{Instance: 2, X: wire.V(6)}}, Options{
-			Members:    members,
+			Scope:      NewScope(members),
 			StartRound: 11,
 		})
 		nodes = append(nodes, node)

@@ -1,7 +1,9 @@
 package parallelcon
 
 import (
+	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"uba/internal/ids"
@@ -12,12 +14,13 @@ import (
 // driveInit runs a membership-mode node so the phase grid starts at
 // round 1 deterministically.
 func memberNode(self ids.ID, members []ids.ID, inputs []InputPair) *Node {
-	return New(self, inputs, Options{Members: ids.NewSet(members...)})
+	return New(self, inputs, Options{Scope: NewScope(ids.NewSet(members...))})
 }
 
 // stepLocal drives one round the way Step does, lending the node's own
 // rank table.
 func stepLocal(n *Node, round int, inbox simnet.Inbox, send func(wire.Payload)) {
+	n.ranks.Reset(inbox.Broadcasters(), n.frozen)
 	n.StepLocal(round, inbox, &n.ranks, send)
 }
 
@@ -227,5 +230,149 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 		if len(opinions) != 2 || !opinions[9].Equal(wire.V(1)) || !opinions[7].Equal(wire.V(5)) {
 			t.Fatalf("%s: coordinator opinions %v, want 9:1 7:5", name, opinions)
 		}
+	}
+}
+
+// perDeliveryAwareness is scanAwareness as it was before it asked the
+// payloads first: one walk of the merged inbox, every delivery looked up.
+func perDeliveryAwareness(n *Node, inbox simnet.Inbox, phase, pr int) {
+	for m := range inbox.All() {
+		tagged, ok := m.Payload.(wire.Instanced)
+		if !ok {
+			continue
+		}
+		iid := tagged.InstanceID()
+		if !n.accepts(iid) {
+			continue
+		}
+		if _, known := n.inst[iid]; known {
+			continue
+		}
+		if _, ign := n.ignored[iid]; ign {
+			continue
+		}
+		if !n.frozen.Contains(m.From) {
+			continue
+		}
+		joinable := false
+		if phase == 0 {
+			switch m.Payload.(type) {
+			case wire.Input:
+				joinable = pr == 1
+			case wire.Prefer, wire.NoPreference:
+				joinable = pr == 2
+			case wire.StrongPrefer, wire.NoStrongPreference:
+				joinable = pr == 3
+			}
+		}
+		if joinable {
+			n.join(iid, wire.Bot())
+		} else {
+			if n.ignored == nil {
+				n.ignored = make(map[uint64]struct{})
+			}
+			n.ignored[iid] = struct{}{}
+		}
+	}
+}
+
+// First contact is decided by the first census member to name an
+// instance, in inbox order, and by nothing else: not by a stranger that
+// names it earlier, not by a later member whose message would have been
+// the other verdict, and not by whether the messages came through the
+// shared block, the private segment or both. In every (phase, round)
+// window and every delivery shape, asking the payloads first leaves the
+// instance tables the per-delivery walk leaves.
+func TestFirstContactMatchesPerDeliveryWalkAcrossShapes(t *testing.T) {
+	t.Parallel()
+	msgs := []simnet.Received{
+		// Instance 9: a stranger first in id order, then a member with a
+		// kind joinable in PR3 only, then one joinable in PR2 only.
+		rcvP(1, wire.Input{Instance: 9, X: wire.V(1)}),
+		rcvP(3, wire.Prefer{Instance: 9, X: wire.V(1)}),
+		rcvP(4, wire.Input{Instance: 9, X: wire.V(1)}),
+		// Instance 8: the same two kinds the other way round.
+		rcvP(3, wire.Input{Instance: 8, X: wire.V(2)}),
+		rcvP(4, wire.Prefer{Instance: 8, X: wire.V(2)}),
+		// Instance 7: one member, both kinds; its encoding order decides.
+		rcvP(6, wire.Prefer{Instance: 7, X: wire.V(3)}),
+		rcvP(6, wire.Input{Instance: 7, X: wire.V(3)}),
+		// Instance 6: a marker joinable in PR4 only, then a kind that
+		// never is.
+		rcvP(2, wire.NoStrongPreference{Instance: 6}),
+		rcvP(4, wire.Opinion{Instance: 6, X: wire.V(4)}),
+		// Named by strangers only, already joined, outside the filter.
+		rcvP(1, wire.Input{Instance: 5, X: wire.V(5)}),
+		rcvP(99, wire.Prefer{Instance: 5, X: wire.V(5)}),
+		rcvP(3, wire.Input{Instance: 4, X: wire.V(6)}),
+		rcvP(3, wire.Input{Instance: 1<<32 | 3, X: wire.V(7)}),
+		rcvP(2, wire.Init{}),
+	}
+	var block, private []simnet.Received
+	for i, m := range msgs {
+		if i%2 == 0 {
+			block = append(block, m)
+		} else {
+			private = append(private, m)
+		}
+	}
+	shapes := map[string]simnet.Inbox{
+		"block only":      simnet.InboxOfRound(msgs, nil),
+		"block + unicast": simnet.InboxOfRound(block, private),
+		"unicast only":    simnet.InboxOfRound(nil, msgs),
+	}
+	tables := func(n *Node) (joined, ignored []uint64) {
+		for _, ins := range n.order {
+			if n.inst[ins.id] != ins {
+				t.Fatalf("order and inst disagree on instance %d", ins.id)
+			}
+			joined = append(joined, ins.id)
+		}
+		if len(joined) != len(n.inst) {
+			t.Fatalf("order holds %d instances, inst %d", len(joined), len(n.inst))
+		}
+		for id := range n.ignored {
+			ignored = append(ignored, id)
+		}
+		slices.Sort(ignored)
+		return joined, ignored
+	}
+	verdicts := make(map[string]bool) // which (joined, ignored) outcomes the windows produced
+	for name, inbox := range shapes {
+		for phase := 0; phase < 2; phase++ {
+			for pr := 0; pr < 5; pr++ {
+				mk := func() *Node {
+					return New(5, []InputPair{{Instance: 4, X: wire.V(6)}}, Options{
+						Scope:          NewScope(ids.NewSet(2, 3, 4, 5, 6)),
+						InstanceFilter: func(iid uint64) bool { return iid>>32 == 0 },
+					})
+				}
+				got, want := mk(), mk()
+				got.scanAwareness(inbox, phase, pr)
+				perDeliveryAwareness(want, inbox, phase, pr)
+				gotJoined, gotIgnored := tables(got)
+				wantJoined, wantIgnored := tables(want)
+				if !slices.Equal(gotJoined, wantJoined) || !slices.Equal(gotIgnored, wantIgnored) {
+					t.Fatalf("%s, phase %d PR%d: joined %v ignored %v, the per-delivery walk leaves %v and %v",
+						name, phase, pr+1, gotJoined, gotIgnored, wantJoined, wantIgnored)
+				}
+				if len(gotJoined)+len(gotIgnored) != 5 { // 4 input + 9, 8, 7, 6 met
+					t.Fatalf("%s, phase %d PR%d: joined %v ignored %v: an instance went unmet or a stranger's was met",
+						name, phase, pr+1, gotJoined, gotIgnored)
+				}
+				verdicts[fmt.Sprint(gotJoined, gotIgnored)] = true
+
+				// A second inbox naming nothing new changes nothing.
+				got.scanAwareness(inbox, phase, pr)
+				if j, i := tables(got); !slices.Equal(j, gotJoined) || !slices.Equal(i, gotIgnored) {
+					t.Fatalf("%s, phase %d PR%d: a repeated inbox moved the tables to %v and %v", name, phase, pr+1, j, i)
+				}
+			}
+		}
+	}
+	// PR2, PR3 and PR4 of the first phase each join something different;
+	// every other window ignores all four.
+	if len(verdicts) != 4 {
+		t.Fatalf("the windows produced %d distinct outcomes, want 4: %v", len(verdicts), verdicts)
 	}
 }

@@ -84,13 +84,11 @@ func NewCore(self ids.ID, instance uint64) *Core {
 // rotation to stay live for as long as it runs.
 func (c *Core) SetCycling(cycling bool) { c.cycling = cycling }
 
-// SeedCandidates pre-populates C_v. The dynamic-network protocols scope a
-// run to a known membership snapshot S and skip the two init rounds by
-// seeding C_v = S.
+// SeedCandidates sets C_v to a copy of members. The dynamic-network
+// protocols scope a run to a known membership snapshot S and skip the two
+// init rounds by starting from C_v = S; it is called on a fresh core.
 func (c *Core) SeedCandidates(members *ids.Set) {
-	for _, id := range members.Members() {
-		c.candidates.Add(id)
-	}
+	c.candidates = *members.Clone()
 }
 
 // BroadcastInit emits the round-1 candidacy announcement.
