@@ -57,8 +57,9 @@ bench-e2e:
 # Round-engine micro-benchmarks (BenchmarkRoundEngine* workload) plus
 # end-to-end runs through the public entry points (e2e/* rows: uba.Consensus
 # at n=128 and n=256; renaming, trb and rb at n=256; a 200-round
-# OrderingCluster session at n=32; uba.Consensus at n=1024 with one and
-# with two step workers, the pair that prices Config.Workers) as JSON.
+# OrderingCluster session at n=32; the 24-cell fault-plan chaos campaign
+# with the families' oracle suites attached; uba.Consensus at n=1024 with
+# one and with two step workers, the pair that prices Config.Workers) as JSON.
 # BENCH_simnet.json is committed so the perf trajectory is tracked
 # in-repo; regenerate after touching internal/simnet or a protocol Step.
 bench-json:

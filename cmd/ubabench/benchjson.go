@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"uba"
+	"uba/internal/chaos"
 	"uba/internal/simnet"
 )
 
@@ -365,14 +366,45 @@ func orderingSession(cfg uba.Config) error {
 	return err
 }
 
+// chaosCampaignSpec is the observe layer's row: the campaign bench/ runs
+// as campaign-faults — chaos.DefaultCampaign's six arenas × 4 seeds, 7
+// correct and 2 Byzantine nodes, 400 rounds under a Byzantine-scoped
+// fault plan, every cell watched by its family's full oracle suite —
+// with the cells run inline (Jobs 1), so the row does not depend on the
+// core count. The facade attaches only the complexity oracle; this is
+// the one row the keyed-claim monitors are in.
+func chaosCampaignSpec() benchSpec {
+	cfg := chaos.DefaultCampaign()
+	cfg.Seeds, cfg.Faults, cfg.Jobs = 4, chaos.FaultsByzantine, 1
+	return benchSpec{
+		name:    "e2e/chaos.Campaign/faults=" + cfg.Faults,
+		workers: 1,
+		n:       cfg.Correct + cfg.Byzantine,
+		jobs:    cfg.Jobs,
+		bench: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := chaos.RunCampaign(cfg, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.Clean() {
+					b.Fatalf("campaign not clean: %d repros, %d errors", len(rep.Repros), len(rep.Errors))
+				}
+			}
+		},
+	}
+}
+
 // e2eSpecs are the end-to-end rows: uba.Consensus (inputs i%2) over
 // e2eSizes; at e2eFamilySize the families whose Step counts echoes in
 // reliable-broadcast fashion — renaming, terminating broadcast (correct
 // source) and reliable broadcast (correct source, 8 rounds); at
 // e2eParallelSize the two entry points of Algorithm 5 — parallel consensus
 // over eight instances of which every node lacks one, and interactive
-// consistency (inputs 100·i); and one OrderingCluster session at the size
-// bench/ drives.
+// consistency (inputs 100·i); one OrderingCluster session at the size
+// bench/ drives; and the chaos campaign bench/ drives, the only row with
+// the families' oracle suites attached.
 func e2eSpecs() []benchSpec {
 	var specs []benchSpec
 	for _, n := range e2eSizes {
@@ -412,6 +444,7 @@ func e2eSpecs() []benchSpec {
 			return err
 		}),
 		e2eSpec("OrderingCluster", 32, 0, orderingSession),
+		chaosCampaignSpec(),
 	)
 }
 
@@ -528,7 +561,7 @@ func measure(spec benchSpec) (engineBenchResult, error) {
 // `make bench-json` entry point.
 func runBenchJSON(outPath string, progress io.Writer) error {
 	file := engineBenchFile{
-		Description: "simnet round-engine micro-benchmarks (broadcast-heavy: one op = one round, n sends, n^2 deliveries; step/route rows isolate one phase; campaign rows advance `jobs` concurrent simulations by 4 rounds per op through the shared scheduler) plus end-to-end rows (e2e/uba.<EntryPoint>: one op = one whole run through the public entry point, f=(n-1)/3 silent, oracles attached); regenerate with `make bench-json`",
+		Description: "simnet round-engine micro-benchmarks (broadcast-heavy: one op = one round, n sends, n^2 deliveries; step/route rows isolate one phase; campaign rows advance `jobs` concurrent simulations by 4 rounds per op through the shared scheduler) plus end-to-end rows (e2e/uba.<EntryPoint>: one op = one whole run through the public entry point, f=(n-1)/3 silent, oracles attached; e2e/chaos.Campaign: one op = one 24-cell fault-plan campaign at 7+2 nodes, cells inline, each under its family's full oracle suite); regenerate with `make bench-json`",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}

@@ -34,7 +34,11 @@ import (
 // one uba.OrderingCluster session at n=32, through the public entry
 // points, oracles attached) gate what users actually run: a regression in
 // a protocol's Step, which no chatter round exercises, moves them and
-// nothing else.
+// nothing else. The e2e/chaos.Campaign/faults=byzantine row (24 cells of
+// 7+2 nodes, 400 rounds each, run inline) is the observe layer's: the
+// facade attaches one complexity oracle, a chaos cell its family's whole
+// suite, so a per-round format, copy or map rebuild in internal/oracle
+// moves this row's allocs/op and no other.
 // Small enough to finish in seconds on a CI runner, broad enough that
 // a regression in either phase, either worker count, or the campaign
 // layer moves at least one row.

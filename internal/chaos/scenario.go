@@ -292,14 +292,14 @@ func buildEarlyDecide(correctIDs []ids.ID, bound int) *arenaFixture {
 	for i, id := range correctIDs {
 		nodes = append(nodes, newEarlyDecide(id, wire.V(float64(i%2))))
 	}
-	probe := func() []oracle.Claim {
-		out := make([]oracle.Claim, 0, len(nodes))
+	probe := func(emit func(oracle.Claim) bool) {
 		for _, n := range nodes {
 			if v, ok := n.Output(); ok {
-				out = append(out, oracle.Claim{Node: n.ID(), Key: "decision", Value: oracle.ValueString(v)})
+				if !emit(oracle.Claim{Node: n.ID(), Key: oracle.Key{Kind: oracle.KeyDecision}, Value: oracle.OpinionValue(v)}) {
+					return
+				}
 			}
 		}
-		return out
 	}
 	suite := oracle.NewSuite(
 		oracle.NewAgreement("earlydecide-agreement", probe),

@@ -413,6 +413,16 @@ func (n *Node) FirstRound() uint64 { return n.firstRun }
 // submitter id.
 func (n *Node) Chain() []ChainEntry { return slices.Clone(n.chain) }
 
+// Entries yields the chain by position without copying: the read-only
+// path of Chain, for callers that look and do not keep.
+func (n *Node) Entries(yield func(int, ChainEntry) bool) {
+	for i, e := range n.chain {
+		if !yield(i, e) {
+			return
+		}
+	}
+}
+
 // FinalizedThrough returns the largest round R such that all executions in
 // [FirstRound, R] are final (0 if none).
 func (n *Node) FinalizedThrough() uint64 { return n.final }

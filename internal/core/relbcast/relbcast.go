@@ -80,6 +80,7 @@ type Node struct {
 	ranks    census.Ranks
 	echoes   census.Window[key] // pair -> distinct echoers this round
 	accepted map[key]int        // pair -> acceptance round
+	sorted   []Acceptance       // accepted in byKey order, rebuilt by inOrder
 }
 
 var _ simnet.Process = (*Node)(nil)
@@ -162,11 +163,36 @@ func (n *Node) hasAccepted(k key) bool {
 // Accepted returns every (m, s) pair this node has accepted, ordered by
 // source id then body.
 func (n *Node) Accepted() []Acceptance {
-	out := make([]Acceptance, 0, len(n.accepted))
-	for _, k := range slices.SortedFunc(maps.Keys(n.accepted), byKey) {
-		out = append(out, Acceptance{Source: k.source, Body: []byte(k.body), Round: n.accepted[k]})
+	out := slices.Clone(n.inOrder())
+	for i := range out {
+		out[i].Body = slices.Clone(out[i].Body)
 	}
 	return out
+}
+
+// Acceptances yields what Accepted returns without copying it: the
+// read-only path for callers that look every round and keep nothing.
+// The yielded Body is the node's own and must not be modified.
+func (n *Node) Acceptances(yield func(Acceptance) bool) {
+	for _, acc := range n.inOrder() {
+		if !yield(acc) {
+			return
+		}
+	}
+}
+
+// inOrder is the accepted pairs sorted by source id, then body. Step pays
+// nothing for it: the order is built when a reader asks and rebuilt only
+// after the node accepted something more — an acceptance is never
+// withdrawn or changed, so the count tells.
+func (n *Node) inOrder() []Acceptance {
+	if len(n.sorted) != len(n.accepted) {
+		n.sorted = n.sorted[:0]
+		for _, k := range slices.SortedFunc(maps.Keys(n.accepted), byKey) {
+			n.sorted = append(n.sorted, Acceptance{Source: k.source, Body: []byte(k.body), Round: n.accepted[k]})
+		}
+	}
+	return n.sorted
 }
 
 // HasAccepted reports whether the node accepted (body, source), and if so

@@ -87,6 +87,11 @@ func (n *Node) NameOf(id ids.ID) (int, bool) {
 // FinalSet returns the agreed id set once terminated.
 func (n *Node) FinalSet() *ids.Set { return n.set.Clone() }
 
+// FinalSetView returns the agreed id set itself rather than a copy: the
+// read-only path of FinalSet, for callers that compare it and neither
+// keep nor modify it.
+func (n *Node) FinalSetView() *ids.Set { return &n.set }
+
 // TerminationRound returns the round in which the node terminated.
 func (n *Node) TerminationRound() int { return n.termRound }
 

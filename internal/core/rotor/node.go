@@ -74,6 +74,17 @@ func (n *Node) AcceptedOpinions() []AcceptedOpinion {
 	return out
 }
 
+// Opinions yields every accepted coordinator opinion in acceptance order
+// without copying: the read-only path of AcceptedOpinions, for callers
+// that look and do not keep.
+func (n *Node) Opinions(yield func(AcceptedOpinion) bool) {
+	for _, a := range n.accepted {
+		if !yield(a) {
+			return
+		}
+	}
+}
+
 // Candidates exposes C_v for tests and experiments.
 func (n *Node) Candidates() *ids.Set { return n.core.Candidates() }
 

@@ -6,6 +6,7 @@ import (
 
 	"uba/internal/ids"
 	"uba/internal/trace"
+	"uba/internal/wire"
 )
 
 // Synthetic disruption events for driving a degraded oracle directly.
@@ -141,11 +142,11 @@ func TestDegradedLinkActivitySuspends(t *testing.T) {
 func TestDegradedAgreementStaysUnconditional(t *testing.T) {
 	t.Parallel()
 	claims := []Claim{
-		{Node: 1, Key: "decision", Value: "0"},
-		{Node: 2, Key: "decision", Value: "1"},
+		{Node: 1, Key: decision, Value: OpinionValue(wire.V(0))},
+		{Node: 2, Key: decision, Value: OpinionValue(wire.V(1))},
 	}
 	suite := NewSuite(
-		NewAgreement("x-agreement", func() []Claim { return claims }),
+		NewAgreement("x-agreement", listed(&claims)),
 		NewTerminationBound("x-termination", 1, func() []ids.ID { return []ids.ID{1} }),
 	)
 	// Wrap only liveness oracles, as chaos does.

@@ -25,18 +25,18 @@ import (
 // different values), validity (every output was some node's input), and
 // termination within `bound` rounds.
 func ForConsensus(nodes []*consensus.Node, inputs []wire.Value, bound int) []Oracle {
-	probe := func() []Claim {
-		out := make([]Claim, 0, len(nodes))
+	probe := func(emit func(Claim) bool) {
 		for _, n := range nodes {
 			if v, ok := n.Output(); ok {
-				out = append(out, Claim{Node: n.ID(), Key: "decision", Value: ValueString(v)})
+				if !emit(Claim{Node: n.ID(), Key: Key{Kind: KeyDecision}, Value: OpinionValue(v)}) {
+					return
+				}
 			}
 		}
-		return out
 	}
-	valid := make(map[string]bool, len(inputs))
+	valid := make(map[Value]bool, len(inputs))
 	for _, x := range inputs {
-		valid[ValueString(x)] = true
+		valid[OpinionValue(x)] = true
 	}
 	return []Oracle{
 		NewAgreement("consensus-agreement", probe),
@@ -53,18 +53,18 @@ func ForConsensus(nodes []*consensus.Node, inputs []wire.Value, bound int) []Ora
 // (no acceptance of a pair a correct source never sent) and totality
 // (a pair accepted in round r is accepted everywhere by r+1).
 func ForBroadcast(nodes []*relbcast.Node, correct *ids.Set) []Oracle {
-	accepted := func() []RBAcceptance {
-		var out []RBAcceptance
+	accepted := func(emit func(RBAcceptance) bool) {
 		for _, n := range nodes {
-			for _, acc := range n.Accepted() {
-				out = append(out, RBAcceptance{Node: n.ID(), Source: acc.Source, Body: acc.Body})
+			for acc := range n.Acceptances {
+				if !emit(RBAcceptance{Node: n.ID(), Source: acc.Source, Body: acc.Body}) {
+					return
+				}
 			}
 		}
-		return out
 	}
 	totality := func(round int, _ []trace.Event) *Violation {
 		for _, n := range nodes {
-			for _, acc := range n.Accepted() {
+			for acc := range n.Acceptances {
 				if acc.Round+1 > round {
 					continue // grace round still open
 				}
@@ -92,18 +92,15 @@ func ForBroadcast(nodes []*relbcast.Node, correct *ids.Set) []Oracle {
 // accepted opinions (no two nodes accept different opinions from the
 // same coordinator slot) and termination within `bound` rounds.
 func ForRotor(nodes []*rotor.Node, bound int) []Oracle {
-	probe := func() []Claim {
-		var out []Claim
+	probe := func(emit func(Claim) bool) {
 		for _, n := range nodes {
-			for _, a := range n.AcceptedOpinions() {
-				out = append(out, Claim{
-					Node:  n.ID(),
-					Key:   fmt.Sprintf("opinion:r%d:%d", a.Round, a.From),
-					Value: ValueString(a.X),
-				})
+			for a := range n.Opinions {
+				key := Key{Kind: KeyOpinion, A: uint64(a.Round), B: uint64(a.From)}
+				if !emit(Claim{Node: n.ID(), Key: key, Value: OpinionValue(a.X)}) {
+					return
+				}
 			}
 		}
-		return out
 	}
 	return []Oracle{
 		NewAgreement("rotor-agreement", probe),
@@ -175,18 +172,20 @@ func ForApprox(nodes []*approx.Node, eps, lo, hi float64, bound int) []Oracle {
 // final id set, new names are unique, every correct id is named, and
 // termination within `bound` rounds.
 func ForRenaming(nodes []*renaming.Node, bound int) []Oracle {
-	probe := func() []Claim {
-		var out []Claim
+	probe := func(emit func(Claim) bool) {
 		for _, n := range nodes {
 			if !n.Done() {
 				continue
 			}
-			out = append(out, Claim{Node: n.ID(), Key: "final-set", Value: setString(n.FinalSet())})
+			if !emit(Claim{Node: n.ID(), Key: Key{Kind: KeyFinalSet}, Value: SetValue(n.FinalSetView())}) {
+				return
+			}
 		}
-		return out
 	}
+	// taken is looked up and cleared, never ranged.
+	taken := make(map[int]ids.ID, len(nodes))
 	unique := func(round int, _ []trace.Event) *Violation {
-		taken := make(map[int]ids.ID)
+		clear(taken)
 		for _, n := range nodes {
 			name, ok := n.NewName()
 			if !ok {
@@ -218,19 +217,21 @@ func ForRenaming(nodes []*renaming.Node, bound int) []Oracle {
 // chains are prefix-consistent across nodes (keyed by chain position, so
 // nodes at different finalization horizons compare only the shared
 // prefix).
+//
+// Precondition: positional keys assume every node's chain starts at the
+// same round, i.e. the nodes are founders (as in chaos's ordering
+// arena). A joiner's chain starts at its FirstRound and would have to be
+// aligned before its positions mean what a founder's do; nothing here
+// does that.
 func ForOrdering(nodes []*ordering.Node) []Oracle {
-	probe := func() []Claim {
-		var out []Claim
+	probe := func(emit func(Claim) bool) {
 		for _, n := range nodes {
-			for i, e := range n.Chain() {
-				out = append(out, Claim{
-					Node:  n.ID(),
-					Key:   fmt.Sprintf("chain:%d", i),
-					Value: e.String(),
-				})
+			for i, e := range n.Entries {
+				if !emit(Claim{Node: n.ID(), Key: Key{Kind: KeyChain, A: uint64(i)}, Value: EntryValue(e)}) {
+					return
+				}
 			}
 		}
-		return out
 	}
 	return []Oracle{NewAgreement("ordering-agreement", probe)}
 }
@@ -247,7 +248,8 @@ func pendingIDs(n int, at func(i int) (ids.ID, bool)) []ids.ID {
 	return out
 }
 
-// setString canonically encodes an id set (members are sorted).
+// setString renders an id set for Violation details (members are
+// sorted).
 func setString(s *ids.Set) string {
 	var b strings.Builder
 	for i, id := range s.Members() {

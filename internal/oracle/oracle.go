@@ -24,12 +24,19 @@
 // constructors here preserve that property (claims are compared in probe
 // order, never in map-iteration order), which the determinism lint pass
 // machine-checks (`make lint`).
+//
+// Cost: a claim is a small typed value (Key, Value), pushed by its Prober
+// and compared as such. Every round re-reads and compares every claim of
+// every correct node — nothing is remembered as already checked — and
+// while the nodes agree that allocates nothing; keys, values and id sets
+// become text only in the Detail of a Violation.
 package oracle
 
 import (
 	"fmt"
 	"math"
 
+	"uba/internal/core/ordering"
 	"uba/internal/ids"
 	"uba/internal/simnet"
 	"uba/internal/trace"
@@ -59,24 +66,129 @@ type Oracle interface {
 	Observe(round int, events []trace.Event) *Violation
 }
 
-// Claim is one node's statement about its protocol state, produced by a
+// Claim is one node's statement about its protocol state, pushed by a
 // Prober. Claims with the same Key are compared across nodes: the
-// agreement monitor requires their Values to be equal.
+// agreement monitor requires their Values to be equal. A Claim is a
+// small comparable value — no strings: Key and Value render themselves
+// only into the Detail of a Violation.
 type Claim struct {
 	// Node is the claiming node.
 	Node ids.ID
-	// Key names the decided quantity (e.g. "decision", "chain:3").
-	Key string
-	// Value is a canonical string encoding of the node's answer.
-	Value string
+	// Key names the decided quantity.
+	Key Key
+	// Value is the node's answer.
+	Value Value
 }
 
-// Prober extracts the current claims from protocol node state. Probers
-// run at round boundaries on the driving goroutine, so they may touch
-// node state freely; they must emit claims in deterministic order.
-type Prober func() []Claim
+// KeyKind says which quantity a Key names.
+type KeyKind uint8
 
-// ValueString canonically encodes an opinion for Claim values: exact
+// The quantities the stock probers claim.
+const (
+	// KeyDecision is a one-shot protocol's output ("decision").
+	KeyDecision KeyKind = iota
+	// KeyOpinion is the opinion accepted from coordinator B in round A
+	// ("opinion:r<A>:<B>").
+	KeyOpinion
+	// KeyChain is position A of an ordering chain ("chain:<A>").
+	KeyChain
+	// KeyFinalSet is renaming's agreed id set ("final-set").
+	KeyFinalSet
+)
+
+// Key names the quantity a Claim is about: a kind plus up to two
+// integers whose meaning the kind fixes.
+type Key struct {
+	Kind KeyKind
+	A, B uint64
+}
+
+// String renders the key the way Violation details quote it.
+func (k Key) String() string {
+	switch k.Kind {
+	case KeyOpinion:
+		return fmt.Sprintf("opinion:r%d:%d", k.A, k.B)
+	case KeyChain:
+		return fmt.Sprintf("chain:%d", k.A)
+	case KeyFinalSet:
+		return "final-set"
+	default:
+		return "decision"
+	}
+}
+
+// Value is a Claim's answer: an opinion, a chain entry, or an id set.
+// Floats are held as their IEEE bits, so two nodes that both hold the
+// same NaN agree, and two different NaN payloads (or +0 and -0) do not.
+// The zero Value is the ⊥ opinion.
+type Value struct {
+	kind valueKind
+	// bits is the float of an opinion or a chain entry.
+	bits uint64
+	// round and submitter are a chain entry's.
+	round     uint64
+	submitter ids.ID
+	// set is an id set the claiming node still owns: read, never kept
+	// past the round, never modified.
+	set *ids.Set
+}
+
+type valueKind uint8
+
+const (
+	valueBot valueKind = iota
+	valueOpinion
+	valueEntry
+	valueSet
+)
+
+// OpinionValue is the Value of an opinion.
+func OpinionValue(v wire.Value) Value {
+	if v.IsBot {
+		return Value{}
+	}
+	return Value{kind: valueOpinion, bits: math.Float64bits(v.X)}
+}
+
+// EntryValue is the Value of one ordering chain entry.
+func EntryValue(e ordering.ChainEntry) Value {
+	return Value{kind: valueEntry, bits: math.Float64bits(e.Value), round: e.Round, submitter: e.Submitter}
+}
+
+// SetValue is the Value of an id set. The set is borrowed, not copied.
+func SetValue(s *ids.Set) Value { return Value{kind: valueSet, set: s} }
+
+// Equal reports whether two nodes gave the same answer.
+func (v Value) Equal(w Value) bool {
+	if v.kind == valueSet && w.kind == valueSet {
+		return v.set.Equal(w.set)
+	}
+	return v == w
+}
+
+// String renders the value the way Violation details quote it.
+func (v Value) String() string {
+	switch v.kind {
+	case valueSet:
+		return setString(v.set)
+	case valueEntry:
+		return ordering.ChainEntry{Round: v.round, Submitter: v.submitter, Value: math.Float64frombits(v.bits)}.String()
+	case valueOpinion:
+		return ValueString(wire.V(math.Float64frombits(v.bits)))
+	default:
+		return ValueString(wire.Bot())
+	}
+}
+
+// Prober pushes the current claims of protocol node state into emit, in
+// deterministic order, and stops when emit returns false. Probers run at
+// round boundaries on the driving goroutine, so they may touch node
+// state freely; they re-read all of it every round (a node that rewrote
+// an earlier answer must be caught in the round it did) and allocate
+// nothing doing so.
+type Prober func(emit func(Claim) bool)
+
+// ValueString renders an opinion for Violation details: exact
 // (bit-level, so Byzantine NaN payloads stay distinguishable) and
 // deterministic.
 func ValueString(v wire.Value) string {
@@ -90,6 +202,15 @@ func ValueString(v wire.Value) string {
 type agreement struct {
 	name  string
 	probe Prober
+	// first holds the round's first claim per key. It is looked up and
+	// cleared, never ranged, and kept across rounds so that a round in
+	// which the nodes agree allocates nothing.
+	first map[Key]Claim
+	// compare is the method value handed to probe, bound once; round
+	// and fired are the Observe call it is running in.
+	compare func(Claim) bool
+	round   int
+	fired   *Violation
 }
 
 // NewAgreement returns a monitor of keyed agreement: for every Key, all
@@ -97,32 +218,39 @@ type agreement struct {
 // decided simply emit no claim for the key, so the monitor is safe to run
 // every round of an ongoing protocol.
 func NewAgreement(name string, probe Prober) Oracle {
-	return &agreement{name: name, probe: probe}
+	a := &agreement{name: name, probe: probe, first: make(map[Key]Claim)}
+	a.compare = a.compareClaim
+	return a
 }
 
 // Name implements Oracle.
 func (a *agreement) Name() string { return a.name }
 
+// compareClaim checks one claim against the round's first for its key.
+func (a *agreement) compareClaim(c Claim) bool {
+	prev, ok := a.first[c.Key]
+	if !ok {
+		a.first[c.Key] = c
+		return true
+	}
+	if prev.Value.Equal(c.Value) {
+		return true
+	}
+	a.fired = &Violation{
+		Oracle: a.name,
+		Round:  a.round,
+		Detail: fmt.Sprintf("nodes %d and %d disagree on %q: %q vs %q",
+			prev.Node, c.Node, c.Key, prev.Value, c.Value),
+	}
+	return false
+}
+
 // Observe implements Oracle.
 func (a *agreement) Observe(round int, _ []trace.Event) *Violation {
-	claims := a.probe()
-	first := make(map[string]Claim, len(claims))
-	for _, c := range claims {
-		prev, ok := first[c.Key]
-		if !ok {
-			first[c.Key] = c
-			continue
-		}
-		if prev.Value != c.Value {
-			return &Violation{
-				Oracle: a.name,
-				Round:  round,
-				Detail: fmt.Sprintf("nodes %d and %d disagree on %q: %q vs %q",
-					prev.Node, c.Node, c.Key, prev.Value, c.Value),
-			}
-		}
-	}
-	return nil
+	clear(a.first)
+	a.round, a.fired = round, nil
+	a.probe(a.compare)
+	return a.fired
 }
 
 // validity fires when a claim fails a predicate.
@@ -130,29 +258,42 @@ type validity struct {
 	name  string
 	probe Prober
 	valid func(Claim) bool
+	// check is the method value handed to probe, bound once; round and
+	// fired are the Observe call it is running in.
+	check func(Claim) bool
+	round int
+	fired *Violation
 }
 
 // NewValidity returns a monitor that checks every claim against a
 // predicate — e.g. "every decided value was some node's input".
 func NewValidity(name string, probe Prober, valid func(Claim) bool) Oracle {
-	return &validity{name: name, probe: probe, valid: valid}
+	v := &validity{name: name, probe: probe, valid: valid}
+	v.check = v.checkClaim
+	return v
 }
 
 // Name implements Oracle.
 func (v *validity) Name() string { return v.name }
 
+// checkClaim applies the predicate to one claim.
+func (v *validity) checkClaim(c Claim) bool {
+	if v.valid(c) {
+		return true
+	}
+	v.fired = &Violation{
+		Oracle: v.name,
+		Round:  v.round,
+		Detail: fmt.Sprintf("node %d claims invalid %q = %q", c.Node, c.Key, c.Value),
+	}
+	return false
+}
+
 // Observe implements Oracle.
 func (v *validity) Observe(round int, _ []trace.Event) *Violation {
-	for _, c := range v.probe() {
-		if !v.valid(c) {
-			return &Violation{
-				Oracle: v.name,
-				Round:  round,
-				Detail: fmt.Sprintf("node %d claims invalid %q = %q", c.Node, c.Key, c.Value),
-			}
-		}
-	}
-	return nil
+	v.round, v.fired = round, nil
+	v.probe(v.check)
+	return v.fired
 }
 
 // terminationBound fires when nodes are still pending past a round bound.
@@ -216,8 +357,20 @@ type RBAcceptance struct {
 	Node ids.ID
 	// Source is s of the accepted (m, s).
 	Source ids.ID
-	// Body is m of the accepted (m, s).
+	// Body is m of the accepted (m, s); it may alias node state and is
+	// only read.
 	Body []byte
+}
+
+// AcceptanceProber pushes every current acceptance into emit, in
+// deterministic order, and stops when emit returns false; like a
+// Prober, it re-reads node state every round and copies none of it.
+type AcceptanceProber func(emit func(RBAcceptance) bool)
+
+// rbPair is a (source, body) pair of reliable broadcast.
+type rbPair struct {
+	source ids.ID
+	body   string
 }
 
 // noForgedSender tracks genuine reliable broadcasts from the wire and
@@ -225,11 +378,16 @@ type RBAcceptance struct {
 type noForgedSender struct {
 	name     string
 	correct  *ids.Set
-	accepted func() []RBAcceptance
+	accepted AcceptanceProber
 	// genuine holds (source, body) pairs actually broadcast by their
 	// claimed source (message events where the engine-stamped sender
 	// equals the payload's Source field).
-	genuine map[string]struct{}
+	genuine map[rbPair]struct{}
+	// check is the method value handed to accepted, bound once; round
+	// and fired are the Observe call it is running in.
+	check func(RBAcceptance) bool
+	round int
+	fired *Violation
 }
 
 // NewNoForgedSender returns the unforgeability monitor for reliable
@@ -239,21 +397,35 @@ type noForgedSender struct {
 // sender equals its claimed source is genuine; From, Kind and Enc are
 // all it reads, never To); acceptances are probed from node state. It also flags a correct node transmitting an rbmessage
 // with a foreign source — something no correct implementation does.
-func NewNoForgedSender(name string, correct *ids.Set, accepted func() []RBAcceptance) Oracle {
-	return &noForgedSender{
+func NewNoForgedSender(name string, correct *ids.Set, accepted AcceptanceProber) Oracle {
+	o := &noForgedSender{
 		name:     name,
 		correct:  correct,
 		accepted: accepted,
-		genuine:  make(map[string]struct{}),
+		genuine:  make(map[rbPair]struct{}),
 	}
+	o.check = o.checkAcceptance
+	return o
 }
 
 // Name implements Oracle.
 func (o *noForgedSender) Name() string { return o.name }
 
-// pairKey keys a (source, body) pair.
-func pairKey(source ids.ID, body []byte) string {
-	return fmt.Sprintf("%d|%x", source, body)
+// checkAcceptance looks one acceptance up among the genuine pairs.
+func (o *noForgedSender) checkAcceptance(acc RBAcceptance) bool {
+	if !o.correct.Contains(acc.Source) {
+		return true // Byzantine sources may "send" anything
+	}
+	if _, ok := o.genuine[rbPair{source: acc.Source, body: string(acc.Body)}]; ok {
+		return true
+	}
+	o.fired = &Violation{
+		Oracle: o.name,
+		Round:  o.round,
+		Detail: fmt.Sprintf("node %d accepted forged (%q, %d): correct source never sent it",
+			acc.Node, acc.Body, acc.Source),
+	}
+	return false
 }
 
 // Observe implements Oracle.
@@ -272,7 +444,7 @@ func (o *noForgedSender) Observe(round int, events []trace.Event) *Violation {
 			continue
 		}
 		if ids.ID(e.From) == m.Source {
-			o.genuine[pairKey(m.Source, m.Body)] = struct{}{}
+			o.genuine[rbPair{source: m.Source, body: string(m.Body)}] = struct{}{}
 			continue
 		}
 		if o.correct.Contains(ids.ID(e.From)) {
@@ -284,20 +456,9 @@ func (o *noForgedSender) Observe(round int, events []trace.Event) *Violation {
 			}
 		}
 	}
-	for _, acc := range o.accepted() {
-		if !o.correct.Contains(acc.Source) {
-			continue // Byzantine sources may "send" anything
-		}
-		if _, ok := o.genuine[pairKey(acc.Source, acc.Body)]; !ok {
-			return &Violation{
-				Oracle: o.name,
-				Round:  round,
-				Detail: fmt.Sprintf("node %d accepted forged (%q, %d): correct source never sent it",
-					acc.Node, acc.Body, acc.Source),
-			}
-		}
-	}
-	return nil
+	o.round, o.fired = round, nil
+	o.accepted(o.check)
+	return o.fired
 }
 
 // Suite runs a set of oracles over a simulation, one Observe sweep per

@@ -14,18 +14,32 @@ import (
 	"uba/internal/wire"
 )
 
+// listed is the Prober of a hand-written claim list, read when probed.
+func listed(claims *[]Claim) Prober {
+	return func(emit func(Claim) bool) {
+		for _, c := range *claims {
+			if !emit(c) {
+				return
+			}
+		}
+	}
+}
+
+var decision = Key{Kind: KeyDecision}
+
 func TestAgreementOracle(t *testing.T) {
 	t.Parallel()
+	a, b, z := OpinionValue(wire.V(1)), OpinionValue(wire.V(2)), OpinionValue(wire.Bot())
 	claims := []Claim{
-		{Node: 1, Key: "decision", Value: "a"},
-		{Node: 2, Key: "decision", Value: "a"},
-		{Node: 3, Key: "other", Value: "b"},
+		{Node: 1, Key: decision, Value: a},
+		{Node: 2, Key: decision, Value: a},
+		{Node: 3, Key: Key{Kind: KeyChain, A: 3}, Value: b},
 	}
-	o := NewAgreement("agree", func() []Claim { return claims })
+	o := NewAgreement("agree", listed(&claims))
 	if v := o.Observe(1, nil); v != nil {
 		t.Fatalf("agreeing claims fired: %+v", v)
 	}
-	claims = append(claims, Claim{Node: 4, Key: "decision", Value: "z"})
+	claims = append(claims, Claim{Node: 4, Key: decision, Value: z})
 	v := o.Observe(2, nil)
 	if v == nil {
 		t.Fatal("disagreement not detected")
@@ -33,22 +47,43 @@ func TestAgreementOracle(t *testing.T) {
 	if v.Oracle != "agree" || v.Round != 2 {
 		t.Fatalf("violation = %+v", v)
 	}
-	if !strings.Contains(v.Detail, "nodes 1 and 4") {
-		t.Fatalf("detail %q does not name the disagreeing nodes", v.Detail)
+	if want := `nodes 1 and 4 disagree on "decision": "1(3ff0000000000000)" vs "⊥"`; v.Detail != want {
+		t.Fatalf("detail %q, want %q", v.Detail, want)
+	}
+	// Nothing is remembered from one round to the next: a node that
+	// takes its answer back leaves a clean round behind.
+	claims = claims[:3]
+	if v := o.Observe(3, nil); v != nil {
+		t.Fatalf("agreeing claims fired after a split round: %+v", v)
+	}
+	// Nor is anything skipped for having been seen: a node that rewrites
+	// an answer it gave rounds ago is caught in the round it does.
+	claims[1].Value = b
+	if v := o.Observe(4, nil); v == nil || !strings.Contains(v.Detail, "nodes 1 and 2") {
+		t.Fatalf("rewritten claim not detected: %+v", v)
+	}
+	claims[0].Value = b
+	if v := o.Observe(5, nil); v != nil {
+		t.Fatalf("nodes that changed their answer together fired: %+v", v)
 	}
 }
 
 func TestValidityOracle(t *testing.T) {
 	t.Parallel()
-	claims := []Claim{{Node: 7, Key: "decision", Value: "good"}}
-	o := NewValidity("valid", func() []Claim { return claims },
-		func(c Claim) bool { return c.Value == "good" })
+	good, evil := OpinionValue(wire.V(1)), OpinionValue(wire.V(-1))
+	claims := []Claim{{Node: 7, Key: decision, Value: good}}
+	o := NewValidity("valid", listed(&claims),
+		func(c Claim) bool { return c.Value == good })
 	if v := o.Observe(1, nil); v != nil {
 		t.Fatalf("valid claim fired: %+v", v)
 	}
-	claims[0].Value = "evil"
-	if v := o.Observe(2, nil); v == nil || v.Round != 2 {
+	claims[0].Value = evil
+	v := o.Observe(2, nil)
+	if v == nil || v.Round != 2 {
 		t.Fatalf("invalid claim not detected: %+v", v)
+	}
+	if want := `node 7 claims invalid "decision" = "-1(bff0000000000000)"`; v.Detail != want {
+		t.Fatalf("detail %q, want %q", v.Detail, want)
 	}
 }
 
@@ -113,7 +148,13 @@ func TestNoForgedSenderOracle(t *testing.T) {
 		{"correct node relays a foreign source", []trace.Event{rbEvent(20, 0, genuine)},
 			nil, "claiming source 10"},
 	} {
-		o := NewNoForgedSender("forge", correct, func() []RBAcceptance { return tc.accepted })
+		o := NewNoForgedSender("forge", correct, func(emit func(RBAcceptance) bool) {
+			for _, acc := range tc.accepted {
+				if !emit(acc) {
+					return
+				}
+			}
+		})
 		v := o.Observe(1, tc.events)
 		if (v == nil) != (tc.want == "") || (v != nil && !strings.Contains(v.Detail, tc.want)) {
 			t.Errorf("%s: violation %+v, want detail %q", tc.name, v, tc.want)
@@ -284,15 +325,13 @@ func TestSuiteViolationIsDeterministic(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		nodeIDs := ids.Sparse(rng, 4)
 		round := 0
-		probe := func() []Claim {
+		probe := func(emit func(Claim) bool) {
 			if round < 3 {
-				return nil
+				return
 			}
 			// Planted: nodes report diverging decisions from round 3 on.
-			return []Claim{
-				{Node: nodeIDs[0], Key: "decision", Value: "0"},
-				{Node: nodeIDs[1], Key: "decision", Value: "1"},
-			}
+			_ = emit(Claim{Node: nodeIDs[0], Key: decision, Value: OpinionValue(wire.V(0))}) &&
+				emit(Claim{Node: nodeIDs[1], Key: decision, Value: OpinionValue(wire.V(1))})
 		}
 		suite := NewSuite(NewAgreement("planted-agreement", probe))
 		net := simnet.New(simnet.Config{MaxRounds: 10, Observer: suite})
