@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-e2e bench-json bench-sparse perf-smoke chaos-smoke experiments experiments-md fuzz examples vet lint clean
+.PHONY: all build test test-short race cover bench bench-e2e bench-json bench-sparse perf-smoke chaos-smoke experiments experiments-md fuzz examples vet lint loc clean
 
 all: vet lint test
 
@@ -33,6 +33,15 @@ bin/ubalint: $(LINT_SRCS)
 lint: bin/ubalint
 	$(GO) vet -vettool=bin/ubalint ./...
 
+# Code size, the way CHANGES.md quotes it: Go lines that are not tests,
+# testdata, blank or whole-line comments, per layer.
+LOC = find $(1) -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
+loc:
+	@echo "internal/core/{rotor,consensus,parallelcon}  $$($(call LOC,internal/core/rotor internal/core/consensus internal/core/parallelcon))"
+	@echo "internal/core + census + wire                $$($(call LOC,internal/core internal/census internal/wire))"
+	@echo "internal/simnet                              $$($(call LOC,internal/simnet))"
+	@echo "internal/lint                                $$($(call LOC,internal/lint))"
+
 test:
 	$(GO) test ./...
 
@@ -56,7 +65,8 @@ bench-e2e:
 
 # Round-engine micro-benchmarks (BenchmarkRoundEngine* workload) plus
 # end-to-end runs through the public entry points (e2e/* rows: uba.Consensus
-# at n=128 and n=256; renaming, trb and rb at n=256; a 200-round
+# at n=128 and n=256; renaming, trb and rb at n=256; uba.ParallelConsensus
+# and uba.InteractiveConsistency at n=128; a 200-round
 # OrderingCluster session at n=32; the 24-cell fault-plan chaos campaign
 # with the families' oracle suites attached; uba.Consensus at n=1024 with
 # one and with two step workers, the pair that prices Config.Workers) as JSON.

@@ -63,11 +63,7 @@ func ReliableBroadcast(cfg Config, body []byte, horizon int) (*BroadcastResult, 
 		case AdversaryNoise:
 			return adversary.NewRandomNoise(id, cl.dir, cfg.Seed+int64(i)+1)
 		case AdversaryCrash:
-			after := cfg.CrashAfterRound
-			if after <= 0 {
-				after = 2
-			}
-			return adversary.NewCrash(relbcast.NewRelay(id), after)
+			return adversary.NewCrash(relbcast.NewRelay(id), 2)
 		default:
 			return nil
 		}
@@ -149,6 +145,12 @@ func TerminatingBroadcast(cfg Config, body []byte, sourceCorrect bool) (*TRBResu
 	}
 	err = cl.addByzantine(func(id ids.ID, i int) simnet.Process {
 		switch cfg.adversary() {
+		case AdversarySplit:
+			if id == source { // only a faulty source is a coalition member
+				return adversary.NewRBEquivocator(id, cl.dir, source,
+					[]byte("split-A"), []byte("split-B"))
+			}
+			return nil
 		case AdversaryNoise:
 			return adversary.NewRandomNoise(id, cl.dir, cfg.Seed+int64(i)+1)
 		default:

@@ -58,11 +58,7 @@ func Consensus(cfg Config, inputs []float64) (*ConsensusResult, error) {
 		case AdversarySilent:
 			return adversary.NewSilent(id)
 		case AdversaryCrash:
-			after := cfg.CrashAfterRound
-			if after <= 0 {
-				after = 5
-			}
-			return adversary.NewCrash(consensus.New(id, wire.V(valA)), after)
+			return adversary.NewCrash(consensus.New(id, wire.V(valA)), 5)
 		case AdversarySplit:
 			return adversary.NewSplitVoter(id, cl.dir, wire.V(valA), wire.V(valB))
 		case AdversaryNoise:

@@ -197,15 +197,15 @@ type Directive struct {
 	Pos      string   `json:"pos"` // file:line, repo-relative when root is
 }
 
-// Scan walks the Go files under root (skipping testdata and _
-// directories) and extracts every //lint:complexity directive from
-// type declarations, sorted by (family, type). It uses only
-// go/parser, so the ubalint binary can serve -complexity-dump without
-// a full type-checking driver.
-func Scan(root string) ([]Directive, error) {
-	var out []Directive
+// walkGoFiles parses every non-test Go file under root with its
+// comments, skipping testdata, vendor and _/. directories, and hands
+// each to visit: the one directory walk behind Scan and
+// ScanFuncDirectives. It uses only go/parser, so the ubalint binary can
+// serve -complexity-dump and -contracts-dump without a full
+// type-checking driver.
+func walkGoFiles(root string, visit func(fset *token.FileSet, f *ast.File) error) error {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -225,6 +225,16 @@ func Scan(root string) ([]Directive, error) {
 		if err != nil {
 			return err
 		}
+		return visit(fset, f)
+	})
+}
+
+// Scan walks the Go files under root (walkGoFiles) and extracts every
+// //lint:complexity directive from type declarations, sorted by
+// (family, type).
+func Scan(root string) ([]Directive, error) {
+	var out []Directive
+	err := walkGoFiles(root, func(fset *token.FileSet, f *ast.File) error {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {

@@ -3,10 +3,7 @@ package complexity
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -33,42 +30,19 @@ type FuncDirective struct {
 	Pos string `json:"pos"`
 }
 
-// ScanFuncDirectives walks the Go files under root (skipping testdata,
-// vendor, and _/. directories, exactly as Scan does) and extracts the
-// named function-level directives from function doc comments, sorted
-// by (package, func, directive). Line-level //lint:coldpath comments
-// inside bodies are deliberately out of scope: they exempt sites, not
-// functions, and the summary pass polices them in place.
-//
-// Like Scan, it uses only go/parser, so the ubalint binary can serve
-// -contracts-dump without a full type-checking driver.
+// ScanFuncDirectives walks the Go files under root (walkGoFiles, exactly
+// as Scan does) and extracts the named function-level directives from
+// function doc comments, sorted by (package, func, directive).
+// Line-level //lint:coldpath comments inside bodies are deliberately out
+// of scope: they exempt sites, not functions, and the summary pass
+// polices them in place.
 func ScanFuncDirectives(root string, names ...string) ([]FuncDirective, error) {
 	prefixes := make([]string, len(names))
 	for i, n := range names {
 		prefixes[i] = "//lint:" + n
 	}
 	var out []FuncDirective
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || name == "vendor" || strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
-				if path != root {
-					return filepath.SkipDir
-				}
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
+	err := walkGoFiles(root, func(fset *token.FileSet, f *ast.File) error {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Doc == nil {

@@ -55,23 +55,11 @@ func TestAgreementUnderImpersonator(t *testing.T) {
 // the coordinator-resolution round.
 func TestCoordinatorOpinionFilteredBySelection(t *testing.T) {
 	t.Parallel()
-	node := New(5, wire.V(1))
-	// Simulate a frozen census of {5, 6, 7} via init rounds.
-	init := func(from ids.ID) simnet.Received {
-		return simnet.Received{From: from, Payload: wire.Init{}}
-	}
-	env1 := &simnet.RoundEnv{Round: 1}
-	node.Step(env1)
-	env2 := &simnet.RoundEnv{Round: 2, Inbox: simnet.InboxOf(init(5), init(6), init(7))}
-	node.Step(env2)
-	if node.NV() != 3 {
-		t.Fatalf("frozen n_v = %d, want 3", node.NV())
-	}
 	// The node has not selected any coordinator; an opinion from 6 in a
 	// resolve round must not be adopted.
-	if _, ok := node.coordinatorOpinion(simnet.InboxOf(
+	if _, ok := adoptedAtPR5(t, []ids.ID{5, 6, 7}, ids.None,
 		simnet.Received{From: 6, Payload: wire.Opinion{X: wire.V(9)}},
-	)); ok {
+	); ok {
 		t.Fatal("opinion accepted from a non-selected node")
 	}
 }

@@ -40,8 +40,6 @@
 package consensus
 
 import (
-	"slices"
-
 	"uba/internal/census"
 	"uba/internal/core/rotor"
 	"uba/internal/ids"
@@ -109,7 +107,7 @@ var _ simnet.Process = (*Node)(nil)
 
 // New returns a consensus participant with the given input.
 func New(id ids.ID, input wire.Value) *Node {
-	core := rotor.NewCore(id, 0)
+	core := rotor.NewCore(0)
 	core.SetCycling(true)
 	return &Node{id: id, x: input, core: core}
 }
@@ -216,8 +214,10 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 		}
 	case 3: // PR4: store strongprefer tally, run a rotor round
 		n.storedSP = n.tally(env.Inbox, wire.KindStrongPrefer)
-		sel := n.core.LoopRound(n.frozen.N(), n.x, env.Broadcast)
-		n.coordinator = sel.Coordinator
+		n.coordinator = n.core.LoopRound(n.frozen.N(), env.Broadcast).Coordinator
+		if n.coordinator == n.id {
+			env.Broadcast(wire.Opinion{X: n.x})
+		}
 	case 4: // PR5: resolve against the coordinator, maybe terminate
 		n.resolve(env)
 	}
@@ -226,15 +226,14 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 // resolve implements PR5: adopt the coordinator's opinion when no
 // strongprefer value reached n_v/3, and terminate on a 2n_v/3 quorum.
 func (n *Node) resolve(env *simnet.RoundEnv) {
-	coordOpinion, coordOK := n.coordinatorOpinion(env.Inbox)
-
 	v, count := n.storedSP.Best()
 	adopted := false
 	if census.LessThanThird(count, n.frozen.N()) {
-		if coordOK {
-			n.x = coordOpinion
-			adopted = true
-		}
+		n.core.Opinions(env.Inbox, &n.ranks, func(op wire.Opinion) {
+			if op.Instance == 0 {
+				n.x, adopted = op.X, true
+			}
+		})
 	}
 	if census.AtLeastTwoThirds(count, n.frozen.N()) {
 		n.decided = true
@@ -249,36 +248,6 @@ func (n *Node) resolve(env *simnet.RoundEnv) {
 	})
 	n.phase++
 	n.storedSP = wire.Tally{}
-}
-
-// coordinatorOpinion extracts the opinion(x) sent by this phase's
-// coordinator, if it arrived. A coordinator that sent several (only a
-// Byzantine one does) is taken at the one with the smallest encoding,
-// whether it was broadcast or unicast — the first in the engine's
-// (sender, encoding) inbox order.
-func (n *Node) coordinatorOpinion(inbox simnet.Inbox) (wire.Value, bool) {
-	if n.coordinator == ids.None || !n.frozen.Contains(n.coordinator) {
-		return wire.Value{}, false
-	}
-	var first wire.Opinion
-	found := false
-	if p, ok := slices.BinarySearch(inbox.Broadcasters(), n.coordinator); ok {
-		for _, g := range inbox.Said() { // ascending by encoding
-			if op, isOp := g.Payload.(wire.Opinion); isOp && op.Instance == 0 && g.By.Has(p) {
-				first, found = op, true
-				break
-			}
-		}
-	}
-	for _, m := range inbox.Direct() {
-		if m.From != n.coordinator {
-			continue
-		}
-		if op, isOp := m.Payload.(wire.Opinion); isOp && op.Instance == 0 && (!found || wire.EncodesAfter(first, op)) {
-			first, found = op, true
-		}
-	}
-	return first.X, found
 }
 
 // send broadcasts p and records it for the substitution rule.

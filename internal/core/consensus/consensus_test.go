@@ -296,7 +296,7 @@ func (s *lateSpammer) Step(env *simnet.RoundEnv) {
 	env.Broadcast(wire.Opinion{X: wire.V(999)})
 }
 
-// Decisions are identical under the sequential and concurrent runners.
+// Decisions are identical whatever the number of step workers.
 func TestConsensusDeterministicAcrossRunners(t *testing.T) {
 	t.Parallel()
 	inputs := []float64{2, 7, 2, 7, 2, 7, 7}

@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"bytes"
 	"maps"
 	"testing"
 
@@ -67,20 +68,49 @@ func tallyOf(t *testing.T, node *Node, kind wire.Kind, msgs ...simnet.Received) 
 	return first
 }
 
-// coordinatorOpinionOf is tallyOf for coordinatorOpinion.
-func coordinatorOpinionOf(t *testing.T, node *Node, msgs ...simnet.Received) (wire.Value, bool) {
+// atPR5 returns a node with the frozen census censusIDs that has run its
+// first phase through PR4 hearing a different input from everyone, so no
+// quorum forms and it stores no strongprefer, and everyone's echo of
+// coordinator (ids.None: no echo), so its rotor round selects coordinator:
+// the next Step, round 7, is a PR5 in which the coordinator's opinion, if
+// one is accepted, is adopted.
+func atPR5(t *testing.T, censusIDs []ids.ID, coordinator ids.ID) *Node {
 	t.Helper()
-	var first wire.Value
-	var firstOK bool
-	for i, inbox := range deliveries(msgs) {
-		x, ok := node.coordinatorOpinion(inbox)
-		if i == 0 {
-			first, firstOK = x, ok
-		} else if ok != firstOK || !x.Equal(first) {
-			t.Fatalf("delivery shape %d gives (%v, %v), all-private (%v, %v)", i, x, ok, first, firstOK)
+	node := initNode(t, censusIDs[0], censusIDs, wire.V(0))
+	var inputs, echoes []simnet.Received
+	for _, id := range censusIDs {
+		inputs = append(inputs, rcv(id, wire.Input{X: wire.V(float64(id))}))
+		if coordinator != ids.None {
+			echoes = append(echoes, rcv(id, wire.IDEcho{Candidate: coordinator}))
 		}
 	}
-	return first, firstOK
+	node.Step(&simnet.RoundEnv{Round: 3})
+	node.Step(&simnet.RoundEnv{Round: 4, Inbox: simnet.InboxOf(inputs...)})
+	node.Step(&simnet.RoundEnv{Round: 5})
+	node.Step(&simnet.RoundEnv{Round: 6, Inbox: simnet.InboxOf(echoes...)})
+	if node.coordinator != coordinator {
+		t.Fatalf("PR4 selected %v, want %v", node.coordinator, coordinator)
+	}
+	return node
+}
+
+// adoptedAtPR5 steps a fresh atPR5 node through PR5 on msgs in every
+// delivery shape, fails unless the shapes agree, and returns the node's
+// opinion after the phase and whether it adopted the coordinator's.
+func adoptedAtPR5(t *testing.T, censusIDs []ids.ID, coordinator ids.ID, msgs ...simnet.Received) (wire.Value, bool) {
+	t.Helper()
+	var first PhaseRecord
+	for i, inbox := range deliveries(msgs) {
+		node := atPR5(t, censusIDs, coordinator)
+		node.Step(&simnet.RoundEnv{Round: 7, Inbox: inbox})
+		rec := node.History()[0]
+		if i == 0 {
+			first = rec
+		} else if rec != first {
+			t.Fatalf("delivery shape %d ends the phase at %+v, all-private at %+v", i, rec, first)
+		}
+	}
+	return first.X, first.AdoptedCoordinator
 }
 
 // countsOf spreads a tally into a map, so a test can ask for any one
@@ -194,15 +224,13 @@ func TestTallyDoubleVoteCountsBothValues(t *testing.T) {
 func TestCoordinatorOpinionRequiresCensusMember(t *testing.T) {
 	t.Parallel()
 	censusIDs := []ids.ID{1, 2, 3}
-	node := initNode(t, 1, censusIDs, wire.V(0))
-	node.coordinator = 99 // a coordinator id outside the census
-	if _, ok := coordinatorOpinionOf(t, node,
+	// Everyone echoes 99, so it is selected — but it is not in the census.
+	if _, ok := adoptedAtPR5(t, censusIDs, 99,
 		rcv(99, wire.Opinion{X: wire.V(5)}),
 	); ok {
 		t.Fatal("opinion accepted from non-censused coordinator")
 	}
-	node.coordinator = 2
-	x, ok := coordinatorOpinionOf(t, node,
+	x, ok := adoptedAtPR5(t, censusIDs, 2,
 		rcv(2, wire.Opinion{X: wire.V(5)}),
 		rcv(3, wire.Opinion{X: wire.V(6)}), // not the coordinator
 	)
@@ -212,23 +240,22 @@ func TestCoordinatorOpinionRequiresCensusMember(t *testing.T) {
 }
 
 // A coordinator that sends several opinions is taken at the one with the
-// smallest encoding — the first in the engine's inbox order — however
-// the opinions are split between the shared block and the private
-// segment. Encoding order is not numeric order: opinion(2) encodes
-// before opinion(1).
-func TestCoordinatorOpinionTakesSmallestEncoding(t *testing.T) {
+// greatest encoding, however the opinions are split between the shared
+// block and the private segment and in whatever order the private
+// segment holds them. Encoding order is not numeric order: opinion(1)
+// encodes after opinion(2). Opinions tagged for another instance, which
+// encode after both, are not this node's.
+func TestCoordinatorOpinionTakesGreatestEncoding(t *testing.T) {
 	t.Parallel()
-	node := initNode(t, 1, []ids.ID{1, 2, 3}, wire.V(0))
-	node.coordinator = 2
-	if !wire.EncodesAfter(wire.Opinion{X: wire.V(1)}, wire.Opinion{X: wire.V(2)}) {
+	if bytes.Compare(wire.Encode(wire.Opinion{X: wire.V(1)}), wire.Encode(wire.Opinion{X: wire.V(2)})) <= 0 {
 		t.Fatal("premise: opinion(1) must encode after opinion(2)")
 	}
 	for _, msgs := range [][]simnet.Received{
 		{rcv(2, wire.Opinion{X: wire.V(1)}), rcv(2, wire.Opinion{X: wire.V(2)}), rcv(2, wire.Opinion{Instance: 4, X: wire.Bot()})},
 		{rcv(2, wire.Opinion{X: wire.V(2)}), rcv(3, wire.Opinion{X: wire.Bot()}), rcv(2, wire.Opinion{X: wire.V(1)})},
 	} {
-		if x, ok := coordinatorOpinionOf(t, node, msgs...); !ok || !x.Equal(wire.V(2)) {
-			t.Fatalf("coordinator opinion = (%v, %v), want 2", x, ok)
+		if x, ok := adoptedAtPR5(t, []ids.ID{1, 2, 3}, 2, msgs...); !ok || !x.Equal(wire.V(1)) {
+			t.Fatalf("coordinator opinion = (%v, %v), want 1", x, ok)
 		}
 	}
 }

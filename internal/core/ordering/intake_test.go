@@ -1,6 +1,7 @@
 package ordering
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -59,7 +60,7 @@ func TestEquivocatedEventInputIsGreatestEncoding(t *testing.T) {
 	t.Parallel()
 	const submitRound = 3
 	lo, hi := 1111.0, 2222.0
-	if wire.EncodesAfter(eventOf(submitRound, lo), eventOf(submitRound, hi)) {
+	if bytes.Compare(wire.Encode(eventOf(submitRound, lo)), wire.Encode(eventOf(submitRound, hi))) > 0 {
 		lo, hi = hi, lo
 	}
 	plans := map[string]*simnet.FaultPlan{
@@ -118,7 +119,7 @@ func TestEquivocatedEventInputIsGreatestEncoding(t *testing.T) {
 					continue
 				}
 				if events > 0 {
-					if m.From < prev.From || (m.From == prev.From && !wire.EncodesAfter(ev, prev.Payload)) {
+					if m.From < prev.From || (m.From == prev.From && bytes.Compare(wire.Encode(ev), wire.Encode(prev.Payload)) <= 0) {
 						t.Fatalf("%s: events out of (sender, encoding) order: %v then %v", name, prev, m)
 					}
 				}

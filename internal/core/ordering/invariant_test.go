@@ -128,6 +128,36 @@ func TestSimultaneousJoiners(t *testing.T) {
 	checkChainPrefix(t, c.correctNodes())
 }
 
+// The model lets a node unicast only to a node that has messaged it.
+// Algorithm 6 is the one family certified to unicast at all (the Ack that
+// tells a newcomer the round), and every Ack answers a present found in
+// the inbox of the same Step: with the engine enforcing the rule, a
+// session of submitting founders and a joiner runs without ErrContactRule,
+// and the joiner learns the round — the Acks were sent.
+func TestOrderingObeysContactRule(t *testing.T) {
+	t.Parallel()
+	c, founders, _ := newClusterOn(t, simnet.Config{EnforceContactRule: true}, 57, 4, 0)
+	var joiner *Node
+	for round := 1; round <= 40; round++ {
+		if round == 5 {
+			var err error
+			if joiner, err = NewJoiner(777001); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.net.Add(joiner); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, id := range founders {
+			c.nodes[id].SubmitEvent(float64(100*round + i))
+		}
+		c.run(1) // fails the test on any engine error, ErrContactRule included
+	}
+	if got, want := joiner.Round(), c.nodes[founders[0]].Round(); got == 0 || got != want {
+		t.Fatalf("joiner at round %d, founders at %d: no Ack reached it", got, want)
+	}
+}
+
 // Multiple leaves in quick succession: the survivors keep finalizing as
 // long as the n > 3f invariant holds among them.
 func TestCascadingLeaves(t *testing.T) {

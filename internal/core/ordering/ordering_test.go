@@ -22,6 +22,12 @@ type cluster struct {
 
 func newCluster(t *testing.T, seed int64, nFounders int, byzIDs int) (*cluster, []ids.ID, []ids.ID) {
 	t.Helper()
+	return newClusterOn(t, simnet.Config{MaxRounds: 5000}, seed, nFounders, byzIDs)
+}
+
+// newClusterOn is newCluster on a network of the given configuration.
+func newClusterOn(t *testing.T, cfg simnet.Config, seed int64, nFounders int, byzIDs int) (*cluster, []ids.ID, []ids.ID) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	all := ids.Sparse(rng, nFounders+byzIDs)
 	founderIDs := all[:nFounders]
@@ -29,7 +35,7 @@ func newCluster(t *testing.T, seed int64, nFounders int, byzIDs int) (*cluster, 
 	members := ids.NewSet(all...)
 	c := &cluster{
 		t:     t,
-		net:   simnet.New(simnet.Config{MaxRounds: 5000}),
+		net:   simnet.New(cfg),
 		nodes: make(map[ids.ID]*Node),
 	}
 	for _, id := range founderIDs {

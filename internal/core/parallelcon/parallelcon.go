@@ -162,8 +162,7 @@ type Node struct {
 	present census.Marks
 	ranks   census.Ranks
 
-	core        *rotor.Core
-	coordinator ids.ID
+	core *rotor.Core
 
 	// inst looks an instance up by id; order holds the same instances
 	// ascending by id, the order every phase round sends, tallies and
@@ -185,7 +184,7 @@ func New(id ids.ID, inputs []InputPair, opts Options) *Node {
 	if opts.StartRound <= 0 {
 		opts.StartRound = 1
 	}
-	core := rotor.NewCore(id, opts.RotorInstance)
+	core := rotor.NewCore(opts.RotorInstance)
 	core.SetCycling(true)
 	n := &Node{
 		id:   id,
@@ -364,17 +363,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 			}
 			ins.storedSP = n.tally(ins, inbox, ranks, wire.KindStrongPrefer)
 		}
-		sel := n.core.LoopRound(n.frozen.N(), wire.Value{}, func(p wire.Payload) {
-			// The core's own opinion message carries the rotor tag,
-			// not a consensus instance; suppress it and broadcast
-			// per-instance opinions below.
-			if _, isOpinion := p.(wire.Opinion); isOpinion {
-				return
-			}
-			send(p)
-		})
-		n.coordinator = sel.Coordinator
-		if sel.Coordinator == n.id {
+		if n.core.LoopRound(n.frozen.N(), send).Coordinator == n.id {
 			for _, ins := range n.order {
 				if ins.decided {
 					continue
@@ -383,17 +372,18 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 			}
 		}
 	case 4: // PR5: resolve per instance against the coordinator's opinion
-		opinions := n.coordinatorOpinions(inbox)
+		n.core.Opinions(inbox, ranks, func(op wire.Opinion) {
+			if ins, ok := n.inst[op.Instance]; ok && !ins.decided {
+				if _, count := ins.storedSP.Best(); census.LessThanThird(count, n.frozen.N()) {
+					ins.x = op.X
+				}
+			}
+		})
 		for _, ins := range n.order {
 			if ins.decided {
 				continue
 			}
 			v, count := ins.storedSP.Best()
-			if census.LessThanThird(count, n.frozen.N()) {
-				if c, ok := opinions[ins.id]; ok {
-					ins.x = c
-				}
-			}
 			if census.AtLeastTwoThirds(count, n.frozen.N()) {
 				ins.decided = true
 				ins.decRound = round
@@ -497,44 +487,6 @@ func (n *Node) namesNewInstance(inbox simnet.Inbox) bool {
 		}
 	}
 	return false
-}
-
-// coordinatorOpinions extracts per-instance opinions sent by this phase's
-// coordinator; the map is nil when there is none. A coordinator that sent
-// several for one instance (only a Byzantine one does) is taken at the one
-// with the greatest encoding, whether it was broadcast or unicast — the
-// last in the engine's (sender, encoding) inbox order.
-func (n *Node) coordinatorOpinions(inbox simnet.Inbox) map[uint64]wire.Value {
-	if n.coordinator == ids.None || !n.frozen.Contains(n.coordinator) {
-		return nil
-	}
-	var out map[uint64]wire.Value // allocated by the first opinion
-	keep := func(op wire.Opinion) {
-		if out == nil {
-			out = make(map[uint64]wire.Value)
-		}
-		out[op.Instance] = op.X
-	}
-	if p, ok := slices.BinarySearch(inbox.Broadcasters(), n.coordinator); ok {
-		for _, g := range inbox.Said() { // ascending by encoding: the last one stays
-			if op, isOp := g.Payload.(wire.Opinion); isOp && n.accepts(op.Instance) && g.By.Has(p) {
-				keep(op)
-			}
-		}
-	}
-	for _, m := range inbox.Direct() {
-		if m.From != n.coordinator {
-			continue
-		}
-		op, isOp := m.Payload.(wire.Opinion)
-		if !isOp || !n.accepts(op.Instance) {
-			continue
-		}
-		if x, have := out[op.Instance]; !have || wire.EncodesAfter(op, wire.Opinion{Instance: op.Instance, X: x}) {
-			keep(op)
-		}
-	}
-	return out
 }
 
 // tally counts one message family for one instance, applying the paper's

@@ -213,20 +213,27 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 		"all broadcast": simnet.InboxOfRound(msgs, nil),
 		"alternating":   simnet.InboxOfRound(block, private),
 	} {
-		n := memberNode(1, []ids.ID{1, 2, 3, 4, 5, 6}, []InputPair{{Instance: 9, X: wire.V(1)}})
+		n := memberNode(7, []ids.ID{2, 3, 4, 5, 6, 7}, []InputPair{{Instance: 9, X: wire.V(1)}})
 		n.ranks.Reset(inbox.Broadcasters(), n.frozen)
 		tally := n.tally(n.inst[9], inbox, &n.ranks, wire.KindInput)
 		got := make(map[wire.ValueKey]int)
 		for v, c := range tally.All() {
 			got[v.Key()] += c
 		}
-		// 1 and 6 sent nothing: first receipt of the family fills ⊥.
+		// 6 and 7 sent nothing: first receipt of the family fills ⊥.
 		want := map[wire.ValueKey]int{wire.V(1).Key(): 3, wire.V(2).Key(): 1, wire.V(3).Key(): 1, wire.Bot().Key(): 2}
 		if !maps.Equal(got, want) {
 			t.Fatalf("%s: tally %v, want %v", name, got, want)
 		}
-		n.coordinator = 2
-		opinions := n.coordinatorOpinions(inbox)
+		// The first rotor round of a scoped run selects the smallest
+		// member, 2; the reader yields ascending, so the last opinion
+		// per instance is the one that counts.
+		for round := 1; round <= 4; round++ {
+			stepLocal(n, round, simnet.Inbox{}, func(wire.Payload) {})
+		}
+		opinions := make(map[uint64]wire.Value)
+		n.ranks.Reset(inbox.Broadcasters(), n.frozen)
+		n.core.Opinions(inbox, &n.ranks, func(op wire.Opinion) { opinions[op.Instance] = op.X })
 		if len(opinions) != 2 || !opinions[9].Equal(wire.V(1)) || !opinions[7].Equal(wire.V(5)) {
 			t.Fatalf("%s: coordinator opinions %v, want 9:1 7:5", name, opinions)
 		}

@@ -22,7 +22,9 @@
 package rotor
 
 import (
+	"bytes"
 	"cmp"
+	"slices"
 
 	"uba/internal/census"
 	"uba/internal/ids"
@@ -39,9 +41,10 @@ type AcceptedOpinion struct {
 }
 
 // Core is the embeddable rotor state machine. The owner feeds it every
-// inbox via NoteInbox and executes one rotor round via LoopRound whenever
+// inbox via NoteInbox, executes one rotor round via LoopRound whenever
 // the owning protocol's schedule says so (every round for the standalone
-// node; once per five-round phase for consensus).
+// node; once per five-round phase for consensus), and reads what the
+// selected coordinator answered out of the next inbox via Opinions.
 //
 // Echo tallies accumulate distinct senders between consecutive LoopRound
 // calls, which reduces to the paper's per-round counts when rotor rounds
@@ -52,29 +55,24 @@ type AcceptedOpinion struct {
 // (census.Window), so a sender repeating an echo in every round of a
 // window still counts once.
 type Core struct {
-	self     ids.ID
 	instance uint64
 
 	candidates ids.Set // C_v, ordered by id
 	selected   ids.Set // S_v
 
 	echoes       census.Window[ids.ID] // candidate -> distinct senders this window
-	lastSelected ids.ID
-
-	// The opinion of lastSelected heard this window, if any (see NoteInbox).
-	opinion   wire.Opinion
-	opinionOK bool
+	lastSelected ids.ID                // the coordinator Opinions listens to
 
 	loopRound  int
 	terminated bool
 	cycling    bool
 }
 
-// NewCore returns a rotor core for the given node. instance tags the
-// opinion messages (0 for the standalone protocol; parallel-consensus
-// instances pass their id).
-func NewCore(self ids.ID, instance uint64) *Core {
-	return &Core{self: self, instance: instance}
+// NewCore returns a rotor core. instance tags its candidate echoes (0 for
+// the standalone protocol; concurrent parallel-consensus runs pass their
+// own).
+func NewCore(instance uint64) *Core {
+	return &Core{instance: instance}
 }
 
 // SetCycling makes the core keep rotating coordinators after a
@@ -106,45 +104,53 @@ func (c *Core) EchoInits(inbox simnet.Inbox, emit func(wire.Payload)) {
 	}
 }
 
-// NoteInbox records the rotor-relevant messages of one delivered inbox:
-// candidate echoes (tallied by distinct sender until the next LoopRound)
-// and the coordinator's opinion. ranks is the owner's census laid over
-// this inbox's broadcasters (census.Ranks.Reset): messages from senders
-// the census does not know are discarded, and the others are counted
-// under their rank.
-//
-// A coordinator that sends more than one opinion in a window (only a
-// Byzantine one does) is taken at the last in the engine's (sender,
-// encoding) inbox order: the latest inbox that carried any wins, and
-// within an inbox the opinion with the greatest encoding, whether it was
-// broadcast or unicast.
+// NoteInbox tallies the candidate echoes of one delivered inbox, by
+// distinct sender, until the next LoopRound. ranks is the owner's census
+// laid over this inbox's broadcasters (census.Ranks.Reset): echoes from
+// senders the census does not know are discarded, and the others are
+// counted under their rank.
 func (c *Core) NoteInbox(inbox simnet.Inbox, ranks *census.Ranks) {
-	coord := -1 // lastSelected's census rank, if it has one
-	if c.lastSelected != ids.None {
-		if r, ok := ranks.Rank(c.lastSelected); ok {
-			coord = r
-		}
-	}
-	var opinion wire.Opinion // the coordinator's opinion in this inbox, if heard
-	heard := false
 	Heard(inbox, ranks, func(p wire.Payload, from Senders) {
-		switch p := p.(type) {
-		case wire.IDEcho:
-			if p.Instance == c.instance {
-				if who, ok := from.Ranks(); ok {
-					c.echoes.Add(p.Candidate, who)
-				}
-			}
-		case wire.Opinion:
-			if p.Instance == c.instance && coord >= 0 && (!heard || wire.EncodesAfter(p, opinion)) {
-				if who, ok := from.Ranks(); ok && who.Has(coord) {
-					opinion, heard = p, true
-				}
+		if echo, ok := p.(wire.IDEcho); ok && echo.Instance == c.instance {
+			if who, ok := from.Ranks(); ok {
+				c.echoes.Add(echo.Candidate, who)
 			}
 		}
 	})
-	if heard {
-		c.opinion, c.opinionOK = opinion, true
+}
+
+// Opinions yields the opinions that the coordinator selected by the last
+// LoopRound sent in inbox, the inbox of the round after it (Algorithm 2
+// lines 14-15): none before a first selection, and none from a coordinator
+// outside the owner's census, which ranks is laid from. They come
+// ascending by encoding whether they were broadcast or unicast, for every
+// instance tag alike. A reader keeps the last one that names the instance
+// it owns, so a coordinator that sends one receiver several opinions (only
+// a Byzantine one does) is taken at its greatest encoding: the decided
+// tie-break, stated in DESIGN §3.
+func (c *Core) Opinions(inbox simnet.Inbox, ranks *census.Ranks, yield func(wire.Opinion)) {
+	coord := c.lastSelected
+	if _, member := ranks.Rank(coord); coord == ids.None || !member {
+		return
+	}
+	var sent []wire.Opinion
+	if p, ok := slices.BinarySearch(inbox.Broadcasters(), coord); ok {
+		for _, g := range inbox.Said() { // ascending by encoding already
+			if op, isOp := g.Payload.(wire.Opinion); isOp && g.By.Has(p) {
+				sent = append(sent, op)
+			}
+		}
+	}
+	for _, m := range inbox.Direct() { // in whatever order the links delivered
+		if op, isOp := m.Payload.(wire.Opinion); isOp && m.From == coord {
+			at, _ := slices.BinarySearchFunc(sent, op, func(a, b wire.Opinion) int {
+				return bytes.Compare(wire.Encode(a), wire.Encode(b))
+			})
+			sent = slices.Insert(sent, at, op)
+		}
+	}
+	for _, op := range sent {
+		yield(op)
 	}
 }
 
@@ -154,25 +160,21 @@ type Selection struct {
 	// candidate set was still empty — cannot happen after a correct
 	// initialization, but defended against).
 	Coordinator ids.ID
-	// Opinion and OpinionOK report the opinion accepted this round from
-	// the coordinator selected in the previous rotor round.
-	Opinion   wire.Value
-	OpinionOK bool
-	// PrevCoordinator identifies who that opinion was accepted from.
-	PrevCoordinator ids.ID
 	// Terminated reports that the node reselected a previous
 	// coordinator this round (Algorithm 2's break).
 	Terminated bool
 }
 
 // LoopRound executes one iteration of Algorithm 2's main loop: fold the
-// tallied echoes into C_v (echoing/adding in reliable-broadcast fashion),
-// accept the previous coordinator's opinion, select the next coordinator,
-// and — when this node is the coordinator — broadcast its opinion.
+// tallied echoes into C_v (echoing/adding in reliable-broadcast fashion)
+// and select the next coordinator. An owner that finds itself selected
+// broadcasts its opinion after the emitted echoes, unless the core broke
+// off (Terminated, without SetCycling): the break skips the round's
+// pending broadcasts.
 //
-// nv is the caller's current n_v; opinion is the node's current opinion
-// (x_v in consensus). Emitted payloads must be broadcast by the caller.
-func (c *Core) LoopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Selection {
+// nv is the caller's current n_v. Emitted payloads must be broadcast by
+// the caller.
+func (c *Core) LoopRound(nv int, emit func(wire.Payload)) Selection {
 	if c.terminated {
 		return Selection{Terminated: true}
 	}
@@ -191,34 +193,17 @@ func (c *Core) LoopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Se
 		}
 	})
 
-	sel := Selection{PrevCoordinator: c.lastSelected}
-	// Accept the opinion of the coordinator selected in the previous
-	// rotor round (Line 14-15), if one arrived in this window.
-	if c.opinionOK {
-		sel.Opinion, sel.OpinionOK = c.opinion.X, true
-	}
-	c.opinionOK = false
-
 	if c.candidates.Len() == 0 {
-		return sel
+		return Selection{}
 	}
 	p := c.candidates.At(r % c.candidates.Len())
-	sel.Coordinator = p
-
-	if c.selected.Contains(p) {
-		sel.Terminated = true
-		if !c.cycling {
-			// Line 16-17: reselection — terminate, skipping this
-			// round's pending broadcasts exactly as the paper's
-			// break does.
-			c.terminated = true
-			return sel
-		}
+	sel := Selection{Coordinator: p, Terminated: c.selected.Contains(p)}
+	if sel.Terminated && !c.cycling {
+		// Line 16-17: reselection — terminate.
+		c.terminated = true
+		return sel
 	}
 	c.selected.Add(p)
-	if p == c.self {
-		emit(wire.Opinion{Instance: c.instance, X: opinion})
-	}
 	c.lastSelected = p
 	return sel
 }

@@ -27,7 +27,7 @@ var _ simnet.Process = (*Node)(nil)
 // New returns a rotor participant whose (fixed) opinion is broadcast if it
 // is ever selected as coordinator.
 func New(id ids.ID, opinion wire.Value) *Node {
-	return &Node{id: id, opinion: opinion, core: NewCore(id, 0)}
+	return &Node{id: id, opinion: opinion, core: NewCore(0)}
 }
 
 // ID implements simnet.Process.
@@ -47,14 +47,21 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	default:
 		n.ranks.Reset(env.Inbox.Broadcasters(), &n.cen)
 		n.core.NoteInbox(env.Inbox, &n.ranks)
-		sel := n.core.LoopRound(n.cen.N(), n.opinion, env.Broadcast)
+		// Lines 14-15: accept the opinion of last round's coordinator.
+		last := AcceptedOpinion{Round: env.Round, From: n.core.lastSelected}
+		heard := false
+		n.core.Opinions(env.Inbox, &n.ranks, func(op wire.Opinion) {
+			if op.Instance == 0 {
+				last.X, heard = op.X, true
+			}
+		})
+		if heard {
+			n.accepted = append(n.accepted, last)
+		}
+		sel := n.core.LoopRound(n.cen.N(), env.Broadcast)
 		n.selections = append(n.selections, sel)
-		if sel.OpinionOK {
-			n.accepted = append(n.accepted, AcceptedOpinion{
-				Round: env.Round,
-				From:  sel.PrevCoordinator,
-				X:     sel.Opinion,
-			})
+		if sel.Coordinator == n.id && !sel.Terminated {
+			env.Broadcast(wire.Opinion{X: n.opinion})
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package rotor
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uba/internal/adversary"
@@ -28,6 +30,16 @@ func noteInbox(core *Core, inbox simnet.Inbox, of census.Ranker) {
 	var ranks census.Ranks
 	ranks.Reset(inbox.Broadcasters(), of)
 	core.NoteInbox(inbox, &ranks)
+}
+
+// opinionsOf collects what core.Opinions yields for inbox as seen by the
+// census of, in the order yielded.
+func opinionsOf(core *Core, inbox simnet.Inbox, of census.Ranker) []wire.Opinion {
+	var ranks census.Ranks
+	ranks.Reset(inbox.Broadcasters(), of)
+	var out []wire.Opinion
+	core.Opinions(inbox, &ranks, func(op wire.Opinion) { out = append(out, op) })
+	return out
 }
 
 // opinionOf fixes each node's opinion to a function of its id so tests can
@@ -309,9 +321,9 @@ func TestRotorDeterministicAcrossRunners(t *testing.T) {
 // only under pathological adversarial init) without selecting anyone.
 func TestCoreEmptyCandidateSet(t *testing.T) {
 	t.Parallel()
-	core := NewCore(1, 0)
+	core := NewCore(0)
 	var emitted []wire.Payload
-	sel := core.LoopRound(0, wire.V(1), func(p wire.Payload) { emitted = append(emitted, p) })
+	sel := core.LoopRound(0, func(p wire.Payload) { emitted = append(emitted, p) })
 	if sel.Coordinator != ids.None || sel.Terminated {
 		t.Fatalf("selection from empty candidates: %+v", sel)
 	}
@@ -322,87 +334,136 @@ func TestCoreEmptyCandidateSet(t *testing.T) {
 
 func TestCoreSeedCandidates(t *testing.T) {
 	t.Parallel()
-	core := NewCore(5, 3)
+	core := NewCore(3)
 	core.SeedCandidates(ids.NewSet(5, 9, 2))
 	var emitted []wire.Payload
-	sel := core.LoopRound(3, wire.V(7), func(p wire.Payload) { emitted = append(emitted, p) })
+	sel := core.LoopRound(3, func(p wire.Payload) { emitted = append(emitted, p) })
 	if sel.Coordinator != 2 {
 		t.Fatalf("first coordinator = %v, want smallest id 2", sel.Coordinator)
 	}
-	sel = core.LoopRound(3, wire.V(7), nil)
+	sel = core.LoopRound(3, func(p wire.Payload) { emitted = append(emitted, p) })
 	if sel.Coordinator != 5 {
 		t.Fatalf("second coordinator = %v, want 5", sel.Coordinator)
 	}
-	// Node 5 is self: it must have broadcast its opinion with the
-	// instance tag when selected.
-	foundOpinion := false
-	for _, p := range emitted {
-		if op, ok := p.(wire.Opinion); ok {
-			t.Fatalf("opinion emitted too early: %+v", op)
-		}
-	}
-	var emitted2 []wire.Payload
-	_ = foundOpinion
-	core2 := NewCore(2, 3)
-	core2.SeedCandidates(ids.NewSet(5, 9, 2))
-	sel = core2.LoopRound(3, wire.V(7), func(p wire.Payload) { emitted2 = append(emitted2, p) })
-	if sel.Coordinator != 2 {
-		t.Fatalf("coordinator = %v", sel.Coordinator)
-	}
-	if len(emitted2) != 1 {
-		t.Fatalf("self-coordinator emitted %d payloads, want 1 opinion", len(emitted2))
-	}
-	op, ok := emitted2[0].(wire.Opinion)
-	if !ok || op.Instance != 3 || !op.X.Equal(wire.V(7)) {
-		t.Fatalf("opinion = %+v", emitted2[0])
+	// Seeded candidates need no echoes, and a selected node's opinion is
+	// its owner's to broadcast, not the core's.
+	if len(emitted) != 0 {
+		t.Fatalf("a seeded core emitted %v, want nothing", emitted)
 	}
 }
 
 func TestCoreTerminatesOnReselection(t *testing.T) {
 	t.Parallel()
-	core := NewCore(1, 0)
+	core := NewCore(0)
 	core.SeedCandidates(ids.NewSet(10, 20))
-	if sel := core.LoopRound(2, wire.V(0), nil); sel.Coordinator != 10 || sel.Terminated {
+	if sel := core.LoopRound(2, nil); sel.Coordinator != 10 || sel.Terminated {
 		t.Fatalf("round 0: %+v", sel)
 	}
-	if sel := core.LoopRound(2, wire.V(0), nil); sel.Coordinator != 20 || sel.Terminated {
+	if sel := core.LoopRound(2, nil); sel.Coordinator != 20 || sel.Terminated {
 		t.Fatalf("round 1: %+v", sel)
 	}
-	sel := core.LoopRound(2, wire.V(0), nil)
+	sel := core.LoopRound(2, nil)
 	if !sel.Terminated || sel.Coordinator != 10 {
 		t.Fatalf("round 2 should reselect 10 and terminate: %+v", sel)
 	}
 	if !core.Terminated() {
 		t.Fatal("core not terminated")
 	}
-	if sel := core.LoopRound(2, wire.V(0), nil); !sel.Terminated {
+	if sel := core.LoopRound(2, nil); !sel.Terminated {
 		t.Fatal("terminated core ran another round")
 	}
 }
 
 func TestCoreOpinionAcceptance(t *testing.T) {
 	t.Parallel()
-	core := NewCore(1, 0)
+	core := NewCore(0)
 	core.SeedCandidates(ids.NewSet(10, 20))
-	sel := core.LoopRound(2, wire.V(0), nil) // selects 10
+	sel := core.LoopRound(2, nil) // selects 10
 	if sel.Coordinator != 10 {
 		t.Fatalf("selected %v", sel.Coordinator)
 	}
 	// Opinion arrives from 10 (and a fake one from 20, which was not
 	// the previous coordinator and must be ignored).
-	noteInbox(core, simnet.InboxOf(
+	inbox := simnet.InboxOf(
 		simnet.Received{From: 10, Payload: wire.Opinion{X: wire.V(3.5)}},
 		simnet.Received{From: 20, Payload: wire.Opinion{X: wire.V(9)}},
-	), censusOf(10, 20))
-	sel = core.LoopRound(2, wire.V(0), nil)
-	if !sel.OpinionOK || !sel.Opinion.Equal(wire.V(3.5)) || sel.PrevCoordinator != 10 {
-		t.Fatalf("opinion acceptance: %+v", sel)
+	)
+	if got := opinionsOf(core, inbox, censusOf(10, 20)); !slices.Equal(got, []wire.Opinion{{X: wire.V(3.5)}}) {
+		t.Fatalf("opinions of coordinator 10: %v", got)
+	}
+	// The next selection moves the ear: the same inbox now reads as 20's.
+	if sel = core.LoopRound(2, nil); sel.Coordinator != 20 {
+		t.Fatalf("selected %v", sel.Coordinator)
+	}
+	if got := opinionsOf(core, inbox, censusOf(10, 20)); !slices.Equal(got, []wire.Opinion{{X: wire.V(9)}}) {
+		t.Fatalf("opinions of coordinator 20: %v", got)
+	}
+}
+
+// The one reader of coordinator opinions, case by case: what the selected
+// coordinator sent comes out ascending by encoding however it travelled
+// and in whatever order the private segment holds it, under every instance
+// tag (the owner skips the foreign ones); nobody else's opinions do; and a
+// coordinator outside the census, or no selection yet, yields nothing.
+func TestOpinionsYieldsWhatTheSelectedCoordinatorSent(t *testing.T) {
+	t.Parallel()
+	const coord, other = ids.ID(10), ids.ID(20)
+	op := func(instance uint64, x float64) wire.Opinion { return wire.Opinion{Instance: instance, X: wire.V(x)} }
+	from := func(id ids.ID, ops ...wire.Opinion) []simnet.Received {
+		out := make([]simnet.Received, len(ops))
+		for i, o := range ops {
+			out[i] = simnet.Received{From: id, Payload: o}
+		}
+		return out
+	}
+	// Encoding order: the instance tag first, then 2.0 before 1.0 before ⊥.
+	lo, hi, bot, foreign := op(0, 2), op(0, 1), wire.Opinion{X: wire.Bot()}, op(4, 7)
+	ascending := []wire.Opinion{lo, hi, bot, foreign}
+	if !slices.IsSortedFunc(ascending, func(a, b wire.Opinion) int {
+		return bytes.Compare(wire.Encode(a), wire.Encode(b))
+	}) {
+		t.Fatal("premise: opinion(2) < opinion(1) < opinion(⊥) < opinion(4:7) by encoding")
+	}
+	noise := append(from(other, op(0, 9), op(4, 9)), simnet.Received{From: coord, Payload: wire.IDEcho{Candidate: coord}})
+	for _, tc := range []struct {
+		name             string
+		block, private   []simnet.Received
+		selected, member bool
+		want             []wire.Opinion
+	}{
+		{"broadcast only", from(coord, hi, foreign, lo), nil, true, true, []wire.Opinion{lo, hi, foreign}},
+		{"unicast only", nil, from(coord, hi, foreign, lo), true, true, []wire.Opinion{lo, hi, foreign}},
+		{"both", from(coord, hi, foreign), from(coord, bot, lo), true, true, ascending},
+		{"nothing from the coordinator", nil, nil, true, true, nil},
+		{"coordinator outside the census", from(coord, hi), from(coord, lo), true, false, nil},
+		{"no selection yet", from(coord, hi), from(coord, lo), false, true, nil},
+	} {
+		core := NewCore(0)
+		core.SeedCandidates(ids.NewSet(coord, other))
+		if tc.selected {
+			if sel := core.LoopRound(2, nil); sel.Coordinator != coord {
+				t.Fatalf("%s: selected %v", tc.name, sel.Coordinator)
+			}
+		}
+		cen := censusOf(1, other)
+		if tc.member {
+			cen.Observe(coord)
+		}
+		healthy := simnet.InboxOfRound(append(tc.block, noise...), tc.private)
+		if got := opinionsOf(core, healthy, cen); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: healthy round yields %v, want %v", tc.name, got, tc.want)
+		}
+		// A link-fault round: everything private, in the order given.
+		faulty := simnet.InboxOf(slices.Concat(tc.private, noise, tc.block)...)
+		if got := opinionsOf(core, faulty, cen); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: link-fault round yields %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
 func TestCoreFiltersByInstanceAndSender(t *testing.T) {
 	t.Parallel()
-	core := NewCore(1, 7)
+	core := NewCore(7)
 	// Echo with wrong instance must be ignored; echo from a sender
 	// outside the census must be ignored.
 	noteInbox(core, simnet.InboxOf(
@@ -412,7 +473,7 @@ func TestCoreFiltersByInstanceAndSender(t *testing.T) {
 	), censusOf(2, 3))
 	// nv = 3: one valid echo passes n_v/3 (1 ≥ 1) but not 2n_v/3.
 	var emitted []wire.Payload
-	core.LoopRound(3, wire.V(0), func(p wire.Payload) { emitted = append(emitted, p) })
+	core.LoopRound(3, func(p wire.Payload) { emitted = append(emitted, p) })
 	if core.Candidates().Len() != 0 {
 		t.Fatal("candidate added from under-threshold echoes")
 	}

@@ -1,10 +1,12 @@
 package rotor
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"uba/internal/census"
@@ -13,27 +15,23 @@ import (
 	"uba/internal/wire"
 )
 
-// refCore is the reference the dense echo window is tested against: the
-// same Algorithm 2 round, counting distinct senders the obvious way — a
-// set of sender ids per candidate, rebuilt every window, every message
-// checked against the accept predicate.
+// refCore is the reference the dense echo window and the opinion reader
+// are tested against: the same Algorithm 2 round, counting distinct
+// senders the obvious way — a set of sender ids per candidate, rebuilt
+// every window, every message checked against the accept predicate — and
+// finding the coordinator's opinion by walking the inbox message by
+// message.
 type refCore struct {
-	self     ids.ID
 	instance uint64
 
 	candidates, selected ids.Set
 	echoSenders          map[ids.ID]map[ids.ID]struct{}
-	opinions             map[ids.ID]wire.Value
 	lastSelected         ids.ID
 	rounds               int
 }
 
-func newRefCore(self ids.ID, instance uint64) *refCore {
-	return &refCore{
-		self: self, instance: instance,
-		echoSenders: make(map[ids.ID]map[ids.ID]struct{}),
-		opinions:    make(map[ids.ID]wire.Value),
-	}
+func newRefCore(instance uint64) *refCore {
+	return &refCore{instance: instance, echoSenders: make(map[ids.ID]map[ids.ID]struct{})}
 }
 
 func (c *refCore) noteInbox(inbox simnet.Inbox, accept func(ids.ID) bool) {
@@ -41,24 +39,33 @@ func (c *refCore) noteInbox(inbox simnet.Inbox, accept func(ids.ID) bool) {
 		if !accept(m.From) {
 			continue
 		}
-		switch p := m.Payload.(type) {
-		case wire.IDEcho:
-			if p.Instance != c.instance {
-				continue
-			}
+		if p, ok := m.Payload.(wire.IDEcho); ok && p.Instance == c.instance {
 			if c.echoSenders[p.Candidate] == nil {
 				c.echoSenders[p.Candidate] = make(map[ids.ID]struct{})
 			}
 			c.echoSenders[p.Candidate][m.From] = struct{}{}
-		case wire.Opinion:
-			if p.Instance == c.instance {
-				c.opinions[m.From] = p.X
-			}
 		}
 	}
 }
 
-func (c *refCore) loopRound(nv int, opinion wire.Value, emit func(wire.Payload)) Selection {
+// opinion is the opinion for instance that the last selected coordinator
+// sent in inbox, if it is accepted and sent one: of several, the one with
+// the greatest encoding.
+func (c *refCore) opinion(inbox simnet.Inbox, instance uint64, accept func(ids.ID) bool) (x wire.Value, ok bool) {
+	if c.lastSelected == ids.None || !accept(c.lastSelected) {
+		return wire.Value{}, false
+	}
+	for m := range inbox.All() {
+		if p, isOp := m.Payload.(wire.Opinion); isOp && m.From == c.lastSelected && p.Instance == instance {
+			if !ok || bytes.Compare(wire.Encode(p), wire.Encode(wire.Opinion{Instance: instance, X: x})) > 0 {
+				x, ok = p.X, true
+			}
+		}
+	}
+	return x, ok
+}
+
+func (c *refCore) loopRound(nv int, emit func(wire.Payload)) Selection {
 	r := c.rounds
 	c.rounds++
 	order := make([]ids.ID, 0, len(c.echoSenders))
@@ -80,35 +87,28 @@ func (c *refCore) loopRound(nv int, opinion wire.Value, emit func(wire.Payload))
 	}
 	c.echoSenders = make(map[ids.ID]map[ids.ID]struct{})
 
-	sel := Selection{PrevCoordinator: c.lastSelected}
-	if x, ok := c.opinions[c.lastSelected]; ok && c.lastSelected != ids.None {
-		sel.Opinion, sel.OpinionOK = x, true
-	}
-	c.opinions = make(map[ids.ID]wire.Value)
 	if c.candidates.Len() == 0 {
-		return sel
+		return Selection{}
 	}
 	p := c.candidates.At(r % c.candidates.Len())
-	sel.Coordinator = p
-	sel.Terminated = c.selected.Contains(p)
+	sel := Selection{Coordinator: p, Terminated: c.selected.Contains(p)}
 	c.selected.Add(p)
-	if p == c.self {
-		emit(wire.Opinion{Instance: c.instance, X: opinion})
-	}
 	c.lastSelected = p
 	return sel
 }
 
 // Differential property test: over seeded random windows the dense echo
 // window and the map-of-maps reference emit the same echoes, build the
-// same C_v and make the same selections. The inboxes are hostile to every
+// same C_v and make the same selections, and out of every inbox the
+// opinion reader and the message-by-message walk take the same opinion
+// of the selected coordinator. The inboxes are hostile to every
 // shortcut the dense window takes: more than 64 senders (multi-word
 // rows), census ranks unrelated to id order (so the rank table is all
-// short runs), senders outside the census, echoes tagged for a foreign
-// instance, the same (sender, candidate) echo repeated within an inbox
-// and across the several inboxes of one window, and windows back to back
-// so a reset that leaked a mark, a row or a stale position would change
-// the next fold. Inboxes alternate between the two shapes the engine
+// short runs), senders outside the census, echoes and opinions tagged for
+// a foreign instance, the same (sender, candidate) echo repeated within an
+// inbox and across the several inboxes of one window, senders that state
+// two opinions in one inbox, and windows back to back so a reset that
+// leaked a mark, a row or a stale position would change the next fold. Inboxes alternate between the two shapes the engine
 // delivers: a healthy round (InboxOfRound — a random part of the senders
 // broadcast into the shared block and are read payload-major, the rest
 // arrive in the private segment) and a link-fault round (InboxOf —
@@ -119,6 +119,12 @@ func (c *refCore) loopRound(nv int, opinion wire.Value, emit func(wire.Payload))
 // does, so rows widen mid-window.
 func TestEchoWindowMatchesMapReference(t *testing.T) {
 	t.Parallel()
+	var opinionsHeard atomic.Int64 // over all trials: the reader was not compared on silence only
+	t.Cleanup(func() {
+		if opinionsHeard.Load() == 0 {
+			t.Error("no trial ever heard an opinion from a selected coordinator")
+		}
+	})
 	for seed := int64(1); seed <= 40; seed++ {
 		seed := seed
 		for _, growing := range []bool{false, true} {
@@ -130,7 +136,6 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 				universe := ids.Sparse(rng, 150+rng.Intn(100))
 				pool := ids.Sparse(rng, 12+rng.Intn(30)) // candidate ids, mostly ghosts
 				pool = append(pool, universe[:5]...)
-				self := universe[0]
 
 				// Census: a random ~80% of the universe, observed in
 				// random order so rank order is not id order.
@@ -144,7 +149,7 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 					cen.Observe(universe[i])
 				}
 
-				core, ref := NewCore(self, instance), newRefCore(self, instance)
+				core, ref := NewCore(instance), newRefCore(instance)
 				core.SetCycling(true)
 				// Per-candidate echo probability, so counts land on both
 				// sides of n_v/3 and 2n_v/3.
@@ -174,9 +179,13 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 									msgs = append(msgs, echo)
 								}
 							}
-							if rng.Intn(4) == 0 {
+							for k := rng.Intn(4); k < 2; k++ { // half send one opinion, a quarter two
+								inst := uint64(instance)
+								if rng.Intn(5) == 0 {
+									inst = 8
+								}
 								msgs = append(msgs, simnet.Received{From: from,
-									Payload: wire.Opinion{Instance: instance, X: wire.V(float64(rng.Intn(3)))}})
+									Payload: wire.Opinion{Instance: inst, X: wire.V(float64(rng.Intn(3)))}})
 							}
 						}
 						rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
@@ -210,12 +219,26 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 						}
 						noteInbox(core, inbox, cen)
 						ref.noteInbox(inbox, cen.Contains)
+						var gotX wire.Value
+						gotOK := false
+						for _, op := range opinionsOf(core, inbox, cen) {
+							if op.Instance == instance {
+								gotX, gotOK = op.X, true
+							}
+						}
+						wantX, wantOK := ref.opinion(inbox, instance, cen.Contains)
+						if gotOK != wantOK || !gotX.Equal(wantX) {
+							t.Fatalf("window %d: coordinator %v's opinion (%v, %v), reference (%v, %v)",
+								window, ref.lastSelected, gotX, gotOK, wantX, wantOK)
+						}
+						if wantOK {
+							opinionsHeard.Add(1)
+						}
 					}
 					nv := cen.N()
-					opinion := wire.V(float64(window))
 					var got, want []wire.Payload
-					gotSel := core.LoopRound(nv, opinion, func(p wire.Payload) { got = append(got, p) })
-					wantSel := ref.loopRound(nv, opinion, func(p wire.Payload) { want = append(want, p) })
+					gotSel := core.LoopRound(nv, func(p wire.Payload) { got = append(got, p) })
+					wantSel := ref.loopRound(nv, func(p wire.Payload) { want = append(want, p) })
 					if gotSel != wantSel {
 						t.Fatalf("window %d: selection %+v, reference %+v", window, gotSel, wantSel)
 					}
@@ -264,13 +287,13 @@ func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 	// no count reaches n_v/3: an emitted payload is boxed into an
 	// interface, which is the caller's send and not the window's cost.
 	const nv = 4 * n
-	core := NewCore(members[1], 0)
+	core := NewCore(0)
 	core.SetCycling(true)
-	core.SeedCandidates(ids.NewSet(members[0])) // someone else to select
+	core.SeedCandidates(ids.NewSet(members[0]))
 	round := func() {
 		ranks.Reset(inbox.Broadcasters(), frozen)
 		core.NoteInbox(inbox, &ranks)
-		core.LoopRound(nv, wire.V(0), nil)
+		core.LoopRound(nv, nil)
 	}
 	round() // warm-up: sizes the slab
 	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {

@@ -6,9 +6,9 @@
 //
 // and the pass proves that every write the body performs lands in
 // memory reachable only through that parameter. This is the static
-// half of the byte-identical-transcript contract: the concurrent
-// runner may execute shard tasks in any order on any worker, and the
-// result is indistinguishable from the sequential runner precisely
+// half of the byte-identical-transcript contract: the step phase may
+// execute its tasks in any order on any number of workers, and the
+// result is indistinguishable from stepping them inline precisely
 // because no task writes state another task (or the merge phase)
 // reads before the barrier.
 //

@@ -1,11 +1,10 @@
 // Package sharedstate implements the ubalint pass enforcing the simnet
 // Process isolation contract: implementations "must be self-contained
-// (no shared mutable state with other processes) so that the pooled
-// concurrent runner can step them in parallel" (internal/simnet
-// Process docs). A Step body that writes a package-level variable is a
-// data race under the worker-pool runner that go test -race only
-// catches when the schedule cooperates — this pass catches it
-// statically, on every build.
+// (no shared mutable state with other processes) so that a worker cap
+// above 1 can step them in parallel" (internal/simnet Process docs). A
+// Step body that writes a package-level variable is a data race under
+// Config.Workers > 1 that go test -race only catches when the schedule
+// cooperates — this pass catches it statically, on every build.
 //
 // The pass flags, inside any Step(env *simnet.RoundEnv) body (including
 // nested function literals):

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -369,14 +368,6 @@ func Encode(p Payload) []byte {
 // caller that owns a buffer, like the engine's per-node send scratch.
 func AppendEncode(dst []byte, p Payload) []byte {
 	return p.appendTo(append(dst, byte(p.Kind())))
-}
-
-// EncodesAfter reports whether a's canonical encoding sorts after b's —
-// the order the engine delivers one sender's messages in, and so the
-// tie-break of every "which of a sender's conflicting messages counts"
-// rule in the protocols.
-func EncodesAfter(a, b Payload) bool {
-	return bytes.Compare(Encode(a), Encode(b)) > 0
 }
 
 // Decoding errors.

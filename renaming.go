@@ -49,11 +49,7 @@ func Renaming(cfg Config) (*RenamingResult, error) {
 		case AdversaryNoise:
 			return adversary.NewRandomNoise(id, cl.dir, cfg.Seed+int64(i)+1)
 		case AdversaryCrash:
-			after := cfg.CrashAfterRound
-			if after <= 0 {
-				after = 3
-			}
-			return adversary.NewCrash(renaming.New(id), after)
+			return adversary.NewCrash(renaming.New(id), 3)
 		default:
 			return nil
 		}

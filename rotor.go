@@ -58,11 +58,7 @@ func Rotor(cfg Config) (*RotorResult, error) {
 		case AdversaryNoise:
 			return adversary.NewRandomNoise(id, cl.dir, cfg.Seed+int64(i)+1)
 		case AdversaryCrash:
-			after := cfg.CrashAfterRound
-			if after <= 0 {
-				after = 4
-			}
-			return adversary.NewCrash(rotor.New(id, rotorOpinion(id)), after)
+			return adversary.NewCrash(rotor.New(id, rotorOpinion(id)), 4)
 		default:
 			return nil
 		}

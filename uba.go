@@ -125,8 +125,6 @@ type Config struct {
 	// EventLog, when non-nil, records a message-level transcript of the
 	// run (see trace.NewEventLog and the ubasim -trace flag).
 	EventLog *trace.EventLog
-	// CrashAfterRound is used by AdversaryCrash (default 5).
-	CrashAfterRound int
 	// SendQuota bounds the messages any one node may queue per round
 	// (0 = unlimited); see simnet.Config.SendQuota.
 	SendQuota int

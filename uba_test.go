@@ -217,6 +217,29 @@ func TestTerminatingBroadcastFacade(t *testing.T) {
 	}
 }
 
+// A faulty source under AdversarySplit equivocates: it shows "split-A" to
+// one half of the correct nodes and "split-B" to the other. The run must
+// still end in one common outcome (TerminatingBroadcast itself fails with
+// ErrDisagreement otherwise) that is a body the source sent or nothing —
+// and not in the first phase, which is what a silent source costs: the
+// opinions start split.
+func TestTerminatingBroadcastEquivocatingSource(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 20; seed++ {
+		cfg := Config{Correct: 7, Byzantine: 2, Adversary: AdversarySplit, Seed: seed}
+		res, err := TerminatingBroadcast(cfg, nil, false)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if body := string(res.Body); res.Delivered != (body != "") || (res.Delivered && body != "split-A" && body != "split-B") {
+			t.Fatalf("seed %d: delivered=%v body %q", seed, res.Delivered, body)
+		}
+		if res.Rounds <= 7 {
+			t.Fatalf("seed %d: %d rounds: the source's two bodies never reached consensus as split opinions", seed, res.Rounds)
+		}
+	}
+}
+
 func TestOrderingClusterFacade(t *testing.T) {
 	t.Parallel()
 	oc, err := NewOrderingCluster(Config{Correct: 5, Byzantine: 1, Seed: 17})
