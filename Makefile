@@ -65,7 +65,8 @@ bench-e2e:
 
 # Round-engine micro-benchmarks (BenchmarkRoundEngine* workload) plus
 # end-to-end runs through the public entry points (e2e/* rows: uba.Consensus
-# at n=128 and n=256; renaming, trb and rb at n=256; uba.ParallelConsensus
+# at n=128 and n=256; renaming, trb, rb, uba.Rotor and
+# uba.ApproximateAgreement at n=256; uba.ParallelConsensus
 # and uba.InteractiveConsistency at n=128; a 200-round
 # OrderingCluster session at n=32; the 24-cell fault-plan chaos campaign
 # with the families' oracle suites attached; uba.Consensus at n=1024 with

@@ -399,7 +399,8 @@ func chaosCampaignSpec() benchSpec {
 // e2eSpecs are the end-to-end rows: uba.Consensus (inputs i%2) over
 // e2eSizes; at e2eFamilySize the families whose Step counts echoes in
 // reliable-broadcast fashion — renaming, terminating broadcast (correct
-// source) and reliable broadcast (correct source, 8 rounds); at
+// source) and reliable broadcast (correct source, 8 rounds) — the
+// standalone rotor-coordinator, and approximate agreement (inputs i); at
 // e2eParallelSize the two entry points of Algorithm 5 — parallel consensus
 // over eight instances of which every node lacks one, and interactive
 // consistency (inputs 100·i); one OrderingCluster session at the size
@@ -421,6 +422,18 @@ func e2eSpecs() []benchSpec {
 		}),
 		e2eSpec("ReliableBroadcast", e2eFamilySize, 0, func(cfg uba.Config) error {
 			_, err := uba.ReliableBroadcast(cfg, []byte("payload"), 8)
+			return err
+		}),
+		e2eSpec("Rotor", e2eFamilySize, 0, func(cfg uba.Config) error {
+			_, err := uba.Rotor(cfg)
+			return err
+		}),
+		e2eSpec("ApproximateAgreement", e2eFamilySize, 0, func(cfg uba.Config) error {
+			inputs := make([]float64, cfg.Correct)
+			for i := range inputs {
+				inputs[i] = float64(i)
+			}
+			_, err := uba.ApproximateAgreement(cfg, inputs)
 			return err
 		}),
 		e2eSpec("ParallelConsensus", e2eParallelSize, 0, func(cfg uba.Config) error {

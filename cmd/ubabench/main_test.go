@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -62,5 +63,24 @@ func TestRunCaseInsensitiveOnly(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "E15") {
 		t.Fatal("case-insensitive -only failed")
+	}
+}
+
+// EXPERIMENTS.md ends with exactly what `ubabench -markdown` prints, so a
+// change that moves a measured table fails here until the file is
+// regenerated (the text before the tables is hand-written and not
+// compared).
+func TestExperimentsMarkdownIsCommitted(t *testing.T) {
+	t.Parallel()
+	committed, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-markdown"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(committed, buf.Bytes()) {
+		t.Fatalf("EXPERIMENTS.md does not end with the %d bytes `go run ./cmd/ubabench -markdown` prints: paste them over its tables", buf.Len())
 	}
 }

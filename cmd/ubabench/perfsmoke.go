@@ -29,8 +29,9 @@ import (
 // allocs/op band certifies that multiplexing simulations adds no per-op
 // allocations, and its ns/op band catches a regression in the dispatch
 // or fairness machinery. The e2e rows (uba.Consensus at n=128 and n=256,
-// uba.Renaming, uba.TerminatingBroadcast and uba.ReliableBroadcast at
-// n=256, uba.ParallelConsensus and uba.InteractiveConsistency at n=128,
+// uba.Renaming, uba.TerminatingBroadcast, uba.ReliableBroadcast, uba.Rotor
+// and uba.ApproximateAgreement at n=256, uba.ParallelConsensus and
+// uba.InteractiveConsistency at n=128,
 // one uba.OrderingCluster session at n=32, through the public entry
 // points, oracles attached) gate what users actually run: a regression in
 // a protocol's Step, which no chatter round exercises, moves them and

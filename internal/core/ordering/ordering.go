@@ -43,9 +43,14 @@
 // is one immutable parallelcon.Scope per membership epoch: rebuilt from
 // activeFrom when that map changed or a recorded activation round is
 // reached, and otherwise read as is by every round's intake and shared by
-// every execution started under it. Per execution a node pays for the
-// execution's own instances; per Step it lays its rank table over the
-// inbox once per epoch that still has an execution in flight.
+// every execution started under it, whose rotor borrows its member set.
+// Per execution a node pays for the execution's own node and instances,
+// and an execution started with no inputs not even for that until an
+// inbox names its round (see drive); per Step it asks once which rounds
+// the inbox names, and lays its rank table over the inbox once per epoch
+// that still has an execution in flight. Folding the head of the window
+// reslices it, so retiring an execution costs the same however wide the
+// window is.
 package ordering
 
 import (
@@ -90,11 +95,18 @@ func instanceTag(round uint64, submitter ids.ID) uint64 {
 }
 
 // run is one parallel-consensus execution that is not yet final, with the
-// membership epoch it was started under.
+// membership epoch and the network round it was started in, and whether it
+// has locally terminated. An execution started with no inputs is quiet: it
+// has no node until an inbox names its round (named, set by markNamed),
+// and one that hears nothing by its first PR5 terminates without ever
+// having one.
 type run struct {
 	round uint64
-	node  *parallelcon.Node
 	scope *parallelcon.Scope
+	start int
+	node  *parallelcon.Node // nil while quiet
+	named bool
+	done  bool
 }
 
 // Node is one participant in the dynamic total-ordering protocol.
@@ -129,6 +141,8 @@ type Node struct {
 	// ranks is the rank table lent to every execution's StepLocal, laid
 	// over the Step's inbox once per epoch in the window.
 	ranks census.Ranks
+	// stepped is the network round of the last Step that drove the window.
+	stepped int
 }
 
 var _ simnet.Process = (*Node)(nil)
@@ -289,55 +303,126 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	// Start execution r with the intake pairs, scoped to the snapshot,
 	// unless the node is winding down or the tag space is used up.
 	if !n.leaving && n.r <= MaxRound {
-		// Inputs go in by submitter, and of a submitter that sent several
-		// events for one round (only a Byzantine one does) the last in
-		// inbox order is the input: the inbox is sorted by sender, then
-		// encoding, so that is the event with the greatest encoding — the
-		// tie-break an equivocating coordinator gets. The sort is stable
-		// and, short of a reorder fault shuffling the inbox, finds the
-		// intake already in order.
-		slices.SortStableFunc(intake, func(a, b eventIn) int { return cmp.Compare(a.submitter, b.submitter) })
-		inputs := make([]parallelcon.InputPair, 0, len(intake))
-		for _, e := range intake {
-			inputs = append(inputs, parallelcon.InputPair{
-				Instance: instanceTag(n.r, e.submitter),
-				X:        wire.V(e.value),
-			})
+		rn := run{round: n.r, scope: scope, start: env.Round}
+		if len(intake) > 0 {
+			// Inputs go in by submitter, and of a submitter that sent
+			// several events for one round (only a Byzantine one does) the
+			// last in inbox order is the input: the inbox is sorted by
+			// sender, then encoding, so that is the event with the greatest
+			// encoding — the tie-break an equivocating coordinator gets. The
+			// sort is stable and, short of a reorder fault shuffling the
+			// inbox, finds the intake already in order.
+			slices.SortStableFunc(intake, func(a, b eventIn) int { return cmp.Compare(a.submitter, b.submitter) })
+			inputs := make([]parallelcon.InputPair, 0, len(intake))
+			for _, e := range intake {
+				inputs = append(inputs, parallelcon.InputPair{
+					Instance: instanceTag(n.r, e.submitter),
+					X:        wire.V(e.value),
+				})
+			}
+			rn.node = n.execution(rn, inputs)
 		}
-		round := n.r
-		n.window = append(n.window, run{
-			round: round,
-			scope: scope,
-			node: parallelcon.New(n.id, inputs, parallelcon.Options{
-				Scope:          scope,
-				StartRound:     env.Round,
-				RotorInstance:  instanceTag(round, 0),
-				InstanceFilter: func(iid uint64) bool { return iid>>48 == round },
-			}),
-		})
+		n.window = append(n.window, rn)
 	}
 
-	// Drive every in-flight execution with this round's inbox (one that
-	// terminated is waiting out its finality lag). The window is in round
-	// order and so in epoch order: the rank table is laid over the inbox
-	// once per epoch and serves the executions of that epoch in a row.
-	allDone := true
-	var laid *parallelcon.Scope
-	for _, rn := range n.window {
-		if rn.node.Done() {
-			continue
-		}
-		if rn.scope != laid {
-			rn.scope.Lay(&n.ranks, env.Inbox.Broadcasters())
-			laid = rn.scope
-		}
-		rn.node.StepLocal(env.Round, env.Inbox, &n.ranks, env.Broadcast)
-		allDone = allDone && rn.node.Done()
-	}
-	if n.leaving && allDone {
+	if n.drive(env.Round, env.Inbox, env.Broadcast) && n.leaving {
 		n.left = true
 	}
 	n.foldFinal()
+}
+
+// execution builds the parallel-consensus node of rn with inputs. Its
+// instances are the tags of rn's round, whose range runs to the first tag
+// of the next round (to 0, unbounded, past MaxRound, where no tag is).
+func (n *Node) execution(rn run, inputs []parallelcon.InputPair) *parallelcon.Node {
+	return parallelcon.New(n.id, inputs, parallelcon.Options{
+		Scope:         rn.scope,
+		StartRound:    rn.start,
+		RotorInstance: instanceTag(rn.round, 0),
+		Instances:     parallelcon.InstanceRange{From: instanceTag(rn.round, 0), To: instanceTag(rn.round+1, 0)},
+	})
+}
+
+// drive steps every in-flight execution with one round's inbox (one that
+// terminated is waiting out its finality lag) and reports whether all of
+// them have terminated. The window is in round order and so in epoch
+// order: the rank table is laid over the inbox once per epoch and serves
+// the executions of that epoch in a row.
+//
+// A quiet execution is built the first time an inbox names its round and
+// first replays, on empty inboxes, the rounds it lived as a record. That
+// is the state it would have reached built at its start: every inbox read
+// of an execution is filtered by its own tags, none of the inboxes it
+// missed carried one, and an execution that has joined no instance sends
+// nothing on an empty inbox (quiet asserts it). A node that was not stepped
+// in some round (a crash it recovered from) builds every quiet execution
+// at once, so that each replays the rounds it was stepped in and no other.
+func (n *Node) drive(round int, inbox simnet.Inbox, send func(wire.Payload)) (allDone bool) {
+	allDone = true
+	if len(n.window) > 0 {
+		n.markNamed(inbox)
+	}
+	missed := round != n.stepped+1
+	var laid *parallelcon.Scope
+	for i := range n.window {
+		rn := &n.window[i]
+		if rn.done {
+			continue
+		}
+		if rn.node == nil {
+			if !rn.named && !missed {
+				// Its first PR5 ends an execution that joined nothing.
+				rn.done = round-rn.start+1 == 5
+				allDone = allDone && rn.done
+				continue
+			}
+			rn.node = n.execution(*rn, nil)
+			rn.scope.Lay(&n.ranks, nil)
+			for r := rn.start; r <= n.stepped; r++ {
+				rn.node.StepLocal(r, simnet.Inbox{}, &n.ranks, quiet)
+			}
+			laid = nil
+		}
+		if rn.scope != laid {
+			rn.scope.Lay(&n.ranks, inbox.Broadcasters())
+			laid = rn.scope
+		}
+		rn.node.StepLocal(round, inbox, &n.ranks, send)
+		rn.done = rn.node.Done()
+		allDone = allDone && rn.done
+	}
+	n.stepped = round
+	return allDone
+}
+
+// markNamed marks every quiet execution of the window whose round some
+// payload of inbox names, in one pass over the shared block's payloads and
+// the private messages, from anyone: an instance tag carries its round in
+// the high 16 bits, and the window holds consecutive rounds from its head.
+func (n *Node) markNamed(inbox simnet.Inbox) {
+	head := n.window[0].round
+	mark := func(p wire.Payload) {
+		tagged, ok := p.(wire.Instanced)
+		if !ok {
+			return
+		}
+		if k := tagged.InstanceID()>>48 - head; k < uint64(len(n.window)) && n.window[k].node == nil {
+			n.window[k].named = true
+		}
+	}
+	said, direct := inbox.Said(), inbox.Direct()
+	for i := range said {
+		mark(said[i].Payload)
+	}
+	for i := range direct {
+		mark(direct[i].Payload)
+	}
+}
+
+// quiet is the send function of the rounds a quiet execution replays, in
+// which it sends nothing.
+func quiet(p wire.Payload) {
+	panic(fmt.Sprintf("ordering: a quiet execution sent %v while catching up", p))
 }
 
 // foldFinal moves the executions that became final this round from the
@@ -349,20 +434,23 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 func (n *Node) foldFinal() {
 	k := 0
 	for ; k < len(n.window); k++ {
-		rn := n.window[k]
-		if !rn.node.Done() || 2*(n.r-rn.round) <= uint64(5*rn.scope.Census().N()+4) {
+		rn := &n.window[k]
+		if !rn.done || 2*(n.r-rn.round) <= uint64(5*rn.scope.Census().N()+4) {
 			break
 		}
-		for _, pair := range rn.node.Outputs() {
-			n.chain = append(n.chain, ChainEntry{
-				Round:     rn.round,
-				Submitter: ids.ID(pair.Instance & uint64(maxID)),
-				Value:     pair.X.X,
-			})
+		if rn.node != nil {
+			for _, pair := range rn.node.Outputs() {
+				n.chain = append(n.chain, ChainEntry{
+					Round:     rn.round,
+					Submitter: ids.ID(pair.Instance & uint64(maxID)),
+					Value:     pair.X.X,
+				})
+			}
 		}
 		n.final = rn.round
 	}
-	n.window = slices.Delete(n.window, 0, k)
+	clear(n.window[:k])
+	n.window = n.window[k:]
 }
 
 // stepJoin drives the present/ack handshake.

@@ -36,12 +36,15 @@
 // (Algorithm 6), which runs many parallel-consensus executions
 // concurrently: Options.Scope scopes a run to a membership snapshot
 // (skipping the two initialization rounds), Options.StartRound offsets the
-// phase grid, Options.InstanceFilter separates the executions' message
-// namespaces, and StepLocal lets an embedding protocol drive the run
-// inside its own Step. What depends only on the snapshot — its census and
-// the rotor's initial candidates — is built once per snapshot (NewScope)
-// and shared by every run started under it; a run pays for its own
-// instances and nothing per member.
+// phase grid, Options.Instances separates the executions' message
+// namespaces by an instance-id range, and StepLocal lets an embedding
+// protocol drive the run inside its own Step. What depends only on the
+// snapshot — its census and the rotor's initial candidates — is built once
+// per snapshot (NewScope) and shared by every run started under it: the
+// rotor core borrows the snapshot's member set as C_v and copies it only
+// if a candidate is accepted. A run pays for its own instances and nothing
+// per member; one with no inputs allocates its node and nothing else until
+// it joins an instance.
 package parallelcon
 
 import (
@@ -103,7 +106,8 @@ func (s *Scope) Lay(ranks *census.Ranks, broadcasters []ids.ID) {
 type Options struct {
 	// Scope, when non-nil, scopes the run to a known membership
 	// snapshot: the census is the scope's and the rotor candidate set
-	// starts as a copy of it, skipping the two initialization rounds
+	// starts as its member set, borrowed until a candidate is accepted,
+	// skipping the two initialization rounds
 	// (used by the dynamic-network protocols, which know S when they
 	// start a run). When nil, the run performs the standard init rounds.
 	Scope *Scope
@@ -113,9 +117,19 @@ type Options struct {
 	// RotorInstance tags the run's rotor candidate echoes so that
 	// concurrent runs do not mix coordinators.
 	RotorInstance uint64
-	// InstanceFilter restricts which instance ids belong to this run
-	// (nil accepts all). Concurrent runs partition the instance space.
-	InstanceFilter func(uint64) bool
+	// Instances is the range of instance ids that belong to this run (the
+	// zero value accepts all). Concurrent runs partition the instance
+	// space.
+	Instances InstanceRange
+}
+
+// InstanceRange is the half-open range [From, To) of instance ids, To = 0
+// leaving it unbounded above: the zero value holds every id.
+type InstanceRange struct{ From, To uint64 }
+
+// contains reports whether id is in the range.
+func (r InstanceRange) contains(id uint64) bool {
+	return id >= r.From && (r.To == 0 || id < r.To)
 }
 
 // instance is the per-EarlyConsensus(id) state.
@@ -162,13 +176,13 @@ type Node struct {
 	present census.Marks
 	ranks   census.Ranks
 
-	core *rotor.Core
+	core rotor.Core
 
 	// inst looks an instance up by id; order holds the same instances
 	// ascending by id, the order every phase round sends, tallies and
-	// outputs in. Both grow only through join. ignored holds the ids first
-	// heard outside a joinable window, which are never joined; it is
-	// allocated by the first of them.
+	// outputs in. Both grow only through join, and inst is allocated by the
+	// first. ignored holds the ids first heard outside a joinable window,
+	// which are never joined; it is allocated by the first of them.
 	inst    map[uint64]*instance
 	order   []*instance
 	ignored map[uint64]struct{}
@@ -184,20 +198,14 @@ func New(id ids.ID, inputs []InputPair, opts Options) *Node {
 	if opts.StartRound <= 0 {
 		opts.StartRound = 1
 	}
-	core := rotor.NewCore(opts.RotorInstance)
-	core.SetCycling(true)
-	n := &Node{
-		id:   id,
-		opts: opts,
-		core: core,
-		inst: make(map[uint64]*instance),
-	}
+	n := &Node{id: id, opts: opts, core: *rotor.NewCore(opts.RotorInstance)}
+	n.core.SetCycling(true)
 	for _, in := range inputs {
 		n.AddInput(in)
 	}
 	if opts.Scope != nil {
 		n.frozen = opts.Scope.census
-		core.SeedCandidates(opts.Scope.members)
+		n.core.SeedCandidates(opts.Scope.members)
 	}
 	return n
 }
@@ -220,6 +228,9 @@ func (n *Node) AddInput(pair InputPair) {
 // place in id order.
 func (n *Node) join(id uint64, x wire.Value) {
 	ins := &instance{id: id, x: x}
+	if n.inst == nil {
+		n.inst = make(map[uint64]*instance)
+	}
 	n.inst[id] = ins
 	at, _ := slices.BinarySearchFunc(n.order, id, func(ins *instance, id uint64) int {
 		return cmp.Compare(ins.id, id)
@@ -410,19 +421,16 @@ func (n *Node) allDecided() bool {
 	return true
 }
 
-func (n *Node) accepts(instanceID uint64) bool {
-	return n.opts.InstanceFilter == nil || n.opts.InstanceFilter(instanceID)
-}
-
 // scanAwareness joins instances first heard during the joinable windows of
-// the first phase and permanently ignores everything else. Whether an
-// inbox names any instance this node has not met is a question about
-// payloads, asked once per distinct broadcast payload and per private
-// message; only then is first contact the ordered question it is — the
+// the first phase and permanently ignores everything else. Which instances
+// an inbox names that this node has not met is a question about payloads,
+// asked once per distinct broadcast payload and per private message; only
+// if there are some is first contact the ordered question it is — the
 // first message in inbox order that names the instance decides — and the
-// merged inbox walked.
+// merged inbox walked, until every instance it names has been met.
 func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
-	if !n.namesNewInstance(inbox) {
+	unmet := n.unmetInstances(inbox)
+	if unmet == 0 {
 		return
 	}
 	for m := range inbox.All() {
@@ -449,6 +457,9 @@ func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
 			}
 			n.ignored[iid] = struct{}{}
 		}
+		if unmet--; unmet == 0 {
+			return
+		}
 	}
 }
 
@@ -460,7 +471,7 @@ func (n *Node) newInstance(p wire.Payload) (uint64, bool) {
 		return 0, false
 	}
 	iid := tagged.InstanceID()
-	if !n.accepts(iid) {
+	if !n.opts.Instances.contains(iid) {
 		return 0, false
 	}
 	if _, known := n.inst[iid]; known {
@@ -472,21 +483,28 @@ func (n *Node) newInstance(p wire.Payload) (uint64, bool) {
 	return iid, true
 }
 
-// namesNewInstance reports whether any payload of inbox, from anyone,
-// names an instance newInstance would report.
-func (n *Node) namesNewInstance(inbox simnet.Inbox) bool {
+// unmetInstances counts the distinct instances that payloads of inbox, from
+// anyone, name and newInstance would report: each message of the walk that
+// meets one leaves one fewer, so the walk ends when none is left.
+func (n *Node) unmetInstances(inbox simnet.Inbox) int {
+	var buf [16]uint64 // an inbox meets a few instances at a time: no allocation
+	unmet := buf[:0]
+	note := func(p wire.Payload) {
+		// Payloads of one instance are mostly neighbours (the block is in
+		// encoding order), so a repeat of the last one is not kept.
+		if iid, ok := n.newInstance(p); ok && (len(unmet) == 0 || unmet[len(unmet)-1] != iid) {
+			unmet = append(unmet, iid)
+		}
+	}
 	said, direct := inbox.Said(), inbox.Direct()
 	for i := range said {
-		if _, ok := n.newInstance(said[i].Payload); ok {
-			return true
-		}
+		note(said[i].Payload)
 	}
 	for i := range direct {
-		if _, ok := n.newInstance(direct[i].Payload); ok {
-			return true
-		}
+		note(direct[i].Payload)
 	}
-	return false
+	slices.Sort(unmet)
+	return len(slices.Compact(unmet))
 }
 
 // tally counts one message family for one instance, applying the paper's

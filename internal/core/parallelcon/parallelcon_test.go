@@ -309,21 +309,27 @@ func TestMembershipModeSkipsInit(t *testing.T) {
 	}
 }
 
-// InstanceFilter separates concurrent runs: a node only reacts to its own
-// instance space.
+// Options.Instances separates concurrent runs: a node only reacts to its
+// own instance range — half-open, and unbounded above when To is 0.
 func TestInstanceFilterSeparatesRuns(t *testing.T) {
 	t.Parallel()
+	own := InstanceRange{From: 1 << 32, To: 2 << 32}
+	if !own.contains(1<<32) || !own.contains(2<<32-1) || own.contains(1<<32-1) || own.contains(2<<32) {
+		t.Fatal("range [2^32, 2^33) misplaces its bounds")
+	}
+	if top := (InstanceRange{From: 1 << 63}); !top.contains(1<<64-1) || top.contains(1<<63-1) {
+		t.Fatal("a range with To = 0 is not unbounded above")
+	}
 	rng := rand.New(rand.NewSource(9))
 	all := ids.Sparse(rng, 5)
 	members := ids.NewSet(all...)
-	filter := func(iid uint64) bool { return iid>>32 == 1 }
 	net := simnet.New(simnet.Config{MaxRounds: 40})
 	nodes := make([]*Node, 0, 5)
 	for _, id := range all {
 		node := New(id, []InputPair{{Instance: 1<<32 | 5, X: wire.V(1)}}, Options{
-			Scope:          NewScope(members),
-			RotorInstance:  1 << 32,
-			InstanceFilter: filter,
+			Scope:         NewScope(members),
+			RotorInstance: 1 << 32,
+			Instances:     InstanceRange{From: 1 << 32, To: 2 << 32},
 		})
 		nodes = append(nodes, node)
 		if err := net.Add(node); err != nil {

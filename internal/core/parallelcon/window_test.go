@@ -249,7 +249,7 @@ func perDeliveryAwareness(n *Node, inbox simnet.Inbox, phase, pr int) {
 			continue
 		}
 		iid := tagged.InstanceID()
-		if !n.accepts(iid) {
+		if !n.opts.Instances.contains(iid) {
 			continue
 		}
 		if _, known := n.inst[iid]; known {
@@ -350,8 +350,8 @@ func TestFirstContactMatchesPerDeliveryWalkAcrossShapes(t *testing.T) {
 			for pr := 0; pr < 5; pr++ {
 				mk := func() *Node {
 					return New(5, []InputPair{{Instance: 4, X: wire.V(6)}}, Options{
-						Scope:          NewScope(ids.NewSet(2, 3, 4, 5, 6)),
-						InstanceFilter: func(iid uint64) bool { return iid>>32 == 0 },
+						Scope:     NewScope(ids.NewSet(2, 3, 4, 5, 6)),
+						Instances: InstanceRange{To: 1 << 32},
 					})
 				}
 				got, want := mk(), mk()

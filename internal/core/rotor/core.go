@@ -58,6 +58,7 @@ type Core struct {
 	instance uint64
 
 	candidates ids.Set // C_v, ordered by id
+	borrowed   bool    // candidates is a seeded set's storage, copied on the first Add
 	selected   ids.Set // S_v
 
 	echoes       census.Window[ids.ID] // candidate -> distinct senders this window
@@ -82,11 +83,16 @@ func NewCore(instance uint64) *Core {
 // rotation to stay live for as long as it runs.
 func (c *Core) SetCycling(cycling bool) { c.cycling = cycling }
 
-// SeedCandidates sets C_v to a copy of members. The dynamic-network
-// protocols scope a run to a known membership snapshot S and skip the two
-// init rounds by starting from C_v = S; it is called on a fresh core.
+// SeedCandidates sets C_v to members. The dynamic-network protocols scope a
+// run to a known membership snapshot S and skip the two init rounds by
+// starting from C_v = S; it is called on a fresh core. The core borrows
+// members' storage and copies it on the first candidate it adds, so it
+// never writes to members, and any number of cores may be seeded from one
+// set that nobody else changes (a snapshot shared by every run of an
+// epoch).
 func (c *Core) SeedCandidates(members *ids.Set) {
-	c.candidates = *members.Clone()
+	c.candidates = *members
+	c.borrowed = true
 }
 
 // BroadcastInit emits the round-1 candidacy announcement.
@@ -189,6 +195,9 @@ func (c *Core) LoopRound(nv int, emit func(wire.Payload)) Selection {
 	c.echoes.Fold(nv, cmp.Compare[ids.ID], c.candidates.Contains, func(cand ids.ID, quorum bool) {
 		emit(wire.IDEcho{Instance: c.instance, Candidate: cand})
 		if quorum {
+			if c.borrowed {
+				c.candidates, c.borrowed = *c.candidates.Clone(), false
+			}
 			c.candidates.Add(cand)
 		}
 	})

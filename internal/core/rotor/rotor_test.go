@@ -352,6 +352,47 @@ func TestCoreSeedCandidates(t *testing.T) {
 	}
 }
 
+// A seeded core borrows the snapshot it is seeded from: a candidate it
+// accepts by quorum goes into its own copy, so the snapshot — built with
+// spare capacity, where an append would land unseen — and a second core
+// seeded from it stay as they were.
+func TestSeededCandidatesDoNotWriteTheScope(t *testing.T) {
+	t.Parallel()
+	scope := ids.NewSet(10, 20, 30) // three adds: capacity four
+	cen := censusOf(10, 20, 30)
+	accept := func(core *Core, candidate ids.ID) {
+		var echoes []simnet.Received
+		for _, from := range []ids.ID{10, 20, 30} {
+			echoes = append(echoes, simnet.Received{From: from, Payload: wire.IDEcho{Instance: 5, Candidate: candidate}})
+		}
+		noteInbox(core, simnet.InboxOfRound(echoes, nil), cen)
+		core.LoopRound(3, nil)
+	}
+	a, b := NewCore(5), NewCore(5)
+	a.SeedCandidates(scope)
+	b.SeedCandidates(scope)
+	accept(a, 25)
+	if got := a.Candidates().Members(); !slices.Equal(got, []ids.ID{10, 20, 25, 30}) {
+		t.Fatalf("core a accepted 25 into %v", got)
+	}
+	if got := scope.Members(); !slices.Equal(got, []ids.ID{10, 20, 30}) {
+		t.Fatalf("core a's accept wrote the scope: %v", got)
+	}
+	if got := b.Candidates().Members(); !slices.Equal(got, []ids.ID{10, 20, 30}) {
+		t.Fatalf("core a's accept reached core b: %v", got)
+	}
+	accept(b, 15)
+	if got := b.Candidates().Members(); !slices.Equal(got, []ids.ID{10, 15, 20, 30}) {
+		t.Fatalf("core b accepted 15 into %v", got)
+	}
+	if got := a.Candidates().Members(); !slices.Equal(got, []ids.ID{10, 20, 25, 30}) {
+		t.Fatalf("core b's accept reached core a: %v", got)
+	}
+	if got := scope.Members(); !slices.Equal(got, []ids.ID{10, 20, 30}) {
+		t.Fatalf("core b's accept wrote the scope: %v", got)
+	}
+}
+
 func TestCoreTerminatesOnReselection(t *testing.T) {
 	t.Parallel()
 	core := NewCore(0)

@@ -202,6 +202,13 @@ type faultState struct {
 	fRecv     []int32 // filtered unicast receiver indices
 	fSend     []int32 // filtered unicast send keys
 	corrupted []send  // corrupted copies; keys >= len(outs) index here
+	// What the filter resolves once per pass, by live index: the node's
+	// partition group (-1: in none, isolated) and whether a live drop,
+	// corrupt or duplicate rule names it; and whether such a rule names
+	// nobody, and so scopes every link.
+	group    []int32
+	named    []bool
+	unscoped bool
 }
 
 // newFaultState compiles a validated plan.
@@ -269,15 +276,6 @@ func (fs *faultState) hit(salt, a, b, c uint64, rate float64) bool {
 		return true
 	}
 	return fs.roll(salt, a, b, c)>>32 < uint64(rate*4294967296.0)
-}
-
-// sameGroup reports whether the live partition lets from reach to.
-//
-//lint:noalloc two map lookups per link on the fault filter path
-func (fs *faultState) sameGroup(from, to ids.ID) bool {
-	gf, okf := fs.groupOf[from]
-	gt, okt := fs.groupOf[to]
-	return okf && okt && gf == gt
 }
 
 // rateFor returns the effective rate of the given rule kind on the link
@@ -427,6 +425,7 @@ func (n *Network) faultFilter(outs []send) {
 	fs := n.faults
 	fs.fRecv = fs.fRecv[:0]
 	fs.fSend = fs.fSend[:0]
+	n.resolveLinks()
 	nl := len(n.live)
 	bi, ui := 0, 0
 	nb, nu := len(n.bcastIdx), len(n.uniSend)
@@ -434,17 +433,18 @@ func (n *Network) faultFilter(outs []send) {
 		if ui >= nu || (bi < nb && n.bcastIdx[bi] < n.uniSend[ui]) {
 			k := n.bcastIdx[bi]
 			bi++
+			f := n.senderIndex(&outs[k])
 			for r := 0; r < nl; r++ {
 				if n.doneMask[r] {
 					continue
 				}
-				n.filterLink(outs, k, int32(r))
+				n.filterLink(outs, k, f, int32(r))
 			}
 		} else {
 			k := n.uniSend[ui]
 			r := n.uniRecv[ui]
 			ui++
-			n.filterLink(outs, k, r)
+			n.filterLink(outs, k, n.senderIndex(&outs[k]), r)
 		}
 	}
 	// Install the filtered stream: all demoted to unicast entries.
@@ -453,16 +453,62 @@ func (n *Network) faultFilter(outs []send) {
 	n.uniSend = append(n.uniSend[:0], fs.fSend...)
 }
 
-// filterLink applies the live link faults to one (send, receiver) pair
-// and appends the surviving entries (0, 1, or 2 of them) to the
-// filtered stream. Decision order: partition cut, drop, corrupt,
-// duplicate.
-func (n *Network) filterLink(outs []send, k, r int32) {
+// resolveLinks fills the filter's per-node tables for this pass from the
+// live partition and rate rules.
+func (n *Network) resolveLinks() {
+	fs := n.faults
+	fs.group = grown(fs.group, len(n.live))
+	fs.named = grown(fs.named, len(n.live))
+	clear(fs.named)
+	for i, st := range n.live {
+		g, ok := fs.groupOf[st.id]
+		if !ok {
+			g = -1
+		}
+		fs.group[i] = g
+	}
+	fs.unscoped = false
+	for i := range fs.rules {
+		r := &fs.rules[i]
+		if r.Kind == FaultReorder {
+			continue
+		}
+		if r.From == 0 && r.To == 0 && r.Node == 0 {
+			fs.unscoped = true
+		}
+		for _, id := range [...]uint64{r.From, r.To, r.Node} { // 0, no scope, is nobody's id
+			if j, ok := slices.BinarySearch(n.order, ids.ID(id)); ok {
+				fs.named[j] = true
+			}
+		}
+	}
+}
+
+// senderIndex returns the live index of s's sender: the step merge stamps
+// every send with the id of the live process that made it.
+func (n *Network) senderIndex(s *send) int32 {
+	f, _ := slices.BinarySearch(n.order, s.from)
+	return int32(f)
+}
+
+// filterLink applies the live link faults to one (send, receiver) pair —
+// f and r the live indices of its sender and receiver — and appends the
+// surviving entries (0, 1, or 2 of them) to the filtered stream. Decision
+// order: partition cut, drop, corrupt, duplicate. A link no live rule can
+// match, because no rule names either endpoint and none names nobody,
+// survives without a rule lookup or a roll: every roll is a stateless hash
+// of its own coordinates, so skipping those that cannot hit moves none.
+func (n *Network) filterLink(outs []send, k, f, r int32) {
 	fs := n.faults
 	s := &outs[k]
 	to := n.live[r].id
-	if fs.groupOf != nil && s.from != to && !fs.sameGroup(s.from, to) {
+	if fs.groupOf != nil && s.from != to && (fs.group[f] < 0 || fs.group[f] != fs.group[r]) {
 		return // partition cuts are silent; KindPartition announced them
+	}
+	if !fs.unscoped && !fs.named[f] && !fs.named[r] {
+		fs.fRecv = append(fs.fRecv, r)
+		fs.fSend = append(fs.fSend, k)
+		return
 	}
 	if rate := fs.rateFor(FaultDrop, s.from, to); rate > 0 &&
 		fs.hit(saltDrop, uint64(n.round), uint64(k), uint64(to), rate) {

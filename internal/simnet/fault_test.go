@@ -289,19 +289,23 @@ func TestPartitionCutsCrossGroupDelivery(t *testing.T) {
 }
 
 // TestPartitionIsolatesUnlistedNodes asserts nodes in no group are cut
-// off from everyone but themselves.
+// off from everyone but themselves — each other included: two unlisted
+// nodes are not a group.
 func TestPartitionIsolatesUnlistedNodes(t *testing.T) {
 	t.Parallel()
 	net, log := chatterNet(t, &FaultPlan{
 		Seed: 1,
 		Events: []FaultEvent{
-			{Round: 2, Kind: FaultPartition, Groups: [][]uint64{{10, 20, 30}}},
+			{Round: 2, Kind: FaultPartition, Groups: [][]uint64{{10, 20}}},
 		},
 	})
 	mustRounds(t, net, 4)
 	events := log.Events()
 	if got := deliveriesBetween(events, 40, 10, 3, 4); got != 0 {
 		t.Fatalf("isolated node still delivered %d messages", got)
+	}
+	if got := deliveriesBetween(events, 40, 30, 3, 4); got != 0 {
+		t.Fatalf("two isolated nodes still exchanged %d messages", got)
 	}
 	if got := deliveriesBetween(events, 40, 40, 3, 4); got != 2 {
 		t.Fatalf("isolated node should still reach itself: got %d", got)
@@ -457,6 +461,43 @@ func TestFaultDuplicateDelivery(t *testing.T) {
 	}
 	if dups != 2 {
 		t.Fatalf("%d link-dup events, want 2", dups)
+	}
+}
+
+// A rate rule reaches exactly the links its scope names: over every
+// ordered pair of the four chatters, a rate-1 drop rule — unscoped, by
+// sender, by receiver, by either endpoint, by both — removes the round's
+// delivery exactly when the pair matches it, and every other link, which
+// the filter passes without consulting the rules, delivers as on a
+// healthy round.
+func TestRateRulesReachExactlyTheLinksTheyScope(t *testing.T) {
+	t.Parallel()
+	nodes := []ids.ID{10, 20, 30, 40}
+	for _, rule := range []FaultEvent{
+		{Kind: FaultDrop, Rate: 1},
+		{Kind: FaultDrop, From: 20, Rate: 1},
+		{Kind: FaultDrop, To: 30, Rate: 1},
+		{Kind: FaultDrop, Node: 40, Rate: 1},
+		{Kind: FaultDrop, From: 10, To: 20, Rate: 1},
+	} {
+		rule.Round = 2
+		net, log := chatterNet(t, &FaultPlan{Seed: 1, Events: []FaultEvent{rule}})
+		mustRounds(t, net, 3)
+		events := log.Events()
+		for _, from := range nodes {
+			for _, to := range nodes {
+				matched := (rule.From == 0 || ids.ID(rule.From) == from) &&
+					(rule.To == 0 || ids.ID(rule.To) == to) &&
+					(rule.Node == 0 || ids.ID(rule.Node) == from || ids.ID(rule.Node) == to)
+				want := 1
+				if matched {
+					want = 0
+				}
+				if got := deliveriesBetween(events, from, to, 3, 3); got != want {
+					t.Fatalf("rule %+v: %d deliveries %v->%v, want %d", rule, got, from, to, want)
+				}
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"cmp"
+	"encoding/binary"
 	"slices"
 	"strings"
 
@@ -78,12 +79,7 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 			hi++
 		}
 		if hi-lo > 1 {
-			slices.SortFunc(outs[lo:hi], func(a, b send) int {
-				if c := strings.Compare(a.encoded, b.encoded); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.to, b.to)
-			})
+			n.sortBlock(outs[lo:hi])
 		}
 		lo = hi
 	}
@@ -276,6 +272,59 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 		}
 	}
 	return deliveries, bytes
+}
+
+// sortKey is a send reduced for the block-local sort: the first 16 bytes
+// of its encoding as two big-endian words, zero-padded, so that the words
+// compare as the bytes do; and the send, for a tie.
+type sortKey struct {
+	hi, lo uint64
+	s      *send
+}
+
+// keyOf returns the sort key of s.
+func keyOf(s *send) sortKey {
+	var b [16]byte
+	copy(b[:], s.encoded)
+	return sortKey{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:]), s: s}
+}
+
+// compareKeys orders two keys as their sends' (encoding, to). Prefixes
+// that differ decide, because zero padding sorts a shorter encoding before
+// any longer one it begins; only a tie over all 16 bytes compares the
+// whole encodings, and then the receivers.
+func compareKeys(a, b sortKey) int {
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.lo, b.lo); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.s.encoded, b.s.encoded); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.s.to, b.s.to)
+}
+
+// sortBlock sorts one sender's block of sends by (encoding, to). It sorts
+// keys rather than the 64-byte sends and then permutes the block once
+// through the scratch copy; a block already in order is left as it is.
+//
+//lint:noalloc keys and the permutation copy are the network's recycled scratch, grown to the largest block
+func (n *Network) sortBlock(block []send) {
+	n.sortKeys = n.sortKeys[:0]
+	for i := range block {
+		n.sortKeys = append(n.sortKeys, keyOf(&block[i]))
+	}
+	if slices.IsSortedFunc(n.sortKeys, compareKeys) {
+		return
+	}
+	slices.SortFunc(n.sortKeys, compareKeys)
+	n.sortSends = n.sortSends[:0]
+	for _, k := range n.sortKeys {
+		n.sortSends = append(n.sortSends, *k.s)
+	}
+	copy(block, n.sortSends)
 }
 
 // messageEvent is the trace event of m delivered to `to` at the start of

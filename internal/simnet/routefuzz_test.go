@@ -1,10 +1,13 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"uba/internal/ids"
@@ -319,4 +322,62 @@ func FuzzRouteDedup(f *testing.F) {
 			checkRouteCase(t, c, workers)
 		}
 	})
+}
+
+// The block-local sort compares 16-byte encoding prefixes and falls back
+// to whole encodings only on a tie: over encodings shorter than a prefix,
+// ones that differ from each other only by trailing zero bytes, ones equal
+// over all 16 prefix bytes and differing after them, and bytes at both
+// ends of the range, the key order of every pair of sends is their
+// (encoding, to) order, and a sorted block reads in that order.
+func TestBlockSortKeysOrderLikeEncodingThenReceiver(t *testing.T) {
+	t.Parallel()
+	const prefix = "0123456789abcdef" // 16 bytes
+	encs := []string{
+		"", "\x00", "a", "a\x00", "a\x00\x00", "a\x01", "b", "\xff",
+		prefix[:15], prefix[:15] + "\x00", prefix, prefix + "\x00", prefix + "X", prefix + "Y", prefix + "XY",
+		prefix[:8] + "\xff", prefix[:8] + "\x00\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x00",
+	}
+	tos := []ids.ID{ids.None, 10, 11}
+	var sends []send
+	for _, e := range encs {
+		for _, to := range tos {
+			sends = append(sends, send{from: 7, to: to, encoded: e})
+		}
+	}
+	want := func(a, b send) int {
+		if c := strings.Compare(a.encoded, b.encoded); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.to, b.to)
+	}
+	for i := range sends {
+		for j := range sends {
+			if got, exp := compareKeys(keyOf(&sends[i]), keyOf(&sends[j])), want(sends[i], sends[j]); got != exp {
+				t.Fatalf("keys of (%q, %v) and (%q, %v) compare %d, their sends %d",
+					sends[i].encoded, sends[i].to, sends[j].encoded, sends[j].to, got, exp)
+			}
+		}
+	}
+	net := New(Config{})
+	defer net.Close()
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 200; iter++ {
+		block := make([]send, 1+rng.Intn(len(sends)))
+		for i := range block {
+			block[i] = sends[rng.Intn(len(sends))]
+		}
+		if iter%4 == 0 {
+			slices.SortFunc(block, want) // a block already in order stays so
+		}
+		ref := slices.Clone(block)
+		slices.SortStableFunc(ref, want)
+		net.sortBlock(block)
+		for i := range block {
+			if block[i].encoded != ref[i].encoded || block[i].to != ref[i].to {
+				t.Fatalf("iteration %d: position %d holds (%q, %v), want (%q, %v)",
+					iter, i, block[i].encoded, block[i].to, ref[i].encoded, ref[i].to)
+			}
+		}
+	}
 }

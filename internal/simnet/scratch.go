@@ -38,10 +38,13 @@ type netScratch struct {
 	// roundEvents is the round record: the current round's engine events
 	// and, for an Observer, one event per stored message (see RunRound).
 	roundEvents []trace.Event
-	// Routing (route.go): per-sender broadcast dedup keys, the done
-	// snapshot, the surviving broadcast indices, the per-receiver
-	// unicast buckets, and the shared broadcast block and unicast arena
-	// the inbox views read through.
+	// Routing (route.go): the block-local sort's keys and permutation
+	// copy, per-sender broadcast dedup keys, the done snapshot, the
+	// surviving broadcast indices, the per-receiver unicast buckets, and
+	// the shared broadcast block and unicast arena the inbox views read
+	// through.
+	sortKeys     []sortKey
+	sortSends    []send
 	bcastDigests []uint64
 	bcastEncs    []string
 	doneMask     []bool
@@ -91,6 +94,8 @@ func (n *Network) releaseScratch() {
 	n.scratchBox = nil
 	clear(n.outs[:cap(n.outs)])
 	clear(n.results[:cap(n.results)])
+	clear(n.sortKeys[:cap(n.sortKeys)])
+	clear(n.sortSends[:cap(n.sortSends)])
 	clear(n.roundEvents[:cap(n.roundEvents)])
 	clear(n.bcastEncs[:cap(n.bcastEncs)])
 	clear(n.bcastBlock[:cap(n.bcastBlock)])
