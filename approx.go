@@ -37,8 +37,8 @@ func (r *ApproxResult) RangeRatio() float64 {
 // opposite astronomically large values to the two halves of the correct
 // nodes.
 func ApproximateAgreement(cfg Config, inputs []float64) (*ApproxResult, error) {
-	if len(inputs) != cfg.Correct {
-		return nil, fmt.Errorf("uba: %d inputs for %d correct nodes", len(inputs), cfg.Correct)
+	if err := cfg.validateInputs(len(inputs), "inputs"); err != nil {
+		return nil, err
 	}
 	cl, err := newCluster(cfg, "approx")
 	if err != nil {
@@ -86,8 +86,8 @@ type IteratedResult struct {
 // IteratedApproximateAgreement repeats the Algorithm 4 reduction for the
 // given number of rounds, halving the correct range each round.
 func IteratedApproximateAgreement(cfg Config, inputs []float64, rounds int) (*IteratedResult, error) {
-	if len(inputs) != cfg.Correct {
-		return nil, fmt.Errorf("uba: %d inputs for %d correct nodes", len(inputs), cfg.Correct)
+	if err := cfg.validateInputs(len(inputs), "inputs"); err != nil {
+		return nil, err
 	}
 	if rounds <= 0 {
 		rounds = 8

@@ -1,9 +1,8 @@
 // ubalint is the repo's static-analysis gate: a go/analysis
-// multichecker running the nine custom passes that enforce the simnet
+// multichecker running the seven custom passes that enforce the simnet
 // engine and wire contracts (retainenv, determinism, sharedstate,
-// wirereg, complexity, shardsafe, noalloc, nonblock, plus the
-// interprocedural summary fact pass — see internal/lint and DESIGN.md
-// "Static analysis").
+// wirereg, complexity, noalloc, plus the interprocedural summary fact
+// pass — see internal/lint and DESIGN.md "Static analysis").
 //
 // It speaks the unitchecker protocol, so it is driven through go vet,
 // which handles package loading, export data, and ./... expansion:
@@ -33,8 +32,8 @@
 //	ubalint -contracts-dump [root]
 //
 // emits one JSON object with the //lint:complexity table plus the
-// function-level //lint:noalloc, //lint:nonblock, and doc-level
-// //lint:coldpath directives with their reasons — the
+// function-level //lint:noalloc and doc-level //lint:coldpath
+// directives with their reasons — the
 // per-commit contracts artifact CI archives.
 package main
 
@@ -92,11 +91,10 @@ type contractsInventory struct {
 	// Complexity is the //lint:complexity table, as -complexity-dump
 	// emits it.
 	Complexity []complexity.Directive `json:"complexity"`
-	// Noalloc, Nonblock and Coldpath are the function-level hot-path
-	// contracts: proven allocation-free, proven non-blocking, and
-	// declared cold (fact cleared), each with its mandatory reason.
+	// Noalloc and Coldpath are the function-level hot-path contracts:
+	// proven allocation-free and declared cold (fact cleared), each with
+	// its mandatory reason.
 	Noalloc  []complexity.FuncDirective `json:"noalloc"`
-	Nonblock []complexity.FuncDirective `json:"nonblock"`
 	Coldpath []complexity.FuncDirective `json:"coldpath"`
 }
 
@@ -108,7 +106,7 @@ func dumpContracts(root string, w *os.File) error {
 	if inv.Complexity, err = complexity.Scan(root); err != nil {
 		return err
 	}
-	fns, err := complexity.ScanFuncDirectives(root, "noalloc", "nonblock", "coldpath")
+	fns, err := complexity.ScanFuncDirectives(root, "noalloc", "coldpath")
 	if err != nil {
 		return err
 	}
@@ -116,8 +114,6 @@ func dumpContracts(root string, w *os.File) error {
 		switch d.Directive {
 		case "noalloc":
 			inv.Noalloc = append(inv.Noalloc, d)
-		case "nonblock":
-			inv.Nonblock = append(inv.Nonblock, d)
 		case "coldpath":
 			inv.Coldpath = append(inv.Coldpath, d)
 		}

@@ -93,11 +93,7 @@ func run(args []string, out io.Writer) error {
 
 	switch *protocol {
 	case "consensus":
-		inputs := make([]float64, *g)
-		for i := range inputs {
-			inputs[i] = float64(i % 2)
-		}
-		res, err := uba.Consensus(cfg, inputs)
+		res, err := uba.Consensus(cfg, inputsOf(*g, func(i int) float64 { return float64(i % 2) }))
 		if err != nil {
 			return err
 		}
@@ -124,11 +120,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "delivered=%v body=%q rounds=%d\n%v\n",
 			res.Delivered, res.Body, res.Rounds, res.Report)
 	case "approx":
-		inputs := make([]float64, *g)
-		for i := range inputs {
-			inputs[i] = float64(i * 10)
-		}
-		res, err := uba.ApproximateAgreement(cfg, inputs)
+		res, err := uba.ApproximateAgreement(cfg, inputsOf(*g, func(i int) float64 { return float64(i * 10) }))
 		if err != nil {
 			return err
 		}
@@ -154,11 +146,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "%v\n", res.Report)
 	case "vector":
-		inputs := make([]float64, *g)
-		for i := range inputs {
-			inputs[i] = float64(i * 100)
-		}
-		res, err := uba.InteractiveConsistency(cfg, inputs)
+		res, err := uba.InteractiveConsistency(cfg, inputsOf(*g, func(i int) float64 { return float64(i * 100) }))
 		if err != nil {
 			return err
 		}
@@ -188,6 +176,17 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown protocol %q", *protocol)
 	}
 	return nil
+}
+
+// inputsOf returns one input per correct node, x(i) for node i. A
+// negative g yields none, so the facade rejects the size with the same
+// error every protocol gives.
+func inputsOf(g int, x func(i int) float64) []float64 {
+	inputs := make([]float64, max(g, 0))
+	for i := range inputs {
+		inputs[i] = x(i)
+	}
+	return inputs
 }
 
 // replayRepro loads a minimized chaos repro and re-runs its scenario.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,10 +91,17 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-adversary", "bogus"},
 		{"-protocol", "impossibility", "-timing", "bogus"},
 		{"-badflag"},
+		{"-protocol", "consensus", "-g", "-3", "-f", "1"},
+		{"-protocol", "approx", "-g", "-3", "-f", "1"},
+		{"-protocol", "vector", "-g", "-3", "-f", "1"},
 	} {
 		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
+		err := run(args, &buf)
+		if err == nil {
 			t.Fatalf("run(%v) succeeded, want error", args)
+		}
+		if slices.Contains(args, "-g") && err.Error() != "uba: Config.Correct must be positive" {
+			t.Fatalf("run(%v) = %v, want the facade's size error", args, err)
 		}
 	}
 }

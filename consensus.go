@@ -35,8 +35,8 @@ type ConsensusResult struct {
 // split-votes between the two smallest distinct input values (or 0/1 if
 // the inputs are unanimous).
 func Consensus(cfg Config, inputs []float64) (*ConsensusResult, error) {
-	if len(inputs) != cfg.Correct {
-		return nil, fmt.Errorf("uba: %d inputs for %d correct nodes", len(inputs), cfg.Correct)
+	if err := cfg.validateInputs(len(inputs), "inputs"); err != nil {
+		return nil, err
 	}
 	cl, err := newCluster(cfg, "consensus")
 	if err != nil {

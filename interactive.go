@@ -48,8 +48,8 @@ type VectorResult struct {
 // materialize through dissemination and the instance-awareness windows
 // of Algorithm 5.
 func InteractiveConsistency(cfg Config, inputs []float64) (*VectorResult, error) {
-	if len(inputs) != cfg.Correct {
-		return nil, fmt.Errorf("uba: %d inputs for %d correct nodes", len(inputs), cfg.Correct)
+	if err := cfg.validateInputs(len(inputs), "inputs"); err != nil {
+		return nil, err
 	}
 	cl, err := newCluster(cfg, "vector")
 	if err != nil {

@@ -39,7 +39,7 @@ func TestRegistryMatchesDirectives(t *testing.T) {
 // -contracts-dump inventory rides on: receiver-qualified names,
 // mandatory reasons, and the known anchors of the certified hot path.
 func TestScanFuncDirectives(t *testing.T) {
-	dirs, err := complexity.ScanFuncDirectives("../simnet", "noalloc", "nonblock", "coldpath")
+	dirs, err := complexity.ScanFuncDirectives("../simnet", "noalloc", "coldpath")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +53,12 @@ func TestScanFuncDirectives(t *testing.T) {
 		}
 		found[d.Directive+" "+d.Func] = true
 	}
-	// The round hot path's anchors: the route pass is certified
-	// allocation-free, the step task both that and non-blocking, and the
-	// scratch release is declared cold. These names changing is a real
-	// contract change.
+	// The round hot path's anchors: the route pass and the step task are
+	// certified allocation-free, and the scratch release is declared
+	// cold. These names changing is a real contract change.
 	for _, want := range []string{
 		"noalloc (*Network).route",
 		"noalloc (*Network).stepOne",
-		"nonblock (*Network).stepOne",
 		"coldpath (*Network).releaseScratch",
 	} {
 		if !found[want] {

@@ -9,14 +9,13 @@ import (
 )
 
 // FuncDirective is one function-level lint contract found by
-// ScanFuncDirectives: a //lint:noalloc, //lint:nonblock, or doc-level
-// //lint:coldpath occurrence, with the reason the directive declares.
+// ScanFuncDirectives: a //lint:noalloc or doc-level //lint:coldpath
+// occurrence, with the reason the directive declares.
 // Together with the //lint:complexity table (Directive/Scan) it forms
 // the repo's certified-contracts inventory — what `ubalint
 // -contracts-dump` emits and CI archives per commit.
 type FuncDirective struct {
-	// Directive is the bare directive name: "noalloc", "nonblock", or
-	// "coldpath".
+	// Directive is the bare directive name: "noalloc" or "coldpath".
 	Directive string `json:"directive"`
 	// Package is the declaring package name.
 	Package string `json:"package"`

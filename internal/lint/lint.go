@@ -1,18 +1,16 @@
 // Package lint assembles the ubalint analyzer suite: the custom
 // go/analysis passes that mechanically enforce the simulator's
-// determinism, buffer-recycling, message-complexity, shard-isolation,
-// allocation-freedom, and non-blocking contracts (see DESIGN.md
-// "Static analysis" for what each pass proves and its known edges).
+// determinism, buffer-recycling, message-complexity, and
+// allocation-freedom contracts (see DESIGN.md "Static analysis" for
+// what each pass proves and its known edges).
 package lint
 
 import (
 	"uba/internal/lint/complexity"
 	"uba/internal/lint/determinism"
 	"uba/internal/lint/noalloc"
-	"uba/internal/lint/nonblock"
 	"uba/internal/lint/retainenv"
 	"uba/internal/lint/sharedstate"
-	"uba/internal/lint/shardsafe"
 	"uba/internal/lint/summary"
 	"uba/internal/lint/wirereg"
 
@@ -31,9 +29,7 @@ func Analyzers() []*analysis.Analyzer {
 		sharedstate.Analyzer,
 		wirereg.Analyzer,
 		complexity.Analyzer,
-		shardsafe.Analyzer,
 		noalloc.Analyzer,
-		nonblock.Analyzer,
 		summary.Analyzer,
 	}
 }

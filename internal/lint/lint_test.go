@@ -18,8 +18,8 @@ func TestValidate(t *testing.T) {
 	if err := analysis.Validate(lint.Analyzers()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(lint.Analyzers()); got != 9 {
-		t.Fatalf("suite has %d analyzers, want 9 (retainenv, determinism, sharedstate, wirereg, complexity, shardsafe, noalloc, nonblock, summary)", got)
+	if got := len(lint.Analyzers()); got != 7 {
+		t.Fatalf("suite has %d analyzers, want 7 (retainenv, determinism, sharedstate, wirereg, complexity, noalloc, summary)", got)
 	}
 }
 

@@ -1,6 +1,5 @@
 // Allocation-site scanning for the Allocates fact and the noalloc
-// pass, plus the blocking standard-library classifier shared with the
-// nonblock pass.
+// pass.
 //
 // The scanner is deliberately steady-state-shaped: it proves the
 // *amortized* allocation-freedom the round engine actually delivers,
@@ -24,7 +23,7 @@
 // own and the following line — the error-branch escape hatch — and is
 // policed for staleness like //lint:allow.
 //
-// False-negative edges (documented in DESIGN.md §8.9): standard-
+// False-negative edges (documented in DESIGN.md §8.8): standard-
 // library callees export no facts, so only the fmt family is
 // recognized by name — an allocating strconv/strings call is unseen —
 // and the recycled-self-append exemption trusts the engine to pre-size
@@ -96,8 +95,8 @@ type AllocSite struct {
 
 // AllocSites re-runs fd's alias analysis and returns its surviving
 // allocation sites — the per-site view of the Allocates fact, consumed
-// by the noalloc pass for diagnostics. Like Result.Taint it is a
-// recomputation: call it once per annotated function.
+// by the noalloc pass for diagnostics. It is a recomputation, not a
+// cache: call it once per annotated function.
 func (r *Result) AllocSites(fd *ast.FuncDecl) []AllocSite {
 	st := newFuncState(r.pass, r, fd)
 	st.propagate()
@@ -574,62 +573,4 @@ func (st *funcState) mapIndexed(ix *ast.IndexExpr) bool {
 	}
 	_, ok := t.Underlying().(*types.Map)
 	return ok
-}
-
-// nonblockingCommOp reports whether the channel operation n is the
-// comm clause of a select that has a default — the one place a channel
-// op is a non-blocking attempt.
-func nonblockingCommOp(stack []ast.Node, n ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		cc, ok := stack[i].(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		if cc.Comm == nil || n.Pos() < cc.Comm.Pos() || n.End() > cc.Comm.End() {
-			return false // in the clause body, not the comm itself
-		}
-		for j := i - 1; j >= 0; j-- {
-			if sel, ok := stack[j].(*ast.SelectStmt); ok {
-				return hasDefaultClause(sel)
-			}
-		}
-		return false
-	}
-	return false
-}
-
-// hasDefaultClause reports whether the select has a default clause.
-func hasDefaultClause(sel *ast.SelectStmt) bool {
-	for _, cl := range sel.Body.List {
-		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// BlockingStd classifies a standard-library callee that may block the
-// goroutine. Std packages export no summary facts, so the blocking
-// effects the nonblock contract bans are recognized by package path:
-// the sync acquire/wait entry points, time.Sleep, and anything that
-// can reach a syscall (os, net, syscall, os/exec, io). Exported so the
-// nonblock pass can name the reason in its diagnostics.
-func BlockingStd(fn *types.Func) (reason string, ok bool) {
-	if fn == nil || fn.Pkg() == nil {
-		return "", false
-	}
-	switch fn.Pkg().Path() {
-	case "sync":
-		switch fn.Name() {
-		case "Lock", "RLock", "Wait", "Do":
-			return "acquires a lock or waits on a sync primitive", true
-		}
-	case "time":
-		if fn.Name() == "Sleep" {
-			return "sleeps", true
-		}
-	case "os", "net", "syscall", "os/exec", "io":
-		return "performs I/O or a syscall", true
-	}
-	return "", false
 }

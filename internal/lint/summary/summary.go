@@ -1,6 +1,8 @@
 // Package summary implements the ubalint fact pass: a per-function,
 // interprocedural effect analysis whose results the diagnostic passes
-// (retainenv, sharedstate, determinism) consume at call sites. It turns
+// consume at call sites — retainenv reads Retains and Flows,
+// sharedstate and determinism read WritesGlobal and OrderSensitive,
+// complexity reads the send classes, and noalloc reads Allocates. It turns
 // the false-negative edges the intraprocedural passes documented —
 // retention through a synchronous call, taint laundering through
 // returns, helper-mediated global writes, order-sensitive effects
@@ -29,10 +31,6 @@
 //     composite literals, capturing closures, map writes, fmt calls)
 //     one call may perform in steady state, net of the amortized-growth
 //     exemptions documented in alloc.go. Consumed by the noalloc pass.
-//   - Blocks: one call may block the goroutine — a channel operation,
-//     a default-less select, a range over a channel, a blocking
-//     standard-library call (sync lock/wait, time.Sleep, I/O), or a
-//     callee that blocks. Consumed by the nonblock pass.
 //
 // Summaries are resolved to a fixpoint over the package's internal call
 // graph (mutual recursion converges because the lattice is finite and
@@ -145,11 +143,6 @@ type FuncSummary struct {
 	// env.Broadcast into a slot of class SendLinear performs O(n)
 	// broadcasts.
 	ParamCalls uint64
-	// Mutates is a bitmask over the tracked slots whose reachable
-	// memory the function may write through — a field store, an element
-	// store, a clear/delete/copy, or a callee that does the same to an
-	// argument aliasing the slot. Consumed by the shardsafe pass.
-	Mutates uint32
 
 	// Allocates is a bitmask of Alloc* kind bits: the heap-allocation
 	// kinds one call of the function may perform, net of the
@@ -158,12 +151,6 @@ type FuncSummary struct {
 	// lines) and including allocations folded in from callees. Consumed
 	// by the noalloc pass.
 	Allocates uint16
-	// Blocks reports that one call of the function may block the
-	// calling goroutine: a channel send/receive, a select without a
-	// default, a range over a channel, a blocking standard-library call
-	// (sync lock/wait, time.Sleep, I/O), or a callee that does any of
-	// those. Consumed by the nonblock pass.
-	Blocks bool
 }
 
 // AFact marks FuncSummary as an analysis fact.
@@ -198,17 +185,11 @@ func (s *FuncSummary) String() string {
 		}
 		parts = append(parts, "calls("+strings.Join(cs, ",")+")")
 	}
-	if s.Mutates != 0 {
-		parts = append(parts, fmt.Sprintf("mutates(%b)", s.Mutates))
-	}
 	// New fact renderings append at the end: the fixture wants match
 	// unanchored, so a summary can only grow rightward without breaking
 	// older expectations.
 	if s.Allocates != 0 {
 		parts = append(parts, "allocs("+AllocsString(s.Allocates)+")")
-	}
-	if s.Blocks {
-		parts = append(parts, "blocks")
 	}
 	if len(parts) == 0 {
 		return "pure"
@@ -218,8 +199,7 @@ func (s *FuncSummary) String() string {
 
 func (s FuncSummary) isZero() bool {
 	return s.Retains == 0 && s.Flows == 0 && !s.WritesGlobal && !s.OrderSensitive &&
-		s.Broadcasts == SendNone && s.Unicasts == SendNone && s.ParamCalls == 0 && s.Mutates == 0 &&
-		s.Allocates == 0 && !s.Blocks
+		s.Broadcasts == SendNone && s.Unicasts == SendNone && s.ParamCalls == 0 && s.Allocates == 0
 }
 
 // RetainsAt and FlowsAt test one tracked slot (see ArgIndex/RecvIndex).
@@ -227,10 +207,6 @@ func (s FuncSummary) RetainsAt(i int) bool { return s.Retains&(1<<uint(i)) != 0 
 
 // FlowsAt reports whether tracked slot i may alias a return value.
 func (s FuncSummary) FlowsAt(i int) bool { return s.Flows&(1<<uint(i)) != 0 }
-
-// MutatesAt reports whether the function may write through tracked
-// slot i's reachable memory.
-func (s FuncSummary) MutatesAt(i int) bool { return s.Mutates&(1<<uint(i)) != 0 }
 
 // ParamCallsAt returns the send class of how often the function
 // invokes a function value bound to tracked slot i.
@@ -292,7 +268,7 @@ func ArgIndex(fn *types.Func, i int) (int, bool) {
 // inert.
 var Analyzer = &analysis.Analyzer{
 	Name:       "summary",
-	Doc:        "compute per-function retention, flow, global-write, order-sensitivity, send-class, allocation, and blocking facts for the ubalint passes; report unused fact directives",
+	Doc:        "compute per-function retention, flow, global-write, order-sensitivity, send-class, and allocation facts for the ubalint passes; report unused fact directives",
 	Run:        run,
 	FactTypes:  []analysis.Fact{(*FuncSummary)(nil)},
 	ResultType: reflect.TypeOf((*Result)(nil)),
@@ -523,18 +499,6 @@ type funcState struct {
 	// namedResults are the declared result variables, for bare returns.
 	namedResults []types.Object
 	out          FuncSummary
-}
-
-// Taint re-runs fd's local alias analysis to a fixpoint and returns
-// the taint mask of every tracked object (the parameter slots whose
-// memory it may alias) plus each reference-carrying parameter's slot.
-// The shardsafe pass consumes it to classify write roots. It is a
-// recomputation, not a cache: call it once per directive-carrying
-// function, not per node.
-func (r *Result) Taint(fd *ast.FuncDecl) (taint map[types.Object]uint32, slots map[types.Object]int) {
-	st := newFuncState(r.pass, r, fd)
-	st.propagate()
-	return st.taint, st.paramSlot
 }
 
 func analyzeFunc(pass *analysis.Pass, res *Result, fn *types.Func, fd *ast.FuncDecl) FuncSummary {
@@ -882,7 +846,6 @@ func (st *funcState) findSinks() {
 			if st.isGlobalWrite(n.X) {
 				st.out.WritesGlobal = true
 			}
-			st.out.Mutates |= st.mutationMask(n.X)
 		case *ast.SendStmt:
 			// A send on a channel reachable by our callers (through a
 			// parameter or a global) is an order-observable effect; a
@@ -891,26 +854,6 @@ func (st *funcState) findSinks() {
 				st.out.OrderSensitive = true
 			}
 			st.out.Retains |= st.taintOf(n.Value)
-			st.out.Mutates |= st.taintOf(n.Chan)
-			if !nonblockingCommOp(stack, n) {
-				st.out.Blocks = true
-			}
-		case *ast.UnaryExpr:
-			// A channel receive blocks unless it is the comm clause of a
-			// select that has a default.
-			if n.Op == token.ARROW && !nonblockingCommOp(stack, n) {
-				st.out.Blocks = true
-			}
-		case *ast.SelectStmt:
-			if !hasDefaultClause(n) {
-				st.out.Blocks = true
-			}
-		case *ast.RangeStmt:
-			if t := st.pass.TypesInfo.TypeOf(n.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					st.out.Blocks = true
-				}
-			}
 		case *ast.GoStmt:
 			st.out.Retains |= st.goTaint(n)
 		case *ast.ReturnStmt:
@@ -1006,7 +949,6 @@ func (st *funcState) sinkAssign(n *ast.AssignStmt, stack []ast.Node) {
 		if n.Tok != token.DEFINE && st.isGlobalWrite(lhs) {
 			st.out.WritesGlobal = true
 		}
-		st.out.Mutates |= st.mutationMask(lhs)
 
 		// Escape of a tainted value.
 		var m uint32
@@ -1175,27 +1117,9 @@ func foldGuard(lhs, rhs ast.Expr, stack []ast.Node) bool {
 // a local born in this function, in which case the effect cannot be
 // observed by our callers through that call.
 func (st *funcState) sinkCall(call *ast.CallExpr) {
-	// Mutating builtins write through their first argument's memory.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := st.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "clear", "delete", "copy":
-				if len(call.Args) > 0 {
-					st.out.Mutates |= st.taintOf(call.Args[0])
-				}
-			}
-			return
-		}
-	}
 	callee := Callee(st.pass.TypesInfo, call)
 	if callee == nil {
 		return
-	}
-	// Standard-library callees export no facts, so the two effects the
-	// hot-path contracts care about are recognized by package path
-	// before the zero-summary early return below.
-	if _, blocking := BlockingStd(callee); blocking {
-		st.out.Blocks = true
 	}
 	s := st.res.Of(callee)
 	if s.isZero() {
@@ -1203,19 +1127,6 @@ func (st *funcState) sinkCall(call *ast.CallExpr) {
 	}
 	if s.Allocates != 0 && !st.res.cold.covers(st.pass.Fset, call.Pos()) {
 		st.out.Allocates |= s.Allocates
-	}
-	if s.Blocks {
-		st.out.Blocks = true
-	}
-	if s.Mutates != 0 {
-		if recv := receiverExpr(call); recv != nil && s.MutatesAt(RecvIndex) {
-			st.out.Mutates |= st.taintOf(recv)
-		}
-		for i, arg := range call.Args {
-			if idx, ok := ArgIndex(callee, i); ok && s.MutatesAt(idx) {
-				st.out.Mutates |= st.taintOf(arg)
-			}
-		}
 	}
 	if s.WritesGlobal {
 		st.out.WritesGlobal = true
@@ -1234,30 +1145,6 @@ func (st *funcState) sinkCall(call *ast.CallExpr) {
 			}
 		}
 	}
-}
-
-// mutationMask returns the tracked slots whose reachable memory the
-// assignment target lhs writes through: a non-plain path rooted at a
-// parameter writes that slot; one rooted at a local writes every slot
-// the local may alias. Rebinding a variable (plain identifier) is not
-// a mutation of anything a caller can see.
-func (st *funcState) mutationMask(lhs ast.Expr) uint32 {
-	lhs = ast.Unparen(lhs)
-	if _, plain := lhs.(*ast.Ident); plain {
-		return 0
-	}
-	root := lintutil.RootIdent(lhs)
-	if root == nil {
-		return 0
-	}
-	obj := st.pass.TypesInfo.ObjectOf(root)
-	if obj == nil {
-		return 0
-	}
-	if slot, ok := st.paramSlot[obj]; ok {
-		return 1 << uint(slot)
-	}
-	return st.taint[obj]
 }
 
 // localReceiver reports whether call is a method call whose receiver

@@ -48,17 +48,16 @@ func Test(t *testing.T) {
 	linttest.Run(t, "testdata", dump, "leaf", "helper", "proto", "cyc")
 }
 
-// TestSends pins the send-class and mutation facts: direct and
+// TestSends pins the send-class facts: direct and
 // loop-amplified env.Broadcast/env.Send sites, helper-laundered sends
 // via ParamCalls, and the conservative dynamic edges.
 func TestSends(t *testing.T) {
 	linttest.Run(t, "testdata", dump, "sends")
 }
 
-// TestAllocs pins the Allocates and Blocks facts: one rendering per
-// allocation kind, the steady-state exemptions (recycled self-append,
-// capacity guard, select-with-default), doc-level coldpath clearing,
-// and interprocedural folding of both facts.
+// TestAllocs pins the Allocates fact: one rendering per allocation
+// kind, the steady-state exemptions (recycled self-append, capacity
+// guard), doc-level coldpath clearing, and interprocedural folding.
 func TestAllocs(t *testing.T) {
 	linttest.Run(t, "testdata", dump, "allocs")
 }

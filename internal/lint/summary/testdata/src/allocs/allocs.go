@@ -1,12 +1,9 @@
-// Package allocs pins the Allocates and Blocks fact renderings: which
-// sites fold into the summary, which steady-state exemptions keep it
-// clean, and how both facts propagate through local calls.
+// Package allocs pins the Allocates fact rendering: which sites fold
+// into the summary, which steady-state exemptions keep it clean, and how
+// it propagates through local calls.
 package allocs
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Fresh allocates a new backing array on every call.
 func Fresh(n int) []int { // want `summary: allocs\(make\)`
@@ -61,14 +58,9 @@ func ColdSetup() string {
 	return fmt.Sprintf("%d", 0)
 }
 
-// Blocker parks on the send; the channel mutation and ordering effects
-// ride along.
-func Blocker(ch chan int) { // want `summary: ordersensitive\+mutates\(1\)\+blocks`
-	ch <- 1
-}
-
-// TryRecv's receive is the comm case of a select with a default, so no
-// Blocks bit: the end anchor pins its absence.
+// TryRecv appends into its parameter inside a select clause: the
+// recycled self-append exemption holds there too, so the end anchor
+// pins the absence of an allocs part.
 func TryRecv(ch chan int, dst []int) []int { // want `summary: flows\(10\)$`
 	select {
 	case v := <-ch:
@@ -76,15 +68,4 @@ func TryRecv(ch chan int, dst []int) []int { // want `summary: flows\(10\)$`
 	default:
 	}
 	return dst
-}
-
-// Sleepy blocks through a recognized standard-library entry point.
-func Sleepy() { // want `summary: blocks`
-	time.Sleep(time.Millisecond)
-}
-
-// CallsBlocker inherits the Blocks bit and the channel mutation from
-// its callee's fact.
-func CallsBlocker(ch chan int) { // want `summary: ordersensitive\+mutates\(1\)\+blocks`
-	Blocker(ch)
 }

@@ -1,7 +1,7 @@
 // Package sends pins the send-class facts (Broadcasts, Unicasts,
-// ParamCalls) and the Mutates mask: direct sites, loop amplification,
-// helper-laundered sends through invoked function parameters, and the
-// conservative dynamic edges.
+// ParamCalls): direct sites, loop amplification, helper-laundered sends
+// through invoked function parameters, and the conservative dynamic
+// edges.
 package sends
 
 import "simnet"
@@ -66,21 +66,4 @@ func Relay(env *simnet.RoundEnv, emit func(string)) { // want `summary: calls\(1
 func Dynamic(env *simnet.RoundEnv) { // want `summary: bcast\(O\(1\)\)\+uni\(O\(1\)\)`
 	f := env.Broadcast
 	f("x")
-}
-
-// Element writes through a parameter set its Mutates bit.
-func Fill(dst []int) { // want `summary: mutates\(1\)`
-	for i := range dst {
-		dst[i] = i
-	}
-}
-
-// Mutating builtins write through their first argument.
-func Wipe(m map[int]int) { // want `summary: mutates\(1\)`
-	clear(m)
-}
-
-// Callee Mutates facts fold through aliasing arguments.
-func WipeVia(m map[int]int) { // want `summary: mutates\(1\)`
-	Wipe(m)
 }

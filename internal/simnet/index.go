@@ -94,11 +94,9 @@ func (ix *blockIndex) reset(block []Received) {
 // while the claimant is still building yields until the store. That wait
 // is on a peer that is running — it claimed from inside its own task
 // and the build calls nothing that can block — so it is bounded by one
-// O(B) build and cannot deadlock the step barrier. The writes land in
-// the index alone.
-//
-//lint:nonblock step tasks run to the scheduler's dispatch barrier; the guard is a claim plus a bounded yield on a running builder, never a lock
-//lint:shardsafe owns=ix the build writes only the index; the claim makes one task its sole writer for the round
+// O(B) build and cannot deadlock the step barrier. The claim makes one
+// task the index's sole writer for the round, and the writes land in
+// the index alone. TestEnsureBuildsOnceUnderContention holds the guard.
 func (ix *blockIndex) ensure() {
 	if ix.state.Load() == indexBuilt {
 		return

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"uba/internal/census"
@@ -181,6 +182,53 @@ func TestSaidMatchesAllAndIsBuiltOncePerRound(t *testing.T) {
 					t.Fatalf("%d rounds routed an empty block, want the %d fault-plan rounds", emptyBlocks, want)
 				}
 			})
+		}
+	}
+}
+
+// The once-guard of blockIndex.ensure under contention, without a
+// Network in the way: eight callers, released together by one closed
+// channel, ask for the index of a freshly reset echo block, five hundred
+// times over. Exactly one build may run per reset, and every caller must
+// see the whole group list with every sender in every group. A guard
+// that checks and then builds lets two callers build at once, which
+// shows as a second build or a torn list at GOMAXPROCS 2 and 8, with or
+// without -race.
+func TestEnsureBuildsOnceUnderContention(t *testing.T) {
+	t.Parallel()
+	const n, callers, resets = 16, 8, 500
+	var block []Received
+	for from := 1; from <= n; from++ {
+		for cand := 1; cand <= n; cand++ {
+			block = append(block, Received{From: ids.ID(from), Payload: wire.IDEcho{Candidate: ids.ID(cand)}})
+		}
+	}
+	in := InboxOfRound(block, nil)
+	for r := 0; r < resets; r++ {
+		in.idx.reset(in.bcast)
+		before := in.idx.builds
+		start := make(chan struct{})
+		full := make([]bool, callers)
+		var wg sync.WaitGroup
+		for c := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				said := in.Said()
+				full[c] = len(said) == n
+				for _, g := range said {
+					full[c] = full[c] && g.By.Count() == n
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := in.idx.builds - before; got != 1 {
+			t.Fatalf("reset %d: %d builds for %d concurrent callers, want 1", r, got, callers)
+		}
+		if c := slices.Index(full, false); c >= 0 {
+			t.Fatalf("reset %d: caller %d saw a partial index", r, c)
 		}
 	}
 }

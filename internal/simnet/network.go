@@ -527,14 +527,15 @@ func (n *Network) step() ([]send, error) {
 }
 
 // stepOne steps a single process with its pending inbox. It is safe to
-// call concurrently for distinct processes: it touches only st and the
-// immutable parts of n. A panic inside Process.Step is contained here —
-// inside the per-node task, before the node-order merge — so the
-// conversion into a crash fault is identical for every worker count.
+// call concurrently for distinct processes because it writes only st
+// (its node's own state) and only reads n. It must never block, since
+// the round's dispatch barrier waits for it. The worker-count equivalence
+// tests hold both rules under -race (the "Step-task ownership gate" in
+// CI). A panic inside Process.Step is contained here — inside the
+// per-node task, before the node-order merge — so the conversion into a
+// crash fault is identical for every worker count.
 //
-//lint:shardsafe owns=st the step task writes only its node's state; n is read-only here
 //lint:noalloc the per-node step task runs n times per round over recycled env/send scratch; only the error return formats
-//lint:nonblock step tasks run to the scheduler's dispatch barrier; a blocking task would deadlock the round against it
 func (n *Network) stepOne(st *procState) stepResult {
 	inbox := st.inbox
 	// The inbox view reads through the shared broadcast block and the

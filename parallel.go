@@ -33,8 +33,8 @@ type ParallelResult struct {
 // the point of the protocol. The result's Decided set is verified to be
 // identical at every correct node.
 func ParallelConsensus(cfg Config, inputs [][]Pair) (*ParallelResult, error) {
-	if len(inputs) != cfg.Correct {
-		return nil, fmt.Errorf("uba: %d input sets for %d correct nodes", len(inputs), cfg.Correct)
+	if err := cfg.validateInputs(len(inputs), "input sets"); err != nil {
+		return nil, err
 	}
 	cl, err := newCluster(cfg, "parallelcon")
 	if err != nil {

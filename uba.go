@@ -143,6 +143,19 @@ func (c Config) validate() error {
 	return nil
 }
 
+// validateInputs validates c and then checks that n inputs (named what)
+// were given, one per correct node, so a bad size is reported as such
+// and not as a count mismatch.
+func (c Config) validateInputs(n int, what string) error {
+	if err := c.validate(); err != nil {
+		return err
+	}
+	if n != c.Correct {
+		return fmt.Errorf("uba: %d %s for %d correct nodes", n, what, c.Correct)
+	}
+	return nil
+}
+
 func (c Config) adversary() Adversary {
 	if c.Adversary != 0 {
 		return c.Adversary
