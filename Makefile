@@ -14,13 +14,14 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis: the repo's own go/analysis suite (cmd/ubalint) run
-# over every package via go vet's -vettool protocol. The six passes —
-# retainenv, determinism, sharedstate, wirereg, complexity, noalloc —
-# enforce the simnet engine, wire-registration, message-complexity and
+# over every package via go vet's -vettool protocol. The five passes —
+# retainenv, determinism, wirereg, complexity, noalloc — enforce the
+# simnet engine, wire-registration, message-complexity and
 # allocation-freedom contracts, fed by the interprocedural summary fact
 # pass; see DESIGN.md "Static analysis" and internal/lint. The step
-# task's ownership and non-blocking rules are runtime-tested instead
-# (the race job's "Step-task ownership gate").
+# task's ownership and non-blocking rules and the Process isolation
+# contract are runtime-tested instead (the race job's "Step-task
+# ownership gate" and "Process isolation gate").
 # Suppress a false positive in-source with: //lint:allow <pass> <reason>
 #
 # bin/ubalint is a real make target: it rebuilds only when the linter's

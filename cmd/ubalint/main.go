@@ -1,8 +1,10 @@
 // ubalint is the repo's static-analysis gate: a go/analysis
-// multichecker running the seven custom passes that enforce the simnet
-// engine and wire contracts (retainenv, determinism, sharedstate,
-// wirereg, complexity, noalloc, plus the interprocedural summary fact
-// pass — see internal/lint and DESIGN.md "Static analysis").
+// multichecker running the six custom passes that enforce the simnet
+// engine and wire contracts (retainenv, determinism, wirereg,
+// complexity, noalloc, plus the interprocedural summary fact pass — see
+// internal/lint and DESIGN.md "Static analysis"). Process isolation is
+// held at run time instead, by the -race worker-count equivalence
+// matrix (CI's "Process isolation gate").
 //
 // It speaks the unitchecker protocol, so it is driven through go vet,
 // which handles package loading, export data, and ./... expansion:

@@ -222,7 +222,7 @@ func runCell(protocol string, cfg uba.Config, g int) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cell(2, res.Report.Deliveries, res.Report.Bytes,
+		return cell(res.Report.Rounds, res.Report.Deliveries, res.Report.Bytes,
 			fmt.Sprintf("rangeRatio=%.3f", res.RangeRatio())), nil
 	case "renaming":
 		res, err := uba.Renaming(cfg)

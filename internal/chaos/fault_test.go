@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -170,6 +171,16 @@ func TestDecodeReproRejectsInvalid(t *testing.T) {
 	for name, body := range cases {
 		if _, err := DecodeRepro([]byte(body)); err == nil {
 			t.Errorf("%s: invalid repro accepted", name)
+		}
+		// The same scenario handed to Run is rejected by the same rules,
+		// before any round runs: a bad fault plan is not left for simnet
+		// to latch and return from round 1.
+		var r Repro
+		if json.Unmarshal([]byte(body), &r) != nil {
+			continue
+		}
+		if _, err := Run(r.Scenario); err == nil || !strings.HasPrefix(err.Error(), "chaos: invalid scenario: ") {
+			t.Errorf("%s: Run = %v, want an up-front invalid-scenario error", name, err)
 		}
 	}
 }

@@ -82,12 +82,10 @@ type arenaFixture struct {
 // Run executes one scenario: build the correct nodes and oracles for the
 // arena, materialize the coalition, drive rounds until an oracle fires
 // or MaxRounds is reached. The returned outcome is deterministic in s.
+// A scenario is checked up front by the rules a decoded repro meets.
 func Run(s Scenario) (*Outcome, error) {
-	if s.Correct < 1 {
-		return nil, fmt.Errorf("chaos: scenario needs at least one correct node, got %d", s.Correct)
-	}
-	if s.MaxRounds < 1 {
-		return nil, fmt.Errorf("chaos: scenario needs MaxRounds >= 1, got %d", s.MaxRounds)
+	if err := validateScenario(&s); err != nil {
+		return nil, fmt.Errorf("chaos: invalid scenario: %w", err)
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	all := ids.Sparse(rng, s.Correct+len(s.Slots))

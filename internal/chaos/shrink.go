@@ -60,8 +60,9 @@ func (r *Repro) Validate() error {
 	return nil
 }
 
-// validateScenario checks the structural invariants Run would otherwise
-// fail on round by round, so a broken repro is diagnosed up front.
+// validateScenario checks a scenario's structural invariants. Run and
+// Repro.Validate both call it, so a hand-built scenario and a decoded
+// repro are rejected by one rule set, before any round runs.
 func validateScenario(s *Scenario) error {
 	if s.Arena < ArenaBroadcast || s.Arena > ArenaOrdering {
 		return fmt.Errorf("unknown arena %d", int(s.Arena))

@@ -9,7 +9,7 @@
 //	//lint:complexity broadcasts=O(n) unicasts=0
 //
 // The ubalint complexity pass proves the declaration against the
-// Step implementation (DESIGN.md §8.7); `ubalint -complexity-dump`
+// Step implementation (DESIGN.md §8.6); `ubalint -complexity-dump`
 // emits the scanned table as JSON; and oracle.NewComplexity checks
 // the observed per-round tallies against the declared class during
 // every campaign. Registry pins the expected table so a drifted or

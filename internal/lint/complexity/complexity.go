@@ -13,7 +13,7 @@
 // count is provably constant — inbox iteration, ids.Set ranges, and
 // n-sized slices are indistinguishable from any other collection by
 // length, so the classifier is deliberately conservative (DESIGN.md
-// §8.7 documents the over-approximation edges).
+// §8.6 documents the over-approximation edges).
 //
 // The comparison is exact in both directions: a Step that exceeds its
 // declared class is a regression the sparse delivery engine exists to

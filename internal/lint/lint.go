@@ -10,7 +10,6 @@ import (
 	"uba/internal/lint/determinism"
 	"uba/internal/lint/noalloc"
 	"uba/internal/lint/retainenv"
-	"uba/internal/lint/sharedstate"
 	"uba/internal/lint/summary"
 	"uba/internal/lint/wirereg"
 
@@ -26,7 +25,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		retainenv.Analyzer,
 		determinism.Analyzer,
-		sharedstate.Analyzer,
 		wirereg.Analyzer,
 		complexity.Analyzer,
 		noalloc.Analyzer,

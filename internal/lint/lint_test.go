@@ -18,8 +18,8 @@ func TestValidate(t *testing.T) {
 	if err := analysis.Validate(lint.Analyzers()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(lint.Analyzers()); got != 7 {
-		t.Fatalf("suite has %d analyzers, want 7 (retainenv, determinism, sharedstate, wirereg, complexity, noalloc, summary)", got)
+	if got := len(lint.Analyzers()); got != 6 {
+		t.Fatalf("suite has %d analyzers, want 6 (retainenv, determinism, wirereg, complexity, noalloc, summary)", got)
 	}
 }
 
@@ -85,8 +85,6 @@ func TestUbalintTransitiveModule(t *testing.T) {
 	}
 	for _, want := range []string{
 		"passed to Save, which retains it past the call",
-		"Step calls Save, which writes package-level state",
-		"Step calls Note, which writes package-level state",
 		"call to Relay inside map range has order-sensitive effects",
 	} {
 		if !strings.Contains(string(out), want) {

@@ -7,11 +7,11 @@
 //
 //	//lint:allow <pass> <reason>
 //
-// where <pass> is the analyzer name (retainenv, determinism,
-// sharedstate, wirereg) or "all", and <reason> is free text explaining
-// why the finding is a false positive or an accepted risk. The reason
-// is mandatory: a directive without one is itself reported and
-// suppresses nothing. A directive suppresses matching diagnostics on
+// where <pass> is the analyzer name (retainenv, determinism, wirereg,
+// complexity, noalloc, summary) or "all", and <reason> is free text
+// explaining why the finding is a false positive or an accepted risk.
+// The reason is mandatory: a directive without one is itself reported
+// and suppresses nothing. A directive suppresses matching diagnostics on
 // its own line and on the following line, so it can either trail the
 // offending statement or sit on its own line directly above it.
 //

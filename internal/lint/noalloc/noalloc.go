@@ -5,7 +5,7 @@
 //
 // and the pass proves it performs no steady-state heap allocation —
 // the static half of the zero-allocs-per-round contract the runtime
-// AllocsPerRun gate measures (DESIGN.md §8.8).
+// AllocsPerRun gate measures (DESIGN.md §8.7).
 //
 // Local sites come from the summary pass's allocation scanner: make
 // and new, appends that may grow, string conversions and
@@ -25,7 +25,7 @@
 // branches), and a //lint:coldpath doc directive clears a whole
 // callee's fact (once-guarded setup paths).
 //
-// Trust boundaries (documented in DESIGN.md §8.8): calls through
+// Trust boundaries (documented in DESIGN.md §8.7): calls through
 // function values and interface methods are assumed allocation-free,
 // and standard-library callees export no facts — only the fmt family
 // is recognized by name, so an allocating strconv/strings call is a

@@ -23,7 +23,7 @@
 // own and the following line — the error-branch escape hatch — and is
 // policed for staleness like //lint:allow.
 //
-// False-negative edges (documented in DESIGN.md §8.8): standard-
+// False-negative edges (documented in DESIGN.md §8.7): standard-
 // library callees export no facts, so only the fmt family is
 // recognized by name — an allocating strconv/strings call is unseen —
 // and the recycled-self-append exemption trusts the engine to pre-size

@@ -1,11 +1,10 @@
 // Package summary implements the ubalint fact pass: a per-function,
 // interprocedural effect analysis whose results the diagnostic passes
 // consume at call sites — retainenv reads Retains and Flows,
-// sharedstate and determinism read WritesGlobal and OrderSensitive,
-// complexity reads the send classes, and noalloc reads Allocates. It turns
-// the false-negative edges the intraprocedural passes documented —
-// retention through a synchronous call, taint laundering through
-// returns, helper-mediated global writes, order-sensitive effects
+// determinism reads OrderSensitive, complexity reads the send classes,
+// and noalloc reads Allocates. It turns the false-negative edges the
+// intraprocedural passes documented — retention through a synchronous
+// call, taint laundering through returns, order-sensitive effects
 // hidden behind a call — into facts that cross package boundaries.
 //
 // For every function with a body the pass computes a FuncSummary:
@@ -18,9 +17,6 @@
 //   - Flows: a bitmask over the parameters that may alias a return
 //     value, directly or laundered through local assignments and calls
 //     to other flowing functions.
-//   - WritesGlobal: the function writes package-level state, directly,
-//     through a local pointer bound to a global, or by calling a
-//     function that does.
 //   - OrderSensitive: calling the function has an observable effect
 //     whose result depends on call order — a channel send, an append to
 //     state reachable from its parameters or a global, a string
@@ -128,7 +124,6 @@ func ClassString(c uint8) string {
 type FuncSummary struct {
 	Retains        uint32
 	Flows          uint32
-	WritesGlobal   bool
 	OrderSensitive bool
 
 	// Broadcasts and Unicasts are send classes (SendNone..SendQuad):
@@ -164,9 +159,6 @@ func (s *FuncSummary) String() string {
 	if s.Flows != 0 {
 		parts = append(parts, fmt.Sprintf("flows(%b)", s.Flows))
 	}
-	if s.WritesGlobal {
-		parts = append(parts, "writesglobal")
-	}
 	if s.OrderSensitive {
 		parts = append(parts, "ordersensitive")
 	}
@@ -198,7 +190,7 @@ func (s *FuncSummary) String() string {
 }
 
 func (s FuncSummary) isZero() bool {
-	return s.Retains == 0 && s.Flows == 0 && !s.WritesGlobal && !s.OrderSensitive &&
+	return s.Retains == 0 && s.Flows == 0 && !s.OrderSensitive &&
 		s.Broadcasts == SendNone && s.Unicasts == SendNone && s.ParamCalls == 0 && s.Allocates == 0
 }
 
@@ -268,7 +260,7 @@ func ArgIndex(fn *types.Func, i int) (int, bool) {
 // inert.
 var Analyzer = &analysis.Analyzer{
 	Name:       "summary",
-	Doc:        "compute per-function retention, flow, global-write, order-sensitivity, send-class, and allocation facts for the ubalint passes; report unused fact directives",
+	Doc:        "compute per-function retention, flow, order-sensitivity, send-class, and allocation facts for the ubalint passes; report unused fact directives",
 	Run:        run,
 	FactTypes:  []analysis.Fact{(*FuncSummary)(nil)},
 	ResultType: reflect.TypeOf((*Result)(nil)),
@@ -360,7 +352,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Fixpoint over the package-internal call graph: recompute every
 	// summary against the current ones until nothing grows. Effects only
-	// accumulate (the lattice is a finite powerset plus two booleans),
+	// accumulate (the lattice is a finite powerset plus a boolean),
 	// so mutual recursion converges. Directives are applied inside the
 	// loop so package-internal callers fold in the adjusted facts.
 	for changed := true; changed; {
@@ -465,11 +457,11 @@ func inGOROOT(pass *analysis.Pass) bool {
 //	only Allocates. (The same directive as a line comment inside a body
 //	exempts individual sites instead; see alloc.go.)
 //
-// Retention and global-write facts are never cleared. Like the fold
-// carve-outs, directives are a documented trust boundary: the analysis
-// takes the author's word. A directive with no reason is inert (and
-// reported as such). found reports the directive's presence, reasoned
-// whether it carries the reason that makes it effective.
+// Retention facts are never cleared. Like the fold carve-outs,
+// directives are a documented trust boundary: the analysis takes the
+// author's word. A directive with no reason is inert (and reported as
+// such). found reports the directive's presence, reasoned whether it
+// carries the reason that makes it effective.
 func directive(fd *ast.FuncDecl, name string) (reasoned, found bool) {
 	if fd.Doc == nil {
 		return false, false
@@ -842,10 +834,6 @@ func (st *funcState) findSinks() {
 			funcDepth++
 		case *ast.AssignStmt:
 			st.sinkAssign(n, stack)
-		case *ast.IncDecStmt:
-			if st.isGlobalWrite(n.X) {
-				st.out.WritesGlobal = true
-			}
 		case *ast.SendStmt:
 			// A send on a channel reachable by our callers (through a
 			// parameter or a global) is an order-observable effect; a
@@ -930,8 +918,8 @@ func (st *funcState) writesShared(lhs ast.Expr) bool {
 	return false
 }
 
-// sinkAssign classifies one assignment: escapes of tainted values,
-// global writes, and order-sensitive shared-state updates.
+// sinkAssign classifies one assignment: escapes of tainted values and
+// order-sensitive shared-state updates.
 func (st *funcState) sinkAssign(n *ast.AssignStmt, stack []ast.Node) {
 	if len(n.Lhs) != len(n.Rhs) && len(n.Rhs) != 1 {
 		return
@@ -942,12 +930,6 @@ func (st *funcState) sinkAssign(n *ast.AssignStmt, stack []ast.Node) {
 			rhs = n.Rhs[i]
 		} else {
 			rhs = n.Rhs[0]
-		}
-
-		// Global-write effect (taint-independent). := never writes a
-		// global; every other assign token can.
-		if n.Tok != token.DEFINE && st.isGlobalWrite(lhs) {
-			st.out.WritesGlobal = true
 		}
 
 		// Escape of a tainted value.
@@ -1111,8 +1093,7 @@ func foldGuard(lhs, rhs ast.Expr, stack []ast.Node) bool {
 }
 
 // sinkCall applies the callee's summary at a call site: tainted
-// arguments passed into retaining slots escape, a callee that writes
-// globals makes this function write globals, and an order-sensitive
+// arguments passed into retaining slots escape, and an order-sensitive
 // callee makes this function order-sensitive — unless its receiver is
 // a local born in this function, in which case the effect cannot be
 // observed by our callers through that call.
@@ -1127,9 +1108,6 @@ func (st *funcState) sinkCall(call *ast.CallExpr) {
 	}
 	if s.Allocates != 0 && !st.res.cold.covers(st.pass.Fset, call.Pos()) {
 		st.out.Allocates |= s.Allocates
-	}
-	if s.WritesGlobal {
-		st.out.WritesGlobal = true
 	}
 	if s.OrderSensitive && !st.localReceiver(call) {
 		st.out.OrderSensitive = true
@@ -1284,7 +1262,7 @@ func (st *funcState) scanCall(call *ast.CallExpr, exec uint8, handled map[ast.No
 		// env.Broadcast/env.Send method value (it aliases the env
 		// parameter), count it as both kinds; if it aliases a
 		// function-typed parameter, record the invocation. Documented
-		// conservative edge (DESIGN.md §8.7).
+		// conservative edge (DESIGN.md §8.6).
 		st.fnValueSends(call.Fun, exec)
 		return
 	}

@@ -5,9 +5,9 @@ package leaf
 
 var stash []*int
 
-// Stash retains its argument in a package-level slice: retains slot 0,
-// writes a global, and collects in call order.
-func Stash(p *int) { // want `summary: retains\(1\)\+writesglobal\+ordersensitive`
+// Stash retains its argument in a package-level slice: retains slot 0
+// and collects in call order.
+func Stash(p *int) { // want `summary: retains\(1\)\+ordersensitive`
 	stash = append(stash, p)
 }
 
@@ -22,10 +22,10 @@ func Count(in []int) int { return len(in) }
 
 // Insert looks order-sensitive (append to a global) but carries the
 // commutativity directive, which clears OrderSensitive and keeps the
-// global-write and retention facts intact.
+// retention fact intact.
 //
 //lint:commutative fixture stand-in for a sorted insert; final state is order-independent
-func Insert(p *int) { // want `summary: retains\(1\)\+writesglobal`
+func Insert(p *int) { // want `summary: retains\(1\)\+allocs`
 	stash = append(stash, p)
 }
 
@@ -33,6 +33,6 @@ func Insert(p *int) { // want `summary: retains\(1\)\+writesglobal`
 // effect set survives.
 //
 //lint:commutative
-func InsertInert(p *int) { // want `summary: retains\(1\)\+writesglobal\+ordersensitive`
+func InsertInert(p *int) { // want `summary: retains\(1\)\+ordersensitive`
 	stash = append(stash, p)
 }

@@ -8,7 +8,7 @@ import "helper"
 type node struct{ last []int }
 
 // Step retains p two packages away (helper.Save -> leaf.Stash).
-func (n *node) Step(p *int) { // want `summary: retains\(10\)\+writesglobal\+ordersensitive`
+func (n *node) Step(p *int) { // want `summary: retains\(10\)\+ordersensitive`
 	helper.Save(p)
 }
 

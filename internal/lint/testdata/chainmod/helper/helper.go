@@ -11,9 +11,6 @@ import (
 // Save transitively retains env through leaf.Keep.
 func Save(env *simnet.RoundEnv) { leaf.Keep(env) }
 
-// Note transitively writes package-level state through leaf.Bump.
-func Note() { leaf.Bump() }
-
 // Relay transitively appends in call order through leaf.Record.
 func Relay(v string) { leaf.Record(v) }
 

@@ -1,22 +1,18 @@
-// Package leaf holds the actual effects of the chain: retention,
-// global writes, and order-sensitive appends. Nothing here is a Step
-// method, so the diagnostic passes stay silent on this package — the
-// effects must travel upward as facts instead.
+// Package leaf holds the actual effects of the chain: retention and
+// order-sensitive appends. Nothing here is a Step method, so the
+// diagnostic passes stay silent on this package — the effects must
+// travel upward as facts instead.
 package leaf
 
 import "chainmod/simnet"
 
 var (
 	stash   []*simnet.RoundEnv
-	hits    int
 	journal []string
 )
 
 // Keep retains its argument past the call.
 func Keep(env *simnet.RoundEnv) { stash = append(stash, env) }
-
-// Bump writes package-level state.
-func Bump() { hits++ }
 
 // Record appends in call order: order-sensitive.
 func Record(v string) { journal = append(journal, v) }

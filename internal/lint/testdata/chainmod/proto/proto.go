@@ -12,10 +12,9 @@ import (
 type Node struct{ seen int }
 
 // Step hands the round env to helper.Save, which retains it in leaf's
-// package state; Note races through leaf.Bump. Both are flagged here.
+// package state. The retention is flagged here.
 func (n *Node) Step(env *simnet.RoundEnv) {
 	helper.Save(env)
-	helper.Note()
 	n.seen += helper.Tally(env.Inbox)
 	env.Broadcast("ok")
 }

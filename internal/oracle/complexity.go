@@ -1,5 +1,5 @@
 // The complexity oracle is the runtime half of the message-complexity
-// certification (DESIGN.md §8.7): ubalint proves each protocol's
+// certification (DESIGN.md §8.6): ubalint proves each protocol's
 // declared per-round send classes against its Step implementation
 // statically, and this oracle cross-checks the same contract against
 // the engine's observed per-round tallies during every campaign. The

@@ -338,9 +338,12 @@ func (env *RoundEnv) Send(to ids.ID, p wire.Payload) {
 // round. Implementations must be self-contained (no shared mutable state
 // with other processes) so that a worker cap above 1 can step them
 // in parallel, and must not retain env or env.Inbox past the Step call
-// (the engine recycles both; see the package docs). Both contracts are
-// machine-checked by the ubalint passes sharedstate and retainenv
-// (internal/lint; run with `make lint`, documented in DESIGN.md §8).
+// (the engine recycles both; see the package docs). Isolation is held at
+// run time by CI's "Process isolation gate", which runs the module
+// root's TestRunnerEquivalenceAcrossAdversaries under -race: it steps
+// every family's nodes on several goroutines. Retention is
+// machine-checked by the ubalint pass retainenv (internal/lint; run with
+// `make lint`, documented in DESIGN.md §8).
 type Process interface {
 	// ID returns the node's unique identifier.
 	ID() ids.ID

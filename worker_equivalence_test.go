@@ -66,6 +66,54 @@ var equivalenceRuns = []struct {
 	{"renaming", func(cfg uba.Config) (any, trace.Report, error) {
 		return outcome(uba.Renaming(cfg))
 	}},
+	{"approx", func(cfg uba.Config) (any, trace.Report, error) {
+		return outcome(uba.ApproximateAgreement(cfg, []float64{0, 10, 20, 30, 40, 50, 60}))
+	}},
+	{"iterated-approx", func(cfg uba.Config) (any, trace.Report, error) {
+		return outcome(uba.IteratedApproximateAgreement(cfg, []float64{0, 10, 20, 30, 40, 50, 60}, 4))
+	}},
+	{"parallelcon", func(cfg uba.Config) (any, trace.Report, error) {
+		inputs := make([][]uba.Pair, 7)
+		for i := range inputs {
+			inputs[i] = []uba.Pair{{Instance: 1, Value: float64(i % 2)}, {Instance: uint64(2 + i%3), Value: float64(i)}}
+		}
+		return outcome(uba.ParallelConsensus(cfg, inputs))
+	}},
+	// ordering is the one long-lived family: a short OrderingCluster
+	// session in which every founder submits one event, compared by every
+	// member's chain. Its facade keeps the coalition silent under every
+	// adversary but none.
+	{"ordering", orderingSession},
+}
+
+// orderingSession submits one event at each founder, runs 40 rounds and
+// returns every member's chain, in member order.
+func orderingSession(cfg uba.Config) (any, trace.Report, error) {
+	oc, err := uba.NewOrderingCluster(cfg)
+	if err != nil {
+		return nil, trace.Report{}, err
+	}
+	defer oc.Close()
+	for i, m := range oc.Members() {
+		if err := oc.SubmitEvent(m, float64(i)); err != nil {
+			return nil, trace.Report{}, err
+		}
+	}
+	if err := oc.RunRounds(40); err != nil {
+		return nil, trace.Report{}, err
+	}
+	var chains [][]uba.Event
+	for _, m := range oc.Members() {
+		chain, err := oc.Chain(m)
+		if err != nil {
+			return nil, trace.Report{}, err
+		}
+		if len(chain) == 0 {
+			return nil, trace.Report{}, fmt.Errorf("member %d finalized no event in 40 rounds; chain comparison is vacuous", m)
+		}
+		chains = append(chains, chain)
+	}
+	return chains, oc.Report(), nil
 }
 
 func runOnce(t *testing.T, protocol string, run func(uba.Config) (any, trace.Report, error), adv uba.Adversary, workers int) runnerOutcome {
@@ -100,6 +148,12 @@ func runOnce(t *testing.T, protocol string, run func(uba.Config) (any, trace.Rep
 // which could agree with the inline run on one lucky schedule — fails
 // the matrix directly. The engine-level matrix with private schedulers
 // of several budgets lives in internal/simnet/determinism_test.go.
+//
+// Under -race this is also the simnet.Process isolation gate (a CI step
+// of that name): every multi-worker run steps one network's nodes on
+// several goroutines, so a Step that writes state another node's Step
+// reads or writes — a package-level variable, or memory two nodes
+// share through a pointer — is a data race in every family's row.
 func TestRunnerEquivalenceAcrossAdversaries(t *testing.T) {
 	t.Parallel()
 	adversaries := []uba.Adversary{
