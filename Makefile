@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-e2e bench-json bench-sparse perf-smoke chaos-smoke experiments experiments-md fuzz examples vet lint loc clean
+.PHONY: all build test test-short race cover bench bench-e2e bench-json perf-smoke chaos-smoke experiments experiments-md fuzz examples vet lint loc clean
 
 all: vet lint test
 
@@ -65,37 +65,33 @@ bench:
 bench-e2e:
 	$(GO) run ./bench
 
-# Round-engine micro-benchmarks (BenchmarkRoundEngine* workload) plus
-# end-to-end runs through the public entry points (e2e/* rows: uba.Consensus
-# at n=128 and n=256; renaming, trb, rb, uba.Rotor and
-# uba.ApproximateAgreement at n=256; uba.ParallelConsensus
+# Round-engine micro-benchmarks (full rounds n=32…16384, step and route
+# phases, the Campaign/jobs={1,2,4,8}/n=256 ladder at the host's
+# GOMAXPROCS) plus end-to-end runs through the public entry points
+# (e2e/* rows: uba.Consensus at n=128 and n=256; renaming, trb, rb,
+# uba.Rotor and uba.ApproximateAgreement at n=256; uba.ParallelConsensus
 # and uba.InteractiveConsistency at n=128; a 200-round
 # OrderingCluster session at n=32; the 24-cell fault-plan chaos campaign
 # with the families' oracle suites attached; uba.Consensus at n=1024 with
 # one and with two step workers, the pair that prices Config.Workers) as JSON.
-# BENCH_simnet.json is committed so the perf trajectory is tracked
-# in-repo; regenerate after touching internal/simnet or a protocol Step.
+# Every row is one measurement loop: setup, one untimed warm-up op
+# (cold_ns, cold_bytes), then a fixed count of timed ops, so two runs give
+# every row the same `iterations`. BENCH_simnet.json is committed so the
+# perf trajectory is tracked in-repo; regenerate after touching
+# internal/simnet or a protocol Step.
 bench-json:
 	$(GO) run ./cmd/ubabench -benchjson -benchout BENCH_simnet.json
 
 # Perf regression gate: re-measures the n=256 round/step/route
-# benchmarks and the end-to-end e2e/* rows, and
-# enforces per-row ns/op and allocs/op bands against the
-# committed BENCH_simnet.json. A row outside its band fails the target;
+# benchmarks, the route rows the zero-alloc gate certifies, the
+# Campaign/jobs=4/n=256 row and the end-to-end e2e/* rows, each the way
+# bench-json does, and enforces per-row ns/op and allocs/op bands against
+# the committed BENCH_simnet.json. A row outside its band fails the target;
 # escape hatch for an understood, not-yet-rebaselined change:
 #   make perf-smoke PERFSMOKE_FLAGS=-warn-only
 PERFSMOKE_FLAGS ?=
 perf-smoke:
 	$(GO) run ./cmd/ubabench -perfsmoke $(PERFSMOKE_FLAGS)
-
-# Sparse-delivery scaling check: the large-n broadcast-heavy rounds that
-# the shared-broadcast-block delivery exists for. Round benchmarks at
-# n=4096 and n=8192, nodes stepped inline (workers=1) and by GOMAXPROCS
-# goroutines (workers=max), under a wall-clock budget
-# (-benchtime is per-benchmark; timeout is the hard stop), emitted as
-# plain `go test -bench` output for the CI artifact.
-bench-sparse:
-	$(GO) test ./internal/simnet -run '^$$' -bench 'BenchmarkRoundEngineSparse' -benchmem -benchtime 3x -timeout 300s
 
 # Seeded chaos campaign: random Byzantine coalitions against every
 # protocol family with online safety oracles attached (agreement,

@@ -8,7 +8,6 @@ import (
 	"uba"
 	"uba/internal/exp"
 	"uba/internal/ids"
-	"uba/internal/simnet"
 	"uba/internal/wire"
 )
 
@@ -163,41 +162,6 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkSimnetRoundThroughput(b *testing.B) {
-	for _, n := range []int{8, 32, 128} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			nodeIDs := ids.Sparse(rng, n)
-			net := simnet.New(simnet.Config{MaxRounds: b.N + 10})
-			for _, id := range nodeIDs {
-				if err := net.Add(&chatterProc{id: id}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := net.RunRound(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// chatterProc broadcasts one message per round forever (n² deliveries per
-// round — the worst-case load of the protocols).
-type chatterProc struct {
-	id ids.ID
-}
-
-func (c *chatterProc) ID() ids.ID { return c.id }
-func (c *chatterProc) Done() bool { return false }
-func (c *chatterProc) Step(env *simnet.RoundEnv) {
-	env.Broadcast(wire.Input{X: wire.V(float64(env.Round))})
 }
 
 func BenchmarkIDSetInsert(b *testing.B) {

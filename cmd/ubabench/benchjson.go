@@ -7,11 +7,12 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"testing"
+	"time"
 
 	"uba"
 	"uba/internal/chaos"
 	"uba/internal/simnet"
+	"uba/internal/trace"
 )
 
 // benchSizes are the system sizes the full-round micro-benchmarks
@@ -25,22 +26,19 @@ var benchSizes = []int{32, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 // phaseSizes are the sizes the phase-split (step-only / route-only)
 // benchmarks sweep. The split attributes round time to the half that
 // spends it: step is the step dispatch + Step calls + merge, route is
-// block-sort + dedup + arena sizing + delivery. n=4096 extends
-// the split into the territory where the sparse delivery path carries
-// the round, and is the larger of the two sizes the zero-alloc gate
-// (internal/simnet alloc_gate_test.go) certifies at runtime.
+// RunRound's tail (block-sort + dedup + arena sizing + delivery). n=4096
+// extends the split into the territory where the sparse delivery path
+// carries the round, and is the larger of the two sizes the zero-alloc
+// gate (internal/simnet alloc_gate_test.go) certifies at runtime.
 var phaseSizes = []int{256, 512, 1024, 4096}
 
 // readerSizes are the sizes of the reader=said route rows: a round whose
 // block is read payload-major, which perf-smoke gates at 0 allocs/op.
 var readerSizes = []int{256, 1024}
 
-// e2eSizes are the system sizes of the uba.Consensus end-to-end rows:
-// whole runs through the public entry point, the thing a user waits for.
-// The other families on the ladder have a row at e2eFamilySize.
-// perf-smoke gates them all.
-var e2eSizes = []int{128, 256}
-
+// e2eFamilySize is the size of the end-to-end rows of the families on the
+// ladder: whole runs through the public entry point, the thing a user
+// waits for. perf-smoke gates them all.
 const e2eFamilySize = 256
 
 // e2eParallelSize is the size of the Algorithm 5 rows — uba.
@@ -50,41 +48,28 @@ const e2eParallelSize = 128
 
 // e2eWorkersSize is the size of the uba.Consensus row pair that prices
 // Config.Workers end to end: the same run stepped inline and by two
-// goroutines. The pair is the knob's justification (ROADMAP item 6); at
-// about a second per op it is in the full sweep only, not in perf-smoke.
+// goroutines. The pair is the knob's justification (ROADMAP item 1(c)); at
+// over half a second per op it is in the full sweep only, not in perf-smoke.
 const e2eWorkersSize = 1024
 
-// engineBenchResult is one benchmark measurement in BENCH_simnet.json.
+// engineBenchResult is one row of BENCH_simnet.json. The name carries
+// every dimension of the row (phase, workers, jobs, variant).
 type engineBenchResult struct {
-	// Name mirrors the `go test -bench` benchmark name.
 	Name string `json:"name"`
-	// Workers is how many goroutines step one simulation's nodes
-	// (Config.Workers): a count, or "max" for GOMAXPROCS — the row's
-	// procs pin if it has one, else the file's gomaxprocs.
-	Workers string `json:"workers"`
-	// Phase is "step" or "route" for the phase-split benchmarks and
-	// empty for full-round rows (whose names stay stable across
-	// baseline generations).
-	Phase string `json:"phase,omitempty"`
 	// N is the system size; one op is one full round (n broadcasts,
 	// n² deliveries), one phase of it, for campaign rows a
 	// campaignChunk-round advance of every concurrent simulation, or —
 	// for e2e rows — one whole protocol run.
 	N int `json:"n"`
-	// Jobs is the number of concurrent simulations for campaign rows and
-	// 0 for single-simulation rows.
-	Jobs int `json:"jobs,omitempty"`
-	// Procs is a fixed GOMAXPROCS the row was measured under, or 0 for
-	// rows that use the host's setting (the file-level GOMAXPROCS).
-	Procs int `json:"procs,omitempty"`
-	// Plan is "idle" for rows measured with a fault plan attached but
-	// never live (the plan-presence cost of a healthy round), empty for
-	// plan-free rows.
-	Plan        string  `json:"plan,omitempty"`
+	// Iterations is the row's fixed count of timed ops.
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	// ColdNs and ColdBytes are the untimed warm-up op that precedes the
+	// timed ones: the first op on a fresh fixture.
+	ColdNs    int64 `json:"cold_ns"`
+	ColdBytes int64 `json:"cold_bytes"`
 }
 
 // engineBenchFile is the schema of BENCH_simnet.json, the committed
@@ -96,21 +81,20 @@ type engineBenchFile struct {
 	Benchmarks  []engineBenchResult `json:"benchmarks"`
 }
 
-// benchSpec names one benchmark and knows how to run its loop body.
+// benchSpec is one row: its name, the system size, the fixed number of
+// timed ops, and setup, which builds the row's fixture and returns one op
+// on it and the fixture's release. The op count is a property of the
+// spec, never of a timing, so every run of a row times the same work.
 type benchSpec struct {
-	name    string
-	workers int    // Config.Workers of the fixture, or maxWorkers
-	phase   string // "" for full-round specs
-	n       int
-	jobs    int    // concurrent simulations, 0 = single-simulation spec
-	procs   int    // fixed GOMAXPROCS, 0 = host setting
-	plan    string // "idle" for plan-presence rows, "" for plan-free rows
-	bench   func(b *testing.B)
+	name  string
+	n     int
+	ops   int
+	setup func() (op func() error, done func(), err error)
 }
 
-// maxWorkers stands for a worker count of GOMAXPROCS — read when the
-// fixture is built, i.e. under a procsSpec pin — on the "workers=max"
-// rows, whose names must not depend on the host that measured them.
+// maxWorkers stands for a worker count of GOMAXPROCS, read when the
+// fixture is built, on the "workers=max" rows, whose names must not
+// depend on the host that measured them.
 const maxWorkers = 0
 
 // workerCounts are the two counts the chatter rows compare: inline
@@ -131,32 +115,25 @@ func workersLabel(workers int) string {
 	return strconv.Itoa(workers)
 }
 
+// roundOps is the op count of a chatter row at size n: a fixed budget of
+// node-rounds, about a second of rounds or steps on a 2-vCPU host.
+func roundOps(n int) int { return (8 << 20) / n }
+
+func noRelease() {}
+
 // roundSpec measures full rounds (step + route) via RunRound.
 func roundSpec(workers, n int) benchSpec {
+	ops := roundOps(n)
 	return benchSpec{
-		name:    fmt.Sprintf("RoundEngine/workers=%s/n=%d", workersLabel(workers), n),
-		workers: workers,
-		n:       n,
-		bench: func(b *testing.B) {
-			net, _, err := simnet.NewBroadcastBench(n, b.N+2, workerCount(workers))
+		name: fmt.Sprintf("RoundEngine/workers=%s/n=%d", workersLabel(workers), n),
+		n:    n,
+		ops:  ops,
+		setup: func() (func() error, func(), error) {
+			net, _, err := simnet.NewBroadcastBench(n, ops+1, workerCount(workers))
 			if err != nil {
-				b.Fatal(err)
+				return nil, nil, err
 			}
-			defer net.Close()
-			// One warm-up round sizes the shared broadcast block and
-			// scratch buffers outside the timed region, so
-			// low-iteration runs measure the steady-state per-round
-			// cost, not a one-time page-in.
-			if err := net.RunRound(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := net.RunRound(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			return net.RunRound, net.Close, nil
 		},
 	}
 }
@@ -165,83 +142,70 @@ func roundSpec(workers, n int) benchSpec {
 // dispatch, the Step calls and the node-order merge — via RoundPhases.
 func stepSpec(workers, n int) benchSpec {
 	return benchSpec{
-		name:    fmt.Sprintf("RoundEngine/step/workers=%s/n=%d", workersLabel(workers), n),
-		workers: workers,
-		phase:   "step",
-		n:       n,
-		bench: phaseBench(func() (*simnet.RoundPhases, error) {
-			return simnet.NewRoundPhases(n, workerCount(workers))
-		}, (*simnet.RoundPhases).StepOnly),
+		name: fmt.Sprintf("RoundEngine/step/workers=%s/n=%d", workersLabel(workers), n),
+		n:    n,
+		ops:  roundOps(n),
+		setup: func() (func() error, func(), error) {
+			rp, err := simnet.NewRoundPhases(n, simnet.Config{Workers: workerCount(workers)})
+			if err != nil {
+				return nil, nil, err
+			}
+			return rp.StepOnly, rp.Close, nil
+		},
 	}
 }
 
-// routeSpec measures the route half in isolation. The pass is serial
-// whatever Config.Workers says, so its rows carry no worker label. A
-// variant names a variation of the fixture and becomes the row suffix.
-// "plan=idle" attaches a fault plan that schedules no events, so the
-// row measures what plan *presence* costs the phase —
-// the route path's fault-aware branches against the identical workload.
-// "observer=on" attaches an observer that discards its feed, so the
-// route row additionally builds the round record and hands it over —
-// what observation costs the engine. "reader=said" has one receiver
-// ask for the routed block's payload-major index (Inbox.Said) after
-// every round, so the route row additionally pays the lazy index build
-// the first reader of a round pays. Paired with the plain row of the
-// same shape, the delta is the whole price of Config.FaultPlan,
-// Config.Observer or a payload-major reader on a healthy network (the
-// zero-alloc gate pins its allocation half to 0).
+// discard is the observer=on route rows' observer: it takes the round
+// record and drops it.
+type discard struct{}
+
+func (discard) ObserveRound(int, []trace.Event) {}
+
+// routeSpec measures the route half in isolation: RunRound's own tail
+// on a frozen send stream. The pass is serial whatever Config.Workers
+// says, so its rows carry no worker label. A variant names a variation
+// of the fixture and becomes the row suffix. "plan=idle" attaches a
+// fault plan that schedules no events, so the row measures what plan
+// *presence* costs the phase — the route path's fault-aware branches
+// against the identical workload. "observer=on" attaches an observer
+// that discards its feed, so the route row additionally builds the round
+// record and hands it over — what observation costs the engine.
+// "reader=said" has one receiver ask for the routed block's
+// payload-major index (Inbox.Said) after every round, so the route row
+// additionally pays the lazy index build the first reader of a round
+// pays. Paired with the plain row of the same shape, the delta is the
+// whole price of Config.FaultPlan, Config.Observer or a payload-major
+// reader on a healthy network (the zero-alloc gate pins its allocation
+// half to 0).
 func routeSpec(n int, variant string) benchSpec {
 	name := fmt.Sprintf("RoundEngine/route/n=%d", n)
-	build, planLabel := simnet.NewRoundPhases, ""
-	switch variant {
-	case "plan=idle":
-		build = func(n, workers int) (*simnet.RoundPhases, error) {
-			return simnet.NewRoundPhasesPlan(n, workers, &simnet.FaultPlan{Seed: 1})
-		}
-		planLabel = "idle"
-	case "observer=on":
-		build = simnet.NewRoundPhasesObserved
-	case "reader=said":
-		build = simnet.NewRoundPhasesRead
-	}
 	if variant != "" {
 		name += "/" + variant
 	}
-	return benchSpec{
-		name:    name,
-		workers: 1,
-		phase:   "route",
-		n:       n,
-		plan:    planLabel,
-		bench: phaseBench(func() (*simnet.RoundPhases, error) { return build(n, 1) },
-			func(rp *simnet.RoundPhases) error {
-				rp.RouteOnly()
-				return nil
-			}),
+	var cfg simnet.Config
+	switch variant {
+	case "plan=idle":
+		cfg.FaultPlan = &simnet.FaultPlan{Seed: 1}
+	case "observer=on":
+		cfg.Observer = discard{}
 	}
-}
-
-// phaseBench is the loop the phase-split specs share: op on a freshly
-// built fixture, once to warm up and then timed.
-func phaseBench(build func() (*simnet.RoundPhases, error), op func(*simnet.RoundPhases) error) func(*testing.B) {
-	return func(b *testing.B) {
-		rp, err := build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rp.Close()
-		// Warm-up: the first route pass sizes the delivery buffers;
-		// keep that outside the timed region (see roundSpec).
-		if err := op(rp); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := op(rp); err != nil {
-				b.Fatal(err)
+	return benchSpec{
+		name: name,
+		n:    n,
+		ops:  2 * roundOps(n),
+		setup: func() (func() error, func(), error) {
+			rp, err := simnet.NewRoundPhases(n, cfg)
+			if err != nil {
+				return nil, nil, err
 			}
-		}
+			return func() error {
+				rp.RouteOnly()
+				if variant == "reader=said" {
+					rp.Inbox().Said()
+				}
+				return nil
+			}, rp.Close, nil
+		},
 	}
 }
 
@@ -252,35 +216,23 @@ const campaignChunk = 4
 
 // campaignSpec measures aggregate campaign throughput: jobs independent
 // one-worker simulations of size n multiplexed over one bounded
-// scheduler (simnet.CampaignBench). One op advances every simulation by
-// campaignChunk rounds, so with a fixed n the jobs ladder shows how
-// much concurrency the worker budget converts into throughput — and on
-// a one-core budget it certifies the scheduler's admission overhead,
-// since ns/op should then scale with jobs and nothing more.
+// scheduler (simnet.CampaignBench) with the host's GOMAXPROCS as its
+// budget. One op advances every simulation by campaignChunk rounds, so
+// with a fixed n the jobs ladder shows how much concurrency the worker
+// budget converts into throughput — and past the budget it certifies the
+// scheduler's admission overhead, since ns/op should then scale with
+// jobs and nothing more.
 func campaignSpec(jobs, n int) benchSpec {
 	return benchSpec{
-		name:    fmt.Sprintf("Campaign/jobs=%d/n=%d", jobs, n),
-		workers: 1,
-		n:       n,
-		jobs:    jobs,
-		bench: func(b *testing.B) {
+		name: fmt.Sprintf("Campaign/jobs=%d/n=%d", jobs, n),
+		n:    n,
+		ops:  roundOps(n) / (campaignChunk * jobs),
+		setup: func() (func() error, func(), error) {
 			cb, err := simnet.NewCampaignBench(jobs, n)
 			if err != nil {
-				b.Fatal(err)
+				return nil, nil, err
 			}
-			defer cb.Close()
-			// Warm-up op: sizes every network's round buffers and the
-			// campaign phase's completion channel (see roundSpec).
-			if err := cb.RunChunk(campaignChunk); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cb.RunChunk(campaignChunk); err != nil {
-					b.Fatal(err)
-				}
-			}
+			return func() error { return cb.RunChunk(campaignChunk) }, cb.Close, nil
 		},
 	}
 }
@@ -292,7 +244,7 @@ func campaignSpec(jobs, n int) benchSpec {
 // in the row: protocol Step, routing, the round record and the oracles.
 // The seed is fixed, so allocs/op repeats like the engine rows'. A
 // positive workers sets Config.Workers and is named in the row.
-func e2eSpec(entry string, n, workers int, run func(cfg uba.Config) error) benchSpec {
+func e2eSpec(entry string, n, ops, workers int, run func(cfg uba.Config) error) benchSpec {
 	f := (n - 1) / 3
 	cfg := uba.Config{Correct: n - f, Byzantine: f, Adversary: uba.AdversarySilent, Seed: 1, Workers: workers}
 	name := fmt.Sprintf("e2e/uba.%s/n=%d", entry, n)
@@ -300,16 +252,11 @@ func e2eSpec(entry string, n, workers int, run func(cfg uba.Config) error) bench
 		name += fmt.Sprintf("/workers=%d", workers)
 	}
 	return benchSpec{
-		name:    name,
-		workers: max(workers, 1),
-		n:       n,
-		bench: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+		name: name,
+		n:    n,
+		ops:  ops,
+		setup: func() (func() error, func(), error) {
+			return func() error { return run(cfg) }, noRelease, nil
 		},
 	}
 }
@@ -376,28 +323,25 @@ func orderingSession(cfg uba.Config) error {
 func chaosCampaignSpec() benchSpec {
 	cfg := chaos.DefaultCampaign()
 	cfg.Seeds, cfg.Faults, cfg.Jobs = 4, chaos.FaultsByzantine, 1
+	run := func() error {
+		rep, err := chaos.RunCampaign(cfg, nil)
+		if err == nil && !rep.Clean() {
+			err = fmt.Errorf("campaign not clean: %d repros, %d errors", len(rep.Repros), len(rep.Errors))
+		}
+		return err
+	}
 	return benchSpec{
-		name:    "e2e/chaos.Campaign/faults=" + cfg.Faults,
-		workers: 1,
-		n:       cfg.Correct + cfg.Byzantine,
-		jobs:    cfg.Jobs,
-		bench: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := chaos.RunCampaign(cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !rep.Clean() {
-					b.Fatalf("campaign not clean: %d repros, %d errors", len(rep.Repros), len(rep.Errors))
-				}
-			}
+		name: "e2e/chaos.Campaign/faults=" + cfg.Faults,
+		n:    cfg.Correct + cfg.Byzantine,
+		ops:  10,
+		setup: func() (func() error, func(), error) {
+			return run, noRelease, nil
 		},
 	}
 }
 
-// e2eSpecs are the end-to-end rows: uba.Consensus (inputs i%2) over
-// e2eSizes; at e2eFamilySize the families whose Step counts echoes in
+// e2eSpecs are the end-to-end rows: uba.Consensus (inputs i%2) at n=128
+// and n=256; at e2eFamilySize the families whose Step counts echoes in
 // reliable-broadcast fashion — renaming, terminating broadcast (correct
 // source) and reliable broadcast (correct source, 8 rounds) — the
 // standalone rotor-coordinator, and approximate agreement (inputs i); at
@@ -405,30 +349,29 @@ func chaosCampaignSpec() benchSpec {
 // over eight instances of which every node lacks one, and interactive
 // consistency (inputs 100·i); one OrderingCluster session at the size
 // bench/ drives; and the chaos campaign bench/ drives, the only row with
-// the families' oracle suites attached.
+// the families' oracle suites attached. Each op count is about a second
+// of ops on a 2-vCPU host.
 func e2eSpecs() []benchSpec {
-	var specs []benchSpec
-	for _, n := range e2eSizes {
-		specs = append(specs, consensusSpec(n, 0))
-	}
-	return append(specs,
-		e2eSpec("Renaming", e2eFamilySize, 0, func(cfg uba.Config) error {
+	return []benchSpec{
+		consensusSpec(128, 128, 0),
+		consensusSpec(256, 32, 0),
+		e2eSpec("Renaming", e2eFamilySize, 32, 0, func(cfg uba.Config) error {
 			_, err := uba.Renaming(cfg)
 			return err
 		}),
-		e2eSpec("TerminatingBroadcast", e2eFamilySize, 0, func(cfg uba.Config) error {
+		e2eSpec("TerminatingBroadcast", e2eFamilySize, 32, 0, func(cfg uba.Config) error {
 			_, err := uba.TerminatingBroadcast(cfg, []byte("payload"), true)
 			return err
 		}),
-		e2eSpec("ReliableBroadcast", e2eFamilySize, 0, func(cfg uba.Config) error {
+		e2eSpec("ReliableBroadcast", e2eFamilySize, 256, 0, func(cfg uba.Config) error {
 			_, err := uba.ReliableBroadcast(cfg, []byte("payload"), 8)
 			return err
 		}),
-		e2eSpec("Rotor", e2eFamilySize, 0, func(cfg uba.Config) error {
+		e2eSpec("Rotor", e2eFamilySize, 32, 0, func(cfg uba.Config) error {
 			_, err := uba.Rotor(cfg)
 			return err
 		}),
-		e2eSpec("ApproximateAgreement", e2eFamilySize, 0, func(cfg uba.Config) error {
+		e2eSpec("ApproximateAgreement", e2eFamilySize, 256, 0, func(cfg uba.Config) error {
 			inputs := make([]float64, cfg.Correct)
 			for i := range inputs {
 				inputs[i] = float64(i)
@@ -436,7 +379,7 @@ func e2eSpecs() []benchSpec {
 			_, err := uba.ApproximateAgreement(cfg, inputs)
 			return err
 		}),
-		e2eSpec("ParallelConsensus", e2eParallelSize, 0, func(cfg uba.Config) error {
+		e2eSpec("ParallelConsensus", e2eParallelSize, 128, 0, func(cfg uba.Config) error {
 			inputs := make([][]uba.Pair, cfg.Correct)
 			for i := range inputs {
 				for k := 0; k < 8; k++ {
@@ -448,7 +391,7 @@ func e2eSpecs() []benchSpec {
 			_, err := uba.ParallelConsensus(cfg, inputs)
 			return err
 		}),
-		e2eSpec("InteractiveConsistency", e2eParallelSize, 0, func(cfg uba.Config) error {
+		e2eSpec("InteractiveConsistency", e2eParallelSize, 32, 0, func(cfg uba.Config) error {
 			inputs := make([]float64, cfg.Correct)
 			for i := range inputs {
 				inputs[i] = float64(100 * i)
@@ -456,52 +399,32 @@ func e2eSpecs() []benchSpec {
 			_, err := uba.InteractiveConsistency(cfg, inputs)
 			return err
 		}),
-		e2eSpec("OrderingCluster", 32, 0, orderingSession),
+		e2eSpec("OrderingCluster", 32, 128, 0, orderingSession),
 		chaosCampaignSpec(),
-	)
+	}
 }
 
 // consensusSpec is the uba.Consensus row at size n, inputs i%2.
-func consensusSpec(n, workers int) benchSpec {
+func consensusSpec(n, ops, workers int) benchSpec {
 	inputs := make([]float64, n)
 	for i := range inputs {
 		inputs[i] = float64(i % 2)
 	}
-	return e2eSpec("Consensus", n, workers, func(cfg uba.Config) error {
+	return e2eSpec("Consensus", n, ops, workers, func(cfg uba.Config) error {
 		_, err := uba.Consensus(cfg, inputs[:cfg.Correct])
 		return err
 	})
-}
-
-// procsSpec pins GOMAXPROCS for the duration of one spec, so the
-// committed baseline carries a fixed-parallelism row that does not
-// depend on the core count of whichever machine regenerated it.
-func procsSpec(spec benchSpec, procs int) benchSpec {
-	inner := spec.bench
-	spec.name = fmt.Sprintf("%s/procs=%d", spec.name, procs)
-	spec.procs = procs
-	spec.bench = func(b *testing.B) {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		inner(b)
-	}
-	return spec
 }
 
 // allSpecs is the full `make bench-json` sweep: round benchmarks over
 // benchSizes and the step half over phaseSizes, for both worker counts;
 // the route half over phaseSizes (with plan=idle route rows
 // re-measuring the zero-alloc-gate sizes under an attached-but-idle
-// fault plan, observer=on route rows pricing the round record at
+// fault plan, an observer=on route row pricing the round record at
 // n=1024, and reader=said route rows pricing the payload-major index
-// build over readerSizes); plus GOMAXPROCS-pinned workers=max rows so
-// scaling under fixed parallelism is tracked in-repo: a {1,4,8}-proc
-// ladder at the two sizes the zero-alloc gate certifies (at procs=1 the
-// count is 1, so that rung re-measures the workers=1 row of the same
-// size), and the legacy top-size row.
-// The campaign matrix — jobs {1,2,4,8} × procs {1,4,8} at the
-// perf-gate size — tracks how the shared scheduler converts worker
-// budget into aggregate multi-simulation throughput. The e2e rows
+// build over readerSizes). The campaign ladder — jobs {1,2,4,8} at the
+// perf-gate size — tracks how the shared scheduler converts the host's
+// worker budget into aggregate multi-simulation throughput. The e2e rows
 // close the sweep with whole runs through the public entry points, the
 // last two being the Config.Workers pair at e2eWorkersSize.
 func allSpecs() []benchSpec {
@@ -532,39 +455,65 @@ func allSpecs() []benchSpec {
 	for _, n := range readerSizes {
 		specs = append(specs, routeSpec(n, "reader=said"))
 	}
-	for _, n := range []int{1024, 4096} {
-		for _, procs := range []int{1, 4, 8} {
-			specs = append(specs, procsSpec(roundSpec(maxWorkers, n), procs))
-		}
-	}
-	specs = append(specs, procsSpec(roundSpec(maxWorkers, 8192), 4))
 	for _, jobs := range []int{1, 2, 4, 8} {
-		for _, procs := range []int{1, 4, 8} {
-			specs = append(specs, procsSpec(campaignSpec(jobs, 256), procs))
-		}
+		specs = append(specs, campaignSpec(jobs, 256))
 	}
 	specs = append(specs, e2eSpecs()...)
-	return append(specs, consensusSpec(e2eWorkersSize, 1), consensusSpec(e2eWorkersSize, 2))
+	return append(specs, consensusSpec(e2eWorkersSize, 4, 1), consensusSpec(e2eWorkersSize, 4, 2))
 }
 
-// measure runs one spec under testing.Benchmark and packages the result.
-func measure(spec benchSpec) (engineBenchResult, error) {
-	res := testing.Benchmark(spec.bench)
-	if res.N == 0 {
-		return engineBenchResult{}, fmt.Errorf("benchmark %s failed", spec.name)
+// sample is what a run of ops cost: wall time and the heap allocations
+// (count and bytes) it made.
+type sample struct {
+	ns             int64
+	mallocs, bytes uint64
+}
+
+// timeOps runs op ops times the way testing.B times a benchmark: a GC
+// first, then the wall clock and the runtime.MemStats allocation
+// counters around the loop.
+func timeOps(ops int, op func() error) (sample, error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < ops; i++ {
+		if err := op(); err != nil {
+			return sample{}, err
+		}
 	}
+	ns := time.Since(start).Nanoseconds()
+	runtime.ReadMemStats(&after)
+	return sample{ns: ns, mallocs: after.Mallocs - before.Mallocs, bytes: after.TotalAlloc - before.TotalAlloc}, nil
+}
+
+// measure is the one measurement loop every row runs: setup, one
+// untimed warm-up op reported as the row's cold fields, then exactly
+// spec.ops timed ops, then the fixture's release.
+func measure(spec benchSpec) (engineBenchResult, error) {
+	op, done, err := spec.setup()
+	if err != nil {
+		return engineBenchResult{}, fmt.Errorf("benchmark %s: %w", spec.name, err)
+	}
+	defer done()
+	cold, err := timeOps(1, op)
+	if err != nil {
+		return engineBenchResult{}, fmt.Errorf("benchmark %s: warm-up op: %w", spec.name, err)
+	}
+	warm, err := timeOps(spec.ops, op)
+	if err != nil {
+		return engineBenchResult{}, fmt.Errorf("benchmark %s: %w", spec.name, err)
+	}
+	ops := uint64(spec.ops)
 	return engineBenchResult{
 		Name:        spec.name,
-		Workers:     workersLabel(spec.workers),
-		Phase:       spec.phase,
 		N:           spec.n,
-		Jobs:        spec.jobs,
-		Procs:       spec.procs,
-		Plan:        spec.plan,
-		Iterations:  res.N,
-		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-		AllocsPerOp: res.AllocsPerOp(),
-		BytesPerOp:  res.AllocedBytesPerOp(),
+		Iterations:  spec.ops,
+		NsPerOp:     float64(warm.ns) / float64(spec.ops),
+		AllocsPerOp: int64(warm.mallocs / ops),
+		BytesPerOp:  int64(warm.bytes / ops),
+		ColdNs:      cold.ns,
+		ColdBytes:   int64(cold.bytes),
 	}, nil
 }
 
@@ -574,7 +523,7 @@ func measure(spec benchSpec) (engineBenchResult, error) {
 // `make bench-json` entry point.
 func runBenchJSON(outPath string, progress io.Writer) error {
 	file := engineBenchFile{
-		Description: "simnet round-engine micro-benchmarks (broadcast-heavy: one op = one round, n sends, n^2 deliveries; step/route rows isolate one phase; campaign rows advance `jobs` concurrent simulations by 4 rounds per op through the shared scheduler) plus end-to-end rows (e2e/uba.<EntryPoint>: one op = one whole run through the public entry point, f=(n-1)/3 silent, oracles attached; e2e/chaos.Campaign: one op = one 24-cell fault-plan campaign at 7+2 nodes, cells inline, each under its family's full oracle suite); regenerate with `make bench-json`",
+		Description: "simnet round-engine micro-benchmarks (broadcast-heavy: one op = one round, n sends, n^2 deliveries; step/route rows isolate one phase, route = RunRound's tail; campaign rows advance `jobs` concurrent simulations by 4 rounds per op through the shared scheduler at the host's GOMAXPROCS) plus end-to-end rows (e2e/uba.<EntryPoint>: one op = one whole run through the public entry point, f=(n-1)/3 silent, oracles attached; e2e/chaos.Campaign: one op = one 24-cell fault-plan campaign at 7+2 nodes, cells inline, each under its family's full oracle suite). Every row: setup, one untimed warm-up op (cold_ns, cold_bytes), then `iterations` timed ops, a fixed count per row; regenerate with `make bench-json`",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
@@ -584,8 +533,8 @@ func runBenchJSON(outPath string, progress io.Writer) error {
 			return err
 		}
 		file.Benchmarks = append(file.Benchmarks, r)
-		fmt.Fprintf(progress, "%-40s %12.0f ns/op %8d allocs/op %10d B/op\n",
-			r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
+		fmt.Fprintf(progress, "%-40s %12.0f ns/op %8d allocs/op %10d B/op  cold %12d ns %10d B\n",
+			r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.ColdNs, r.ColdBytes)
 	}
 	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {

@@ -8,7 +8,7 @@
 //	ubabench -quick     # reduced sweeps (seconds, used in CI)
 //	ubabench -only E4   # a single experiment
 //	ubabench -markdown  # Markdown tables (EXPERIMENTS.md format)
-//	ubabench -benchjson # round-engine micro-benchmarks + e2e uba.* rows -> BENCH_simnet.json
+//	ubabench -benchjson # round-engine micro-benchmarks + e2e uba.* rows, warm, fixed op counts -> BENCH_simnet.json
 //	ubabench -perfsmoke # n=256 engine rows + the e2e rows: ns/op + allocs/op gate against the committed baseline
 //	                    # (add -warn-only to report without failing)
 package main
@@ -35,7 +35,7 @@ func run(args []string, out io.Writer) error {
 	quick := fs.Bool("quick", false, "reduced sweep sizes")
 	only := fs.String("only", "", "run a single experiment (e.g. E4)")
 	markdown := fs.Bool("markdown", false, "emit Markdown tables")
-	benchjson := fs.Bool("benchjson", false, "run the round-engine micro-benchmarks and the end-to-end uba.* rows and write them as JSON (see -benchout)")
+	benchjson := fs.Bool("benchjson", false, "run the round-engine micro-benchmarks and the end-to-end uba.* rows — each one warm-up op (reported as cold_ns/cold_bytes), then a fixed count of timed ops — and write them as JSON (see -benchout)")
 	benchout := fs.String("benchout", "BENCH_simnet.json", "output path for -benchjson")
 	perfsmoke := fs.Bool("perfsmoke", false, "run the n=256 round/step/route benchmarks and the end-to-end rows and gate ns/op and allocs/op against the committed baseline")
 	baseline := fs.String("baseline", "BENCH_simnet.json", "baseline path for -perfsmoke")

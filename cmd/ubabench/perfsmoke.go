@@ -23,9 +23,9 @@ import (
 // in recycled scratch, 0 allocs/op — is a gated row; the reader=said
 // route rows (n=256 and n=1024) gate a round that is read payload-major
 // the same way: the lazy index build of Inbox.Said, 0 allocs/op. The
-// campaign row
-// (4 concurrent simulations at the perf-gate size, 4 pinned procs)
-// covers the shared scheduler's admission path the same way: its
+// campaign row (4 concurrent simulations at the perf-gate size, at the
+// host's GOMAXPROCS) covers the shared scheduler's admission path the
+// same way: its
 // allocs/op band certifies that multiplexing simulations adds no per-op
 // allocations, and its ns/op band catches a regression in the dispatch
 // or fairness machinery. The e2e rows (uba.Consensus at n=128 and n=256,
@@ -40,6 +40,8 @@ import (
 // facade attaches one complexity oracle, a chaos cell its family's whole
 // suite, so a per-round format, copy or map rebuild in internal/oracle
 // moves this row's allocs/op and no other.
+// Every row is measured as in the full sweep (measure: one warm-up op,
+// then the row's fixed op count), so the bands compare warm numbers.
 // Small enough to finish in seconds on a CI runner, broad enough that
 // a regression in either phase, either worker count, or the campaign
 // layer moves at least one row.
@@ -55,15 +57,15 @@ func smokeSpecs() []benchSpec {
 	for _, n := range readerSizes {
 		specs = append(specs, routeSpec(n, "reader=said"))
 	}
-	specs = append(specs, procsSpec(campaignSpec(4, 256), 4))
+	specs = append(specs, campaignSpec(4, 256))
 	return append(specs, e2eSpecs()...)
 }
 
 // allocSlack is the absolute allocs/op headroom added on top of the
 // relative band: allocation counts are deterministic for this engine,
-// but the testing harness itself can contribute a couple of allocations
-// at low iteration counts, and a zero baseline row would otherwise
-// admit no slack at all.
+// but the runtime can contribute a couple of allocations to a row with
+// a low op count, and a zero baseline row would otherwise admit no slack
+// at all.
 const allocSlack = 2
 
 // runPerfSmoke re-measures the smoke subset and diffs it against the

@@ -3,53 +3,101 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// fastSpec is a benchmark spec with a near-free loop body, so the diff
-// logic can be tested without paying for a real engine benchmark.
-func fastSpec(name string) benchSpec {
+// opSpec is a benchmark spec running op 1000 times on a fixture that
+// needs no release, so the measurement and diff logic can be tested
+// without paying for a real engine benchmark.
+func opSpec(name string, op func() error) benchSpec {
 	return benchSpec{
-		name:    name,
-		workers: 1,
-		n:       1,
-		bench: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = i
-			}
+		name: name,
+		n:    1,
+		ops:  1000,
+		setup: func() (func() error, func(), error) {
+			return op, noRelease, nil
 		},
 	}
 }
 
-// allocSink defeats allocation sinking in allocSpec's loop body.
+// fastSpec is a benchmark spec with a near-free op.
+func fastSpec(name string) benchSpec {
+	return opSpec(name, func() error { return nil })
+}
+
+// allocSink defeats allocation sinking in allocSpec's op.
 var allocSink []byte
 
-// allocSpec is a benchmark spec whose loop body performs a fixed number
-// of heap allocations, for exercising the allocs/op band.
+// allocSpec is a benchmark spec whose op performs a fixed number of heap
+// allocations, for exercising the allocs/op band.
 func allocSpec(name string) benchSpec {
-	return benchSpec{
-		name:    name,
-		workers: 1,
-		n:       1,
-		bench: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 64; j++ {
-					allocSink = make([]byte, 1)
+	return opSpec(name, func() error {
+		for j := 0; j < 64; j++ {
+			allocSink = make([]byte, 1)
+		}
+		return nil
+	})
+}
+
+// measure builds the fixture once, runs one untimed warm-up op reported
+// as the cold fields, then exactly the spec's fixed op count, and
+// releases the fixture after the last op. Like every test here that
+// counts allocations, it is not parallel: measure reads the
+// process-wide allocation counters.
+func TestMeasureRunsOneWarmUpThenTheFixedOps(t *testing.T) {
+	var setups, ops, dones int
+	spec := benchSpec{
+		name: "count",
+		n:    1,
+		ops:  37,
+		setup: func() (func() error, func(), error) {
+			setups++
+			op := func() error {
+				if dones > 0 {
+					t.Error("op ran after the fixture was released")
 				}
+				ops++
+				allocSink = make([]byte, 64)
+				return nil
 			}
+			return op, func() { dones++ }, nil
 		},
+	}
+	r, err := measure(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if setups != 1 || ops != 1+spec.ops || dones != 1 {
+		t.Fatalf("setup ran %d times, op %d, done %d; want 1, %d, 1", setups, ops, dones, 1+spec.ops)
+	}
+	if r.Iterations != spec.ops {
+		t.Fatalf("iterations = %d, want the fixed %d", r.Iterations, spec.ops)
+	}
+	if r.ColdNs <= 0 || r.ColdBytes <= 0 {
+		t.Fatalf("cold fields not reported: %d ns, %d B", r.ColdNs, r.ColdBytes)
+	}
+	if r.AllocsPerOp < 1 {
+		t.Fatalf("allocs/op = %d, want the op's allocation counted", r.AllocsPerOp)
+	}
+}
+
+// A failing op fails the row, naming it.
+func TestMeasureReportsAFailingOp(t *testing.T) {
+	t.Parallel()
+	_, err := measure(opSpec("broken", func() error { return errors.New("boom") }))
+	if err == nil || !strings.Contains(err.Error(), "broken") {
+		t.Fatalf("err = %v, want the failing row named", err)
 	}
 }
 
 func TestPerfSmokeDiffVerdicts(t *testing.T) {
-	t.Parallel()
 	baseline := engineBenchFile{
 		Benchmarks: []engineBenchResult{
-			// A sub-nanosecond loop body is far below this baseline, so
+			// A near-free op is far below this baseline, so
 			// the row lands inside both bands.
 			{Name: "fast/ok", NsPerOp: 1e9, AllocsPerOp: 100},
 			// And far above this one, so the row must break the ns band.
@@ -87,7 +135,6 @@ func TestPerfSmokeDiffVerdicts(t *testing.T) {
 }
 
 func TestPerfSmokeDiffAllWithinTolerance(t *testing.T) {
-	t.Parallel()
 	baseline := engineBenchFile{
 		Benchmarks: []engineBenchResult{{Name: "fast/ok", NsPerOp: 1e9}},
 	}

@@ -3,16 +3,25 @@ package simnet
 import (
 	"fmt"
 	"testing"
+
+	"uba/internal/trace"
 )
+
+// discardObserver is the observer=on variants' observer: it takes the
+// round record and drops it.
+type discardObserver struct{}
+
+func (discardObserver) ObserveRound(int, []trace.Event) {}
 
 // TestRouteHotPathZeroAlloc is the runtime half of the //lint:noalloc
 // contract on the round hot path: after the warm-up rounds that grow
 // the recycled arenas to their high-water mark, a steady-state
-// account + route pass must perform zero heap allocations per round,
-// at a worker cap of 1 and of 3 (the pass is serial under both: a cap
-// must not bring the scheduler, or an allocation, into it), across
-// three network sizes. The step dispatch has its own gate,
-// TestSteadyStateDispatchDoesNotAllocate (internal/simnet/sched).
+// finishRound — the tail of RunRound, account + route + observe — must
+// perform zero heap allocations per round, at a worker cap of 1 and of
+// 3 (the pass is serial under both: a cap must not bring the scheduler,
+// or an allocation, into it), across three network sizes. The step
+// dispatch has its own gate, TestSteadyStateDispatchDoesNotAllocate
+// (internal/simnet/sched).
 //
 // The plan=idle variants re-certify the same bound with a fault plan
 // attached but never live: plan presence routes through the
@@ -40,14 +49,12 @@ import (
 func TestRouteHotPathZeroAlloc(t *testing.T) {
 	for _, variant := range []struct {
 		label string
-		build func(n, workers int) (*RoundPhases, error)
+		cfg   Config
 	}{
-		{"plan=nil", NewRoundPhases},
-		{"plan=idle", func(n, workers int) (*RoundPhases, error) {
-			return NewRoundPhasesPlan(n, workers, &FaultPlan{Seed: 1})
-		}},
-		{"observer=on", NewRoundPhasesObserved},
-		{"reader=said", NewRoundPhasesRead},
+		{"plan=nil", Config{}},
+		{"plan=idle", Config{FaultPlan: &FaultPlan{Seed: 1}}},
+		{"observer=on", Config{Observer: discardObserver{}}},
+		{"reader=said", Config{}},
 	} {
 		label := variant.label
 		// The subtest labels are kept stable for CI history:
@@ -56,20 +63,29 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			for _, n := range []int{256, 1024, 4096} {
 				t.Run(fmt.Sprintf("%s/concurrent=%v/n=%d", label, workers > 1, n), func(t *testing.T) {
-					rp, err := variant.build(n, workers)
+					cfg := variant.cfg
+					cfg.Workers = workers
+					rp, err := NewRoundPhases(n, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer rp.Close()
 					rp.net.forceWorkers(workers)
 					built := rp.net.index.builds // a recycled index has a past
+					said := 0
+					var acct RoundAccounting
+					round := func() {
+						acct = rp.net.finishRound(rp.nextSends())
+						if label == "reader=said" {
+							said = len(rp.Inbox().Said())
+						}
+					}
 					// Warm-up: grow the broadcast block, unicast arena, done
 					// mask and round record to their steady-state sizes.
 					for i := 0; i < 3; i++ {
-						rp.RouteOnly()
+						round()
 					}
-					var acct RoundAccounting
-					avg := testing.AllocsPerRun(100, func() { acct = rp.routeRound() })
+					avg := testing.AllocsPerRun(100, round)
 					if acct.Deliveries != int64(n)*int64(n) || acct.Broadcasts != int64(n) {
 						t.Fatalf("fixture routed %d deliveries / %d broadcasts per round, want n^2 = %d / n = %d",
 							acct.Deliveries, acct.Broadcasts, int64(n)*int64(n), n)
@@ -84,8 +100,8 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 					builds := 0 // 3 warm-up rounds, one for AllocsPerRun's own, 100 measured
 					if label == "reader=said" {
 						builds = 3 + 1 + 100
-						if rp.said != 1 {
-							t.Fatalf("reader saw %d distinct payloads in a round of one", rp.said)
+						if said != 1 {
+							t.Fatalf("reader saw %d distinct payloads in a round of one", said)
 						}
 					}
 					if got := rp.net.index.builds - built; got != builds {

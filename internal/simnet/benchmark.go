@@ -67,70 +67,24 @@ func newBroadcastBench(n int, cfg Config) (*Network, *trace.Collector, error) {
 // _test.go file) so cmd/ubabench can run the identical workload.
 type RoundPhases struct {
 	net      *Network
-	col      *trace.Collector
 	template []send // one round's unsorted, undeduped send stream
 	scratch  []send
-	// reads makes one receiver ask for the routed block's payload-major
-	// index after every RouteOnly (NewRoundPhasesRead); said is what it
-	// got, kept so the read cannot be optimized away.
-	reads bool
-	said  int
 }
 
-// NewRoundPhases builds the phase-split fixture: n chatter processes
-// plus a frozen template of one round's sends for RouteOnly. Like
+// NewRoundPhases builds the phase-split fixture under cfg: n chatter
+// processes plus a frozen template of one round's sends for RouteOnly.
+// The fixture attaches its own Collector. The variations of cfg the
+// route rows price against the plain fixture are an idle FaultPlan
+// (non-nil but scheduling no events: the route path takes its
+// fault-aware branches, no rule ever goes live) and an Observer (the
+// route pass also builds the round record and hands it over). Like
 // NewBroadcastBench, failures are returned rather than panicked.
-func NewRoundPhases(n, workers int) (*RoundPhases, error) {
-	return newRoundPhases(n, Config{Workers: workers})
-}
-
-// NewRoundPhasesPlan is NewRoundPhases with a fault plan attached to
-// the underlying network. With an idle plan (non-nil but scheduling no
-// events for the measured rounds) the fixture measures the cost of plan
-// *presence* alone: the route path takes its fault-aware branches —
-// scratch resets, the keyed copy loop — but no rule ever goes live, so
-// the row isolates what attaching a plan costs a healthy round. The
-// perf-smoke plan rows and the zero-alloc gate both certify that cost
-// stays allocation-free; a nil plan compiles the plan machinery away
-// entirely (see Config.FaultPlan).
-func NewRoundPhasesPlan(n, workers int, plan *FaultPlan) (*RoundPhases, error) {
-	return newRoundPhases(n, Config{Workers: workers, FaultPlan: plan})
-}
-
-// NewRoundPhasesObserved is NewRoundPhases with an observer attached
-// that discards its feed, so RouteOnly additionally builds the round
-// record and hands it over: the row prices observation itself — n
-// message events for n² deliveries, in recycled scratch — against the
-// unobserved row of the same shape.
-func NewRoundPhasesObserved(n, workers int) (*RoundPhases, error) {
-	return newRoundPhases(n, Config{Workers: workers, Observer: discardObserver{}})
-}
-
-// NewRoundPhasesRead is NewRoundPhases with a reader: after every routed
-// round one receiver asks for the new block's payload-major index
-// (Inbox.Said), as a protocol's Step would at the start of the next
-// round, so RouteOnly additionally pays the lazy build — O(n) for this
-// fixture's n same-payload broadcasts, in recycled scratch. Paired with
-// the plain row of the same shape, the delta is what the first reader of
-// a round pays; the plain row is what a round nobody reads pays: nothing.
-func NewRoundPhasesRead(n, workers int) (*RoundPhases, error) {
-	rp, err := newRoundPhases(n, Config{Workers: workers})
-	if err == nil {
-		rp.reads = true
-	}
-	return rp, err
-}
-
-type discardObserver struct{}
-
-func (discardObserver) ObserveRound(int, []trace.Event) {}
-
-func newRoundPhases(n int, cfg Config) (*RoundPhases, error) {
-	net, col, err := newBroadcastBench(n, cfg)
+func NewRoundPhases(n int, cfg Config) (*RoundPhases, error) {
+	net, _, err := newBroadcastBench(n, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rp := &RoundPhases{net: net, col: col}
+	rp := &RoundPhases{net: net}
 	// One step phase seeds the route template. The template keeps the
 	// pre-sort, pre-dedup stream, so every RouteOnly pays the full
 	// block-sort + dedup + classify + delivery cost of a live round.
@@ -155,36 +109,29 @@ func (rp *RoundPhases) StepOnly() error {
 	return err
 }
 
-// RouteOnly routes one frozen round's send stream — block-local sort,
-// dedup, arena sizing, delivery, Collector flush — without
-// stepping any process. The template is copied first, so the in-place
-// sort cannot make later iterations cheaper.
+// RouteOnly routes one frozen round's send stream — RunRound's own tail
+// (Network.finishRound: accounting, block-local sort, dedup, arena
+// sizing, delivery, observation) and its Collector flush — without
+// stepping any process.
 func (rp *RoundPhases) RouteOnly() {
-	acct := rp.routeRound()
-	rp.col.AddRound(rp.net.round, acct.Broadcasts, acct.Unicasts, acct.Deliveries, acct.Bytes)
+	n := rp.net
+	acct := n.finishRound(rp.nextSends())
+	n.cfg.Collector.AddRound(n.round, acct.Broadcasts, acct.Unicasts, acct.Deliveries, acct.Bytes)
 }
 
-// routeRound is RunRound from the step merge on, minus the Collector
-// flush: account, route, and hand the round record to the observer.
-func (rp *RoundPhases) routeRound() RoundAccounting {
-	n := rp.net
-	n.round++
-	n.roundEvents = n.roundEvents[:0]
-	if cap(rp.scratch) < len(rp.template) {
-		rp.scratch = make([]send, len(rp.template))
-	}
-	outs := rp.scratch[:len(rp.template)]
-	copy(outs, rp.template)
-	acct := n.accountRound(outs)
-	acct.Deliveries, acct.Bytes = n.route(outs)
-	if n.cfg.Observer != nil {
-		n.cfg.Observer.ObserveRound(n.round, n.roundEvents)
-	}
-	if rp.reads {
-		rp.said = len(n.live[0].inbox.Said())
-	}
-	return acct
+// nextSends opens the next round and returns a fresh copy of the
+// template, so the in-place sort cannot make later rounds cheaper.
+func (rp *RoundPhases) nextSends() []send {
+	rp.net.round++
+	rp.net.roundEvents = rp.net.roundEvents[:0]
+	rp.scratch = grown(rp.scratch, len(rp.template))
+	copy(rp.scratch, rp.template)
+	return rp.scratch
 }
+
+// Inbox returns the inbox the first node will step with next round, for
+// a reader of the routed block (the reader=said rows call its Said).
+func (rp *RoundPhases) Inbox() Inbox { return rp.net.live[0].inbox }
 
 // Close retires the underlying network, recycling its round scratch.
 func (rp *RoundPhases) Close() { rp.net.Close() }
@@ -198,10 +145,10 @@ func (rp *RoundPhases) Close() { rp.net.Close() }
 // including the admission/fairness cost of the scheduler itself.
 //
 // The fixture owns its scheduler (budget = GOMAXPROCS at construction)
-// rather than using sched.Default, so GOMAXPROCS-pinned benchmark rows
-// measure the budget they name instead of whatever budget the process
-// singleton was first created with. The dispatch path — Scheduler.Run
-// over a reused Phase — is the same code the campaign drivers use.
+// rather than using sched.Default, so a row measures the budget of the
+// host it runs on, not whatever budget the process singleton was first
+// created with. The dispatch path — Scheduler.Run over a reused Phase —
+// is the same code the campaign drivers use.
 type CampaignBench struct {
 	sched *sched.Scheduler
 	nets  []*Network

@@ -561,10 +561,7 @@ func (n *Network) corruptSend(outs []send, k int32, to ids.ID) (int32, bool) {
 	if err != nil {
 		return 0, false
 	}
-	fs.corrupted = append(fs.corrupted, send{
-		from: s.from, to: s.to, payload: p,
-		encoded: string(b), digest: digest64(b),
-	})
+	fs.corrupted = append(fs.corrupted, send{from: s.from, to: s.to, payload: p, encoded: string(b)})
 	return int32(len(outs) + len(fs.corrupted) - 1), true
 }
 

@@ -15,10 +15,9 @@
 //     communicating directly (it can still lie arbitrarily in message
 //     contents).
 //   - Duplicate messages from the same node within one round are
-//     discarded by the receiver. Filtering is keyed on a 64-bit digest of
-//     the canonical wire encoding, computed once at send time; digest
-//     collisions fall back to comparing the full encodings, so the
-//     filter is exact.
+//     discarded by the receiver. Filtering is keyed on the canonical wire
+//     encoding: the route pass sorts each sender's sends by (encoding,
+//     receiver), so every duplicate sits next to the send it repeats.
 //
 // # Fault containment
 //
@@ -152,29 +151,6 @@ type send struct {
 	to      ids.ID
 	payload wire.Payload
 	encoded string
-	// digest is a 64-bit FNV-1a hash of encoded, computed once at
-	// Broadcast/Send time and used for duplicate filtering (with a
-	// full-encoding fallback on collision).
-	digest uint64
-}
-
-// FNV-1a constants (hash/fnv, inlined so the hot path hashes the encoded
-// bytes without constructing a hash.Hash64).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// digest64 returns the FNV-1a hash of b.
-//
-//lint:noalloc inlined FNV-1a so send-time hashing constructs no hash.Hash64
-func digest64(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
 }
 
 // Inbox is a read-only view of the messages delivered to one receiver
@@ -330,7 +306,6 @@ func (env *RoundEnv) Send(to ids.ID, p wire.Payload) {
 		to:      to,
 		payload: p,
 		encoded: string(env.enc),
-		digest:  digest64(env.enc),
 	})
 }
 

@@ -365,6 +365,19 @@ func (n *Network) RunRound() error {
 		n.err = err
 		return err
 	}
+	acct := n.finishRound(outs)
+	if n.cfg.Collector != nil {
+		n.cfg.Collector.AddRound(n.round, acct.Broadcasts, acct.Unicasts, acct.Deliveries, acct.Bytes)
+	}
+	return nil
+}
+
+// finishRound is RunRound from the step merge on, minus the Collector
+// flush: account, route, transcribe, and hand the round record to the
+// observer. The route benchmark rows and the zero-alloc gate run it on a
+// frozen send stream (RoundPhases.RouteOnly), so what they measure is
+// this method and not a copy of it.
+func (n *Network) finishRound(outs []send) RoundAccounting {
 	var statsObs RoundStatsObserver
 	if n.cfg.Observer != nil {
 		statsObs, _ = n.cfg.Observer.(RoundStatsObserver)
@@ -380,16 +393,13 @@ func (n *Network) RunRound() error {
 	if n.cfg.EventLog != nil {
 		n.transcribe()
 	}
-	if n.cfg.Collector != nil {
-		n.cfg.Collector.AddRound(n.round, acct.Broadcasts, acct.Unicasts, acct.Deliveries, acct.Bytes)
-	}
 	if n.cfg.Observer != nil {
 		n.cfg.Observer.ObserveRound(n.round, n.roundEvents)
 	}
 	if statsObs != nil {
 		statsObs.ObserveRoundStats(n.round, acct)
 	}
-	return nil
+	return acct
 }
 
 // transcribe flushes the round to Config.EventLog: the record's engine

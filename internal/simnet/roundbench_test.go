@@ -42,23 +42,6 @@ type workerCap struct {
 	workers int
 }
 
-// BenchmarkRoundEngineSparse is the scaling showcase for the shared
-// broadcast block: broadcast-heavy rounds at sizes where the former
-// per-receiver materialization (n² Received values per round) was
-// prohibitive. One op is still one full round — n sends, n² logical
-// deliveries — but materialized storage is O(n), so the top sizes run
-// in near-linear time. `make bench-sparse` runs this subset under a
-// wall-clock budget and CI uploads the output as an artifact.
-func BenchmarkRoundEngineSparse(b *testing.B) {
-	for _, wc := range workerCaps() {
-		for _, n := range []int{4096, 8192} {
-			b.Run(fmt.Sprintf("workers=%s/n=%d", wc.label, n), func(b *testing.B) {
-				benchRounds(b, n, wc.workers)
-			})
-		}
-	}
-}
-
 func benchRounds(b *testing.B, n, workers int) {
 	net, _, err := NewBroadcastBench(n, b.N+2, workers)
 	if err != nil {
@@ -109,7 +92,7 @@ const campaignChunk = 4
 // scheduler. One op advances every simulation by campaignChunk rounds,
 // so rows with the same n are directly comparable — jobs× the rounds
 // for (ideally) the same wall time, up to the worker budget. `make
-// bench-json` records the jobs × GOMAXPROCS matrix in BENCH_simnet.json.
+// bench-json` records the same jobs ladder in BENCH_simnet.json.
 func BenchmarkCampaign(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("jobs=%d/n=256", jobs), func(b *testing.B) {
@@ -137,7 +120,7 @@ func BenchmarkCampaign(b *testing.B) {
 func benchPhase(b *testing.B, workers int, op func(*RoundPhases) error) {
 	for _, n := range phaseNs {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rp, err := NewRoundPhases(n, workers)
+			rp, err := NewRoundPhases(n, Config{Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}

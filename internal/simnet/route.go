@@ -31,14 +31,15 @@ import (
 //
 //  2. Dedup + classify. One scan applies exactly the duplicate rules
 //     documented on the old route loop — adjacent exact duplicates, and
-//     unicasts duplicating a same-sender broadcast via the per-sender
-//     broadcast-digest set — and classifies each surviving send as a
-//     broadcast (index into outs) or a unicast resolved to its
-//     receiver's live index (dropped here if the target is unknown or
-//     done, matching the old delivery-time check; Done is snapshotted
-//     once per round — no process steps during routing, so the snapshot
-//     is exact). Unicasts are then bucketed per receiver with a stable
-//     counting sort, preserving send order.
+//     unicasts repeating the encoding of their sender's last broadcast
+//     (the sort puts a broadcast first among its encoding's sends) — and
+//     classifies each surviving send as a broadcast (index into outs) or
+//     a unicast resolved to its receiver's live index (dropped here if
+//     the target is unknown or done, matching the old delivery-time
+//     check; Done is snapshotted once per round — no process steps
+//     during routing, so the snapshot is exact). Unicasts are then
+//     bucketed per receiver with a stable counting sort, preserving send
+//     order.
 //
 //  3. Sparse materialization. The surviving broadcasts are copied once
 //     into the shared broadcast block and the surviving unicasts once
@@ -66,9 +67,7 @@ import (
 // the delivery/byte totals for the batched Collector flush. See the
 // pipeline comment at the top of this file; the duplicate semantics are
 // unchanged from the send-major loop it replaces (the dedup key is
-// (sender, encoding) per receiver; digests short-circuit the string
-// compares and equal digests fall back to comparing full encodings, so
-// a 64-bit collision can never drop a distinct message).
+// (sender, encoding) per receiver, compared on the full encodings).
 //
 //lint:noalloc the fan-out runs every round over the network's recycled index and arena scratch; all growth is capacity-guarded or appends into recycled buffers
 func (n *Network) route(outs []send) (deliveries, bytes int64) {
@@ -105,11 +104,11 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 
 	// (3) Dedup + classify. Same duplicate rules as the old send-major
 	// loop: under the (from, encoding, to) order, exact duplicates are
-	// adjacent (previous-send compare) and a broadcast sorts before any
+	// adjacent (previous-send compare), and a broadcast sorts before any
 	// same-encoding unicast from the same sender (ids.None is the
-	// smallest id), so unicast-duplicates-broadcast is a membership
-	// check against the sender's per-round broadcast digests.
-	bd, be := n.bcastDigests[:0], n.bcastEncs[:0]
+	// smallest id). So a unicast repeats one of its sender's broadcasts
+	// exactly when its encoding is that of the sender's last broadcast.
+	lastB := -1 // the sender's last broadcast so far, an index into outs
 	n.bcastIdx = n.bcastIdx[:0]
 	n.uniRecv = n.uniRecv[:0]
 	n.uniSend = n.uniSend[:0]
@@ -118,29 +117,21 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 		if k > 0 {
 			p := &outs[k-1]
 			if p.from != s.from {
-				bd, be = bd[:0], be[:0]
-			} else if p.to == s.to && p.digest == s.digest && p.encoded == s.encoded {
+				lastB = -1
+			} else if p.to == s.to && p.encoded == s.encoded {
 				// Exact duplicate of the previous send: discarded by
 				// the model.
 				continue
 			}
 		}
 		if s.to == ids.None {
-			bd = append(bd, s.digest)
-			be = append(be, s.encoded)
+			lastB = k
 			n.bcastIdx = append(n.bcastIdx, int32(k))
 			continue
 		}
-		dup := false
-		for j, d := range bd {
-			if d == s.digest && be[j] == s.encoded {
-				// Same payload already broadcast by this sender this
-				// round; the unicast copy is a duplicate for its target.
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if lastB >= 0 && outs[lastB].encoded == s.encoded {
+			// Same payload already broadcast by this sender this round;
+			// the unicast copy is a duplicate for its target.
 			continue
 		}
 		r, ok := slices.BinarySearch(n.order, s.to)
@@ -150,7 +141,6 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 		n.uniRecv = append(n.uniRecv, int32(r))
 		n.uniSend = append(n.uniSend, int32(k))
 	}
-	n.bcastDigests, n.bcastEncs = bd, be
 
 	if n.faults != nil && n.faults.linkLive {
 		// (3b) Link-fault filter: rewrite the classified stream under
@@ -307,7 +297,7 @@ func compareKeys(a, b sortKey) int {
 }
 
 // sortBlock sorts one sender's block of sends by (encoding, to). It sorts
-// keys rather than the 64-byte sends and then permutes the block once
+// keys rather than the 48-byte sends and then permutes the block once
 // through the scratch copy; a block already in order is left as it is.
 //
 //lint:noalloc keys and the permutation copy are the network's recycled scratch, grown to the largest block

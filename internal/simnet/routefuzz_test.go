@@ -17,22 +17,16 @@ import (
 // This file checks the route() dedup/delivery pipeline against a naive
 // per-receiver map-based reference implementation on randomized send
 // batches: broadcast/unicast mixes, exact duplicates, unicasts
-// shadowed by same-sender broadcasts, unknown and halted targets, and
-// forced equal-digest-different-encoding pairs (the 64-bit collision
-// fallback). Each batch is routed under the default Config and under
-// forced multi-worker caps: the route pass is serial whatever the cap,
-// and its output must not depend on it.
+// shadowed by same-sender broadcasts, and unknown and halted targets.
+// Each batch is routed under the default Config and under forced
+// multi-worker caps: the route pass is serial whatever the cap, and its
+// output must not depend on it.
 
-// routePool is a fixed set of distinct payloads whose digests are
-// deliberately made to collide pairwise (digest = pool index mod 2),
-// while staying consistent per encoding — the invariant the engine
-// maintains (digest is a pure function of the encoding). Collisions
-// must be resolved by the full-encoding fallback, never by dropping a
-// distinct message.
+// routePool is a fixed set of distinct payloads with their encodings,
+// small enough that random batches repeat them.
 type routePool struct {
 	payloads []wire.Payload
 	encs     []string
-	digests  []uint64
 }
 
 func newRoutePool() *routePool {
@@ -41,19 +35,12 @@ func newRoutePool() *routePool {
 		pl := wire.Event{Round: 1, Body: []byte(fmt.Sprintf("payload-%d", i))}
 		p.payloads = append(p.payloads, pl)
 		p.encs = append(p.encs, string(wire.Encode(pl)))
-		p.digests = append(p.digests, uint64(i%2)+1)
 	}
 	return p
 }
 
 func (p *routePool) send(from, to ids.ID, pi int) send {
-	return send{
-		from:    from,
-		to:      to,
-		payload: p.payloads[pi],
-		encoded: p.encs[pi],
-		digest:  p.digests[pi],
-	}
+	return send{from: from, to: to, payload: p.payloads[pi], encoded: p.encs[pi]}
 }
 
 // routeCase is one generated batch: the registered nodes, which of
@@ -232,19 +219,17 @@ func TestRouteDedupMatchesReference(t *testing.T) {
 }
 
 // TestRouteDedupDirectedCases pins the duplicate classes the sort-based
-// dedup argument enumerates, including the digest-collision fallback.
+// dedup argument enumerates. Pool encodings ascend with the entry index.
 func TestRouteDedupDirectedCases(t *testing.T) {
 	t.Parallel()
 	pool := newRoutePool()
-	// Pool entries 0 and 2 share a digest but differ in encoding: the
-	// collision pair. Entries 0/0 are exact duplicates.
 	nodes := ids.Consecutive(10, 4)
 	cases := []routeCase{
-		{ // colliding-digest broadcasts from one sender: both deliver
+		{ // distinct broadcasts from one sender: both deliver
 			nodeIDs: nodes, done: make([]bool, 4),
 			outs: []send{pool.send(10, ids.None, 0), pool.send(10, ids.None, 2)},
 		},
-		{ // unicast colliding with a broadcast digest: not a duplicate
+		{ // unicast of another encoding than the sender's broadcast: not a duplicate
 			nodeIDs: nodes, done: make([]bool, 4),
 			outs: []send{pool.send(10, ids.None, 0), pool.send(10, 11, 2)},
 		},
@@ -266,6 +251,14 @@ func TestRouteDedupDirectedCases(t *testing.T) {
 		{ // unicasts to unknown and halted targets vanish
 			nodeIDs: nodes, done: []bool{false, false, false, true},
 			outs: []send{pool.send(10, 9999, 0), pool.send(10, 13, 1), pool.send(10, 11, 2)},
+		},
+		{ // unicasts between and after two broadcasts in encoding order:
+			// only the one repeating a broadcast is dropped
+			nodeIDs: nodes, done: make([]bool, 4),
+			outs: []send{
+				pool.send(10, 12, 4), pool.send(10, ids.None, 3), pool.send(10, 11, 2),
+				pool.send(10, ids.None, 1), pool.send(10, 13, 1), pool.send(10, 11, 5),
+			},
 		},
 	}
 	for i, c := range cases {

@@ -39,23 +39,20 @@ type netScratch struct {
 	// and, for an Observer, one event per stored message (see RunRound).
 	roundEvents []trace.Event
 	// Routing (route.go): the block-local sort's keys and permutation
-	// copy, per-sender broadcast dedup keys, the done snapshot, the
-	// surviving broadcast indices, the per-receiver unicast buckets, and
-	// the shared broadcast block and unicast arena the inbox views read
-	// through.
-	sortKeys     []sortKey
-	sortSends    []send
-	bcastDigests []uint64
-	bcastEncs    []string
-	doneMask     []bool
-	bcastIdx     []int32
-	uniRecv      []int32
-	uniSend      []int32
-	uniIdx       []int32
-	uniStart     []int32
-	uniCursor    []int32
-	bcastBlock   []Received
-	uniArena     []Received
+	// copy, the done snapshot, the surviving broadcast indices, the
+	// per-receiver unicast buckets, and the shared broadcast block and
+	// unicast arena the inbox views read through.
+	sortKeys   []sortKey
+	sortSends  []send
+	doneMask   []bool
+	bcastIdx   []int32
+	uniRecv    []int32
+	uniSend    []int32
+	uniIdx     []int32
+	uniStart   []int32
+	uniCursor  []int32
+	bcastBlock []Received
+	uniArena   []Received
 	// index is the payload-major reading of bcastBlock (index.go). It
 	// is held by pointer — every inbox of a round shares it, and its
 	// once-guard must not be copied — and made by New when the pool had
@@ -97,7 +94,6 @@ func (n *Network) releaseScratch() {
 	clear(n.sortKeys[:cap(n.sortKeys)])
 	clear(n.sortSends[:cap(n.sortSends)])
 	clear(n.roundEvents[:cap(n.roundEvents)])
-	clear(n.bcastEncs[:cap(n.bcastEncs)])
 	clear(n.bcastBlock[:cap(n.bcastBlock)])
 	clear(n.uniArena[:cap(n.uniArena)])
 	n.index.release()
