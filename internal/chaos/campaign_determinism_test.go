@@ -31,6 +31,17 @@ func reproCampaign(jobs int) CampaignConfig {
 	}
 }
 
+// faultCampaign is the repro campaign under generated fault plans, so its
+// cells run the route pass's link filter and its shrinks the fault-plan
+// passes. A plan quarantines the coalition over the rounds whose inputs
+// the twin adopts, so few cells fire: seed 50 is the first that does.
+func faultCampaign(jobs int) CampaignConfig {
+	cfg := reproCampaign(jobs)
+	cfg.Seeds = 50
+	cfg.Faults = FaultsByzantine
+	return cfg
+}
+
 // errorCampaign uses an unknown twin so every cell fails to execute,
 // exercising the Errors formatting and ordering.
 func errorCampaign(jobs int) CampaignConfig {
@@ -66,6 +77,7 @@ func TestCampaignReportByteIdenticalAcrossJobs(t *testing.T) {
 		cfg  func(jobs int) CampaignConfig
 	}{
 		{"repros", reproCampaign},
+		{"faults", faultCampaign},
 		{"errors", errorCampaign},
 	}
 	for _, tc := range campaigns {

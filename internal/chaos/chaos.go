@@ -97,6 +97,14 @@ const (
 	StrategyChurner = "churner"
 )
 
+// strategies lists every Strategy* name Materialize builds.
+var strategies = []string{
+	StrategySilent, StrategyNoise, StrategyCrash, StrategyRBEquivocator,
+	StrategyEchoAmplifier, StrategyGhost, StrategyImpersonator,
+	StrategyTerminateSpoofer, StrategySplitVoter, StrategyInputSplitter,
+	StrategyChurner,
+}
+
 // SlotSpec is the serializable description of one Byzantine slot: which
 // strategy it runs and the seed from which all of the strategy's own
 // random choices (victims, values, ghosts) are derived. Together with the

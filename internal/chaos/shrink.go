@@ -73,6 +73,11 @@ func validateScenario(s *Scenario) error {
 	if s.MaxRounds < 1 {
 		return fmt.Errorf("needs MaxRounds >= 1, got %d", s.MaxRounds)
 	}
+	for i, slot := range s.Slots {
+		if !slices.Contains(strategies, slot.Strategy) {
+			return fmt.Errorf("slot %d: unknown strategy %q", i, slot.Strategy)
+		}
+	}
 	if s.Faults != nil {
 		if err := s.Faults.Validate(); err != nil {
 			return err
@@ -185,11 +190,11 @@ func Shrink(s Scenario, oracleName string, budget int) (Repro, bool) {
 				i++
 			}
 		}
-		// Pass 6: simplify surviving fault events — zero a rate rule,
+		// Pass 6: simplify surviving fault events — zero a drop rule,
 		// collapse a partition to one group, pull a heal earlier.
 		for i := 0; cur.Faults != nil && i < len(cur.Faults.Events); i++ {
 			switch e := cur.Faults.Events[i]; e.Kind {
-			case simnet.FaultDrop, simnet.FaultDuplicate, simnet.FaultReorder, simnet.FaultCorrupt:
+			case simnet.FaultDrop:
 				if e.Rate == 0 {
 					continue
 				}

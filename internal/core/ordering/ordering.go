@@ -310,8 +310,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			// last in inbox order is the input: the inbox is sorted by
 			// sender, then encoding, so that is the event with the greatest
 			// encoding — the tie-break an equivocating coordinator gets. The
-			// sort is stable and, short of a reorder fault shuffling the
-			// inbox, finds the intake already in order.
+			// sort is stable and finds the intake already in order.
 			slices.SortStableFunc(intake, func(a, b eventIn) int { return cmp.Compare(a.submitter, b.submitter) })
 			inputs := make([]parallelcon.InputPair, 0, len(intake))
 			for _, e := range intake {

@@ -25,7 +25,7 @@ type degraded struct {
 	// the next heal).
 	partition bool
 	// lastDisrupt is the most recent round with a disruption event
-	// (partition, heal, or any link-fault activity); 0 = never.
+	// (partition, heal, or any link-drop activity); 0 = never.
 	lastDisrupt int
 	// suspended counts rounds skipped so far; the inner oracle's round
 	// clock runs `suspended` rounds behind the simulation's.
@@ -35,7 +35,7 @@ type degraded struct {
 // NewDegraded wraps a liveness oracle for graceful degradation under an
 // adversarial network: while a partition is live, and for `recovery`
 // rounds after the last disruption (a partition, a heal, or link-level
-// drop/corrupt/duplicate/reorder activity), the inner oracle is not
+// drop activity), the inner oracle is not
 // consulted at all and the round is not charged to it. When the
 // network has been quiet for `recovery` rounds, the inner oracle
 // resumes with a warped round clock — Observe(round - suspendedRounds)
@@ -63,9 +63,8 @@ func (d *degraded) disrupted(round int, events []trace.Event) bool {
 		case trace.KindHeal:
 			d.partition = false
 			d.lastDisrupt = round
-		case trace.KindLinkDrop, trace.KindLinkCorrupt,
-			trace.KindLinkDup, trace.KindLinkReorder:
-			// Both rule activations and per-link fault events land
+		case trace.KindLinkDrop:
+			// Both rule activations and per-link drop events land
 			// here: a live loss rule disrupts even on rounds where no
 			// specific message happened to be hit.
 			d.lastDisrupt = round

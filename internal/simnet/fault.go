@@ -9,43 +9,43 @@ import (
 
 	"uba/internal/ids"
 	"uba/internal/trace"
-	"uba/internal/wire"
 )
 
 // This file is the round-scheduled fault-injection layer: a FaultPlan on
-// Config schedules partitions, per-link loss/duplication/corruption,
-// within-round reordering, crash/recover churn, late joins, and quota
-// changes — all deterministic functions of (plan, round, send index,
-// receiver), so a faulty execution replays bit-exactly for every worker
-// count.
+// Config schedules partitions, per-link loss, crash/recover churn and
+// quota changes — all deterministic functions of (plan, round, send
+// index, receiver), so a faulty execution replays bit-exactly for every
+// worker count.
 //
 // Determinism argument. Plan events apply at the start of RunRound, on
 // the driving goroutine, in (round, plan order) — before any worker
 // runs. Link-level faults apply inside the serial route pass as a
 // filter over the classified send stream, walked in global send-index
 // order (broadcasts fanned per live receiver in node order), and every
-// random decision is a stateless hash of (plan seed, fault kind, round,
-// send index, receiver) — no shared PRNG stream, so dropping one fault
-// event from a plan cannot shift the rolls of the remaining ones (what
-// makes shrinking sound). Fault trace events are appended to the round
-// record (n.roundEvents) during these serial passes, which fixes their
-// position in it: plan events, containment events, link events,
-// deliveries.
+// drop decision is a stateless hash of (plan seed, round, send index,
+// receiver) — no shared PRNG stream, so dropping one fault event from a
+// plan cannot shift the rolls of the remaining ones (what makes
+// shrinking sound). Fault trace events are appended to the round record
+// (n.roundEvents) during these serial passes, which fixes their position
+// in it: plan events, containment events, link events, deliveries.
 //
 // Zero cost when nil. Every hook is behind one `n.faults != nil` check;
 // with a nil plan the round executes the exact certified hot path
 // (//lint:noalloc holds, route rows stay 0 allocs/op). With a plan
-// attached but no partition or rate rule live, the filter does not run
+// attached but no partition or drop rule live, the filter does not run
 // either: the only added work is a handful of nil/flag checks.
 //
-// Model note. On a round with a live partition or rate rule the
+// Model note. Every kind stays inside the paper's model, where links are
+// synchronous and reliable and only a Byzantine node lies about content:
+// a plan removes deliveries (a cut, a drop, a crashed node, a quota) and
+// never alters, duplicates or reorders one. Correct nodes join a running
+// system through Algorithm 6, with Network.Add between rounds, not
+// through a plan. On a round with a live partition or drop rule the
 // surviving broadcasts are demoted to per-receiver arena entries (the
 // shared broadcast block cannot express per-receiver loss). The demoted
 // entries are appended in global send-index order, so inbox order — and
 // therefore the transcript — is unchanged; Received.bcast preserves the
-// Broadcast flag. Duplicate and reorder faults deliberately violate the
-// engine's documented dedup/order model rules: that is what makes them
-// faults worth testing against.
+// Broadcast flag.
 
 // Fault event kinds, stable strings because they appear in plan JSON.
 const (
@@ -58,27 +58,11 @@ const (
 	// FaultDrop activates a link loss rule: each matching delivery is
 	// independently dropped with probability Rate.
 	FaultDrop = "drop"
-	// FaultDuplicate activates a link duplication rule: each matching
-	// delivery is delivered twice within the round with probability
-	// Rate (deliberately bypassing the receiver's dedup model rule).
-	FaultDuplicate = "duplicate"
-	// FaultReorder activates a per-receiver rule: with probability Rate
-	// per round, the receiver's within-round unicast-order inbox is
-	// deterministically shuffled. Scope with To or Node; From is
-	// ignored for reorder rules.
-	FaultReorder = "reorder"
-	// FaultCorrupt activates a link corruption rule: with probability
-	// Rate a matching delivery has one encoding bit flipped. If the
-	// mutated encoding no longer decodes, the message is dropped.
-	FaultCorrupt = "corrupt"
 	// FaultCrash fail-stops Node at Round: it is silent and unreachable
 	// until a later recover event.
 	FaultCrash = "crash"
 	// FaultRecover revives a crashed Node with an empty inbox.
 	FaultRecover = "recover"
-	// FaultJoin makes Node a late participant: before Round it neither
-	// steps nor receives anything.
-	FaultJoin = "join"
 	// FaultQuota overwrites the per-round send/byte quotas at Round
 	// (0 disables a quota, as in Config).
 	FaultQuota = "quota"
@@ -94,15 +78,15 @@ type FaultEvent struct {
 	// Ids unknown to the network are tolerated — they simply match no
 	// node — so a shrunk scenario with fewer nodes stays replayable.
 	Groups [][]uint64 `json:"groups,omitempty"`
-	// Node scopes crash/recover/join events, and rate rules to links
-	// with this node as either endpoint.
+	// Node scopes crash/recover events, and drop rules to links with
+	// this node as either endpoint.
 	Node uint64 `json:"node,omitempty"`
-	// From and To scope rate rules to a sender and/or receiver.
+	// From and To scope drop rules to a sender and/or receiver.
 	From uint64 `json:"from,omitempty"`
 	To   uint64 `json:"to,omitempty"`
-	// Rate is the per-delivery (per-round for reorder) probability of a
-	// rate rule, in [0, 1]. A later rule with the same kind and scope
-	// overrides an earlier one; Rate 0 clears it.
+	// Rate is the per-delivery probability of a drop rule, in [0, 1]. A
+	// later rule with the same scope overrides an earlier one; Rate 0
+	// clears it.
 	Rate float64 `json:"rate,omitempty"`
 	// SendQuota and ByteQuota are the new quotas for FaultQuota events.
 	SendQuota int   `json:"send_quota,omitempty"`
@@ -137,11 +121,11 @@ func (p *FaultPlan) Validate() error {
 				return fmt.Errorf("fault event %d: partition with no groups", i)
 			}
 		case FaultHeal:
-		case FaultDrop, FaultDuplicate, FaultReorder, FaultCorrupt:
-			if e.Rate < 0 || e.Rate > 1 {
+		case FaultDrop:
+			if !(e.Rate >= 0 && e.Rate <= 1) { // NaN fails both compares
 				return fmt.Errorf("fault event %d (%s): rate %v outside [0,1]", i, e.Kind, e.Rate)
 			}
-		case FaultCrash, FaultRecover, FaultJoin:
+		case FaultCrash, FaultRecover:
 			if e.Node == 0 {
 				return fmt.Errorf("fault event %d (%s): node must be nonzero", i, e.Kind)
 			}
@@ -178,7 +162,7 @@ func (p *FaultPlan) Clone() *FaultPlan {
 }
 
 // faultState is the compiled runtime form of a FaultPlan: the
-// round-sorted event cursor, the live partition and rate rules, and the
+// round-sorted event cursor, the live partition and drop rules, and the
 // round-scoped scratch the injection passes write into. It is owned by
 // one Network and dies with it (not pooled: fault runs are off the
 // certified hot path).
@@ -190,22 +174,19 @@ type faultState struct {
 	// groupOf is the live partition (nil = healed): node -> group
 	// index; nodes absent from the map are isolated.
 	groupOf map[ids.ID]int32
-	// rules are the active rate rules in activation order; for a given
-	// link and kind the last matching rule wins.
+	// rules are the active drop rules in activation order; for a given
+	// link the last matching rule wins.
 	rules []FaultEvent
-	// joinAt maps late participants to their join round.
-	joinAt map[ids.ID]int
 	// linkLive reports whether the route filter must run this round.
 	linkLive bool
 
 	// Round-scoped scratch.
-	fRecv     []int32 // filtered unicast receiver indices
-	fSend     []int32 // filtered unicast send keys
-	corrupted []send  // corrupted copies; keys >= len(outs) index here
+	fRecv []int32 // filtered unicast receiver indices
+	fSend []int32 // filtered unicast send keys
 	// What the filter resolves once per pass, by live index: the node's
-	// partition group (-1: in none, isolated) and whether a live drop,
-	// corrupt or duplicate rule names it; and whether such a rule names
-	// nobody, and so scopes every link.
+	// partition group (-1: in none, isolated) and whether a live drop
+	// rule names it; and whether such a rule names nobody, and so scopes
+	// every link.
 	group    []int32
 	named    []bool
 	unscoped bool
@@ -216,28 +197,16 @@ func newFaultState(p *FaultPlan) *faultState {
 	fs := &faultState{
 		events: slices.Clone(p.Events),
 		seed:   mix64(uint64(p.Seed) ^ 0x5fa91c3d62b07e44),
-		joinAt: make(map[ids.ID]int),
 	}
 	slices.SortStableFunc(fs.events, func(a, b FaultEvent) int {
 		return cmp.Compare(a.Round, b.Round)
 	})
-	for i := range fs.events {
-		if e := &fs.events[i]; e.Kind == FaultJoin {
-			fs.joinAt[ids.ID(e.Node)] = e.Round
-		}
-	}
 	return fs
 }
 
-// Salts separating the hash streams of the fault kinds.
-const (
-	saltDrop uint64 = iota + 1
-	saltDup
-	saltCorrupt
-	saltCorruptBit
-	saltReorder
-	saltReorderSwap
-)
+// saltDrop keys the drop rolls' hash stream. Every recorded plan's
+// outcome depends on its value: changing it re-rolls every drop.
+const saltDrop uint64 = 1
 
 // mix64 is the 64-bit finalizer (splitmix64 variant) behind every fault
 // roll: statistically well-mixed, allocation-free, and stateless.
@@ -252,45 +221,36 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// roll hashes one fault decision's coordinates into a uniform uint64.
-//
-//lint:noalloc stateless hash; the filter makes one call per decision
-func (fs *faultState) roll(salt, a, b, c uint64) uint64 {
-	h := fs.seed ^ salt*0x9e3779b97f4a7c15
-	h = mix64(h + a)
-	h = mix64(h + b*0xbf58476d1ce4e5b9)
-	h = mix64(h + c*0x94d049bb133111eb)
-	return h
-}
-
-// hit decides one probabilistic fault: true with probability rate,
-// deterministically in the decision's coordinates. Rates are quantized
-// to 2^-32 (indistinguishable at any feasible trial count).
+// hit decides one drop: true with probability rate, deterministically
+// in the decision's coordinates — a stateless hash of them, one call per
+// decision. Rates are quantized to 2^-32 (indistinguishable at any
+// feasible trial count).
 //
 //lint:noalloc one hash and one compare per decision
-func (fs *faultState) hit(salt, a, b, c uint64, rate float64) bool {
+func (fs *faultState) hit(a, b, c uint64, rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
 	if rate >= 1 {
 		return true
 	}
-	return fs.roll(salt, a, b, c)>>32 < uint64(rate*4294967296.0)
+	h := fs.seed ^ saltDrop*0x9e3779b97f4a7c15
+	h = mix64(h + a)
+	h = mix64(h + b*0xbf58476d1ce4e5b9)
+	h = mix64(h + c*0x94d049bb133111eb)
+	return h>>32 < uint64(rate*4294967296.0)
 }
 
-// rateFor returns the effective rate of the given rule kind on the link
-// from -> to: the last activated matching rule wins, 0 means inactive.
-// Rule sets are tiny (a plan has a handful of events), so a linear scan
-// beats any index.
+// rateFor returns the effective drop rate on the link from -> to: the
+// last activated matching rule wins, 0 means inactive. Rule sets are
+// tiny (a plan has a handful of events), so a linear scan beats any
+// index.
 //
 //lint:noalloc linear scan of a handful of active rules per link
-func (fs *faultState) rateFor(kind string, from, to ids.ID) float64 {
+func (fs *faultState) rateFor(from, to ids.ID) float64 {
 	rate := 0.0
 	for i := range fs.rules {
 		r := &fs.rules[i]
-		if r.Kind != kind {
-			continue
-		}
 		if r.From != 0 && ids.ID(r.From) != from {
 			continue
 		}
@@ -349,14 +309,14 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, Kind: trace.KindHeal,
 		})
-	case FaultDrop, FaultDuplicate, FaultReorder, FaultCorrupt:
+	case FaultDrop:
 		fs.rules = append(fs.rules, *e)
 		from := e.From
 		if from == 0 {
 			from = e.Node
 		}
 		n.roundEvents = append(n.roundEvents, trace.Event{
-			Round: n.round, From: from, To: e.To, Kind: linkKindFor(e.Kind),
+			Round: n.round, From: from, To: e.To, Kind: trace.KindLinkDrop,
 			Enc: "rate=" + strconv.FormatFloat(e.Rate, 'g', -1, 64),
 		})
 	case FaultCrash:
@@ -380,13 +340,6 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: e.Node, Kind: trace.KindNodeRecovered,
 		})
-	case FaultJoin:
-		if _, ok := n.procs[ids.ID(e.Node)]; !ok {
-			return
-		}
-		n.roundEvents = append(n.roundEvents, trace.Event{
-			Round: n.round, From: e.Node, Kind: trace.KindNodeJoined,
-		})
 	case FaultQuota:
 		n.cfg.SendQuota = e.SendQuota
 		n.cfg.ByteQuota = e.ByteQuota
@@ -398,29 +351,14 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 	}
 }
 
-// linkKindFor maps a rate-rule kind to its trace event kind.
-func linkKindFor(kind string) string {
-	switch kind {
-	case FaultDrop:
-		return trace.KindLinkDrop
-	case FaultDuplicate:
-		return trace.KindLinkDup
-	case FaultReorder:
-		return trace.KindLinkReorder
-	default:
-		return trace.KindLinkCorrupt
-	}
-}
-
 // faultFilter rewrites the classified send stream under the live
-// partition and rate rules. It runs inside the serial route pass
+// partition and drop rules. It runs inside the serial route pass
 // — after dedup/classify, before bucketing — and only on rounds with a
 // live link fault. The filtered stream is expressed entirely as unicast
 // entries (broadcasts are demoted, fanned per live receiver in node
 // order) appended in global send-index order, so the per-receiver
 // bucket order — and therefore every inbox and the transcript — matches
-// the unfiltered merge order exactly. Corrupted copies live in a side
-// buffer addressed by keys past len(outs); sendAt resolves them.
+// the unfiltered merge order exactly.
 func (n *Network) faultFilter(outs []send) {
 	fs := n.faults
 	fs.fRecv = fs.fRecv[:0]
@@ -454,7 +392,7 @@ func (n *Network) faultFilter(outs []send) {
 }
 
 // resolveLinks fills the filter's per-node tables for this pass from the
-// live partition and rate rules.
+// live partition and drop rules.
 func (n *Network) resolveLinks() {
 	fs := n.faults
 	fs.group = grown(fs.group, len(n.live))
@@ -470,9 +408,6 @@ func (n *Network) resolveLinks() {
 	fs.unscoped = false
 	for i := range fs.rules {
 		r := &fs.rules[i]
-		if r.Kind == FaultReorder {
-			continue
-		}
 		if r.From == 0 && r.To == 0 && r.Node == 0 {
 			fs.unscoped = true
 		}
@@ -493,11 +428,11 @@ func (n *Network) senderIndex(s *send) int32 {
 
 // filterLink applies the live link faults to one (send, receiver) pair —
 // f and r the live indices of its sender and receiver — and appends the
-// surviving entries (0, 1, or 2 of them) to the filtered stream. Decision
-// order: partition cut, drop, corrupt, duplicate. A link no live rule can
-// match, because no rule names either endpoint and none names nobody,
-// survives without a rule lookup or a roll: every roll is a stateless hash
-// of its own coordinates, so skipping those that cannot hit moves none.
+// entry to the filtered stream unless a partition cuts the link or a drop
+// rule hits it. A link no live rule can match, because no rule names
+// either endpoint and none names nobody, survives without a rule lookup or
+// a roll: every roll is a stateless hash of its own coordinates, so
+// skipping those that cannot hit moves none.
 func (n *Network) filterLink(outs []send, k, f, r int32) {
 	fs := n.faults
 	s := &outs[k]
@@ -505,103 +440,14 @@ func (n *Network) filterLink(outs []send, k, f, r int32) {
 	if fs.groupOf != nil && s.from != to && (fs.group[f] < 0 || fs.group[f] != fs.group[r]) {
 		return // partition cuts are silent; KindPartition announced them
 	}
-	if !fs.unscoped && !fs.named[f] && !fs.named[r] {
-		fs.fRecv = append(fs.fRecv, r)
-		fs.fSend = append(fs.fSend, k)
-		return
-	}
-	if rate := fs.rateFor(FaultDrop, s.from, to); rate > 0 &&
-		fs.hit(saltDrop, uint64(n.round), uint64(k), uint64(to), rate) {
+	if (fs.unscoped || fs.named[f] || fs.named[r]) &&
+		fs.hit(uint64(n.round), uint64(k), uint64(to), fs.rateFor(s.from, to)) {
 		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: uint64(s.from), To: uint64(to),
 			Kind: trace.KindLinkDrop, Size: len(s.encoded),
 		})
 		return
 	}
-	key := k
-	if rate := fs.rateFor(FaultCorrupt, s.from, to); rate > 0 &&
-		fs.hit(saltCorrupt, uint64(n.round), uint64(k), uint64(to), rate) {
-		ck, ok := n.corruptSend(outs, k, to)
-		n.roundEvents = append(n.roundEvents, trace.Event{
-			Round: n.round, From: uint64(s.from), To: uint64(to),
-			Kind: trace.KindLinkCorrupt, Size: len(s.encoded),
-		})
-		if !ok {
-			return // mutation no longer decodes: the message is lost
-		}
-		key = ck
-	}
 	fs.fRecv = append(fs.fRecv, r)
-	fs.fSend = append(fs.fSend, key)
-	if rate := fs.rateFor(FaultDuplicate, s.from, to); rate > 0 &&
-		fs.hit(saltDup, uint64(n.round), uint64(k), uint64(to), rate) {
-		fs.fRecv = append(fs.fRecv, r)
-		fs.fSend = append(fs.fSend, key)
-		n.roundEvents = append(n.roundEvents, trace.Event{
-			Round: n.round, From: uint64(s.from), To: uint64(to),
-			Kind: trace.KindLinkDup, Size: len(s.encoded),
-		})
-	}
-}
-
-// corruptSend materializes a corrupted copy of outs[k] for delivery to
-// `to`: one deterministically chosen encoding bit flipped, re-decoded.
-// It returns the side-buffer key, or ok=false if the mutation does not
-// decode (the caller drops the message).
-func (n *Network) corruptSend(outs []send, k int32, to ids.ID) (int32, bool) {
-	fs := n.faults
-	s := &outs[k]
-	if len(s.encoded) == 0 {
-		return 0, false
-	}
-	b := []byte(s.encoded)
-	h := fs.roll(saltCorruptBit, uint64(n.round), uint64(k), uint64(to))
-	b[int(h%uint64(len(b)))] ^= 1 << ((h >> 32) % 8)
-	p, err := wire.Decode(b)
-	if err != nil {
-		return 0, false
-	}
-	fs.corrupted = append(fs.corrupted, send{from: s.from, to: s.to, payload: p, encoded: string(b)})
-	return int32(len(outs) + len(fs.corrupted) - 1), true
-}
-
-// faultReorder shuffles the within-round bucket order of receivers with
-// a live reorder rule. It runs after the counting sort and before
-// materialization, so the shuffle is expressed purely as a permutation
-// of uniIdx — inbox views and the transcript pick it up for free. (On
-// filter rounds every key is on the unicast side, so bucket order IS
-// inbox order.)
-func (n *Network) faultReorder() {
-	fs := n.faults
-	for i := range n.live {
-		to := n.live[i].id
-		rate := fs.rateFor(FaultReorder, ids.None, to)
-		if rate <= 0 {
-			continue
-		}
-		lo, hi := int(n.uniStart[i]), int(n.uniStart[i+1])
-		cnt := hi - lo
-		if cnt < 2 || !fs.hit(saltReorder, uint64(n.round), uint64(to), 0, rate) {
-			continue
-		}
-		for j := cnt - 1; j > 0; j-- {
-			h := fs.roll(saltReorderSwap, uint64(n.round), uint64(to), uint64(j))
-			m := int(h % uint64(j+1))
-			n.uniIdx[lo+j], n.uniIdx[lo+m] = n.uniIdx[lo+m], n.uniIdx[lo+j]
-		}
-		n.roundEvents = append(n.roundEvents, trace.Event{
-			Round: n.round, To: uint64(to), Kind: trace.KindLinkReorder, Size: cnt,
-		})
-	}
-}
-
-// sendAt resolves a send key: ordinary keys index outs, keys past
-// len(outs) index the round's corrupted-copy side buffer.
-//
-//lint:noalloc one bounds compare per materialized entry
-func (n *Network) sendAt(outs []send, k int32) *send {
-	if int(k) < len(outs) {
-		return &outs[k]
-	}
-	return &n.faults.corrupted[int(k)-len(outs)]
+	fs.fSend = append(fs.fSend, k)
 }

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"uba/internal/ids"
 	"uba/internal/simnet/sched"
 	"uba/internal/trace"
-	"uba/internal/wire"
 )
 
 // This file tests the round-scheduled fault-injection layer (fault.go):
@@ -59,8 +59,8 @@ func faultPlanIDs(seed int64) []ids.ID {
 }
 
 // nontrivialPlan exercises every fault kind at once: a quorum-splitting
-// partition with churn inside it, link loss/duplication/corruption,
-// within-round reordering, a late joiner, and a quota change.
+// partition with churn inside it, link loss under unscoped, sender- and
+// node-scoped rules, and a quota change.
 func nontrivialPlan(nodeIDs []ids.ID) *FaultPlan {
 	raw := make([]uint64, len(nodeIDs))
 	for i, id := range nodeIDs {
@@ -69,14 +69,12 @@ func nontrivialPlan(nodeIDs []ids.ID) *FaultPlan {
 	return &FaultPlan{
 		Seed: 99,
 		Events: []FaultEvent{
-			{Round: 2, Kind: FaultJoin, Node: raw[11]},
 			{Round: 2, Kind: FaultPartition, Groups: [][]uint64{raw[:6], raw[6:]}},
 			{Round: 2, Kind: FaultDrop, Rate: 0.2},
-			{Round: 3, Kind: FaultReorder, Rate: 0.5},
 			{Round: 3, Kind: FaultCrash, Node: raw[2]},
-			{Round: 4, Kind: FaultCorrupt, From: raw[1], Rate: 0.5},
+			{Round: 4, Kind: FaultDrop, From: raw[1], Rate: 0.5},
 			{Round: 5, Kind: FaultHeal},
-			{Round: 5, Kind: FaultDuplicate, Node: raw[4], Rate: 0.4},
+			{Round: 5, Kind: FaultDrop, Node: raw[4], Rate: 0.4},
 			{Round: 6, Kind: FaultRecover, Node: raw[2]},
 			{Round: 6, Kind: FaultQuota, SendQuota: 3},
 			{Round: 8, Kind: FaultDrop, Rate: 0},
@@ -103,8 +101,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 			for _, e := range base.events {
 				switch e.Kind {
 				case trace.KindPartition, trace.KindHeal, trace.KindLinkDrop,
-					trace.KindLinkDup, trace.KindLinkCorrupt, trace.KindLinkReorder,
-					trace.KindNodeJoined, trace.KindNodeRecovered, trace.KindQuotaChange:
+					trace.KindNodeRecovered, trace.KindQuotaChange:
 					faults++
 				}
 			}
@@ -197,13 +194,20 @@ func TestFaultFilterDemotionIsInvisible(t *testing.T) {
 }
 
 // TestFaultPlanInvalid asserts an invalid plan latches as the network
-// error and surfaces from the first RunRound.
+// error and surfaces from the first RunRound. A NaN rate is out of
+// range, and the kinds outside the model (a link that corrupts,
+// duplicates or reorders, a correct node woken mid-run) are unknown.
 func TestFaultPlanInvalid(t *testing.T) {
 	t.Parallel()
 	for _, plan := range []*FaultPlan{
 		{Events: []FaultEvent{{Round: 0, Kind: FaultHeal}}},
 		{Events: []FaultEvent{{Round: 1, Kind: "meteor"}}},
 		{Events: []FaultEvent{{Round: 1, Kind: FaultDrop, Rate: 1.5}}},
+		{Events: []FaultEvent{{Round: 1, Kind: FaultDrop, Rate: math.NaN()}}},
+		{Events: []FaultEvent{{Round: 1, Kind: "corrupt", Rate: 0.5}}},
+		{Events: []FaultEvent{{Round: 1, Kind: "duplicate", Rate: 0.5}}},
+		{Events: []FaultEvent{{Round: 1, Kind: "reorder", Rate: 0.5}}},
+		{Events: []FaultEvent{{Round: 1, Kind: "join", Node: 7}}},
 		{Events: []FaultEvent{{Round: 1, Kind: FaultPartition}}},
 		{Events: []FaultEvent{{Round: 1, Kind: FaultCrash}}},
 	} {
@@ -231,8 +235,7 @@ func deliveriesBetween(events []trace.Event, from, to ids.ID, lo, hi int) int {
 		}
 		switch e.Kind {
 		case trace.KindPartition, trace.KindHeal, trace.KindLinkDrop,
-			trace.KindLinkDup, trace.KindLinkCorrupt, trace.KindLinkReorder,
-			trace.KindNodeJoined, trace.KindNodeRecovered, trace.KindQuotaChange,
+			trace.KindNodeRecovered, trace.KindQuotaChange,
 			trace.KindNodeCrashed, trace.KindQuotaDrop:
 			continue
 		}
@@ -360,36 +363,6 @@ func TestFaultCrashRecoverChurn(t *testing.T) {
 	}
 }
 
-// TestFaultJoinDormancy asserts a late participant neither steps nor
-// receives before its join round, then participates fully.
-func TestFaultJoinDormancy(t *testing.T) {
-	t.Parallel()
-	net, log := chatterNet(t, &FaultPlan{
-		Seed:   1,
-		Events: []FaultEvent{{Round: 4, Kind: FaultJoin, Node: 30}},
-	})
-	mustRounds(t, net, 6)
-	events := log.Events()
-	if got := deliveriesBetween(events, 30, 10, 1, 4); got != 0 {
-		t.Fatalf("dormant joiner sent %d messages before its join round", got)
-	}
-	if got := deliveriesBetween(events, 10, 30, 1, 4); got != 0 {
-		t.Fatalf("dormant joiner received %d messages before its join round", got)
-	}
-	if got := deliveriesBetween(events, 30, 10, 5, 5); got != 1 {
-		t.Fatalf("joiner's first round not delivered: got %d, want 1", got)
-	}
-	joined := false
-	for _, e := range events {
-		if e.Kind == trace.KindNodeJoined && e.From == 30 && e.Round == 4 {
-			joined = true
-		}
-	}
-	if !joined {
-		t.Fatal("no node-joined event recorded")
-	}
-}
-
 // TestFaultQuotaChange asserts a quota event rewrites the live quotas
 // and the transcript shows when.
 func TestFaultQuotaChange(t *testing.T) {
@@ -433,38 +406,7 @@ func TestFaultQuotaChange(t *testing.T) {
 	}
 }
 
-// TestFaultDuplicateDelivery asserts a rate-1 duplicate rule delivers
-// the message twice within the round — the deliberate model violation —
-// and records link-dup events.
-func TestFaultDuplicateDelivery(t *testing.T) {
-	t.Parallel()
-	net, log := chatterNet(t, &FaultPlan{
-		Seed:   1,
-		Events: []FaultEvent{{Round: 2, Kind: FaultDuplicate, From: 10, To: 30, Rate: 1}},
-	})
-	mustRounds(t, net, 3)
-	events := log.Events()
-	if got := deliveriesBetween(events, 10, 30, 3, 3); got != 2 {
-		t.Fatalf("duplicate rule delivered %d copies, want 2", got)
-	}
-	if got := deliveriesBetween(events, 10, 20, 3, 3); got != 1 {
-		t.Fatalf("unscoped link affected: %d copies to 20, want 1", got)
-	}
-	// The rule is live for the routes of rounds 2 and 3 (one 10->30
-	// send each); activation events carry Enc="rate=...", dup events
-	// carry no Enc.
-	dups := 0
-	for _, e := range events {
-		if e.Kind == trace.KindLinkDup && e.Enc == "" {
-			dups++
-		}
-	}
-	if dups != 2 {
-		t.Fatalf("%d link-dup events, want 2", dups)
-	}
-}
-
-// A rate rule reaches exactly the links its scope names: over every
+// A drop rule reaches exactly the links its scope names: over every
 // ordered pair of the four chatters, a rate-1 drop rule — unscoped, by
 // sender, by receiver, by either endpoint, by both — removes the round's
 // delivery exactly when the pair matches it, and every other link, which
@@ -498,106 +440,6 @@ func TestRateRulesReachExactlyTheLinksTheyScope(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestFaultCorruptDelivery asserts a rate-1 corrupt rule either mutates
-// the delivered encoding (still decodable) or drops the message, and
-// that the choice is deterministic.
-func TestFaultCorruptDelivery(t *testing.T) {
-	t.Parallel()
-	run := func() (delivered []string, corrupts int) {
-		net, log := chatterNet(t, &FaultPlan{
-			Seed:   1,
-			Events: []FaultEvent{{Round: 2, Kind: FaultCorrupt, From: 10, Rate: 1}},
-		})
-		mustRounds(t, net, 4)
-		for _, e := range log.Events() {
-			// Corruption events carry no Enc; the activation event does
-			// (Enc="rate=1") and must not be counted.
-			if e.Kind == trace.KindLinkCorrupt && e.Enc == "" {
-				corrupts++
-			}
-			if e.From == 10 && e.Round >= 3 && e.Enc != "" {
-				// A delivery at round R carries node 10's round R-1
-				// broadcast; a surviving corrupted copy must differ
-				// from that round's canonical encoding.
-				orig := string(wire.Encode(wire.Input{X: wire.V(float64(e.Round - 1))}))
-				if e.Enc == orig {
-					t.Fatal("corrupt rule delivered an unmodified encoding")
-				}
-				delivered = append(delivered, fmt.Sprintf("%d->%d@%d:%x", e.From, e.To, e.Round, e.Enc))
-			}
-		}
-		return delivered, corrupts
-	}
-	delivered, corrupts := run()
-	if corrupts == 0 {
-		t.Fatal("no corruption events recorded")
-	}
-	d2, c2 := run()
-	if fmt.Sprint(delivered) != fmt.Sprint(d2) || corrupts != c2 {
-		t.Fatal("corruption not deterministic across identical runs")
-	}
-}
-
-// TestFaultReorderShufflesInboxOrder asserts a rate-1 reorder rule
-// permutes a receiver's within-round inbox and records the event.
-func TestFaultReorderShufflesInboxOrder(t *testing.T) {
-	t.Parallel()
-	run := func(rate float64) []string {
-		rec := &orderRecorder{id: 50}
-		log := trace.NewEventLog(0)
-		net := New(Config{
-			MaxRounds: 6, EventLog: log,
-			FaultPlan: &FaultPlan{
-				Seed:   3,
-				Events: []FaultEvent{{Round: 1, Kind: FaultReorder, To: 50, Rate: rate}},
-			},
-		})
-		for _, id := range []ids.ID{10, 20, 30, 40} {
-			if err := net.Add(&ChatterProcess{Ident: id}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := net.Add(rec); err != nil {
-			t.Fatal(err)
-		}
-		mustRounds(t, net, 3)
-		if rate > 0 {
-			found := false
-			for _, e := range log.Events() {
-				if e.Kind == trace.KindLinkReorder && e.To == 50 {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatal("no link-reorder event recorded")
-			}
-		}
-		return rec.log
-	}
-	sorted := run(0)
-	shuffled := run(1)
-	if len(sorted) == 0 || len(shuffled) != len(sorted) {
-		t.Fatalf("recorder saw %d vs %d messages", len(sorted), len(shuffled))
-	}
-	if fmt.Sprint(sorted) == fmt.Sprint(shuffled) {
-		t.Fatal("rate-1 reorder left the inbox order unchanged")
-	}
-}
-
-// orderRecorder logs its inbox order and never sends.
-type orderRecorder struct {
-	id  ids.ID
-	log []string
-}
-
-func (o *orderRecorder) ID() ids.ID { return o.id }
-func (o *orderRecorder) Done() bool { return false }
-func (o *orderRecorder) Step(env *RoundEnv) {
-	for m := range env.Inbox.All() {
-		o.log = append(o.log, fmt.Sprintf("%d<-%d", env.Round, m.From))
 	}
 }
 

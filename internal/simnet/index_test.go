@@ -116,8 +116,8 @@ func readBothWays(in Inbox) string {
 // asks and not at all in a round where nobody does — for inline
 // stepping and for three real workers racing to be the first to ask
 // (run under -race, this is the once-guard's test). From round 8 on a
-// link rule is live, so those are fault-plan rounds: every broadcast is
-// demoted to the private segments (some delivered twice) and the block
+// drop rule is live, so those are fault-plan rounds: every broadcast is
+// demoted to the private segments (some copies dropped) and the block
 // is empty.
 func TestSaidMatchesAllAndIsBuiltOncePerRound(t *testing.T) {
 	t.Parallel()
@@ -136,7 +136,7 @@ func TestSaidMatchesAllAndIsBuiltOncePerRound(t *testing.T) {
 				t.Parallel()
 				const faultFrom = 8
 				plan := &FaultPlan{Seed: seed, Events: []FaultEvent{
-					{Round: faultFrom, Kind: FaultDuplicate, Rate: 0.3},
+					{Round: faultFrom, Kind: FaultDrop, Rate: 0.3},
 				}}
 				net := New(Config{MaxRounds: rounds + 1, FaultPlan: plan})
 				net.forceWorkers(workers)

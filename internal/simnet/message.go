@@ -19,6 +19,10 @@
 //     encoding: the route pass sorts each sender's sends by (encoding,
 //     receiver), so every duplicate sits next to the send it repeats.
 //
+// A FaultPlan (Config.FaultPlan, fault.go) stays inside these rules: it
+// cuts links, drops deliveries, crashes and revives nodes and changes
+// quotas, but never alters, duplicates or reorders a delivered message.
+//
 // # Fault containment
 //
 // The engine is a graceful-degradation layer: misbehavior of one
@@ -70,8 +74,8 @@
 // event per stored message: each broadcast of the shared block once,
 // To == 0 meaning "delivered to every receiver live this round", then
 // each unicast-arena entry once, in receiver order (on link-fault rounds
-// the surviving broadcast copies are arena entries, carrying the
-// encoding actually delivered). That is O(B + U) events, built only for
+// the surviving broadcast copies are arena entries, one per link that
+// kept its copy). That is O(B + U) events, built only for
 // Config.Observer; the delivery pass is the same observed or not. Who
 // received what is not in the record: Config.EventLog, the one
 // per-delivery consumer, gets the engine events followed by every

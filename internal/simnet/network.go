@@ -78,8 +78,8 @@ type Config struct {
 	// the longest prefix of the send queue within the budget survives.
 	ByteQuota int64
 	// FaultPlan, when non-nil, schedules deterministic round-timed
-	// faults — partitions, link drop/duplicate/corrupt/reorder rules,
-	// crash/recover churn, late joins, quota changes (see fault.go).
+	// faults — partitions, link drop rules, crash/recover churn, quota
+	// changes (see fault.go).
 	// An invalid plan latches as the network's error, surfaced by the
 	// first RunRound. A nil plan compiles to the unmodified zero-alloc
 	// round path.
@@ -145,11 +145,7 @@ type procState struct {
 	// fault plan crashed on schedule. A crashed node is not stepped and
 	// receives no messages; only a fault-plan recover event clears it.
 	crashed bool
-	// joinRound, when positive, marks a fault-plan late participant:
-	// while joinRound > the current round the node neither steps nor
-	// receives anything.
-	joinRound int
-	inbox     Inbox
+	inbox   Inbox
 	// contacts is the set of nodes that have delivered a message to
 	// this process, used for the contact rule. It is nil (and not
 	// maintained) unless Config.EnforceContactRule is set.
@@ -284,9 +280,6 @@ func (n *Network) add(p Process, byzantine bool) error {
 		id:        id,
 		byzantine: byzantine,
 	}
-	if n.faults != nil {
-		st.joinRound = n.faults.joinAt[id]
-	}
 	if n.cfg.EnforceContactRule {
 		st.contacts = make(map[ids.ID]struct{})
 	}
@@ -355,7 +348,7 @@ func (n *Network) RunRound() error {
 	n.roundEvents = n.roundEvents[:0]
 	if n.faults != nil {
 		// Plan events apply before stepping, on this goroutine, so
-		// crash/recover/join/quota effects are identical for every
+		// crash/recover/quota effects are identical for every
 		// worker count and their trace events head the round's record.
 		n.applyFaultEvents()
 	}
@@ -552,7 +545,7 @@ func (n *Network) stepOne(st *procState) stepResult {
 	// unicast arena, which route() overwrites wholesale next round —
 	// this is what forbids Process.Step from retaining env.Inbox.
 	st.inbox = Inbox{}
-	if st.crashed || st.joinRound > n.round || st.proc.Done() {
+	if st.crashed || st.proc.Done() {
 		return stepResult{}
 	}
 	st.env = RoundEnv{

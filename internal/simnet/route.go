@@ -90,16 +90,8 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 	n.doneMask = grown(n.doneMask, nl)
 	for i, st := range n.live {
 		// Crash faults are unreachable: containment means a crashed
-		// node receives nothing, exactly like a halted one. Fault-plan
-		// late joiners receive nothing before their join round.
-		n.doneMask[i] = st.crashed || st.joinRound > n.round || st.proc.Done()
-	}
-	if n.faults != nil {
-		// Round-scoped fault scratch: corrupted copies from the previous
-		// fault round must not leak into this one (clear drops the
-		// payload references they pin).
-		clear(n.faults.corrupted)
-		n.faults.corrupted = n.faults.corrupted[:0]
+		// node receives nothing, exactly like a halted one.
+		n.doneMask[i] = st.crashed || st.proc.Done()
 	}
 
 	// (3) Dedup + classify. Same duplicate rules as the old send-major
@@ -144,7 +136,7 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 
 	if n.faults != nil && n.faults.linkLive {
 		// (3b) Link-fault filter: rewrite the classified stream under
-		// the live partition/rate rules (see fault.go). Broadcasts are
+		// the live partition/drop rules (see fault.go). Broadcasts are
 		// demoted to per-receiver unicast entries in send-index order,
 		// so the bucket order below reproduces the merge order exactly.
 		//lint:coldpath the filter runs only on rounds with a live fault rule; the certified path never reaches it
@@ -168,18 +160,14 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 		n.uniIdx[n.uniCursor[r]] = n.uniSend[j]
 		n.uniCursor[r]++
 	}
-	if n.faults != nil && n.faults.linkLive {
-		// (4b) Within-round reorder faults permute receiver buckets
-		// before materialization, so inboxes and transcript pick the
-		// shuffle up with no further changes.
-		n.faultReorder()
-	}
 
 	// (5) Sparse materialization: copy the surviving broadcasts once
 	// into the shared block and the surviving unicasts once into the
 	// arena, aligned with bcastIdx and uniIdx respectively. Receivers
 	// get views over these copies, never over outs — the step merge
 	// rewrites outs while next round's inboxes are still being read.
+	// Broadcasts a link-fault round demoted to arena entries keep their
+	// Broadcast transcript flag through Received.bcast.
 	// Shrink-clearing the recycled tails drops the references held by
 	// last round's larger block/arena so dead payloads are not pinned.
 	nb := len(n.bcastIdx)
@@ -193,27 +181,16 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 	n.index.reset(n.bcastBlock)
 	nu := len(n.uniIdx)
 	n.uniArena = recycled(n.uniArena, nu, &n.uniLive)
-	if n.faults == nil {
-		for j, k := range n.uniIdx {
-			s := &outs[k]
-			n.uniArena[j] = Received{From: s.from, Payload: s.payload, encoded: s.encoded}
-		}
-	} else {
-		// Fault-plan variant of the same copy loop: keys may address
-		// the corrupted side buffer, and demoted broadcasts keep their
-		// Broadcast transcript flag via Received.bcast.
-		for j, k := range n.uniIdx {
-			s := n.sendAt(outs, k)
-			n.uniArena[j] = Received{From: s.from, Payload: s.payload, encoded: s.encoded, bcast: s.to == ids.None}
-		}
+	for j, k := range n.uniIdx {
+		s := &outs[k]
+		n.uniArena[j] = Received{From: s.from, Payload: s.payload, encoded: s.encoded, bcast: s.to == ids.None}
 	}
 
 	// (6) The round record mirrors this storage: after the engine events
 	// already in it, one message event per stored message — each
 	// shared-block broadcast once (To 0: delivered to every receiver
-	// live this round), then each arena entry once, in receiver order,
-	// carrying the encoding actually delivered. O(B + U), like the
-	// storage; only an observer reads it.
+	// live this round), then each arena entry once, in receiver order.
+	// O(B + U), like the storage; only an observer reads it.
 	n.engineEvents = len(n.roundEvents)
 	if n.cfg.Observer != nil {
 		round := n.round + 1 // deliveries land at the start of the next round

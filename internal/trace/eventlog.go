@@ -39,7 +39,8 @@ type Event struct {
 
 // Engine event kinds recorded by the fault-containment layer and the
 // fault-plan scheduler, reserved names that no wire payload uses (see
-// wire.Kind.String).
+// wire.Kind.String). A fault plan only removes deliveries, so every
+// message event in a transcript carries the encoding its sender sent.
 const (
 	// KindNodeCrashed records that a node's Step panicked and the
 	// engine converted it into a crash fault — or that a fault plan
@@ -58,24 +59,10 @@ const (
 	// connectivity is restored from this round on.
 	KindHeal = "heal"
 	// KindLinkDrop records one message removed from the send stream by
-	// a fault-plan drop rule (or a corrupt rule whose mutation no
-	// longer decodes); Size is the encoded size of the lost message.
-	// Rule activations also use this kind, with Enc carrying "rate=…".
+	// a fault-plan drop rule; Size is the encoded size of the lost
+	// message. Rule activations also use this kind, with Enc carrying
+	// "rate=…".
 	KindLinkDrop = "link-drop"
-	// KindLinkCorrupt records a fault-plan corruption: the delivered
-	// encoding differs from the sent one by a deterministic byte flip.
-	KindLinkCorrupt = "link-corrupt"
-	// KindLinkDup records a fault-plan duplicate: the receiver sees the
-	// same message twice within one round, violating (deliberately) the
-	// engine's dedup model rule.
-	KindLinkDup = "link-dup"
-	// KindLinkReorder records a fault-plan shuffle of one receiver's
-	// within-round inbox order; To is the receiver, Size the number of
-	// messages shuffled.
-	KindLinkReorder = "link-reorder"
-	// KindNodeJoined records a late participant activating at its fault
-	// plan join round; before it the node neither steps nor receives.
-	KindNodeJoined = "node-joined"
 	// KindNodeRecovered records a fault plan reviving a plan-crashed
 	// node; it resumes stepping with an empty inbox.
 	KindNodeRecovered = "node-recovered"
@@ -219,18 +206,8 @@ func (l *EventLog) Render(w io.Writer, maxRounds int) error {
 				return err
 			}
 			continue
-		case KindLinkDrop, KindLinkCorrupt, KindLinkDup:
+		case KindLinkDrop:
 			if _, err := fmt.Fprintf(w, "  %d ~x~ %-18s x%d %dB\n", k.from, k.kind, g.receivers, g.bytes); err != nil {
-				return err
-			}
-			continue
-		case KindLinkReorder:
-			if _, err := fmt.Fprintf(w, "  -> %d ~~ inbox reordered (%d msgs)\n", g.firstTo, g.bytes); err != nil {
-				return err
-			}
-			continue
-		case KindNodeJoined:
-			if _, err := fmt.Fprintf(w, "  %d ++ joined\n", k.from); err != nil {
 				return err
 			}
 			continue

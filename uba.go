@@ -128,9 +128,6 @@ type Config struct {
 	// SendQuota bounds the messages any one node may queue per round
 	// (0 = unlimited); see simnet.Config.SendQuota.
 	SendQuota int
-	// ByteQuota bounds the encoded bytes any one node may queue per
-	// round (0 = unlimited); see simnet.Config.ByteQuota.
-	ByteQuota int64
 }
 
 func (c Config) validate() error {
@@ -207,7 +204,6 @@ func newCluster(cfg Config, family string) (*cluster, error) {
 		Collector: collector,
 		EventLog:  cfg.EventLog,
 		SendQuota: cfg.SendQuota,
-		ByteQuota: cfg.ByteQuota,
 	}
 	var suite *oracle.Suite
 	if co := oracle.NewComplexityFor(family, 0); co != nil {
