@@ -39,10 +39,11 @@ lint: bin/ubalint
 # testdata, blank or whole-line comments, per layer.
 LOC = find $(1) -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 loc:
-	@echo "internal/core/{rotor,consensus,parallelcon}  $$($(call LOC,internal/core/rotor internal/core/consensus internal/core/parallelcon))"
-	@echo "internal/core + census + wire                $$($(call LOC,internal/core internal/census internal/wire))"
-	@echo "internal/simnet                              $$($(call LOC,internal/simnet))"
-	@echo "internal/lint                                $$($(call LOC,internal/lint))"
+	@echo "internal/core/{rotor,consensus,parallelcon}        $$($(call LOC,internal/core/rotor internal/core/consensus internal/core/parallelcon))"
+	@echo "internal/core + census + wire                      $$($(call LOC,internal/core internal/census internal/wire))"
+	@echo "internal/simnet                                    $$($(call LOC,internal/simnet))"
+	@echo "internal/lint                                      $$($(call LOC,internal/lint))"
+	@echo "internal/lint + internal/complexity + cmd/ubalint  $$($(call LOC,internal/lint internal/complexity cmd/ubalint))"
 
 test:
 	$(GO) test ./...

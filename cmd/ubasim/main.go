@@ -238,8 +238,8 @@ func replayRepro(path string, out io.Writer) error {
 			if e.Rate != 0 {
 				fmt.Fprintf(out, " rate=%g", e.Rate)
 			}
-			if e.SendQuota != 0 || e.ByteQuota != 0 {
-				fmt.Fprintf(out, " sendQuota=%d byteQuota=%d", e.SendQuota, e.ByteQuota)
+			if e.SendQuota != 0 {
+				fmt.Fprintf(out, " sendQuota=%d", e.SendQuota)
 			}
 			fmt.Fprintln(out)
 		}

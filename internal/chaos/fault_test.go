@@ -170,6 +170,18 @@ func TestDecodeReproRejectsInvalid(t *testing.T) {
 		"retired fault kind": `{"scenario":{"arena":3,"correct":2,"max_rounds":5,"faults":{"events":[{"round":1,"kind":"corrupt","rate":1}]}},"violation":{"oracle":"x"}}`,
 		"unknown strategy":   `{"scenario":{"arena":3,"correct":2,"max_rounds":5,"slots":[{"strategy":"meteor"}]},"violation":{"oracle":"x"}}`,
 	}
+	// A misspelled or stale field, or a second document after the repro,
+	// is a decode error, not a field left at its zero value: the slot
+	// would replay with seed 0, the rule with rate 0, which drops nothing.
+	for name, body := range map[string]string{
+		"unknown slot field":        `{"scenario":{"arena":3,"correct":2,"max_rounds":5,"slots":[{"strategy":"noise","sede":9}]},"violation":{"oracle":"x"}}`,
+		"unknown fault-event field": `{"scenario":{"arena":3,"correct":2,"max_rounds":5,"faults":{"events":[{"round":1,"kind":"quota","byte_quota":64}]}},"violation":{"oracle":"x"}}`,
+		"trailing data":             string(data) + "{}",
+	} {
+		if _, err := DecodeRepro([]byte(body)); err == nil {
+			t.Errorf("%s: invalid repro accepted", name)
+		}
+	}
 	for name, body := range cases {
 		if _, err := DecodeRepro([]byte(body)); err == nil {
 			t.Errorf("%s: invalid repro accepted", name)

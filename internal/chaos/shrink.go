@@ -1,8 +1,11 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"slices"
 
 	"uba/internal/oracle"
@@ -37,11 +40,18 @@ func EncodeRepro(r Repro) ([]byte, error) {
 // DecodeRepro parses and validates a repro file. Structurally invalid
 // repros — truncated files, zero-value {} documents, unknown arenas,
 // malformed fault plans — are rejected with a diagnostic instead of
-// being replayed as a meaningless empty run.
+// being replayed as a meaningless empty run. So are unknown fields and
+// trailing data: a misspelled or stale field would otherwise decode as
+// its zero value and replay a different scenario.
 func DecodeRepro(data []byte) (Repro, error) {
 	var r Repro
-	if err := json.Unmarshal(data, &r); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
 		return Repro{}, fmt.Errorf("chaos: bad repro file: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return Repro{}, errors.New("chaos: bad repro file: trailing data after the repro object")
 	}
 	if err := r.Validate(); err != nil {
 		return Repro{}, err

@@ -1,36 +1,18 @@
 // Package complexity defines the per-round message-complexity
 // vocabulary shared by the static certifier and the runtime oracle:
-// send classes (0, O(1), O(n), O(n^2)), per-protocol contracts, the
-// registry of certified families, and a parser-only scanner that
-// extracts //lint:complexity directives from source.
+// send classes (0, O(1), O(n), O(n^2)), per-protocol contracts, and
+// Registry, the one table of certified families.
 //
-// A contract is declared on a protocol's Process type:
-//
-//	//lint:complexity broadcasts=O(n) unicasts=0
-//
-// The ubalint complexity pass proves the declaration against the
-// Step implementation (DESIGN.md §8.6); `ubalint -complexity-dump`
-// emits the scanned table as JSON; and oracle.NewComplexity checks
-// the observed per-round tallies against the declared class during
-// every campaign. Registry pins the expected table so a drifted or
-// deleted directive fails the cross-check test rather than silently
-// weakening the oracle.
+// Registry is the only copy of every contract. The ubalint complexity
+// pass proves each entry against its type's Step implementation
+// (DESIGN.md §8.6), and oracle.NewComplexity checks the observed
+// per-round tallies against the same entry during every run.
 package complexity
 
-import (
-	"encoding/json"
-	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
-	"sort"
-	"strings"
-)
+import "fmt"
 
-// Class is a per-round send-count class. The numeric values match the
-// summary pass's send classes (SendNone..SendQuad).
+// Class is a per-round send-count class. The summary pass derives its
+// Broadcasts/Unicasts/ParamCalls facts in the same lattice.
 type Class uint8
 
 // Classes, ordered: each is an upper bound subsuming the ones below.
@@ -41,7 +23,7 @@ const (
 	Quadratic              // O(n^2) sends per round
 )
 
-// String renders the class the way the directive spells it.
+// String renders the class in big-O notation.
 func (c Class) String() string {
 	switch c {
 	case None:
@@ -56,39 +38,18 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", uint8(c))
 }
 
-// MarshalJSON renders the class as its directive spelling, so dumped
-// contract tables read the way the source declares them.
-func (c Class) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.String())
-}
-
-// UnmarshalJSON accepts the directive spelling.
-func (c *Class) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
+// Mul composes classes multiplicatively: a send of class b executed
+// from a context of class c (a loop body, an amplified callee) lands at
+// c+b-1 capped at Quadratic; anything times None is None.
+// Const.Mul(x) == x.
+func (c Class) Mul(b Class) Class {
+	if c == None || b == None {
+		return None
 	}
-	parsed, err := ParseClass(s)
-	if err != nil {
-		return err
+	if m := c + b - 1; m < Quadratic {
+		return m
 	}
-	*c = parsed
-	return nil
-}
-
-// ParseClass parses the directive spelling of a class.
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "0":
-		return None, nil
-	case "O(1)":
-		return Const, nil
-	case "O(n)":
-		return Linear, nil
-	case "O(n^2)":
-		return Quadratic, nil
-	}
-	return None, fmt.Errorf("unknown complexity class %q (want 0, O(1), O(n), or O(n^2))", s)
+	return Quadratic
 }
 
 // Bound returns the concrete per-round send budget the class grants
@@ -108,61 +69,24 @@ func (c Class) Bound(n, slack int) int {
 	}
 }
 
-// Contract is one protocol family's declared per-round send classes.
+// Contract is one protocol family's per-round send classes.
 type Contract struct {
-	Broadcasts Class `json:"broadcasts"`
-	Unicasts   Class `json:"unicasts"`
+	Broadcasts Class
+	Unicasts   Class
 }
 
-// String renders the contract in directive argument order.
-func (ct Contract) String() string {
-	return fmt.Sprintf("broadcasts=%s unicasts=%s", ct.Broadcasts, ct.Unicasts)
-}
-
-// ParseContract parses the directive's argument list: space-separated
-// key=value fields with keys broadcasts and unicasts, each at most
-// once; an omitted key means 0 (no sends of that kind).
-func ParseContract(args string) (Contract, error) {
-	var ct Contract
-	seen := make(map[string]bool)
-	for _, field := range strings.Fields(args) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return ct, fmt.Errorf("malformed field %q (want key=class)", field)
-		}
-		if seen[key] {
-			return ct, fmt.Errorf("duplicate field %q", key)
-		}
-		seen[key] = true
-		c, err := ParseClass(val)
-		if err != nil {
-			return ct, err
-		}
-		switch key {
-		case "broadcasts":
-			ct.Broadcasts = c
-		case "unicasts":
-			ct.Unicasts = c
-		default:
-			return ct, fmt.Errorf("unknown field %q (want broadcasts or unicasts)", key)
-		}
-	}
-	return ct, nil
-}
-
-// Entry is one certified protocol family: the core package, the
-// Process type carrying the directive, and its contract.
+// Entry is one certified protocol family: the core package's name, the
+// Process type whose Step the contract covers, and the contract.
 type Entry struct {
-	Family   string   `json:"family"`
-	Type     string   `json:"type"`
-	Contract Contract `json:"contract"`
+	Family   string
+	Type     string
+	Contract Contract
 }
 
 // Registry returns the certified contract table for the nine protocol
-// families, sorted by (family, type). This is the authoritative copy
-// the runtime oracle loads; TestRegistryMatchesDirectives pins it
-// against the //lint:complexity directives the lint pass certifies, so
-// the two cannot drift apart.
+// families, sorted by (family, type). The runtime oracle loads it, and
+// the ubalint complexity pass certifies each entry inside the package
+// named Family, so an entry that drifts from its Step fails `make lint`.
 func Registry() []Entry {
 	return []Entry{
 		{Family: "approx", Type: "Iterated", Contract: Contract{Broadcasts: Const}},
@@ -187,101 +111,4 @@ func Lookup(family string) (Contract, bool) {
 		}
 	}
 	return Contract{}, false
-}
-
-// Directive is one //lint:complexity occurrence found by Scan.
-type Directive struct {
-	Family   string   `json:"family"` // declaring package name
-	Type     string   `json:"type"`   // annotated type
-	Contract Contract `json:"contract"`
-	Pos      string   `json:"pos"` // file:line, repo-relative when root is
-}
-
-// walkGoFiles parses every non-test Go file under root with its
-// comments, skipping testdata, vendor and _/. directories, and hands
-// each to visit: the one directory walk behind Scan and
-// ScanFuncDirectives. It uses only go/parser, so the ubalint binary can
-// serve -complexity-dump and -contracts-dump without a full
-// type-checking driver.
-func walkGoFiles(root string, visit func(fset *token.FileSet, f *ast.File) error) error {
-	fset := token.NewFileSet()
-	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == "testdata" || name == "vendor" || strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
-				if path != root {
-					return filepath.SkipDir
-				}
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		return visit(fset, f)
-	})
-}
-
-// Scan walks the Go files under root (walkGoFiles) and extracts every
-// //lint:complexity directive from type declarations, sorted by
-// (family, type).
-func Scan(root string) ([]Directive, error) {
-	var out []Directive
-	err := walkGoFiles(root, func(fset *token.FileSet, f *ast.File) error {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				doc := ts.Doc
-				if doc == nil {
-					doc = gd.Doc
-				}
-				if doc == nil {
-					continue
-				}
-				for _, c := range doc.List {
-					args, ok := strings.CutPrefix(c.Text, "//lint:complexity")
-					if !ok {
-						continue
-					}
-					ct, err := ParseContract(args)
-					if err != nil {
-						return fmt.Errorf("%s: //lint:complexity on %s: %v",
-							fset.Position(c.Pos()), ts.Name.Name, err)
-					}
-					pos := fset.Position(c.Pos())
-					out = append(out, Directive{
-						Family:   f.Name.Name,
-						Type:     ts.Name.Name,
-						Contract: ct,
-						Pos:      fmt.Sprintf("%s:%d", pos.Filename, pos.Line),
-					})
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Family != out[j].Family {
-			return out[i].Family < out[j].Family
-		}
-		return out[i].Type < out[j].Type
-	})
-	return out, nil
 }

@@ -53,8 +53,6 @@ func Reduce(values []float64) (float64, bool) {
 
 // Node is the paper's single-shot protocol: broadcast the input, apply
 // Reduce to whatever arrives, output.
-//
-//lint:complexity broadcasts=O(1) unicasts=0
 type Node struct {
 	id     ids.ID
 	input  float64
@@ -105,8 +103,6 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 // broadcasts its current estimate and then replaces the estimate with the
 // reduction of the received estimates. The correct-value range halves per
 // round (Theorem 4), so Rounds = ⌈log2(range/ε)⌉ reaches ε-agreement.
-//
-//lint:complexity broadcasts=O(1) unicasts=0
 type Iterated struct {
 	id       ids.ID
 	estimate float64

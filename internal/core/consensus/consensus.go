@@ -61,8 +61,6 @@ type PhaseRecord struct {
 }
 
 // Node is one correct consensus participant.
-//
-//lint:complexity broadcasts=O(n) unicasts=0
 type Node struct {
 	id ids.ID
 	x  wire.Value

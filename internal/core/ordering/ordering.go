@@ -110,8 +110,6 @@ type run struct {
 }
 
 // Node is one participant in the dynamic total-ordering protocol.
-//
-//lint:complexity broadcasts=O(n^2) unicasts=O(n)
 type Node struct {
 	id ids.ID
 

@@ -160,8 +160,6 @@ func (ins *instance) sent(kind wire.Kind, x wire.Value) {
 func (ins *instance) silent(kind wire.Kind) { ins.hasSent[wire.BallotSlot(kind)] = false }
 
 // Node is one correct parallel-consensus participant.
-//
-//lint:complexity broadcasts=O(n) unicasts=0
 type Node struct {
 	id   ids.ID
 	opts Options

@@ -69,8 +69,6 @@ type Acceptance struct {
 // Node is one correct participant in reliable broadcast. A Node can be the
 // source of its own broadcast and simultaneously a relay for any number of
 // other (m, s) pairs; acceptance is tracked per pair.
-//
-//lint:complexity broadcasts=O(n) unicasts=0
 type Node struct {
 	id       ids.ID
 	body     []byte

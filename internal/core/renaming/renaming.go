@@ -27,8 +27,6 @@ import (
 )
 
 // Node is one correct renaming participant.
-//
-//lint:complexity broadcasts=O(n) unicasts=0
 type Node struct {
 	id    ids.ID
 	cen   census.Census

@@ -9,8 +9,6 @@ import (
 
 // Node is the standalone rotor-coordinator protocol (Algorithm 2): one
 // rotor round per network round, dynamic n_v, termination on reselection.
-//
-//lint:complexity broadcasts=O(n) unicasts=0
 type Node struct {
 	id      ids.ID
 	opinion wire.Value

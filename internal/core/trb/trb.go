@@ -38,8 +38,6 @@ func Fingerprint(body []byte) wire.Value {
 }
 
 // Node is one terminating-reliable-broadcast participant.
-//
-//lint:complexity broadcasts=O(n) unicasts=0
 type Node struct {
 	id       ids.ID
 	source   ids.ID

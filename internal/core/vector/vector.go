@@ -42,8 +42,6 @@ type Entry struct {
 }
 
 // Node is one interactive-consistency participant.
-//
-//lint:complexity broadcasts=O(n) unicasts=0
 type Node struct {
 	id    ids.ID
 	value float64

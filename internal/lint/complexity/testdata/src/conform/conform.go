@@ -1,12 +1,10 @@
 // Package conform holds contracts the certifier accepts: each
-// declared class matches the derived class exactly.
+// registered class matches the derived class exactly.
 package conform
 
 import "simnet"
 
 // Quiet broadcasts once per round: O(1).
-//
-//lint:complexity broadcasts=O(1) unicasts=0
 type Quiet struct{}
 
 func (q *Quiet) Step(env *simnet.RoundEnv) {
@@ -14,8 +12,6 @@ func (q *Quiet) Step(env *simnet.RoundEnv) {
 }
 
 // Echo re-broadcasts every inbox message: O(n) broadcasts.
-//
-//lint:complexity broadcasts=O(n) unicasts=0
 type Echo struct{}
 
 func (e *Echo) Step(env *simnet.RoundEnv) {
@@ -25,8 +21,6 @@ func (e *Echo) Step(env *simnet.RoundEnv) {
 }
 
 // Acker unicasts an ack per message; the single broadcast stays O(1).
-//
-//lint:complexity broadcasts=O(1) unicasts=O(n)
 type Acker struct{}
 
 func (a *Acker) Step(env *simnet.RoundEnv) {
@@ -45,8 +39,6 @@ func fanout(n int, emit func(string)) {
 }
 
 // Laundry's sends all flow through the helper: still O(n).
-//
-//lint:complexity broadcasts=O(n) unicasts=0
 type Laundry struct{}
 
 func (l *Laundry) Step(env *simnet.RoundEnv) {
@@ -54,8 +46,6 @@ func (l *Laundry) Step(env *simnet.RoundEnv) {
 }
 
 // Dispatcher runs a laundering helper inside an n-loop: O(n^2).
-//
-//lint:complexity broadcasts=O(n^2) unicasts=0
 type Dispatcher struct{}
 
 func (d *Dispatcher) Step(env *simnet.RoundEnv) {
@@ -65,8 +55,6 @@ func (d *Dispatcher) Step(env *simnet.RoundEnv) {
 }
 
 // Silent never sends; the zero contract certifies that too.
-//
-//lint:complexity broadcasts=0 unicasts=0
 type Silent struct {
 	seen int
 }

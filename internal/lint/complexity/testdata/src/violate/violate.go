@@ -1,6 +1,7 @@
 // Package violate holds the planted contract violations: each want
-// pins one failure mode of the certifier.
-package violate
+// pins one failure mode of the certifier. The test's table also names
+// a Missing type, which this package does not declare.
+package violate // want `complexity registry names violate\.Missing, which package violate does not declare`
 
 import "simnet"
 
@@ -12,20 +13,17 @@ func launder(n int, emit func(string)) {
 	}
 }
 
-// Sneaky claims O(1) but launders O(n) broadcasts through the helper.
-//
-//lint:complexity broadcasts=O(1) unicasts=0
-type Sneaky struct{} // want `Sneaky\.Step exceeds its declared complexity: broadcasts derived O\(n\), declared O\(1\)`
+// Sneaky is registered O(1) but launders O(n) broadcasts through the
+// helper.
+type Sneaky struct{} // want `Sneaky\.Step exceeds its registered complexity: broadcasts derived O\(n\), registered O\(1\)`
 
 func (s *Sneaky) Step(env *simnet.RoundEnv) {
 	launder(env.Inbox.Len(), env.Broadcast)
 }
 
-// Misnested claims O(n) but the outer inbox loop squares it — the
-// loop-nesting misclassification a hand count misses.
-//
-//lint:complexity broadcasts=O(n) unicasts=0
-type Misnested struct{} // want `Misnested\.Step exceeds its declared complexity: broadcasts derived O\(n\^2\), declared O\(n\)`
+// Misnested is registered O(n) but the outer inbox loop squares it —
+// the loop-nesting misclassification a hand count misses.
+type Misnested struct{} // want `Misnested\.Step exceeds its registered complexity: broadcasts derived O\(n\^2\), registered O\(n\)`
 
 func (m *Misnested) Step(env *simnet.RoundEnv) {
 	for range env.Inbox.All() {
@@ -35,10 +33,8 @@ func (m *Misnested) Step(env *simnet.RoundEnv) {
 	}
 }
 
-// Hidden claims zero unicasts but acks every message.
-//
-//lint:complexity broadcasts=O(1) unicasts=0
-type Hidden struct{} // want `Hidden\.Step exceeds its declared complexity: unicasts derived O\(n\), declared 0`
+// Hidden is registered with zero unicasts but acks every message.
+type Hidden struct{} // want `Hidden\.Step exceeds its registered complexity: unicasts derived O\(n\), registered 0`
 
 func (h *Hidden) Step(env *simnet.RoundEnv) {
 	env.Broadcast("present")
@@ -47,34 +43,19 @@ func (h *Hidden) Step(env *simnet.RoundEnv) {
 	}
 }
 
-// Loose declares O(n) for a Step that only ever broadcasts once: the
-// overstated contract would weaken the runtime oracle's bound.
-//
-//lint:complexity broadcasts=O(n) unicasts=0
-type Loose struct{} // want `declared complexity of Loose is looser than its Step: broadcasts declared O\(n\), derived O\(1\)`
+// Loose is registered O(n) for a Step that only ever broadcasts once:
+// the overstated contract would weaken the runtime oracle's bound.
+type Loose struct{} // want `registered complexity of Loose is looser than its Step: broadcasts registered O\(n\), derived O\(1\)`
 
 func (l *Loose) Step(env *simnet.RoundEnv) {
 	env.Broadcast("x")
 }
 
 // Stepless has a contract but nothing to certify it against.
-//
-//lint:complexity broadcasts=O(1) unicasts=0
-type Stepless struct{} // want `//lint:complexity directive on Stepless, which has no Step\(env \*simnet\.RoundEnv\) method`
+type Stepless struct{} // want `Stepless has a registered complexity contract but no Step\(env \*simnet\.RoundEnv\) method`
 
-// Garbled's directive does not parse.
-//
-//lint:complexity broadcasts=O(log n)
-type Garbled struct{} // want `malformed //lint:complexity directive on Garbled: unknown complexity class "O\(log"`
-
-func (g *Garbled) Step(env *simnet.RoundEnv) {
-	env.Broadcast("x")
-}
-
-// Allowed exceeds its declaration but carries a suppression, which is
-// honored (and must itself be used, or Done reports it).
-//
-//lint:complexity broadcasts=O(1) unicasts=0
+// Allowed exceeds its registered class but carries a suppression,
+// which is honored (and must itself be used, or Done reports it).
 //
 //lint:allow complexity fixture: intentional mismatch kept to pin the suppression path
 type Allowed struct{}

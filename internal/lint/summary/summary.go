@@ -66,6 +66,7 @@ import (
 	"reflect"
 	"strings"
 
+	"uba/internal/complexity"
 	"uba/internal/lint/lintutil"
 
 	"golang.org/x/tools/go/analysis"
@@ -77,47 +78,6 @@ import (
 // bit, which is conservative but keeps the fact a fixed-size word.
 const MaxTracked = 32
 
-// Send classes order the per-call message-complexity lattice used by
-// the Broadcasts/Unicasts/ParamCalls facts: how many sends (or
-// invocations) one call of the function performs, as a function of the
-// participant count n. SendQuad is the top: anything at or above O(n²)
-// collapses onto it.
-const (
-	SendNone   uint8 = iota // no sends on any path
-	SendConst               // O(1): a bounded number of sends
-	SendLinear              // O(n): sends inside one participant-indexed loop
-	SendQuad                // O(n²) or worse
-)
-
-// ClassMul composes classes multiplicatively: a send of class b
-// executed from a context of class a (a loop body, an amplified
-// callee) lands at a+b-1 capped at SendQuad; anything times SendNone
-// is SendNone. ClassMul(SendConst, x) == x.
-func ClassMul(a, b uint8) uint8 {
-	if a == SendNone || b == SendNone {
-		return SendNone
-	}
-	if c := a + b - 1; c < SendQuad {
-		return c
-	}
-	return SendQuad
-}
-
-// ClassString renders a send class the way the //lint:complexity
-// directive spells it.
-func ClassString(c uint8) string {
-	switch c {
-	case SendNone:
-		return "0"
-	case SendConst:
-		return "O(1)"
-	case SendLinear:
-		return "O(n)"
-	default:
-		return "O(n^2)"
-	}
-}
-
 // FuncSummary is the exported fact: the externally observable effects
 // of one function. The zero value means "no observable effects" and is
 // never exported (absence of a fact is the common case).
@@ -126,16 +86,17 @@ type FuncSummary struct {
 	Flows          uint32
 	OrderSensitive bool
 
-	// Broadcasts and Unicasts are send classes (SendNone..SendQuad):
-	// how many env.Broadcast / env.Send calls one invocation performs,
-	// including sends delegated to callees and to function-typed
-	// arguments the callee invokes.
-	Broadcasts uint8
-	Unicasts   uint8
+	// Broadcasts and Unicasts are send classes: how many env.Broadcast /
+	// env.Send calls one invocation performs as a function of the
+	// participant count n, including sends delegated to callees and to
+	// function-typed arguments the callee invokes. Quadratic is the top:
+	// anything at or above O(n²) collapses onto it.
+	Broadcasts complexity.Class
+	Unicasts   complexity.Class
 	// ParamCalls packs, two bits per tracked slot, the send class of
 	// how often the function invokes a function-typed parameter bound
 	// to that slot — the helper-mediated-send channel: a caller passing
-	// env.Broadcast into a slot of class SendLinear performs O(n)
+	// env.Broadcast into a slot of class Linear performs O(n)
 	// broadcasts.
 	ParamCalls uint64
 
@@ -162,17 +123,17 @@ func (s *FuncSummary) String() string {
 	if s.OrderSensitive {
 		parts = append(parts, "ordersensitive")
 	}
-	if s.Broadcasts != SendNone {
-		parts = append(parts, "bcast("+ClassString(s.Broadcasts)+")")
+	if s.Broadcasts != complexity.None {
+		parts = append(parts, "bcast("+s.Broadcasts.String()+")")
 	}
-	if s.Unicasts != SendNone {
-		parts = append(parts, "uni("+ClassString(s.Unicasts)+")")
+	if s.Unicasts != complexity.None {
+		parts = append(parts, "uni("+s.Unicasts.String()+")")
 	}
 	if s.ParamCalls != 0 {
 		var cs []string
 		for i := 0; i < MaxTracked; i++ {
-			if c := s.ParamCallsAt(i); c != SendNone {
-				cs = append(cs, fmt.Sprintf("%d:%s", i, ClassString(c)))
+			if c := s.ParamCallsAt(i); c != complexity.None {
+				cs = append(cs, fmt.Sprintf("%d:%s", i, c))
 			}
 		}
 		parts = append(parts, "calls("+strings.Join(cs, ",")+")")
@@ -191,7 +152,7 @@ func (s *FuncSummary) String() string {
 
 func (s FuncSummary) isZero() bool {
 	return s.Retains == 0 && s.Flows == 0 && !s.OrderSensitive &&
-		s.Broadcasts == SendNone && s.Unicasts == SendNone && s.ParamCalls == 0 && s.Allocates == 0
+		s.Broadcasts == complexity.None && s.Unicasts == complexity.None && s.ParamCalls == 0 && s.Allocates == 0
 }
 
 // RetainsAt and FlowsAt test one tracked slot (see ArgIndex/RecvIndex).
@@ -202,17 +163,17 @@ func (s FuncSummary) FlowsAt(i int) bool { return s.Flows&(1<<uint(i)) != 0 }
 
 // ParamCallsAt returns the send class of how often the function
 // invokes a function value bound to tracked slot i.
-func (s FuncSummary) ParamCallsAt(i int) uint8 {
+func (s FuncSummary) ParamCallsAt(i int) complexity.Class {
 	if i < 0 || i >= MaxTracked {
-		return SendNone
+		return complexity.None
 	}
-	return uint8(s.ParamCalls>>(2*uint(i))) & 3
+	return complexity.Class(s.ParamCalls>>(2*uint(i))) & 3
 }
 
 // joinParamCall raises slot i's invocation class to at least c.
 //
 //lint:commutative lattice join: the packed per-slot max is identical under any call order
-func (s *FuncSummary) joinParamCall(i int, c uint8) {
+func (s *FuncSummary) joinParamCall(i int, c complexity.Class) {
 	if i < 0 || i >= MaxTracked || c <= s.ParamCallsAt(i) {
 		return
 	}
@@ -1157,8 +1118,8 @@ func (st *funcState) localReceiver(call *ast.CallExpr) bool {
 //
 // sendScan derives the Broadcasts/Unicasts/ParamCalls facts by walking
 // the body with an execution-class context: statements at the top level
-// execute once per call (SendConst); entering a loop whose trip count
-// is not provably constant multiplies the context by SendLinear (the
+// execute once per call (Const); entering a loop whose trip count
+// is not provably constant multiplies the context by Linear (the
 // conservative rule — inbox iteration, ids.Set ranges, and n-sized
 // slices all look identical to a loop over any other slice, and a
 // collection's element type says nothing about its length). Send sites
@@ -1175,20 +1136,20 @@ const (
 )
 
 func (st *funcState) sendScan() {
-	st.scanSends(st.fd.Body, SendConst, make(map[ast.Node]bool))
+	st.scanSends(st.fd.Body, complexity.Const, make(map[ast.Node]bool))
 }
 
 // scanSends walks n with execution class exec. handled marks function
 // literals already attributed a precise invocation class at a call
 // site, so the default treatment (a stray literal may run O(n) times)
 // does not double-walk them.
-func (st *funcState) scanSends(n ast.Node, exec uint8, handled map[ast.Node]bool) {
+func (st *funcState) scanSends(n ast.Node, exec complexity.Class, handled map[ast.Node]bool) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.ForStmt:
 			inner := exec
 			if !st.constTrip(x) {
-				inner = ClassMul(exec, SendLinear)
+				inner = exec.Mul(complexity.Linear)
 			}
 			if x.Init != nil {
 				st.scanSends(x.Init, exec, handled)
@@ -1207,7 +1168,7 @@ func (st *funcState) scanSends(n ast.Node, exec uint8, handled map[ast.Node]bool
 			}
 			inner := exec
 			if !st.constRange(x) {
-				inner = ClassMul(exec, SendLinear)
+				inner = exec.Mul(complexity.Linear)
 			}
 			st.scanSends(x.Body, inner, handled)
 			return false
@@ -1218,7 +1179,7 @@ func (st *funcState) scanSends(n ast.Node, exec uint8, handled map[ast.Node]bool
 			// way).
 			if !handled[x] {
 				handled[x] = true
-				st.scanSends(x.Body, ClassMul(exec, SendLinear), handled)
+				st.scanSends(x.Body, exec.Mul(complexity.Linear), handled)
 			}
 			return false
 		case *ast.CallExpr:
@@ -1231,7 +1192,7 @@ func (st *funcState) scanSends(n ast.Node, exec uint8, handled map[ast.Node]bool
 
 // scanCall attributes the sends one call site performs at execution
 // class exec.
-func (st *funcState) scanCall(call *ast.CallExpr, exec uint8, handled map[ast.Node]bool) {
+func (st *funcState) scanCall(call *ast.CallExpr, exec complexity.Class, handled map[ast.Node]bool) {
 	fun := ast.Unparen(call.Fun)
 
 	// Directly invoked literal: its body runs exactly once per
@@ -1268,8 +1229,8 @@ func (st *funcState) scanCall(call *ast.CallExpr, exec uint8, handled map[ast.No
 	}
 
 	s := st.res.Of(callee)
-	st.joinSend(sendBroadcast, ClassMul(exec, s.Broadcasts))
-	st.joinSend(sendUnicast, ClassMul(exec, s.Unicasts))
+	st.joinSend(sendBroadcast, exec.Mul(s.Broadcasts))
+	st.joinSend(sendUnicast, exec.Mul(s.Unicasts))
 
 	// Function-typed arguments flowing into slots the callee invokes.
 	for i, arg := range call.Args {
@@ -1278,10 +1239,10 @@ func (st *funcState) scanCall(call *ast.CallExpr, exec uint8, handled map[ast.No
 			continue
 		}
 		c := s.ParamCallsAt(idx)
-		if c == SendNone {
+		if c == complexity.None {
 			continue
 		}
-		amp := ClassMul(exec, c)
+		amp := exec.Mul(c)
 		arg = ast.Unparen(arg)
 		if lit, ok := arg.(*ast.FuncLit); ok {
 			handled[lit] = true
@@ -1302,7 +1263,7 @@ func (st *funcState) scanCall(call *ast.CallExpr, exec uint8, handled map[ast.No
 
 // joinSend raises the named counter to at least class c (a max-fold,
 // so the accumulated class is independent of visit order).
-func (st *funcState) joinSend(kind sendKind, c uint8) {
+func (st *funcState) joinSend(kind sendKind, c complexity.Class) {
 	if kind == sendBroadcast {
 		if c > st.out.Broadcasts {
 			st.out.Broadcasts = c
@@ -1359,8 +1320,8 @@ func (st *funcState) fnParamSlot(e ast.Expr) (int, bool) {
 // into an invoking slot) at class amp, based on what the value may
 // alias: the env parameter (a bound send method value — join both
 // kinds) or a function-typed parameter (a laundered ParamCalls edge).
-func (st *funcState) fnValueSends(e ast.Expr, amp uint8) {
-	if amp == SendNone {
+func (st *funcState) fnValueSends(e ast.Expr, amp complexity.Class) {
+	if amp == complexity.None {
 		return
 	}
 	m := st.taintOf(e)

@@ -1,10 +1,10 @@
 // The complexity oracle is the runtime half of the message-complexity
 // certification (DESIGN.md §8.6): ubalint proves each protocol's
-// declared per-round send classes against its Step implementation
-// statically, and this oracle cross-checks the same contract against
-// the engine's observed per-round tallies during every campaign. The
-// two halves fail independently — a lint pass bug cannot silently
-// void the runtime bound, and vice versa.
+// complexity.Registry entry against its Step implementation statically,
+// and this oracle cross-checks the same entry against the engine's
+// observed per-round tallies during every campaign. The two halves fail
+// independently — a lint pass bug cannot silently void the runtime
+// bound, and vice versa.
 package oracle
 
 import (
@@ -25,7 +25,7 @@ const DefaultComplexitySlack = 8
 
 // NewComplexity builds the runtime complexity oracle for one protocol
 // family: each round, the largest per-node broadcast and unicast
-// tallies among correct senders must stay within the declared class's
+// tallies among correct senders must stay within the contract class's
 // bound for the round's live-node count. Byzantine senders are already
 // excluded by the engine's accounting — an adversary is free to flood.
 // A zero or negative slack selects DefaultComplexitySlack.

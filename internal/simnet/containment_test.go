@@ -17,10 +17,8 @@ func wirePayload(i int) wire.Payload {
 	return wire.Event{Round: uint64(i), Body: []byte{1}}
 }
 
-func encodedPayload(i int) []byte { return wire.Encode(wirePayload(i)) }
-
 // This file tests the fault-containment layer: panic-to-crash-fault
-// conversion, per-node per-round send/byte quotas, and the round
+// conversion, per-node per-round send quotas, and the round
 // observer feed. The cross-worker-count determinism of containment is
 // asserted by the "panicky" workload in determinism_test.go and by the
 // facade-level matrix in worker_equivalence_test.go.
@@ -190,29 +188,6 @@ func TestSendQuotaContainsFlood(t *testing.T) {
 	// chatter broadcasts.
 	if got := col.Report().Sends; got != 6 {
 		t.Fatalf("sends = %d, want 6 (quota applied before accounting)", got)
-	}
-}
-
-func TestByteQuotaPrefixPolicy(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(13))
-	nodeIDs := ids.Sparse(rng, 3)
-	enc := len(encodedPayload(1))
-	log := trace.NewEventLog(0)
-	// Budget for exactly two encoded payloads per node per round.
-	net := New(Config{MaxRounds: 10, EventLog: log, ByteQuota: int64(2 * enc)})
-	for _, id := range nodeIDs {
-		if err := net.Add(&flood{Ident: id, Peers: nodeIDs[:1], Count: 4}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := net.RunRound(); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range log.Events() {
-		if e.Kind == trace.KindQuotaDrop && e.Size != 2 {
-			t.Fatalf("byte quota dropped %d sends, want 2 (prefix of 4)", e.Size)
-		}
 	}
 }
 

@@ -63,8 +63,8 @@ const (
 	FaultCrash = "crash"
 	// FaultRecover revives a crashed Node with an empty inbox.
 	FaultRecover = "recover"
-	// FaultQuota overwrites the per-round send/byte quotas at Round
-	// (0 disables a quota, as in Config).
+	// FaultQuota overwrites the per-round send quota at Round (0
+	// disables it, as in Config).
 	FaultQuota = "quota"
 )
 
@@ -88,9 +88,8 @@ type FaultEvent struct {
 	// later rule with the same scope overrides an earlier one; Rate 0
 	// clears it.
 	Rate float64 `json:"rate,omitempty"`
-	// SendQuota and ByteQuota are the new quotas for FaultQuota events.
-	SendQuota int   `json:"send_quota,omitempty"`
-	ByteQuota int64 `json:"byte_quota,omitempty"`
+	// SendQuota is the new send quota for FaultQuota events.
+	SendQuota int `json:"send_quota,omitempty"`
 }
 
 // FaultPlan is a deterministic, round-scheduled fault schedule for one
@@ -130,7 +129,7 @@ func (p *FaultPlan) Validate() error {
 				return fmt.Errorf("fault event %d (%s): node must be nonzero", i, e.Kind)
 			}
 		case FaultQuota:
-			if e.SendQuota < 0 || e.ByteQuota < 0 {
+			if e.SendQuota < 0 {
 				return fmt.Errorf("fault event %d: negative quota", i)
 			}
 		default:
@@ -342,11 +341,9 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 		})
 	case FaultQuota:
 		n.cfg.SendQuota = e.SendQuota
-		n.cfg.ByteQuota = e.ByteQuota
 		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, Kind: trace.KindQuotaChange, Size: e.SendQuota,
-			Enc: "send=" + strconv.Itoa(e.SendQuota) +
-				" byte=" + strconv.FormatInt(e.ByteQuota, 10),
+			Enc: "send=" + strconv.Itoa(e.SendQuota),
 		})
 	}
 }

@@ -35,9 +35,9 @@
 //     Network.Crashes carries the panic values for debugging. Recovery
 //     happens inside the per-node step task, before the node-order
 //     merge, so transcripts stay byte-identical across worker counts.
-//   - Config.SendQuota and Config.ByteQuota bound what one node can
-//     queue per round. The drop policy is deterministic (the longest
-//     queue prefix within budget survives) and recorded as a
+//   - Config.SendQuota bounds how many sends one node can queue per
+//     round. The drop policy is deterministic (the first SendQuota
+//     sends in queue order survive) and recorded as a
 //     trace.KindQuotaDrop event — the valve that contains Byzantine
 //     amplification floods.
 //   - Config.Observer receives each round's record at the round

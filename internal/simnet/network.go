@@ -73,10 +73,6 @@ type Config struct {
 	// correct or Byzantine; quotas are a network capacity, not a
 	// behavior assumption.
 	SendQuota int
-	// ByteQuota, when positive, bounds the encoded payload bytes one
-	// node may queue in one round, with the same deterministic policy:
-	// the longest prefix of the send queue within the budget survives.
-	ByteQuota int64
 	// FaultPlan, when non-nil, schedules deterministic round-timed
 	// faults — partitions, link drop rules, crash/recover churn, quota
 	// changes (see fault.go).
@@ -170,7 +166,7 @@ type stepResult struct {
 	// value (kept out of the transcript — see Network.Crashes).
 	crashed     bool
 	crashReason string
-	// dropped counts send operations discarded by the send/byte quota.
+	// dropped counts send operations discarded by the send quota.
 	dropped int
 }
 
@@ -568,7 +564,7 @@ func (n *Network) stepOne(st *procState) stepResult {
 		// shows the drop, then the crash). Clear the discarded queue so
 		// the dead node cannot pin payloads forever.
 		var dropped int
-		if n.cfg.SendQuota > 0 || n.cfg.ByteQuota > 0 {
+		if n.cfg.SendQuota > 0 {
 			_, dropped = n.applyQuota(sends)
 		}
 		clear(sends)
@@ -577,7 +573,7 @@ func (n *Network) stepOne(st *procState) stepResult {
 		return stepResult{crashed: true, crashReason: reason, dropped: dropped}
 	}
 	var dropped int
-	if n.cfg.SendQuota > 0 || n.cfg.ByteQuota > 0 {
+	if n.cfg.SendQuota > 0 {
 		sends, dropped = n.applyQuota(sends)
 	}
 	if st.contacts != nil && !st.byzantine {
@@ -614,28 +610,15 @@ func safeStep(p Process, env *RoundEnv) (reason string, panicked bool) {
 }
 
 // applyQuota truncates a node's send queue to the configured per-round
-// send and byte quotas: the longest prefix within both budgets survives,
-// in queue order, so the drop decision is a pure function of the queue —
-// identical for every worker count. It returns the
-// surviving prefix and the number of dropped sends.
+// send quota: the first SendQuota sends survive, in queue order, so the
+// drop decision is a pure function of the queue — identical for every
+// worker count. It returns the surviving prefix and the number of
+// dropped sends.
 //
 //lint:noalloc quota truncation slices and clears the caller's buffer in place
 func (n *Network) applyQuota(sends []send) ([]send, int) {
-	keep := len(sends)
-	if q := n.cfg.SendQuota; q > 0 && keep > q {
-		keep = q
-	}
-	if q := n.cfg.ByteQuota; q > 0 {
-		var bytes int64
-		for i := 0; i < keep; i++ {
-			bytes += int64(len(sends[i].encoded))
-			if bytes > q {
-				keep = i
-				break
-			}
-		}
-	}
-	if keep == len(sends) {
+	keep := n.cfg.SendQuota
+	if keep >= len(sends) {
 		return sends, 0
 	}
 	dropped := len(sends) - keep

@@ -47,8 +47,8 @@ const (
 	// crashed it on schedule: the node is silent and receives nothing
 	// until (plan crashes only) a recover event revives it.
 	KindNodeCrashed = "node-crashed"
-	// KindQuotaDrop records that a node exceeded its per-round send or
-	// byte quota; Size carries the number of dropped sends.
+	// KindQuotaDrop records that a node exceeded its per-round send
+	// quota; Size carries the number of dropped sends.
 	KindQuotaDrop = "quota-drop"
 	// KindPartition records one group of a fault-plan partition taking
 	// effect: From is the group index, Size the group population, and
@@ -61,14 +61,13 @@ const (
 	// KindLinkDrop records one message removed from the send stream by
 	// a fault-plan drop rule; Size is the encoded size of the lost
 	// message. Rule activations also use this kind, with Enc carrying
-	// "rate=…".
+	// "rate=…" (a dropped message's Enc is empty).
 	KindLinkDrop = "link-drop"
 	// KindNodeRecovered records a fault plan reviving a plan-crashed
 	// node; it resumes stepping with an empty inbox.
 	KindNodeRecovered = "node-recovered"
 	// KindQuotaChange records a fault plan overwriting the per-round
-	// send/byte quotas; Size is the new send quota and Enc carries both
-	// values.
+	// send quota; Size is the new quota and Enc carries it as "send=…".
 	KindQuotaChange = "quota-change"
 )
 
@@ -143,13 +142,20 @@ func (l *EventLog) Dropped() int {
 // Render writes the transcript grouped by round, up to maxRounds rounds
 // (0 = all). Broadcast fan-outs are collapsed into one line per
 // (round, sender, kind) with a receiver count, which is what a human
-// debugging a quorum protocol actually wants to read.
+// debugging a quorum protocol actually wants to read. A drop rule's
+// activation gets its own line; only dropped messages are counted.
 func (l *EventLog) Render(w io.Writer, maxRounds int) error {
+	// dropRule is the group kind of a drop rule's activation event,
+	// which shares KindLinkDrop with the messages the rule drops.
+	const dropRule = "drop-rule"
 	events := l.Events()
 	type groupKey struct {
 		round int
 		from  uint64
 		kind  string
+		// to and enc are set for drop-rule activations only.
+		to  uint64
+		enc string
 	}
 	type group struct {
 		key       groupKey
@@ -160,13 +166,14 @@ func (l *EventLog) Render(w io.Writer, maxRounds int) error {
 	}
 	var order []groupKey
 	groups := make(map[groupKey]*group)
-	lastRound := 0
 	for _, e := range events {
 		if maxRounds > 0 && e.Round > maxRounds {
 			break
 		}
-		lastRound = e.Round
 		k := groupKey{round: e.Round, from: e.From, kind: e.Kind}
+		if e.Kind == KindLinkDrop && e.Enc != "" {
+			k.kind, k.to, k.enc = dropRule, e.To, e.Enc
+		}
 		g, ok := groups[k]
 		if !ok {
 			g = &group{key: k, firstTo: e.To, broadcast: e.Broadcast}
@@ -206,6 +213,11 @@ func (l *EventLog) Render(w io.Writer, maxRounds int) error {
 				return err
 			}
 			continue
+		case dropRule:
+			if _, err := fmt.Fprintf(w, "  !! drop rule from=%d to=%d %s\n", k.from, k.to, k.enc); err != nil {
+				return err
+			}
+			continue
 		case KindLinkDrop:
 			if _, err := fmt.Fprintf(w, "  %d ~x~ %-18s x%d %dB\n", k.from, k.kind, g.receivers, g.bytes); err != nil {
 				return err
@@ -234,11 +246,9 @@ func (l *EventLog) Render(w io.Writer, maxRounds int) error {
 			return err
 		}
 	}
-	if maxRounds == 0 || lastRound <= maxRounds {
-		if d := l.Dropped(); d > 0 {
-			if _, err := fmt.Fprintf(w, "(+%d events beyond capacity)\n", d); err != nil {
-				return err
-			}
+	if d := l.Dropped(); d > 0 {
+		if _, err := fmt.Fprintf(w, "(+%d events beyond capacity)\n", d); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -174,7 +174,7 @@ type cluster struct {
 	cfg        Config
 	net        *simnet.Network
 	collector  *trace.Collector
-	suite      *oracle.Suite // the harness's own complexity oracle, nil without a contract
+	suite      *oracle.Suite // the harness's own complexity oracle
 	all        []ids.ID
 	correctIDs []ids.ID
 	byzIDs     []ids.ID
@@ -182,11 +182,10 @@ type cluster struct {
 }
 
 // newCluster builds the scaffolding for one run of the named protocol
-// family. Families with a certified complexity contract (all nine)
-// get the runtime complexity oracle attached as the network's observer,
-// so every campaign — sweep cells, soak runs, examples — cross-checks
-// the statically certified per-round send classes against observed
-// traffic.
+// family, which must have a contract in complexity.Registry: the
+// runtime complexity oracle is attached as the network's observer, so
+// every campaign — sweep cells, soak runs, examples — cross-checks the
+// statically certified per-round send classes against observed traffic.
 func newCluster(cfg Config, family string) (*cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -198,21 +197,17 @@ func newCluster(cfg Config, family string) (*cluster, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	all := ids.Sparse(rng, cfg.Correct+nByz)
 	collector := &trace.Collector{}
-	netCfg := simnet.Config{
-		MaxRounds: cfg.MaxRounds,
-		Workers:   cfg.Workers,
-		Collector: collector,
-		EventLog:  cfg.EventLog,
-		SendQuota: cfg.SendQuota,
-	}
-	var suite *oracle.Suite
-	if co := oracle.NewComplexityFor(family, 0); co != nil {
-		suite = oracle.NewSuite(co)
-		netCfg.Observer = suite
-	}
+	suite := oracle.NewSuite(oracle.NewComplexityFor(family, 0))
 	return &cluster{
-		cfg:        cfg,
-		net:        simnet.New(netCfg),
+		cfg: cfg,
+		net: simnet.New(simnet.Config{
+			MaxRounds: cfg.MaxRounds,
+			Workers:   cfg.Workers,
+			Collector: collector,
+			EventLog:  cfg.EventLog,
+			SendQuota: cfg.SendQuota,
+			Observer:  suite,
+		}),
 		collector:  collector,
 		suite:      suite,
 		all:        all,
@@ -252,7 +247,7 @@ func (c *cluster) run(stop func(*simnet.Network) bool) (int, error) {
 // is a protocol or engine regression, not a protocol outcome. Runners
 // that drive RunRound themselves call it once at the end of the run.
 func (c *cluster) complexityErr() error {
-	if c.suite == nil || !c.suite.Failed() {
+	if !c.suite.Failed() {
 		return nil
 	}
 	v := c.suite.First()
