@@ -16,9 +16,12 @@
 // With -repro, ubasim replays a minimized chaos repro file (produced by
 // `ubasweep -chaos` or internal/chaos.Shrink) and reports whether the
 // recorded oracle violation reproduces.
+//
+// A run that fails — a bad flag value included — prints only its error.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -82,18 +85,29 @@ func run(args []string, out io.Writer) error {
 		transcript = trace.NewEventLog(0)
 		cfg.EventLog = transcript
 	}
-	defer func() {
-		if transcript != nil {
-			fmt.Fprintln(out, "--- transcript ---")
-			_ = transcript.Render(out, *traceRounds)
-		}
-	}()
+	var result bytes.Buffer
+	if err := simulate(*protocol, cfg, *timing, &result); err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "n=%d (g=%d, f=%d)  adversary=%v  seed=%d  resilient(n>3f)=%v\n",
 		cfg.N(), *g, *f, adv, *seed, cfg.Resilient())
+	if _, err := result.WriteTo(out); err != nil {
+		return err
+	}
+	if transcript != nil {
+		fmt.Fprintln(out, "--- transcript ---")
+		return transcript.Render(out, *traceRounds)
+	}
+	return nil
+}
 
-	switch *protocol {
+// simulate runs one instance of protocol under cfg and writes its outcome
+// to out.
+func simulate(protocol string, cfg uba.Config, timing string, out io.Writer) error {
+	g := cfg.Correct
+	switch protocol {
 	case "consensus":
-		res, err := uba.Consensus(cfg, inputsOf(*g, func(i int) float64 { return float64(i % 2) }))
+		res, err := uba.Consensus(cfg, inputsOf(g, func(i int) float64 { return float64(i % 2) }))
 		if err != nil {
 			return err
 		}
@@ -120,7 +134,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "delivered=%v body=%q rounds=%d\n%v\n",
 			res.Delivered, res.Body, res.Rounds, res.Report)
 	case "approx":
-		res, err := uba.ApproximateAgreement(cfg, inputsOf(*g, func(i int) float64 { return float64(i * 10) }))
+		res, err := uba.ApproximateAgreement(cfg, inputsOf(g, func(i int) float64 { return float64(i * 10) }))
 		if err != nil {
 			return err
 		}
@@ -146,7 +160,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "%v\n", res.Report)
 	case "vector":
-		res, err := uba.InteractiveConsistency(cfg, inputsOf(*g, func(i int) float64 { return float64(i * 100) }))
+		res, err := uba.InteractiveConsistency(cfg, inputsOf(g, func(i int) float64 { return float64(i * 100) }))
 		if err != nil {
 			return err
 		}
@@ -157,7 +171,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%v\n", res.Report)
 	case "impossibility":
 		var model uba.TimingModel
-		switch *timing {
+		switch timing {
 		case "sync":
 			model = uba.TimingSynchronous
 		case "semisync":
@@ -165,15 +179,15 @@ func run(args []string, out io.Writer) error {
 		case "async":
 			model = uba.TimingAsync
 		default:
-			return fmt.Errorf("unknown timing %q", *timing)
+			return fmt.Errorf("unknown timing %q", timing)
 		}
-		res, err := uba.ImpossibilityDemo(model, *g, *seed)
+		res, err := uba.ImpossibilityDemo(model, g, cfg.Seed)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "model=%v agreement=%v decisions=%d\n", model, res.Agreement, len(res.Decisions))
 	default:
-		return fmt.Errorf("unknown protocol %q", *protocol)
+		return fmt.Errorf("unknown protocol %q", protocol)
 	}
 	return nil
 }

@@ -91,6 +91,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-adversary", "bogus"},
 		{"-protocol", "impossibility", "-timing", "bogus"},
 		{"-badflag"},
+		{"-g", "0"},
 		{"-protocol", "consensus", "-g", "-3", "-f", "1"},
 		{"-protocol", "approx", "-g", "-3", "-f", "1"},
 		{"-protocol", "vector", "-g", "-3", "-f", "1"},
@@ -102,6 +103,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		}
 		if slices.Contains(args, "-g") && err.Error() != "uba: Config.Correct must be positive" {
 			t.Fatalf("run(%v) = %v, want the facade's size error", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("run(%v) printed %q before its error; a bad input prints only the error", args, buf.String())
 		}
 	}
 }

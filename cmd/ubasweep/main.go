@@ -94,15 +94,6 @@ func run(args []string, out io.Writer) error {
 		advs = append(advs, adv)
 	}
 
-	w := csv.NewWriter(out)
-	defer w.Flush()
-	if err := w.Write([]string{
-		"protocol", "n", "f", "adversary", "seed",
-		"rounds", "deliveries", "bytes", "result",
-	}); err != nil {
-		return err
-	}
-
 	task := &sweepTask{protocol: *protocol}
 	for _, n := range ns {
 		if n < 2 {
@@ -119,7 +110,8 @@ func run(args []string, out io.Writer) error {
 	task.errs = make([]error, len(task.cells))
 	// The cells fan out over the process-wide simulation scheduler with
 	// at most -jobs in flight; rows are written in cell order after the
-	// barrier, so the CSV is byte-identical for every job count.
+	// barrier, so the CSV is byte-identical for every job count. A failed
+	// cell fails the sweep before anything is written.
 	var phase sched.Phase
 	sched.Default().Run(&phase, task, len(task.cells), sweepJobs(*jobs))
 	for i, cell := range task.cells {
@@ -127,6 +119,16 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("%s n=%d adversary=%v seed=%d: %w",
 				*protocol, cell.n, cell.adv, cell.seed, err)
 		}
+	}
+	w := csv.NewWriter(out)
+	defer w.Flush()
+	if err := w.Write([]string{
+		"protocol", "n", "f", "adversary", "seed",
+		"rounds", "deliveries", "bytes", "result",
+	}); err != nil {
+		return err
+	}
+	for i, cell := range task.cells {
 		record := append([]string{
 			*protocol,
 			strconv.Itoa(cell.n),

@@ -132,12 +132,12 @@ func TestSimultaneousJoiners(t *testing.T) {
 // The model lets a node unicast only to a node that has messaged it.
 // Algorithm 6 is the one family certified to unicast at all (the Ack that
 // tells a newcomer the round), and every Ack answers a present found in
-// the inbox of the same Step: with the engine enforcing the rule, a
+// the inbox of the same Step: the engine enforces the rule, and a
 // session of submitting founders and a joiner runs without ErrContactRule,
 // and the joiner learns the round — the Acks were sent.
 func TestOrderingObeysContactRule(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newClusterOn(t, simnet.Config{EnforceContactRule: true}, 57, 4, 0)
+	c, founders, _ := newCluster(t, 57, 4, 0)
 	var joiner *Node
 	for round := 1; round <= 40; round++ {
 		if round == 5 {

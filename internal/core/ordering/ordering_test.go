@@ -22,12 +22,6 @@ type cluster struct {
 
 func newCluster(t *testing.T, seed int64, nFounders int, byzIDs int) (*cluster, []ids.ID, []ids.ID) {
 	t.Helper()
-	return newClusterOn(t, simnet.Config{MaxRounds: 5000}, seed, nFounders, byzIDs)
-}
-
-// newClusterOn is newCluster on a network of the given configuration.
-func newClusterOn(t *testing.T, cfg simnet.Config, seed int64, nFounders int, byzIDs int) (*cluster, []ids.ID, []ids.ID) {
-	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	all := ids.Sparse(rng, nFounders+byzIDs)
 	founderIDs := all[:nFounders]
@@ -35,7 +29,7 @@ func newClusterOn(t *testing.T, cfg simnet.Config, seed int64, nFounders int, by
 	members := ids.NewSet(all...)
 	c := &cluster{
 		t:     t,
-		net:   simnet.New(cfg),
+		net:   simnet.New(simnet.Config{MaxRounds: 5000}),
 		nodes: make(map[ids.ID]*Node),
 	}
 	for _, id := range founderIDs {

@@ -23,23 +23,24 @@ func (r *statsRecorder) ObserveRoundStats(round int, acct RoundAccounting) {
 // TestRoundAccountingSplit pins the broadcast/unicast split and the
 // per-correct-node maxima: a correct broadcaster, a correct unicaster
 // with two targets, a silent correct node, and a flooding Byzantine
-// node whose sends count in the totals but not the correct maxima.
+// node whose sends count in the totals but not the correct maxima. Round
+// 1 introduces the unicaster's targets; round 2 is the one pinned.
 func TestRoundAccountingSplit(t *testing.T) {
 	t.Parallel()
 	rec := &statsRecorder{}
 	net := New(Config{Observer: rec})
-	a := newRecorder(1, func(env *RoundEnv) { env.Broadcast(body("a")) })
-	b := newRecorder(2, func(env *RoundEnv) {
+	a := newRecorder(1, hello, func(env *RoundEnv) { env.Broadcast(body("a")) })
+	b := newRecorder(2, nil, func(env *RoundEnv) {
 		env.Send(1, body("b1"))
 		env.Send(3, body("b2"))
 	})
-	c := newRecorder(3)
+	c := newRecorder(3, hello)
 	for _, p := range []*recorder{a, b, c} {
 		if err := net.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	byz := newRecorder(4, func(env *RoundEnv) {
+	byz := newRecorder(4, nil, func(env *RoundEnv) {
 		for i := 0; i < 5; i++ {
 			env.Broadcast(body("flood"))
 		}
@@ -48,13 +49,11 @@ func TestRoundAccountingSplit(t *testing.T) {
 	if err := net.AddByzantine(byz); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.RunRound(); err != nil {
-		t.Fatal(err)
+	mustRounds(t, net, 2)
+	if len(rec.accts) != 2 {
+		t.Fatalf("observer saw %d rounds, want 2", len(rec.accts))
 	}
-	if len(rec.accts) != 1 {
-		t.Fatalf("observer saw %d rounds, want 1", len(rec.accts))
-	}
-	acct := rec.accts[0]
+	acct := rec.accts[1]
 	if acct.Broadcasts != 6 || acct.Unicasts != 3 {
 		t.Errorf("split = %d broadcasts, %d unicasts; want 6, 3", acct.Broadcasts, acct.Unicasts)
 	}
@@ -83,25 +82,28 @@ func TestRoundAccountingMatchesCollector(t *testing.T) {
 	var col trace.Collector
 	net := New(Config{Observer: rec, Collector: &col})
 	a := newRecorder(1, func(env *RoundEnv) { env.Broadcast(body("x")) })
-	b := newRecorder(2, func(env *RoundEnv) { env.Send(1, body("y")) })
+	b := newRecorder(2, nil, func(env *RoundEnv) { env.Send(1, body("y")) })
 	for _, p := range []*recorder{a, b} {
 		if err := net.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := net.RunRound(); err != nil {
-		t.Fatal(err)
-	}
+	mustRounds(t, net, 2)
 	rep := col.Report()
-	if len(rec.accts) != 1 {
-		t.Fatalf("observer saw %d rounds, want 1", len(rec.accts))
+	if len(rec.accts) != 2 || len(rep.PerRound) != 2 {
+		t.Fatalf("observer saw %d rounds, collector %d, want 2", len(rec.accts), len(rep.PerRound))
 	}
-	acct := rec.accts[0]
-	if rep.Broadcasts != acct.Broadcasts || rep.Unicasts != acct.Unicasts {
-		t.Errorf("collector split %d/%d, observer split %d/%d",
-			rep.Broadcasts, rep.Unicasts, acct.Broadcasts, acct.Unicasts)
+	for i, acct := range rec.accts {
+		got := rep.PerRound[i]
+		if got.Broadcasts != acct.Broadcasts || got.Unicasts != acct.Unicasts {
+			t.Errorf("round %d: collector split %d/%d, observer split %d/%d",
+				i+1, got.Broadcasts, got.Unicasts, acct.Broadcasts, acct.Unicasts)
+		}
+		if got.Sends != acct.Broadcasts+acct.Unicasts {
+			t.Errorf("round %d: Sends = %d, want %d", i+1, got.Sends, acct.Broadcasts+acct.Unicasts)
+		}
 	}
-	if rep.Sends != acct.Broadcasts+acct.Unicasts {
-		t.Errorf("Sends = %d, want %d", rep.Sends, acct.Broadcasts+acct.Unicasts)
+	if rec.accts[1].Unicasts != 1 {
+		t.Errorf("round 2 observer split has %d unicasts, want 1", rec.accts[1].Unicasts)
 	}
 }

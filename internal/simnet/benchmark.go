@@ -91,8 +91,9 @@ func NewRoundPhases(n int, cfg Config) (*RoundPhases, error) {
 	net.round++
 	outs, err := net.step()
 	if err != nil {
-		// Unreachable for chatter processes (no contact rule, no
-		// quotas), but returned so an embedding driver stays alive.
+		// Unreachable for chatter processes (they only broadcast, so the
+		// contact rule has nothing to check, and there is no quota), but
+		// returned so an embedding driver stays alive.
 		net.Close()
 		return nil, err
 	}

@@ -39,8 +39,10 @@ func (p *panicAt) Step(env *RoundEnv) {
 	p.ChatterProcess.Step(env)
 }
 
-// flood queues `count` distinct unicasts to every peer each round — the
-// amplification workload the quotas must contain.
+// flood queues `count` distinct unicasts to every peer each round from
+// round 2 on — the amplification workload the quotas must contain. In
+// round 1 it broadcasts, so that the peers, which all broadcast too, and
+// it are each other's contacts.
 type flood struct {
 	Ident ids.ID
 	Peers []ids.ID
@@ -50,6 +52,10 @@ type flood struct {
 func (f *flood) ID() ids.ID { return f.Ident }
 func (f *flood) Done() bool { return false }
 func (f *flood) Step(env *RoundEnv) {
+	if env.Round == 1 {
+		env.Broadcast(wirePayload(0))
+		return
+	}
 	for i := 0; i < f.Count; i++ {
 		for _, to := range f.Peers {
 			env.Send(to, wirePayload(env.Round*1000+i))
@@ -165,16 +171,14 @@ func TestSendQuotaContainsFlood(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := net.RunRound(); err != nil {
-		t.Fatal(err)
-	}
+	mustRounds(t, net, 2) // round 1: introductions; round 2: the flood
 
 	var quotaEvents int
 	for _, e := range log.Events() {
 		if e.Kind == trace.KindQuotaDrop {
 			quotaEvents++
-			if e.From != uint64(flooder) {
-				t.Fatalf("quota event for %d, want flooder %v", e.From, flooder)
+			if e.From != uint64(flooder) || e.Round != 2 {
+				t.Fatalf("quota event for %d in round %d, want flooder %v in round 2", e.From, e.Round, flooder)
 			}
 			if e.Size != 17 { // 20 queued - 3 quota
 				t.Fatalf("quota event dropped %d, want 17", e.Size)
@@ -186,7 +190,7 @@ func TestSendQuotaContainsFlood(t *testing.T) {
 	}
 	// Accounting reflects the post-quota stream: 3 flooder sends + 3
 	// chatter broadcasts.
-	if got := col.Report().Sends; got != 6 {
+	if got := col.Report().PerRound[1].Sends; got != 6 {
 		t.Fatalf("sends = %d, want 6 (quota applied before accounting)", got)
 	}
 }

@@ -143,10 +143,10 @@ func at(events []trace.Event, i int) any {
 
 // sparseMix is the workload shape the sparse delivery refactor exists
 // for: every node broadcasts every round (a dense shared broadcast
-// block), while a small round-varying subset adds unicasts (a sparse
-// per-receiver arena). Deliveries are logged in inbox order, so the lazy
-// view's merge of block and arena is part of the state compared across
-// worker counts.
+// block), while from round 2 on — once every peer is a contact — a small
+// round-varying subset adds unicasts (a sparse per-receiver arena).
+// Deliveries are logged in inbox order, so the lazy view's merge of
+// block and arena is part of the state compared across worker counts.
 type sparseMix struct {
 	id    ids.ID
 	idx   int
@@ -162,7 +162,7 @@ func (s *sparseMix) Step(env *RoundEnv) {
 		s.log = append(s.log, fmt.Sprintf("%d<-%d:%x", env.Round, m.From, m.encoded))
 	}
 	env.Broadcast(wire.Event{Round: uint64(env.Round), Body: []byte{byte(s.idx)}})
-	if (env.Round+s.idx)%5 == 0 {
+	if env.Round > 1 && (env.Round+s.idx)%5 == 0 {
 		to := s.peers[(s.idx*7+env.Round)%len(s.peers)]
 		env.Send(to, wire.Event{Round: uint64(env.Round), Body: []byte("u")})
 	}

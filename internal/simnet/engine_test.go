@@ -16,7 +16,7 @@ import (
 func TestAbortedRoundRecordsNoTraffic(t *testing.T) {
 	t.Parallel()
 	var col trace.Collector
-	net := New(Config{EnforceContactRule: true, Collector: &col})
+	net := New(Config{Collector: &col})
 	// One well-behaved broadcaster and one violator: the broadcaster's
 	// sends must not be counted either, because the round aborts.
 	good := newRecorder(1, func(env *RoundEnv) { env.Broadcast(body("fine")) })
@@ -46,22 +46,22 @@ func TestUnicastDuplicatingBroadcastIsDropped(t *testing.T) {
 	t.Parallel()
 	net := New(Config{})
 	dup := body("same")
-	sender := newRecorder(1, func(env *RoundEnv) {
+	sender := newRecorder(1, nil, func(env *RoundEnv) {
 		env.Broadcast(dup)
 		env.Send(2, dup)
 		env.Send(3, dup)
 	})
-	b := newRecorder(2)
-	c := newRecorder(3)
+	b := newRecorder(2, hello)
+	c := newRecorder(3, hello)
 	for _, p := range []*recorder{sender, b, c} {
 		if err := net.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustRounds(t, net, 2)
+	mustRounds(t, net, 3)
 	for _, p := range []*recorder{b, c} {
-		if len(p.received[1]) != 1 {
-			t.Fatalf("node %v inbox = %+v, want the broadcast copy only", p.id, p.received[1])
+		if len(p.received[2]) != 1 {
+			t.Fatalf("node %v inbox = %+v, want the broadcast copy only", p.id, p.received[2])
 		}
 	}
 }
@@ -79,19 +79,19 @@ func TestInboxSortedWithMixedBroadcastAndUnicast(t *testing.T) {
 	net := New(Config{})
 	// Broadcast the large encoding and unicast the small one: the
 	// receiver must still see them in encoding order.
-	sender := newRecorder(1, func(env *RoundEnv) {
+	sender := newRecorder(1, nil, func(env *RoundEnv) {
 		env.Broadcast(large)
 		env.Send(2, small)
 	})
-	sink := newRecorder(2)
+	sink := newRecorder(2, hello)
 	if err := net.Add(sender); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Add(sink); err != nil {
 		t.Fatal(err)
 	}
-	mustRounds(t, net, 2)
-	inbox := sink.received[1]
+	mustRounds(t, net, 3)
+	inbox := sink.received[2]
 	if len(inbox) != 2 {
 		t.Fatalf("inbox = %+v, want 2 messages", inbox)
 	}
@@ -105,20 +105,20 @@ func TestInboxSortedWithMixedBroadcastAndUnicast(t *testing.T) {
 func TestIdenticalUnicastsToDistinctReceiversBothDeliver(t *testing.T) {
 	t.Parallel()
 	net := New(Config{})
-	sender := newRecorder(1, func(env *RoundEnv) {
+	sender := newRecorder(1, nil, func(env *RoundEnv) {
 		env.Send(2, body("copy"))
 		env.Send(3, body("copy"))
 	})
-	b := newRecorder(2)
-	c := newRecorder(3)
+	b := newRecorder(2, hello)
+	c := newRecorder(3, hello)
 	for _, p := range []*recorder{sender, b, c} {
 		if err := net.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustRounds(t, net, 2)
-	if len(b.received[1]) != 1 || len(c.received[1]) != 1 {
-		t.Fatalf("per-receiver dedup overreached: %+v / %+v", b.received[1], c.received[1])
+	mustRounds(t, net, 3)
+	if len(b.received[2]) != 1 || len(c.received[2]) != 1 {
+		t.Fatalf("per-receiver dedup overreached: %+v / %+v", b.received[2], c.received[2])
 	}
 }
 
@@ -155,7 +155,7 @@ func TestCloseReleasesSchedulerAndScratch(t *testing.T) {
 // references — alive across rounds after the network latched the error.
 func TestStepConcurrentErrorClearsResultSlices(t *testing.T) {
 	t.Parallel()
-	net := New(Config{Workers: 3, EnforceContactRule: true})
+	net := New(Config{Workers: 3})
 	// Three well-behaved broadcasters around one violator, so slots on
 	// both sides of the erroring node hold sends when the round aborts.
 	for i := ids.ID(1); i <= 4; i++ {
@@ -191,14 +191,14 @@ func TestInboxViewsShareBroadcastBlock(t *testing.T) {
 	const n = 5
 	for i := ids.ID(1); i <= n; i++ {
 		i := i
-		if err := net.Add(newRecorder(i, func(env *RoundEnv) {
+		if err := net.Add(newRecorder(i, hello, func(env *RoundEnv) {
 			env.Broadcast(body("b"))
 			env.Send(1+(i%n), body("u"))
 		})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustRounds(t, net, 1)
+	mustRounds(t, net, 2)
 	for _, st := range net.live {
 		in := st.inbox
 		if in.Len() != n+1 { // n broadcasts + 1 unicast each

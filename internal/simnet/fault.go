@@ -323,7 +323,7 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 		if !ok || st.crashed {
 			return
 		}
-		st.crashed = true
+		n.crash(st)
 		n.crashes = append(n.crashes, CrashRecord{
 			Node: st.id, Round: n.round, Reason: "fault plan crash",
 		})
@@ -336,6 +336,7 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 			return
 		}
 		st.crashed = false
+		st.since = n.round // this round's route delivers to it again
 		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: e.Node, Kind: trace.KindNodeRecovered,
 		})

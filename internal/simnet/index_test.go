@@ -23,9 +23,11 @@ type delivery struct {
 
 // saidReader sends a random mix every round — broadcasts drawn from a
 // small shared pool, so payloads repeat across senders, interleaved with
-// unicasts — and, in the rounds it is asked to, reads its inbox both
-// ways and records any difference between the payload-major reading
-// (Said × Broadcasters, plus Direct) and the sender-major one (All).
+// unicasts from round 2 on; in round 1 it also broadcasts the pool's
+// first payload, so every peer is a contact by then — and, in the rounds
+// it is asked to, reads its inbox both ways and records any difference
+// between the payload-major reading (Said × Broadcasters, plus Direct)
+// and the sender-major one (All).
 type saidReader struct {
 	id    ids.ID
 	rng   *rand.Rand
@@ -47,9 +49,12 @@ func (p *saidReader) Step(env *RoundEnv) {
 			p.found = append(p.found, fmt.Sprintf("round %d at %v: %s", env.Round, p.id, diff))
 		}
 	}
+	if env.Round == 1 {
+		env.Broadcast(p.pool[0])
+	}
 	for k := p.rng.Intn(5); k > 0; k-- {
 		payload := p.pool[p.rng.Intn(len(p.pool))]
-		if p.rng.Intn(3) == 0 {
+		if p.rng.Intn(3) == 0 && env.Round > 1 {
 			env.Send(p.peers[p.rng.Intn(len(p.peers))], payload)
 		} else {
 			env.Broadcast(payload)
@@ -239,7 +244,7 @@ func TestSaidGroupsBroadcastsByPayload(t *testing.T) {
 	t.Parallel()
 	echo7, echo8 := wire.IDEcho{Candidate: 7}, wire.IDEcho{Candidate: 8}
 	var got Inbox
-	reader := newRecorder(50, func(env *RoundEnv) {}, func(env *RoundEnv) {
+	reader := newRecorder(50, hello, nil, func(env *RoundEnv) {
 		got = env.Inbox
 		// Read inside Step: the views die with the round.
 		if bs := env.Inbox.Broadcasters(); !slices.Equal(bs, []ids.ID{10, 30}) {
@@ -263,16 +268,18 @@ func TestSaidGroupsBroadcastsByPayload(t *testing.T) {
 	net := New(Config{})
 	defer net.Close()
 	for _, p := range []Process{
-		newRecorder(10, func(env *RoundEnv) { env.Broadcast(echo7) }),
-		newRecorder(20, func(env *RoundEnv) { env.Send(50, echo8); env.Send(10, echo7) }),
-		newRecorder(30, func(env *RoundEnv) { env.Broadcast(echo8); env.Broadcast(echo7) }),
+		// Round 1 introduces 10 and the reader to 20, which unicasts to
+		// both in round 2; the reader reads round 2's sends in round 3.
+		newRecorder(10, hello, func(env *RoundEnv) { env.Broadcast(echo7) }),
+		newRecorder(20, nil, func(env *RoundEnv) { env.Send(50, echo8); env.Send(10, echo7) }),
+		newRecorder(30, nil, func(env *RoundEnv) { env.Broadcast(echo8); env.Broadcast(echo7) }),
 		reader,
 	} {
 		if err := net.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustRounds(t, net, 2)
+	mustRounds(t, net, 3)
 	if got.Len() != 4 {
 		t.Fatalf("reader's inbox held %d messages, want 4", got.Len())
 	}

@@ -8,8 +8,9 @@
 //     delivered at the start of round r+1.
 //   - A process can broadcast to all nodes (including itself and nodes it
 //     has never heard of) or unicast to a specific node. For correct
-//     processes the engine can verify the paper's contact rule: unicast
-//     only to a node that has previously sent the sender a message.
+//     processes the engine verifies the paper's contact rule: unicast
+//     only to a node that has previously sent the sender a message. A
+//     violation aborts the run with ErrContactRule.
 //   - The sender identifier on every delivered message is stamped by the
 //     engine, so a Byzantine node cannot forge its identifier when
 //     communicating directly (it can still lie arbitrarily in message
@@ -331,6 +332,8 @@ type Process interface {
 	Step(env *RoundEnv)
 	// Done reports whether the process has terminated. Terminated
 	// processes are no longer stepped and no longer receive messages,
-	// matching a node that has halted.
+	// matching a node that has halted. Done is final: once it reports
+	// true it must keep doing so. The engine relies on this — it stops
+	// tracking a terminated node's contacts.
 	Done() bool
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"uba/internal/ids"
@@ -36,14 +37,10 @@ type Config struct {
 	// step inline there too. The execution is identical for every value;
 	// the knob pays on large single runs with Step-heavy protocols.
 	Workers int
-	// EnforceContactRule makes the engine verify that correct processes
-	// unicast only to nodes that previously messaged them. Violations
-	// surface as an error from Run.
-	EnforceContactRule bool
 	// Collector, when non-nil, receives traffic accounting. Totals for a
 	// round are flushed in one batch after the round's sends have been
-	// validated and routed, so a round that aborts (e.g. on a contact
-	// rule violation) contributes no traffic.
+	// validated and routed, so a round that aborts (on a contact-rule
+	// violation, ErrContactRule) contributes no traffic.
 	Collector *trace.Collector
 	// EventLog, when non-nil, records a message-level transcript of
 	// every delivery (for debugging and the ubasim -trace flag). The
@@ -141,11 +138,26 @@ type procState struct {
 	// fault plan crashed on schedule. A crashed node is not stepped and
 	// receives no messages; only a fault-plan recover event clears it.
 	crashed bool
-	inbox   Inbox
-	// contacts is the set of nodes that have delivered a message to
-	// this process, used for the contact rule. It is nil (and not
-	// maintained) unless Config.EnforceContactRule is set.
-	contacts map[ids.ID]struct{}
+
+	// Contact state: x has delivered a message to this node exactly when
+	// x is in heard or x's lastBcast is at least this node's since (see
+	// knows). Only serial code writes these fields. They sit in the
+	// struct's first cache line, beside the fields the route pass already
+	// reads for every node.
+	//
+	// lastBcast is the last route round whose shared broadcast block
+	// carried this node's broadcast; 0 if none has.
+	lastBcast int
+	// since is the route round that began this node's current unbroken
+	// run of receiving the block, math.MaxInt while it is crashed. Done
+	// ends no run: a terminated node is never stepped again.
+	since int
+	// heard holds the contacts the block rule does not imply: the senders
+	// of this node's arena entries, and the block senders of a run that
+	// ended in a crash or of a sender that was removed. Nil until needed.
+	heard map[ids.ID]struct{}
+
+	inbox Inbox
 
 	// Round-scoped scratch, recycled across rounds (see the package
 	// docs for the retention contract this imposes on Process.Step).
@@ -275,9 +287,7 @@ func (n *Network) add(p Process, byzantine bool) error {
 		proc:      p,
 		id:        id,
 		byzantine: byzantine,
-	}
-	if n.cfg.EnforceContactRule {
-		st.contacts = make(map[ids.ID]struct{})
+		since:     n.round + 1, // joins between rounds: the next route delivers to it
 	}
 	n.procs[id] = st
 	i := sort.Search(len(n.order), func(i int) bool { return n.order[i] >= id })
@@ -291,9 +301,11 @@ func (n *Network) add(p Process, byzantine bool) error {
 }
 
 // Remove detaches a process from the network (a node that has left a
-// dynamic network). Pending messages to it are dropped.
+// dynamic network). Pending messages to it are dropped. It stays a
+// contact of every node it delivered a message to.
 func (n *Network) Remove(id ids.ID) {
-	if _, ok := n.procs[id]; !ok {
+	st, ok := n.procs[id]
+	if !ok {
 		return
 	}
 	delete(n.procs, id)
@@ -302,6 +314,47 @@ func (n *Network) Remove(id ids.ID) {
 		n.order = append(n.order[:i], n.order[i+1:]...)
 		n.live = append(n.live[:i], n.live[i+1:]...)
 	}
+	for _, v := range n.live {
+		if st.lastBcast >= v.since {
+			v.hear(id)
+		}
+	}
+}
+
+// knows reports whether x has delivered a message to st, the contact
+// rule's predicate. Step tasks call it concurrently: it reads st and
+// other nodes' lastBcast, which only serial code writes (the route pass
+// stamps it).
+//
+//lint:noalloc two map reads per unicast of a correct node
+func (n *Network) knows(st *procState, x ids.ID) bool {
+	if _, ok := st.heard[x]; ok {
+		return true
+	}
+	xs, ok := n.procs[x]
+	return ok && xs.lastBcast >= st.since
+}
+
+// hear adds x to st's explicit contacts.
+func (st *procState) hear(x ids.ID) {
+	if st.heard == nil {
+		st.heard = make(map[ids.ID]struct{})
+	}
+	st.heard[x] = struct{}{}
+}
+
+// crash turns st into a crash fault. The block stops reaching it, so the
+// block senders of its ended run become explicit contacts. It runs
+// before the round's route pass, which is what keeps this round's
+// broadcasts out of the fold.
+func (n *Network) crash(st *procState) {
+	st.crashed = true
+	for _, x := range n.live {
+		if x.lastBcast >= st.since {
+			st.hear(x.id)
+		}
+	}
+	st.since = math.MaxInt
 }
 
 // Round returns the number of rounds executed so far.
@@ -478,6 +531,8 @@ func (n *Network) noteResult(st *procState, res *stepResult) {
 		})
 	}
 	if res.crashed {
+		//lint:coldpath a crash folds the node's ended run into its contacts, once per contained panic
+		n.crash(st)
 		n.crashes = append(n.crashes, CrashRecord{
 			Node: st.id, Round: n.round, Reason: res.crashReason,
 		})
@@ -576,13 +631,10 @@ func (n *Network) stepOne(st *procState) stepResult {
 	if n.cfg.SendQuota > 0 {
 		sends, dropped = n.applyQuota(sends)
 	}
-	if st.contacts != nil && !st.byzantine {
+	if !st.byzantine {
 		for i := range sends {
 			s := &sends[i]
-			if s.to == ids.None {
-				continue
-			}
-			if _, known := st.contacts[s.to]; !known {
+			if s.to != ids.None && !n.knows(st, s.to) {
 				//lint:coldpath a contact-rule violation aborts the run; the error format never executes on the steady-state path
 				return stepResult{err: fmt.Errorf("%w: %v -> %v in round %d",
 					ErrContactRule, s.from, s.to, n.round)}

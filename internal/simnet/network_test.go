@@ -42,6 +42,10 @@ func newRecorder(id ids.ID, script ...func(env *RoundEnv)) *recorder {
 
 func body(s string) wire.Payload { return wire.Event{Round: 1, Body: []byte(s)} }
 
+// hello is a round-1 script entry that introduces a node to every other
+// one: after its broadcast, anyone may unicast to it.
+func hello(env *RoundEnv) { env.Broadcast(body("hello")) }
+
 func TestBroadcastReachesEveryoneIncludingSelf(t *testing.T) {
 	t.Parallel()
 	net := New(Config{})
@@ -75,19 +79,19 @@ func TestBroadcastReachesEveryoneIncludingSelf(t *testing.T) {
 func TestUnicastDeliversOnlyToTarget(t *testing.T) {
 	t.Parallel()
 	net := New(Config{})
-	a := newRecorder(1, func(env *RoundEnv) { env.Send(3, body("direct")) })
+	a := newRecorder(1, nil, func(env *RoundEnv) { env.Send(3, body("direct")) })
 	b := newRecorder(2)
-	c := newRecorder(3)
+	c := newRecorder(3, hello)
 	for _, p := range []*recorder{a, b, c} {
 		if err := net.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustRounds(t, net, 2)
-	if len(c.received[1]) != 1 {
-		t.Fatalf("target inbox = %+v", c.received[1])
+	mustRounds(t, net, 3)
+	if len(c.received[2]) != 1 {
+		t.Fatalf("target inbox = %+v", c.received[2])
 	}
-	if len(a.received[1]) != 0 || len(b.received[1]) != 0 {
+	if len(a.received[2]) != 0 || len(b.received[2]) != 0 {
 		t.Fatal("unicast leaked to non-targets")
 	}
 }
@@ -124,22 +128,22 @@ func TestSenderIDIsStampedByEngine(t *testing.T) {
 func TestIntraRoundDuplicatesDiscarded(t *testing.T) {
 	t.Parallel()
 	net := New(Config{})
-	spammer := newRecorder(1, func(env *RoundEnv) {
+	spammer := newRecorder(1, nil, func(env *RoundEnv) {
 		env.Broadcast(body("dup"))
 		env.Broadcast(body("dup"))
 		env.Send(2, body("dup"))
 		env.Broadcast(body("other"))
 	})
-	sink := newRecorder(2)
+	sink := newRecorder(2, hello)
 	if err := net.Add(spammer); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Add(sink); err != nil {
 		t.Fatal(err)
 	}
-	mustRounds(t, net, 2)
-	if len(sink.received[1]) != 2 {
-		t.Fatalf("inbox = %+v, want exactly the two distinct payloads", sink.received[1])
+	mustRounds(t, net, 3)
+	if len(sink.received[2]) != 2 {
+		t.Fatalf("inbox = %+v, want exactly the two distinct payloads", sink.received[2])
 	}
 }
 
@@ -228,7 +232,7 @@ func TestDuplicateIDRejected(t *testing.T) {
 func TestContactRuleEnforcement(t *testing.T) {
 	t.Parallel()
 	// Node 1 unicasts to node 2 without ever hearing from it: violation.
-	net := New(Config{EnforceContactRule: true})
+	net := New(Config{})
 	a := newRecorder(1, func(env *RoundEnv) { env.Send(2, body("hi")) })
 	b := newRecorder(2)
 	if err := net.Add(a); err != nil {
@@ -248,7 +252,7 @@ func TestContactRuleEnforcement(t *testing.T) {
 
 func TestContactRuleAllowsReply(t *testing.T) {
 	t.Parallel()
-	net := New(Config{EnforceContactRule: true})
+	net := New(Config{})
 	a := newRecorder(1, func(env *RoundEnv) { env.Broadcast(body("hello")) }, nil)
 	b := newRecorder(2, nil, func(env *RoundEnv) { env.Send(1, body("reply")) })
 	if err := net.Add(a); err != nil {
@@ -265,7 +269,7 @@ func TestContactRuleAllowsReply(t *testing.T) {
 
 func TestContactRuleExemptsByzantine(t *testing.T) {
 	t.Parallel()
-	net := New(Config{EnforceContactRule: true})
+	net := New(Config{})
 	byz := newRecorder(9, func(env *RoundEnv) { env.Send(1, body("sneak")) })
 	honest := newRecorder(1)
 	if err := net.AddByzantine(byz); err != nil {
@@ -410,6 +414,10 @@ func (g *gossip) Step(env *RoundEnv) {
 	for m := range env.Inbox.All() {
 		g.log = append(g.log, fmt.Sprintf("%d<-%d:%x", env.Round, m.From, m.encoded))
 	}
+	if env.Round == 1 {
+		hello(env) // every peer is a contact from round 2 on
+		return
+	}
 	// Deterministic pseudo-random behaviour seeded per node: broadcast
 	// sometimes, unicast sometimes.
 	switch g.rng.Intn(3) {
@@ -524,26 +532,32 @@ func TestEventLogRecordsDeliveries(t *testing.T) {
 	t.Parallel()
 	log := trace.NewEventLog(100)
 	net := New(Config{EventLog: log})
-	a := newRecorder(1, func(env *RoundEnv) {
+	a := newRecorder(1, nil, func(env *RoundEnv) {
 		env.Broadcast(body("x"))
 		env.Send(2, body("y"))
 	})
-	b := newRecorder(2)
+	b := newRecorder(2, hello)
 	if err := net.Add(a); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.Add(b); err != nil {
 		t.Fatal(err)
 	}
-	mustRounds(t, net, 2)
+	mustRounds(t, net, 3)
 	events := log.Events()
-	// Broadcast to 2 nodes + 1 unicast = 3 deliveries, all in round 2.
-	if len(events) != 3 {
-		t.Fatalf("recorded %d events, want 3: %+v", len(events), events)
+	// Round 2: b's hello to both nodes. Round 3: a's broadcast to 2
+	// nodes + 1 unicast = 3 deliveries.
+	if len(events) != 5 {
+		t.Fatalf("recorded %d events, want 5: %+v", len(events), events)
+	}
+	for _, e := range events[:2] {
+		if e.Round != 2 || e.From != 2 || !e.Broadcast {
+			t.Fatalf("bad hello event %+v", e)
+		}
 	}
 	broadcasts, unicasts := 0, 0
-	for _, e := range events {
-		if e.Round != 2 || e.From != 1 || e.Kind != "event" || e.Size == 0 {
+	for _, e := range events[2:] {
+		if e.Round != 3 || e.From != 1 || e.Kind != "event" || e.Size == 0 {
 			t.Fatalf("bad event %+v", e)
 		}
 		if e.Broadcast {

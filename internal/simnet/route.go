@@ -50,6 +50,8 @@ import (
 //     next round). Block and arena are recycled across rounds — which is
 //     why Process.Step must not retain env.Inbox (see the package docs).
 //     The round record, which mirrors this storage, is finished here.
+//     Each block sender's lastBcast is stamped here, which is all the
+//     contact rule needs of the block (see Network.knows).
 //
 //  4. Delivery. One walk over the receivers in node order assembles,
 //     per receiver, an Inbox view over the shared block and the
@@ -58,9 +60,10 @@ import (
 //     materialized engine produced. Delivery and byte tallies are
 //     computed arithmetically (per-receiver: B broadcasts plus its
 //     bucket; bytes: the block's byte total plus the bucket's) without
-//     touching message data. The walk has one behaviour whether or not
-//     the round is observed: it writes no trace event (the transcript is
-//     read back from the inboxes afterwards; see RunRound).
+//     touching message data. An arena entry's sender that is not yet a
+//     contact of its receiver becomes a heard one. The walk has one behaviour whether
+//     or not the round is observed: it writes no trace event (the
+//     transcript is read back from the inboxes afterwards; see RunRound).
 
 // route fans out and filters the round's sends into next-round inboxes,
 // finishes the round record with the round's message events, and returns
@@ -173,10 +176,15 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 	nb := len(n.bcastIdx)
 	n.bcastBlock = recycled(n.bcastBlock, nb, &n.bcastLive)
 	var bbytes int64
+	sender := 0 // cursor over n.order: the block is sender-ascending
 	for j, k := range n.bcastIdx {
 		s := &outs[k]
 		n.bcastBlock[j] = Received{From: s.from, Payload: s.payload, encoded: s.encoded, bcast: true}
 		bbytes += int64(len(s.encoded))
+		for n.order[sender] != s.from {
+			sender++
+		}
+		n.live[sender].lastBcast = n.round
 	}
 	n.index.reset(n.bcastBlock)
 	nu := len(n.uniIdx)
@@ -231,11 +239,18 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 		// block's sizes are shared by every live receiver.
 		deliveries += int64(nm)
 		bytes += bbytes
+		// The block's senders are contacts through lastBcast; an arena
+		// entry's sender is noted unless it already is one. A segment is
+		// in send order, so one sender's entries are adjacent.
+		prev := ids.None
 		for j := ulo; j < uhi; j++ {
-			bytes += int64(len(n.uniArena[j].encoded))
-		}
-		if st.contacts != nil {
-			n.noteContacts(st, ulo, uhi)
+			m := &n.uniArena[j]
+			bytes += int64(len(m.encoded))
+			if m.From != prev && !n.knows(st, m.From) {
+				//lint:coldpath inserts once per (receiver, sender) pair the block does not already cover
+				st.hear(m.From)
+			}
+			prev = m.From
 		}
 	}
 	return deliveries, bytes
@@ -305,20 +320,6 @@ func messageEvent(round int, m *Received, to ids.ID) trace.Event {
 		Size:      len(m.encoded),
 		Broadcast: m.bcast,
 		Enc:       m.encoded,
-	}
-}
-
-// noteContacts adds the senders of st's round — the broadcast block
-// plus its arena segment [ulo, uhi) — to its contact set. A contact set
-// needs the senders, not their merged order.
-//
-//lint:coldpath contact-set maintenance runs only under EnforceContactRule, which the measured hot path disables
-func (n *Network) noteContacts(st *procState, ulo, uhi int) {
-	for j := range n.bcastBlock {
-		st.contacts[n.bcastBlock[j].From] = struct{}{}
-	}
-	for j := ulo; j < uhi; j++ {
-		st.contacts[n.uniArena[j].From] = struct{}{}
 	}
 }
 
