@@ -159,11 +159,11 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	switch env.Round {
 	case 1:
 		n.observeAll(env)
-		n.core.BroadcastInit(env.Broadcast)
+		n.core.BroadcastInit(env)
 		return
 	case 2:
 		n.observeAll(env)
-		n.core.EchoInits(env.Inbox, env.Broadcast)
+		n.core.EchoInits(env.Inbox, env)
 		// Freeze n_v: ids heard during initialization are the
 		// protocol's world; everything else is discarded later.
 		n.frozen = n.cen.Freeze()
@@ -212,7 +212,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 		}
 	case 3: // PR4: store strongprefer tally, run a rotor round
 		n.storedSP = n.tally(env.Inbox, wire.KindStrongPrefer)
-		n.coordinator = n.core.LoopRound(n.frozen.N(), env.Broadcast).Coordinator
+		n.coordinator = n.core.LoopRound(n.frozen.N(), env).Coordinator
 		if n.coordinator == n.id {
 			env.Broadcast(wire.Opinion{X: n.x})
 		}

@@ -322,7 +322,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 		n.window = append(n.window, rn)
 	}
 
-	if n.drive(env.Round, env.Inbox, env.Broadcast) && n.leaving {
+	if n.drive(env) && n.leaving {
 		n.left = true
 	}
 	n.foldFinal()
@@ -351,10 +351,11 @@ func (n *Node) execution(rn run, inputs []parallelcon.InputPair) *parallelcon.No
 // is the state it would have reached built at its start: every inbox read
 // of an execution is filtered by its own tags, none of the inboxes it
 // missed carried one, and an execution that has joined no instance sends
-// nothing on an empty inbox (quiet asserts it). A node that was not stepped
+// nothing on an empty inbox (the replay asserts it). A node that was not stepped
 // in some round (a crash it recovered from) builds every quiet execution
 // at once, so that each replays the rounds it was stepped in and no other.
-func (n *Node) drive(round int, inbox simnet.Inbox, send func(wire.Payload)) (allDone bool) {
+func (n *Node) drive(env *simnet.RoundEnv) (allDone bool) {
+	round, inbox := env.Round, env.Inbox
 	allDone = true
 	if len(n.window) > 0 {
 		n.markNamed(inbox)
@@ -375,8 +376,12 @@ func (n *Node) drive(round int, inbox simnet.Inbox, send func(wire.Payload)) (al
 			}
 			rn.node = n.execution(*rn, nil)
 			rn.scope.Lay(&n.ranks, nil)
+			var replay simnet.RoundEnv
 			for r := rn.start; r <= n.stepped; r++ {
-				rn.node.StepLocal(r, simnet.Inbox{}, &n.ranks, quiet)
+				rn.node.StepLocal(r, simnet.Inbox{}, &n.ranks, &replay)
+			}
+			if replay.SendCount() != 0 {
+				panic(fmt.Sprintf("ordering: a quiet execution sent %v while catching up", replay.Sent()))
 			}
 			laid = nil
 		}
@@ -384,7 +389,7 @@ func (n *Node) drive(round int, inbox simnet.Inbox, send func(wire.Payload)) (al
 			rn.scope.Lay(&n.ranks, inbox.Broadcasters())
 			laid = rn.scope
 		}
-		rn.node.StepLocal(round, inbox, &n.ranks, send)
+		rn.node.StepLocal(round, inbox, &n.ranks, env)
 		rn.done = rn.node.Done()
 		allDone = allDone && rn.done
 	}
@@ -414,12 +419,6 @@ func (n *Node) markNamed(inbox simnet.Inbox) {
 	for i := range direct {
 		mark(direct[i].Payload)
 	}
-}
-
-// quiet is the send function of the rounds a quiet execution replays, in
-// which it sends nothing.
-func quiet(p wire.Payload) {
-	panic(fmt.Sprintf("ordering: a quiet execution sent %v while catching up", p))
 }
 
 // foldFinal moves the executions that became final this round from the

@@ -108,9 +108,11 @@ func TestQuietExecutionBuiltLateMatchesBuiltAtStart(t *testing.T) {
 							continue
 						}
 						in := inbox(local)
-						var eagerSent, lateSent []wire.Payload
-						eager.drive(start+local-1, in, func(p wire.Payload) { eagerSent = append(eagerSent, p) })
-						late.drive(start+local-1, in, func(p wire.Payload) { lateSent = append(lateSent, p) })
+						eagerEnv := simnet.RoundEnv{Round: start + local - 1, Inbox: in}
+						lateEnv := eagerEnv
+						eager.drive(&eagerEnv)
+						late.drive(&lateEnv)
+						eagerSent, lateSent := eagerEnv.Sent(), lateEnv.Sent()
 						if built := late.window[0].node != nil; built != (local >= wantBuilt) {
 							t.Fatalf("%s: after local round %d built=%v, want built from round %d", name, local, built, wantBuilt)
 						}

@@ -274,17 +274,17 @@ func (n *Node) Phases() int { return n.phasesRun }
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
 	n.ranks.Reset(env.Inbox.Broadcasters(), n.frozen)
-	n.StepLocal(env.Round, env.Inbox, &n.ranks, env.Broadcast)
+	n.StepLocal(env.Round, env.Inbox, &n.ranks, env)
 }
 
-// StepLocal runs one round of the protocol. Embedding protocols
-// (total ordering) call it directly with the inbox of their own Step and
-// their own send function. ranks is the run's census laid over the
-// inbox's broadcasters, which the caller does before the call
-// (census.Ranks.Reset, or Scope.Lay): the table depends on the census and
-// the inbox only, so a protocol that steps dozens of runs of one Scope at
-// once lays it once and lends it to them all.
-func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, send func(wire.Payload)) {
+// StepLocal runs one round of the protocol and broadcasts what it sends
+// on env. Embedding protocols (total ordering) call it directly with the
+// round and inbox of their own Step, and their env. ranks is the run's
+// census laid over the inbox's broadcasters, which the caller does before
+// the call (census.Ranks.Reset, or Scope.Lay): the table depends on the
+// census and the inbox only, so a protocol that steps dozens of runs of
+// one Scope at once lays it once and lends it to them all.
+func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, env *simnet.RoundEnv) {
 	if n.done {
 		return
 	}
@@ -298,11 +298,11 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 		switch local {
 		case 1:
 			n.observe(inbox)
-			n.core.BroadcastInit(send)
+			n.core.BroadcastInit(env)
 			return
 		case 2:
 			n.observe(inbox)
-			n.core.EchoInits(inbox, send)
+			n.core.EchoInits(inbox, env)
 			n.frozen = n.cen.Freeze()
 			return
 		}
@@ -329,7 +329,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 				ins.silent(wire.KindInput)
 				continue
 			}
-			send(wire.Input{Instance: ins.id, X: ins.x})
+			env.Broadcast(wire.Input{Instance: ins.id, X: ins.x})
 			ins.sent(wire.KindInput, ins.x)
 		}
 	case 1: // PR2: tally inputs; prefer or nopreference
@@ -340,10 +340,10 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 			t := n.tally(ins, inbox, ranks, wire.KindInput)
 			v, count := t.Best()
 			if census.AtLeastTwoThirds(count, n.frozen.N()) {
-				send(wire.Prefer{Instance: ins.id, X: v})
+				env.Broadcast(wire.Prefer{Instance: ins.id, X: v})
 				ins.sent(wire.KindPrefer, v)
 			} else {
-				send(wire.NoPreference{Instance: ins.id})
+				env.Broadcast(wire.NoPreference{Instance: ins.id})
 				ins.silent(wire.KindPrefer)
 			}
 		}
@@ -358,10 +358,10 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 				ins.x = v
 			}
 			if census.AtLeastTwoThirds(count, n.frozen.N()) {
-				send(wire.StrongPrefer{Instance: ins.id, X: v})
+				env.Broadcast(wire.StrongPrefer{Instance: ins.id, X: v})
 				ins.sent(wire.KindStrongPrefer, v)
 			} else {
-				send(wire.NoStrongPreference{Instance: ins.id})
+				env.Broadcast(wire.NoStrongPreference{Instance: ins.id})
 				ins.silent(wire.KindStrongPrefer)
 			}
 		}
@@ -372,12 +372,12 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, sen
 			}
 			ins.storedSP = n.tally(ins, inbox, ranks, wire.KindStrongPrefer)
 		}
-		if n.core.LoopRound(n.frozen.N(), send).Coordinator == n.id {
+		if n.core.LoopRound(n.frozen.N(), env).Coordinator == n.id {
 			for _, ins := range n.order {
 				if ins.decided {
 					continue
 				}
-				send(wire.Opinion{Instance: ins.id, X: ins.x})
+				env.Broadcast(wire.Opinion{Instance: ins.id, X: ins.x})
 			}
 		}
 	case 4: // PR5: resolve per instance against the coordinator's opinion

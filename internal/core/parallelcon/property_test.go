@@ -116,7 +116,6 @@ func TestParallelAgreementUnderSplitProperty(t *testing.T) {
 // opinions, and Outputs comes out ascending from it.
 func TestInstanceTableStaysOrderedProperty(t *testing.T) {
 	t.Parallel()
-	discard := func(wire.Payload) {}
 	prop := func(given, added, heard []uint8) bool {
 		want := make(map[uint64]wire.Value)
 		inputs := make([]InputPair, 0, len(given))
@@ -139,8 +138,8 @@ func TestInstanceTableStaysOrderedProperty(t *testing.T) {
 				want[iid] = wire.Bot()
 			}
 		}
-		stepLocal(n, 1, simnet.Inbox{}, discard)
-		stepLocal(n, 2, simnet.InboxOf(msgs...), discard)
+		stepLocal(n, 1, simnet.Inbox{})
+		stepLocal(n, 2, simnet.InboxOf(msgs...))
 
 		if len(n.order) != len(want) || len(n.inst) != len(want) {
 			return false

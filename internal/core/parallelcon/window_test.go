@@ -18,10 +18,10 @@ func memberNode(self ids.ID, members []ids.ID, inputs []InputPair) *Node {
 }
 
 // stepLocal drives one round the way Step does, lending the node's own
-// rank table.
-func stepLocal(n *Node, round int, inbox simnet.Inbox, send func(wire.Payload)) {
+// rank table, and drops what the node sends.
+func stepLocal(n *Node, round int, inbox simnet.Inbox) {
 	n.ranks.Reset(inbox.Broadcasters(), n.frozen)
-	n.StepLocal(round, inbox, &n.ranks, send)
+	n.StepLocal(round, inbox, &n.ranks, &simnet.RoundEnv{})
 }
 
 func rcvP(from ids.ID, p wire.Payload) simnet.Received {
@@ -33,10 +33,10 @@ func TestJoinViaInputWindow(t *testing.T) {
 	t.Parallel()
 	members := []ids.ID{1, 2, 3, 4}
 	n := memberNode(1, members, nil)
-	stepLocal(n, 1, simnet.Inbox{}, func(wire.Payload) {}) // PR1: nothing (no inputs)
+	stepLocal(n, 1, simnet.Inbox{}) // PR1: nothing (no inputs)
 	stepLocal(n, 2, simnet.InboxOf(
 		rcvP(2, wire.Input{Instance: 9, X: wire.V(5)}),
-	), func(wire.Payload) {})
+	))
 	if !n.Aware(9) {
 		t.Fatal("input at PR2 did not create awareness")
 	}
@@ -51,9 +51,9 @@ func TestJoinViaPreferWindow(t *testing.T) {
 		"nopreference": wire.NoPreference{Instance: 9},
 	} {
 		n := memberNode(1, members, nil)
-		stepLocal(n, 1, simnet.Inbox{}, func(wire.Payload) {})
-		stepLocal(n, 2, simnet.Inbox{}, func(wire.Payload) {})
-		stepLocal(n, 3, simnet.InboxOf(rcvP(2, payload)), func(wire.Payload) {})
+		stepLocal(n, 1, simnet.Inbox{})
+		stepLocal(n, 2, simnet.Inbox{})
+		stepLocal(n, 3, simnet.InboxOf(rcvP(2, payload)))
 		if !n.Aware(9) {
 			t.Fatalf("%s at PR3 did not create awareness", name)
 		}
@@ -66,17 +66,16 @@ func TestJoinViaStrongPreferWindowTerminatesBot(t *testing.T) {
 	t.Parallel()
 	members := []ids.ID{1, 2, 3, 4}
 	n := memberNode(1, members, nil)
-	silent := func(wire.Payload) {}
-	stepLocal(n, 1, simnet.Inbox{}, silent)
-	stepLocal(n, 2, simnet.Inbox{}, silent)
-	stepLocal(n, 3, simnet.Inbox{}, silent)
+	stepLocal(n, 1, simnet.Inbox{})
+	stepLocal(n, 2, simnet.Inbox{})
+	stepLocal(n, 3, simnet.Inbox{})
 	stepLocal(n, 4, simnet.InboxOf(
 		rcvP(2, wire.StrongPrefer{Instance: 9, X: wire.V(5)}),
-	), silent)
+	))
 	if !n.Aware(9) {
 		t.Fatal("strongprefer at PR4 did not create awareness")
 	}
-	stepLocal(n, 5, simnet.Inbox{}, silent) // PR5: resolve
+	stepLocal(n, 5, simnet.Inbox{}) // PR5: resolve
 	if r := n.DecisionRound(9); r != 5 {
 		t.Fatalf("instance decided in round %d, want 5", r)
 	}
@@ -90,23 +89,22 @@ func TestFirstContactViaOpinionIsIgnored(t *testing.T) {
 	t.Parallel()
 	members := []ids.ID{1, 2, 3, 4}
 	n := memberNode(1, members, nil)
-	silent := func(wire.Payload) {}
-	stepLocal(n, 1, simnet.Inbox{}, silent)
-	stepLocal(n, 2, simnet.Inbox{}, silent)
-	stepLocal(n, 3, simnet.Inbox{}, silent)
-	stepLocal(n, 4, simnet.Inbox{}, silent)
+	stepLocal(n, 1, simnet.Inbox{})
+	stepLocal(n, 2, simnet.Inbox{})
+	stepLocal(n, 3, simnet.Inbox{})
+	stepLocal(n, 4, simnet.Inbox{})
 	stepLocal(n, 5, simnet.InboxOf(
 		rcvP(2, wire.Opinion{Instance: 9, X: wire.V(5)}),
-	), silent)
+	))
 	if n.Aware(9) {
 		t.Fatal("joined via an opinion message")
 	}
 	// The instance is permanently ignored, even if joinable-window
 	// messages arrive in a later phase.
-	stepLocal(n, 6, simnet.Inbox{}, silent) // phase 1 PR1
+	stepLocal(n, 6, simnet.Inbox{}) // phase 1 PR1
 	stepLocal(n, 7, simnet.InboxOf(
 		rcvP(2, wire.Input{Instance: 9, X: wire.V(5)}),
-	), silent)
+	))
 	if n.Aware(9) {
 		t.Fatal("ignored instance resurrected in phase 1")
 	}
@@ -117,14 +115,13 @@ func TestSecondPhaseContactIgnored(t *testing.T) {
 	t.Parallel()
 	members := []ids.ID{1, 2, 3, 4}
 	n := memberNode(1, members, nil)
-	silent := func(wire.Payload) {}
 	for round := 1; round <= 6; round++ {
-		stepLocal(n, round, simnet.Inbox{}, silent)
+		stepLocal(n, round, simnet.Inbox{})
 	}
 	// Round 7 = phase 1, PR2: the input window of the wrong phase.
 	stepLocal(n, 7, simnet.InboxOf(
 		rcvP(2, wire.Input{Instance: 11, X: wire.V(3)}),
-	), silent)
+	))
 	if n.Aware(11) {
 		t.Fatal("second-phase input created awareness")
 	}
@@ -135,11 +132,10 @@ func TestStrangerCannotSeedInstance(t *testing.T) {
 	t.Parallel()
 	members := []ids.ID{1, 2, 3, 4}
 	n := memberNode(1, members, nil)
-	silent := func(wire.Payload) {}
-	stepLocal(n, 1, simnet.Inbox{}, silent)
+	stepLocal(n, 1, simnet.Inbox{})
 	stepLocal(n, 2, simnet.InboxOf(
 		rcvP(77, wire.Input{Instance: 9, X: wire.V(5)}),
-	), silent)
+	))
 	if n.Aware(9) {
 		t.Fatal("stranger seeded an instance")
 	}
@@ -164,14 +160,13 @@ func TestEmptyRunFinishesAfterFirstPhase(t *testing.T) {
 	t.Parallel()
 	members := []ids.ID{1, 2, 3}
 	n := memberNode(1, members, nil)
-	silent := func(wire.Payload) {}
 	for round := 1; round <= 4; round++ {
-		stepLocal(n, round, simnet.Inbox{}, silent)
+		stepLocal(n, round, simnet.Inbox{})
 		if n.Done() {
 			t.Fatalf("done before the phase completed (round %d)", round)
 		}
 	}
-	stepLocal(n, 5, simnet.Inbox{}, silent)
+	stepLocal(n, 5, simnet.Inbox{})
 	if !n.Done() {
 		t.Fatal("empty run not done after first phase")
 	}
@@ -229,7 +224,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 		// member, 2; the reader yields ascending, so the last opinion
 		// per instance is the one that counts.
 		for round := 1; round <= 4; round++ {
-			stepLocal(n, round, simnet.Inbox{}, func(wire.Payload) {})
+			stepLocal(n, round, simnet.Inbox{})
 		}
 		opinions := make(map[uint64]wire.Value)
 		n.ranks.Reset(inbox.Broadcasters(), n.frozen)

@@ -95,17 +95,19 @@ func (c *Core) SeedCandidates(members *ids.Set) {
 	c.borrowed = true
 }
 
-// BroadcastInit emits the round-1 candidacy announcement.
-func (c *Core) BroadcastInit(emit func(wire.Payload)) {
-	emit(wire.Init{})
+// BroadcastInit broadcasts the round-1 candidacy announcement on env.
+func (c *Core) BroadcastInit(env *simnet.RoundEnv) {
+	env.Broadcast(wire.Init{})
 }
 
-// EchoInits emits echo(p) for every init received directly from p
-// (round 2 of the protocol).
-func (c *Core) EchoInits(inbox simnet.Inbox, emit func(wire.Payload)) {
+// EchoInits broadcasts echo(p) on env for every init received directly
+// from p (round 2 of the protocol). The echoes go straight to
+// env.Broadcast, which does not let its payload escape, so the n echoes
+// of a round allocate nothing.
+func (c *Core) EchoInits(inbox simnet.Inbox, env *simnet.RoundEnv) {
 	for m := range inbox.All() {
 		if _, ok := m.Payload.(wire.Init); ok {
-			emit(wire.IDEcho{Instance: c.instance, Candidate: m.From})
+			env.Broadcast(wire.IDEcho{Instance: c.instance, Candidate: m.From})
 		}
 	}
 }
@@ -139,7 +141,10 @@ func (c *Core) Opinions(inbox simnet.Inbox, ranks *census.Ranks, yield func(wire
 	if _, member := ranks.Rank(coord); coord == ids.None || !member {
 		return
 	}
-	var sent []wire.Opinion
+	// A coordinator sends one opinion per instance it runs; the common
+	// few fit on the stack.
+	var buf [8]wire.Opinion
+	sent := buf[:0]
 	if p, ok := slices.BinarySearch(inbox.Broadcasters(), coord); ok {
 		for _, g := range inbox.Said() { // ascending by encoding already
 			if op, isOp := g.Payload.(wire.Opinion); isOp && g.By.Has(p) {
@@ -149,9 +154,7 @@ func (c *Core) Opinions(inbox simnet.Inbox, ranks *census.Ranks, yield func(wire
 	}
 	for _, m := range inbox.Direct() { // in whatever order the links delivered
 		if op, isOp := m.Payload.(wire.Opinion); isOp && m.From == coord {
-			at, _ := slices.BinarySearchFunc(sent, op, func(a, b wire.Opinion) int {
-				return bytes.Compare(wire.Encode(a), wire.Encode(b))
-			})
+			at, _ := slices.BinarySearchFunc(sent, op, compareOpinions)
 			sent = slices.Insert(sent, at, op)
 		}
 	}
@@ -159,6 +162,17 @@ func (c *Core) Opinions(inbox simnet.Inbox, ranks *census.Ranks, yield func(wire
 		yield(op)
 	}
 }
+
+// compareOpinions orders two opinions by encoding. An opinion encodes
+// in at most opinionSize bytes, so both encode into stack buffers.
+func compareOpinions(a, b wire.Opinion) int {
+	var ab, bb [opinionSize]byte
+	return bytes.Compare(wire.AppendEncode(ab[:0], a), wire.AppendEncode(bb[:0], b))
+}
+
+// opinionSize is the longest encoding of a wire.Opinion: the kind byte,
+// the instance, and a value's tag byte and float.
+const opinionSize = 1 + 8 + 1 + 8
 
 // Selection is the outcome of one rotor round.
 type Selection struct {
@@ -174,18 +188,14 @@ type Selection struct {
 // LoopRound executes one iteration of Algorithm 2's main loop: fold the
 // tallied echoes into C_v (echoing/adding in reliable-broadcast fashion)
 // and select the next coordinator. An owner that finds itself selected
-// broadcasts its opinion after the emitted echoes, unless the core broke
-// off (Terminated, without SetCycling): the break skips the round's
-// pending broadcasts.
+// broadcasts its opinion after the echoes, unless the core broke off
+// (Terminated, without SetCycling): the break skips the round's pending
+// broadcasts.
 //
-// nv is the caller's current n_v. Emitted payloads must be broadcast by
-// the caller.
-func (c *Core) LoopRound(nv int, emit func(wire.Payload)) Selection {
+// nv is the caller's current n_v. The echoes are broadcast on env.
+func (c *Core) LoopRound(nv int, env *simnet.RoundEnv) Selection {
 	if c.terminated {
 		return Selection{Terminated: true}
-	}
-	if emit == nil {
-		emit = discard
 	}
 	r := c.loopRound
 	c.loopRound++
@@ -193,7 +203,7 @@ func (c *Core) LoopRound(nv int, emit func(wire.Payload)) Selection {
 	// Reliable-broadcast style candidate maintenance (Lines 7-10).
 	// Tallies are per-rotor-round: the fold empties the window.
 	c.echoes.Fold(nv, cmp.Compare[ids.ID], c.candidates.Contains, func(cand ids.ID, quorum bool) {
-		emit(wire.IDEcho{Instance: c.instance, Candidate: cand})
+		env.Broadcast(wire.IDEcho{Instance: c.instance, Candidate: cand})
 		if quorum {
 			if c.borrowed {
 				c.candidates, c.borrowed = *c.candidates.Clone(), false
@@ -216,9 +226,6 @@ func (c *Core) LoopRound(nv int, emit func(wire.Payload)) Selection {
 	c.lastSelected = p
 	return sel
 }
-
-// discard is LoopRound's emit when the caller passes none.
-func discard(wire.Payload) {}
 
 // Terminated reports whether the core has reselected a coordinator.
 func (c *Core) Terminated() bool { return c.terminated }

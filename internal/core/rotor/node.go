@@ -39,9 +39,9 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	ObserveSenders(&n.cen, env.Inbox)
 	switch env.Round {
 	case 1:
-		n.core.BroadcastInit(env.Broadcast)
+		n.core.BroadcastInit(env)
 	case 2:
-		n.core.EchoInits(env.Inbox, env.Broadcast)
+		n.core.EchoInits(env.Inbox, env)
 	default:
 		n.ranks.Reset(env.Inbox.Broadcasters(), &n.cen)
 		n.core.NoteInbox(env.Inbox, &n.ranks)
@@ -56,7 +56,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 		if heard {
 			n.accepted = append(n.accepted, last)
 		}
-		sel := n.core.LoopRound(n.cen.N(), env.Broadcast)
+		sel := n.core.LoopRound(n.cen.N(), env)
 		n.selections = append(n.selections, sel)
 		if sel.Coordinator == n.id && !sel.Terminated {
 			env.Broadcast(wire.Opinion{X: n.opinion})

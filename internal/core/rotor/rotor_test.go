@@ -322,12 +322,12 @@ func TestRotorDeterministicAcrossRunners(t *testing.T) {
 func TestCoreEmptyCandidateSet(t *testing.T) {
 	t.Parallel()
 	core := NewCore(0)
-	var emitted []wire.Payload
-	sel := core.LoopRound(0, func(p wire.Payload) { emitted = append(emitted, p) })
+	var env simnet.RoundEnv
+	sel := core.LoopRound(0, &env)
 	if sel.Coordinator != ids.None || sel.Terminated {
 		t.Fatalf("selection from empty candidates: %+v", sel)
 	}
-	if len(emitted) != 0 {
+	if emitted := env.Sent(); len(emitted) != 0 {
 		t.Fatalf("emitted %d payloads from empty core", len(emitted))
 	}
 }
@@ -336,18 +336,18 @@ func TestCoreSeedCandidates(t *testing.T) {
 	t.Parallel()
 	core := NewCore(3)
 	core.SeedCandidates(ids.NewSet(5, 9, 2))
-	var emitted []wire.Payload
-	sel := core.LoopRound(3, func(p wire.Payload) { emitted = append(emitted, p) })
+	var env simnet.RoundEnv
+	sel := core.LoopRound(3, &env)
 	if sel.Coordinator != 2 {
 		t.Fatalf("first coordinator = %v, want smallest id 2", sel.Coordinator)
 	}
-	sel = core.LoopRound(3, func(p wire.Payload) { emitted = append(emitted, p) })
+	sel = core.LoopRound(3, &env)
 	if sel.Coordinator != 5 {
 		t.Fatalf("second coordinator = %v, want 5", sel.Coordinator)
 	}
 	// Seeded candidates need no echoes, and a selected node's opinion is
 	// its owner's to broadcast, not the core's.
-	if len(emitted) != 0 {
+	if emitted := env.Sent(); len(emitted) != 0 {
 		t.Fatalf("a seeded core emitted %v, want nothing", emitted)
 	}
 }
@@ -366,7 +366,7 @@ func TestSeededCandidatesDoNotWriteTheScope(t *testing.T) {
 			echoes = append(echoes, simnet.Received{From: from, Payload: wire.IDEcho{Instance: 5, Candidate: candidate}})
 		}
 		noteInbox(core, simnet.InboxOfRound(echoes, nil), cen)
-		core.LoopRound(3, nil)
+		core.LoopRound(3, &simnet.RoundEnv{})
 	}
 	a, b := NewCore(5), NewCore(5)
 	a.SeedCandidates(scope)
@@ -397,20 +397,20 @@ func TestCoreTerminatesOnReselection(t *testing.T) {
 	t.Parallel()
 	core := NewCore(0)
 	core.SeedCandidates(ids.NewSet(10, 20))
-	if sel := core.LoopRound(2, nil); sel.Coordinator != 10 || sel.Terminated {
+	if sel := core.LoopRound(2, &simnet.RoundEnv{}); sel.Coordinator != 10 || sel.Terminated {
 		t.Fatalf("round 0: %+v", sel)
 	}
-	if sel := core.LoopRound(2, nil); sel.Coordinator != 20 || sel.Terminated {
+	if sel := core.LoopRound(2, &simnet.RoundEnv{}); sel.Coordinator != 20 || sel.Terminated {
 		t.Fatalf("round 1: %+v", sel)
 	}
-	sel := core.LoopRound(2, nil)
+	sel := core.LoopRound(2, &simnet.RoundEnv{})
 	if !sel.Terminated || sel.Coordinator != 10 {
 		t.Fatalf("round 2 should reselect 10 and terminate: %+v", sel)
 	}
 	if !core.Terminated() {
 		t.Fatal("core not terminated")
 	}
-	if sel := core.LoopRound(2, nil); !sel.Terminated {
+	if sel := core.LoopRound(2, &simnet.RoundEnv{}); !sel.Terminated {
 		t.Fatal("terminated core ran another round")
 	}
 }
@@ -419,7 +419,7 @@ func TestCoreOpinionAcceptance(t *testing.T) {
 	t.Parallel()
 	core := NewCore(0)
 	core.SeedCandidates(ids.NewSet(10, 20))
-	sel := core.LoopRound(2, nil) // selects 10
+	sel := core.LoopRound(2, &simnet.RoundEnv{}) // selects 10
 	if sel.Coordinator != 10 {
 		t.Fatalf("selected %v", sel.Coordinator)
 	}
@@ -433,7 +433,7 @@ func TestCoreOpinionAcceptance(t *testing.T) {
 		t.Fatalf("opinions of coordinator 10: %v", got)
 	}
 	// The next selection moves the ear: the same inbox now reads as 20's.
-	if sel = core.LoopRound(2, nil); sel.Coordinator != 20 {
+	if sel = core.LoopRound(2, &simnet.RoundEnv{}); sel.Coordinator != 20 {
 		t.Fatalf("selected %v", sel.Coordinator)
 	}
 	if got := opinionsOf(core, inbox, censusOf(10, 20)); !slices.Equal(got, []wire.Opinion{{X: wire.V(9)}}) {
@@ -482,7 +482,7 @@ func TestOpinionsYieldsWhatTheSelectedCoordinatorSent(t *testing.T) {
 		core := NewCore(0)
 		core.SeedCandidates(ids.NewSet(coord, other))
 		if tc.selected {
-			if sel := core.LoopRound(2, nil); sel.Coordinator != coord {
+			if sel := core.LoopRound(2, &simnet.RoundEnv{}); sel.Coordinator != coord {
 				t.Fatalf("%s: selected %v", tc.name, sel.Coordinator)
 			}
 		}
@@ -513,8 +513,9 @@ func TestCoreFiltersByInstanceAndSender(t *testing.T) {
 		simnet.Received{From: 66, Payload: wire.IDEcho{Instance: 7, Candidate: 100}},
 	), censusOf(2, 3))
 	// nv = 3: one valid echo passes n_v/3 (1 ≥ 1) but not 2n_v/3.
-	var emitted []wire.Payload
-	core.LoopRound(3, func(p wire.Payload) { emitted = append(emitted, p) })
+	var env simnet.RoundEnv
+	core.LoopRound(3, &env)
+	emitted := env.Sent()
 	if core.Candidates().Len() != 0 {
 		t.Fatal("candidate added from under-threshold echoes")
 	}

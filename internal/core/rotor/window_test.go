@@ -236,9 +236,11 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 						}
 					}
 					nv := cen.N()
-					var got, want []wire.Payload
-					gotSel := core.LoopRound(nv, func(p wire.Payload) { got = append(got, p) })
+					var env simnet.RoundEnv
+					var want []wire.Payload
+					gotSel := core.LoopRound(nv, &env)
 					wantSel := ref.loopRound(nv, func(p wire.Payload) { want = append(want, p) })
+					got := env.Sent()
 					if gotSel != wantSel {
 						t.Fatalf("window %d: selection %+v, reference %+v", window, gotSel, wantSel)
 					}
@@ -284,16 +286,17 @@ func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 	var ranks census.Ranks
 
 	// n_v is held above 3n so that every row is sorted and counted but
-	// no count reaches n_v/3: an emitted payload is boxed into an
-	// interface, which is the caller's send and not the window's cost.
+	// no count reaches n_v/3: what is priced is the window, not the
+	// echoes (simnet's TestSendPathZeroAlloc prices those).
 	const nv = 4 * n
 	core := NewCore(0)
 	core.SetCycling(true)
 	core.SeedCandidates(ids.NewSet(members[0]))
+	var env simnet.RoundEnv
 	round := func() {
 		ranks.Reset(inbox.Broadcasters(), frozen)
 		core.NoteInbox(inbox, &ranks)
-		core.LoopRound(nv, nil)
+		core.LoopRound(nv, &env)
 	}
 	round() // warm-up: sizes the slab
 	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {

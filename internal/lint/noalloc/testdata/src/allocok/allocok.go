@@ -97,6 +97,14 @@ func (a *arena) drain(dst []received) int {
 	return n
 }
 
+// Match compares a byte slice with a string through a conversion, which
+// the compiler makes without copying for a comparison operand.
+//
+//lint:noalloc a compared conversion reads the bytes in place
+func Match(b []byte, s string) bool {
+	return string(b) == s || string(b) < s
+}
+
 // Observe passes pointer-shaped, interface and zero-size operands into
 // an interface parameter: all three ride in the data word without
 // boxing. The call through the function value is a trust boundary.

@@ -17,7 +17,9 @@
 //     compile to static closures, deferred literals are open-coded,
 //     and by-value struct literals live on the stack. Slice and map
 //     literals, &composite literals, capturing closures, method
-//     values, and go statements are flagged.
+//     values, and go statements are flagged;
+//   - compared conversions: string(b) as the operand of a comparison
+//     is read in place, not copied.
 //
 // //lint:coldpath <reason> as a line comment exempts the sites on its
 // own and the following line — the error-branch escape hatch — and is
@@ -325,14 +327,15 @@ func (st *funcState) allocCall(call *ast.CallExpr, stack []ast.Node, add func(to
 
 	// Conversions: to string from anything but a string allocates, as
 	// does string -> []byte/[]rune; a conversion to an interface type
-	// boxes. Constant operands convert to static data.
+	// boxes. Constant operands convert to static data, and the operand
+	// of a comparison is read in place.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) != 1 {
 			return
 		}
 		to, arg := tv.Type, call.Args[0]
 		switch {
-		case isStringType(to) && !isStringType(info.TypeOf(arg)) && !st.constVal(arg):
+		case isStringType(to) && !isStringType(info.TypeOf(arg)) && !st.constVal(arg) && !compared(stack):
 			add(call.Pos(), AllocString, "a conversion to string allocates")
 		case isByteRuneSlice(to) && isStringType(info.TypeOf(arg)):
 			add(call.Pos(), AllocString, "a string-to-slice conversion allocates")
@@ -378,6 +381,24 @@ func (st *funcState) allocCall(call *ast.CallExpr, stack []ast.Node, add func(to
 			add(arg.Pos(), AllocBox, "passing a concrete value to an interface parameter boxes it")
 		}
 	}
+}
+
+// compared reports whether the expression on top of stack is an operand
+// of a comparison, whose string conversion the compiler makes without
+// copying: it compares the converted bytes in place.
+func compared(stack []ast.Node) bool {
+	if len(stack) == 0 {
+		return false
+	}
+	bin, ok := stack[len(stack)-1].(*ast.BinaryExpr)
+	if !ok {
+		return false
+	}
+	switch bin.Op {
+	case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+		return true
+	}
+	return false
 }
 
 // recycledAppend reports whether call is the self-append idiom

@@ -1,7 +1,8 @@
 // Package wirebad is a trimmed-down stand-in for uba/internal/wire with
 // every registration mistake the pass must catch: a payload missing
-// from Decode, one missing from Kind.String, two sharing a tag, and one
-// whose tag cannot be determined statically.
+// from Decode, one missing from Kind.String, one missing from
+// AppendEncode, two sharing a tag, and one whose tag cannot be
+// determined statically.
 package wirebad
 
 import "errors"
@@ -16,6 +17,7 @@ const (
 	KindB
 	KindC
 	KindD
+	KindF
 )
 
 // Payload mirrors the real registration shape.
@@ -52,6 +54,28 @@ type E struct{ k Kind } // want `cannot determine the wire kind of payload E: it
 func (e E) Kind() Kind             { return e.k }
 func (E) appendTo(b []byte) []byte { return b }
 
+type F struct{} // want `payload F \(kind KindF\) has no case in AppendEncode: sending it panics at runtime`
+
+func (F) Kind() Kind               { return KindF }
+func (F) appendTo(b []byte) []byte { return b }
+
+// AppendEncode mirrors the real encoder's closed type switch: F has no
+// case, so sending one panics.
+func AppendEncode(dst []byte, p Payload) []byte {
+	switch p := p.(type) {
+	case A:
+		return p.appendTo(append(dst, byte(p.Kind())))
+	case B:
+		return p.appendTo(append(dst, byte(p.Kind())))
+	case C:
+		return p.appendTo(append(dst, byte(p.Kind())))
+	case D, E:
+		return p.appendTo(append(dst, byte(p.Kind())))
+	default:
+		panic("unregistered payload")
+	}
+}
+
 func (k Kind) String() string {
 	switch k {
 	case KindA:
@@ -60,6 +84,8 @@ func (k Kind) String() string {
 		return "B"
 	case KindD:
 		return "D"
+	case KindF:
+		return "F"
 	default:
 		return "?"
 	}
@@ -79,6 +105,8 @@ func Decode(b []byte) (Payload, error) {
 		return C{}, nil
 	case KindD:
 		return D{}, nil
+	case KindF:
+		return F{}, nil
 	default:
 		return nil, errUnknown
 	}

@@ -1,5 +1,5 @@
 // Package wiregood is the conforming twin: every payload carries a
-// distinct tag and appears in both switches, so the pass must stay
+// distinct tag and appears in all three switches, so the pass must stay
 // silent. The unrelated helper type proves non-implementations are
 // ignored.
 package wiregood
@@ -34,6 +34,18 @@ func (*Pong) appendTo(b []byte) []byte { return b }
 
 // helper implements nothing and must be ignored.
 type helper struct{ cache []byte }
+
+// AppendEncode names Pong by pointer, the type its methods hang off.
+func AppendEncode(dst []byte, p Payload) []byte {
+	switch p := p.(type) {
+	case Ping:
+		return p.appendTo(append(dst, byte(KindPing)))
+	case *Pong:
+		return p.appendTo(append(dst, byte(KindPong)))
+	default:
+		panic("unregistered payload")
+	}
+}
 
 func (k Kind) String() string {
 	switch k {

@@ -1,9 +1,10 @@
 // Package wirereg implements the ubalint pass that cross-checks the
 // switch-based wire registration in uba/internal/wire: every Payload
-// implementation must carry a distinct Kind tag and appear in both the
-// Decode switch and the Kind.String switch, so forgetting to register a
-// new message type is a lint error instead of an ErrUnknownKind decode
-// failure mid-experiment.
+// implementation must carry a distinct Kind tag and appear in the
+// AppendEncode type switch, the Decode switch and the Kind.String
+// switch, so forgetting to register a new message type is a lint error
+// instead of a panic or an ErrUnknownKind decode failure
+// mid-experiment.
 //
 // The pass applies to any package that declares the registration shape
 // structurally (so its fixtures can supply a trimmed-down stand-in): an
@@ -14,11 +15,13 @@
 //   - its Kind() method returns a single named Kind constant (the tag);
 //     anything harder to evaluate statically is itself reported
 //   - no other implementation returns the same constant
+//   - the type appears as a case of a type switch in the package-level
+//     AppendEncode function
 //   - the tag appears as a case in the package-level Decode function
 //   - the tag appears as a case in the Kind.String method
 //
-// The Decode and String checks are skipped when the package declares no
-// such function/method. Findings can be suppressed with
+// The AppendEncode, Decode and String checks are skipped when the
+// package declares no such function/method. Findings can be suppressed with
 // //lint:allow wirereg <reason>.
 package wirereg
 
@@ -59,6 +62,7 @@ func run(pass *analysis.Pass) (any, error) {
 	sup := lintutil.NewSuppressor(pass, "wirereg")
 	decls := methodDecls(pass)
 
+	encodeCases, hasEncode := typeCases(pass, decls, funcNamed(scope, "AppendEncode"))
 	decodeCases, hasDecode := switchCases(pass, decls, funcNamed(scope, "Decode"), kindObj)
 	stringCases, hasString := switchCases(pass, decls, methodNamed(pass, kindObj, "String"), kindObj)
 
@@ -83,6 +87,11 @@ func run(pass *analysis.Pass) (any, error) {
 				prev.Name(), impl.Name(), tag.Name())
 		} else {
 			byTag[tag] = impl
+		}
+		if hasEncode && !encodeCases[impl] {
+			sup.Reportf(impl.Pos(),
+				"payload %s (kind %s) has no case in AppendEncode: sending it panics at runtime",
+				impl.Name(), tag.Name())
 		}
 		if hasDecode && !decodeCases[tag] {
 			sup.Reportf(impl.Pos(),
@@ -202,6 +211,39 @@ func switchCases(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, fn *t
 		for _, e := range cc.List {
 			if c := kindConst(pass, e, kindObj); c != nil {
 				cases[c] = true
+			}
+		}
+		return true
+	})
+	return cases, true
+}
+
+// typeCases collects the named types (or pointers to them) appearing in
+// the case clauses of type switches in fn's body. ok is false when fn
+// (or its body) is absent, in which case the check is skipped.
+func typeCases(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, fn *types.Func) (map[*types.TypeName]bool, bool) {
+	if fn == nil {
+		return nil, false
+	}
+	fd := decls[fn]
+	if fd == nil || fd.Body == nil {
+		return nil, false
+	}
+	cases := make(map[*types.TypeName]bool)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		sw, ok := n.(*ast.TypeSwitchStmt)
+		if !ok {
+			return true
+		}
+		for _, stmt := range sw.Body.List {
+			for _, e := range stmt.(*ast.CaseClause).List {
+				t := pass.TypesInfo.TypeOf(e)
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				if named, ok := t.(*types.Named); ok {
+					cases[named.Obj()] = true
+				}
 			}
 		}
 		return true

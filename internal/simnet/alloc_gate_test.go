@@ -57,12 +57,9 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 		{"reader=said", Config{}},
 	} {
 		label := variant.label
-		// The subtest labels are kept stable for CI history:
-		// concurrent=false is a worker cap of 1, concurrent=true a cap of
-		// 3 on a private three-worker scheduler.
 		for _, workers := range []int{1, 3} {
 			for _, n := range []int{256, 1024, 4096} {
-				t.Run(fmt.Sprintf("%s/concurrent=%v/n=%d", label, workers > 1, n), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/workers=%d/n=%d", label, workers, n), func(t *testing.T) {
 					cfg := variant.cfg
 					cfg.Workers = workers
 					rp, err := NewRoundPhases(n, cfg)

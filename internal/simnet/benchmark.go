@@ -68,6 +68,7 @@ func newBroadcastBench(n int, cfg Config) (*Network, *trace.Collector, error) {
 type RoundPhases struct {
 	net      *Network
 	template []send // one round's unsorted, undeduped send stream
+	bytes    []byte // the byte arena the template's offsets point into
 	scratch  []send
 }
 
@@ -98,6 +99,7 @@ func NewRoundPhases(n int, cfg Config) (*RoundPhases, error) {
 		return nil, err
 	}
 	rp.template = append([]send(nil), outs...)
+	rp.bytes = append([]byte(nil), net.arena...)
 	return rp, nil
 }
 
@@ -121,12 +123,16 @@ func (rp *RoundPhases) RouteOnly() {
 }
 
 // nextSends opens the next round and returns a fresh copy of the
-// template, so the in-place sort cannot make later rounds cheaper.
+// template, so the in-place sort cannot make later rounds cheaper, with
+// its bytes back in the network's byte arena, where the step merge
+// would have put them.
 func (rp *RoundPhases) nextSends() []send {
-	rp.net.round++
-	rp.net.roundEvents = rp.net.roundEvents[:0]
+	n := rp.net
+	n.round++
+	n.roundEvents = n.roundEvents[:0]
 	rp.scratch = grown(rp.scratch, len(rp.template))
 	copy(rp.scratch, rp.template)
+	n.arena = append(n.arena[:0], rp.bytes...)
 	return rp.scratch
 }
 

@@ -150,36 +150,6 @@ func TestCloseReleasesSchedulerAndScratch(t *testing.T) {
 	seq.Close() // never ran a round: still safe
 }
 
-// On a step error the node-order merge must clear every result slot:
-// a stale slot would keep its sends slice — and the payloads it
-// references — alive across rounds after the network latched the error.
-func TestStepConcurrentErrorClearsResultSlices(t *testing.T) {
-	t.Parallel()
-	net := New(Config{Workers: 3})
-	// Three well-behaved broadcasters around one violator, so slots on
-	// both sides of the erroring node hold sends when the round aborts.
-	for i := ids.ID(1); i <= 4; i++ {
-		var p *recorder
-		if i == 2 {
-			p = newRecorder(i, func(env *RoundEnv) { env.Send(4, body("illegal")) })
-		} else {
-			p = newRecorder(i, func(env *RoundEnv) { env.Broadcast(body("fine")) })
-		}
-		if err := net.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer net.Close()
-	if err := net.RunRound(); !errors.Is(err, ErrContactRule) {
-		t.Fatalf("err = %v, want ErrContactRule", err)
-	}
-	for i := range net.results {
-		if net.results[i].sends != nil {
-			t.Fatalf("result slot %d retains its sends slice after an aborted round", i)
-		}
-	}
-}
-
 // Delivered inboxes are lazy views over shared storage: every live
 // receiver's view aliases the one broadcast block (a broadcast is
 // stored once per round, not once per receiver), its unicast segment is

@@ -442,7 +442,7 @@ func (n *Network) filterLink(outs []send, k, f, r int32) {
 		fs.hit(uint64(n.round), uint64(k), uint64(to), fs.rateFor(s.from, to)) {
 		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, From: uint64(s.from), To: uint64(to),
-			Kind: trace.KindLinkDrop, Size: len(s.encoded),
+			Kind: trace.KindLinkDrop, Size: int(s.n),
 		})
 		return
 	}

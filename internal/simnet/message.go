@@ -19,6 +19,11 @@
 //     discarded by the receiver. Filtering is keyed on the canonical wire
 //     encoding: the route pass sorts each sender's sends by (encoding,
 //     receiver), so every duplicate sits next to the send it repeats.
+//   - A delivered message is exactly what was sent. Send takes the
+//     payload's bytes, and a receiver gets the engine's decoded copy of
+//     them, shared read-only with every other receiver of the same
+//     encoding: nothing the sender does to its own value afterwards —
+//     rewriting a body slice, say — reaches a receiver.
 //
 // A FaultPlan (Config.FaultPlan, fault.go) stays inside these rules: it
 // cuts links, drops deliveries, crashes and revives nodes and changes
@@ -118,6 +123,13 @@
 // (sender id, payload, encoding) are safe to keep, as is a Said's
 // Payload. The contract is machine-checked by the ubalint retainenv
 // pass.
+//
+// A send costs no heap memory: Send appends the encoding to the node's
+// byte buffer and queues a pointer-free record of where it lies; the
+// step merge copies every node's bytes into one round byte arena; and
+// the route pass builds each stored Received from an intern table that
+// decodes every distinct encoding once (intern.go). The node buffers,
+// the arena and the table are network scratch, recycled like the rest.
 package simnet
 
 import (
@@ -135,7 +147,10 @@ import (
 type Received struct {
 	// From is the true sender, attached by the engine (unforgeable).
 	From ids.ID
-	// Payload is the decoded message body.
+	// Payload is the decoded message body: the engine's copy, decoded
+	// from the bytes the sender sent, and shared by every receiver of
+	// the same encoding. It must be treated as read-only; nothing the
+	// sender does after sending changes it.
 	Payload wire.Payload
 	// encoded is the canonical encoding, retained for deterministic
 	// ordering and duplicate filtering.
@@ -150,12 +165,16 @@ type Received struct {
 // Size returns the encoded size of the message in bytes.
 func (m Received) Size() int { return len(m.encoded) }
 
-// send is a queued outbound message. to == ids.None means broadcast.
+// send is a queued outbound message: who sent it to whom (to ==
+// ids.None means broadcast) and where its canonical encoding lies — at
+// off, n bytes long, in the sender's byte buffer until the step merge,
+// and in the round's byte arena from then on. It holds no pointer, so
+// moving one costs a copy of 24 bytes and no write barrier.
 type send struct {
-	from    ids.ID
-	to      ids.ID
-	payload wire.Payload
-	encoded string
+	from ids.ID
+	to   ids.ID
+	off  uint32
+	n    uint32
 }
 
 // Inbox is a read-only view of the messages delivered to one receiver
@@ -290,8 +309,9 @@ type RoundEnv struct {
 
 	self  ids.ID
 	sends []send
-	// enc is the node's encoding scratch: each send is encoded into it
-	// and leaves as the one string copy the send keeps.
+	// enc is the node's byte buffer: the encodings of sends, back to
+	// back. Send copies a payload's bytes here, so nothing the sender
+	// does to the payload afterwards reaches a receiver.
 	enc []byte
 }
 
@@ -303,15 +323,28 @@ func (env *RoundEnv) Broadcast(p wire.Payload) { env.Send(ids.None, p) }
 // far (test instrumentation for driving a Process manually).
 func (env *RoundEnv) SendCount() int { return len(env.sends) }
 
-// Send queues a point-to-point message to a specific node.
+// Sent returns the payloads queued on this env so far, in queue order,
+// each decoded from the bytes Send took (test instrumentation for driving
+// a Process manually, like SendCount).
+func (env *RoundEnv) Sent() []wire.Payload {
+	out := make([]wire.Payload, len(env.sends))
+	for i, s := range env.sends {
+		out[i] = mustDecode(env.enc[s.off : s.off+s.n])
+	}
+	return out
+}
+
+// Send queues a point-to-point message to a specific node. It encodes p
+// into the node's byte buffer and queues a pointer-free record of where
+// the bytes lie; both buffers keep their capacity across rounds and,
+// through the scratch pool, across networks. p does not escape, so a
+// caller passing a payload value boxes it on its own stack.
+//
+//lint:noalloc appends into the node's pooled send and byte buffers, which stay at their high-water capacity
 func (env *RoundEnv) Send(to ids.ID, p wire.Payload) {
-	env.enc = wire.AppendEncode(env.enc[:0], p)
-	env.sends = append(env.sends, send{
-		from:    env.self,
-		to:      to,
-		payload: p,
-		encoded: string(env.enc),
-	})
+	off := len(env.enc)
+	env.enc = wire.AppendEncode(env.enc, p)
+	env.sends = append(env.sends, send{from: env.self, to: to, off: uint32(off), n: uint32(len(env.enc) - off)})
 }
 
 // Process is a node state machine driven by the network: one Step call per

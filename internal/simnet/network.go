@@ -161,9 +161,17 @@ type procState struct {
 
 	// Round-scoped scratch, recycled across rounds (see the package
 	// docs for the retention contract this imposes on Process.Step).
-	env     RoundEnv
-	sendBuf []send
-	encBuf  []byte
+	// buf is taken from the network's scratch when the node is added and
+	// returned to it when the node is removed or the network closed.
+	env RoundEnv
+	buf nodeBuf
+}
+
+// nodeBuf is one node's send buffers: the queued send records and the
+// bytes they point into.
+type nodeBuf struct {
+	sends []send
+	enc   []byte
 }
 
 // stepResult is one process's contribution to a round, written to the
@@ -171,6 +179,8 @@ type procState struct {
 // panic, a quota drop) travel through it so the merge can emit their
 // trace events in node order regardless of worker scheduling.
 type stepResult struct {
+	// sends are the node's surviving send records; their offsets point
+	// into the node's byte buffer.
 	sends []send
 	err   error
 	// crashed reports that Step panicked this round and the node was
@@ -288,6 +298,7 @@ func (n *Network) add(p Process, byzantine bool) error {
 		id:        id,
 		byzantine: byzantine,
 		since:     n.round + 1, // joins between rounds: the next route delivers to it
+		buf:       n.takeBuf(),
 	}
 	n.procs[id] = st
 	i := sort.Search(len(n.order), func(i int) bool { return n.order[i] >= id })
@@ -319,6 +330,27 @@ func (n *Network) Remove(id ids.ID) {
 			v.hear(id)
 		}
 	}
+	n.parkBuf(st)
+}
+
+// takeBuf hands a node the send buffers a removed node or a closed
+// network parked, so a warm network's nodes start at the high-water
+// capacity instead of regrowing from nil.
+func (n *Network) takeBuf() nodeBuf {
+	k := len(n.spare) - 1
+	if k < 0 {
+		return nodeBuf{}
+	}
+	b := n.spare[k]
+	n.spare[k] = nodeBuf{}
+	n.spare = n.spare[:k]
+	return b
+}
+
+// parkBuf returns st's send buffers to the scratch for the next node.
+func (n *Network) parkBuf(st *procState) {
+	n.spare = append(n.spare, st.buf)
+	st.buf = nodeBuf{}
 }
 
 // knows reports whether x has delivered a message to st, the contact
@@ -560,23 +592,34 @@ func (n *Network) step() ([]send, error) {
 	}
 	n.sched.Run(&n.phase, &n.task, len(n.live), n.cfg.Workers)
 
-	outs := n.outs[:0]
+	// Merge: each node's bytes are copied into the round's byte arena,
+	// and its send records follow with their offsets rebased onto it.
+	// The node's buffer is read after the barrier, which orders it after
+	// the step task that wrote it.
+	outs, arena := n.outs[:0], n.arena[:0]
 	var firstErr error
 	for i := range n.results {
 		res := &n.results[i]
 		if res.err != nil && firstErr == nil {
 			firstErr = res.err // first error in node order
 		}
-		if firstErr == nil {
-			n.noteResult(n.live[i], res)
-			outs = append(outs, res.sends...)
+		if firstErr != nil {
+			continue
 		}
-		// Clear every slot even on the error path: a stale slot would
-		// keep its sends slice — and the payloads it references — alive
-		// across rounds after the network latched the error.
-		res.sends = nil
+		st := n.live[i]
+		n.noteResult(st, res)
+		if len(res.sends) == 0 {
+			continue
+		}
+		base := uint32(len(arena))
+		last := res.sends[len(res.sends)-1]
+		arena = append(arena, st.buf.enc[:last.off+last.n]...)
+		for _, s := range res.sends {
+			s.off += base
+			outs = append(outs, s)
+		}
 	}
-	n.outs = outs
+	n.outs, n.arena = outs, arena
 	return outs, firstErr
 }
 
@@ -603,33 +646,22 @@ func (n *Network) stepOne(st *procState) stepResult {
 		Round: n.round,
 		Inbox: inbox,
 		self:  st.id,
-		sends: st.sendBuf[:0],
-		enc:   st.encBuf,
+		sends: st.buf.sends[:0],
+		enc:   st.buf.enc[:0],
 	}
 	reason, panicked := safeStep(st.proc, &st.env)
-	sends := st.env.sends
-	st.sendBuf, st.encBuf = sends, st.env.enc
+	st.buf = nodeBuf{sends: st.env.sends, enc: st.env.enc}
 	st.env.Inbox = Inbox{}
+	sends, dropped := n.applyQuota(st.buf.sends)
 	if panicked {
 		// Deterministic crash conversion: the crashing round produces
 		// nothing (its partial send queue is discarded) and the node is
 		// silent and unreachable from here on — a fail-stop fault, the
 		// strongest containment the model offers. A quota violation the
 		// node committed before dying is still accounted (the transcript
-		// shows the drop, then the crash). Clear the discarded queue so
-		// the dead node cannot pin payloads forever.
-		var dropped int
-		if n.cfg.SendQuota > 0 {
-			_, dropped = n.applyQuota(sends)
-		}
-		clear(sends)
-		st.sendBuf = sends[:0]
+		// shows the drop, then the crash).
 		st.crashed = true
 		return stepResult{crashed: true, crashReason: reason, dropped: dropped}
-	}
-	var dropped int
-	if n.cfg.SendQuota > 0 {
-		sends, dropped = n.applyQuota(sends)
 	}
 	if !st.byzantine {
 		for i := range sends {
@@ -662,22 +694,18 @@ func safeStep(p Process, env *RoundEnv) (reason string, panicked bool) {
 }
 
 // applyQuota truncates a node's send queue to the configured per-round
-// send quota: the first SendQuota sends survive, in queue order, so the
-// drop decision is a pure function of the queue — identical for every
-// worker count. It returns the surviving prefix and the number of
-// dropped sends.
+// send quota, if there is one: the first SendQuota sends survive, in
+// queue order, so the drop decision is a pure function of the queue —
+// identical for every worker count. It returns the surviving prefix and
+// the number of dropped sends.
 //
-//lint:noalloc quota truncation slices and clears the caller's buffer in place
+//lint:noalloc quota truncation reslices the caller's buffer
 func (n *Network) applyQuota(sends []send) ([]send, int) {
 	keep := n.cfg.SendQuota
-	if keep >= len(sends) {
+	if keep <= 0 || keep >= len(sends) {
 		return sends, 0
 	}
-	dropped := len(sends) - keep
-	// Clear the dropped tail so the recycled send buffer cannot pin the
-	// dropped payloads past the round.
-	clear(sends[keep:])
-	return sends[:keep], dropped
+	return sends[:keep], len(sends) - keep
 }
 
 // Run executes rounds until stop returns true (checked after every round)

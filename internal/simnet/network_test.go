@@ -570,3 +570,60 @@ func TestEventLogRecordsDeliveries(t *testing.T) {
 		t.Fatalf("broadcasts=%d unicasts=%d", broadcasts, unicasts)
 	}
 }
+
+// TestSentPayloadIsImmutableAfterSend holds the model's "never alters a
+// delivered message" against the sender itself: node 1 broadcasts a
+// message whose body is its own buffer, and in its next Step rewrites
+// the buffer, before node 2 reads what it was delivered in the same
+// round. Send takes the payload's bytes and a receiver gets the engine's
+// decoded copy, so node 2 reads the original body. With a worker cap of
+// 3 the rewrite and the read run on different goroutines, where sharing
+// the buffer would also be a data race.
+func TestSentPayloadIsImmutableAfterSend(t *testing.T) {
+	t.Parallel()
+	for _, kind := range []struct {
+		label string
+		wrap  func(body []byte) wire.Payload
+	}{
+		{"event", func(b []byte) wire.Payload { return wire.Event{Round: 1, Body: b} }},
+		{"rbmessage", func(b []byte) wire.Payload { return wire.RBMessage{Source: 1, Body: b} }},
+	} {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", kind.label, workers), func(t *testing.T) {
+				t.Parallel()
+				buf := []byte("ORIGINAL")
+				net := New(Config{})
+				if workers > 1 {
+					net.forceWorkers(workers)
+				}
+				defer net.Close()
+				sender := newRecorder(1,
+					func(env *RoundEnv) { env.Broadcast(kind.wrap(buf)) },
+					func(env *RoundEnv) { copy(buf, "MUTATED!") })
+				var read []string
+				reader := newRecorder(2, nil, func(env *RoundEnv) {
+					for m := range env.Inbox.All() {
+						switch p := m.Payload.(type) {
+						case wire.Event:
+							read = append(read, string(p.Body))
+						case wire.RBMessage:
+							read = append(read, string(p.Body))
+						}
+					}
+				})
+				for _, p := range []*recorder{sender, reader} {
+					if err := net.Add(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mustRounds(t, net, 2)
+				if string(buf) != "MUTATED!" {
+					t.Fatalf("premise: the sender's buffer reads %q after its rewrite", buf)
+				}
+				if len(read) != 1 || read[0] != "ORIGINAL" {
+					t.Fatalf("receiver read %q, want the body as sent, [\"ORIGINAL\"]", read)
+				}
+			})
+		}
+	}
+}

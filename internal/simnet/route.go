@@ -1,10 +1,11 @@
 package simnet
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"slices"
-	"strings"
+	"sort"
 
 	"uba/internal/ids"
 	"uba/internal/trace"
@@ -41,13 +42,14 @@ import (
 //     bucketed per receiver with a stable counting sort, preserving send
 //     order.
 //
-//  3. Sparse materialization. The surviving broadcasts are copied once
+//  3. Sparse materialization. The surviving broadcasts are built once
 //     into the shared broadcast block and the surviving unicasts once
 //     into the unicast arena, each aligned with its send index list —
-//     O(B + U) Received values total, regardless of the receiver count.
-//     The copies are what let a receiver's view outlive the outs buffer
-//     (the step merge rewrites outs while inboxes are still being read
-//     next round). Block and arena are recycled across rounds — which is
+//     O(B + U) Received values total, regardless of the receiver count —
+//     from the intern table's one decoded payload per distinct encoding
+//     (intern.go). They are what let a receiver's view outlive the outs
+//     buffer and the byte arena (the step merge rewrites both while
+//     inboxes are still being read next round). Block and arena are recycled across rounds — which is
 //     why Process.Step must not retain env.Inbox (see the package docs).
 //     The round record, which mirrors this storage, is finished here.
 //     Each block sender's lastBcast is stamped here, which is all the
@@ -73,7 +75,7 @@ import (
 // (sender, encoding) per receiver, compared on the full encodings).
 //
 //lint:noalloc the fan-out runs every round over the network's recycled index and arena scratch; all growth is capacity-guarded or appends into recycled buffers
-func (n *Network) route(outs []send) (deliveries, bytes int64) {
+func (n *Network) route(outs []send) (deliveries, volume int64) {
 	// (1) Block-local sort: each sender's block by (encoding, to).
 	for lo := 0; lo < len(outs); {
 		hi := lo + 1
@@ -113,7 +115,7 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 			p := &outs[k-1]
 			if p.from != s.from {
 				lastB = -1
-			} else if p.to == s.to && p.encoded == s.encoded {
+			} else if p.to == s.to && bytes.Equal(n.encOf(p), n.encOf(s)) {
 				// Exact duplicate of the previous send: discarded by
 				// the model.
 				continue
@@ -124,7 +126,7 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 			n.bcastIdx = append(n.bcastIdx, int32(k))
 			continue
 		}
-		if lastB >= 0 && outs[lastB].encoded == s.encoded {
+		if lastB >= 0 && bytes.Equal(n.encOf(&outs[lastB]), n.encOf(s)) {
 			// Same payload already broadcast by this sender this round;
 			// the unicast copy is a duplicate for its target.
 			continue
@@ -164,23 +166,26 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 		n.uniCursor[r]++
 	}
 
-	// (5) Sparse materialization: copy the surviving broadcasts once
+	// (5) Sparse materialization: build the surviving broadcasts once
 	// into the shared block and the surviving unicasts once into the
-	// arena, aligned with bcastIdx and uniIdx respectively. Receivers
-	// get views over these copies, never over outs — the step merge
-	// rewrites outs while next round's inboxes are still being read.
-	// Broadcasts a link-fault round demoted to arena entries keep their
-	// Broadcast transcript flag through Received.bcast.
-	// Shrink-clearing the recycled tails drops the references held by
-	// last round's larger block/arena so dead payloads are not pinned.
+	// arena, aligned with bcastIdx and uniIdx respectively, each from
+	// the intern table's one decoded payload and string for its
+	// encoding. Receivers get views over these, never over outs or the
+	// byte arena — the step merge rewrites both while next round's
+	// inboxes are still being read. Broadcasts a link-fault round
+	// demoted to arena entries keep their Broadcast transcript flag
+	// through Received.bcast. Shrink-clearing the recycled tails drops
+	// the references held by last round's larger block/arena so dead
+	// payloads are not pinned.
+	n.intern.rotate()
 	nb := len(n.bcastIdx)
 	n.bcastBlock = recycled(n.bcastBlock, nb, &n.bcastLive)
 	var bbytes int64
 	sender := 0 // cursor over n.order: the block is sender-ascending
 	for j, k := range n.bcastIdx {
 		s := &outs[k]
-		n.bcastBlock[j] = Received{From: s.from, Payload: s.payload, encoded: s.encoded, bcast: true}
-		bbytes += int64(len(s.encoded))
+		n.materialize(&n.bcastBlock[j], s, n.intern.lookup(n.encOf(s)), true)
+		bbytes += int64(s.n)
 		for n.order[sender] != s.from {
 			sender++
 		}
@@ -189,9 +194,20 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 	n.index.reset(n.bcastBlock)
 	nu := len(n.uniIdx)
 	n.uniArena = recycled(n.uniArena, nu, &n.uniLive)
+	if nu > 0 {
+		// A link-fault round fans a broadcast out to every receiver as
+		// arena entries: sendEntry looks each send up once.
+		n.sendEntry = grown(n.sendEntry, len(outs))
+		clear(n.sendEntry)
+	}
 	for j, k := range n.uniIdx {
 		s := &outs[k]
-		n.uniArena[j] = Received{From: s.from, Payload: s.payload, encoded: s.encoded, bcast: s.to == ids.None}
+		i := int(n.sendEntry[k]) - 1
+		if i < 0 {
+			i = n.intern.lookup(n.encOf(s))
+			n.sendEntry[k] = int32(i + 1)
+		}
+		n.materialize(&n.uniArena[j], s, i, s.to == ids.None)
 	}
 
 	// (6) The round record mirrors this storage: after the engine events
@@ -238,14 +254,14 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 		// Tallies are arithmetic — no per-receiver message walk: the
 		// block's sizes are shared by every live receiver.
 		deliveries += int64(nm)
-		bytes += bbytes
+		volume += bbytes
 		// The block's senders are contacts through lastBcast; an arena
 		// entry's sender is noted unless it already is one. A segment is
 		// in send order, so one sender's entries are adjacent.
 		prev := ids.None
 		for j := ulo; j < uhi; j++ {
 			m := &n.uniArena[j]
-			bytes += int64(len(m.encoded))
+			volume += int64(len(m.encoded))
 			if m.From != prev && !n.knows(st, m.From) {
 				//lint:coldpath inserts once per (receiver, sender) pair the block does not already cover
 				st.hear(m.From)
@@ -253,60 +269,105 @@ func (n *Network) route(outs []send) (deliveries, bytes int64) {
 			prev = m.From
 		}
 	}
-	return deliveries, bytes
+	return deliveries, volume
 }
 
-// sortKey is a send reduced for the block-local sort: the first 16 bytes
-// of its encoding as two big-endian words, zero-padded, so that the words
-// compare as the bytes do; and the send, for a tie.
+// encOf returns the encoding of a merged send: its range of the round's
+// byte arena.
+func (n *Network) encOf(s *send) []byte { return n.arena[s.off : s.off+s.n] }
+
+// materialize writes s, whose encoding is entry i of the intern table's
+// current generation, into m for delivery.
+func (n *Network) materialize(m *Received, s *send, i int, bcast bool) {
+	e := &n.intern.cur.entries[i]
+	*m = Received{From: s.from, Payload: e.p, encoded: e.enc, bcast: bcast}
+}
+
+// sortKey is a send of a sender's block reduced for the block-local
+// sort: the first 16 bytes of its encoding as two big-endian words,
+// zero-padded, so that the words compare as the bytes do, and the send's
+// index in the block. It holds no pointer.
 type sortKey struct {
 	hi, lo uint64
-	s      *send
+	i      uint32
 }
 
-// keyOf returns the sort key of s.
-func keyOf(s *send) sortKey {
+// keyOf returns the sort key of block[i].
+func (n *Network) keyOf(block []send, i int) sortKey {
 	var b [16]byte
-	copy(b[:], s.encoded)
-	return sortKey{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:]), s: s}
+	copy(b[:], n.encOf(&block[i]))
+	return sortKey{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:]), i: uint32(i)}
 }
 
-// compareKeys orders two keys as their sends' (encoding, to). Prefixes
-// that differ decide, because zero padding sorts a shorter encoding before
-// any longer one it begins; only a tie over all 16 bytes compares the
-// whole encodings, and then the receivers.
+// compareKeys orders two keys by prefix. Prefixes that differ decide as
+// the encodings do, because zero padding sorts a shorter encoding before
+// any longer one it begins. Keys with equal prefixes — the same encoding
+// to several receivers, nearly always — are put in (encoding, to) order
+// afterwards by tieSorter.
 func compareKeys(a, b sortKey) int {
 	if c := cmp.Compare(a.hi, b.hi); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.lo, b.lo); c != 0 {
-		return c
-	}
-	if c := strings.Compare(a.s.encoded, b.s.encoded); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.s.to, b.s.to)
+	return cmp.Compare(a.lo, b.lo)
 }
 
-// sortBlock sorts one sender's block of sends by (encoding, to). It sorts
-// keys rather than the 48-byte sends and then permutes the block once
-// through the scratch copy; a block already in order is left as it is.
-//
-//lint:noalloc keys and the permutation copy are the network's recycled scratch, grown to the largest block
-func (n *Network) sortBlock(block []send) {
-	n.sortKeys = n.sortKeys[:0]
-	for i := range block {
-		n.sortKeys = append(n.sortKeys, keyOf(&block[i]))
+// tieSorter orders a run of keys with equal prefixes by their sends'
+// (encoding, to), comparing the whole encodings in the byte arena.
+type tieSorter struct {
+	keys  []sortKey
+	block []send
+	arena []byte
+}
+
+func (t *tieSorter) Len() int      { return len(t.keys) }
+func (t *tieSorter) Swap(i, j int) { t.keys[i], t.keys[j] = t.keys[j], t.keys[i] }
+func (t *tieSorter) Less(i, j int) bool {
+	a, b := &t.block[t.keys[i].i], &t.block[t.keys[j].i]
+	if c := bytes.Compare(t.arena[a.off:a.off+a.n], t.arena[b.off:b.off+b.n]); c != 0 {
+		return c < 0
 	}
-	if slices.IsSortedFunc(n.sortKeys, compareKeys) {
+	return a.to < b.to
+}
+
+// sortBlock sorts one sender's block of sends by (encoding, to): the
+// keys by prefix, then each run of equal prefixes by whole encodings and
+// receivers, and permutes the block once through the scratch copy.
+//
+//lint:noalloc the keys and the copy are the network's recycled scratch, grown to the largest block; the tie sorter is a pointer into the network
+func (n *Network) sortBlock(block []send) {
+	keys := n.sortKeys[:0]
+	for i := range block {
+		keys = append(keys, n.keyOf(block, i))
+	}
+	n.sortKeys = keys
+	if !slices.IsSortedFunc(keys, compareKeys) {
+		slices.SortFunc(keys, compareKeys)
+	}
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j].hi == keys[i].hi && keys[j].lo == keys[i].lo {
+			j++
+		}
+		if j-i > 1 {
+			n.ties = tieSorter{keys: keys[i:j], block: block, arena: n.arena}
+			if !sort.IsSorted(&n.ties) {
+				sort.Sort(&n.ties)
+			}
+		}
+		i = j
+	}
+	sorted := true
+	for i, k := range keys {
+		sorted = sorted && k.i == uint32(i)
+	}
+	if sorted {
 		return
 	}
-	slices.SortFunc(n.sortKeys, compareKeys)
-	n.sortSends = n.sortSends[:0]
-	for _, k := range n.sortKeys {
-		n.sortSends = append(n.sortSends, *k.s)
+	n.sortSends = grown(n.sortSends, len(block))
+	copy(n.sortSends, block)
+	for i, k := range keys {
+		block[i] = n.sortSends[k.i]
 	}
-	copy(block, n.sortSends)
 }
 
 // messageEvent is the trace event of m delivered to `to` at the start of

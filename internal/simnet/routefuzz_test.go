@@ -22,11 +22,13 @@ import (
 // multi-worker caps: the route pass is serial whatever the cap, and its
 // output must not depend on it.
 
-// routePool is a fixed set of distinct payloads with their encodings,
-// small enough that random batches repeat them.
+// routePool is a fixed set of distinct payloads, small enough that
+// random batches repeat them, and the byte arena holding their
+// encodings back to back, which every send drawn from it points into.
 type routePool struct {
 	payloads []wire.Payload
-	encs     []string
+	arena    []byte
+	offs     []uint32
 }
 
 func newRoutePool() *routePool {
@@ -34,23 +36,26 @@ func newRoutePool() *routePool {
 	for i := 0; i < 6; i++ {
 		pl := wire.Event{Round: 1, Body: []byte(fmt.Sprintf("payload-%d", i))}
 		p.payloads = append(p.payloads, pl)
-		p.encs = append(p.encs, string(wire.Encode(pl)))
+		p.offs = append(p.offs, uint32(len(p.arena)))
+		p.arena = wire.AppendEncode(p.arena, pl)
 	}
+	p.offs = append(p.offs, uint32(len(p.arena)))
 	return p
 }
 
 func (p *routePool) send(from, to ids.ID, pi int) send {
-	return send{from: from, to: to, payload: p.payloads[pi], encoded: p.encs[pi]}
+	return send{from: from, to: to, off: p.offs[pi], n: p.offs[pi+1] - p.offs[pi]}
 }
 
 // routeCase is one generated batch: the registered nodes, which of
-// them have halted, and the send stream (grouped by sender in
-// ascending node order with engine-stamped from — the invariant the
-// step merge establishes before calling route).
+// them have halted, the send stream (grouped by sender in ascending
+// node order with engine-stamped from — the invariant the step merge
+// establishes before calling route) and the byte arena it points into.
 type routeCase struct {
 	nodeIDs []ids.ID
 	done    []bool
 	outs    []send
+	arena   []byte
 }
 
 // genRouteCase draws a random batch. Unicast targets include a never-
@@ -61,6 +66,7 @@ func genRouteCase(rng *rand.Rand, pool *routePool) routeCase {
 	c := routeCase{
 		nodeIDs: ids.Consecutive(10, n),
 		done:    make([]bool, n),
+		arena:   pool.arena,
 	}
 	for i := range c.done {
 		c.done[i] = rng.Intn(5) == 0
@@ -103,7 +109,7 @@ func referenceRoute(c routeCase) (inboxes [][]Received, deliveries, bytes int64)
 			if s.to != ids.None && s.to != id {
 				continue
 			}
-			k := key{s.from, s.encoded}
+			k := key{s.from, string(c.arena[s.off : s.off+s.n])}
 			if _, dup := seen[k]; dup {
 				continue
 			}
@@ -117,10 +123,9 @@ func referenceRoute(c routeCase) (inboxes [][]Received, deliveries, bytes int64)
 			return keys[a].enc < keys[b].enc
 		})
 		for _, k := range keys {
-			s := seen[k]
-			inboxes[i] = append(inboxes[i], Received{From: s.from, Payload: s.payload, encoded: s.encoded})
+			inboxes[i] = append(inboxes[i], Received{From: k.from, Payload: mustDecode([]byte(k.enc)), encoded: k.enc})
 			deliveries++
-			bytes += int64(len(s.encoded))
+			bytes += int64(len(k.enc))
 		}
 	}
 	return inboxes, deliveries, bytes
@@ -146,6 +151,7 @@ func routeOnNetwork(t testing.TB, c routeCase, workers int) (net *Network, inbox
 		}
 	}
 	outs := append([]send(nil), c.outs...)
+	net.arena = append(net.arena[:0], c.arena...)
 	deliveries, bytes = net.route(outs)
 	inboxes = make([]Inbox, len(c.nodeIDs))
 	for i := range c.nodeIDs {
@@ -262,6 +268,7 @@ func TestRouteDedupDirectedCases(t *testing.T) {
 		},
 	}
 	for i, c := range cases {
+		c.arena = pool.arena
 		for _, workers := range []int{0, 3} {
 			t.Run(fmt.Sprintf("case=%d/workers=%d", i, workers), func(t *testing.T) {
 				checkRouteCase(t, c, workers)
@@ -283,7 +290,7 @@ func FuzzRouteDedup(f *testing.F) {
 			t.Skip()
 		}
 		n := 3 + int(data[0]%6)
-		c := routeCase{nodeIDs: ids.Consecutive(10, n), done: make([]bool, n)}
+		c := routeCase{nodeIDs: ids.Consecutive(10, n), done: make([]bool, n), arena: pool.arena}
 		for i := range c.done {
 			c.done[i] = i < len(data) && data[i]&0x11 == 0x11
 		}
@@ -321,8 +328,9 @@ func FuzzRouteDedup(f *testing.F) {
 // to whole encodings only on a tie: over encodings shorter than a prefix,
 // ones that differ from each other only by trailing zero bytes, ones equal
 // over all 16 prefix bytes and differing after them, and bytes at both
-// ends of the range, the key order of every pair of sends is their
-// (encoding, to) order, and a sorted block reads in that order.
+// ends of the range, the key order of every pair of sends whose prefixes
+// differ is their (encoding, to) order, and a sorted block reads in that
+// order.
 func TestBlockSortKeysOrderLikeEncodingThenReceiver(t *testing.T) {
 	t.Parallel()
 	const prefix = "0123456789abcdef" // 16 bytes
@@ -332,28 +340,34 @@ func TestBlockSortKeysOrderLikeEncodingThenReceiver(t *testing.T) {
 		prefix[:8] + "\xff", prefix[:8] + "\x00\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x00",
 	}
 	tos := []ids.ID{ids.None, 10, 11}
+	net := New(Config{})
+	defer net.Close()
 	var sends []send
 	for _, e := range encs {
 		for _, to := range tos {
-			sends = append(sends, send{from: 7, to: to, encoded: e})
+			sends = append(sends, send{from: 7, to: to, off: uint32(len(net.arena)), n: uint32(len(e))})
 		}
+		net.arena = append(net.arena, e...)
 	}
+	enc := func(s send) string { return string(net.encOf(&s)) }
 	want := func(a, b send) int {
-		if c := strings.Compare(a.encoded, b.encoded); c != 0 {
+		if c := strings.Compare(enc(a), enc(b)); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.to, b.to)
 	}
 	for i := range sends {
 		for j := range sends {
-			if got, exp := compareKeys(keyOf(&sends[i]), keyOf(&sends[j])), want(sends[i], sends[j]); got != exp {
+			a, b := net.keyOf(sends, i), net.keyOf(sends, j)
+			if a.hi == b.hi && a.lo == b.lo {
+				continue // a tie the sort settles on whole encodings
+			}
+			if got, exp := compareKeys(a, b), want(sends[i], sends[j]); got != exp {
 				t.Fatalf("keys of (%q, %v) and (%q, %v) compare %d, their sends %d",
-					sends[i].encoded, sends[i].to, sends[j].encoded, sends[j].to, got, exp)
+					enc(sends[i]), sends[i].to, enc(sends[j]), sends[j].to, got, exp)
 			}
 		}
 	}
-	net := New(Config{})
-	defer net.Close()
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 200; iter++ {
 		block := make([]send, 1+rng.Intn(len(sends)))
@@ -367,9 +381,9 @@ func TestBlockSortKeysOrderLikeEncodingThenReceiver(t *testing.T) {
 		slices.SortStableFunc(ref, want)
 		net.sortBlock(block)
 		for i := range block {
-			if block[i].encoded != ref[i].encoded || block[i].to != ref[i].to {
+			if enc(block[i]) != enc(ref[i]) || block[i].to != ref[i].to {
 				t.Fatalf("iteration %d: position %d holds (%q, %v), want (%q, %v)",
-					iter, i, block[i].encoded, block[i].to, ref[i].encoded, ref[i].to)
+					iter, i, enc(block[i]), block[i].to, enc(ref[i]), ref[i].to)
 			}
 		}
 	}

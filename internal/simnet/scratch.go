@@ -21,20 +21,26 @@ import (
 // Determinism is untouched: scratch contents are overwritten (or
 // explicitly sized and cleared) before every use — adoption only seeds
 // capacities, never values — so a cell that inherits another cell's
-// buffers produces byte-identical output to one that starts cold.
+// buffers produces byte-identical output to one that starts cold. The
+// intern table is the one part whose contents carry over, and a hit in
+// it returns exactly what decoding the same bytes would.
 
 // netScratch is the recyclable allocation footprint of one Network:
 // every round-scoped buffer that grows to a workload-dependent
 // high-water mark. It is embedded in Network by value, so adoption and
 // release are one struct assignment each — a buffer added here is
 // recycled with no further bookkeeping. Payload-carrying slots are
-// cleared before the set enters the pool, so parked scratch never pins
-// message payloads.
+// cleared before the set enters the pool, so parked scratch pins no
+// payload beyond the intern table's two generations.
 type netScratch struct {
-	// Step merge (network.go): the node-ordered send stream and the
-	// per-node result slots it is merged from.
+	// Step merge (network.go): the node-ordered send stream, the round's
+	// byte arena its offsets point into, the per-node result slots it is
+	// merged from, and the per-node send buffers parked for the next
+	// node to be added.
 	outs    []send
+	arena   []byte
 	results []stepResult
+	spare   []nodeBuf
 	// roundEvents is the round record: the current round's engine events
 	// and, for an Observer, one event per stored message (see RunRound).
 	roundEvents []trace.Event
@@ -44,6 +50,7 @@ type netScratch struct {
 	// unicast arena the inbox views read through.
 	sortKeys   []sortKey
 	sortSends  []send
+	ties       tieSorter
 	doneMask   []bool
 	bcastIdx   []int32
 	uniRecv    []int32
@@ -53,6 +60,12 @@ type netScratch struct {
 	uniCursor  []int32
 	bcastBlock []Received
 	uniArena   []Received
+	// intern holds the decoded payload of every distinct encoding routed
+	// this round and last (intern.go); sendEntry maps a send index to its
+	// entry in the current generation, plus one (0: not looked up yet),
+	// for the arena.
+	intern    internTable
+	sendEntry []int32
 	// index is the payload-major reading of bcastBlock (index.go). It
 	// is held by pointer — every inbox of a round shares it, and its
 	// once-guard must not be copied — and made by New when the pool had
@@ -77,27 +90,27 @@ func (n *Network) adoptScratch() {
 }
 
 // releaseScratch clears the network's payload-carrying round buffers to
-// their full capacity — dropping every payload, event and result
-// reference they pinned — and parks the set in the pool for the next
-// Network. Lengths are left as they are: every buffer is re-sized
-// before each use. Called from Close.
+// their full capacity — dropping every payload, event and error
+// reference they pinned — and parks the set, with every live node's send
+// buffers, in the pool for the next Network. Lengths are left as they
+// are: every buffer is re-sized before each use. Called from Close.
 //
 //lint:coldpath scratch release runs once per Network, in Close
 func (n *Network) releaseScratch() {
-	s := n.scratchBox
-	if s == nil {
-		s = new(netScratch)
+	for _, st := range n.live {
+		n.parkBuf(st)
 	}
-	n.scratchBox = nil
-	clear(n.outs[:cap(n.outs)])
 	clear(n.results[:cap(n.results)])
-	clear(n.sortKeys[:cap(n.sortKeys)])
-	clear(n.sortSends[:cap(n.sortSends)])
 	clear(n.roundEvents[:cap(n.roundEvents)])
 	clear(n.bcastBlock[:cap(n.bcastBlock)])
 	clear(n.uniArena[:cap(n.uniArena)])
 	n.index.release()
 	n.bcastLive, n.uniLive = 0, 0
+	s := n.scratchBox
+	if s == nil {
+		s = new(netScratch)
+	}
+	n.scratchBox = nil
 	*s, n.netScratch = n.netScratch, netScratch{}
 	scratchPool.Put(s)
 }

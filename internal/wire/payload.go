@@ -291,7 +291,8 @@ func appendUint64(buf []byte, v uint64) []byte {
 
 func appendValue(buf []byte, v Value) []byte {
 	if v.IsBot {
-		return append(buf, 1)
+		buf = append(buf, 1)
+		return buf
 	}
 	buf = append(buf, 0)
 	return appendUint64(buf, math.Float64bits(v.X))
@@ -299,7 +300,8 @@ func appendValue(buf []byte, v Value) []byte {
 
 func appendBytes(buf, b []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
+	buf = append(buf, b...)
+	return buf
 }
 
 func (Present) appendTo(buf []byte) []byte { return buf }
@@ -365,9 +367,63 @@ func Encode(p Payload) []byte {
 }
 
 // AppendEncode appends the canonical encoding of p to dst: Encode for a
-// caller that owns a buffer, like the engine's per-node send scratch.
+// caller that owns a buffer, like the engine's per-node send buffer.
+// It dispatches with a closed type switch rather than a dynamic call, so
+// p does not escape: a caller that passes a payload value straight in
+// boxes it on its own stack. Every Payload type has a case here (the
+// ubalint wirereg pass checks it).
 func AppendEncode(dst []byte, p Payload) []byte {
-	return p.appendTo(append(dst, byte(p.Kind())))
+	switch p := p.(type) {
+	case Present:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case Init:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case Absent:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case RBMessage:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case RBEcho:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case IDEcho:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case Opinion:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case Input:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case Prefer:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case StrongPrefer:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case NoPreference:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case NoStrongPreference:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case Ack:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case Event:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	case Terminate:
+		dst = append(dst, byte(p.Kind()))
+		return p.appendTo(dst)
+	default:
+		// Only nil reaches here: Payload's unexported method seals the
+		// set of types to this package's, and each has a case above.
+		panic("wire: cannot encode a nil payload")
+	}
 }
 
 // Decoding errors.

@@ -39,7 +39,9 @@ func allPayloadSamples() []Payload {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	t.Parallel()
+	kinds := make(map[Kind]bool)
 	for _, p := range allPayloadSamples() {
+		kinds[p.Kind()] = true
 		enc := Encode(p)
 		got, err := Decode(enc)
 		if err != nil {
@@ -48,6 +50,25 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		// Normalize nil vs empty byte slices before comparing.
 		if !payloadEqual(got, p) {
 			t.Fatalf("round trip: got %#v, want %#v", got, p)
+		}
+		// AppendEncode appends after what dst holds, and the payload the
+		// engine decodes re-encodes to the bytes it was decoded from.
+		prefix := []byte("prefix")
+		app := AppendEncode(prefix, p)
+		if !bytes.Equal(app[:len(prefix)], prefix) || !bytes.Equal(app[len(prefix):], enc) {
+			t.Fatalf("AppendEncode(%q, %#v) = %q, want the prefix then %q", prefix, p, app, enc)
+		}
+		dec, err := Decode(app[len(prefix):])
+		if err != nil {
+			t.Fatalf("Decode(AppendEncode(%#v)): %v", p, err)
+		}
+		if re := AppendEncode(nil, dec); !bytes.Equal(re, enc) {
+			t.Fatalf("%#v decodes to %#v, which re-encodes to %q, not %q", p, dec, re, enc)
+		}
+	}
+	for k := KindPresent; k <= KindTerminate; k++ {
+		if !kinds[k] {
+			t.Fatalf("no sample of kind %v: the round trip must cover every kind", k)
 		}
 	}
 }
