@@ -59,6 +59,9 @@ func run(args []string, out io.Writer) error {
 	if *jobs < 0 {
 		return fmt.Errorf("-jobs must be >= 0")
 	}
+	if *traceRounds < 0 {
+		return fmt.Errorf("-trace must be >= 0")
+	}
 	if *jobs > 0 {
 		// Bound the process-wide scheduler: every simulation in this
 		// process — the run's own step phase (capped at -jobs below), a

@@ -95,6 +95,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-protocol", "consensus", "-g", "-3", "-f", "1"},
 		{"-protocol", "approx", "-g", "-3", "-f", "1"},
 		{"-protocol", "vector", "-g", "-3", "-f", "1"},
+		{"-trace", "-3"},
 	} {
 		var buf bytes.Buffer
 		err := run(args, &buf)

@@ -11,118 +11,71 @@
 //
 // Census is that bookkeeping: a monotone set of observed sender ids, plus
 // the exact threshold comparisons ("at least n_v/3", "at least 2n_v/3",
-// "less than n_v/3") in overflow-safe integer arithmetic. The count of
+// "less than n_v/3") in overflow-safe integer arithmetic. The set is an
+// ids.Set, so a sender's rank is its position in id order; the count of
 // distinct senders that goes into those comparisons is kept here too:
-// Marks, bits over the census's dense ranks.
+// Marks, bits over those ranks.
+//
+// A rank is a position, so observing a new sender shifts the ranks of
+// every member above it. The rule that follows: a live Census's ranks —
+// and a Ranks table laid over it — hold until its next Observe, and a
+// count that spans Steps counts against a Frozen, which never changes.
+// The standalone protocols observe, lay, count and fold inside one Step;
+// consensus and parallel consensus freeze n_v first.
 package census
 
 import "uba/internal/ids"
 
 // Census records the distinct nodes a given node has received at least
-// one message from, and numbers them densely: the k-th distinct sender
-// observed has rank k-1. Ranks let the protocols count distinct senders
-// as marks in a bitset (Marks) instead of hashing every delivery. The
-// zero value is an empty census ready to use.
+// one message from, as a set ordered by id: a member's rank is its
+// position in that order, dense in [0, N). Ranks let the protocols count
+// distinct senders as marks in a bitset (Marks) instead of hashing every
+// delivery. The zero value is an empty census ready to use.
 type Census struct {
-	rank map[ids.ID]int
-}
-
-// New returns an empty census.
-func New() *Census {
-	return &Census{rank: make(map[ids.ID]int)}
+	members ids.Set
 }
 
 // Observe records that a message from sender has been received. It
 // reports whether the sender was new to the census.
-func (c *Census) Observe(sender ids.ID) bool {
-	if c.rank == nil {
-		c.rank = make(map[ids.ID]int)
-	}
-	if _, ok := c.rank[sender]; ok {
-		return false
-	}
-	c.rank[sender] = len(c.rank)
-	return true
-}
+func (c *Census) Observe(sender ids.ID) bool { return c.members.Add(sender) }
+
+// ObserveAscending observes every sender of run, which ascends — a
+// round's broadcasters — with one merge into the census.
+func (c *Census) ObserveAscending(run []ids.ID) { c.members.AddAscending(run) }
 
 // N returns n_v, the number of distinct observed senders.
-func (c *Census) N() int { return len(c.rank) }
+func (c *Census) N() int { return c.members.Len() }
 
-// Rank returns sender's dense index in [0, N) — its position in
-// first-observed order, which never changes once assigned — and whether
-// sender has been observed at all.
-func (c *Census) Rank(sender ids.ID) (int, bool) {
-	r, ok := c.rank[sender]
-	return r, ok
-}
+// Members returns the census itself, the set whose positions are the
+// ranks: the caller reads it and must not change it, and what it reads
+// changes with the next Observe.
+func (c *Census) Members() *ids.Set { return &c.members }
 
-// Contains reports whether sender has been observed.
-func (c *Census) Contains(sender ids.ID) bool {
-	_, ok := c.rank[sender]
-	return ok
-}
-
-// Members returns the observed sender ids as an ordered set.
-func (c *Census) Members() *ids.Set {
-	s := ids.NewSet()
-	for id := range c.rank {
-		s.Add(id)
-	}
-	return s
-}
-
-// Freeze returns an immutable snapshot of the census; every member keeps
-// its rank. The consensus algorithm (Alg 3) freezes n_v after
-// initialization and thereafter only accepts messages from ids counted
-// during initialization.
-func (c *Census) Freeze() Frozen {
-	rank := make(map[ids.ID]int, len(c.rank))
-	for id, r := range c.rank {
-		rank[id] = r
-	}
-	return Frozen{rank: rank}
-}
+// Freeze returns an immutable snapshot of the census, ranked the same.
+// The consensus algorithm (Alg 3) freezes n_v after initialization and
+// thereafter only accepts messages from ids counted during
+// initialization.
+func (c *Census) Freeze() Frozen { return FrozenOf(&c.members) }
 
 // Frozen is an immutable census snapshot. The zero value is the empty
 // snapshot: it contains no one.
 type Frozen struct {
-	rank map[ids.ID]int
+	members ids.Set
 }
 
-// FrozenOf returns the census of a membership known in advance: members,
-// ranked in id order.
-func FrozenOf(members *ids.Set) Frozen {
-	rank := make(map[ids.ID]int, members.Len())
-	for r := 0; r < members.Len(); r++ {
-		rank[members.At(r)] = r
-	}
-	return Frozen{rank: rank}
-}
+// FrozenOf returns the census of a membership known in advance: a copy
+// of members, ranked in id order like every census.
+func FrozenOf(members *ids.Set) Frozen { return Frozen{members: *members.Clone()} }
 
 // N returns the frozen n_v.
-func (f Frozen) N() int { return len(f.rank) }
-
-// Rank returns sender's dense index in [0, N) and whether sender was
-// part of the snapshot.
-func (f Frozen) Rank(sender ids.ID) (int, bool) {
-	r, ok := f.rank[sender]
-	return r, ok
-}
+func (f *Frozen) N() int { return f.members.Len() }
 
 // Contains reports whether sender was part of the snapshot.
-func (f Frozen) Contains(sender ids.ID) bool {
-	_, ok := f.rank[sender]
-	return ok
-}
+func (f *Frozen) Contains(sender ids.ID) bool { return f.members.Contains(sender) }
 
-// Members returns the snapshot membership as an ordered set.
-func (f Frozen) Members() *ids.Set {
-	s := ids.NewSet()
-	for id := range f.rank {
-		s.Add(id)
-	}
-	return s
-}
+// Members returns the snapshot as the ordered set whose positions are its
+// ranks, for reading only: it is the snapshot's own storage.
+func (f *Frozen) Members() *ids.Set { return &f.members }
 
 // AtLeastThird reports count ≥ n/3, the paper's "received at least n_v/3
 // messages" condition, computed as 3·count ≥ n to avoid rationals.

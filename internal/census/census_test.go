@@ -9,7 +9,7 @@ import (
 
 func TestObserveCountsDistinctSenders(t *testing.T) {
 	t.Parallel()
-	c := New()
+	var c Census
 	if c.N() != 0 {
 		t.Fatalf("empty census N = %d", c.N())
 	}
@@ -24,7 +24,7 @@ func TestObserveCountsDistinctSenders(t *testing.T) {
 	if c.N() != 3 {
 		t.Fatalf("N = %d, want 3", c.N())
 	}
-	if !c.Contains(9) || c.Contains(4) {
+	if !c.Members().Contains(9) || c.Members().Contains(4) {
 		t.Fatal("Contains wrong")
 	}
 }
@@ -32,7 +32,7 @@ func TestObserveCountsDistinctSenders(t *testing.T) {
 func TestZeroValueCensusIsUsable(t *testing.T) {
 	t.Parallel()
 	var c Census
-	if c.N() != 0 || c.Contains(1) {
+	if c.N() != 0 || c.Members().Contains(1) {
 		t.Fatal("zero census not empty")
 	}
 	if !c.Observe(1) || c.N() != 1 {
@@ -42,7 +42,7 @@ func TestZeroValueCensusIsUsable(t *testing.T) {
 
 func TestFreezeSnapshotIsImmutable(t *testing.T) {
 	t.Parallel()
-	c := New()
+	var c Census
 	c.Observe(10)
 	c.Observe(20)
 	frozen := c.Freeze()
@@ -64,7 +64,7 @@ func TestFreezeSnapshotIsImmutable(t *testing.T) {
 
 func TestMembersOrdered(t *testing.T) {
 	t.Parallel()
-	c := New()
+	var c Census
 	for _, id := range []ids.ID{9, 2, 77, 5} {
 		c.Observe(id)
 	}
@@ -176,50 +176,58 @@ func TestQuorumArithmeticBackbone(t *testing.T) {
 	}
 }
 
-// Ranks are dense (exactly 0..N-1, in first-observed order), never change
-// once assigned, survive Freeze, and exist exactly for the members.
+// Ranks are positions in id order: dense (exactly 0..N-1), the number of
+// members below the sender whatever order they were observed in, and
+// defined exactly for the members. A later Observe shifts the live ranks
+// of the members above the newcomer — why a count that spans Observes
+// counts against a Frozen — and never a Frozen's.
 func TestRankDenseStableAndConsistentWithContains(t *testing.T) {
 	t.Parallel()
 	var c Census // zero value
-	if _, ok := c.Rank(7); ok {
+	if _, ok := c.Members().Rank(7); ok {
 		t.Fatal("empty census ranked an id")
 	}
-	order := []ids.ID{900, 3, 41, 3, 7, 900, 12}
-	want := map[ids.ID]int{900: 0, 3: 1, 41: 2, 7: 3, 12: 4}
-	for _, id := range order {
+	for _, id := range []ids.ID{900, 3, 41, 3, 7, 900, 12} {
 		c.Observe(id)
-		if r, ok := c.Rank(id); !ok || r != want[id] {
-			t.Fatalf("after Observe(%v): Rank = (%d, %v), want %d", id, r, ok, want[id])
+		members := c.Members()
+		for _, probe := range []ids.ID{900, 3, 41, 7, 12, 5, 1000} {
+			r, ok := members.Rank(probe)
+			if ok != members.Contains(probe) {
+				t.Fatalf("after Observe(%v): Rank ok = %v but Contains = %v for %v", id, ok, members.Contains(probe), probe)
+			}
+			below := 0
+			for k := 0; k < members.Len(); k++ {
+				if members.At(k) < probe {
+					below++
+				}
+			}
+			if ok && r != below {
+				t.Fatalf("after Observe(%v): rank of %v = %d, but %d members are below it", id, probe, r, below)
+			}
 		}
 	}
+	want := map[ids.ID]int{3: 0, 7: 1, 12: 2, 41: 3, 900: 4}
 	frozen := c.Freeze()
-	c.Observe(55) // later growth must not disturb the snapshot or old ranks
-	seen := make([]bool, frozen.N())
-	for _, id := range []ids.ID{900, 3, 41, 7, 12, 55, 8} {
-		r, ok := c.Rank(id)
-		if ok != c.Contains(id) {
-			t.Fatalf("Census: Rank ok = %v but Contains = %v for %v", ok, c.Contains(id), id)
+	c.Observe(5)    // below 7, 12, 41 and 900: their live ranks move up one
+	c.Observe(1000) // above everyone: no rank moves
+	shifted := map[ids.ID]int{3: 0, 5: 1, 7: 2, 12: 3, 41: 4, 900: 5, 1000: 6}
+	for id, r := range shifted {
+		if got, ok := c.Members().Rank(id); !ok || got != r {
+			t.Fatalf("live rank of %v = (%d, %v) after the later Observes, want %d", id, got, ok, r)
 		}
-		fr, fok := frozen.Rank(id)
+		fr, fok := frozen.Members().Rank(id)
 		if fok != frozen.Contains(id) {
 			t.Fatalf("Frozen: Rank ok = %v but Contains = %v for %v", fok, frozen.Contains(id), id)
 		}
-		if !fok {
-			continue
+		if w, member := want[id]; fok != member || fr != w {
+			t.Fatalf("frozen rank of %v = (%d, %v), want (%d, %v): a later Observe reached the snapshot", id, fr, fok, w, member)
 		}
-		if !ok || fr != r || r != want[id] {
-			t.Fatalf("rank of %v: live (%d, %v), frozen %d, want %d", id, r, ok, fr, want[id])
-		}
-		if seen[fr] {
-			t.Fatalf("rank %d assigned twice", fr)
-		}
-		seen[fr] = true
 	}
-	if r, ok := c.Rank(55); !ok || r != 5 {
-		t.Fatalf("Rank(55) = (%d, %v), want 5", r, ok)
+	if frozen.N() != len(want) || c.N() != len(shifted) {
+		t.Fatalf("frozen N = %d, live N = %d", frozen.N(), c.N())
 	}
 	var zero Frozen
-	if _, ok := zero.Rank(3); ok || zero.Contains(3) || zero.N() != 0 {
+	if _, ok := zero.Members().Rank(3); ok || zero.Contains(3) || zero.N() != 0 {
 		t.Fatal("zero Frozen is not empty")
 	}
 }

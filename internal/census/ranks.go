@@ -2,70 +2,50 @@ package census
 
 import "uba/internal/ids"
 
-// Ranker is a census in either state, *Census or Frozen: what a reader
-// counts its senders against.
-type Ranker interface {
-	N() int
-	Rank(sender ids.ID) (int, bool)
-}
-
 // Ranks is one reader's census laid over one round's broadcasters: the
 // table that turns "which broadcasters said it" — a set of positions in
 // the engine's ascending broadcaster list, the same for every receiver —
 // into "which of my census members said it", a set of this reader's own
-// ranks. It is rebuilt per Step (Reset) with one census lookup per
-// broadcaster (ResetAscending: none, for a census ranked in id order),
-// where a pass over the messages themselves would need one per message.
+// ranks. It is rebuilt per Step (Reset) by one merge of two ascending
+// lists, the broadcasters and the census, where a pass over the messages
+// themselves would need one census lookup per message.
 //
 // Positions whose ranks are consecutive collapse into a run, and a set
-// is translated run by run with shifted word ORs. A census numbers its
-// members in first-observed order and the first inbox arrives in id
-// order, so when the round's broadcasters are the census the whole table
-// is one run and a translation is a handful of word ORs; broadcasters
-// the census does not know, and members that stayed silent, split runs;
-// an arbitrary observation order degenerates to one run per position,
-// which is the per-bit loop — the same code, and the same result, since
-// a run is only ever a shorthand for its positions.
+// is translated run by run with shifted word ORs. Both lists ascend by
+// id, so a run splits only at a hole: a broadcaster the census does not
+// know, or a member that stayed silent. When the round's broadcasters
+// are the census the whole table is one run and a translation is a
+// handful of word ORs; at worst every position is its own run, which is
+// the per-bit loop — the same code, and the same result, since a run is
+// only ever a shorthand for its positions.
 //
-// The zero value is ready for Reset. The storage is the table's own and
-// is reused from Step to Step; an embedding protocol that steps many
-// short-lived readers of one census rebuilds one table once and lends it
-// to them all (see parallelcon.StepLocal).
+// The table holds while its census does: until the next Observe of a
+// live Census, for good over a Frozen. The zero value is ready for
+// Reset. The storage is the table's own and is reused from Step to Step;
+// an embedding protocol that steps many short-lived readers of one
+// census rebuilds one table once and lends it to them all (see
+// parallelcon.StepLocal).
 type Ranks struct {
-	of   Ranker
+	of   *ids.Set // the census's members, a rank being a position
 	runs []rankRun
-	who  Marks // the set Of and One return, MarkWords(of.N()) words
+	who  Marks // the set Of and One return, MarkWords(of.Len()) words
 }
 
 // rankRun says positions pos..pos+n-1 hold ranks rank..rank+n-1.
 type rankRun struct{ pos, rank, n int }
 
 // Reset rebuilds the table for the round whose distinct broadcasters, in
-// the engine's order, are broadcasters, as seen by the census of.
-func (t *Ranks) Reset(broadcasters []ids.ID, of Ranker) {
+// the engine's ascending order, are broadcasters, as seen by the census
+// whose members (Census.Members, Frozen.Members) are of.
+func (t *Ranks) Reset(broadcasters []ids.ID, of *ids.Set) {
 	t.of = of
 	t.runs = t.runs[:0]
+	r, n := 0, of.Len()
 	for pos, id := range broadcasters {
-		if r, ok := of.Rank(id); ok {
-			t.place(pos, r)
-		}
-	}
-	t.who = t.who.Cleared(of.N())
-}
-
-// ResetAscending is Reset for a census ranked in id order (FrozenOf):
-// members is of's membership, which ascends as broadcasters does, so the
-// two are matched by one merge instead of one census lookup per
-// broadcaster.
-func (t *Ranks) ResetAscending(broadcasters []ids.ID, of Ranker, members *ids.Set) {
-	t.of = of
-	t.runs = t.runs[:0]
-	r, n := 0, members.Len()
-	for pos, id := range broadcasters {
-		for r < n && members.At(r) < id {
+		for r < n && of.At(r) < id {
 			r++
 		}
-		if r < n && members.At(r) == id {
+		if r < n && of.At(r) == id {
 			t.place(pos, r)
 		}
 	}
@@ -84,7 +64,7 @@ func (t *Ranks) place(pos, r int) {
 	t.runs = append(t.runs, rankRun{pos: pos, rank: r, n: 1})
 }
 
-// Rank is the census's own answer for one sender.
+// Rank is the census's own answer for one sender, by binary search.
 func (t *Ranks) Rank(sender ids.ID) (int, bool) { return t.of.Rank(sender) }
 
 // Of translates by, a set of broadcaster positions, into the census

@@ -9,22 +9,10 @@ import (
 	"uba/internal/ids"
 )
 
-// countingCensus counts Rank calls, to pin the table's one lookup per
-// broadcaster.
-type countingCensus struct {
-	*Census
-	lookups int
-}
-
-func (c *countingCensus) Rank(id ids.ID) (int, bool) {
-	c.lookups++
-	return c.Census.Rank(id)
-}
-
 // perBit is the reference translation: one census lookup and one mark
 // per set position, the way a message-by-message reader would count.
-func perBit(broadcasters []ids.ID, of Ranker, by Marks) (Marks, bool) {
-	who := make(Marks, MarkWords(of.N()))
+func perBit(broadcasters []ids.ID, of *ids.Set, by Marks) (Marks, bool) {
+	who := make(Marks, MarkWords(of.Len()))
 	found := false
 	for pos, id := range broadcasters {
 		if !by.Has(pos) {
@@ -41,14 +29,10 @@ func perBit(broadcasters []ids.ID, of Ranker, by Marks) (Marks, bool) {
 // Differential property test: for random rank tables the run-wise
 // translation equals the per-bit reference, set for set. The trials are
 // hostile to the run arithmetic: more than 128 broadcasters, so runs
-// start and end mid-word on both sides; censuses observed in id order
-// (one long run), in id order with a rotation (two runs at a word-
-// straddling offset), in blocks, and in arbitrary first-observed order
-// (every position its own run); broadcasters the census does not know
-// (holes in position space); members that did not broadcast (holes in
-// rank space); and sets from empty through sparse to full. For the
-// id-order censuses the merge-built table (ResetAscending over FrozenOf)
-// must be the lookup-built one.
+// start and end mid-word on both sides; broadcasters the census does not
+// know (holes in position space); members that did not broadcast (holes
+// in rank space); and sets from empty through sparse to full. The merge
+// splits a run at a hole and nowhere else.
 func TestRanksTranslateMatchesPerBitReference(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 60; seed++ {
@@ -59,31 +43,12 @@ func TestRanksTranslateMatchesPerBitReference(t *testing.T) {
 			universe := ids.Sparse(rng, 130+rng.Intn(200))
 			slices.Sort(universe)
 
-			// Who is in the census, and in what order it met them.
-			var members []ids.ID
+			// Who is in the census.
+			var cen Census
 			for _, id := range universe {
 				if rng.Intn(6) != 0 {
-					members = append(members, id)
+					cen.Observe(id)
 				}
-			}
-			switch seed % 4 {
-			case 1: // rotated id order
-				k := 1 + rng.Intn(len(members)-1)
-				members = append(members[k:len(members):len(members)], members[:k]...)
-			case 2: // shuffled blocks of id order
-				var blocks [][]ids.ID
-				for len(members) > 0 {
-					k := min(len(members), 1+rng.Intn(90))
-					blocks, members = append(blocks, members[:k]), members[k:]
-				}
-				rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
-				members = slices.Concat(blocks...)
-			case 3: // arbitrary first-observed order
-				rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-			}
-			cen := &countingCensus{Census: New()}
-			for _, id := range members {
-				cen.Observe(id)
 			}
 
 			// Who broadcast this round: ascending, some members silent,
@@ -96,41 +61,24 @@ func TestRanksTranslateMatchesPerBitReference(t *testing.T) {
 			}
 
 			var table Ranks
-			table.Reset(broadcasters, cen)
-			if cen.lookups != len(broadcasters) {
-				t.Fatalf("Reset made %d census lookups for %d broadcasters", cen.lookups, len(broadcasters))
+			table.Reset(broadcasters, cen.Members())
+			// A run starts at each member whose position does not follow
+			// its rank's predecessor: after a stranger, or after a member
+			// that stayed silent.
+			starts, prev := 0, -2 // prev: the last broadcaster's rank, -2 for a stranger
+			for _, id := range broadcasters {
+				r, ok := cen.Members().Rank(id)
+				if !ok {
+					prev = -2
+					continue
+				}
+				if r != prev+1 {
+					starts++
+				}
+				prev = r
 			}
-			if seed%4 == 0 {
-				// Id-order census: a run breaks only at a stranger or
-				// after a silent member, never otherwise.
-				breaks := 1
-				for i := 1; i < len(broadcasters); i++ {
-					r0, ok0 := cen.Rank(broadcasters[i-1])
-					r1, ok1 := cen.Rank(broadcasters[i])
-					if ok1 && (!ok0 || r1 != r0+1) {
-						breaks++
-					}
-				}
-				if len(table.runs) > breaks {
-					t.Fatalf("%d runs for %d breaks in an id-order census", len(table.runs), breaks)
-				}
-
-				// The same census built from the known membership ranks
-				// everyone the same, and the merge of the two ascending
-				// lists builds the table the lookups built.
-				set := ids.NewSet(members...)
-				known := FrozenOf(set)
-				for _, id := range universe {
-					r0, ok0 := cen.Rank(id)
-					if r1, ok1 := known.Rank(id); ok0 != ok1 || r0 != r1 {
-						t.Fatalf("FrozenOf ranks %v at %d (%v), observing in id order at %d (%v)", id, r1, ok1, r0, ok0)
-					}
-				}
-				var merged Ranks
-				merged.ResetAscending(broadcasters, known, set)
-				if !slices.Equal(merged.runs, table.runs) || len(merged.who) != len(table.who) {
-					t.Fatalf("ResetAscending built runs %v, Reset %v", merged.runs, table.runs)
-				}
+			if len(table.runs) != starts {
+				t.Fatalf("%d runs for %d run starts", len(table.runs), starts)
 			}
 
 			for trial := 0; trial < 40; trial++ {
@@ -141,7 +89,7 @@ func TestRanksTranslateMatchesPerBitReference(t *testing.T) {
 						by.Set(pos)
 					}
 				}
-				want, wantAny := perBit(broadcasters, cen, by)
+				want, wantAny := perBit(broadcasters, cen.Members(), by)
 				got, gotAny := table.Of(by)
 				if gotAny != wantAny || !slices.Equal(got, want) {
 					t.Fatalf("trial %d: Of = (%x, %v), per-bit reference (%x, %v)", trial, got, gotAny, want, wantAny)
@@ -151,7 +99,7 @@ func TestRanksTranslateMatchesPerBitReference(t *testing.T) {
 			// One is the same answer for a sender outside the block.
 			for _, id := range universe[:20] {
 				got, ok := table.One(id)
-				r, wantOK := cen.Rank(id)
+				r, wantOK := cen.Members().Rank(id)
 				if ok != wantOK || (ok && (got.Count() != 1 || !got.Has(r))) {
 					t.Fatalf("One(%v) = (%x, %v), want rank %d (%v)", id, got, ok, r, wantOK)
 				}
@@ -166,12 +114,13 @@ func TestRanksHonestRoundIsOneRun(t *testing.T) {
 	t.Parallel()
 	members := ids.Sparse(rand.New(rand.NewSource(3)), 200)
 	slices.Sort(members)
-	cen := New()
+	var cen Census
 	for _, id := range members {
 		cen.Observe(id)
 	}
+	frozen := cen.Freeze()
 	var table Ranks
-	table.Reset(members, cen.Freeze())
+	table.Reset(members, frozen.Members())
 	if len(table.runs) != 1 {
 		t.Fatalf("%d runs, want 1", len(table.runs))
 	}
@@ -183,7 +132,7 @@ func TestRanksHonestRoundIsOneRun(t *testing.T) {
 		t.Fatalf("Of = (%x, %v), want the set itself", got, ok)
 	}
 	// A table is rebuilt per round, and for a smaller census too.
-	table.Reset(members[:3], New())
+	table.Reset(members[:3], new(Census).Members())
 	if got, ok := table.Of(by[:1]); ok || got.Count() != 0 {
 		t.Fatalf("empty census translated to (%x, %v)", got, ok)
 	}

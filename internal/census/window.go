@@ -13,9 +13,13 @@ import "slices"
 // of the round's broadcast block, translated by Ranks) and are ORed into
 // one slab — a row of stride words per key, each a Marks over the
 // senders' ranks — so a sender that repeats itself, within an inbox or
-// across the inboxes of one window, still counts once. The slab is
-// truncated and reused at the next window instead of rebuilt. The zero
-// value is an empty window.
+// across the inboxes of one window, still counts once. Every set of one
+// window is laid over one census state (see the package doc: a live
+// census is folded in the Step that observed it, a window spanning Steps
+// counts against a Frozen), so they all have one length, and the window
+// takes its stride from its first Add. The slab is truncated and reused
+// at the next window instead of rebuilt. The zero value is an empty
+// window.
 type Window[K comparable] struct {
 	rows   []windowRow[K] // one per key named this window
 	index  map[K]int      // key -> position in rows
@@ -31,21 +35,22 @@ type windowRow[K comparable] struct {
 	at  int
 }
 
-// Add records that the senders of census ranks who named key. Every
-// inbox of a window, and every sender of a private segment, brings the
-// same keys in the same (encoding) order, so the row after the last one
-// added to — wrapping to the first — is nearly always the right one and
-// the index lookup is skipped.
+// Add records that the senders of census ranks who named key; who is as
+// long as every other set of the window (a longer one runs out of the
+// row and panics). Every inbox of a window, and every sender of a
+// private segment, brings the same keys in the same (encoding) order, so
+// the row after the last one added to — wrapping to the first — is
+// nearly always the right one and the index lookup is skipped.
 func (w *Window[K]) Add(key K, who Marks) {
+	if len(w.rows) == 0 {
+		w.stride = len(who)
+	}
 	at := w.next
 	if at >= len(w.rows) {
 		at = 0
 	}
 	if at >= len(w.rows) || w.rows[at].key != key {
 		at = w.row(key)
-	}
-	if len(who) > w.stride {
-		w.widen(len(who))
 	}
 	w.senders(at).Or(who)
 	w.next = at + 1
@@ -68,35 +73,16 @@ func (w *Window[K]) row(key K) int {
 	}
 	w.index[key] = i
 	w.rows = append(w.rows, windowRow[K]{key: key, at: i})
-	w.extend(w.stride)
+	// An empty row, within the slab's capacity when it has held a window
+	// this large before.
+	at := len(w.marks)
+	w.marks = slices.Grow(w.marks, w.stride)[:at+w.stride]
+	clear(w.marks[at:])
 	return i
 }
 
-// extend appends n zero words to the slab, within its capacity when the
-// slab has held a window this large before.
-func (w *Window[K]) extend(n int) {
-	at := len(w.marks)
-	w.marks = slices.Grow(w.marks, n)[:at+n]
-	clear(w.marks[at:])
-}
-
-// widen re-lays the slab with a larger stride. It runs when a rank
-// beyond the current row width first shows up: a few times while the
-// first window meets the census, then never again for a frozen census.
-func (w *Window[K]) widen(stride int) {
-	old := w.stride
-	w.stride = stride
-	w.extend(len(w.rows) * (stride - old))
-	// Back to front, so a row's new home never covers a row not yet moved.
-	for i := len(w.rows) - 1; i >= 0; i-- {
-		row := w.marks[i*stride : (i+1)*stride]
-		copy(row, w.marks[i*old:(i+1)*old])
-		clear(row[old:])
-	}
-}
-
 // Fold applies the echo rule to the window and empties it, keeping its
-// storage and stride. Keys are visited in ascending order (by order), so
+// storage. Keys are visited in ascending order (by order), so
 // what the caller sends does not depend on arrival order; a key that
 // accepted already holds is skipped, and of the rest echo is called for
 // each one named by at least nv/3 distinct senders — quorum reporting

@@ -71,9 +71,10 @@ func (w refWindow) fold(nv int, accepted map[pairKey]bool) []folded {
 
 // Differential property test: over seeded random windows the slab and the
 // map-of-sets reference echo the same keys, in the same order, with the
-// same quorum verdicts. Sender sets get wider within a window (the slab
-// re-strides with rows already filled), keys and ranks repeat within and
-// across the adds of a window, a key accepted in one window is skipped in
+// same quorum verdicts. Each window draws its sets at one width, and the
+// width changes from window to window (the slab takes each window's
+// stride from its first Add), keys and ranks repeat within and across
+// the adds of a window, a key accepted in one window is skipped in
 // the next — and one accepted mid-fold by an earlier echo is too — and
 // windows run back to back so a fold that leaked a row, a mark, a stride
 // or its row guess would show in the next one.
@@ -98,10 +99,10 @@ func TestWindowMatchesMapReference(t *testing.T) {
 			for window := 0; window < 16; window++ {
 				ranks := 1 + rng.Intn(200)
 				for adds := rng.Intn(120); adds > 0; adds-- {
-					// Sets of every width up to the census, sparsely
-					// filled, so rows widen after they hold marks.
+					// Sets at the one width of the window's census,
+					// sparsely filled up to a random rank.
 					n := 1 + rng.Intn(ranks)
-					who := make(Marks, MarkWords(n))
+					who := make(Marks, MarkWords(ranks))
 					for k := 1 + rng.Intn(n/4+1); k > 0; k-- {
 						who.Set(rng.Intn(n))
 					}

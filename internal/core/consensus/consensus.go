@@ -158,11 +158,11 @@ func (n *Node) NV() int { return n.frozen.N() }
 func (n *Node) Step(env *simnet.RoundEnv) {
 	switch env.Round {
 	case 1:
-		n.observeAll(env)
+		rotor.ObserveSenders(&n.cen, env.Inbox)
 		n.core.BroadcastInit(env)
 		return
 	case 2:
-		n.observeAll(env)
+		rotor.ObserveSenders(&n.cen, env.Inbox)
 		n.core.EchoInits(env.Inbox, env)
 		// Freeze n_v: ids heard during initialization are the
 		// protocol's world; everything else is discarded later.
@@ -172,7 +172,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 
 	// Loop rounds. Feed the rotor core every inbox (its candidate
 	// echoes arrive one round after each rotor round executes).
-	n.ranks.Reset(env.Inbox.Broadcasters(), n.frozen)
+	n.ranks.Reset(env.Inbox.Broadcasters(), n.frozen.Members())
 	n.core.NoteInbox(env.Inbox, &n.ranks)
 
 	switch (env.Round - 3) % 5 {
@@ -302,9 +302,4 @@ func Ballots(inbox simnet.Inbox, ranks *census.Ranks, kind wire.Kind, instance u
 		}
 	})
 	return t
-}
-
-// observeAll tracks senders during initialization.
-func (n *Node) observeAll(env *simnet.RoundEnv) {
-	rotor.ObserveSenders(&n.cen, env.Inbox)
 }

@@ -57,7 +57,7 @@ func tallyOf(t *testing.T, node *Node, kind wire.Kind, msgs ...simnet.Received) 
 	t.Helper()
 	var first map[wire.ValueKey]int
 	for i, inbox := range deliveries(msgs) {
-		node.ranks.Reset(inbox.Broadcasters(), node.frozen)
+		node.ranks.Reset(inbox.Broadcasters(), node.frozen.Members())
 		counts := countsOf(node.tally(inbox, kind))
 		if i == 0 {
 			first = counts

@@ -92,11 +92,11 @@ func TestEpochCacheMatchesRebuildUnderChurn(t *testing.T) {
 				t.Fatalf("round %d: node %v ran under %v, activeFrom says %v",
 					r, node.ID(), scope.Members().Members(), members.Members())
 			}
-			if scope.Census().N() != members.Len() {
-				t.Fatalf("round %d: node %v: census of %d over %d members", r, node.ID(), scope.Census().N(), members.Len())
+			if scope.N() != members.Len() {
+				t.Fatalf("round %d: node %v: census of %d over %d members", r, node.ID(), scope.N(), members.Len())
 			}
 			for rank, id := range members.Members() {
-				if got, ok := scope.Census().Rank(id); !ok || got != rank {
+				if got, ok := scope.Members().Rank(id); !ok || got != rank || !scope.Contains(id) {
 					t.Fatalf("round %d: node %v: member %v has rank %d (%v), want %d", r, node.ID(), id, got, ok, rank)
 				}
 			}

@@ -202,7 +202,7 @@ func (n *Node) Members() *ids.Set {
 		s, _ := n.snapshot()
 		return s
 	}
-	return n.scope.Members()
+	return n.scope.Members().Clone()
 }
 
 // snapshot builds S for the current round from activeFrom, and returns
@@ -260,7 +260,6 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	}
 	var intake []eventIn
 	scope := n.epoch()
-	members := scope.Census()
 	for m := range env.Inbox.All() {
 		switch p := m.Payload.(type) {
 		case wire.Present:
@@ -276,7 +275,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 				n.dirty = true
 			}
 		case wire.Event:
-			if p.Round == n.r-1 && members.Contains(m.From) && len(p.Body) == 8 {
+			if p.Round == n.r-1 && scope.Contains(m.From) && len(p.Body) == 8 {
 				value := math.Float64frombits(binary.LittleEndian.Uint64(p.Body))
 				if !math.IsNaN(value) {
 					intake = append(intake, eventIn{submitter: m.From, value: value})
@@ -375,7 +374,7 @@ func (n *Node) drive(env *simnet.RoundEnv) (allDone bool) {
 				continue
 			}
 			rn.node = n.execution(*rn, nil)
-			rn.scope.Lay(&n.ranks, nil)
+			n.ranks.Reset(nil, rn.scope.Members())
 			var replay simnet.RoundEnv
 			for r := rn.start; r <= n.stepped; r++ {
 				rn.node.StepLocal(r, simnet.Inbox{}, &n.ranks, &replay)
@@ -386,7 +385,7 @@ func (n *Node) drive(env *simnet.RoundEnv) (allDone bool) {
 			laid = nil
 		}
 		if rn.scope != laid {
-			rn.scope.Lay(&n.ranks, inbox.Broadcasters())
+			n.ranks.Reset(inbox.Broadcasters(), rn.scope.Members())
 			laid = rn.scope
 		}
 		rn.node.StepLocal(round, inbox, &n.ranks, env)
@@ -431,7 +430,7 @@ func (n *Node) foldFinal() {
 	k := 0
 	for ; k < len(n.window); k++ {
 		rn := &n.window[k]
-		if !rn.done || 2*(n.r-rn.round) <= uint64(5*rn.scope.Census().N()+4) {
+		if !rn.done || 2*(n.r-rn.round) <= uint64(5*rn.scope.N()+4) {
 			break
 		}
 		if rn.node != nil {

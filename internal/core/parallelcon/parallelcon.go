@@ -39,10 +39,10 @@
 // phase grid, Options.Instances separates the executions' message
 // namespaces by an instance-id range, and StepLocal lets an embedding
 // protocol drive the run inside its own Step. What depends only on the
-// snapshot — its census and the rotor's initial candidates — is built once
-// per snapshot (NewScope) and shared by every run started under it: the
-// rotor core borrows the snapshot's member set as C_v and copies it only
-// if a candidate is accepted. A run pays for its own instances and nothing
+// snapshot — its census, whose member set is also the rotor's initial
+// candidates — is built once per snapshot (NewScope) and shared by every
+// run started under it: the rotor core borrows the census's member set as
+// C_v and copies it only if a candidate is accepted. A run pays for its own instances and nothing
 // per member; one with no inputs allocates its node and nothing else until
 // it joins an instance.
 package parallelcon
@@ -72,35 +72,22 @@ type OutputPair struct {
 }
 
 // Scope is a membership snapshot S prepared for any number of runs: the
-// members in id order and the census frozen over them, a member's rank
-// being its position in that order. It is immutable once built, which is
-// what lets the runs of one node share it; a node builds its own, so it
-// never crosses nodes.
+// census frozen over S, whose members in id order are S itself, a
+// member's rank being its position in that order. It is immutable once
+// built, which is what lets the runs of one node share it; a node builds
+// its own, so it never crosses nodes. Members borrows S: the caller reads
+// it (to lay a census.Ranks, say) and must not change it.
 type Scope struct {
-	members *ids.Set
-	census  census.Frozen
+	census.Frozen
 }
 
 // NewScope prepares the snapshot members, which it copies.
 func NewScope(members *ids.Set) *Scope {
-	return &Scope{members: members.Clone(), census: census.FrozenOf(members)}
+	return &Scope{census.FrozenOf(members)}
 }
-
-// Census returns the census frozen over S; its N is |S|.
-func (s *Scope) Census() census.Frozen { return s.census }
 
 // Equal reports whether S is exactly members.
-func (s *Scope) Equal(members *ids.Set) bool { return s.members.Equal(members) }
-
-// Members returns a copy of S.
-func (s *Scope) Members() *ids.Set { return s.members.Clone() }
-
-// Lay lays the scope's census over the broadcasters of one inbox in ranks:
-// what a caller of StepLocal does, once for all the runs of this scope it
-// steps with that inbox.
-func (s *Scope) Lay(ranks *census.Ranks, broadcasters []ids.ID) {
-	ranks.ResetAscending(broadcasters, s.census, s.members)
-}
+func (s *Scope) Equal(members *ids.Set) bool { return s.Members().Equal(members) }
 
 // Options configures a parallel-consensus run.
 type Options struct {
@@ -202,8 +189,8 @@ func New(id ids.ID, inputs []InputPair, opts Options) *Node {
 		n.AddInput(in)
 	}
 	if opts.Scope != nil {
-		n.frozen = opts.Scope.census
-		n.core.SeedCandidates(opts.Scope.members)
+		n.frozen = opts.Scope.Frozen
+		n.core.SeedCandidates(opts.Scope.Members())
 	}
 	return n
 }
@@ -273,7 +260,7 @@ func (n *Node) Phases() int { return n.phasesRun }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	n.ranks.Reset(env.Inbox.Broadcasters(), n.frozen)
+	n.ranks.Reset(env.Inbox.Broadcasters(), n.frozen.Members())
 	n.StepLocal(env.Round, env.Inbox, &n.ranks, env)
 }
 
@@ -281,9 +268,10 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 // on env. Embedding protocols (total ordering) call it directly with the
 // round and inbox of their own Step, and their env. ranks is the run's
 // census laid over the inbox's broadcasters, which the caller does before
-// the call (census.Ranks.Reset, or Scope.Lay): the table depends on the
-// census and the inbox only, so a protocol that steps dozens of runs of
-// one Scope at once lays it once and lends it to them all.
+// the call (census.Ranks.Reset over Scope.Members for a scoped run): the
+// table depends on the census and the inbox only, so a protocol that
+// steps dozens of runs of one Scope at once lays it once and lends it to
+// them all.
 func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, env *simnet.RoundEnv) {
 	if n.done {
 		return
@@ -297,11 +285,11 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, env
 	if n.opts.Scope == nil {
 		switch local {
 		case 1:
-			n.observe(inbox)
+			rotor.ObserveSenders(&n.cen, inbox)
 			n.core.BroadcastInit(env)
 			return
 		case 2:
-			n.observe(inbox)
+			rotor.ObserveSenders(&n.cen, inbox)
 			n.core.EchoInits(inbox, env)
 			n.frozen = n.cen.Freeze()
 			return
@@ -528,8 +516,4 @@ func (n *Node) tally(ins *instance, inbox simnet.Inbox, ranks *census.Ranks, kin
 		ins.seenFamily[fam] = true
 	}
 	return t
-}
-
-func (n *Node) observe(inbox simnet.Inbox) {
-	rotor.ObserveSenders(&n.cen, inbox)
 }

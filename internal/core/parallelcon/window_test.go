@@ -20,7 +20,7 @@ func memberNode(self ids.ID, members []ids.ID, inputs []InputPair) *Node {
 // stepLocal drives one round the way Step does, lending the node's own
 // rank table, and drops what the node sends.
 func stepLocal(n *Node, round int, inbox simnet.Inbox) {
-	n.ranks.Reset(inbox.Broadcasters(), n.frozen)
+	n.ranks.Reset(inbox.Broadcasters(), n.frozen.Members())
 	n.StepLocal(round, inbox, &n.ranks, &simnet.RoundEnv{})
 }
 
@@ -209,7 +209,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 		"alternating":   simnet.InboxOfRound(block, private),
 	} {
 		n := memberNode(7, []ids.ID{2, 3, 4, 5, 6, 7}, []InputPair{{Instance: 9, X: wire.V(1)}})
-		n.ranks.Reset(inbox.Broadcasters(), n.frozen)
+		n.ranks.Reset(inbox.Broadcasters(), n.frozen.Members())
 		tally := n.tally(n.inst[9], inbox, &n.ranks, wire.KindInput)
 		got := make(map[wire.ValueKey]int)
 		for v, c := range tally.All() {
@@ -227,7 +227,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 			stepLocal(n, round, simnet.Inbox{})
 		}
 		opinions := make(map[uint64]wire.Value)
-		n.ranks.Reset(inbox.Broadcasters(), n.frozen)
+		n.ranks.Reset(inbox.Broadcasters(), n.frozen.Members())
 		n.core.Opinions(inbox, &n.ranks, func(op wire.Opinion) { opinions[op.Instance] = op.X })
 		if len(opinions) != 2 || !opinions[9].Equal(wire.V(1)) || !opinions[7].Equal(wire.V(5)) {
 			t.Fatalf("%s: coordinator opinions %v, want 9:1 7:5", name, opinions)

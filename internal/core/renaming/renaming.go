@@ -112,7 +112,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 
 func (n *Node) loopRound(env *simnet.RoundEnv) {
 	nv := n.cen.N()
-	n.ranks.Reset(env.Inbox.Broadcasters(), &n.cen)
+	n.ranks.Reset(env.Inbox.Broadcasters(), n.cen.Members())
 	rotor.Heard(env.Inbox, &n.ranks, func(p wire.Payload, from rotor.Senders) {
 		switch p := p.(type) {
 		case wire.IDEcho:

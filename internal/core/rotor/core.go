@@ -116,7 +116,11 @@ func (c *Core) EchoInits(inbox simnet.Inbox, env *simnet.RoundEnv) {
 // distinct sender, until the next LoopRound. ranks is the owner's census
 // laid over this inbox's broadcasters (census.Ranks.Reset): echoes from
 // senders the census does not know are discarded, and the others are
-// counted under their rank.
+// counted under their rank. Ranks are positions in the census, so every
+// inbox of one window must be laid over the same census: an owner that
+// notes several inboxes per LoopRound counts against a census.Frozen, as
+// consensus does; the standalone node observes, notes and folds in one
+// Step.
 func (c *Core) NoteInbox(inbox simnet.Inbox, ranks *census.Ranks) {
 	Heard(inbox, ranks, func(p wire.Payload, from Senders) {
 		if echo, ok := p.(wire.IDEcho); ok && echo.Instance == c.instance {

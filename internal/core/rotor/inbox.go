@@ -8,13 +8,12 @@ import (
 )
 
 // ObserveSenders adds every sender of inbox to cen: the n_v bookkeeping
-// of a node still meeting its world. The block's broadcasters come first,
-// in id order, so when everyone broadcasts ranks ascend with ids and a
-// later census.Ranks over the same broadcasters is a single run.
+// of a node still meeting its world. The block's broadcasters ascend by
+// id, so they go in by one merge (Census.ObserveAscending); the few
+// senders of the private segment go in one by one. A census.Ranks laid
+// over cen before this call no longer holds after it.
 func ObserveSenders(cen *census.Census, inbox simnet.Inbox) {
-	for _, id := range inbox.Broadcasters() {
-		cen.Observe(id)
-	}
+	cen.ObserveAscending(inbox.Broadcasters())
 	for _, m := range inbox.Direct() {
 		cen.Observe(m.From)
 	}

@@ -43,7 +43,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	case 2:
 		n.core.EchoInits(env.Inbox, env)
 	default:
-		n.ranks.Reset(env.Inbox.Broadcasters(), &n.cen)
+		n.ranks.Reset(env.Inbox.Broadcasters(), n.cen.Members())
 		n.core.NoteInbox(env.Inbox, &n.ranks)
 		// Lines 14-15: accept the opinion of last round's coordinator.
 		last := AcceptedOpinion{Round: env.Round, From: n.core.lastSelected}

@@ -14,27 +14,18 @@ import (
 	"uba/internal/wire"
 )
 
-// censusOf returns a census of exactly the given ids.
-func censusOf(members ...ids.ID) *census.Census {
-	c := census.New()
-	for _, id := range members {
-		c.Observe(id)
-	}
-	return c
-}
-
-// noteInbox feeds core one inbox as seen by the census of, the way an
-// owning Step does: lay the census over the inbox's broadcasters, then
-// note.
-func noteInbox(core *Core, inbox simnet.Inbox, of census.Ranker) {
+// noteInbox feeds core one inbox as seen by the census whose members are
+// of, the way an owning Step does: lay the census over the inbox's
+// broadcasters, then note.
+func noteInbox(core *Core, inbox simnet.Inbox, of *ids.Set) {
 	var ranks census.Ranks
 	ranks.Reset(inbox.Broadcasters(), of)
 	core.NoteInbox(inbox, &ranks)
 }
 
 // opinionsOf collects what core.Opinions yields for inbox as seen by the
-// census of, in the order yielded.
-func opinionsOf(core *Core, inbox simnet.Inbox, of census.Ranker) []wire.Opinion {
+// census whose members are of, in the order yielded.
+func opinionsOf(core *Core, inbox simnet.Inbox, of *ids.Set) []wire.Opinion {
 	var ranks census.Ranks
 	ranks.Reset(inbox.Broadcasters(), of)
 	var out []wire.Opinion
@@ -359,7 +350,7 @@ func TestCoreSeedCandidates(t *testing.T) {
 func TestSeededCandidatesDoNotWriteTheScope(t *testing.T) {
 	t.Parallel()
 	scope := ids.NewSet(10, 20, 30) // three adds: capacity four
-	cen := censusOf(10, 20, 30)
+	cen := ids.NewSet(10, 20, 30)
 	accept := func(core *Core, candidate ids.ID) {
 		var echoes []simnet.Received
 		for _, from := range []ids.ID{10, 20, 30} {
@@ -429,14 +420,14 @@ func TestCoreOpinionAcceptance(t *testing.T) {
 		simnet.Received{From: 10, Payload: wire.Opinion{X: wire.V(3.5)}},
 		simnet.Received{From: 20, Payload: wire.Opinion{X: wire.V(9)}},
 	)
-	if got := opinionsOf(core, inbox, censusOf(10, 20)); !slices.Equal(got, []wire.Opinion{{X: wire.V(3.5)}}) {
+	if got := opinionsOf(core, inbox, ids.NewSet(10, 20)); !slices.Equal(got, []wire.Opinion{{X: wire.V(3.5)}}) {
 		t.Fatalf("opinions of coordinator 10: %v", got)
 	}
 	// The next selection moves the ear: the same inbox now reads as 20's.
 	if sel = core.LoopRound(2, &simnet.RoundEnv{}); sel.Coordinator != 20 {
 		t.Fatalf("selected %v", sel.Coordinator)
 	}
-	if got := opinionsOf(core, inbox, censusOf(10, 20)); !slices.Equal(got, []wire.Opinion{{X: wire.V(9)}}) {
+	if got := opinionsOf(core, inbox, ids.NewSet(10, 20)); !slices.Equal(got, []wire.Opinion{{X: wire.V(9)}}) {
 		t.Fatalf("opinions of coordinator 20: %v", got)
 	}
 }
@@ -486,9 +477,9 @@ func TestOpinionsYieldsWhatTheSelectedCoordinatorSent(t *testing.T) {
 				t.Fatalf("%s: selected %v", tc.name, sel.Coordinator)
 			}
 		}
-		cen := censusOf(1, other)
+		cen := ids.NewSet(1, other)
 		if tc.member {
-			cen.Observe(coord)
+			cen.Add(coord)
 		}
 		healthy := simnet.InboxOfRound(append(tc.block, noise...), tc.private)
 		if got := opinionsOf(core, healthy, cen); !slices.Equal(got, tc.want) {
@@ -511,7 +502,7 @@ func TestCoreFiltersByInstanceAndSender(t *testing.T) {
 		simnet.Received{From: 2, Payload: wire.IDEcho{Instance: 7, Candidate: 100}},
 		simnet.Received{From: 3, Payload: wire.IDEcho{Instance: 8, Candidate: 100}},
 		simnet.Received{From: 66, Payload: wire.IDEcho{Instance: 7, Candidate: 100}},
-	), censusOf(2, 3))
+	), ids.NewSet(2, 3))
 	// nv = 3: one valid echo passes n_v/3 (1 ≥ 1) but not 2n_v/3.
 	var env simnet.RoundEnv
 	core.LoopRound(3, &env)

@@ -100,23 +100,25 @@ func (c *refCore) loopRound(nv int, emit func(wire.Payload)) Selection {
 // Differential property test: over seeded random windows the dense echo
 // window and the map-of-maps reference emit the same echoes, build the
 // same C_v and make the same selections, and out of every inbox the
-// opinion reader and the message-by-message walk take the same opinion
-// of the selected coordinator. The inboxes are hostile to every
-// shortcut the dense window takes: more than 64 senders (multi-word
-// rows), census ranks unrelated to id order (so the rank table is all
-// short runs), senders outside the census, echoes and opinions tagged for
-// a foreign instance, the same (sender, candidate) echo repeated within an
-// inbox and across the several inboxes of one window, senders that state
-// two opinions in one inbox, and windows back to back so a reset that
-// leaked a mark, a row or a stale position would change the next fold. Inboxes alternate between the two shapes the engine
-// delivers: a healthy round (InboxOfRound — a random part of the senders
-// broadcast into the shared block and are read payload-major, the rest
-// arrive in the private segment) and a link-fault round (InboxOf —
-// everything private, in arbitrary order with each sender's messages
-// scattered rather than in one run); a healthy round in which nobody
-// unicasts is all block. In the growing variant the census
-// additionally gains members between inboxes, as the standalone node's
-// does, so rows widen mid-window.
+// opinion reader and the message-by-message walk take the same opinion of
+// the selected coordinator. The inboxes are hostile to every shortcut the
+// dense window takes: more than 64 senders (multi-word rows), censused
+// senders that stay silent and senders outside the census (so the rank
+// table splits into short runs), echoes and opinions tagged for a foreign
+// instance, the same (sender, candidate) echo repeated within an inbox
+// and across the several inboxes of one window, senders that state two
+// opinions in one inbox, and windows back to back so a reset that leaked
+// a mark, a row or a stale position would change the next fold. Inboxes
+// alternate between the two shapes the engine delivers: a healthy round
+// (InboxOfRound — a random part of the senders broadcast into the shared
+// block and are read payload-major, the rest arrive in the private
+// segment) and a link-fault round (InboxOf — everything private, in
+// arbitrary order with each sender's messages scattered rather than in
+// one run); a healthy round in which nobody unicasts is all block. In the
+// growing variant the census additionally gains members before every
+// inbox and the core folds after every inbox, as the standalone node
+// observes, notes and folds in one Step, so each window counts against a
+// census larger than the last.
 func TestEchoWindowMatchesMapReference(t *testing.T) {
 	t.Parallel()
 	var opinionsHeard atomic.Int64 // over all trials: the reader was not compared on silence only
@@ -138,8 +140,8 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 				pool = append(pool, universe[:5]...)
 
 				// Census: a random ~80% of the universe, observed in
-				// random order so rank order is not id order.
-				cen := census.New()
+				// random order (ranks are id order whatever the order).
+				var cen census.Census
 				perm := rng.Perm(len(universe))
 				members := perm[:len(perm)*4/5]
 				if growing {
@@ -158,8 +160,16 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 					weight[p] = rng.Float64()
 				}
 
-				for window := 0; window < 4; window++ {
-					for inboxes := 1 + rng.Intn(5); inboxes > 0; inboxes-- {
+				windows := 4
+				if growing {
+					windows = 12
+				}
+				for window := 0; window < windows; window++ {
+					inboxes := 1 + rng.Intn(5)
+					if growing {
+						inboxes = 1
+					}
+					for ; inboxes > 0; inboxes-- {
 						var msgs []simnet.Received
 						for _, from := range universe {
 							if rng.Intn(8) == 0 {
@@ -217,16 +227,16 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 							}
 							inbox = simnet.InboxOfRound(block, private)
 						}
-						noteInbox(core, inbox, cen)
-						ref.noteInbox(inbox, cen.Contains)
+						noteInbox(core, inbox, cen.Members())
+						ref.noteInbox(inbox, cen.Members().Contains)
 						var gotX wire.Value
 						gotOK := false
-						for _, op := range opinionsOf(core, inbox, cen) {
+						for _, op := range opinionsOf(core, inbox, cen.Members()) {
 							if op.Instance == instance {
 								gotX, gotOK = op.X, true
 							}
 						}
-						wantX, wantOK := ref.opinion(inbox, instance, cen.Contains)
+						wantX, wantOK := ref.opinion(inbox, instance, cen.Members().Contains)
 						if gotOK != wantOK || !gotX.Equal(wantX) {
 							t.Fatalf("window %d: coordinator %v's opinion (%v, %v), reference (%v, %v)",
 								window, ref.lastSelected, gotX, gotOK, wantX, wantOK)
@@ -273,7 +283,7 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 	const n = 128
 	members := ids.Sparse(rand.New(rand.NewSource(1)), n)
-	cen := census.New()
+	var cen census.Census
 	msgs := make([]simnet.Received, 0, n*n)
 	for _, from := range members {
 		cen.Observe(from)
@@ -294,7 +304,7 @@ func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 	core.SeedCandidates(ids.NewSet(members[0]))
 	var env simnet.RoundEnv
 	round := func() {
-		ranks.Reset(inbox.Broadcasters(), frozen)
+		ranks.Reset(inbox.Broadcasters(), frozen.Members())
 		core.NoteInbox(inbox, &ranks)
 		core.LoopRound(nv, &env)
 	}

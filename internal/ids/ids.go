@@ -13,7 +13,7 @@ package ids
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // ID is a node identifier. Identifiers are unique but non-consecutive;
@@ -55,7 +55,7 @@ func Sparse(rng *rand.Rand, count int) []ID {
 		seen[candidate] = struct{}{}
 		out = append(out, candidate)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -98,32 +98,58 @@ func NewSet(members ...ID) *Set {
 //
 //lint:commutative sorted insertion: the resulting set is identical under any insertion order
 func (s *Set) Add(id ID) bool {
-	i := sort.Search(len(s.members), func(i int) bool { return s.members[i] >= id })
-	if i < len(s.members) && s.members[i] == id {
-		return false
+	i, found := slices.BinarySearch(s.members, id)
+	if !found {
+		s.members = slices.Insert(s.members, i, id)
 	}
-	s.members = append(s.members, 0)
-	copy(s.members[i+1:], s.members[i:])
-	s.members[i] = id
-	return true
+	return !found
+}
+
+// AddAscending inserts every id of run, which ascends (repeats allowed),
+// keeping the set ordered. It is one merge, not one Add per id: a pass
+// counts the ids that are new, and a second lays them in from the back,
+// in place, so a run that brings nothing new writes nothing and a set
+// with room for the new ids allocates nothing.
+func (s *Set) AddAscending(run []ID) {
+	fresh, i := 0, 0
+	for j, id := range run {
+		for i < len(s.members) && s.members[i] < id {
+			i++
+		}
+		if (i == len(s.members) || s.members[i] != id) && (j == 0 || run[j-1] != id) {
+			fresh++
+		}
+	}
+	// i and w walk down the old members and the grown set; w-i is the
+	// number of new ids still to lay in, so the merge stops at the
+	// first old member that does not move.
+	i, w := len(s.members)-1, len(s.members)+fresh-1
+	s.members = slices.Grow(s.members, fresh)[:w+1]
+	for j := len(run) - 1; w > i; j-- {
+		for i >= 0 && s.members[i] > run[j] {
+			s.members[w], i, w = s.members[i], i-1, w-1
+		}
+		if (i < 0 || s.members[i] != run[j]) && (j == 0 || run[j-1] != run[j]) {
+			s.members[w], w = run[j], w-1
+		}
+	}
 }
 
 // Remove deletes id from the set. It reports whether the id was present.
 //
 //lint:commutative sorted removal: the resulting set is identical under any removal order
 func (s *Set) Remove(id ID) bool {
-	i := sort.Search(len(s.members), func(i int) bool { return s.members[i] >= id })
-	if i >= len(s.members) || s.members[i] != id {
-		return false
+	i, found := slices.BinarySearch(s.members, id)
+	if found {
+		s.members = slices.Delete(s.members, i, i+1)
 	}
-	s.members = append(s.members[:i], s.members[i+1:]...)
-	return true
+	return found
 }
 
 // Contains reports whether id is in the set.
 func (s *Set) Contains(id ID) bool {
-	i := sort.Search(len(s.members), func(i int) bool { return s.members[i] >= id })
-	return i < len(s.members) && s.members[i] == id
+	_, found := slices.BinarySearch(s.members, id)
+	return found
 }
 
 // Len returns the number of members.
@@ -137,8 +163,7 @@ func (s *Set) At(i int) ID { return s.members[i] }
 // Rank returns the 0-based rank of id in the set and whether it is a
 // member. Renaming assigns new identifier rank+1.
 func (s *Set) Rank(id ID) (int, bool) {
-	i := sort.Search(len(s.members), func(i int) bool { return s.members[i] >= id })
-	if i < len(s.members) && s.members[i] == id {
+	if i, found := slices.BinarySearch(s.members, id); found {
 		return i, true
 	}
 	return 0, false

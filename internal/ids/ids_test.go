@@ -1,7 +1,9 @@
 package ids
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -224,6 +226,70 @@ func TestSetAddRemoveAgainstModel(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Differential property test: inserting an ascending run in one merge
+// leaves the set exactly as one Add per id of the run does. The runs are
+// built to hit every branch of the merge from the back: empty runs and
+// empty sets, repeats within the run, ids the set already holds, and runs
+// wholly below, wholly above and interleaved with the set, over sets
+// with and without spare capacity.
+func TestAddAscendingMatchesAddPerID(t *testing.T) {
+	t.Parallel()
+	shapes := []string{"empty", "below", "above", "interleaved", "present", "mixed"}
+	for seed := int64(1); seed <= 40; seed++ {
+		shape := shapes[seed%int64(len(shapes))]
+		t.Run(fmt.Sprintf("seed=%d/%s", seed, shape), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			base := NewSet()
+			for k := rng.Intn(40); k > 0; k-- {
+				base.Add(ID(1000 + rng.Intn(1000)))
+			}
+			var run []ID
+			for k := 1 + rng.Intn(30); shape != "empty" && k > 0; k-- {
+				var id ID
+				switch shape {
+				case "below":
+					id = ID(1 + rng.Intn(999))
+				case "above":
+					id = ID(2000 + rng.Intn(1000))
+				case "interleaved":
+					id = ID(1000 + rng.Intn(1000))
+				case "present":
+					if base.Len() == 0 {
+						continue
+					}
+					id = base.At(rng.Intn(base.Len()))
+				case "mixed":
+					id = ID(1 + rng.Intn(3000))
+				}
+				run = append(run, id)
+				if rng.Intn(4) == 0 { // a repeat
+					run = append(run, id)
+				}
+			}
+			slices.Sort(run)
+
+			want := base.Clone()
+			for _, id := range run {
+				want.Add(id)
+			}
+			for _, spare := range []int{0, len(run)} {
+				got := base.Clone()
+				got.members = slices.Grow(got.members, spare)
+				got.AddAscending(run)
+				if !got.Equal(want) {
+					t.Fatalf("spare=%d: AddAscending(%v) on %v = %v, one Add per id %v",
+						spare, run, base.Members(), got.Members(), want.Members())
+				}
+			}
+			// A run that brings nothing new allocates nothing.
+			if allocs := testing.AllocsPerRun(10, func() { want.AddAscending(run) }); allocs != 0 {
+				t.Fatalf("AddAscending of a run already in the set allocated %.0f times", allocs)
+			}
+		})
 	}
 }
 

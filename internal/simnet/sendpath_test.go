@@ -36,17 +36,21 @@ func (q *queuer) Step(env *simnet.RoundEnv) {
 	}
 }
 
-// echoer runs the rotor's echo path every round: it broadcasts init,
-// echoes every init it received (EchoInits), tallies the echoes and
-// folds them (NoteInbox, LoopRound), and reads the coordinator's
-// opinions. nv = 2n puts every candidate's n echoes above n_v/3 and
-// below 2n_v/3, so each fold echoes every candidate but the seeded
-// coordinator again, and none is ever admitted: the round repeats.
+// echoer runs the rotor's echo path every round: it observes the
+// round's senders into a live census and lays a rank table over it (one
+// merge each), broadcasts init, echoes every init it received
+// (EchoInits), tallies the echoes against a frozen census and folds them
+// (NoteInbox, LoopRound), and reads the coordinator's opinions. nv = 2n
+// puts every candidate's n echoes above n_v/3 and below 2n_v/3, so each
+// fold echoes every candidate but the seeded coordinator again, and none
+// is ever admitted: the round repeats.
 type echoer struct {
 	id       ids.ID
 	core     *rotor.Core
 	members  census.Frozen
 	ranks    census.Ranks
+	live     census.Census // re-observes every round's senders
+	liveRank census.Ranks  // laid over live every round
 	nv       int
 	opinions int // opinions read from the last inbox
 }
@@ -55,7 +59,9 @@ func (e *echoer) ID() ids.ID { return e.id }
 func (e *echoer) Done() bool { return false }
 
 func (e *echoer) Step(env *simnet.RoundEnv) {
-	e.ranks.Reset(env.Inbox.Broadcasters(), &e.members)
+	rotor.ObserveSenders(&e.live, env.Inbox)
+	e.liveRank.Reset(env.Inbox.Broadcasters(), e.live.Members())
+	e.ranks.Reset(env.Inbox.Broadcasters(), e.members.Members())
 	e.core.NoteInbox(env.Inbox, &e.ranks)
 	e.opinions = 0
 	e.core.Opinions(env.Inbox, &e.ranks, func(wire.Opinion) { e.opinions++ })
@@ -78,9 +84,12 @@ func (e *echoer) Step(env *simnet.RoundEnv) {
 //   - queue: every node queues k broadcasts and k unicasts;
 //   - rotor: every node runs the rotor echo path — n echoes from
 //     EchoInits and n-1 from a LoopRound fold — and reads two opinions
-//     of the coordinator. With links=live a drop rule that matches no
-//     link is live, so every broadcast is delivered through Direct and
-//     Core.Opinions orders the opinions by encoding itself.
+//     of the coordinator. It also re-observes the round's senders into a
+//     live census (rotor.ObserveSenders) and lays a rank table over it,
+//     so a census merge that allocated once it holds everyone shows.
+//     With links=live a drop rule that matches no link is live, so every
+//     broadcast is delivered through Direct and Core.Opinions orders the
+//     opinions by encoding itself.
 //
 // A send that boxed its payload, a per-send string, a per-delivery
 // decode, a node buffer that regrew, or an opinion comparison that
@@ -128,6 +137,9 @@ func TestSendPathZeroAlloc(t *testing.T) {
 				}
 			}
 			checkZeroAllocRounds(t, net)
+			if got := es[1].live.N(); got != n {
+				t.Fatalf("a node's live census holds %d senders, want n = %d", got, n)
+			}
 			if es[1].opinions != 2 {
 				t.Fatalf("a node read %d of the coordinator's opinions, want 2", es[1].opinions)
 			}
