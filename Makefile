@@ -119,6 +119,7 @@ experiments-md:
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzValueOrdering -fuzztime 30s
+	$(GO) test ./internal/simnet/ -run '^$$' -fuzz FuzzRouteDedup -fuzztime 30s
 
 examples:
 	$(GO) run ./examples/quickstart

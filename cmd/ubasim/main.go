@@ -93,7 +93,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "n=%d (g=%d, f=%d)  adversary=%v  seed=%d  resilient(n>3f)=%v\n",
-		cfg.N(), *g, *f, adv, *seed, cfg.Resilient())
+		cfg.N(), cfg.Correct, cfg.N()-cfg.Correct, adv, *seed, cfg.Resilient())
 	if _, err := result.WriteTo(out); err != nil {
 		return err
 	}

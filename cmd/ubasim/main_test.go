@@ -62,6 +62,13 @@ func TestRunEachProtocol(t *testing.T) {
 			[]string{"agreement=true"},
 		},
 		{
+			// No adversary builds no Byzantine node: the header describes
+			// the 3-node system whose 9 broadcasts reach 3 receivers each.
+			"rb/adversary=none",
+			[]string{"-protocol", "rb", "-g", "3", "-f", "1", "-adversary", "none"},
+			[]string{"n=3 (g=3, f=0)", "resilient(n>3f)=true", "sends=9 deliveries=27"},
+		},
+		{
 			"jobs=3",
 			[]string{"-protocol", "consensus", "-g", "5", "-f", "1", "-jobs", "3"},
 			[]string{"decision="},

@@ -12,7 +12,9 @@
 //	ubasweep -protocol trb -n 7,13
 //
 // Columns: protocol, n, f, adversary, seed, rounds, deliveries, bytes,
-// plus a protocol-specific result column.
+// plus a protocol-specific result column. n and f describe the system the
+// run builds: an -adversary none cell of size n runs its n - ⌊(n-1)/3⌋
+// correct nodes alone, and its row says so.
 //
 // Chaos campaign mode runs seeded random Byzantine coalitions against
 // every protocol family with online safety oracles attached, shrinking
@@ -129,10 +131,11 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	for i, cell := range task.cells {
+		cfg := cell.config()
 		record := append([]string{
 			*protocol,
-			strconv.Itoa(cell.n),
-			strconv.Itoa(cell.f),
+			strconv.Itoa(cfg.N()),
+			strconv.Itoa(cfg.N() - cfg.Correct),
 			cell.adv.String(),
 			strconv.FormatInt(cell.seed, 10),
 		}, task.rows[i]...)
@@ -170,13 +173,19 @@ type sweepTask struct {
 	errs     []error
 }
 
-func (t *sweepTask) Run(i int) {
-	cell := t.cells[i]
-	cfg := uba.Config{
+// config is the cell's run configuration. Its N and Byzantine count
+// describe the system the run builds, which is what the row reports:
+// an AdversaryNone cell builds only its correct nodes.
+func (cell sweepCell) config() uba.Config {
+	return uba.Config{
 		Correct: cell.n - cell.f, Byzantine: cell.f,
 		Adversary: cell.adv, Seed: cell.seed,
 	}
-	t.rows[i], t.errs[i] = runCell(t.protocol, cfg, cell.n-cell.f)
+}
+
+func (t *sweepTask) Run(i int) {
+	cfg := t.cells[i].config()
+	t.rows[i], t.errs[i] = runCell(t.protocol, cfg, cfg.Correct)
 }
 
 // runCell executes one protocol instance and returns

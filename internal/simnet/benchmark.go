@@ -64,11 +64,13 @@ func newBroadcastBench(n int, cfg Config) (*Network, *trace.Collector, error) {
 // the phase-split benchmarks (BenchmarkStepPhase/BenchmarkRoutePhase
 // and the `ubabench -benchjson`/`-perfsmoke` harness) can attribute
 // time to the half that spends it. It lives in the library (not a
-// _test.go file) so cmd/ubabench can run the identical workload.
+// _test.go file) so cmd/ubabench can run the identical workload. A
+// fixture is driven by StepOnly or by RouteOnly, not both: the template
+// RouteOnly routes holds ranks into the intern table generation its own
+// merge filled, and every StepOnly merges a new one.
 type RoundPhases struct {
 	net      *Network
 	template []send // one round's unsorted, undeduped send stream
-	bytes    []byte // the byte arena the template's offsets point into
 	scratch  []send
 }
 
@@ -99,7 +101,6 @@ func NewRoundPhases(n int, cfg Config) (*RoundPhases, error) {
 		return nil, err
 	}
 	rp.template = append([]send(nil), outs...)
-	rp.bytes = append([]byte(nil), net.arena...)
 	return rp, nil
 }
 
@@ -123,16 +124,13 @@ func (rp *RoundPhases) RouteOnly() {
 }
 
 // nextSends opens the next round and returns a fresh copy of the
-// template, so the in-place sort cannot make later rounds cheaper, with
-// its bytes back in the network's byte arena, where the step merge
-// would have put them.
+// template, so the in-place sort cannot make later rounds cheaper.
 func (rp *RoundPhases) nextSends() []send {
 	n := rp.net
 	n.round++
 	n.roundEvents = n.roundEvents[:0]
 	rp.scratch = grown(rp.scratch, len(rp.template))
 	copy(rp.scratch, rp.template)
-	n.arena = append(n.arena[:0], rp.bytes...)
 	return rp.scratch
 }
 

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"runtime"
-	"slices"
 	"sync/atomic"
 
 	"uba/internal/census"
@@ -27,15 +26,16 @@ import (
 //     "which of my census members" with a few word ORs (census.Ranks).
 //
 // It is built at most once per round, by whichever Step asks first, in
-// O(B) over the block plus a sort of the G distinct payloads, in
+// O(B + G) over the block and the round's G distinct encodings, in
 // scratch that is recycled round over round and, with the rest of the
 // network's scratch, across networks. A round in which nobody asks
-// never builds it: the slab is G×⌈S/64⌉ words (S distinct senders), and
-// a round of all-distinct payloads must not pay S²/64 words for an
-// index nobody reads. The index is a pure function of the block, which
-// the route pass finished before any Step runs, so which task
-// triggers the build — the one scheduling-dependent fact here — cannot
-// show in anything a process reads.
+// never builds it: the slab is one row of ⌈S/64⌉ words (S distinct
+// senders) per distinct payload of the block, and a round of
+// all-distinct payloads must not pay S²/64 words for an index nobody
+// reads. The index is a pure function of the block and its ranks, which
+// the route pass finished before any Step runs, so which task triggers
+// the build — the one scheduling-dependent fact here — cannot show in
+// anything a process reads.
 
 // Said is one distinct payload of a round's broadcast block, with who
 // broadcast it. It is a view of recycled engine scratch, valid like the
@@ -48,8 +48,6 @@ type Said struct {
 	// broadcast Payload this round: bit p set means Broadcasters()[p]
 	// did. It is exactly census.MarkWords(len(Broadcasters())) words.
 	By census.Marks
-
-	encoded string
 }
 
 // Index build states: the once-guard of blockIndex.ensure.
@@ -60,30 +58,33 @@ const (
 )
 
 // blockIndex is the payload-major index of one round's broadcast block.
-// The route pass points it at the new block (reset); step tasks build
-// it on demand (ensure). Every inbox of the round shares
-// the one index, as it shares the block.
+// The route pass points it at the new block and the block's ranks
+// (reset); step tasks build it on demand (ensure). Every inbox of the
+// round shares the one index, as it shares the block.
 type blockIndex struct {
 	block []Received
-	state atomic.Uint32
+	// ranks is aligned with block: the rank of each message's encoding
+	// among the round's nranks distinct encodings (see intern.go).
+	ranks  []uint32
+	nranks int
+	state  atomic.Uint32
 	// builds counts completed builds over the index's lifetime (test
 	// instrumentation: at most one per round, none when nobody asks).
 	builds int
 
 	senders []ids.ID
 	said    []Said   // the finished index: ascending by encoding
-	groups  []Said   // build scratch: the same entries in first-met order
-	order   []int32  // build scratch: positions in groups, ascending by encoding
-	slab    []uint64 // len(groups) rows of MarkWords(len(senders)) words
+	rows    []int32  // build scratch: per rank, 1 + its row in said; 0 if the block lacks it
+	slab    []uint64 // len(said) rows of MarkWords(len(senders)) words
 }
 
 // reset points the index at the round's freshly materialized block and
-// marks it stale. It runs in the route pass, when no step task is
-// running.
+// its ranks, and marks it stale. It runs in the route pass, when no step
+// task is running.
 //
-//lint:noalloc two stores per round; the index itself is built only on demand
-func (ix *blockIndex) reset(block []Received) {
-	ix.block = block
+//lint:noalloc a few stores per round; the index itself is built only on demand
+func (ix *blockIndex) reset(block []Received, ranks []uint32, nranks int) {
+	ix.block, ix.ranks, ix.nranks = block, ranks, nranks
 	ix.state.Store(indexStale)
 }
 
@@ -111,19 +112,15 @@ func (ix *blockIndex) ensure() {
 	}
 }
 
-// build reads the block once for its distinct senders and once to group
-// it by payload. The block ascends by (sender, encoding), so a sender's
-// messages ascend by encoding, and in the rounds that matter every
-// sender says the same things: the group after the previous message's —
-// the first group again at a sender boundary — is nearly always the
-// right one. Only when that guess misses is the group searched for, by
-// bisection over the groups kept in encoding order, which is also the
-// order Said hands them out in: no hashing, no final sort, and the rows
-// of the slab never move.
+// build reads the block once for its distinct senders, once to mark
+// the ranks it holds, and once to set each message's bit in its rank's
+// row. The rows are numbered by walking the dense rank table in rank
+// order, which is encoding order: Said comes out sorted without a
+// comparison of encodings, and the rows of the slab never move.
 //
-//lint:noalloc steady-state builds reuse the sender list, the group headers, the order and the slab; all growth is appends into the index's own recycled slices
+//lint:noalloc steady-state builds reuse the sender list, the rank table, the entries and the slab; all growth is appends into, or regrowth of, the index's own recycled slices
 func (ix *blockIndex) build() {
-	block := ix.block
+	block, ranks := ix.block, ix.ranks
 	senders := ix.senders[:0]
 	for i := range block {
 		if i == 0 || block[i].From != block[i-1].From {
@@ -133,58 +130,43 @@ func (ix *blockIndex) build() {
 	ix.senders = senders
 	words := census.MarkWords(len(senders))
 
-	groups, order, slab := ix.groups[:0], ix.order[:0], ix.slab[:0]
-	pos, guess := -1, 0
-	for i := range block {
-		m := &block[i]
-		if i == 0 || m.From != block[i-1].From {
-			pos++
-			guess = 0
+	// Mark each rank with its first message in the block, then number
+	// the marked ranks in ascending order.
+	rows := grown(ix.rows, ix.nranks)
+	clear(rows)
+	for i, r := range ranks {
+		if rows[r] == 0 {
+			rows[r] = int32(i + 1)
 		}
-		g := guess
-		if g >= len(groups) || groups[g].encoded != m.encoded {
-			// Bisect order for the first group not below m's encoding.
-			lo, hi := 0, len(order)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if groups[order[mid]].encoded < m.encoded {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(order) && groups[order[lo]].encoded == m.encoded {
-				g = int(order[lo])
-			} else {
-				g = len(groups)
-				groups = append(groups, Said{Payload: m.Payload, encoded: m.encoded})
-				order = append(order, 0)
-				copy(order[lo+1:], order[lo:])
-				order[lo] = int32(g)
-				slab = slices.Grow(slab, words)[:len(slab)+words]
-				clear(slab[len(slab)-words:])
-			}
-		}
-		census.Marks(slab[g*words : (g+1)*words]).Set(pos)
-		guess = g + 1
 	}
-	// The slab may have moved while it grew: hand out the rows last.
 	said := ix.said[:0]
-	for _, g := range order {
-		e := groups[g]
-		e.By = slab[int(g)*words : (int(g)+1)*words : (int(g)+1)*words]
-		said = append(said, e)
+	for r, first := range rows {
+		if first != 0 {
+			said = append(said, Said{Payload: block[first-1].Payload})
+			rows[r] = int32(len(said))
+		}
 	}
-	ix.said, ix.groups, ix.order, ix.slab = said, groups, order, slab
+	slab := grown(ix.slab, len(said)*words)
+	clear(slab)
+	for g := range said {
+		said[g].By = slab[g*words : (g+1)*words : (g+1)*words]
+	}
+	pos := -1
+	for i, r := range ranks {
+		if i == 0 || block[i].From != block[i-1].From {
+			pos++
+		}
+		said[rows[r]-1].By.Set(pos)
+	}
+	ix.said, ix.rows, ix.slab = said, rows, slab
 	ix.builds++
 }
 
 // release drops every payload and encoding the index pins, keeping its
 // capacity for the next network. Called with the rest of the scratch.
 func (ix *blockIndex) release() {
-	ix.reset(nil)
+	ix.reset(nil, nil, 0)
 	clear(ix.said[:cap(ix.said)])
-	clear(ix.groups[:cap(ix.groups)])
 }
 
 // Broadcasters returns the distinct senders of the round's broadcast

@@ -1,24 +1,32 @@
 package simnet
 
 import (
+	"cmp"
+	"encoding/binary"
 	"hash/maphash"
+	"slices"
+	"strings"
 
 	"uba/internal/wire"
 )
 
-// This file is the route pass's intern table: the engine's one decoded
-// payload per distinct encoding. A send carries only bytes (see send),
-// so materializing a delivery needs the payload those bytes encode. An
-// all-to-all echo round routes n² sends but only n distinct encodings,
-// and decoding per send would cost the heap what encoding per send
-// used to. The table decodes each distinct encoding once, and every
-// Received that carries it shares the one string and the one payload.
+// This file is the intern table: the engine's one authority on which
+// sends carry the same message and in what order messages go. The step
+// merge interns every send straight from its node's byte buffer, so a
+// merged send carries the index of its encoding's entry and no bytes;
+// one rank pass then sorts the round's distinct encodings by bytes and
+// renumbers the sends, so that comparing two sends' ranks compares their
+// encodings. The route pass sorts, dedups and materializes on ranks, and
+// the block index groups the broadcast block by them. Each entry also
+// holds the encoding decoded once: an all-to-all echo round merges n²
+// sends but only n distinct encodings, and every Received that carries
+// one shares the one string and the one payload.
 //
-// It keeps two generations: cur, the encodings routed this round, and
-// prev, those of the round before. Each route pass starts by turning cur
+// It keeps two generations: cur, the encodings merged this round, and
+// prev, those of the round before. Each step merge starts by turning cur
 // into prev and emptying the old prev, so the table holds at most two
 // rounds' distinct payloads however long the network runs, and an
-// encoding routed in consecutive rounds is decoded once. A hit in prev
+// encoding sent in consecutive rounds is decoded once. A hit in prev
 // moves the entry into cur; only a miss in both allocates.
 //
 // Each generation is an open-addressing hash table over recycled
@@ -26,9 +34,9 @@ import (
 // the last one ended with, so a round that repeats the last one's
 // traffic never rehashes, and a round clears and probes O(G) slots — G
 // the distinct encodings of it and the round before — whatever size the
-// table once grew to. A warm
-// table inserts without allocating. Nothing reads the table in an order,
-// so the hash seed shows in nothing a process reads.
+// table once grew to. A warm table inserts and ranks without
+// allocating. Ranks are a pure function of the round's encodings, so
+// the hash seed shows in nothing a process reads.
 
 // interned is one distinct encoding with its decoded payload and hash.
 type interned struct {
@@ -45,23 +53,37 @@ type internGen struct {
 	slots   []int32
 }
 
-// internTable is the two-generation table. next is where the route
-// pass's next lookup is expected in cur: a sender's sends arrive sorted
-// by encoding, and in an echo round every sender says the same things,
-// so the entry after the last hit is nearly always the next one asked
-// for. prevNext is the same guess in prev, for a round that repeats the
-// last one's traffic in the same order; a hit there also lends its hash.
+// internTable is the two-generation table. next is where the merge's
+// next lookup is expected in cur: in an echo round every sender queues
+// the same things in the same order, so the entry after the last hit is
+// nearly always the next one asked for. prevNext is the same guess in
+// prev, for a round that repeats the last one's traffic in the same
+// order; a hit there also lends its hash. ranked is cur's encodings in
+// byte order, each with its entry's index — the rank pass's result, and
+// how a rank finds its entry — and rankOf is its inverse, scratch of
+// the pass.
 type internTable struct {
 	cur, prev internGen
 	next      int
 	prevNext  int
 	seed      maphash.Seed
+	ranked    []rankRef
+	rankOf    []uint32
+}
+
+// rankRef is an entry of cur as the rank pass sorts it: its encoding,
+// whose first eight bytes, big-endian and zero-padded, are also key, and
+// its index in cur.
+type rankRef struct {
+	key uint64
+	enc string
+	i   int32
 }
 
 // minSlots is the slot table a fresh generation starts from.
 const minSlots = 16
 
-// rotate starts a round: cur becomes prev and the old prev, emptied of
+// rotate starts a step merge: cur becomes prev and the old prev, emptied of
 // its payloads, becomes the new cur, with slots for as many entries as
 // prev holds.
 //
@@ -121,6 +143,59 @@ func (t *internTable) lookup(enc []byte) int {
 	t.next = i + 1
 	return i
 }
+
+// admit interns sends, whose at are offsets into enc, the bytes of the
+// node that queued them: each at becomes the index in cur of the send's
+// encoding.
+//
+//lint:noalloc one lookup per send; only a first-seen encoding allocates, inside lookup
+func (t *internTable) admit(sends []send, enc []byte) {
+	for i := range sends {
+		s := &sends[i]
+		s.at = uint32(t.lookup(enc[s.at : s.at+s.n]))
+	}
+}
+
+// rank sorts cur's encodings by bytes and renumbers sends, whose at are
+// indices in cur, to their encodings' ranks: from then on two sends'
+// ranks compare as their encodings do, and entry finds a rank's entry.
+//
+//lint:noalloc the refs and the inverse are the table's recycled scratch, and the sort takes a non-capturing comparison
+func (t *internTable) rank(sends []send) {
+	c := &t.cur
+	if len(c.entries) < len(t.ranked) {
+		clear(t.ranked[len(c.entries):]) // pin no encoding of an older round
+	}
+	r := grown(t.ranked, len(c.entries))
+	for i := range c.entries {
+		var b [8]byte
+		copy(b[:], c.entries[i].enc)
+		r[i] = rankRef{key: binary.BigEndian.Uint64(b[:]), enc: c.entries[i].enc, i: int32(i)}
+	}
+	slices.SortFunc(r, compareRefs)
+	t.rankOf = grown(t.rankOf, len(r))
+	for k := range r {
+		t.rankOf[r[k].i] = uint32(k)
+	}
+	for i := range sends {
+		sends[i].at = t.rankOf[sends[i].at]
+	}
+	t.ranked = r
+}
+
+// compareRefs orders refs by encoding. Keys that differ decide as the
+// encodings do — zero padding puts a shorter encoding before any longer
+// one it begins — and settle most comparisons without reading the
+// strings.
+func compareRefs(a, b rankRef) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return strings.Compare(a.enc, b.enc)
+}
+
+// entry returns the entry of cur whose encoding has rank r.
+func (t *internTable) entry(r uint32) *interned { return &t.cur.entries[t.ranked[r].i] }
 
 // find returns the index of enc's entry, or -1.
 func (g *internGen) find(h uint64, enc []byte) int {

@@ -126,10 +126,11 @@
 //
 // A send costs no heap memory: Send appends the encoding to the node's
 // byte buffer and queues a pointer-free record of where it lies; the
-// step merge copies every node's bytes into one round byte arena; and
-// the route pass builds each stored Received from an intern table that
-// decodes every distinct encoding once (intern.go). The node buffers,
-// the arena and the table are network scratch, recycled like the rest.
+// step merge interns every record's encoding, decoding each distinct
+// one once, and ranks the round's distinct encodings by bytes
+// (intern.go); and the route pass sorts, dedups and materializes on
+// those ranks. The node buffers and the table are network scratch,
+// recycled like the rest.
 package simnet
 
 import (
@@ -166,14 +167,16 @@ type Received struct {
 func (m Received) Size() int { return len(m.encoded) }
 
 // send is a queued outbound message: who sent it to whom (to ==
-// ids.None means broadcast) and where its canonical encoding lies — at
-// off, n bytes long, in the sender's byte buffer until the step merge,
-// and in the round's byte arena from then on. It holds no pointer, so
-// moving one costs a copy of 24 bytes and no write barrier.
+// ids.None means broadcast), how many bytes its canonical encoding has,
+// and at, where the encoding is: its offset in the sender's byte buffer
+// until the step merge, and from then on its rank among the round's
+// distinct encodings in the intern table (intern.go), which orders as
+// the encoding does. It holds no pointer, so moving one costs a copy of
+// 24 bytes and no write barrier.
 type send struct {
 	from ids.ID
 	to   ids.ID
-	off  uint32
+	at   uint32
 	n    uint32
 }
 
@@ -253,8 +256,20 @@ func InboxOfRound(broadcasts, direct []Received) Inbox {
 			in.uni, in.ukeys = append(in.uni, m), append(in.ukeys, int32(i))
 		}
 	}
+	// The block's ranks, as the step merge would number them.
+	encs := make([]string, len(in.bcast))
+	for i := range in.bcast {
+		encs[i] = in.bcast[i].encoded
+	}
+	slices.Sort(encs)
+	encs = slices.Compact(encs)
+	ranks := make([]uint32, len(in.bcast))
+	for i := range in.bcast {
+		r, _ := slices.BinarySearch(encs, in.bcast[i].encoded)
+		ranks[i] = uint32(r)
+	}
 	in.idx = new(blockIndex)
-	in.idx.reset(in.bcast)
+	in.idx.reset(in.bcast, ranks, len(encs))
 	return in
 }
 
@@ -329,7 +344,7 @@ func (env *RoundEnv) SendCount() int { return len(env.sends) }
 func (env *RoundEnv) Sent() []wire.Payload {
 	out := make([]wire.Payload, len(env.sends))
 	for i, s := range env.sends {
-		out[i] = mustDecode(env.enc[s.off : s.off+s.n])
+		out[i] = mustDecode(env.enc[s.at : s.at+s.n])
 	}
 	return out
 }
@@ -344,7 +359,7 @@ func (env *RoundEnv) Sent() []wire.Payload {
 func (env *RoundEnv) Send(to ids.ID, p wire.Payload) {
 	off := len(env.enc)
 	env.enc = wire.AppendEncode(env.enc, p)
-	env.sends = append(env.sends, send{from: env.self, to: to, off: uint32(off), n: uint32(len(env.enc) - off)})
+	env.sends = append(env.sends, send{from: env.self, to: to, at: uint32(off), n: uint32(len(env.enc) - off)})
 }
 
 // Process is a node state machine driven by the network: one Step call per

@@ -581,7 +581,7 @@ func (n *Network) noteResult(st *procState, res *stepResult) {
 // containment events and the first reported error are independent of
 // which worker ran which node.
 //
-//lint:noalloc the step merge reuses the results table (capacity-guarded) and the recycled outs buffer
+//lint:noalloc the step merge reuses the results table (capacity-guarded), the recycled outs buffer and the intern table
 func (n *Network) step() ([]send, error) {
 	n.results = grown(n.results, len(n.live))
 	if n.sched == nil {
@@ -592,11 +592,12 @@ func (n *Network) step() ([]send, error) {
 	}
 	n.sched.Run(&n.phase, &n.task, len(n.live), n.cfg.Workers)
 
-	// Merge: each node's bytes are copied into the round's byte arena,
-	// and its send records follow with their offsets rebased onto it.
-	// The node's buffer is read after the barrier, which orders it after
-	// the step task that wrote it.
-	outs, arena := n.outs[:0], n.arena[:0]
+	// Merge: each node's sends, in node order, interned straight from
+	// the node's byte buffer, then renumbered to their encodings' ranks
+	// (intern.go). The buffer is read after the barrier, which orders it
+	// after the step task that wrote it.
+	n.intern.rotate()
+	outs := n.outs[:0]
 	var firstErr error
 	for i := range n.results {
 		res := &n.results[i]
@@ -608,18 +609,12 @@ func (n *Network) step() ([]send, error) {
 		}
 		st := n.live[i]
 		n.noteResult(st, res)
-		if len(res.sends) == 0 {
-			continue
-		}
-		base := uint32(len(arena))
-		last := res.sends[len(res.sends)-1]
-		arena = append(arena, st.buf.enc[:last.off+last.n]...)
-		for _, s := range res.sends {
-			s.off += base
-			outs = append(outs, s)
-		}
+		k := len(outs)
+		outs = append(outs, res.sends...)
+		n.intern.admit(outs[k:], st.buf.enc)
 	}
-	n.outs, n.arena = outs, arena
+	n.intern.rank(outs)
+	n.outs = outs
 	return outs, firstErr
 }
 

@@ -1,11 +1,8 @@
 package simnet
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/binary"
 	"slices"
-	"sort"
 
 	"uba/internal/ids"
 	"uba/internal/trace"
@@ -20,37 +17,37 @@ import (
 // on the goroutine driving the network: no part of it is dispatched to
 // the scheduler, whatever Config.Workers says.
 //
-// The pipeline, per round:
+// The pipeline, per round, over the merged send stream, in which every
+// send's encoding is already a rank (intern.go):
 //
 //  1. Block-local sort. outs arrives grouped by sender in ascending node
 //     order — the step merge appends the per-process send buffers in
-//     node order and the engine stamps from = the registered id — so the
-//     global sort by (from, encoding, to) of the old engine is
-//     equivalent to sorting each sender's block by (encoding, to).
-//     Typical blocks are tiny (a broadcast-heavy round has one send per
-//     sender), turning O(S log S) into Σ O(k log k) ≈ O(S).
+//     node order and the engine stamps from = the registered id — so
+//     sorting each sender's block by (rank, to) sorts the stream by
+//     (from, encoding, to). A rank orders as its encoding does, so no
+//     byte is compared. Typical blocks are tiny (a broadcast-heavy round
+//     has one send per sender), so the sort is Σ O(k log k) ≈ O(S).
 //
-//  2. Dedup + classify. One scan applies exactly the duplicate rules
-//     documented on the old route loop — adjacent exact duplicates, and
-//     unicasts repeating the encoding of their sender's last broadcast
-//     (the sort puts a broadcast first among its encoding's sends) — and
-//     classifies each surviving send as a broadcast (index into outs) or
-//     a unicast resolved to its receiver's live index (dropped here if
-//     the target is unknown or done, matching the old delivery-time
-//     check; Done is snapshotted once per round — no process steps
-//     during routing, so the snapshot is exact). Unicasts are then
-//     bucketed per receiver with a stable counting sort, preserving send
-//     order.
+//  2. Dedup + classify. One scan drops exactly the duplicates the model
+//     discards — adjacent sends of equal rank and receiver, and unicasts
+//     whose rank is that of their sender's last broadcast (the sort puts
+//     a broadcast first among its encoding's sends) — and classifies
+//     each surviving send as a broadcast (index into outs) or a unicast
+//     resolved to its receiver's live index (dropped here if the target
+//     is unknown or done; Done is snapshotted once per round — no
+//     process steps during routing, so the snapshot is exact). Unicasts
+//     are then bucketed per receiver with a stable counting sort,
+//     preserving send order.
 //
 //  3. Sparse materialization. The surviving broadcasts are built once
-//     into the shared broadcast block and the surviving unicasts once
-//     into the unicast arena, each aligned with its send index list —
-//     O(B + U) Received values total, regardless of the receiver count —
-//     from the intern table's one decoded payload per distinct encoding
-//     (intern.go). They are what let a receiver's view outlive the outs
-//     buffer and the byte arena (the step merge rewrites both while
-//     inboxes are still being read next round). Block and arena are recycled across rounds — which is
-//     why Process.Step must not retain env.Inbox (see the package docs).
+//     into the shared broadcast block, with their ranks beside it for
+//     the block index, and the surviving unicasts once into the unicast
+//     arena, each aligned with its send index list — O(B + U) Received
+//     values total, regardless of the receiver count — from the intern
+//     table's entry at each send's rank. They are what let a receiver's
+//     view outlive the outs buffer, which the next step merge rewrites.
+//     Block and arena are recycled across rounds — which is why
+//     Process.Step must not retain env.Inbox (see the package docs).
 //     The round record, which mirrors this storage, is finished here.
 //     Each block sender's lastBcast is stamped here, which is all the
 //     contact rule needs of the block (see Network.knows).
@@ -70,21 +67,18 @@ import (
 // route fans out and filters the round's sends into next-round inboxes,
 // finishes the round record with the round's message events, and returns
 // the delivery/byte totals for the batched Collector flush. See the
-// pipeline comment at the top of this file; the duplicate semantics are
-// unchanged from the send-major loop it replaces (the dedup key is
-// (sender, encoding) per receiver, compared on the full encodings).
+// pipeline comment at the top of this file; the dedup key is (sender,
+// encoding) per receiver, compared as ranks.
 //
 //lint:noalloc the fan-out runs every round over the network's recycled index and arena scratch; all growth is capacity-guarded or appends into recycled buffers
 func (n *Network) route(outs []send) (deliveries, volume int64) {
-	// (1) Block-local sort: each sender's block by (encoding, to).
+	// (1) Block-local sort: each sender's block by (rank, to).
 	for lo := 0; lo < len(outs); {
 		hi := lo + 1
 		for hi < len(outs) && outs[hi].from == outs[lo].from {
 			hi++
 		}
-		if hi-lo > 1 {
-			n.sortBlock(outs[lo:hi])
-		}
+		slices.SortFunc(outs[lo:hi], compareSends)
 		lo = hi
 	}
 
@@ -99,12 +93,12 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		n.doneMask[i] = st.crashed || st.proc.Done()
 	}
 
-	// (3) Dedup + classify. Same duplicate rules as the old send-major
-	// loop: under the (from, encoding, to) order, exact duplicates are
-	// adjacent (previous-send compare), and a broadcast sorts before any
-	// same-encoding unicast from the same sender (ids.None is the
-	// smallest id). So a unicast repeats one of its sender's broadcasts
-	// exactly when its encoding is that of the sender's last broadcast.
+	// (3) Dedup + classify. Under the (from, encoding, to) order, exact
+	// duplicates are adjacent (previous-send compare), and a broadcast
+	// sorts before any same-encoding unicast from the same sender
+	// (ids.None is the smallest id). So a unicast repeats one of its
+	// sender's broadcasts exactly when its encoding is that of the
+	// sender's last broadcast.
 	lastB := -1 // the sender's last broadcast so far, an index into outs
 	n.bcastIdx = n.bcastIdx[:0]
 	n.uniRecv = n.uniRecv[:0]
@@ -115,7 +109,7 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 			p := &outs[k-1]
 			if p.from != s.from {
 				lastB = -1
-			} else if p.to == s.to && bytes.Equal(n.encOf(p), n.encOf(s)) {
+			} else if p.to == s.to && p.at == s.at {
 				// Exact duplicate of the previous send: discarded by
 				// the model.
 				continue
@@ -126,7 +120,7 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 			n.bcastIdx = append(n.bcastIdx, int32(k))
 			continue
 		}
-		if lastB >= 0 && bytes.Equal(n.encOf(&outs[lastB]), n.encOf(s)) {
+		if lastB >= 0 && outs[lastB].at == s.at {
 			// Same payload already broadcast by this sender this round;
 			// the unicast copy is a duplicate for its target.
 			continue
@@ -167,47 +161,36 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	}
 
 	// (5) Sparse materialization: build the surviving broadcasts once
-	// into the shared block and the surviving unicasts once into the
-	// arena, aligned with bcastIdx and uniIdx respectively, each from
-	// the intern table's one decoded payload and string for its
-	// encoding. Receivers get views over these, never over outs or the
-	// byte arena — the step merge rewrites both while next round's
-	// inboxes are still being read. Broadcasts a link-fault round
+	// into the shared block, their ranks beside them, and the surviving
+	// unicasts once into the arena, aligned with bcastIdx and uniIdx
+	// respectively, each from the intern table's one decoded payload and
+	// string for its encoding. Receivers get views over these, never over
+	// outs — the step merge rewrites it. Broadcasts a link-fault round
 	// demoted to arena entries keep their Broadcast transcript flag
 	// through Received.bcast. Shrink-clearing the recycled tails drops
 	// the references held by last round's larger block/arena so dead
 	// payloads are not pinned.
-	n.intern.rotate()
 	nb := len(n.bcastIdx)
 	n.bcastBlock = recycled(n.bcastBlock, nb, &n.bcastLive)
+	n.bcastRank = grown(n.bcastRank, nb)
 	var bbytes int64
 	sender := 0 // cursor over n.order: the block is sender-ascending
 	for j, k := range n.bcastIdx {
 		s := &outs[k]
-		n.materialize(&n.bcastBlock[j], s, n.intern.lookup(n.encOf(s)), true)
+		n.materialize(&n.bcastBlock[j], s, true)
+		n.bcastRank[j] = s.at
 		bbytes += int64(s.n)
 		for n.order[sender] != s.from {
 			sender++
 		}
 		n.live[sender].lastBcast = n.round
 	}
-	n.index.reset(n.bcastBlock)
+	n.index.reset(n.bcastBlock, n.bcastRank, len(n.intern.cur.entries))
 	nu := len(n.uniIdx)
 	n.uniArena = recycled(n.uniArena, nu, &n.uniLive)
-	if nu > 0 {
-		// A link-fault round fans a broadcast out to every receiver as
-		// arena entries: sendEntry looks each send up once.
-		n.sendEntry = grown(n.sendEntry, len(outs))
-		clear(n.sendEntry)
-	}
 	for j, k := range n.uniIdx {
 		s := &outs[k]
-		i := int(n.sendEntry[k]) - 1
-		if i < 0 {
-			i = n.intern.lookup(n.encOf(s))
-			n.sendEntry[k] = int32(i + 1)
-		}
-		n.materialize(&n.uniArena[j], s, i, s.to == ids.None)
+		n.materialize(&n.uniArena[j], s, s.to == ids.None)
 	}
 
 	// (6) The round record mirrors this storage: after the engine events
@@ -272,102 +255,20 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	return deliveries, volume
 }
 
-// encOf returns the encoding of a merged send: its range of the round's
-// byte arena.
-func (n *Network) encOf(s *send) []byte { return n.arena[s.off : s.off+s.n] }
-
-// materialize writes s, whose encoding is entry i of the intern table's
-// current generation, into m for delivery.
-func (n *Network) materialize(m *Received, s *send, i int, bcast bool) {
-	e := &n.intern.cur.entries[i]
+// materialize writes s, whose encoding has rank s.at in the intern
+// table, into m for delivery.
+func (n *Network) materialize(m *Received, s *send, bcast bool) {
+	e := n.intern.entry(s.at)
 	*m = Received{From: s.from, Payload: e.p, encoded: e.enc, bcast: bcast}
 }
 
-// sortKey is a send of a sender's block reduced for the block-local
-// sort: the first 16 bytes of its encoding as two big-endian words,
-// zero-padded, so that the words compare as the bytes do, and the send's
-// index in the block. It holds no pointer.
-type sortKey struct {
-	hi, lo uint64
-	i      uint32
-}
-
-// keyOf returns the sort key of block[i].
-func (n *Network) keyOf(block []send, i int) sortKey {
-	var b [16]byte
-	copy(b[:], n.encOf(&block[i]))
-	return sortKey{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:]), i: uint32(i)}
-}
-
-// compareKeys orders two keys by prefix. Prefixes that differ decide as
-// the encodings do, because zero padding sorts a shorter encoding before
-// any longer one it begins. Keys with equal prefixes — the same encoding
-// to several receivers, nearly always — are put in (encoding, to) order
-// afterwards by tieSorter.
-func compareKeys(a, b sortKey) int {
-	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+// compareSends orders one sender's sends by (encoding, receiver),
+// comparing ranks for encodings.
+func compareSends(a, b send) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.lo, b.lo)
-}
-
-// tieSorter orders a run of keys with equal prefixes by their sends'
-// (encoding, to), comparing the whole encodings in the byte arena.
-type tieSorter struct {
-	keys  []sortKey
-	block []send
-	arena []byte
-}
-
-func (t *tieSorter) Len() int      { return len(t.keys) }
-func (t *tieSorter) Swap(i, j int) { t.keys[i], t.keys[j] = t.keys[j], t.keys[i] }
-func (t *tieSorter) Less(i, j int) bool {
-	a, b := &t.block[t.keys[i].i], &t.block[t.keys[j].i]
-	if c := bytes.Compare(t.arena[a.off:a.off+a.n], t.arena[b.off:b.off+b.n]); c != 0 {
-		return c < 0
-	}
-	return a.to < b.to
-}
-
-// sortBlock sorts one sender's block of sends by (encoding, to): the
-// keys by prefix, then each run of equal prefixes by whole encodings and
-// receivers, and permutes the block once through the scratch copy.
-//
-//lint:noalloc the keys and the copy are the network's recycled scratch, grown to the largest block; the tie sorter is a pointer into the network
-func (n *Network) sortBlock(block []send) {
-	keys := n.sortKeys[:0]
-	for i := range block {
-		keys = append(keys, n.keyOf(block, i))
-	}
-	n.sortKeys = keys
-	if !slices.IsSortedFunc(keys, compareKeys) {
-		slices.SortFunc(keys, compareKeys)
-	}
-	for i := 0; i < len(keys); {
-		j := i + 1
-		for j < len(keys) && keys[j].hi == keys[i].hi && keys[j].lo == keys[i].lo {
-			j++
-		}
-		if j-i > 1 {
-			n.ties = tieSorter{keys: keys[i:j], block: block, arena: n.arena}
-			if !sort.IsSorted(&n.ties) {
-				sort.Sort(&n.ties)
-			}
-		}
-		i = j
-	}
-	sorted := true
-	for i, k := range keys {
-		sorted = sorted && k.i == uint32(i)
-	}
-	if sorted {
-		return
-	}
-	n.sortSends = grown(n.sortSends, len(block))
-	copy(n.sortSends, block)
-	for i, k := range keys {
-		block[i] = n.sortSends[k.i]
-	}
+	return cmp.Compare(a.to, b.to)
 }
 
 // messageEvent is the trace event of m delivered to `to` at the start of

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
@@ -18,16 +19,18 @@ import (
 // per-receiver map-based reference implementation on randomized send
 // batches: broadcast/unicast mixes, exact duplicates, unicasts
 // shadowed by same-sender broadcasts, and unknown and halted targets.
-// Each batch is routed under the default Config and under forced
-// multi-worker caps: the route pass is serial whatever the cap, and its
-// output must not depend on it.
+// Each batch is interned and ranked as the step merge does it, then
+// routed under the default Config and under forced multi-worker caps:
+// the route pass is serial whatever the cap, and its output must not
+// depend on it.
 
 // routePool is a fixed set of distinct payloads, small enough that
-// random batches repeat them, and the byte arena holding their
-// encodings back to back, which every send drawn from it points into.
+// random batches repeat them, and one byte buffer holding their
+// encodings back to back, which every send drawn from it points into as
+// a queued send points into its node's buffer.
 type routePool struct {
 	payloads []wire.Payload
-	arena    []byte
+	enc      []byte
 	offs     []uint32
 }
 
@@ -36,26 +39,26 @@ func newRoutePool() *routePool {
 	for i := 0; i < 6; i++ {
 		pl := wire.Event{Round: 1, Body: []byte(fmt.Sprintf("payload-%d", i))}
 		p.payloads = append(p.payloads, pl)
-		p.offs = append(p.offs, uint32(len(p.arena)))
-		p.arena = wire.AppendEncode(p.arena, pl)
+		p.offs = append(p.offs, uint32(len(p.enc)))
+		p.enc = wire.AppendEncode(p.enc, pl)
 	}
-	p.offs = append(p.offs, uint32(len(p.arena)))
+	p.offs = append(p.offs, uint32(len(p.enc)))
 	return p
 }
 
 func (p *routePool) send(from, to ids.ID, pi int) send {
-	return send{from: from, to: to, off: p.offs[pi], n: p.offs[pi+1] - p.offs[pi]}
+	return send{from: from, to: to, at: p.offs[pi], n: p.offs[pi+1] - p.offs[pi]}
 }
 
 // routeCase is one generated batch: the registered nodes, which of
 // them have halted, the send stream (grouped by sender in ascending
 // node order with engine-stamped from — the invariant the step merge
-// establishes before calling route) and the byte arena it points into.
+// establishes before calling route) and the bytes it points into.
 type routeCase struct {
 	nodeIDs []ids.ID
 	done    []bool
 	outs    []send
-	arena   []byte
+	enc     []byte
 }
 
 // genRouteCase draws a random batch. Unicast targets include a never-
@@ -66,7 +69,7 @@ func genRouteCase(rng *rand.Rand, pool *routePool) routeCase {
 	c := routeCase{
 		nodeIDs: ids.Consecutive(10, n),
 		done:    make([]bool, n),
-		arena:   pool.arena,
+		enc:     pool.enc,
 	}
 	for i := range c.done {
 		c.done[i] = rng.Intn(5) == 0
@@ -109,7 +112,7 @@ func referenceRoute(c routeCase) (inboxes [][]Received, deliveries, bytes int64)
 			if s.to != ids.None && s.to != id {
 				continue
 			}
-			k := key{s.from, string(c.arena[s.off : s.off+s.n])}
+			k := key{s.from, string(c.enc[s.at : s.at+s.n])}
 			if _, dup := seen[k]; dup {
 				continue
 			}
@@ -132,10 +135,11 @@ func referenceRoute(c routeCase) (inboxes [][]Received, deliveries, bytes int64)
 }
 
 // routeOnNetwork builds a network for the case, forces the requested
-// worker count (0 = the default Config), routes a copy of the batch,
-// and returns the network with its resulting inbox views and
-// tallies. The caller Closes the network — the views read through the
-// network's shared block and arena, which Close clears and recycles.
+// worker count (0 = the default Config), interns and ranks a copy of
+// the batch as the step merge does, routes it, and returns the
+// network with its resulting inbox views and tallies. The caller Closes
+// the network — the views read through the network's shared block and
+// arena, which Close clears and recycles.
 func routeOnNetwork(t testing.TB, c routeCase, workers int) (net *Network, inboxes []Inbox, deliveries, bytes int64) {
 	t.Helper()
 	net = New(Config{})
@@ -150,8 +154,10 @@ func routeOnNetwork(t testing.TB, c routeCase, workers int) (net *Network, inbox
 			t.Fatal(err)
 		}
 	}
-	outs := append([]send(nil), c.outs...)
-	net.arena = append(net.arena[:0], c.arena...)
+	outs := slices.Clone(c.outs)
+	net.intern.rotate()
+	net.intern.admit(outs, c.enc)
+	net.intern.rank(outs)
 	deliveries, bytes = net.route(outs)
 	inboxes = make([]Inbox, len(c.nodeIDs))
 	for i := range c.nodeIDs {
@@ -268,7 +274,7 @@ func TestRouteDedupDirectedCases(t *testing.T) {
 		},
 	}
 	for i, c := range cases {
-		c.arena = pool.arena
+		c.enc = pool.enc
 		for _, workers := range []int{0, 3} {
 			t.Run(fmt.Sprintf("case=%d/workers=%d", i, workers), func(t *testing.T) {
 				checkRouteCase(t, c, workers)
@@ -290,7 +296,7 @@ func FuzzRouteDedup(f *testing.F) {
 			t.Skip()
 		}
 		n := 3 + int(data[0]%6)
-		c := routeCase{nodeIDs: ids.Consecutive(10, n), done: make([]bool, n), arena: pool.arena}
+		c := routeCase{nodeIDs: ids.Consecutive(10, n), done: make([]bool, n), enc: pool.enc}
 		for i := range c.done {
 			c.done[i] = i < len(data) && data[i]&0x11 == 0x11
 		}
@@ -324,67 +330,79 @@ func FuzzRouteDedup(f *testing.F) {
 	})
 }
 
-// The block-local sort compares 16-byte encoding prefixes and falls back
-// to whole encodings only on a tie: over encodings shorter than a prefix,
-// ones that differ from each other only by trailing zero bytes, ones equal
-// over all 16 prefix bytes and differing after them, and bytes at both
-// ends of the range, the key order of every pair of sends whose prefixes
-// differ is their (encoding, to) order, and a sorted block reads in that
-// order.
-func TestBlockSortKeysOrderLikeEncodingThenReceiver(t *testing.T) {
+// Ranks are the route pass's only view of an encoding, so they must
+// order exactly as the encodings do. Over real wire encodings — ones
+// sharing a prefix, ones of unequal length, and IDEcho instances and
+// candidates 1, 256 and 65536, whose little-endian bytes order them
+// backwards, within the first eight bytes and past them — met in
+// shuffled order, each generation sharing about half its encodings with
+// the one before, two sends' ranks compare as bytes.Compare compares
+// their encodings, a rank's entry holds its sends' encoding, and a
+// sender's block sorted as the route pass sorts it reads in (encoding,
+// to) order. Ranking by first-met order or by hash fails it.
+func TestRanksOrderLikeEncodings(t *testing.T) {
 	t.Parallel()
-	const prefix = "0123456789abcdef" // 16 bytes
-	encs := []string{
-		"", "\x00", "a", "a\x00", "a\x00\x00", "a\x01", "b", "\xff",
-		prefix[:15], prefix[:15] + "\x00", prefix, prefix + "\x00", prefix + "X", prefix + "Y", prefix + "XY",
-		prefix[:8] + "\xff", prefix[:8] + "\x00\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x00",
+	var payloads []wire.Payload
+	for _, c := range []ids.ID{1, 256, 65536, 65537, 1 << 40} {
+		for _, inst := range []uint64{0, 1, 256} {
+			payloads = append(payloads, wire.IDEcho{Instance: inst, Candidate: c})
+		}
+	}
+	for _, body := range []string{"", "\x00", "a", "a\x00", "ab", "b", "\xff", "0123456789abcdef", "0123456789abcdefX"} {
+		payloads = append(payloads, wire.Event{Round: 1, Body: []byte(body)}, wire.RBMessage{Source: 7, Body: []byte(body)})
 	}
 	tos := []ids.ID{ids.None, 10, 11}
 	net := New(Config{})
 	defer net.Close()
-	var sends []send
-	for _, e := range encs {
-		for _, to := range tos {
-			sends = append(sends, send{from: 7, to: to, off: uint32(len(net.arena)), n: uint32(len(e))})
-		}
-		net.arena = append(net.arena, e...)
-	}
-	enc := func(s send) string { return string(net.encOf(&s)) }
-	want := func(a, b send) int {
-		if c := strings.Compare(enc(a), enc(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.to, b.to)
-	}
-	for i := range sends {
-		for j := range sends {
-			a, b := net.keyOf(sends, i), net.keyOf(sends, j)
-			if a.hi == b.hi && a.lo == b.lo {
-				continue // a tie the sort settles on whole encodings
-			}
-			if got, exp := compareKeys(a, b), want(sends[i], sends[j]); got != exp {
-				t.Fatalf("keys of (%q, %v) and (%q, %v) compare %d, their sends %d",
-					enc(sends[i]), sends[i].to, enc(sends[j]), sends[j].to, got, exp)
-			}
-		}
-	}
 	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 200; iter++ {
-		block := make([]send, 1+rng.Intn(len(sends)))
-		for i := range block {
-			block[i] = sends[rng.Intn(len(sends))]
-		}
-		if iter%4 == 0 {
-			slices.SortFunc(block, want) // a block already in order stays so
-		}
-		ref := slices.Clone(block)
-		slices.SortStableFunc(ref, want)
-		net.sortBlock(block)
-		for i := range block {
-			if enc(block[i]) != enc(ref[i]) || block[i].to != ref[i].to {
-				t.Fatalf("iteration %d: position %d holds (%q, %v), want (%q, %v)",
-					iter, i, enc(block[i]), block[i].to, enc(ref[i]), ref[i].to)
+	carried, last := 0, map[string]bool{}
+	for gen := 0; gen < 40; gen++ {
+		var buf []byte
+		var sends []send
+		for _, pi := range rng.Perm(len(payloads))[:len(payloads)/2] {
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				off := len(buf)
+				buf = wire.AppendEncode(buf, payloads[pi])
+				sends = append(sends, send{from: 7, to: tos[rng.Intn(len(tos))], at: uint32(off), n: uint32(len(buf) - off)})
 			}
 		}
+		encs := make([]string, len(sends))
+		for i, s := range sends {
+			encs[i] = string(buf[s.at : s.at+s.n])
+		}
+		for _, e := range encs {
+			if last[e] {
+				carried++
+			}
+		}
+		last = make(map[string]bool)
+		for _, e := range encs {
+			last[e] = true
+		}
+		net.intern.rotate()
+		net.intern.admit(sends, buf)
+		net.intern.rank(sends)
+		for i := range sends {
+			if got := net.intern.entry(sends[i].at).enc; got != encs[i] {
+				t.Fatalf("generation %d: send %d ranks %d, whose entry holds %x, not its encoding %x", gen, i, sends[i].at, got, encs[i])
+			}
+			for j := range sends {
+				if got, want := cmp.Compare(sends[i].at, sends[j].at), bytes.Compare([]byte(encs[i]), []byte(encs[j])); got != want {
+					t.Fatalf("generation %d: ranks %d and %d compare %d, encodings %x and %x compare %d",
+						gen, sends[i].at, sends[j].at, got, encs[i], encs[j], want)
+				}
+			}
+		}
+		slices.SortFunc(sends, compareSends)
+		for i := 1; i < len(sends); i++ {
+			a, b := sends[i-1], sends[i]
+			ea, eb := net.intern.entry(a.at).enc, net.intern.entry(b.at).enc
+			if c := strings.Compare(ea, eb); c > 0 || c == 0 && a.to > b.to {
+				t.Fatalf("generation %d: sorted block holds (%x, %v) before (%x, %v)", gen, ea, a.to, eb, b.to)
+			}
+		}
+	}
+	if carried == 0 {
+		t.Fatal("no generation carried an entry over from the one before")
 	}
 }

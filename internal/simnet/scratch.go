@@ -33,24 +33,19 @@ import (
 // cleared before the set enters the pool, so parked scratch pins no
 // payload beyond the intern table's two generations.
 type netScratch struct {
-	// Step merge (network.go): the node-ordered send stream, the round's
-	// byte arena its offsets point into, the per-node result slots it is
-	// merged from, and the per-node send buffers parked for the next
-	// node to be added.
+	// Step merge (network.go): the node-ordered send stream, the
+	// per-node result slots it is merged from, and the per-node send
+	// buffers parked for the next node to be added.
 	outs    []send
-	arena   []byte
 	results []stepResult
 	spare   []nodeBuf
 	// roundEvents is the round record: the current round's engine events
 	// and, for an Observer, one event per stored message (see RunRound).
 	roundEvents []trace.Event
-	// Routing (route.go): the block-local sort's keys and permutation
-	// copy, the done snapshot, the surviving broadcast indices, the
-	// per-receiver unicast buckets, and the shared broadcast block and
-	// unicast arena the inbox views read through.
-	sortKeys   []sortKey
-	sortSends  []send
-	ties       tieSorter
+	// Routing (route.go): the done snapshot, the surviving broadcast
+	// indices, the per-receiver unicast buckets, and the shared broadcast
+	// block (with its ranks) and unicast arena the inbox views read
+	// through.
 	doneMask   []bool
 	bcastIdx   []int32
 	uniRecv    []int32
@@ -59,13 +54,11 @@ type netScratch struct {
 	uniStart   []int32
 	uniCursor  []int32
 	bcastBlock []Received
+	bcastRank  []uint32
 	uniArena   []Received
-	// intern holds the decoded payload of every distinct encoding routed
-	// this round and last (intern.go); sendEntry maps a send index to its
-	// entry in the current generation, plus one (0: not looked up yet),
-	// for the arena.
-	intern    internTable
-	sendEntry []int32
+	// intern holds the decoded payload of every distinct encoding merged
+	// this round and last, and ranks this round's (intern.go).
+	intern internTable
 	// index is the payload-major reading of bcastBlock (index.go). It
 	// is held by pointer — every inbox of a round shares it, and its
 	// once-guard must not be copied — and made by New when the pool had

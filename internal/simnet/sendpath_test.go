@@ -3,6 +3,7 @@ package simnet_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uba/internal/census"
@@ -33,6 +34,28 @@ func (q *queuer) Step(env *simnet.RoundEnv) {
 		for i := 0; i < q.k; i++ {
 			env.Send(q.peer, wire.Input{Instance: uint64(i), X: wire.V(1)})
 		}
+	}
+}
+
+// backwards broadcasts IDEcho candidates 1, 256 and 65536 every round,
+// in that order. Their little-endian encodings sort the other way, so
+// every step merge meets the round's encodings out of byte order and
+// the rank pass has to reorder them.
+type backwards struct {
+	id    ids.ID
+	heard []ids.ID // the candidates of the last inbox's Said, in its order
+}
+
+func (b *backwards) ID() ids.ID { return b.id }
+func (b *backwards) Done() bool { return false }
+
+func (b *backwards) Step(env *simnet.RoundEnv) {
+	b.heard = b.heard[:0]
+	for _, g := range env.Inbox.Said() {
+		b.heard = append(b.heard, g.Payload.(wire.IDEcho).Candidate)
+	}
+	for _, c := range [...]ids.ID{1, 256, 65536} {
+		env.Broadcast(wire.IDEcho{Candidate: c})
 	}
 }
 
@@ -77,11 +100,11 @@ func (e *echoer) Step(env *simnet.RoundEnv) {
 
 // TestSendPathZeroAlloc is the runtime half of RoundEnv.Send's
 // //lint:noalloc: a send costs no heap memory. After warm-up rounds, a
-// whole RunRound — every Step, the step merge into the round's byte
-// arena, the route pass and its intern table, delivery — allocates
-// nothing, at n = 32:
+// whole RunRound — every Step, the step merge and its intern table and
+// rank pass, the route pass, delivery — allocates nothing, at n = 32:
 //
 //   - queue: every node queues k broadcasts and k unicasts;
+//
 //   - rotor: every node runs the rotor echo path — n echoes from
 //     EchoInits and n-1 from a LoopRound fold — and reads two opinions
 //     of the coordinator. It also re-observes the round's senders into a
@@ -90,6 +113,9 @@ func (e *echoer) Step(env *simnet.RoundEnv) {
 //     With links=live a drop rule that matches no link is live, so every
 //     broadcast is delivered through Direct and Core.Opinions orders the
 //     opinions by encoding itself.
+//
+//   - backwards: every node queues three encodings in the reverse of
+//     their byte order, so the rank pass sorts every round.
 //
 // A send that boxed its payload, a per-send string, a per-delivery
 // decode, a node buffer that regrew, or an opinion comparison that
@@ -115,6 +141,21 @@ func TestSendPathZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	t.Run("backwards", func(t *testing.T) {
+		net := simnet.New(simnet.Config{})
+		defer net.Close()
+		bs := make([]*backwards, n)
+		for i, id := range nodes {
+			bs[i] = &backwards{id: id, heard: make([]ids.ID, 0, 3)}
+			if err := net.Add(bs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkZeroAllocRounds(t, net)
+		if got, want := bs[0].heard, []ids.ID{65536, 256, 1}; !slices.Equal(got, want) {
+			t.Fatalf("a node read the candidates in the order %v, want the byte order %v", got, want)
+		}
+	})
 	for _, links := range []string{"healthy", "live"} {
 		t.Run("rotor/links="+links, func(t *testing.T) {
 			cfg := simnet.Config{}

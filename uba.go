@@ -163,11 +163,22 @@ func (c Config) adversary() Adversary {
 	return AdversaryNone
 }
 
-// N returns the total system size n = Correct + Byzantine.
-func (c Config) N() int { return c.Correct + c.Byzantine }
+// byzantine is the number of Byzantine nodes a run builds: none under
+// AdversaryNone, whatever Byzantine says.
+func (c Config) byzantine() int {
+	if c.adversary() == AdversaryNone {
+		return 0
+	}
+	return c.Byzantine
+}
 
-// Resilient reports whether the configuration satisfies n > 3f.
-func (c Config) Resilient() bool { return c.N() > 3*c.Byzantine }
+// N returns the size n of the system a run builds: Correct plus the
+// Byzantine nodes, of which an AdversaryNone run builds none.
+func (c Config) N() int { return c.Correct + c.byzantine() }
+
+// Resilient reports whether the system a run builds satisfies n > 3f,
+// f being its Byzantine nodes (N() - Correct).
+func (c Config) Resilient() bool { return c.N() > 3*c.byzantine() }
 
 // cluster is the shared scaffolding of all run functions.
 type cluster struct {
@@ -190,12 +201,8 @@ func newCluster(cfg Config, family string) (*cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	nByz := cfg.Byzantine
-	if cfg.adversary() == AdversaryNone {
-		nByz = 0
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	all := ids.Sparse(rng, cfg.Correct+nByz)
+	all := ids.Sparse(rng, cfg.N())
 	collector := &trace.Collector{}
 	suite := oracle.NewSuite(oracle.NewComplexityFor(family, 0))
 	return &cluster{

@@ -31,6 +31,21 @@ func TestConfigHelpers(t *testing.T) {
 	if (Config{Correct: 4, Byzantine: 2}).Resilient() {
 		t.Fatal("n=6, f=2 reported resilient")
 	}
+	// An AdversaryNone run builds no Byzantine node, whatever Byzantine
+	// says: N counts the nodes the run has, and the report's deliveries
+	// are N² per broadcast round.
+	none := Config{Correct: 3, Byzantine: 1, Adversary: AdversaryNone}
+	if none.N() != 3 || !none.Resilient() {
+		t.Fatalf("AdversaryNone with Byzantine 1: N=%d Resilient=%v, want 3 and true", none.N(), none.Resilient())
+	}
+	res, err := ReliableBroadcast(none, []byte("m"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.Report.Broadcasts * int64(none.N()); res.Report.Unicasts != 0 || res.Report.Deliveries != want {
+		t.Fatalf("%d broadcasts and %d unicasts made %d deliveries, want broadcasts × N = %d",
+			res.Report.Broadcasts, res.Report.Unicasts, res.Report.Deliveries, want)
+	}
 }
 
 func TestParseAdversaryRoundTrip(t *testing.T) {
