@@ -103,10 +103,14 @@ perf-smoke:
 # Byzantine-scoped fault plans (partitions quarantining the coalition,
 # loss on its links, crash/recover churn): all in-model behaviors, so
 # any oracle firing there is equally a bug; its repro lands in
-# chaos-faults-repro.json.
+# chaos-faults-repro.json. The third repeats the faulted campaign at
+# n = 46 (31 correct + 15 Byzantine nodes, at the n > 3f limit), where
+# the thresholds' rounding edges differ from n = 9's; its repro lands in
+# chaos-size-repro.json.
 chaos-smoke:
 	$(GO) run ./cmd/ubasweep -chaos -seeds 25 -repro-out chaos-repro.json
 	$(GO) run ./cmd/ubasweep -chaos -faults byzantine -seeds 25 -repro-out chaos-faults-repro.json
+	$(GO) run ./cmd/ubasweep -chaos -chaos-n 46 -faults byzantine -seeds 25 -repro-out chaos-size-repro.json
 
 # Regenerate every experiment table (E1-E21) as text.
 experiments:

@@ -62,6 +62,9 @@ func run(args []string, out io.Writer) error {
 	if *traceRounds < 0 {
 		return fmt.Errorf("-trace must be >= 0")
 	}
+	if *protocol == "impossibility" && *traceRounds > 0 {
+		return fmt.Errorf("-trace does not apply to -protocol impossibility: the demo runs on the event-driven network, which records no transcript")
+	}
 	if *jobs > 0 {
 		// Bound the process-wide scheduler: every simulation in this
 		// process — the run's own step phase (capped at -jobs below), a
@@ -92,8 +95,14 @@ func run(args []string, out io.Writer) error {
 	if err := simulate(*protocol, cfg, *timing, &result); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "n=%d (g=%d, f=%d)  adversary=%v  seed=%d  resilient(n>3f)=%v\n",
-		cfg.N(), cfg.Correct, cfg.N()-cfg.Correct, adv, *seed, cfg.Resilient())
+	if *protocol == "impossibility" {
+		// The demo builds its own system: two sides of g correct nodes,
+		// no coalition.
+		fmt.Fprintf(out, "n=%d (two sides of g=%d)  timing=%s  seed=%d\n", 2*cfg.Correct, cfg.Correct, *timing, *seed)
+	} else {
+		fmt.Fprintf(out, "n=%d (g=%d, f=%d)  adversary=%v  seed=%d  resilient(n>3f)=%v\n",
+			cfg.N(), cfg.Correct, cfg.N()-cfg.Correct, adv, *seed, cfg.Resilient())
+	}
 	if _, err := result.WriteTo(out); err != nil {
 		return err
 	}

@@ -54,12 +54,12 @@ func TestRunEachProtocol(t *testing.T) {
 		{
 			"impossibility-async",
 			[]string{"-protocol", "impossibility", "-timing", "async", "-g", "4"},
-			[]string{"agreement=false"},
+			[]string{"n=8 (two sides of g=4)  timing=async  seed=1\n", "agreement=false", "decisions=8"},
 		},
 		{
 			"impossibility-sync",
 			[]string{"-protocol", "impossibility", "-timing", "sync", "-g", "4"},
-			[]string{"agreement=true"},
+			[]string{"n=8 (two sides of g=4)  timing=sync  seed=1\n", "agreement=true", "decisions=8"},
 		},
 		{
 			// No adversary builds no Byzantine node: the header describes
@@ -103,6 +103,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-protocol", "approx", "-g", "-3", "-f", "1"},
 		{"-protocol", "vector", "-g", "-3", "-f", "1"},
 		{"-trace", "-3"},
+		{"-protocol", "impossibility", "-trace", "5"},
 	} {
 		var buf bytes.Buffer
 		err := run(args, &buf)

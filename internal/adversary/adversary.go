@@ -17,6 +17,7 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
 
 	"uba/internal/ids"
 	"uba/internal/simnet"
@@ -28,19 +29,13 @@ import (
 // a Byzantine node to "behave as if it already knows all the nodes".
 type Directory struct {
 	all []ids.ID
-	byz map[ids.ID]struct{}
+	byz *ids.Set
 }
 
 // NewDirectory builds a directory from the complete id list and the
 // Byzantine subset.
 func NewDirectory(all []ids.ID, byzantine []ids.ID) *Directory {
-	byz := make(map[ids.ID]struct{}, len(byzantine))
-	for _, id := range byzantine {
-		byz[id] = struct{}{}
-	}
-	cp := make([]ids.ID, len(all))
-	copy(cp, all)
-	return &Directory{all: cp, byz: byz}
+	return &Directory{all: slices.Clone(all), byz: ids.NewSet(byzantine...)}
 }
 
 // All returns every node id.
@@ -52,14 +47,13 @@ func (d *Directory) All() []ids.ID {
 
 // IsByzantine reports whether id belongs to the coalition.
 func (d *Directory) IsByzantine(id ids.ID) bool {
-	_, ok := d.byz[id]
-	return ok
+	return d.byz.Contains(id)
 }
 
 // Correct returns the correct node ids in ascending order (d.all is kept
 // sorted by the harness).
 func (d *Directory) Correct() []ids.ID {
-	out := make([]ids.ID, 0, len(d.all)-len(d.byz))
+	out := make([]ids.ID, 0, len(d.all)-d.byz.Len())
 	for _, id := range d.all {
 		if !d.IsByzantine(id) {
 			out = append(out, id)

@@ -157,30 +157,28 @@ func (n *Iterated) Step(env *simnet.RoundEnv) {
 // Byzantine sender may transmit several *different* values in one round;
 // the algorithm's analysis assumes one value per faulty node per round, so
 // the smallest value per sender is kept (any deterministic pick works —
-// the adversary chose to equivocate and loses all but one vote).
+// the adversary chose to equivocate and loses all but one vote). The
+// inbox is ordered by sender, so each sender's values are one run, folded
+// into its last slot of out.
 func gatherInputs(inbox simnet.Inbox) []float64 {
-	perSender := make(map[ids.ID]float64, inbox.Len())
-	seen := make(map[ids.ID]bool, inbox.Len())
+	out := make([]float64, 0, inbox.Len())
+	var from ids.ID // the sender of out's last value
 	for m := range inbox.All() {
 		in, ok := m.Payload.(wire.Input)
-		if !ok || in.Instance != 0 || in.X.IsBot {
+		// A NaN has no place in an ordered reduction; a Byzantine sender
+		// transmitting one simply loses its vote (correct nodes never
+		// send NaN).
+		if !ok || in.Instance != 0 || in.X.IsBot || math.IsNaN(in.X.X) {
 			continue
 		}
-		x := in.X.X
-		if math.IsNaN(x) {
-			// A NaN has no place in an ordered reduction; a
-			// Byzantine sender transmitting one simply loses its
-			// vote (correct nodes never send NaN).
+		if last := len(out) - 1; last >= 0 && m.From == from {
+			if in.X.X < out[last] {
+				out[last] = in.X.X
+			}
 			continue
 		}
-		if !seen[m.From] || x < perSender[m.From] {
-			perSender[m.From] = x
-			seen[m.From] = true
-		}
-	}
-	out := make([]float64, 0, len(perSender))
-	for _, x := range perSender {
-		out = append(out, x)
+		out = append(out, in.X.X)
+		from = m.From
 	}
 	sort.Float64s(out)
 	return out

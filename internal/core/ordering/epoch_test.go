@@ -9,12 +9,12 @@ import (
 )
 
 // rebuild is the membership snapshot of protocol round `round` computed
-// from the node's activeFrom map alone, the way every Step used to.
+// from the node's activeFrom record alone, the way every Step used to.
 func rebuild(n *Node, round uint64) *ids.Set {
 	s := ids.NewSet()
-	for id, from := range n.activeFrom {
-		if from <= round {
-			s.Add(id)
+	for _, m := range n.activeFrom {
+		if m.from <= round {
+			s.Add(m.id)
 		}
 	}
 	return s

@@ -41,9 +41,9 @@
 // The snapshot S changes only when a present or an absent arrives, so what
 // depends on S alone — the member set, the census frozen over it, |S| —
 // is one immutable parallelcon.Scope per membership epoch: rebuilt from
-// activeFrom when that map changed or a recorded activation round is
-// reached, and otherwise read as is by every round's intake and shared by
-// every execution started under it, whose rotor borrows its member set.
+// activeFrom when it changed or a recorded activation round is reached,
+// and otherwise read as is by every round's intake and shared by every
+// execution started under it, whose rotor borrows its member set.
 // Per execution a node pays for the execution's own node and instances,
 // and an execution started with no inputs not even for that until an
 // inbox names its round (see drive); per Step it asks once which rounds
@@ -119,9 +119,9 @@ type Node struct {
 	leaveRq bool
 	leaving bool
 
-	r          uint64            // protocol round
-	activeFrom map[ids.ID]uint64 // membership with activation round
-	firstRun   uint64            // first execution this node participates in
+	r          uint64   // protocol round
+	activeFrom []member // membership with activation round, in id order
+	firstRun   uint64   // first execution this node participates in
 	// scope is the current membership epoch: the snapshot of the round it
 	// was built in, and of every round since while it is not stale — that
 	// is, until activeFrom changes (dirty) or a member recorded in it
@@ -145,6 +145,13 @@ type Node struct {
 
 var _ simnet.Process = (*Node)(nil)
 
+// member is one entry of a node's membership record: a node, and the
+// protocol round from which it is active.
+type member struct {
+	id   ids.ID
+	from uint64
+}
+
 // NewFounder returns a founding member. All founders must be constructed
 // with the same initial membership (the bootstrap agreement the paper's
 // "initially r = 0" presumes) and added to the network before round 1.
@@ -152,17 +159,12 @@ func NewFounder(id ids.ID, initialMembers *ids.Set) (*Node, error) {
 	if id > maxID {
 		return nil, fmt.Errorf("ordering: id %v exceeds 48-bit instance packing", id)
 	}
-	active := make(map[ids.ID]uint64, initialMembers.Len())
-	for _, m := range initialMembers.Members() {
-		active[m] = 0
+	n := &Node{id: id, joined: true, firstRun: 1}
+	for i := range initialMembers.Len() {
+		n.record(initialMembers.At(i), 0)
 	}
-	active[id] = 0
-	return &Node{
-		id:         id,
-		joined:     true,
-		activeFrom: active,
-		firstRun:   1,
-	}, nil
+	n.record(id, 0)
+	return n, nil
 }
 
 // NewJoiner returns a node that will join an already-running system via
@@ -172,7 +174,7 @@ func NewJoiner(id ids.ID) (*Node, error) {
 	if id > maxID {
 		return nil, fmt.Errorf("ordering: id %v exceeds 48-bit instance packing", id)
 	}
-	return &Node{id: id, activeFrom: make(map[ids.ID]uint64)}, nil
+	return &Node{id: id}, nil
 }
 
 // ID implements simnet.Process.
@@ -205,19 +207,37 @@ func (n *Node) Members() *ids.Set {
 	return n.scope.Members().Clone()
 }
 
-// snapshot builds S for the current round from activeFrom, and returns
-// with it the earliest round at which a recorded member that is not yet
-// active becomes so (0 if there is none).
+// snapshot builds S for the current round from activeFrom in one
+// ascending pass, and returns with it the earliest round at which a
+// recorded member that is not yet active becomes so (0 if there is none).
 func (n *Node) snapshot() (s *ids.Set, activation uint64) {
 	s = ids.NewSet()
-	for id, from := range n.activeFrom {
-		if from <= n.r {
-			s.Add(id)
-		} else if activation == 0 || from < activation {
-			activation = from
+	for _, m := range n.activeFrom {
+		if m.from <= n.r {
+			s.Add(m.id)
+		} else if activation == 0 || m.from < activation {
+			activation = m.from
 		}
 	}
 	return s, activation
+}
+
+// find returns where id is, or would be, in activeFrom, and whether it
+// is there.
+func (n *Node) find(id ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(n.activeFrom, id, func(m member, id ids.ID) int {
+		return cmp.Compare(m.id, id)
+	})
+}
+
+// record adds id to activeFrom, active from round from, unless it is
+// recorded already, and reports whether it was added.
+func (n *Node) record(id ids.ID, from uint64) bool {
+	i, known := n.find(id)
+	if !known {
+		n.activeFrom = slices.Insert(n.activeFrom, i, member{id: id, from: from})
+	}
+	return !known
 }
 
 // stale reports whether the cached epoch is no longer the snapshot of the
@@ -264,14 +284,13 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 		switch p := m.Payload.(type) {
 		case wire.Present:
 			// Joiner announced in round r participates from r+2.
-			if _, known := n.activeFrom[m.From]; !known {
-				n.activeFrom[m.From] = n.r + 2
+			if n.record(m.From, n.r+2) {
 				n.dirty = true
 				env.Send(m.From, wire.Ack{Round: n.r})
 			}
 		case wire.Absent:
-			if _, known := n.activeFrom[m.From]; known {
-				delete(n.activeFrom, m.From)
+			if i, known := n.find(m.From); known {
+				n.activeFrom = slices.Delete(n.activeFrom, i, i+1)
 				n.dirty = true
 			}
 		case wire.Event:
@@ -477,10 +496,10 @@ func (n *Node) stepJoin(env *simnet.RoundEnv) {
 		}
 	}
 	n.r = majority + 1
-	for _, id := range senders.Members() {
-		n.activeFrom[id] = 0
+	for i := range senders.Len() {
+		n.record(senders.At(i), 0)
 	}
-	n.activeFrom[n.id] = 0
+	n.record(n.id, 0)
 	n.joined = true
 	n.firstRun = n.r + 1
 	// Participation begins next round (protocol round r+1), matching the

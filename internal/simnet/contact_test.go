@@ -196,8 +196,8 @@ func TestContactStateMatchesPerDeliveryMap(t *testing.T) {
 							removed = removed[1:]
 						}
 					case 1:
-						if net.Size() > 3 {
-							id := net.order[rng.Intn(net.Size())]
+						if len(net.order) > 3 {
+							id := net.order[rng.Intn(len(net.order))]
 							net.Remove(id)
 							delete(ref, id)
 							removed = append(removed, id)
@@ -231,7 +231,7 @@ func TestContactRuleDirectedCases(t *testing.T) {
 		}, func(t *testing.T, net *Network) {
 			addAll(t, net, newRecorder(10, hello), newRecorder(20, nil, send(10)))
 			mustRounds(t, net, 1)
-			if !net.knows(net.procs[10], 10) || net.knows(net.procs[20], 10) {
+			if !net.knows(net.state(10), 10) || net.knows(net.state(20), 10) {
 				t.Fatal("across the cut the broadcast made a contact, or the sender missed its own copy")
 			}
 			if err := net.RunRound(); !errors.Is(err, ErrContactRule) {
@@ -250,7 +250,7 @@ func TestContactRuleDirectedCases(t *testing.T) {
 				newRecorder(30, nil, hello, hello),
 				newRecorder(40, nil, nil, nil, hello))
 			mustRounds(t, net, 4)
-			if !net.knows(net.procs[20], 10) || net.knows(net.procs[20], 30) || !net.knows(net.procs[20], 40) {
+			if !net.knows(net.state(20), 10) || net.knows(net.state(20), 30) || !net.knows(net.state(20), 40) {
 				t.Fatal("the crash lost a contact, a broadcast sent while down made one, or one sent after the recovery made none")
 			}
 			if err := net.RunRound(); !errors.Is(err, ErrContactRule) {
@@ -262,7 +262,7 @@ func TestContactRuleDirectedCases(t *testing.T) {
 			addAll(t, net, newRecorder(10, hello), receiver)
 			mustRounds(t, net, 1)
 			net.Remove(10)
-			if !net.knows(net.procs[20], 10) {
+			if !net.knows(net.state(20), 10) {
 				t.Fatal("removing the sender lost the contact")
 			}
 			mustRounds(t, net, 1) // to a removed node: dropped, but legal

@@ -111,8 +111,8 @@ func TestPanicContainedAsCrashFault(t *testing.T) {
 	if !strings.Contains(crashes[0].Reason, "injected step fault") {
 		t.Fatalf("crash reason %q missing panic value", crashes[0].Reason)
 	}
-	if !net.Crashed(victim) {
-		t.Fatal("Crashed(victim) = false")
+	if !net.state(victim).crashed {
+		t.Fatal("victim not crashed")
 	}
 
 	// Exactly one NodeCrashed event, in round 3, and the crashed node

@@ -170,9 +170,9 @@ type faultState struct {
 	next   int
 	seed   uint64
 
-	// groupOf is the live partition (nil = healed): node -> group
-	// index; nodes absent from the map are isolated.
-	groupOf map[ids.ID]int32
+	// groups is the live partition's node groups (nil = healed): a node
+	// listed in none is isolated (see resolveLinks).
+	groups [][]uint64
 	// rules are the active drop rules in activation order; for a given
 	// link the last matching rule wins.
 	rules []FaultEvent
@@ -276,7 +276,7 @@ func (n *Network) applyFaultEvents() {
 		fs.next++
 		n.applyFaultEvent(e)
 	}
-	fs.linkLive = fs.groupOf != nil || len(fs.rules) > 0
+	fs.linkLive = fs.groups != nil || len(fs.rules) > 0
 }
 
 // applyFaultEvent applies one plan event and records its trace events.
@@ -284,15 +284,10 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 	fs := n.faults
 	switch e.Kind {
 	case FaultPartition:
-		if fs.groupOf == nil {
-			fs.groupOf = make(map[ids.ID]int32, len(n.order))
-		} else {
-			clear(fs.groupOf)
-		}
+		fs.groups = e.Groups
 		for gi, group := range e.Groups {
 			var b strings.Builder
 			for j, raw := range group {
-				fs.groupOf[ids.ID(raw)] = int32(gi)
 				if j > 0 {
 					b.WriteByte(',')
 				}
@@ -304,7 +299,7 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 			})
 		}
 	case FaultHeal:
-		fs.groupOf = nil
+		fs.groups = nil
 		n.roundEvents = append(n.roundEvents, trace.Event{
 			Round: n.round, Kind: trace.KindHeal,
 		})
@@ -319,8 +314,8 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 			Enc: "rate=" + strconv.FormatFloat(e.Rate, 'g', -1, 64),
 		})
 	case FaultCrash:
-		st, ok := n.procs[ids.ID(e.Node)]
-		if !ok || st.crashed {
+		st := n.state(ids.ID(e.Node))
+		if st == nil || st.crashed {
 			return
 		}
 		n.crash(st)
@@ -331,8 +326,8 @@ func (n *Network) applyFaultEvent(e *FaultEvent) {
 			Round: n.round, From: e.Node, Kind: trace.KindNodeCrashed,
 		})
 	case FaultRecover:
-		st, ok := n.procs[ids.ID(e.Node)]
-		if !ok || !st.crashed {
+		st := n.state(ids.ID(e.Node))
+		if st == nil || !st.crashed {
 			return
 		}
 		st.crashed = false
@@ -390,18 +385,22 @@ func (n *Network) faultFilter(outs []send) {
 }
 
 // resolveLinks fills the filter's per-node tables for this pass from the
-// live partition and drop rules.
+// live partition and drop rules. An id listed in two groups belongs to
+// the later one, and an id the network does not hold matches no node.
 func (n *Network) resolveLinks() {
 	fs := n.faults
 	fs.group = grown(fs.group, len(n.live))
 	fs.named = grown(fs.named, len(n.live))
 	clear(fs.named)
-	for i, st := range n.live {
-		g, ok := fs.groupOf[st.id]
-		if !ok {
-			g = -1
+	for i := range fs.group {
+		fs.group[i] = -1
+	}
+	for gi, group := range fs.groups {
+		for _, id := range group {
+			if j, ok := slices.BinarySearch(n.order, ids.ID(id)); ok {
+				fs.group[j] = int32(gi)
+			}
 		}
-		fs.group[i] = g
 	}
 	fs.unscoped = false
 	for i := range fs.rules {
@@ -435,7 +434,7 @@ func (n *Network) filterLink(outs []send, k, f, r int32) {
 	fs := n.faults
 	s := &outs[k]
 	to := n.live[r].id
-	if fs.groupOf != nil && s.from != to && (fs.group[f] < 0 || fs.group[f] != fs.group[r]) {
+	if fs.groups != nil && s.from != to && (fs.group[f] < 0 || fs.group[f] != fs.group[r]) {
 		return // partition cuts are silent; KindPartition announced them
 	}
 	if (fs.unscoped || fs.named[f] || fs.named[r]) &&

@@ -315,6 +315,58 @@ func TestPartitionIsolatesUnlistedNodes(t *testing.T) {
 	}
 }
 
+// TestPartitionResolvesGroupsByID pins how a partition's groups map onto
+// nodes: an id listed in two groups belongs to the later one, an id the
+// network does not hold matches no node, a node added while the partition
+// is live joins the group that lists it, and a second partition replaces
+// the first.
+func TestPartitionResolvesGroupsByID(t *testing.T) {
+	t.Parallel()
+	net, log := chatterNet(t, &FaultPlan{
+		Seed: 1,
+		Events: []FaultEvent{
+			{Round: 2, Kind: FaultPartition, Groups: [][]uint64{{10, 20, 30, 50}, {30, 40, 99}}},
+			{Round: 6, Kind: FaultPartition, Groups: [][]uint64{{10, 40}, {20, 30, 50}}},
+		},
+	})
+	mustRounds(t, net, 3)
+	if err := net.Add(&ChatterProcess{Ident: 50}); err != nil {
+		t.Fatal(err)
+	}
+	mustRounds(t, net, 5)
+	events := log.Events()
+	for _, c := range []struct {
+		from, to ids.ID
+		lo, hi   int
+		want     int
+	}{
+		// First partition, sends of rounds 2 and 3: 30 is in {30, 40, 99}.
+		{30, 40, 3, 4, 2},
+		{40, 30, 3, 4, 2},
+		{30, 10, 3, 4, 0},
+		{20, 30, 3, 4, 0},
+		{10, 20, 3, 4, 2},
+		{40, 20, 3, 4, 0},
+		// 50, added after round 3, joins {10, 20, 50} from its first round.
+		{50, 10, 5, 6, 2},
+		{10, 50, 5, 6, 2},
+		{50, 30, 5, 6, 0},
+		{40, 50, 5, 6, 0},
+		// The second partition, from round 6, replaces the first.
+		{10, 40, 7, 8, 2},
+		{40, 10, 7, 8, 2},
+		{30, 40, 7, 8, 0},
+		{20, 50, 7, 8, 2},
+		{30, 20, 7, 8, 2},
+		{10, 20, 7, 8, 0},
+		{50, 10, 7, 8, 0},
+	} {
+		if got := deliveriesBetween(events, c.from, c.to, c.lo, c.hi); got != c.want {
+			t.Errorf("%v -> %v in rounds %d-%d: %d deliveries, want %d", c.from, c.to, c.lo, c.hi, got, c.want)
+		}
+	}
+}
+
 // TestFaultCrashRecoverChurn asserts plan crash/recover semantics: the
 // node is silent while down, revives with an empty inbox, and the
 // transcript shows the churn events.
@@ -328,7 +380,7 @@ func TestFaultCrashRecoverChurn(t *testing.T) {
 		},
 	})
 	mustRounds(t, net, 7)
-	if net.Crashed(20) {
+	if net.state(20).crashed {
 		t.Fatal("node 20 should have recovered")
 	}
 	crashes := net.Crashes()

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"uba/internal/ids"
 	"uba/internal/simnet/sched"
@@ -154,8 +154,9 @@ type procState struct {
 	since int
 	// heard holds the contacts the block rule does not imply: the senders
 	// of this node's arena entries, and the block senders of a run that
-	// ended in a crash or of a sender that was removed. Nil until needed.
-	heard map[ids.ID]struct{}
+	// ended in a crash or of a sender that was removed, in id order.
+	// Empty until needed.
+	heard ids.Set
 
 	inbox Inbox
 
@@ -209,10 +210,11 @@ type CrashRecord struct {
 // Methods are not safe for concurrent use; drive a Network from one
 // goroutine (a worker cap above 1 parallelizes internally).
 type Network struct {
-	cfg   Config
-	procs map[ids.ID]*procState
-	order []ids.ID     // live process ids, sorted ascending
-	live  []*procState // states aligned with order
+	cfg Config
+	// order and live are the node table, the one way to find a node:
+	// the live process ids, sorted ascending, and their states.
+	order []ids.ID
+	live  []*procState
 	round int
 	err   error
 
@@ -256,10 +258,7 @@ func New(cfg Config) *Network {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
-	n := &Network{
-		cfg:   cfg,
-		procs: make(map[ids.ID]*procState),
-	}
+	n := &Network{cfg: cfg}
 	n.task.net = n
 	if cfg.FaultPlan != nil {
 		if err := cfg.FaultPlan.Validate(); err != nil {
@@ -290,7 +289,8 @@ func (n *Network) add(p Process, byzantine bool) error {
 	if id == ids.None {
 		return fmt.Errorf("simnet: process id must be nonzero")
 	}
-	if _, exists := n.procs[id]; exists {
+	i, exists := slices.BinarySearch(n.order, id)
+	if exists {
 		return fmt.Errorf("%w: %v", ErrDuplicateID, id)
 	}
 	st := &procState{
@@ -300,14 +300,8 @@ func (n *Network) add(p Process, byzantine bool) error {
 		since:     n.round + 1, // joins between rounds: the next route delivers to it
 		buf:       n.takeBuf(),
 	}
-	n.procs[id] = st
-	i := sort.Search(len(n.order), func(i int) bool { return n.order[i] >= id })
-	n.order = append(n.order, 0)
-	copy(n.order[i+1:], n.order[i:])
-	n.order[i] = id
-	n.live = append(n.live, nil)
-	copy(n.live[i+1:], n.live[i:])
-	n.live[i] = st
+	n.order = slices.Insert(n.order, i, id)
+	n.live = slices.Insert(n.live, i, st)
 	return nil
 }
 
@@ -315,19 +309,16 @@ func (n *Network) add(p Process, byzantine bool) error {
 // dynamic network). Pending messages to it are dropped. It stays a
 // contact of every node it delivered a message to.
 func (n *Network) Remove(id ids.ID) {
-	st, ok := n.procs[id]
+	i, ok := slices.BinarySearch(n.order, id)
 	if !ok {
 		return
 	}
-	delete(n.procs, id)
-	i := sort.Search(len(n.order), func(i int) bool { return n.order[i] >= id })
-	if i < len(n.order) && n.order[i] == id {
-		n.order = append(n.order[:i], n.order[i+1:]...)
-		n.live = append(n.live[:i], n.live[i+1:]...)
-	}
+	st := n.live[i]
+	n.order = slices.Delete(n.order, i, i+1)
+	n.live = slices.Delete(n.live, i, i+1)
 	for _, v := range n.live {
 		if st.lastBcast >= v.since {
-			v.hear(id)
+			v.heard.Add(id)
 		}
 	}
 	n.parkBuf(st)
@@ -353,26 +344,29 @@ func (n *Network) parkBuf(st *procState) {
 	st.buf = nodeBuf{}
 }
 
-// knows reports whether x has delivered a message to st, the contact
-// rule's predicate. Step tasks call it concurrently: it reads st and
-// other nodes' lastBcast, which only serial code writes (the route pass
-// stamps it).
+// state returns the state of the live node x, or nil if the network
+// holds none.
 //
-//lint:noalloc two map reads per unicast of a correct node
-func (n *Network) knows(st *procState, x ids.ID) bool {
-	if _, ok := st.heard[x]; ok {
-		return true
+//lint:noalloc one binary search over the node table
+func (n *Network) state(x ids.ID) *procState {
+	if i, ok := slices.BinarySearch(n.order, x); ok {
+		return n.live[i]
 	}
-	xs, ok := n.procs[x]
-	return ok && xs.lastBcast >= st.since
+	return nil
 }
 
-// hear adds x to st's explicit contacts.
-func (st *procState) hear(x ids.ID) {
-	if st.heard == nil {
-		st.heard = make(map[ids.ID]struct{})
+// knows reports whether x has delivered a message to st, the contact
+// rule's predicate. Step tasks call it concurrently: it reads st, the
+// node table and other nodes' lastBcast, which only serial code writes
+// (the route pass stamps lastBcast).
+//
+//lint:noalloc two binary searches per unicast of a correct node: st's contacts and the node table
+func (n *Network) knows(st *procState, x ids.ID) bool {
+	if st.heard.Contains(x) {
+		return true
 	}
-	st.heard[x] = struct{}{}
+	xs := n.state(x)
+	return xs != nil && xs.lastBcast >= st.since
 }
 
 // crash turns st into a crash fault. The block stops reaching it, so the
@@ -383,7 +377,7 @@ func (n *Network) crash(st *procState) {
 	st.crashed = true
 	for _, x := range n.live {
 		if x.lastBcast >= st.since {
-			st.hear(x.id)
+			st.heard.Add(x.id)
 		}
 	}
 	st.since = math.MaxInt
@@ -391,18 +385,6 @@ func (n *Network) crash(st *procState) {
 
 // Round returns the number of rounds executed so far.
 func (n *Network) Round() int { return n.round }
-
-// Size returns the number of registered (not yet removed) processes.
-func (n *Network) Size() int { return len(n.order) }
-
-// Process returns the registered process with the given id, or nil.
-func (n *Network) Process(id ids.ID) Process {
-	st, ok := n.procs[id]
-	if !ok {
-		return nil
-	}
-	return st.proc
-}
 
 // RunRound executes exactly one round: step every live, non-done process
 // with its inbox, then route the produced messages for delivery at the
@@ -535,8 +517,7 @@ func (n *Network) accountRound(outs []send) RoundAccounting {
 //
 //lint:noalloc called once per sender run on the accounting pass; pure field updates
 func (n *Network) foldCorrectMax(acct *RoundAccounting, from ids.ID, b, u int) {
-	st, ok := n.procs[from]
-	if !ok || st.byzantine {
+	if st := n.state(from); st == nil || st.byzantine {
 		return
 	}
 	if b > acct.CorrectMaxBroadcasts {
@@ -563,7 +544,6 @@ func (n *Network) noteResult(st *procState, res *stepResult) {
 		})
 	}
 	if res.crashed {
-		//lint:coldpath a crash folds the node's ended run into its contacts, once per contained panic
 		n.crash(st)
 		n.crashes = append(n.crashes, CrashRecord{
 			Node: st.id, Round: n.round, Reason: res.crashReason,
@@ -727,14 +707,9 @@ func (n *Network) Run(stop func(*Network) bool) (int, error) {
 func AllDone(waitFor []ids.ID) func(*Network) bool {
 	return func(n *Network) bool {
 		for _, id := range waitFor {
-			st, ok := n.procs[id]
-			if !ok {
-				continue // removed processes count as finished
-			}
-			if st.crashed {
-				continue // crash faults never halt; don't wait for them
-			}
-			if !st.proc.Done() {
+			// Removed processes count as finished, and crash faults
+			// never halt: wait for neither.
+			if st := n.state(id); st != nil && !st.crashed && !st.proc.Done() {
 				return false
 			}
 		}
@@ -750,11 +725,4 @@ func (n *Network) Crashes() []CrashRecord {
 	out := make([]CrashRecord, len(n.crashes))
 	copy(out, n.crashes)
 	return out
-}
-
-// Crashed reports whether the process with the given id was converted
-// into a crash fault by panic containment.
-func (n *Network) Crashed(id ids.ID) bool {
-	st, ok := n.procs[id]
-	return ok && st.crashed
 }

@@ -207,10 +207,10 @@ func TestRemoveDropsProcessAndPendingMail(t *testing.T) {
 	if len(b.received) != 1 {
 		t.Fatalf("removed process stepped %d times, want 1", len(b.received))
 	}
-	if net.Size() != 1 || net.Process(2) != nil {
+	if len(net.order) != 1 || net.state(2) != nil {
 		t.Fatal("Remove did not detach process")
 	}
-	if net.Process(1) == nil {
+	if net.state(1) == nil {
 		t.Fatal("surviving process lost")
 	}
 }

@@ -246,8 +246,7 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 			m := &n.uniArena[j]
 			volume += int64(len(m.encoded))
 			if m.From != prev && !n.knows(st, m.From) {
-				//lint:coldpath inserts once per (receiver, sender) pair the block does not already cover
-				st.hear(m.From)
+				st.heard.Add(m.From)
 			}
 			prev = m.From
 		}

@@ -3,7 +3,6 @@ package uba
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"uba/internal/core/ordering"
 	"uba/internal/ids"
@@ -26,10 +25,9 @@ type Event struct {
 // members, advance rounds, read chains. It is not safe for concurrent
 // use.
 type OrderingCluster struct {
-	cl      *cluster
-	rng     *rand.Rand
-	nodes   map[uint64]*ordering.Node
-	members []uint64 // founder-then-join order
+	cl    *cluster
+	rng   *rand.Rand
+	nodes []*ordering.Node // the members, in founder-then-join order
 }
 
 // NewOrderingCluster boots a dynamic total-ordering system with
@@ -44,15 +42,14 @@ func NewOrderingCluster(cfg Config) (*OrderingCluster, error) {
 	oc := &OrderingCluster{
 		cl:    cl,
 		rng:   rand.New(rand.NewSource(cfg.Seed + 7919)),
-		nodes: make(map[uint64]*ordering.Node, cfg.Correct),
+		nodes: make([]*ordering.Node, 0, cfg.Correct),
 	}
 	for _, id := range cl.correctIDs {
 		node, err := ordering.NewFounder(id, members)
 		if err != nil {
 			return nil, err
 		}
-		oc.nodes[uint64(id)] = node
-		oc.members = append(oc.members, uint64(id))
+		oc.nodes = append(oc.nodes, node)
 		if err := cl.net.Add(node); err != nil {
 			return nil, err
 		}
@@ -66,7 +63,21 @@ func NewOrderingCluster(cfg Config) (*OrderingCluster, error) {
 // Members returns the ids of the correct members currently driven by this
 // handle, in founder-then-join order.
 func (c *OrderingCluster) Members() []uint64 {
-	return slices.Clone(c.members)
+	out := make([]uint64, len(c.nodes))
+	for i, node := range c.nodes {
+		out[i] = uint64(node.ID())
+	}
+	return out
+}
+
+// node returns the member's node.
+func (c *OrderingCluster) node(member uint64) (*ordering.Node, error) {
+	for _, node := range c.nodes {
+		if uint64(node.ID()) == member {
+			return node, nil
+		}
+	}
+	return nil, fmt.Errorf("uba: unknown member %d", member)
 }
 
 // RunRounds advances the whole system the given number of rounds. A
@@ -74,8 +85,8 @@ func (c *OrderingCluster) Members() []uint64 {
 // step a member past protocol round ordering.MaxRound.
 func (c *OrderingCluster) RunRounds(rounds int) error {
 	for i := 0; i < rounds; i++ {
-		for _, m := range c.members {
-			if c.nodes[m].Round() >= ordering.MaxRound {
+		for _, node := range c.nodes {
+			if node.Round() >= ordering.MaxRound {
 				return fmt.Errorf("uba: ordering session is at its last round (%d); start a new cluster", ordering.MaxRound)
 			}
 		}
@@ -88,9 +99,9 @@ func (c *OrderingCluster) RunRounds(rounds int) error {
 
 // SubmitEvent queues an event at the given member for its next round.
 func (c *OrderingCluster) SubmitEvent(member uint64, value float64) error {
-	node, ok := c.nodes[member]
-	if !ok {
-		return fmt.Errorf("uba: unknown member %d", member)
+	node, err := c.node(member)
+	if err != nil {
+		return err
 	}
 	node.SubmitEvent(value)
 	return nil
@@ -107,17 +118,16 @@ func (c *OrderingCluster) Join() (uint64, error) {
 	if err := c.cl.net.Add(node); err != nil {
 		return 0, err
 	}
-	c.nodes[uint64(id)] = node
-	c.members = append(c.members, uint64(id))
+	c.nodes = append(c.nodes, node)
 	return uint64(id), nil
 }
 
 // Leave makes the member announce departure and wind down over the
 // following rounds.
 func (c *OrderingCluster) Leave(member uint64) error {
-	node, ok := c.nodes[member]
-	if !ok {
-		return fmt.Errorf("uba: unknown member %d", member)
+	node, err := c.node(member)
+	if err != nil {
+		return err
 	}
 	node.Leave()
 	return nil
@@ -125,9 +135,9 @@ func (c *OrderingCluster) Leave(member uint64) error {
 
 // Chain returns the member's current finalized event chain.
 func (c *OrderingCluster) Chain(member uint64) ([]Event, error) {
-	node, ok := c.nodes[member]
-	if !ok {
-		return nil, fmt.Errorf("uba: unknown member %d", member)
+	node, err := c.node(member)
+	if err != nil {
+		return nil, err
 	}
 	chain := node.Chain()
 	out := make([]Event, 0, len(chain))
@@ -144,18 +154,18 @@ func (c *OrderingCluster) Chain(member uint64) ([]Event, error) {
 // FinalizedThrough returns the largest round R such that every execution
 // up to R is final at the member (0 if none yet).
 func (c *OrderingCluster) FinalizedThrough(member uint64) (uint64, error) {
-	node, ok := c.nodes[member]
-	if !ok {
-		return 0, fmt.Errorf("uba: unknown member %d", member)
+	node, err := c.node(member)
+	if err != nil {
+		return 0, err
 	}
 	return node.FinalizedThrough(), nil
 }
 
 // Round returns the member's current protocol round.
 func (c *OrderingCluster) Round(member uint64) (uint64, error) {
-	node, ok := c.nodes[member]
-	if !ok {
-		return 0, fmt.Errorf("uba: unknown member %d", member)
+	node, err := c.node(member)
+	if err != nil {
+		return 0, err
 	}
 	return node.Round(), nil
 }

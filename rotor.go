@@ -82,12 +82,9 @@ func Rotor(cfg Config) (*RotorResult, error) {
 // findGoodRound locates a round where all correct nodes accepted the same
 // correct coordinator's own opinion.
 func findGoodRound(nodes []*rotor.Node, correctIDs []ids.ID) int {
-	isCorrect := make(map[ids.ID]struct{}, len(correctIDs))
-	for _, id := range correctIDs {
-		isCorrect[id] = struct{}{}
-	}
+	correct := ids.NewSet(correctIDs...)
 	for _, a := range nodes[0].AcceptedOpinions() {
-		if _, ok := isCorrect[a.From]; !ok {
+		if !correct.Contains(a.From) {
 			continue
 		}
 		if !a.X.Equal(rotorOpinion(a.From)) {
