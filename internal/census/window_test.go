@@ -179,3 +179,102 @@ func TestWindowFoldAppliesTheEchoRule(t *testing.T) {
 		t.Fatalf("with no accepted set: echoed %v, want %v", got, want)
 	}
 }
+
+// threeInboxes is a window's worth of adds in which each key is named in
+// three inboxes with different key orders, so Add's next-row guess misses
+// and keys get several rows. Each key's sets overlap: counted once per
+// distinct sender, 10 has 5 of 9 (echo), 20 has 3 (echo), 30 has 6
+// (quorum) and 40 has 2 (nothing); counted once per row, 10 and 20 would
+// reach a quorum and 40 an echo.
+type threeInboxes [][]struct {
+	key uint64
+	who Marks
+}
+
+func newThreeInboxes() threeInboxes {
+	set := func(ranks ...int) Marks {
+		m := make(Marks, 1)
+		for _, r := range ranks {
+			m.Set(r)
+		}
+		return m
+	}
+	return threeInboxes{
+		{{10, set(0, 1, 2)}, {20, set(0, 1)}, {30, set(0, 1, 2, 3)}, {40, set(7)}},
+		{{40, set(7)}, {30, set(2, 3, 4, 5)}, {20, set(1, 2)}, {10, set(1, 2, 3)}},
+		{{20, set(0, 2)}, {40, set(8)}, {10, set(2, 3, 4)}, {30, set(4, 5)}},
+	}
+}
+
+func (in threeInboxes) fill(w *Window[uint64]) {
+	for _, inbox := range in {
+		for _, a := range inbox {
+			w.Add(a.key, a.who)
+		}
+	}
+}
+
+// A key named in inboxes whose key orders differ holds several rows; the
+// fold merges them into one count of distinct senders and echoes the key
+// once, in key order — or not at all when accepted holds it, whether from
+// the fold's start or from an earlier key's echo in the same fold.
+func TestWindowMergesRowsOfARepeatedKey(t *testing.T) {
+	t.Parallel()
+	in := newThreeInboxes()
+	var w Window[uint64]
+	type echo struct {
+		key    uint64
+		quorum bool
+	}
+	var got []echo
+	fold := func(accepted map[uint64]bool, acceptsToo map[uint64]uint64) {
+		got = nil
+		in.fill(&w)
+		if len(w.rows) <= 4 {
+			t.Fatalf("three inboxes in three key orders filled %d rows; want repeated keys on more than 4", len(w.rows))
+		}
+		w.Fold(9, cmp.Compare[uint64], func(k uint64) bool { return accepted[k] }, func(k uint64, quorum bool) {
+			got = append(got, echo{k, quorum})
+			if other, ok := acceptsToo[k]; ok {
+				accepted[other] = true
+			}
+		})
+	}
+
+	fold(map[uint64]bool{}, nil)
+	if want := []echo{{10, false}, {20, false}, {30, true}}; !slices.Equal(got, want) {
+		t.Fatalf("echoed %v, want %v", got, want)
+	}
+	fold(map[uint64]bool{20: true}, nil)
+	if want := []echo{{10, false}, {30, true}}; !slices.Equal(got, want) {
+		t.Fatalf("with 20 accepted at the start: echoed %v, want %v", got, want)
+	}
+	fold(map[uint64]bool{}, map[uint64]uint64{10: 30})
+	if want := []echo{{10, false}, {20, false}}; !slices.Equal(got, want) {
+		t.Fatalf("with 30 accepted by 10's echo: echoed %v, want %v", got, want)
+	}
+}
+
+// A warm window refilled in the same shape — repeated keys on several
+// rows, one key accepted — allocates nothing per Add…Fold cycle: rows and
+// slab are reused within their capacity, and the fold sorts and merges in
+// place.
+func TestWindowRefillAllocatesNothing(t *testing.T) {
+	in := newThreeInboxes()
+	var w Window[uint64]
+	echoes := 0
+	accepted := func(k uint64) bool { return k == 30 }
+	echo := func(uint64, bool) { echoes++ }
+	cycle := func() {
+		in.fill(&w)
+		w.Fold(9, cmp.Compare[uint64], accepted, echo)
+	}
+	cycle() // the warm-up window
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("a refilled window allocates %v per Add…Fold cycle, want 0", avg)
+	}
+	// Ours, AllocsPerRun's own warm-up, then its 100 measured cycles.
+	if cycles := 1 + 1 + 100; echoes != 2*cycles {
+		t.Errorf("%d echoes over %d cycles, want 2 per cycle (keys 10 and 20)", echoes, cycles)
+	}
+}
