@@ -36,14 +36,18 @@ lint: bin/ubalint
 	$(GO) vet -vettool=bin/ubalint ./...
 
 # Code size, the way CHANGES.md quotes it: Go lines that are not tests,
-# testdata, blank or whole-line comments, per layer.
+# testdata, blank or whole-line comments, per layer; TLOC counts the
+# test files' lines the same way.
 LOC = find $(1) -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
+TLOC = find $(1) -name '*_test.go' -not -path '*/testdata/*' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 loc:
 	@echo "internal/core/{rotor,consensus,parallelcon}        $$($(call LOC,internal/core/rotor internal/core/consensus internal/core/parallelcon))"
 	@echo "internal/core + census + wire                      $$($(call LOC,internal/core internal/census internal/wire))"
 	@echo "internal/simnet                                    $$($(call LOC,internal/simnet))"
 	@echo "internal/lint                                      $$($(call LOC,internal/lint))"
 	@echo "internal/lint + internal/complexity + cmd/ubalint  $$($(call LOC,internal/lint internal/complexity cmd/ubalint))"
+	@echo "internal/spec                                      $$($(call LOC,internal/spec))"
+	@echo "internal/core tests                                $$($(call TLOC,internal/core))"
 
 test:
 	$(GO) test ./...

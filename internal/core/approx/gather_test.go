@@ -5,51 +5,24 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
-
-// gatherByMap is the per-sender-map form of gatherInputs, kept as the
-// reference its run fold must match: the least value per sender, whatever
-// the inbox order.
-func gatherByMap(inbox simnet.Inbox) []float64 {
-	perSender := make(map[ids.ID]float64, inbox.Len())
-	seen := make(map[ids.ID]bool, inbox.Len())
-	for m := range inbox.All() {
-		in, ok := m.Payload.(wire.Input)
-		if !ok || in.Instance != 0 || in.X.IsBot {
-			continue
-		}
-		x := in.X.X
-		if math.IsNaN(x) {
-			continue
-		}
-		if !seen[m.From] || x < perSender[m.From] {
-			perSender[m.From] = x
-			seen[m.From] = true
-		}
-	}
-	out := make([]float64, 0, len(perSender))
-	for _, x := range perSender {
-		out = append(out, x)
-	}
-	sort.Float64s(out)
-	return out
-}
 
 func received(from ids.ID, p wire.Payload) simnet.Received {
 	return simnet.Received{From: from, Payload: p}
 }
 
-// TestGatherInputsMatchesPerSenderMap holds gatherInputs to the map
-// reference on directed inboxes — several values from one sender, a NaN
-// before a number, ⊥, a foreign instance, one sender in both the block
-// and the direct segment — and on random ones, built both as a healthy
-// round's inbox (InboxOfRound) and as a fault round's all-direct one
+// TestGatherInputsMatchesPerSenderMap holds gatherInputs to R_v as the
+// paper states it (spec.Gather: a map of the least value per sender) on
+// directed inboxes — several values from one sender, a NaN before a
+// number, ⊥, a foreign instance, one sender in both the block and the
+// direct segment — and on random ones, built both as a healthy round's
+// inbox (InboxOfRound) and as a fault round's all-direct one
 // (InboxOf, in the engine's sender order).
 func TestGatherInputsMatchesPerSenderMap(t *testing.T) {
 	t.Parallel()
@@ -101,9 +74,32 @@ func TestGatherInputsMatchesPerSenderMap(t *testing.T) {
 		all := slices.Concat(c.bcast, c.uni)
 		slices.SortStableFunc(all, func(a, b simnet.Received) int { return cmp.Compare(a.From, b.From) })
 		for _, in := range []simnet.Inbox{simnet.InboxOfRound(c.bcast, c.uni), simnet.InboxOf(all...)} {
-			if got, want := gatherInputs(in), gatherByMap(in); !slices.Equal(got, want) {
-				t.Fatalf("%s: gatherInputs = %v, the per-sender map = %v", c.name, got, want)
+			if got, want := gatherInputs(in), spec.Gather(in); !slices.Equal(got, want) {
+				t.Fatalf("%s: gatherInputs = %v, spec.Gather = %v", c.name, got, want)
 			}
 		}
 	}
+}
+
+// Whole runs of the single-shot and the iterated node against Algorithm
+// 4 as the paper states it (spec.Approx), in all three delivery shapes,
+// with and without a send quota: the same sends queued round by round
+// and the same estimates. The chatterers send several values each, NaN,
+// ⊥ and a foreign instance's input.
+func TestNodesMatchSpec(t *testing.T) {
+	t.Parallel()
+	t.Run("single", func(t *testing.T) {
+		t.Parallel()
+		spec.ForApprox.Test(t, spec.Side{
+			New:     func(r spec.Role) simnet.Process { return New(r.ID, r.Input) },
+			Outcome: func(p simnet.Process) any { return []float64{p.(*Node).output} },
+		}, nil)
+	})
+	t.Run("iterated", func(t *testing.T) {
+		t.Parallel()
+		spec.ForApproxIterated.Test(t, spec.Side{
+			New:     func(r spec.Role) simnet.Process { return NewIterated(r.ID, r.Input, spec.IteratedRounds) },
+			Outcome: func(p simnet.Process) any { return p.(*Iterated).History() },
+		}, nil)
+	})
 }

@@ -1,106 +1,25 @@
 package rotor
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"testing"
 
 	"uba/internal/census"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
-// refCore is the reference the dense echo window and the opinion reader
-// are tested against: the same Algorithm 2 round, counting distinct
-// senders the obvious way — a set of sender ids per candidate, rebuilt
-// every window, every message checked against the accept predicate — and
-// finding the coordinator's opinion by walking the inbox message by
-// message.
-type refCore struct {
-	instance uint64
-
-	candidates, selected ids.Set
-	echoSenders          map[ids.ID]map[ids.ID]struct{}
-	lastSelected         ids.ID
-	rounds               int
-}
-
-func newRefCore(instance uint64) *refCore {
-	return &refCore{instance: instance, echoSenders: make(map[ids.ID]map[ids.ID]struct{})}
-}
-
-func (c *refCore) noteInbox(inbox simnet.Inbox, accept func(ids.ID) bool) {
-	for m := range inbox.All() {
-		if !accept(m.From) {
-			continue
-		}
-		if p, ok := m.Payload.(wire.IDEcho); ok && p.Instance == c.instance {
-			if c.echoSenders[p.Candidate] == nil {
-				c.echoSenders[p.Candidate] = make(map[ids.ID]struct{})
-			}
-			c.echoSenders[p.Candidate][m.From] = struct{}{}
-		}
-	}
-}
-
-// opinion is the opinion for instance that the last selected coordinator
-// sent in inbox, if it is accepted and sent one: of several, the one with
-// the greatest encoding.
-func (c *refCore) opinion(inbox simnet.Inbox, instance uint64, accept func(ids.ID) bool) (x wire.Value, ok bool) {
-	if c.lastSelected == ids.None || !accept(c.lastSelected) {
-		return wire.Value{}, false
-	}
-	for m := range inbox.All() {
-		if p, isOp := m.Payload.(wire.Opinion); isOp && m.From == c.lastSelected && p.Instance == instance {
-			if !ok || bytes.Compare(wire.Encode(p), wire.Encode(wire.Opinion{Instance: instance, X: x})) > 0 {
-				x, ok = p.X, true
-			}
-		}
-	}
-	return x, ok
-}
-
-func (c *refCore) loopRound(nv int, emit func(wire.Payload)) Selection {
-	r := c.rounds
-	c.rounds++
-	order := make([]ids.ID, 0, len(c.echoSenders))
-	for p := range c.echoSenders {
-		order = append(order, p)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, p := range order {
-		if c.candidates.Contains(p) {
-			continue
-		}
-		count := len(c.echoSenders[p])
-		if census.AtLeastThird(count, nv) {
-			emit(wire.IDEcho{Instance: c.instance, Candidate: p})
-		}
-		if census.AtLeastTwoThirds(count, nv) {
-			c.candidates.Add(p)
-		}
-	}
-	c.echoSenders = make(map[ids.ID]map[ids.ID]struct{})
-
-	if c.candidates.Len() == 0 {
-		return Selection{}
-	}
-	p := c.candidates.At(r % c.candidates.Len())
-	sel := Selection{Coordinator: p, Terminated: c.selected.Contains(p)}
-	c.selected.Add(p)
-	c.lastSelected = p
-	return sel
-}
-
 // Differential property test: over seeded random windows the dense echo
-// window and the map-of-maps reference emit the same echoes, build the
-// same C_v and make the same selections, and out of every inbox the
-// opinion reader and the message-by-message walk take the same opinion of
+// window and Algorithm 2's loop as the paper states it (spec.RotorCore: a
+// set of sender ids per candidate, rebuilt every window, and a
+// message-by-message walk for the coordinator's opinion) emit the same
+// echoes, build the same C_v and make the same selections, and out of
+// every inbox the opinion reader and the walk take the same opinion of
 // the selected coordinator. The inboxes are hostile to every shortcut the
 // dense window takes: more than 64 senders (multi-word rows), censused
 // senders that stay silent and senders outside the census (so the rank
@@ -151,7 +70,7 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 					cen.Observe(universe[i])
 				}
 
-				core, ref := NewCore(instance), newRefCore(instance)
+				core, ref := NewCore(instance), spec.NewRotorCore(instance, true)
 				core.SetCycling(true)
 				// Per-candidate echo probability, so counts land on both
 				// sides of n_v/3 and 2n_v/3.
@@ -228,7 +147,7 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 							inbox = simnet.InboxOfRound(block, private)
 						}
 						noteInbox(core, inbox, cen.Members())
-						ref.noteInbox(inbox, cen.Members().Contains)
+						ref.Note(inbox, cen.Members().Contains)
 						var gotX wire.Value
 						gotOK := false
 						for _, op := range opinionsOf(core, inbox, cen.Members()) {
@@ -236,10 +155,10 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 								gotX, gotOK = op.X, true
 							}
 						}
-						wantX, wantOK := ref.opinion(inbox, instance, cen.Members().Contains)
+						wantX, wantOK := ref.Opinion(inbox, cen.Members().Contains)
 						if gotOK != wantOK || !gotX.Equal(wantX) {
-							t.Fatalf("window %d: coordinator %v's opinion (%v, %v), reference (%v, %v)",
-								window, ref.lastSelected, gotX, gotOK, wantX, wantOK)
+							t.Fatalf("window %d: the coordinator's opinion (%v, %v), spec (%v, %v)",
+								window, gotX, gotOK, wantX, wantOK)
 						}
 						if wantOK {
 							opinionsHeard.Add(1)
@@ -249,26 +168,25 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 					var env simnet.RoundEnv
 					var want []wire.Payload
 					gotSel := core.LoopRound(nv, &env)
-					wantSel := ref.loopRound(nv, func(p wire.Payload) { want = append(want, p) })
+					wantSel := ref.LoopRound(nv, func(p wire.Payload) { want = append(want, p) })
 					got := env.Sent()
-					if gotSel != wantSel {
-						t.Fatalf("window %d: selection %+v, reference %+v", window, gotSel, wantSel)
+					if gotSel != Selection(wantSel) {
+						t.Fatalf("window %d: selection %+v, spec %+v", window, gotSel, wantSel)
 					}
 					if len(got) != len(want) {
-						t.Fatalf("window %d: emitted %d payloads, reference %d", window, len(got), len(want))
+						t.Fatalf("window %d: emitted %d payloads, spec %d", window, len(got), len(want))
 					}
 					for i := range want {
 						if got[i] != want[i] {
-							t.Fatalf("window %d: emitted[%d] = %+v, reference %+v", window, i, got[i], want[i])
+							t.Fatalf("window %d: emitted[%d] = %+v, spec %+v", window, i, got[i], want[i])
 						}
 					}
-					if !core.Candidates().Equal(&ref.candidates) {
-						t.Fatalf("window %d: C_v = %v, reference %v",
-							window, core.Candidates().Members(), ref.candidates.Members())
+					if !slices.Equal(core.Candidates().Members(), ref.Candidates()) {
+						t.Fatalf("window %d: C_v = %v, spec %v", window, core.Candidates().Members(), ref.Candidates())
 					}
 				}
-				if ref.candidates.Len() == 0 || ref.candidates.Len() == len(pool) {
-					t.Fatalf("degenerate trial: %d of %d candidates admitted", ref.candidates.Len(), len(pool))
+				if cv := len(ref.Candidates()); cv == 0 || cv == len(pool) {
+					t.Fatalf("degenerate trial: %d of %d candidates admitted", cv, len(pool))
 				}
 			})
 		}
@@ -335,7 +253,7 @@ func TestQuotaKeepsTheSmallestCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tap := &roundTap{id: tapID, round: 4}
+	tap := spec.NewTap(tapID)
 	if err := net.AddByzantine(tap); err != nil {
 		t.Fatal(err)
 	}
@@ -351,27 +269,39 @@ func TestQuotaKeepsTheSmallestCandidates(t *testing.T) {
 			want = append(want, fmt.Sprintf("%v %x", from, wire.Encode(wire.IDEcho{Candidate: cand})))
 		}
 	}
-	got := tap.heard
-	slices.Sort(got)
 	slices.Sort(want)
-	if !slices.Equal(got, want) {
+	if got := tap.Heard(4, nil); !slices.Equal(got, want) {
 		t.Fatalf("round-3 sends that survived the quota:\n%v\nwant\n%v", got, want)
 	}
 }
 
-// roundTap records what is delivered to it in one round.
-type roundTap struct {
-	id    ids.ID
-	round int
-	heard []string
-}
-
-func (r *roundTap) ID() ids.ID { return r.id }
-func (r *roundTap) Done() bool { return false }
-func (r *roundTap) Step(env *simnet.RoundEnv) {
-	if env.Round == r.round {
-		for m := range env.Inbox.All() {
-			r.heard = append(r.heard, fmt.Sprintf("%v %x", m.From, wire.Encode(m.Payload)))
+// Whole runs of the standalone node against Algorithm 2 as the paper
+// states it (spec.Rotor), in all three delivery shapes, with and without
+// a send quota: the same sends queued round by round, the same
+// selections and the same accepted opinions. The chatterers announce
+// themselves, echo ghosts and Byzantine candidates, also under a foreign
+// instance, and state two opinions a round, so that some run accepts the
+// opinion of an equivocating Byzantine coordinator.
+func TestNodeMatchesSpec(t *testing.T) {
+	t.Parallel()
+	var opinionsFromByzantine atomic.Int64
+	t.Cleanup(func() {
+		if opinionsFromByzantine.Load() == 0 {
+			t.Error("no run accepted a Byzantine coordinator's opinion")
 		}
-	}
+	})
+	spec.ForRotor.Test(t, spec.Side{
+		New: func(r spec.Role) simnet.Process { return New(r.ID, wire.V(r.Input)) },
+		Outcome: func(p simnet.Process) any {
+			return []any{p.(*Node).Selections(), p.(*Node).AcceptedOpinions()}
+		},
+	}, func(t *testing.T, nodes []simnet.Process) {
+		for _, p := range nodes {
+			for _, op := range p.(*spec.Rotor).AcceptedOpinions() {
+				if !slices.ContainsFunc(nodes, func(q simnet.Process) bool { return q.ID() == op.From }) {
+					opinionsFromByzantine.Add(1)
+				}
+			}
+		}
+	})
 }

@@ -1,0 +1,285 @@
+package spec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"uba/internal/ids"
+	"uba/internal/simnet"
+	"uba/internal/wire"
+)
+
+// Role is what a correct node of a run is given. The first three nodes
+// are Algorithm 1's sources, of two bodies.
+type Role struct {
+	ID    ids.ID
+	Body  []byte  // nil at a node that is not a source
+	Input float64 // Algorithm 4's input, and Algorithm 2's opinion
+}
+
+// Side is the implementation side of a differential run: how its
+// correct nodes are built, and what each ended with, compared as printed
+// by %v with the Outcome of the spec's node.
+type Side struct {
+	New     func(Role) simnet.Process
+	Outcome func(simnet.Process) any
+}
+
+// Family is one row of the scenario table: Nodes correct nodes,
+// Chatterers scripted Byzantine nodes sending seeded parts of Pool every
+// round — the last of them silent until round 5, a sender the census
+// meets late — and a silent Tap, run for Rounds rounds.
+type Family struct {
+	Nodes, Chatterers, Rounds int
+	FaultFrom                 int // the first round the link-fault shape demotes
+	Pool                      func(nodes, byz []ids.ID) []wire.Payload
+	Spec                      func(Role) simnet.Process
+}
+
+// IteratedRounds is the reductions of the ForApproxIterated row.
+const IteratedRounds = 6
+
+// The scenario table.
+var (
+	// ForRelBcast: chatterers relay a correct source's message as their
+	// own, broadcast one of a Byzantine source, and echo real and forged
+	// pairs of correct, Byzantine and unknown sources.
+	ForRelBcast = Family{Nodes: 6, Chatterers: 6, Rounds: 10, FaultFrom: 3,
+		Pool: func(nodes, byz []ids.ID) []wire.Payload {
+			pool := []wire.Payload{wire.RBMessage{Source: nodes[0], Body: []byte("m1")},
+				wire.RBMessage{Source: byz[0], Body: []byte("m1")}}
+			for _, src := range []ids.ID{nodes[0], nodes[1], nodes[2], byz[0], 777} {
+				for _, body := range []string{"m0", "m1", "forged"} {
+					pool = append(pool, wire.RBEcho{Source: src, Body: []byte(body)})
+				}
+			}
+			return pool
+		},
+		Spec: func(r Role) simnet.Process { return NewRB(r.ID, r.Body) }}
+
+	// ForRenaming: chatterers echo ghosts (also under a foreign instance
+	// tag) and spoof terminate(k).
+	ForRenaming = Family{Nodes: 7, Chatterers: 5, Rounds: 14, FaultFrom: 3,
+		Pool: func(_, byz []ids.ID) []wire.Payload {
+			pool := []wire.Payload{wire.IDEcho{Instance: 1, Candidate: 55}}
+			for _, ghost := range []ids.ID{11, 22, 33, 44, byz[0]} {
+				pool = append(pool, wire.IDEcho{Candidate: ghost})
+			}
+			for k := uint64(3); k <= 8; k++ {
+				pool = append(pool, wire.Terminate{Round: k})
+			}
+			return pool
+		},
+		Spec: func(r Role) simnet.Process { return NewRenaming(r.ID) }}
+
+	// ForRotor: chatterers announce themselves, echo ghosts and Byzantine
+	// candidates (also under a foreign instance tag), and state two
+	// opinions a round, so a Byzantine coordinator equivocates. Eight
+	// nodes and four chatterers put n_v at 12, so a count can sit exactly
+	// on either threshold.
+	ForRotor = Family{Nodes: 8, Chatterers: 4, Rounds: 20, FaultFrom: 3,
+		Pool: func(nodes, byz []ids.ID) []wire.Payload {
+			return []wire.Payload{wire.Init{},
+				wire.IDEcho{Candidate: 11}, wire.Opinion{X: wire.V(-1)}, wire.IDEcho{Candidate: byz[0]},
+				wire.IDEcho{Candidate: byz[1]}, wire.Opinion{X: wire.V(-2)}, wire.IDEcho{Instance: 1, Candidate: nodes[0]},
+				wire.IDEcho{Candidate: 22}, wire.Opinion{Instance: 1, X: wire.V(-3)}}
+		},
+		Spec: func(r Role) simnet.Process { return NewRotor(r.ID, wire.V(r.Input)) }}
+
+	ForApprox         = approxRow(1)
+	ForApproxIterated = approxRow(IteratedRounds)
+)
+
+// approxRow is Algorithm 4 reducing rounds times: chatterers send several
+// values each, NaN, ⊥ and a foreign instance's input. The link-fault
+// shape demotes from round 1, the round the single shot sends in.
+func approxRow(rounds int) Family {
+	in := func(x float64) wire.Payload { return wire.Input{X: wire.V(x)} }
+	return Family{Nodes: 7, Chatterers: 7, Rounds: rounds + 2, FaultFrom: 1,
+		Pool: func(_, _ []ids.ID) []wire.Payload {
+			return []wire.Payload{in(-5), in(0.5), in(math.NaN()), in(100), wire.Input{X: wire.Bot()},
+				in(2), wire.Input{Instance: 3, X: wire.V(-50)}}
+		},
+		Spec: func(r Role) simnet.Process { return NewApprox(r.ID, r.Input, rounds) }}
+}
+
+// Test runs the family's scenarios as parallel subtests of t named
+// "<shape>/quota=<q>/seed=<s>": every way a round reaches a reader —
+// "block" (everything broadcast: the shared block only),
+// "block+unicasts" (Byzantine unicasts beside the block) and "linkfault"
+// (a live link rule: everything private) — without a send quota and with
+// one of 3 (fewer than a round's echoes), seeds 1 to 8. Each runs
+// impl's nodes and the spec's on two networks and fails at the first
+// correct node whose queued sends (read with env.Sent right after Step:
+// the whole queue, round by round, in order) or whose outcome differ, or
+// when the run did not take its shape. check, if not nil, then reads the
+// spec's nodes.
+func (f Family) Test(t *testing.T, impl Side, check func(t *testing.T, spec []simnet.Process)) {
+	for _, shape := range []string{"block", "block+unicasts", "linkfault"} {
+		for _, quota := range []int{0, 3} {
+			for seed := int64(1); seed <= 8; seed++ {
+				t.Run(fmt.Sprintf("%s/quota=%d/seed=%d", shape, quota, seed), func(t *testing.T) {
+					t.Parallel()
+					got, want := f.run(t, shape, quota, seed, impl.New), f.run(t, shape, quota, seed, f.Spec)
+					var nodes []simnet.Process
+					shared, direct := 0, 0
+					for i, r := range want {
+						if !slices.Equal(got[i].sends, r.sends) {
+							t.Fatalf("node %d queued\n%v\nspec\n%v", i, got[i].sends, r.sends)
+						}
+						g, w := fmt.Sprint(impl.Outcome(got[i].Process)), fmt.Sprint(r.Process.(interface{ Outcome() any }).Outcome())
+						if g != w {
+							t.Fatalf("node %d ended with %s, spec %s", i, g, w)
+						}
+						nodes, shared, direct = append(nodes, r.Process), shared+r.shared, direct+r.direct
+					}
+					switch {
+					case shape == "block" && direct != 0:
+						t.Fatalf("%d private deliveries in an all-broadcast run", direct)
+					case shape == "block+unicasts" && (direct == 0 || shared == 0):
+						t.Fatalf("shared=%d private=%d: want both", shared, direct)
+					case shape == "linkfault" && direct == 0:
+						t.Fatal("the link rule demoted nothing")
+					}
+					if check != nil {
+						check(t, nodes)
+					}
+				})
+			}
+		}
+	}
+}
+
+// run runs one scenario with the correct nodes that mk builds.
+func (f Family) run(t *testing.T, shape string, quota int, seed int64, mk func(Role) simnet.Process) []*recorder {
+	rng := rand.New(rand.NewSource(seed))
+	all := ids.Sparse(rng, f.Nodes+f.Chatterers+1)
+	nodes, byz := all[:f.Nodes], all[f.Nodes:len(all)-1]
+	cfg := simnet.Config{SendQuota: quota}
+	if shape == "linkfault" {
+		cfg.FaultPlan = &simnet.FaultPlan{Seed: seed, Events: []simnet.FaultEvent{
+			{Round: f.FaultFrom, Kind: simnet.FaultDrop, Rate: 0.1},
+		}}
+	}
+	net := simnet.New(cfg)
+	defer net.Close()
+	var recs []*recorder
+	for i, id := range nodes {
+		role := Role{ID: id, Input: float64(rng.Intn(200)) / 4}
+		if i < 3 {
+			role.Body = []byte(fmt.Sprintf("m%d", i%2))
+		}
+		recs = append(recs, &recorder{Process: mk(role)})
+		must(t, net.Add(recs[i]))
+	}
+	pool := f.Pool(nodes, byz)
+	for i, id := range byz {
+		c := &chatter{node: node{id: id}, rng: rand.New(rand.NewSource(seed*100 + int64(i))), peers: nodes,
+			pool: pool, quota: quota, unicast: shape != "block", from: 1}
+		if i == len(byz)-1 {
+			c.from = 5
+		}
+		must(t, net.AddByzantine(c))
+	}
+	must(t, net.AddByzantine(NewTap(all[len(all)-1])))
+	for round := 1; round <= f.Rounds; round++ {
+		must(t, net.RunRound())
+	}
+	return recs
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recorder is a correct node that notes how its inboxes arrived and
+// every send it queued.
+type recorder struct {
+	simnet.Process
+	sends          []string // "r<round> <encoding>"
+	shared, direct int      // messages read from the shared block, from the private segment
+}
+
+func (r *recorder) Step(env *simnet.RoundEnv) {
+	r.direct += len(env.Inbox.Direct())
+	r.shared += env.Inbox.Len() - len(env.Inbox.Direct())
+	r.Process.Step(env)
+	for _, p := range env.Sent() {
+		r.sends = append(r.sends, fmt.Sprintf("r%d %x", env.Round, wire.Encode(p)))
+	}
+}
+
+// chatter is a scripted Byzantine node: from its first active round on it
+// sends a seeded random part of pool every round — broadcast, unicast to
+// a few peers, or both at once (the engine delivers the pair once) — and
+// never reads its inbox, so it behaves the same on both sides.
+// Under a send quota the chatterers all draw from the same stretch of
+// the pool, which moves round by round, so that what gets through is
+// still enough senders per payload to cross thresholds.
+type chatter struct {
+	node
+	rng     *rand.Rand
+	peers   []ids.ID
+	pool    []wire.Payload
+	quota   int
+	unicast bool
+	from    int
+}
+
+func (c *chatter) Step(env *simnet.RoundEnv) {
+	if env.Round < c.from {
+		return
+	}
+	stretch := c.pool
+	if c.quota > 0 {
+		at := env.Round * 7 % len(c.pool)
+		stretch = append(slices.Clone(c.pool[at:]), c.pool[:at]...)[:c.quota]
+	}
+	for _, p := range stretch {
+		how := c.rng.Intn(4)
+		if how == 0 {
+			continue
+		}
+		if how != 2 || !c.unicast {
+			env.Broadcast(p)
+		}
+		if how >= 2 && c.unicast {
+			for k := 1 + c.rng.Intn(4); k > 0; k-- {
+				env.Send(c.peers[c.rng.Intn(len(c.peers))], p)
+			}
+		}
+	}
+}
+
+// Tap is a silent Byzantine node that keeps everything delivered to it.
+type Tap struct {
+	node
+	heard map[int][]simnet.Received // by round
+}
+
+// NewTap returns a tap with identifier id.
+func NewTap(id ids.ID) *Tap { return &Tap{node: node{id: id}, heard: map[int][]simnet.Received{}} }
+
+// Step implements simnet.Process.
+func (t *Tap) Step(env *simnet.RoundEnv) {
+	t.heard[env.Round] = slices.AppendSeq(t.heard[env.Round], env.Inbox.All())
+}
+
+// Heard returns, sorted, "<sender> <encoding>" of every message delivered
+// to the tap in round from a node of from, or from anyone if from is nil.
+func (t *Tap) Heard(round int, from []ids.ID) []string {
+	var out []string
+	for _, m := range t.heard[round] {
+		if from == nil || slices.Contains(from, m.From) {
+			out = append(out, fmt.Sprintf("%v %x", m.From, wire.Encode(m.Payload)))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
