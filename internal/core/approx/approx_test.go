@@ -11,6 +11,7 @@ import (
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
@@ -84,32 +85,9 @@ func TestReduceStaysWithinCorrectRange(t *testing.T) {
 	}
 }
 
-func runSingleShot(t *testing.T, seed int64, inputs []float64, nByz int,
-	mkByz func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process) []*Node {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	all := ids.Sparse(rng, len(inputs)+nByz)
-	dir := adversary.NewDirectory(all, all[len(inputs):])
-	net := simnet.New(simnet.Config{MaxRounds: 10})
-	nodes := make([]*Node, 0, len(inputs))
-	for i, id := range all[:len(inputs)] {
-		node := New(id, inputs[i])
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mkByz != nil {
-		for _, p := range mkByz(all[len(inputs):], dir) {
-			if err := net.AddByzantine(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := net.Run(simnet.AllDone(all[:len(inputs)])); err != nil {
-		t.Fatal(err)
-	}
-	return nodes
+// single builds correct node i of a fleet with input inputs[i].
+func single(inputs []float64) func(int, ids.ID) *Node {
+	return func(i int, id ids.ID) *Node { return New(id, inputs[i]) }
 }
 
 func rangeOf(xs []float64) (lo, hi float64) {
@@ -148,14 +126,10 @@ func TestSingleShotValidityAndHalving(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = rng.Float64()*100 - 50
 			}
-			mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-				out := make([]simnet.Process, len(byzIDs))
-				for i, id := range byzIDs {
-					out[i] = adversary.NewInputSplitter(id, dir, -1e12, 1e12)
-				}
-				return out
-			}
-			nodes := runSingleShot(t, seed, inputs, f, mkByz)
+			mkByz := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+				return adversary.NewInputSplitter(id, dir, -1e12, 1e12)
+			})
+			nodes, _ := spec.NewFleet(t, seed, len(inputs), f, simnet.Config{MaxRounds: 10}, single(inputs), mkByz).Run()
 			outs := outputs(t, nodes)
 			inLo, inHi := rangeOf(inputs)
 			outLo, outHi := rangeOf(outs)
@@ -174,13 +148,9 @@ func TestSingleShotValidityAndHalving(t *testing.T) {
 func TestSingleShotUnanimousInputs(t *testing.T) {
 	t.Parallel()
 	inputs := []float64{7, 7, 7, 7}
-	nodes := runSingleShot(t, 5, inputs, 1, func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = adversary.NewInputSplitter(id, dir, -100, 100)
-		}
-		return out
-	})
+	nodes, _ := spec.NewFleet(t, 5, len(inputs), 1, simnet.Config{MaxRounds: 10}, single(inputs), spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+		return adversary.NewInputSplitter(id, dir, -100, 100)
+	})).Run()
 	for _, x := range outputs(t, nodes) {
 		if x != 7 {
 			t.Fatalf("output %v, want exactly 7 (unanimous inputs)", x)
@@ -192,25 +162,10 @@ func TestSingleShotUnanimousInputs(t *testing.T) {
 // only one of them counted.
 func TestEquivocatingInputCountsOnce(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(4))
-	all := ids.Sparse(rng, 5)
-	net := simnet.New(simnet.Config{MaxRounds: 10})
-	inputs := []float64{10, 20, 30, 40}
-	nodes := make([]*Node, 0, 4)
-	for i, id := range all[:4] {
-		node := New(id, inputs[i])
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	multi := &multiValueSender{id: all[4], values: []float64{-1e6, -2e6, -3e6, 1e6}}
-	if err := net.AddByzantine(multi); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(simnet.AllDone(all[:4])); err != nil {
-		t.Fatal(err)
-	}
+	multi := spec.Each(func(id ids.ID, _ *adversary.Directory) simnet.Process {
+		return &multiValueSender{id: id, values: []float64{-1e6, -2e6, -3e6, 1e6}}
+	})
+	nodes, _ := spec.NewFleet(t, 4, 4, 1, simnet.Config{MaxRounds: 10}, single([]float64{10, 20, 30, 40}), multi).Run()
 	for _, node := range nodes {
 		if node.NV() != 5 {
 			t.Fatalf("node %v counted %d values, want 5 (one per sender)", node.ID(), node.NV())
@@ -238,24 +193,10 @@ func (m *multiValueSender) Step(env *simnet.RoundEnv) {
 // NaN injections must be ignored entirely.
 func TestNaNInjectionIgnored(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(6))
-	all := ids.Sparse(rng, 5)
-	net := simnet.New(simnet.Config{MaxRounds: 10})
-	nodes := make([]*Node, 0, 4)
-	for i, id := range all[:4] {
-		node := New(id, float64(i+1))
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nan := &multiValueSender{id: all[4], values: []float64{math.NaN()}}
-	if err := net.AddByzantine(nan); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(simnet.AllDone(all[:4])); err != nil {
-		t.Fatal(err)
-	}
+	nan := spec.Each(func(id ids.ID, _ *adversary.Directory) simnet.Process {
+		return &multiValueSender{id: id, values: []float64{math.NaN()}}
+	})
+	nodes, _ := spec.NewFleet(t, 6, 4, 1, simnet.Config{MaxRounds: 10}, single([]float64{1, 2, 3, 4}), nan).Run()
 	for _, node := range nodes {
 		x, _ := node.Output()
 		if math.IsNaN(x) || x < 1 || x > 4 {
@@ -269,27 +210,13 @@ func TestNaNInjectionIgnored(t *testing.T) {
 func TestIteratedConvergenceRate(t *testing.T) {
 	t.Parallel()
 	const rounds = 8
-	rng := rand.New(rand.NewSource(12))
-	all := ids.Sparse(rng, 9)
-	dir := adversary.NewDirectory(all, all[7:])
-	net := simnet.New(simnet.Config{MaxRounds: 50})
 	inputs := []float64{0, 16, 32, 48, 64, 80, 128}
-	nodes := make([]*Iterated, 0, 7)
-	for i, id := range all[:7] {
-		node := NewIterated(id, inputs[i], rounds)
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range all[7:] {
-		if err := net.AddByzantine(adversary.NewInputSplitter(id, dir, -1e9, 1e9)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := net.Run(simnet.AllDone(all[:7])); err != nil {
-		t.Fatal(err)
-	}
+	split := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+		return adversary.NewInputSplitter(id, dir, -1e9, 1e9)
+	})
+	nodes, _ := spec.NewFleet(t, 12, 7, 2, simnet.Config{MaxRounds: 50}, func(i int, id ids.ID) *Iterated {
+		return NewIterated(id, inputs[i], rounds)
+	}, split).Run()
 	inLo, inHi := rangeOf(inputs)
 	prevRange := inHi - inLo
 	for step := 0; step < rounds; step++ {

@@ -7,6 +7,7 @@ import (
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
@@ -21,16 +22,12 @@ func TestAgreementUnderImpersonator(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			mkByz := func(byzIDs []ids.ID, _ *adversary.Directory) []simnet.Process {
-				out := make([]simnet.Process, len(byzIDs))
-				for i, id := range byzIDs {
-					out[i] = adversary.NewImpersonator(id, wire.V(666), []uint64{0})
-				}
-				return out
-			}
+			impersonate := spec.Each(func(id ids.ID, _ *adversary.Directory) simnet.Process {
+				return adversary.NewImpersonator(id, wire.V(666), []uint64{0})
+			})
 			inputs := []float64{0, 1, 0, 1, 0, 1, 0}
-			res := runConsensus(t, seed, inputs, 2, mkByz, 1)
-			out := checkAgreement(t, res)
+			nodes, _ := spec.NewFleet(t, seed, 7, 2, bound(9, 1), withInputs(inputs), impersonate).Run()
+			out := checkAgreement(t, nodes)
 			// 666 can only be decided if the impersonator was the
 			// *selected* coordinator of some phase, and even then a
 			// strongprefer quorum for it must have formed through
@@ -117,25 +114,20 @@ func TestGhostEchoedEveryRoundOfTheWindowStaysBelowThreshold(t *testing.T) {
 						}
 					}
 					var byz []*ghostEchoer
-					mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-						out := make([]simnet.Process, len(byzIDs))
-						for i, id := range byzIDs {
-							g := &ghostEchoer{id: id, ghost: ghost, dir: dir}
-							byz = append(byz, g)
-							out[i] = g
-						}
-						return out
-					}
-					res := runConsensus(t, seed, inputs, f, mkByz, 1)
+					echoGhost := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+						byz = append(byz, &ghostEchoer{id: id, ghost: ghost, dir: dir})
+						return byz[len(byz)-1]
+					})
+					nodes, _ := spec.NewFleet(t, seed, len(inputs), f, bound(len(inputs)+f, 1), withInputs(inputs), echoGhost).Run()
 
-					out := checkAgreement(t, res)
+					out := checkAgreement(t, nodes)
 					if unanimous && !out.Equal(wire.V(3)) {
 						t.Fatalf("validity: decided %v on unanimous input 3", out)
 					}
 					if !out.Equal(wire.V(0)) && !out.Equal(wire.V(1)) && !out.Equal(wire.V(3)) {
 						t.Fatalf("decided %v, no correct node's input", out)
 					}
-					for _, node := range res.nodes {
+					for _, node := range nodes {
 						if node.NV() != 3*f+1 {
 							t.Fatalf("node %v froze n_v = %d, want %d (the coalition must be censused)",
 								node.ID(), node.NV(), 3*f+1)

@@ -2,99 +2,55 @@ package consensus
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
-type runResult struct {
-	nodes  []*Node
-	rounds int
+// withInputs builds correct node i of a fleet with input xs[i].
+func withInputs(xs []float64) func(int, ids.ID) *Node {
+	return func(i int, id ids.ID) *Node { return New(id, wire.V(xs[i])) }
 }
 
-// byzFactory builds the Byzantine processes of a run.
-type byzFactory func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process
-
-func runConsensus(t *testing.T, seed int64, inputs []float64, nByz int,
-	mkByz byzFactory, workers int) runResult {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	all := ids.Sparse(rng, len(inputs)+nByz)
-	correctIDs := all[:len(inputs)]
-	byzIDs := all[len(inputs):]
-	dir := adversary.NewDirectory(all, byzIDs)
-
-	net := simnet.New(simnet.Config{
-		MaxRounds: 50*(len(inputs)+nByz) + 200,
-		Workers:   workers,
-	})
-	nodes := make([]*Node, 0, len(inputs))
-	for i, id := range correctIDs {
-		node := New(id, wire.V(inputs[i]))
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mkByz != nil {
-		for _, p := range mkByz(byzIDs, dir) {
-			if err := net.AddByzantine(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rounds, err := net.Run(simnet.AllDone(correctIDs))
-	if err != nil {
-		t.Fatalf("consensus did not terminate: %v", err)
-	}
-	return runResult{nodes: nodes, rounds: rounds}
+// bound is the network of a run of n nodes: 50 rounds a node and 200
+// more, stepped by workers.
+func bound(n, workers int) simnet.Config {
+	return simnet.Config{MaxRounds: 50*n + 200, Workers: workers}
 }
 
 // checkAgreement asserts every correct node decided the same value and
 // returns it.
-func checkAgreement(t *testing.T, res runResult) wire.Value {
+func checkAgreement(t *testing.T, nodes []*Node) wire.Value {
 	t.Helper()
-	first, ok := res.nodes[0].Output()
+	first, ok := nodes[0].Output()
 	if !ok {
-		t.Fatalf("node %v did not decide", res.nodes[0].ID())
+		t.Fatalf("node %v did not decide", nodes[0].ID())
 	}
-	for _, node := range res.nodes[1:] {
+	for _, node := range nodes[1:] {
 		out, ok := node.Output()
 		if !ok {
 			t.Fatalf("node %v did not decide", node.ID())
 		}
 		if !out.Equal(first) {
 			t.Fatalf("disagreement: %v decided %v, %v decided %v",
-				res.nodes[0].ID(), first, node.ID(), out)
+				nodes[0].ID(), first, node.ID(), out)
 		}
 	}
 	return first
 }
 
-func silentByz(byzIDs []ids.ID, _ *adversary.Directory) []simnet.Process {
-	out := make([]simnet.Process, len(byzIDs))
-	for i, id := range byzIDs {
-		out[i] = adversary.NewSilent(id)
-	}
-	return out
+func splitVoterByz(a, b float64) spec.Byzantine {
+	return spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+		return adversary.NewSplitVoter(id, dir, wire.V(a), wire.V(b))
+	})
 }
 
-func splitVoterByz(a, b float64) byzFactory {
-	return func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = adversary.NewSplitVoter(id, dir, wire.V(a), wire.V(b))
-		}
-		return out
-	}
-}
-
-func noiseByz(seed int64) byzFactory {
+func noiseByz(seed int64) spec.Byzantine {
 	return func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
 		out := make([]simnet.Process, len(byzIDs))
 		for i, id := range byzIDs {
@@ -104,14 +60,10 @@ func noiseByz(seed int64) byzFactory {
 	}
 }
 
-func crashByz(after int, input float64) byzFactory {
-	return func(byzIDs []ids.ID, _ *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = adversary.NewCrash(New(id, wire.V(input)), after)
-		}
-		return out
-	}
+func crashByz(after int, input float64) spec.Byzantine {
+	return spec.Each(func(id ids.ID, _ *adversary.Directory) simnet.Process {
+		return adversary.NewCrash(New(id, wire.V(input)), after)
+	})
 }
 
 func repeat(x float64, n int) []float64 {
@@ -130,12 +82,12 @@ func TestUnanimousInputsDecideInOnePhase(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("g=%d_f=%d", tc.g, tc.f), func(t *testing.T) {
 			t.Parallel()
-			res := runConsensus(t, 7, repeat(42.5, tc.g), tc.f, silentByz, 1)
-			out := checkAgreement(t, res)
+			nodes, _ := spec.NewFleet(t, 7, tc.g, tc.f, bound(tc.g+tc.f, 1), withInputs(repeat(42.5, tc.g)), spec.Silent).Run()
+			out := checkAgreement(t, nodes)
 			if !out.Equal(wire.V(42.5)) {
 				t.Fatalf("decided %v, want the unanimous input 42.5", out)
 			}
-			for _, node := range res.nodes {
+			for _, node := range nodes {
 				if node.DecidedRound() != 7 {
 					t.Fatalf("node %v decided in round %d, want 7",
 						node.ID(), node.DecidedRound())
@@ -150,8 +102,8 @@ func TestUnanimousInputsDecideInOnePhase(t *testing.T) {
 func TestSplitInputsNoFaults(t *testing.T) {
 	t.Parallel()
 	inputs := []float64{0, 0, 1, 1, 0, 1, 1}
-	res := runConsensus(t, 3, inputs, 0, nil, 1)
-	out := checkAgreement(t, res)
+	nodes, _ := spec.NewFleet(t, 3, len(inputs), 0, bound(len(inputs), 1), withInputs(inputs), nil).Run()
+	out := checkAgreement(t, nodes)
 	if !out.Equal(wire.V(0)) && !out.Equal(wire.V(1)) {
 		t.Fatalf("decided %v, want 0 or 1", out)
 	}
@@ -170,13 +122,13 @@ func TestAgreementUnderSplitVoter(t *testing.T) {
 			for i := range inputs {
 				inputs[i] = float64(i % 2)
 			}
-			res := runConsensus(t, seed, inputs, f, splitVoterByz(0, 1), 1)
-			checkAgreement(t, res)
+			nodes, rounds := spec.NewFleet(t, seed, g, f, bound(g+f, 1), withInputs(inputs), splitVoterByz(0, 1)).Run()
+			checkAgreement(t, nodes)
 			// O(f): a correct coordinator phase occurs within the
 			// first f+1 candidate slots plus adversarial candidate
 			// churn; 5·(f+4)+2 rounds is a comfortable linear bound.
-			if limit := 5*(f+4) + 2; res.rounds > limit {
-				t.Fatalf("terminated in %d rounds, want ≤ %d", res.rounds, limit)
+			if limit := 5*(f+4) + 2; rounds > limit {
+				t.Fatalf("terminated in %d rounds, want ≤ %d", rounds, limit)
 			}
 		})
 	}
@@ -190,8 +142,8 @@ func TestAgreementUnderRandomNoise(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			inputs := []float64{3, 1, 4, 1, 5, 9, 2}
-			res := runConsensus(t, seed, inputs, 2, noiseByz(seed*100), 1)
-			checkAgreement(t, res)
+			nodes, _ := spec.NewFleet(t, seed, 7, 2, bound(9, 1), withInputs(inputs), noiseByz(seed*100)).Run()
+			checkAgreement(t, nodes)
 		})
 	}
 }
@@ -205,8 +157,8 @@ func TestAgreementUnderMidRunCrashes(t *testing.T) {
 		t.Run(fmt.Sprintf("crashAfter=%d", after), func(t *testing.T) {
 			t.Parallel()
 			inputs := []float64{0, 1, 0, 1, 0, 1, 0}
-			res := runConsensus(t, int64(after), inputs, 2, crashByz(after, 1), 1)
-			checkAgreement(t, res)
+			nodes, _ := spec.NewFleet(t, int64(after), 7, 2, bound(9, 1), withInputs(inputs), crashByz(after, 1)).Run()
+			checkAgreement(t, nodes)
 		})
 	}
 }
@@ -218,9 +170,9 @@ func TestTerminationSpreadAtMostOnePhase(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 5; seed++ {
 		inputs := []float64{0, 1, 1, 0, 1, 0, 0, 1, 1, 0}
-		res := runConsensus(t, seed, inputs, 3, splitVoterByz(0, 1), 1)
-		minR, maxR := res.nodes[0].DecidedRound(), res.nodes[0].DecidedRound()
-		for _, node := range res.nodes {
+		nodes, _ := spec.NewFleet(t, seed, 10, 3, bound(13, 1), withInputs(inputs), splitVoterByz(0, 1)).Run()
+		minR, maxR := nodes[0].DecidedRound(), nodes[0].DecidedRound()
+		for _, node := range nodes {
 			r := node.DecidedRound()
 			if r < minR {
 				minR = r
@@ -240,8 +192,8 @@ func TestTerminationSpreadAtMostOnePhase(t *testing.T) {
 func TestEarlyTerminationIndependentOfN(t *testing.T) {
 	t.Parallel()
 	for _, g := range []int{4, 10, 22, 40} {
-		res := runConsensus(t, 5, repeat(1, g), g/4, silentByz, 1)
-		for _, node := range res.nodes {
+		nodes, _ := spec.NewFleet(t, 5, g, g/4, bound(g+g/4, 1), withInputs(repeat(1, g)), spec.Silent).Run()
+		for _, node := range nodes {
 			if node.DecidedRound() != 7 {
 				t.Fatalf("g=%d: node decided in round %d, want 7", g, node.DecidedRound())
 			}
@@ -255,19 +207,13 @@ func TestEarlyTerminationIndependentOfN(t *testing.T) {
 // behave exactly as in the fault-free run.
 func TestLateStrangersAreIgnored(t *testing.T) {
 	t.Parallel()
-	mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = &lateSpammer{id: id, dir: dir}
-		}
-		return out
-	}
-	res := runConsensus(t, 11, repeat(5, 7), 2, mkByz, 1)
-	out := checkAgreement(t, res)
+	spam := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process { return &lateSpammer{id: id, dir: dir} })
+	nodes, _ := spec.NewFleet(t, 11, 7, 2, bound(9, 1), withInputs(repeat(5, 7)), spam).Run()
+	out := checkAgreement(t, nodes)
 	if !out.Equal(wire.V(5)) {
 		t.Fatalf("decided %v, want 5", out)
 	}
-	for _, node := range res.nodes {
+	for _, node := range nodes {
 		if node.DecidedRound() != 7 {
 			t.Fatalf("late spam delayed decision to round %d", node.DecidedRound())
 		}
@@ -300,15 +246,15 @@ func (s *lateSpammer) Step(env *simnet.RoundEnv) {
 func TestConsensusDeterministicAcrossRunners(t *testing.T) {
 	t.Parallel()
 	inputs := []float64{2, 7, 2, 7, 2, 7, 7}
-	base := runConsensus(t, 23, inputs, 2, splitVoterByz(2, 7), 1)
+	base, baseRounds := spec.NewFleet(t, 23, 7, 2, bound(9, 1), withInputs(inputs), splitVoterByz(2, 7)).Run()
 	vBase := checkAgreement(t, base)
 	for _, workers := range []int{2, 3, 5} {
-		got := runConsensus(t, 23, inputs, 2, splitVoterByz(2, 7), workers)
+		got, rounds := spec.NewFleet(t, 23, 7, 2, bound(9, workers), withInputs(inputs), splitVoterByz(2, 7)).Run()
 		if v := checkAgreement(t, got); !v.Equal(vBase) {
 			t.Fatalf("workers=%d disagrees with workers=1: %v vs %v", workers, v, vBase)
 		}
-		if got.rounds != base.rounds {
-			t.Fatalf("workers=%d took %d rounds, workers=1 took %d", workers, got.rounds, base.rounds)
+		if rounds != baseRounds {
+			t.Fatalf("workers=%d took %d rounds, workers=1 took %d", workers, rounds, baseRounds)
 		}
 	}
 }
@@ -322,8 +268,8 @@ func TestAgreementNearMaximumFaultLoad(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = float64(i % 2)
 	}
-	res := runConsensus(t, 77, inputs, f, splitVoterByz(0, 1), 1)
-	checkAgreement(t, res)
+	nodes, _ := spec.NewFleet(t, 77, g, f, bound(g+f, 1), withInputs(inputs), splitVoterByz(0, 1)).Run()
+	checkAgreement(t, nodes)
 }
 
 func TestTallyBestTieBreaksDeterministically(t *testing.T) {
@@ -344,8 +290,8 @@ func TestTallyBestTieBreaksDeterministically(t *testing.T) {
 // History records one entry per phase with the coordinator and opinion.
 func TestHistoryRecordsPhases(t *testing.T) {
 	t.Parallel()
-	res := runConsensus(t, 2, repeat(9, 5), 1, silentByz, 1)
-	for _, node := range res.nodes {
+	nodes, _ := spec.NewFleet(t, 2, 5, 1, bound(6, 1), withInputs(repeat(9, 5)), spec.Silent).Run()
+	for _, node := range nodes {
 		h := node.History()
 		if len(h) != node.Phases() || len(h) == 0 {
 			t.Fatalf("history length %d, phases %d", len(h), node.Phases())
@@ -364,14 +310,13 @@ func TestUnanimityValidityProperty(t *testing.T) {
 		f := int(fRaw%3) + 1
 		g := 2*f + 1
 		value := float64(valueRaw) / 16
-		factories := []byzFactory{silentByz, splitVoterByz(value-1, value+1), noiseByz(seed)}
-		mkByz := factories[int(fRaw)%len(factories)]
-		res := runConsensus(t, seed, repeat(value, g), f, mkByz, 1)
-		out := checkAgreement(t, res)
+		factories := []spec.Byzantine{spec.Silent, splitVoterByz(value-1, value+1), noiseByz(seed)}
+		nodes, _ := spec.NewFleet(t, seed, g, f, bound(g+f, 1), withInputs(repeat(value, g)), factories[int(fRaw)%len(factories)]).Run()
+		out := checkAgreement(t, nodes)
 		if !out.Equal(wire.V(value)) {
 			return false
 		}
-		for _, node := range res.nodes {
+		for _, node := range nodes {
 			if node.DecidedRound() != 7 {
 				return false
 			}

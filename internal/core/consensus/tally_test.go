@@ -7,6 +7,7 @@ import (
 
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
@@ -31,32 +32,12 @@ func rcv(from ids.ID, p wire.Payload) simnet.Received {
 	return simnet.Received{From: from, Payload: p}
 }
 
-// deliveries returns msgs as the three inboxes the engine can hand a
-// reader: everything in the private segment (a link-fault round),
-// everything in the shared block (a healthy all-broadcast round, read
-// payload-major), and every other message in each.
-func deliveries(msgs []simnet.Received) []simnet.Inbox {
-	var block, private []simnet.Received
-	for i, m := range msgs {
-		if i%2 == 0 {
-			block = append(block, m)
-		} else {
-			private = append(private, m)
-		}
-	}
-	return []simnet.Inbox{
-		simnet.InboxOf(msgs...),
-		simnet.InboxOfRound(msgs, nil),
-		simnet.InboxOfRound(block, private),
-	}
-}
-
 // tallyOf takes node's tally of kind over msgs through every delivery
 // shape and fails unless they agree.
 func tallyOf(t *testing.T, node *Node, kind wire.Kind, msgs ...simnet.Received) map[wire.ValueKey]int {
 	t.Helper()
 	var first map[wire.ValueKey]int
-	for i, inbox := range deliveries(msgs) {
+	for i, inbox := range spec.Shapes(msgs) {
 		node.ranks.Reset(inbox.Broadcasters(), node.frozen.Members())
 		counts := countsOf(node.tally(inbox, kind))
 		if i == 0 {
@@ -100,7 +81,7 @@ func atPR5(t *testing.T, censusIDs []ids.ID, coordinator ids.ID) *Node {
 func adoptedAtPR5(t *testing.T, censusIDs []ids.ID, coordinator ids.ID, msgs ...simnet.Received) (wire.Value, bool) {
 	t.Helper()
 	var first PhaseRecord
-	for i, inbox := range deliveries(msgs) {
+	for i, inbox := range spec.Shapes(msgs) {
 		node := atPR5(t, censusIDs, coordinator)
 		node.Step(&simnet.RoundEnv{Round: 7, Inbox: inbox})
 		rec := node.History()[0]

@@ -5,11 +5,12 @@
 // when the correct nodes do not initially agree on which instances exist:
 // every correct node starts EarlyConsensus(id) for each of its own input
 // pairs, and joins instances it first hears about during the joinable
-// windows of the first phase (an id:input in the second round, an
-// id:prefer in the third, an id:strongprefer in the fifth). First contact
-// outside those windows — in particular anything first heard in the
-// second phase — is discarded, so a Byzantine node cannot spawn instances
-// late.
+// windows of the first phase, each the round such a message arrives in
+// (an id:input in its second round, PR2; an id:prefer or its marker in
+// the third, PR3; an id:strongprefer or its marker in the fourth, PR4).
+// First contact outside those windows — in particular anything first
+// heard in the second phase — is discarded, so a Byzantine node cannot
+// spawn instances late.
 //
 // Properties (Theorem 5): validity (a pair (id, x), x ≠ ⊥, input at every
 // correct node is output by every correct node), agreement (any pair

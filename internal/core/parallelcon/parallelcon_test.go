@@ -2,74 +2,33 @@ package parallelcon
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
-// inputsFor maps node index -> input pairs for a run.
-type inputsFor func(i int, id ids.ID) []InputPair
-
-type runResult struct {
-	nodes  []*Node
-	ids    []ids.ID
-	rounds int
+// withInputs builds correct node i of a fleet with the pairs inputs(i, id).
+func withInputs(inputs func(i int, id ids.ID) []InputPair) func(int, ids.ID) *Node {
+	return func(i int, id ids.ID) *Node { return New(id, inputs(i, id), Options{}) }
 }
 
-func runParallel(t *testing.T, seed int64, nCorrect, nByz int, inputs inputsFor,
-	mkByz func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process) runResult {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	all := ids.Sparse(rng, nCorrect+nByz)
-	correctIDs := all[:nCorrect]
-	byzIDs := all[nCorrect:]
-	dir := adversary.NewDirectory(all, byzIDs)
-
-	net := simnet.New(simnet.Config{MaxRounds: 60*(nCorrect+nByz) + 200})
-	nodes := make([]*Node, 0, nCorrect)
-	for i, id := range correctIDs {
-		node := New(id, inputs(i, id), Options{})
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mkByz != nil {
-		for _, p := range mkByz(byzIDs, dir) {
-			if err := net.AddByzantine(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rounds, err := net.Run(simnet.AllDone(correctIDs))
-	if err != nil {
-		t.Fatalf("parallel consensus did not terminate: %v", err)
-	}
-	return runResult{nodes: nodes, ids: correctIDs, rounds: rounds}
-}
-
-func silentByz(byzIDs []ids.ID, _ *adversary.Directory) []simnet.Process {
-	out := make([]simnet.Process, len(byzIDs))
-	for i, id := range byzIDs {
-		out[i] = adversary.NewSilent(id)
-	}
-	return out
-}
+// bound is the network of a run of n nodes: 60 rounds a node and 200 more.
+func bound(n int) simnet.Config { return simnet.Config{MaxRounds: 60*n + 200} }
 
 // checkPairAgreement asserts that every correct node output exactly the
 // same pair set.
-func checkPairAgreement(t *testing.T, res runResult) []OutputPair {
+func checkPairAgreement(t *testing.T, nodes []*Node) []OutputPair {
 	t.Helper()
-	base := res.nodes[0].Outputs()
-	for _, node := range res.nodes[1:] {
+	base := nodes[0].Outputs()
+	for _, node := range nodes[1:] {
 		got := node.Outputs()
 		if len(got) != len(base) {
 			t.Fatalf("node %v output %d pairs, node %v output %d:\n%v\nvs\n%v",
-				node.ID(), len(got), res.nodes[0].ID(), len(base), got, base)
+				node.ID(), len(got), nodes[0].ID(), len(base), got, base)
 		}
 		for i := range base {
 			if got[i].Instance != base[i].Instance || !got[i].X.Equal(base[i].X) {
@@ -87,13 +46,13 @@ func TestCommonInputPairIsOutput(t *testing.T) {
 	inputs := func(i int, id ids.ID) []InputPair {
 		return []InputPair{{Instance: 7, X: wire.V(3.25)}}
 	}
-	res := runParallel(t, 1, 7, 2, inputs, silentByz)
-	pairs := checkPairAgreement(t, res)
+	nodes, _ := spec.NewFleet(t, 1, 7, 2, bound(9), withInputs(inputs), spec.Silent).Run()
+	pairs := checkPairAgreement(t, nodes)
 	if len(pairs) != 1 || pairs[0].Instance != 7 || !pairs[0].X.Equal(wire.V(3.25)) {
 		t.Fatalf("outputs = %+v, want [(7, 3.25)]", pairs)
 	}
 	// Unanimous inputs decide in the first phase: init (2) + 5 rounds.
-	for _, node := range res.nodes {
+	for _, node := range nodes {
 		if r := node.DecisionRound(7); r != 7 {
 			t.Fatalf("node %v decided instance 7 in round %d, want 7", node.ID(), r)
 		}
@@ -112,20 +71,20 @@ func TestManyInstancesDecideInParallel(t *testing.T) {
 		}
 		return pairs
 	}
-	res := runParallel(t, 2, 7, 2, inputs, silentByz)
-	pairs := checkPairAgreement(t, res)
+	nodes, rounds := spec.NewFleet(t, 2, 7, 2, bound(9), withInputs(inputs), spec.Silent).Run()
+	pairs := checkPairAgreement(t, nodes)
 	if len(pairs) != k {
 		t.Fatalf("output %d pairs, want %d", len(pairs), k)
 	}
-	for _, node := range res.nodes {
+	for _, node := range nodes {
 		for inst := uint64(1); inst <= k; inst++ {
 			if r := node.DecisionRound(inst); r != 7 {
 				t.Fatalf("instance %d decided in round %d, want 7 (parallel)", inst, r)
 			}
 		}
 	}
-	if res.rounds > 10 {
-		t.Fatalf("k=%d instances took %d rounds; they must share phases", k, res.rounds)
+	if rounds > 10 {
+		t.Fatalf("k=%d instances took %d rounds; they must share phases", k, rounds)
 	}
 }
 
@@ -139,8 +98,8 @@ func TestPartiallyKnownInstanceAgreement(t *testing.T) {
 		}
 		return nil
 	}
-	res := runParallel(t, 3, 7, 2, inputs, silentByz)
-	pairs := checkPairAgreement(t, res)
+	nodes, _ := spec.NewFleet(t, 3, 7, 2, bound(9), withInputs(inputs), spec.Silent).Run()
+	pairs := checkPairAgreement(t, nodes)
 	// The outcome may be (42, 5) or nothing (if ⊥ wins), but it must be
 	// common — checked above — and if present must carry opinion 5 (the
 	// only non-⊥ opinion any correct node ever held).
@@ -151,7 +110,7 @@ func TestPartiallyKnownInstanceAgreement(t *testing.T) {
 		t.Fatalf("outputs = %+v", pairs)
 	}
 	// All correct nodes became aware of the instance.
-	for _, node := range res.nodes {
+	for _, node := range nodes {
 		if !node.Aware(42) {
 			t.Fatalf("node %v never joined instance 42", node.ID())
 		}
@@ -167,8 +126,8 @@ func TestMajorityHeldInstanceDecidesValue(t *testing.T) {
 		// though 2 Byzantine nodes (silent) exist.
 		return []InputPair{{Instance: 9, X: wire.V(1)}}
 	}
-	res := runParallel(t, 4, 7, 2, inputs, silentByz)
-	pairs := checkPairAgreement(t, res)
+	nodes, _ := spec.NewFleet(t, 4, 7, 2, bound(9), withInputs(inputs), spec.Silent).Run()
+	pairs := checkPairAgreement(t, nodes)
 	if len(pairs) != 1 || !pairs[0].X.Equal(wire.V(1)) {
 		t.Fatalf("outputs = %+v, want [(9, 1)]", pairs)
 	}
@@ -179,16 +138,12 @@ func TestMajorityHeldInstanceDecidesValue(t *testing.T) {
 // produce an output pair (the ⊥ walkthrough of Theorem 5).
 func TestByzantineOnlyInstanceProducesNoOutput(t *testing.T) {
 	t.Parallel()
-	mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = &instanceInjector{id: id, dir: dir, instance: 66, round: 3}
-		}
-		return out
-	}
+	mkByz := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+		return &instanceInjector{id: id, dir: dir, instance: 66, round: 3}
+	})
 	inputs := func(i int, id ids.ID) []InputPair { return nil }
-	res := runParallel(t, 5, 7, 2, inputs, mkByz)
-	pairs := checkPairAgreement(t, res)
+	nodes, _ := spec.NewFleet(t, 5, 7, 2, bound(9), withInputs(inputs), mkByz).Run()
+	pairs := checkPairAgreement(t, nodes)
 	if len(pairs) != 0 {
 		t.Fatalf("byzantine-only instance produced output: %+v", pairs)
 	}
@@ -197,22 +152,18 @@ func TestByzantineOnlyInstanceProducesNoOutput(t *testing.T) {
 // The same injection arriving in the second phase is discarded outright.
 func TestLateInstanceIsIgnored(t *testing.T) {
 	t.Parallel()
-	mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = &instanceInjector{id: id, dir: dir, instance: 67, round: 9}
-		}
-		return out
-	}
+	mkByz := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+		return &instanceInjector{id: id, dir: dir, instance: 67, round: 9}
+	})
 	inputs := func(i int, id ids.ID) []InputPair {
 		return []InputPair{{Instance: 1, X: wire.V(2)}}
 	}
-	res := runParallel(t, 6, 7, 2, inputs, mkByz)
-	pairs := checkPairAgreement(t, res)
+	nodes, _ := spec.NewFleet(t, 6, 7, 2, bound(9), withInputs(inputs), mkByz).Run()
+	pairs := checkPairAgreement(t, nodes)
 	if len(pairs) != 1 || pairs[0].Instance != 1 {
 		t.Fatalf("outputs = %+v, want only instance 1", pairs)
 	}
-	for _, node := range res.nodes {
+	for _, node := range nodes {
 		if node.Aware(67) {
 			t.Fatalf("node %v joined a second-phase instance", node.ID())
 		}
@@ -254,15 +205,11 @@ func TestDisagreeingOpinionsReachAgreement(t *testing.T) {
 			inputs := func(i int, id ids.ID) []InputPair {
 				return []InputPair{{Instance: 5, X: wire.V(float64(i % 2))}}
 			}
-			mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-				out := make([]simnet.Process, len(byzIDs))
-				for i, id := range byzIDs {
-					out[i] = adversary.NewSplitVoter(id, dir, wire.V(0), wire.V(1))
-				}
-				return out
-			}
-			res := runParallel(t, seed, 7, 2, inputs, mkByz)
-			pairs := checkPairAgreement(t, res)
+			mkByz := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+				return adversary.NewSplitVoter(id, dir, wire.V(0), wire.V(1))
+			})
+			nodes, _ := spec.NewFleet(t, seed, 7, 2, bound(9), withInputs(inputs), mkByz).Run()
+			pairs := checkPairAgreement(t, nodes)
 			if len(pairs) > 1 {
 				t.Fatalf("outputs = %+v", pairs)
 			}
@@ -279,25 +226,10 @@ func TestDisagreeingOpinionsReachAgreement(t *testing.T) {
 // and decides within the first five rounds on unanimous input.
 func TestMembershipModeSkipsInit(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(8))
-	all := ids.Sparse(rng, 6)
-	members := ids.NewSet(all...)
-	net := simnet.New(simnet.Config{MaxRounds: 40})
-	nodes := make([]*Node, 0, 6)
-	for _, id := range all {
-		node := New(id, []InputPair{{Instance: 3, X: wire.V(4)}}, Options{
-			Scope:         NewScope(members),
-			RotorInstance: 99,
-		})
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rounds, err := net.Run(simnet.AllDone(all))
-	if err != nil {
-		t.Fatal(err)
-	}
+	members := ids.NewSet(spec.IDs(8, 6)...)
+	nodes, rounds := spec.NewFleet(t, 8, 6, 0, simnet.Config{MaxRounds: 40}, func(_ int, id ids.ID) *Node {
+		return New(id, []InputPair{{Instance: 3, X: wire.V(4)}}, Options{Scope: NewScope(members), RotorInstance: 99})
+	}, nil).Run()
 	if rounds != 5 {
 		t.Fatalf("membership-mode unanimous decision took %d rounds, want 5", rounds)
 	}
@@ -320,28 +252,14 @@ func TestInstanceFilterSeparatesRuns(t *testing.T) {
 	if top := (InstanceRange{From: 1 << 63}); !top.contains(1<<64-1) || top.contains(1<<63-1) {
 		t.Fatal("a range with To = 0 is not unbounded above")
 	}
-	rng := rand.New(rand.NewSource(9))
-	all := ids.Sparse(rng, 5)
-	members := ids.NewSet(all...)
-	net := simnet.New(simnet.Config{MaxRounds: 40})
-	nodes := make([]*Node, 0, 5)
-	for _, id := range all {
-		node := New(id, []InputPair{{Instance: 1<<32 | 5, X: wire.V(1)}}, Options{
+	members := ids.NewSet(spec.IDs(9, 5)...)
+	nodes, _ := spec.NewFleet(t, 9, 5, 0, simnet.Config{MaxRounds: 40}, func(_ int, id ids.ID) *Node {
+		return New(id, []InputPair{{Instance: 1<<32 | 5, X: wire.V(1)}}, Options{
 			Scope:         NewScope(members),
 			RotorInstance: 1 << 32,
 			Instances:     InstanceRange{From: 1 << 32, To: 2 << 32},
 		})
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A Byzantine-style stray message in a foreign instance space.
-	stray := &instanceInjector{id: 0, dir: nil, instance: 2<<32 | 7, round: 1}
-	_ = stray // foreign-space injection exercised below via direct send
-	if _, err := net.Run(simnet.AllDone(all)); err != nil {
-		t.Fatal(err)
-	}
+	}, nil).Run()
 	for _, node := range nodes {
 		if node.Aware(2<<32 | 7) {
 			t.Fatal("node joined an instance outside its filter")
@@ -357,24 +275,10 @@ func TestInstanceFilterSeparatesRuns(t *testing.T) {
 // ignores earlier rounds and decides five rounds after its start.
 func TestStartRoundOffset(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(10))
-	all := ids.Sparse(rng, 5)
-	members := ids.NewSet(all...)
-	net := simnet.New(simnet.Config{MaxRounds: 60})
-	nodes := make([]*Node, 0, 5)
-	for _, id := range all {
-		node := New(id, []InputPair{{Instance: 2, X: wire.V(6)}}, Options{
-			Scope:      NewScope(members),
-			StartRound: 11,
-		})
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := net.Run(simnet.AllDone(all)); err != nil {
-		t.Fatal(err)
-	}
+	members := ids.NewSet(spec.IDs(10, 5)...)
+	nodes, _ := spec.NewFleet(t, 10, 5, 0, simnet.Config{MaxRounds: 60}, func(_ int, id ids.ID) *Node {
+		return New(id, []InputPair{{Instance: 2, X: wire.V(6)}}, Options{Scope: NewScope(members), StartRound: 11})
+	}, nil).Run()
 	for _, node := range nodes {
 		if r := node.DecisionRound(2); r != 15 {
 			t.Fatalf("node %v decided in round %d, want 15 (start 11 + 5 rounds - 1)", node.ID(), r)

@@ -7,6 +7,7 @@ import (
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
@@ -37,10 +38,10 @@ func TestParallelAgreementProperty(t *testing.T) {
 			}
 			return out
 		}
-		res := runParallel(t, seed, g, f, inputs, mkByz)
+		nodes, _ := spec.NewFleet(t, seed, g, f, bound(g+f), withInputs(inputs), mkByz).Run()
 
-		base := res.nodes[0].Outputs()
-		for _, node := range res.nodes[1:] {
+		base := nodes[0].Outputs()
+		for _, node := range nodes[1:] {
 			got := node.Outputs()
 			if len(got) != len(base) {
 				return false
@@ -82,16 +83,12 @@ func TestParallelAgreementUnderSplitProperty(t *testing.T) {
 		inputs := func(i int, id ids.ID) []InputPair {
 			return []InputPair{{Instance: 4, X: wire.V(float64(i % 2))}}
 		}
-		mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-			out := make([]simnet.Process, len(byzIDs))
-			for i, id := range byzIDs {
-				out[i] = adversary.NewSplitVoter(id, dir, wire.V(0), wire.V(1))
-			}
-			return out
-		}
-		res := runParallel(t, seed, g, f, inputs, mkByz)
-		base := res.nodes[0].Outputs()
-		for _, node := range res.nodes[1:] {
+		mkByz := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+			return adversary.NewSplitVoter(id, dir, wire.V(0), wire.V(1))
+		})
+		nodes, _ := spec.NewFleet(t, seed, g, f, bound(g+f), withInputs(inputs), mkByz).Run()
+		base := nodes[0].Outputs()
+		for _, node := range nodes[1:] {
 			got := node.Outputs()
 			if len(got) != len(base) {
 				return false

@@ -8,6 +8,7 @@ import (
 
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
@@ -195,19 +196,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 		rcvP(2, wire.Opinion{Instance: 7, X: wire.V(5)}),
 		rcvP(3, wire.Opinion{Instance: 9, X: wire.V(6)}), // not the coordinator
 	}
-	var block, private []simnet.Received
-	for i, m := range msgs {
-		if i%2 == 0 {
-			block = append(block, m)
-		} else {
-			private = append(private, m)
-		}
-	}
-	for name, inbox := range map[string]simnet.Inbox{
-		"all private":   simnet.InboxOf(msgs...),
-		"all broadcast": simnet.InboxOfRound(msgs, nil),
-		"alternating":   simnet.InboxOfRound(block, private),
-	} {
+	for i, inbox := range spec.Shapes(msgs) { // all private, all broadcast, alternating
 		n := memberNode(7, []ids.ID{2, 3, 4, 5, 6, 7}, []InputPair{{Instance: 9, X: wire.V(1)}})
 		n.ranks.Reset(inbox.Broadcasters(), n.frozen.Members())
 		tally := n.tally(n.inst[9], inbox, &n.ranks, wire.KindInput)
@@ -218,7 +207,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 		// 6 and 7 sent nothing: first receipt of the family fills ⊥.
 		want := map[wire.ValueKey]int{wire.V(1).Key(): 3, wire.V(2).Key(): 1, wire.V(3).Key(): 1, wire.Bot().Key(): 2}
 		if !maps.Equal(got, want) {
-			t.Fatalf("%s: tally %v, want %v", name, got, want)
+			t.Fatalf("shape %d: tally %v, want %v", i, got, want)
 		}
 		// The first rotor round of a scoped run selects the smallest
 		// member, 2; the reader yields ascending, so the last opinion
@@ -230,50 +219,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 		n.ranks.Reset(inbox.Broadcasters(), n.frozen.Members())
 		n.core.Opinions(inbox, &n.ranks, func(op wire.Opinion) { opinions[op.Instance] = op.X })
 		if len(opinions) != 2 || !opinions[9].Equal(wire.V(1)) || !opinions[7].Equal(wire.V(5)) {
-			t.Fatalf("%s: coordinator opinions %v, want 9:1 7:5", name, opinions)
-		}
-	}
-}
-
-// perDeliveryAwareness is scanAwareness as it was before it asked the
-// payloads first: one walk of the merged inbox, every delivery looked up.
-func perDeliveryAwareness(n *Node, inbox simnet.Inbox, phase, pr int) {
-	for m := range inbox.All() {
-		tagged, ok := m.Payload.(wire.Instanced)
-		if !ok {
-			continue
-		}
-		iid := tagged.InstanceID()
-		if !n.opts.Instances.contains(iid) {
-			continue
-		}
-		if _, known := n.inst[iid]; known {
-			continue
-		}
-		if _, ign := n.ignored[iid]; ign {
-			continue
-		}
-		if !n.frozen.Contains(m.From) {
-			continue
-		}
-		joinable := false
-		if phase == 0 {
-			switch m.Payload.(type) {
-			case wire.Input:
-				joinable = pr == 1
-			case wire.Prefer, wire.NoPreference:
-				joinable = pr == 2
-			case wire.StrongPrefer, wire.NoStrongPreference:
-				joinable = pr == 3
-			}
-		}
-		if joinable {
-			n.join(iid, wire.Bot())
-		} else {
-			if n.ignored == nil {
-				n.ignored = make(map[uint64]struct{})
-			}
-			n.ignored[iid] = struct{}{}
+			t.Fatalf("shape %d: coordinator opinions %v, want 9:1 7:5", i, opinions)
 		}
 	}
 }
@@ -284,7 +230,8 @@ func perDeliveryAwareness(n *Node, inbox simnet.Inbox, phase, pr int) {
 // the other verdict, and not by whether the messages came through the
 // shared block, the private segment or both. In every (phase, round)
 // window and every delivery shape, asking the payloads first leaves the
-// instance tables the per-delivery walk leaves.
+// instance tables that Algorithm 5's rule as the paper states it
+// (spec.FirstContact, a walk of every delivery) leaves.
 func TestFirstContactMatchesPerDeliveryWalkAcrossShapes(t *testing.T) {
 	t.Parallel()
 	msgs := []simnet.Received{
@@ -310,19 +257,7 @@ func TestFirstContactMatchesPerDeliveryWalkAcrossShapes(t *testing.T) {
 		rcvP(3, wire.Input{Instance: 1<<32 | 3, X: wire.V(7)}),
 		rcvP(2, wire.Init{}),
 	}
-	var block, private []simnet.Received
-	for i, m := range msgs {
-		if i%2 == 0 {
-			block = append(block, m)
-		} else {
-			private = append(private, m)
-		}
-	}
-	shapes := map[string]simnet.Inbox{
-		"block only":      simnet.InboxOfRound(msgs, nil),
-		"block + unicast": simnet.InboxOfRound(block, private),
-		"unicast only":    simnet.InboxOfRound(nil, msgs),
-	}
+	members := []ids.ID{2, 3, 4, 5, 6}
 	tables := func(n *Node) (joined, ignored []uint64) {
 		for _, ins := range n.order {
 			if n.inst[ins.id] != ins {
@@ -333,48 +268,42 @@ func TestFirstContactMatchesPerDeliveryWalkAcrossShapes(t *testing.T) {
 		if len(joined) != len(n.inst) {
 			t.Fatalf("order holds %d instances, inst %d", len(joined), len(n.inst))
 		}
-		for id := range n.ignored {
-			ignored = append(ignored, id)
-		}
-		slices.Sort(ignored)
-		return joined, ignored
+		return joined, slices.Sorted(maps.Keys(n.ignored))
 	}
-	verdicts := make(map[string]bool) // which (joined, ignored) outcomes the windows produced
-	for name, inbox := range shapes {
+	for shape, inbox := range spec.Shapes(msgs) {
+		verdicts := make(map[string]bool) // which (joined, ignored) outcomes the windows produced
 		for phase := 0; phase < 2; phase++ {
 			for pr := 0; pr < 5; pr++ {
-				mk := func() *Node {
-					return New(5, []InputPair{{Instance: 4, X: wire.V(6)}}, Options{
-						Scope:     NewScope(ids.NewSet(2, 3, 4, 5, 6)),
-						Instances: InstanceRange{To: 1 << 32},
-					})
-				}
-				got, want := mk(), mk()
-				got.scanAwareness(inbox, phase, pr)
-				perDeliveryAwareness(want, inbox, phase, pr)
-				gotJoined, gotIgnored := tables(got)
-				wantJoined, wantIgnored := tables(want)
+				n := New(5, []InputPair{{Instance: 4, X: wire.V(6)}}, Options{
+					Scope:     NewScope(ids.NewSet(members...)),
+					Instances: InstanceRange{To: 1 << 32},
+				})
+				n.scanAwareness(inbox, phase, pr)
+				join, ignore := spec.FirstContact(inbox, phase, pr, func(p ids.ID) bool { return slices.Contains(members, p) },
+					func(id uint64) bool { return id == 4 || id >= 1<<32 })
+				wantJoined, wantIgnored := slices.Sorted(slices.Values(append(join, 4))), slices.Sorted(slices.Values(ignore))
+				gotJoined, gotIgnored := tables(n)
 				if !slices.Equal(gotJoined, wantJoined) || !slices.Equal(gotIgnored, wantIgnored) {
-					t.Fatalf("%s, phase %d PR%d: joined %v ignored %v, the per-delivery walk leaves %v and %v",
-						name, phase, pr+1, gotJoined, gotIgnored, wantJoined, wantIgnored)
+					t.Fatalf("shape %d, phase %d PR%d: joined %v ignored %v, the spec's rule leaves %v and %v",
+						shape, phase, pr+1, gotJoined, gotIgnored, wantJoined, wantIgnored)
 				}
 				if len(gotJoined)+len(gotIgnored) != 5 { // 4 input + 9, 8, 7, 6 met
-					t.Fatalf("%s, phase %d PR%d: joined %v ignored %v: an instance went unmet or a stranger's was met",
-						name, phase, pr+1, gotJoined, gotIgnored)
+					t.Fatalf("shape %d, phase %d PR%d: joined %v ignored %v: an instance went unmet or a stranger's was met",
+						shape, phase, pr+1, gotJoined, gotIgnored)
 				}
 				verdicts[fmt.Sprint(gotJoined, gotIgnored)] = true
 
 				// A second inbox naming nothing new changes nothing.
-				got.scanAwareness(inbox, phase, pr)
-				if j, i := tables(got); !slices.Equal(j, gotJoined) || !slices.Equal(i, gotIgnored) {
-					t.Fatalf("%s, phase %d PR%d: a repeated inbox moved the tables to %v and %v", name, phase, pr+1, j, i)
+				n.scanAwareness(inbox, phase, pr)
+				if j, i := tables(n); !slices.Equal(j, gotJoined) || !slices.Equal(i, gotIgnored) {
+					t.Fatalf("shape %d, phase %d PR%d: a repeated inbox moved the tables to %v and %v", shape, phase, pr+1, j, i)
 				}
 			}
 		}
-	}
-	// PR2, PR3 and PR4 of the first phase each join something different;
-	// every other window ignores all four.
-	if len(verdicts) != 4 {
-		t.Fatalf("the windows produced %d distinct outcomes, want 4: %v", len(verdicts), verdicts)
+		// PR2, PR3 and PR4 of the first phase each join something
+		// different; every other window ignores all four.
+		if len(verdicts) != 4 {
+			t.Fatalf("shape %d: the windows produced %d distinct outcomes, want 4: %v", shape, len(verdicts), verdicts)
+		}
 	}
 }

@@ -2,70 +2,24 @@ package relbcast
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
-// fixture wires up a reliable-broadcast network: correct nodes (one of
-// them optionally the source) plus arbitrary Byzantine processes.
-type fixture struct {
-	net     *simnet.Network
-	correct []*Node
-}
-
-func newFixture(t *testing.T, nCorrect int, sourceIdx int, body []byte, seed int64,
-	byz func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process, nByz int) *fixture {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	all := ids.Sparse(rng, nCorrect+nByz)
-	correctIDs := all[:nCorrect]
-	byzIDs := all[nCorrect:]
-	dir := adversary.NewDirectory(all, byzIDs)
-
-	net := simnet.New(simnet.Config{MaxRounds: 200})
-	f := &fixture{net: net}
-	for i, id := range correctIDs {
-		var node *Node
-		if i == sourceIdx {
-			node = NewSource(id, body)
-		} else {
-			node = NewRelay(id)
+// sourceAt builds correct node i of a fleet: node k is the source of
+// body, the others relay (k < 0: all relay).
+func sourceAt(k int, body []byte) func(int, ids.ID) *Node {
+	return func(i int, id ids.ID) *Node {
+		if i == k {
+			return NewSource(id, body)
 		}
-		f.correct = append(f.correct, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
+		return NewRelay(id)
 	}
-	if byz != nil {
-		for _, p := range byz(byzIDs, dir) {
-			if err := net.AddByzantine(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return f
-}
-
-func (f *fixture) run(t *testing.T, rounds int) {
-	t.Helper()
-	for i := 0; i < rounds; i++ {
-		if err := f.net.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func silentProcs(byzIDs []ids.ID, _ *adversary.Directory) []simnet.Process {
-	out := make([]simnet.Process, len(byzIDs))
-	for i, id := range byzIDs {
-		out[i] = adversary.NewSilent(id)
-	}
-	return out
 }
 
 // Correctness (Lemma 1): with a correct source and n > 3f, every correct
@@ -79,10 +33,9 @@ func TestCorrectSourceAcceptedInRoundThree(t *testing.T) {
 		t.Run(fmt.Sprintf("g=%d_f=%d", tc.nCorrect, tc.nByz), func(t *testing.T) {
 			t.Parallel()
 			body := []byte("payload")
-			f := newFixture(t, tc.nCorrect, 0, body, 11, silentProcs, tc.nByz)
-			f.run(t, 4)
-			src := f.correct[0].ID()
-			for _, node := range f.correct {
+			nodes := spec.NewFleet(t, 11, tc.nCorrect, tc.nByz, simnet.Config{MaxRounds: 200}, sourceAt(0, body), spec.Silent).RunFor(4)
+			src := nodes[0].ID()
+			for _, node := range nodes {
 				round, ok := node.HasAccepted(src, body)
 				if !ok {
 					t.Fatalf("node %v did not accept", node.ID())
@@ -99,9 +52,8 @@ func TestCorrectSourceAcceptedInRoundThree(t *testing.T) {
 // round 2 on.
 func TestPresentMakesCensusCoverCorrectNodes(t *testing.T) {
 	t.Parallel()
-	f := newFixture(t, 6, 0, []byte("m"), 3, silentProcs, 2)
-	f.run(t, 2)
-	for _, node := range f.correct {
+	nodes := spec.NewFleet(t, 3, 6, 2, simnet.Config{MaxRounds: 200}, sourceAt(0, []byte("m")), spec.Silent).RunFor(2)
+	for _, node := range nodes {
 		if node.NV() < 6 {
 			t.Fatalf("node %v has n_v = %d < g = 6", node.ID(), node.NV())
 		}
@@ -113,44 +65,13 @@ func TestPresentMakesCensusCoverCorrectNodes(t *testing.T) {
 func TestForgedEchoesRejectedWhenResilient(t *testing.T) {
 	t.Parallel()
 	forgedBody := []byte("forged")
-	var victim ids.ID
-	mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = adversary.NewEchoAmplifier(id, victim, forgedBody)
-		}
-		return out
-	}
 	// g = 5 correct, f = 2 Byzantine: n = 7 > 3f = 6.
-	rng := rand.New(rand.NewSource(21))
-	all := ids.Sparse(rng, 7)
-	victim = all[1] // a correct relay that never broadcasts anything
-
-	net := simnet.New(simnet.Config{MaxRounds: 100})
-	correct := make([]*Node, 0, 5)
-	for i, id := range all[:5] {
-		var node *Node
-		if i == 0 {
-			node = NewSource(id, []byte("legit"))
-		} else {
-			node = NewRelay(id)
-		}
-		correct = append(correct, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dir := adversary.NewDirectory(all, all[5:])
-	for _, p := range mkByz(all[5:], dir) {
-		if err := net.AddByzantine(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		if err := net.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	all := spec.IDs(21, 7)
+	victim := all[1] // a correct relay that never broadcasts anything
+	amplify := spec.Each(func(id ids.ID, _ *adversary.Directory) simnet.Process {
+		return adversary.NewEchoAmplifier(id, victim, forgedBody)
+	})
+	correct := spec.NewFleet(t, 21, 5, 2, simnet.Config{MaxRounds: 100}, sourceAt(0, []byte("legit")), amplify).RunFor(30)
 	for _, node := range correct {
 		if _, ok := node.HasAccepted(victim, forgedBody); ok {
 			t.Fatalf("node %v accepted a forged message from correct node %v",
@@ -168,29 +89,11 @@ func TestForgedEchoesAcceptedAtBoundary(t *testing.T) {
 	t.Parallel()
 	forgedBody := []byte("forged")
 	// g = 4 correct, f = 2 Byzantine: n = 6 = 3f, resiliency violated.
-	rng := rand.New(rand.NewSource(22))
-	all := ids.Sparse(rng, 6)
-	victim := all[1]
-
-	net := simnet.New(simnet.Config{MaxRounds: 100})
-	correct := make([]*Node, 0, 4)
-	for _, id := range all[:4] {
-		node := NewRelay(id)
-		correct = append(correct, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range all[4:] {
-		if err := net.AddByzantine(adversary.NewEchoAmplifier(id, victim, forgedBody)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 30; i++ {
-		if err := net.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	victim := spec.IDs(22, 6)[1]
+	amplify := spec.Each(func(id ids.ID, _ *adversary.Directory) simnet.Process {
+		return adversary.NewEchoAmplifier(id, victim, forgedBody)
+	})
+	correct := spec.NewFleet(t, 22, 4, 2, simnet.Config{MaxRounds: 100}, sourceAt(-1, nil), amplify).RunFor(30)
 	violated := false
 	for _, node := range correct {
 		if _, ok := node.HasAccepted(victim, forgedBody); ok {
@@ -212,34 +115,12 @@ func TestRelayPropertyUnderEquivocation(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
 			// g = 7 correct relays, f = 2 Byzantine (source + helper).
-			all := ids.Sparse(rng, 9)
-			byzIDs := all[7:]
-			dir := adversary.NewDirectory(all, byzIDs)
-			net := simnet.New(simnet.Config{MaxRounds: 100})
-			correct := make([]*Node, 0, 7)
-			for _, id := range all[:7] {
-				node := NewRelay(id)
-				correct = append(correct, node)
-				if err := net.Add(node); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, id := range byzIDs {
-				eq := adversary.NewRBEquivocator(id, dir, byzIDs[0], bodyA, bodyB)
-				if err := net.AddByzantine(eq); err != nil {
-					t.Fatal(err)
-				}
-			}
-			const horizon = 40
-			// Track acceptance rounds per (pair, node) as the run
-			// progresses.
-			for i := 0; i < horizon; i++ {
-				if err := net.RunRound(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			byzIDs := spec.IDs(seed, 9)[7:]
+			equivocate := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+				return adversary.NewRBEquivocator(id, dir, byzIDs[0], bodyA, bodyB)
+			})
+			correct := spec.NewFleet(t, seed, 7, 2, simnet.Config{MaxRounds: 100}, sourceAt(-1, nil), equivocate).RunFor(40)
 			for _, body := range [][]byte{bodyA, bodyB} {
 				first, last := 0, 0
 				accepted := 0
@@ -273,27 +154,10 @@ func TestRelayPropertyUnderEquivocation(t *testing.T) {
 // source's message, each tracked independently.
 func TestManyConcurrentSources(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(5))
-	all := ids.Sparse(rng, 10)
-	net := simnet.New(simnet.Config{MaxRounds: 100})
-	nodes := make([]*Node, 0, 8)
-	for i, id := range all[:8] {
-		node := NewSource(id, []byte{byte('a' + i)})
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range all[8:] {
-		if err := net.AddByzantine(adversary.NewSilent(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if err := net.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fl := spec.NewFleet(t, 5, 8, 2, simnet.Config{MaxRounds: 100}, func(i int, id ids.ID) *Node {
+		return NewSource(id, []byte{byte('a' + i)})
+	}, spec.Silent)
+	nodes, all := fl.RunFor(4), fl.IDs
 	for _, node := range nodes {
 		acc := node.Accepted()
 		if len(acc) != 8 {
@@ -311,29 +175,13 @@ func TestManyConcurrentSources(t *testing.T) {
 // trigger the direct-receipt echo: only From == Source counts.
 func TestRelayedInitDoesNotCountAsDirect(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(9))
-	all := ids.Sparse(rng, 5)
-	victim := all[0]
-	net := simnet.New(simnet.Config{MaxRounds: 100})
-	nodes := make([]*Node, 0, 4)
-	for _, id := range all[:4] {
-		node := NewRelay(id)
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
+	victim := spec.IDs(9, 5)[0]
 	// The Byzantine node broadcasts an RBMessage whose Source field
 	// names the (silent, correct) victim. Receivers must not echo it.
-	byz := &replayer{id: all[4], payloadSource: victim, body: []byte("fake")}
-	if err := net.AddByzantine(byz); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := net.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	replay := spec.Each(func(id ids.ID, _ *adversary.Directory) simnet.Process {
+		return &replayer{id: id, payloadSource: victim, body: []byte("fake")}
+	})
+	nodes := spec.NewFleet(t, 9, 4, 1, simnet.Config{MaxRounds: 100}, sourceAt(-1, nil), replay).RunFor(20)
 	for _, node := range nodes {
 		if _, ok := node.HasAccepted(victim, []byte("fake")); ok {
 			t.Fatalf("node %v accepted a relayed forgery", node.ID())

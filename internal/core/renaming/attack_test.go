@@ -7,6 +7,7 @@ import (
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 )
 
 // A terminate(k)-flooding adversary must not force premature termination:
@@ -19,14 +20,8 @@ func TestRenamingUnderTerminateSpoofing(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			mkByz := func(byzIDs []ids.ID, _ *adversary.Directory) []simnet.Process {
-				out := make([]simnet.Process, len(byzIDs))
-				for i, id := range byzIDs {
-					out[i] = adversary.NewTerminateSpoofer(id)
-				}
-				return out
-			}
-			nodes, _ := runRenaming(t, seed, 7, 2, mkByz)
+			mkByz := spec.Each(func(id ids.ID, _ *adversary.Directory) simnet.Process { return adversary.NewTerminateSpoofer(id) })
+			nodes, _ := spec.NewFleet(t, seed, 7, 2, bound(9), fresh, mkByz).Run()
 			base := nodes[0].FinalSet()
 			for _, node := range nodes {
 				if !node.FinalSet().Equal(base) {
@@ -58,7 +53,7 @@ func TestRenamingUnderMixedCoalition(t *testing.T) {
 		}
 		return out
 	}
-	nodes, _ := runRenaming(t, 9, 7, 2, mkByz)
+	nodes, _ := spec.NewFleet(t, 9, 7, 2, bound(9), fresh, mkByz).Run()
 	base := nodes[0].FinalSet()
 	for _, node := range nodes {
 		if !node.FinalSet().Equal(base) {

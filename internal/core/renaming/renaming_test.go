@@ -8,44 +8,14 @@ import (
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 )
 
-func runRenaming(t *testing.T, seed int64, g, f int,
-	mkByz func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process) ([]*Node, int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	all := ids.Sparse(rng, g+f)
-	dir := adversary.NewDirectory(all, all[g:])
-	net := simnet.New(simnet.Config{MaxRounds: 40*(g+f) + 100})
-	nodes := make([]*Node, 0, g)
-	for _, id := range all[:g] {
-		node := New(id)
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mkByz != nil {
-		for _, p := range mkByz(all[g:], dir) {
-			if err := net.AddByzantine(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rounds, err := net.Run(simnet.AllDone(all[:g]))
-	if err != nil {
-		t.Fatalf("renaming did not terminate: %v", err)
-	}
-	return nodes, rounds
-}
+// fresh builds correct node i of a fleet.
+func fresh(_ int, id ids.ID) *Node { return New(id) }
 
-func silentByz(byzIDs []ids.ID, _ *adversary.Directory) []simnet.Process {
-	out := make([]simnet.Process, len(byzIDs))
-	for i, id := range byzIDs {
-		out[i] = adversary.NewSilent(id)
-	}
-	return out
-}
+// bound is the network of a run of n nodes: 40 rounds a node and 100 more.
+func bound(n int) simnet.Config { return simnet.Config{MaxRounds: 40*n + 100} }
 
 // Fault-free: all correct nodes agree on S (exactly the correct ids) and
 // the new names are the compact range 1..g in id order.
@@ -55,7 +25,7 @@ func TestRenamingFaultFree(t *testing.T) {
 		g := g
 		t.Run(fmt.Sprintf("g=%d", g), func(t *testing.T) {
 			t.Parallel()
-			nodes, _ := runRenaming(t, int64(g), g, 0, nil)
+			nodes, _ := spec.NewFleet(t, int64(g), g, 0, bound(g), fresh, nil).Run()
 			base := nodes[0].FinalSet()
 			if base.Len() != g {
 				t.Fatalf("final set size %d, want %d", base.Len(), g)
@@ -92,7 +62,7 @@ func TestRenamingFaultFree(t *testing.T) {
 // set is exactly the correct ids (silent nodes never announce).
 func TestRenamingWithSilentByzantine(t *testing.T) {
 	t.Parallel()
-	nodes, _ := runRenaming(t, 5, 7, 2, silentByz)
+	nodes, _ := spec.NewFleet(t, 5, 7, 2, bound(9), fresh, spec.Silent).Run()
 	base := nodes[0].FinalSet()
 	if base.Len() != 7 {
 		t.Fatalf("final set size %d, want 7", base.Len())
@@ -114,14 +84,10 @@ func TestRenamingUnderGhostInjection(t *testing.T) {
 			t.Parallel()
 			g, f := 7, 2
 			ghosts := ids.Sparse(rand.New(rand.NewSource(seed+50)), 8)
-			mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-				out := make([]simnet.Process, len(byzIDs))
-				for i, id := range byzIDs {
-					out[i] = adversary.NewGhostCandidate(id, dir, ghosts)
-				}
-				return out
-			}
-			nodes, rounds := runRenaming(t, seed, g, f, mkByz)
+			mkByz := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+				return adversary.NewGhostCandidate(id, dir, ghosts)
+			})
+			nodes, rounds := spec.NewFleet(t, seed, g, f, bound(g+f), fresh, mkByz).Run()
 			base := nodes[0].FinalSet()
 			for _, node := range nodes {
 				if !node.FinalSet().Equal(base) {
@@ -160,7 +126,7 @@ func TestRenamingUnderGhostInjection(t *testing.T) {
 // other (relay on the terminate quorum).
 func TestRenamingTerminationSpread(t *testing.T) {
 	t.Parallel()
-	nodes, _ := runRenaming(t, 9, 10, 3, silentByz)
+	nodes, _ := spec.NewFleet(t, 9, 10, 3, bound(13), fresh, spec.Silent).Run()
 	minR, maxR := nodes[0].TerminationRound(), nodes[0].TerminationRound()
 	for _, node := range nodes {
 		r := node.TerminationRound()

@@ -11,6 +11,7 @@ import (
 	"uba/internal/census"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
@@ -37,77 +38,30 @@ func opinionsOf(core *Core, inbox simnet.Inbox, of *ids.Set) []wire.Opinion {
 // verify whose opinion was accepted.
 func opinionOf(id ids.ID) wire.Value { return wire.V(float64(id % 1000003)) }
 
-type runResult struct {
-	nodes  []*Node
-	rounds int
-}
+// opinioned builds correct node i of a fleet with its opinionOf.
+func opinioned(_ int, id ids.ID) *Node { return New(id, opinionOf(id)) }
 
-// runRotor builds and runs a rotor network: nCorrect correct nodes and the
-// Byzantine processes produced by mkByz (given the byz ids and directory).
-func runRotor(t *testing.T, seed int64, nCorrect, nByz int,
-	mkByz func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process) runResult {
-	t.Helper()
-	return runRotorUnder(t, nil, seed, nCorrect, nByz, mkByz)
-}
-
-// runRotorUnder is runRotor on a network with the given fault plan.
-func runRotorUnder(t *testing.T, plan *simnet.FaultPlan, seed int64, nCorrect, nByz int,
-	mkByz func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process) runResult {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	all := ids.Sparse(rng, nCorrect+nByz)
-	correctIDs := all[:nCorrect]
-	byzIDs := all[nCorrect:]
-	dir := adversary.NewDirectory(all, byzIDs)
-
-	net := simnet.New(simnet.Config{MaxRounds: 30*(nCorrect+nByz) + 100, FaultPlan: plan})
-	nodes := make([]*Node, 0, nCorrect)
-	for _, id := range correctIDs {
-		node := New(id, opinionOf(id))
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mkByz != nil {
-		for _, p := range mkByz(byzIDs, dir) {
-			if err := net.AddByzantine(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rounds, err := net.Run(simnet.AllDone(correctIDs))
-	if err != nil {
-		t.Fatalf("rotor did not terminate: %v", err)
-	}
-	return runResult{nodes: nodes, rounds: rounds}
-}
-
-// isCorrect reports whether id belongs to the run's correct nodes.
-func (r runResult) isCorrect(id ids.ID) bool {
-	for _, n := range r.nodes {
-		if n.ID() == id {
-			return true
-		}
-	}
-	return false
+// bound is the network of a run of n nodes under plan: 30 rounds a node
+// and 100 more.
+func bound(n int, plan *simnet.FaultPlan) simnet.Config {
+	return simnet.Config{MaxRounds: 30*n + 100, FaultPlan: plan}
 }
 
 // hasGoodRound verifies the heart of Theorem 2: a round in which every
 // correct node accepted the opinion of one common, correct coordinator.
-func (r runResult) hasGoodRound() (int, bool) {
-	if len(r.nodes) == 0 {
+func hasGoodRound(nodes []*Node) (int, bool) {
+	if len(nodes) == 0 {
 		return 0, false
 	}
-	for _, a := range r.nodes[0].AcceptedOpinions() {
-		if !r.isCorrect(a.From) {
+	for _, a := range nodes[0].AcceptedOpinions() {
+		if !slices.ContainsFunc(nodes, func(n *Node) bool { return n.ID() == a.From }) {
 			continue
 		}
 		if !a.X.Equal(opinionOf(a.From)) {
 			continue
 		}
 		common := true
-		for _, other := range r.nodes[1:] {
+		for _, other := range nodes[1:] {
 			found := false
 			for _, b := range other.AcceptedOpinions() {
 				if b.Round == a.Round && b.From == a.From && b.X.Equal(a.X) {
@@ -133,19 +87,19 @@ func TestRotorNoFaults(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
-			res := runRotor(t, int64(n), n, 0, nil)
+			nodes, rounds := spec.NewFleet(t, int64(n), n, 0, bound(n, nil), opinioned, nil).Run()
 			// All correct nodes become candidates; with a stable
 			// candidate set of size n, reselection happens at loop
 			// round n, i.e. termination within n + 3 network rounds.
-			if res.rounds > n+3 {
-				t.Fatalf("terminated after %d rounds, want ≤ %d", res.rounds, n+3)
+			if rounds > n+3 {
+				t.Fatalf("terminated after %d rounds, want ≤ %d", rounds, n+3)
 			}
-			for _, node := range res.nodes {
+			for _, node := range nodes {
 				if got := node.Candidates().Len(); got != n {
 					t.Fatalf("node %v has %d candidates, want %d", node.ID(), got, n)
 				}
 			}
-			if _, ok := res.hasGoodRound(); !ok {
+			if _, ok := hasGoodRound(nodes); !ok {
 				t.Fatal("no good round observed")
 			}
 		})
@@ -154,20 +108,20 @@ func TestRotorNoFaults(t *testing.T) {
 
 func TestRotorCommonCoordinatorEachRoundNoFaults(t *testing.T) {
 	t.Parallel()
-	res := runRotor(t, 99, 9, 0, nil)
+	nodes, _ := spec.NewFleet(t, 99, 9, 0, bound(9, nil), opinioned, nil).Run()
 	// With identical candidate sets everywhere, every loop round must
 	// select the same coordinator at every node.
-	base := res.nodes[0].Selections()
-	for _, node := range res.nodes[1:] {
+	base := nodes[0].Selections()
+	for _, node := range nodes[1:] {
 		sels := node.Selections()
 		if len(sels) != len(base) {
 			t.Fatalf("node %v ran %d loop rounds, node %v ran %d",
-				node.ID(), len(sels), res.nodes[0].ID(), len(base))
+				node.ID(), len(sels), nodes[0].ID(), len(base))
 		}
 		for r := range sels {
 			if sels[r].Coordinator != base[r].Coordinator {
 				t.Fatalf("loop round %d: %v selected %v, %v selected %v",
-					r, node.ID(), sels[r].Coordinator, res.nodes[0].ID(), base[r].Coordinator)
+					r, node.ID(), sels[r].Coordinator, nodes[0].ID(), base[r].Coordinator)
 			}
 		}
 	}
@@ -175,24 +129,17 @@ func TestRotorCommonCoordinatorEachRoundNoFaults(t *testing.T) {
 
 func TestRotorWithSilentByzantine(t *testing.T) {
 	t.Parallel()
-	mkByz := func(byzIDs []ids.ID, _ *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = adversary.NewSilent(id)
-		}
-		return out
-	}
 	for _, tc := range []struct{ g, f int }{{7, 2}, {10, 3}, {4, 1}} {
 		tc := tc
 		t.Run(fmt.Sprintf("g=%d_f=%d", tc.g, tc.f), func(t *testing.T) {
 			t.Parallel()
-			res := runRotor(t, int64(tc.g*100+tc.f), tc.g, tc.f, mkByz)
-			if _, ok := res.hasGoodRound(); !ok {
+			nodes, rounds := spec.NewFleet(t, int64(tc.g*100+tc.f), tc.g, tc.f, bound(tc.g+tc.f, nil), opinioned, spec.Silent).Run()
+			if _, ok := hasGoodRound(nodes); !ok {
 				t.Fatal("no good round with silent Byzantine nodes")
 			}
 			n := tc.g + tc.f
-			if res.rounds > 2*n+5 {
-				t.Fatalf("termination took %d rounds for n=%d", res.rounds, n)
+			if rounds > 2*n+5 {
+				t.Fatalf("termination took %d rounds for n=%d", rounds, n)
 			}
 		})
 	}
@@ -207,15 +154,11 @@ func TestRotorWithGhostCandidates(t *testing.T) {
 			g, f := 10, 3
 			ghostRNG := rand.New(rand.NewSource(seed + 1000))
 			ghosts := ids.Sparse(ghostRNG, 20)
-			mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-				out := make([]simnet.Process, len(byzIDs))
-				for i, id := range byzIDs {
-					out[i] = adversary.NewGhostCandidate(id, dir, ghosts)
-				}
-				return out
-			}
-			res := runRotor(t, seed, g, f, mkByz)
-			round, ok := res.hasGoodRound()
+			mkByz := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+				return adversary.NewGhostCandidate(id, dir, ghosts)
+			})
+			nodes, rounds := spec.NewFleet(t, seed, g, f, bound(g+f, nil), opinioned, mkByz).Run()
+			round, ok := hasGoodRound(nodes)
 			if !ok {
 				t.Fatal("ghost-candidate adversary prevented the good round")
 			}
@@ -226,8 +169,8 @@ func TestRotorWithGhostCandidates(t *testing.T) {
 			// attack can stretch C_v by up to 2f entries and delay
 			// via non-silent rounds; 4n is a generous linear bound.
 			n := g + f
-			if res.rounds > 4*n {
-				t.Fatalf("termination took %d rounds (> 4n = %d)", res.rounds, 4*n)
+			if rounds > 4*n {
+				t.Fatalf("termination took %d rounds (> 4n = %d)", rounds, 4*n)
 			}
 		})
 	}
@@ -242,17 +185,13 @@ func TestRotorCandidateSetsCoverCorrectNodes(t *testing.T) {
 	t.Parallel()
 	ghostRNG := rand.New(rand.NewSource(7))
 	ghosts := ids.Sparse(ghostRNG, 10)
-	mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = adversary.NewGhostCandidate(id, dir, ghosts)
-		}
-		return out
-	}
-	res := runRotor(t, 42, 8, 2, mkByz)
-	for _, node := range res.nodes {
+	mkByz := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+		return adversary.NewGhostCandidate(id, dir, ghosts)
+	})
+	nodes, _ := spec.NewFleet(t, 42, 8, 2, bound(10, nil), opinioned, mkByz).Run()
+	for _, node := range nodes {
 		cand := node.Candidates()
-		for _, other := range res.nodes {
+		for _, other := range nodes {
 			if !cand.Contains(other.ID()) {
 				t.Fatalf("node %v's candidates miss correct node %v",
 					node.ID(), other.ID())
@@ -264,27 +203,11 @@ func TestRotorCandidateSetsCoverCorrectNodes(t *testing.T) {
 func TestRotorDeterministicAcrossRunners(t *testing.T) {
 	t.Parallel()
 	run := func(workers int) [][]Selection {
-		rng := rand.New(rand.NewSource(17))
-		all := ids.Sparse(rng, 9)
-		dir := adversary.NewDirectory(all, all[7:])
-		net := simnet.New(simnet.Config{MaxRounds: 500, Workers: workers})
-		nodes := make([]*Node, 0, 7)
-		for _, id := range all[:7] {
-			node := New(id, opinionOf(id))
-			nodes = append(nodes, node)
-			if err := net.Add(node); err != nil {
-				t.Fatal(err)
-			}
-		}
 		ghosts := ids.Sparse(rand.New(rand.NewSource(18)), 6)
-		for _, id := range all[7:] {
-			if err := net.AddByzantine(adversary.NewGhostCandidate(id, dir, ghosts)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := net.Run(simnet.AllDone(all[:7])); err != nil {
-			t.Fatal(err)
-		}
+		haunt := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+			return adversary.NewGhostCandidate(id, dir, ghosts)
+		})
+		nodes, _ := spec.NewFleet(t, 17, 7, 2, simnet.Config{MaxRounds: 500, Workers: workers}, opinioned, haunt).Run()
 		out := make([][]Selection, len(nodes))
 		for i, n := range nodes {
 			out[i] = n.Selections()

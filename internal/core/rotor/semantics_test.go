@@ -10,6 +10,7 @@ import (
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
@@ -60,9 +61,9 @@ func TestEquivocatingCoordinatorIsTakenAtItsGreatestEncoding(t *testing.T) {
 				byz, victim = byzIDs[0], dir.Correct()[0]
 				return []simnet.Process{&equivocator{Node: New(byz, tc.broadcast), victim: victim, private: tc.private}}
 			}
-			res := runRotor(t, 11, 6, 1, mkByz)
+			nodes, _ := spec.NewFleet(t, 11, 6, 1, bound(7, nil), opinioned, mkByz).Run()
 			sawVictim, sawOthers := false, false
-			for _, node := range res.nodes {
+			for _, node := range nodes {
 				for _, a := range node.AcceptedOpinions() {
 					if a.From != byz {
 						continue
@@ -95,20 +96,10 @@ func TestLinkFaultRoundsReadLikeHealthyRounds(t *testing.T) {
 	t.Parallel()
 	ghosts := ids.Sparse(rand.New(rand.NewSource(77)), 12)
 	adversaries := map[string]func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process{
-		"silent": func(byzIDs []ids.ID, _ *adversary.Directory) []simnet.Process {
-			out := make([]simnet.Process, len(byzIDs))
-			for i, id := range byzIDs {
-				out[i] = adversary.NewSilent(id)
-			}
-			return out
-		},
-		"ghost": func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-			out := make([]simnet.Process, len(byzIDs))
-			for i, id := range byzIDs {
-				out[i] = adversary.NewGhostCandidate(id, dir, ghosts)
-			}
-			return out
-		},
+		"silent": spec.Silent,
+		"ghost": spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+			return adversary.NewGhostCandidate(id, dir, ghosts)
+		}),
 	}
 	for name, mkByz := range adversaries {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -118,13 +109,13 @@ func TestLinkFaultRoundsReadLikeHealthyRounds(t *testing.T) {
 				demoteAll := &simnet.FaultPlan{Seed: 1, Events: []simnet.FaultEvent{
 					{Round: 1, Kind: simnet.FaultDrop, Rate: 0},
 				}}
-				healthy := runRotor(t, seed, 10, 3, mkByz)
-				faulty := runRotorUnder(t, demoteAll, seed, 10, 3, mkByz)
-				if healthy.rounds != faulty.rounds {
-					t.Fatalf("healthy run took %d rounds, link-fault run %d", healthy.rounds, faulty.rounds)
+				healthy, healthyRounds := spec.NewFleet(t, seed, 10, 3, bound(13, nil), opinioned, mkByz).Run()
+				faulty, faultyRounds := spec.NewFleet(t, seed, 10, 3, bound(13, demoteAll), opinioned, mkByz).Run()
+				if healthyRounds != faultyRounds {
+					t.Fatalf("healthy run took %d rounds, link-fault run %d", healthyRounds, faultyRounds)
 				}
-				for i, h := range healthy.nodes {
-					f := faulty.nodes[i]
+				for i, h := range healthy {
+					f := faulty[i]
 					if !h.Candidates().Equal(f.Candidates()) {
 						t.Fatalf("node %v: C_v %v healthy, %v on link-fault rounds",
 							h.ID(), h.Candidates().Members(), f.Candidates().Members())

@@ -3,69 +3,34 @@ package trb
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
-func runTRB(t *testing.T, seed int64, g, f int, sourceCorrect bool, body []byte,
-	mkByz func(byzIDs []ids.ID, dir *adversary.Directory, source ids.ID) []simnet.Process) ([]*Node, int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	all := ids.Sparse(rng, g+f)
-	correctIDs := all[:g]
-	byzIDs := all[g:]
-	dir := adversary.NewDirectory(all, byzIDs)
-	source := correctIDs[0]
-	if !sourceCorrect {
-		source = byzIDs[0]
-	}
-
-	net := simnet.New(simnet.Config{MaxRounds: 60*(g+f) + 200})
-	nodes := make([]*Node, 0, g)
-	for i, id := range correctIDs {
-		var node *Node
-		if sourceCorrect && i == 0 {
-			node = NewSource(id, body)
-		} else {
-			node = New(id, source)
+// from builds correct node i of a fleet: the source, broadcasting body,
+// if its id is source, and otherwise a node expecting source's broadcast.
+func from(source ids.ID, body []byte) func(int, ids.ID) *Node {
+	return func(_ int, id ids.ID) *Node {
+		if id == source {
+			return NewSource(id, body)
 		}
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
+		return New(id, source)
 	}
-	if mkByz != nil {
-		for _, p := range mkByz(byzIDs, dir, source) {
-			if err := net.AddByzantine(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	rounds, err := net.Run(simnet.AllDone(correctIDs))
-	if err != nil {
-		t.Fatalf("TRB did not terminate: %v", err)
-	}
-	return nodes, rounds
 }
 
-func silentByz(byzIDs []ids.ID, _ *adversary.Directory, _ ids.ID) []simnet.Process {
-	out := make([]simnet.Process, len(byzIDs))
-	for i, id := range byzIDs {
-		out[i] = adversary.NewSilent(id)
-	}
-	return out
-}
+// bound is the network of a run of n nodes: 60 rounds a node and 200 more.
+func bound(n int) simnet.Config { return simnet.Config{MaxRounds: 60*n + 200} }
 
 // Correct source: everyone terminates and delivers exactly the body.
 func TestCorrectSourceDelivered(t *testing.T) {
 	t.Parallel()
 	body := []byte("the payload")
-	nodes, rounds := runTRB(t, 1, 7, 2, true, body, silentByz)
+	nodes, rounds := spec.NewFleet(t, 1, 7, 2, bound(9), from(spec.IDs(1, 9)[0], body), spec.Silent).Run()
 	for _, node := range nodes {
 		got, delivered, ok := node.Output()
 		if !ok || !delivered {
@@ -84,7 +49,7 @@ func TestCorrectSourceDelivered(t *testing.T) {
 // Silent (crashed) source: everyone agrees "nothing delivered".
 func TestSilentSourceAgreesOnNothing(t *testing.T) {
 	t.Parallel()
-	nodes, _ := runTRB(t, 2, 7, 2, false, nil, silentByz)
+	nodes, _ := spec.NewFleet(t, 2, 7, 2, bound(9), from(spec.IDs(2, 9)[7], nil), spec.Silent).Run()
 	for _, node := range nodes {
 		_, delivered, ok := node.Output()
 		if !ok {
@@ -106,17 +71,11 @@ func TestEquivocatingSourceForcesSingleOutcome(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			bodyA, bodyB := []byte("AAA"), []byte("BBB")
-			mkByz := func(byzIDs []ids.ID, dir *adversary.Directory, source ids.ID) []simnet.Process {
-				out := make([]simnet.Process, len(byzIDs))
-				for i, id := range byzIDs {
-					out[i] = &splitSource{
-						id: id, dir: dir, source: source,
-						bodyA: bodyA, bodyB: bodyB,
-					}
-				}
-				return out
-			}
-			nodes, _ := runTRB(t, seed, 7, 2, false, nil, mkByz)
+			source := spec.IDs(seed, 9)[7]
+			split := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+				return &splitSource{id: id, dir: dir, source: source, bodyA: bodyA, bodyB: bodyB}
+			})
+			nodes, _ := spec.NewFleet(t, seed, 7, 2, bound(9), from(source, nil), split).Run()
 			refBody, refDelivered, _ := nodes[0].Output()
 			for _, node := range nodes {
 				body, delivered, ok := node.Output()

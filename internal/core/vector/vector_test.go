@@ -4,41 +4,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
-func runVector(t *testing.T, seed int64, values []float64, nByz int,
-	mkByz func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process) []*Node {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	all := ids.Sparse(rng, len(values)+nByz)
-	dir := adversary.NewDirectory(all, all[len(values):])
-	net := simnet.New(simnet.Config{MaxRounds: 500})
-	nodes := make([]*Node, 0, len(values))
-	for i, id := range all[:len(values)] {
-		node := New(id, values[i])
-		nodes = append(nodes, node)
-		if err := net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mkByz != nil {
-		for _, p := range mkByz(all[len(values):], dir) {
-			if err := net.AddByzantine(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := net.Run(simnet.AllDone(all[:len(values)])); err != nil {
-		t.Fatalf("vector agreement did not terminate: %v", err)
-	}
-	return nodes
+// valued builds correct node i of a fleet contributing values[i].
+func valued(values []float64) func(int, ids.ID) *Node {
+	return func(i int, id ids.ID) *Node { return New(id, values[i]) }
 }
 
 func checkVectorAgreement(t *testing.T, nodes []*Node) []Entry {
@@ -61,7 +38,7 @@ func checkVectorAgreement(t *testing.T, nodes []*Node) []Entry {
 func TestVectorFaultFree(t *testing.T) {
 	t.Parallel()
 	values := []float64{10, 20, 30, 40, 50}
-	nodes := runVector(t, 1, values, 0, nil)
+	nodes, _ := spec.NewFleet(t, 1, len(values), 0, simnet.Config{MaxRounds: 500}, valued(values), nil).Run()
 	vec := checkVectorAgreement(t, nodes)
 	if len(vec) != len(values) {
 		t.Fatalf("vector %v, want %d slots", vec, len(values))
@@ -84,14 +61,7 @@ func TestVectorFaultFree(t *testing.T) {
 func TestVectorWithSilentByzantine(t *testing.T) {
 	t.Parallel()
 	values := []float64{1, 2, 3, 4, 5, 6, 7}
-	mkByz := func(byzIDs []ids.ID, _ *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = adversary.NewSilent(id)
-		}
-		return out
-	}
-	nodes := runVector(t, 2, values, 2, mkByz)
+	nodes, _ := spec.NewFleet(t, 2, len(values), 2, simnet.Config{MaxRounds: 500}, valued(values), spec.Silent).Run()
 	vec := checkVectorAgreement(t, nodes)
 	if len(vec) != len(values) {
 		t.Fatalf("vector has %d slots, want %d (silent nodes contribute none)", len(vec), len(values))
@@ -107,14 +77,10 @@ func TestVectorEquivocatedSlot(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			values := []float64{1, 2, 3, 4, 5, 6, 7}
-			mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-				out := make([]simnet.Process, len(byzIDs))
-				for i, id := range byzIDs {
-					out[i] = &valueEquivocator{id: id, dir: dir, valA: 111, valB: 222}
-				}
-				return out
-			}
-			nodes := runVector(t, seed, values, 2, mkByz)
+			mkByz := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+				return &valueEquivocator{id: id, dir: dir, valA: 111, valB: 222}
+			})
+			nodes, _ := spec.NewFleet(t, seed, len(values), 2, simnet.Config{MaxRounds: 500}, valued(values), mkByz).Run()
 			vec := checkVectorAgreement(t, nodes)
 			for _, e := range vec {
 				isCorrectSlot := false
@@ -165,14 +131,10 @@ func (v *valueEquivocator) Step(env *simnet.RoundEnv) {
 func TestVectorNaNContributionIgnored(t *testing.T) {
 	t.Parallel()
 	values := []float64{1, 2, 3, 4}
-	mkByz := func(byzIDs []ids.ID, dir *adversary.Directory) []simnet.Process {
-		out := make([]simnet.Process, len(byzIDs))
-		for i, id := range byzIDs {
-			out[i] = &valueEquivocator{id: id, dir: dir, valA: math.NaN(), valB: math.NaN()}
-		}
-		return out
-	}
-	nodes := runVector(t, 3, values, 1, mkByz)
+	mkByz := spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+		return &valueEquivocator{id: id, dir: dir, valA: math.NaN(), valB: math.NaN()}
+	})
+	nodes, _ := spec.NewFleet(t, 3, len(values), 1, simnet.Config{MaxRounds: 500}, valued(values), mkByz).Run()
 	vec := checkVectorAgreement(t, nodes)
 	for _, e := range vec {
 		if math.IsNaN(e.Value) {

@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
+	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
 	"uba/internal/wire"
@@ -15,9 +17,23 @@ import (
 // Role is what a correct node of a run is given. The first three nodes
 // are Algorithm 1's sources, of two bodies.
 type Role struct {
-	ID    ids.ID
-	Body  []byte  // nil at a node that is not a source
-	Input float64 // Algorithm 4's input, and Algorithm 2's opinion
+	ID     ids.ID
+	Body   []byte  // nil at a node that is not a source
+	Input  float64 // Algorithm 4's input, Algorithm 2's opinion, the vector's value
+	Source ids.ID  // the first chatterer: terminating reliable broadcast's source
+}
+
+// Vote is the node's input to Algorithm 3, 0 or 1: the parity of Input's
+// integer part.
+func (r Role) Vote() wire.Value { return wire.V(float64(int(r.Input) % 2)) }
+
+// Pairs are the node's inputs to Algorithm 5: its Vote on instance 1,
+// which every node holds, and on instance 2, which only sources hold.
+func (r Role) Pairs() []Pair {
+	if r.Body == nil {
+		return []Pair{{1, r.Vote()}}
+	}
+	return []Pair{{1, r.Vote()}, {2, r.Vote()}}
 }
 
 // Side is the implementation side of a differential run: how its
@@ -91,7 +107,71 @@ var (
 
 	ForApprox         = approxRow(1)
 	ForApproxIterated = approxRow(IteratedRounds)
+
+	// ForConsensus: nodes input 0 or 1 (Role.Vote); chatterers announce
+	// themselves, echo a ghost and one of their own, and send ballots,
+	// markers and opinions of both values, also of a foreign instance.
+	// Eight nodes and the four chatterers that speak from round 1 put the
+	// frozen n_v at 12, so a count can sit exactly on either threshold and
+	// the chatterers alone reach n_v/3; the fifth is outside every census.
+	ForConsensus = Family{Nodes: 8, Chatterers: 5, Rounds: 32, FaultFrom: 3,
+		Pool: func(_, byz []ids.ID) []wire.Payload {
+			return append(ballots([]uint64{0, 1}, wire.V(0), wire.V(1)),
+				wire.Init{}, wire.IDEcho{Candidate: 11}, wire.IDEcho{Candidate: byz[1]})
+		},
+		Spec: func(r Role) simnet.Process { return NewConsensus(r.ID, r.Vote()) }}
+
+	// ForTRB: the first chatterer is the source and sends two bodies;
+	// every chatterer relays both, echoes a ghost, and sends ballots,
+	// markers and opinions of both fingerprints and of ⊥, also of a
+	// foreign instance. Sized as ForConsensus; the link-fault shape
+	// demotes from round 1, the round the source sends in.
+	ForTRB = Family{Nodes: 8, Chatterers: 5, Rounds: 32, FaultFrom: 1,
+		Pool: func(_, byz []ids.ID) []wire.Payload {
+			return append(ballots([]uint64{0, 1}, fingerprint([]byte("m0")), fingerprint([]byte("m1")), wire.Bot()),
+				wire.Init{}, wire.IDEcho{Candidate: 11},
+				wire.RBMessage{Source: byz[0], Body: []byte("m0")}, wire.RBMessage{Source: byz[0], Body: []byte("m1")})
+		},
+		Spec: func(r Role) simnet.Process { return NewTRB(r.ID, r.Source) }}
+
+	// ForParallelConsensus: nodes hold instance 1, sources instance 2
+	// too (Role.Pairs); chatterers send ballots, markers and opinions of
+	// both values on those and on instance 3, which no node holds, and an
+	// opinion on instance 4 only. Sized as ForConsensus.
+	ForParallelConsensus = Family{Nodes: 8, Chatterers: 5, Rounds: 32, FaultFrom: 3,
+		Pool: func(_, byz []ids.ID) []wire.Payload {
+			return append(ballots([]uint64{3, 1, 2}, wire.V(0), wire.V(1)),
+				wire.Init{}, wire.IDEcho{Candidate: 11}, wire.IDEcho{Candidate: byz[1]}, wire.Opinion{Instance: 4, X: wire.V(1)})
+		},
+		Spec: func(r Role) simnet.Process { return NewParallelConsensus(r.ID, r.Pairs()) }}
+
+	// ForVector: chatterers contribute two values, NaN and malformed
+	// events, echo a ghost, and send ballots, markers and opinions of two
+	// values on a node's slot, a chatterer's and the ghost's. Sized as
+	// ForConsensus; the link-fault shape demotes from round 1, the round
+	// the contributions go out in.
+	ForVector = Family{Nodes: 8, Chatterers: 5, Rounds: 32, FaultFrom: 1,
+		Pool: func(nodes, byz []ids.ID) []wire.Payload {
+			return append(ballots([]uint64{uint64(byz[0]), uint64(nodes[0]), 11}, wire.V(1), wire.V(2)),
+				wire.Init{}, wire.IDEcho{Candidate: 11}, contribution(1), contribution(2), contribution(math.NaN()),
+				wire.Event{Round: 1, Body: contribution(3).Body}, wire.Event{Body: []byte{1, 2, 3}})
+		},
+		Spec: func(r Role) simnet.Process { return NewVector(r.ID, r.Input) }}
 )
+
+// ballots is, for each instance, its input, prefer, strongprefer and
+// opinion of each value, and its two markers.
+func ballots(instances []uint64, values ...wire.Value) []wire.Payload {
+	var pool []wire.Payload
+	for _, id := range instances {
+		for _, x := range values {
+			pool = append(pool, wire.Input{Instance: id, X: x}, wire.Prefer{Instance: id, X: x},
+				wire.StrongPrefer{Instance: id, X: x}, wire.Opinion{Instance: id, X: x})
+		}
+		pool = append(pool, wire.NoPreference{Instance: id}, wire.NoStrongPreference{Instance: id})
+	}
+	return pool
+}
 
 // approxRow is Algorithm 4 reducing rounds times: chatterers send several
 // values each, NaN, ⊥ and a foreign instance's input. The link-fault
@@ -153,6 +233,22 @@ func (f Family) Test(t *testing.T, impl Side, check func(t *testing.T, spec []si
 	}
 }
 
+// Somewhere returns a check for Family.Test that fails t, once all its
+// runs are over, unless shows held for the spec's nodes of some run.
+func Somewhere(t *testing.T, what string, shows func(spec []simnet.Process) bool) func(*testing.T, []simnet.Process) {
+	var seen atomic.Bool
+	t.Cleanup(func() {
+		if !seen.Load() {
+			t.Errorf("degenerate table: no run %s", what)
+		}
+	})
+	return func(_ *testing.T, nodes []simnet.Process) {
+		if shows(nodes) {
+			seen.Store(true)
+		}
+	}
+}
+
 // run runs one scenario with the correct nodes that mk builds.
 func (f Family) run(t *testing.T, shape string, quota int, seed int64, mk func(Role) simnet.Process) []*recorder {
 	rng := rand.New(rand.NewSource(seed))
@@ -168,7 +264,7 @@ func (f Family) run(t *testing.T, shape string, quota int, seed int64, mk func(R
 	defer net.Close()
 	var recs []*recorder
 	for i, id := range nodes {
-		role := Role{ID: id, Input: float64(rng.Intn(200)) / 4}
+		role := Role{ID: id, Input: float64(rng.Intn(200)) / 4, Source: byz[0]}
 		if i < 3 {
 			role.Body = []byte(fmt.Sprintf("m%d", i%2))
 		}
@@ -191,7 +287,23 @@ func (f Family) run(t *testing.T, shape string, quota int, seed int64, mk func(R
 	return recs
 }
 
-func must(t *testing.T, err error) {
+// Shapes returns msgs as the three inboxes a round can hand a reader:
+// all in the private segment, in the given order (a link-fault round),
+// all in the shared block (an all-broadcast round), and every other
+// message in each.
+func Shapes(msgs []simnet.Received) []simnet.Inbox {
+	var block, private []simnet.Received
+	for i, m := range msgs {
+		if i%2 == 0 {
+			block = append(block, m)
+		} else {
+			private = append(private, m)
+		}
+	}
+	return []simnet.Inbox{simnet.InboxOf(msgs...), simnet.InboxOfRound(msgs, nil), simnet.InboxOfRound(block, private)}
+}
+
+func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -282,4 +394,74 @@ func (t *Tap) Heard(round int, from []ids.ID) []string {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// Fleet is a seeded network for a family's own tests: its correct nodes
+// and its Byzantine ones, their identifiers drawn by IDs, the correct
+// first.
+type Fleet[N simnet.Process] struct {
+	t     testing.TB
+	net   *simnet.Network
+	IDs   []ids.ID // every node's, in draw order
+	nodes []N      // the correct nodes, in draw order
+}
+
+// Byzantine builds a fleet's Byzantine nodes from their identifiers and
+// the run's directory.
+type Byzantine func(byz []ids.ID, dir *adversary.Directory) []simnet.Process
+
+// Each is the Byzantine factory that builds every Byzantine node with mk.
+func Each(mk func(id ids.ID, dir *adversary.Directory) simnet.Process) Byzantine {
+	return func(byz []ids.ID, dir *adversary.Directory) []simnet.Process {
+		out := make([]simnet.Process, len(byz))
+		for i, id := range byz {
+			out[i] = mk(id, dir)
+		}
+		return out
+	}
+}
+
+// Silent is the Byzantine factory of silent nodes.
+var Silent = Each(func(id ids.ID, _ *adversary.Directory) simnet.Process { return adversary.NewSilent(id) })
+
+// IDs is the identifiers of a fleet of n nodes drawn from seed.
+func IDs(seed int64, n int) []ids.ID { return ids.Sparse(rand.New(rand.NewSource(seed)), n) }
+
+// NewFleet builds, on a network with cfg that t closes when it ends, g
+// correct nodes — node i is mk(i, id) — and f Byzantine ones built by
+// byz (nil: none), their identifiers drawn from seed.
+func NewFleet[N simnet.Process](t testing.TB, seed int64, g, f int, cfg simnet.Config, mk func(i int, id ids.ID) N, byz Byzantine) *Fleet[N] {
+	t.Helper()
+	fl := &Fleet[N]{t: t, net: simnet.New(cfg), IDs: IDs(seed, g+f)}
+	t.Cleanup(fl.net.Close)
+	for i, id := range fl.IDs[:g] {
+		fl.nodes = append(fl.nodes, mk(i, id))
+		must(t, fl.net.Add(fl.nodes[i]))
+	}
+	if byz != nil {
+		for _, p := range byz(fl.IDs[g:], adversary.NewDirectory(fl.IDs, fl.IDs[g:])) {
+			must(t, fl.net.AddByzantine(p))
+		}
+	}
+	return fl
+}
+
+// Run runs the fleet until every correct node is done and returns the
+// correct nodes and the rounds it took.
+func (fl *Fleet[N]) Run() ([]N, int) {
+	fl.t.Helper()
+	rounds, err := fl.net.Run(simnet.AllDone(fl.IDs[:len(fl.nodes)]))
+	if err != nil {
+		fl.t.Fatalf("the run did not end: %v", err)
+	}
+	return fl.nodes, rounds
+}
+
+// RunFor runs the fleet for rounds rounds and returns the correct nodes.
+func (fl *Fleet[N]) RunFor(rounds int) []N {
+	fl.t.Helper()
+	for range rounds {
+		must(fl.t, fl.net.RunRound())
+	}
+	return fl.nodes
 }

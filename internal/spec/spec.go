@@ -1,23 +1,29 @@
 // Package spec is the executable specification of the paper's
 // Algorithm 1 (reliable broadcast), Algorithm 2 (the rotor-coordinator),
-// Algorithm 4 (approximate agreement) and the appendix renaming
-// algorithm, each written the way the full version (arXiv 2102.10442)
-// states it: maps of distinct senders, walks of Inbox.All, sorts, n_v
-// counted from the node's own set of senders, and both thresholds of the
-// echo rule spelled out. Family.Test (harness.go) runs a family of
-// internal/core beside its spec in seeded whole runs and compares them
-// send by send.
+// Algorithm 3 (consensus), Algorithm 4 (approximate agreement),
+// Algorithm 5 (parallel consensus) and the appendix's renaming,
+// terminating reliable broadcast and interactive consistency, each
+// written the way the full version (arXiv 2102.10442) states it: maps of
+// distinct senders, walks of Inbox.All, sorts, n_v counted from the
+// node's own set of senders, and every threshold spelled out. Family.Test
+// (harness.go) runs a family of internal/core beside its spec in seeded
+// whole runs and compares them send by send; NewFleet is the one runner
+// the families' other tests build their networks with.
 //
 // The spec shares no code with what it checks: it imports the engine
-// (simnet), the payloads (wire) and the identifier type (ids), but no
-// census, no ids.Set and nothing of internal/core. A mutant in shared
-// code changes both sides of a comparison, and the comparison cannot
-// see it.
+// (simnet), the payloads (wire), the identifier type (ids) and, for
+// NewFleet, the Byzantine nodes (adversary), but no census, no ids.Set
+// and nothing of internal/core. A mutant in shared code changes both
+// sides of a comparison, and the comparison cannot see it.
 //
 // Where the paper leaves a choice, the spec takes the one DESIGN §3
 // pins: of several opinions a coordinator sent one receiver, the
-// greatest encoding; of several values a sender sent, the least; and a
-// node's echoes of one round go out in ascending key order.
+// greatest encoding; of several values a sender sent, the least; of a
+// tie in a tally, the least value; a node's echoes of one round go out
+// in ascending key order, and its ballots of one round in ascending
+// instance order; Algorithm 3 sends Algorithm 5's no-quorum markers; and
+// an instance of Algorithm 5 is met by the first census member in inbox
+// order that names it.
 package spec
 
 import (
@@ -92,6 +98,23 @@ func echoInits(env *simnet.RoundEnv) {
 			env.Broadcast(wire.IDEcho{Candidate: m.From})
 		}
 	}
+}
+
+// initRound is the two initialization rounds of Algorithms 3 and 5:
+// announce, then echo the announcements. The senders heard until the end
+// of round 2 are the node's census, and their number n_v. It reports
+// whether env's round was one of the two.
+func (n *node) initRound(env *simnet.RoundEnv) bool {
+	switch env.Round {
+	case 1:
+		env.Broadcast(wire.Init{})
+	case 2:
+		echoInits(env)
+	default:
+		return false
+	}
+	n.heard.observe(env.Inbox)
+	return true
 }
 
 // RB is Algorithm 1, reliable broadcast, at one correct node.
@@ -210,22 +233,30 @@ func (c *RotorCore) Note(inbox simnet.Inbox, counted func(ids.ID) bool) {
 
 // Opinion is lines 14–15: the opinion of c's instance that the
 // coordinator selected by the last LoopRound sent in inbox, if counted
-// admits it; of several, the one with the greatest encoding.
+// admits it.
 func (c *RotorCore) Opinion(inbox simnet.Inbox, counted func(ids.ID) bool) (x wire.Value, ok bool) {
+	x, ok = c.Opinions(inbox, counted)[c.instance]
+	return x, ok
+}
+
+// Opinions is lines 14–15 for every instance tag at once: per tag, the
+// opinion the coordinator selected by the last LoopRound sent in inbox,
+// if counted admits it; of several, the one with the greatest encoding.
+func (c *RotorCore) Opinions(inbox simnet.Inbox, counted func(ids.ID) bool) map[uint64]wire.Value {
+	x, best := map[uint64]wire.Value{}, map[uint64][]byte{}
 	if c.last == ids.None || !counted(c.last) {
-		return x, false
+		return x
 	}
-	var best []byte
 	for m := range inbox.All() {
 		op, isOp := m.Payload.(wire.Opinion)
-		if !isOp || m.From != c.last || op.Instance != c.instance {
+		if !isOp || m.From != c.last {
 			continue
 		}
-		if enc := wire.Encode(op); !ok || bytes.Compare(enc, best) > 0 {
-			x, ok, best = op.X, true, enc
+		if enc, seen := wire.Encode(op), best[op.Instance]; seen == nil || bytes.Compare(enc, seen) > 0 {
+			x[op.Instance], best[op.Instance] = op.X, enc
 		}
 	}
-	return x, ok
+	return x
 }
 
 // LoopRound is lines 7–13 and 16–17: the echo rule over the noted
