@@ -1,7 +1,10 @@
 package uba
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"uba/internal/adversary"
 	"uba/internal/core/approx"
@@ -37,7 +40,7 @@ func (r *ApproxResult) RangeRatio() float64 {
 // opposite astronomically large values to the two halves of the correct
 // nodes.
 func ApproximateAgreement(cfg Config, inputs []float64) (*ApproxResult, error) {
-	if err := cfg.validateInputs(len(inputs), "inputs"); err != nil {
+	if err := cmp.Or(cfg.validateInputs(len(inputs), "inputs"), notNaN(inputs)); err != nil {
 		return nil, err
 	}
 	cl, err := newCluster(cfg, "approx")
@@ -86,7 +89,7 @@ type IteratedResult struct {
 // IteratedApproximateAgreement repeats the Algorithm 4 reduction for the
 // given number of rounds, halving the correct range each round.
 func IteratedApproximateAgreement(cfg Config, inputs []float64, rounds int) (*IteratedResult, error) {
-	if err := cfg.validateInputs(len(inputs), "inputs"); err != nil {
+	if err := cmp.Or(cfg.validateInputs(len(inputs), "inputs"), notNaN(inputs)); err != nil {
 		return nil, err
 	}
 	if rounds <= 0 {
@@ -140,6 +143,15 @@ func (c *cluster) addApproxAdversary(cfg Config) error {
 			return nil
 		}
 	})
+}
+
+// notNaN fails on the first NaN of inputs: a node drops a NaN it
+// receives, its own included, so a NaN input is never a node's value.
+func notNaN(inputs []float64) error {
+	if i := slices.IndexFunc(inputs, math.IsNaN); i >= 0 {
+		return fmt.Errorf("uba: input %d is NaN", i)
+	}
+	return nil
 }
 
 func bounds(xs []float64) (lo, hi float64) {

@@ -1,6 +1,7 @@
 package uba
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -48,7 +49,7 @@ type VectorResult struct {
 // materialize through dissemination and the instance-awareness windows
 // of Algorithm 5.
 func InteractiveConsistency(cfg Config, inputs []float64) (*VectorResult, error) {
-	if err := cfg.validateInputs(len(inputs), "inputs"); err != nil {
+	if err := cmp.Or(cfg.validateInputs(len(inputs), "inputs"), notNaN(inputs)); err != nil {
 		return nil, err
 	}
 	cl, err := newCluster(cfg, "vector")

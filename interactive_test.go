@@ -2,6 +2,8 @@ package uba
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -59,6 +61,10 @@ func TestInteractiveConsistencyInputMismatch(t *testing.T) {
 	t.Parallel()
 	if _, err := InteractiveConsistency(Config{Correct: 3}, []float64{1}); err == nil {
 		t.Fatal("input count mismatch accepted")
+	}
+	// A NaN is refused before a run, not after it as a dropped value.
+	if _, err := InteractiveConsistency(Config{Correct: 3}, []float64{1, math.NaN(), 2}); err == nil || !strings.Contains(err.Error(), "input 1 is NaN") {
+		t.Fatalf("a NaN input: err = %v", err)
 	}
 }
 

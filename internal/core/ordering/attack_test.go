@@ -5,37 +5,37 @@ import (
 
 	"uba/internal/adversary"
 	"uba/internal/ids"
+	"uba/internal/simnet"
+	"uba/internal/spec"
 )
+
+// churners builds every Byzantine node as a membership churner.
+var churners = spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+	return adversary.NewMembershipChurner(id, dir)
+})
 
 // A membership-flapping adversary (present/absent to different halves,
 // bogus acks) must not break the chain-prefix property among the correct
 // founders, and all their events must still be ordered.
 func TestOrderingUnderMembershipChurner(t *testing.T) {
 	t.Parallel()
-	c, founders, byz := newCluster(t, 31, 7, 2)
-	all := append(append([]ids.ID(nil), founders...), byz...)
-	dir := adversary.NewDirectory(all, byz)
-	for _, id := range byz {
-		if err := c.net.AddByzantine(adversary.NewMembershipChurner(id, dir)); err != nil {
-			t.Fatal(err)
-		}
+	fl, nodes := founded(t, 31, 7, 2, churners)
+	for i, node := range nodes {
+		node.SubmitEvent(float64(100 + i))
 	}
-	for i, id := range founders {
-		c.nodes[id].SubmitEvent(float64(100 + i))
-	}
-	c.run(110)
-	chain := checkChainPrefix(t, c.correctNodes())
+	fl.RunFor(110)
+	chain := checkChainPrefix(t, nodes)
 	correctEvents := 0
 	for _, e := range chain {
-		for _, id := range founders {
-			if e.Submitter == id {
+		for _, node := range nodes {
+			if e.Submitter == node.ID() {
 				correctEvents++
 			}
 		}
 	}
-	if correctEvents != len(founders) {
+	if correctEvents != len(nodes) {
 		t.Fatalf("%d correct events ordered, want %d; chain %v",
-			correctEvents, len(founders), chain)
+			correctEvents, len(nodes), chain)
 	}
 }
 
@@ -43,34 +43,20 @@ func TestOrderingUnderMembershipChurner(t *testing.T) {
 // the honest round number.
 func TestJoinerSurvivesBogusAcks(t *testing.T) {
 	t.Parallel()
-	c, founders, byz := newCluster(t, 37, 6, 2)
-	all := append(append([]ids.ID(nil), founders...), byz...)
-	dir := adversary.NewDirectory(all, byz)
-	for _, id := range byz {
-		if err := c.net.AddByzantine(adversary.NewMembershipChurner(id, dir)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.run(4)
+	fl, nodes := founded(t, 37, 6, 2, churners)
+	fl.RunFor(4)
 	joinerID := ids.ID(424242)
-	joiner, err := NewJoiner(joinerID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.net.Add(joiner); err != nil {
-		t.Fatal(err)
-	}
-	c.nodes[joinerID] = joiner
-	c.run(6)
-	founderRound := c.nodes[founders[0]].Round()
+	joiner := join(t, fl, joinerID)
+	fl.RunFor(6)
+	founderRound := nodes[0].Round()
 	if joiner.Round() != founderRound {
 		t.Fatalf("joiner adopted round %d, founders at %d (bogus acks won?)",
 			joiner.Round(), founderRound)
 	}
 	joiner.SubmitEvent(7.25)
-	c.run(90)
+	fl.RunFor(90)
 	found := false
-	for _, e := range c.nodes[founders[0]].Chain() {
+	for _, e := range nodes[0].Chain() {
 		if e.Submitter == joinerID && e.Value == 7.25 {
 			found = true
 		}

@@ -1,9 +1,9 @@
 package ordering
 
 import (
+	"slices"
 	"testing"
 
-	"uba/internal/adversary"
 	"uba/internal/core/parallelcon"
 	"uba/internal/ids"
 )
@@ -30,25 +30,9 @@ func rebuild(n *Node, round uint64) *ids.Set {
 // Members returns shows nowhere.
 func TestEpochCacheMatchesRebuildUnderChurn(t *testing.T) {
 	t.Parallel()
-	c, founders, byz := newCluster(t, 83, 7, 2)
-	all := append(append([]ids.ID(nil), founders...), byz...)
-	dir := adversary.NewDirectory(all, byz)
-	for _, id := range byz {
-		if err := c.net.AddByzantine(adversary.NewMembershipChurner(id, dir)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nodes := c.correctNodes()
-	join := func(id ids.ID) {
-		node, err := NewJoiner(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, node)
-	}
+	fl, founders := founded(t, 83, 7, 2, churners)
+	nodes := slices.Clone(founders)
+	joinAt := func(id ids.ID) { nodes = append(nodes, join(t, fl, id)) }
 
 	type seen struct {
 		scope   *parallelcon.Scope
@@ -59,20 +43,20 @@ func TestEpochCacheMatchesRebuildUnderChurn(t *testing.T) {
 	for r := 1; r <= 70; r++ {
 		switch r {
 		case 5: // simultaneous joiners
-			join(880001)
-			join(880002)
-			join(880003)
+			joinAt(880001)
+			joinAt(880002)
+			joinAt(880003)
 		case 12: // a present and an absent land together in round 13
-			join(880004)
+			joinAt(880004)
 			nodes[0].Leave()
 		case 20:
-			join(880005)
+			joinAt(880005)
 		case 22: // a leave two rounds after a join
 			nodes[1].Leave()
 		case 40: // a joiner leaves again
 			nodes[8].Leave()
 		}
-		c.nodes[founders[r%len(founders)]].SubmitEvent(float64(r))
+		founders[r%len(founders)].SubmitEvent(float64(r))
 
 		want := make(map[*Node]*ids.Set)
 		for _, node := range nodes {
@@ -80,7 +64,7 @@ func TestEpochCacheMatchesRebuildUnderChurn(t *testing.T) {
 				want[node] = rebuild(node, node.r+1)
 			}
 		}
-		c.run(1)
+		fl.RunFor(1)
 
 		for _, node := range nodes {
 			members, stepped := want[node]

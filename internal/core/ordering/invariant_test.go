@@ -1,12 +1,13 @@
 package ordering
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 
+	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 )
 
 // Chains are append-only: the chain read after any round extends the chain
@@ -14,14 +15,14 @@ import (
 // the caller's own copy.
 func TestChainIsAppendOnly(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 51, 5, 0)
-	node := c.nodes[founders[0]]
+	fl, nodes := founded(t, 51, 5, 0, nil)
+	node := nodes[0]
 	var prev []ChainEntry
 	for r := 0; r < 100; r++ {
 		if r%2 == 0 {
 			node.SubmitEvent(float64(r))
 		}
-		c.run(1)
+		fl.RunFor(1)
 		cur := node.Chain()
 		if len(cur) < len(prev) || !slices.Equal(cur[:len(prev)], prev) {
 			t.Fatalf("round %d: chain %v does not extend %v", r, cur, prev)
@@ -43,14 +44,13 @@ func TestChainIsAppendOnly(t *testing.T) {
 // one did, under an absolute ceiling at this size (|S| = 9). Not parallel:
 // it counts the process's allocations.
 func TestSessionCostIsFlatInItsAge(t *testing.T) {
-	c, founders, _ := newCluster(t, 67, 7, 2)
-	nodes := c.correctNodes()
+	fl, nodes := founded(t, 67, 7, 2, nil)
 	const maxWindow = 5*9/2 + 3
 	round := 0
 	step := func() {
 		round++
-		c.nodes[founders[round%len(founders)]].SubmitEvent(float64(round))
-		c.run(1)
+		nodes[round%len(nodes)].SubmitEvent(float64(round))
+		fl.RunFor(1)
 		for _, node := range nodes {
 			if got := len(node.window); got > maxWindow {
 				t.Fatalf("round %d: node %v holds %d executions, want at most %d", round, node.ID(), got, maxWindow)
@@ -89,23 +89,14 @@ func TestSessionCostIsFlatInItsAge(t *testing.T) {
 // rounds, and their submissions get ordered.
 func TestSimultaneousJoiners(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 53, 5, 0)
-	c.run(3)
-	joinerIDs := []ids.ID{777001, 777002, 777003}
-	joiners := make([]*Node, 0, len(joinerIDs))
-	for _, id := range joinerIDs {
-		node, err := NewJoiner(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		joiners = append(joiners, node)
-		if err := c.net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-		c.nodes[id] = node
+	fl, founders := founded(t, 53, 5, 0, nil)
+	fl.RunFor(3)
+	var joiners []*Node
+	for _, id := range []ids.ID{777001, 777002, 777003} {
+		joiners = append(joiners, join(t, fl, id))
 	}
-	c.run(5)
-	founderRound := c.nodes[founders[0]].Round()
+	fl.RunFor(5)
+	founderRound := founders[0].Round()
 	for _, j := range joiners {
 		if j.Round() != founderRound {
 			t.Fatalf("joiner %v at round %d, founders at %d", j.ID(), j.Round(), founderRound)
@@ -114,8 +105,8 @@ func TestSimultaneousJoiners(t *testing.T) {
 	for i, j := range joiners {
 		j.SubmitEvent(float64(9000 + i))
 	}
-	c.run(90)
-	chain := c.nodes[founders[0]].Chain()
+	fl.RunFor(90)
+	chain := founders[0].Chain()
 	found := 0
 	for _, e := range chain {
 		if e.Value >= 9000 && e.Value < 9003 {
@@ -126,7 +117,7 @@ func TestSimultaneousJoiners(t *testing.T) {
 		t.Fatalf("%d joiner events ordered, want %d; chain %v", found, len(joiners), chain)
 	}
 	// All correct nodes still agree.
-	checkChainPrefix(t, c.correctNodes())
+	checkChainPrefix(t, founders)
 }
 
 // The model lets a node unicast only to a node that has messaged it.
@@ -137,24 +128,18 @@ func TestSimultaneousJoiners(t *testing.T) {
 // and the joiner learns the round — the Acks were sent.
 func TestOrderingObeysContactRule(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 57, 4, 0)
+	fl, founders := founded(t, 57, 4, 0, nil)
 	var joiner *Node
 	for round := 1; round <= 40; round++ {
 		if round == 5 {
-			var err error
-			if joiner, err = NewJoiner(777001); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.net.Add(joiner); err != nil {
-				t.Fatal(err)
-			}
+			joiner = join(t, fl, 777001)
 		}
-		for i, id := range founders {
-			c.nodes[id].SubmitEvent(float64(100*round + i))
+		for i, node := range founders {
+			node.SubmitEvent(float64(100*round + i))
 		}
-		c.run(1) // fails the test on any engine error, ErrContactRule included
+		fl.RunFor(1) // fails the test on any engine error, ErrContactRule included
 	}
-	if got, want := joiner.Round(), c.nodes[founders[0]].Round(); got == 0 || got != want {
+	if got, want := joiner.Round(), founders[0].Round(); got == 0 || got != want {
 		t.Fatalf("joiner at round %d, founders at %d: no Ack reached it", got, want)
 	}
 }
@@ -163,26 +148,26 @@ func TestOrderingObeysContactRule(t *testing.T) {
 // long as the n > 3f invariant holds among them.
 func TestCascadingLeaves(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 59, 8, 0)
-	for i, id := range founders {
-		c.nodes[id].SubmitEvent(float64(i))
+	fl, founders := founded(t, 59, 8, 0, nil)
+	for i, node := range founders {
+		node.SubmitEvent(float64(i))
 	}
-	c.run(10)
-	c.nodes[founders[0]].Leave()
-	c.run(2)
-	c.nodes[founders[1]].Leave()
-	c.run(100)
-	if !c.nodes[founders[0]].Done() || !c.nodes[founders[1]].Done() {
+	fl.RunFor(10)
+	founders[0].Leave()
+	fl.RunFor(2)
+	founders[1].Leave()
+	fl.RunFor(100)
+	if !founders[0].Done() || !founders[1].Done() {
 		t.Fatal("leavers did not wind down")
 	}
-	survivors := c.correctNodes()[2:]
+	survivors := founders[2:]
 	chain := checkChainPrefix(t, survivors)
 	if len(chain) == 0 {
 		t.Fatal("survivors finalized nothing")
 	}
 	for _, node := range survivors {
 		members := node.Members()
-		if members.Contains(founders[0]) || members.Contains(founders[1]) {
+		if members.Contains(founders[0].ID()) || members.Contains(founders[1].ID()) {
 			t.Fatalf("node %v still lists a leaver", node.ID())
 		}
 	}
@@ -193,31 +178,22 @@ func TestCascadingLeaves(t *testing.T) {
 func TestOrderingRunnersAgree(t *testing.T) {
 	t.Parallel()
 	run := func(workers int) []ChainEntry {
-		rng := rand.New(rand.NewSource(61))
-		all := ids.Sparse(rng, 6)
-		members := ids.NewSet(all...)
-		net := simnet.New(simnet.Config{MaxRounds: 5000, Workers: workers})
-		nodes := make([]*Node, 0, 5)
-		for _, id := range all[:5] {
+		members := ids.NewSet(spec.IDs(61, 6)...)
+		fl := spec.NewFleet(t, 61, 5, 1, simnet.Config{MaxRounds: 5000, Workers: workers}, func(_ int, id ids.ID) *Node {
 			node, err := NewFounder(id, members)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes = append(nodes, node)
-			if err := net.Add(node); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := net.AddByzantine(&equivocatingSubmitter{id: all[5], targets: all[:5]}); err != nil {
-			t.Fatal(err)
-		}
+			return node
+		}, spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+			return &equivocatingSubmitter{id: id, targets: dir.Correct()}
+		}))
+		nodes := fl.RunFor(0)
 		for r := 0; r < 80; r++ {
 			if r%3 == 0 {
 				nodes[r%5].SubmitEvent(float64(r))
 			}
-			if err := net.RunRound(); err != nil {
-				t.Fatal(err)
-			}
+			fl.RunFor(1)
 		}
 		return nodes[0].Chain()
 	}
@@ -237,16 +213,15 @@ func TestOrderingRunnersAgree(t *testing.T) {
 // of it order what was submitted up to the bound and nothing after.
 func TestNoExecutionPastMaxRound(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 71, 5, 0)
-	nodes := c.correctNodes()
+	fl, nodes := founded(t, 71, 5, 0, nil)
 	for _, node := range nodes {
 		node.r = MaxRound - 4
 		node.firstRun = node.r + 1
 	}
 	for i := 0; i < 12; i++ {
-		c.nodes[founders[0]].SubmitEvent(float64(i))
+		nodes[0].SubmitEvent(float64(i))
 	}
-	c.run(60)
+	fl.RunFor(60)
 	for _, node := range nodes {
 		if node.Round() <= MaxRound {
 			t.Fatalf("node %v only reached round %d", node.ID(), node.Round())

@@ -4,63 +4,40 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
+	"uba/internal/adversary"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/spec"
 	"uba/internal/wire"
 )
 
-// cluster is a test harness around a set of ordering nodes.
-type cluster struct {
-	t     *testing.T
-	net   *simnet.Network
-	nodes map[ids.ID]*Node
-	order []ids.ID
-}
-
-func newCluster(t *testing.T, seed int64, nFounders int, byzIDs int) (*cluster, []ids.ID, []ids.ID) {
+// founded is a fleet of g founders and f Byzantine nodes that byz builds
+// (nil: none), every one of them a founding member, on a network of at
+// most 5000 rounds, and its founders.
+func founded(t *testing.T, seed int64, g, f int, byz spec.Byzantine) (*spec.Fleet[*Node], []*Node) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	all := ids.Sparse(rng, nFounders+byzIDs)
-	founderIDs := all[:nFounders]
-	byz := all[nFounders:]
-	members := ids.NewSet(all...)
-	c := &cluster{
-		t:     t,
-		net:   simnet.New(simnet.Config{MaxRounds: 5000}),
-		nodes: make(map[ids.ID]*Node),
-	}
-	for _, id := range founderIDs {
+	members := ids.NewSet(spec.IDs(seed, g+f)...)
+	fl := spec.NewFleet(t, seed, g, f, simnet.Config{MaxRounds: 5000}, func(_ int, id ids.ID) *Node {
 		node, err := NewFounder(id, members)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.nodes[id] = node
-		c.order = append(c.order, id)
-		if err := c.net.Add(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return c, founderIDs, byz
+		return node
+	}, byz)
+	return fl, fl.RunFor(0)
 }
 
-func (c *cluster) run(rounds int) {
-	c.t.Helper()
-	for i := 0; i < rounds; i++ {
-		if err := c.net.RunRound(); err != nil {
-			c.t.Fatal(err)
-		}
+// join adds a joiner with identifier id to fl's running system.
+func join(t *testing.T, fl *spec.Fleet[*Node], id ids.ID) *Node {
+	t.Helper()
+	node, err := NewJoiner(id)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func (c *cluster) correctNodes() []*Node {
-	out := make([]*Node, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.nodes[id])
-	}
-	return out
+	fl.Add(node)
+	return node
 }
 
 // checkChainPrefix verifies the chain-prefix property across all correct
@@ -91,24 +68,24 @@ func checkChainPrefix(t *testing.T, nodes []*Node) []ChainEntry {
 
 func TestFoundersOrderTheirEvents(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 1, 6, 0)
+	fl, nodes := founded(t, 1, 6, 0, nil)
 	// Every founder submits a distinct event up front.
-	for i, id := range founders {
-		c.nodes[id].SubmitEvent(float64(100 + i))
+	for i, node := range nodes {
+		node.SubmitEvent(float64(100 + i))
 	}
-	c.run(60)
-	chain := checkChainPrefix(t, c.correctNodes())
-	if len(chain) != len(founders) {
-		t.Fatalf("chain has %d events, want %d: %v", len(chain), len(founders), chain)
+	fl.RunFor(60)
+	chain := checkChainPrefix(t, nodes)
+	if len(chain) != len(nodes) {
+		t.Fatalf("chain has %d events, want %d: %v", len(chain), len(nodes), chain)
 	}
 	// All events decided in one round's execution, ordered by submitter.
 	seen := make(map[ids.ID]float64)
 	for _, e := range chain {
 		seen[e.Submitter] = e.Value
 	}
-	for i, id := range founders {
-		if seen[id] != float64(100+i) {
-			t.Fatalf("submitter %v: value %v, want %v", id, seen[id], float64(100+i))
+	for i, node := range nodes {
+		if seen[node.ID()] != float64(100+i) {
+			t.Fatalf("submitter %v: value %v, want %v", node.ID(), seen[node.ID()], float64(100+i))
 		}
 	}
 	// Ordering within the chain: by (round, submitter).
@@ -122,14 +99,14 @@ func TestFoundersOrderTheirEvents(t *testing.T) {
 
 func TestChainGrowth(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 2, 5, 0)
-	submitter := c.nodes[founders[0]]
+	fl, nodes := founded(t, 2, 5, 0, nil)
+	submitter := nodes[0]
 	// Submit one event per round for a while.
 	lastLen := 0
 	grew := 0
 	for round := 0; round < 90; round++ {
 		submitter.SubmitEvent(float64(round))
-		c.run(1)
+		fl.RunFor(1)
 		if l := len(submitter.Chain()); l > lastLen {
 			grew++
 			lastLen = l
@@ -141,20 +118,19 @@ func TestChainGrowth(t *testing.T) {
 	if grew < 10 {
 		t.Fatalf("chain grew only %d times", grew)
 	}
-	checkChainPrefix(t, c.correctNodes())
+	checkChainPrefix(t, nodes)
 }
 
 func TestChainsIdenticalAfterQuiescence(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 3, 6, 0)
-	for i, id := range founders {
-		c.nodes[id].SubmitEvent(float64(i))
+	fl, nodes := founded(t, 3, 6, 0, nil)
+	for i, node := range nodes {
+		node.SubmitEvent(float64(i))
 		if i%2 == 0 {
-			c.nodes[id].SubmitEvent(float64(10 + i))
+			node.SubmitEvent(float64(10 + i))
 		}
 	}
-	c.run(100)
-	nodes := c.correctNodes()
+	fl.RunFor(100)
 	base := nodes[0].Chain()
 	if len(base) == 0 {
 		t.Fatal("no events finalized")
@@ -211,23 +187,19 @@ func TestEquivocatingEventsKeepChainsConsistent(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			c, founders, byz := newCluster(t, seed*10, 7, 2)
-			for _, id := range byz {
-				eq := &equivocatingSubmitter{id: id, targets: founders}
-				if err := c.net.AddByzantine(eq); err != nil {
-					t.Fatal(err)
-				}
+			fl, nodes := founded(t, seed*10, 7, 2, spec.Each(func(id ids.ID, dir *adversary.Directory) simnet.Process {
+				return &equivocatingSubmitter{id: id, targets: dir.Correct()}
+			}))
+			for i, node := range nodes {
+				node.SubmitEvent(float64(i))
 			}
-			for i, id := range founders {
-				c.nodes[id].SubmitEvent(float64(i))
-			}
-			c.run(110)
-			chain := checkChainPrefix(t, c.correctNodes())
+			fl.RunFor(110)
+			chain := checkChainPrefix(t, nodes)
 			// The correct events must all be present.
 			count := 0
 			for _, e := range chain {
-				for _, id := range founders {
-					if e.Submitter == id {
+				for _, node := range nodes {
+					if e.Submitter == node.ID() {
 						count++
 					}
 				}
@@ -238,8 +210,8 @@ func TestEquivocatingEventsKeepChainsConsistent(t *testing.T) {
 					continue
 				}
 			}
-			if count != len(founders) {
-				t.Fatalf("%d correct events ordered, want %d: %v", count, len(founders), chain)
+			if count != len(nodes) {
+				t.Fatalf("%d correct events ordered, want %d: %v", count, len(nodes), chain)
 			}
 		})
 	}
@@ -247,31 +219,23 @@ func TestEquivocatingEventsKeepChainsConsistent(t *testing.T) {
 
 func TestJoinerParticipatesAndAgrees(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 5, 5, 0)
-	c.run(3)
+	fl, nodes := founded(t, 5, 5, 0, nil)
+	fl.RunFor(3)
 	// A joiner arrives at round 4.
-	rng := rand.New(rand.NewSource(99))
-	joinerID := ids.Sparse(rng, 1)[0]
-	joiner, err := NewJoiner(joinerID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.net.Add(joiner); err != nil {
-		t.Fatal(err)
-	}
-	c.nodes[joinerID] = joiner
-	c.run(4)
+	joinerID := spec.IDs(99, 1)[0]
+	joiner := join(t, fl, joinerID)
+	fl.RunFor(4)
 	if joiner.Round() == 0 {
 		t.Fatal("joiner did not initialize its round")
 	}
 	// Joiner's round must match the founders' from now on.
-	founderNode := c.nodes[founders[0]]
+	founderNode := nodes[0]
 	if joiner.Round() != founderNode.Round() {
 		t.Fatalf("joiner round %d, founder round %d", joiner.Round(), founderNode.Round())
 	}
 	// Joiner submits an event; everyone must order it identically.
 	joiner.SubmitEvent(777)
-	c.run(80)
+	fl.RunFor(80)
 	var joinerEntry *ChainEntry
 	for _, e := range founderNode.Chain() {
 		if e.Submitter == joinerID {
@@ -309,19 +273,19 @@ func TestJoinerParticipatesAndAgrees(t *testing.T) {
 
 func TestLeaverWindsDownCleanly(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 6, 6, 0)
-	leaver := c.nodes[founders[0]]
-	for i, id := range founders {
-		c.nodes[id].SubmitEvent(float64(i))
+	fl, nodes := founded(t, 6, 6, 0, nil)
+	leaver := nodes[0]
+	for i, node := range nodes {
+		node.SubmitEvent(float64(i))
 	}
-	c.run(5)
+	fl.RunFor(5)
 	leaver.Leave()
-	c.run(60)
+	fl.RunFor(60)
 	if !leaver.Done() {
 		t.Fatal("leaver never finished winding down")
 	}
 	// Remaining nodes keep finalizing and agree.
-	rest := c.correctNodes()[1:]
+	rest := nodes[1:]
 	chain := checkChainPrefix(t, rest)
 	if len(chain) == 0 {
 		t.Fatal("survivors finalized nothing")
@@ -338,13 +302,13 @@ func TestLeaverWindsDownCleanly(t *testing.T) {
 // 5|S|/2 + 2 rounds after r'; measure the worst observed lag.
 func TestFinalityLagWithinBound(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 7, 6, 0)
-	node := c.nodes[founders[0]]
+	fl, nodes := founded(t, 7, 6, 0, nil)
+	node := nodes[0]
 	for i := 0; i < 40; i++ {
 		node.SubmitEvent(float64(i))
-		c.run(1)
+		fl.RunFor(1)
 	}
-	c.run(40)
+	fl.RunFor(40)
 	finalized := node.FinalizedThrough()
 	if finalized == 0 {
 		t.Fatal("nothing finalized")
@@ -357,13 +321,13 @@ func TestFinalityLagWithinBound(t *testing.T) {
 
 func TestEventAppearsExactlyOnce(t *testing.T) {
 	t.Parallel()
-	c, founders, _ := newCluster(t, 8, 5, 0)
-	c.nodes[founders[1]].SubmitEvent(3.5)
-	c.run(70)
-	chain := checkChainPrefix(t, c.correctNodes())
+	fl, nodes := founded(t, 8, 5, 0, nil)
+	nodes[1].SubmitEvent(3.5)
+	fl.RunFor(70)
+	chain := checkChainPrefix(t, nodes)
 	count := 0
 	for _, e := range chain {
-		if e.Submitter == founders[1] && e.Value == 3.5 {
+		if e.Submitter == nodes[1].ID() && e.Value == 3.5 {
 			count++
 		}
 	}

@@ -19,8 +19,11 @@ import (
 type Role struct {
 	ID     ids.ID
 	Body   []byte  // nil at a node that is not a source
-	Input  float64 // Algorithm 4's input, Algorithm 2's opinion, the vector's value
+	Input  float64 // Algorithm 4's input, Algorithm 2's opinion, the vector's value, Algorithm 6's event
 	Source ids.ID  // the first chatterer: terminating reliable broadcast's source
+	// Founders are Algorithm 6's members in round 1: every node but the
+	// last, and the chatterers that speak from round 1.
+	Founders []ids.ID
 }
 
 // Vote is the node's input to Algorithm 3, 0 or 1: the parity of Input's
@@ -157,6 +160,30 @@ var (
 				wire.Event{Round: 1, Body: contribution(3).Body}, wire.Event{Body: []byte{1, 2, 3}})
 		},
 		Spec: func(r Role) simnet.Process { return NewVector(r.ID, r.Input) }}
+
+	// ForOrdering: the founders are every node but the last, the joiner,
+	// and the four chatterers that speak from round 1; nodes submit their
+	// Input. Chatterers say present and absent, send acks, events of early
+	// rounds (also NaN and of a bad length), ballots, markers and opinions
+	// under early rounds' tags, and echoes under their rotor tags; the fifth,
+	// silent until round 5 and outside every founder's S, joins by its
+	// present and sends events. 45 rounds let executions finalize.
+	ForOrdering = Family{Nodes: 8, Chatterers: 5, Rounds: 45, FaultFrom: 1,
+		Pool: func(nodes, byz []ids.ID) []wire.Payload {
+			pool := []wire.Payload{wire.Present{}, wire.Absent{}, wire.Ack{Round: 1}, wire.Ack{Round: JoinRound}, wire.Ack{Round: 99},
+				wire.Event{Round: 4, Body: contribution(math.NaN()).Body}, wire.Event{Round: 4, Body: []byte{1, 2, 3}},
+				wire.IDEcho{Instance: tag(4, 0), Candidate: byz[0]}, wire.IDEcho{Instance: tag(5, 0), Candidate: 11}}
+			for _, r := range []uint64{1, 2, 3, 5, 6} {
+				pool = append(pool, wire.Event{Round: r, Body: contribution(float64(r)).Body})
+			}
+			return append(pool, ballots([]uint64{tag(3, byz[0]), tag(5, nodes[1]), tag(5, 11)}, wire.V(0), wire.V(1))...)
+		},
+		Spec: func(r Role) simnet.Process {
+			if slices.Contains(r.Founders, r.ID) {
+				return r.Churned(NewOrdering(r.ID, r.Founders))
+			}
+			return r.Churned(NewOrdering(r.ID, nil))
+		}}
 )
 
 // ballots is, for each instance, its input, prefer, strongprefer and
@@ -188,10 +215,11 @@ func approxRow(rounds int) Family {
 
 // Test runs the family's scenarios as parallel subtests of t named
 // "<shape>/quota=<q>/seed=<s>": every way a round reaches a reader —
-// "block" (everything broadcast: the shared block only),
-// "block+unicasts" (Byzantine unicasts beside the block) and "linkfault"
-// (a live link rule: everything private) — without a send quota and with
-// one of 3 (fewer than a round's echoes), seeds 1 to 8. Each runs
+// "block" (the chatterers only broadcast: their messages arrive in the
+// shared block), "block+unicasts" (Byzantine unicasts beside the block)
+// and "linkfault" (a live link rule: everything private) — without a
+// send quota and with one of 3 (fewer than a round's echoes), seeds 1
+// to 8. Each runs
 // impl's nodes and the spec's on two networks and fails at the first
 // correct node whose queued sends (read with env.Sent right after Step:
 // the whole queue, round by round, in order) or whose outcome differ, or
@@ -218,7 +246,7 @@ func (f Family) Test(t *testing.T, impl Side, check func(t *testing.T, spec []si
 					}
 					switch {
 					case shape == "block" && direct != 0:
-						t.Fatalf("%d private deliveries in an all-broadcast run", direct)
+						t.Fatalf("%d private deliveries of chatterers' messages in an all-broadcast run", direct)
 					case shape == "block+unicasts" && (direct == 0 || shared == 0):
 						t.Fatalf("shared=%d private=%d: want both", shared, direct)
 					case shape == "linkfault" && direct == 0:
@@ -262,13 +290,14 @@ func (f Family) run(t *testing.T, shape string, quota int, seed int64, mk func(R
 	}
 	net := simnet.New(cfg)
 	defer net.Close()
+	founders := slices.Concat(nodes[:len(nodes)-1], byz[:len(byz)-1])
 	var recs []*recorder
 	for i, id := range nodes {
-		role := Role{ID: id, Input: float64(rng.Intn(200)) / 4, Source: byz[0]}
+		role := Role{ID: id, Input: float64(rng.Intn(200)) / 4, Source: byz[0], Founders: founders}
 		if i < 3 {
 			role.Body = []byte(fmt.Sprintf("m%d", i%2))
 		}
-		recs = append(recs, &recorder{Process: mk(role)})
+		recs = append(recs, &recorder{Process: mk(role), chatterers: byz})
 		must(t, net.Add(recs[i]))
 	}
 	pool := f.Pool(nodes, byz)
@@ -310,17 +339,26 @@ func must(t testing.TB, err error) {
 	}
 }
 
-// recorder is a correct node that notes how its inboxes arrived and
-// every send it queued.
+// recorder is a correct node that notes how the chatterers' messages
+// arrived and every send it queued.
 type recorder struct {
 	simnet.Process
+	chatterers     []ids.ID
 	sends          []string // "r<round> <encoding>"
-	shared, direct int      // messages read from the shared block, from the private segment
+	shared, direct int      // chatterers' messages read from the shared block, from the private segment
 }
 
 func (r *recorder) Step(env *simnet.RoundEnv) {
-	r.direct += len(env.Inbox.Direct())
-	r.shared += env.Inbox.Len() - len(env.Inbox.Direct())
+	for m := range env.Inbox.All() {
+		if slices.Contains(r.chatterers, m.From) {
+			r.shared++
+		}
+	}
+	for _, m := range env.Inbox.Direct() {
+		if slices.Contains(r.chatterers, m.From) {
+			r.shared, r.direct = r.shared-1, r.direct+1
+		}
+	}
 	r.Process.Step(env)
 	for _, p := range env.Sent() {
 		r.sends = append(r.sends, fmt.Sprintf("r%d %x", env.Round, wire.Encode(p)))
@@ -455,6 +493,13 @@ func (fl *Fleet[N]) Run() ([]N, int) {
 		fl.t.Fatalf("the run did not end: %v", err)
 	}
 	return fl.nodes, rounds
+}
+
+// Add adds p to the fleet's network as a correct node that joins between
+// rounds; the fleet's runs do not wait for it.
+func (fl *Fleet[N]) Add(p simnet.Process) {
+	fl.t.Helper()
+	must(fl.t, fl.net.Add(p))
 }
 
 // RunFor runs the fleet for rounds rounds and returns the correct nodes.

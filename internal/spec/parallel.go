@@ -43,14 +43,39 @@ type ParallelConsensus struct {
 	contacts  int // the instances joined by first contact
 	phases    int
 	done      bool
+	start     int    // the round of PR1 of the first phase
+	from, to  uint64 // the instances it runs, [from, to)
 }
 
 // NewParallelConsensus returns a node of Algorithm 5 with inputs.
 func NewParallelConsensus(id ids.ID, inputs []Pair) *ParallelConsensus {
-	n := &ParallelConsensus{node: node{id, heard{}}, rotor: NewRotorCore(0, true),
+	n := &ParallelConsensus{node: node{id, heard{}}, rotor: NewRotorCore(0, true), start: 3, to: math.MaxUint64,
 		instances: map[uint64]*early{}, ignored: map[uint64]bool{}}
 	for _, in := range inputs {
 		n.input(in)
+	}
+	return n
+}
+
+// Scoped is execution Round of Algorithm 5 that Algorithm 6 starts,
+// scoped to its census S: S is known at its start, so it has no
+// initialization rounds and its rotor's candidates start as S. Start is
+// the network round of its first PR1. It runs the instances of
+// (Round, submitter), and its rotor runs under (Round, 0).
+type Scoped struct {
+	S     []ids.ID
+	Start int
+	Round uint64
+}
+
+// NewScopedParallelConsensus returns a node of an execution of Algorithm
+// 5 scoped by sc, with inputs.
+func NewScopedParallelConsensus(id ids.ID, inputs []Pair, sc Scoped) *ParallelConsensus {
+	n := NewParallelConsensus(id, inputs)
+	n.rotor, n.start = NewRotorCore(tag(sc.Round, 0), true), sc.Start
+	n.from, n.to = tag(sc.Round, 0), tag(sc.Round+1, 0)
+	for _, p := range sc.S {
+		n.heard[p], n.rotor.candidates[p] = true, true
 	}
 	return n
 }
@@ -69,15 +94,16 @@ func (n *ParallelConsensus) Done() bool { return n.done }
 
 // Step implements simnet.Process.
 func (n *ParallelConsensus) Step(env *simnet.RoundEnv) {
-	if n.initRound(env) {
+	if env.Round < n.start {
+		n.initRound(env) // a scoped execution is not stepped before its start
 		return
 	}
 	member := func(p ids.ID) bool { return n.heard[p] }
 	nv := len(n.heard)
 	n.rotor.Note(env.Inbox, member)
-	phase, pr := (env.Round-3)/5, (env.Round-3)%5
+	phase, pr := (env.Round-n.start)/5, (env.Round-n.start)%5
 	join, ignore := FirstContact(env.Inbox, phase, pr, member, func(id uint64) bool {
-		return n.instances[id] != nil || n.ignored[id]
+		return n.instances[id] != nil || n.ignored[id] || id < n.from || id >= n.to
 	})
 	for _, id := range join {
 		n.input(Pair{id, wire.Bot()})
@@ -237,6 +263,15 @@ func contribution(value float64) wire.Event {
 	return wire.Event{Body: binary.LittleEndian.AppendUint64(nil, math.Float64bits(value))}
 }
 
+// value is the value an event carries: 8 bytes that are not NaN.
+func value(ev wire.Event) (float64, bool) {
+	if len(ev.Body) != 8 {
+		return 0, false
+	}
+	x := math.Float64frombits(binary.LittleEndian.Uint64(ev.Body))
+	return x, !math.IsNaN(x)
+}
+
 // Step implements simnet.Process.
 func (n *Vector) Step(env *simnet.RoundEnv) {
 	switch env.Round {
@@ -244,8 +279,8 @@ func (n *Vector) Step(env *simnet.RoundEnv) {
 		env.Broadcast(contribution(n.value))
 	case 2:
 		for m := range env.Inbox.All() {
-			if ev, ok := m.Payload.(wire.Event); ok && ev.Round == 0 && len(ev.Body) == 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(ev.Body)); !math.IsNaN(x) {
+			if ev, ok := m.Payload.(wire.Event); ok && ev.Round == 0 {
+				if x, ok := value(ev); ok {
 					n.input(Pair{uint64(m.From), wire.V(x)})
 				}
 			}

@@ -1,8 +1,9 @@
 // Package spec is the executable specification of the paper's
 // Algorithm 1 (reliable broadcast), Algorithm 2 (the rotor-coordinator),
 // Algorithm 3 (consensus), Algorithm 4 (approximate agreement),
-// Algorithm 5 (parallel consensus) and the appendix's renaming,
-// terminating reliable broadcast and interactive consistency, each
+// Algorithm 5 (parallel consensus), Algorithm 6 (total ordering in a
+// dynamic network) and the appendix's renaming, terminating reliable
+// broadcast and interactive consistency, each
 // written the way the full version (arXiv 2102.10442) states it: maps of
 // distinct senders, walks of Inbox.All, sorts, n_v counted from the
 // node's own set of senders, and every threshold spelled out. Family.Test
@@ -21,9 +22,11 @@
 // greatest encoding; of several values a sender sent, the least; of a
 // tie in a tally, the least value; a node's echoes of one round go out
 // in ascending key order, and its ballots of one round in ascending
-// instance order; Algorithm 3 sends Algorithm 5's no-quorum markers; and
-// an instance of Algorithm 5 is met by the first census member in inbox
-// order that names it.
+// instance order; Algorithm 3 sends Algorithm 5's no-quorum markers; an
+// instance of Algorithm 5 is met by the first census member in inbox
+// order that names it; of several events a member sent for one round,
+// Algorithm 6 takes the greatest encoding; and the rotor of an execution
+// Algorithm 6 starts has S as its first candidates.
 package spec
 
 import (

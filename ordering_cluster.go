@@ -2,6 +2,7 @@ package uba
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"uba/internal/core/ordering"
@@ -98,7 +99,11 @@ func (c *OrderingCluster) RunRounds(rounds int) error {
 }
 
 // SubmitEvent queues an event at the given member for its next round.
+// A NaN is refused: members drop NaN events, so it could never be ordered.
 func (c *OrderingCluster) SubmitEvent(member uint64, value float64) error {
+	if math.IsNaN(value) {
+		return fmt.Errorf("uba: event value is NaN")
+	}
 	node, err := c.node(member)
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package uba
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -146,6 +147,11 @@ func TestApproximateAgreementFacade(t *testing.T) {
 	if res.RangeRatio() > 0.5+1e-9 {
 		t.Fatalf("range ratio %v > 0.5", res.RangeRatio())
 	}
+	// A NaN input is refused before a run: a node would drop its own.
+	inputs[3] = math.NaN()
+	if _, err := ApproximateAgreement(Config{Correct: 7}, inputs); err == nil || !strings.Contains(err.Error(), "input 3 is NaN") {
+		t.Fatalf("a NaN input: err = %v", err)
+	}
 }
 
 func TestIteratedApproximateAgreementFacade(t *testing.T) {
@@ -166,6 +172,10 @@ func TestIteratedApproximateAgreementFacade(t *testing.T) {
 			t.Fatalf("round %d: range %v did not halve from %v", i, r, prev)
 		}
 		prev = r
+	}
+	inputs[0] = math.NaN()
+	if _, err := IteratedApproximateAgreement(Config{Correct: 7}, inputs, 8); err == nil || !strings.Contains(err.Error(), "input 0 is NaN") {
+		t.Fatalf("a NaN input: err = %v", err)
 	}
 }
 
@@ -296,6 +306,10 @@ func TestOrderingClusterFacade(t *testing.T) {
 	}
 	if err := oc.SubmitEvent(12345, 1); err == nil {
 		t.Fatal("unknown member accepted")
+	}
+	// Members drop a NaN event, so it is refused rather than lost.
+	if err := oc.SubmitEvent(members[0], math.NaN()); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("a NaN event: err = %v", err)
 	}
 }
 
