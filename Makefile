@@ -54,9 +54,9 @@ test:
 
 # Mutation check: each hand mutant in internal/spec/testdata/mutants (one
 # patch per mutant) is applied alone to a copy of the tracked files, and
-# the target fails if `go test ./internal/core/... ./internal/census/...`
-# passes with any of them, or fails without a failing test (a mutant
-# that does not build). Each line names the mutant and the top-level
+# the target fails if `go test ./internal/core/... ./internal/census/...
+# ./internal/simnet/...` passes with any of them, or fails without a
+# failing test (a mutant that does not build). Each line names the mutant and the top-level
 # tests (package.Test) that killed it.
 MUTANTS = $(sort $(wildcard internal/spec/testdata/mutants/*.patch))
 mutants:
@@ -64,7 +64,7 @@ mutants:
 	git ls-files -z | xargs -0 cp --parents -t "$$tree" && survived=0 && \
 	for p in $(MUTANTS); do \
 		(cd "$$tree" && git apply "$(CURDIR)/$$p") || exit 1; \
-		if (cd "$$tree" && $(GO) test -count=1 ./internal/core/... ./internal/census/... >"$$tree/.log" 2>&1); then \
+		if (cd "$$tree" && $(GO) test -count=1 ./internal/core/... ./internal/census/... ./internal/simnet/... >"$$tree/.log" 2>&1); then \
 			echo "SURVIVED $$p"; survived=1; \
 		elif killers=$$(awk '/^--- FAIL: /{t[++k]=$$3} /^(FAIL|ok)\tuba\//{n=split($$2,d,"/"); for(i=1;i<=k;i++) print d[n] "." t[i]; k=0}' "$$tree/.log" | sort -u) && [ -n "$$killers" ]; then \
 			echo "killed   $$p by" $$killers; \

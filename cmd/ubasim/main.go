@@ -17,6 +17,11 @@
 // `ubasweep -chaos` or internal/chaos.Shrink) and reports whether the
 // recorded oracle violation reproduces.
 //
+// With -stats, ubasim prints one more line after the run — its wall
+// time, the heap it allocated and the process's peak resident set size:
+//
+//	stats: wall_ms=… alloc_mb=… peak_rss_mb=…
+//
 // A run that fails — a bad flag value included — prints only its error.
 package main
 
@@ -28,6 +33,8 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"syscall"
+	"time"
 
 	"uba"
 	"uba/internal/chaos"
@@ -52,6 +59,7 @@ func run(args []string, out io.Writer) error {
 	timing := fs.String("timing", "async", "impossibility timing: sync|semisync|async")
 	traceRounds := fs.Int("trace", 0, "print a message transcript of the first N rounds")
 	reproPath := fs.String("repro", "", "replay a chaos repro JSON file and exit")
+	stats := fs.Bool("stats", false, "after the run, print its wall time, heap allocated and the process's peak RSS")
 	jobs := fs.Int("jobs", 0, "how many goroutines step the run's nodes (0 = inline); the shared simulation scheduler's budget becomes min(jobs, GOMAXPROCS), also for a -repro replay; output is identical for every value")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,7 +83,11 @@ func run(args []string, out io.Writer) error {
 		sched.SetDefaultBudget(min(*jobs, runtime.GOMAXPROCS(0)))
 	}
 	if *reproPath != "" {
-		return replayRepro(*reproPath, out)
+		meter := startMeter(*stats)
+		if err := replayRepro(*reproPath, out); err != nil {
+			return err
+		}
+		return meter.report(out, meter.stop())
 	}
 
 	adv, err := uba.ParseAdversary(*advName)
@@ -92,9 +104,11 @@ func run(args []string, out io.Writer) error {
 		cfg.EventLog = transcript
 	}
 	var result bytes.Buffer
+	meter := startMeter(*stats)
 	if err := simulate(*protocol, cfg, *timing, &result); err != nil {
 		return err
 	}
+	cost := meter.stop()
 	if *protocol == "impossibility" {
 		// The demo builds its own system: two sides of g correct nodes,
 		// no coalition.
@@ -108,9 +122,59 @@ func run(args []string, out io.Writer) error {
 	}
 	if transcript != nil {
 		fmt.Fprintln(out, "--- transcript ---")
-		return transcript.Render(out, *traceRounds)
+		if err := transcript.Render(out, *traceRounds); err != nil {
+			return err
+		}
 	}
-	return nil
+	return meter.report(out, cost)
+}
+
+// meter measures one run for -stats; the zero meter measures nothing.
+type meter struct {
+	on    bool
+	start time.Time
+	alloc uint64 // runtime.MemStats.TotalAlloc at the start
+}
+
+// cost is what a meter measured: wall time and bytes allocated.
+type cost struct {
+	wall  time.Duration
+	alloc uint64
+}
+
+func startMeter(on bool) meter {
+	if !on {
+		return meter{}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return meter{on: true, start: time.Now(), alloc: ms.TotalAlloc}
+}
+
+// stop reads the wall time and the heap allocated since the start.
+func (m meter) stop() cost {
+	if !m.on {
+		return cost{}
+	}
+	wall := time.Since(m.start)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return cost{wall: wall, alloc: ms.TotalAlloc - m.alloc}
+}
+
+// report prints the stats line of c, with the process's peak resident
+// set size so far, if the meter is on.
+func (m meter) report(out io.Writer, c cost) error {
+	if !m.on {
+		return nil
+	}
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return fmt.Errorf("-stats: %w", err)
+	}
+	_, err := fmt.Fprintf(out, "stats: wall_ms=%.3f alloc_mb=%.3f peak_rss_mb=%.1f\n",
+		float64(c.wall.Microseconds())/1e3, float64(c.alloc)/(1<<20), float64(ru.Maxrss)/(1<<10)) // Maxrss is in KiB
+	return err
 }
 
 // simulate runs one instance of protocol under cfg and writes its outcome

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -131,6 +132,38 @@ func TestRunWithTranscript(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("transcript missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// -stats adds exactly one line after the run's output, the transcript
+// included, and a run without it prints none: the goldens do not see
+// the flag.
+func TestRunWithStats(t *testing.T) {
+	t.Parallel()
+	args := []string{"-protocol", "consensus", "-g", "4", "-f", "1", "-trace", "3"}
+	var plain, stats bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-stats"), &stats); err != nil {
+		t.Fatal(err)
+	}
+	head, last, ok := strings.Cut(strings.TrimSuffix(stats.String(), "\n"), "\nstats: ")
+	if !ok || strings.Contains(last, "\n") {
+		t.Fatalf("-stats output does not end in one stats line:\n%s", stats.String())
+	}
+	if head+"\n" != plain.String() {
+		t.Fatalf("-stats changed the run's output:\n%s\nwithout it:\n%s", head, plain.String())
+	}
+	var wall, alloc, rss float64
+	if _, err := fmt.Sscanf(last, "wall_ms=%f alloc_mb=%f peak_rss_mb=%f", &wall, &alloc, &rss); err != nil {
+		t.Fatalf("stats line %q: %v", last, err)
+	}
+	if wall <= 0 || alloc <= 0 || rss <= 0 {
+		t.Fatalf("stats line %q: every figure must be positive", last)
+	}
+	if strings.Contains(plain.String(), "stats:") {
+		t.Fatal("a run without -stats printed a stats line")
 	}
 }
 

@@ -20,7 +20,7 @@
 // every member above it. The rule that follows: a live Census's ranks —
 // and a Ranks table laid over it — hold until its next Observe, and a
 // count that spans Steps counts against a Frozen, which never changes.
-// The standalone protocols observe, lay, count and fold inside one Step;
+// The standalone protocols observe, count and fold inside one Step;
 // consensus and parallel consensus freeze n_v first.
 package census
 

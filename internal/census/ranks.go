@@ -2,13 +2,16 @@ package census
 
 import "uba/internal/ids"
 
-// Ranks is one reader's census laid over one round's broadcasters: the
-// table that turns "which broadcasters said it" — a set of positions in
-// the engine's ascending broadcaster list, the same for every receiver —
-// into "which of my census members said it", a set of this reader's own
-// ranks. It is rebuilt per Step (Reset) by one merge of two ascending
-// lists, the broadcasters and the census, where a pass over the messages
-// themselves would need one census lookup per message.
+// Ranks is a census laid over one round's broadcasters: the table that
+// turns "which broadcasters said it" — a set of positions in the engine's
+// ascending broadcaster list, the same for every receiver — into "which
+// members of the census said it", a set of the census's ranks. The
+// engine lays it once per round for each census its readers count
+// against (simnet.Inbox.Counted: Lay, then Of per payload), by one merge
+// of two ascending lists, the broadcasters and the census, where a pass
+// over the messages themselves would need one census lookup per message.
+// A reader keeps one for its private segment only: laid over its census
+// with no broadcasters (Reset), it ranks one sender at a time (One).
 //
 // Positions whose ranks are consecutive collapse into a run, and a set
 // is translated run by run with shifted word ORs. Both lists ascend by
@@ -21,10 +24,8 @@ import "uba/internal/ids"
 //
 // The table holds while its census does: until the next Observe of a
 // live Census, for good over a Frozen. The zero value is ready for
-// Reset. The storage is the table's own and is reused from Step to Step;
-// an embedding protocol that steps many short-lived readers of one
-// census rebuilds one table once and lends it to them all (see
-// parallelcon.StepLocal).
+// Reset. The storage is the table's own and is reused from round to
+// round.
 type Ranks struct {
 	of   *ids.Set // the census's members, a rank being a position
 	runs []rankRun
@@ -39,6 +40,12 @@ type rankRun struct{ pos, rank, n int }
 // whose members (Census.Members, Frozen.Members) are of.
 func (t *Ranks) Reset(broadcasters []ids.ID, of *ids.Set) {
 	t.of = of
+	t.Lay(broadcasters, of)
+}
+
+// Lay is Reset for a table that only translates (Of): it reads of but
+// does not keep it, so Rank and One are left to the last Reset.
+func (t *Ranks) Lay(broadcasters []ids.ID, of *ids.Set) {
 	t.runs = t.runs[:0]
 	r, n := 0, of.Len()
 	for pos, id := range broadcasters {

@@ -4,20 +4,22 @@ import "slices"
 
 // Window is the counting step the paper writes once and reuses "in
 // reliable-broadcast fashion": for each key — an (m, s) pair in Algorithm
-// 1, a candidate in the rotor-coordinator, an identifier or a
+// 1, a candidate in the rotor-coordinator (whose window of one round's
+// broadcast echoes skips it for the engine's counts), an identifier or a
 // terminate(k) in renaming — which distinct censused senders named it
 // since the last Fold, and then the rule itself: echo at n_v/3, accept at
 // 2n_v/3.
 //
 // Senders arrive as whole sets of census ranks (one per distinct payload
-// of the round's broadcast block, translated by Ranks) and are ORed into
+// of the round's broadcast block, as the engine counted it against the
+// census, or one sender of a private message) and are ORed into
 // one slab — a row of stride words per key, each a Marks over the
 // senders' ranks — so a sender that repeats itself, within an inbox or
 // across the inboxes of one window, still counts once. There is no
 // key→row index: Add ORs into the row it guesses and otherwise appends a
 // fresh one, so a repeated key may hold several rows, which Fold merges,
 // and a window holds at most one row per Add. Every set of one window is
-// laid over one census state (see the package doc: a live census is
+// counted against one census state (see the package doc: a live census is
 // folded in the Step that observed it, a window spanning Steps counts
 // against a Frozen), so they all have one length, and the window takes
 // its stride from its first Add. The slab is truncated and reused at the
@@ -57,6 +59,9 @@ func (w *Window[K]) Add(key K, who Marks) {
 	w.senders(at).Or(who)
 	w.next = at + 1
 }
+
+// Empty reports whether nothing was added since the last Fold.
+func (w *Window[K]) Empty() bool { return len(w.rows) == 0 }
 
 // senders returns the marks of row at: the census ranks that named it.
 func (w *Window[K]) senders(at int) Marks {

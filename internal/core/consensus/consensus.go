@@ -75,10 +75,9 @@ type Node struct {
 	lastSent [wire.BallotKinds]wire.Value
 	hasSent  [wire.BallotKinds]bool
 
-	// ranks is the frozen census laid over the current round's
-	// broadcasters, rebuilt once per loop round for every reader of the
-	// inbox; present marks the census ranks heard from in the tally
-	// under way. Both are reused from round to round.
+	// ranks is the frozen census's rank table for the private segment
+	// (rotor.Count); present marks the census ranks heard from in the
+	// tally under way. Both are reused from round to round.
 	ranks   census.Ranks
 	present census.Marks
 
@@ -172,14 +171,14 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 
 	// Loop rounds. Feed the rotor core every inbox (its candidate
 	// echoes arrive one round after each rotor round executes).
-	n.ranks.Reset(env.Inbox.Broadcasters(), n.frozen.Members())
-	n.core.NoteInbox(env.Inbox, &n.ranks)
+	view := rotor.Count(env.Inbox, n.frozen.Members(), &n.ranks)
+	n.core.NoteInbox(env.Inbox, view)
 
 	switch (env.Round - 3) % 5 {
 	case 0: // PR1: broadcast input
 		n.send(env, wire.Input{X: n.x})
 	case 1: // PR2: tally inputs, maybe prefer
-		t := n.tally(env.Inbox, wire.KindInput)
+		t := n.tally(env.Inbox, view, wire.KindInput)
 		v, count := t.Best()
 		if census.AtLeastTwoThirds(count, n.frozen.N()) {
 			n.send(env, wire.Prefer{X: v})
@@ -197,7 +196,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			n.hasSent[wire.BallotSlot(wire.KindPrefer)] = false
 		}
 	case 2: // PR3: tally prefers, maybe adopt and strongprefer
-		t := n.tally(env.Inbox, wire.KindPrefer)
+		t := n.tally(env.Inbox, view, wire.KindPrefer)
 		v, count := t.Best()
 		if census.AtLeastThird(count, n.frozen.N()) {
 			n.x = v
@@ -211,23 +210,23 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			n.hasSent[wire.BallotSlot(wire.KindStrongPrefer)] = false
 		}
 	case 3: // PR4: store strongprefer tally, run a rotor round
-		n.storedSP = n.tally(env.Inbox, wire.KindStrongPrefer)
+		n.storedSP = n.tally(env.Inbox, view, wire.KindStrongPrefer)
 		n.coordinator = n.core.LoopRound(n.frozen.N(), env).Coordinator
 		if n.coordinator == n.id {
 			env.Broadcast(wire.Opinion{X: n.x})
 		}
 	case 4: // PR5: resolve against the coordinator, maybe terminate
-		n.resolve(env)
+		n.resolve(env, view)
 	}
 }
 
 // resolve implements PR5: adopt the coordinator's opinion when no
 // strongprefer value reached n_v/3, and terminate on a 2n_v/3 quorum.
-func (n *Node) resolve(env *simnet.RoundEnv) {
+func (n *Node) resolve(env *simnet.RoundEnv, view rotor.View) {
 	v, count := n.storedSP.Best()
 	adopted := false
 	if census.LessThanThird(count, n.frozen.N()) {
-		n.core.Opinions(env.Inbox, &n.ranks, func(op wire.Opinion) {
+		n.core.Opinions(env.Inbox, view, func(op wire.Opinion) {
 			if op.Instance == 0 {
 				n.x, adopted = op.X, true
 			}
@@ -269,9 +268,9 @@ func (n *Node) sent(kind wire.Kind, x wire.Value) {
 // tally counts the round's messages of the given kind from censused
 // senders and applies the substitution rule for censused ids that sent
 // nothing of that kind.
-func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) wire.Tally {
+func (n *Node) tally(inbox simnet.Inbox, view rotor.View, kind wire.Kind) wire.Tally {
 	n.present = n.present.Cleared(n.frozen.N())
-	t := Ballots(inbox, &n.ranks, kind, 0, n.present)
+	t := Ballots(inbox, view, kind, 0, n.present)
 	// Substitution: every censused id with no message of this kind this
 	// round is assumed to have sent what this node sent last round.
 	if n.hasSent[wire.BallotSlot(kind)] {
@@ -285,17 +284,18 @@ func (n *Node) tally(inbox simnet.Inbox, kind wire.Kind) wire.Tally {
 // Ballots counts, by value, the ballots of one kind and instance in
 // inbox, and adds to present the census rank of everyone who sent one —
 // a no-quorum marker included, which is present without a value. The
-// shared block is read payload-major and the private segment one message
-// at a time (rotor.Heard); a ballot counts once per (sender, payload)
-// either way. Algorithm 5 counts with it too: what differs between the
-// two algorithms is what they substitute for the ranks left absent.
-func Ballots(inbox simnet.Inbox, ranks *census.Ranks, kind wire.Kind, instance uint64, present census.Marks) wire.Tally {
+// shared block is read as the engine counted it against the census
+// (view) and the private segment one message at a time (rotor.Heard); a
+// ballot counts once per (sender, payload) either way. Algorithm 5
+// counts with it too: what differs between the two algorithms is what
+// they substitute for the ranks left absent.
+func Ballots(inbox simnet.Inbox, view rotor.View, kind wire.Kind, instance uint64, present census.Marks) wire.Tally {
 	var t wire.Tally
-	rotor.Heard(inbox, ranks, func(p wire.Payload, from rotor.Senders) {
+	rotor.Heard(inbox, view, func(p wire.Payload, from rotor.Senders) {
 		if k, inst, x, opinion := wire.Ballot(p); k == kind && inst == instance {
-			if who, ok := from.Ranks(); ok {
+			if who, count := from.Ranks(); count > 0 {
 				if opinion {
-					t.Add(x, who.Count())
+					t.Add(x, count)
 				}
 				present.Or(who)
 			}

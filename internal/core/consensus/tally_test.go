@@ -5,6 +5,7 @@ import (
 	"maps"
 	"testing"
 
+	"uba/internal/core/rotor"
 	"uba/internal/ids"
 	"uba/internal/simnet"
 	"uba/internal/spec"
@@ -38,8 +39,8 @@ func tallyOf(t *testing.T, node *Node, kind wire.Kind, msgs ...simnet.Received) 
 	t.Helper()
 	var first map[wire.ValueKey]int
 	for i, inbox := range spec.Shapes(msgs) {
-		node.ranks.Reset(inbox.Broadcasters(), node.frozen.Members())
-		counts := countsOf(node.tally(inbox, kind))
+		view := rotor.Count(inbox, node.frozen.Members(), &node.ranks)
+		counts := countsOf(node.tally(inbox, view, kind))
 		if i == 0 {
 			first = counts
 		} else if !maps.Equal(counts, first) {

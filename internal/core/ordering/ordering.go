@@ -47,7 +47,7 @@
 // Per execution a node pays for the execution's own node and instances,
 // and an execution started with no inputs not even for that until an
 // inbox names its round (see drive); per Step it asks once which rounds
-// the inbox names, and lays its rank table over the inbox once per epoch
+// the inbox names, and counts the inbox against the scope once per epoch
 // that still has an execution in flight. Folding the head of the window
 // reslices it, so retiring an execution costs the same however wide the
 // window is.
@@ -62,6 +62,7 @@ import (
 
 	"uba/internal/census"
 	"uba/internal/core/parallelcon"
+	"uba/internal/core/rotor"
 	"uba/internal/ids"
 	"uba/internal/simnet"
 	"uba/internal/wire"
@@ -136,8 +137,8 @@ type Node struct {
 	window []run
 	chain  []ChainEntry
 	final  uint64
-	// ranks is the rank table lent to every execution's StepLocal, laid
-	// over the Step's inbox once per epoch in the window.
+	// ranks is the rank table behind the view lent to every execution's
+	// StepLocal, counted once per epoch in the window (rotor.Count).
 	ranks census.Ranks
 	// stepped is the network round of the last Step that drove the window.
 	stepped int
@@ -361,8 +362,9 @@ func (n *Node) execution(rn run, inputs []parallelcon.InputPair) *parallelcon.No
 // drive steps every in-flight execution with one round's inbox (one that
 // terminated is waiting out its finality lag) and reports whether all of
 // them have terminated. The window is in round order and so in epoch
-// order: the rank table is laid over the inbox once per epoch and serves
-// the executions of that epoch in a row.
+// order: the inbox is counted against the scope once per epoch
+// (rotor.Count), and the view serves the executions of that epoch in a
+// row.
 //
 // A quiet execution is built the first time an inbox names its round and
 // first replays, on empty inboxes, the rounds it lived as a record. That
@@ -380,6 +382,7 @@ func (n *Node) drive(env *simnet.RoundEnv) (allDone bool) {
 	}
 	missed := round != n.stepped+1
 	var laid *parallelcon.Scope
+	var view rotor.View
 	for i := range n.window {
 		rn := &n.window[i]
 		if rn.done {
@@ -393,10 +396,10 @@ func (n *Node) drive(env *simnet.RoundEnv) (allDone bool) {
 				continue
 			}
 			rn.node = n.execution(*rn, nil)
-			n.ranks.Reset(nil, rn.scope.Members())
+			quiet := rotor.Count(simnet.Inbox{}, rn.scope.Members(), &n.ranks)
 			var replay simnet.RoundEnv
 			for r := rn.start; r <= n.stepped; r++ {
-				rn.node.StepLocal(r, simnet.Inbox{}, &n.ranks, &replay)
+				rn.node.StepLocal(r, simnet.Inbox{}, quiet, &replay)
 			}
 			if replay.SendCount() != 0 {
 				panic(fmt.Sprintf("ordering: a quiet execution sent %v while catching up", replay.Sent()))
@@ -404,10 +407,10 @@ func (n *Node) drive(env *simnet.RoundEnv) (allDone bool) {
 			laid = nil
 		}
 		if rn.scope != laid {
-			n.ranks.Reset(inbox.Broadcasters(), rn.scope.Members())
+			view = rotor.Count(inbox, rn.scope.Members(), &n.ranks)
 			laid = rn.scope
 		}
-		rn.node.StepLocal(round, inbox, &n.ranks, env)
+		rn.node.StepLocal(round, inbox, view, env)
 		rn.done = rn.node.Done()
 		allDone = allDone && rn.done
 	}

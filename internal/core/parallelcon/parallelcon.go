@@ -77,7 +77,7 @@ type OutputPair struct {
 // member's rank being its position in that order. It is immutable once
 // built, which is what lets the runs of one node share it; a node builds
 // its own, so it never crosses nodes. Members borrows S: the caller reads
-// it (to lay a census.Ranks, say) and must not change it.
+// it (to count an inbox against it, say) and must not change it.
 type Scope struct {
 	census.Frozen
 }
@@ -157,8 +157,8 @@ type Node struct {
 
 	// present marks the census ranks heard from in the tally under way;
 	// reused from one tally to the next. ranks is the rank table Step
-	// lays over its inbox and hands to StepLocal; an embedding protocol
-	// lends its own instead.
+	// counts its inbox with (rotor.Count) for StepLocal; an embedding
+	// protocol counts with its own instead.
 	present census.Marks
 	ranks   census.Ranks
 
@@ -261,19 +261,17 @@ func (n *Node) Phases() int { return n.phasesRun }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	n.ranks.Reset(env.Inbox.Broadcasters(), n.frozen.Members())
-	n.StepLocal(env.Round, env.Inbox, &n.ranks, env)
+	n.StepLocal(env.Round, env.Inbox, rotor.Count(env.Inbox, n.frozen.Members(), &n.ranks), env)
 }
 
 // StepLocal runs one round of the protocol and broadcasts what it sends
 // on env. Embedding protocols (total ordering) call it directly with the
-// round and inbox of their own Step, and their env. ranks is the run's
-// census laid over the inbox's broadcasters, which the caller does before
-// the call (census.Ranks.Reset over Scope.Members for a scoped run): the
-// table depends on the census and the inbox only, so a protocol that
-// steps dozens of runs of one Scope at once lays it once and lends it to
-// them all.
-func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, env *simnet.RoundEnv) {
+// round and inbox of their own Step, and their env. view is the inbox
+// counted against the run's census, which the caller does before the
+// call (rotor.Count over Scope.Members for a scoped run): it depends on
+// the census and the inbox only, so a protocol that steps dozens of runs
+// of one Scope at once counts once and lends the view to them all.
+func (n *Node) StepLocal(round int, inbox simnet.Inbox, view rotor.View, env *simnet.RoundEnv) {
 	if n.done {
 		return
 	}
@@ -300,7 +298,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, env
 		loopLocal = local - 1
 	}
 
-	n.core.NoteInbox(inbox, ranks)
+	n.core.NoteInbox(inbox, view)
 	pr := loopLocal % 5
 	phase := loopLocal / 5
 
@@ -326,7 +324,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, env
 			if ins.decided {
 				continue
 			}
-			t := n.tally(ins, inbox, ranks, wire.KindInput)
+			t := n.tally(ins, inbox, view, wire.KindInput)
 			v, count := t.Best()
 			if census.AtLeastTwoThirds(count, n.frozen.N()) {
 				env.Broadcast(wire.Prefer{Instance: ins.id, X: v})
@@ -341,7 +339,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, env
 			if ins.decided {
 				continue
 			}
-			t := n.tally(ins, inbox, ranks, wire.KindPrefer)
+			t := n.tally(ins, inbox, view, wire.KindPrefer)
 			v, count := t.Best()
 			if census.AtLeastThird(count, n.frozen.N()) {
 				ins.x = v
@@ -359,7 +357,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, env
 			if ins.decided {
 				continue
 			}
-			ins.storedSP = n.tally(ins, inbox, ranks, wire.KindStrongPrefer)
+			ins.storedSP = n.tally(ins, inbox, view, wire.KindStrongPrefer)
 		}
 		if n.core.LoopRound(n.frozen.N(), env).Coordinator == n.id {
 			for _, ins := range n.order {
@@ -370,7 +368,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, ranks *census.Ranks, env
 			}
 		}
 	case 4: // PR5: resolve per instance against the coordinator's opinion
-		n.core.Opinions(inbox, ranks, func(op wire.Opinion) {
+		n.core.Opinions(inbox, view, func(op wire.Opinion) {
 			if ins, ok := n.inst[op.Instance]; ok && !ins.decided {
 				if _, count := ins.storedSP.Best(); census.LessThanThird(count, n.frozen.N()) {
 					ins.x = op.X
@@ -497,9 +495,9 @@ func (n *Node) unmetInstances(inbox simnet.Inbox) int {
 // tally counts one message family for one instance, applying the paper's
 // substitution rules. Marker messages (nopreference/nostrongpreference)
 // count their sender as present without contributing an opinion.
-func (n *Node) tally(ins *instance, inbox simnet.Inbox, ranks *census.Ranks, kind wire.Kind) wire.Tally {
+func (n *Node) tally(ins *instance, inbox simnet.Inbox, view rotor.View, kind wire.Kind) wire.Tally {
 	n.present = n.present.Cleared(n.frozen.N())
-	t := consensus.Ballots(inbox, ranks, kind, ins.id, n.present)
+	t := consensus.Ballots(inbox, view, kind, ins.id, n.present)
 
 	// Substitution for censused nodes that sent nothing of this family:
 	// ⊥ on first receipt of the family, own most recent message of the

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"uba/internal/core/rotor"
 	"uba/internal/ids"
 	"uba/internal/simnet"
 	"uba/internal/spec"
@@ -18,11 +19,10 @@ func memberNode(self ids.ID, members []ids.ID, inputs []InputPair) *Node {
 	return New(self, inputs, Options{Scope: NewScope(ids.NewSet(members...))})
 }
 
-// stepLocal drives one round the way Step does, lending the node's own
-// rank table, and drops what the node sends.
+// stepLocal drives one round the way Step does, counting the inbox with
+// the node's own rank table, and drops what the node sends.
 func stepLocal(n *Node, round int, inbox simnet.Inbox) {
-	n.ranks.Reset(inbox.Broadcasters(), n.frozen.Members())
-	n.StepLocal(round, inbox, &n.ranks, &simnet.RoundEnv{})
+	n.StepLocal(round, inbox, rotor.Count(inbox, n.frozen.Members(), &n.ranks), &simnet.RoundEnv{})
 }
 
 func rcvP(from ids.ID, p wire.Payload) simnet.Received {
@@ -198,8 +198,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 	}
 	for i, inbox := range spec.Shapes(msgs) { // all private, all broadcast, alternating
 		n := memberNode(7, []ids.ID{2, 3, 4, 5, 6, 7}, []InputPair{{Instance: 9, X: wire.V(1)}})
-		n.ranks.Reset(inbox.Broadcasters(), n.frozen.Members())
-		tally := n.tally(n.inst[9], inbox, &n.ranks, wire.KindInput)
+		tally := n.tally(n.inst[9], inbox, rotor.Count(inbox, n.frozen.Members(), &n.ranks), wire.KindInput)
 		got := make(map[wire.ValueKey]int)
 		for v, c := range tally.All() {
 			got[v.Key()] += c
@@ -216,8 +215,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 			stepLocal(n, round, simnet.Inbox{})
 		}
 		opinions := make(map[uint64]wire.Value)
-		n.ranks.Reset(inbox.Broadcasters(), n.frozen.Members())
-		n.core.Opinions(inbox, &n.ranks, func(op wire.Opinion) { opinions[op.Instance] = op.X })
+		n.core.Opinions(inbox, rotor.Count(inbox, n.frozen.Members(), &n.ranks), func(op wire.Opinion) { opinions[op.Instance] = op.X })
 		if len(opinions) != 2 || !opinions[9].Equal(wire.V(1)) || !opinions[7].Equal(wire.V(5)) {
 			t.Fatalf("shape %d: coordinator opinions %v, want 9:1 7:5", i, opinions)
 		}

@@ -112,17 +112,17 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 
 func (n *Node) loopRound(env *simnet.RoundEnv) {
 	nv := n.cen.N()
-	n.ranks.Reset(env.Inbox.Broadcasters(), n.cen.Members())
-	rotor.Heard(env.Inbox, &n.ranks, func(p wire.Payload, from rotor.Senders) {
+	view := rotor.Count(env.Inbox, n.cen.Members(), &n.ranks)
+	rotor.Heard(env.Inbox, view, func(p wire.Payload, from rotor.Senders) {
 		switch p := p.(type) {
 		case wire.IDEcho:
 			if p.Instance == 0 {
-				if who, ok := from.Ranks(); ok {
+				if who, count := from.Ranks(); count > 0 {
 					n.echoes.Add(p.Candidate, who)
 				}
 			}
 		case wire.Terminate:
-			if who, ok := from.Ranks(); ok {
+			if who, count := from.Ranks(); count > 0 {
 				n.terms.Add(p.Round, who)
 			}
 		}

@@ -50,21 +50,26 @@ type AcceptedOpinion struct {
 // calls, which reduces to the paper's per-round counts when rotor rounds
 // are executed back-to-back, and generalizes them to the embedded setting
 // where the echoes of one rotor round land several real rounds before the
-// next rotor round executes. Distinct means distinct census rank: the
-// senders of an echo are ORed into the candidate's row of the window
-// (census.Window), so a sender repeating an echo in every round of a
-// window still counts once.
+// next rotor round executes. Distinct means distinct census rank. A
+// window that holds one round's echoes of the shared block and nothing
+// else — the common case — keeps the engine's counted list of them
+// (simnet.EchoList), already one count per candidate, in candidate
+// order. Anything more — a private echo, or echoes in a second round of
+// the window — moves the window to the general path: the senders of an
+// echo are ORed into the candidate's row of a census.Window, so a sender
+// repeating an echo in every round of a window still counts once.
 type Core struct {
 	instance uint64
 
 	candidates ids.Set // C_v, ordered by id
-	borrowed   bool    // candidates is a seeded set's storage, copied on the first Add
 	selected   ids.Set // S_v
 
-	echoes       census.Window[ids.ID] // candidate -> distinct senders this window
+	shared       simnet.EchoList       // the window's echoes while they are one round of the block's
+	echoes       census.Window[ids.ID] // candidate -> distinct senders this window, otherwise
 	lastSelected ids.ID                // the coordinator Opinions listens to
 
-	loopRound  int
+	loopRound  int32
+	borrowed   bool // candidates is a seeded set's storage, copied on the first Add
 	terminated bool
 	cycling    bool
 }
@@ -113,36 +118,58 @@ func (c *Core) EchoInits(inbox simnet.Inbox, env *simnet.RoundEnv) {
 }
 
 // NoteInbox tallies the candidate echoes of one delivered inbox, by
-// distinct sender, until the next LoopRound. ranks is the owner's census
-// laid over this inbox's broadcasters (census.Ranks.Reset): echoes from
-// senders the census does not know are discarded, and the others are
-// counted under their rank. Ranks are positions in the census, so every
-// inbox of one window must be laid over the same census: an owner that
-// notes several inboxes per LoopRound counts against a census.Frozen, as
-// consensus does; the standalone node observes, notes and folds in one
-// Step.
-func (c *Core) NoteInbox(inbox simnet.Inbox, ranks *census.Ranks) {
-	Heard(inbox, ranks, func(p wire.Payload, from Senders) {
-		if echo, ok := p.(wire.IDEcho); ok && echo.Instance == c.instance {
-			if who, ok := from.Ranks(); ok {
+// distinct sender, until the next LoopRound. view is the inbox counted
+// against the owner's census (Count): echoes from senders the census does
+// not know are discarded, and the others are counted under their rank.
+// The first round of the window that brings echoes of the shared block
+// keeps them as the engine counted them; every later echo, private or
+// shared, spills the window onto the census.Window path.
+func (c *Core) NoteInbox(inbox simnet.Inbox, view View) {
+	if es := view.block.Echoes(c.instance); es.Len() > 0 {
+		if c.shared.Len() == 0 && c.echoes.Empty() {
+			c.shared = es
+		} else {
+			c.spill()
+			c.add(es)
+			es.Release()
+		}
+	}
+	for _, m := range inbox.Direct() {
+		if echo, ok := m.Payload.(wire.IDEcho); ok && echo.Instance == c.instance {
+			if who, ok := view.ranks.One(m.From); ok {
+				c.spill()
 				c.echoes.Add(echo.Candidate, who)
 			}
 		}
-	})
+	}
+}
+
+// spill moves the shared echoes the window holds, if any, into its
+// census.Window.
+func (c *Core) spill() {
+	c.add(c.shared)
+	c.shared.Release()
+}
+
+// add ORs the senders of every echo of es into the candidate's row.
+func (c *Core) add(es simnet.EchoList) {
+	for _, e := range es.All() {
+		c.echoes.Add(e.Candidate, e.Who)
+	}
 }
 
 // Opinions yields the opinions that the coordinator selected by the last
 // LoopRound sent in inbox, the inbox of the round after it (Algorithm 2
 // lines 14-15): none before a first selection, and none from a coordinator
-// outside the owner's census, which ranks is laid from. They come
+// outside the owner's census, which view counts against. They come
 // ascending by encoding whether they were broadcast or unicast, for every
 // instance tag alike. A reader keeps the last one that names the instance
 // it owns, so a coordinator that sends one receiver several opinions (only
 // a Byzantine one does) is taken at its greatest encoding: the decided
 // tie-break, stated in DESIGN §3.
-func (c *Core) Opinions(inbox simnet.Inbox, ranks *census.Ranks, yield func(wire.Opinion)) {
+func (c *Core) Opinions(inbox simnet.Inbox, view View, yield func(wire.Opinion)) {
 	coord := c.lastSelected
-	if _, member := ranks.Rank(coord); coord == ids.None || !member {
+	if _, member := view.ranks.Rank(coord); coord == ids.None || !member {
 		return
 	}
 	// A coordinator sends one opinion per instance it runs; the common
@@ -201,20 +228,28 @@ func (c *Core) LoopRound(nv int, env *simnet.RoundEnv) Selection {
 	if c.terminated {
 		return Selection{Terminated: true}
 	}
-	r := c.loopRound
+	r := int(c.loopRound)
 	c.loopRound++
 
-	// Reliable-broadcast style candidate maintenance (Lines 7-10).
-	// Tallies are per-rotor-round: the fold empties the window.
-	c.echoes.Fold(nv, cmp.Compare[ids.ID], c.candidates.Contains, func(cand ids.ID, quorum bool) {
+	// Reliable-broadcast style candidate maintenance (Lines 7-10), in
+	// ascending candidate order. Tallies are per-rotor-round: the fold
+	// empties the window. The keys are distinct, so an accept never
+	// changes a later key's answer, and the accepted candidates join C_v
+	// in one merge after the walk.
+	var buf [128]ids.ID
+	accepted := buf[:0]
+	c.fold(nv, func(cand ids.ID, quorum bool) {
 		env.Broadcast(wire.IDEcho{Instance: c.instance, Candidate: cand})
 		if quorum {
-			if c.borrowed {
-				c.candidates, c.borrowed = *c.candidates.Clone(), false
-			}
-			c.candidates.Add(cand)
+			accepted = append(accepted, cand)
 		}
 	})
+	if len(accepted) > 0 {
+		if c.borrowed {
+			c.candidates, c.borrowed = *c.candidates.Clone(), false
+		}
+		c.candidates.AddAscending(accepted)
+	}
 
 	if c.candidates.Len() == 0 {
 		return Selection{}
@@ -229,6 +264,23 @@ func (c *Core) LoopRound(nv int, env *simnet.RoundEnv) Selection {
 	c.selected.Add(p)
 	c.lastSelected = p
 	return sel
+}
+
+// fold is census.Window.Fold over the window's echoes against C_v. A
+// window that holds one round's echoes of the shared block and nothing
+// else is one walk over the counts: the engine counted each candidate's
+// senders once for every reader of the census and sorted the candidates.
+func (c *Core) fold(nv int, echo func(cand ids.ID, quorum bool)) {
+	if c.shared.Len() == 0 {
+		c.echoes.Fold(nv, cmp.Compare[ids.ID], c.candidates.Contains, echo)
+		return
+	}
+	for _, e := range c.shared.All() {
+		if !c.candidates.Contains(e.Candidate) && census.AtLeastThird(e.Count, nv) {
+			echo(e.Candidate, census.AtLeastTwoThirds(e.Count, nv))
+		}
+	}
+	c.shared.Release()
 }
 
 // Terminated reports whether the core has reselected a coordinator.

@@ -16,21 +16,19 @@ import (
 )
 
 // noteInbox feeds core one inbox as seen by the census whose members are
-// of, the way an owning Step does: lay the census over the inbox's
-// broadcasters, then note.
+// of, the way an owning Step does: count the inbox against the census,
+// then note.
 func noteInbox(core *Core, inbox simnet.Inbox, of *ids.Set) {
 	var ranks census.Ranks
-	ranks.Reset(inbox.Broadcasters(), of)
-	core.NoteInbox(inbox, &ranks)
+	core.NoteInbox(inbox, Count(inbox, of, &ranks))
 }
 
 // opinionsOf collects what core.Opinions yields for inbox as seen by the
 // census whose members are of, in the order yielded.
 func opinionsOf(core *Core, inbox simnet.Inbox, of *ids.Set) []wire.Opinion {
 	var ranks census.Ranks
-	ranks.Reset(inbox.Broadcasters(), of)
 	var out []wire.Opinion
-	core.Opinions(inbox, &ranks, func(op wire.Opinion) { out = append(out, op) })
+	core.Opinions(inbox, Count(inbox, of, &ranks), func(op wire.Opinion) { out = append(out, op) })
 	return out
 }
 

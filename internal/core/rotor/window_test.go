@@ -196,8 +196,8 @@ func TestEchoWindowMatchesMapReference(t *testing.T) {
 // Runtime allocation gate: once a core has seen one window of a given
 // shape, noting an all-echo inbox (every censused sender echoes every
 // candidate: n² echoes in the shared block, read as n groups) and folding
-// it allocates nothing — the rank table and the window are reused
-// storage, not structures rebuilt per rotor round.
+// it allocates nothing — the inbox's counted view, the rank table and the
+// window are reused storage, not structures rebuilt per rotor round.
 func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 	const n = 128
 	members := ids.Sparse(rand.New(rand.NewSource(1)), n)
@@ -222,8 +222,7 @@ func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 	core.SeedCandidates(ids.NewSet(members[0]))
 	var env simnet.RoundEnv
 	round := func() {
-		ranks.Reset(inbox.Broadcasters(), frozen.Members())
-		core.NoteInbox(inbox, &ranks)
+		core.NoteInbox(inbox, Count(inbox, frozen.Members(), &ranks))
 		core.LoopRound(nv, &env)
 	}
 	round() // warm-up: sizes the slab

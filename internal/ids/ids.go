@@ -12,6 +12,7 @@ package ids
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -179,6 +180,31 @@ func (s *Set) Members() []ID {
 // Clone returns an independent copy of the set.
 func (s *Set) Clone() *Set {
 	return &Set{members: s.Members()}
+}
+
+// CopyFrom makes s an independent copy of o, in s's own storage when it
+// is large enough.
+func (s *Set) CopyFrom(o *Set) { s.members = append(s.members[:0], o.members...) }
+
+// Hash returns a digest of the membership: equal sets hash equal, and
+// unequal ones collide rarely — a hash is a filter, confirmed by Equal.
+func (s *Set) Hash() uint64 {
+	// Four independent lanes, so the multiplies of neighbouring members
+	// overlap instead of waiting on each other.
+	const k = 0x9e3779b97f4a7c15
+	h0, h1, h2, h3 := uint64(len(s.members)), uint64(1), uint64(2), uint64(3)
+	m := s.members
+	for ; len(m) >= 4; m = m[4:] {
+		h0 = (h0 ^ uint64(m[0])) * k
+		h1 = (h1 ^ uint64(m[1])) * k
+		h2 = (h2 ^ uint64(m[2])) * k
+		h3 = (h3 ^ uint64(m[3])) * k
+	}
+	for _, id := range m {
+		h0 = (h0 ^ uint64(id)) * k
+	}
+	x := h0 ^ bits.RotateLeft64(h1, 16) ^ bits.RotateLeft64(h2, 32) ^ bits.RotateLeft64(h3, 48)
+	return (x ^ x>>29) * k
 }
 
 // Equal reports whether two sets have identical membership.

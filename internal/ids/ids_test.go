@@ -157,6 +157,37 @@ func TestSetCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// CopyFrom makes an independent copy, reusing its own storage, and Hash
+// depends on the membership alone: equal sets hash equal however they
+// were built, and the sets of one size that differ in one member, at
+// every position, all hash apart.
+func TestSetCopyFromAndHash(t *testing.T) {
+	t.Parallel()
+	s := NewSet(Sparse(rand.New(rand.NewSource(2)), 37)...)
+	c := NewSet(Consecutive(5, 40)...)
+	c.CopyFrom(s)
+	if !c.Equal(s) || c.Hash() != s.Hash() {
+		t.Fatal("a copy differs from its source")
+	}
+	c.Add(1)
+	if s.Contains(1) {
+		t.Fatal("adding to a copy changed its source")
+	}
+	seen := map[uint64]int{s.Hash(): -1}
+	for i := 0; i < s.Len(); i++ {
+		o := s.Clone()
+		o.Remove(s.At(i))
+		o.Add(1 + s.At(i)) // Sparse ids are never consecutive
+		if j, dup := seen[o.Hash()]; dup {
+			t.Fatalf("replacing member %d and member %d hash alike", i, j)
+		}
+		seen[o.Hash()] = i
+	}
+	if NewSet(3, 1, 2).Hash() != NewSet(1, 2, 3).Hash() {
+		t.Fatal("the insertion order changed the hash")
+	}
+}
+
 func TestSetMembersCopy(t *testing.T) {
 	t.Parallel()
 	s := NewSet(2, 1)

@@ -93,3 +93,24 @@ func (k *viewKeeper) Step(env *simnet.RoundEnv) {
 	k.one = said[0]   // want `round-scoped said stored in field one`
 	k.by = said[0].By // want `round-scoped said stored in field by`
 }
+
+// countedKeeper keeps, beside an allowed echo list, what the allowance
+// does not cover: the counted view itself, a row of its Said, a Said.By
+// row of the block, and the Inbox.
+type countedKeeper struct {
+	kept  simnet.EchoList
+	view  *simnet.Counted
+	by    []uint64
+	inbox simnet.Inbox
+}
+
+func (k *countedKeeper) Step(env *simnet.RoundEnv) {
+	view := env.Inbox.Counted(nil)
+	k.kept = view.Echoes(0)
+	k.view = view // want `round-scoped view stored in field view`
+	for _, g := range view.Said() {
+		k.by = g.By // want `round-scoped g\.By stored in field by`
+	}
+	k.by = env.Inbox.Said()[0].By // want `round-scoped value stored in field by`
+	k.inbox = env.Inbox           // want `round-scoped env\.Inbox stored in field inbox`
+}

@@ -76,3 +76,24 @@ func (s *suppressed) Step(env *simnet.RoundEnv) {
 type notStep struct{ saved *simnet.RoundEnv }
 
 func (n *notStep) Keep(env *simnet.RoundEnv) { n.saved = env }
+
+// echoKeeper keeps a counted echo list across Steps, the way the rotor
+// core holds one round's echoes until its next fold: the list pins the
+// view it names (Counted.Echoes is //lint:valuecopy), so keeping it is
+// allowed, and so is reading it in a later Step.
+type echoKeeper struct {
+	kept  simnet.EchoList
+	total int
+}
+
+func (k *echoKeeper) Step(env *simnet.RoundEnv) {
+	for _, e := range k.kept.All() {
+		k.total += e.Count
+	}
+	k.kept.Release()
+	view := env.Inbox.Counted(nil)
+	for _, g := range view.Said() {
+		k.total += len(g.By) // read within the Step
+	}
+	k.kept = view.Echoes(0)
+}

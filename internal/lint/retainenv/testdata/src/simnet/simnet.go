@@ -40,6 +40,7 @@ type Inbox struct {
 	msgs    []Received
 	senders []int
 	said    []Said
+	counted *Counted
 }
 
 // InboxOf mirrors the test constructor.
@@ -76,6 +77,45 @@ func (in Inbox) Broadcasters() []int { return in.senders }
 
 // Direct mirrors the receiver's private segment.
 func (in Inbox) Direct() []Received { return in.msgs }
+
+// Counted mirrors the broadcast block counted against a census: a view
+// of recycled engine scratch like Said, so a Step that keeps it, or its
+// Said rows, is a violation.
+type Counted struct {
+	said   []Said
+	echoes []Echo
+}
+
+// Echo mirrors one counted echo group.
+type Echo struct {
+	Candidate int
+	Count     int
+	Who       []uint64
+}
+
+// Counted mirrors the lookup of the view of a census.
+func (in Inbox) Counted(of []int) *Counted { return in.counted }
+
+// Said mirrors the view's counted groups.
+func (v *Counted) Said() []Said { return v.said }
+
+// Echoes mirrors the pinned echo list: the engine never recycles the
+// view a list names until the list is released, so a Step may keep it.
+//
+//lint:valuecopy the list pins the view it names, which the engine then never recycles or writes, so it may outlive the Step
+func (v *Counted) Echoes(instance uint64) EchoList { return EchoList{v: v} }
+
+// EchoList mirrors the pinned list: a handle on the view, no slice.
+type EchoList struct {
+	v      *Counted
+	lo, hi int32
+}
+
+// All mirrors reading the list.
+func (l EchoList) All() []Echo { return l.v.echoes[l.lo:l.hi] }
+
+// Release mirrors unpinning.
+func (l *EchoList) Release() { *l = EchoList{} }
 
 // Slice returns the messages in a freshly allocated slice.
 //

@@ -1,0 +1,5 @@
+package simnet
+
+// CountedBuilds returns how many counted views net has built so far, for
+// the tests of package simnet_test.
+func CountedBuilds(net *Network) int64 { return net.index.views.builds.Load() }

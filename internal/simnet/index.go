@@ -22,8 +22,9 @@ import (
 //     names Broadcasters()[p].
 //   - Said: one entry per distinct payload in the block, ascending by
 //     encoding, each with the set of broadcaster positions that sent it
-//     — a bitset in the census.Marks layout, so a reader turns it into
-//     "which of my census members" with a few word ORs (census.Ranks).
+//     — a bitset in the census.Marks layout, which the counted view of
+//     a census (counted.go) turns into "which of its members" with a few
+//     word ORs (census.Ranks).
 //
 // It is built at most once per round, by whichever Step asks first, in
 // O(B + G) over the block and the round's G distinct encodings, in
@@ -50,12 +51,49 @@ type Said struct {
 	By census.Marks
 }
 
-// Index build states: the once-guard of blockIndex.ensure.
+// Build states of a guard.
 const (
 	indexStale uint32 = iota
 	indexBuilding
 	indexBuilt
 )
+
+// guard is the once-per-round guard of a structure that step tasks
+// build on demand: the block index (blockIndex.ensure) and each counted
+// view (Inbox.Counted). It is the only synchronisation a step task can
+// reach: with a worker cap above 1 several Steps may ask at once, so the
+// first claims the build with a compare-and-swap and publishes it with a
+// store; a task that arrives while the claimant is still building yields
+// until the store. That wait is on a peer that is running — it claimed
+// from inside its own task and a build calls nothing that can block — so
+// it is bounded by one build and cannot deadlock the step barrier. The
+// claim makes one task the structure's sole writer for the round.
+// TestEnsureBuildsOnceUnderContention and
+// TestCountedViewsBuildOnceUnderContention hold it.
+type guard struct{ state atomic.Uint32 }
+
+// claim reports whether the caller must build now: false once the
+// structure is built, after waiting out a build already under way.
+// A true claim is published with done.
+func (g *guard) claim() bool {
+	if g.state.Load() == indexBuilt {
+		return false
+	}
+	if g.state.CompareAndSwap(indexStale, indexBuilding) {
+		return true
+	}
+	for g.state.Load() != indexBuilt {
+		runtime.Gosched()
+	}
+	return false
+}
+
+// done publishes the build of a claim.
+func (g *guard) done() { g.state.Store(indexBuilt) }
+
+// stale marks the structure for a rebuild on the next claim. It runs in
+// the route pass, when no step task is running.
+func (g *guard) stale() { g.state.Store(indexStale) }
 
 // blockIndex is the payload-major index of one round's broadcast block.
 // The route pass points it at the new block and the block's ranks
@@ -67,10 +105,13 @@ type blockIndex struct {
 	// among the round's nranks distinct encodings (see intern.go).
 	ranks  []uint32
 	nranks int
-	state  atomic.Uint32
+	guard  guard
 	// builds counts completed builds over the index's lifetime (test
 	// instrumentation: at most one per round, none when nobody asks).
 	builds int
+	// views are the round's counted views, one per census asked about
+	// (counted.go).
+	views viewTable
 
 	senders []ids.ID
 	said    []Said   // the finished index: ascending by encoding
@@ -85,30 +126,17 @@ type blockIndex struct {
 //lint:noalloc a few stores per round; the index itself is built only on demand
 func (ix *blockIndex) reset(block []Received, ranks []uint32, nranks int) {
 	ix.block, ix.ranks, ix.nranks = block, ranks, nranks
-	ix.state.Store(indexStale)
+	ix.guard.stale()
+	ix.views.reset()
 }
 
-// ensure builds the index if this round has not built it yet. It is the
-// only synchronisation a step task can reach: with a worker cap above 1
-// several Steps may ask at once, so the first claims the build with a
-// compare-and-swap and publishes it with a store; a task that arrives
-// while the claimant is still building yields until the store. That wait
-// is on a peer that is running — it claimed from inside its own task
-// and the build calls nothing that can block — so it is bounded by one
-// O(B) build and cannot deadlock the step barrier. The claim makes one
-// task the index's sole writer for the round, and the writes land in
-// the index alone. TestEnsureBuildsOnceUnderContention holds the guard.
+// ensure builds the index if this round has not built it yet, under the
+// index's guard; the writes of the one task that builds land in the
+// index alone.
 func (ix *blockIndex) ensure() {
-	if ix.state.Load() == indexBuilt {
-		return
-	}
-	if ix.state.CompareAndSwap(indexStale, indexBuilding) {
+	if ix.guard.claim() {
 		ix.build()
-		ix.state.Store(indexBuilt)
-		return
-	}
-	for ix.state.Load() != indexBuilt {
-		runtime.Gosched()
+		ix.guard.done()
 	}
 }
 
@@ -167,6 +195,7 @@ func (ix *blockIndex) build() {
 func (ix *blockIndex) release() {
 	ix.reset(nil, nil, 0)
 	clear(ix.said[:cap(ix.said)])
+	ix.views.release()
 }
 
 // Broadcasters returns the distinct senders of the round's broadcast

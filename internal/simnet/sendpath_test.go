@@ -84,10 +84,10 @@ func (e *echoer) Done() bool { return false }
 func (e *echoer) Step(env *simnet.RoundEnv) {
 	rotor.ObserveSenders(&e.live, env.Inbox)
 	e.liveRank.Reset(env.Inbox.Broadcasters(), e.live.Members())
-	e.ranks.Reset(env.Inbox.Broadcasters(), e.members.Members())
-	e.core.NoteInbox(env.Inbox, &e.ranks)
+	view := rotor.Count(env.Inbox, e.members.Members(), &e.ranks)
+	e.core.NoteInbox(env.Inbox, view)
 	e.opinions = 0
-	e.core.Opinions(env.Inbox, &e.ranks, func(wire.Opinion) { e.opinions++ })
+	e.core.Opinions(env.Inbox, view, func(wire.Opinion) { e.opinions++ })
 	e.core.BroadcastInit(env)
 	e.core.EchoInits(env.Inbox, env)
 	if sel := e.core.LoopRound(e.nv, env); sel.Coordinator == e.id {
