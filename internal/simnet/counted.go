@@ -36,8 +36,8 @@ import (
 // over round — except that an echo list may outlive the Step: the
 // consensus node notes a phase's echoes in one round and folds them
 // four rounds later. So Echoes pins the view, and the route pass
-// recycles only views that no reader pins; a pinned one is left to its
-// readers and the garbage collector, and is never written again.
+// recycles only views that no reader pins; a pinned one is held, never
+// written, until a later route pass finds its last pin released.
 
 // Counted is the round's broadcast block counted against one census: a
 // view shared by every reader of that census, valid until the Step call
@@ -49,7 +49,7 @@ type Counted struct {
 	next    *Counted // the next view of the same hash in this round's table
 	guard   guard
 	// pins counts the echo lists handed out and not yet released; a
-	// pinned view is never recycled.
+	// pinned view is not recycled until it reads 0.
 	pins atomic.Int32
 
 	said   []SaidCount
@@ -103,7 +103,7 @@ func (v *Counted) Said() []SaidCount {
 // ascending by candidate. A non-empty list pins the view: it stays valid
 // across Steps, immutable, until its Release.
 //
-//lint:valuecopy the list pins the view it names, which the engine then never recycles or writes, so it may outlive the Step
+//lint:valuecopy the list pins the view it names, which the engine does not recycle or write while it is pinned, so it may outlive the Step
 func (v *Counted) Echoes(instance uint64) EchoList {
 	if v == nil {
 		return EchoList{}
@@ -194,6 +194,7 @@ type viewTable struct {
 	mu     sync.Mutex
 	byHash map[uint64]*Counted // chained through Counted.next
 	live   []*Counted          // this round's views
+	held   []*Counted          // past rounds' views an echo list still pins
 	spare  []*Counted          // past rounds' views that nothing pins
 	// builds counts completed view builds over the table's lifetime
 	// (test instrumentation: one per distinct census asked about per
@@ -231,13 +232,26 @@ func (t *viewTable) find(of *ids.Set) *Counted {
 }
 
 // reset empties the table for the next round. A view that nothing pins
-// goes back to spare for reuse; a pinned one is dropped. It runs in the
-// route pass, when no step task is running.
+// goes back to spare for reuse; a pinned one is held until its last pin
+// is released. It runs in the route pass, when no step task is running,
+// so no pin is taken or released during it.
 func (t *viewTable) reset() {
+	held := t.held[:0]
+	for _, v := range t.held {
+		if v.pins.Load() == 0 {
+			t.spare = append(t.spare, v)
+		} else {
+			held = append(held, v)
+		}
+	}
+	clear(t.held[len(held):])
+	t.held = held
 	for _, v := range t.live {
 		v.next = nil
 		if v.pins.Load() == 0 {
 			t.spare = append(t.spare, v)
+		} else {
+			t.held = append(t.held, v)
 		}
 	}
 	clear(t.live)
@@ -246,9 +260,12 @@ func (t *viewTable) reset() {
 }
 
 // release empties the table and drops every payload its spare views
-// pin, keeping their capacity for the next network.
+// pin, keeping their capacity for the next network. A view still pinned
+// is left to its readers and the garbage collector.
 func (t *viewTable) release() {
 	t.reset()
+	clear(t.held)
+	t.held = t.held[:0]
 	for _, v := range t.spare {
 		clear(v.said[:cap(v.said)])
 	}

@@ -322,3 +322,63 @@ func TestPinnedEchoesOutliveTheirRound(t *testing.T) {
 		t.Fatal("no unpinned view went back to spare")
 	}
 }
+
+// cycler pins the echo list of every fourth round and releases it three
+// rounds later, the way a consensus node keeps a phase's echoes until
+// its next loop round, and notes every view its census was counted in.
+type cycler struct {
+	id     ids.ID
+	census *ids.Set
+	kept   EchoList
+	views  map[*Counted]bool
+}
+
+func (c *cycler) ID() ids.ID { return c.id }
+func (c *cycler) Done() bool { return false }
+
+func (c *cycler) Step(env *RoundEnv) {
+	v := env.Inbox.Counted(c.census)
+	c.views[v] = true
+	switch env.Round % 4 {
+	case 1:
+		c.kept = v.Echoes(0)
+	case 0:
+		c.kept.Release()
+	}
+	env.Broadcast(wire.IDEcho{Candidate: c.id})
+}
+
+// A view whose last pin is released goes back into use: over ten
+// pin-and-release cycles the network counts the census in no more views
+// than one round's, one held and one spare, instead of a fresh one per
+// cycle.
+func TestReleasedViewIsReused(t *testing.T) {
+	nodeIDs := ids.Sparse(rand.New(rand.NewSource(6)), 5)
+	net := New(Config{})
+	defer net.Close()
+	census := ids.NewSet(nodeIDs...)
+	c := &cycler{id: nodeIDs[0], census: census, views: map[*Counted]bool{}}
+	if err := net.Add(c); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range nodeIDs[1:] {
+		if err := net.Add(&cycler{id: id, census: census, views: map[*Counted]bool{}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 1; round <= 41; round++ {
+		if err := net.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		if round%4 == 1 && round > 1 && c.kept.Len() == 0 {
+			t.Fatalf("round %d: the cycler pinned no echoes", round)
+		}
+	}
+	delete(c.views, nil) // round 1 has no block
+	if len(c.views) > 3 {
+		t.Fatalf("the census was counted in %d distinct views over 10 pin cycles, want at most 3", len(c.views))
+	}
+	if held := len(net.index.views.held); held != 1 {
+		t.Fatalf("%d views held after round 41's pin, want 1", held)
+	}
+}

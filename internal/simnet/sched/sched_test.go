@@ -281,21 +281,42 @@ func TestPickRotatesAcrossPhases(t *testing.T) {
 	}
 }
 
+// rendezvous is a two-index task whose indices wait for each other:
+// each Run spins until the other has started, so the submitter, which
+// runs one, cannot finish the phase until a worker has picked it and
+// attached. met counts the dispatches in which both indices ran.
+type rendezvous struct {
+	started atomic.Int32
+	met     atomic.Int32
+}
+
+func (r *rendezvous) Run(int) {
+	if r.started.Add(1) == 2 {
+		r.started.Store(0)
+		r.met.Add(1)
+		return
+	}
+	for r.started.Load() != 0 {
+		runtime.Gosched()
+	}
+}
+
 // TestSteadyStateDispatchDoesNotAllocate pins the recycled-Phase
-// contract: after warmup, a dispatch allocates nothing.
+// contract: after warmup, a dispatch allocates nothing — its Run, the
+// submitter's drain, and a budgeted worker's pick, attach and drain,
+// which the rendezvous task forces into every dispatch.
 func TestSteadyStateDispatchDoesNotAllocate(t *testing.T) {
 	s := New(2)
 	defer s.Close()
-	ct := newCountTask(64)
-	ct.spinFor = 0
+	var r rendezvous
 	var p Phase
-	s.Run(&p, ct, len(ct.hits), 2) // warm: fin channel, phases list growth
-	for i := range ct.hits {
-		ct.hits[i].Store(0)
-	}
+	s.Run(&p, &r, 2, 2) // warm: fin channel, phases list growth
 	avg := testing.AllocsPerRun(100, func() {
-		s.Run(&p, ct, len(ct.hits), 2)
+		s.Run(&p, &r, 2, 2)
 	})
+	if got := r.met.Load(); got != 1+1+100 {
+		t.Fatalf("a worker joined %d of %d dispatches, want every one", got, 1+1+100)
+	}
 	if avg != 0 {
 		t.Fatalf("steady-state dispatch allocates %.1f allocs/op, want 0", avg)
 	}

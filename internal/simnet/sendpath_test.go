@@ -10,6 +10,7 @@ import (
 	"uba/internal/core/rotor"
 	"uba/internal/ids"
 	"uba/internal/simnet"
+	"uba/internal/trace"
 	"uba/internal/wire"
 )
 
@@ -76,12 +77,14 @@ type echoer struct {
 	liveRank census.Ranks  // laid over live every round
 	nv       int
 	opinions int // opinions read from the last inbox
+	heard    int // the last inbox's length
 }
 
 func (e *echoer) ID() ids.ID { return e.id }
 func (e *echoer) Done() bool { return false }
 
 func (e *echoer) Step(env *simnet.RoundEnv) {
+	e.heard = env.Inbox.Len()
 	rotor.ObserveSenders(&e.live, env.Inbox)
 	e.liveRank.Reset(env.Inbox.Broadcasters(), e.live.Members())
 	view := rotor.Count(env.Inbox, e.members.Members(), &e.ranks)
@@ -98,8 +101,8 @@ func (e *echoer) Step(env *simnet.RoundEnv) {
 	}
 }
 
-// TestSendPathZeroAlloc is the runtime half of RoundEnv.Send's
-// //lint:noalloc: a send costs no heap memory. After warm-up rounds, a
+// TestSendPathZeroAlloc is RoundEnv.Send's allocation contract: a send
+// costs no heap memory. After warm-up rounds, a
 // whole RunRound — every Step, the step merge and its intern table and
 // rank pass, the route pass, delivery — allocates nothing, at n = 32:
 //
@@ -110,9 +113,17 @@ func (e *echoer) Step(env *simnet.RoundEnv) {
 //     of the coordinator. It also re-observes the round's senders into a
 //     live census (rotor.ObserveSenders) and lays a rank table over it,
 //     so a census merge that allocated once it holds everyone shows.
-//     With links=live a drop rule that matches no link is live, so every
-//     broadcast is delivered through Direct and Core.Opinions orders the
-//     opinions by encoding itself.
+//     With links=live a drop rule on the links of one node (neither the
+//     coordinator nor the node the assertions read) drops about half of
+//     them every round, so every fault roll runs, every broadcast is
+//     delivered through Direct and Core.Opinions orders the opinions by
+//     encoding itself.
+//
+//   - queue/transcript=full: the queue fixture with a trace.EventLog
+//     attached that is already at capacity, so every round is
+//     transcribed and every event is counted as dropped. A log that
+//     still grows allocates when its array does, so only a full one is
+//     held to 0.
 //
 //   - backwards: every node queues three encodings in the reverse of
 //     their byte order, so the rank pass sorts every round.
@@ -141,6 +152,23 @@ func TestSendPathZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	t.Run("queue/transcript=full", func(t *testing.T) {
+		log := trace.NewEventLog(1)
+		net := simnet.New(simnet.Config{EventLog: log})
+		defer net.Close()
+		for i, id := range nodes {
+			if err := net.Add(&queuer{id: id, peer: nodes[(i+1)%n], k: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkZeroAllocRounds(t, net)
+		dropped := log.Dropped()
+		checkZeroAllocRounds(t, net)
+		// 4 + 21 rounds of n² + n deliveries, every one past capacity.
+		if got, want := log.Dropped()-dropped, 25*(n*n+n); len(log.Events()) != 1 || got != want {
+			t.Fatalf("the full log holds %d events and dropped %d more, want 1 and %d", len(log.Events()), got, want)
+		}
+	})
 	t.Run("backwards", func(t *testing.T) {
 		net := simnet.New(simnet.Config{})
 		defer net.Close()
@@ -156,12 +184,13 @@ func TestSendPathZeroAlloc(t *testing.T) {
 			t.Fatalf("a node read the candidates in the order %v, want the byte order %v", got, want)
 		}
 	})
+	const dropped = 2 // the node whose links the live drop rule names
 	for _, links := range []string{"healthy", "live"} {
 		t.Run("rotor/links="+links, func(t *testing.T) {
 			cfg := simnet.Config{}
 			if links == "live" {
 				cfg.FaultPlan = &simnet.FaultPlan{Seed: 1, Events: []simnet.FaultEvent{
-					{Round: 1, Kind: simnet.FaultDrop, Node: 1, Rate: 0.5}, // no node has id 1
+					{Round: 1, Kind: simnet.FaultDrop, Node: uint64(nodes[dropped]), Rate: 0.5},
 				}}
 			}
 			net := simnet.New(cfg)
@@ -186,6 +215,11 @@ func TestSendPathZeroAlloc(t *testing.T) {
 			}
 			if got := es[1].core.Candidates().Len(); got != 1 {
 				t.Fatalf("C_v grew to %d: the fixture is meant to echo candidates, not admit them", got)
+			}
+			// Every link of the named node is rolled and about half are
+			// dropped; the other nodes lose only what it sends them.
+			if lost := es[1].heard - es[dropped].heard; (links == "live") != (lost > 0) {
+				t.Fatalf("the named node heard %d messages and another %d, with links %s", es[dropped].heard, es[1].heard, links)
 			}
 		})
 	}
