@@ -14,14 +14,14 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis: the repo's own go/analysis suite (cmd/ubalint) run
-# over every package via go vet's -vettool protocol. The five passes —
-# retainenv, determinism, wirereg, complexity, noalloc — enforce the
-# simnet engine, wire-registration, message-complexity and
-# allocation-freedom contracts, fed by the interprocedural summary fact
-# pass; see DESIGN.md "Static analysis" and internal/lint. The step
-# task's ownership and non-blocking rules and the Process isolation
-# contract are runtime-tested instead (the race job's "Step-task
-# ownership gate" and "Process isolation gate").
+# over every package via go vet's -vettool protocol. The four passes —
+# retainenv, determinism, wirereg, complexity — enforce the simnet
+# engine, wire-registration and message-complexity contracts, fed by
+# the interprocedural summary fact pass; see DESIGN.md "Static analysis"
+# and internal/lint. The step task's ownership and non-blocking rules,
+# the Process isolation contract and the round's allocation-freedom are
+# runtime-tested instead (the race job's "Step-task ownership gate",
+# "Process isolation gate" and "Zero-alloc gate").
 # Suppress a false positive in-source with: //lint:allow <pass> <reason>
 #
 # bin/ubalint is a real make target: it rebuilds only when the linter's
@@ -53,7 +53,9 @@ test:
 	$(GO) test ./...
 
 # Mutation check: each hand mutant in internal/spec/testdata/mutants (one
-# patch per mutant) is applied alone to a copy of the tracked files, and
+# patch per mutant: protocol slips, and a seeded allocation per file of
+# the round path that a zero-alloc gate must kill) is applied alone to a
+# copy of the tracked files, and
 # the target fails if `go test ./internal/core/... ./internal/census/...
 # ./internal/simnet/...` passes with any of them, or fails without a
 # failing test (a mutant that does not build). Each line names the mutant and the top-level

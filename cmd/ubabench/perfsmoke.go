@@ -13,8 +13,8 @@ import (
 // n=256 route-only row, plus the route-only rows at the two sizes the
 // zero-alloc gate certifies (n=1024, n=4096) — the
 // allocs/op band on those rows is the perf-trajectory counterpart of
-// the //lint:noalloc contract, so an allocation creeping back into the
-// certified route path fails the smoke even where the AllocsPerRun
+// the zero-alloc gates, so an allocation creeping back into the
+// gated route path fails the smoke even where the AllocsPerRun
 // gate is not running. The plan=idle route rows re-pin the same band
 // with a fault plan attached but never live, so plan presence staying
 // free on a healthy round (0 allocs/op, flat ns/op) is part of the

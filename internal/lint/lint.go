@@ -1,14 +1,13 @@
 // Package lint assembles the ubalint analyzer suite: the custom
 // go/analysis passes that mechanically enforce the simulator's
-// determinism, buffer-recycling, message-complexity, and
-// allocation-freedom contracts (see DESIGN.md "Static analysis" for
+// determinism, buffer-recycling, wire-registration and
+// message-complexity contracts (see DESIGN.md "Static analysis" for
 // what each pass proves and its known edges).
 package lint
 
 import (
 	"uba/internal/lint/complexity"
 	"uba/internal/lint/determinism"
-	"uba/internal/lint/noalloc"
 	"uba/internal/lint/retainenv"
 	"uba/internal/lint/summary"
 	"uba/internal/lint/wirereg"
@@ -19,7 +18,7 @@ import (
 // Analyzers returns the full ubalint suite in a fixed order. The
 // summary fact pass is listed even though it exists primarily for its
 // facts: as a root analyzer its directive-policing diagnostics (unused
-// //lint:commutative / //lint:valuecopy / //lint:coldpath) are printed
+// //lint:commutative / //lint:valuecopy) are printed
 // rather than swallowed by the driver.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -27,7 +26,6 @@ func Analyzers() []*analysis.Analyzer {
 		determinism.Analyzer,
 		wirereg.Analyzer,
 		complexity.Analyzer,
-		noalloc.Analyzer,
 		summary.Analyzer,
 	}
 }

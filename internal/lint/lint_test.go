@@ -18,8 +18,8 @@ func TestValidate(t *testing.T) {
 	if err := analysis.Validate(lint.Analyzers()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(lint.Analyzers()); got != 6 {
-		t.Fatalf("suite has %d analyzers, want 6 (retainenv, determinism, wirereg, complexity, noalloc, summary)", got)
+	if got := len(lint.Analyzers()); got != 5 {
+		t.Fatalf("suite has %d analyzers, want 5 (retainenv, determinism, wirereg, complexity, summary)", got)
 	}
 }
 

@@ -8,7 +8,7 @@
 //	//lint:allow <pass> <reason>
 //
 // where <pass> is the analyzer name (retainenv, determinism, wirereg,
-// complexity, noalloc, summary) or "all", and <reason> is free text
+// complexity, summary) or "all", and <reason> is free text
 // explaining why the finding is a false positive or an accepted risk.
 // The reason is mandatory: a directive without one is itself reported
 // and suppresses nothing. A directive suppresses matching diagnostics on

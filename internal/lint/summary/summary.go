@@ -1,11 +1,11 @@
 // Package summary implements the ubalint fact pass: a per-function,
 // interprocedural effect analysis whose results the diagnostic passes
 // consume at call sites — retainenv reads Retains and Flows,
-// determinism reads OrderSensitive, complexity reads the send classes,
-// and noalloc reads Allocates. It turns the false-negative edges the
-// intraprocedural passes documented — retention through a synchronous
-// call, taint laundering through returns, order-sensitive effects
-// hidden behind a call — into facts that cross package boundaries.
+// determinism reads OrderSensitive, and complexity reads the send
+// classes. It turns the false-negative edges the intraprocedural passes
+// documented — retention through a synchronous call, taint laundering
+// through returns, order-sensitive effects hidden behind a call — into
+// facts that cross package boundaries.
 //
 // For every function with a body the pass computes a FuncSummary:
 //
@@ -22,11 +22,6 @@
 //     state reachable from its parameters or a global, a string
 //     concatenation onto such state, a plain (non-fold) overwrite of
 //     such state, or a call to another order-sensitive function.
-//   - Allocates: a bitmask of allocation kinds (make, new, growing
-//     append, string conversion/concat, interface boxing, escaping
-//     composite literals, capturing closures, map writes, fmt calls)
-//     one call may perform in steady state, net of the amortized-growth
-//     exemptions documented in alloc.go. Consumed by the noalloc pass.
 //
 // Summaries are resolved to a fixpoint over the package's internal call
 // graph (mutual recursion converges because the lattice is finite and
@@ -40,20 +35,16 @@
 // Standard-library packages (sources under GOROOT) are not summarized:
 // their internal state is synchronization-protected machinery outside
 // the protocol state model, so std callees fall under the
-// effect-free-by-default rule. Three doc-comment directives adjust a
+// effect-free-by-default rule. Two doc-comment directives adjust a
 // declaration's facts: //lint:commutative <reason> clears
 // OrderSensitive — the sorted-insert escape hatch for operations whose
-// final state the author asserts is independent of call order —
+// final state the author asserts is independent of call order — and
 // //lint:valuecopy <reason> clears Flows, asserting that the returned
 // value is a plain copy sharing no memory with the receiver or
 // arguments (the element-accessor shape: structurally the result reads
 // through the receiver's backing arrays, but what comes back is a
-// by-value Received the caller may keep), and //lint:coldpath <reason>
-// clears Allocates, asserting that every allocation in the function
-// sits on an error or once-per-lifetime branch off the steady-state
-// path. coldpath also works as a line comment inside a body, exempting
-// the allocation sites on its own and the following line (the
-// //lint:allow convention); both forms are policed for staleness.
+// by-value Received the caller may keep). Both are policed for
+// staleness.
 package summary
 
 import (
@@ -99,14 +90,6 @@ type FuncSummary struct {
 	// env.Broadcast into a slot of class Linear performs O(n)
 	// broadcasts.
 	ParamCalls uint64
-
-	// Allocates is a bitmask of Alloc* kind bits: the heap-allocation
-	// kinds one call of the function may perform, net of the
-	// steady-state exemptions (capacity-guarded make/append, recycled
-	// self-appends, non-capturing and deferred literals, //lint:coldpath
-	// lines) and including allocations folded in from callees. Consumed
-	// by the noalloc pass.
-	Allocates uint16
 }
 
 // AFact marks FuncSummary as an analysis fact.
@@ -138,12 +121,6 @@ func (s *FuncSummary) String() string {
 		}
 		parts = append(parts, "calls("+strings.Join(cs, ",")+")")
 	}
-	// New fact renderings append at the end: the fixture wants match
-	// unanchored, so a summary can only grow rightward without breaking
-	// older expectations.
-	if s.Allocates != 0 {
-		parts = append(parts, "allocs("+AllocsString(s.Allocates)+")")
-	}
 	if len(parts) == 0 {
 		return "pure"
 	}
@@ -152,7 +129,7 @@ func (s *FuncSummary) String() string {
 
 func (s FuncSummary) isZero() bool {
 	return s.Retains == 0 && s.Flows == 0 && !s.OrderSensitive &&
-		s.Broadcasts == complexity.None && s.Unicasts == complexity.None && s.ParamCalls == 0 && s.Allocates == 0
+		s.Broadcasts == complexity.None && s.Unicasts == complexity.None && s.ParamCalls == 0
 }
 
 // RetainsAt and FlowsAt test one tracked slot (see ArgIndex/RecvIndex).
@@ -221,7 +198,7 @@ func ArgIndex(fn *types.Func, i int) (int, bool) {
 // inert.
 var Analyzer = &analysis.Analyzer{
 	Name:       "summary",
-	Doc:        "compute per-function retention, flow, order-sensitivity, send-class, and allocation facts for the ubalint passes; report unused fact directives",
+	Doc:        "compute per-function retention, flow, order-sensitivity, and send-class facts for the ubalint passes; report unused fact directives",
 	Run:        run,
 	FactTypes:  []analysis.Fact{(*FuncSummary)(nil)},
 	ResultType: reflect.TypeOf((*Result)(nil)),
@@ -233,7 +210,6 @@ var Analyzer = &analysis.Analyzer{
 type Result struct {
 	pass  *analysis.Pass
 	local map[*types.Func]FuncSummary
-	cold  *coldIndex
 }
 
 // Of returns fn's summary, or the zero summary when fn is nil or has
@@ -273,14 +249,10 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 
 	// Collect every function declaration with a body, noting which carry
-	// a //lint:commutative, //lint:valuecopy, or //lint:coldpath
-	// directive. Doc-comment coldpath directives are remembered so the
-	// line-level index below does not double-count them.
+	// a //lint:commutative or //lint:valuecopy directive.
 	decls := make(map[*types.Func]*ast.FuncDecl)
 	commutative := make(map[*types.Func]bool) // present = directive; value = has a reason
 	valuecopy := make(map[*types.Func]bool)
-	coldpath := make(map[*types.Func]bool)
-	docCold := make(map[*ast.Comment]bool)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -299,17 +271,8 @@ func run(pass *analysis.Pass) (any, error) {
 			if reasoned, ok := directive(fd, "//lint:valuecopy"); ok {
 				valuecopy[fn] = reasoned
 			}
-			if reasoned, ok := directive(fd, "//lint:coldpath"); ok {
-				coldpath[fn] = reasoned
-				for _, c := range fd.Doc.List {
-					if strings.HasPrefix(c.Text, "//lint:coldpath") {
-						docCold[c] = true
-					}
-				}
-			}
 		}
 	}
-	res.cold = newColdIndex(pass, docCold)
 
 	// Fixpoint over the package-internal call graph: recompute every
 	// summary against the current ones until nothing grows. Effects only
@@ -325,9 +288,6 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			if valuecopy[fn] {
 				s.Flows = 0
-			}
-			if coldpath[fn] {
-				s.Allocates = 0
 			}
 			if s != res.local[fn] {
 				res.local[fn] = s
@@ -353,8 +313,7 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			raw := analyzeFunc(pass, res, fn, fd)
 			if (name == "//lint:commutative" && !raw.OrderSensitive) ||
-				(name == "//lint:valuecopy" && raw.Flows == 0) ||
-				(name == "//lint:coldpath" && raw.Allocates == 0) {
+				(name == "//lint:valuecopy" && raw.Flows == 0) {
 				sup.Reportf(fd.Name.Pos(), "unused %s directive: %s is not %s", name, fn.Name(), effect)
 			}
 		}
@@ -364,14 +323,7 @@ func run(pass *analysis.Pass) (any, error) {
 		if reasoned, ok := valuecopy[fn]; ok {
 			report(reasoned, "//lint:valuecopy", "flowing any parameter to a return value")
 		}
-		if reasoned, ok := coldpath[fn]; ok {
-			report(reasoned, "//lint:coldpath", "allocating on any path")
-		}
 	}
-	// Line-level coldpath directives are policed the same way: one that
-	// exempted no allocation site during the fixpoint (or the policing
-	// recomputations above) is stale.
-	res.cold.police(sup)
 	sup.Done()
 
 	// Export non-trivial summaries so downstream packages see them.
@@ -412,11 +364,6 @@ func inGOROOT(pass *analysis.Pass) bool {
 //	even though the body structurally reads through them (the
 //	element-accessor shape: indexing a recycled backing array but
 //	returning a value-type element). Clears only Flows.
-//
-//	//lint:coldpath <reason> — every allocation in the function sits on
-//	an error or once-guarded branch off the steady-state path. Clears
-//	only Allocates. (The same directive as a line comment inside a body
-//	exempts individual sites instead; see alloc.go.)
 //
 // Retention facts are never cleared. Like the fold carve-outs,
 // directives are a documented trust boundary: the analysis takes the
@@ -470,9 +417,6 @@ func analyzeFunc(pass *analysis.Pass, res *Result, fn *types.Func, fd *ast.FuncD
 	st.propagate()
 	st.findSinks()
 	st.sendScan()
-	for _, site := range st.allocSites() {
-		st.out.Allocates |= site.Kind
-	}
 	return st.out
 }
 
@@ -1066,9 +1010,6 @@ func (st *funcState) sinkCall(call *ast.CallExpr) {
 	s := st.res.Of(callee)
 	if s.isZero() {
 		return
-	}
-	if s.Allocates != 0 && !st.res.cold.covers(st.pass.Fset, call.Pos()) {
-		st.out.Allocates |= s.Allocates
 	}
 	if s.OrderSensitive && !st.localReceiver(call) {
 		st.out.OrderSensitive = true

@@ -55,16 +55,8 @@ func TestSends(t *testing.T) {
 	linttest.Run(t, "testdata", dump, "sends")
 }
 
-// TestAllocs pins the Allocates fact: one rendering per allocation
-// kind, the steady-state exemptions (recycled self-append, capacity
-// guard), doc-level coldpath clearing, and interprocedural folding.
-func TestAllocs(t *testing.T) {
-	linttest.Run(t, "testdata", dump, "allocs")
-}
-
 // TestDirectives pins the pass's own diagnostics: unused and inert
-// //lint:commutative / //lint:valuecopy / //lint:coldpath directives,
-// at both doc and line level for coldpath.
+// //lint:commutative / //lint:valuecopy directives.
 func TestDirectives(t *testing.T) {
 	linttest.Run(t, "testdata", summary.Analyzer, "directives")
 }

@@ -4,8 +4,6 @@
 // anchor at the function name, so the wants sit on the declaration.
 package directives
 
-import "fmt"
-
 var stash []*int
 
 // Used: the append really is order-sensitive; the directive clears it
@@ -43,48 +41,4 @@ func Inert(p *int) { // want `//lint:commutative directive on Inert is inert: no
 //lint:valuecopy fixture stand-in for a deep-copied return
 func Flowing(in []int) []int {
 	return in[1:]
-}
-
-// ColdUsed: the fmt call really allocates; the doc directive clears
-// the fact and draws no diagnostic.
-//
-//lint:coldpath fixture stand-in for a once-guarded setup path
-func ColdUsed() string {
-	return fmt.Sprintf("%d", len(stash))
-}
-
-// ColdUnused: nothing allocates, so there is nothing to clear.
-//
-//lint:coldpath nothing here ever allocates
-func ColdUnused() int { // want `unused //lint:coldpath directive: ColdUnused is not allocating on any path`
-	return len(stash)
-}
-
-// ColdInert: a coldpath directive without a reason adjusts nothing.
-//
-//lint:coldpath
-func ColdInert() string { // want `//lint:coldpath directive on ColdInert is inert: no reason given`
-	return fmt.Sprintf("%d", len(stash))
-}
-
-// ColdLineUsed: the line directive covers the format site on the next
-// line, so the site is exempted and the directive counts as used.
-func ColdLineUsed(v int) error {
-	if v < 0 {
-		//lint:coldpath fixture error branch, off the steady-state path
-		return fmt.Errorf("bad value %d", v)
-	}
-	return nil
-}
-
-// ColdLineUnused: the line directive covers no allocation site. Its
-// policing diagnostic anchors at the directive comment itself, so the
-// want shares the comment (the trailing text rides along as part of
-// the reason, keeping the directive reasoned). An unreasoned line
-// directive cannot carry a want the same way — any text after the
-// prefix would count as its reason — so the inert case is pinned at
-// doc level (ColdInert) only.
-func ColdLineUnused() int {
-	//lint:coldpath recycled by the caller — want `unused //lint:coldpath directive: no allocation site on its line or the next`
-	return len(stash)
 }

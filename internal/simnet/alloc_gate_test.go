@@ -13,9 +13,9 @@ type discardObserver struct{}
 
 func (discardObserver) ObserveRound(int, []trace.Event) {}
 
-// TestRouteHotPathZeroAlloc is the runtime half of the //lint:noalloc
-// contract on the round hot path: after the warm-up rounds that grow
-// the recycled arenas to their high-water mark, a steady-state
+// TestRouteHotPathZeroAlloc is the allocation contract of the round
+// hot path: after the warm-up rounds that grow the recycled arenas to
+// their high-water mark, a steady-state
 // finishRound — the tail of RunRound, account + route + observe — must
 // perform zero heap allocations per round, at a worker cap of 1 and of
 // 3 (the pass is serial under both: a cap must not bring the scheduler,
@@ -45,7 +45,7 @@ func (discardObserver) ObserveRound(int, []trace.Event) {}
 // appends one RoundStats to the report's per-round ledger every round,
 // which is genuinely amortized O(1) allocation — the ledger is a
 // product of the run, not round scratch — and is deliberately outside
-// the noalloc certification (it carries no //lint:noalloc directive).
+// the zero-alloc contract.
 func TestRouteHotPathZeroAlloc(t *testing.T) {
 	for _, variant := range []struct {
 		label string
@@ -105,7 +105,7 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 						t.Fatalf("index built %d times, want %d", got, builds)
 					}
 					if avg != 0 {
-						t.Errorf("steady-state route at n=%d (workers=%d, %s) allocates %.2f times per round, want 0 — the //lint:noalloc contract is broken at runtime", n, workers, label, avg)
+						t.Errorf("steady-state route at n=%d (workers=%d, %s) allocates %.2f times per round, want 0", n, workers, label, avg)
 					}
 				})
 			}

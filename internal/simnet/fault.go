@@ -30,8 +30,8 @@ import (
 // in it: plan events, containment events, link events, deliveries.
 //
 // Zero cost when nil. Every hook is behind one `n.faults != nil` check;
-// with a nil plan the round executes the exact certified hot path
-// (//lint:noalloc holds, route rows stay 0 allocs/op). With a plan
+// with a nil plan the round executes the exact zero-alloc hot path
+// (the zero-alloc gates hold, route rows stay 0 allocs/op). With a plan
 // attached but no partition or drop rule live, the filter does not run
 // either: the only added work is a handful of nil/flag checks.
 //
@@ -164,7 +164,7 @@ func (p *FaultPlan) Clone() *FaultPlan {
 // round-sorted event cursor, the live partition and drop rules, and the
 // round-scoped scratch the injection passes write into. It is owned by
 // one Network and dies with it (not pooled: fault runs are off the
-// certified hot path).
+// fault-free hot path).
 type faultState struct {
 	events []FaultEvent // sorted by round, stable
 	next   int
@@ -209,8 +209,6 @@ const saltDrop uint64 = 1
 
 // mix64 is the 64-bit finalizer (splitmix64 variant) behind every fault
 // roll: statistically well-mixed, allocation-free, and stateless.
-//
-//lint:noalloc pure integer mixing on the fault filter path
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -224,8 +222,6 @@ func mix64(x uint64) uint64 {
 // in the decision's coordinates — a stateless hash of them, one call per
 // decision. Rates are quantized to 2^-32 (indistinguishable at any
 // feasible trial count).
-//
-//lint:noalloc one hash and one compare per decision
 func (fs *faultState) hit(a, b, c uint64, rate float64) bool {
 	if rate <= 0 {
 		return false
@@ -244,8 +240,6 @@ func (fs *faultState) hit(a, b, c uint64, rate float64) bool {
 // last activated matching rule wins, 0 means inactive. Rule sets are
 // tiny (a plan has a handful of events), so a linear scan beats any
 // index.
-//
-//lint:noalloc linear scan of a handful of active rules per link
 func (fs *faultState) rateFor(from, to ids.ID) float64 {
 	rate := 0.0
 	for i := range fs.rules {

@@ -122,8 +122,6 @@ type blockIndex struct {
 // reset points the index at the round's freshly materialized block and
 // its ranks, and marks it stale. It runs in the route pass, when no step
 // task is running.
-//
-//lint:noalloc a few stores per round; the index itself is built only on demand
 func (ix *blockIndex) reset(block []Received, ranks []uint32, nranks int) {
 	ix.block, ix.ranks, ix.nranks = block, ranks, nranks
 	ix.guard.stale()
@@ -145,8 +143,6 @@ func (ix *blockIndex) ensure() {
 // row. The rows are numbered by walking the dense rank table in rank
 // order, which is encoding order: Said comes out sorted without a
 // comparison of encodings, and the rows of the slab never move.
-//
-//lint:noalloc steady-state builds reuse the sender list, the rank table, the entries and the slab; all growth is appends into, or regrowth of, the index's own recycled slices
 func (ix *blockIndex) build() {
 	block, ranks := ix.block, ix.ranks
 	senders := ix.senders[:0]

@@ -86,8 +86,6 @@ const minSlots = 16
 // rotate starts a step merge: cur becomes prev and the old prev, emptied of
 // its payloads, becomes the new cur, with slots for as many entries as
 // prev holds.
-//
-//lint:noalloc clears and reslices the recycled generation in place
 func (t *internTable) rotate() {
 	t.cur, t.prev = t.prev, t.cur
 	clear(t.cur.entries)
@@ -104,8 +102,6 @@ func (t *internTable) rotate() {
 // lookup returns the index in cur of enc's entry, adding it to cur. Only
 // an encoding that neither generation holds allocates: its string and
 // its decoded payload, once.
-//
-//lint:noalloc a hit copies an entry between the recycled generations; only a first-seen encoding allocates
 func (t *internTable) lookup(enc []byte) int {
 	c := &t.cur
 	if i := t.next - 1; i >= 0 && c.entries[i].enc == string(enc) {
@@ -133,7 +129,6 @@ func (t *internTable) lookup(enc []byte) int {
 		if j >= 0 {
 			i = c.insert(t.prev.entries[j])
 		} else {
-			//lint:coldpath a first-seen encoding is copied and decoded once, then shared by every delivery that carries it
 			i = c.insert(interned{enc: string(enc), p: mustDecode(enc), h: h})
 		}
 	}
@@ -147,8 +142,6 @@ func (t *internTable) lookup(enc []byte) int {
 // admit interns sends, whose at are offsets into enc, the bytes of the
 // node that queued them: each at becomes the index in cur of the send's
 // encoding.
-//
-//lint:noalloc one lookup per send; only a first-seen encoding allocates, inside lookup
 func (t *internTable) admit(sends []send, enc []byte) {
 	for i := range sends {
 		s := &sends[i]
@@ -159,8 +152,6 @@ func (t *internTable) admit(sends []send, enc []byte) {
 // rank sorts cur's encodings by bytes and renumbers sends, whose at are
 // indices in cur, to their encodings' ranks: from then on two sends'
 // ranks compare as their encodings do, and entry finds a rank's entry.
-//
-//lint:noalloc the refs and the inverse are the table's recycled scratch, and the sort takes a non-capturing comparison
 func (t *internTable) rank(sends []send) {
 	c := &t.cur
 	if len(c.entries) < len(t.ranked) {
@@ -216,8 +207,6 @@ func (g *internGen) find(h uint64, enc []byte) int {
 
 // insert adds e, which g does not hold, and returns its index. The slot
 // table doubles, rehashing, when it would pass half full.
-//
-//lint:noalloc the entries append and the slot resize are recycled, capacity-guarded growth
 func (g *internGen) insert(e interned) int {
 	if 2*(len(g.entries)+1) > len(g.slots) {
 		g.slots = grown(g.slots, max(minSlots, 2*len(g.slots)))

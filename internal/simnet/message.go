@@ -274,8 +274,6 @@ func InboxOfRound(broadcasts, direct []Received) Inbox {
 }
 
 // Len returns the number of delivered messages.
-//
-//lint:noalloc a pair of len reads on the view's segments
 func (in Inbox) Len() int { return len(in.bcast) + len(in.uni) }
 
 // All returns an iterator over the delivered messages in inbox order —
@@ -354,8 +352,6 @@ func (env *RoundEnv) Sent() []wire.Payload {
 // the bytes lie; both buffers keep their capacity across rounds and,
 // through the scratch pool, across networks. p does not escape, so a
 // caller passing a payload value boxes it on its own stack.
-//
-//lint:noalloc appends into the node's pooled send and byte buffers, which stay at their high-water capacity
 func (env *RoundEnv) Send(to ids.ID, p wire.Payload) {
 	off := len(env.enc)
 	env.enc = wire.AppendEncode(env.enc, p)

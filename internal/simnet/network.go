@@ -227,7 +227,7 @@ type Network struct {
 	crashes []CrashRecord
 
 	// faults is the compiled Config.FaultPlan, nil for fault-free runs
-	// (the certified hot path checks this one pointer and nothing else).
+	// (the fault-free hot path checks this one pointer and nothing else).
 	faults *faultState
 
 	// engineEvents is where the round record's message events start:
@@ -346,8 +346,6 @@ func (n *Network) parkBuf(st *procState) {
 
 // state returns the state of the live node x, or nil if the network
 // holds none.
-//
-//lint:noalloc one binary search over the node table
 func (n *Network) state(x ids.ID) *procState {
 	if i, ok := slices.BinarySearch(n.order, x); ok {
 		return n.live[i]
@@ -359,8 +357,6 @@ func (n *Network) state(x ids.ID) *procState {
 // rule's predicate. Step tasks call it concurrently: it reads st, the
 // node table and other nodes' lastBcast, which only serial code writes
 // (the route pass stamps lastBcast).
-//
-//lint:noalloc two binary searches per unicast of a correct node: st's contacts and the node table
 func (n *Network) knows(st *procState, x ids.ID) bool {
 	if st.heard.Contains(x) {
 		return true
@@ -482,8 +478,6 @@ func (n *Network) transcribe() {
 // per-node scratch, no allocation. The run-boundary flush is a method
 // rather than a closure: capturing the accumulators would heap-allocate
 // the closure every round.
-//
-//lint:noalloc the accounting pass runs every collected round and folds into stack-local tallies only
 func (n *Network) accountRound(outs []send) RoundAccounting {
 	acct := RoundAccounting{Nodes: len(n.live)}
 	var curFrom ids.ID
@@ -514,8 +508,6 @@ func (n *Network) accountRound(outs []send) RoundAccounting {
 // foldCorrectMax folds one sender's per-round broadcast/unicast tallies
 // into the accounting's correct-sender maxima. Byzantine senders are
 // excluded: the complexity contracts only bound correct processes.
-//
-//lint:noalloc called once per sender run on the accounting pass; pure field updates
 func (n *Network) foldCorrectMax(acct *RoundAccounting, from ids.ID, b, u int) {
 	if st := n.state(from); st == nil || st.byzantine {
 		return
@@ -531,8 +523,6 @@ func (n *Network) foldCorrectMax(acct *RoundAccounting, from ids.ID, b, u int) {
 // noteResult folds one node's step outcome into the round: containment
 // events are appended to the round record in call — i.e. node — order,
 // and contained panics are recorded.
-//
-//lint:noalloc appends land in recycled round scratch; in a fault-free steady state both branches are untaken
 func (n *Network) noteResult(st *procState, res *stepResult) {
 	// Quota-drop precedes node-crashed: a node that both exceeded its
 	// quota and panicked in the same round violated the quota first
@@ -560,14 +550,11 @@ func (n *Network) noteResult(st *procState, res *stepResult) {
 // order into the recycled outs buffer — so the send stream, the
 // containment events and the first reported error are independent of
 // which worker ran which node.
-//
-//lint:noalloc the step merge reuses the results table (capacity-guarded), the recycled outs buffer and the intern table
 func (n *Network) step() ([]send, error) {
 	n.results = grown(n.results, len(n.live))
 	if n.sched == nil {
 		// Tests inject a private scheduler (with ownsSched set) to force
 		// real parallelism on any host; everything else shares one budget.
-		//lint:coldpath binding to the shared scheduler runs once per Network, on its first step
 		n.sched = sched.Default()
 	}
 	n.sched.Run(&n.phase, &n.task, len(n.live), n.cfg.Workers)
@@ -606,8 +593,6 @@ func (n *Network) step() ([]send, error) {
 // CI). A panic inside Process.Step is contained here — inside the
 // per-node task, before the node-order merge — so the conversion into a
 // crash fault is identical for every worker count.
-//
-//lint:noalloc the per-node step task runs n times per round over recycled env/send scratch; only the error return formats
 func (n *Network) stepOne(st *procState) stepResult {
 	inbox := st.inbox
 	// The inbox view reads through the shared broadcast block and the
@@ -642,7 +627,6 @@ func (n *Network) stepOne(st *procState) stepResult {
 		for i := range sends {
 			s := &sends[i]
 			if s.to != ids.None && !n.knows(st, s.to) {
-				//lint:coldpath a contact-rule violation aborts the run; the error format never executes on the steady-state path
 				return stepResult{err: fmt.Errorf("%w: %v -> %v in round %d",
 					ErrContactRule, s.from, s.to, n.round)}
 			}
@@ -654,12 +638,9 @@ func (n *Network) stepOne(st *procState) stepResult {
 // safeStep runs one Step call with panic containment. It exists so the
 // deferred recover covers exactly the process code: a panic in the
 // engine itself still crashes loudly.
-//
-//lint:noalloc wraps every Step call; the deferred recover is open-coded and only a contained panic formats
 func safeStep(p Process, env *RoundEnv) (reason string, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			//lint:coldpath formatting the panic value runs once per contained crash, never on the steady-state path
 			reason = fmt.Sprint(r)
 			panicked = true
 		}
@@ -673,8 +654,6 @@ func safeStep(p Process, env *RoundEnv) (reason string, panicked bool) {
 // queue order, so the drop decision is a pure function of the queue —
 // identical for every worker count. It returns the surviving prefix and
 // the number of dropped sends.
-//
-//lint:noalloc quota truncation reslices the caller's buffer
 func (n *Network) applyQuota(sends []send) ([]send, int) {
 	keep := n.cfg.SendQuota
 	if keep <= 0 || keep >= len(sends) {

@@ -69,8 +69,6 @@ import (
 // the delivery/byte totals for the batched Collector flush. See the
 // pipeline comment at the top of this file; the dedup key is (sender,
 // encoding) per receiver, compared as ranks.
-//
-//lint:noalloc the fan-out runs every round over the network's recycled index and arena scratch; all growth is capacity-guarded or appends into recycled buffers
 func (n *Network) route(outs []send) (deliveries, volume int64) {
 	// (1) Block-local sort: each sender's block by (rank, to).
 	for lo := 0; lo < len(outs); {
@@ -138,7 +136,6 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		// the live partition/drop rules (see fault.go). Broadcasts are
 		// demoted to per-receiver unicast entries in send-index order,
 		// so the bucket order below reproduces the merge order exactly.
-		//lint:coldpath the filter runs only on rounds with a live fault rule; the certified path never reaches it
 		n.faultFilter(outs)
 	}
 
@@ -289,8 +286,6 @@ func messageEvent(round int, m *Received, to ids.ID) trace.Event {
 // shrinking round cannot pin the references the dead slots held. live
 // is updated to n. Contents of the returned slice are unspecified;
 // callers overwrite every element.
-//
-//lint:noalloc the grow-once arena resizer: it allocates only until the backing array reaches its high-water mark
 func recycled(s []Received, n int, live *int) []Received {
 	if cap(s) < n {
 		s = make([]Received, n)
@@ -306,8 +301,6 @@ func recycled(s []Received, n int, live *int) []Received {
 
 // grown returns s resized to n elements, reusing its backing array when
 // possible. Contents are unspecified; callers overwrite or clear.
-//
-//lint:noalloc the grow-once scratch resizer: it allocates only until the backing array reaches its high-water mark
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)

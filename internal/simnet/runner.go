@@ -33,8 +33,6 @@ type stepTask struct{ net *Network }
 // job sharing the scheduler's budget, and one waiting on something that
 // never happens hangs the round at its barrier, which CI's bounded
 // "Step-task ownership gate" turns into a failure.
-//
-//lint:noalloc the step body runs over recycled per-node state
 func (t *stepTask) Run(i int) {
 	n := t.net
 	n.results[i] = n.stepOne(n.live[i])

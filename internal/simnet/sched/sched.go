@@ -181,8 +181,6 @@ func SetDefaultBudget(budget int) *Scheduler {
 // The submitter always drains alongside the workers, so Run completes
 // even when every budgeted worker is busy with other jobs — admission
 // can delay a phase, never starve it.
-//
-//lint:noalloc the dispatch hot path reuses the caller's Phase record; enqueue appends into the scheduler's recycled active list and the completion token channel is made once per Phase
 func (s *Scheduler) Run(p *Phase, t Task, n, cap int) {
 	if n <= 0 {
 		return
@@ -202,7 +200,6 @@ func (s *Scheduler) Run(p *Phase, t Task, n, cap int) {
 	p.next.Store(0)
 	p.done.Store(0)
 	if p.fin == nil {
-		//lint:coldpath the completion token channel is allocated once per Phase and reused by every later dispatch
 		p.fin = make(chan struct{}, 1)
 	}
 
@@ -238,8 +235,6 @@ func (s *Scheduler) Run(p *Phase, t Task, n, cap int) {
 
 // drain claims indices until the dispenser is exhausted, running each,
 // and sends the completion token if it finishes the last one.
-//
-//lint:noalloc the claim loop is atomics, a dynamic Run call over recycled state, and one buffered channel send per phase
 func (p *Phase) drain() {
 	n := p.n
 	for {
@@ -257,8 +252,6 @@ func (p *Phase) drain() {
 // pick selects the next phase with unclaimed work and attachment
 // headroom, round-robin from the cursor so concurrent jobs interleave.
 // Caller holds s.mu.
-//
-//lint:noalloc the selection scan walks the recycled active list
 func (s *Scheduler) pick() *Phase {
 	np := len(s.phases)
 	for k := 0; k < np; k++ {
@@ -275,8 +268,6 @@ func (s *Scheduler) pick() *Phase {
 
 // worker is one budgeted goroutine: pick a phase, help drain it,
 // detach, repeat; park when no phase is eligible.
-//
-//lint:noalloc the worker loop alternates the noalloc pick/drain pair with condition-variable parking
 func (s *Scheduler) worker() {
 	s.mu.Lock()
 	for {

@@ -87,8 +87,6 @@ func (n *Network) adoptScratch() {
 // reference they pinned — and parks the set, with every live node's send
 // buffers, in the pool for the next Network. Lengths are left as they
 // are: every buffer is re-sized before each use. Called from Close.
-//
-//lint:coldpath scratch release runs once per Network, in Close
 func (n *Network) releaseScratch() {
 	for _, st := range n.live {
 		n.parkBuf(st)

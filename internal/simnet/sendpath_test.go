@@ -102,9 +102,9 @@ func (e *echoer) Step(env *simnet.RoundEnv) {
 }
 
 // TestSendPathZeroAlloc is RoundEnv.Send's allocation contract: a send
-// costs no heap memory. After warm-up rounds, a
-// whole RunRound — every Step, the step merge and its intern table and
-// rank pass, the route pass, delivery — allocates nothing, at n = 32:
+// costs no heap memory. After warm-up rounds, a whole RunRound — every
+// Step, the step merge and its intern table and rank pass, the route
+// pass, delivery — allocates nothing, at n = 32:
 //
 //   - queue: every node queues k broadcasts and k unicasts;
 //

@@ -103,8 +103,6 @@ const DefaultEventCapacity = 100_000
 // events, then its deliveries). Events beyond the capacity are counted
 // as dropped, not stored. The batch is copied; the caller may reuse its
 // slice.
-//
-//lint:noalloc the per-round flush appends into the log's own backing array under one lock acquisition
 func (l *EventLog) RecordBatch(events []Event) {
 	if len(events) == 0 {
 		return

@@ -50,8 +50,6 @@ const (
 )
 
 // String names the kind for transcripts and traces.
-//
-//lint:noalloc the delivery logging walk renders kind names from static strings
 func (k Kind) String() string {
 	switch k {
 	case KindPresent:
@@ -85,7 +83,6 @@ func (k Kind) String() string {
 	case KindTerminate:
 		return "terminate"
 	default:
-		//lint:coldpath registered kinds return static names; formatting runs only for kinds no payload registered
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 }
