@@ -14,14 +14,16 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis: the repo's own go/analysis suite (cmd/ubalint) run
-# over every package via go vet's -vettool protocol. The four passes —
-# retainenv, determinism, wirereg, complexity — enforce the simnet
-# engine, wire-registration and message-complexity contracts, fed by
-# the interprocedural summary fact pass; see DESIGN.md "Static analysis"
+# over every package via go vet's -vettool protocol. The two passes —
+# retainenv and complexity — enforce the simnet engine's
+# buffer-recycling and message-complexity contracts, fed by the
+# interprocedural summary fact pass; see DESIGN.md "Static analysis"
 # and internal/lint. The step task's ownership and non-blocking rules,
 # the Process isolation contract and the round's allocation-freedom are
 # runtime-tested instead (the race job's "Step-task ownership gate",
-# "Process isolation gate" and "Zero-alloc gate").
+# "Process isolation gate" and "Zero-alloc gate"), and so are
+# determinism (the seed- and worker-count determinism tests, the spec
+# differentials) and wire registration (internal/wire's tests).
 # Suppress a false positive in-source with: //lint:allow <pass> <reason>
 #
 # bin/ubalint is a real make target: it rebuilds only when the linter's
@@ -53,20 +55,24 @@ test:
 	$(GO) test ./...
 
 # Mutation check: each hand mutant in internal/spec/testdata/mutants (one
-# patch per mutant: protocol slips, and a seeded allocation per file of
-# the round path that a zero-alloc gate must kill) is applied alone to a
-# copy of the tracked files, and
-# the target fails if `go test ./internal/core/... ./internal/census/...
-# ./internal/simnet/...` passes with any of them, or fails without a
-# failing test (a mutant that does not build). Each line names the mutant and the top-level
-# tests (package.Test) that killed it.
+# patch per mutant: protocol slips, a seeded allocation per file of the
+# round path that a zero-alloc gate must kill, and the determinism and
+# wire-registration slips the retired lint passes were scored on) is
+# applied alone to a copy of the tracked files, and the target fails if
+# `go test` over MUTANT_PKGS passes with any of them, or fails without a
+# failing test (a mutant that does not build). Each line names the
+# mutant and the top-level tests (package.Test) that killed it.
+# internal/wire and internal/adversary are there for the wirereg-* and
+# determinism-* patches their tests kill (TestKindString,
+# TestRandomNoiseIsDeterministicPerSeed).
+MUTANT_PKGS = ./internal/core/... ./internal/census/... ./internal/simnet/... ./internal/wire/ ./internal/adversary/
 MUTANTS = $(sort $(wildcard internal/spec/testdata/mutants/*.patch))
 mutants:
 	@tree=$$(mktemp -d) && trap 'rm -rf "$$tree"' EXIT && \
 	git ls-files -z | xargs -0 cp --parents -t "$$tree" && survived=0 && \
 	for p in $(MUTANTS); do \
 		(cd "$$tree" && git apply "$(CURDIR)/$$p") || exit 1; \
-		if (cd "$$tree" && $(GO) test -count=1 ./internal/core/... ./internal/census/... ./internal/simnet/... >"$$tree/.log" 2>&1); then \
+		if (cd "$$tree" && $(GO) test -count=1 $(MUTANT_PKGS) >"$$tree/.log" 2>&1); then \
 			echo "SURVIVED $$p"; survived=1; \
 		elif killers=$$(awk '/^--- FAIL: /{t[++k]=$$3} /^(FAIL|ok)\tuba\//{n=split($$2,d,"/"); for(i=1;i<=k;i++) print d[n] "." t[i]; k=0}' "$$tree/.log" | sort -u) && [ -n "$$killers" ]; then \
 			echo "killed   $$p by" $$killers; \

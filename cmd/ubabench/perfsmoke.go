@@ -14,7 +14,7 @@ import (
 // zero-alloc gate certifies (n=1024, n=4096) — the
 // allocs/op band on those rows is the perf-trajectory counterpart of
 // the zero-alloc gates, so an allocation creeping back into the
-// gated route path fails the smoke even where the AllocsPerRun
+// gated route path fails the smoke even where the zero-alloc
 // gate is not running. The plan=idle route rows re-pin the same band
 // with a fault plan attached but never live, so plan presence staying
 // free on a healthy round (0 allocs/op, flat ns/op) is part of the

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"uba/internal/allocgate"
 )
 
 // pairKey is a composite key like reliable broadcast's (source, body).
@@ -270,10 +272,10 @@ func TestWindowRefillAllocatesNothing(t *testing.T) {
 		w.Fold(9, cmp.Compare[uint64], accepted, echo)
 	}
 	cycle() // the warm-up window
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Errorf("a refilled window allocates %v per Add…Fold cycle, want 0", avg)
+	if got := allocgate.Count(100, cycle); got != 0 {
+		t.Errorf("a refilled window allocated %d times over 100 Add…Fold cycles, want 0", got)
 	}
-	// Ours, AllocsPerRun's own warm-up, then its 100 measured cycles.
+	// Ours, Count's own warm-up, then its 100 measured cycles.
 	if cycles := 1 + 1 + 100; echoes != 2*cycles {
 		t.Errorf("%d echoes over %d cycles, want 2 per cycle (keys 10 and 20)", echoes, cycles)
 	}

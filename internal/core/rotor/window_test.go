@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"uba/internal/allocgate"
 	"uba/internal/census"
 	"uba/internal/ids"
 	"uba/internal/simnet"
@@ -226,8 +227,8 @@ func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 		core.LoopRound(nv, &env)
 	}
 	round() // warm-up: sizes the slab
-	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
-		t.Fatalf("warm NoteInbox+LoopRound allocated %.0f times per window, want 0", allocs)
+	if allocs := allocgate.Count(10, round); allocs != 0 {
+		t.Fatalf("10 warm NoteInbox+LoopRound windows allocated %d times, want 0", allocs)
 	}
 	if got := core.Candidates().Len(); got != 1 {
 		t.Fatalf("C_v grew to %d: the gate is meant to count rows, not admit them", got)

@@ -96,8 +96,6 @@ func NewSet(members ...ID) *Set {
 
 // Add inserts id, keeping the set ordered. It reports whether the id was
 // newly added (false if it was already present).
-//
-//lint:commutative sorted insertion: the resulting set is identical under any insertion order
 func (s *Set) Add(id ID) bool {
 	i, found := slices.BinarySearch(s.members, id)
 	if !found {
@@ -137,8 +135,6 @@ func (s *Set) AddAscending(run []ID) {
 }
 
 // Remove deletes id from the set. It reports whether the id was present.
-//
-//lint:commutative sorted removal: the resulting set is identical under any removal order
 func (s *Set) Remove(id ID) bool {
 	i, found := slices.BinarySearch(s.members, id)
 	if found {

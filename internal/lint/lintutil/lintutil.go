@@ -7,8 +7,8 @@
 //
 //	//lint:allow <pass> <reason>
 //
-// where <pass> is the analyzer name (retainenv, determinism, wirereg,
-// complexity, summary) or "all", and <reason> is free text
+// where <pass> is the analyzer name (retainenv, complexity, summary)
+// or "all", and <reason> is free text
 // explaining why the finding is a false positive or an accepted risk.
 // The reason is mandatory: a directive without one is itself reported
 // and suppresses nothing. A directive suppresses matching diagnostics on
@@ -119,11 +119,6 @@ func (s *Suppressor) Done() {
 				"unused //lint:allow %s directive: it suppresses no %s diagnostic", d.pass, d.pass)
 		}
 	}
-}
-
-// IsTestFile reports whether the file enclosing pos is a _test.go file.
-func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // RoundEnvType returns the named type T of a parameter declared as *T

@@ -1,11 +1,10 @@
 // Package summary implements the ubalint fact pass: a per-function,
 // interprocedural effect analysis whose results the diagnostic passes
-// consume at call sites — retainenv reads Retains and Flows,
-// determinism reads OrderSensitive, and complexity reads the send
-// classes. It turns the false-negative edges the intraprocedural passes
-// documented — retention through a synchronous call, taint laundering
-// through returns, order-sensitive effects hidden behind a call — into
-// facts that cross package boundaries.
+// consume at call sites — retainenv reads Retains and Flows, and
+// complexity reads the send classes. It turns the false-negative edges
+// the intraprocedural passes documented — retention through a
+// synchronous call, taint laundering through returns, sends delegated
+// to a helper — into facts that cross package boundaries.
 //
 // For every function with a body the pass computes a FuncSummary:
 //
@@ -17,11 +16,8 @@
 //   - Flows: a bitmask over the parameters that may alias a return
 //     value, directly or laundered through local assignments and calls
 //     to other flowing functions.
-//   - OrderSensitive: calling the function has an observable effect
-//     whose result depends on call order — a channel send, an append to
-//     state reachable from its parameters or a global, a string
-//     concatenation onto such state, a plain (non-fold) overwrite of
-//     such state, or a call to another order-sensitive function.
+//   - Broadcasts, Unicasts and ParamCalls: the send classes (see
+//     FuncSummary).
 //
 // Summaries are resolved to a fixpoint over the package's internal call
 // graph (mutual recursion converges because the lattice is finite and
@@ -35,16 +31,13 @@
 // Standard-library packages (sources under GOROOT) are not summarized:
 // their internal state is synchronization-protected machinery outside
 // the protocol state model, so std callees fall under the
-// effect-free-by-default rule. Two doc-comment directives adjust a
-// declaration's facts: //lint:commutative <reason> clears
-// OrderSensitive — the sorted-insert escape hatch for operations whose
-// final state the author asserts is independent of call order — and
-// //lint:valuecopy <reason> clears Flows, asserting that the returned
-// value is a plain copy sharing no memory with the receiver or
-// arguments (the element-accessor shape: structurally the result reads
-// through the receiver's backing arrays, but what comes back is a
-// by-value Received the caller may keep). Both are policed for
-// staleness.
+// effect-free-by-default rule. One doc-comment directive adjusts a
+// declaration's facts: //lint:valuecopy <reason> clears Flows,
+// asserting that the returned value is a plain copy sharing no memory
+// with the receiver or arguments (the element-accessor shape:
+// structurally the result reads through the receiver's backing arrays,
+// but what comes back is a by-value Received the caller may keep). It
+// is policed for staleness.
 package summary
 
 import (
@@ -73,9 +66,8 @@ const MaxTracked = 32
 // of one function. The zero value means "no observable effects" and is
 // never exported (absence of a fact is the common case).
 type FuncSummary struct {
-	Retains        uint32
-	Flows          uint32
-	OrderSensitive bool
+	Retains uint32
+	Flows   uint32
 
 	// Broadcasts and Unicasts are send classes: how many env.Broadcast /
 	// env.Send calls one invocation performs as a function of the
@@ -103,9 +95,6 @@ func (s *FuncSummary) String() string {
 	if s.Flows != 0 {
 		parts = append(parts, fmt.Sprintf("flows(%b)", s.Flows))
 	}
-	if s.OrderSensitive {
-		parts = append(parts, "ordersensitive")
-	}
 	if s.Broadcasts != complexity.None {
 		parts = append(parts, "bcast("+s.Broadcasts.String()+")")
 	}
@@ -128,7 +117,7 @@ func (s *FuncSummary) String() string {
 }
 
 func (s FuncSummary) isZero() bool {
-	return s.Retains == 0 && s.Flows == 0 && !s.OrderSensitive &&
+	return s.Retains == 0 && s.Flows == 0 &&
 		s.Broadcasts == complexity.None && s.Unicasts == complexity.None && s.ParamCalls == 0
 }
 
@@ -148,8 +137,6 @@ func (s FuncSummary) ParamCallsAt(i int) complexity.Class {
 }
 
 // joinParamCall raises slot i's invocation class to at least c.
-//
-//lint:commutative lattice join: the packed per-slot max is identical under any call order
 func (s *FuncSummary) joinParamCall(i int, c complexity.Class) {
 	if i < 0 || i >= MaxTracked || c <= s.ParamCallsAt(i) {
 		return
@@ -190,15 +177,14 @@ func ArgIndex(fn *types.Func, i int) (int, bool) {
 }
 
 // Analyzer is the summary pass. It exists primarily for its facts and
-// its Result; its only diagnostics police the fact-adjusting
-// directives themselves — a //lint:commutative or //lint:valuecopy
-// whose function's raw summary never had the effect the directive
-// clears is reported as unused (parity with Suppressor.Done for
-// //lint:allow), and a directive missing its reason is reported as
-// inert.
+// its Result; its only diagnostics police the fact-adjusting directive
+// itself — a //lint:valuecopy whose function's raw summary never
+// flowed a parameter to a return value is reported as unused (parity
+// with Suppressor.Done for //lint:allow), and one missing its reason
+// is reported as inert.
 var Analyzer = &analysis.Analyzer{
 	Name:       "summary",
-	Doc:        "compute per-function retention, flow, order-sensitivity, and send-class facts for the ubalint passes; report unused fact directives",
+	Doc:        "compute per-function retention, flow, and send-class facts for the ubalint passes; report unused fact directives",
 	Run:        run,
 	FactTypes:  []analysis.Fact{(*FuncSummary)(nil)},
 	ResultType: reflect.TypeOf((*Result)(nil)),
@@ -249,10 +235,9 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 
 	// Collect every function declaration with a body, noting which carry
-	// a //lint:commutative or //lint:valuecopy directive.
+	// a //lint:valuecopy directive.
 	decls := make(map[*types.Func]*ast.FuncDecl)
-	commutative := make(map[*types.Func]bool) // present = directive; value = has a reason
-	valuecopy := make(map[*types.Func]bool)
+	valuecopy := make(map[*types.Func]bool) // present = directive; value = has a reason
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -265,10 +250,7 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			decls[fn] = fd
 			res.local[fn] = FuncSummary{}
-			if reasoned, ok := directive(fd, "//lint:commutative"); ok {
-				commutative[fn] = reasoned
-			}
-			if reasoned, ok := directive(fd, "//lint:valuecopy"); ok {
+			if reasoned, ok := valuecopyDirective(fd); ok {
 				valuecopy[fn] = reasoned
 			}
 		}
@@ -276,16 +258,13 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Fixpoint over the package-internal call graph: recompute every
 	// summary against the current ones until nothing grows. Effects only
-	// accumulate (the lattice is a finite powerset plus a boolean),
+	// accumulate (bitmasks and send classes are finite lattices),
 	// so mutual recursion converges. Directives are applied inside the
 	// loop so package-internal callers fold in the adjusted facts.
 	for changed := true; changed; {
 		changed = false
 		for fn, fd := range decls {
-			s := analyzeFunc(pass, res, fn, fd)
-			if commutative[fn] {
-				s.OrderSensitive = false
-			}
+			s := analyzeFunc(pass, res, fd)
 			if valuecopy[fn] {
 				s.Flows = 0
 			}
@@ -300,28 +279,18 @@ func run(pass *analysis.Pass) (any, error) {
 	// hides a future real effect behind an assertion nobody re-checks.
 	// The raw summary is recomputed against the directive-adjusted
 	// environment, so "unused" means "given everything else, this
-	// directive changes nothing".
+	// directive changes nothing". Diagnostics anchor at the function
+	// name (the directive lives in its doc comment), so a //lint:allow
+	// on the declaration line or the doc comment's last line suppresses
+	// them.
 	sup := lintutil.NewSuppressor(pass, "summary")
-	for fn, fd := range decls {
-		// Diagnostics anchor at the function name (the directive lives in
-		// its doc comment), so a //lint:allow on the declaration line or
-		// the doc comment's last line suppresses them.
-		report := func(reasoned bool, name, effect string) {
-			if !reasoned {
-				sup.Reportf(fd.Name.Pos(), "%s directive on %s is inert: no reason given", name, fn.Name())
-				return
-			}
-			raw := analyzeFunc(pass, res, fn, fd)
-			if (name == "//lint:commutative" && !raw.OrderSensitive) ||
-				(name == "//lint:valuecopy" && raw.Flows == 0) {
-				sup.Reportf(fd.Name.Pos(), "unused %s directive: %s is not %s", name, fn.Name(), effect)
-			}
-		}
-		if reasoned, ok := commutative[fn]; ok {
-			report(reasoned, "//lint:commutative", "order-sensitive")
-		}
-		if reasoned, ok := valuecopy[fn]; ok {
-			report(reasoned, "//lint:valuecopy", "flowing any parameter to a return value")
+	for fn, reasoned := range valuecopy {
+		fd := decls[fn]
+		switch {
+		case !reasoned:
+			sup.Reportf(fd.Name.Pos(), "//lint:valuecopy directive on %s is inert: no reason given", fn.Name())
+		case analyzeFunc(pass, res, fd).Flows == 0:
+			sup.Reportf(fd.Name.Pos(), "unused //lint:valuecopy directive: %s is not flowing any parameter to a return value", fn.Name())
 		}
 	}
 	sup.Done()
@@ -351,13 +320,7 @@ func inGOROOT(pass *analysis.Pass) bool {
 	return strings.HasPrefix(file, filepath.Clean(root)+string(filepath.Separator))
 }
 
-// directive reports whether fd's doc comment carries the given
-// fact-adjusting directive with a non-empty reason:
-//
-//	//lint:commutative <reason> — the function's order-sensitive-looking
-//	effect is in fact independent of call order (the sorted-insert
-//	shape: ids.Set.Add appends, but the resulting set is identical
-//	under any insertion order). Clears only OrderSensitive.
+// valuecopyDirective reports whether fd's doc comment carries
 //
 //	//lint:valuecopy <reason> — the function's return value is a plain
 //	by-value copy sharing no memory with the receiver or arguments,
@@ -365,17 +328,17 @@ func inGOROOT(pass *analysis.Pass) bool {
 //	element-accessor shape: indexing a recycled backing array but
 //	returning a value-type element). Clears only Flows.
 //
-// Retention facts are never cleared. Like the fold carve-outs,
-// directives are a documented trust boundary: the analysis takes the
-// author's word. A directive with no reason is inert (and reported as
-// such). found reports the directive's presence, reasoned whether it
-// carries the reason that makes it effective.
-func directive(fd *ast.FuncDecl, name string) (reasoned, found bool) {
+// Retention facts are never cleared. The directive is a documented
+// trust boundary: the analysis takes the author's word. A directive
+// with no reason is inert (and reported as such). found reports the
+// directive's presence, reasoned whether it carries the reason that
+// makes it effective.
+func valuecopyDirective(fd *ast.FuncDecl) (reasoned, found bool) {
 	if fd.Doc == nil {
 		return false, false
 	}
 	for _, c := range fd.Doc.List {
-		rest, ok := strings.CutPrefix(c.Text, name)
+		rest, ok := strings.CutPrefix(c.Text, "//lint:valuecopy")
 		if ok {
 			return len(strings.Fields(rest)) > 0, true
 		}
@@ -401,7 +364,7 @@ type funcState struct {
 	out          FuncSummary
 }
 
-func analyzeFunc(pass *analysis.Pass, res *Result, fn *types.Func, fd *ast.FuncDecl) FuncSummary {
+func analyzeFunc(pass *analysis.Pass, res *Result, fd *ast.FuncDecl) FuncSummary {
 	st := newFuncState(pass, res, fd)
 
 	if fd.Type.Results != nil {
@@ -738,14 +701,8 @@ func (st *funcState) findSinks() {
 		case *ast.FuncLit:
 			funcDepth++
 		case *ast.AssignStmt:
-			st.sinkAssign(n, stack)
+			st.sinkAssign(n)
 		case *ast.SendStmt:
-			// A send on a channel reachable by our callers (through a
-			// parameter or a global) is an order-observable effect; a
-			// send on a frame-local channel is not.
-			if st.taintOf(n.Chan) != 0 || st.isGlobalWrite(n.Chan) {
-				st.out.OrderSensitive = true
-			}
 			st.out.Retains |= st.taintOf(n.Value)
 		case *ast.GoStmt:
 			st.out.Retains |= st.goTaint(n)
@@ -784,73 +741,21 @@ func (st *funcState) goTaint(n *ast.GoStmt) uint32 {
 	return m
 }
 
-// isGlobalWrite reports whether the lvalue writes package-level state:
-// directly, or through a local alias bound to a global.
-func (st *funcState) isGlobalWrite(lhs ast.Expr) bool {
-	if lintutil.PackageLevelVar(st.pass.TypesInfo, lhs) != nil {
-		return true
-	}
-	if root := lintutil.RootIdent(lhs); root != nil {
-		if obj := st.pass.TypesInfo.ObjectOf(root); obj != nil && st.globalAliases[obj] {
-			return true
-		}
-	}
-	return false
-}
-
-// writesShared reports whether lhs denotes state observable after the
-// call: rooted at a parameter, a global, or a global alias. Locals that
-// never escape are invisible to callers.
-func (st *funcState) writesShared(lhs ast.Expr) bool {
-	if st.isGlobalWrite(lhs) {
-		return true
-	}
-	root := lintutil.RootIdent(lhs)
-	if root == nil {
-		return true // call-result base (f().x = v): conservative
-	}
-	obj := st.pass.TypesInfo.ObjectOf(root)
-	if obj == nil {
-		return false
-	}
-	if _, isParam := st.paramSlot[obj]; isParam {
-		// Writing *through* a parameter touches caller-visible memory
-		// only when the access path crosses a reference (p.f, *p, s[i]);
-		// reassigning the parameter variable itself is local.
-		_, plain := ast.Unparen(lhs).(*ast.Ident)
-		return !plain
-	}
-	return false
-}
-
-// sinkAssign classifies one assignment: escapes of tainted values and
-// order-sensitive shared-state updates.
-func (st *funcState) sinkAssign(n *ast.AssignStmt, stack []ast.Node) {
+// sinkAssign records the escapes of tainted values one assignment
+// causes.
+func (st *funcState) sinkAssign(n *ast.AssignStmt) {
 	if len(n.Lhs) != len(n.Rhs) && len(n.Rhs) != 1 {
 		return
 	}
 	for i, lhs := range n.Lhs {
-		var rhs ast.Expr
-		if len(n.Lhs) == len(n.Rhs) {
-			rhs = n.Rhs[i]
-		} else {
-			rhs = n.Rhs[0]
-		}
-
-		// Escape of a tainted value.
 		var m uint32
 		if len(n.Lhs) == len(n.Rhs) {
-			m = st.taintOf(rhs)
+			m = st.taintOf(n.Rhs[i])
 		} else {
-			m = st.multiTaint(rhs)
+			m = st.multiTaint(n.Rhs[0])
 		}
 		if m != 0 {
 			st.sinkStore(lhs, m)
-		}
-
-		// Order-sensitive shared-state update.
-		if st.orderSensitiveWrite(n, lhs, rhs, stack) {
-			st.out.OrderSensitive = true
 		}
 	}
 }
@@ -894,165 +799,26 @@ func (st *funcState) sinkStore(lhs ast.Expr, m uint32) {
 	// its own escape (if any) carries the mask.
 }
 
-// orderSensitiveWrite reports whether this assignment is an observable
-// effect whose outcome depends on the order of calls: an append to
-// shared state, a string concatenation onto it, or a plain last-writer
-// overwrite of it that is not one of the recognized order-independent
-// folds (constant store, self-compare min/max, tie-broken guard).
-func (st *funcState) orderSensitiveWrite(n *ast.AssignStmt, lhs, rhs ast.Expr, stack []ast.Node) bool {
-	if !st.writesShared(lhs) {
-		return false
-	}
-	// Element writes (m[k] = v, s[i] = v) are keyed: the caller's
-	// argument selects the slot, so distinct calls do not interfere.
-	// (A helper writing a *fixed* key is a documented remaining edge.)
-	if _, isIndex := ast.Unparen(lhs).(*ast.IndexExpr); isIndex {
-		return false
-	}
-	switch n.Tok {
-	case token.ADD_ASSIGN:
-		t := st.pass.TypesInfo.TypeOf(lhs)
-		if t != nil {
-			if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-				return true // s += v concatenates in call order
-			}
-		}
-		return false // numeric += is commutative
-	case token.ASSIGN:
-		// Idempotent constant store: x = true from any call order
-		// converges.
-		if tv, ok := st.pass.TypesInfo.Types[rhs]; ok && tv.Value != nil {
-			return false
-		}
-		// append to shared state collects in call order.
-		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				if b, ok := st.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
-					return true
-				}
-			}
-		}
-		// Guarded folds: a condition comparing the destination against
-		// the stored value (min/max) or containing an explicit tie-break
-		// (==, Less, Compare) keeps the result order-independent.
-		if foldGuard(lhs, rhs, stack) {
-			return false
-		}
-		return true
-	}
-	return false // other op-assigns (-=, |=, ...) are commutative enough
-}
-
-// foldGuard reports whether an enclosing if/switch condition makes the
-// write order-independent: it relates the destination to the stored
-// value with a relational operator, or carries an explicit equality /
-// Less / Compare tie-break. This mirrors the determinism pass's
-// intraprocedural carve-outs and shares their documented trust boundary
-// (the comparison is assumed to be a total order).
-func foldGuard(lhs, rhs ast.Expr, stack []ast.Node) bool {
-	lhsStr := types.ExprString(ast.Unparen(lhs))
-	rhsStr := types.ExprString(ast.Unparen(rhs))
-	for _, n := range stack {
-		var conds []ast.Expr
-		switch n := n.(type) {
-		case *ast.IfStmt:
-			conds = append(conds, n.Cond)
-		case *ast.CaseClause:
-			conds = append(conds, n.List...)
-		case *ast.SwitchStmt, *ast.BlockStmt, *ast.AssignStmt, *ast.ExprStmt:
-			continue
-		default:
-			continue
-		}
-		for _, cond := range conds {
-			found := false
-			ast.Inspect(cond, func(cn ast.Node) bool {
-				switch cn := cn.(type) {
-				case *ast.BinaryExpr:
-					switch cn.Op {
-					case token.LSS, token.GTR, token.LEQ, token.GEQ:
-						x := types.ExprString(ast.Unparen(cn.X))
-						y := types.ExprString(ast.Unparen(cn.Y))
-						if (x == rhsStr && y == lhsStr) || (x == lhsStr && y == rhsStr) {
-							found = true
-						}
-					case token.EQL:
-						found = true // explicit tie-break
-					}
-				case *ast.CallExpr:
-					if sel, ok := ast.Unparen(cn.Fun).(*ast.SelectorExpr); ok {
-						switch sel.Sel.Name {
-						case "Less", "Compare":
-							found = true
-						}
-					}
-				}
-				return !found
-			})
-			if found {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // sinkCall applies the callee's summary at a call site: tainted
-// arguments passed into retaining slots escape, and an order-sensitive
-// callee makes this function order-sensitive — unless its receiver is
-// a local born in this function, in which case the effect cannot be
-// observed by our callers through that call.
+// arguments passed into retaining slots escape.
 func (st *funcState) sinkCall(call *ast.CallExpr) {
 	callee := Callee(st.pass.TypesInfo, call)
 	if callee == nil {
 		return
 	}
 	s := st.res.Of(callee)
-	if s.isZero() {
+	if s.Retains == 0 {
 		return
 	}
-	if s.OrderSensitive && !st.localReceiver(call) {
-		st.out.OrderSensitive = true
+	if recv := receiverExpr(call); recv != nil && s.RetainsAt(RecvIndex) {
+		st.out.Retains |= st.taintOf(recv)
 	}
-	if s.Retains != 0 {
-		if recv := receiverExpr(call); recv != nil && s.RetainsAt(RecvIndex) {
-			st.out.Retains |= st.taintOf(recv)
-		}
-		for i, arg := range call.Args {
-			idx, ok := ArgIndex(callee, i)
-			if ok && s.RetainsAt(idx) {
-				st.out.Retains |= st.taintOf(arg)
-			}
+	for i, arg := range call.Args {
+		idx, ok := ArgIndex(callee, i)
+		if ok && s.RetainsAt(idx) {
+			st.out.Retains |= st.taintOf(arg)
 		}
 	}
-}
-
-// localReceiver reports whether call is a method call whose receiver
-// roots at a variable declared inside this function (and not a
-// parameter): effects confined to such a receiver die with the frame.
-func (st *funcState) localReceiver(call *ast.CallExpr) bool {
-	recv := receiverExpr(call)
-	if recv == nil {
-		return false
-	}
-	root := lintutil.RootIdent(recv)
-	if root == nil {
-		return false
-	}
-	obj := st.pass.TypesInfo.ObjectOf(root)
-	v, ok := obj.(*types.Var)
-	if !ok || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
-		return false
-	}
-	if _, isParam := st.paramSlot[obj]; isParam {
-		return false
-	}
-	if st.globalAliases[obj] {
-		return false
-	}
-	// A local that aliases a parameter still reaches caller memory.
-	return st.taint[obj] == 0 &&
-		v.Pos() >= st.fd.Body.Pos() && v.Pos() <= st.fd.Body.End()
 }
 
 // ---- Send-class scanning ------------------------------------------------

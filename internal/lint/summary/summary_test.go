@@ -56,7 +56,7 @@ func TestSends(t *testing.T) {
 }
 
 // TestDirectives pins the pass's own diagnostics: unused and inert
-// //lint:commutative / //lint:valuecopy directives.
+// //lint:valuecopy directives.
 func TestDirectives(t *testing.T) {
 	linttest.Run(t, "testdata", summary.Analyzer, "directives")
 }

@@ -4,23 +4,6 @@
 // anchor at the function name, so the wants sit on the declaration.
 package directives
 
-var stash []*int
-
-// Used: the append really is order-sensitive; the directive clears it
-// and draws no diagnostic.
-//
-//lint:commutative fixture stand-in for an order-independent insert
-func Used(p *int) {
-	stash = append(stash, p)
-}
-
-// Unused: the body only reads, so there is nothing to clear.
-//
-//lint:commutative reads have no order-sensitive effects
-func Unused(p *int) int { // want `unused //lint:commutative directive: Unused is not order-sensitive`
-	return len(stash)
-}
-
 // NoFlow: no parameter reaches a return value.
 //
 //lint:valuecopy the length is a plain scalar
@@ -30,9 +13,9 @@ func NoFlow(p []int) int { // want `unused //lint:valuecopy directive: NoFlow is
 
 // Inert: a directive without a reason adjusts nothing.
 //
-//lint:commutative
-func Inert(p *int) { // want `//lint:commutative directive on Inert is inert: no reason given`
-	stash = append(stash, p)
+//lint:valuecopy
+func Inert(in []int) []int { // want `//lint:valuecopy directive on Inert is inert: no reason given`
+	return in[1:]
 }
 
 // Flowing: the subslice aliases the argument; the directive clears the

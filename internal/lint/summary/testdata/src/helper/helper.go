@@ -6,7 +6,7 @@ package helper
 import "leaf"
 
 // Save transitively retains p through leaf.Stash.
-func Save(p *int) { // want `summary: retains\(1\)\+ordersensitive`
+func Save(p *int) { // want `summary: retains\(1\)$`
 	leaf.Stash(p)
 }
 

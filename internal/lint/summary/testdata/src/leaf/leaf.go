@@ -5,9 +5,8 @@ package leaf
 
 var stash []*int
 
-// Stash retains its argument in a package-level slice: retains slot 0
-// and collects in call order.
-func Stash(p *int) { // want `summary: retains\(1\)\+ordersensitive`
+// Stash retains its argument in a package-level slice: retains slot 0.
+func Stash(p *int) { // want `summary: retains\(1\)$`
 	stash = append(stash, p)
 }
 
@@ -20,19 +19,8 @@ func Tail(in []int) []int { // want `summary: flows\(1\)`
 // Count only reads; its summary is the zero value and is not exported.
 func Count(in []int) int { return len(in) }
 
-// Insert looks order-sensitive (append to a global) but carries the
-// commutativity directive, which clears OrderSensitive and keeps the
-// retention fact intact.
+// Copy carries the valuecopy directive, which clears Flows: the
+// summary is the zero value even though the body returns a subslice.
 //
-//lint:commutative fixture stand-in for a sorted insert; final state is order-independent
-func Insert(p *int) { // want `summary: retains\(1\)$`
-	stash = append(stash, p)
-}
-
-// InsertInert carries a reason-less directive, which is inert: the full
-// effect set survives.
-//
-//lint:commutative
-func InsertInert(p *int) { // want `summary: retains\(1\)\+ordersensitive`
-	stash = append(stash, p)
-}
+//lint:valuecopy fixture stand-in for a deep-copied return
+func Copy(in []int) []int { return in[1:] }

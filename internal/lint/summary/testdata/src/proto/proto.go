@@ -8,14 +8,12 @@ import "helper"
 type node struct{ last []int }
 
 // Step retains p two packages away (helper.Save -> leaf.Stash).
-func (n *node) Step(p *int) { // want `summary: retains\(10\)\+ordersensitive`
+func (n *node) Step(p *int) { // want `summary: retains\(10\)$`
 	helper.Save(p)
 }
 
-// Absorb stores a laundered alias of in (slot 1) into the receiver:
-// the store through the receiver is also a last-writer overwrite of
-// caller-visible state, hence order-sensitive.
-func (n *node) Absorb(in []int) { // want `summary: retains\(10\)\+ordersensitive`
+// Absorb stores a laundered alias of in (slot 1) into the receiver.
+func (n *node) Absorb(in []int) { // want `summary: retains\(10\)$`
 	n.last = helper.Rest(in)
 }
 

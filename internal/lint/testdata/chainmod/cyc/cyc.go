@@ -1,21 +1,21 @@
 // Package cyc proves the summary fixpoint terminates under the real
 // unitchecker: Ping and Pong are mutually recursive, and Ping's
-// order-sensitive append must reach Pong through the cycle. No Step
-// methods and no map ranges live here, so go vet must report nothing
-// for this package — it just has to finish.
+// retention of p must reach Pong through the cycle. No Step methods
+// live here, so go vet must report nothing for this package — it just
+// has to finish.
 package cyc
 
-var beats []int
+var beats []*int
 
-func Ping(d int) {
-	beats = append(beats, d)
+func Ping(p *int, d int) {
+	beats = append(beats, p)
 	if d > 0 {
-		Pong(d - 1)
+		Pong(p, d-1)
 	}
 }
 
-func Pong(d int) {
+func Pong(p *int, d int) {
 	if d > 0 {
-		Ping(d - 1)
+		Ping(p, d-1)
 	}
 }

@@ -11,8 +11,5 @@ import (
 // Save transitively retains env through leaf.Keep.
 func Save(env *simnet.RoundEnv) { leaf.Keep(env) }
 
-// Relay transitively appends in call order through leaf.Record.
-func Relay(v string) { leaf.Record(v) }
-
 // Tally stays pure through the effect-free chain.
 func Tally(in simnet.Inbox) int { return leaf.Size(in) }

@@ -1,6 +1,6 @@
-// Package proto is where the diagnostics must land: its Step method
-// and map range look innocent intraprocedurally — every violation is
-// two package hops away, visible only through summary facts.
+// Package proto is where the diagnostic must land: its Step method
+// looks innocent intraprocedurally — the violation is two package hops
+// away, visible only through summary facts.
 package proto
 
 import (
@@ -17,11 +17,4 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	helper.Save(env)
 	n.seen += helper.Tally(env.Inbox)
 	env.Broadcast("ok")
-}
-
-// Fan leaks map iteration order into leaf's journal.
-func Fan(m map[int]string) {
-	for _, v := range m {
-		helper.Relay(v)
-	}
 }

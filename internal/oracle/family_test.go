@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uba/internal/adversary"
+	"uba/internal/allocgate"
 	"uba/internal/core/approx"
 	"uba/internal/core/consensus"
 	"uba/internal/core/ordering"
@@ -236,8 +237,8 @@ func TestSuiteAgreeingRoundAllocatesNothing(t *testing.T) {
 			if suite.Failed() {
 				t.Fatalf("clean run violated: %+v", suite.Violations())
 			}
-			if got := testing.AllocsPerRun(20, func() { suite.ObserveRound(rounds+1, nil) }); got != 0 {
-				t.Errorf("an agreeing round allocated %v objects, want 0", got)
+			if got := allocgate.Count(20, func() { suite.ObserveRound(rounds+1, nil) }); got != 0 {
+				t.Errorf("20 agreeing rounds allocated %d objects, want 0", got)
 			}
 			if suite.Failed() {
 				t.Fatalf("re-observed run violated: %+v", suite.Violations())

@@ -22,8 +22,9 @@
 // Oracles must be deterministic: given the same run they must report the
 // same violation in the same round with the same detail string. All
 // constructors here preserve that property (claims are compared in probe
-// order, never in map-iteration order), which the determinism lint pass
-// machine-checks (`make lint`).
+// order, never in map-iteration order), which
+// TestSuiteViolationIsDeterministic and the chaos campaign's
+// byte-identical reports across job counts check at run time.
 //
 // Cost: a claim is a small typed value (Key, Value), pushed by its Prober
 // and compared as such. Every round re-reads and compares every claim of

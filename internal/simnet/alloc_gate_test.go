@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"uba/internal/allocgate"
 	"uba/internal/trace"
 )
 
@@ -82,7 +83,7 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 					for i := 0; i < 3; i++ {
 						round()
 					}
-					avg := testing.AllocsPerRun(100, round)
+					allocs := allocgate.Count(100, round)
 					if acct.Deliveries != int64(n)*int64(n) || acct.Broadcasts != int64(n) {
 						t.Fatalf("fixture routed %d deliveries / %d broadcasts per round, want n^2 = %d / n = %d",
 							acct.Deliveries, acct.Broadcasts, int64(n)*int64(n), n)
@@ -94,7 +95,7 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 					if len(rp.net.roundEvents) != record {
 						t.Fatalf("round record holds %d events, want %d", len(rp.net.roundEvents), record)
 					}
-					builds := 0 // 3 warm-up rounds, one for AllocsPerRun's own, 100 measured
+					builds := 0 // 3 warm-up rounds, one for Count's own, 100 measured
 					if label == "reader=said" {
 						builds = 3 + 1 + 100
 						if said != 1 {
@@ -104,8 +105,8 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 					if got := rp.net.index.builds - built; got != builds {
 						t.Fatalf("index built %d times, want %d", got, builds)
 					}
-					if avg != 0 {
-						t.Errorf("steady-state route at n=%d (workers=%d, %s) allocates %.2f times per round, want 0", n, workers, label, avg)
+					if allocs != 0 {
+						t.Errorf("steady-state route at n=%d (workers=%d, %s) allocated %d times over 100 rounds, want 0", n, workers, label, allocs)
 					}
 				})
 			}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"uba/internal/allocgate"
 	"uba/internal/census"
 	"uba/internal/ids"
 	"uba/internal/wire"
@@ -338,8 +339,8 @@ func TestWarmIndexBuildAllocatesNothing(t *testing.T) {
 		}
 	}
 	round()
-	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-		t.Fatalf("a warm index build allocated %.0f times, want 0", allocs)
+	if allocs := allocgate.Count(20, round); allocs != 0 {
+		t.Fatalf("20 warm index builds allocated %d times, want 0", allocs)
 	}
 	for _, g := range in.Said() {
 		if g.By.Count() != n {

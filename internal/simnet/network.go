@@ -211,6 +211,10 @@ type CrashRecord struct {
 // goroutine (a worker cap above 1 parallelizes internally).
 type Network struct {
 	cfg Config
+	// statsObs is cfg.Observer as a RoundStatsObserver, or nil. It is
+	// asserted once here, not per round: a failed interface assertion
+	// may allocate into the runtime's per-site assertion cache.
+	statsObs RoundStatsObserver
 	// order and live are the node table, the one way to find a node:
 	// the live process ids, sorted ascending, and their states.
 	order []ids.ID
@@ -259,6 +263,7 @@ func New(cfg Config) *Network {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
 	n := &Network{cfg: cfg}
+	n.statsObs, _ = cfg.Observer.(RoundStatsObserver)
 	n.task.net = n
 	if cfg.FaultPlan != nil {
 		if err := cfg.FaultPlan.Validate(); err != nil {
@@ -430,12 +435,8 @@ func (n *Network) RunRound() error {
 // frozen send stream (RoundPhases.RouteOnly), so what they measure is
 // this method and not a copy of it.
 func (n *Network) finishRound(outs []send) RoundAccounting {
-	var statsObs RoundStatsObserver
-	if n.cfg.Observer != nil {
-		statsObs, _ = n.cfg.Observer.(RoundStatsObserver)
-	}
 	var acct RoundAccounting
-	if n.cfg.Collector != nil || statsObs != nil {
+	if n.cfg.Collector != nil || n.statsObs != nil {
 		// Account before route: the in-place block-local sort below
 		// reorders outs (within sender runs, not across them), and the
 		// tally pass wants the raw stream.
@@ -448,8 +449,8 @@ func (n *Network) finishRound(outs []send) RoundAccounting {
 	if n.cfg.Observer != nil {
 		n.cfg.Observer.ObserveRound(n.round, n.roundEvents)
 	}
-	if statsObs != nil {
-		statsObs.ObserveRoundStats(n.round, acct)
+	if n.statsObs != nil {
+		n.statsObs.ObserveRoundStats(n.round, acct)
 	}
 	return acct
 }

@@ -149,7 +149,11 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	for i := 0; i < nl; i++ {
 		n.uniStart[i+1] += n.uniStart[i]
 	}
-	n.uniIdx = grown(n.uniIdx, len(n.uniRecv))
+	// uniIdx and the arena take uniRecv's capacity, which append grows
+	// geometrically: under a drop rule the count of surviving unicasts
+	// varies round to round, and sizing them exactly would reallocate
+	// at every new maximum.
+	n.uniIdx = grown(n.uniIdx, cap(n.uniRecv))[:len(n.uniRecv)]
 	n.uniCursor = grown(n.uniCursor, nl)
 	copy(n.uniCursor, n.uniStart[:nl])
 	for j, r := range n.uniRecv {
@@ -168,7 +172,7 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	// the references held by last round's larger block/arena so dead
 	// payloads are not pinned.
 	nb := len(n.bcastIdx)
-	n.bcastBlock = recycled(n.bcastBlock, nb, &n.bcastLive)
+	n.bcastBlock = recycled(n.bcastBlock, nb, nb, &n.bcastLive)
 	n.bcastRank = grown(n.bcastRank, nb)
 	var bbytes int64
 	sender := 0 // cursor over n.order: the block is sender-ascending
@@ -184,7 +188,7 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	}
 	n.index.reset(n.bcastBlock, n.bcastRank, len(n.intern.cur.entries))
 	nu := len(n.uniIdx)
-	n.uniArena = recycled(n.uniArena, nu, &n.uniLive)
+	n.uniArena = recycled(n.uniArena, nu, cap(n.uniRecv), &n.uniLive)
 	for j, k := range n.uniIdx {
 		s := &outs[k]
 		n.materialize(&n.uniArena[j], s, s.to == ids.None)
@@ -282,13 +286,13 @@ func messageEvent(round int, m *Received, to ids.ID) trace.Event {
 }
 
 // recycled returns s resized to n elements, reusing its backing array
-// when possible and clearing the previously live tail beyond n so a
-// shrinking round cannot pin the references the dead slots held. live
-// is updated to n. Contents of the returned slice are unspecified;
-// callers overwrite every element.
-func recycled(s []Received, n int, live *int) []Received {
+// when possible (a new one has capacity c, at least n) and clearing the
+// previously live tail beyond n so a shrinking round cannot pin the
+// references the dead slots held. live is updated to n. Contents of the
+// returned slice are unspecified; callers overwrite every element.
+func recycled(s []Received, n, c int, live *int) []Received {
 	if cap(s) < n {
-		s = make([]Received, n)
+		s = make([]Received, n, max(n, c))
 	} else {
 		if n < *live {
 			clear(s[n:*live])

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"uba/internal/allocgate"
 )
 
 // countTask records per-index hit counts and the peak number of
@@ -311,13 +313,13 @@ func TestSteadyStateDispatchDoesNotAllocate(t *testing.T) {
 	var r rendezvous
 	var p Phase
 	s.Run(&p, &r, 2, 2) // warm: fin channel, phases list growth
-	avg := testing.AllocsPerRun(100, func() {
+	allocs := allocgate.Count(100, func() {
 		s.Run(&p, &r, 2, 2)
 	})
 	if got := r.met.Load(); got != 1+1+100 {
 		t.Fatalf("a worker joined %d of %d dispatches, want every one", got, 1+1+100)
 	}
-	if avg != 0 {
-		t.Fatalf("steady-state dispatch allocates %.1f allocs/op, want 0", avg)
+	if allocs != 0 {
+		t.Fatalf("100 steady-state dispatches allocated %d times, want 0", allocs)
 	}
 }
