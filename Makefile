@@ -14,16 +14,17 @@ vet:
 	$(GO) vet ./...
 
 # Static analysis: the repo's own go/analysis suite (cmd/ubalint) run
-# over every package via go vet's -vettool protocol. The two passes —
-# retainenv and complexity — enforce the simnet engine's
-# buffer-recycling and message-complexity contracts, fed by the
-# interprocedural summary fact pass; see DESIGN.md "Static analysis"
-# and internal/lint. The step task's ownership and non-blocking rules,
-# the Process isolation contract and the round's allocation-freedom are
-# runtime-tested instead (the race job's "Step-task ownership gate",
-# "Process isolation gate" and "Zero-alloc gate"), and so are
-# determinism (the seed- and worker-count determinism tests, the spec
-# differentials) and wire registration (internal/wire's tests).
+# over every package via go vet's -vettool protocol. Its pass,
+# complexity, certifies the protocols' message-complexity contracts,
+# fed by the interprocedural summary fact pass; see DESIGN.md "Static
+# analysis" and internal/lint. The step task's ownership and
+# non-blocking rules, the Process isolation contract and the round's
+# allocation-freedom are runtime-tested instead (the race job's
+# "Step-task ownership gate", "Process isolation gate" and "Zero-alloc
+# gate"), and so are buffer recycling (internal/spec's retention check
+# in every spec differential), determinism (the seed- and worker-count
+# determinism tests, the spec differentials) and wire registration
+# (internal/wire's tests).
 # Suppress a false positive in-source with: //lint:allow <pass> <reason>
 #
 # bin/ubalint is a real make target: it rebuilds only when the linter's
@@ -56,7 +57,8 @@ test:
 
 # Mutation check: each hand mutant in internal/spec/testdata/mutants (one
 # patch per mutant: protocol slips, a seeded allocation per file of the
-# round path that a zero-alloc gate must kill, and the determinism and
+# round path that a zero-alloc gate must kill, the retention slips the
+# spec differentials' retention check must kill, and the determinism and
 # wire-registration slips the retired lint passes were scored on) is
 # applied alone to a copy of the tracked files, and the target fails if
 # `go test` over MUTANT_PKGS passes with any of them, or fails without a

@@ -1,14 +1,14 @@
 // ubalint is the repo's static-analysis gate: a go/analysis
-// multichecker running the custom passes that enforce the simnet
-// engine's buffer-recycling and message-complexity contracts
-// (retainenv and complexity, fed by the interprocedural summary fact
-// pass — see internal/lint and DESIGN.md "Static analysis"). Process
-// isolation, allocation-freedom, determinism and wire registration are
-// held at run time instead: by the -race worker-count equivalence
-// matrix (CI's "Process isolation gate"), the zero-alloc gates (CI's
-// "Zero-alloc gate"), the seed- and worker-count determinism tests and
-// the spec differentials, and internal/wire's round-trip and naming
-// tests.
+// multichecker running the custom pass that certifies the protocols'
+// message-complexity contracts (complexity, fed by the interprocedural
+// summary fact pass — see internal/lint and DESIGN.md "Static
+// analysis"). Buffer recycling, Process isolation, allocation-freedom,
+// determinism and wire registration are held at run time instead: by
+// internal/spec's retention check in every spec differential, the
+// -race worker-count equivalence matrix (CI's "Process isolation
+// gate"), the zero-alloc gates (CI's "Zero-alloc gate"), the seed- and
+// worker-count determinism tests and the spec differentials, and
+// internal/wire's round-trip and naming tests.
 //
 // It speaks the unitchecker protocol, so it is driven through go vet,
 // which handles package loading, export data, and ./... expansion:

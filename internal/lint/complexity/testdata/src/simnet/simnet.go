@@ -1,7 +1,7 @@
-// Package simnet is a trimmed-down stand-in for uba/internal/simnet
-// (see the retainenv fixtures for the rationale): the summary pass
-// recognizes RoundEnv's send methods by package name, type name, and
-// method name, so a minimal mirror exercises the same code paths.
+// Package simnet is a trimmed-down stand-in for uba/internal/simnet:
+// the summary pass recognizes RoundEnv's send methods by package name,
+// type name, and method name, so a minimal mirror exercises the same
+// code paths.
 package simnet
 
 // Received mirrors the value-type delivered message.

@@ -23,7 +23,7 @@ func TestValidate(t *testing.T) {
 	for _, a := range lint.Analyzers() {
 		names = append(names, a.Name)
 	}
-	if got, want := strings.Join(names, ","), "retainenv,complexity,summary"; got != want {
+	if got, want := strings.Join(names, ","), "complexity,summary"; got != want {
 		t.Fatalf("suite is %s, want %s", got, want)
 	}
 }
@@ -57,13 +57,15 @@ func TestUbalintSelf(t *testing.T) {
 }
 
 // TestUbalintTransitiveModule builds cmd/ubalint and vets the chainmod
-// fixture module (testdata/chainmod), a three-package chain
-// proto -> helper -> leaf whose retention violation is only visible
-// through summary facts carried across package boundaries in .vetx
-// files — the deployment-level proof that the unitchecker propagates
-// them.
-// The cyc package (mutual recursion, no violations) proves the
-// fixpoint terminates under the real driver.
+// fixture module (testdata/chainmod) — the deployment-level proof that
+// the unitchecker carries summary facts across packages in .vetx files.
+// Two Process types, in packages named after registry families, reach a
+// helper two package hops away that broadcasts in a loop: relbcast.Node
+// is registered O(n) and must certify cleanly (a lost fact would make
+// its contract look looser than its Step), approx.Node is registered
+// O(1) and must be reported as exceeding it. The cyc package (mutual
+// recursion, no Step) proves the fixpoint terminates under the real
+// driver.
 func TestUbalintTransitiveModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("module-level vet rebuilds the world; skipped in -short")
@@ -85,13 +87,15 @@ func TestUbalintTransitiveModule(t *testing.T) {
 	vet.Dir = filepath.Join(root, "internal", "lint", "testdata", "chainmod")
 	out, err := vet.CombinedOutput()
 	if err == nil {
-		t.Fatalf("go vet over chainmod reported no findings; want the transitive violations\n%s", out)
+		t.Fatalf("go vet over chainmod reported no findings; want approx.Node's transitive excess\n%s", out)
 	}
-	if want := "passed to Save, which retains it past the call"; !strings.Contains(string(out), want) {
+	if want := "Node.Step exceeds its registered complexity: broadcasts derived O(n), registered O(1)"; !strings.Contains(string(out), want) {
 		t.Errorf("vet output missing %q:\n%s", want, out)
 	}
-	if strings.Contains(string(out), "cyc") {
-		t.Errorf("vet flagged the violation-free cyc package:\n%s", out)
+	for _, clean := range []string{"relbcast", "cyc"} {
+		if strings.Contains(string(out), clean) {
+			t.Errorf("vet flagged the violation-free %s package:\n%s", clean, out)
+		}
 	}
 }
 

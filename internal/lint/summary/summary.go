@@ -1,23 +1,11 @@
 // Package summary implements the ubalint fact pass: a per-function,
-// interprocedural effect analysis whose results the diagnostic passes
-// consume at call sites — retainenv reads Retains and Flows, and
-// complexity reads the send classes. It turns the false-negative edges
-// the intraprocedural passes documented — retention through a
-// synchronous call, taint laundering through returns, sends delegated
-// to a helper — into facts that cross package boundaries.
+// interprocedural send-class analysis whose results the complexity pass
+// consumes. It turns sends delegated to a helper — directly, or through
+// a function-typed parameter the helper invokes — into facts that cross
+// package boundaries.
 //
 // For every function with a body the pass computes a FuncSummary:
-//
-//   - Retains: a bitmask over the parameters (receiver first) whose
-//     value may be stored somewhere that outlives the call — a field of
-//     another parameter, a package-level variable, a map/slice element
-//     reachable from either, a channel, a goroutine, or an argument
-//     position of a callee that itself retains it.
-//   - Flows: a bitmask over the parameters that may alias a return
-//     value, directly or laundered through local assignments and calls
-//     to other flowing functions.
-//   - Broadcasts, Unicasts and ParamCalls: the send classes (see
-//     FuncSummary).
+// Broadcasts, Unicasts and ParamCalls (see FuncSummary).
 //
 // Summaries are resolved to a fixpoint over the package's internal call
 // graph (mutual recursion converges because the lattice is finite and
@@ -25,19 +13,12 @@
 // unitchecker propagates them across package boundaries through the
 // same .vetx files that carry export data. Callees with no summary —
 // interface methods with no static callee, function values, bodyless
-// declarations — are assumed effect-free; dynamic dispatch is a
+// declarations — are assumed send-free; dynamic dispatch is a
 // documented remaining edge (DESIGN.md "Static analysis").
 //
 // Standard-library packages (sources under GOROOT) are not summarized:
-// their internal state is synchronization-protected machinery outside
-// the protocol state model, so std callees fall under the
-// effect-free-by-default rule. One doc-comment directive adjusts a
-// declaration's facts: //lint:valuecopy <reason> clears Flows,
-// asserting that the returned value is a plain copy sharing no memory
-// with the receiver or arguments (the element-accessor shape:
-// structurally the result reads through the receiver's backing arrays,
-// but what comes back is a by-value Received the caller may keep). It
-// is policed for staleness.
+// they never hold a simnet.RoundEnv, so std callees fall under the
+// send-free-by-default rule.
 package summary
 
 import (
@@ -58,17 +39,14 @@ import (
 )
 
 // MaxTracked caps the number of parameters (receiver included) a
-// summary tracks; functions with more spill the excess into the last
-// bit, which is conservative but keeps the fact a fixed-size word.
+// summary tracks; a function-typed parameter beyond it is not tracked,
+// which keeps the fact a fixed-size word.
 const MaxTracked = 32
 
-// FuncSummary is the exported fact: the externally observable effects
-// of one function. The zero value means "no observable effects" and is
-// never exported (absence of a fact is the common case).
+// FuncSummary is the exported fact: the sends of one function. The zero
+// value means "no sends" and is never exported (absence of a fact is
+// the common case).
 type FuncSummary struct {
-	Retains uint32
-	Flows   uint32
-
 	// Broadcasts and Unicasts are send classes: how many env.Broadcast /
 	// env.Send calls one invocation performs as a function of the
 	// participant count n, including sends delegated to callees and to
@@ -89,12 +67,6 @@ func (*FuncSummary) AFact() {}
 
 func (s *FuncSummary) String() string {
 	var parts []string
-	if s.Retains != 0 {
-		parts = append(parts, fmt.Sprintf("retains(%b)", s.Retains))
-	}
-	if s.Flows != 0 {
-		parts = append(parts, fmt.Sprintf("flows(%b)", s.Flows))
-	}
 	if s.Broadcasts != complexity.None {
 		parts = append(parts, "bcast("+s.Broadcasts.String()+")")
 	}
@@ -116,17 +88,6 @@ func (s *FuncSummary) String() string {
 	return strings.Join(parts, "+")
 }
 
-func (s FuncSummary) isZero() bool {
-	return s.Retains == 0 && s.Flows == 0 &&
-		s.Broadcasts == complexity.None && s.Unicasts == complexity.None && s.ParamCalls == 0
-}
-
-// RetainsAt and FlowsAt test one tracked slot (see ArgIndex/RecvIndex).
-func (s FuncSummary) RetainsAt(i int) bool { return s.Retains&(1<<uint(i)) != 0 }
-
-// FlowsAt reports whether tracked slot i may alias a return value.
-func (s FuncSummary) FlowsAt(i int) bool { return s.Flows&(1<<uint(i)) != 0 }
-
 // ParamCallsAt returns the send class of how often the function
 // invokes a function value bound to tracked slot i.
 func (s FuncSummary) ParamCallsAt(i int) complexity.Class {
@@ -144,9 +105,6 @@ func (s *FuncSummary) joinParamCall(i int, c complexity.Class) {
 	shift := 2 * uint(i)
 	s.ParamCalls = s.ParamCalls&^(3<<shift) | uint64(c)<<shift
 }
-
-// RecvIndex is the tracked slot of a method's receiver.
-const RecvIndex = 0
 
 // ArgIndex maps the i'th call argument (0-based) of a call to fn onto
 // its tracked slot: the receiver of a method occupies slot 0 and shifts
@@ -176,15 +134,11 @@ func ArgIndex(fn *types.Func, i int) (int, bool) {
 	return idx, true
 }
 
-// Analyzer is the summary pass. It exists primarily for its facts and
-// its Result; its only diagnostics police the fact-adjusting directive
-// itself — a //lint:valuecopy whose function's raw summary never
-// flowed a parameter to a return value is reported as unused (parity
-// with Suppressor.Done for //lint:allow), and one missing its reason
-// is reported as inert.
+// Analyzer is the summary pass. It exists for its facts and its Result
+// and reports nothing.
 var Analyzer = &analysis.Analyzer{
 	Name:       "summary",
-	Doc:        "compute per-function retention, flow, and send-class facts for the ubalint passes; report unused fact directives",
+	Doc:        "compute per-function send-class facts for the complexity pass",
 	Run:        run,
 	FactTypes:  []analysis.Fact{(*FuncSummary)(nil)},
 	ResultType: reflect.TypeOf((*Result)(nil)),
@@ -192,14 +146,14 @@ var Analyzer = &analysis.Analyzer{
 
 // Result looks up function summaries: locally computed ones for the
 // package under analysis, imported facts for everything else. The
-// consuming passes hold it via pass.ResultOf[summary.Analyzer].
+// complexity pass holds it via pass.ResultOf[summary.Analyzer].
 type Result struct {
 	pass  *analysis.Pass
 	local map[*types.Func]FuncSummary
 }
 
-// Of returns fn's summary, or the zero summary when fn is nil or has
-// no recorded effects (bodyless functions, interface methods, functions
+// Of returns fn's summary, or the zero summary when fn is nil or sends
+// nothing on record (bodyless functions, interface methods, functions
 // of packages analyzed without the pass).
 func (r *Result) Of(fn *types.Func) FuncSummary {
 	if fn == nil {
@@ -213,91 +167,42 @@ func (r *Result) Of(fn *types.Func) FuncSummary {
 	return s
 }
 
-// Callee resolves the statically-known called function of call: a
-// package-level function, a method with a concrete receiver, or an
-// interface method identifier. Returns nil for builtins, conversions,
-// and calls through function values.
-func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
-	return typeutil.StaticCallee(info, call)
-}
-
 func run(pass *analysis.Pass) (any, error) {
 	res := &Result{pass: pass, local: make(map[*types.Func]FuncSummary)}
-
-	// Standard-library packages get no summaries: their internal state
-	// (fmt's printer pool, testing's output buffer, sync's machinery) is
-	// synchronization-protected plumbing outside the protocol state
-	// model, and structural summaries of it would flag every
-	// fmt.Sprintf call as a shared-state write. With no facts exported,
-	// std callees fall under the effect-free-by-default rule.
 	if inGOROOT(pass) {
 		return res, nil
 	}
 
-	// Collect every function declaration with a body, noting which carry
-	// a //lint:valuecopy directive.
 	decls := make(map[*types.Func]*ast.FuncDecl)
-	valuecopy := make(map[*types.Func]bool) // present = directive; value = has a reason
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			decls[fn] = fd
-			res.local[fn] = FuncSummary{}
-			if reasoned, ok := valuecopyDirective(fd); ok {
-				valuecopy[fn] = reasoned
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				decls[fn] = fd
+				res.local[fn] = FuncSummary{}
 			}
 		}
 	}
 
 	// Fixpoint over the package-internal call graph: recompute every
-	// summary against the current ones until nothing grows. Effects only
-	// accumulate (bitmasks and send classes are finite lattices),
-	// so mutual recursion converges. Directives are applied inside the
-	// loop so package-internal callers fold in the adjusted facts.
+	// summary against the current ones until nothing grows. Classes only
+	// accumulate, so mutual recursion converges.
 	for changed := true; changed; {
 		changed = false
 		for fn, fd := range decls {
-			s := analyzeFunc(pass, res, fd)
-			if valuecopy[fn] {
-				s.Flows = 0
-			}
-			if s != res.local[fn] {
+			if s := analyzeFunc(pass, res, fd); s != res.local[fn] {
 				res.local[fn] = s
 				changed = true
 			}
 		}
 	}
 
-	// Police the directives: one that adjusts nothing is stale and
-	// hides a future real effect behind an assertion nobody re-checks.
-	// The raw summary is recomputed against the directive-adjusted
-	// environment, so "unused" means "given everything else, this
-	// directive changes nothing". Diagnostics anchor at the function
-	// name (the directive lives in its doc comment), so a //lint:allow
-	// on the declaration line or the doc comment's last line suppresses
-	// them.
-	sup := lintutil.NewSuppressor(pass, "summary")
-	for fn, reasoned := range valuecopy {
-		fd := decls[fn]
-		switch {
-		case !reasoned:
-			sup.Reportf(fd.Name.Pos(), "//lint:valuecopy directive on %s is inert: no reason given", fn.Name())
-		case analyzeFunc(pass, res, fd).Flows == 0:
-			sup.Reportf(fd.Name.Pos(), "unused //lint:valuecopy directive: %s is not flowing any parameter to a return value", fn.Name())
-		}
-	}
-	sup.Done()
-
 	// Export non-trivial summaries so downstream packages see them.
 	for fn, s := range res.local {
-		if !s.isZero() {
+		if s != (FuncSummary{}) {
 			s := s
 			pass.ExportObjectFact(fn, &s)
 		}
@@ -310,7 +215,7 @@ func run(pass *analysis.Pass) (any, error) {
 // here is the toolchain's build-time root (or the GOROOT environment
 // variable), which matches because go vet drives this binary with the
 // same toolchain that built it; a mismatch degrades to analyzing std,
-// which is noisy but never wrong about our own packages.
+// which is slower but never wrong about our own packages.
 func inGOROOT(pass *analysis.Pass) bool {
 	root := build.Default.GOROOT
 	if root == "" || len(pass.Files) == 0 {
@@ -320,166 +225,86 @@ func inGOROOT(pass *analysis.Pass) bool {
 	return strings.HasPrefix(file, filepath.Clean(root)+string(filepath.Separator))
 }
 
-// valuecopyDirective reports whether fd's doc comment carries
-//
-//	//lint:valuecopy <reason> — the function's return value is a plain
-//	by-value copy sharing no memory with the receiver or arguments,
-//	even though the body structurally reads through them (the
-//	element-accessor shape: indexing a recycled backing array but
-//	returning a value-type element). Clears only Flows.
-//
-// Retention facts are never cleared. The directive is a documented
-// trust boundary: the analysis takes the author's word. A directive
-// with no reason is inert (and reported as such). found reports the
-// directive's presence, reasoned whether it carries the reason that
-// makes it effective.
-func valuecopyDirective(fd *ast.FuncDecl) (reasoned, found bool) {
-	if fd.Doc == nil {
-		return false, false
-	}
-	for _, c := range fd.Doc.List {
-		rest, ok := strings.CutPrefix(c.Text, "//lint:valuecopy")
-		if ok {
-			return len(strings.Fields(rest)) > 0, true
-		}
-	}
-	return false, false
-}
-
 // funcState is the per-function analysis state.
 type funcState struct {
 	pass *analysis.Pass
 	res  *Result
 	fd   *ast.FuncDecl
-	// taint maps an object (parameter or local) to the set of parameter
-	// slots whose memory it may alias. Parameters seed their own slot.
-	taint map[types.Object]uint32
-	// paramSlot maps each tracked parameter object to its slot.
+	// paramSlot maps each *simnet.RoundEnv and function-typed parameter
+	// to its tracked slot.
 	paramSlot map[types.Object]int
-	// globalAliases holds locals that may reference package-level
-	// storage (see lintutil.GlobalAliases).
-	globalAliases map[types.Object]bool
-	// namedResults are the declared result variables, for bare returns.
-	namedResults []types.Object
-	out          FuncSummary
+	// bound maps a local function value to the parameter slots it may
+	// be bound to: a method value of the env, a function-typed
+	// parameter, or a literal capturing either.
+	bound map[types.Object]uint32
+	out   FuncSummary
 }
 
 func analyzeFunc(pass *analysis.Pass, res *Result, fd *ast.FuncDecl) FuncSummary {
-	st := newFuncState(pass, res, fd)
-
-	if fd.Type.Results != nil {
-		for _, field := range fd.Type.Results.List {
-			for _, name := range field.Names {
-				if obj := pass.TypesInfo.Defs[name]; obj != nil {
-					st.namedResults = append(st.namedResults, obj)
-				}
-			}
-		}
-	}
-
-	st.propagate()
-	st.findSinks()
-	st.sendScan()
-	return st.out
-}
-
-// newFuncState builds the per-function state with parameter slots
-// seeded: receiver first, then parameters, skipping slots (but not
-// positions) for values that cannot carry references — retaining a
-// copied int is not retention of caller memory.
-func newFuncState(pass *analysis.Pass, res *Result, fd *ast.FuncDecl) *funcState {
 	st := &funcState{
-		pass:          pass,
-		res:           res,
-		fd:            fd,
-		taint:         make(map[types.Object]uint32),
-		paramSlot:     make(map[types.Object]int),
-		globalAliases: lintutil.GlobalAliases(pass.TypesInfo, fd.Body),
+		pass:      pass,
+		res:       res,
+		fd:        fd,
+		paramSlot: make(map[types.Object]int),
+		bound:     make(map[types.Object]uint32),
 	}
-
 	slot := 0
-	seed := func(fl *ast.FieldList) {
+	for _, fl := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
 		if fl == nil {
-			return
+			continue
 		}
 		for _, field := range fl.List {
-			names := field.Names
-			if len(names) == 0 {
-				slot++ // unnamed parameter still occupies its slot
-				continue
+			if len(field.Names) == 0 {
+				slot++ // an unnamed parameter still occupies its slot
 			}
-			for _, name := range names {
-				obj, ok := pass.TypesInfo.Defs[name].(*types.Var)
-				if ok && slot < MaxTracked && lintutil.RefCarrying(obj.Type()) {
+			for _, name := range field.Names {
+				if obj, ok := pass.TypesInfo.Defs[name].(*types.Var); ok && slot < MaxTracked && st.sends(obj.Type()) {
 					st.paramSlot[obj] = slot
-					st.taint[obj] = 1 << uint(slot)
 				}
 				slot++
 			}
 		}
 	}
-	seed(fd.Recv)
-	seed(fd.Type.Params)
-	return st
+	st.bind()
+	st.scanSends(fd.Body, complexity.Const, make(map[ast.Node]bool))
+	return st.out
 }
 
-// propagate grows the taint map to a fixpoint: locals assigned from a
-// tainted expression alias its parameters, container locals absorb the
-// taint of values stored into them, and call results inherit the taint
-// of arguments the callee's Flows fact launders through.
-func (st *funcState) propagate() {
+// sends reports whether a parameter of type t can carry sends out of the
+// function: the env itself, or a function value.
+func (st *funcState) sends(t types.Type) bool {
+	_, isSig := t.Underlying().(*types.Signature)
+	return isSig || lintutil.IsRoundEnvPtr(t)
+}
+
+// bind grows st.bound to a fixpoint over the body's assignments.
+func (st *funcState) bind() {
+	record := func(lhs, rhs ast.Expr) bool {
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		obj := st.pass.TypesInfo.ObjectOf(id)
+		m := st.slotsOf(rhs)
+		if obj == nil || m == 0 || st.bound[obj]&m == m {
+			return false
+		}
+		st.bound[obj] |= m
+		return true
+	}
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(st.fd.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				if len(n.Lhs) == len(n.Rhs) {
-					for i, rhs := range n.Rhs {
-						if st.assignTaint(n.Lhs[i], st.taintOf(rhs)) {
-							changed = true
-						}
-					}
-				} else if len(n.Rhs) == 1 {
-					// Multi-value form: a call, map index, or type
-					// assertion. Taint every reference-carrying result
-					// (we do not track which result position flows).
-					m := st.multiTaint(n.Rhs[0])
-					for _, lhs := range n.Lhs {
-						if st.assignTaint(lhs, m) {
-							changed = true
-						}
+				for i := range n.Lhs {
+					if len(n.Lhs) == len(n.Rhs) && record(n.Lhs[i], n.Rhs[i]) {
+						changed = true
 					}
 				}
 			case *ast.ValueSpec:
-				if len(n.Names) == len(n.Values) {
-					for i, v := range n.Values {
-						if st.assignTaint(n.Names[i], st.taintOf(v)) {
-							changed = true
-						}
-					}
-				} else if len(n.Values) == 1 {
-					m := st.multiTaint(n.Values[0])
-					for _, name := range n.Names {
-						if st.assignTaint(name, m) {
-							changed = true
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				// Range iteration variables alias the ranged
-				// expression's memory: a reference-carrying element of
-				// a tainted container (or a tainted iterator's yield)
-				// carries its taint. Non-reference variables — the int
-				// index of a slice — sever it, as in taintOf.
-				m := st.taintOf(n.X)
-				for _, v := range []ast.Expr{n.Key, n.Value} {
-					if m == 0 || v == nil {
-						continue
-					}
-					if t := st.pass.TypesInfo.TypeOf(v); t == nil || !lintutil.RefCarrying(t) {
-						continue
-					}
-					if st.assignTaint(v, m) {
+				for i := range n.Names {
+					if len(n.Names) == len(n.Values) && record(n.Names[i], n.Values[i]) {
 						changed = true
 					}
 				}
@@ -489,341 +314,36 @@ func (st *funcState) propagate() {
 	}
 }
 
-// assignTaint merges mask into the object named by lhs. Plain locals
-// alias; stores into a local container (buf.f = x, buf[i] = x) taint
-// the container, so a later escape of the container carries the mask.
-func (st *funcState) assignTaint(lhs ast.Expr, mask uint32) bool {
-	if mask == 0 {
-		return false
-	}
-	root := lintutil.RootIdent(lhs)
-	if root == nil {
-		return false
-	}
-	obj := st.pass.TypesInfo.ObjectOf(root)
-	if obj == nil {
-		return false
-	}
-	if v, ok := obj.(*types.Var); !ok || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
-		return false // globals are sinks, not aliases; non-vars ignored
-	}
-	if _, isParam := st.paramSlot[obj]; isParam {
-		// Storing into a parameter-rooted container is a sink (the value
-		// escapes through the parameter), handled by findSinks. Plain
-		// reassignment of the parameter name itself still aliases.
-		if _, plain := ast.Unparen(lhs).(*ast.Ident); !plain {
-			return false
-		}
-	}
-	if st.taint[obj]&mask == mask {
-		return false
-	}
-	st.taint[obj] |= mask
-	return true
-}
-
-// taintOf returns the parameter slots whose memory e may alias.
-// The rules mirror retainenv's single-value tracking, generalized to
-// masks and arbitrary parameters: subslices and dereferences preserve
-// aliasing, by-value element and field copies of non-reference types
-// sever it, composite literals and closures union their parts, and
-// call results launder the taint of arguments the callee Flows.
-func (st *funcState) taintOf(e ast.Expr) uint32 {
+// slotsOf returns the parameter slots a function value e may be bound
+// to.
+func (st *funcState) slotsOf(e ast.Expr) uint32 {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if obj := st.pass.TypesInfo.ObjectOf(e); obj != nil {
-			return st.taint[obj]
+		obj := st.pass.TypesInfo.ObjectOf(e)
+		if slot, ok := st.paramSlot[obj]; ok {
+			return 1 << uint(slot)
 		}
+		return st.bound[obj]
 	case *ast.SelectorExpr:
-		base := st.taintOf(e.X)
-		if base == 0 {
-			return 0
+		if sel, ok := st.pass.TypesInfo.Selections[e]; ok && sel.Kind() == types.MethodVal {
+			return st.slotsOf(e.X)
 		}
-		// A method value bound to a tainted receiver retains it; a field
-		// of reference-carrying type shares memory with the base.
-		if sel, ok := st.pass.TypesInfo.Selections[e]; ok {
-			switch sel.Kind() {
-			case types.MethodVal:
-				return base
-			case types.FieldVal:
-				if lintutil.RefCarrying(sel.Type()) {
-					return base
-				}
-			}
-		}
-		return 0
-	case *ast.SliceExpr:
-		return st.taintOf(e.X) // subslice shares the backing array
-	case *ast.StarExpr:
-		return st.taintOf(e.X) // *p copies headers that still share referents
-	case *ast.UnaryExpr:
-		if e.Op != token.AND {
-			return 0
-		}
-		if idx, ok := ast.Unparen(e.X).(*ast.IndexExpr); ok {
-			return st.taintOf(idx.X) // &s[i] points into the backing array
-		}
-		return st.taintOf(e.X)
-	case *ast.IndexExpr:
-		// s[i] copies the element out; only reference-carrying elements
-		// keep aliasing the container's memory.
-		if t := st.pass.TypesInfo.TypeOf(e); t != nil && lintutil.RefCarrying(t) {
-			return st.taintOf(e.X)
-		}
-		return 0
-	case *ast.TypeAssertExpr:
-		return st.taintOf(e.X)
-	case *ast.CallExpr:
-		return st.callTaint(e)
-	case *ast.CompositeLit:
-		var m uint32
-		for _, el := range e.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			m |= st.taintOf(el)
-		}
-		return m
 	case *ast.FuncLit:
-		return st.capturedTaint(e)
-	}
-	return 0
-}
-
-// multiTaint is taintOf for the single right-hand side of a multi-value
-// assignment (call, type assertion, or map index with ok).
-func (st *funcState) multiTaint(e ast.Expr) uint32 {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CallExpr:
-		return st.callTaint(e)
-	case *ast.TypeAssertExpr:
-		return st.taintOf(e.X)
-	case *ast.IndexExpr:
-		if t := st.pass.TypesInfo.TypeOf(ast.Expr(e)); t != nil && lintutil.RefCarrying(t) {
-			return st.taintOf(e.X)
-		}
-	}
-	return 0
-}
-
-// callTaint returns the taint of a call expression's results: append
-// splices its operands' aliasing together, conversions preserve it, and
-// ordinary calls launder the taint of arguments (and receiver) whose
-// slots the callee's summary marks as flowing into a return value.
-func (st *funcState) callTaint(call *ast.CallExpr) uint32 {
-	// Conversions preserve aliasing ([]byte(s) copies, but T(ptr),
-	// Named(slice) alias; be conservative and keep the taint).
-	if tv, ok := st.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		return st.taintOf(call.Args[0])
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := st.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-			if b.Name() != "append" || len(call.Args) == 0 {
-				return 0
+		var m uint32
+		ast.Inspect(e.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				m |= st.slotsOf(id)
 			}
-			// append's result aliases the destination; spliced-in slices
-			// (without ...) alias too. An ellipsis argument copies the
-			// elements out, which severs element-value aliasing for
-			// non-reference element types only if the element type says
-			// so — but the destination's taint dominates anyway, so the
-			// retainenv convention (ellipsis copy is safe) is kept.
-			m := st.taintOf(call.Args[0])
-			for i, arg := range call.Args[1:] {
-				if call.Ellipsis.IsValid() && i == len(call.Args[1:])-1 {
-					continue
-				}
-				m |= st.taintOf(arg)
-			}
-			return m
-		}
-	}
-	callee := Callee(st.pass.TypesInfo, call)
-	if callee == nil {
-		return 0 // function values, dynamic dispatch: documented edge
-	}
-	s := st.res.Of(callee)
-	if s.Flows == 0 {
-		return 0
-	}
-	var m uint32
-	if recv := receiverExpr(call); recv != nil && s.FlowsAt(RecvIndex) {
-		m |= st.taintOf(recv)
-	}
-	for i, arg := range call.Args {
-		idx, ok := ArgIndex(callee, i)
-		if ok && s.FlowsAt(idx) {
-			m |= st.taintOf(arg)
-		}
-	}
-	return m
-}
-
-// capturedTaint unions the taint of every free variable referenced
-// inside fl.
-func (st *funcState) capturedTaint(fl *ast.FuncLit) uint32 {
-	var m uint32
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := st.pass.TypesInfo.ObjectOf(id); obj != nil {
-				m |= st.taint[obj]
-			}
-		}
-		return true
-	})
-	return m
-}
-
-// receiverExpr returns the receiver expression of a method call, or nil
-// for package-qualified and plain function calls.
-func receiverExpr(call *ast.CallExpr) ast.Expr {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	return sel.X
-}
-
-// findSinks walks the body once, accumulating the summary's effects.
-func (st *funcState) findSinks() {
-	// funcDepth tracks nesting inside function literals: returns there
-	// go to the literal's caller (within this call), not to ours.
-	funcDepth := 0
-	var stack []ast.Node
-	ast.Inspect(st.fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			if _, ok := stack[len(stack)-1].(*ast.FuncLit); ok {
-				funcDepth--
-			}
-			stack = stack[:len(stack)-1]
 			return true
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			funcDepth++
-		case *ast.AssignStmt:
-			st.sinkAssign(n)
-		case *ast.SendStmt:
-			st.out.Retains |= st.taintOf(n.Value)
-		case *ast.GoStmt:
-			st.out.Retains |= st.goTaint(n)
-		case *ast.ReturnStmt:
-			if funcDepth == 0 {
-				if len(n.Results) == 0 {
-					for _, obj := range st.namedResults {
-						st.out.Flows |= st.taint[obj]
-					}
-				}
-				for _, r := range n.Results {
-					st.out.Flows |= st.taintOf(r)
-				}
-			}
-		case *ast.CallExpr:
-			st.sinkCall(n)
-		}
-		stack = append(stack, n)
-		return true
-	})
-}
-
-// goTaint returns everything a go statement captures: arguments, a
-// tainted method-value callee, and closure-captured locals.
-func (st *funcState) goTaint(n *ast.GoStmt) uint32 {
-	var m uint32
-	for _, arg := range n.Call.Args {
-		m |= st.taintOf(arg)
+		})
+		return m
 	}
-	switch fun := ast.Unparen(n.Call.Fun).(type) {
-	case *ast.FuncLit:
-		m |= st.capturedTaint(fun)
-	default:
-		m |= st.taintOf(n.Call.Fun)
-	}
-	return m
-}
-
-// sinkAssign records the escapes of tainted values one assignment
-// causes.
-func (st *funcState) sinkAssign(n *ast.AssignStmt) {
-	if len(n.Lhs) != len(n.Rhs) && len(n.Rhs) != 1 {
-		return
-	}
-	for i, lhs := range n.Lhs {
-		var m uint32
-		if len(n.Lhs) == len(n.Rhs) {
-			m = st.taintOf(n.Rhs[i])
-		} else {
-			m = st.multiTaint(n.Rhs[0])
-		}
-		if m != 0 {
-			st.sinkStore(lhs, m)
-		}
-	}
-}
-
-// sinkStore records the escape caused by storing a value with taint
-// mask m into lhs. Stores into a parameter's object drop that
-// parameter's own bit: writing a value derived from p back into p (the
-// Broadcast-appends-to-its-receiver shape) retains nothing new.
-func (st *funcState) sinkStore(lhs ast.Expr, m uint32) {
-	lhs = ast.Unparen(lhs)
-	if _, plain := lhs.(*ast.Ident); plain {
-		// Plain identifier: a global is an escape, a local only aliases
-		// (handled by propagate).
-		if lintutil.PackageLevelVar(st.pass.TypesInfo, lhs) != nil {
-			st.out.Retains |= m
-		}
-		return
-	}
-	root := lintutil.RootIdent(lhs)
-	if root == nil {
-		st.out.Retains |= m // f().field = x: conservative
-		return
-	}
-	obj := st.pass.TypesInfo.ObjectOf(root)
-	if obj == nil {
-		return
-	}
-	if slot, ok := st.paramSlot[obj]; ok {
-		st.out.Retains |= m &^ (1 << uint(slot))
-		return
-	}
-	if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-		st.out.Retains |= m
-		return
-	}
-	if st.globalAliases[obj] {
-		st.out.Retains |= m
-		return
-	}
-	// Store into a local container: propagate() already tainted it, and
-	// its own escape (if any) carries the mask.
-}
-
-// sinkCall applies the callee's summary at a call site: tainted
-// arguments passed into retaining slots escape.
-func (st *funcState) sinkCall(call *ast.CallExpr) {
-	callee := Callee(st.pass.TypesInfo, call)
-	if callee == nil {
-		return
-	}
-	s := st.res.Of(callee)
-	if s.Retains == 0 {
-		return
-	}
-	if recv := receiverExpr(call); recv != nil && s.RetainsAt(RecvIndex) {
-		st.out.Retains |= st.taintOf(recv)
-	}
-	for i, arg := range call.Args {
-		idx, ok := ArgIndex(callee, i)
-		if ok && s.RetainsAt(idx) {
-			st.out.Retains |= st.taintOf(arg)
-		}
-	}
+	return 0
 }
 
 // ---- Send-class scanning ------------------------------------------------
 //
-// sendScan derives the Broadcasts/Unicasts/ParamCalls facts by walking
+// scanSends derives the Broadcasts/Unicasts/ParamCalls facts by walking
 // the body with an execution-class context: statements at the top level
 // execute once per call (Const); entering a loop whose trip count
 // is not provably constant multiplies the context by Linear (the
@@ -841,10 +361,6 @@ const (
 	sendBroadcast sendKind = iota
 	sendUnicast
 )
-
-func (st *funcState) sendScan() {
-	st.scanSends(st.fd.Body, complexity.Const, make(map[ast.Node]bool))
-}
 
 // scanSends walks n with execution class exec. handled marks function
 // literals already attributed a precise invocation class at a call
@@ -924,7 +440,7 @@ func (st *funcState) scanCall(call *ast.CallExpr, exec complexity.Class, handled
 		return
 	}
 
-	callee := Callee(st.pass.TypesInfo, call)
+	callee := typeutil.StaticCallee(st.pass.TypesInfo, call)
 	if callee == nil {
 		// Call through a function value. If the value may be a bound
 		// env.Broadcast/env.Send method value (it aliases the env
@@ -1031,7 +547,7 @@ func (st *funcState) fnValueSends(e ast.Expr, amp complexity.Class) {
 	if amp == complexity.None {
 		return
 	}
-	m := st.taintOf(e)
+	m := st.slotsOf(e)
 	if m == 0 {
 		return
 	}

@@ -41,7 +41,7 @@ var dump = &analysis.Analyzer{
 	},
 }
 
-// Test pins the computed summaries: leaf holds the direct effects,
+// Test pins the computed summaries: leaf holds the direct sends,
 // helper and proto prove transitive propagation through exported facts,
 // and cyc proves the fixpoint terminates on mutual recursion.
 func Test(t *testing.T) {
@@ -55,14 +55,8 @@ func TestSends(t *testing.T) {
 	linttest.Run(t, "testdata", dump, "sends")
 }
 
-// TestDirectives pins the pass's own diagnostics: unused and inert
-// //lint:valuecopy directives.
-func TestDirectives(t *testing.T) {
-	linttest.Run(t, "testdata", summary.Analyzer, "directives")
-}
-
-// TestArgIndex pins the slot mapping conventions the consuming passes
-// rely on: receiver shift and variadic collapse.
+// TestArgIndex pins the slot mapping conventions ParamCalls relies on:
+// receiver shift and variadic collapse.
 func TestArgIndex(t *testing.T) {
 	pkg := types.NewPackage("p", "p")
 	intT := types.Typ[types.Int]

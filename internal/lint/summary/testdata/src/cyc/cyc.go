@@ -1,20 +1,20 @@
 // Package cyc is the termination fixture: Ping and Pong are mutually
 // recursive, so the fixpoint must stabilize rather than loop. Each ends
-// up with the union of the cycle's effects: Ping's retention of p
-// reaches Pong only through the cycle.
+// up with the union of the cycle's sends: Ping's broadcast reaches Pong
+// only through the cycle.
 package cyc
 
-var beats []*int
+import "simnet"
 
-func Ping(p *int, d int) { // want `summary: retains\(1\)$`
-	beats = append(beats, p)
+func Ping(env *simnet.RoundEnv, d int) { // want `summary: bcast\(O\(1\)\)$`
+	env.Broadcast("ping")
 	if d > 0 {
-		Pong(p, d-1)
+		Pong(env, d-1)
 	}
 }
 
-func Pong(p *int, d int) { // want `summary: retains\(1\)$`
+func Pong(env *simnet.RoundEnv, d int) { // want `summary: bcast\(O\(1\)\)$`
 	if d > 0 {
-		Ping(p, d-1)
+		Ping(env, d-1)
 	}
 }

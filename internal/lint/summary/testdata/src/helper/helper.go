@@ -1,19 +1,24 @@
-// Package helper sits between proto and leaf: it has no direct effects
-// of its own — everything in its summaries is inherited from leaf's
-// facts across the package boundary.
+// Package helper sits between proto and leaf: it sends nothing itself
+// — everything in its summaries is inherited from leaf's facts across
+// the package boundary.
 package helper
 
-import "leaf"
+import (
+	"leaf"
+	"simnet"
+)
 
-// Save transitively retains p through leaf.Stash.
-func Save(p *int) { // want `summary: retains\(1\)$`
-	leaf.Stash(p)
+// Relay broadcasts O(n) times through leaf.Fanout.
+func Relay(env *simnet.RoundEnv) { // want `summary: bcast\(O\(n\)\)$`
+	leaf.Fanout(env)
 }
 
-// Rest launders its argument through leaf.Tail's flow fact.
-func Rest(in []int) []int { // want `summary: flows\(1\)`
-	return leaf.Tail(in)
+// AckAll acks every delivered message through leaf.Ack: O(n) unicasts.
+func AckAll(env *simnet.RoundEnv) { // want `summary: uni\(O\(n\)\)$`
+	for _, m := range env.Inbox.All() {
+		leaf.Ack(env, m.From)
+	}
 }
 
-// Len calls only the effect-free leaf.Count: stays pure.
-func Len(in []int) int { return leaf.Count(in) }
+// Len calls only the send-free leaf.Count: stays pure.
+func Len(env *simnet.RoundEnv) int { return leaf.Count(env) }

@@ -1,21 +1,27 @@
 // Package proto is the top of the fixture chain: two fact hops away
-// from the effects in leaf. The receiver occupies tracked slot 0, so
-// the retained parameter p sits in slot 1 (mask 10 in binary).
+// from the sends in leaf.
 package proto
 
-import "helper"
+import (
+	"helper"
+	"simnet"
+)
 
-type node struct{ last []int }
+type node struct{ seen int }
 
-// Step retains p two packages away (helper.Save -> leaf.Stash).
-func (n *node) Step(p *int) { // want `summary: retains\(10\)$`
-	helper.Save(p)
+// Step relays and acks two packages away (helper -> leaf).
+func (n *node) Step(env *simnet.RoundEnv) { // want `summary: bcast\(O\(n\)\)\+uni\(O\(n\)\)$`
+	helper.Relay(env)
+	helper.AckAll(env)
 }
 
-// Absorb stores a laundered alias of in (slot 1) into the receiver.
-func (n *node) Absorb(in []int) { // want `summary: retains\(10\)$`
-	n.last = helper.Rest(in)
+// Echo relays once per delivered message: an n-loop around an O(n)
+// helper composes to O(n^2).
+func (n *node) Echo(env *simnet.RoundEnv) { // want `summary: bcast\(O\(n\^2\)\)$`
+	for range env.Inbox.All() {
+		helper.Relay(env)
+	}
 }
 
-// Peek reads through the effect-free chain: stays pure.
-func (n *node) Peek(in []int) int { return helper.Len(in) }
+// Peek reads through the send-free chain: stays pure.
+func (n *node) Peek(env *simnet.RoundEnv) { n.seen += helper.Len(env) }

@@ -1,21 +1,21 @@
 // Package cyc proves the summary fixpoint terminates under the real
 // unitchecker: Ping and Pong are mutually recursive, and Ping's
-// retention of p must reach Pong through the cycle. No Step methods
-// live here, so go vet must report nothing for this package — it just
-// has to finish.
+// broadcast must reach Pong's summary through the cycle. No registered
+// type lives here, so go vet must report nothing for this package — it
+// just has to finish.
 package cyc
 
-var beats []*int
+import "chainmod/simnet"
 
-func Ping(p *int, d int) {
-	beats = append(beats, p)
+func Ping(env *simnet.RoundEnv, d int) {
+	env.Broadcast("ping")
 	if d > 0 {
-		Pong(p, d-1)
+		Pong(env, d-1)
 	}
 }
 
-func Pong(p *int, d int) {
+func Pong(env *simnet.RoundEnv, d int) {
 	if d > 0 {
-		Ping(p, d-1)
+		Ping(env, d-1)
 	}
 }

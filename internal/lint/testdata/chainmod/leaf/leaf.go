@@ -1,14 +1,14 @@
-// Package leaf holds the actual effect of the chain: retention.
-// Nothing here is a Step method, so the diagnostic passes stay silent
-// on this package — the effect must travel upward as a fact instead.
+// Package leaf holds the actual sends of the chain: a broadcast per
+// inbox message. Nothing here is a Step method of a registered type, so
+// the complexity pass stays silent on this package — the send class
+// must travel upward as a fact instead.
 package leaf
 
 import "chainmod/simnet"
 
-var stash []*simnet.RoundEnv
-
-// Keep retains its argument past the call.
-func Keep(env *simnet.RoundEnv) { stash = append(stash, env) }
-
-// Size is effect-free.
-func Size(in simnet.Inbox) int { return in.Len() }
+// Fanout broadcasts once per delivered message: O(n).
+func Fanout(env *simnet.RoundEnv) {
+	for i := 0; i < env.Inbox.Len(); i++ {
+		env.Broadcast("echo")
+	}
+}

@@ -11,8 +11,7 @@ type Received struct {
 
 // Inbox mirrors the real lazy merged view over shared delivery
 // storage. This module pins go 1.22, so it exposes only Len (the
-// range-over-func iterator needs a newer language version and is
-// exercised by the retainenv fixtures instead).
+// range-over-func iterator needs a newer language version).
 type Inbox struct {
 	msgs []Received
 }
@@ -28,5 +27,5 @@ type RoundEnv struct {
 	out []string
 }
 
-// Broadcast appends to the env's own outbox (the self-store exemption).
+// Broadcast appends to the env's own outbox.
 func (env *RoundEnv) Broadcast(p string) { env.out = append(env.out, p) }

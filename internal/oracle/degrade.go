@@ -97,4 +97,5 @@ func (s *Suite) Wrap(f func(Oracle) Oracle) {
 			s.oracles[i] = w
 		}
 	}
+	s.sortStats()
 }

@@ -224,6 +224,9 @@ func TestFamilySuitesFireOnSplitBrain(t *testing.T) {
 // observe layer as a gate: once a run of 7 correct and 2 Byzantine nodes
 // has finished, re-reading and comparing every claim costs no
 // allocation, so a per-round Sprintf, Clone or map rebuild fails here.
+// The family's complexity oracle joins the suite after the run, through
+// Add, and the stats sweep over a quiet round's ledger is measured with
+// the event sweep.
 func TestSuiteAgreeingRoundAllocatesNothing(t *testing.T) {
 	const rounds = 80
 	all := ids.Consecutive(1, 9)
@@ -237,7 +240,15 @@ func TestSuiteAgreeingRoundAllocatesNothing(t *testing.T) {
 			if suite.Failed() {
 				t.Fatalf("clean run violated: %+v", suite.Violations())
 			}
-			if got := allocgate.Count(20, func() { suite.ObserveRound(rounds+1, nil) }); got != 0 {
+			registered := f.name
+			if registered == "broadcast" {
+				registered = "relbcast"
+			}
+			suite.Add(NewComplexityFor(registered, 0))
+			if got := allocgate.Count(20, func() {
+				suite.ObserveRound(rounds+1, nil)
+				suite.ObserveRoundStats(rounds+1, simnet.RoundAccounting{Nodes: len(all)})
+			}); got != 0 {
 				t.Errorf("20 agreeing rounds allocated %d objects, want 0", got)
 			}
 			if suite.Failed() {

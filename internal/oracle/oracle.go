@@ -468,21 +468,42 @@ func (o *noForgedSender) Observe(round int, events []trace.Event) *Violation {
 // the suite keeps observing the remaining oracles after one fires.
 type Suite struct {
 	oracles    []Oracle
+	stats      []statsOracle // the StatsOracles among oracles, sorted out once
 	fired      []bool
 	violations []Violation
+}
+
+// statsOracle is a StatsOracle of a suite and its index in oracles.
+type statsOracle struct {
+	i int
+	o StatsOracle
 }
 
 var _ simnet.RoundObserver = (*Suite)(nil)
 
 // NewSuite builds a suite over the given oracles.
 func NewSuite(oracles ...Oracle) *Suite {
-	return &Suite{oracles: oracles, fired: make([]bool, len(oracles))}
+	s := &Suite{oracles: oracles, fired: make([]bool, len(oracles))}
+	s.sortStats()
+	return s
 }
 
 // Add appends another oracle to the suite.
 func (s *Suite) Add(o Oracle) {
 	s.oracles = append(s.oracles, o)
 	s.fired = append(s.fired, false)
+	s.sortStats()
+}
+
+// sortStats notes which oracles are StatsOracles, so a round's stats
+// sweep asserts nothing.
+func (s *Suite) sortStats() {
+	s.stats = s.stats[:0]
+	for i, o := range s.oracles {
+		if so, ok := o.(StatsOracle); ok {
+			s.stats = append(s.stats, statsOracle{i, so})
+		}
+	}
 }
 
 // ObserveRound implements simnet.RoundObserver.
@@ -514,16 +535,12 @@ var _ simnet.RoundStatsObserver = (*Suite)(nil)
 // not-yet-fired StatsOracle in the suite sees each successful round's
 // accounting, right after the event sweep.
 func (s *Suite) ObserveRoundStats(round int, acct simnet.RoundAccounting) {
-	for i, o := range s.oracles {
-		if s.fired[i] {
+	for _, so := range s.stats {
+		if s.fired[so.i] {
 			continue
 		}
-		so, ok := o.(StatsOracle)
-		if !ok {
-			continue
-		}
-		if v := so.ObserveStats(round, acct); v != nil {
-			s.fired[i] = true
+		if v := so.o.ObserveStats(round, acct); v != nil {
+			s.fired[so.i] = true
 			s.violations = append(s.violations, *v)
 		}
 	}

@@ -102,8 +102,6 @@ func (v *Counted) Said() []SaidCount {
 // Echoes returns the echoes of instance that census members broadcast,
 // ascending by candidate. A non-empty list pins the view: it stays valid
 // across Steps, immutable, until its Release.
-//
-//lint:valuecopy the list pins the view it names, which the engine does not recycle or write while it is pinned, so it may outlive the Step
 func (v *Counted) Echoes(instance uint64) EchoList {
 	if v == nil {
 		return EchoList{}

@@ -121,8 +121,10 @@
 // individual Received values out (a range over env.Inbox.All() or
 // Direct()) if state must survive the round; the values themselves
 // (sender id, payload, encoding) are safe to keep, as is a Said's
-// Payload. The contract is machine-checked by the ubalint retainenv
-// pass.
+// Payload. The contract is checked at run time: internal/spec's
+// retention check walks every node of every spec differential after
+// each Step and fails the test if the node reaches any of that memory
+// (DESIGN.md §8.1).
 //
 // A send costs no heap memory: Send appends the encoding to the node's
 // byte buffer and queues a pointer-free record of where it lies; the
@@ -284,8 +286,6 @@ func (in Inbox) Len() int { return len(in.bcast) + len(in.uni) }
 // The iterator reads through the engine's recycled buffers and must not
 // be retained past the Step call (the Received values it yields are
 // safe to keep).
-//
-//lint:valuecopy the yielded Received values are by-value copies sharing no round-scoped memory; only the iterator closure itself aliases the inbox, and retaining an iter.Seq is outside the tracked shapes
 func (in Inbox) All() iter.Seq[Received] {
 	return func(yield func(Received) bool) {
 		bi, nb := 0, len(in.bcast)
@@ -365,9 +365,9 @@ func (env *RoundEnv) Send(to ids.ID, p wire.Payload) {
 // (the engine recycles both; see the package docs). Isolation is held at
 // run time by CI's "Process isolation gate", which runs the module
 // root's TestRunnerEquivalenceAcrossAdversaries under -race: it steps
-// every family's nodes on several goroutines. Retention is
-// machine-checked by the ubalint pass retainenv (internal/lint; run with
-// `make lint`, documented in DESIGN.md §8).
+// every family's nodes on several goroutines. Retention is held at run
+// time by internal/spec's retention check, which every spec
+// differential makes after each Step (DESIGN.md §8.1).
 type Process interface {
 	// ID returns the node's unique identifier.
 	ID() ids.ID

@@ -223,8 +223,9 @@ func approxRow(rounds int) Family {
 // impl's nodes and the spec's on two networks and fails at the first
 // correct node whose queued sends (read with env.Sent right after Step:
 // the whole queue, round by round, in order) or whose outcome differ, or
-// when the run did not take its shape. check, if not nil, then reads the
-// spec's nodes.
+// when the run did not take its shape; a correct node of either side
+// that keeps memory its round lent it (retain.go) fails it too. check,
+// if not nil, then reads the spec's nodes.
 func (f Family) Test(t *testing.T, impl Side, check func(t *testing.T, spec []simnet.Process)) {
 	for _, shape := range []string{"block", "block+unicasts", "linkfault"} {
 		for _, quota := range []int{0, 3} {
@@ -297,7 +298,7 @@ func (f Family) run(t *testing.T, shape string, quota int, seed int64, mk func(R
 		if i < 3 {
 			role.Body = []byte(fmt.Sprintf("m%d", i%2))
 		}
-		recs = append(recs, &recorder{Process: mk(role), chatterers: byz})
+		recs = append(recs, &recorder{checked: checked{Process: mk(role), t: t}, chatterers: byz})
 		must(t, net.Add(recs[i]))
 	}
 	pool := f.Pool(nodes, byz)
@@ -340,9 +341,10 @@ func must(t testing.TB, err error) {
 }
 
 // recorder is a correct node that notes how the chatterers' messages
-// arrived and every send it queued.
+// arrived and every send it queued, and makes the retention check
+// (retain.go) around its Steps.
 type recorder struct {
-	simnet.Process
+	checked
 	chatterers     []ids.ID
 	sends          []string // "r<round> <encoding>"
 	shared, direct int      // chatterers' messages read from the shared block, from the private segment
@@ -359,7 +361,7 @@ func (r *recorder) Step(env *simnet.RoundEnv) {
 			r.shared, r.direct = r.shared-1, r.direct+1
 		}
 	}
-	r.Process.Step(env)
+	r.checked.Step(env)
 	for _, p := range env.Sent() {
 		r.sends = append(r.sends, fmt.Sprintf("r%d %x", env.Round, wire.Encode(p)))
 	}
