@@ -15,13 +15,14 @@
 // testdata/src (so fixtures can import a trimmed-down "simnet"
 // stand-in), then against the standard library via the source importer.
 //
-// Analyzers with Requires and FactTypes are supported: the driver runs
-// the requirement closure bottom-up over the fixture import graph, and
-// facts exported on one fixture package are visible (after a gob
+// Analyzers with Requires and object FactTypes are supported: the
+// requirement closure runs bottom-up over the fixture import graph, and
+// object facts exported on one fixture package are visible (after a gob
 // round-trip, mimicking the unitchecker's .vetx serialization) when a
-// downstream fixture is analyzed. Diagnostics are only checked for the
-// packages named in the Run call; dependency diagnostics are dropped,
-// as `go vet` drops them for non-target packages.
+// downstream fixture is analyzed. Package facts are not carried: no
+// analyzer in this repository uses them. Diagnostics are only checked
+// for the packages named in the Run call; dependency diagnostics are
+// dropped, as `go vet` drops them for non-target packages.
 package linttest
 
 import (
@@ -156,7 +157,6 @@ type driver struct {
 	ld       *loader
 	done     map[driverKey]*action
 	objFacts map[objFactKey]analysis.Fact
-	pkgFacts map[pkgFactKey]analysis.Fact
 }
 
 type driverKey struct {
@@ -166,11 +166,6 @@ type driverKey struct {
 
 type objFactKey struct {
 	obj types.Object
-	t   reflect.Type
-}
-
-type pkgFactKey struct {
-	pkg *types.Package
 	t   reflect.Type
 }
 
@@ -186,7 +181,6 @@ func newDriver(ld *loader) *driver {
 		ld:       ld,
 		done:     make(map[driverKey]*action),
 		objFacts: make(map[objFactKey]analysis.Fact),
-		pkgFacts: make(map[pkgFactKey]analysis.Fact),
 	}
 }
 
@@ -268,51 +262,6 @@ func (d *driver) exec(a *analysis.Analyzer, fx *fixture) (*action, error) {
 				panic(fmt.Sprintf("%s: fact %T does not survive gob: %v", a.Name, fact, err))
 			}
 			d.objFacts[objFactKey{obj, reflect.TypeOf(fact)}] = clone
-		},
-		ImportPackageFact: func(pkg *types.Package, fact analysis.Fact) bool {
-			stored, ok := d.pkgFacts[pkgFactKey{pkg, reflect.TypeOf(fact)}]
-			if !ok {
-				return false
-			}
-			reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-			return true
-		},
-		ExportPackageFact: func(fact analysis.Fact) {
-			if !factTypes[reflect.TypeOf(fact)] {
-				panic(fmt.Sprintf("%s exports unregistered fact type %T", a.Name, fact))
-			}
-			clone, err := gobClone(fact)
-			if err != nil {
-				panic(fmt.Sprintf("%s: fact %T does not survive gob: %v", a.Name, fact, err))
-			}
-			d.pkgFacts[pkgFactKey{fx.pkg, reflect.TypeOf(fact)}] = clone
-		},
-		AllObjectFacts: func() []analysis.ObjectFact {
-			var out []analysis.ObjectFact
-			for k, f := range d.objFacts {
-				out = append(out, analysis.ObjectFact{Object: k.obj, Fact: f})
-			}
-			// Deterministic order, matching unitchecker's sorted fact dump.
-			sort.Slice(out, func(i, j int) bool {
-				if out[i].Object.Pos() != out[j].Object.Pos() {
-					return out[i].Object.Pos() < out[j].Object.Pos()
-				}
-				return fmt.Sprintf("%T", out[i].Fact) < fmt.Sprintf("%T", out[j].Fact)
-			})
-			return out
-		},
-		AllPackageFacts: func() []analysis.PackageFact {
-			var out []analysis.PackageFact
-			for k, f := range d.pkgFacts {
-				out = append(out, analysis.PackageFact{Package: k.pkg, Fact: f})
-			}
-			sort.Slice(out, func(i, j int) bool {
-				if out[i].Package.Path() != out[j].Package.Path() {
-					return out[i].Package.Path() < out[j].Package.Path()
-				}
-				return fmt.Sprintf("%T", out[i].Fact) < fmt.Sprintf("%T", out[j].Fact)
-			})
-			return out
 		},
 	}
 	act.result, act.err = a.Run(pass)

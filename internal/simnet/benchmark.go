@@ -70,8 +70,7 @@ func newBroadcastBench(n int, cfg Config) (*Network, *trace.Collector, error) {
 // merge filled, and every StepOnly merges a new one.
 type RoundPhases struct {
 	net      *Network
-	template []send // one round's unsorted, undeduped send stream
-	scratch  []send
+	template []send // one round's placed, undeduped send stream
 }
 
 // NewRoundPhases builds the phase-split fixture under cfg: n chatter
@@ -88,9 +87,10 @@ func NewRoundPhases(n int, cfg Config) (*RoundPhases, error) {
 		return nil, err
 	}
 	rp := &RoundPhases{net: net}
-	// One step phase seeds the route template. The template keeps the
-	// pre-sort, pre-dedup stream, so every RouteOnly pays the full
-	// block-sort + dedup + classify + delivery cost of a live round.
+	// One step phase seeds the route template: the stream as the step
+	// merge placed it, before dedup, so every RouteOnly pays the full
+	// dedup + classify + delivery cost of a live round. Route only reads
+	// it, so every round can route the same copy.
 	net.round++
 	outs, err := net.step()
 	if err != nil {
@@ -104,34 +104,32 @@ func NewRoundPhases(n int, cfg Config) (*RoundPhases, error) {
 	return rp, nil
 }
 
-// StepOnly runs one step phase (every process steps, sends are merged
-// in node order) without routing the result. Inboxes are empty, as in
-// the first round of the full benchmark.
+// StepOnly runs one step phase (every process steps, its sends are
+// interned, ranked and placed in node order) without routing the
+// result. Inboxes are empty, as in the first round of the full
+// benchmark.
 func (rp *RoundPhases) StepOnly() error {
 	rp.net.round++
 	_, err := rp.net.step()
 	return err
 }
 
-// RouteOnly routes one frozen round's send stream — RunRound's own tail
-// (Network.finishRound: accounting, block-local sort, dedup, arena
-// sizing, delivery, observation) and its Collector flush — without
-// stepping any process.
+// RouteOnly routes one frozen round's placed send stream — RunRound's
+// own tail (Network.finishRound: accounting, dedup, arena sizing,
+// delivery, observation) and its Collector flush — without stepping any
+// process.
 func (rp *RoundPhases) RouteOnly() {
 	n := rp.net
 	acct := n.finishRound(rp.nextSends())
 	n.cfg.Collector.AddRound(n.round, acct.Broadcasts, acct.Unicasts, acct.Deliveries, acct.Bytes)
 }
 
-// nextSends opens the next round and returns a fresh copy of the
-// template, so the in-place sort cannot make later rounds cheaper.
+// nextSends opens the next round and returns the template.
 func (rp *RoundPhases) nextSends() []send {
 	n := rp.net
 	n.round++
 	n.roundEvents = n.roundEvents[:0]
-	rp.scratch = grown(rp.scratch, len(rp.template))
-	copy(rp.scratch, rp.template)
-	return rp.scratch
+	return rp.template
 }
 
 // Inbox returns the inbox the first node will step with next round, for

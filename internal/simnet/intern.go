@@ -12,15 +12,17 @@ import (
 
 // This file is the intern table: the engine's one authority on which
 // sends carry the same message and in what order messages go. The step
-// merge interns every send straight from its node's byte buffer, so a
-// merged send carries the index of its encoding's entry and no bytes;
-// one rank pass then sorts the round's distinct encodings by bytes and
-// renumbers the sends, so that comparing two sends' ranks compares their
-// encodings. The route pass sorts, dedups and materializes on ranks, and
-// the block index groups the broadcast block by them. Each entry also
-// holds the encoding decoded once: an all-to-all echo round merges n²
-// sends but only n distinct encodings, and every Received that carries
-// one shares the one string and the one payload.
+// merge interns every send where it lies in its node's buffer, so a send
+// carries the index of its encoding's entry and no bytes; one rank pass
+// then sorts the round's distinct encodings by bytes and renumbers the
+// sends, so that comparing two sends' ranks compares their encodings.
+// Ranks are dense, 0…G−1, so the merge places the round's sends in
+// (sender, encoding, receiver) order by counting on them, not by
+// comparing (place). The route pass dedups and materializes on ranks,
+// and the block index groups the broadcast block by them. Each entry
+// also holds the encoding decoded once: an all-to-all echo round merges
+// n² sends but only n distinct encodings, and every Received that
+// carries one shares the one string and the one payload.
 //
 // It keeps two generations: cur, the encodings merged this round, and
 // prev, those of the round before. Each step merge starts by turning cur
@@ -60,8 +62,8 @@ type internGen struct {
 // prev, for a round that repeats the last one's traffic in the same
 // order; a hit there also lends its hash. ranked is cur's encodings in
 // byte order, each with its entry's index — the rank pass's result, and
-// how a rank finds its entry — and rankOf is its inverse, scratch of
-// the pass.
+// how a rank finds its entry — and rankOf is its inverse, which place
+// renumbers the sends through.
 type internTable struct {
 	cur, prev internGen
 	next      int
@@ -149,10 +151,10 @@ func (t *internTable) admit(sends []send, enc []byte) {
 	}
 }
 
-// rank sorts cur's encodings by bytes and renumbers sends, whose at are
-// indices in cur, to their encodings' ranks: from then on two sends'
-// ranks compare as their encodings do, and entry finds a rank's entry.
-func (t *internTable) rank(sends []send) {
+// rank sorts cur's encodings by bytes: from then on rankOf maps an
+// index in cur to its encoding's rank, two ranks compare as their
+// encodings do, and entry finds a rank's entry.
+func (t *internTable) rank() {
 	c := &t.cur
 	if len(c.entries) < len(t.ranked) {
 		clear(t.ranked[len(c.entries):]) // pin no encoding of an older round
@@ -168,11 +170,105 @@ func (t *internTable) rank(sends []send) {
 	for k := range r {
 		t.rankOf[r[k].i] = uint32(k)
 	}
-	for i := range sends {
-		sends[i].at = t.rankOf[sends[i].at]
-	}
 	t.ranked = r
 }
+
+// placeRef is where one send lies before placement: its node's index in
+// the step results and its offset in that node's send buffer.
+type placeRef struct {
+	node, off int32
+}
+
+// place is the step merge's send half: it merges the sends of results,
+// one per node in node order, into n.outs in (sender, encoding,
+// receiver) order, copying each send record once, and returns it. The
+// route pass reads the stream in that order: exact duplicates are
+// adjacent, and a broadcast comes first among its sender's sends of its
+// encoding. It rewrites each node's send records in place, from byte offsets to
+// ranks. There is no comparison sort of the stream:
+//
+//  1. Intern each node's sends where they lie, in node order.
+//  2. Rank the round's encodings and renumber the sends to ranks,
+//     counting the sends of each rank.
+//  3. Build one rank-major permutation of (node, offset) refs, node
+//     order within a rank: a stable counting sort on ranks.
+//  4. Scatter every send once into outs at its sender's cursor. A
+//     sender's block is then in rank order and, within a rank, in queue
+//     order; senders are in node order, as results are.
+//  5. Sort by receiver each run that shares (sender, rank): the
+//     unicasts of one payload to several nodes, and a broadcast beside
+//     them, which sorts first (ids.None is the smallest id). An echo
+//     round has none; a Byzantine fan-out of k costs O(k log k).
+//
+// O(S + G + N) besides the runs' sorts and the rank pass's sort of the
+// G distinct encodings, for S sends from N nodes. outs is sized once,
+// from S; all scratch is the network's.
+func (n *Network) place(results []stepResult) []send {
+	// (1) Intern in place, then rank.
+	t := &n.intern
+	t.rotate()
+	total := 0
+	for i := range results {
+		t.admit(results[i].sends, results[i].enc)
+		total += len(results[i].sends)
+	}
+	t.rank()
+
+	// (2) Renumber to ranks and count; rankStart[r+1] counts rank r.
+	starts := slices.Grow(n.rankStart[:0], len(t.ranked)+1)[:len(t.ranked)+1]
+	clear(starts)
+	for i := range results {
+		sends := results[i].sends
+		for j := range sends {
+			r := t.rankOf[sends[j].at]
+			sends[j].at = r
+			starts[r+1]++
+		}
+	}
+	for r := 1; r < len(starts); r++ {
+		starts[r] += starts[r-1]
+	}
+
+	// (3) The rank-major permutation. starts[r] ends as rank r's end.
+	refs := slices.Grow(n.placeRefs[:0], total)[:total]
+	for i := range results {
+		for j, s := range results[i].sends {
+			refs[starts[s.at]] = placeRef{node: int32(i), off: int32(j)}
+			starts[s.at]++
+		}
+	}
+
+	// (4) Scatter at each sender's cursor: the one copy of each send.
+	cursor := grown(n.placeCursor, len(results))
+	next := int32(0)
+	for i := range results {
+		cursor[i] = next
+		next += int32(len(results[i].sends))
+	}
+	outs := slices.Grow(n.outs[:0], total)[:total]
+	for _, p := range refs {
+		outs[cursor[p.node]] = results[p.node].sends[p.off]
+		cursor[p.node]++
+	}
+
+	// (5) Receiver order within each (sender, rank) run.
+	for lo := 0; lo < len(outs); {
+		hi := lo + 1
+		for hi < len(outs) && outs[hi].at == outs[lo].at && outs[hi].from == outs[lo].from {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(outs[lo:hi], compareReceivers)
+		}
+		lo = hi
+	}
+	n.rankStart, n.placeRefs, n.placeCursor, n.outs = starts, refs, cursor, outs
+	return outs
+}
+
+// compareReceivers orders the sends of one (sender, rank) run by
+// receiver.
+func compareReceivers(a, b send) int { return cmp.Compare(a.to, b.to) }
 
 // compareRefs orders refs by encoding. Keys that differ decide as the
 // encodings do — zero padding puts a shorter encoding before any longer

@@ -93,7 +93,7 @@ type RoundObserver interface {
 // post-fanout delivery tallies, and the largest single-node send
 // counts among correct senders — the quantity the protocols' certified
 // complexity contracts bound. It is computed in one allocation-free
-// pass over the node-ordered merged send stream.
+// pass over the placed send stream.
 type RoundAccounting struct {
 	// Broadcasts and Unicasts count the round's send operations by
 	// kind, across all senders.
@@ -130,7 +130,7 @@ type procState struct {
 	// stamps it as the sender on every queued message (rather than
 	// re-asking proc.ID() each round), which both drops an interface
 	// call from the hot path and guarantees the per-sender grouping the
-	// block-local route sort relies on.
+	// placed send stream relies on.
 	id        ids.ID
 	byzantine bool
 	// crashed marks a node whose Step panicked (the engine contained
@@ -181,8 +181,9 @@ type nodeBuf struct {
 // trace events in node order regardless of worker scheduling.
 type stepResult struct {
 	// sends are the node's surviving send records; their offsets point
-	// into the node's byte buffer.
+	// into enc, the node's byte buffer, until place renumbers them.
 	sends []send
+	enc   []byte
 	err   error
 	// crashed reports that Step panicked this round and the node was
 	// converted into a crash fault; crashReason is the recovered panic
@@ -437,9 +438,6 @@ func (n *Network) RunRound() error {
 func (n *Network) finishRound(outs []send) RoundAccounting {
 	var acct RoundAccounting
 	if n.cfg.Collector != nil || n.statsObs != nil {
-		// Account before route: the in-place block-local sort below
-		// reorders outs (within sender runs, not across them), and the
-		// tally pass wants the raw stream.
 		acct = n.accountRound(outs)
 	}
 	acct.Deliveries, acct.Bytes = n.route(outs)
@@ -472,53 +470,39 @@ func (n *Network) transcribe() {
 	n.roundEvents = staged[:end]
 }
 
-// accountRound tallies the round's merged send stream: total
+// accountRound tallies the round's placed send stream: total
 // broadcast/unicast counts plus the per-node maxima among correct
-// senders. The stream is node-ordered (each sender's queue is
-// contiguous), so one pass with run-boundary detection suffices — no
-// per-node scratch, no allocation. The run-boundary flush is a method
-// rather than a closure: capturing the accumulators would heap-allocate
-// the closure every round.
+// senders. Each sender's sends are contiguous and senders ascend in node
+// order, so one pass over the runs, with a cursor over the node table
+// for each run's sender, suffices — no lookup, no per-node scratch, no
+// allocation. Byzantine senders are left out of the maxima: the
+// complexity contracts only bound correct processes.
 func (n *Network) accountRound(outs []send) RoundAccounting {
 	acct := RoundAccounting{Nodes: len(n.live)}
-	var curFrom ids.ID
-	var curB, curU int
-	have := false
-	for i := range outs {
-		s := &outs[i]
-		if !have || s.from != curFrom {
-			if have {
-				n.foldCorrectMax(&acct, curFrom, curB, curU)
+	node := 0
+	for lo := 0; lo < len(outs); {
+		from := outs[lo].from
+		b, u := 0, 0
+		hi := lo
+		for ; hi < len(outs) && outs[hi].from == from; hi++ {
+			if outs[hi].to == ids.None {
+				b++
+			} else {
+				u++
 			}
-			curFrom, curB, curU, have = s.from, 0, 0, true
 		}
-		if s.to == ids.None {
-			acct.Broadcasts++
-			curB++
-		} else {
-			acct.Unicasts++
-			curU++
+		lo = hi
+		acct.Broadcasts += int64(b)
+		acct.Unicasts += int64(u)
+		for n.order[node] != from {
+			node++
 		}
-	}
-	if have {
-		n.foldCorrectMax(&acct, curFrom, curB, curU)
+		if !n.live[node].byzantine {
+			acct.CorrectMaxBroadcasts = max(acct.CorrectMaxBroadcasts, b)
+			acct.CorrectMaxUnicasts = max(acct.CorrectMaxUnicasts, u)
+		}
 	}
 	return acct
-}
-
-// foldCorrectMax folds one sender's per-round broadcast/unicast tallies
-// into the accounting's correct-sender maxima. Byzantine senders are
-// excluded: the complexity contracts only bound correct processes.
-func (n *Network) foldCorrectMax(acct *RoundAccounting, from ids.ID, b, u int) {
-	if st := n.state(from); st == nil || st.byzantine {
-		return
-	}
-	if b > acct.CorrectMaxBroadcasts {
-		acct.CorrectMaxBroadcasts = b
-	}
-	if u > acct.CorrectMaxUnicasts {
-		acct.CorrectMaxUnicasts = u
-	}
 }
 
 // noteResult folds one node's step outcome into the round: containment
@@ -548,9 +532,9 @@ func (n *Network) noteResult(st *procState, res *stepResult) {
 // step runs the step phase: every live process is stepped into its
 // node's result slot through one scheduler dispatch (inline on this
 // goroutine at a worker cap below 2), then the slots are merged in node
-// order into the recycled outs buffer — so the send stream, the
-// containment events and the first reported error are independent of
-// which worker ran which node.
+// order and the sends placed into the recycled outs buffer — so the send
+// stream, the containment events and the first reported error are
+// independent of which worker ran which node.
 func (n *Network) step() ([]send, error) {
 	n.results = grown(n.results, len(n.live))
 	if n.sched == nil {
@@ -560,30 +544,18 @@ func (n *Network) step() ([]send, error) {
 	}
 	n.sched.Run(&n.phase, &n.task, len(n.live), n.cfg.Workers)
 
-	// Merge: each node's sends, in node order, interned straight from
-	// the node's byte buffer, then renumbered to their encodings' ranks
-	// (intern.go). The buffer is read after the barrier, which orders it
-	// after the step task that wrote it.
-	n.intern.rotate()
-	outs := n.outs[:0]
-	var firstErr error
+	// Merge: containment outcomes in node order up to the first error,
+	// then the sends placed in (sender, encoding, receiver) order
+	// (intern.go). The node buffers are read after the barrier, which
+	// orders them after the step tasks that wrote them.
 	for i := range n.results {
 		res := &n.results[i]
-		if res.err != nil && firstErr == nil {
-			firstErr = res.err // first error in node order
+		if res.err != nil {
+			return nil, res.err // first error in node order
 		}
-		if firstErr != nil {
-			continue
-		}
-		st := n.live[i]
-		n.noteResult(st, res)
-		k := len(outs)
-		outs = append(outs, res.sends...)
-		n.intern.admit(outs[k:], st.buf.enc)
+		n.noteResult(n.live[i], res)
 	}
-	n.intern.rank(outs)
-	n.outs = outs
-	return outs, firstErr
+	return n.place(n.results), nil
 }
 
 // stepOne steps a single process with its pending inbox. It is safe to
@@ -633,7 +605,7 @@ func (n *Network) stepOne(st *procState) stepResult {
 			}
 		}
 	}
-	return stepResult{sends: sends, dropped: dropped}
+	return stepResult{sends: sends, enc: st.buf.enc, dropped: dropped}
 }
 
 // safeStep runs one Step call with panic containment. It exists so the

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"cmp"
 	"slices"
 
 	"uba/internal/ids"
@@ -17,20 +16,14 @@ import (
 // on the goroutine driving the network: no part of it is dispatched to
 // the scheduler, whatever Config.Workers says.
 //
-// The pipeline, per round, over the merged send stream, in which every
-// send's encoding is already a rank (intern.go):
+// The pipeline, per round, over the placed send stream: the step merge
+// (place, intern.go) hands it over in (from, encoding, to) order, every
+// send's encoding a rank, so route compares no byte and runs no
+// comparison sort.
 //
-//  1. Block-local sort. outs arrives grouped by sender in ascending node
-//     order — the step merge appends the per-process send buffers in
-//     node order and the engine stamps from = the registered id — so
-//     sorting each sender's block by (rank, to) sorts the stream by
-//     (from, encoding, to). A rank orders as its encoding does, so no
-//     byte is compared. Typical blocks are tiny (a broadcast-heavy round
-//     has one send per sender), so the sort is Σ O(k log k) ≈ O(S).
-//
-//  2. Dedup + classify. One scan drops exactly the duplicates the model
+//  1. Dedup + classify. One scan drops exactly the duplicates the model
 //     discards — adjacent sends of equal rank and receiver, and unicasts
-//     whose rank is that of their sender's last broadcast (the sort puts
+//     whose rank is that of their sender's last broadcast (placement puts
 //     a broadcast first among its encoding's sends) — and classifies
 //     each surviving send as a broadcast (index into outs) or a unicast
 //     resolved to its receiver's live index (dropped here if the target
@@ -39,7 +32,7 @@ import (
 //     are then bucketed per receiver with a stable counting sort,
 //     preserving send order.
 //
-//  3. Sparse materialization. The surviving broadcasts are built once
+//  2. Sparse materialization. The surviving broadcasts are built once
 //     into the shared broadcast block, with their ranks beside it for
 //     the block index, and the surviving unicasts once into the unicast
 //     arena, each aligned with its send index list — O(B + U) Received
@@ -52,7 +45,7 @@ import (
 //     Each block sender's lastBcast is stamped here, which is all the
 //     contact rule needs of the block (see Network.knows).
 //
-//  4. Delivery. One walk over the receivers in node order assembles,
+//  3. Delivery. One walk over the receivers in node order assembles,
 //     per receiver, an Inbox view over the shared block and the
 //     receiver's arena segment; the view's merge by send index
 //     reproduces exactly the (sender, encoding)-sorted inbox the
@@ -64,23 +57,13 @@ import (
 //     or not the round is observed: it writes no trace event (the
 //     transcript is read back from the inboxes afterwards; see RunRound).
 
-// route fans out and filters the round's sends into next-round inboxes,
-// finishes the round record with the round's message events, and returns
-// the delivery/byte totals for the batched Collector flush. See the
-// pipeline comment at the top of this file; the dedup key is (sender,
-// encoding) per receiver, compared as ranks.
+// route fans out and filters the round's placed sends into next-round
+// inboxes, finishes the round record with the round's message events,
+// and returns the delivery/byte totals for the batched Collector flush.
+// It only reads outs. See the pipeline comment at the top of this file;
+// the dedup key is (sender, encoding) per receiver, compared as ranks.
 func (n *Network) route(outs []send) (deliveries, volume int64) {
-	// (1) Block-local sort: each sender's block by (rank, to).
-	for lo := 0; lo < len(outs); {
-		hi := lo + 1
-		for hi < len(outs) && outs[hi].from == outs[lo].from {
-			hi++
-		}
-		slices.SortFunc(outs[lo:hi], compareSends)
-		lo = hi
-	}
-
-	// (2) Done snapshot: Done is constant during routing (no process
+	// (1) Done snapshot: Done is constant during routing (no process
 	// steps between the step barrier and the next round), so one call
 	// per receiver replaces the old per-(send, receiver) interface call.
 	nl := len(n.live)
@@ -91,9 +74,9 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		n.doneMask[i] = st.crashed || st.proc.Done()
 	}
 
-	// (3) Dedup + classify. Under the (from, encoding, to) order, exact
+	// (2) Dedup + classify. Under the (from, encoding, to) order, exact
 	// duplicates are adjacent (previous-send compare), and a broadcast
-	// sorts before any same-encoding unicast from the same sender
+	// comes before any same-encoding unicast from the same sender
 	// (ids.None is the smallest id). So a unicast repeats one of its
 	// sender's broadcasts exactly when its encoding is that of the
 	// sender's last broadcast.
@@ -132,14 +115,14 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	}
 
 	if n.faults != nil && n.faults.linkLive {
-		// (3b) Link-fault filter: rewrite the classified stream under
+		// (2b) Link-fault filter: rewrite the classified stream under
 		// the live partition/drop rules (see fault.go). Broadcasts are
 		// demoted to per-receiver unicast entries in send-index order,
 		// so the bucket order below reproduces the merge order exactly.
 		n.faultFilter(outs)
 	}
 
-	// (4) Bucket unicasts per receiver (stable counting sort: within a
+	// (3) Bucket unicasts per receiver (stable counting sort: within a
 	// bucket, send order — and therefore the sorted order — is kept).
 	n.uniStart = grown(n.uniStart, nl+1)
 	clear(n.uniStart)
@@ -161,7 +144,7 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		n.uniCursor[r]++
 	}
 
-	// (5) Sparse materialization: build the surviving broadcasts once
+	// (4) Sparse materialization: build the surviving broadcasts once
 	// into the shared block, their ranks beside them, and the surviving
 	// unicasts once into the arena, aligned with bcastIdx and uniIdx
 	// respectively, each from the intern table's one decoded payload and
@@ -194,13 +177,15 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		n.materialize(&n.uniArena[j], s, s.to == ids.None)
 	}
 
-	// (6) The round record mirrors this storage: after the engine events
+	// (5) The round record mirrors this storage: after the engine events
 	// already in it, one message event per stored message — each
 	// shared-block broadcast once (To 0: delivered to every receiver
 	// live this round), then each arena entry once, in receiver order.
-	// O(B + U), like the storage; only an observer reads it.
+	// O(B + U), like the storage; only an observer reads it. The record
+	// is grown once, to B + U more, not by doubling from empty.
 	n.engineEvents = len(n.roundEvents)
 	if n.cfg.Observer != nil {
+		n.roundEvents = slices.Grow(n.roundEvents, nb+nu)
 		round := n.round + 1 // deliveries land at the start of the next round
 		for j := range n.bcastBlock {
 			n.roundEvents = append(n.roundEvents, messageEvent(round, &n.bcastBlock[j], ids.None))
@@ -212,7 +197,7 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		}
 	}
 
-	// (7) Delivery: hand every receiver its next-round inbox view, in
+	// (6) Delivery: hand every receiver its next-round inbox view, in
 	// node order. Block, arena and index lists are finished; the walk
 	// only reads them.
 	for i, st := range n.live {
@@ -260,15 +245,6 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 func (n *Network) materialize(m *Received, s *send, bcast bool) {
 	e := n.intern.entry(s.at)
 	*m = Received{From: s.from, Payload: e.p, encoded: e.enc, bcast: bcast}
-}
-
-// compareSends orders one sender's sends by (encoding, receiver),
-// comparing ranks for encodings.
-func compareSends(a, b send) int {
-	if c := cmp.Compare(a.at, b.at); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.to, b.to)
 }
 
 // messageEvent is the trace event of m delivered to `to` at the start of

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,10 +18,10 @@ import (
 // per-receiver map-based reference implementation on randomized send
 // batches: broadcast/unicast mixes, exact duplicates, unicasts
 // shadowed by same-sender broadcasts, and unknown and halted targets.
-// Each batch is interned and ranked as the step merge does it, then
-// routed under the default Config and under forced multi-worker caps:
-// the route pass is serial whatever the cap, and its output must not
-// depend on it.
+// Each batch is split into per-node send queues and placed by the step
+// merge's own placement (Network.place), then routed under the default
+// Config and under forced multi-worker caps: the route pass is serial
+// whatever the cap, and its output must not depend on it.
 
 // routePool is a fixed set of distinct payloads, small enough that
 // random batches repeat them, and one byte buffer holding their
@@ -51,9 +50,9 @@ func (p *routePool) send(from, to ids.ID, pi int) send {
 }
 
 // routeCase is one generated batch: the registered nodes, which of
-// them have halted, the send stream (grouped by sender in ascending
-// node order with engine-stamped from — the invariant the step merge
-// establishes before calling route) and the bytes it points into.
+// them have halted, the sends (each sender's in its queue order, from
+// stamped with a registered id as the engine stamps it) and the bytes
+// they point into.
 type routeCase struct {
 	nodeIDs []ids.ID
 	done    []bool
@@ -135,8 +134,9 @@ func referenceRoute(c routeCase) (inboxes [][]Received, deliveries, bytes int64)
 }
 
 // routeOnNetwork builds a network for the case, forces the requested
-// worker count (0 = the default Config), interns and ranks a copy of
-// the batch as the step merge does, routes it, and returns the
+// worker count (0 = the default Config), places a copy of the batch
+// with the step merge's placement — one result per node, in node order,
+// each node's sends in their queue order — routes it, and returns the
 // network with its resulting inbox views and tallies. The caller Closes
 // the network — the views read through the network's shared block and
 // arena, which Close clears and recycles.
@@ -147,18 +147,21 @@ func routeOnNetwork(t testing.TB, c routeCase, workers int) (net *Network, inbox
 		net.forceWorkers(workers)
 	}
 	recs := make([]*recorder, len(c.nodeIDs))
+	results := make([]stepResult, len(c.nodeIDs))
 	for i, id := range c.nodeIDs {
 		recs[i] = newRecorder(id)
 		recs[i].done = c.done[i]
 		if err := net.Add(recs[i]); err != nil {
 			t.Fatal(err)
 		}
+		results[i].enc = c.enc
+		for _, s := range c.outs {
+			if s.from == id {
+				results[i].sends = append(results[i].sends, s)
+			}
+		}
 	}
-	outs := slices.Clone(c.outs)
-	net.intern.rotate()
-	net.intern.admit(outs, c.enc)
-	net.intern.rank(outs)
-	deliveries, bytes = net.route(outs)
+	deliveries, bytes = net.route(net.place(results))
 	inboxes = make([]Inbox, len(c.nodeIDs))
 	for i := range c.nodeIDs {
 		inboxes[i] = net.live[i].inbox
@@ -230,8 +233,9 @@ func TestRouteDedupMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRouteDedupDirectedCases pins the duplicate classes the sort-based
-// dedup argument enumerates. Pool encodings ascend with the entry index.
+// TestRouteDedupDirectedCases pins the duplicate classes the
+// order-based dedup argument enumerates, and the queue orders placement
+// must undo. Pool encodings ascend with the entry index.
 func TestRouteDedupDirectedCases(t *testing.T) {
 	t.Parallel()
 	pool := newRoutePool()
@@ -270,6 +274,29 @@ func TestRouteDedupDirectedCases(t *testing.T) {
 			outs: []send{
 				pool.send(10, 12, 4), pool.send(10, ids.None, 3), pool.send(10, 11, 2),
 				pool.send(10, ids.None, 1), pool.send(10, 13, 1), pool.send(10, 11, 5),
+			},
+		},
+		{ // one payload unicast to receivers in descending id order
+			nodeIDs: nodes, done: make([]bool, 4),
+			outs: []send{pool.send(10, 13, 2), pool.send(10, 12, 2), pool.send(10, 11, 2), pool.send(10, 10, 2)},
+		},
+		{ // blocks queued in descending (encoding, receiver) order: placement
+			// reorders every send
+			nodeIDs: nodes, done: make([]bool, 4),
+			outs: []send{
+				pool.send(10, 13, 5), pool.send(10, 11, 5), pool.send(10, ids.None, 4),
+				pool.send(10, 12, 3), pool.send(10, 11, 2), pool.send(10, ids.None, 1),
+				pool.send(10, 12, 0), pool.send(10, 11, 0),
+				pool.send(12, 13, 4), pool.send(12, ids.None, 3), pool.send(12, 10, 1),
+			},
+		},
+		{ // exact duplicates interleaved with a broadcast of the same encoding:
+			// every copy but the broadcast is dropped
+			nodeIDs: nodes, done: make([]bool, 4),
+			outs: []send{
+				pool.send(11, 13, 1), pool.send(11, 10, 1), pool.send(11, ids.None, 1),
+				pool.send(11, 13, 1), pool.send(11, 10, 1), pool.send(11, ids.None, 1),
+				pool.send(11, 12, 0),
 			},
 		},
 	}
@@ -338,8 +365,8 @@ func FuzzRouteDedup(f *testing.F) {
 // shuffled order, each generation sharing about half its encodings with
 // the one before, two sends' ranks compare as bytes.Compare compares
 // their encodings, a rank's entry holds its sends' encoding, and a
-// sender's block sorted as the route pass sorts it reads in (encoding,
-// to) order. Ranking by first-met order or by hash fails it.
+// sender's block as the step merge places it reads in (encoding, to)
+// order. Ranking by first-met order or by hash fails it.
 func TestRanksOrderLikeEncodings(t *testing.T) {
 	t.Parallel()
 	var payloads []wire.Payload
@@ -379,9 +406,7 @@ func TestRanksOrderLikeEncodings(t *testing.T) {
 		for _, e := range encs {
 			last[e] = true
 		}
-		net.intern.rotate()
-		net.intern.admit(sends, buf)
-		net.intern.rank(sends)
+		outs := net.place([]stepResult{{sends: sends, enc: buf}}) // renumbers sends in place
 		for i := range sends {
 			if got := net.intern.entry(sends[i].at).enc; got != encs[i] {
 				t.Fatalf("generation %d: send %d ranks %d, whose entry holds %x, not its encoding %x", gen, i, sends[i].at, got, encs[i])
@@ -393,12 +418,14 @@ func TestRanksOrderLikeEncodings(t *testing.T) {
 				}
 			}
 		}
-		slices.SortFunc(sends, compareSends)
-		for i := 1; i < len(sends); i++ {
-			a, b := sends[i-1], sends[i]
+		if len(outs) != len(sends) {
+			t.Fatalf("generation %d: placed %d of %d sends", gen, len(outs), len(sends))
+		}
+		for i := 1; i < len(outs); i++ {
+			a, b := outs[i-1], outs[i]
 			ea, eb := net.intern.entry(a.at).enc, net.intern.entry(b.at).enc
 			if c := strings.Compare(ea, eb); c > 0 || c == 0 && a.to > b.to {
-				t.Fatalf("generation %d: sorted block holds (%x, %v) before (%x, %v)", gen, ea, a.to, eb, b.to)
+				t.Fatalf("generation %d: placed block holds (%x, %v) before (%x, %v)", gen, ea, a.to, eb, b.to)
 			}
 		}
 	}

@@ -33,12 +33,17 @@ import (
 // cleared before the set enters the pool, so parked scratch pins no
 // payload beyond the intern table's two generations.
 type netScratch struct {
-	// Step merge (network.go): the node-ordered send stream, the
-	// per-node result slots it is merged from, and the per-node send
-	// buffers parked for the next node to be added.
-	outs    []send
-	results []stepResult
-	spare   []nodeBuf
+	// Step merge (network.go): the placed send stream, the per-node
+	// result slots it is merged from, and the per-node send buffers
+	// parked for the next node to be added. Placement (intern.go): the
+	// per-rank counts, the rank-major permutation and the per-sender
+	// cursors.
+	outs        []send
+	results     []stepResult
+	spare       []nodeBuf
+	rankStart   []int32
+	placeRefs   []placeRef
+	placeCursor []int32
 	// roundEvents is the round record: the current round's engine events
 	// and, for an Observer, one event per stored message (see RunRound).
 	roundEvents []trace.Event
