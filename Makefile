@@ -3,40 +3,15 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-e2e bench-json perf-smoke chaos-smoke mutants experiments experiments-md fuzz examples vet lint loc clean
+.PHONY: all build test test-short race cover bench bench-e2e bench-json perf-smoke chaos-smoke mutants experiments experiments-md fuzz examples vet loc clean
 
-all: vet lint test
+all: vet test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
-
-# Static analysis: the repo's own go/analysis suite (cmd/ubalint) run
-# over every package via go vet's -vettool protocol. Its pass,
-# complexity, certifies the protocols' message-complexity contracts,
-# fed by the interprocedural summary fact pass; see DESIGN.md "Static
-# analysis" and internal/lint. The step task's ownership and
-# non-blocking rules, the Process isolation contract and the round's
-# allocation-freedom are runtime-tested instead (the race job's
-# "Step-task ownership gate", "Process isolation gate" and "Zero-alloc
-# gate"), and so are buffer recycling (internal/spec's retention check
-# in every spec differential), determinism (the seed- and worker-count
-# determinism tests, the spec differentials) and wire registration
-# (internal/wire's tests).
-# Suppress a false positive in-source with: //lint:allow <pass> <reason>
-#
-# bin/ubalint is a real make target: it rebuilds only when the linter's
-# sources (cmd/ubalint, internal/lint, internal/complexity, the
-# vendored x/tools) change, so repeated `make lint` runs skip the build.
-LINT_SRCS := $(shell find cmd/ubalint internal/lint internal/complexity vendor/golang.org/x/tools -name '*.go' -not -path '*/testdata/*') go.mod
-
-bin/ubalint: $(LINT_SRCS)
-	$(GO) build -o $@ ./cmd/ubalint
-
-lint: bin/ubalint
-	$(GO) vet -vettool=bin/ubalint ./...
 
 # Code size, the way CHANGES.md quotes it: Go lines that are not tests,
 # testdata, blank or whole-line comments, per layer; TLOC counts the
@@ -47,8 +22,6 @@ loc:
 	@echo "internal/core/{rotor,consensus,parallelcon}        $$($(call LOC,internal/core/rotor internal/core/consensus internal/core/parallelcon))"
 	@echo "internal/core + census + wire                      $$($(call LOC,internal/core internal/census internal/wire))"
 	@echo "internal/simnet                                    $$($(call LOC,internal/simnet))"
-	@echo "internal/lint                                      $$($(call LOC,internal/lint))"
-	@echo "internal/lint + internal/complexity + cmd/ubalint  $$($(call LOC,internal/lint internal/complexity cmd/ubalint))"
 	@echo "internal/spec                                      $$($(call LOC,internal/spec))"
 	@echo "internal/core tests                                $$($(call TLOC,internal/core))"
 
@@ -58,29 +31,35 @@ test:
 # Mutation check: each hand mutant in internal/spec/testdata/mutants (one
 # patch per mutant: protocol slips, a seeded allocation per file of the
 # round path that a zero-alloc gate must kill, the retention slips the
-# spec differentials' retention check must kill, and the determinism and
-# wire-registration slips the retired lint passes were scored on) is
-# applied alone to a copy of the tracked files, and the target fails if
-# `go test` over MUTANT_PKGS passes with any of them, or fails without a
-# failing test (a mutant that does not build). Each line names the
-# mutant and the top-level tests (package.Test) that killed it.
+# spec differentials' retention check must kill, the determinism and
+# wire-registration slips, and the complexity slips
+# TestRegistryIsTight must kill) is applied alone to a copy of the
+# tracked files, and the target fails if `go test` over MUTANT_PKGS
+# passes with any of them, or fails without a failing test (a mutant
+# that does not build). Each line names the mutant and the top-level
+# tests (package.Test) that killed it, then the packages whose result
+# came from the test cache: go test caches passing results only, so a
+# package the patch cannot reach is served from the cache and every
+# kill is a fresh failure.
 # internal/wire and internal/adversary are there for the wirereg-* and
 # determinism-* patches their tests kill (TestKindString,
-# TestRandomNoiseIsDeterministicPerSeed).
-MUTANT_PKGS = ./internal/core/... ./internal/census/... ./internal/simnet/... ./internal/wire/ ./internal/adversary/
+# TestRandomNoiseIsDeterministicPerSeed), internal/complexity for the
+# complexity-* ones.
+MUTANT_PKGS = ./internal/core/... ./internal/census/... ./internal/simnet/... ./internal/wire/ ./internal/adversary/ ./internal/complexity/
 MUTANTS = $(sort $(wildcard internal/spec/testdata/mutants/*.patch))
 mutants:
 	@tree=$$(mktemp -d) && trap 'rm -rf "$$tree"' EXIT && \
 	git ls-files -z | xargs -0 cp --parents -t "$$tree" && survived=0 && \
 	for p in $(MUTANTS); do \
 		(cd "$$tree" && git apply "$(CURDIR)/$$p") || exit 1; \
-		if (cd "$$tree" && $(GO) test -count=1 $(MUTANT_PKGS) >"$$tree/.log" 2>&1); then \
+		if (cd "$$tree" && $(GO) test $(MUTANT_PKGS) >"$$tree/.log" 2>&1); then \
 			echo "SURVIVED $$p"; survived=1; \
 		elif killers=$$(awk '/^--- FAIL: /{t[++k]=$$3} /^(FAIL|ok)\tuba\//{n=split($$2,d,"/"); for(i=1;i<=k;i++) print d[n] "." t[i]; k=0}' "$$tree/.log" | sort -u) && [ -n "$$killers" ]; then \
 			echo "killed   $$p by" $$killers; \
 		else \
 			echo "NO TEST FAILED (does it build?) $$p"; survived=1; \
 		fi; \
+		echo "         (cached)" $$(awk '/^ok .*\(cached\)$$/{print $$2}' "$$tree/.log"); \
 		(cd "$$tree" && git apply -R "$(CURDIR)/$$p") || exit 1; \
 	done; exit $$survived
 

@@ -107,9 +107,10 @@ func runPerfSmoke(baselinePath string, nsTol, allocTol float64, warnOnly bool, o
 		violations)
 }
 
-// perfSmokeDiff measures each spec and reports its ns/op and allocs/op
-// deltas against the baseline row of the same name, returning how many
-// rows broke their band.
+// perfSmokeDiff measures each spec that has a baseline row of the same
+// name and reports its ns/op and allocs/op deltas against that row,
+// returning how many rows broke their band. A spec with no baseline row
+// is skipped unmeasured.
 func perfSmokeDiff(baseline engineBenchFile, specs []benchSpec, nsTol, allocTol float64, out io.Writer) (int, error) {
 	byName := make(map[string]engineBenchResult, len(baseline.Benchmarks))
 	for _, b := range baseline.Benchmarks {
@@ -117,14 +118,14 @@ func perfSmokeDiff(baseline engineBenchFile, specs []benchSpec, nsTol, allocTol 
 	}
 	violations := 0
 	for _, spec := range specs {
+		base, ok := byName[spec.name]
+		if !ok {
+			fmt.Fprintf(out, "%-40s (no baseline row; skipped)\n", spec.name)
+			continue
+		}
 		r, err := measure(spec)
 		if err != nil {
 			return violations, fmt.Errorf("perf smoke: %w", err)
-		}
-		base, ok := byName[r.Name]
-		if !ok {
-			fmt.Fprintf(out, "%-40s %12.0f ns/op   (no baseline row; skipped)\n", r.Name, r.NsPerOp)
-			continue
 		}
 		nsDelta := (r.NsPerOp - base.NsPerOp) / base.NsPerOp
 		allocBand := float64(base.AllocsPerOp)*(1+allocTol) + allocSlack

@@ -152,7 +152,7 @@ func TestPerfSmokeDiffAllWithinTolerance(t *testing.T) {
 // report by the -warn-only escape hatch.
 func TestPerfSmokeGateFailsAndWarnOnlyBypasses(t *testing.T) {
 	if testing.Short() {
-		t.Skip("measures the real n=256 smoke benchmarks")
+		t.Skip("measures a real n=256 smoke benchmark")
 	}
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "baseline.json")
@@ -167,8 +167,8 @@ func TestPerfSmokeGateFailsAndWarnOnlyBypasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The baseline holds one row with an impossibly fast ns/op, so the
-	// matching smoke spec must break its band; every other measured row
-	// has no baseline row and is skipped without counting.
+	// matching smoke spec must break its band; every other smoke spec
+	// has no baseline row and is skipped unmeasured.
 	var buf bytes.Buffer
 	if err := runPerfSmoke(path, 0.5, 0.1, false, &buf); err == nil {
 		t.Fatalf("band violation did not fail the gate:\n%s", buf.String())

@@ -97,9 +97,9 @@ func Run(s Scenario) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every stock arena also runs under its family's certified
-	// complexity contract: the runtime half of the static certification
-	// (twin arenas run planted-bug protocols with no contract).
+	// Every stock arena also runs under its family's registered
+	// complexity contract (twin arenas run planted-bug protocols with no
+	// contract).
 	if fam := complexityFamily(s); fam != "" {
 		if co := oracle.NewComplexityFor(fam, 0); co != nil {
 			fix.suite.Add(co)
@@ -148,9 +148,9 @@ func Run(s Scenario) (*Outcome, error) {
 	return &Outcome{Rounds: rounds, Violations: fix.suite.Violations()}, nil
 }
 
-// complexityFamily maps an arena to the certified-contract registry
-// family its correct nodes implement, or "" for twin scenarios (their
-// planted-bug protocols carry no contract).
+// complexityFamily maps an arena to the registry family its correct
+// nodes implement, or "" for twin scenarios (their planted-bug
+// protocols carry no contract).
 func complexityFamily(s Scenario) string {
 	if s.Twin != "" {
 		return ""

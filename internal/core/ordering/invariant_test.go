@@ -121,7 +121,7 @@ func TestSimultaneousJoiners(t *testing.T) {
 }
 
 // The model lets a node unicast only to a node that has messaged it.
-// Algorithm 6 is the one family certified to unicast at all (the Ack that
+// Algorithm 6 is the one family registered to unicast at all (the Ack that
 // tells a newcomer the round), and every Ack answers a present found in
 // the inbox of the same Step: the engine enforces the rule, and a
 // session of submitting founders and a joiner runs without ErrContactRule,

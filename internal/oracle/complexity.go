@@ -1,10 +1,9 @@
-// The complexity oracle is the runtime half of the message-complexity
-// certification (DESIGN.md §8.6): ubalint proves each protocol's
-// complexity.Registry entry against its Step implementation statically,
-// and this oracle cross-checks the same entry against the engine's
-// observed per-round tallies during every campaign. The two halves fail
-// independently — a lint pass bug cannot silently void the runtime
-// bound, and vice versa.
+// The complexity oracle holds each protocol family's
+// complexity.Registry entry against the engine's observed per-round
+// tallies during every campaign (DESIGN.md §8). It sees a correct node
+// that sends more than its entry allows; an entry looser than its
+// family's runs is TestRegistryIsTight's to catch, since a looser
+// bound only makes this oracle more lenient.
 package oracle
 
 import (
@@ -41,7 +40,7 @@ func NewComplexity(family string, ct complexity.Contract, slack int) StatsOracle
 }
 
 // NewComplexityFor is NewComplexity with the contract looked up in the
-// certified registry; it returns nil (attach nothing) for families
+// registry; it returns nil (attach nothing) for families
 // without a registered contract.
 func NewComplexityFor(family string, slack int) StatsOracle {
 	ct, ok := complexity.Lookup(family)

@@ -45,7 +45,7 @@ func TestComplexityOracleBounds(t *testing.T) {
 	}
 }
 
-// TestNewComplexityFor checks the registry lookup path: certified
+// TestNewComplexityFor checks the registry lookup path: registered
 // families get an oracle, unknown ones get nil (attach nothing).
 func TestNewComplexityFor(t *testing.T) {
 	t.Parallel()

@@ -159,14 +159,14 @@ func (t *internTable) rank() {
 	if len(c.entries) < len(t.ranked) {
 		clear(t.ranked[len(c.entries):]) // pin no encoding of an older round
 	}
-	r := grown(t.ranked, len(c.entries))
+	r := slices.Grow(t.ranked[:0], len(c.entries))[:len(c.entries)]
 	for i := range c.entries {
 		var b [8]byte
 		copy(b[:], c.entries[i].enc)
 		r[i] = rankRef{key: binary.BigEndian.Uint64(b[:]), enc: c.entries[i].enc, i: int32(i)}
 	}
 	slices.SortFunc(r, compareRefs)
-	t.rankOf = grown(t.rankOf, len(r))
+	t.rankOf = slices.Grow(t.rankOf[:0], len(r))[:len(r)]
 	for k := range r {
 		t.rankOf[r[k].i] = uint32(k)
 	}

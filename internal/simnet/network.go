@@ -91,7 +91,7 @@ type RoundObserver interface {
 // RoundAccounting is the per-round traffic ledger: the
 // broadcast/unicast split of the round's send operations, the
 // post-fanout delivery tallies, and the largest single-node send
-// counts among correct senders — the quantity the protocols' certified
+// counts among correct senders — the quantity the protocols' registered
 // complexity contracts bound. It is computed in one allocation-free
 // pass over the placed send stream.
 type RoundAccounting struct {

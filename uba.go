@@ -196,7 +196,7 @@ type cluster struct {
 // family, which must have a contract in complexity.Registry: the
 // runtime complexity oracle is attached as the network's observer, so
 // every campaign — sweep cells, soak runs, examples — cross-checks the
-// statically certified per-round send classes against observed traffic.
+// registered per-round send classes against observed traffic.
 func newCluster(cfg Config, family string) (*cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -250,7 +250,7 @@ func (c *cluster) run(stop func(*simnet.Network) bool) (int, error) {
 }
 
 // complexityErr surfaces a fired complexity oracle as a run error: a
-// correct node exceeding its family's certified per-round send class
+// correct node exceeding its family's registered per-round send class
 // is a protocol or engine regression, not a protocol outcome. Runners
 // that drive RunRound themselves call it once at the end of the run.
 func (c *cluster) complexityErr() error {
