@@ -44,8 +44,9 @@ test:
 # internal/wire and internal/adversary are there for the wirereg-* and
 # determinism-* patches their tests kill (TestKindString,
 # TestRandomNoiseIsDeterministicPerSeed), internal/complexity for the
-# complexity-* ones.
-MUTANT_PKGS = ./internal/core/... ./internal/census/... ./internal/simnet/... ./internal/wire/ ./internal/adversary/ ./internal/complexity/
+# complexity-* ones, internal/oracle for oracle-suite-hides-messages
+# (TestBroadcastOraclesCleanRun).
+MUTANT_PKGS = ./internal/core/... ./internal/census/... ./internal/simnet/... ./internal/wire/ ./internal/adversary/ ./internal/complexity/ ./internal/oracle/
 MUTANTS = $(sort $(wildcard internal/spec/testdata/mutants/*.patch))
 mutants:
 	@tree=$$(mktemp -d) && trap 'rm -rf "$$tree"' EXIT && \

@@ -22,6 +22,11 @@
 //
 //	stats: wall_ms=… alloc_mb=… peak_rss_mb=…
 //
+// With -warm k, ubasim runs the same configuration k times in one
+// process and prints only the last run, so -stats reports a warm run:
+// its pooled scratch already grown by the runs before it. Peak RSS is
+// still the whole process's.
+//
 // A run that fails — a bad flag value included — prints only its error.
 package main
 
@@ -60,6 +65,7 @@ func run(args []string, out io.Writer) error {
 	traceRounds := fs.Int("trace", 0, "print a message transcript of the first N rounds")
 	reproPath := fs.String("repro", "", "replay a chaos repro JSON file and exit")
 	stats := fs.Bool("stats", false, "after the run, print its wall time, heap allocated and the process's peak RSS")
+	warm := fs.Int("warm", 1, "run the configuration this many times in one process and print only the last run (peak RSS stays the process's)")
 	jobs := fs.Int("jobs", 0, "how many goroutines step the run's nodes (0 = inline); the shared simulation scheduler's budget becomes min(jobs, GOMAXPROCS), also for a -repro replay; output is identical for every value")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,6 +75,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *traceRounds < 0 {
 		return fmt.Errorf("-trace must be >= 0")
+	}
+	if *warm < 1 {
+		return fmt.Errorf("-warm must be >= 1")
 	}
 	if *protocol == "impossibility" && *traceRounds > 0 {
 		return fmt.Errorf("-trace does not apply to -protocol impossibility: the demo runs on the event-driven network, which records no transcript")
@@ -83,6 +92,11 @@ func run(args []string, out io.Writer) error {
 		sched.SetDefaultBudget(min(*jobs, runtime.GOMAXPROCS(0)))
 	}
 	if *reproPath != "" {
+		for range *warm - 1 {
+			if err := replayRepro(*reproPath, io.Discard); err != nil {
+				return err
+			}
+		}
 		meter := startMeter(*stats)
 		if err := replayRepro(*reproPath, out); err != nil {
 			return err
@@ -102,6 +116,15 @@ func run(args []string, out io.Writer) error {
 	if *traceRounds > 0 {
 		transcript = trace.NewEventLog(0)
 		cfg.EventLog = transcript
+	}
+	for range *warm - 1 {
+		warmCfg := cfg
+		if transcript != nil {
+			warmCfg.EventLog = trace.NewEventLog(0)
+		}
+		if err := simulate(*protocol, warmCfg, *timing, io.Discard); err != nil {
+			return err
+		}
 	}
 	var result bytes.Buffer
 	meter := startMeter(*stats)

@@ -104,6 +104,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-protocol", "approx", "-g", "-3", "-f", "1"},
 		{"-protocol", "vector", "-g", "-3", "-f", "1"},
 		{"-trace", "-3"},
+		{"-warm", "0"},
 		{"-protocol", "impossibility", "-trace", "5"},
 	} {
 		var buf bytes.Buffer
@@ -164,6 +165,24 @@ func TestRunWithStats(t *testing.T) {
 	}
 	if strings.Contains(plain.String(), "stats:") {
 		t.Fatal("a run without -stats printed a stats line")
+	}
+}
+
+// -warm k prints what one run prints: the k-1 runs before the last are
+// silent, and a run of the same configuration is the same run however
+// warm the process is.
+func TestRunWarmPrintsTheLastRun(t *testing.T) {
+	t.Parallel()
+	args := []string{"-protocol", "consensus", "-g", "4", "-f", "1", "-trace", "3"}
+	var plain, warm bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-warm", "3"), &warm); err != nil {
+		t.Fatal(err)
+	}
+	if warm.String() != plain.String() {
+		t.Fatalf("-warm 3 printed:\n%s\none run printed:\n%s", warm.String(), plain.String())
 	}
 }
 

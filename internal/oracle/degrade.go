@@ -52,6 +52,9 @@ func NewDegraded(inner Oracle, recovery int) Oracle {
 // Name implements Oracle.
 func (d *degraded) Name() string { return d.inner.Name() }
 
+// readsMessages forwards the inner oracle's answer.
+func (d *degraded) readsMessages() bool { return readsMessages(d.inner) }
+
 // disrupted reports whether the given round's events mark the network
 // as disrupted, updating the partition state.
 func (d *degraded) disrupted(round int, events []trace.Event) bool {
@@ -97,5 +100,5 @@ func (s *Suite) Wrap(f func(Oracle) Oracle) {
 			s.oracles[i] = w
 		}
 	}
-	s.sortStats()
+	s.classify()
 }

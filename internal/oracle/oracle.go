@@ -14,6 +14,11 @@
 // receiver. So the record answers "who sent what"; anything per-receiver
 // — who accepted, decided, holds which chain — comes from Probers, as in
 // every stock oracle; the per-delivery transcript is the EventLog's.
+// The message events cost the engine one event per stored message, so a
+// Suite asks for them only when one of its oracles reads them
+// (Suite.ReadsMessages); of the stock oracles only NewNoForgedSender
+// does. Every other oracle sees the engine events alone, unless it
+// shares a suite with one that reads messages.
 // Catching a violation *online*, in the
 // round it first becomes observable, is what makes the chaos campaign's
 // failure shrinking (internal/chaos) possible: the shrinker re-runs a
@@ -56,15 +61,31 @@ type Violation struct {
 }
 
 // Oracle is one online safety monitor. Observe is called once per
-// completed round with the round's record (message events carry the
-// canonical wire encoding in Enc; engine events precede them). The
-// events slice is reused by the engine and must not be retained.
-// A non-nil return stops further Observe calls to this oracle.
+// completed round with the round's record: its engine events, then —
+// only if some oracle of the suite reads them — its message events,
+// which carry the canonical wire encoding in Enc. An oracle that must
+// see the message events says so through an unexported marker, which
+// only this package's oracles can carry (NewNoForgedSender, and
+// NewDegraded around one). The events slice is reused by the engine and
+// must not be retained. A non-nil return stops further Observe calls to
+// this oracle.
 type Oracle interface {
 	// Name identifies the monitor in violations and repro files.
 	Name() string
 	// Observe checks one round; nil means no violation yet.
 	Observe(round int, events []trace.Event) *Violation
+}
+
+// messageReader is the marker of an oracle that reads the record's
+// message events. An oracle without it must not depend on them.
+type messageReader interface {
+	readsMessages() bool
+}
+
+// readsMessages reports whether o reads the record's message events.
+func readsMessages(o Oracle) bool {
+	m, ok := o.(messageReader)
+	return ok && m.readsMessages()
 }
 
 // Claim is one node's statement about its protocol state, pushed by a
@@ -338,7 +359,8 @@ type funcOracle struct {
 
 // NewFunc wraps a function as an Oracle, for family-specific checks that
 // do not fit the keyed-claim monitors (approximate agreement's epsilon
-// band, renaming's name uniqueness, ...).
+// band, renaming's name uniqueness, ...). The function reads no message
+// event: it gets them only when another oracle of its suite reads them.
 func NewFunc(name string, fn func(round int, events []trace.Event) *Violation) Oracle {
 	return &funcOracle{name: name, fn: fn}
 }
@@ -396,8 +418,11 @@ type noForgedSender struct {
 // really broadcast m. Genuine broadcasts are learned from the message
 // events (the engine stamps true senders, so an rbmessage whose stamped
 // sender equals its claimed source is genuine; From, Kind and Enc are
-// all it reads, never To); acceptances are probed from node state. It also flags a correct node transmitting an rbmessage
-// with a foreign source — something no correct implementation does.
+// all it reads, never To); acceptances are probed from node state. It
+// also flags a correct node transmitting an rbmessage with a foreign
+// source — something no correct implementation does. It is the stock
+// oracle that reads message events, so a suite holding it has the
+// engine build them.
 func NewNoForgedSender(name string, correct *ids.Set, accepted AcceptanceProber) Oracle {
 	o := &noForgedSender{
 		name:     name,
@@ -411,6 +436,9 @@ func NewNoForgedSender(name string, correct *ids.Set, accepted AcceptanceProber)
 
 // Name implements Oracle.
 func (o *noForgedSender) Name() string { return o.name }
+
+// readsMessages marks the oracle as a reader of message events.
+func (o *noForgedSender) readsMessages() bool { return true }
 
 // checkAcceptance looks one acceptance up among the genuine pairs.
 func (o *noForgedSender) checkAcceptance(acc RBAcceptance) bool {
@@ -464,11 +492,14 @@ func (o *noForgedSender) Observe(round int, events []trace.Event) *Violation {
 
 // Suite runs a set of oracles over a simulation, one Observe sweep per
 // round. It implements simnet.RoundObserver, so it attaches directly as
-// Config.Observer. Each oracle reports at most one violation (its first);
-// the suite keeps observing the remaining oracles after one fires.
+// Config.Observer, and simnet.MessageReader, so the engine builds the
+// message events only for a suite that has a reader of them. Each oracle
+// reports at most one violation (its first); the suite keeps observing
+// the remaining oracles after one fires.
 type Suite struct {
 	oracles    []Oracle
 	stats      []statsOracle // the StatsOracles among oracles, sorted out once
+	messages   bool          // some oracle reads message events
 	fired      []bool
 	violations []Violation
 }
@@ -479,12 +510,15 @@ type statsOracle struct {
 	o StatsOracle
 }
 
-var _ simnet.RoundObserver = (*Suite)(nil)
+var (
+	_ simnet.RoundObserver = (*Suite)(nil)
+	_ simnet.MessageReader = (*Suite)(nil)
+)
 
 // NewSuite builds a suite over the given oracles.
 func NewSuite(oracles ...Oracle) *Suite {
 	s := &Suite{oracles: oracles, fired: make([]bool, len(oracles))}
-	s.sortStats()
+	s.classify()
 	return s
 }
 
@@ -492,19 +526,27 @@ func NewSuite(oracles ...Oracle) *Suite {
 func (s *Suite) Add(o Oracle) {
 	s.oracles = append(s.oracles, o)
 	s.fired = append(s.fired, false)
-	s.sortStats()
+	s.classify()
 }
 
-// sortStats notes which oracles are StatsOracles, so a round's stats
-// sweep asserts nothing.
-func (s *Suite) sortStats() {
+// classify notes which oracles are StatsOracles and whether any reads
+// message events, so a round asserts nothing.
+func (s *Suite) classify() {
 	s.stats = s.stats[:0]
+	s.messages = false
 	for i, o := range s.oracles {
 		if so, ok := o.(StatsOracle); ok {
 			s.stats = append(s.stats, statsOracle{i, so})
 		}
+		s.messages = s.messages || readsMessages(o)
 	}
 }
+
+// ReadsMessages implements simnet.MessageReader: it reports whether one
+// of the suite's oracles reads message events. The engine asks every
+// round, so an oracle added or wrapped later is heard from the next
+// round on.
+func (s *Suite) ReadsMessages() bool { return s.messages }
 
 // ObserveRound implements simnet.RoundObserver.
 func (s *Suite) ObserveRound(round int, events []trace.Event) {

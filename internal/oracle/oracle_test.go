@@ -228,6 +228,39 @@ func TestSuiteRecordsFirstViolationPerOracle(t *testing.T) {
 	}
 }
 
+// TestSuiteReadsMessagesOnlyForAReader: a suite asks the engine for the
+// message events exactly when one of its oracles reads them — the
+// unforgeability monitor, bare or inside a degradation wrapper — and
+// its answer follows Add and Wrap. TestBroadcastOraclesCleanRun shows
+// why the answer matters: a broadcast suite fed no message events never
+// learns a genuine pair, and its clean run fires.
+func TestSuiteReadsMessagesOnlyForAReader(t *testing.T) {
+	t.Parallel()
+	quiet := NewFunc("quiet", func(int, []trace.Event) *Violation { return nil })
+	forge := NewNoForgedSender("forge", ids.NewSet(1), func(func(RBAcceptance) bool) {})
+	s := NewSuite(quiet, NewComplexityFor("consensus", 0), NewDegraded(quiet, 2))
+	if s.ReadsMessages() {
+		t.Fatal("a suite of non-readers reads message events")
+	}
+	s.Add(forge)
+	if !s.ReadsMessages() {
+		t.Fatal("adding the unforgeability oracle did not make the suite a reader")
+	}
+	s.Wrap(func(o Oracle) Oracle { return NewDegraded(o, 2) })
+	if !s.ReadsMessages() {
+		t.Fatal("wrapping the unforgeability oracle hid its reading")
+	}
+	s.Wrap(func(o Oracle) Oracle {
+		if o.Name() == "forge" {
+			return quiet
+		}
+		return nil
+	})
+	if s.ReadsMessages() {
+		t.Fatal("the suite still reads message events after its reader was replaced")
+	}
+}
+
 // TestConsensusOraclesCleanRun attaches the consensus suite to a fully
 // correct run and requires silence.
 func TestConsensusOraclesCleanRun(t *testing.T) {

@@ -14,6 +14,14 @@ type discardObserver struct{}
 
 func (discardObserver) ObserveRound(int, []trace.Event) {}
 
+// statsObserver is the observer=stats variants' observer: like an oracle
+// suite whose oracles read only the round's accounting, it takes the
+// ledger and declines the message events.
+type statsObserver struct{ discardObserver }
+
+func (statsObserver) ReadsMessages() bool                    { return false }
+func (statsObserver) ObserveRoundStats(int, RoundAccounting) {}
+
 // TestRouteHotPathZeroAlloc is the allocation contract of the round
 // hot path: after the warm-up rounds that grow the recycled arenas to
 // their high-water mark, a steady-state
@@ -36,6 +44,12 @@ func (discardObserver) ObserveRound(int, []trace.Event) {}
 // observer, so observation costs a steady-state round no allocation
 // either.
 //
+// The observer=stats variants certify an observed round whose observer
+// reads no message event (MessageReader): the round record holds the
+// engine events alone — none, on this fault-free fixture — and the
+// observer gets the round's accounting instead, also without an
+// allocation.
+//
 // The reader=said variants certify a round that is read payload-major:
 // after the route one receiver asks for Inbox.Said, so the measured body
 // also builds the block's index — sender list, group headers, slab —
@@ -55,6 +69,7 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 		{"plan=nil", Config{}},
 		{"plan=idle", Config{FaultPlan: &FaultPlan{Seed: 1}}},
 		{"observer=on", Config{Observer: discardObserver{}}},
+		{"observer=stats", Config{Observer: statsObserver{}}},
 		{"reader=said", Config{}},
 	} {
 		label := variant.label
@@ -88,7 +103,9 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 						t.Fatalf("fixture routed %d deliveries / %d broadcasts per round, want n^2 = %d / n = %d",
 							acct.Deliveries, acct.Broadcasts, int64(n)*int64(n), n)
 					}
-					record := 0 // nothing is recorded for a round nobody observes
+					// Nothing is recorded for a round nobody observes, nor
+					// for an observer that reads no message event.
+					record := 0
 					if label == "observer=on" {
 						record = n
 					}

@@ -134,7 +134,7 @@ func (rp *RoundPhases) nextSends() []send {
 
 // Inbox returns the inbox the first node will step with next round, for
 // a reader of the routed block (the reader=said rows call its Said).
-func (rp *RoundPhases) Inbox() Inbox { return rp.net.live[0].inbox }
+func (rp *RoundPhases) Inbox() Inbox { return rp.net.inboxOf(rp.net.live[0]) }
 
 // Close retires the underlying network, recycling its round scratch.
 func (rp *RoundPhases) Close() { rp.net.Close() }

@@ -23,7 +23,7 @@ type refContacts map[ids.ID]map[ids.ID]bool
 // the round just routed.
 func (ref refContacts) note(n *Network) {
 	for _, st := range n.live {
-		for m := range st.inbox.All() {
+		for m := range n.inboxOf(st).All() {
 			ref[st.id][m.From] = true
 		}
 	}

@@ -170,7 +170,7 @@ func TestInboxViewsShareBroadcastBlock(t *testing.T) {
 	}
 	mustRounds(t, net, 2)
 	for _, st := range net.live {
-		in := st.inbox
+		in := net.inboxOf(st)
 		if in.Len() != n+1 { // n broadcasts + 1 unicast each
 			t.Fatalf("node %v inbox length %d, want %d", st.id, in.Len(), n+1)
 		}

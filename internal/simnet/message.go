@@ -48,7 +48,7 @@
 //     amplification floods.
 //   - Config.Observer receives each round's record at the round
 //     boundary, the feed for the online safety oracles in
-//     internal/oracle.
+//     internal/oracle; its message events only if it reads them.
 //
 // # One round loop, one round record
 //
@@ -65,8 +65,8 @@
 // own node's state and result slot, and the merge reads the slots in
 // node order, so the routed send stream is independent of worker
 // scheduling; (2) everything after the merge — sort, dedup, arena
-// sizing, the round record, handing out inbox views, the tallies — is
-// one serial pass that no worker takes part in; (3) the one thing step
+// sizing, the round record, noting each receiver's inbox, the tallies —
+// is one serial pass that no worker takes part in; (3) the one thing step
 // tasks share beyond read-only storage, the payload-major index of the
 // broadcast block (Inbox.Said, Inbox.Broadcasters), is built on demand
 // by whichever task asks first, but it is a pure function of the block
@@ -81,8 +81,12 @@
 // To == 0 meaning "delivered to every receiver live this round", then
 // each unicast-arena entry once, in receiver order (on link-fault rounds
 // the surviving broadcast copies are arena entries, one per link that
-// kept its copy). That is O(B + U) events, built only for
-// Config.Observer; the delivery pass is the same observed or not. Who
+// kept its copy). That is O(B + U) events, built only for a
+// Config.Observer that reads them: an observer that implements
+// MessageReader and answers false — an oracle suite whose oracles read
+// only engine events and the round's accounting, such as every public
+// run's — gets the engine events alone, and the route pass builds no
+// message event. The delivery pass is the same observed or not. Who
 // received what is not in the record: Config.EventLog, the one
 // per-delivery consumer, gets the engine events followed by every
 // receiver's next-round inbox read back through Inbox.All.

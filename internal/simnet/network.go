@@ -59,8 +59,11 @@ type Config struct {
 	// events (node order), link-fault events (send order), then one
 	// message event per message stored for delivery next round — a
 	// broadcast once with To == 0, an arena entry once with its receiver
-	// (see the package docs); O(B + U) events, not n·B. The slice is
-	// reused across rounds; observers must not retain it.
+	// (see the package docs); O(B + U) events, not n·B. The message
+	// events are present only for an observer that reads them: one that
+	// implements MessageReader and answers false gets the engine events
+	// alone. The slice is reused across rounds; observers must not
+	// retain it.
 	Observer RoundObserver
 	// SendQuota, when positive, bounds the send operations one node may
 	// queue in one round. Excess sends are dropped deterministically
@@ -83,9 +86,21 @@ type Config struct {
 // attachment point for online safety monitors. ObserveRound is called
 // once per successful round, from the goroutine driving the network,
 // whatever the worker cap. The events slice is valid only for the
-// duration of the call.
+// duration of the call. It holds the round's message events only if the
+// observer reads them (see MessageReader); its engine events always.
 type RoundObserver interface {
 	ObserveRound(round int, events []trace.Event)
+}
+
+// MessageReader is the optional extension of RoundObserver for an
+// observer that can say whether it reads the round record's message
+// events. The engine asks once per round, before the route pass, and
+// builds the message events only on a true answer; an observer that
+// does not implement it gets them every round. Asking every round lets
+// an observer's answer change between rounds (an oracle suite can gain
+// an oracle after the network is built).
+type MessageReader interface {
+	ReadsMessages() bool
 }
 
 // RoundAccounting is the per-round traffic ledger: the
@@ -158,7 +173,10 @@ type procState struct {
 	// Empty until needed.
 	heard ids.Set
 
-	inbox Inbox
+	// delivery is where this node's next-round inbox lies in the
+	// network's block and arena: written by the route pass, consumed by
+	// the node's next step (see Network.inboxOf).
+	delivery inboxBounds
 
 	// Round-scoped scratch, recycled across rounds (see the package
 	// docs for the retention contract this imposes on Process.Step).
@@ -166,6 +184,15 @@ type procState struct {
 	// returned to it when the node is removed or the network closed.
 	env RoundEnv
 	buf nodeBuf
+}
+
+// inboxBounds locates one receiver's inbox in the round's storage: if
+// fed, the whole shared broadcast block and the arena segment
+// uniArena[lo:hi]; if not, nothing. It is 12 bytes, so the route pass
+// writes that per receiver, not a whole Inbox view.
+type inboxBounds struct {
+	lo, hi int32
+	fed    bool
 }
 
 // nodeBuf is one node's send buffers: the queued send records and the
@@ -216,6 +243,9 @@ type Network struct {
 	// asserted once here, not per round: a failed interface assertion
 	// may allocate into the runtime's per-site assertion cache.
 	statsObs RoundStatsObserver
+	// msgReader is cfg.Observer as a MessageReader, or nil, asserted
+	// once like statsObs.
+	msgReader MessageReader
 	// order and live are the node table, the one way to find a node:
 	// the live process ids, sorted ascending, and their states.
 	order []ids.ID
@@ -265,6 +295,7 @@ func New(cfg Config) *Network {
 	}
 	n := &Network{cfg: cfg}
 	n.statsObs, _ = cfg.Observer.(RoundStatsObserver)
+	n.msgReader, _ = cfg.Observer.(MessageReader)
 	n.task.net = n
 	if cfg.FaultPlan != nil {
 		if err := cfg.FaultPlan.Validate(); err != nil {
@@ -393,11 +424,11 @@ func (n *Network) Round() int { return n.round }
 // start of the next round. The round's trace events accumulate in one
 // record, n.roundEvents, whose producers run in the canonical order —
 // fault-plan events, containment events (step merge), link-fault events
-// (route filter), one message event per stored message (route) — all on
-// this goroutine — and which is handed once to the Observer; the
-// EventLog is flushed by transcribe. Traffic accounting is batched the
-// same way: one Collector flush per successful round, nothing for an
-// aborted one.
+// (route filter), one message event per stored message (route, for an
+// observer that reads them) — all on this goroutine — and which is
+// handed once to the Observer; the EventLog is flushed by transcribe.
+// Traffic accounting is batched the same way: one Collector flush per
+// successful round, nothing for an aborted one.
 //
 // A Step panic does not abort the round: it is recovered inside the
 // per-node step task and the node becomes a crash fault — silent and
@@ -462,7 +493,7 @@ func (n *Network) transcribe() {
 	n.cfg.EventLog.RecordBatch(n.roundEvents[:n.engineEvents])
 	staged, end := n.roundEvents, len(n.roundEvents)
 	for _, st := range n.live {
-		for m := range st.inbox.All() {
+		for m := range n.inboxOf(st).All() {
 			staged = append(staged, messageEvent(n.round+1, &m, st.id))
 		}
 	}
@@ -567,11 +598,11 @@ func (n *Network) step() ([]send, error) {
 // per-node task, before the node-order merge — so the conversion into a
 // crash fault is identical for every worker count.
 func (n *Network) stepOne(st *procState) stepResult {
-	inbox := st.inbox
 	// The inbox view reads through the shared broadcast block and the
 	// unicast arena, which route() overwrites wholesale next round —
 	// this is what forbids Process.Step from retaining env.Inbox.
-	st.inbox = Inbox{}
+	inbox := n.inboxOf(st)
+	st.delivery = inboxBounds{}
 	if st.crashed || st.proc.Done() {
 		return stepResult{}
 	}
@@ -606,6 +637,26 @@ func (n *Network) stepOne(st *procState) stepResult {
 		}
 	}
 	return stepResult{sends: sends, enc: st.buf.enc, dropped: dropped}
+}
+
+// inboxOf returns st's next-round inbox: a view over the block and the
+// arena segment the last route pass delivered to it. Only the route pass
+// writes what it reads, so step tasks may call it concurrently.
+func (n *Network) inboxOf(st *procState) Inbox {
+	d := st.delivery
+	if !d.fed {
+		return Inbox{}
+	}
+	// Capacity caps keep even a pathological append on a leaked slice
+	// from crossing into a neighbour.
+	nb := len(n.bcastBlock)
+	return Inbox{
+		bcast: n.bcastBlock[:nb:nb],
+		bkeys: n.bcastIdx[:nb:nb],
+		uni:   n.uniArena[d.lo:d.hi:d.hi],
+		ukeys: n.uniIdx[d.lo:d.hi:d.hi],
+		idx:   n.index,
+	}
 }
 
 // safeStep runs one Step call with panic containment. It exists so the

@@ -41,13 +41,15 @@ import (
 //     view outlive the outs buffer, which the next step merge rewrites.
 //     Block and arena are recycled across rounds — which is why
 //     Process.Step must not retain env.Inbox (see the package docs).
-//     The round record, which mirrors this storage, is finished here.
+//     The round record, which mirrors this storage, is finished here
+//     for an observer that reads message events.
 //     Each block sender's lastBcast is stamped here, which is all the
 //     contact rule needs of the block (see Network.knows).
 //
-//  3. Delivery. One walk over the receivers in node order assembles,
-//     per receiver, an Inbox view over the shared block and the
-//     receiver's arena segment; the view's merge by send index
+//  3. Delivery. One walk over the receivers in node order notes, per
+//     receiver, the bounds of its arena segment; the Inbox view over
+//     the shared block and that segment is built when the receiver
+//     steps (Network.inboxOf), and its merge by send index
 //     reproduces exactly the (sender, encoding)-sorted inbox the
 //     materialized engine produced. Delivery and byte tallies are
 //     computed arithmetically (per-receiver: B broadcasts plus its
@@ -58,8 +60,8 @@ import (
 //     transcript is read back from the inboxes afterwards; see RunRound).
 
 // route fans out and filters the round's placed sends into next-round
-// inboxes, finishes the round record with the round's message events,
-// and returns the delivery/byte totals for the batched Collector flush.
+// inboxes, finishes the round record with the round's message events
+// (for an observer that reads them), and returns the delivery/byte totals for the batched Collector flush.
 // It only reads outs. See the pipeline comment at the top of this file;
 // the dedup key is (sender, encoding) per receiver, compared as ranks.
 func (n *Network) route(outs []send) (deliveries, volume int64) {
@@ -181,10 +183,13 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	// already in it, one message event per stored message — each
 	// shared-block broadcast once (To 0: delivered to every receiver
 	// live this round), then each arena entry once, in receiver order.
-	// O(B + U), like the storage; only an observer reads it. The record
-	// is grown once, to B + U more, not by doubling from empty.
+	// O(B + U), like the storage, and built only for an observer that
+	// reads message events: one that is not a MessageReader, or that
+	// answers true this round. The engine events are recorded whatever
+	// it answers. The record is grown once, to B + U more, not by
+	// doubling from empty.
 	n.engineEvents = len(n.roundEvents)
-	if n.cfg.Observer != nil {
+	if n.cfg.Observer != nil && (n.msgReader == nil || n.msgReader.ReadsMessages()) {
 		n.roundEvents = slices.Grow(n.roundEvents, nb+nu)
 		round := n.round + 1 // deliveries land at the start of the next round
 		for j := range n.bcastBlock {
@@ -197,29 +202,23 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		}
 	}
 
-	// (6) Delivery: hand every receiver its next-round inbox view, in
-	// node order. Block, arena and index lists are finished; the walk
-	// only reads them.
+	// (6) Delivery: note every receiver's next-round inbox, in node
+	// order. Block, arena and index lists are finished; the walk only
+	// reads them.
 	for i, st := range n.live {
-		ulo, uhi := int(n.uniStart[i]), int(n.uniStart[i+1])
-		nm := nb + (uhi - ulo)
+		ulo, uhi := n.uniStart[i], n.uniStart[i+1]
+		nm := nb + int(uhi-ulo)
 		if n.doneMask[i] || nm == 0 {
-			st.inbox = Inbox{}
+			st.delivery = inboxBounds{}
 			continue
 		}
-		// The receiver's inbox is a view: the shared broadcast block
-		// merged with its private arena segment by global send index —
-		// the receiver-relevant subsequence of the (from, encoding,
+		// The receiver's inbox is the shared broadcast block merged with
+		// its private arena segment by global send index — the
+		// receiver-relevant subsequence of the (from, encoding,
 		// to)-sorted send stream, i.e. the documented (sender,
-		// encoding) inbox order. Capacity caps keep even a pathological
-		// append on a leaked slice from crossing into a neighbour.
-		st.inbox = Inbox{
-			bcast: n.bcastBlock[:nb:nb],
-			bkeys: n.bcastIdx[:nb:nb],
-			uni:   n.uniArena[ulo:uhi:uhi],
-			ukeys: n.uniIdx[ulo:uhi:uhi],
-			idx:   n.index,
-		}
+		// encoding) inbox order. Only the segment's bounds are stored;
+		// the view is built when the receiver steps (Network.inboxOf).
+		st.delivery = inboxBounds{lo: ulo, hi: uhi, fed: true}
 		// Tallies are arithmetic — no per-receiver message walk: the
 		// block's sizes are shared by every live receiver.
 		deliveries += int64(nm)

@@ -18,10 +18,13 @@ import (
 // per-receiver map-based reference implementation on randomized send
 // batches: broadcast/unicast mixes, exact duplicates, unicasts
 // shadowed by same-sender broadcasts, and unknown and halted targets.
-// Each batch is split into per-node send queues and placed by the step
-// merge's own placement (Network.place), then routed under the default
-// Config and under forced multi-worker caps: the route pass is serial
-// whatever the cap, and its output must not depend on it.
+// Each batch is split into per-node send queues, which the nodes queue
+// in one real step phase — inline under the default Config, on the
+// goroutines of a forced multi-worker cap otherwise — so the step
+// merge's placement (Network.place) and the route pass get exactly what
+// a live round gives them. The route pass is serial whatever the cap,
+// but the step phase is not, and the routed inboxes must not depend on
+// which worker stepped which node.
 
 // routePool is a fixed set of distinct payloads, small enough that
 // random batches repeat them, and one byte buffer holding their
@@ -134,10 +137,12 @@ func referenceRoute(c routeCase) (inboxes [][]Received, deliveries, bytes int64)
 }
 
 // routeOnNetwork builds a network for the case, forces the requested
-// worker count (0 = the default Config), places a copy of the batch
-// with the step merge's placement — one result per node, in node order,
-// each node's sends in their queue order — routes it, and returns the
-// network with its resulting inbox views and tallies. The caller Closes
+// worker count (0 = the default Config), runs one step phase in which
+// every node queues its sends of the batch in their queue order, routes
+// what the step merge placed, and returns the network with its
+// resulting inbox views and tallies. The nodes are Byzantine only so
+// that the contact rule, which the batches do not respect, stays out of
+// the way; nothing in the route pass reads the flag. The caller Closes
 // the network — the views read through the network's shared block and
 // arena, which Close clears and recycles.
 func routeOnNetwork(t testing.TB, c routeCase, workers int) (net *Network, inboxes []Inbox, deliveries, bytes int64) {
@@ -146,25 +151,32 @@ func routeOnNetwork(t testing.TB, c routeCase, workers int) (net *Network, inbox
 	if workers > 0 {
 		net.forceWorkers(workers)
 	}
-	recs := make([]*recorder, len(c.nodeIDs))
-	results := make([]stepResult, len(c.nodeIDs))
 	for i, id := range c.nodeIDs {
-		recs[i] = newRecorder(id)
-		recs[i].done = c.done[i]
-		if err := net.Add(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-		results[i].enc = c.enc
+		var queue []send
 		for _, s := range c.outs {
 			if s.from == id {
-				results[i].sends = append(results[i].sends, s)
+				queue = append(queue, s)
 			}
 		}
+		rec := newRecorder(id, func(env *RoundEnv) {
+			for _, s := range queue {
+				env.Send(s.to, mustDecode(c.enc[s.at:s.at+s.n]))
+			}
+		})
+		rec.done = c.done[i]
+		if err := net.AddByzantine(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	deliveries, bytes = net.route(net.place(results))
+	net.round++
+	outs, err := net.step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliveries, bytes = net.route(outs)
 	inboxes = make([]Inbox, len(c.nodeIDs))
-	for i := range c.nodeIDs {
-		inboxes[i] = net.live[i].inbox
+	for i, st := range net.live {
+		inboxes[i] = net.inboxOf(st)
 	}
 	return net, inboxes, deliveries, bytes
 }
@@ -216,8 +228,8 @@ func checkRouteCase(t testing.TB, c routeCase, workers int) {
 }
 
 // TestRouteDedupMatchesReference is the property test: random batches
-// against the reference model, at the default Config and at forced
-// 3- and 5-worker caps.
+// against the reference model, stepped inline and on forced 3- and
+// 5-worker caps.
 func TestRouteDedupMatchesReference(t *testing.T) {
 	t.Parallel()
 	pool := newRoutePool()

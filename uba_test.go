@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"uba/internal/complexity"
+	"uba/internal/core/relbcast"
+	"uba/internal/ids"
+	"uba/internal/oracle"
 	"uba/internal/trace"
 )
 
@@ -540,5 +544,28 @@ func TestFacadeEventLogTranscript(t *testing.T) {
 		if !kinds[want] {
 			t.Fatalf("transcript missing kind %q; kinds: %v", want, kinds)
 		}
+	}
+}
+
+// TestFacadeSuitesReadNoMessages: the suite every public run attaches
+// holds only its family's complexity oracle, which reads the round's
+// accounting, so it declines the message events and the engine builds
+// none. A broadcast suite, whose unforgeability oracle learns genuine
+// broadcasts from those events, still asks for them.
+func TestFacadeSuitesReadNoMessages(t *testing.T) {
+	t.Parallel()
+	for _, e := range complexity.Registry() {
+		cl, err := newCluster(Config{Correct: 4, Byzantine: 1, Seed: 1}, e.Family)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cl.suite.ReadsMessages() {
+			t.Errorf("%s: the facade's suite reads message events", e.Family)
+		}
+		cl.close()
+	}
+	nodes := []*relbcast.Node{relbcast.NewSource(1, []byte("m")), relbcast.NewRelay(2)}
+	if !oracle.NewSuite(oracle.ForBroadcast(nodes, ids.NewSet(1, 2))...).ReadsMessages() {
+		t.Error("a broadcast suite reads no message events")
 	}
 }
