@@ -82,29 +82,32 @@ bench:
 bench-e2e:
 	$(GO) run ./bench
 
-# Round-engine micro-benchmarks (full rounds n=32…16384, step and route
-# phases, the Campaign/jobs={1,2,4,8}/n=256 ladder at the host's
-# GOMAXPROCS) plus end-to-end runs through the public entry points
-# (e2e/* rows: uba.Consensus at n=128 and n=256; renaming, trb, rb,
+# The perf-smoke rows, recorded: the n=256 full round and step half at
+# both worker counts, the route half at n=256/1024/4096 (with idle-plan,
+# observer and payload-major-reader variants), Campaign/jobs=4/n=256 at
+# the host's GOMAXPROCS, and end-to-end runs through the public entry
+# points (e2e/* rows: uba.Consensus at n=128 and n=256; renaming, trb, rb,
 # uba.Rotor and uba.ApproximateAgreement at n=256; uba.ParallelConsensus
-# and uba.InteractiveConsistency at n=128; a 200-round
-# OrderingCluster session at n=32; the 24-cell fault-plan chaos campaign
-# with the families' oracle suites attached; uba.Consensus at n=1024 with
-# one and with two step workers, the pair that prices Config.Workers) as JSON.
+# and uba.InteractiveConsistency at n=128; a 200-round OrderingCluster
+# session at n=32; the 24-cell fault-plan chaos campaign with the
+# families' oracle suites attached; uba.Consensus at n=1024 with one and
+# with two step workers, the pair that prices Config.Workers) as JSON.
+# One spec list serves this target and perf-smoke, and a tier-1 test
+# fails if BENCH_simnet.json and the list differ by a row or an op count.
 # Every row is one measurement loop: setup, one untimed warm-up op
 # (cold_ns, cold_bytes), then a fixed count of timed ops, so two runs give
-# every row the same `iterations`. BENCH_simnet.json is committed so the
-# perf trajectory is tracked in-repo; regenerate after touching
-# internal/simnet or a protocol Step.
+# every row the same `iterations`. Regenerate the whole file on one host
+# after touching internal/simnet or a protocol Step. Ad-hoc sweeps over
+# other sizes: go test -run '^$' -bench . -benchmem ./internal/simnet
 bench-json:
 	$(GO) run ./cmd/ubabench -benchjson -benchout BENCH_simnet.json
 
-# Perf regression gate: re-measures the n=256 round/step/route
-# benchmarks, the route rows the zero-alloc gate certifies, the
-# Campaign/jobs=4/n=256 row and the end-to-end e2e/* rows, each the way
-# bench-json does, and enforces per-row ns/op and allocs/op bands against
-# the committed BENCH_simnet.json. A row outside its band fails the target;
-# escape hatch for an understood, not-yet-rebaselined change:
+# Perf regression gate: re-measures every row bench-json records, the
+# same way, and enforces fixed per-row bands against the committed
+# BENCH_simnet.json: ns/op +50%, allocs/op +10% + 2. A row outside its
+# band fails the target; a row under half its baseline's ns/op passes with
+# a "stale baseline" note. Escape hatch for an understood,
+# not-yet-rebaselined change:
 #   make perf-smoke PERFSMOKE_FLAGS=-warn-only
 PERFSMOKE_FLAGS ?=
 perf-smoke:

@@ -15,30 +15,18 @@ import (
 	"uba/internal/trace"
 )
 
-// benchSizes are the system sizes the full-round micro-benchmarks
-// sweep; n=256 is the size the perf acceptance gate tracks. The sizes
-// past 2048 exist because of the sparse delivery path: a broadcast is
-// materialized once per round in a shared block instead of once per
-// receiver, so rounds stay near-linear where the dense engine was
-// quadratic in both time and memory.
-var benchSizes = []int{32, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
-
-// phaseSizes are the sizes the phase-split (step-only / route-only)
-// benchmarks sweep. The split attributes round time to the half that
-// spends it: step is the step dispatch + Step calls + merge, route is
-// RunRound's tail (block-sort + dedup + arena sizing + delivery). n=4096
-// extends the split into the territory where the sparse delivery path
-// carries the round, and is the larger of the two sizes the zero-alloc
-// gate (internal/simnet alloc_gate_test.go) certifies at runtime.
-var phaseSizes = []int{256, 512, 1024, 4096}
+// routeSizes are the sizes of the plain route rows: the perf-gate size
+// n=256 and the two sizes the zero-alloc gate (internal/simnet
+// alloc_gate_test.go) certifies at run time.
+var routeSizes = []int{256, 1024, 4096}
 
 // readerSizes are the sizes of the reader=said route rows: a round whose
-// block is read payload-major, which perf-smoke gates at 0 allocs/op.
+// block is read payload-major.
 var readerSizes = []int{256, 1024}
 
 // e2eFamilySize is the size of the end-to-end rows of the families on the
 // ladder: whole runs through the public entry point, the thing a user
-// waits for. perf-smoke gates them all.
+// waits for.
 const e2eFamilySize = 256
 
 // e2eParallelSize is the size of the Algorithm 5 rows — uba.
@@ -48,8 +36,7 @@ const e2eParallelSize = 128
 
 // e2eWorkersSize is the size of the uba.Consensus row pair that prices
 // Config.Workers end to end: the same run stepped inline and by two
-// goroutines. The pair is the knob's justification (ROADMAP item 1(c)); at
-// over half a second per op it is in the full sweep only, not in perf-smoke.
+// goroutines. The pair is the knob's measured justification.
 const e2eWorkersSize = 1024
 
 // engineBenchResult is one row of BENCH_simnet.json. The name carries
@@ -218,10 +205,8 @@ const campaignChunk = 4
 // one-worker simulations of size n multiplexed over one bounded
 // scheduler (simnet.CampaignBench) with the host's GOMAXPROCS as its
 // budget. One op advances every simulation by campaignChunk rounds, so
-// with a fixed n the jobs ladder shows how much concurrency the worker
-// budget converts into throughput — and past the budget it certifies the
-// scheduler's admission overhead, since ns/op should then scale with
-// jobs and nothing more.
+// the row prices the scheduler's dispatch and admission along with the
+// rounds themselves.
 func campaignSpec(jobs, n int) benchSpec {
 	return benchSpec{
 		name: fmt.Sprintf("Campaign/jobs=%d/n=%d", jobs, n),
@@ -416,48 +401,34 @@ func consensusSpec(n, ops, workers int) benchSpec {
 	})
 }
 
-// allSpecs is the full `make bench-json` sweep: round benchmarks over
-// benchSizes and the step half over phaseSizes, for both worker counts;
-// the route half over phaseSizes (with plan=idle route rows
-// re-measuring the zero-alloc-gate sizes under an attached-but-idle
-// fault plan, an observer=on route row pricing the round record at
-// n=1024, and reader=said route rows pricing the payload-major index
-// build over readerSizes). The campaign ladder — jobs {1,2,4,8} at the
-// perf-gate size — tracks how the shared scheduler converts the host's
-// worker budget into aggregate multi-simulation throughput. The e2e rows
-// close the sweep with whole runs through the public entry points, the
-// last two being the Config.Workers pair at e2eWorkersSize.
-func allSpecs() []benchSpec {
+// benchSpecs is the one row list: `make bench-json` records it in
+// BENCH_simnet.json and `make perf-smoke` re-measures it against that
+// file. The n=256 full round and step half at both worker counts, and
+// the route half over routeSizes, price the engine a protocol runs on;
+// their allocs/op bands are the perf-trajectory counterpart of the
+// zero-alloc gates, so an allocation creeping back into the route path
+// fails the smoke even where those gates do not run. Each route variant
+// pairs with the plain row of its size (see routeSpec): plan=idle and
+// observer=on at n=1024, reader=said over readerSizes. The campaign row
+// (four simulations at n=256 over the host's worker budget) covers the
+// shared scheduler's dispatch. The e2e rows gate what users run: a
+// regression in a protocol's Step, which no chatter round exercises,
+// moves them and nothing else, and the chaos campaign row is the only
+// one with the families' oracle suites in it. The list closes with the
+// Config.Workers pair at e2eWorkersSize.
+func benchSpecs() []benchSpec {
 	var specs []benchSpec
 	for _, workers := range workerCounts {
-		for _, n := range benchSizes {
-			specs = append(specs, roundSpec(workers, n))
-		}
+		specs = append(specs, roundSpec(workers, 256), stepSpec(workers, 256))
 	}
-	for _, workers := range workerCounts {
-		for _, n := range phaseSizes {
-			specs = append(specs, stepSpec(workers, n))
-		}
-	}
-	for _, n := range phaseSizes {
+	for _, n := range routeSizes {
 		specs = append(specs, routeSpec(n, ""))
 	}
-	// Plan-presence rows: the route phase with an idle fault plan
-	// attached, paired with the plan-free rows above (see routeSpec).
-	for _, n := range []int{1024, 4096} {
-		specs = append(specs, routeSpec(n, "plan=idle"))
-	}
-	// Observation row: the route phase building and handing over the
-	// round record, paired with the unobserved row the same way.
-	specs = append(specs, routeSpec(1024, "observer=on"))
-	// Reader rows: the route phase plus the payload-major index build one
-	// reader triggers, paired with the unread rows the same way.
+	specs = append(specs, routeSpec(1024, "plan=idle"), routeSpec(1024, "observer=on"))
 	for _, n := range readerSizes {
 		specs = append(specs, routeSpec(n, "reader=said"))
 	}
-	for _, jobs := range []int{1, 2, 4, 8} {
-		specs = append(specs, campaignSpec(jobs, 256))
-	}
+	specs = append(specs, campaignSpec(4, 256))
 	specs = append(specs, e2eSpecs()...)
 	return append(specs, consensusSpec(e2eWorkersSize, 4, 1), consensusSpec(e2eWorkersSize, 4, 2))
 }
@@ -517,17 +488,15 @@ func measure(spec benchSpec) (engineBenchResult, error) {
 	}, nil
 }
 
-// runBenchJSON executes the round-engine benchmark sweep (every node
-// broadcasts every round — the n²-deliveries-per-round load of the
-// paper's protocols) and writes the results as JSON. This is the
-// `make bench-json` entry point.
+// runBenchJSON measures every row of benchSpecs and writes the results
+// as JSON. This is the `make bench-json` entry point.
 func runBenchJSON(outPath string, progress io.Writer) error {
 	file := engineBenchFile{
-		Description: "simnet round-engine micro-benchmarks (broadcast-heavy: one op = one round, n sends, n^2 deliveries; step/route rows isolate one phase, route = RunRound's tail; campaign rows advance `jobs` concurrent simulations by 4 rounds per op through the shared scheduler at the host's GOMAXPROCS) plus end-to-end rows (e2e/uba.<EntryPoint>: one op = one whole run through the public entry point, f=(n-1)/3 silent, oracles attached; e2e/chaos.Campaign: one op = one 24-cell fault-plan campaign at 7+2 nodes, cells inline, each under its family's full oracle suite). Every row: setup, one untimed warm-up op (cold_ns, cold_bytes), then `iterations` timed ops, a fixed count per row; regenerate with `make bench-json`",
+		Description: "simnet round-engine micro-benchmarks (broadcast-heavy: one op = one round, n sends, n^2 deliveries; step/route rows isolate one phase, route = RunRound's tail; the campaign row advances `jobs` concurrent simulations by 4 rounds per op through the shared scheduler at the host's GOMAXPROCS) plus end-to-end rows (e2e/uba.<EntryPoint>: one op = one whole run through the public entry point, f=(n-1)/3 silent, oracles attached, /workers=k stepping with k goroutines; e2e/chaos.Campaign: one op = one 24-cell fault-plan campaign at 7+2 nodes, cells inline, each under its family's full oracle suite). Every row: setup, one untimed warm-up op (cold_ns, cold_bytes), then `iterations` timed ops, a fixed count per row. `make perf-smoke` gates every row against this file; regenerate it whole with `make bench-json`",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
-	for _, spec := range allSpecs() {
+	for _, spec := range benchSpecs() {
 		r, err := measure(spec)
 		if err != nil {
 			return err

@@ -8,8 +8,8 @@
 //	ubabench -quick     # reduced sweeps (seconds, used in CI)
 //	ubabench -only E4   # a single experiment
 //	ubabench -markdown  # Markdown tables (EXPERIMENTS.md format)
-//	ubabench -benchjson # round-engine micro-benchmarks + e2e uba.* rows, warm, fixed op counts -> BENCH_simnet.json
-//	ubabench -perfsmoke # n=256 engine rows + the e2e rows: ns/op + allocs/op gate against the committed baseline
+//	ubabench -benchjson # the benchmark rows (engine + e2e uba.*), warm, fixed op counts -> BENCH_simnet.json
+//	ubabench -perfsmoke # the same rows re-measured: ns/op + allocs/op gate against the committed baseline
 //	                    # (add -warn-only to report without failing)
 package main
 
@@ -35,12 +35,10 @@ func run(args []string, out io.Writer) error {
 	quick := fs.Bool("quick", false, "reduced sweep sizes")
 	only := fs.String("only", "", "run a single experiment (e.g. E4)")
 	markdown := fs.Bool("markdown", false, "emit Markdown tables")
-	benchjson := fs.Bool("benchjson", false, "run the round-engine micro-benchmarks and the end-to-end uba.* rows — each one warm-up op (reported as cold_ns/cold_bytes), then a fixed count of timed ops — and write them as JSON (see -benchout)")
+	benchjson := fs.Bool("benchjson", false, "run the benchmark rows (round-engine and end-to-end uba.*) — each one warm-up op (reported as cold_ns/cold_bytes), then a fixed count of timed ops — and write them as JSON (see -benchout)")
 	benchout := fs.String("benchout", "BENCH_simnet.json", "output path for -benchjson")
-	perfsmoke := fs.Bool("perfsmoke", false, "run the n=256 round/step/route benchmarks and the end-to-end rows and gate ns/op and allocs/op against the committed baseline")
+	perfsmoke := fs.Bool("perfsmoke", false, "re-measure the benchmark rows and gate ns/op (+50%) and allocs/op (+10%+2) against the committed baseline")
 	baseline := fs.String("baseline", "BENCH_simnet.json", "baseline path for -perfsmoke")
-	tolerance := fs.Float64("tolerance", 0.5, "perf-smoke failure band as a fraction of baseline ns/op")
-	allocTolerance := fs.Float64("alloc-tolerance", 0.1, "perf-smoke failure band as a fraction of baseline allocs/op")
 	warnOnly := fs.Bool("warn-only", false, "report perf-smoke band violations without failing (escape hatch while re-baselining)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -50,7 +48,7 @@ func run(args []string, out io.Writer) error {
 		return runBenchJSON(*benchout, out)
 	}
 	if *perfsmoke {
-		return runPerfSmoke(*baseline, *tolerance, *allocTolerance, *warnOnly, out)
+		return runPerfSmoke(*baseline, *warnOnly, out)
 	}
 
 	experiments := exp.All()

@@ -46,12 +46,15 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// An unknown flag fails parsing, and so do the retired perf-smoke band
+// flags: the bands are constants.
 func TestRunBadFlag(t *testing.T) {
 	t.Parallel()
-	var buf bytes.Buffer
-	fsOut := &buf
-	if err := run([]string{"-nope"}, fsOut); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, args := range [][]string{{"-nope"}, {"-tolerance", "1"}, {"-alloc-tolerance", "1"}} {
+		var buf bytes.Buffer
+		if err := run(args, &buf); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 

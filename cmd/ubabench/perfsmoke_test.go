@@ -11,8 +11,8 @@ import (
 )
 
 // opSpec is a benchmark spec running op 1000 times on a fixture that
-// needs no release, so the measurement and diff logic can be tested
-// without paying for a real engine benchmark.
+// needs no release, so the measurement loop can be tested without paying
+// for a real engine benchmark.
 func opSpec(name string, op func() error) benchSpec {
 	return benchSpec{
 		name: name,
@@ -24,30 +24,13 @@ func opSpec(name string, op func() error) benchSpec {
 	}
 }
 
-// fastSpec is a benchmark spec with a near-free op.
-func fastSpec(name string) benchSpec {
-	return opSpec(name, func() error { return nil })
-}
-
-// allocSink defeats allocation sinking in allocSpec's op.
+// allocSink defeats allocation sinking in the measured ops.
 var allocSink []byte
-
-// allocSpec is a benchmark spec whose op performs a fixed number of heap
-// allocations, for exercising the allocs/op band.
-func allocSpec(name string) benchSpec {
-	return opSpec(name, func() error {
-		for j := 0; j < 64; j++ {
-			allocSink = make([]byte, 1)
-		}
-		return nil
-	})
-}
 
 // measure builds the fixture once, runs one untimed warm-up op reported
 // as the cold fields, then exactly the spec's fixed op count, and
-// releases the fixture after the last op. Like every test here that
-// counts allocations, it is not parallel: measure reads the
-// process-wide allocation counters.
+// releases the fixture after the last op. It is not parallel: it counts
+// allocations, and measure reads the process-wide counters.
 func TestMeasureRunsOneWarmUpThenTheFixedOps(t *testing.T) {
 	var setups, ops, dones int
 	spec := benchSpec{
@@ -94,93 +77,99 @@ func TestMeasureReportsAFailingOp(t *testing.T) {
 	}
 }
 
+// row is a measured or baseline row with the two figures the gate reads.
+func row(name string, ns float64, allocs int64) engineBenchResult {
+	return engineBenchResult{Name: name, NsPerOp: ns, AllocsPerOp: allocs}
+}
+
+// Each verdict at its band's edge: ns/op may be 50 % over its baseline,
+// allocs/op 10 % + 2 over, and a row under half its baseline's ns/op
+// passes with a stale-baseline note. A measured row with no baseline row
+// fails. The verdict is over the rows given; nothing is measured.
 func TestPerfSmokeDiffVerdicts(t *testing.T) {
-	baseline := engineBenchFile{
-		Benchmarks: []engineBenchResult{
-			// A near-free op is far below this baseline, so
-			// the row lands inside both bands.
-			{Name: "fast/ok", NsPerOp: 1e9, AllocsPerOp: 100},
-			// And far above this one, so the row must break the ns band.
-			{Name: "fast/regressed", NsPerOp: 1e-6, AllocsPerOp: 100},
-			// Generous time budget but a near-zero alloc budget: the 64
-			// allocations per op break the allocs band on their own.
-			{Name: "alloc/regressed", NsPerOp: 1e9, AllocsPerOp: 1},
-		},
+	t.Parallel()
+	baseline := engineBenchFile{Benchmarks: []engineBenchResult{
+		row("ns/edge", 1000, 100),
+		row("ns/over", 1000, 100),
+		row("allocs/edge", 1000, 100),
+		row("allocs/over", 1000, 100),
+		row("both/over", 1000, 100),
+		row("stale/edge", 1000, 100),
+		row("stale", 1000, 100),
+		row("zero/slack", 1000, 0),
+		row("unmeasured", 1000, 100),
+	}}
+	cases := []struct {
+		measured engineBenchResult
+		verdict  string
+	}{
+		{row("ns/edge", 1500, 100), "ok"},
+		{row("ns/over", 1501, 100), "FAIL: ns/op over band"},
+		{row("allocs/edge", 1000, 112), "ok"},
+		{row("allocs/over", 1000, 113), "FAIL: allocs/op over band"},
+		{row("both/over", 2000, 200), "FAIL: ns/op and allocs/op over band"},
+		{row("stale/edge", 500, 100), "ok"},
+		{row("stale", 499, 100), "ok; stale baseline (under half its ns/op)"},
+		{row("zero/slack", 1000, 2), "ok"},
+		{row("unknown", 1000, 100), "FAIL: no baseline row"},
 	}
-	specs := []benchSpec{
-		fastSpec("fast/ok"),
-		fastSpec("fast/regressed"),
-		allocSpec("alloc/regressed"),
-		fastSpec("fast/unknown"),
+	var rows []engineBenchResult
+	for _, c := range cases {
+		rows = append(rows, c.measured)
 	}
 	var buf bytes.Buffer
-	violations, err := perfSmokeDiff(baseline, specs, 0.5, 0.1, &buf)
-	if err != nil {
-		t.Fatal(err)
+	if violations := perfSmokeDiff(baseline, rows, &buf); violations != 4 {
+		t.Fatalf("violations = %d, want 4:\n%s", violations, buf.String())
 	}
-	if violations != 2 {
-		t.Fatalf("violations = %d, want 2:\n%s", violations, buf.String())
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(cases) {
+		t.Fatalf("%d lines for %d rows:\n%s", len(lines), len(cases), buf.String())
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"fast/ok", "ok",
-		"fast/regressed", "FAIL: ns/op over band",
-		"alloc/regressed", "FAIL: allocs/op over band",
-		"fast/unknown", "no baseline row",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("diff output missing %q:\n%s", want, out)
+	for i, c := range cases {
+		if name := strings.Fields(lines[i])[0]; name != c.measured.Name {
+			t.Errorf("line %d names %q, want %q", i, name, c.measured.Name)
+		}
+		if !strings.HasSuffix(lines[i], " "+c.verdict) {
+			t.Errorf("%s: line %q, want verdict %q", c.measured.Name, lines[i], c.verdict)
 		}
 	}
 }
 
 func TestPerfSmokeDiffAllWithinTolerance(t *testing.T) {
-	baseline := engineBenchFile{
-		Benchmarks: []engineBenchResult{{Name: "fast/ok", NsPerOp: 1e9}},
-	}
+	t.Parallel()
+	baseline := engineBenchFile{Benchmarks: []engineBenchResult{row("a", 1000, 10), row("b", 2000, 0)}}
 	var buf bytes.Buffer
-	violations, err := perfSmokeDiff(baseline, []benchSpec{fastSpec("fast/ok")}, 0.5, 0.1, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations != 0 {
-		t.Fatalf("violations = %d, want 0:\n%s", violations, buf.String())
+	violations := perfSmokeDiff(baseline, []engineBenchResult{row("a", 900, 10), row("b", 2100, 0)}, &buf)
+	if violations != 0 || strings.Contains(buf.String(), "FAIL") || strings.Contains(buf.String(), "stale") {
+		t.Fatalf("violations = %d, want 0 and no notes:\n%s", violations, buf.String())
 	}
 }
 
-// A band violation fails the run by default and is downgraded to a
-// report by the -warn-only escape hatch.
+// A band violation fails the gate by default and is downgraded to a
+// report by the -warn-only escape hatch; rows within their bands pass.
 func TestPerfSmokeGateFailsAndWarnOnlyBypasses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measures a real n=256 smoke benchmark")
-	}
 	t.Parallel()
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	baseline := engineBenchFile{
-		Benchmarks: []engineBenchResult{{Name: smokeSpecs()[0].name, NsPerOp: 1e-6}},
-	}
-	data, err := json.Marshal(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The baseline holds one row with an impossibly fast ns/op, so the
-	// matching smoke spec must break its band; every other smoke spec
-	// has no baseline row and is skipped unmeasured.
+	baseline := engineBenchFile{Benchmarks: []engineBenchResult{row("a", 1000, 10)}}
+	regressed := []engineBenchResult{row("a", 3000, 10)}
 	var buf bytes.Buffer
-	if err := runPerfSmoke(path, 0.5, 0.1, false, &buf); err == nil {
+	if err := perfSmokeGate(baseline, regressed, false, &buf); err == nil {
 		t.Fatalf("band violation did not fail the gate:\n%s", buf.String())
-	} else if !strings.Contains(err.Error(), "out of tolerance") {
+	} else if !strings.Contains(err.Error(), "1 row(s) out of tolerance") {
 		t.Fatalf("unexpected gate error: %v", err)
 	}
 	buf.Reset()
-	if err := runPerfSmoke(path, 0.5, 0.1, true, &buf); err != nil {
+	if err := perfSmokeGate(baseline, regressed, true, &buf); err != nil {
 		t.Fatalf("-warn-only still failed the gate: %v", err)
 	}
 	if !strings.Contains(buf.String(), "-warn-only set, build not failed") {
 		t.Fatalf("warn-only run missing its report line:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := perfSmokeGate(baseline, []engineBenchResult{row("a", 1000, 10)}, false, &buf); err != nil {
+		t.Fatalf("a row within its bands failed the gate: %v", err)
+	}
+	if !strings.Contains(buf.String(), "all benchmarks within tolerance") {
+		t.Fatalf("passing gate missing its report line:\n%s", buf.String())
 	}
 }
 
@@ -204,10 +193,11 @@ func TestPerfSmokeMalformedBaseline(t *testing.T) {
 	}
 }
 
-// The committed baseline must contain every row the smoke subset
-// measures, under the exact names the differ looks up — otherwise the
-// CI step silently degrades to "no baseline row" skips.
-func TestCommittedBaselineCoversSmokeSpecs(t *testing.T) {
+// BENCH_simnet.json holds exactly the rows benchSpecs measures: a spec
+// with no row fails every perf smoke, and a row with no spec is a number
+// nothing re-measures. Each row's iterations and n are its spec's, so a
+// spec edited without re-recording the file fails here.
+func TestCommittedBaselineMatchesSpecs(t *testing.T) {
 	t.Parallel()
 	data, err := os.ReadFile("../../BENCH_simnet.json")
 	if err != nil {
@@ -217,13 +207,30 @@ func TestCommittedBaselineCoversSmokeSpecs(t *testing.T) {
 	if err := json.Unmarshal(data, &baseline); err != nil {
 		t.Fatal(err)
 	}
-	byName := make(map[string]bool, len(baseline.Benchmarks))
+	rows := make(map[string]engineBenchResult, len(baseline.Benchmarks))
 	for _, b := range baseline.Benchmarks {
-		byName[b.Name] = true
+		if _, dup := rows[b.Name]; dup {
+			t.Errorf("baseline row %q appears twice", b.Name)
+		}
+		rows[b.Name] = b
 	}
-	for _, spec := range smokeSpecs() {
-		if !byName[spec.name] {
-			t.Errorf("baseline has no row for smoke spec %q", spec.name)
+	specs := make(map[string]bool)
+	for _, spec := range benchSpecs() {
+		if specs[spec.name] {
+			t.Errorf("spec %q appears twice", spec.name)
+		}
+		specs[spec.name] = true
+		b, ok := rows[spec.name]
+		switch {
+		case !ok:
+			t.Errorf("spec %q has no baseline row", spec.name)
+		case b.Iterations != spec.ops || b.N != spec.n:
+			t.Errorf("row %q: iterations %d, n %d; its spec says %d, %d", spec.name, b.Iterations, b.N, spec.ops, spec.n)
+		}
+	}
+	for _, b := range baseline.Benchmarks {
+		if !specs[b.Name] {
+			t.Errorf("baseline row %q has no spec", b.Name)
 		}
 	}
 }

@@ -175,7 +175,7 @@ type procState struct {
 
 	// delivery is where this node's next-round inbox lies in the
 	// network's block and arena: written by the route pass, consumed by
-	// the node's next step (see Network.inboxOf).
+	// the node's next step (see Network.setInbox).
 	delivery inboxBounds
 
 	// Round-scoped scratch, recycled across rounds (see the package
@@ -589,34 +589,37 @@ func (n *Network) step() ([]send, error) {
 	return n.place(n.results), nil
 }
 
-// stepOne steps a single process with its pending inbox. It is safe to
-// call concurrently for distinct processes because it writes only st
+// stepOne steps a single process with its pending inbox and writes the
+// outcome to res, the node's result slot. It is safe to call
+// concurrently for distinct processes because it writes only st and res
 // (its node's own state) and only reads n. It must never block, since
 // the round's dispatch barrier waits for it. The worker-count equivalence
 // tests hold both rules under -race (the "Step-task ownership gate" in
 // CI). A panic inside Process.Step is contained here — inside the
 // per-node task, before the node-order merge — so the conversion into a
-// crash fault is identical for every worker count.
-func (n *Network) stepOne(st *procState) stepResult {
+// crash fault is identical for every worker count. The env, its inbox
+// view and the slot are written in place, field by field: each is about
+// a hundred bytes, and building one as a value and copying it in costs a
+// block copy per node per round.
+func (n *Network) stepOne(st *procState, res *stepResult) {
+	*res = stepResult{}
+	d := st.delivery
+	st.delivery = inboxBounds{}
+	if st.crashed || st.proc.Done() {
+		return
+	}
 	// The inbox view reads through the shared broadcast block and the
 	// unicast arena, which route() overwrites wholesale next round —
 	// this is what forbids Process.Step from retaining env.Inbox.
-	inbox := n.inboxOf(st)
-	st.delivery = inboxBounds{}
-	if st.crashed || st.proc.Done() {
-		return stepResult{}
-	}
-	st.env = RoundEnv{
-		Round: n.round,
-		Inbox: inbox,
-		self:  st.id,
-		sends: st.buf.sends[:0],
-		enc:   st.buf.enc[:0],
-	}
-	reason, panicked := safeStep(st.proc, &st.env)
-	st.buf = nodeBuf{sends: st.env.sends, enc: st.env.enc}
-	st.env.Inbox = Inbox{}
+	env := &st.env
+	env.Round, env.self = n.round, st.id
+	env.sends, env.enc = st.buf.sends[:0], st.buf.enc[:0]
+	n.setInbox(&env.Inbox, d)
+	reason, panicked := safeStep(st.proc, env)
+	st.buf.sends, st.buf.enc = env.sends, env.enc
+	env.Inbox = Inbox{}
 	sends, dropped := n.applyQuota(st.buf.sends)
+	res.dropped = dropped
 	if panicked {
 		// Deterministic crash conversion: the crashing round produces
 		// nothing (its partial send queue is discarded) and the node is
@@ -625,38 +628,44 @@ func (n *Network) stepOne(st *procState) stepResult {
 		// node committed before dying is still accounted (the transcript
 		// shows the drop, then the crash).
 		st.crashed = true
-		return stepResult{crashed: true, crashReason: reason, dropped: dropped}
+		res.crashed, res.crashReason = true, reason
+		return
 	}
 	if !st.byzantine {
 		for i := range sends {
 			s := &sends[i]
 			if s.to != ids.None && !n.knows(st, s.to) {
-				return stepResult{err: fmt.Errorf("%w: %v -> %v in round %d",
-					ErrContactRule, s.from, s.to, n.round)}
+				res.err = fmt.Errorf("%w: %v -> %v in round %d",
+					ErrContactRule, s.from, s.to, n.round)
+				return
 			}
 		}
 	}
-	return stepResult{sends: sends, enc: st.buf.enc, dropped: dropped}
+	res.sends, res.enc = sends, st.buf.enc
 }
 
-// inboxOf returns st's next-round inbox: a view over the block and the
-// arena segment the last route pass delivered to it. Only the route pass
-// writes what it reads, so step tasks may call it concurrently.
+// inboxOf returns st's next-round inbox (see setInbox).
 func (n *Network) inboxOf(st *procState) Inbox {
-	d := st.delivery
+	var in Inbox
+	n.setInbox(&in, st.delivery)
+	return in
+}
+
+// setInbox points in at the next-round inbox d locates: a view over the
+// block and the arena segment the last route pass delivered, or nothing
+// if d is not fed. Only the route pass writes what it reads, so step
+// tasks may call it concurrently.
+func (n *Network) setInbox(in *Inbox, d inboxBounds) {
 	if !d.fed {
-		return Inbox{}
+		*in = Inbox{}
+		return
 	}
 	// Capacity caps keep even a pathological append on a leaked slice
 	// from crossing into a neighbour.
 	nb := len(n.bcastBlock)
-	return Inbox{
-		bcast: n.bcastBlock[:nb:nb],
-		bkeys: n.bcastIdx[:nb:nb],
-		uni:   n.uniArena[d.lo:d.hi:d.hi],
-		ukeys: n.uniIdx[d.lo:d.hi:d.hi],
-		idx:   n.index,
-	}
+	in.bcast, in.bkeys = n.bcastBlock[:nb:nb], n.bcastIdx[:nb:nb]
+	in.uni, in.ukeys = n.uniArena[d.lo:d.hi:d.hi], n.uniIdx[d.lo:d.hi:d.hi]
+	in.idx = n.index
 }
 
 // safeStep runs one Step call with panic containment. It exists so the

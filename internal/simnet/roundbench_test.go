@@ -18,8 +18,8 @@ var phaseNs = []int{256, 512, 1024}
 // BenchmarkRoundEngine is the canonical broadcast-heavy hot-path bench:
 // every node broadcasts every round, so one op is one round with n sends
 // and n² deliveries through dedup, routing, and traffic accounting.
-// `make bench-json` runs the same workload via cmd/ubabench and records
-// the trajectory in BENCH_simnet.json.
+// `make bench-json` records the same workload at n=256 in
+// BENCH_simnet.json, which CI gates; the sweep here is ad hoc.
 func BenchmarkRoundEngine(b *testing.B) {
 	for _, wc := range workerCaps() {
 		for _, n := range benchNs {
@@ -92,7 +92,7 @@ const campaignChunk = 4
 // scheduler. One op advances every simulation by campaignChunk rounds,
 // so rows with the same n are directly comparable — jobs× the rounds
 // for (ideally) the same wall time, up to the worker budget. `make
-// bench-json` records the same jobs ladder in BENCH_simnet.json.
+// bench-json` records the jobs=4 row in BENCH_simnet.json.
 func BenchmarkCampaign(b *testing.B) {
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("jobs=%d/n=256", jobs), func(b *testing.B) {

@@ -49,7 +49,7 @@ import (
 //  3. Delivery. One walk over the receivers in node order notes, per
 //     receiver, the bounds of its arena segment; the Inbox view over
 //     the shared block and that segment is built when the receiver
-//     steps (Network.inboxOf), and its merge by send index
+//     steps (Network.setInbox), and its merge by send index
 //     reproduces exactly the (sender, encoding)-sorted inbox the
 //     materialized engine produced. Delivery and byte tallies are
 //     computed arithmetically (per-receiver: B broadcasts plus its
@@ -217,7 +217,7 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		// receiver-relevant subsequence of the (from, encoding,
 		// to)-sorted send stream, i.e. the documented (sender,
 		// encoding) inbox order. Only the segment's bounds are stored;
-		// the view is built when the receiver steps (Network.inboxOf).
+		// the view is built when the receiver steps (Network.setInbox).
 		st.delivery = inboxBounds{lo: ulo, hi: uhi, fed: true}
 		// Tallies are arithmetic — no per-receiver message walk: the
 		// block's sizes are shared by every live receiver.

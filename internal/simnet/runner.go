@@ -35,7 +35,7 @@ type stepTask struct{ net *Network }
 // "Step-task ownership gate" turns into a failure.
 func (t *stepTask) Run(i int) {
 	n := t.net
-	n.results[i] = n.stepOne(n.live[i])
+	n.stepOne(n.live[i], &n.results[i])
 }
 
 // Close retires the network: a privately owned scheduler (test hook) is
