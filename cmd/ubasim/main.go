@@ -27,6 +27,12 @@
 // its pooled scratch already grown by the runs before it. Peak RSS is
 // still the whole process's.
 //
+// With -cpuprofile and -memprofile, ubasim writes a CPU profile and a
+// profile of the heap allocated (go tool pprof reads both) of the last
+// run alone, so with -warm k they profile a warm run:
+//
+//	ubasim -protocol rotor -g 683 -f 340 -warm 4 -stats -cpuprofile cpu.out
+//
 // A run that fails — a bad flag value included — prints only its error.
 package main
 
@@ -37,6 +43,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"syscall"
 	"time"
@@ -66,6 +73,8 @@ func run(args []string, out io.Writer) error {
 	reproPath := fs.String("repro", "", "replay a chaos repro JSON file and exit")
 	stats := fs.Bool("stats", false, "after the run, print its wall time, heap allocated and the process's peak RSS")
 	warm := fs.Int("warm", 1, "run the configuration this many times in one process and print only the last run (peak RSS stays the process's)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the last run to this file")
+	memProfile := fs.String("memprofile", "", "write a profile of the heap the last run allocated to this file")
 	jobs := fs.Int("jobs", 0, "how many goroutines step the run's nodes (0 = inline); the shared simulation scheduler's budget becomes min(jobs, GOMAXPROCS), also for a -repro replay; output is identical for every value")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -91,17 +100,26 @@ func run(args []string, out io.Writer) error {
 		// would only buy memory.
 		sched.SetDefaultBudget(min(*jobs, runtime.GOMAXPROCS(0)))
 	}
+	prof := pauseProfiles(*cpuProfile, *memProfile)
+	defer prof.restore()
 	if *reproPath != "" {
 		for range *warm - 1 {
 			if err := replayRepro(*reproPath, io.Discard); err != nil {
 				return err
 			}
 		}
+		if err := prof.start(); err != nil {
+			return err
+		}
 		meter := startMeter(*stats)
 		if err := replayRepro(*reproPath, out); err != nil {
 			return err
 		}
-		return meter.report(out, meter.stop())
+		cost := meter.stop()
+		if err := prof.stop(); err != nil {
+			return err
+		}
+		return meter.report(out, cost)
 	}
 
 	adv, err := uba.ParseAdversary(*advName)
@@ -127,11 +145,17 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	var result bytes.Buffer
+	if err := prof.start(); err != nil {
+		return err
+	}
 	meter := startMeter(*stats)
 	if err := simulate(*protocol, cfg, *timing, &result); err != nil {
 		return err
 	}
 	cost := meter.stop()
+	if err := prof.stop(); err != nil {
+		return err
+	}
 	if *protocol == "impossibility" {
 		// The demo builds its own system: two sides of g correct nodes,
 		// no coalition.
@@ -150,6 +174,86 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return meter.report(out, cost)
+}
+
+// profiles writes the -cpuprofile and -memprofile of one run. Heap
+// sampling is off until start, so the heap profile holds only what that
+// run allocated. Without -memprofile the process's sampling rate is
+// neither read nor written, so runs in one process may run in parallel.
+type profiles struct {
+	cpu, mem string
+	rate     int // runtime.MemProfileRate before the pause
+	cpuFile  *os.File
+}
+
+// pauseProfiles turns heap sampling off if -memprofile is set, until
+// start.
+func pauseProfiles(cpu, mem string) *profiles {
+	p := &profiles{cpu: cpu, mem: mem}
+	if mem != "" {
+		p.rate, runtime.MemProfileRate = runtime.MemProfileRate, 0
+	}
+	return p
+}
+
+// start begins the profiles of the run about to start: the CPU
+// profile first, so the heap profile does not hold its buffers.
+func (p *profiles) start() error {
+	if p.cpu != "" {
+		f, err := os.Create(p.cpu)
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		p.cpuFile = f
+	}
+	if p.mem != "" {
+		runtime.MemProfileRate = p.rate
+	}
+	return nil
+}
+
+// stop ends the CPU profile and writes the heap profile of the run.
+func (p *profiles) stop() error {
+	if p.cpuFile != nil {
+		pprof.StopCPUProfile()
+		err := p.cpuFile.Close()
+		p.cpuFile = nil
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	if p.mem == "" {
+		return nil
+	}
+	runtime.GC() // the profile holds the allocations of completed cycles
+	f, err := os.Create(p.mem)
+	if err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	return nil
+}
+
+// restore ends a CPU profile a failed run left running and puts the
+// heap sampling rate back.
+func (p *profiles) restore() {
+	if p.cpuFile != nil {
+		pprof.StopCPUProfile()
+		p.cpuFile.Close()
+	}
+	if p.mem != "" {
+		runtime.MemProfileRate = p.rate
+	}
 }
 
 // meter measures one run for -stats; the zero meter measures nothing.

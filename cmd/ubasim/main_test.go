@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -183,6 +184,33 @@ func TestRunWarmPrintsTheLastRun(t *testing.T) {
 	}
 	if warm.String() != plain.String() {
 		t.Fatalf("-warm 3 printed:\n%s\none run printed:\n%s", warm.String(), plain.String())
+	}
+}
+
+// -cpuprofile and -memprofile write both profiles of the last run and
+// change nothing the run prints. Not parallel: a CPU profile is one per
+// process, and the heap sampling rate is the process's.
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	args := []string{"-protocol", "rotor", "-g", "40", "-f", "13", "-warm", "2"}
+	var plain, profiled bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if profiled.String() != plain.String() {
+		t.Fatalf("profiling changed the run's output:\n%s\nwithout it:\n%s", profiled.String(), plain.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s: not written or empty (%v)", filepath.Base(path), err)
+		}
+	}
+	if err := run(append(args, "-cpuprofile", filepath.Join(dir, "none", "cpu.out")), io.Discard); err == nil {
+		t.Fatal("an unwritable -cpuprofile path did not fail the run")
 	}
 }
 

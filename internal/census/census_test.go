@@ -265,3 +265,74 @@ func TestMarksCountDistinctRanks(t *testing.T) {
 		t.Fatalf("MarkWords(0) = %d", MarkWords(0))
 	}
 }
+
+// A census shares a sealed set until it observes a sender the set
+// lacks: then it owns a copy, with the sender, and writes that copy in
+// place from there on, while the shared set and every other holder of
+// it stay as they were. Freeze shares the census's set and seals it, so
+// the next new sender makes the census copy again.
+func TestCensusOwnsACopyOnlyWhenASenderIsNew(t *testing.T) {
+	t.Parallel()
+	shared := ids.NewSet(10, 20, 30).Seal()
+	var a, b Census
+	a.Share(shared)
+	b.Share(shared)
+	if a.Observe(20) || a.Members() != shared {
+		t.Fatal("observing a member left the shared set")
+	}
+	a.ObserveAscending([]ids.ID{10, 30})
+	if a.Members() != shared {
+		t.Fatal("observing members by merge left the shared set")
+	}
+	if !a.Observe(25) {
+		t.Fatal("a new sender was not new")
+	}
+	own := a.Members()
+	if own == shared || own.Sealed() || !own.Equal(ids.NewSet(10, 20, 25, 30)) {
+		t.Fatalf("after a new sender the census is %v (sealed %v), want its own 10 20 25 30", own.Members(), own.Sealed())
+	}
+	if !shared.Equal(ids.NewSet(10, 20, 30)) || b.Members() != shared {
+		t.Fatalf("a new sender changed the shared set to %v", shared.Members())
+	}
+	a.Observe(5)
+	a.ObserveAscending([]ids.ID{1, 40})
+	if a.Members() != own || a.N() != 7 {
+		t.Fatalf("an owned census was copied again (n %d)", a.N())
+	}
+	frozen := a.Freeze()
+	if frozen.Members() != own || !own.Sealed() {
+		t.Fatal("Freeze copied the census instead of sealing and sharing it")
+	}
+	a.Observe(50)
+	if a.Members() == own || frozen.N() != 7 || frozen.Contains(50) {
+		t.Fatal("a sender new after Freeze wrote the snapshot")
+	}
+	var c Census
+	c.Share(shared)
+	c.ObserveAscending([]ids.ID{20, 35})
+	if c.Members() == shared || !c.Members().Equal(ids.NewSet(10, 20, 30, 35)) || shared.Len() != 3 {
+		t.Fatalf("a merge into a shared census gave %v and left the shared set %v", c.Members().Members(), shared.Members())
+	}
+}
+
+// FrozenOf shares the membership it is given and seals it, and the
+// empty census, live or frozen, is one shared empty set.
+func TestFrozenOfSharesAndSeals(t *testing.T) {
+	t.Parallel()
+	s := ids.NewSet(3, 1, 2)
+	f := FrozenOf(s)
+	if f.Members() != s || !s.Sealed() || f.N() != 3 {
+		t.Fatal("FrozenOf copied its membership or left it unsealed")
+	}
+	var c Census
+	var z Frozen
+	if c.Members() != z.Members() || !c.Members().Sealed() || z.N() != 0 {
+		t.Fatal("the empty census is not one shared, sealed empty set")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Share of an unsealed set did not panic")
+		}
+	}()
+	c.Share(ids.NewSet(1))
+}

@@ -81,7 +81,11 @@ type Node struct {
 	ranks   census.Ranks
 	present census.Marks
 
-	// storedSP is the strongprefer tally taken at PR4, resolved at PR5.
+	// votes is the tally of PR2 and PR3; storedSP is the strongprefer
+	// tally taken at PR4, resolved at PR5. Each is reset and refilled in
+	// place, so a tally allocates only when it counts more values than
+	// ever before.
+	votes    wire.Tally
 	storedSP wire.Tally
 
 	coordinator ids.ID // selected at PR4 of the current phase
@@ -178,8 +182,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	case 0: // PR1: broadcast input
 		n.send(env, wire.Input{X: n.x})
 	case 1: // PR2: tally inputs, maybe prefer
-		t := n.tally(env.Inbox, view, wire.KindInput)
-		v, count := t.Best()
+		v, count := n.tally(&n.votes, env.Inbox, view, wire.KindInput).Best()
 		if census.AtLeastTwoThirds(count, n.frozen.N()) {
 			n.send(env, wire.Prefer{X: v})
 		} else {
@@ -196,8 +199,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			n.hasSent[wire.BallotSlot(wire.KindPrefer)] = false
 		}
 	case 2: // PR3: tally prefers, maybe adopt and strongprefer
-		t := n.tally(env.Inbox, view, wire.KindPrefer)
-		v, count := t.Best()
+		v, count := n.tally(&n.votes, env.Inbox, view, wire.KindPrefer).Best()
 		if census.AtLeastThird(count, n.frozen.N()) {
 			n.x = v
 		}
@@ -210,7 +212,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			n.hasSent[wire.BallotSlot(wire.KindStrongPrefer)] = false
 		}
 	case 3: // PR4: store strongprefer tally, run a rotor round
-		n.storedSP = n.tally(env.Inbox, view, wire.KindStrongPrefer)
+		n.tally(&n.storedSP, env.Inbox, view, wire.KindStrongPrefer)
 		n.coordinator = n.core.LoopRound(n.frozen.N(), env).Coordinator
 		if n.coordinator == n.id {
 			env.Broadcast(wire.Opinion{X: n.x})
@@ -244,7 +246,7 @@ func (n *Node) resolve(env *simnet.RoundEnv, view rotor.View) {
 		X:                  n.x,
 	})
 	n.phase++
-	n.storedSP = wire.Tally{}
+	n.storedSP.Reset()
 }
 
 // send broadcasts p and records it for the substitution rule.
@@ -266,11 +268,12 @@ func (n *Node) sent(kind wire.Kind, x wire.Value) {
 }
 
 // tally counts the round's messages of the given kind from censused
-// senders and applies the substitution rule for censused ids that sent
-// nothing of that kind.
-func (n *Node) tally(inbox simnet.Inbox, view rotor.View, kind wire.Kind) wire.Tally {
+// senders into t, which it empties first, applies the substitution rule
+// for censused ids that sent nothing of that kind, and returns t.
+func (n *Node) tally(t *wire.Tally, inbox simnet.Inbox, view rotor.View, kind wire.Kind) *wire.Tally {
+	t.Reset()
 	n.present = n.present.Cleared(n.frozen.N())
-	t := Ballots(inbox, view, kind, 0, n.present)
+	Ballots(inbox, view, kind, 0, n.present, t)
 	// Substitution: every censused id with no message of this kind this
 	// round is assumed to have sent what this node sent last round.
 	if n.hasSent[wire.BallotSlot(kind)] {
@@ -282,15 +285,15 @@ func (n *Node) tally(inbox simnet.Inbox, view rotor.View, kind wire.Kind) wire.T
 }
 
 // Ballots counts, by value, the ballots of one kind and instance in
-// inbox, and adds to present the census rank of everyone who sent one —
-// a no-quorum marker included, which is present without a value. The
+// inbox into t, and adds to present the census rank of everyone who
+// sent one — a no-quorum marker included, which is present without a
+// value. The
 // shared block is read as the engine counted it against the census
 // (view) and the private segment one message at a time (rotor.Heard); a
 // ballot counts once per (sender, payload) either way. Algorithm 5
 // counts with it too: what differs between the two algorithms is what
 // they substitute for the ranks left absent.
-func Ballots(inbox simnet.Inbox, view rotor.View, kind wire.Kind, instance uint64, present census.Marks) wire.Tally {
-	var t wire.Tally
+func Ballots(inbox simnet.Inbox, view rotor.View, kind wire.Kind, instance uint64, present census.Marks, t *wire.Tally) {
 	rotor.Heard(inbox, view, func(p wire.Payload, from rotor.Senders) {
 		if k, inst, x, opinion := wire.Ballot(p); k == kind && inst == instance {
 			if who, count := from.Ranks(); count > 0 {
@@ -301,5 +304,4 @@ func Ballots(inbox simnet.Inbox, view rotor.View, kind wire.Kind, instance uint6
 			}
 		}
 	})
-	return t
 }

@@ -327,3 +327,30 @@ func TestUnanimityValidityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Under a silent adversary every correct node hears the same senders,
+// so from round 2 on the fleet holds one census, frozen once: one shared
+// set, the same pointer at every node and in every frozen census, not g
+// equal copies — for every worker count.
+func TestSilentFleetSharesOneCensus(t *testing.T) {
+	t.Parallel()
+	const g, f = 13, 6
+	for _, workers := range []int{1, 3} {
+		fl := spec.NewFleet(t, 5, g, f, bound(g+f, workers), withInputs(repeat(1, g)), spec.Silent)
+		for round := 1; round <= 6; round++ {
+			nodes := fl.RunFor(1)
+			if round < 2 {
+				continue
+			}
+			shared := nodes[0].cen.Members()
+			if !shared.Sealed() || shared.Len() != g {
+				t.Fatalf("workers=%d round %d: the census is not sealed or has %d members, want %d", workers, round, shared.Len(), g)
+			}
+			for _, n := range nodes {
+				if n.cen.Members() != shared || n.frozen.Members() != shared {
+					t.Fatalf("workers=%d round %d: node %v holds a census of its own", workers, round, n.ID())
+				}
+			}
+		}
+	}
+}

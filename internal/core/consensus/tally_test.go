@@ -40,7 +40,7 @@ func tallyOf(t *testing.T, node *Node, kind wire.Kind, msgs ...simnet.Received) 
 	var first map[wire.ValueKey]int
 	for i, inbox := range spec.Shapes(msgs) {
 		view := rotor.Count(inbox, node.frozen.Members(), &node.ranks)
-		counts := countsOf(node.tally(inbox, view, kind))
+		counts := countsOf(*node.tally(&node.votes, inbox, view, kind))
 		if i == 0 {
 			first = counts
 		} else if !maps.Equal(counts, first) {

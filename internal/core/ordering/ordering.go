@@ -466,8 +466,14 @@ func (n *Node) foldFinal() {
 		}
 		n.final = rn.round
 	}
-	clear(n.window[:k])
-	n.window = n.window[k:]
+	// The live runs move to the front of the one backing array, so the
+	// window's appends reuse it instead of reallocating as its head
+	// advances.
+	if k > 0 {
+		live := copy(n.window, n.window[k:])
+		clear(n.window[live:])
+		n.window = n.window[:live]
+	}
 }
 
 // stepJoin drives the present/ack handshake.
@@ -517,6 +523,9 @@ func (n *Node) FirstRound() uint64 { return n.firstRun }
 // execution in [FirstRound, R] is final, ordered by round and then
 // submitter id.
 func (n *Node) Chain() []ChainEntry { return slices.Clone(n.chain) }
+
+// ChainLen returns the length of the chain.
+func (n *Node) ChainLen() int { return len(n.chain) }
 
 // Entries yields the chain by position without copying: the read-only
 // path of Chain, for callers that look and do not keep.

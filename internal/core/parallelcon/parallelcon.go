@@ -82,7 +82,8 @@ type Scope struct {
 	census.Frozen
 }
 
-// NewScope prepares the snapshot members, which it copies.
+// NewScope prepares the snapshot members, which it seals and shares
+// (census.FrozenOf): the caller must not write members again.
 func NewScope(members *ids.Set) *Scope {
 	return &Scope{census.FrozenOf(members)}
 }
@@ -130,6 +131,8 @@ type instance struct {
 	lastSent   [wire.BallotKinds]wire.Value
 	hasSent    [wire.BallotKinds]bool
 
+	// storedSP is the strongprefer tally taken at PR4, resolved at PR5,
+	// reset and refilled in place.
 	storedSP wire.Tally
 
 	decided  bool
@@ -161,6 +164,9 @@ type Node struct {
 	// protocol counts with its own instead.
 	present census.Marks
 	ranks   census.Ranks
+	// votes is the tally of PR2 and PR3, reset and refilled for every
+	// instance.
+	votes wire.Tally
 
 	core rotor.Core
 
@@ -324,8 +330,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, view rotor.View, env *si
 			if ins.decided {
 				continue
 			}
-			t := n.tally(ins, inbox, view, wire.KindInput)
-			v, count := t.Best()
+			v, count := n.tally(ins, &n.votes, inbox, view, wire.KindInput).Best()
 			if census.AtLeastTwoThirds(count, n.frozen.N()) {
 				env.Broadcast(wire.Prefer{Instance: ins.id, X: v})
 				ins.sent(wire.KindPrefer, v)
@@ -339,8 +344,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, view rotor.View, env *si
 			if ins.decided {
 				continue
 			}
-			t := n.tally(ins, inbox, view, wire.KindPrefer)
-			v, count := t.Best()
+			v, count := n.tally(ins, &n.votes, inbox, view, wire.KindPrefer).Best()
 			if census.AtLeastThird(count, n.frozen.N()) {
 				ins.x = v
 			}
@@ -357,7 +361,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, view rotor.View, env *si
 			if ins.decided {
 				continue
 			}
-			ins.storedSP = n.tally(ins, inbox, view, wire.KindStrongPrefer)
+			n.tally(ins, &ins.storedSP, inbox, view, wire.KindStrongPrefer)
 		}
 		if n.core.LoopRound(n.frozen.N(), env).Coordinator == n.id {
 			for _, ins := range n.order {
@@ -388,7 +392,7 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, view rotor.View, env *si
 					ins.hasOut = true
 				}
 			}
-			ins.storedSP = wire.Tally{}
+			ins.storedSP.Reset()
 		}
 		n.phasesRun = phase + 1
 		if n.allDecided() {
@@ -492,12 +496,14 @@ func (n *Node) unmetInstances(inbox simnet.Inbox) int {
 	return len(slices.Compact(unmet))
 }
 
-// tally counts one message family for one instance, applying the paper's
-// substitution rules. Marker messages (nopreference/nostrongpreference)
-// count their sender as present without contributing an opinion.
-func (n *Node) tally(ins *instance, inbox simnet.Inbox, view rotor.View, kind wire.Kind) wire.Tally {
+// tally counts one message family for one instance into t, which it
+// empties first, applying the paper's substitution rules, and returns t.
+// Marker messages (nopreference/nostrongpreference) count their sender
+// as present without contributing an opinion.
+func (n *Node) tally(ins *instance, t *wire.Tally, inbox simnet.Inbox, view rotor.View, kind wire.Kind) *wire.Tally {
+	t.Reset()
 	n.present = n.present.Cleared(n.frozen.N())
-	t := consensus.Ballots(inbox, view, kind, ins.id, n.present)
+	consensus.Ballots(inbox, view, kind, ins.id, n.present, t)
 
 	// Substitution for censused nodes that sent nothing of this family:
 	// ⊥ on first receipt of the family, own most recent message of the

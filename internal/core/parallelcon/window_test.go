@@ -198,7 +198,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 	}
 	for i, inbox := range spec.Shapes(msgs) { // all private, all broadcast, alternating
 		n := memberNode(7, []ids.ID{2, 3, 4, 5, 6, 7}, []InputPair{{Instance: 9, X: wire.V(1)}})
-		tally := n.tally(n.inst[9], inbox, rotor.Count(inbox, n.frozen.Members(), &n.ranks), wire.KindInput)
+		tally := n.tally(n.inst[9], &n.votes, inbox, rotor.Count(inbox, n.frozen.Members(), &n.ranks), wire.KindInput)
 		got := make(map[wire.ValueKey]int)
 		for v, c := range tally.All() {
 			got[v.Key()] += c

@@ -439,3 +439,56 @@ func TestCoreFiltersByInstanceAndSender(t *testing.T) {
 		t.Fatalf("relay echo = %+v", emitted[0])
 	}
 }
+
+// whisperer is a Byzantine node that broadcasts nothing and, in round 4,
+// unicasts once to one correct node, which hears it in round 5.
+type whisperer struct{ id, to ids.ID }
+
+func (w *whisperer) ID() ids.ID { return w.id }
+func (w *whisperer) Done() bool { return false }
+func (w *whisperer) Step(env *simnet.RoundEnv) {
+	if env.Round == 4 {
+		env.Send(w.to, wire.Opinion{X: wire.V(1)})
+	}
+}
+
+// Every correct rotor node hears the same broadcasters, so from round 2
+// on the fleet holds one shared census, the same pointer at every node.
+// A private sender that the census lacks makes its one receiver copy
+// the census and own it — with the sender in it — while the shared set,
+// and every other node, stay as they were.
+func TestCensusIsSharedUntilAPrivateSenderIsNew(t *testing.T) {
+	t.Parallel()
+	const g = 9
+	for _, workers := range []int{1, 3} {
+		var w *whisperer
+		fl := spec.NewFleet(t, 3, g, 1, simnet.Config{MaxRounds: 40, Workers: workers}, opinioned,
+			func(byz []ids.ID, _ *adversary.Directory) []simnet.Process {
+				w = &whisperer{id: byz[0]}
+				return []simnet.Process{w}
+			})
+		w.to = fl.IDs[0]
+		for round := 1; round <= 6; round++ {
+			nodes := fl.RunFor(1)
+			if round < 2 {
+				continue
+			}
+			shared := nodes[1].cen.Members()
+			if !shared.Sealed() || shared.Len() != g || shared.Contains(w.id) {
+				t.Fatalf("workers=%d round %d: the shared census is %v (sealed %v)", workers, round, shared.Members(), shared.Sealed())
+			}
+			for _, n := range nodes[1:] {
+				if n.cen.Members() != shared {
+					t.Fatalf("workers=%d round %d: node %v holds a census of its own", workers, round, n.ID())
+				}
+			}
+			own := nodes[0].cen.Members()
+			switch {
+			case round < 5 && own != shared:
+				t.Fatalf("workers=%d round %d: the whisperer's target left the shared census early", workers, round)
+			case round >= 5 && (own == shared || own.Sealed() || own.Len() != g+1 || !own.Contains(w.id)):
+				t.Fatalf("workers=%d round %d: the whisperer's target holds %v (sealed %v), want its own copy with the whisperer", workers, round, own.Members(), own.Sealed())
+			}
+		}
+	}
+}

@@ -81,8 +81,32 @@ func Consecutive(start ID, count int) []ID {
 // The rotor-coordinator indexes its candidate set by position
 // (C_v[r mod |C_v|]) and renaming outputs a node's rank in the final set,
 // so ordered positional access is part of the contract.
+//
+// A sealed set (Seal) never changes again: a write to it panics, so its
+// address names its membership, and any number of holders may share it
+// and compare it by pointer.
 type Set struct {
 	members []ID
+	sealed  bool
+}
+
+// Seal makes the set immutable from now on and returns it. Sealing a
+// sealed set writes nothing, so its holders may seal it concurrently.
+func (s *Set) Seal() *Set {
+	if !s.sealed {
+		s.sealed = true
+	}
+	return s
+}
+
+// Sealed reports whether the set is sealed.
+func (s *Set) Sealed() bool { return s.sealed }
+
+// write panics if the set is sealed: every writer calls it first.
+func (s *Set) write() {
+	if s.sealed {
+		panic("ids: write to a sealed set")
+	}
 }
 
 // NewSet returns a set containing the given identifiers.
@@ -97,6 +121,7 @@ func NewSet(members ...ID) *Set {
 // Add inserts id, keeping the set ordered. It reports whether the id was
 // newly added (false if it was already present).
 func (s *Set) Add(id ID) bool {
+	s.write()
 	i, found := slices.BinarySearch(s.members, id)
 	if !found {
 		s.members = slices.Insert(s.members, i, id)
@@ -110,15 +135,8 @@ func (s *Set) Add(id ID) bool {
 // in place, so a run that brings nothing new writes nothing and a set
 // with room for the new ids allocates nothing.
 func (s *Set) AddAscending(run []ID) {
-	fresh, i := 0, 0
-	for j, id := range run {
-		for i < len(s.members) && s.members[i] < id {
-			i++
-		}
-		if (i == len(s.members) || s.members[i] != id) && (j == 0 || run[j-1] != id) {
-			fresh++
-		}
-	}
+	s.write()
+	fresh := s.fresh(run)
 	// i and w walk down the old members and the grown set; w-i is the
 	// number of new ids still to lay in, so the merge stops at the
 	// first old member that does not move.
@@ -134,8 +152,44 @@ func (s *Set) AddAscending(run []ID) {
 	}
 }
 
+// With returns s ∪ run, run ascending (repeats allowed): s itself when
+// run brings no new id, else a new unsealed set of exactly the union's
+// size, made by one merge. s is only read.
+func (s *Set) With(run []ID) *Set {
+	fresh := s.fresh(run)
+	if fresh == 0 {
+		return s
+	}
+	out := make([]ID, 0, len(s.members)+fresh)
+	i := 0
+	for j, id := range run {
+		for i < len(s.members) && s.members[i] < id {
+			out, i = append(out, s.members[i]), i+1
+		}
+		if (i == len(s.members) || s.members[i] != id) && (j == 0 || run[j-1] != id) {
+			out = append(out, id)
+		}
+	}
+	return &Set{members: append(out, s.members[i:]...)}
+}
+
+// fresh counts the distinct ids of run, which ascends, that s lacks.
+func (s *Set) fresh(run []ID) int {
+	fresh, i := 0, 0
+	for j, id := range run {
+		for i < len(s.members) && s.members[i] < id {
+			i++
+		}
+		if (i == len(s.members) || s.members[i] != id) && (j == 0 || run[j-1] != id) {
+			fresh++
+		}
+	}
+	return fresh
+}
+
 // Remove deletes id from the set. It reports whether the id was present.
 func (s *Set) Remove(id ID) bool {
+	s.write()
 	i, found := slices.BinarySearch(s.members, id)
 	if found {
 		s.members = slices.Delete(s.members, i, i+1)
@@ -173,14 +227,17 @@ func (s *Set) Members() []ID {
 	return out
 }
 
-// Clone returns an independent copy of the set.
+// Clone returns an independent copy of the set, unsealed.
 func (s *Set) Clone() *Set {
 	return &Set{members: s.Members()}
 }
 
 // CopyFrom makes s an independent copy of o, in s's own storage when it
 // is large enough.
-func (s *Set) CopyFrom(o *Set) { s.members = append(s.members[:0], o.members...) }
+func (s *Set) CopyFrom(o *Set) {
+	s.write()
+	s.members = append(s.members[:0], o.members...)
+}
 
 // Hash returns a digest of the membership: equal sets hash equal, and
 // unequal ones collide rarely — a hash is a filter, confirmed by Equal.

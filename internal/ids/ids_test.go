@@ -316,11 +316,49 @@ func TestAddAscendingMatchesAddPerID(t *testing.T) {
 						spare, run, base.Members(), got.Members(), want.Members())
 				}
 			}
-			// A run that brings nothing new allocates nothing.
+			// With is the same merge into a new set of exactly the
+			// union's size, and base is only read.
+			before := base.Clone()
+			if got := base.With(run); !got.Equal(want) || (got != base && cap(got.members) != want.Len()) || !base.Equal(before) {
+				t.Fatalf("With(%v) on %v = %v (cap %d), want %v and base unchanged",
+					run, before.Members(), got.Members(), cap(got.members), want.Members())
+			}
+			// A run that brings nothing new allocates nothing, and With
+			// returns the set itself.
 			if allocs := testing.AllocsPerRun(10, func() { want.AddAscending(run) }); allocs != 0 {
 				t.Fatalf("AddAscending of a run already in the set allocated %.0f times", allocs)
 			}
+			if want.With(run) != want {
+				t.Fatal("With of a run already in the set made a new set")
+			}
 		})
+	}
+}
+
+// A sealed set refuses every write, and a clone of it is unsealed.
+func TestSealedSetPanicsOnWrite(t *testing.T) {
+	t.Parallel()
+	for name, write := range map[string]func(*Set){
+		"Add":          func(s *Set) { s.Add(9) },
+		"AddAscending": func(s *Set) { s.AddAscending([]ID{1}) },
+		"Remove":       func(s *Set) { s.Remove(1) },
+		"CopyFrom":     func(s *Set) { s.CopyFrom(NewSet(4)) },
+	} {
+		s := NewSet(1, 2).Seal()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a sealed set did not panic", name)
+				}
+			}()
+			write(s)
+		}()
+		if !s.Equal(NewSet(1, 2)) {
+			t.Errorf("%s changed a sealed set to %v", name, s.Members())
+		}
+		if c := s.Clone(); c.Sealed() || !c.Add(3) {
+			t.Errorf("a clone of a sealed set is not writable")
+		}
 	}
 }
 

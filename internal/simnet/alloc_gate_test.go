@@ -2,10 +2,13 @@ package simnet
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"uba/internal/allocgate"
+	"uba/internal/ids"
 	"uba/internal/trace"
+	"uba/internal/wire"
 )
 
 // discardObserver is the observer=on variants' observer: it takes the
@@ -128,5 +131,75 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// sayer broadcasts k payloads a round, values [0, k) when even and
+// [1, k] when odd, and all k + 1 when extra is set. In round 1 only
+// the lead speaks, and says all k + 1, so its own send buffers have room
+// for its extra round.
+type sayer struct {
+	id               ids.ID
+	k                int
+	odd, lead, extra bool
+}
+
+func (s *sayer) ID() ids.ID { return s.id }
+func (s *sayer) Done() bool { return false }
+func (s *sayer) Step(env *RoundEnv) {
+	if env.Round == 1 && !s.lead {
+		return
+	}
+	skip := s.k // the one value of [0, k] it leaves out
+	if s.odd {
+		skip = 0
+	}
+	for x := 0; x <= s.k; x++ {
+		if x != skip || s.extra || env.Round == 1 {
+			env.Broadcast(wire.Input{X: wire.V(float64(x))})
+		}
+	}
+}
+
+// A round that broadcasts once more than any round before it reuses the
+// broadcast block and its ranks: they are sized from the capacity of
+// the round's broadcast index list, which append grows geometrically,
+// not to the exact count, which would reallocate them at every new
+// maximum — a cold n = 128 consensus run has 7,396 broadcasts in one
+// round and 7,397 in a later one. After warm rounds of B = 86 · 86 =
+// 7,396 broadcasts (the index list then has room for 8,192), a round of
+// B + 1 allocates nothing.
+func TestOneMoreBroadcastAllocatesNothing(t *testing.T) {
+	const n, k = 86, 86
+	net := New(Config{})
+	defer net.Close()
+	sayers := make([]*sayer, n)
+	for i, id := range ids.Sparse(rand.New(rand.NewSource(3)), n) {
+		sayers[i] = &sayer{id: id, k: k, odd: i%2 == 1, lead: i == 0}
+		if err := net.Add(sayers[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 4 {
+		if err := net.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(net.bcastIdx) != n*k || cap(net.bcastIdx) <= n*k {
+		t.Fatalf("a warm round holds %d broadcasts with room for %d, want %d with room for more", len(net.bcastIdx), cap(net.bcastIdx), n*k)
+	}
+	// Count's warm-up call runs one more round of B; the measured call
+	// runs the round of B + 1.
+	allocs := allocgate.Count(1, func() {
+		if err := net.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		sayers[0].extra = true
+	})
+	if len(net.bcastIdx) != n*k+1 {
+		t.Fatalf("the measured round routed %d broadcasts, want %d", len(net.bcastIdx), n*k+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("a round of one broadcast more than the warm ones allocated %d times, want 0", allocs)
 	}
 }

@@ -28,10 +28,15 @@ import (
 //   - Echoes: the block's wire.IDEcho groups that some member sent,
 //     sorted by (instance, candidate), the order the rotor folds in.
 //
-// A view is found by a hash of the census content and confirmed by full
-// equality with the view's own copy of it, so a lookup is O(n_v)
-// however many censuses a round has, and two censuses that only agree
-// in length never share a view. It is built once per round under its
+// A shared census is a sealed set (census package), and most readers
+// hold one: a view of a sealed set is found by the set's address,
+// without the table's lock, among the sets the round already asked
+// about (identities), and counts against that set itself, uncopied. A
+// census a node owns, and a sealed set the round meets for the first
+// time, is found by a hash of its content and confirmed by full
+// equality with the view's census, so a lookup is O(n_v) however many
+// censuses a round has, and two censuses that only agree in length
+// never share a view. It is built once per round under its
 // own guard, by whichever Step asks first, in scratch recycled round
 // over round — except that an echo list may outlive the Step: the
 // consensus node notes a phase's echoes in one round and folds them
@@ -45,7 +50,8 @@ import (
 // view of a round with no block, or of an empty census: it counts
 // nothing.
 type Counted struct {
-	members ids.Set  // the census counted against: the view's own copy
+	members *ids.Set // the census counted against: a sealed census, or own
+	own     ids.Set  // the view's copy of an unsealed census
 	next    *Counted // the next view of the same hash in this round's table
 	guard   guard
 	// pins counts the echo lists handed out and not yet released; a
@@ -81,8 +87,8 @@ type Echo struct {
 
 // Counted returns the round's broadcast block counted against the
 // census whose members are of, building it if no Step of this round
-// asked about that census yet. The caller may change of afterwards: the
-// view keeps its own copy.
+// asked about that census yet. The caller may change an unsealed of
+// afterwards: the view keeps its own copy of it.
 func (in Inbox) Counted(of *ids.Set) *Counted {
 	if in.idx == nil || len(in.idx.block) == 0 || of.Len() == 0 {
 		return nil
@@ -159,7 +165,7 @@ func (ix *blockIndex) counted(of *ids.Set) *Counted {
 	if !v.guard.claim() {
 		return v
 	}
-	v.ranks.Lay(ix.senders, &v.members)
+	v.ranks.Lay(ix.senders, v.members)
 	words := census.MarkWords(v.members.Len())
 	slab := grown(v.slab, len(ix.said)*words)
 	clear(slab)
@@ -187,9 +193,11 @@ func (ix *blockIndex) counted(of *ids.Set) *Counted {
 	return v
 }
 
-// viewTable holds a round's counted views, found by census hash.
+// viewTable holds a round's counted views, found by census hash, and
+// by address for a sealed census.
 type viewTable struct {
 	mu     sync.Mutex
+	sealed identities[Counted] // the sealed censuses asked about
 	byHash map[uint64]*Counted // chained through Counted.next
 	live   []*Counted          // this round's views
 	held   []*Counted          // past rounds' views an echo list still pins
@@ -201,12 +209,34 @@ type viewTable struct {
 }
 
 // find returns this round's view of the census of, adding an unbuilt
-// one if no Step asked about it yet. The lock covers the table and the
-// copy of a new census, never a build.
+// one if no Step asked about it yet. A sealed census the round asked
+// about already is found by its address and without the lock; anything
+// else is found by content under the lock, which covers the table and
+// the copy of a new unsealed census, never a build.
 func (t *viewTable) find(of *ids.Set) *Counted {
-	h := of.Hash()
+	if !of.Sealed() {
+		h := of.Hash()
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		return t.match(h, of)
+	}
+	if v := t.sealed.fast(of); v != nil {
+		return v
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	v := t.sealed.locked(of)
+	if v == nil {
+		v = t.match(of.Hash(), of)
+		t.sealed.add(of, v)
+	}
+	return v
+}
+
+// match returns the view whose census equals of, hashing to h, adding
+// an unbuilt one if there is none. A sealed census is counted against
+// as it is; an unsealed one is copied. The caller holds the lock.
+func (t *viewTable) match(h uint64, of *ids.Set) *Counted {
 	for v := t.byHash[h]; v != nil; v = v.next {
 		if v.members.Equal(of) {
 			return v
@@ -218,7 +248,12 @@ func (t *viewTable) find(of *ids.Set) *Counted {
 	} else {
 		v = new(Counted)
 	}
-	v.members.CopyFrom(of)
+	if of.Sealed() {
+		v.members = of
+	} else {
+		v.own.CopyFrom(of)
+		v.members = &v.own
+	}
 	v.guard.stale()
 	if t.byHash == nil {
 		t.byHash = make(map[uint64]*Counted)
@@ -255,6 +290,7 @@ func (t *viewTable) reset() {
 	clear(t.live)
 	t.live = t.live[:0]
 	clear(t.byHash)
+	t.sealed.reset()
 }
 
 // release empties the table and drops every payload its spare views
@@ -266,5 +302,65 @@ func (t *viewTable) release() {
 	t.held = t.held[:0]
 	for _, v := range t.spare {
 		clear(v.said[:cap(v.said)])
+		v.members = nil
 	}
+}
+
+// identitySlots is how many sealed sets a round's identities finds
+// without a lock: a round holds one census per group of correct nodes
+// that heard alike, a handful.
+const identitySlots = 8
+
+// identities maps the sealed sets a round asked about to their entries,
+// by address: a sealed set never changes, so its address names its
+// content. The first identitySlots sets are found without a lock (fast):
+// a slot is written only under its owner's lock and before the count
+// that publishes it, and never again in the round. The rest are in a map
+// that the owner's lock guards (locked). The route pass resets it, when
+// no step task is running.
+type identities[E any] struct {
+	n    atomic.Int32 // published slots
+	keys [identitySlots]*ids.Set
+	vals [identitySlots]*E
+	more map[*ids.Set]*E
+}
+
+// fast returns the entry of set among the published slots, or nil.
+func (t *identities[E]) fast(set *ids.Set) *E {
+	for i := range t.n.Load() {
+		if t.keys[i] == set {
+			return t.vals[i]
+		}
+	}
+	return nil
+}
+
+// locked returns the entry of set, or nil. The caller holds the owner's
+// lock.
+func (t *identities[E]) locked(set *ids.Set) *E {
+	if e := t.fast(set); e != nil {
+		return e
+	}
+	return t.more[set]
+}
+
+// add makes e the entry of set. The caller holds the owner's lock.
+func (t *identities[E]) add(set *ids.Set, e *E) {
+	if i := t.n.Load(); i < identitySlots {
+		t.keys[i], t.vals[i] = set, e
+		t.n.Store(i + 1)
+		return
+	}
+	if t.more == nil {
+		t.more = make(map[*ids.Set]*E)
+	}
+	t.more[set] = e
+}
+
+// reset forgets every entry.
+func (t *identities[E]) reset() {
+	t.n.Store(0)
+	clear(t.keys[:])
+	clear(t.vals[:])
+	clear(t.more)
 }

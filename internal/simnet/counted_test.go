@@ -177,10 +177,15 @@ func TestCountedMatchesSaidAndIsBuiltOncePerCensus(t *testing.T) {
 
 // The guard of each view under contention, without a Network in the
 // way: eight callers, released together, ask for the view of one of two
-// censuses of a freshly reset echo block, five hundred times over. Each
-// view must be built exactly once per reset, and every caller must see
-// every echo counted in full: sixteen for the census of every sender,
-// eight for the one that holds half of them.
+// censuses of a freshly reset echo block, five hundred times over — half
+// of them through a sealed copy of the census, which they also merge
+// with the broadcasters (Inbox.Union). Each view must be built exactly
+// once per reset, whether asked about by content or by address, and
+// every caller must see every echo counted in full: sixteen for the
+// census of every sender, eight for the one that holds half of them.
+// Each sealed census is merged exactly once per reset, and its callers
+// all get the one merged set: the census itself when it holds every
+// broadcaster.
 func TestCountedViewsBuildOnceUnderContention(t *testing.T) {
 	t.Parallel()
 	const n, callers, resets = 16, 8, 500
@@ -197,13 +202,14 @@ func TestCountedViewsBuildOnceUnderContention(t *testing.T) {
 			half.Add(id)
 		}
 	}
-	censuses := []*ids.Set{all, half}
+	censuses := []*ids.Set{all, half, all.Clone().Seal(), half.Clone().Seal()}
 	in := InboxOfRound(block, nil)
 	for r := 0; r < resets; r++ {
 		in.idx.reset(in.bcast, in.idx.ranks, in.idx.nranks)
-		before := in.idx.views.builds.Load()
+		before, merges := in.idx.views.builds.Load(), in.idx.unions.builds.Load()
 		start := make(chan struct{})
 		full := make([]bool, callers)
+		merged := make([]*ids.Set, callers)
 		var wg sync.WaitGroup
 		for c := range callers {
 			wg.Add(1)
@@ -211,21 +217,36 @@ func TestCountedViewsBuildOnceUnderContention(t *testing.T) {
 				defer wg.Done()
 				<-start
 				want := n / (1 + c%2)
-				es := in.Counted(censuses[c%2]).Echoes(0)
+				of := censuses[c%len(censuses)]
+				es := in.Counted(of).Echoes(0)
 				full[c] = es.Len() == n
 				for _, e := range es.All() {
 					full[c] = full[c] && e.Count == want && e.Who.Count() == want
 				}
 				es.Release()
+				if of.Sealed() {
+					merged[c] = in.Union(of)
+				}
 			}()
 		}
 		close(start)
 		wg.Wait()
-		if got := in.idx.views.builds.Load() - before; got != int64(len(censuses)) {
-			t.Fatalf("reset %d: %d builds for %d callers of %d censuses, want %d", r, got, callers, len(censuses), len(censuses))
+		if got := in.idx.views.builds.Load() - before; got != 2 {
+			t.Fatalf("reset %d: %d builds for %d callers of 2 censuses, want 2", r, got, callers)
+		}
+		if got := in.idx.unions.builds.Load() - merges; got != 2 {
+			t.Fatalf("reset %d: %d merges for 2 sealed censuses, want 2", r, got)
 		}
 		if c := slices.Index(full, false); c >= 0 {
 			t.Fatalf("reset %d: caller %d saw a partial view", r, c)
+		}
+		for c := 2; c < callers; c += len(censuses) {
+			if merged[c] != censuses[2] {
+				t.Fatalf("reset %d: caller %d's census holds every broadcaster, but its merge is a new set", r, c)
+			}
+			if merged[c+1] != merged[3] || merged[3].Len() != n+2 || !merged[3].Sealed() {
+				t.Fatalf("reset %d: caller %d got another merge of half the senders, or a wrong one", r, c+1)
+			}
 		}
 	}
 }

@@ -110,8 +110,10 @@ type blockIndex struct {
 	// instrumentation: at most one per round, none when nobody asks).
 	builds int
 	// views are the round's counted views, one per census asked about
-	// (counted.go).
-	views viewTable
+	// (counted.go); unions are its census merges, one per sealed census
+	// asked about (union.go).
+	views  viewTable
+	unions unionTable
 
 	senders []ids.ID
 	said    []Said   // the finished index: ascending by encoding
@@ -126,6 +128,7 @@ func (ix *blockIndex) reset(block []Received, ranks []uint32, nranks int) {
 	ix.block, ix.ranks, ix.nranks = block, ranks, nranks
 	ix.guard.stale()
 	ix.views.reset()
+	ix.unions.reset()
 }
 
 // ensure builds the index if this round has not built it yet, under the

@@ -155,10 +155,12 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	// demoted to arena entries keep their Broadcast transcript flag
 	// through Received.bcast. Shrink-clearing the recycled tails drops
 	// the references held by last round's larger block/arena so dead
-	// payloads are not pinned.
+	// payloads are not pinned. The block and its ranks, like the arena,
+	// take their index list's capacity, which append grows geometrically,
+	// so a round one broadcast past the last maximum reallocates neither.
 	nb := len(n.bcastIdx)
-	n.bcastBlock = recycled(n.bcastBlock, nb, nb, &n.bcastLive)
-	n.bcastRank = grown(n.bcastRank, nb)
+	n.bcastBlock = recycled(n.bcastBlock, nb, cap(n.bcastIdx), &n.bcastLive)
+	n.bcastRank = grown(n.bcastRank, cap(n.bcastIdx))[:nb]
 	var bbytes int64
 	sender := 0 // cursor over n.order: the block is sender-ascending
 	for j, k := range n.bcastIdx {

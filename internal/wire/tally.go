@@ -29,6 +29,9 @@ func (t *Tally) Add(v Value, k int) {
 	t.votes = append(t.votes, vote{v: v, count: k})
 }
 
+// Reset empties the tally, keeping its storage for the next count.
+func (t *Tally) Reset() { t.votes = t.votes[:0] }
+
 // Best returns the value with the highest count, breaking ties toward the
 // smaller value so every node resolves identically; (zero Value, 0) when
 // nothing was counted.

@@ -312,6 +312,22 @@ func TestTallyCountsByValueAndPicksBest(t *testing.T) {
 	if v, n := tl.Best(); n != 3 || !v.Equal(V(-2)) {
 		t.Fatalf("Best = (%v, %d), want (-2, 3)", v, n)
 	}
+	// Reset empties the tally, and a count of no more values than it
+	// held before reuses its storage.
+	tl.Reset()
+	if v, n := tl.Best(); n != 0 || !v.Equal(Value{}) {
+		t.Fatalf("Best after Reset = (%v, %d)", v, n)
+	}
+	held := &tl.votes[:1][0]
+	tl.Add(V(7), 1)
+	tl.Add(Bot(), 3)
+	tl.Add(V(8), 2)
+	if &tl.votes[0] != held {
+		t.Fatal("a reset tally recounted into new storage")
+	}
+	if v, n := tl.Best(); n != 3 || !v.IsBot {
+		t.Fatalf("Best of the recount = (%v, %d), want (⊥, 3)", v, n)
+	}
 }
 
 // Ballot sorts the five tallied payloads into the three tallied kinds —

@@ -144,15 +144,11 @@ func (c *OrderingCluster) Chain(member uint64) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	chain := node.Chain()
-	out := make([]Event, 0, len(chain))
-	for _, e := range chain {
-		out = append(out, Event{
-			Round:     e.Round,
-			Submitter: uint64(e.Submitter),
-			Value:     e.Value,
-		})
-	}
+	out := make([]Event, node.ChainLen())
+	node.Entries(func(i int, e ordering.ChainEntry) bool {
+		out[i] = Event{Round: e.Round, Submitter: uint64(e.Submitter), Value: e.Value}
+		return true
+	})
 	return out, nil
 }
 
