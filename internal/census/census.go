@@ -71,16 +71,10 @@ func (c *Census) Observe(sender ids.ID) bool {
 }
 
 // ObserveAscending observes every sender of run, which ascends — a
-// round's broadcasters — with one merge into the census: in place into
-// a set of its own, into a new set of its own for a shared census that
-// run adds to.
-func (c *Census) ObserveAscending(run []ids.ID) {
-	if m := c.Members(); m.Sealed() {
-		c.members = m.With(run)
-	} else {
-		m.AddAscending(run)
-	}
-}
+// round's broadcasters — with one merge in place into a census the node
+// owns. A shared census takes the engine's merge instead (Share); this
+// panics on one, as every write to a sealed set does.
+func (c *Census) ObserveAscending(run []ids.ID) { c.Members().AddAscending(run) }
 
 // Share makes the census the shared set s, which holds every member of
 // the census: the engine's merge of a shared census with a round's

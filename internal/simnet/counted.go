@@ -29,14 +29,13 @@ import (
 //     sorted by (instance, candidate), the order the rotor folds in.
 //
 // A shared census is a sealed set (census package), and most readers
-// hold one: a view of a sealed set is found by the set's address,
-// without the table's lock, among the sets the round already asked
-// about (identities), and counts against that set itself, uncopied. A
-// census a node owns, and a sealed set the round meets for the first
-// time, is found by a hash of its content and confirmed by full
-// equality with the view's census, so a lookup is O(n_v) however many
-// censuses a round has, and two censuses that only agree in length
-// never share a view. It is built once per round under its
+// hold one: a view of a sealed set is found by the set's address among
+// the sets the round already asked about, and counts against that set
+// itself, uncopied. A census a node owns, and a sealed set the round
+// meets for the first time, is found by a hash of its content and
+// confirmed by full equality with the view's census, so a lookup is
+// O(n_v) however many censuses a round has, and two censuses that only
+// agree in length never share a view. It is built once per round under its
 // own guard, by whichever Step asks first, in scratch recycled round
 // over round — except that an echo list may outlive the Step: the
 // consensus node notes a phase's echoes in one round and folds them
@@ -197,11 +196,11 @@ func (ix *blockIndex) counted(of *ids.Set) *Counted {
 // by address for a sealed census.
 type viewTable struct {
 	mu     sync.Mutex
-	sealed identities[Counted] // the sealed censuses asked about
-	byHash map[uint64]*Counted // chained through Counted.next
-	live   []*Counted          // this round's views
-	held   []*Counted          // past rounds' views an echo list still pins
-	spare  []*Counted          // past rounds' views that nothing pins
+	sealed map[*ids.Set]*Counted // the sealed censuses asked about
+	byHash map[uint64]*Counted   // chained through Counted.next
+	live   []*Counted            // this round's views
+	held   []*Counted            // past rounds' views an echo list still pins
+	spare  []*Counted            // past rounds' views that nothing pins
 	// builds counts completed view builds over the table's lifetime
 	// (test instrumentation: one per distinct census asked about per
 	// round).
@@ -209,26 +208,30 @@ type viewTable struct {
 }
 
 // find returns this round's view of the census of, adding an unbuilt
-// one if no Step asked about it yet. A sealed census the round asked
-// about already is found by its address and without the lock; anything
-// else is found by content under the lock, which covers the table and
-// the copy of a new unsealed census, never a build.
+// one if no Step asked about it yet. A sealed census never changes, so
+// its address names its content: one the round asked about already is
+// found by address. Anything else is hashed outside the lock and found
+// by content under it; the lock covers the table and the copy of a new
+// unsealed census, never a build.
 func (t *viewTable) find(of *ids.Set) *Counted {
-	if !of.Sealed() {
-		h := of.Hash()
+	sealed := of.Sealed()
+	if sealed {
 		t.mu.Lock()
-		defer t.mu.Unlock()
-		return t.match(h, of)
+		v := t.sealed[of]
+		t.mu.Unlock()
+		if v != nil {
+			return v
+		}
 	}
-	if v := t.sealed.fast(of); v != nil {
-		return v
-	}
+	h := of.Hash()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	v := t.sealed.locked(of)
-	if v == nil {
-		v = t.match(of.Hash(), of)
-		t.sealed.add(of, v)
+	v := t.match(h, of)
+	if sealed {
+		if t.sealed == nil {
+			t.sealed = make(map[*ids.Set]*Counted)
+		}
+		t.sealed[of] = v
 	}
 	return v
 }
@@ -290,7 +293,7 @@ func (t *viewTable) reset() {
 	clear(t.live)
 	t.live = t.live[:0]
 	clear(t.byHash)
-	t.sealed.reset()
+	clear(t.sealed)
 }
 
 // release empties the table and drops every payload its spare views
@@ -304,63 +307,4 @@ func (t *viewTable) release() {
 		clear(v.said[:cap(v.said)])
 		v.members = nil
 	}
-}
-
-// identitySlots is how many sealed sets a round's identities finds
-// without a lock: a round holds one census per group of correct nodes
-// that heard alike, a handful.
-const identitySlots = 8
-
-// identities maps the sealed sets a round asked about to their entries,
-// by address: a sealed set never changes, so its address names its
-// content. The first identitySlots sets are found without a lock (fast):
-// a slot is written only under its owner's lock and before the count
-// that publishes it, and never again in the round. The rest are in a map
-// that the owner's lock guards (locked). The route pass resets it, when
-// no step task is running.
-type identities[E any] struct {
-	n    atomic.Int32 // published slots
-	keys [identitySlots]*ids.Set
-	vals [identitySlots]*E
-	more map[*ids.Set]*E
-}
-
-// fast returns the entry of set among the published slots, or nil.
-func (t *identities[E]) fast(set *ids.Set) *E {
-	for i := range t.n.Load() {
-		if t.keys[i] == set {
-			return t.vals[i]
-		}
-	}
-	return nil
-}
-
-// locked returns the entry of set, or nil. The caller holds the owner's
-// lock.
-func (t *identities[E]) locked(set *ids.Set) *E {
-	if e := t.fast(set); e != nil {
-		return e
-	}
-	return t.more[set]
-}
-
-// add makes e the entry of set. The caller holds the owner's lock.
-func (t *identities[E]) add(set *ids.Set, e *E) {
-	if i := t.n.Load(); i < identitySlots {
-		t.keys[i], t.vals[i] = set, e
-		t.n.Store(i + 1)
-		return
-	}
-	if t.more == nil {
-		t.more = make(map[*ids.Set]*E)
-	}
-	t.more[set] = e
-}
-
-// reset forgets every entry.
-func (t *identities[E]) reset() {
-	t.n.Store(0)
-	clear(t.keys[:])
-	clear(t.vals[:])
-	clear(t.more)
 }

@@ -102,6 +102,19 @@ func (e *echoer) Step(env *simnet.RoundEnv) {
 	}
 }
 
+// whisper is a Byzantine node that broadcasts nothing and, in round 1,
+// unicasts once to one node, which hears it in round 2.
+type whisper struct{ id, to ids.ID }
+
+func (w *whisper) ID() ids.ID { return w.id }
+func (w *whisper) Done() bool { return false }
+
+func (w *whisper) Step(env *simnet.RoundEnv) {
+	if env.Round == 1 {
+		env.Send(w.to, wire.Input{X: wire.V(1)})
+	}
+}
+
 // TestSendPathZeroAlloc is RoundEnv.Send's allocation contract: a send
 // costs no heap memory. After warm-up rounds, a whole RunRound — every
 // Step, the step merge and its intern table and rank pass, the route
@@ -122,7 +135,10 @@ func (e *echoer) Step(env *simnet.RoundEnv) {
 //     sized by it (the unicast arena, a node's census window) reach
 //     their high-water mark only after dozens of rounds; this row warms
 //     for 100 (the last growth is before round 70, and the 2,000 rounds
-//     after it allocate nothing).
+//     after it allocate nothing). With census=owned the links are
+//     healthy and a Byzantine node unicasts once, in round 1, to one
+//     node, which then owns its census and merges every round's
+//     broadcasters into it in place while the others share one set.
 //
 //   - queue/transcript=full: the queue fixture with a trace.EventLog
 //     attached that is already at capacity, so every round is
@@ -190,11 +206,15 @@ func TestSendPathZeroAlloc(t *testing.T) {
 			t.Fatalf("a node read the candidates in the order %v, want the byte order %v", got, want)
 		}
 	})
-	const dropped = 2 // the node whose links the live drop rule names
-	for _, links := range []string{"healthy", "live"} {
-		t.Run("rotor/links="+links, func(t *testing.T) {
+	const (
+		dropped = 2 // the node whose links the live drop rule names
+		owner   = 3 // the node the census=owned whisper makes own its census
+	)
+	for _, row := range []string{"links=healthy", "links=live", "census=owned"} {
+		t.Run("rotor/"+row, func(t *testing.T) {
+			live := row == "links=live"
 			cfg := simnet.Config{}
-			if links == "live" {
+			if live {
 				cfg.FaultPlan = &simnet.FaultPlan{Seed: 1, Events: []simnet.FaultEvent{
 					{Round: 1, Kind: simnet.FaultDrop, Node: uint64(nodes[dropped]), Rate: 0.5},
 				}}
@@ -212,13 +232,24 @@ func TestSendPathZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if row == "census=owned" {
+				w := &whisper{id: slices.Max(nodes) + 1, to: nodes[owner]}
+				if err := net.AddByzantine(w); err != nil {
+					t.Fatal(err)
+				}
+			}
 			warm := 4
-			if links == "live" {
+			if live {
 				warm = 100
 			}
 			checkZeroAllocRounds(t, net, warm)
-			if got := es[1].live.N(); got != n {
-				t.Fatalf("a node's live census holds %d senders, want n = %d", got, n)
+			// A live link-fault round delivers every broadcast through
+			// Direct, so there each node owns its census.
+			if got, shared := es[1].live.N(), es[1].live.Members().Sealed(); got != n || shared == live {
+				t.Fatalf("a node's live census holds %d senders (shared %v), want n = %d, shared unless links are live", got, shared, n)
+			}
+			if own := es[owner].live.Members(); row == "census=owned" && (own.Sealed() || own.Len() != n+1) {
+				t.Fatalf("the whispered-to node's census holds %d senders (shared %v), want its own n + 1 = %d", own.Len(), own.Sealed(), n+1)
 			}
 			if es[1].opinions != 2 {
 				t.Fatalf("a node read %d of the coordinator's opinions, want 2", es[1].opinions)
@@ -228,8 +259,8 @@ func TestSendPathZeroAlloc(t *testing.T) {
 			}
 			// Every link of the named node is rolled and about half are
 			// dropped; the other nodes lose only what it sends them.
-			if lost := es[1].heard - es[dropped].heard; (links == "live") != (lost > 0) {
-				t.Fatalf("the named node heard %d messages and another %d, with links %s", es[dropped].heard, es[1].heard, links)
+			if lost := es[1].heard - es[dropped].heard; live != (lost > 0) {
+				t.Fatalf("the named node heard %d messages and another %d, with %s", es[dropped].heard, es[1].heard, row)
 			}
 		})
 	}

@@ -14,8 +14,8 @@ import (
 // once per node is O(n) work each, O(n²) a round, for one answer. So the
 // engine answers "this sealed census ∪ this round's broadcasters" once
 // per round for each distinct set asked about, found by the set's
-// address (identities), built under its own guard by whichever Step asks
-// first. The answer is new heap memory, not round scratch: the census
+// address (a sealed set never changes, so its address names its
+// content), built under its own guard by whichever Step asks first. The answer is new heap memory, not round scratch: the census
 // that adopts it keeps it for as many rounds as it brings no one new.
 // When every broadcaster is a member already — every round of a run
 // after the first, unless someone joins — the answer is the set itself,
@@ -57,8 +57,8 @@ func (ix *blockIndex) union(of *ids.Set) *ids.Set {
 // unionTable holds a round's merges, one per sealed census asked about.
 type unionTable struct {
 	mu    sync.Mutex
-	found identities[union]
-	pool  []*union // pool[:used] are this round's; the rest are spare
+	found map[*ids.Set]*union // by the census's address
+	pool  []*union            // pool[:used] are this round's; the rest are spare
 	used  int
 	// builds counts completed merges over the table's lifetime (test
 	// instrumentation: one per distinct census asked about per round).
@@ -68,12 +68,9 @@ type unionTable struct {
 // find returns this round's merge of of, adding an unbuilt one if no
 // Step asked about of yet; the lock covers only the table.
 func (t *unionTable) find(of *ids.Set) *union {
-	if u := t.found.fast(of); u != nil {
-		return u
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if u := t.found.locked(of); u != nil {
+	if u := t.found[of]; u != nil {
 		return u
 	}
 	if t.used == len(t.pool) {
@@ -82,7 +79,10 @@ func (t *unionTable) find(of *ids.Set) *union {
 	u := t.pool[t.used]
 	t.used++
 	u.guard.stale()
-	t.found.add(of, u)
+	if t.found == nil {
+		t.found = make(map[*ids.Set]*union)
+	}
+	t.found[of] = u
 	return u
 }
 
@@ -93,5 +93,5 @@ func (t *unionTable) reset() {
 		u.set = nil
 	}
 	t.used = 0
-	t.found.reset()
+	clear(t.found)
 }
