@@ -45,7 +45,7 @@ func TestFreezeSnapshotIsImmutable(t *testing.T) {
 	var c Census
 	c.Observe(10)
 	c.Observe(20)
-	frozen := c.Freeze()
+	frozen := c
 	c.Observe(30)
 	if frozen.N() != 2 {
 		t.Fatalf("frozen N = %d, want 2", frozen.N())
@@ -180,7 +180,7 @@ func TestQuorumArithmeticBackbone(t *testing.T) {
 // members below the sender whatever order they were observed in, and
 // defined exactly for the members. A later Observe shifts the live ranks
 // of the members above the newcomer — why a count that spans Observes
-// counts against a Frozen — and never a Frozen's.
+// counts against a snapshot — and never a snapshot's.
 func TestRankDenseStableAndConsistentWithContains(t *testing.T) {
 	t.Parallel()
 	var c Census // zero value
@@ -207,7 +207,7 @@ func TestRankDenseStableAndConsistentWithContains(t *testing.T) {
 		}
 	}
 	want := map[ids.ID]int{3: 0, 7: 1, 12: 2, 41: 3, 900: 4}
-	frozen := c.Freeze()
+	frozen := c
 	c.Observe(5)    // below 7, 12, 41 and 900: their live ranks move up one
 	c.Observe(1000) // above everyone: no rank moves
 	shifted := map[ids.ID]int{3: 0, 5: 1, 7: 2, 12: 3, 41: 4, 900: 5, 1000: 6}
@@ -217,7 +217,7 @@ func TestRankDenseStableAndConsistentWithContains(t *testing.T) {
 		}
 		fr, fok := frozen.Members().Rank(id)
 		if fok != frozen.Contains(id) {
-			t.Fatalf("Frozen: Rank ok = %v but Contains = %v for %v", fok, frozen.Contains(id), id)
+			t.Fatalf("snapshot: Rank ok = %v but Contains = %v for %v", fok, frozen.Contains(id), id)
 		}
 		if w, member := want[id]; fok != member || fr != w {
 			t.Fatalf("frozen rank of %v = (%d, %v), want (%d, %v): a later Observe reached the snapshot", id, fr, fok, w, member)
@@ -226,9 +226,9 @@ func TestRankDenseStableAndConsistentWithContains(t *testing.T) {
 	if frozen.N() != len(want) || c.N() != len(shifted) {
 		t.Fatalf("frozen N = %d, live N = %d", frozen.N(), c.N())
 	}
-	var zero Frozen
+	var zero Census
 	if _, ok := zero.Members().Rank(3); ok || zero.Contains(3) || zero.N() != 0 {
-		t.Fatal("zero Frozen is not empty")
+		t.Fatal("zero Census is not empty")
 	}
 }
 
@@ -266,71 +266,41 @@ func TestMarksCountDistinctRanks(t *testing.T) {
 	}
 }
 
-// A census shares a sealed set until it observes a sender the set
-// lacks: then it owns a copy, with the sender, and writes that copy in
-// place from there on, while the shared set and every other holder of
-// it stay as they were. Freeze shares the census's set and seals it, so
-// the next new sender makes the census copy again. A merge by
-// ObserveAscending is for an owned census only: on a shared one it
-// panics.
-func TestCensusOwnsACopyOnlyWhenASenderIsNew(t *testing.T) {
+// A census is a sealed set, replaced when a sender is new and never
+// written: observing a member keeps the set, a new sender replaces it
+// with a new sealed set, and every other holder of the old set — another
+// census, or a snapshot taken by copying — keeps it unchanged.
+func TestCensusIsReplacedOnlyWhenASenderIsNew(t *testing.T) {
 	t.Parallel()
-	shared := ids.NewSet(10, 20, 30).Seal()
-	var a, b Census
-	a.Share(shared)
-	b.Share(shared)
+	shared := ids.NewSet(10, 20, 30)
+	a, b := Of(shared), Of(shared)
 	if a.Observe(20) || a.Members() != shared {
-		t.Fatal("observing a member left the shared set")
+		t.Fatal("observing a member replaced the set")
 	}
+	snapshot := a
 	if !a.Observe(25) {
 		t.Fatal("a new sender was not new")
 	}
-	own := a.Members()
-	if own == shared || own.Sealed() || !own.Equal(ids.NewSet(10, 20, 25, 30)) {
-		t.Fatalf("after a new sender the census is %v (sealed %v), want its own 10 20 25 30", own.Members(), own.Sealed())
+	got := a.Members()
+	if got == shared || !got.Sealed() || !got.Equal(ids.NewSet(10, 20, 25, 30)) {
+		t.Fatalf("after a new sender the census is %v (sealed %v), want a new sealed 10 20 25 30", got.Members(), got.Sealed())
 	}
-	if !shared.Equal(ids.NewSet(10, 20, 30)) || b.Members() != shared {
+	if !shared.Equal(ids.NewSet(10, 20, 30)) || b.Members() != shared || snapshot.Members() != shared {
 		t.Fatalf("a new sender changed the shared set to %v", shared.Members())
 	}
-	a.Observe(5)
-	a.ObserveAscending([]ids.ID{1, 40})
-	if a.Members() != own || a.N() != 7 {
-		t.Fatalf("an owned census was copied again (n %d)", a.N())
-	}
-	frozen := a.Freeze()
-	if frozen.Members() != own || !own.Sealed() {
-		t.Fatal("Freeze copied the census instead of sealing and sharing it")
-	}
-	a.Observe(50)
-	if a.Members() == own || frozen.N() != 7 || frozen.Contains(50) {
-		t.Fatal("a sender new after Freeze wrote the snapshot")
-	}
-	defer func() {
-		if recover() == nil || !shared.Equal(ids.NewSet(10, 20, 30)) {
-			t.Fatalf("a merge into a shared census did not panic, or wrote the set: %v", shared.Members())
-		}
-	}()
-	b.ObserveAscending([]ids.ID{20, 35})
 }
 
-// FrozenOf shares the membership it is given and seals it, and the
-// empty census, live or frozen, is one shared empty set.
-func TestFrozenOfSharesAndSeals(t *testing.T) {
+// Of shares the membership it is given and seals it, and the empty
+// census is one shared, sealed empty set.
+func TestOfSharesAndSeals(t *testing.T) {
 	t.Parallel()
 	s := ids.NewSet(3, 1, 2)
-	f := FrozenOf(s)
+	f := Of(s)
 	if f.Members() != s || !s.Sealed() || f.N() != 3 {
-		t.Fatal("FrozenOf copied its membership or left it unsealed")
+		t.Fatal("Of copied its membership or left it unsealed")
 	}
-	var c Census
-	var z Frozen
+	var c, z Census
 	if c.Members() != z.Members() || !c.Members().Sealed() || z.N() != 0 {
 		t.Fatal("the empty census is not one shared, sealed empty set")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Share of an unsealed set did not panic")
-		}
-	}()
-	c.Share(ids.NewSet(1))
 }

@@ -22,9 +22,9 @@ import "uba/internal/ids"
 // the per-bit loop — the same code, and the same result, since a run is
 // only ever a shorthand for its positions.
 //
-// The table holds while its census does: until the next Observe of a
-// live Census, for good over a Frozen. The zero value is ready for
-// Reset. The storage is the table's own and is reused from round to
+// The table is laid over a sealed set, which never changes: it gives a
+// census's ranks until the census's next Observe replaces the set, and
+// a snapshot's for good. The zero value is ready for Reset. The storage is the table's own and is reused from round to
 // round.
 type Ranks struct {
 	of   *ids.Set // the census's members, a rank being a position
@@ -37,7 +37,7 @@ type rankRun struct{ pos, rank, n int }
 
 // Reset rebuilds the table for the round whose distinct broadcasters, in
 // the engine's ascending order, are broadcasters, as seen by the census
-// whose members (Census.Members, Frozen.Members) are of.
+// whose members (Census.Members) are of.
 func (t *Ranks) Reset(broadcasters []ids.ID, of *ids.Set) {
 	t.of = of
 	t.Lay(broadcasters, of)

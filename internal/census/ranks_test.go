@@ -118,7 +118,7 @@ func TestRanksHonestRoundIsOneRun(t *testing.T) {
 	for _, id := range members {
 		cen.Observe(id)
 	}
-	frozen := cen.Freeze()
+	frozen := cen
 	var table Ranks
 	table.Reset(members, frozen.Members())
 	if len(table.runs) != 1 {

@@ -21,7 +21,7 @@ import "slices"
 // and a window holds at most one row per Add. Every set of one window is
 // counted against one census state (see the package doc: a live census is
 // folded in the Step that observed it, a window spanning Steps counts
-// against a Frozen), so they all have one length, and the window takes
+// against a snapshot), so they all have one length, and the window takes
 // its stride from its first Add. The slab is truncated and reused at the
 // next window instead of rebuilt. The zero value is an empty window.
 type Window[K comparable] struct {

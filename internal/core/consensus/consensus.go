@@ -67,7 +67,7 @@ type Node struct {
 
 	core   *rotor.Core
 	cen    census.Census
-	frozen census.Frozen
+	frozen census.Census
 
 	// lastSent remembers the node's own most recent message of each
 	// tallied kind (indexed by wire.BallotSlot), for the substitution
@@ -161,15 +161,16 @@ func (n *Node) NV() int { return n.frozen.N() }
 func (n *Node) Step(env *simnet.RoundEnv) {
 	switch env.Round {
 	case 1:
-		rotor.ObserveSenders(&n.cen, env.Inbox)
+		rotor.ObserveSenders(&n.cen, &env.Inbox)
 		n.core.BroadcastInit(env)
 		return
 	case 2:
-		rotor.ObserveSenders(&n.cen, env.Inbox)
+		rotor.ObserveSenders(&n.cen, &env.Inbox)
 		n.core.EchoInits(env.Inbox, env)
 		// Freeze n_v: ids heard during initialization are the
-		// protocol's world; everything else is discarded later.
-		n.frozen = n.cen.Freeze()
+		// protocol's world; everything else is discarded later. A
+		// census is a sealed set, so its copy is the snapshot.
+		n.frozen = n.cen
 		return
 	}
 

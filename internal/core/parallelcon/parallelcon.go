@@ -79,13 +79,13 @@ type OutputPair struct {
 // its own, so it never crosses nodes. Members borrows S: the caller reads
 // it (to count an inbox against it, say) and must not change it.
 type Scope struct {
-	census.Frozen
+	census.Census
 }
 
 // NewScope prepares the snapshot members, which it seals and shares
-// (census.FrozenOf): the caller must not write members again.
+// (census.Of): the caller must not write members again.
 func NewScope(members *ids.Set) *Scope {
-	return &Scope{census.FrozenOf(members)}
+	return &Scope{census.Of(members)}
 }
 
 // Equal reports whether S is exactly members.
@@ -156,7 +156,7 @@ type Node struct {
 	opts Options
 
 	cen    census.Census
-	frozen census.Frozen // empty until the census is fixed
+	frozen census.Census // empty until the census is fixed
 
 	// present marks the census ranks heard from in the tally under way;
 	// reused from one tally to the next. ranks is the rank table Step
@@ -196,7 +196,7 @@ func New(id ids.ID, inputs []InputPair, opts Options) *Node {
 		n.AddInput(in)
 	}
 	if opts.Scope != nil {
-		n.frozen = opts.Scope.Frozen
+		n.frozen = opts.Scope.Census
 		n.core.SeedCandidates(opts.Scope.Members())
 	}
 	return n
@@ -290,13 +290,13 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, view rotor.View, env *si
 	if n.opts.Scope == nil {
 		switch local {
 		case 1:
-			rotor.ObserveSenders(&n.cen, inbox)
+			rotor.ObserveSenders(&n.cen, &inbox)
 			n.core.BroadcastInit(env)
 			return
 		case 2:
-			rotor.ObserveSenders(&n.cen, inbox)
+			rotor.ObserveSenders(&n.cen, &inbox)
 			n.core.EchoInits(inbox, env)
-			n.frozen = n.cen.Freeze()
+			n.frozen = n.cen
 			return
 		}
 		loopLocal = local - 3

@@ -107,7 +107,7 @@ func (n *Node) Done() bool { return false }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	rotor.ObserveSenders(&n.cen, env.Inbox)
+	rotor.ObserveSenders(&n.cen, &env.Inbox)
 
 	switch env.Round {
 	case 1:

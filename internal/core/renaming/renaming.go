@@ -95,7 +95,7 @@ func (n *Node) TerminationRound() int { return n.termRound }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	rotor.ObserveSenders(&n.cen, env.Inbox)
+	rotor.ObserveSenders(&n.cen, &env.Inbox)
 	switch env.Round {
 	case 1:
 		env.Broadcast(wire.Init{})

@@ -9,36 +9,24 @@ import (
 
 // ObserveSenders adds every sender of inbox to cen: the n_v bookkeeping
 // of a node still meeting its world, and the one place every family
-// updates a census. A shared census takes the engine's merge of it with
-// the block's broadcasters (Inbox.Union), which every reader of the same
-// census shares and which is the census itself when no broadcaster is
-// new; a census the node owns merges them in place, by one merge since
-// they ascend by id (Census.ObserveAscending). The few senders of the
-// private segment go in one by one, and one the census lacks makes it
-// the node's own. A View counted against cen before this call no longer
-// holds after it.
-func ObserveSenders(cen *census.Census, inbox simnet.Inbox) {
-	if of := cen.Members(); of.Sealed() {
-		cen.Share(inbox.Union(of))
-	} else {
-		cen.ObserveAscending(inbox.Broadcasters())
-	}
-	for _, m := range inbox.Direct() {
-		cen.Observe(m.From)
-	}
+// updates a census. The census becomes the engine's merge of it with the
+// inbox's senders (Inbox.Union), which every reader of an equal census
+// shares and which is the census itself when no sender is new. A View
+// counted against cen before this call no longer holds after it.
+func ObserveSenders(cen *census.Census, inbox *simnet.Inbox) {
+	*cen = census.Of(inbox.Union(cen.Members()))
 }
 
 // View is how one reader sees one round's inbox against its census: the
 // engine's counted view of the shared block (simnet.Counted), which every
-// reader of the same census shares — found by address when the census
-// is a shared, sealed set, by content when the reader owns it — and the
-// reader's own rank table for its private segment, both over the same
-// census. Count builds it once
-// per Step and census; like the inbox it dies with the Step. Ranks are
-// positions in the census, so every inbox that one window notes must be
-// counted against one census state: an owner that notes several inboxes
-// per fold counts against a census.Frozen, as consensus does; the
-// standalone node observes, counts, notes and folds in one Step.
+// reader of an equal census shares — found by the census's address or
+// content — and the reader's own rank table for its private segment,
+// both over the same census. Count builds it once per Step and census;
+// like the inbox it dies with the Step. Ranks are positions in the census, so every inbox
+// that one window notes must be counted against one census state: an
+// owner that notes several inboxes per fold counts against a snapshot
+// of its census, as consensus does; the standalone node observes,
+// counts, notes and folds in one Step.
 type View struct {
 	block *simnet.Counted
 	ranks *census.Ranks

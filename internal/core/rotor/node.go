@@ -36,7 +36,7 @@ func (n *Node) Done() bool { return n.core.Terminated() }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	ObserveSenders(&n.cen, env.Inbox)
+	ObserveSenders(&n.cen, &env.Inbox)
 	switch env.Round {
 	case 1:
 		n.core.BroadcastInit(env)

@@ -17,18 +17,18 @@ import (
 
 // noteInbox feeds core one inbox as seen by the census whose members are
 // of, the way an owning Step does: count the inbox against the census,
-// then note.
+// then note. It seals of, as every census is.
 func noteInbox(core *Core, inbox simnet.Inbox, of *ids.Set) {
 	var ranks census.Ranks
-	core.NoteInbox(inbox, Count(inbox, of, &ranks))
+	core.NoteInbox(inbox, Count(inbox, of.Seal(), &ranks))
 }
 
 // opinionsOf collects what core.Opinions yields for inbox as seen by the
-// census whose members are of, in the order yielded.
+// census whose members are of, in the order yielded. It seals of.
 func opinionsOf(core *Core, inbox simnet.Inbox, of *ids.Set) []wire.Opinion {
 	var ranks census.Ranks
 	var out []wire.Opinion
-	core.Opinions(inbox, Count(inbox, of, &ranks), func(op wire.Opinion) { out = append(out, op) })
+	core.Opinions(inbox, Count(inbox, of.Seal(), &ranks), func(op wire.Opinion) { out = append(out, op) })
 	return out
 }
 
@@ -454,9 +454,9 @@ func (w *whisperer) Step(env *simnet.RoundEnv) {
 
 // Every correct rotor node hears the same broadcasters, so from round 2
 // on the fleet holds one shared census, the same pointer at every node.
-// A private sender that the census lacks makes its one receiver copy
-// the census and own it — with the sender in it — while the shared set,
-// and every other node, stay as they were.
+// A private sender that the census lacks gives its one receiver a new
+// sealed set, with the sender in it, while the shared set, and every
+// other node, stay as they were.
 func TestCensusIsSharedUntilAPrivateSenderIsNew(t *testing.T) {
 	t.Parallel()
 	const g = 9
@@ -486,8 +486,8 @@ func TestCensusIsSharedUntilAPrivateSenderIsNew(t *testing.T) {
 			switch {
 			case round < 5 && own != shared:
 				t.Fatalf("workers=%d round %d: the whisperer's target left the shared census early", workers, round)
-			case round >= 5 && (own == shared || own.Sealed() || own.Len() != g+1 || !own.Contains(w.id)):
-				t.Fatalf("workers=%d round %d: the whisperer's target holds %v (sealed %v), want its own copy with the whisperer", workers, round, own.Members(), own.Sealed())
+			case round >= 5 && (own == shared || !own.Sealed() || own.Len() != g+1 || !own.Contains(w.id)):
+				t.Fatalf("workers=%d round %d: the whisperer's target holds %v (sealed %v), want a sealed set of its own with the whisperer", workers, round, own.Members(), own.Sealed())
 			}
 		}
 	}

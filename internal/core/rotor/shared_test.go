@@ -19,7 +19,7 @@ import (
 type folder struct {
 	id    ids.ID
 	core  *Core
-	cen   census.Frozen
+	cen   census.Census
 	ranks census.Ranks
 
 	shared, windowed int // folds over the engine's counted list / over the census.Window
@@ -73,7 +73,7 @@ func TestFaultLiveRoundTakesTheWindowFallback(t *testing.T) {
 		}
 		net := simnet.New(cfg)
 		defer net.Close()
-		members := census.FrozenOf(ids.NewSet(append(slices.Clone(nodes), ghosts...)...))
+		members := census.Of(ids.NewSet(append(slices.Clone(nodes), ghosts...)...))
 		fs := make([]*folder, len(nodes))
 		for i, id := range nodes {
 			core := NewCore(0)
@@ -117,7 +117,7 @@ func TestFaultLiveRoundTakesTheWindowFallback(t *testing.T) {
 func TestSharedEchoesSpillIntoTheWindow(t *testing.T) {
 	t.Parallel()
 	members := ids.Sparse(rand.New(rand.NewSource(6)), 9)
-	frozen := census.FrozenOf(ids.NewSet(members...))
+	frozen := census.Of(ids.NewSet(members...))
 	echo := func(from ids.ID) simnet.Received {
 		return simnet.Received{From: from, Payload: wire.IDEcho{Candidate: 7}}
 	}

@@ -211,7 +211,7 @@ func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 		}
 	}
 	inbox := simnet.InboxOfRound(msgs, nil)
-	frozen := cen.Freeze()
+	frozen := cen
 	var ranks census.Ranks
 
 	// n_v is held above 3n so that every row is sorted and counted but

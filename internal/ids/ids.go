@@ -232,13 +232,6 @@ func (s *Set) Clone() *Set {
 	return &Set{members: s.Members()}
 }
 
-// CopyFrom makes s an independent copy of o, in s's own storage when it
-// is large enough.
-func (s *Set) CopyFrom(o *Set) {
-	s.write()
-	s.members = append(s.members[:0], o.members...)
-}
-
 // Hash returns a digest of the membership: equal sets hash equal, and
 // unequal ones collide rarely — a hash is a filter, confirmed by Equal.
 func (s *Set) Hash() uint64 {

@@ -3,7 +3,6 @@ package simnet
 import (
 	"cmp"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"uba/internal/census"
@@ -28,20 +27,16 @@ import (
 //   - Echoes: the block's wire.IDEcho groups that some member sent,
 //     sorted by (instance, candidate), the order the rotor folds in.
 //
-// A shared census is a sealed set (census package), and most readers
-// hold one: a view of a sealed set is found by the set's address among
-// the sets the round already asked about, and counts against that set
-// itself, uncopied. A census a node owns, and a sealed set the round
-// meets for the first time, is found by a hash of its content and
-// confirmed by full equality with the view's census, so a lookup is
-// O(n_v) however many censuses a round has, and two censuses that only
-// agree in length never share a view. It is built once per round under its
-// own guard, by whichever Step asks first, in scratch recycled round
-// over round — except that an echo list may outlive the Step: the
-// consensus node notes a phase's echoes in one round and folds them
-// four rounds later. So Echoes pins the view, and the route pass
-// recycles only views that no reader pins; a pinned one is held, never
-// written, until a later route pass finds its last pin released.
+// A view is one half of an entry of the round's census table
+// (union.go), found like the census's merge: by the census's address,
+// or by its content, so equal censuses at different addresses share one
+// view. It is built once per round under its own guard, by whichever
+// Step asks first, in scratch recycled round over round — except that
+// an echo list may outlive the Step: the consensus node notes a phase's
+// echoes in one round and folds them four rounds later. So Echoes pins
+// the view, and the route pass recycles only views that no reader pins;
+// a pinned one is held, never written, until a later route pass finds
+// its last pin released.
 
 // Counted is the round's broadcast block counted against one census: a
 // view shared by every reader of that census, valid until the Step call
@@ -49,10 +44,7 @@ import (
 // view of a round with no block, or of an empty census: it counts
 // nothing.
 type Counted struct {
-	members *ids.Set // the census counted against: a sealed census, or own
-	own     ids.Set  // the view's copy of an unsealed census
-	next    *Counted // the next view of the same hash in this round's table
-	guard   guard
+	guard guard
 	// pins counts the echo lists handed out and not yet released; a
 	// pinned view is not recycled until it reads 0.
 	pins atomic.Int32
@@ -60,7 +52,7 @@ type Counted struct {
 	said   []SaidCount
 	echoes []Echo
 	ranks  census.Ranks // build scratch: the census laid over the broadcasters
-	slab   []uint64     // len(said) rows of MarkWords(members.Len()) words
+	slab   []uint64     // len(said) rows of MarkWords(census size) words
 }
 
 // SaidCount is one group of Inbox.Said counted against a census.
@@ -86,9 +78,12 @@ type Echo struct {
 
 // Counted returns the round's broadcast block counted against the
 // census whose members are of, building it if no Step of this round
-// asked about that census yet. The caller may change an unsealed of
-// afterwards: the view keeps its own copy of it.
+// asked about an equal census yet. of must be sealed, as for Union;
+// Counted panics otherwise.
 func (in Inbox) Counted(of *ids.Set) *Counted {
+	if !of.Sealed() {
+		panic("simnet: Counted of an unsealed set")
+	}
 	if in.idx == nil || len(in.idx.block) == 0 || of.Len() == 0 {
 		return nil
 	}
@@ -160,12 +155,13 @@ func (l *EchoList) Release() {
 // row of the view's slab, and sorts the echoes.
 func (ix *blockIndex) counted(of *ids.Set) *Counted {
 	ix.ensure()
-	v := ix.views.find(of)
+	e := ix.censuses.find(of)
+	v := &e.view
 	if !v.guard.claim() {
 		return v
 	}
-	v.ranks.Lay(ix.senders, v.members)
-	words := census.MarkWords(v.members.Len())
+	v.ranks.Lay(ix.senders, e.members)
+	words := census.MarkWords(e.members.Len())
 	slab := grown(v.slab, len(ix.said)*words)
 	clear(slab)
 	said, echoes := v.said[:0], v.echoes[:0]
@@ -187,124 +183,7 @@ func (ix *blockIndex) counted(of *ids.Set) *Counted {
 		return cmp.Compare(a.Candidate, b.Candidate)
 	})
 	v.said, v.echoes, v.slab = said, echoes, slab
-	ix.views.builds.Add(1)
+	ix.censuses.views.Add(1)
 	v.guard.done()
 	return v
-}
-
-// viewTable holds a round's counted views, found by census hash, and
-// by address for a sealed census.
-type viewTable struct {
-	mu     sync.Mutex
-	sealed map[*ids.Set]*Counted // the sealed censuses asked about
-	byHash map[uint64]*Counted   // chained through Counted.next
-	live   []*Counted            // this round's views
-	held   []*Counted            // past rounds' views an echo list still pins
-	spare  []*Counted            // past rounds' views that nothing pins
-	// builds counts completed view builds over the table's lifetime
-	// (test instrumentation: one per distinct census asked about per
-	// round).
-	builds atomic.Int64
-}
-
-// find returns this round's view of the census of, adding an unbuilt
-// one if no Step asked about it yet. A sealed census never changes, so
-// its address names its content: one the round asked about already is
-// found by address. Anything else is hashed outside the lock and found
-// by content under it; the lock covers the table and the copy of a new
-// unsealed census, never a build.
-func (t *viewTable) find(of *ids.Set) *Counted {
-	sealed := of.Sealed()
-	if sealed {
-		t.mu.Lock()
-		v := t.sealed[of]
-		t.mu.Unlock()
-		if v != nil {
-			return v
-		}
-	}
-	h := of.Hash()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.match(h, of)
-	if sealed {
-		if t.sealed == nil {
-			t.sealed = make(map[*ids.Set]*Counted)
-		}
-		t.sealed[of] = v
-	}
-	return v
-}
-
-// match returns the view whose census equals of, hashing to h, adding
-// an unbuilt one if there is none. A sealed census is counted against
-// as it is; an unsealed one is copied. The caller holds the lock.
-func (t *viewTable) match(h uint64, of *ids.Set) *Counted {
-	for v := t.byHash[h]; v != nil; v = v.next {
-		if v.members.Equal(of) {
-			return v
-		}
-	}
-	var v *Counted
-	if k := len(t.spare) - 1; k >= 0 {
-		v, t.spare = t.spare[k], t.spare[:k]
-	} else {
-		v = new(Counted)
-	}
-	if of.Sealed() {
-		v.members = of
-	} else {
-		v.own.CopyFrom(of)
-		v.members = &v.own
-	}
-	v.guard.stale()
-	if t.byHash == nil {
-		t.byHash = make(map[uint64]*Counted)
-	}
-	v.next = t.byHash[h]
-	t.byHash[h] = v
-	t.live = append(t.live, v)
-	return v
-}
-
-// reset empties the table for the next round. A view that nothing pins
-// goes back to spare for reuse; a pinned one is held until its last pin
-// is released. It runs in the route pass, when no step task is running,
-// so no pin is taken or released during it.
-func (t *viewTable) reset() {
-	held := t.held[:0]
-	for _, v := range t.held {
-		if v.pins.Load() == 0 {
-			t.spare = append(t.spare, v)
-		} else {
-			held = append(held, v)
-		}
-	}
-	clear(t.held[len(held):])
-	t.held = held
-	for _, v := range t.live {
-		v.next = nil
-		if v.pins.Load() == 0 {
-			t.spare = append(t.spare, v)
-		} else {
-			t.held = append(t.held, v)
-		}
-	}
-	clear(t.live)
-	t.live = t.live[:0]
-	clear(t.byHash)
-	clear(t.sealed)
-}
-
-// release empties the table and drops every payload its spare views
-// pin, keeping their capacity for the next network. A view still pinned
-// is left to its readers and the garbage collector.
-func (t *viewTable) release() {
-	t.reset()
-	clear(t.held)
-	t.held = t.held[:0]
-	for _, v := range t.spare {
-		clear(v.said[:cap(v.said)])
-		v.members = nil
-	}
 }

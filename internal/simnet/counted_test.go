@@ -134,10 +134,10 @@ func TestCountedMatchesSaidAndIsBuiltOncePerCensus(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				nodeIDs := ids.Sparse(rng, 70) // more than one word of broadcasters
 				censuses := []*ids.Set{
-					ids.NewSet(nodeIDs...),
-					ids.NewSet(nodeIDs[1:]...),
-					ids.NewSet(append([]ids.ID{nodeIDs[0]}, nodeIDs[2:]...)...),
-					ids.NewSet(append([]ids.ID{1, 1 << 50}, nodeIDs[:35]...)...),
+					ids.NewSet(nodeIDs...).Seal(),
+					ids.NewSet(nodeIDs[1:]...).Seal(),
+					ids.NewSet(append([]ids.ID{nodeIDs[0]}, nodeIDs[2:]...)...).Seal(),
+					ids.NewSet(append([]ids.ID{1, 1 << 50}, nodeIDs[:35]...)...).Seal(),
 				}
 				net := New(Config{MaxRounds: rounds + 1, FaultPlan: &FaultPlan{Seed: seed, Events: []FaultEvent{
 					{Round: faultFrom, Kind: FaultDrop, Rate: 0.3},
@@ -153,7 +153,7 @@ func TestCountedMatchesSaidAndIsBuiltOncePerCensus(t *testing.T) {
 					}
 				}
 				for round := 1; round <= rounds; round++ {
-					before := net.index.views.builds.Load()
+					before := net.index.censuses.views.Load()
 					if err := net.RunRound(); err != nil {
 						t.Fatal(err)
 					}
@@ -161,7 +161,7 @@ func TestCountedMatchesSaidAndIsBuiltOncePerCensus(t *testing.T) {
 					if round == 1 || round > faultFrom {
 						want = 0
 					}
-					if got := net.index.views.builds.Load() - before; got != want {
+					if got := net.index.censuses.views.Load() - before; got != want {
 						t.Fatalf("round %d: %d views built, want %d", round, got, want)
 					}
 				}
@@ -175,17 +175,16 @@ func TestCountedMatchesSaidAndIsBuiltOncePerCensus(t *testing.T) {
 	}
 }
 
-// The guard of each view under contention, without a Network in the
-// way: eight callers, released together, ask for the view of one of two
-// censuses of a freshly reset echo block, five hundred times over — half
-// of them through a sealed copy of the census, which they also merge
-// with the broadcasters (Inbox.Union). Each view must be built exactly
-// once per reset, whether asked about by content or by address, and
-// every caller must see every echo counted in full: sixteen for the
-// census of every sender, eight for the one that holds half of them.
-// Each sealed census is merged exactly once per reset, and its callers
-// all get the one merged set: the census itself when it holds every
-// broadcaster.
+// The guards of each census entry under contention, without a Network
+// in the way: eight callers, released together, ask for the view of one
+// of two censuses of a freshly reset echo block, and merge it with the
+// broadcasters (Inbox.Union), five hundred times over — half of them
+// through an equal set at another address. Each view and each merge
+// must be built exactly once per reset, whether found by address or by
+// content; every caller must see every echo counted in full (sixteen
+// for the census of every sender, eight for the one that holds half of
+// them), and every caller of one content gets one merged set: for the
+// census that holds every broadcaster, one of the two equal sets itself.
 func TestCountedViewsBuildOnceUnderContention(t *testing.T) {
 	t.Parallel()
 	const n, callers, resets = 16, 8, 500
@@ -202,11 +201,11 @@ func TestCountedViewsBuildOnceUnderContention(t *testing.T) {
 			half.Add(id)
 		}
 	}
-	censuses := []*ids.Set{all, half, all.Clone().Seal(), half.Clone().Seal()}
+	censuses := []*ids.Set{all.Clone().Seal(), half.Clone().Seal(), all.Seal(), half.Seal()}
 	in := InboxOfRound(block, nil)
 	for r := 0; r < resets; r++ {
 		in.idx.reset(in.bcast, in.idx.ranks, in.idx.nranks)
-		before, merges := in.idx.views.builds.Load(), in.idx.unions.builds.Load()
+		before, merges := in.idx.censuses.views.Load(), in.idx.censuses.unions.Load()
 		start := make(chan struct{})
 		full := make([]bool, callers)
 		merged := make([]*ids.Set, callers)
@@ -224,28 +223,29 @@ func TestCountedViewsBuildOnceUnderContention(t *testing.T) {
 					full[c] = full[c] && e.Count == want && e.Who.Count() == want
 				}
 				es.Release()
-				if of.Sealed() {
-					merged[c] = in.Union(of)
-				}
+				merged[c] = in.Union(of)
 			}()
 		}
 		close(start)
 		wg.Wait()
-		if got := in.idx.views.builds.Load() - before; got != 2 {
+		if got := in.idx.censuses.views.Load() - before; got != 2 {
 			t.Fatalf("reset %d: %d builds for %d callers of 2 censuses, want 2", r, got, callers)
 		}
-		if got := in.idx.unions.builds.Load() - merges; got != 2 {
-			t.Fatalf("reset %d: %d merges for 2 sealed censuses, want 2", r, got)
+		if got := in.idx.censuses.unions.Load() - merges; got != 2 {
+			t.Fatalf("reset %d: %d merges for 2 censuses, want 2", r, got)
 		}
 		if c := slices.Index(full, false); c >= 0 {
 			t.Fatalf("reset %d: caller %d saw a partial view", r, c)
 		}
-		for c := 2; c < callers; c += len(censuses) {
-			if merged[c] != censuses[2] {
-				t.Fatalf("reset %d: caller %d's census holds every broadcaster, but its merge is a new set", r, c)
-			}
-			if merged[c+1] != merged[3] || merged[3].Len() != n+2 || !merged[3].Sealed() {
-				t.Fatalf("reset %d: caller %d got another merge of half the senders, or a wrong one", r, c+1)
+		if m := merged[0]; m != censuses[0] && m != censuses[2] {
+			t.Fatalf("reset %d: the census holds every broadcaster, but its merge is a new set", r)
+		}
+		if m := merged[1]; m.Len() != n+2 || !m.Sealed() {
+			t.Fatalf("reset %d: the merge of half the senders holds %d, sealed %v", r, m.Len(), m.Sealed())
+		}
+		for c := range merged {
+			if merged[c] != merged[c%2] {
+				t.Fatalf("reset %d: caller %d got another merge of an equal census", r, c)
 			}
 		}
 	}
@@ -298,7 +298,7 @@ func TestPinnedEchoesOutliveTheirRound(t *testing.T) {
 	nodeIDs := ids.Sparse(rand.New(rand.NewSource(5)), 9)
 	net := New(Config{})
 	defer net.Close()
-	census := ids.NewSet(nodeIDs...)
+	census := ids.NewSet(nodeIDs...).Seal()
 	ks := make([]*keeper, len(nodeIDs))
 	for i, id := range nodeIDs {
 		ks[i] = &keeper{id: id, census: census, cands: nodeIDs[:i+1]}
@@ -324,7 +324,7 @@ func TestPinnedEchoesOutliveTheirRound(t *testing.T) {
 		if got := pinned.pins.Load(); got != int32(len(ks)) {
 			t.Fatalf("round 2: the view has %d pins, want one per keeper, %d", got, len(ks))
 		}
-		if views := &net.index.views; slices.Contains(views.spare, pinned) || len(views.live) != 0 {
+		if tab := &net.index.censuses; slices.ContainsFunc(tab.spare, func(e *entry) bool { return &e.view == pinned }) || len(tab.live) != 0 {
 			t.Fatal("round 2: the reset kept the pinned view for reuse")
 		}
 	}
@@ -339,7 +339,7 @@ func TestPinnedEchoesOutliveTheirRound(t *testing.T) {
 	if pinned.pins.Load() != 0 {
 		t.Fatalf("%d pins left after every keeper released", pinned.pins.Load())
 	}
-	if len(net.index.views.spare) == 0 {
+	if len(net.index.censuses.spare) == 0 {
 		t.Fatal("no unpinned view went back to spare")
 	}
 }
@@ -377,7 +377,7 @@ func TestReleasedViewIsReused(t *testing.T) {
 	nodeIDs := ids.Sparse(rand.New(rand.NewSource(6)), 5)
 	net := New(Config{})
 	defer net.Close()
-	census := ids.NewSet(nodeIDs...)
+	census := ids.NewSet(nodeIDs...).Seal()
 	c := &cycler{id: nodeIDs[0], census: census, views: map[*Counted]bool{}}
 	if err := net.Add(c); err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestReleasedViewIsReused(t *testing.T) {
 	if len(c.views) > 3 {
 		t.Fatalf("the census was counted in %d distinct views over 10 pin cycles, want at most 3", len(c.views))
 	}
-	if held := len(net.index.views.held); held != 1 {
+	if held := len(net.index.censuses.held); held != 1 {
 		t.Fatalf("%d views held after round 41's pin, want 1", held)
 	}
 }

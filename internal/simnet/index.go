@@ -109,11 +109,9 @@ type blockIndex struct {
 	// builds counts completed builds over the index's lifetime (test
 	// instrumentation: at most one per round, none when nobody asks).
 	builds int
-	// views are the round's counted views, one per census asked about
-	// (counted.go); unions are its census merges, one per sealed census
-	// asked about (union.go).
-	views  viewTable
-	unions unionTable
+	// censuses holds the round's census merges and counted views, one
+	// entry per census content asked about (union.go).
+	censuses censusTable
 
 	senders []ids.ID
 	said    []Said   // the finished index: ascending by encoding
@@ -127,8 +125,7 @@ type blockIndex struct {
 func (ix *blockIndex) reset(block []Received, ranks []uint32, nranks int) {
 	ix.block, ix.ranks, ix.nranks = block, ranks, nranks
 	ix.guard.stale()
-	ix.views.reset()
-	ix.unions.reset()
+	ix.censuses.reset()
 }
 
 // ensure builds the index if this round has not built it yet, under the
@@ -194,7 +191,7 @@ func (ix *blockIndex) build() {
 func (ix *blockIndex) release() {
 	ix.reset(nil, nil, 0)
 	clear(ix.said[:cap(ix.said)])
-	ix.views.release()
+	ix.censuses.release()
 }
 
 // Broadcasters returns the distinct senders of the round's broadcast

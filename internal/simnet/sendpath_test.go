@@ -72,7 +72,7 @@ func (b *backwards) Step(env *simnet.RoundEnv) {
 type echoer struct {
 	id       ids.ID
 	core     *rotor.Core
-	members  census.Frozen
+	members  census.Census
 	ranks    census.Ranks
 	live     census.Census // re-observes every round's senders
 	liveRank census.Ranks  // laid over live every round
@@ -86,7 +86,7 @@ func (e *echoer) Done() bool { return false }
 
 func (e *echoer) Step(env *simnet.RoundEnv) {
 	e.heard = env.Inbox.Len()
-	rotor.ObserveSenders(&e.live, env.Inbox)
+	rotor.ObserveSenders(&e.live, &env.Inbox)
 	e.liveRank.Reset(env.Inbox.Broadcasters(), e.live.Members())
 	view := rotor.Count(env.Inbox, e.members.Members(), &e.ranks)
 	e.core.NoteInbox(env.Inbox, view)
@@ -135,10 +135,11 @@ func (w *whisper) Step(env *simnet.RoundEnv) {
 //     sized by it (the unicast arena, a node's census window) reach
 //     their high-water mark only after dozens of rounds; this row warms
 //     for 100 (the last growth is before round 70, and the 2,000 rounds
-//     after it allocate nothing). With census=owned the links are
+//     after it allocate nothing). With census=diverged the links are
 //     healthy and a Byzantine node unicasts once, in round 1, to one
-//     node, which then owns its census and merges every round's
-//     broadcasters into it in place while the others share one set.
+//     node, whose census then differs from the one set the others
+//     share: every round merges the broadcasters into both, each found
+//     by its own content.
 //
 //   - queue/transcript=full: the queue fixture with a trace.EventLog
 //     attached that is already at capacity, so every round is
@@ -208,9 +209,9 @@ func TestSendPathZeroAlloc(t *testing.T) {
 	})
 	const (
 		dropped = 2 // the node whose links the live drop rule names
-		owner   = 3 // the node the census=owned whisper makes own its census
+		owner   = 3 // the node whose census the census=diverged whisper sets apart
 	)
-	for _, row := range []string{"links=healthy", "links=live", "census=owned"} {
+	for _, row := range []string{"links=healthy", "links=live", "census=diverged"} {
 		t.Run("rotor/"+row, func(t *testing.T) {
 			live := row == "links=live"
 			cfg := simnet.Config{}
@@ -221,7 +222,7 @@ func TestSendPathZeroAlloc(t *testing.T) {
 			}
 			net := simnet.New(cfg)
 			defer net.Close()
-			members := census.FrozenOf(ids.NewSet(nodes...))
+			members := census.Of(ids.NewSet(nodes...))
 			es := make([]*echoer, n)
 			for i, id := range nodes {
 				core := rotor.NewCore(0)
@@ -232,7 +233,7 @@ func TestSendPathZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if row == "census=owned" {
+			if row == "census=diverged" {
 				w := &whisper{id: slices.Max(nodes) + 1, to: nodes[owner]}
 				if err := net.AddByzantine(w); err != nil {
 					t.Fatal(err)
@@ -244,12 +245,13 @@ func TestSendPathZeroAlloc(t *testing.T) {
 			}
 			checkZeroAllocRounds(t, net, warm)
 			// A live link-fault round delivers every broadcast through
-			// Direct, so there each node owns its census.
-			if got, shared := es[1].live.N(), es[1].live.Members().Sealed(); got != n || shared == live {
+			// Direct, where each node merges its senders alone, so there
+			// each node holds a set of its own.
+			if got, shared := es[1].live.N(), es[1].live.Members() == es[0].live.Members(); got != n || shared == live {
 				t.Fatalf("a node's live census holds %d senders (shared %v), want n = %d, shared unless links are live", got, shared, n)
 			}
-			if own := es[owner].live.Members(); row == "census=owned" && (own.Sealed() || own.Len() != n+1) {
-				t.Fatalf("the whispered-to node's census holds %d senders (shared %v), want its own n + 1 = %d", own.Len(), own.Sealed(), n+1)
+			if own := es[owner].live.Members(); row == "census=diverged" && (own == es[1].live.Members() || own.Len() != n+1) {
+				t.Fatalf("the whispered-to node's census holds %d senders, want a set of its own with n + 1 = %d", own.Len(), n+1)
 			}
 			if es[1].opinions != 2 {
 				t.Fatalf("a node read %d of the coordinator's opinions, want 2", es[1].opinions)
