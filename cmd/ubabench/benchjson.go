@@ -188,7 +188,8 @@ func routeSpec(n int, variant string) benchSpec {
 			return func() error {
 				rp.RouteOnly()
 				if variant == "reader=said" {
-					rp.Inbox().Said()
+					in := rp.Inbox()
+					in.Said()
 				}
 				return nil
 			}, rp.Close, nil

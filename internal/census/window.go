@@ -4,9 +4,10 @@ import "slices"
 
 // Window is the counting step the paper writes once and reuses "in
 // reliable-broadcast fashion": for each key — an (m, s) pair in Algorithm
-// 1, a candidate in the rotor-coordinator (whose window of one round's
-// broadcast echoes skips it for the engine's counts), an identifier or a
-// terminate(k) in renaming — which distinct censused senders named it
+// 1, a candidate in the rotor-coordinator and in renaming, which folds
+// its identifiers on a rotor core (a window of one round's broadcast
+// echoes skips it for the engine's counts), a terminate(k) in renaming —
+// which distinct censused senders named it
 // since the last Fold, and then the rule itself: echo at n_v/3, accept at
 // 2n_v/3.
 //

@@ -166,7 +166,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 		return
 	case 2:
 		rotor.ObserveSenders(&n.cen, &env.Inbox)
-		n.core.EchoInits(env.Inbox, env)
+		n.core.EchoInits(&env.Inbox, env)
 		// Freeze n_v: ids heard during initialization are the
 		// protocol's world; everything else is discarded later. A
 		// census is a sealed set, so its copy is the snapshot.
@@ -176,14 +176,14 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 
 	// Loop rounds. Feed the rotor core every inbox (its candidate
 	// echoes arrive one round after each rotor round executes).
-	view := rotor.Count(env.Inbox, n.frozen.Members(), &n.ranks)
-	n.core.NoteInbox(env.Inbox, view)
+	view := rotor.Count(&env.Inbox, n.frozen.Members(), &n.ranks)
+	n.core.NoteInbox(&env.Inbox, view)
 
 	switch (env.Round - 3) % 5 {
 	case 0: // PR1: broadcast input
 		n.send(env, wire.Input{X: n.x})
 	case 1: // PR2: tally inputs, maybe prefer
-		v, count := n.tally(&n.votes, env.Inbox, view, wire.KindInput).Best()
+		v, count := n.tally(&n.votes, &env.Inbox, view, wire.KindInput).Best()
 		if census.AtLeastTwoThirds(count, n.frozen.N()) {
 			n.send(env, wire.Prefer{X: v})
 		} else {
@@ -200,7 +200,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			n.hasSent[wire.BallotSlot(wire.KindPrefer)] = false
 		}
 	case 2: // PR3: tally prefers, maybe adopt and strongprefer
-		v, count := n.tally(&n.votes, env.Inbox, view, wire.KindPrefer).Best()
+		v, count := n.tally(&n.votes, &env.Inbox, view, wire.KindPrefer).Best()
 		if census.AtLeastThird(count, n.frozen.N()) {
 			n.x = v
 		}
@@ -213,7 +213,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 			n.hasSent[wire.BallotSlot(wire.KindStrongPrefer)] = false
 		}
 	case 3: // PR4: store strongprefer tally, run a rotor round
-		n.tally(&n.storedSP, env.Inbox, view, wire.KindStrongPrefer)
+		n.tally(&n.storedSP, &env.Inbox, view, wire.KindStrongPrefer)
 		n.coordinator = n.core.LoopRound(n.frozen.N(), env).Coordinator
 		if n.coordinator == n.id {
 			env.Broadcast(wire.Opinion{X: n.x})
@@ -229,7 +229,7 @@ func (n *Node) resolve(env *simnet.RoundEnv, view rotor.View) {
 	v, count := n.storedSP.Best()
 	adopted := false
 	if census.LessThanThird(count, n.frozen.N()) {
-		n.core.Opinions(env.Inbox, view, func(op wire.Opinion) {
+		n.core.Opinions(&env.Inbox, view, func(op wire.Opinion) {
 			if op.Instance == 0 {
 				n.x, adopted = op.X, true
 			}
@@ -271,7 +271,7 @@ func (n *Node) sent(kind wire.Kind, x wire.Value) {
 // tally counts the round's messages of the given kind from censused
 // senders into t, which it empties first, applies the substitution rule
 // for censused ids that sent nothing of that kind, and returns t.
-func (n *Node) tally(t *wire.Tally, inbox simnet.Inbox, view rotor.View, kind wire.Kind) *wire.Tally {
+func (n *Node) tally(t *wire.Tally, inbox *simnet.Inbox, view rotor.View, kind wire.Kind) *wire.Tally {
 	t.Reset()
 	n.present = n.present.Cleared(n.frozen.N())
 	Ballots(inbox, view, kind, 0, n.present, t)
@@ -294,7 +294,7 @@ func (n *Node) tally(t *wire.Tally, inbox simnet.Inbox, view rotor.View, kind wi
 // ballot counts once per (sender, payload) either way. Algorithm 5
 // counts with it too: what differs between the two algorithms is what
 // they substitute for the ranks left absent.
-func Ballots(inbox simnet.Inbox, view rotor.View, kind wire.Kind, instance uint64, present census.Marks, t *wire.Tally) {
+func Ballots(inbox *simnet.Inbox, view rotor.View, kind wire.Kind, instance uint64, present census.Marks, t *wire.Tally) {
 	rotor.Heard(inbox, view, func(p wire.Payload, from rotor.Senders) {
 		if k, inst, x, opinion := wire.Ballot(p); k == kind && inst == instance {
 			if who, count := from.Ranks(); count > 0 {

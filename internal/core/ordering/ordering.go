@@ -375,7 +375,7 @@ func (n *Node) execution(rn run, inputs []parallelcon.InputPair) *parallelcon.No
 // in some round (a crash it recovered from) builds every quiet execution
 // at once, so that each replays the rounds it was stepped in and no other.
 func (n *Node) drive(env *simnet.RoundEnv) (allDone bool) {
-	round, inbox := env.Round, env.Inbox
+	round, inbox := env.Round, &env.Inbox
 	allDone = true
 	if len(n.window) > 0 {
 		n.markNamed(inbox)
@@ -396,10 +396,11 @@ func (n *Node) drive(env *simnet.RoundEnv) (allDone bool) {
 				continue
 			}
 			rn.node = n.execution(*rn, nil)
-			quiet := rotor.Count(simnet.Inbox{}, rn.scope.Members(), &n.ranks)
+			var empty simnet.Inbox
+			quiet := rotor.Count(&empty, rn.scope.Members(), &n.ranks)
 			var replay simnet.RoundEnv
 			for r := rn.start; r <= n.stepped; r++ {
-				rn.node.StepLocal(r, simnet.Inbox{}, quiet, &replay)
+				rn.node.StepLocal(r, &empty, quiet, &replay)
 			}
 			if replay.SendCount() != 0 {
 				panic(fmt.Sprintf("ordering: a quiet execution sent %v while catching up", replay.Sent()))
@@ -422,7 +423,7 @@ func (n *Node) drive(env *simnet.RoundEnv) (allDone bool) {
 // payload of inbox names, in one pass over the shared block's payloads and
 // the private messages, from anyone: an instance tag carries its round in
 // the high 16 bits, and the window holds consecutive rounds from its head.
-func (n *Node) markNamed(inbox simnet.Inbox) {
+func (n *Node) markNamed(inbox *simnet.Inbox) {
 	head := n.window[0].round
 	mark := func(p wire.Payload) {
 		tagged, ok := p.(wire.Instanced)

@@ -267,7 +267,7 @@ func (n *Node) Phases() int { return n.phasesRun }
 
 // Step implements simnet.Process.
 func (n *Node) Step(env *simnet.RoundEnv) {
-	n.StepLocal(env.Round, env.Inbox, rotor.Count(env.Inbox, n.frozen.Members(), &n.ranks), env)
+	n.StepLocal(env.Round, &env.Inbox, rotor.Count(&env.Inbox, n.frozen.Members(), &n.ranks), env)
 }
 
 // StepLocal runs one round of the protocol and broadcasts what it sends
@@ -277,7 +277,7 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 // call (rotor.Count over Scope.Members for a scoped run): it depends on
 // the census and the inbox only, so a protocol that steps dozens of runs
 // of one Scope at once counts once and lends the view to them all.
-func (n *Node) StepLocal(round int, inbox simnet.Inbox, view rotor.View, env *simnet.RoundEnv) {
+func (n *Node) StepLocal(round int, inbox *simnet.Inbox, view rotor.View, env *simnet.RoundEnv) {
 	if n.done {
 		return
 	}
@@ -290,11 +290,11 @@ func (n *Node) StepLocal(round int, inbox simnet.Inbox, view rotor.View, env *si
 	if n.opts.Scope == nil {
 		switch local {
 		case 1:
-			rotor.ObserveSenders(&n.cen, &inbox)
+			rotor.ObserveSenders(&n.cen, inbox)
 			n.core.BroadcastInit(env)
 			return
 		case 2:
-			rotor.ObserveSenders(&n.cen, &inbox)
+			rotor.ObserveSenders(&n.cen, inbox)
 			n.core.EchoInits(inbox, env)
 			n.frozen = n.cen
 			return
@@ -417,7 +417,7 @@ func (n *Node) allDecided() bool {
 // if there are some is first contact the ordered question it is — the
 // first message in inbox order that names the instance decides — and the
 // merged inbox walked, until every instance it names has been met.
-func (n *Node) scanAwareness(inbox simnet.Inbox, phase, pr int) {
+func (n *Node) scanAwareness(inbox *simnet.Inbox, phase, pr int) {
 	unmet := n.unmetInstances(inbox)
 	if unmet == 0 {
 		return
@@ -475,7 +475,7 @@ func (n *Node) newInstance(p wire.Payload) (uint64, bool) {
 // unmetInstances counts the distinct instances that payloads of inbox, from
 // anyone, name and newInstance would report: each message of the walk that
 // meets one leaves one fewer, so the walk ends when none is left.
-func (n *Node) unmetInstances(inbox simnet.Inbox) int {
+func (n *Node) unmetInstances(inbox *simnet.Inbox) int {
 	var buf [16]uint64 // an inbox meets a few instances at a time: no allocation
 	unmet := buf[:0]
 	note := func(p wire.Payload) {
@@ -500,7 +500,7 @@ func (n *Node) unmetInstances(inbox simnet.Inbox) int {
 // empties first, applying the paper's substitution rules, and returns t.
 // Marker messages (nopreference/nostrongpreference) count their sender
 // as present without contributing an opinion.
-func (n *Node) tally(ins *instance, t *wire.Tally, inbox simnet.Inbox, view rotor.View, kind wire.Kind) *wire.Tally {
+func (n *Node) tally(ins *instance, t *wire.Tally, inbox *simnet.Inbox, view rotor.View, kind wire.Kind) *wire.Tally {
 	t.Reset()
 	n.present = n.present.Cleared(n.frozen.N())
 	consensus.Ballots(inbox, view, kind, ins.id, n.present, t)

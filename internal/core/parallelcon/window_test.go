@@ -22,7 +22,7 @@ func memberNode(self ids.ID, members []ids.ID, inputs []InputPair) *Node {
 // stepLocal drives one round the way Step does, counting the inbox with
 // the node's own rank table, and drops what the node sends.
 func stepLocal(n *Node, round int, inbox simnet.Inbox) {
-	n.StepLocal(round, inbox, rotor.Count(inbox, n.frozen.Members(), &n.ranks), &simnet.RoundEnv{})
+	n.StepLocal(round, &inbox, rotor.Count(&inbox, n.frozen.Members(), &n.ranks), &simnet.RoundEnv{})
 }
 
 func rcvP(from ids.ID, p wire.Payload) simnet.Received {
@@ -198,7 +198,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 	}
 	for i, inbox := range spec.Shapes(msgs) { // all private, all broadcast, alternating
 		n := memberNode(7, []ids.ID{2, 3, 4, 5, 6, 7}, []InputPair{{Instance: 9, X: wire.V(1)}})
-		tally := n.tally(n.inst[9], &n.votes, inbox, rotor.Count(inbox, n.frozen.Members(), &n.ranks), wire.KindInput)
+		tally := n.tally(n.inst[9], &n.votes, &inbox, rotor.Count(&inbox, n.frozen.Members(), &n.ranks), wire.KindInput)
 		got := make(map[wire.ValueKey]int)
 		for v, c := range tally.All() {
 			got[v.Key()] += c
@@ -215,7 +215,7 @@ func TestTallyAndCoordinatorOpinionsAgreeAcrossDeliveryShapes(t *testing.T) {
 			stepLocal(n, round, simnet.Inbox{})
 		}
 		opinions := make(map[uint64]wire.Value)
-		n.core.Opinions(inbox, rotor.Count(inbox, n.frozen.Members(), &n.ranks), func(op wire.Opinion) { opinions[op.Instance] = op.X })
+		n.core.Opinions(&inbox, rotor.Count(&inbox, n.frozen.Members(), &n.ranks), func(op wire.Opinion) { opinions[op.Instance] = op.X })
 		if len(opinions) != 2 || !opinions[9].Equal(wire.V(1)) || !opinions[7].Equal(wire.V(5)) {
 			t.Fatalf("shape %d: coordinator opinions %v, want 9:1 7:5", i, opinions)
 		}
@@ -276,7 +276,7 @@ func TestFirstContactMatchesPerDeliveryWalkAcrossShapes(t *testing.T) {
 					Scope:     NewScope(ids.NewSet(members...)),
 					Instances: InstanceRange{To: 1 << 32},
 				})
-				n.scanAwareness(inbox, phase, pr)
+				n.scanAwareness(&inbox, phase, pr)
 				join, ignore := spec.FirstContact(inbox, phase, pr, func(p ids.ID) bool { return slices.Contains(members, p) },
 					func(id uint64) bool { return id == 4 || id >= 1<<32 })
 				wantJoined, wantIgnored := slices.Sorted(slices.Values(append(join, 4))), slices.Sorted(slices.Values(ignore))
@@ -292,7 +292,7 @@ func TestFirstContactMatchesPerDeliveryWalkAcrossShapes(t *testing.T) {
 				verdicts[fmt.Sprint(gotJoined, gotIgnored)] = true
 
 				// A second inbox naming nothing new changes nothing.
-				n.scanAwareness(inbox, phase, pr)
+				n.scanAwareness(&inbox, phase, pr)
 				if j, i := tables(n); !slices.Equal(j, gotJoined) || !slices.Equal(i, gotIgnored) {
 					t.Fatalf("shape %d, phase %d PR%d: a repeated inbox moved the tables to %v and %v", shape, phase, pr+1, j, i)
 				}

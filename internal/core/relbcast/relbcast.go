@@ -137,8 +137,8 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 // every pair not yet accepted that at least n_v/3 distinct nodes echoed
 // this round, and accept it at 2n_v/3.
 func (n *Node) loopRound(env *simnet.RoundEnv) {
-	view := rotor.Count(env.Inbox, n.cen.Members(), &n.ranks)
-	rotor.Heard(env.Inbox, view, func(p wire.Payload, from rotor.Senders) {
+	view := rotor.Count(&env.Inbox, n.cen.Members(), &n.ranks)
+	rotor.Heard(&env.Inbox, view, func(p wire.Payload, from rotor.Senders) {
 		if echo, ok := p.(wire.RBEcho); ok {
 			if who, count := from.Ranks(); count > 0 {
 				n.echoes.Add(key{source: echo.Source, body: string(echo.Body)}, who)

@@ -6,10 +6,13 @@
 // node ends with the same view of the participating id set S and outputs,
 // for each member, its rank in S. The set is agreed upon with the
 // reliable-broadcast echo mechanism of Algorithm 1 applied to identifiers
-// (as in the rotor-coordinator), and termination is detected by observing
-// two consecutive rounds in which S did not change, then agreeing on that
-// observation — again in reliable-broadcast fashion — via terminate(k)
-// messages.
+// (as in the rotor-coordinator): S is the candidate set C_v of a
+// rotor.Core, whose init and echo rounds and candidate fold (Core.Admit)
+// renaming runs without ever selecting a coordinator. Termination is
+// detected by observing two consecutive rounds in which S did not
+// change, then agreeing on that observation — again in reliable-broadcast
+// fashion — via terminate(k) messages, the one tally renaming keeps
+// itself.
 //
 // Round complexity is O(f): at most 2f+1 rounds can be non-silent for
 // some correct node, so by round 4f+3 of the loop two globally silent
@@ -29,18 +32,13 @@ import (
 // Node is one correct renaming participant.
 type Node struct {
 	id    ids.ID
+	core  *rotor.Core // S = C_v
 	cen   census.Census
 	ranks census.Ranks
-	set   ids.Set // S
-
-	// Distinct senders this round of echo(p) per identifier p, and of
-	// terminate(k) per round k.
-	echoes census.Window[ids.ID]
-	terms  census.Window[uint64]
+	terms census.Window[uint64] // distinct senders this round of terminate(k) per round k
 
 	changedThisRound bool
 	changedLastRound bool
-	everSilentPair   bool
 
 	terminated bool
 	termRound  int
@@ -49,7 +47,7 @@ type Node struct {
 var _ simnet.Process = (*Node)(nil)
 
 // New returns a renaming participant.
-func New(id ids.ID) *Node { return &Node{id: id} }
+func New(id ids.ID) *Node { return &Node{id: id, core: rotor.NewCore(0)} }
 
 // ID implements simnet.Process.
 func (n *Node) ID() ids.ID { return n.id }
@@ -59,23 +57,14 @@ func (n *Node) Done() bool { return n.terminated }
 
 // NewName returns this node's assigned compact name (1-based rank of its
 // id in the final set S) once terminated.
-func (n *Node) NewName() (int, bool) {
-	if !n.terminated {
-		return 0, false
-	}
-	rank, ok := n.set.Rank(n.id)
-	if !ok {
-		return 0, false
-	}
-	return rank + 1, true
-}
+func (n *Node) NewName() (int, bool) { return n.NameOf(n.id) }
 
 // NameOf returns the new name assigned to the given original id.
 func (n *Node) NameOf(id ids.ID) (int, bool) {
 	if !n.terminated {
 		return 0, false
 	}
-	rank, ok := n.set.Rank(id)
+	rank, ok := n.core.CandidatesView().Rank(id)
 	if !ok {
 		return 0, false
 	}
@@ -83,12 +72,12 @@ func (n *Node) NameOf(id ids.ID) (int, bool) {
 }
 
 // FinalSet returns the agreed id set once terminated.
-func (n *Node) FinalSet() *ids.Set { return n.set.Clone() }
+func (n *Node) FinalSet() *ids.Set { return n.core.Candidates() }
 
 // FinalSetView returns the agreed id set itself rather than a copy: the
 // read-only path of FinalSet, for callers that compare it and neither
 // keep nor modify it.
-func (n *Node) FinalSetView() *ids.Set { return &n.set }
+func (n *Node) FinalSetView() *ids.Set { return n.core.CandidatesView() }
 
 // TerminationRound returns the round in which the node terminated.
 func (n *Node) TerminationRound() int { return n.termRound }
@@ -98,13 +87,9 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	rotor.ObserveSenders(&n.cen, &env.Inbox)
 	switch env.Round {
 	case 1:
-		env.Broadcast(wire.Init{})
+		n.core.BroadcastInit(env)
 	case 2:
-		for m := range env.Inbox.All() {
-			if _, ok := m.Payload.(wire.Init); ok {
-				env.Broadcast(wire.IDEcho{Candidate: m.From})
-			}
-		}
+		n.core.EchoInits(&env.Inbox, env)
 	default:
 		n.loopRound(env)
 	}
@@ -112,32 +97,19 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 
 func (n *Node) loopRound(env *simnet.RoundEnv) {
 	nv := n.cen.N()
-	view := rotor.Count(env.Inbox, n.cen.Members(), &n.ranks)
-	rotor.Heard(env.Inbox, view, func(p wire.Payload, from rotor.Senders) {
-		switch p := p.(type) {
-		case wire.IDEcho:
-			if p.Instance == 0 {
-				if who, count := from.Ranks(); count > 0 {
-					n.echoes.Add(p.Candidate, who)
-				}
-			}
-		case wire.Terminate:
+	view := rotor.Count(&env.Inbox, n.cen.Members(), &n.ranks)
+	n.core.NoteInbox(&env.Inbox, view)
+	rotor.Heard(&env.Inbox, view, func(p wire.Payload, from rotor.Senders) {
+		if t, ok := p.(wire.Terminate); ok {
 			if who, count := from.Ranks(); count > 0 {
-				n.terms.Add(p.Round, who)
+				n.terms.Add(t.Round, who)
 			}
 		}
 	})
 
-	// Identifier agreement, reliable-broadcast style.
+	// Identifier agreement: the echoes go out first, ascending.
 	n.changedLastRound = n.changedThisRound
-	n.changedThisRound = false
-	n.echoes.Fold(nv, cmp.Compare[ids.ID], n.set.Contains, func(p ids.ID, quorum bool) {
-		env.Broadcast(wire.IDEcho{Candidate: p})
-		if quorum {
-			n.set.Add(p)
-			n.changedThisRound = true
-		}
-	})
+	n.changedThisRound = n.core.Admit(nv, env) > 0
 
 	// Termination initiation: two consecutive silent rounds ending now.
 	if env.Round >= 4 && !n.changedThisRound && !n.changedLastRound {

@@ -14,8 +14,9 @@ import (
 
 // Differential test against the appendix algorithm as the paper states
 // it (spec.Renaming): in all three delivery shapes, with and without a
-// send quota smaller than a round's echoes, nodes counting through
-// census.Window queue the spec's sends, round by round and in order — so
+// send quota smaller than a round's echoes, nodes folding S on a
+// rotor.Core and terminate(k) on a census.Window queue the spec's sends,
+// round by round and in order — so
 // under a quota the surviving prefix of every node's queue (identifier
 // echoes, then the node's own terminate, then terminate relays, each
 // ascending) is the same — and end with the same set in the same round.
@@ -24,7 +25,7 @@ func TestWindowsMatchMapAndSortReference(t *testing.T) {
 	spec.ForRenaming.Test(t, spec.Side{
 		New: func(r spec.Role) simnet.Process { return New(r.ID) },
 		Outcome: func(p simnet.Process) any {
-			return []any{p.(*Node).set.Members(), p.(*Node).termRound}
+			return []any{p.(*Node).FinalSetView().Members(), p.(*Node).termRound}
 		},
 	}, nil)
 }

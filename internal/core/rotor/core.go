@@ -46,18 +46,19 @@ type AcceptedOpinion struct {
 // node; once per five-round phase for consensus), and reads what the
 // selected coordinator answered out of the next inbox via Opinions.
 //
-// Echo tallies accumulate distinct senders between consecutive LoopRound
-// calls, which reduces to the paper's per-round counts when rotor rounds
-// are executed back-to-back, and generalizes them to the embedded setting
-// where the echoes of one rotor round land several real rounds before the
-// next rotor round executes. Distinct means distinct census rank. A
-// window that holds one round's echoes of the shared block and nothing
-// else — the common case — keeps the engine's counted list of them
-// (simnet.EchoList), already one count per candidate, in candidate
-// order. Anything more — a private echo, or echoes in a second round of
-// the window — moves the window to the general path: the senders of an
-// echo are ORed into the candidate's row of a census.Window, so a sender
-// repeating an echo in every round of a window still counts once.
+// Echo tallies accumulate distinct senders between consecutive folds
+// (Admit, which LoopRound calls), which reduces to the paper's per-round
+// counts when rotor rounds are executed back-to-back, and generalizes
+// them to the embedded setting where the echoes of one rotor round land
+// several real rounds before the next rotor round executes. Distinct
+// means distinct census rank. A window that holds one round's echoes of
+// the shared block and nothing else — the common case — keeps the
+// engine's counted list of them (simnet.EchoList), already one count per
+// candidate, in candidate order. Anything more — a private echo, or
+// echoes in a second round of the window — moves the window to the
+// general path: the senders of an echo are ORed into the candidate's row
+// of a census.Window, so a sender repeating an echo in every round of a
+// window still counts once.
 type Core struct {
 	instance uint64
 
@@ -109,7 +110,7 @@ func (c *Core) BroadcastInit(env *simnet.RoundEnv) {
 // from p (round 2 of the protocol). The echoes go straight to
 // env.Broadcast, which does not let its payload escape, so the n echoes
 // of a round allocate nothing.
-func (c *Core) EchoInits(inbox simnet.Inbox, env *simnet.RoundEnv) {
+func (c *Core) EchoInits(inbox *simnet.Inbox, env *simnet.RoundEnv) {
 	for m := range inbox.All() {
 		if _, ok := m.Payload.(wire.Init); ok {
 			env.Broadcast(wire.IDEcho{Instance: c.instance, Candidate: m.From})
@@ -118,13 +119,13 @@ func (c *Core) EchoInits(inbox simnet.Inbox, env *simnet.RoundEnv) {
 }
 
 // NoteInbox tallies the candidate echoes of one delivered inbox, by
-// distinct sender, until the next LoopRound. view is the inbox counted
+// distinct sender, until the next fold (Admit). view is the inbox counted
 // against the owner's census (Count): echoes from senders the census does
 // not know are discarded, and the others are counted under their rank.
 // The first round of the window that brings echoes of the shared block
 // keeps them as the engine counted them; every later echo, private or
 // shared, spills the window onto the census.Window path.
-func (c *Core) NoteInbox(inbox simnet.Inbox, view View) {
+func (c *Core) NoteInbox(inbox *simnet.Inbox, view View) {
 	if es := view.block.Echoes(c.instance); es.Len() > 0 {
 		if c.shared.Len() == 0 && c.echoes.Empty() {
 			c.shared = es
@@ -167,7 +168,7 @@ func (c *Core) add(es simnet.EchoList) {
 // it owns, so a coordinator that sends one receiver several opinions (only
 // a Byzantine one does) is taken at its greatest encoding: the decided
 // tie-break, stated in DESIGN §3.
-func (c *Core) Opinions(inbox simnet.Inbox, view View, yield func(wire.Opinion)) {
+func (c *Core) Opinions(inbox *simnet.Inbox, view View, yield func(wire.Opinion)) {
 	coord := c.lastSelected
 	if _, member := view.ranks.Rank(coord); coord == ids.None || !member {
 		return
@@ -217,25 +218,43 @@ type Selection struct {
 }
 
 // LoopRound executes one iteration of Algorithm 2's main loop: fold the
-// tallied echoes into C_v (echoing/adding in reliable-broadcast fashion)
-// and select the next coordinator. An owner that finds itself selected
-// broadcasts its opinion after the echoes, unless the core broke off
-// (Terminated, without SetCycling): the break skips the round's pending
-// broadcasts.
+// tallied echoes into C_v (Admit) and select the next coordinator. An
+// owner that finds itself selected broadcasts its opinion after the
+// echoes, unless the core broke off (Terminated, without SetCycling):
+// the break skips the round's pending broadcasts.
 //
 // nv is the caller's current n_v. The echoes are broadcast on env.
 func (c *Core) LoopRound(nv int, env *simnet.RoundEnv) Selection {
 	if c.terminated {
 		return Selection{Terminated: true}
 	}
+	c.Admit(nv, env)
 	r := int(c.loopRound)
 	c.loopRound++
+	if c.candidates.Len() == 0 {
+		return Selection{}
+	}
+	p := c.candidates.At(r % c.candidates.Len())
+	sel := Selection{Coordinator: p, Terminated: c.selected.Contains(p)}
+	if sel.Terminated && !c.cycling {
+		// Line 16-17: reselection — terminate.
+		c.terminated = true
+		return sel
+	}
+	c.selected.Add(p)
+	c.lastSelected = p
+	return sel
+}
 
-	// Reliable-broadcast style candidate maintenance (Lines 7-10), in
-	// ascending candidate order. Tallies are per-rotor-round: the fold
-	// empties the window. The keys are distinct, so an accept never
-	// changes a later key's answer, and the accepted candidates join C_v
-	// in one merge after the walk.
+// Admit is Lines 7-10 of Algorithm 2, the reliable-broadcast style
+// candidate maintenance: it echoes, in ascending candidate order, every
+// candidate outside C_v that the tallied echoes put at n_v/3 senders,
+// adds those at 2n_v/3 to C_v, and returns how many it added. Tallies
+// are per-rotor-round: Admit empties the window. The keys are distinct,
+// so an accept never changes a later key's answer, and the accepted
+// candidates join C_v in one merge after the walk. LoopRound calls it;
+// renaming, whose identifier set is C_v, calls it alone.
+func (c *Core) Admit(nv int, env *simnet.RoundEnv) int {
 	var buf [128]ids.ID
 	accepted := buf[:0]
 	c.fold(nv, func(cand ids.ID, quorum bool) {
@@ -250,20 +269,7 @@ func (c *Core) LoopRound(nv int, env *simnet.RoundEnv) Selection {
 		}
 		c.candidates.AddAscending(accepted)
 	}
-
-	if c.candidates.Len() == 0 {
-		return Selection{}
-	}
-	p := c.candidates.At(r % c.candidates.Len())
-	sel := Selection{Coordinator: p, Terminated: c.selected.Contains(p)}
-	if sel.Terminated && !c.cycling {
-		// Line 16-17: reselection — terminate.
-		c.terminated = true
-		return sel
-	}
-	c.selected.Add(p)
-	c.lastSelected = p
-	return sel
+	return len(accepted)
 }
 
 // fold is census.Window.Fold over the window's echoes against C_v. A
@@ -288,3 +294,7 @@ func (c *Core) Terminated() bool { return c.terminated }
 
 // Candidates returns a copy of C_v.
 func (c *Core) Candidates() *ids.Set { return c.candidates.Clone() }
+
+// CandidatesView returns C_v itself rather than a copy: the read-only
+// path of Candidates, for callers that neither keep nor modify it.
+func (c *Core) CandidatesView() *ids.Set { return &c.candidates }

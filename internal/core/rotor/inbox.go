@@ -35,7 +35,7 @@ type View struct {
 // Count returns inbox as seen by the census whose members are of. ranks
 // is the reader's own table, reused from Step to Step; it is laid over
 // the census for the private segment (census.Ranks.One).
-func Count(inbox simnet.Inbox, of *ids.Set, ranks *census.Ranks) View {
+func Count(inbox *simnet.Inbox, of *ids.Set, ranks *census.Ranks) View {
 	ranks.Reset(nil, of)
 	return View{block: inbox.Counted(of), ranks: ranks}
 }
@@ -47,7 +47,7 @@ func Count(inbox simnet.Inbox, of *ids.Set, ranks *census.Ranks) View {
 // (sender, payload) pair is delivered once either way. heard classifies
 // the payload and asks from for the senders' ranks only when the
 // payload counts.
-func Heard(inbox simnet.Inbox, view View, heard func(p wire.Payload, from Senders)) {
+func Heard(inbox *simnet.Inbox, view View, heard func(p wire.Payload, from Senders)) {
 	for _, g := range view.block.Said() {
 		heard(g.Payload, Senders{who: g.Who, count: g.Count})
 	}

@@ -41,14 +41,14 @@ func (n *Node) Step(env *simnet.RoundEnv) {
 	case 1:
 		n.core.BroadcastInit(env)
 	case 2:
-		n.core.EchoInits(env.Inbox, env)
+		n.core.EchoInits(&env.Inbox, env)
 	default:
-		view := Count(env.Inbox, n.cen.Members(), &n.ranks)
-		n.core.NoteInbox(env.Inbox, view)
+		view := Count(&env.Inbox, n.cen.Members(), &n.ranks)
+		n.core.NoteInbox(&env.Inbox, view)
 		// Lines 14-15: accept the opinion of last round's coordinator.
 		last := AcceptedOpinion{Round: env.Round, From: n.core.lastSelected}
 		heard := false
-		n.core.Opinions(env.Inbox, view, func(op wire.Opinion) {
+		n.core.Opinions(&env.Inbox, view, func(op wire.Opinion) {
 			if op.Instance == 0 {
 				last.X, heard = op.X, true
 			}

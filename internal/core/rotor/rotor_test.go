@@ -20,7 +20,7 @@ import (
 // then note. It seals of, as every census is.
 func noteInbox(core *Core, inbox simnet.Inbox, of *ids.Set) {
 	var ranks census.Ranks
-	core.NoteInbox(inbox, Count(inbox, of.Seal(), &ranks))
+	core.NoteInbox(&inbox, Count(&inbox, of.Seal(), &ranks))
 }
 
 // opinionsOf collects what core.Opinions yields for inbox as seen by the
@@ -28,7 +28,7 @@ func noteInbox(core *Core, inbox simnet.Inbox, of *ids.Set) {
 func opinionsOf(core *Core, inbox simnet.Inbox, of *ids.Set) []wire.Opinion {
 	var ranks census.Ranks
 	var out []wire.Opinion
-	core.Opinions(inbox, Count(inbox, of.Seal(), &ranks), func(op wire.Opinion) { out = append(out, op) })
+	core.Opinions(&inbox, Count(&inbox, of.Seal(), &ranks), func(op wire.Opinion) { out = append(out, op) })
 	return out
 }
 
@@ -267,7 +267,8 @@ func TestCoreSeedCandidates(t *testing.T) {
 // A seeded core borrows the snapshot it is seeded from: a candidate it
 // accepts by quorum goes into its own copy, so the snapshot — built with
 // spare capacity, where an append would land unseen — and a second core
-// seeded from it stay as they were.
+// seeded from it stay as they were. Admit reports the one candidate that
+// joined.
 func TestSeededCandidatesDoNotWriteTheScope(t *testing.T) {
 	t.Parallel()
 	scope := ids.NewSet(10, 20, 30) // three adds: capacity four
@@ -278,7 +279,9 @@ func TestSeededCandidatesDoNotWriteTheScope(t *testing.T) {
 			echoes = append(echoes, simnet.Received{From: from, Payload: wire.IDEcho{Instance: 5, Candidate: candidate}})
 		}
 		noteInbox(core, simnet.InboxOfRound(echoes, nil), cen)
-		core.LoopRound(3, &simnet.RoundEnv{})
+		if joined := core.Admit(3, &simnet.RoundEnv{}); joined != 1 {
+			t.Fatalf("admitting %v reported %d candidates joined, want 1", candidate, joined)
+		}
 	}
 	a, b := NewCore(5), NewCore(5)
 	a.SeedCandidates(scope)

@@ -35,10 +35,10 @@ func (f *folder) Step(env *simnet.RoundEnv) {
 		f.core.BroadcastInit(env)
 		return
 	case 2:
-		f.core.EchoInits(env.Inbox, env)
+		f.core.EchoInits(&env.Inbox, env)
 		return
 	}
-	f.core.NoteInbox(env.Inbox, Count(env.Inbox, f.cen.Members(), &f.ranks))
+	f.core.NoteInbox(&env.Inbox, Count(&env.Inbox, f.cen.Members(), &f.ranks))
 	if env.Round%2 == 1 {
 		return
 	}

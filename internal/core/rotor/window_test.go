@@ -223,7 +223,7 @@ func TestWarmEchoWindowAllocatesNothing(t *testing.T) {
 	core.SeedCandidates(ids.NewSet(members[0]))
 	var env simnet.RoundEnv
 	round := func() {
-		core.NoteInbox(inbox, Count(inbox, frozen.Members(), &ranks))
+		core.NoteInbox(&inbox, Count(&inbox, frozen.Members(), &ranks))
 		core.LoopRound(nv, &env)
 	}
 	round() // warm-up: sizes the slab

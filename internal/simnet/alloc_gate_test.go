@@ -93,7 +93,8 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 					round := func() {
 						acct = rp.net.finishRound(rp.nextSends())
 						if label == "reader=said" {
-							said = len(rp.Inbox().Said())
+							in := rp.Inbox()
+							said = len(in.Said())
 						}
 					}
 					// Warm-up: grow the broadcast block, unicast arena, done

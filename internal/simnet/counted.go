@@ -80,7 +80,7 @@ type Echo struct {
 // census whose members are of, building it if no Step of this round
 // asked about an equal census yet. of must be sealed, as for Union;
 // Counted panics otherwise.
-func (in Inbox) Counted(of *ids.Set) *Counted {
+func (in *Inbox) Counted(of *ids.Set) *Counted {
 	if !of.Sealed() {
 		panic("simnet: Counted of an unsealed set")
 	}

@@ -72,6 +72,11 @@ func TestConsensusBuildsOneViewPerCensus(t *testing.T) {
 				}
 				most := 0
 				for round := 1; !allDone(nodes); round++ {
+					// Consensus terminates within 5(f+4)+2 rounds; a node
+					// whose Step panics is contained and never does.
+					if round > 5*(f+4)+2 {
+						t.Fatalf("not every node terminated in %d rounds", round-1)
+					}
 					before := simnet.CountedBuilds(net)
 					if err := net.RunRound(); err != nil {
 						t.Fatal(err)

@@ -197,7 +197,7 @@ func (ix *blockIndex) release() {
 // Broadcasters returns the distinct senders of the round's broadcast
 // block in ascending order: the nodes the positions of Said.By name.
 // Like Said, it is a view of recycled engine scratch.
-func (in Inbox) Broadcasters() []ids.ID {
+func (in *Inbox) Broadcasters() []ids.ID {
 	if in.idx == nil {
 		return nil
 	}
@@ -211,7 +211,7 @@ func (in Inbox) Broadcasters() []ids.ID {
 // exactly the messages All yields — a (sender, payload) pair appears
 // once in the block however the question is asked — for readers that
 // count distinct senders per payload and do not need the merged order.
-func (in Inbox) Said() []Said {
+func (in *Inbox) Said() []Said {
 	if in.idx == nil {
 		return nil
 	}
@@ -223,4 +223,4 @@ func (in Inbox) Said() []Said {
 // unicasts addressed to it and, on a link-fault round, the broadcast
 // copies its links delivered (the shared block is empty then). These
 // are per-receiver by nature and are read one message at a time.
-func (in Inbox) Direct() []Received { return in.uni }
+func (in *Inbox) Direct() []Received { return in.uni }

@@ -280,7 +280,7 @@ func InboxOfRound(broadcasts, direct []Received) Inbox {
 }
 
 // Len returns the number of delivered messages.
-func (in Inbox) Len() int { return len(in.bcast) + len(in.uni) }
+func (in *Inbox) Len() int { return len(in.bcast) + len(in.uni) }
 
 // All returns an iterator over the delivered messages in inbox order —
 // the replacement for ranging over the old materialized slice:

@@ -88,12 +88,12 @@ func (e *echoer) Step(env *simnet.RoundEnv) {
 	e.heard = env.Inbox.Len()
 	rotor.ObserveSenders(&e.live, &env.Inbox)
 	e.liveRank.Reset(env.Inbox.Broadcasters(), e.live.Members())
-	view := rotor.Count(env.Inbox, e.members.Members(), &e.ranks)
-	e.core.NoteInbox(env.Inbox, view)
+	view := rotor.Count(&env.Inbox, e.members.Members(), &e.ranks)
+	e.core.NoteInbox(&env.Inbox, view)
 	e.opinions = 0
-	e.core.Opinions(env.Inbox, view, func(wire.Opinion) { e.opinions++ })
+	e.core.Opinions(&env.Inbox, view, func(wire.Opinion) { e.opinions++ })
 	e.core.BroadcastInit(env)
-	e.core.EchoInits(env.Inbox, env)
+	e.core.EchoInits(&env.Inbox, env)
 	if sel := e.core.LoopRound(e.nv, env); sel.Coordinator == e.id {
 		// Two opinions, so a reader that gets them one by one (a
 		// link-fault round) orders them by encoding.

@@ -66,10 +66,10 @@ func Renaming(cfg Config) (*RenamingResult, error) {
 		Rounds: rounds,
 		Report: cl.report(),
 	}
-	base := nodes[0].FinalSet()
+	base := nodes[0].FinalSetView()
 	res.SetSize = base.Len()
 	for _, node := range nodes {
-		if !node.FinalSet().Equal(base) {
+		if !node.FinalSetView().Equal(base) {
 			return nil, fmt.Errorf("%w: renaming sets differ", ErrDisagreement)
 		}
 		name, ok := node.NewName()

@@ -3,6 +3,7 @@ package uba
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -224,6 +225,32 @@ func TestRenamingFacade(t *testing.T) {
 			t.Fatalf("duplicate name %d", name)
 		}
 		seen[name] = true
+	}
+}
+
+// A warm renaming run at n = 511 allocates a few MB: the identifier set
+// is the rotor core's candidate set, folded from the engine's counted
+// echo list, with no n_v-bit row per identifier per node. The pooled
+// round scratch reaches its size in two runs, and a GC may empty the
+// pool between runs, so the least of three warm runs is what counts.
+// Not parallel: TotalAlloc counts the whole process.
+func TestRenamingWarmAllocation(t *testing.T) {
+	cfg := Config{Correct: 341, Byzantine: 170, Seed: 1}
+	least := math.Inf(1)
+	for run := range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Renaming(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run >= 2 {
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+		}
+	}
+	if least > 10 {
+		t.Fatalf("a warm renaming run at n = 511 allocated %.1f MB, want at most 10", least)
 	}
 }
 
