@@ -43,13 +43,13 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"syscall"
 	"time"
 
 	"uba"
 	"uba/internal/chaos"
+	"uba/internal/profile"
 	"uba/internal/simnet/sched"
 	"uba/internal/trace"
 )
@@ -100,15 +100,15 @@ func run(args []string, out io.Writer) error {
 		// would only buy memory.
 		sched.SetDefaultBudget(min(*jobs, runtime.GOMAXPROCS(0)))
 	}
-	prof := pauseProfiles(*cpuProfile, *memProfile)
-	defer prof.restore()
+	prof := profile.Pause(*cpuProfile, *memProfile)
+	defer prof.Restore()
 	if *reproPath != "" {
 		for range *warm - 1 {
 			if err := replayRepro(*reproPath, io.Discard); err != nil {
 				return err
 			}
 		}
-		if err := prof.start(); err != nil {
+		if err := prof.Start(); err != nil {
 			return err
 		}
 		meter := startMeter(*stats)
@@ -116,7 +116,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		cost := meter.stop()
-		if err := prof.stop(); err != nil {
+		if err := prof.Stop(); err != nil {
 			return err
 		}
 		return meter.report(out, cost)
@@ -145,7 +145,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	var result bytes.Buffer
-	if err := prof.start(); err != nil {
+	if err := prof.Start(); err != nil {
 		return err
 	}
 	meter := startMeter(*stats)
@@ -153,7 +153,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	cost := meter.stop()
-	if err := prof.stop(); err != nil {
+	if err := prof.Stop(); err != nil {
 		return err
 	}
 	if *protocol == "impossibility" {
@@ -174,86 +174,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return meter.report(out, cost)
-}
-
-// profiles writes the -cpuprofile and -memprofile of one run. Heap
-// sampling is off until start, so the heap profile holds only what that
-// run allocated. Without -memprofile the process's sampling rate is
-// neither read nor written, so runs in one process may run in parallel.
-type profiles struct {
-	cpu, mem string
-	rate     int // runtime.MemProfileRate before the pause
-	cpuFile  *os.File
-}
-
-// pauseProfiles turns heap sampling off if -memprofile is set, until
-// start.
-func pauseProfiles(cpu, mem string) *profiles {
-	p := &profiles{cpu: cpu, mem: mem}
-	if mem != "" {
-		p.rate, runtime.MemProfileRate = runtime.MemProfileRate, 0
-	}
-	return p
-}
-
-// start begins the profiles of the run about to start: the CPU
-// profile first, so the heap profile does not hold its buffers.
-func (p *profiles) start() error {
-	if p.cpu != "" {
-		f, err := os.Create(p.cpu)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		p.cpuFile = f
-	}
-	if p.mem != "" {
-		runtime.MemProfileRate = p.rate
-	}
-	return nil
-}
-
-// stop ends the CPU profile and writes the heap profile of the run.
-func (p *profiles) stop() error {
-	if p.cpuFile != nil {
-		pprof.StopCPUProfile()
-		err := p.cpuFile.Close()
-		p.cpuFile = nil
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-	}
-	if p.mem == "" {
-		return nil
-	}
-	runtime.GC() // the profile holds the allocations of completed cycles
-	f, err := os.Create(p.mem)
-	if err != nil {
-		return fmt.Errorf("-memprofile: %w", err)
-	}
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("-memprofile: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("-memprofile: %w", err)
-	}
-	return nil
-}
-
-// restore ends a CPU profile a failed run left running and puts the
-// heap sampling rate back.
-func (p *profiles) restore() {
-	if p.cpuFile != nil {
-		pprof.StopCPUProfile()
-		p.cpuFile.Close()
-	}
-	if p.mem != "" {
-		runtime.MemProfileRate = p.rate
-	}
 }
 
 // meter measures one run for -stats; the zero meter measures nothing.

@@ -58,22 +58,24 @@ func PlanFaults(s Scenario) *simnet.FaultPlan {
 	correct := rawIDs(all[:s.Correct])
 	byz := rawIDs(all[s.Correct:])
 
-	plan := &simnet.FaultPlan{Seed: s.Seed*31 + int64(s.Arena)}
+	// Partition/heal cycles: quarantine the coalition for `width` rounds
+	// out of every `period`, starting at round 2. Every cycle's partition
+	// shares one Groups value, which the network reads in place.
+	period := 8 + rng.Intn(5)
+	width := 2 + rng.Intn(3)
+	cycles := (s.MaxRounds-2)/period + 1
+	plan := &simnet.FaultPlan{
+		Seed:   s.Seed*31 + int64(s.Arena),
+		Events: make([]simnet.FaultEvent, 0, 2*cycles+len(byz)+2),
+	}
 	add := func(e simnet.FaultEvent) {
 		if e.Round >= 1 && e.Round <= s.MaxRounds {
 			plan.Events = append(plan.Events, e)
 		}
 	}
-	// Partition/heal cycles: quarantine the coalition for `width` rounds
-	// out of every `period`, starting at round 2.
-	period := 8 + rng.Intn(5)
-	width := 2 + rng.Intn(3)
+	quarantine := [][]uint64{correct, byz}
 	for start := 2; start <= s.MaxRounds; start += period {
-		add(simnet.FaultEvent{
-			Round:  start,
-			Kind:   simnet.FaultPartition,
-			Groups: [][]uint64{correct, byz},
-		})
+		add(simnet.FaultEvent{Round: start, Kind: simnet.FaultPartition, Groups: quarantine})
 		add(simnet.FaultEvent{Round: start + width, Kind: simnet.FaultHeal})
 	}
 	// Loss on the coalition's links (either direction): a Byzantine

@@ -52,14 +52,15 @@ func (f *folder) Step(env *simnet.RoundEnv) {
 	f.log = append(f.log, fmt.Sprintf("round %d: %+v C_v=%v sent %v", env.Round, sel, f.core.Candidates().Members(), env.Sent()))
 }
 
-// A fault-live round delivers every broadcast through the private
-// segment, so the rotor folds it on the census.Window path instead of
-// the engine's counted list — with the same result. Two runs of one
-// fleet, one healthy and one under a drop rule that matches no link (so
-// every round is fault-live and nothing is lost), must send, select and
-// admit the same, round by round; the healthy run must have folded its
-// echoes on the shared path and the fault-live run on the window. The
-// census also holds ghosts that never speak, so n_v exceeds the fleet.
+// A round whose every link a drop rule scopes delivers every broadcast
+// through the private segment, so the rotor folds it on the
+// census.Window path instead of the engine's counted list — with the
+// same result. Two runs of one fleet, one healthy and one under a rate-0
+// drop rule that names nobody (so every link is scoped and rolled every
+// round and nothing is lost), must send, select and admit the same,
+// round by round; the healthy run must have folded its echoes on the
+// shared path and the fault-live run on the window. The census also
+// holds ghosts that never speak, so n_v exceeds the fleet.
 func TestFaultLiveRoundTakesTheWindowFallback(t *testing.T) {
 	t.Parallel()
 	nodes := ids.Sparse(rand.New(rand.NewSource(3)), 12)
@@ -68,7 +69,7 @@ func TestFaultLiveRoundTakesTheWindowFallback(t *testing.T) {
 		cfg := simnet.Config{}
 		if live {
 			cfg.FaultPlan = &simnet.FaultPlan{Seed: 1, Events: []simnet.FaultEvent{
-				{Round: 1, Kind: simnet.FaultDrop, Node: 1, Rate: 0.5}, // no node has id 1
+				{Round: 1, Kind: simnet.FaultDrop, Rate: 0},
 			}}
 		}
 		net := simnet.New(cfg)

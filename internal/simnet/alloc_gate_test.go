@@ -41,6 +41,16 @@ func (statsObserver) ObserveRoundStats(int, RoundAccounting) {}
 // those must be as allocation-free as the nil-plan path — attaching a
 // FaultPlan may never cost a healthy round an allocation.
 //
+// The plan=partition and plan=drop variants certify a warm link-fault
+// round. Under plan=partition the nodes sit in two groups, and each
+// group's members read a block of their group's broadcasts with its own
+// index; under plan=drop a rule names one node, whose broadcasts are
+// rolled link by link into the private segments and which reads
+// everything privately, while the others share the block. Their rounds
+// vary in shape (the drops differ round to round), so they warm for
+// 100 rounds, until the buffers sized by the drops have met their
+// largest round; then neither the grouped blocks nor the rolls allocate.
+//
 // The observer=on variants certify an observed round: the round record
 // — one message event per stored message, n for this fixture's n²
 // deliveries — is built in recycled scratch and handed to a discarding
@@ -71,6 +81,8 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 	}{
 		{"plan=nil", Config{}},
 		{"plan=idle", Config{FaultPlan: &FaultPlan{Seed: 1}}},
+		{"plan=partition", Config{}},
+		{"plan=drop", Config{}},
 		{"observer=on", Config{Observer: discardObserver{}}},
 		{"observer=stats", Config{Observer: statsObserver{}}},
 		{"reader=said", Config{}},
@@ -81,6 +93,21 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/workers=%d/n=%d", label, workers, n), func(t *testing.T) {
 					cfg := variant.cfg
 					cfg.Workers = workers
+					nodes := ids.Sparse(rand.New(rand.NewSource(1)), n) // the fixture's ids
+					raw := make([]uint64, n)
+					for i, id := range nodes {
+						raw[i] = uint64(id)
+					}
+					switch label {
+					case "plan=partition":
+						cfg.FaultPlan = &FaultPlan{Seed: 1, Events: []FaultEvent{
+							{Round: 1, Kind: FaultPartition, Groups: [][]uint64{raw[:n/2], raw[n/2:]}},
+						}}
+					case "plan=drop":
+						cfg.FaultPlan = &FaultPlan{Seed: 1, Events: []FaultEvent{
+							{Round: 1, Kind: FaultDrop, Node: raw[n/3], Rate: 0.5},
+						}}
+					}
 					rp, err := NewRoundPhases(n, cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -99,26 +126,47 @@ func TestRouteHotPathZeroAlloc(t *testing.T) {
 					}
 					// Warm-up: grow the broadcast block, unicast arena, done
 					// mask and round record to their steady-state sizes.
-					for i := 0; i < 3; i++ {
+					warm := 3
+					if cfg.FaultPlan != nil && len(cfg.FaultPlan.Events) > 0 {
+						warm = 100
+					}
+					for i := 0; i < warm; i++ {
 						round()
 					}
 					allocs := allocgate.Count(100, round)
-					if acct.Deliveries != int64(n)*int64(n) || acct.Broadcasts != int64(n) {
-						t.Fatalf("fixture routed %d deliveries / %d broadcasts per round, want n^2 = %d / n = %d",
-							acct.Deliveries, acct.Broadcasts, int64(n)*int64(n), n)
+					deliveries := int64(n) * int64(n)
+					switch label {
+					case "plan=partition":
+						deliveries /= 2
+					case "plan=drop": // about half of the named node's 2n - 1 links drop
+						deliveries -= int64(len(rp.net.roundEvents))
+						if drops := len(rp.net.roundEvents); drops < n/2 || drops > 3*n/2 {
+							t.Fatalf("the rule dropped %d of the named node's 2n - 1 = %d links", drops, 2*n-1)
+						}
+						if len(rp.net.blocks) != 1 || rp.net.blocks[0].hi != int32(n-1) {
+							t.Fatalf("the shared block holds %d broadcasts, want every unnamed node's n - 1", rp.net.blocks[0].hi)
+						}
+					}
+					if acct.Deliveries != deliveries || acct.Broadcasts != int64(n) {
+						t.Fatalf("fixture routed %d deliveries / %d broadcasts per round, want %d / n = %d",
+							acct.Deliveries, acct.Broadcasts, deliveries, n)
+					}
+					if label == "plan=partition" && len(rp.net.blocks) != 2 {
+						t.Fatalf("a partitioned round laid out %d blocks, want one per group", len(rp.net.blocks))
 					}
 					// Nothing is recorded for a round nobody observes, nor
-					// for an observer that reads no message event.
+					// for an observer that reads no message event; a link
+					// drop is an engine event.
 					record := 0
 					if label == "observer=on" {
 						record = n
 					}
-					if len(rp.net.roundEvents) != record {
+					if label != "plan=drop" && len(rp.net.roundEvents) != record {
 						t.Fatalf("round record holds %d events, want %d", len(rp.net.roundEvents), record)
 					}
-					builds := 0 // 3 warm-up rounds, one for Count's own, 100 measured
+					builds := 0 // warm-up rounds, one for Count's own, 100 measured
 					if label == "reader=said" {
-						builds = 3 + 1 + 100
+						builds = warm + 1 + 100
 						if said != 1 {
 							t.Fatalf("reader saw %d distinct payloads in a round of one", said)
 						}

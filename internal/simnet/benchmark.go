@@ -124,11 +124,15 @@ func (rp *RoundPhases) RouteOnly() {
 	n.cfg.Collector.AddRound(n.round, acct.Broadcasts, acct.Unicasts, acct.Deliveries, acct.Bytes)
 }
 
-// nextSends opens the next round and returns the template.
+// nextSends opens the next round, applying its fault-plan events as
+// RunRound does, and returns the template.
 func (rp *RoundPhases) nextSends() []send {
 	n := rp.net
 	n.round++
 	n.roundEvents = n.roundEvents[:0]
+	if n.faults != nil {
+		n.applyFaultEvents()
+	}
 	return rp.template
 }
 

@@ -116,8 +116,9 @@ func countedDiff(in Inbox, of *ids.Set) string {
 // asked about. The four censuses are: everyone, everyone but the first
 // node, everyone but the second — as long as the last, so a view matched
 // by length alone is caught — and half the nodes plus two strangers. A
-// drop rule is live from round 8, so the rounds after it deliver an empty
-// block and build nothing: everything arrives through Direct.
+// drop rule that names nobody is live from round 8, so it scopes every
+// link: the rounds after it deliver no block and build nothing, and
+// everything arrives through Direct.
 func TestCountedMatchesSaidAndIsBuiltOncePerCensus(t *testing.T) {
 	t.Parallel()
 	pool := []wire.Payload{

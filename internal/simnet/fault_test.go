@@ -166,12 +166,12 @@ func TestFaultPlanPresenceIsFree(t *testing.T) {
 	diffOutcomes(t, "empty plan", base, got)
 }
 
-// TestFaultFilterDemotionIsInvisible asserts the broadcast-demotion
-// path is semantically transparent: a plan whose only live rule has
-// rate 0 forces the filter (and the dense per-receiver demotion) on
-// every round, yet deliveries, inbox order, Broadcast flags, tallies
-// and logs all match the nil-plan run. Only the rule-activation event
-// itself may differ.
+// TestFaultFilterDemotionIsInvisible asserts the per-link path is
+// semantically transparent: a plan whose only live rule names nobody
+// and has rate 0 scopes every link, so every broadcast of every round
+// reaches its receivers through their private segments, yet
+// deliveries, inbox order, Broadcast flags, tallies and logs all match
+// the nil-plan run. Only the rule-activation event itself may differ.
 func TestFaultFilterDemotionIsInvisible(t *testing.T) {
 	t.Parallel()
 	base := runFaultWorkload(t, nil, 5, 0, 8)
@@ -581,3 +581,90 @@ func TestQuotaCrashSameRoundOrdering(t *testing.T) {
 type eventJobs struct{ run func(i int) }
 
 func (e *eventJobs) Run(i int) { e.run(i) }
+
+// hit is the drop decision as one stateless hash of its coordinates —
+// the plan seed, then round a, send index b and receiver c, one mix64
+// each — true with probability rate: the definition the route pass's
+// hoisted roll (roundKey, sendKey, drops) computes a prefix at a time.
+func (fs *faultState) hit(a, b, c uint64, rate float64) bool {
+	if rate <= 0 {
+		return false
+	}
+	if rate >= 1 {
+		return true
+	}
+	h := fs.seed ^ saltDrop*0x9e3779b97f4a7c15
+	h = mix64(h + a)
+	h = mix64(h + b*0xbf58476d1ce4e5b9)
+	h = mix64(h + c*0x94d049bb133111eb)
+	return h>>32 < uint64(rate*4294967296.0)
+}
+
+// The route pass rolls a link with the round's and the send's hash
+// prefixes taken once each; on random coordinates and rates — 0, 1, and
+// in between — every roll decides as hit does.
+func TestHoistedRollMatchesHit(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(1))
+	hits := 0
+	for range 20_000 {
+		fs := newFaultState(&FaultPlan{Seed: rng.Int63()})
+		round, k, to := rng.Intn(1000)+1, int32(rng.Intn(1<<20)), ids.ID(rng.Uint64())
+		rate := []float64{0, 1, rng.Float64()}[rng.Intn(3)]
+		fs.round = fs.roundKey(round)
+		got := drops(fs.sendKey(k), to, rate)
+		if want := fs.hit(uint64(round), uint64(k), uint64(to), rate); got != want {
+			t.Fatalf("round %d, send %d, receiver %v, rate %v: hoisted roll %v, hit %v", round, k, to, rate, got, want)
+		}
+		if got {
+			hits++
+		}
+	}
+	if hits < 5000 || hits > 15000 {
+		t.Fatalf("%d of 20000 rolls hit: the coordinates are not exercising both outcomes", hits)
+	}
+}
+
+// The per-round resolution of the drop rules gives every link the rate
+// of the latest live rule that matches it, as a walk over every rule
+// does: random rules — unscoped, by sender, receiver, either endpoint,
+// both, naming ids the network does not hold — over every ordered pair
+// of live nodes.
+func TestResolvedRatesMatchLastMatchingRule(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		net := New(Config{})
+		nodes := ids.Consecutive(10, 8)
+		for _, id := range nodes {
+			if err := net.Add(&ChatterProcess{Ident: id}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pick := func() uint64 {
+			if rng.Intn(3) == 0 {
+				return 0
+			}
+			return uint64(9 + rng.Intn(10)) // 9 and 18, 19 are no node's
+		}
+		fs := newFaultState(&FaultPlan{Seed: seed})
+		for range 1 + rng.Intn(6) {
+			fs.rules = append(fs.rules, FaultEvent{Kind: FaultDrop, From: pick(), To: pick(), Node: pick(), Rate: rng.Float64()})
+		}
+		net.faults = fs
+		net.resolveLinks()
+		for f, from := range nodes {
+			for r, to := range nodes {
+				want := 0.0
+				for i := range fs.rules {
+					if fs.rules[i].matches(from, to) {
+						want = fs.rules[i].Rate
+					}
+				}
+				if got := fs.rate(int32(f), int32(r), from, to); got != want {
+					t.Fatalf("seed %d, rules %+v: link %v -> %v has rate %v, want %v", seed, fs.rules, from, to, got, want)
+				}
+			}
+		}
+	}
+}

@@ -221,6 +221,7 @@ func (in *Inbox) Said() []Said {
 
 // Direct returns the receiver's private segment in inbox order: the
 // unicasts addressed to it and, on a link-fault round, the broadcast
-// copies its links delivered (the shared block is empty then). These
-// are per-receiver by nature and are read one message at a time.
+// copies delivered over the links a drop rule scopes — every broadcast
+// it gets, if a rule names it (it reads no block then). These are
+// per-receiver by nature and are read one message at a time.
 func (in *Inbox) Direct() []Received { return in.uni }

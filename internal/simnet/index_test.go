@@ -121,10 +121,11 @@ func readBothWays(in Inbox) string {
 // encoding, and the index is built exactly once in a round where anyone
 // asks and not at all in a round where nobody does — for inline
 // stepping and for three real workers racing to be the first to ask
-// (run under -race, this is the once-guard's test). From round 8 on a
-// drop rule is live, so those are fault-plan rounds: every broadcast is
-// demoted to the private segments (some copies dropped) and the block
-// is empty.
+// (run under -race, this is the once-guard's test). From round 8 on
+// drop rules name three nodes, so those are fault-plan rounds: the
+// named nodes' broadcasts, and everything the named nodes receive, go
+// through the private segments (some copies dropped), and the block
+// holds the other nodes' broadcasts.
 func TestSaidMatchesAllAndIsBuiltOncePerRound(t *testing.T) {
 	t.Parallel()
 	pool := []wire.Payload{
@@ -141,14 +142,16 @@ func TestSaidMatchesAllAndIsBuiltOncePerRound(t *testing.T) {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
 				t.Parallel()
 				const faultFrom = 8
-				plan := &FaultPlan{Seed: seed, Events: []FaultEvent{
-					{Round: faultFrom, Kind: FaultDrop, Rate: 0.3},
-				}}
+				rng := rand.New(rand.NewSource(seed))
+				nodeIDs := ids.Sparse(rng, 70) // more than one word of broadcasters
+				named := []ids.ID{nodeIDs[1], nodeIDs[5], nodeIDs[40]}
+				plan := &FaultPlan{Seed: seed}
+				for _, id := range named {
+					plan.Events = append(plan.Events, FaultEvent{Round: faultFrom, Kind: FaultDrop, Node: uint64(id), Rate: 0.3})
+				}
 				net := New(Config{MaxRounds: rounds + 1, FaultPlan: plan})
 				net.forceWorkers(workers)
 				defer net.Close()
-				rng := rand.New(rand.NewSource(seed))
-				nodeIDs := ids.Sparse(rng, 70) // more than one word of broadcasters
 				// Nobody reads in rounds 3 and 9; everyone does otherwise.
 				reads := func(round int) bool { return round != 3 && round != 9 }
 				procs := make([]*saidReader, len(nodeIDs))
@@ -159,7 +162,7 @@ func TestSaidMatchesAllAndIsBuiltOncePerRound(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				emptyBlocks := 0
+				namedBlocks := 0
 				for round := 1; round <= rounds; round++ {
 					before := net.index.builds
 					if err := net.RunRound(); err != nil {
@@ -172,8 +175,14 @@ func TestSaidMatchesAllAndIsBuiltOncePerRound(t *testing.T) {
 					if got := net.index.builds - before; got != want {
 						t.Fatalf("round %d: index built %d times, want %d", round, got, want)
 					}
-					if round > 1 && len(net.bcastBlock) == 0 {
-						emptyBlocks++
+					if len(net.bcastBlock) == 0 {
+						t.Fatalf("round %d routed an empty block", round)
+					}
+					if slices.ContainsFunc(net.bcastBlock, func(m Received) bool { return slices.Contains(named, m.From) }) {
+						if round >= faultFrom {
+							t.Fatalf("round %d routed a named node's broadcast in the block", round)
+						}
+						namedBlocks++
 					}
 				}
 				for _, p := range procs {
@@ -184,8 +193,8 @@ func TestSaidMatchesAllAndIsBuiltOncePerRound(t *testing.T) {
 						t.Fatalf("%d differences, first: %s", len(p.found), p.found[0])
 					}
 				}
-				if want := rounds - faultFrom + 1; emptyBlocks != want {
-					t.Fatalf("%d rounds routed an empty block, want the %d fault-plan rounds", emptyBlocks, want)
+				if namedBlocks == 0 {
+					t.Fatal("no round before the plan's routed a named node's broadcast in the block")
 				}
 			})
 		}

@@ -79,9 +79,12 @@
 // merge), link-fault events (route filter), then one message
 // event per stored message: each broadcast of the shared block once,
 // To == 0 meaning "delivered to every receiver live this round", then
-// each unicast-arena entry once, in receiver order (on link-fault rounds
-// the surviving broadcast copies are arena entries, one per link that
-// kept its copy). That is O(B + U) events, built only for a
+// each unicast-arena entry once, in receiver order. On a link-fault round
+// a block broadcast's To == 0 means every receiver that read its block —
+// the live receivers of its sender's partition group that no drop rule
+// names — and the broadcast copies delivered over the links a rule
+// scopes are arena entries, one per link that kept its copy. That is
+// O(B + U) events, built only for a
 // Config.Observer that reads them: an observer that implements
 // MessageReader and answers false — an oracle suite whose oracles read
 // only engine events and the round's accounting, such as every public
@@ -164,8 +167,9 @@ type Received struct {
 	encoded string
 	// bcast marks a delivery that was part of a broadcast fan-out. It
 	// is carried on the value (not derived from which arena holds it)
-	// because fault-plan rounds demote broadcasts into per-receiver
-	// arena entries; the transcript's Broadcast flag must survive that.
+	// because a link-fault round delivers the broadcasts of the links a
+	// drop rule scopes as per-receiver arena entries; the transcript's
+	// Broadcast flag must survive that.
 	bcast bool
 }
 
@@ -201,8 +205,9 @@ type send struct {
 // safe to keep.
 type Inbox struct {
 	// bcast is the round's shared broadcast block (every surviving
-	// broadcast, in ascending send order), shared by all receivers;
-	// bkeys holds the aligned global send indices the merge runs on.
+	// broadcast, in ascending send order; on a partitioned round those
+	// of the receiver's group), shared by all its readers; bkeys holds
+	// the aligned global send indices the merge runs on.
 	bcast []Received
 	bkeys []int32
 	// uni is this receiver's private unicast segment (ascending send
@@ -218,8 +223,9 @@ type Inbox struct {
 
 // InboxOf returns an Inbox delivering exactly msgs in the given order —
 // the constructor for tests and harnesses that drive a Process manually.
-// Everything is in the private segment (Direct), as on a link-fault
-// round; InboxOfRound builds an inbox with a shared block.
+// Everything is in the private segment (Direct), as for a node a
+// link-fault round's drop rule names; InboxOfRound builds an inbox with
+// a shared block.
 func InboxOf(msgs ...Received) Inbox {
 	return Inbox{uni: msgs}
 }

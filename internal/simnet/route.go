@@ -28,7 +28,11 @@ import (
 //     each surviving send as a broadcast (index into outs) or a unicast
 //     resolved to its receiver's live index (dropped here if the target
 //     is unknown or done; Done is snapshotted once per round — no
-//     process steps during routing, so the snapshot is exact). Unicasts
+//     process steps during routing, so the snapshot is exact). On a
+//     link-fault round the scan classifies each surviving send under the
+//     live partition and drop rules as it meets it (fault.go): a
+//     broadcast joins its sender's group block, and only the links a drop
+//     rule scopes are rolled, one by one, into the private segments. Unicasts
 //     are then bucketed per receiver with a stable counting sort,
 //     preserving send order.
 //
@@ -43,8 +47,9 @@ import (
 //     Process.Step must not retain env.Inbox (see the package docs).
 //     The round record, which mirrors this storage, is finished here
 //     for an observer that reads message events.
-//     Each block sender's lastBcast is stamped here, which is all the
-//     contact rule needs of the block (see Network.knows).
+//     Each block sender's lastBcast is stamped here when the block
+//     reached every receiver, which is all the contact rule needs of the
+//     block (see Network.knows and linkContacts).
 //
 //  3. Delivery. One walk over the receivers in node order notes, per
 //     receiver, the bounds of its arena segment; the Inbox view over
@@ -86,6 +91,16 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	n.bcastIdx = n.bcastIdx[:0]
 	n.uniRecv = n.uniRecv[:0]
 	n.uniSend = n.uniSend[:0]
+	// (2b) On a round with a live partition or drop rule each surviving
+	// send is classified under them as the scan meets it (fault.go):
+	// into its group's block, or rolled link by link into the private
+	// segments, in send-index order, so the bucket order below
+	// reproduces the merge order exactly.
+	fs := n.faults
+	links := fs != nil && fs.linkLive
+	if links {
+		n.resolveLinks()
+	}
 	for k := range outs {
 		s := &outs[k]
 		if k > 0 {
@@ -100,6 +115,10 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		}
 		if s.to == ids.None {
 			lastB = k
+			if links {
+				n.routeBroadcast(outs, int32(k))
+				continue
+			}
 			n.bcastIdx = append(n.bcastIdx, int32(k))
 			continue
 		}
@@ -112,16 +131,15 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		if !ok || n.doneMask[r] {
 			continue // unknown or halted target: dropped
 		}
+		if links {
+			n.routeUnicast(outs, int32(k), int32(r))
+			continue
+		}
 		n.uniRecv = append(n.uniRecv, int32(r))
 		n.uniSend = append(n.uniSend, int32(k))
 	}
-
-	if n.faults != nil && n.faults.linkLive {
-		// (2b) Link-fault filter: rewrite the classified stream under
-		// the live partition/drop rules (see fault.go). Broadcasts are
-		// demoted to per-receiver unicast entries in send-index order,
-		// so the bucket order below reproduces the merge order exactly.
-		n.faultFilter(outs)
+	if links && fs.groups != nil {
+		n.groupBlocks(outs)
 	}
 
 	// (3) Bucket unicasts per receiver (stable counting sort: within a
@@ -151,13 +169,17 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	// unicasts once into the arena, aligned with bcastIdx and uniIdx
 	// respectively, each from the intern table's one decoded payload and
 	// string for its encoding. Receivers get views over these, never over
-	// outs — the step merge rewrites it. Broadcasts a link-fault round
-	// demoted to arena entries keep their Broadcast transcript flag
-	// through Received.bcast. Shrink-clearing the recycled tails drops
-	// the references held by last round's larger block/arena so dead
-	// payloads are not pinned. The block and its ranks, like the arena,
-	// take their index list's capacity, which append grows geometrically,
-	// so a round one broadcast past the last maximum reallocates neither.
+	// outs — the step merge rewrites it. A partitioned round's block is
+	// one span per group (groupBlocks), each with its own index; the
+	// broadcast copies a link-fault round delivers privately keep their
+	// Broadcast transcript flag through Received.bcast. Shrink-clearing
+	// the recycled tails drops the references held by last round's larger
+	// block/arena so dead payloads are not pinned. The block and its
+	// ranks, like the arena, take their index list's capacity, which
+	// append grows geometrically, so a round one broadcast past the last
+	// maximum reallocates neither. Each block sender's lastBcast is
+	// stamped when the block reached every receiver (see linkContacts).
+	stamp := !links || n.linkContacts(outs)
 	nb := len(n.bcastIdx)
 	n.bcastBlock = recycled(n.bcastBlock, nb, cap(n.bcastIdx), &n.bcastLive)
 	n.bcastRank = grown(n.bcastRank, cap(n.bcastIdx))[:nb]
@@ -168,12 +190,25 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		n.materialize(&n.bcastBlock[j], s, true)
 		n.bcastRank[j] = s.at
 		bbytes += int64(s.n)
-		for n.order[sender] != s.from {
-			sender++
+		if stamp {
+			for n.order[sender] != s.from {
+				sender++
+			}
+			n.live[sender].lastBcast = n.round
 		}
-		n.live[sender].lastBcast = n.round
 	}
-	n.index.reset(n.bcastBlock, n.bcastRank, len(n.intern.cur.entries))
+	if !links || fs.groups == nil {
+		n.layBlocks(1)
+		n.blocks[0].lo, n.blocks[0].hi, n.blocks[0].bytes = 0, int32(nb), bbytes
+	}
+	for i := range n.blocks {
+		b := &n.blocks[i]
+		b.idx.reset(n.bcastBlock[b.lo:b.hi], n.bcastRank[b.lo:b.hi], len(n.intern.cur.entries))
+	}
+	for _, b := range n.blocks[len(n.blocks):max(n.blocksLive, len(n.blocks))] {
+		b.idx.reset(nil, nil, 0) // a group block the partition no longer has pins nothing
+	}
+	n.blocksLive = len(n.blocks)
 	nu := len(n.uniIdx)
 	n.uniArena = recycled(n.uniArena, nu, cap(n.uniRecv), &n.uniLive)
 	for j, k := range n.uniIdx {
@@ -207,26 +242,39 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 	// (6) Delivery: note every receiver's next-round inbox, in node
 	// order. Block, arena and index lists are finished; the walk only
 	// reads them.
+	var none bblock
 	for i, st := range n.live {
 		ulo, uhi := n.uniStart[i], n.uniStart[i+1]
-		nm := nb + int(uhi-ulo)
+		// The block the receiver reads: the one block, or on a link-fault
+		// round its group's, or none if a rule names it or it is in no
+		// group.
+		blk, b := int32(0), &n.blocks[0]
+		if links {
+			if blk = fs.reads[i]; blk >= 0 {
+				b = &n.blocks[blk]
+			} else {
+				b = &none
+			}
+		}
+		nm := int(b.hi-b.lo) + int(uhi-ulo)
 		if n.doneMask[i] || nm == 0 {
 			st.delivery = inboxBounds{}
 			continue
 		}
-		// The receiver's inbox is the shared broadcast block merged with
-		// its private arena segment by global send index — the
+		// The receiver's inbox is its broadcast block merged with its
+		// private arena segment by global send index — the
 		// receiver-relevant subsequence of the (from, encoding,
 		// to)-sorted send stream, i.e. the documented (sender,
-		// encoding) inbox order. Only the segment's bounds are stored;
-		// the view is built when the receiver steps (Network.setInbox).
-		st.delivery = inboxBounds{lo: ulo, hi: uhi, fed: true}
-		// Tallies are arithmetic — no per-receiver message walk: the
-		// block's sizes are shared by every live receiver.
+		// encoding) inbox order. Only the bounds are stored; the view is
+		// built when the receiver steps (Network.setInbox).
+		st.delivery = inboxBounds{lo: ulo, hi: uhi, blk: blk, fed: true}
+		// Tallies are arithmetic — no per-receiver message walk: a
+		// block's sizes are shared by every receiver that reads it.
 		deliveries += int64(nm)
-		volume += bbytes
-		// The block's senders are contacts through lastBcast; an arena
-		// entry's sender is noted unless it already is one. A segment is
+		volume += b.bytes
+		// The block's senders are contacts through lastBcast or noted by
+		// linkContacts; an arena entry's sender is noted unless it
+		// already is one. A segment is
 		// in send order, so one sender's entries are adjacent.
 		prev := ids.None
 		for j := ulo; j < uhi; j++ {
@@ -239,6 +287,32 @@ func (n *Network) route(outs []send) (deliveries, volume int64) {
 		}
 	}
 	return deliveries, volume
+}
+
+// bblock is one broadcast block of a round: its span of the block
+// storage (bcastBlock, bcastIdx, bcastRank), its byte total, and its
+// payload-major index. A round has one, read by every receiver; a round
+// with a live partition has one per group, read by the group's members.
+type bblock struct {
+	lo, hi int32
+	bytes  int64
+	idx    *blockIndex
+}
+
+// layBlocks sizes n.blocks to count blocks, keeping the indexes of those
+// it held: block 0's is n.index, and any other's is made the first time
+// a partition has that many groups, then recycled like n.index.
+func (n *Network) layBlocks(count int) {
+	if cap(n.blocks) < count {
+		n.blocks = append(n.blocks[:cap(n.blocks)], make([]bblock, count-cap(n.blocks))...)
+	}
+	n.blocks = n.blocks[:count]
+	n.blocks[0].idx = n.index
+	for i := 1; i < count; i++ {
+		if n.blocks[i].idx == nil {
+			n.blocks[i].idx = new(blockIndex)
+		}
+	}
 }
 
 // materialize writes s, whose encoding has rank s.at in the intern

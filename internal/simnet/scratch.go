@@ -69,6 +69,10 @@ type netScratch struct {
 	// once-guard must not be copied — and made by New when the pool had
 	// none to hand over.
 	index *blockIndex
+	// blocks are the round's broadcast blocks (route.go): one, whose
+	// index is index, or one per group of a live partition, each group
+	// past the first with an index of its own, kept with its capacity.
+	blocks []bblock
 }
 
 var scratchPool sync.Pool
@@ -101,7 +105,12 @@ func (n *Network) releaseScratch() {
 	clear(n.bcastBlock[:cap(n.bcastBlock)])
 	clear(n.uniArena[:cap(n.uniArena)])
 	n.index.release()
-	n.bcastLive, n.uniLive = 0, 0
+	for _, b := range n.blocks[:cap(n.blocks)] {
+		if b.idx != nil && b.idx != n.index {
+			b.idx.release()
+		}
+	}
+	n.bcastLive, n.uniLive, n.blocksLive = 0, 0, 0
 	s := n.scratchBox
 	if s == nil {
 		s = new(netScratch)

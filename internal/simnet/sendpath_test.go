@@ -129,9 +129,12 @@ func (w *whisper) Step(env *simnet.RoundEnv) {
 //     so a census merge that allocated once it holds everyone shows.
 //     With links=live a drop rule on the links of one node (neither the
 //     coordinator nor the node the assertions read) drops about half of
-//     them every round, so every fault roll runs, every broadcast is
-//     delivered through Direct and Core.Opinions orders the opinions by
-//     encoding itself. The drops vary each round's shape, so buffers
+//     them every round, so the fault rolls run every round. Only that
+//     node's links go through Direct: its broadcasts reach the others
+//     privately, beside the shared block they read as on a healthy
+//     round, and it reads everything privately, so for it
+//     Core.Opinions orders the opinions by encoding itself and its
+//     census is a set of its own. The drops vary each round's shape, so buffers
 //     sized by it (the unicast arena, a node's census window) reach
 //     their high-water mark only after dozens of rounds; this row warms
 //     for 100 (the last growth is before round 70, and the 2,000 rounds
@@ -244,11 +247,14 @@ func TestSendPathZeroAlloc(t *testing.T) {
 				warm = 100
 			}
 			checkZeroAllocRounds(t, net, warm)
-			// A live link-fault round delivers every broadcast through
-			// Direct, where each node merges its senders alone, so there
-			// each node holds a set of its own.
-			if got, shared := es[1].live.N(), es[1].live.Members() == es[0].live.Members(); got != n || shared == live {
-				t.Fatalf("a node's live census holds %d senders (shared %v), want n = %d, shared unless links are live", got, shared, n)
+			// The nodes no rule names read the shared block, so they share
+			// one census; the named node reads everything through Direct,
+			// where it merges its senders alone.
+			if got, shared := es[1].live.N(), es[1].live.Members() == es[0].live.Members(); got != n || !shared {
+				t.Fatalf("a node's live census holds %d senders (shared %v), want n = %d, shared", got, shared, n)
+			}
+			if own := es[dropped].live.Members(); live && (own == es[0].live.Members() || own.Len() != n) {
+				t.Fatalf("the named node's census holds %d senders, want a set of its own with n = %d", own.Len(), n)
 			}
 			if own := es[owner].live.Members(); row == "census=diverged" && (own == es[1].live.Members() || own.Len() != n+1) {
 				t.Fatalf("the whispered-to node's census holds %d senders, want a set of its own with n + 1 = %d", own.Len(), n+1)

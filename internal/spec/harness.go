@@ -53,7 +53,7 @@ type Side struct {
 // meets late — and a silent Tap, run for Rounds rounds.
 type Family struct {
 	Nodes, Chatterers, Rounds int
-	FaultFrom                 int // the first round the link-fault shape demotes
+	FaultFrom                 int // the first round of the link-fault shapes' plans
 	Pool                      func(nodes, byz []ids.ID) []wire.Payload
 	Spec                      func(Role) simnet.Process
 }
@@ -127,8 +127,8 @@ var (
 	// ForTRB: the first chatterer is the source and sends two bodies;
 	// every chatterer relays both, echoes a ghost, and sends ballots,
 	// markers and opinions of both fingerprints and of ⊥, also of a
-	// foreign instance. Sized as ForConsensus; the link-fault shape
-	// demotes from round 1, the round the source sends in.
+	// foreign instance. Sized as ForConsensus; the link-fault shapes
+	// start in round 1, the round the source sends in.
 	ForTRB = Family{Nodes: 8, Chatterers: 5, Rounds: 32, FaultFrom: 1,
 		Pool: func(_, byz []ids.ID) []wire.Payload {
 			return append(ballots([]uint64{0, 1}, fingerprint([]byte("m0")), fingerprint([]byte("m1")), wire.Bot()),
@@ -151,8 +151,8 @@ var (
 	// ForVector: chatterers contribute two values, NaN and malformed
 	// events, echo a ghost, and send ballots, markers and opinions of two
 	// values on a node's slot, a chatterer's and the ghost's. Sized as
-	// ForConsensus; the link-fault shape demotes from round 1, the round
-	// the contributions go out in.
+	// ForConsensus; the link-fault shapes start in round 1, the round the
+	// contributions go out in.
 	ForVector = Family{Nodes: 8, Chatterers: 5, Rounds: 32, FaultFrom: 1,
 		Pool: func(nodes, byz []ids.ID) []wire.Payload {
 			return append(ballots([]uint64{uint64(byz[0]), uint64(nodes[0]), 11}, wire.V(1), wire.V(2)),
@@ -202,7 +202,7 @@ func ballots(instances []uint64, values ...wire.Value) []wire.Payload {
 
 // approxRow is Algorithm 4 reducing rounds times: chatterers send several
 // values each, NaN, ⊥ and a foreign instance's input. The link-fault
-// shape demotes from round 1, the round the single shot sends in.
+// shapes start in round 1, the round the single shot sends in.
 func approxRow(rounds int) Family {
 	in := func(x float64) wire.Payload { return wire.Input{X: wire.V(x)} }
 	return Family{Nodes: 7, Chatterers: 7, Rounds: rounds + 2, FaultFrom: 1,
@@ -216,10 +216,13 @@ func approxRow(rounds int) Family {
 // Test runs the family's scenarios as parallel subtests of t named
 // "<shape>/quota=<q>/seed=<s>": every way a round reaches a reader —
 // "block" (the chatterers only broadcast: their messages arrive in the
-// shared block), "block+unicasts" (Byzantine unicasts beside the block)
-// and "linkfault" (a live link rule: everything private) — without a
-// send quota and with one of 3 (fewer than a round's echoes), seeds 1
-// to 8. Each runs
+// shared block), "block+unicasts" (Byzantine unicasts beside the block),
+// "linkfault" (a live link rule that names nobody: everything private),
+// "drop=node" (a rule names one chatterer: its broadcasts arrive
+// privately, beside the block) and "partition" (in the round after
+// FaultFrom the chatterers are cut off, in a group of their own: the
+// nodes read their group's block) — without a send quota and with one of 3 (fewer than a
+// round's echoes), seeds 1 to 8. Each runs
 // impl's nodes and the spec's on two networks and fails at the first
 // correct node whose queued sends (read with env.Sent right after Step:
 // the whole queue, round by round, in order) or whose outcome differ, or
@@ -227,7 +230,7 @@ func approxRow(rounds int) Family {
 // that keeps memory its round lent it (retain.go) fails it too. check,
 // if not nil, then reads the spec's nodes.
 func (f Family) Test(t *testing.T, impl Side, check func(t *testing.T, spec []simnet.Process)) {
-	for _, shape := range []string{"block", "block+unicasts", "linkfault"} {
+	for _, shape := range []string{"block", "block+unicasts", "linkfault", "drop=node", "partition"} {
 		for _, quota := range []int{0, 3} {
 			for seed := int64(1); seed <= 8; seed++ {
 				t.Run(fmt.Sprintf("%s/quota=%d/seed=%d", shape, quota, seed), func(t *testing.T) {
@@ -248,10 +251,10 @@ func (f Family) Test(t *testing.T, impl Side, check func(t *testing.T, spec []si
 					switch {
 					case shape == "block" && direct != 0:
 						t.Fatalf("%d private deliveries of chatterers' messages in an all-broadcast run", direct)
-					case shape == "block+unicasts" && (direct == 0 || shared == 0):
+					case shape != "block" && shape != "linkfault" && (direct == 0 || shared == 0):
 						t.Fatalf("shared=%d private=%d: want both", shared, direct)
 					case shape == "linkfault" && direct == 0:
-						t.Fatal("the link rule demoted nothing")
+						t.Fatal("the link rule delivered nothing privately")
 					}
 					if check != nil {
 						check(t, nodes)
@@ -284,9 +287,26 @@ func (f Family) run(t *testing.T, shape string, quota int, seed int64, mk func(R
 	all := ids.Sparse(rng, f.Nodes+f.Chatterers+1)
 	nodes, byz := all[:f.Nodes], all[f.Nodes:len(all)-1]
 	cfg := simnet.Config{SendQuota: quota}
-	if shape == "linkfault" {
+	switch shape {
+	case "linkfault":
 		cfg.FaultPlan = &simnet.FaultPlan{Seed: seed, Events: []simnet.FaultEvent{
 			{Round: f.FaultFrom, Kind: simnet.FaultDrop, Rate: 0.1},
+		}}
+	case "drop=node":
+		cfg.FaultPlan = &simnet.FaultPlan{Seed: seed, Events: []simnet.FaultEvent{
+			{Round: f.FaultFrom, Kind: simnet.FaultDrop, Node: uint64(byz[0]), Rate: 0.5},
+		}}
+	case "partition":
+		raw := func(in []ids.ID) []uint64 {
+			out := make([]uint64, len(in))
+			for i, id := range in {
+				out[i] = uint64(id)
+			}
+			return out
+		}
+		cfg.FaultPlan = &simnet.FaultPlan{Seed: seed, Events: []simnet.FaultEvent{
+			{Round: f.FaultFrom + 1, Kind: simnet.FaultPartition, Groups: [][]uint64{raw(byz), raw(nodes)}},
+			{Round: f.FaultFrom + 2, Kind: simnet.FaultHeal},
 		}}
 	}
 	net := simnet.New(cfg)
